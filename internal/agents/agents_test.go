@@ -357,3 +357,56 @@ func TestAgentsTerminate(t *testing.T) {
 		}
 	}
 }
+
+// TestScriptRenderedAfterRotationCarriesIssuedKeys: the engine renders a
+// page's script when it is downloaded, from the keys the keystore holds — so
+// a pool rotation between the page and the download changes the obfuscation
+// but nothing a browser (or a scraper) reads out of the script: the handler
+// keeps its name and fetches the page's real key, every issued decoy is
+// there, the exec beacon carries the script token, and within one epoch the
+// body is the same bytes on every download.
+func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
+	for _, obf := range []bool{false, true} {
+		det := core.New(core.Config{Seed: 17, ObfuscateJS: obf})
+		const ip, ua = "10.30.0.1", "Firefox/1.5"
+		fetch := func(path string) string {
+			resp, ok := det.HandleBeacon(ip, ua, path)
+			if !ok || resp.Status != 200 {
+				t.Fatalf("obf=%v: script download: ok=%v status=%d", obf, ok, resp.Status)
+			}
+			defer resp.Done()
+			return string(resp.Body)
+		}
+		_, inst := det.InstrumentPage(ip, ua, "/", []byte("<html><head></head><body></body></html>"))
+		before := fetch(inst.ScriptPath)
+
+		det.RotateScripts()
+		script := fetch(inst.ScriptPath)
+		if script == before {
+			t.Fatalf("obf=%v: rotation did not change the rendered body", obf)
+		}
+		if again := fetch(inst.ScriptPath); again != script {
+			t.Fatalf("obf=%v: two downloads within one epoch differ", obf)
+		}
+
+		prefix := det.Config().BeaconPrefix
+		if got, want := handlerBeaconURL(script, "__bd_f"), prefix+"/"+inst.Issued.Key+".jpg"; got != want {
+			t.Fatalf("obf=%v: handler beacon = %q, want %q", obf, got, want)
+		}
+		if got, want := execBeaconURL(script), prefix+"/js/"+inst.Issued.ScriptToken+".gif"; got != want {
+			t.Fatalf("obf=%v: exec beacon = %q, want %q", obf, got, want)
+		}
+		scraped := make(map[string]bool)
+		for _, u := range allBeaconURLs(script) {
+			scraped[u] = true
+		}
+		for _, d := range inst.Issued.Decoys {
+			if !scraped[prefix+"/"+d+".jpg"] {
+				t.Fatalf("obf=%v: decoy %s missing from the rendered script (scraped %v)", obf, d, scraped)
+			}
+		}
+		if want := 2 + len(inst.Issued.Decoys); len(scraped) != want {
+			t.Fatalf("obf=%v: scraped %d distinct beacon URLs, want %d: %v", obf, len(scraped), want, scraped)
+		}
+	}
+}

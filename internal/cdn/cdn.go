@@ -283,8 +283,8 @@ func (n *Node) Do(req agents.Request) agents.Response {
 	adm := d.AdmitPage(req.IP, req.UserAgent)
 	if n.rep != nil && adm == core.AdmitFull {
 		// Partition failover: a session this node has never seen but another
-		// node owns gets degraded instrumentation (the shared script variant
-		// still proves humanity) while a handoff backfills its evidence from
+		// node owns gets degraded instrumentation (its real key still
+		// proves humanity) while a handoff backfills its evidence from
 		// the partition owner in the background. The serve path never waits.
 		adm = n.failoverAdmission(key, adm)
 	}

@@ -289,7 +289,7 @@ func (n *Node) Down() bool { return n.down.Load() }
 
 // failoverAdmission downgrades admission for a session this node has never
 // seen but another node owns: the degraded page still proves humanity
-// through the shared script variant, and a handoff request backfills the
+// through its real key, and a handoff request backfills the
 // session's evidence from the partition owner in the background. Sessions
 // this node tracks — or owns as ring primary — keep full admission.
 func (n *Node) failoverAdmission(key session.Key, adm core.Admission) core.Admission {

@@ -6,12 +6,11 @@
 //	S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM)
 //
 // The Engine is the concurrency facade over the detection pipeline: it owns
-// the sharded session tracker, the sharded key store, a sharded cache of
-// generated scripts and atomic counters, and fans every request out to
-// exactly one shard of each, so the hot path (ObserveRequest, HandleBeacon)
-// scales with cores instead of serialising on global mutexes. Reads
-// (Classify, Session) are lock-free, and idle-session expiry is amortised
-// shard by shard — there is no stop-the-world sweep.
+// the sharded session tracker, the sharded key store and atomic counters, and
+// fans every request out to exactly one shard of each, so the hot path
+// (ObserveRequest, HandleBeacon) scales with cores instead of serialising on
+// global mutexes. Reads (Classify, Session) are lock-free, and idle-session
+// expiry is amortised shard by shard — there is no stop-the-world sweep.
 //
 // The Engine is transport-agnostic: callers (the HTTP proxy middleware in
 // internal/proxy, the CoDeeN-scale simulator in internal/cdn, and the
@@ -99,22 +98,23 @@ type Response struct {
 	// no-store (always true for generated instrumentation objects).
 	NoCache bool
 
-	// script pins the refcounted body buffer for script downloads; Done
-	// drops the reference once the caller has written Body.
+	// script is the pooled buffer a script download's Body was rendered into;
+	// Done returns it once the caller has written Body.
 	script *scriptBuf
-	eng    *Engine
 }
 
 // Done releases the resources the response body pins — for script downloads,
-// one reference on the cached script buffer. Call it exactly once, after Body
-// has been written; it is a no-op on every other response (including the zero
-// value), and skipping it is safe but forgoes buffer recycling: the reference
-// count never reaches zero and the garbage collector reclaims the buffer
+// the pooled buffer the body was rendered into. Call it exactly once, after
+// Body has been written (Body must not be read afterwards); it is a no-op on
+// every other response (including the zero value), and skipping it is safe
+// but forgoes buffer recycling: the garbage collector reclaims the buffer
 // instead of the pool.
 func (r *Response) Done() {
 	if r.script != nil {
-		r.eng.releaseScriptBuf(r.script)
-		r.script, r.eng = nil, nil
+		if cap(r.script.b) <= maxPooledScriptBuf {
+			scriptBufs.Put(r.script)
+		}
+		r.script = nil
 	}
 }
 
@@ -133,10 +133,10 @@ type Config struct {
 	// ObfuscateJS enables lexical obfuscation of the generated script.
 	ObfuscateJS bool
 	// ScriptVariants is the number of precompiled obfuscated script templates
-	// per rotation epoch (default jsgen.DefaultVariants). Per page view the
-	// engine picks one variant off its RNG stream and splices the page's keys
-	// in, so generation is a pooled copy instead of a rebuild; RotateScripts
-	// recompiles the whole set.
+	// per rotation epoch (default jsgen.DefaultVariants). Per script download
+	// the engine picks one variant from the page's script token and splices
+	// the page's keys in, so generation is a pooled copy instead of a rebuild;
+	// RotateScripts recompiles the whole set.
 	ScriptVariants int
 	// MinRequests is the number of requests a session must reach before the
 	// behavioural (browser-test) rules classify it (paper: 10).
@@ -166,11 +166,9 @@ type Config struct {
 	// DegradedKeyTTL is the key lifetime for degraded page views (default
 	// SessionIdleTimeout/4).
 	DegradedKeyTTL time.Duration
-	// MaxScripts bounds retained generated scripts awaiting download.
-	MaxScripts int
-	// Shards is the shard count for the session table, the key store and the
-	// script cache, rounded up to a power of two. When zero the engine
-	// autotunes it from GOMAXPROCS (shard.AutoShards: four shards per
+	// Shards is the shard count for the session table and the key store,
+	// rounded up to a power of two. When zero the engine autotunes it from
+	// GOMAXPROCS (shard.AutoShards: four shards per
 	// logical CPU, clamped to [8, 512]), so deployments track the machine
 	// they land on instead of a hardcoded default. Use 1 to recover the
 	// strict global-LRU semantics of a single-lock engine at the cost of
@@ -254,9 +252,6 @@ func (c Config) withDefaults() Config {
 	if c.DegradedKeyTTL <= 0 {
 		c.DegradedKeyTTL = c.SessionIdleTimeout / 4
 	}
-	if c.MaxScripts <= 0 {
-		c.MaxScripts = 65536
-	}
 	if c.ScriptVariants <= 0 {
 		c.ScriptVariants = jsgen.DefaultVariants
 	}
@@ -294,9 +289,14 @@ type Stats struct {
 	ExecBeacons    int64
 	CSSBeacons     int64
 	ScriptServes   int64
-	HiddenHits     int64
-	UAReports      int64
-	UAMismatches   int64
+	// ScriptExpired counts the script downloads (a subset of ScriptServes)
+	// answered with the "// expired" fallback because the presenting client
+	// holds no live key batch under the token: the page's keys expired or
+	// were evicted, or the token is malformed, unknown or another client's.
+	ScriptExpired int64
+	HiddenHits    int64
+	UAReports     int64
+	UAMismatches  int64
 	// ShedPassThrough and ShedDegraded count below-full admission decisions
 	// (see AdmitPage): pages served uninstrumented while saturated, and
 	// pages served with degraded instrumentation under pressure.
@@ -317,6 +317,7 @@ type engineStats struct {
 	execBeacons       atomic.Int64
 	cssBeacons        atomic.Int64
 	scriptServes      atomic.Int64
+	scriptExpired     atomic.Int64
 	hiddenHits        atomic.Int64
 	uaReports         atomic.Int64
 	uaMismatches      atomic.Int64
@@ -324,91 +325,21 @@ type engineStats struct {
 	shedDegraded      atomic.Int64
 }
 
-// scriptBuf is a refcounted script body. The cache holds one reference for
-// as long as the entry lives; every download acquires another for the
-// duration of the response write. Only the last holder to drop its reference
-// recycles the buffer (through the engine's scriptBufs pool), so shard
-// eviction or replacement can never race a concurrent download into reused
-// bytes — reclamation is deferred until the last reader is gone.
+// scriptBuf is the working set of one script download: the rendered body
+// and the decoy scratch the keystore lookup fills. Buffers cycle through the
+// package pool (HandleBeacon takes one, Response.Done returns it), so a
+// steady-state download allocates nothing and no script outlives its response.
 type scriptBuf struct {
-	refs atomic.Int32
-	b    []byte
+	b      []byte
+	decoys []uint64
 }
+
+var scriptBufs = sync.Pool{New: func() any { return new(scriptBuf) }}
 
 // maxPooledScriptBuf bounds the capacity of buffers returned to the pool;
 // pathologically large bodies are left to the garbage collector rather than
 // pinned forever.
 const maxPooledScriptBuf = 1 << 20
-
-// acquireScriptBuf returns a buffer with one reference held by the caller.
-func (e *Engine) acquireScriptBuf() *scriptBuf {
-	sb := e.scriptBufs.Get().(*scriptBuf)
-	sb.refs.Store(1)
-	return sb
-}
-
-// releaseScriptBuf drops one reference; the last drop recycles the buffer.
-func (e *Engine) releaseScriptBuf(sb *scriptBuf) {
-	if sb.refs.Add(-1) == 0 && cap(sb.b) <= maxPooledScriptBuf {
-		e.scriptBufs.Put(sb)
-	}
-}
-
-// storedScript is one cached generated script, linked into its shard's
-// intrusive LRU list. Evicted entries are recycled through the shard free
-// list; the refcounted body buffer is released (not freed) on eviction, so
-// steady-state storage allocates nothing — bodies cycle through the engine's
-// buffer pool once every concurrent download has finished with them.
-type storedScript struct {
-	token      uint64
-	buf        *scriptBuf
-	prev, next *storedScript
-}
-
-// scriptShard is one independently locked partition of the generated-script
-// cache (scripts are stored at page-rewrite time and served on download).
-type scriptShard struct {
-	mu      sync.Mutex
-	scripts map[uint64]*storedScript
-	head    *storedScript // most recently used
-	tail    *storedScript // least recently used
-	free    *storedScript // recycled entries, singly linked via next
-	max     int
-}
-
-func (sh *scriptShard) pushFront(s *storedScript) {
-	s.prev = nil
-	s.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = s
-	}
-	sh.head = s
-	if sh.tail == nil {
-		sh.tail = s
-	}
-}
-
-func (sh *scriptShard) unlink(s *storedScript) {
-	if s.prev != nil {
-		s.prev.next = s.next
-	} else {
-		sh.head = s.next
-	}
-	if s.next != nil {
-		s.next.prev = s.prev
-	} else {
-		sh.tail = s.prev
-	}
-	s.prev, s.next = nil, nil
-}
-
-func (sh *scriptShard) moveToFront(s *storedScript) {
-	if sh.head == s {
-		return
-	}
-	sh.unlink(s)
-	sh.pushFront(s)
-}
 
 // pagePrecomp caches the per-deployment constant parts of the injection,
 // derived from jsgen's path helpers so the URL formats live in one place:
@@ -431,9 +362,9 @@ type Engine struct {
 	cfg      Config
 	keys     *keystore.Store
 	interner *intern.Interner // shared UA/page string table (tracker + keystore)
-	gen  *jsgen.Generator
-	pool *jsgen.Pool // precompiled script variants; see RotateScripts
-	pre  pagePrecomp
+	gen      *jsgen.Generator
+	pool     *jsgen.Pool // precompiled script variants; see RotateScripts
+	pre      pagePrecomp
 
 	sessions *session.Tracker
 
@@ -448,10 +379,7 @@ type Engine struct {
 	// Atomic so the classify path reads it lock-free.
 	verdictExport atomic.Pointer[func(session.Key, Verdict)]
 
-	scriptShards []*scriptShard
-	scriptMask   uint64
-	scriptBufs   sync.Pool // *scriptBuf, refcounted script bodies
-	pageStates   sync.Pool // *PageState, backs PrepareInstrumentation
+	pageStates sync.Pool // *PageState, backs PrepareInstrumentation
 
 	// handlerName and transpImg are the injection's per-deployment constant
 	// byte fields, precomputed so PreparePage composes without conversions.
@@ -546,17 +474,6 @@ func New(cfg Config) *Engine {
 		// decidable there, so cached verdicts must not outlive that point.
 		DecisionMarks: []int64{cfg.MinRequests},
 	})
-	shards := e.sessions.ShardCount()
-	perShard := shard.PerShardCap(cfg.MaxScripts, shards)
-	e.scriptShards = make([]*scriptShard, shards)
-	e.scriptMask = uint64(shards - 1)
-	for i := range e.scriptShards {
-		e.scriptShards[i] = &scriptShard{
-			scripts: make(map[uint64]*storedScript),
-			max:     perShard,
-		}
-	}
-	e.scriptBufs.New = func() any { return new(scriptBuf) }
 	e.pageStates.New = func() any { return new(PageState) }
 	e.handlerName = []byte(e.gen.HandlerName)
 	e.transpImg = []byte(e.pre.transpImg)
@@ -589,15 +506,11 @@ type Instrumented struct {
 	AddedBytes int
 }
 
-// scriptSeed derives a fresh per-page obfuscation seed without any lock: a
-// SplitMix64 step over an atomic sequence keyed by the engine seed. The
-// sequence is deterministic for a single-threaded caller, which keeps
-// simulator runs reproducible from one seed.
+// scriptSeed derives the next rotation epoch's compile seed without any lock:
+// a SplitMix64 step over an atomic sequence keyed by the engine seed, so a
+// fixed seed replays the same sequence of epochs.
 func (e *Engine) scriptSeed() uint64 {
-	z := (e.cfg.Seed ^ 0x9e3779b97f4a7c15) + e.seedSeq.Add(1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return mix64((e.cfg.Seed ^ 0x9e3779b97f4a7c15) + e.seedSeq.Add(1)*0x9e3779b97f4a7c15)
 }
 
 // PageState is the caller-owned working set for one page view on the
@@ -623,11 +536,12 @@ type PageState struct {
 func (ps *PageState) Keys() *keystore.PageKeys { return &ps.pk }
 
 // PreparePage is the zero-copy core of PrepareInstrumentation: it issues the
-// page's keys numerically into ps.pk, renders the per-page obfuscated script
-// into a refcounted cache buffer, and composes the injection fragments in
-// place in ps.prep. The returned Prepared aliases ps — it stays valid until
-// the next PreparePage call on the same state. At steady state the call
-// allocates nothing.
+// page's keys numerically into ps.pk and composes the injection fragments in
+// place in ps.prep. The page's script is not rendered here — the keystore
+// remembers the keys, and the download renders from them (see renderScript).
+// The returned Prepared aliases ps — it stays valid until the next
+// PreparePage call on the same state. At steady state the call allocates
+// nothing.
 func (e *Engine) PreparePage(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
 	start := time.Now()
 	e.keys.IssuePage(clientIP, pagePath, &ps.pk)
@@ -637,33 +551,10 @@ func (e *Engine) PreparePage(clientIP, userAgent, pagePath string, ps *PageState
 	return &ps.prep
 }
 
-// composePage renders and caches the page's script and composes the
-// injection fragments from the keys already issued into ps.pk. Split from
-// PreparePage so the batch path can issue keys for many pages in one
-// keystore pass and compose each afterwards.
+// composePage composes the injection fragments from the keys already issued
+// into ps.pk. Split from PreparePage so the batch path can issue keys for
+// many pages in one keystore pass and compose each afterwards.
 func (e *Engine) composePage(ps *PageState) {
-	// Per-page script generation is a pooled template copy plus key splices:
-	// the variant is picked off the engine's RNG stream, so consecutive page
-	// views still receive differing obfuscated bodies.
-	e.composePageWith(ps, e.scriptSeed())
-}
-
-// composePageWith is composePage with an explicit variant pick: the full
-// path draws a fresh seed per page, the degraded path pins pick 0 so every
-// degraded page shares the epoch's first variant. The body buffer is
-// refcounted; the cache holds one reference until eviction, downloads take
-// their own.
-func (e *Engine) composePageWith(ps *PageState, pick uint64) {
-	v := e.pool.Pick(pick)
-	sb := e.acquireScriptBuf()
-	if cap(sb.b) < v.Size() {
-		// Size exactly (engine keys always have KeyDigits digits) so a fresh
-		// buffer costs one allocation instead of append-growth churn.
-		sb.b = make([]byte, 0, v.Size())
-	}
-	sb.b = v.RenderKeys(sb.b[:0], ps.pk.Key, ps.pk.ScriptToken, ps.pk.Decoys, ps.pk.Digits)
-	e.storeScript(ps.pk.ScriptToken, sb)
-
 	ps.css = ps.pk.AppendKey(append(ps.css[:0], e.pre.cssPre...), ps.pk.CSSToken)
 	ps.css = append(ps.css, e.pre.cssSuf...)
 	ps.script = ps.pk.AppendKey(append(ps.script[:0], e.pre.scriptPre...), ps.pk.ScriptToken)
@@ -708,15 +599,14 @@ func (e *Engine) instrumented(ps *PageState) Instrumented {
 }
 
 // PrepareInstrumentation sets up the injection for one HTML page view served
-// to clientIP/userAgent: it issues fresh keys, generates and stores the
-// per-page obfuscated script, and compiles the injection fragments. The
-// caller applies them — typically by streaming the response body through an
-// htmlmod.StreamRewriter, or buffered via Prepared.Rewrite — and must call
-// RecordInstrumented once the rewrite completes so the paper's overhead
-// accounting stays accurate. The Prepared is backed by an engine-pooled
-// PageState; Release returns it. Callers that hold their own PageState (the
-// per-connection proxy path) should use PreparePage directly and skip the
-// string formatting this wrapper adds.
+// to clientIP/userAgent: it issues fresh keys and compiles the injection
+// fragments. The caller applies them — typically by streaming the response
+// body through an htmlmod.StreamRewriter, or buffered via Prepared.Rewrite —
+// and must call RecordInstrumented once the rewrite completes so the paper's
+// overhead accounting stays accurate. The Prepared is backed by an
+// engine-pooled PageState; Release returns it. Callers that hold their own
+// PageState (the per-connection proxy path) should use PreparePage directly
+// and skip the string formatting this wrapper adds.
 func (e *Engine) PrepareInstrumentation(clientIP, userAgent, pagePath string) (*htmlmod.Prepared, Instrumented) {
 	ps := e.getPageState()
 	prep := e.PreparePage(clientIP, userAgent, pagePath, ps)
@@ -726,7 +616,7 @@ func (e *Engine) PrepareInstrumentation(clientIP, userAgent, pagePath string) (*
 // PrepareInstrumentationBatch prepares one page view per element of pages
 // for a single client in one keystore pass: the keys for all pages are
 // issued under one shard lock (and one TTL/LRU maintenance step), then each
-// page's script and fragments are composed. Results are appended to out and
+// page's fragments are composed. Results are appended to out and
 // returned; each Prepared comes from the engine pool and must be Released.
 // The fleet simulator uses this to drive the same prepared-injection
 // pipeline the proxy serves, amortising keystore locking across a burst of
@@ -816,9 +706,9 @@ func (e *Engine) StartRotator(interval time.Duration, everyPages int64) (stop fu
 }
 
 // InstrumentPage rewrites one HTML page served to clientIP/userAgent:
-// it issues fresh keys, generates the per-page obfuscated script, injects
-// the beacon stylesheet, the external script, the inline user-agent
-// reporter, the body event handlers, and the hidden trap link. The rewritten
+// it issues fresh keys and injects the beacon stylesheet, the external
+// script reference, the inline user-agent reporter, the body event handlers,
+// and the hidden trap link. The rewritten
 // page and a description of the injections are returned. Non-HTML bodies
 // should not be passed. Callers that can write the page incrementally should
 // prefer PrepareInstrumentation with a streaming rewriter.
@@ -831,73 +721,38 @@ func (e *Engine) InstrumentPage(clientIP, userAgent, pagePath string, html []byt
 	return res.HTML, inst
 }
 
-// mix64 is the SplitMix64 finalizer, used to spread numeric script tokens
-// (uniform random digits, but low-entropy in the high bits for short key
-// lengths) across the shard mask.
+// mix64 is the SplitMix64 finalizer.
 func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
 
-func (e *Engine) scriptShard(token uint64) *scriptShard {
-	return e.scriptShards[mix64(token)&e.scriptMask]
-}
-
-// storeScript caches sb under token, taking over the caller's reference.
-// Entry structs are recycled through the shard free list; replaced and
-// evicted bodies are released, which defers their recycling until any
-// concurrent download has finished writing them (see scriptBuf).
-func (e *Engine) storeScript(token uint64, sb *scriptBuf) {
-	sh := e.scriptShard(token)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old, ok := sh.scripts[token]; ok {
-		e.releaseScriptBuf(old.buf)
-		old.buf = sb
-		sh.moveToFront(old)
-		return
-	}
-	s := sh.free
-	if s != nil {
-		sh.free = s.next
-		s.next = nil
-	} else {
-		s = new(storedScript)
-	}
-	s.token, s.buf = token, sb
-	sh.pushFront(s)
-	sh.scripts[token] = s
-	for len(sh.scripts) > sh.max {
-		victim := sh.tail
-		if victim == nil {
-			break
-		}
-		sh.unlink(victim)
-		delete(sh.scripts, victim.token)
-		e.releaseScriptBuf(victim.buf)
-		victim.token, victim.buf = 0, nil
-		victim.next = sh.free
-		sh.free = victim
-	}
-}
-
-// loadScript returns the cached script buffer for token with a fresh
-// reference held for the caller, who must release it (Response.Done) after
-// writing the body.
-func (e *Engine) loadScript(token uint64) (*scriptBuf, bool) {
-	sh := e.scriptShard(token)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.scripts[token]
+// renderScript renders the beacon script of the page clientIP was issued
+// under token, into a pooled buffer the caller hands back through
+// Response.Done. The body is a pure function of the keystore's live batch
+// (real key, decoys), the token, the engine seed and the rotation epoch: the
+// variant is picked from mix64(token ^ seed), so repeated downloads within an
+// epoch are byte-identical and nothing about a body depends on how requests
+// interleave. It returns nil when the client holds no live batch under the
+// token — script availability is exactly key liveness, and a token presented
+// from another address never yields the issuing client's key.
+func (e *Engine) renderScript(clientIP string, token uint64) *scriptBuf {
+	sb := scriptBufs.Get().(*scriptBuf)
+	key, decoys, ok := e.keys.PageKeysFor(clientIP, token, sb.decoys[:0])
+	sb.decoys = decoys
 	if !ok {
-		return nil, false
+		scriptBufs.Put(sb)
+		return nil
 	}
-	sh.moveToFront(s)
-	// The reference is taken under the shard lock, so it can never race the
-	// release performed by a concurrent replacement or eviction.
-	s.buf.refs.Add(1)
-	return s.buf, true
+	v := e.pool.Pick(mix64(token ^ e.cfg.Seed))
+	if cap(sb.b) < v.Size() {
+		// Size exactly (engine keys always have KeyDigits digits) so a fresh
+		// buffer costs one allocation instead of append-growth churn.
+		sb.b = make([]byte, 0, v.Size())
+	}
+	sb.b = v.RenderKeys(sb.b[:0], key, token, sb.decoys, e.cfg.KeyDigits)
+	return sb
 }
 
 // ObserveRequest records one ordinary (non-instrumentation) request for
@@ -996,17 +851,19 @@ func (e *Engine) handleBeacon(clientIP, userAgent, path string) Response {
 		e.sessions.Mark(key, session.SignalJSFile)
 		e.stats.scriptServes.Add(1)
 		// Script tokens are fixed-width decimal; anything else can only be a
-		// probe and gets the same expired-script fallback as a cache miss.
+		// probe and gets the same expired-script fallback as a dead token.
 		var sb *scriptBuf
 		if token, okTok := rng.ParseFixedDigits(tokenStr, e.cfg.KeyDigits); okTok {
-			sb, _ = e.loadScript(token)
+			sb = e.renderScript(clientIP, token)
 		}
 		body := fallbackJS
 		if sb != nil {
 			body = sb.b
+		} else {
+			e.stats.scriptExpired.Add(1)
 		}
 		e.stats.addedBytes.Add(int64(len(body)))
-		return Response{Status: 200, ContentType: "application/javascript", Body: body, NoCache: true, script: sb, eng: e}
+		return Response{Status: 200, ContentType: "application/javascript", Body: body, NoCache: true, script: sb}
 
 	case strings.HasSuffix(rest, ".css"):
 		e.sessions.Mark(key, session.SignalCSS)
@@ -1490,6 +1347,7 @@ func (e *Engine) Stats() Stats {
 		ExecBeacons:       e.stats.execBeacons.Load(),
 		CSSBeacons:        e.stats.cssBeacons.Load(),
 		ScriptServes:      e.stats.scriptServes.Load(),
+		ScriptExpired:     e.stats.scriptExpired.Load(),
 		HiddenHits:        e.stats.hiddenHits.Load(),
 		UAReports:         e.stats.uaReports.Load(),
 		UAMismatches:      e.stats.uaMismatches.Load(),

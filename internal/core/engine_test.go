@@ -243,21 +243,26 @@ func TestIsInstrumentationPath(t *testing.T) {
 }
 
 func TestScriptFallbackWhenEvicted(t *testing.T) {
-	d, _ := newTestEngine(Config{MaxScripts: 2})
+	d, _ := newTestEngine(Config{})
 	ip, ua := "10.0.0.8", "UA"
 	var paths []string
-	for i := 0; i < 5; i++ {
+	// One more page view than the keystore keeps batches per client (64): the
+	// earliest page's keys are evicted, and its script goes with them.
+	for i := 0; i < 65; i++ {
 		_, inst := d.InstrumentPage(ip, ua, fmt.Sprintf("/p%d.html", i), pageHTML())
 		paths = append(paths, inst.ScriptPath)
 	}
-	// The earliest generated script was evicted: the detector still serves a
-	// harmless fallback body and records the download signal.
+	// The detector still serves a harmless fallback body and records the
+	// download signal.
 	resp, ok := d.HandleBeacon(ip, ua, paths[0])
-	if !ok || resp.Status != 200 || len(resp.Body) == 0 {
+	if !ok || resp.Status != 200 || string(resp.Body) != string(fallbackJS) {
 		t.Fatalf("fallback script response = %+v", resp)
 	}
+	if st := d.Stats(); st.ScriptExpired != 1 || st.ScriptServes != 1 {
+		t.Fatalf("ScriptExpired/ScriptServes = %d/%d, want 1/1", st.ScriptExpired, st.ScriptServes)
+	}
 	// The most recent one is still the real generated script.
-	resp, _ = d.HandleBeacon(ip, ua, paths[4])
+	resp, _ = d.HandleBeacon(ip, ua, paths[64])
 	if !strings.Contains(string(resp.Body), "function __bd_f()") {
 		t.Fatal("recent script should be the generated handler script")
 	}

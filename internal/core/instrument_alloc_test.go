@@ -9,16 +9,15 @@ import (
 
 // TestPrepareInstrumentationAllocCeiling pins the per-page cost of the
 // instrumentation fast path: key/token strings from the keystore, the decoy
-// slice, one script-body buffer, and the three public path strings. The
-// template pool, the injection fragments and the script-cache entries are
-// all recycled, so nothing else may allocate at steady state.
+// slice and the three public path strings. The injection fragments are
+// recycled, so nothing else may allocate at steady state.
 func TestPrepareInstrumentationAllocCeiling(t *testing.T) {
 	e := New(Config{Seed: 9, ObfuscateJS: true})
 	ips := make([]string, 64)
 	for i := range ips {
 		ips[i] = fmt.Sprintf("10.4.0.%d", i)
 	}
-	// Warm the keystore clients, the script cache shards and the fragment pool.
+	// Warm the keystore clients and the fragment pool.
 	for i := 0; i < 512; i++ {
 		prep, _ := e.PrepareInstrumentation(ips[i%len(ips)], "Firefox/1.5", "/warm.html")
 		prep.Release()
@@ -33,10 +32,8 @@ func TestPrepareInstrumentationAllocCeiling(t *testing.T) {
 		t.Skipf("paths exercised; skipping the ceiling (%.1f allocs/op measured) — allocation accounting differs under -race", allocs)
 	}
 	// The legacy wrapper formats Issued (8 key strings + the decoy slice) and
-	// 3 path strings = 12 unavoidable; script-cache growth (entry struct,
-	// refcounted buffer, body) adds up to 3 until the cache reaches its
-	// eviction steady state. Allow slack for map-internal churn. The numeric
-	// PreparePage path is gated at zero separately.
+	// 3 path strings = 12 unavoidable. Allow slack for map-internal churn. The
+	// numeric PreparePage path is gated at zero separately.
 	const ceiling = 18
 	if allocs > ceiling {
 		t.Fatalf("PrepareInstrumentation allocated %.1f/op, ceiling %d", allocs, ceiling)

@@ -10,9 +10,8 @@
 //
 //	Normal     every page gets full instrumentation.
 //	Pressured  sessions already tracked keep full service; brand-new
-//	           clients get degraded instrumentation (fewer decoys, the
-//	           shared script variant, shorter key TTLs) so each anonymous
-//	           arrival pins less proxy memory.
+//	           clients get degraded instrumentation (fewer decoys, shorter
+//	           key TTLs) so each anonymous arrival pins less proxy memory.
 //	Saturated  tracked sessions with accumulated evidence keep full
 //	           service, tracked-but-anonymous sessions get degraded
 //	           instrumentation, and brand-new clients are served
@@ -66,10 +65,10 @@ func (s LoadState) String() string {
 type Admission int32
 
 const (
-	// AdmitFull: full instrumentation (all decoys, per-page script variant).
+	// AdmitFull: full instrumentation (all decoys, full key lifetime).
 	AdmitFull Admission = iota
 	// AdmitDegraded: lighter instrumentation — Config.DegradedDecoys decoys,
-	// the epoch's shared script variant, Config.DegradedKeyTTL key lifetime.
+	// Config.DegradedKeyTTL key lifetime.
 	AdmitDegraded
 	// AdmitPassThrough: serve the origin response untouched and do not
 	// create a session. Only ever returned for clients with no tracked
@@ -294,16 +293,15 @@ func (e *Engine) AdmitPage(clientIP, userAgent string) Admission {
 
 // PreparePageDegraded is PreparePage for an AdmitDegraded page view: the
 // page still carries a real key (a mouse beacon still proves a human), but
-// with Config.DegradedDecoys decoys instead of the full set, key TTLs
-// shortened to Config.DegradedKeyTTL, and the rotation epoch's shared script
-// variant instead of a per-page pick — one page's worth of obfuscation
-// serves every degraded client, so pressure costs no per-page compile
-// entropy and each anonymous arrival pins less keystore memory.
+// with Config.DegradedDecoys decoys instead of the full set and key TTLs
+// shortened to Config.DegradedKeyTTL, so each anonymous arrival pins less
+// keystore memory for less time. Its script is rendered on download from
+// those keys like any other page's.
 func (e *Engine) PreparePageDegraded(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
 	start := time.Now()
 	e.keys.IssuePageDegraded(clientIP, pagePath, e.cfg.DegradedDecoys, e.cfg.DegradedKeyTTL, &ps.pk)
 	e.tel.KeystoreIssue.ObserveSince(start)
-	e.composePageWith(ps, 0) // shared variant: every degraded page uses pick 0
+	e.composePage(ps)
 	e.tel.Prepare.ObserveSince(start)
 	return &ps.prep
 }

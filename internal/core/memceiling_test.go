@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -43,5 +44,39 @@ func TestMemoryCeilingPerSession(t *testing.T) {
 	t.Logf("breakdown: sessions=%d keys=%d interned=%d", sess, keys, interned)
 	if perSession > 2048 {
 		t.Fatalf("engine memory = %d B/session, exceeds the 2 KiB ceiling", perSession)
+	}
+}
+
+// TestMemoryCeilingUndownloadedPages pins "the heap is explained by the
+// estimate" for the clients the paper is about: robots fetch pages and never
+// the script. One page prepared for each of 50,000 never-seen clients, nothing
+// downloaded — what the process then retains must be what MemoryEstimate (the
+// number admission control budgets against) says it retains, within 30%. A
+// per-page structure the estimate cannot see, like a parked script body,
+// fails this.
+func TestMemoryCeilingUndownloadedPages(t *testing.T) {
+	const clients = 50000
+	e := New(Config{Seed: 12})
+	ps := &PageState{}
+	e.PreparePage("10.255.255.1", "Firefox/1.5", "/index.html", ps) // warm ps and the interner
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	est0 := e.MemoryEstimate()
+	for i := 0; i < clients; i++ {
+		ip := fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
+		e.PreparePage(ip, "Firefox/1.5", "/index.html", ps)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	est := e.MemoryEstimate() - est0
+	t.Logf("%d undownloaded page views: heap +%d B (%d B/client), estimate +%d B (%d B/client), ratio %.2f",
+		clients, heap, heap/clients, est, est/clients, float64(heap)/float64(est))
+	if float64(heap) > 1.3*float64(est) {
+		t.Fatalf("heap grew %d B against an estimate of %d B (%.2fx): memory the estimate cannot see", heap, est, float64(heap)/float64(est))
 	}
 }

@@ -1,0 +1,350 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"botdetect/internal/session"
+	"botdetect/internal/shard"
+)
+
+// pageView is one prepared page as a client sees it: who it was served to,
+// where its script lives and the real key that script must carry.
+type pageView struct {
+	ip, scriptPath, key string
+}
+
+func prepareView(e *Engine, ip, ua, page string, degraded bool) pageView {
+	prepare := e.PrepareInstrumentation
+	if degraded {
+		prepare = e.PrepareInstrumentationDegraded
+	}
+	prep, inst := prepare(ip, ua, page)
+	prep.Release()
+	return pageView{ip: ip, scriptPath: inst.ScriptPath, key: inst.Issued.Key}
+}
+
+// download fetches the view's script as its client and reports whether the
+// body is the rendered script carrying the view's real key (engines under
+// test run unobfuscated, so the beacon URL is literal) rather than the
+// fallback.
+func download(t *testing.T, e *Engine, v pageView, ua string) (rendered bool) {
+	t.Helper()
+	resp, ok := e.HandleBeacon(v.ip, ua, v.scriptPath)
+	if !ok || resp.Status != 200 {
+		t.Fatalf("script download: ok=%v status=%d", ok, resp.Status)
+	}
+	defer resp.Done()
+	if bytes.Equal(resp.Body, fallbackJS) {
+		return false
+	}
+	if !bytes.Contains(resp.Body, []byte("/"+v.key+".jpg")) {
+		t.Fatalf("rendered script does not carry the page's real key %s:\n%s", v.key, resp.Body)
+	}
+	return true
+}
+
+// checkLiveness asserts the invariant the on-demand design buys: the view's
+// script renders exactly when its real key still validates. The script is
+// fetched first because presenting the key consumes it.
+func checkLiveness(t *testing.T, e *Engine, v pageView, ua string, wantLive bool) {
+	t.Helper()
+	before := e.Stats()
+	if got := download(t, e, v, ua); got != wantLive {
+		t.Fatalf("script rendered = %v, want %v", got, wantLive)
+	}
+	e.HandleBeacon(v.ip, ua, e.cfg.BeaconPrefix+"/"+v.key+".jpg")
+	after := e.Stats()
+	human, unknown := after.MouseBeacons-before.MouseBeacons, after.UnknownBeacons-before.UnknownBeacons
+	if wantLive && (human != 1 || unknown != 0) || !wantLive && (human != 0 || unknown != 1) {
+		t.Fatalf("real key beacon: human=%d unknown=%d with script live=%v — script and key liveness diverged", human, unknown, wantLive)
+	}
+	if expired := after.ScriptExpired - before.ScriptExpired; (expired == 1) == wantLive {
+		t.Fatalf("ScriptExpired moved by %d with script live=%v", expired, wantLive)
+	}
+}
+
+// TestScriptLivenessEqualsKeyLiveness covers every way a page's keys die and
+// proves the script dies in the same event — and not before.
+func TestScriptLivenessEqualsKeyLiveness(t *testing.T) {
+	const ua = "Firefox/1.5"
+
+	t.Run("ttl", func(t *testing.T) {
+		e, vc := newTestEngine(Config{SessionIdleTimeout: time.Hour})
+		early := prepareView(e, "10.20.0.1", ua, "/a.html", false)
+		vc.Advance(40 * time.Minute)
+		late := prepareView(e, "10.20.0.1", ua, "/b.html", false)
+		stillLive := prepareView(e, "10.20.0.2", ua, "/a.html", false)
+		vc.Advance(30 * time.Minute) // early is 70 min old, late 30 min
+		checkLiveness(t, e, early, ua, false)
+		checkLiveness(t, e, late, ua, true)
+		checkLiveness(t, e, stillLive, ua, true)
+	})
+
+	t.Run("per-client batch eviction", func(t *testing.T) {
+		e, _ := newTestEngine(Config{})
+		var views []pageView
+		for i := 0; i < 65; i++ { // one past the keystore's 64 batches per client
+			views = append(views, prepareView(e, "10.20.1.1", ua, fmt.Sprintf("/p%d.html", i), false))
+		}
+		checkLiveness(t, e, views[0], ua, false)
+		checkLiveness(t, e, views[1], ua, true)
+		checkLiveness(t, e, views[64], ua, true)
+	})
+
+	t.Run("client-cap eviction", func(t *testing.T) {
+		// The keystore shards clients by shard.HashString(ip) and caps each
+		// shard at ceil(100000/shards) of them, evicting the least recently
+		// used: fill the victim's shard to find out.
+		const shards = 4096
+		e, _ := newTestEngine(Config{Shards: shards})
+		perShard := shard.PerShardCap(100000, shards)
+		victim := prepareView(e, "10.20.2.1", ua, "/", false)
+		home := shard.HashString(victim.ip) & (shards - 1)
+		var last pageView
+		for i, filled := 0, 0; filled < perShard; i++ {
+			ip := fmt.Sprintf("10.%d.%d.%d", 100+i>>16, (i>>8)&0xff, i&0xff)
+			if shard.HashString(ip)&(shards-1) != home {
+				continue
+			}
+			last = prepareView(e, ip, ua, "/", false)
+			filled++
+		}
+		checkLiveness(t, e, victim, ua, false)
+		checkLiveness(t, e, last, ua, true)
+	})
+
+	t.Run("degraded page", func(t *testing.T) {
+		e, vc := newTestEngine(Config{SessionIdleTimeout: time.Hour, DegradedDecoys: 1, DegradedKeyTTL: 10 * time.Minute})
+		first := prepareView(e, "10.20.3.1", ua, "/a.html", true)
+		second := prepareView(e, "10.20.3.2", ua, "/a.html", true)
+		full := prepareView(e, "10.20.3.1", ua, "/b.html", false)
+		checkLiveness(t, e, first, ua, true) // renders with its single decoy cycled over the slots
+		vc.Advance(11 * time.Minute)
+		checkLiveness(t, e, second, ua, false)
+		checkLiveness(t, e, full, ua, true)
+	})
+}
+
+// TestScriptTokenIsClientBound: script tokens are client-scoped like keys. A
+// token presented from another address gets the fallback, never the issuing
+// client's real key — and the download is still a download: the signal is
+// marked and the serve and byte counters move exactly as for the owner.
+func TestScriptTokenIsClientBound(t *testing.T) {
+	const ua = "Firefox/1.5"
+	e, _ := newTestEngine(Config{})
+	owner := prepareView(e, "10.22.0.1", ua, "/", false)
+	thief := "10.22.0.2"
+
+	resp, _ := e.HandleBeacon(thief, ua, owner.scriptPath)
+	if !bytes.Equal(resp.Body, fallbackJS) || bytes.Contains(resp.Body, []byte(owner.key)) {
+		t.Fatalf("token presented from another address must get the fallback, got:\n%s", resp.Body)
+	}
+	resp.Done()
+	st := e.Stats()
+	if st.ScriptServes != 1 || st.ScriptExpired != 1 || st.AddedBytes != int64(len(fallbackJS)) {
+		t.Fatalf("after foreign download: serves=%d expired=%d added=%d", st.ScriptServes, st.ScriptExpired, st.AddedBytes)
+	}
+	if snap, ok := e.Session(session.Key{IP: thief, UserAgent: ua}); !ok || !snap.Signals.Has(session.SignalJSFile) {
+		t.Fatal("foreign download must still mark SignalJSFile on the presenting session")
+	}
+
+	resp, _ = e.HandleBeacon(owner.ip, ua, owner.scriptPath)
+	if !bytes.Contains(resp.Body, []byte("/"+owner.key+".jpg")) {
+		t.Fatalf("the owner must still get the rendered script, got:\n%s", resp.Body)
+	}
+	rendered := int64(len(resp.Body))
+	resp.Done()
+	st = e.Stats()
+	if st.ScriptServes != 2 || st.ScriptExpired != 1 || st.AddedBytes != int64(len(fallbackJS))+rendered {
+		t.Fatalf("after owner download: serves=%d expired=%d added=%d (rendered %d)", st.ScriptServes, st.ScriptExpired, st.AddedBytes, rendered)
+	}
+	if snap, ok := e.Session(session.Key{IP: owner.ip, UserAgent: ua}); !ok || !snap.Signals.Has(session.SignalJSFile) {
+		t.Fatal("owner download must mark SignalJSFile")
+	}
+}
+
+// TestScriptRenderRace hammers one shard with concurrent page preparation
+// (which evicts old batches), script downloads, pool rotation and Done. Every
+// body a download holds must stay intact until its Done — a pooled buffer
+// handed to two holders shows up as a mutated body here, and as a data race
+// under -race.
+func TestScriptRenderRace(t *testing.T) {
+	const ua = "Firefox/1.5"
+	e := New(Config{Seed: 27, Shards: 1})
+	stop := make(chan struct{})
+	views := make(chan pageView)
+	var rendered atomic.Int64
+	var wg sync.WaitGroup
+
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ip := fmt.Sprintf("10.23.0.%d", w)
+			var ps PageState
+			for i := 0; ; i++ {
+				e.PreparePage(ip, ua, "/", &ps)
+				iss := ps.Keys().Issued()
+				v := pageView{ip: ip, scriptPath: e.cfg.BeaconPrefix + "/index_" + iss.ScriptToken + ".js", key: iss.Key}
+				if i%8 == 7 {
+					// Overrun the per-client batch cap so views in flight die
+					// under their downloads.
+					for j := 0; j < 64; j++ {
+						e.PreparePage(ip, ua, "/", &ps)
+					}
+				}
+				select {
+				case <-stop:
+					return
+				case views <- v:
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var snap []byte
+			for {
+				var v pageView
+				select {
+				case <-stop:
+					return
+				case v = <-views:
+				}
+				resp, ok := e.HandleBeacon(v.ip, ua, v.scriptPath)
+				if !ok || resp.Status != 200 {
+					t.Errorf("script serve failed: ok=%v status=%d", ok, resp.Status)
+					return
+				}
+				if !bytes.Equal(resp.Body, fallbackJS) {
+					if !bytes.Contains(resp.Body, []byte("/"+v.key+".jpg")) {
+						t.Errorf("rendered script lost its page's real key %s", v.key)
+					}
+					rendered.Add(1)
+				}
+				snap = append(snap[:0], resp.Body...)
+				runtime.Gosched()
+				if !bytes.Equal(snap, resp.Body) {
+					t.Error("script body mutated while a download held it")
+				}
+				resp.Done()
+			}
+		}()
+	}
+
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; i < 100 || rendered.Load() < 200; i++ {
+		e.RotateScripts()
+		runtime.Gosched()
+		if time.Now().After(deadline) {
+			t.Errorf("only %d scripts rendered in 20s", rendered.Load())
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := e.Stats(); st.ScriptExpired == 0 {
+		t.Errorf("no download raced an eviction (%d rendered): the hammer lost half its point", rendered.Load())
+	}
+}
+
+// TestScriptDownloadZeroAlloc gates the steady-state script download —
+// keystore lookup, variant pick, render into a pooled buffer, Done — at zero
+// allocations.
+func TestScriptDownloadZeroAlloc(t *testing.T) {
+	const ua = "Firefox/1.5"
+	e := New(Config{Seed: 31, ObfuscateJS: true, Shards: 1})
+	v := prepareView(e, "10.24.0.1", ua, "/hot.html", false)
+	fetch := func() {
+		resp, _ := e.HandleBeacon(v.ip, ua, v.scriptPath)
+		if len(resp.Body) <= len(fallbackJS) {
+			t.Fatal("download fell back")
+		}
+		resp.Done()
+	}
+	for i := 0; i < 100; i++ {
+		fetch()
+	}
+	allocs := testing.AllocsPerRun(300, fetch)
+	if raceEnabled {
+		t.Skipf("paths exercised; skipping the ceiling (%.1f allocs/op measured) — allocation accounting differs under -race", allocs)
+	}
+	if allocs != 0 {
+		t.Fatalf("script download allocated %.2f/op, want 0", allocs)
+	}
+}
+
+// FuzzScriptBeaconPath throws arbitrary index_<anything>.js paths (with
+// query strings) at an engine holding live batches: it must never panic,
+// anything but a live fixed-width token presented by its owner gets the
+// fallback, and a live token always renders the issuing client's key.
+func FuzzScriptBeaconPath(f *testing.F) {
+	const ua = "Firefox/1.5"
+	e, _ := newTestEngine(Config{})
+	owner, other := "10.25.0.1", "10.25.0.2"
+	keyOf := make(map[string]string) // owner's live script tokens -> real key
+	var someToken string
+	for i := 0; i < 8; i++ {
+		prep, inst := e.PrepareInstrumentation(owner, ua, fmt.Sprintf("/p%d.html", i))
+		prep.Release()
+		keyOf[inst.Issued.ScriptToken] = inst.Issued.Key
+		someToken = inst.Issued.ScriptToken
+	}
+	prepareView(e, other, ua, "/", false)
+
+	f.Add(someToken, "", false)
+	f.Add(someToken, "v=1&ua=x", true)
+	f.Add(someToken[1:], "", false)
+	f.Add(someToken+"0", "", false)
+	f.Add("", "", false)
+	f.Add("-"+someToken[1:], "", false)
+	f.Add(someToken+".js?x=/index_"+someToken, "", false)
+	f.Add("../"+someToken, "%00", true)
+	f.Add("99999999999999999999", "", false)
+
+	f.Fuzz(func(t *testing.T, token, query string, foreign bool) {
+		path := e.cfg.BeaconPrefix + "/index_" + token + ".js"
+		if query != "" {
+			path += "?" + query
+		}
+		from := owner
+		if foreign {
+			from = other
+		}
+		resp, ok := e.HandleBeacon(from, ua, path)
+		if !ok {
+			t.Fatalf("%q not handled as an instrumentation path", path)
+		}
+		defer resp.Done()
+
+		// What the engine will parse: the path up to the first '?', which the
+		// fuzzed token may itself contain.
+		clean, _, _ := strings.Cut(path, "?")
+		tok, isScript := strings.CutSuffix(strings.TrimPrefix(clean, e.cfg.BeaconPrefix+"/index_"), ".js")
+		key, live := keyOf[tok]
+		switch {
+		case isScript && live && !foreign:
+			if !bytes.Contains(resp.Body, []byte("/"+key+".jpg")) {
+				t.Fatalf("live token %s did not render its client's key %s:\n%s", tok, key, resp.Body)
+			}
+		case isScript:
+			if !bytes.Equal(resp.Body, fallbackJS) {
+				t.Fatalf("token %q (foreign=%v) must get the fallback, got:\n%s", tok, foreign, resp.Body)
+			}
+		}
+		for _, k := range keyOf {
+			if k != key && bytes.Contains(resp.Body, []byte(k)) {
+				t.Fatalf("response to %q leaks real key %s", path, k)
+			}
+		}
+	})
+}

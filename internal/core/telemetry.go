@@ -45,6 +45,8 @@ func (e *Engine) registerTelemetry() {
 	counter(beacons, telemetry.Label("kind", "script"), beaconHelp, e.stats.scriptServes.Load)
 	counter(beacons, telemetry.Label("kind", "hidden"), beaconHelp, e.stats.hiddenHits.Load)
 	counter(beacons, telemetry.Label("kind", "ua_report"), beaconHelp, e.stats.uaReports.Load)
+	counter("botdetect_script_expired_total", "", "Script downloads answered with the expired fallback: "+
+		"the presenting client holds no live key batch under the token.", e.stats.scriptExpired.Load)
 	counter("botdetect_ua_mismatches_total", "", "JavaScript-reported agent strings contradicting the User-Agent header.",
 		e.stats.uaMismatches.Load)
 

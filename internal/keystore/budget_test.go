@@ -14,6 +14,9 @@ func TestKeystoreStructBudgets(t *testing.T) {
 	if got := unsafe.Sizeof(keyRecord{}); got != 16 {
 		t.Errorf("keyRecord = %d bytes, want exactly 16 (handle 8 + tick 4 + flags 1 + pad)", got)
 	}
+	if got := unsafe.Sizeof(issueBatch{}); got != 16 {
+		t.Errorf("issueBatch = %d bytes, want exactly 16 (key 8 + token tag 4 + decoy count 4)", got)
+	}
 	if got := unsafe.Sizeof(clientState{}); got > 104 {
 		t.Errorf("clientState = %d bytes, exceeds the 104-byte budget", got)
 	}

@@ -242,14 +242,24 @@ type keyRecord struct {
 // (~7.5 years at the default 1-hour TTL) before saturating.
 const tickResolution = 1 << 16
 
-// issueBatch records one page view's real key and where its decoys live in
-// the client's decoy arena. Keeping the association explicit makes
-// per-client eviction O(m) instead of a scan over every outstanding key.
+// issueBatch records one page view's real key, how many decoys follow it in
+// the client's decoy arena, and a tag of the page's script token. Batches and
+// decoy runs are in the same (issue) order, so a run's arena offset is the sum
+// of the counts before it — every reader scans the queue from the front
+// anyway. Keeping the association explicit makes per-client eviction O(m)
+// instead of a scan over every outstanding key; the tag lets PageKeysFor
+// re-find the batch a script download names without storing the token.
 type issueBatch struct {
 	key uint64
-	off int32 // offset into clientState.decoys
-	n   int32 // decoy count
+	tag uint32 // tokenTag of the page's script token
+	n   int32  // decoy count
 }
+
+// tokenTag folds a script token into the 32 bits an issueBatch has room for
+// (Fibonacci hashing: the high half of the product mixes every token bit). A
+// client holds at most MaxPerClient batches, so two of its own tokens share a
+// tag with probability ~MaxPerClient/2^32, and the first live match wins.
+func tokenTag(token uint64) uint32 { return uint32((token * 0x9e3779b97f4a7c15) >> 32) }
 
 // clientState is the per-client key table. States are linked into their
 // shard's intrusive LRU list and recycled through the shard free list on
@@ -621,7 +631,6 @@ func (s *Store) issuePageLocked(sh *storeShard, cs *clientState, page string, no
 	pageHandle, _ := s.interner.Intern(page)
 	cs.keys[pk.Key] = keyRecord{page: pageHandle, tick: issueTick}
 	pk.Decoys = pk.Decoys[:0]
-	off := int32(len(cs.decoys))
 	for i := 0; i < decoys; i++ {
 		d := s.uniqueKeyLocked(sh, cs)
 		pk.Decoys = append(pk.Decoys, d)
@@ -629,7 +638,7 @@ func (s *Store) issuePageLocked(sh *storeShard, cs *clientState, page string, no
 		s.interner.Retain(pageHandle)
 		cs.keys[d] = keyRecord{page: pageHandle, tick: issueTick, flags: flagDecoy}
 	}
-	cs.queue = append(cs.queue, issueBatch{key: pk.Key, off: off, n: int32(decoys)})
+	cs.queue = append(cs.queue, issueBatch{key: pk.Key, tag: tokenTag(pk.ScriptToken), n: int32(decoys)})
 	s.stats.issued.Add(1)
 	s.liveKeys.Add(int64(1 + decoys))
 }
@@ -654,7 +663,7 @@ func (s *Store) dropBatchesLocked(cs *clientState, n int) int64 {
 		return 0
 	}
 	var dropped int64
-	var decoysDropped int32
+	var off int32 // arena offset of batch i's decoy run
 	for i := 0; i < n; i++ {
 		b := cs.queue[i]
 		if rec, ok := cs.keys[b.key]; ok {
@@ -662,26 +671,22 @@ func (s *Store) dropBatchesLocked(cs *clientState, n int) int64 {
 			delete(cs.keys, b.key)
 			dropped++
 		}
-		for _, d := range cs.decoys[b.off : b.off+b.n] {
+		for _, d := range cs.decoys[off : off+b.n] {
 			if rec, ok := cs.keys[d]; ok {
 				s.interner.Release(rec.page)
 				delete(cs.keys, d)
 				dropped++
 			}
 		}
-		decoysDropped += b.n
+		off += b.n
 	}
 	// Copy-down compaction: surviving batches slide to the front of both
-	// arrays and their offsets are rebased. O(live) per eviction wave, but
-	// allocation-free forever (a ring would save the copies at the cost of
-	// offset arithmetic everywhere; live sizes are MaxPerClient-bounded).
-	copy(cs.decoys, cs.decoys[decoysDropped:])
-	cs.decoys = cs.decoys[:int32(len(cs.decoys))-decoysDropped]
+	// arrays. O(live) per eviction wave, but allocation-free forever (live
+	// sizes are MaxPerClient-bounded).
+	copy(cs.decoys, cs.decoys[off:])
+	cs.decoys = cs.decoys[:int32(len(cs.decoys))-off]
 	copy(cs.queue, cs.queue[n:])
 	cs.queue = cs.queue[:len(cs.queue)-n]
-	for i := range cs.queue {
-		cs.queue[i].off -= decoysDropped
-	}
 	return dropped
 }
 
@@ -712,13 +717,14 @@ func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
 	if len(cs.queue) > 0 {
 		keepQ := cs.queue[:0]
 		keepD := cs.decoys[:0]
+		var off int32
 		for _, b := range cs.queue {
+			run := cs.decoys[off : off+b.n]
+			off += b.n
 			if _, ok := cs.keys[b.key]; !ok {
 				continue
 			}
-			off := int32(len(keepD))
-			keepD = append(keepD, cs.decoys[b.off:b.off+b.n]...)
-			b.off = off
+			keepD = append(keepD, run...)
 			keepQ = append(keepQ, b)
 		}
 		cs.queue = keepQ
@@ -808,6 +814,36 @@ func (s *Store) ValidateValue(clientIP string, key uint64) Verdict {
 	cs.keys[key] = rec
 	s.stats.humanHits.Add(1)
 	return Human
+}
+
+// PageKeysFor returns the real key and the decoys (appended to decoys) of the
+// live batch issued to clientIP under scriptToken — everything a page's
+// beacon script is rendered from, so the serving layer stores no script. ok
+// is false when the client holds no such batch or its real key is gone or
+// past the TTL (judged exactly as ValidateValue judges it): a script is
+// available precisely as long as the key it carries can still validate. The
+// scan is bounded by MaxPerClient; only the client's shard is locked.
+func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64) (key uint64, _ []uint64, ok bool) {
+	sh := s.shard(clientIP)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+
+	cs, found := sh.clients[clientIP]
+	if !found {
+		return 0, decoys, false
+	}
+	sh.moveToFront(cs)
+	tag := tokenTag(scriptToken)
+	var off int32
+	for _, b := range cs.queue {
+		if b.tag == tag {
+			if rec, live := cs.keys[b.key]; live && !s.expired(s.tick(s.cfg.Clock.Now()), rec.tick) {
+				return b.key, append(decoys, cs.decoys[off:off+b.n]...), true
+			}
+		}
+		off += b.n
+	}
+	return 0, decoys, false
 }
 
 // OutstandingKeys returns the number of unexpired keys currently stored for

@@ -13,7 +13,7 @@ import (
 // per-connection path (claimed connState, reused Prepared, vectored writes)
 // vs the per-request fallback every request pays without ConnContext.
 func benchServe(b *testing.B, withConn bool) {
-	det := core.New(core.Config{Seed: 47, ObfuscateJS: true, Shards: 1, MaxScripts: 64})
+	det := core.New(core.Config{Seed: 47, ObfuscateJS: true, Shards: 1})
 	mw := New(htmlOrigin(), Config{Engine: det})
 
 	ctx := context.Background()

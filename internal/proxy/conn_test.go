@@ -131,7 +131,7 @@ func (w *nopResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 // connection state, observe, prepare, rewrite with vectored output, finish —
 // at zero allocations per request once the connection is warm.
 func TestServePageZeroAlloc(t *testing.T) {
-	det := core.New(core.Config{Seed: 41, ObfuscateJS: true, Shards: 1, MaxScripts: 64})
+	det := core.New(core.Config{Seed: 41, ObfuscateJS: true, Shards: 1})
 	mw := New(htmlOrigin(), Config{Engine: det})
 
 	ctx := ConnContext(context.Background(), nil)
@@ -143,8 +143,8 @@ func TestServePageZeroAlloc(t *testing.T) {
 	serve := func() {
 		mw.ServeHTTP(w, req)
 	}
-	// Warm: keystore client state, script cache to its eviction steady
-	// state, fragment/scratch buffers, session snapshot republication.
+	// Warm: keystore client state to its per-client eviction steady state,
+	// fragment/scratch buffers, session snapshot republication.
 	for i := 0; i < 600; i++ {
 		serve()
 	}

@@ -303,7 +303,7 @@ func (m *Middleware) clientIP(r *http.Request) string {
 var noStoreHeader = []string{"no-cache, no-store"}
 
 // writeDetectorResponse writes a core.Response to the client and releases
-// the resources its body pins (the refcounted script buffer for downloads).
+// the resources its body pins (the pooled script buffer for downloads).
 func writeDetectorResponse(w http.ResponseWriter, resp core.Response) {
 	w.Header().Set("Content-Type", resp.ContentType)
 	if resp.NoCache {

@@ -1,6 +1,6 @@
 // Package shard holds the primitives shared by every sharded component in
-// the detection pipeline (the session tracker, the keystore, the engine's
-// script cache): one normalization rule for shard counts, one string hash
+// the detection pipeline (the session tracker, the keystore): one
+// normalization rule for shard counts, one string hash
 // for shard selection, and one formula for distributing a global capacity
 // bound over shards. Centralising them keeps the components from silently
 // drifting to different shard counts or cap semantics.

@@ -6,7 +6,7 @@ package telemetry
 const (
 	StageProxyRequest  = "proxy_request"           // whole request through the middleware
 	StageBeacon        = "beacon"                  // HandleBeacon dispatch
-	StagePrepare       = "prepare_instrumentation" // key issue + script render + fragment compose
+	StagePrepare       = "prepare_instrumentation" // key issue + fragment compose
 	StageKeystoreIssue = "keystore_issue"          // the key-issue slice of prepare
 	StageClassify      = "classify_recompute"      // verdict chain on a cache miss
 	StageRewrite       = "rewrite_stream"          // StreamRewriter splice time (write + close)
