@@ -223,34 +223,55 @@ func BenchmarkScriptRender(b *testing.B) {
 	b.ReportMetric(float64(size), "script_bytes")
 }
 
-// BenchmarkKeystoreIssue measures per-page key issuance against a warm
-// client (the steady state of a busy session).
+// keystoreOutstanding are the per-client log sizes the keystore benchmarks
+// run at: a one-page visitor, a typical busy session, and the per-client cap
+// (where the linear scans are longest).
+var keystoreOutstanding = []int{1, 16, 64}
+
+// BenchmarkKeystoreIssue measures per-page key issuance against warm clients
+// that each hold `outstanding` page views, so every issue also evicts the
+// client's oldest batch (the steady state of a busy session).
 func BenchmarkKeystoreIssue(b *testing.B) {
-	s := keystore.New(keystore.Config{Seed: 6})
-	ips := benchClientIPs(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Issue(ips[i%len(ips)], "/page1.html")
+	for _, outstanding := range keystoreOutstanding {
+		b.Run(fmt.Sprintf("outstanding=%d", outstanding), func(b *testing.B) {
+			s := keystore.New(keystore.Config{Seed: 6, MaxPerClient: outstanding})
+			ips := benchClientIPs(64)
+			var pk keystore.PageKeys
+			for i := 0; i < 2*outstanding*len(ips); i++ {
+				s.IssuePage(ips[i%len(ips)], "/page1.html", &pk)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.IssuePage(ips[i%len(ips)], "/page1.html", &pk)
+			}
+		})
 	}
 }
 
-// BenchmarkKeystoreIssueN measures batched issuance (16 pages per batch for
-// one client), reporting per-page cost so the lock/scan amortisation is
-// directly comparable with BenchmarkKeystoreIssue.
-func BenchmarkKeystoreIssueN(b *testing.B) {
-	const batch = 16
-	s := keystore.New(keystore.Config{Seed: 6, MaxPerClient: 2 * batch})
-	ips := benchClientIPs(1024)
-	pages := make([]string, batch)
-	for i := range pages {
-		pages[i] = fmt.Sprintf("/p%d.html", i)
-	}
-	out := make([]keystore.Issued, 0, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		out = s.IssueN(ips[(i/batch)%len(ips)], pages, out[:0])
+// BenchmarkKeystoreValidate measures validating a real key against clients
+// that each hold `outstanding` page views, cycling over every batch so the
+// scan depth averages half the log.
+func BenchmarkKeystoreValidate(b *testing.B) {
+	for _, outstanding := range keystoreOutstanding {
+		b.Run(fmt.Sprintf("outstanding=%d", outstanding), func(b *testing.B) {
+			s := keystore.New(keystore.Config{Seed: 6, MaxPerClient: outstanding})
+			ips := benchClientIPs(64)
+			var pk keystore.PageKeys
+			keys := make([]uint64, 0, outstanding*len(ips))
+			for i := 0; i < cap(keys); i++ {
+				s.IssuePage(ips[i%len(ips)], "/page1.html", &pk)
+				keys = append(keys, pk.Key)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(keys)
+				if s.ValidateValue(ips[k%len(ips)], keys[k]) == keystore.Unknown {
+					b.Fatal("a live key did not validate")
+				}
+			}
+		})
 	}
 }
 

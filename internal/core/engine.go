@@ -361,7 +361,7 @@ type pagePrecomp struct {
 type Engine struct {
 	cfg      Config
 	keys     *keystore.Store
-	interner *intern.Interner // shared UA/page string table (tracker + keystore)
+	interner *intern.Interner // the session tracker's UA/page string table
 	gen      *jsgen.Generator
 	pool     *jsgen.Pool // precompiled script variants; see RotateScripts
 	pre      pagePrecomp
@@ -406,11 +406,10 @@ type Engine struct {
 // New creates an Engine.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	interner := intern.New(0)
 	e := &Engine{
 		cfg:      cfg,
 		gen:      jsgen.NewGenerator(),
-		interner: interner,
+		interner: intern.New(0),
 		keys: keystore.New(keystore.Config{
 			Decoys:    cfg.Decoys,
 			KeyDigits: cfg.KeyDigits,
@@ -418,7 +417,6 @@ func New(cfg Config) *Engine {
 			Shards:    cfg.Shards,
 			Seed:      cfg.Seed,
 			Clock:     cfg.Clock,
-			Interner:  interner,
 		}),
 	}
 	e.tel = cfg.Telemetry
@@ -468,7 +466,7 @@ func New(cfg Config) *Engine {
 		Shards:      cfg.Shards,
 		Clock:       cfg.Clock,
 		Evicted:     e.sessionEnded,
-		Interner:    interner,
+		Interner:    e.interner,
 		// Bump the decision epoch when the classification threshold is
 		// crossed: the behavioural rules (and the learned model) first become
 		// decidable there, so cached verdicts must not outlive that point.

@@ -164,8 +164,8 @@ func (e *Engine) trackingOccupancy() float64 {
 }
 
 // MemoryEstimate returns the engine's approximate live memory footprint in
-// bytes — the session tracker, the keystore, and the shared string interner,
-// the structures whose size is attacker-controlled. Lock-free and
+// bytes — the session tracker, the keystore, and the tracker's string
+// interner, the structures whose size is attacker-controlled. Lock-free and
 // allocation-free.
 func (e *Engine) MemoryEstimate() int64 {
 	return e.sessions.MemoryEstimate() + e.keys.MemoryEstimate() + e.interner.MemoryEstimate()
@@ -176,8 +176,8 @@ func (e *Engine) MemoryBreakdown() (sessions, keys, interned int64) {
 	return e.sessions.MemoryEstimate(), e.keys.MemoryEstimate(), e.interner.MemoryEstimate()
 }
 
-// InternStats returns occupancy and hit-rate counters for the shared string
-// interner (normalized user agents and page paths).
+// InternStats returns occupancy and hit-rate counters for the string interner
+// (raw and normalized user agents).
 func (e *Engine) InternStats() intern.Stats {
 	return e.interner.Stats()
 }

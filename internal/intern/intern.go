@@ -1,7 +1,7 @@
 // Package intern implements a sharded, refcounted string interner. Real
-// traffic concentrates on a few hundred User-Agent strings and a similarly
-// small set of page paths, yet every tracked session and issued key used to
-// carry its own copy. The interner collapses those copies to 8-byte handles:
+// traffic concentrates on a few hundred User-Agent strings, yet every tracked
+// session used to carry its own copy (raw and normalized). The interner
+// collapses those copies to 8-byte handles:
 // the first Intern of a string stores one canonical copy, later Interns of
 // equal strings return the same handle and canonical string, and Release
 // drops a reference — the canonical copy is evicted when the last holder

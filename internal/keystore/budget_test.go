@@ -1,36 +1,68 @@
 package keystore
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 )
 
-// TestKeystoreStructBudgets pins the packed record layout from ISSUE 9: one
-// outstanding key costs a 16-byte record (interned page handle + coarse
-// expiry tick + kind/consumed flags) and one tracked client stays within a
-// cache-line-and-a-half. A failure means a field was added without
-// re-deriving the budget.
+// TestKeystoreStructBudgets pins the flat log's layout: one outstanding page
+// view costs a header of at most 24 bytes (issue tick, token tag, decoy
+// count, consumed bit) plus one 8-byte arena word per key, and one tracked
+// client stays within a cache-line-and-a-half. A failure means a field was
+// added without re-deriving the budget.
 func TestKeystoreStructBudgets(t *testing.T) {
-	if got := unsafe.Sizeof(keyRecord{}); got != 16 {
-		t.Errorf("keyRecord = %d bytes, want exactly 16 (handle 8 + tick 4 + flags 1 + pad)", got)
+	if got := unsafe.Sizeof(batch{}); got > 24 {
+		t.Errorf("batch = %d bytes, exceeds the 24-byte header budget", got)
 	}
-	if got := unsafe.Sizeof(issueBatch{}); got != 16 {
-		t.Errorf("issueBatch = %d bytes, want exactly 16 (key 8 + token tag 4 + decoy count 4)", got)
+	if got := unsafe.Sizeof(clientState{}); got > 96 {
+		t.Errorf("clientState = %d bytes, exceeds the 96-byte budget", got)
 	}
-	if got := unsafe.Sizeof(clientState{}); got > 104 {
-		t.Errorf("clientState = %d bytes, exceeds the 104-byte budget", got)
-	}
+}
 
-	if keyRecordBytes != int64(unsafe.Sizeof(keyRecord{})) {
-		t.Errorf("keyRecordBytes = %d, want unsafe.Sizeof(keyRecord{}) = %d",
-			keyRecordBytes, unsafe.Sizeof(keyRecord{}))
+// TestMemoryEstimateCoversHeap holds MemoryEstimate against the heap the
+// store really pins: 20,000 clients at 1, 4, 17 and 64 outstanding pages (a
+// one-page visitor, a short visit, a slice just past a doubling, and the
+// per-client cap). The estimate feeds the admission ladder, so it may never
+// read below the heap — and bytes_per_session is computed from it, so it may
+// not drift far above either.
+func TestMemoryEstimateCoversHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting differs under -race")
 	}
-	if keyEntryBytes != keyRecordBytes+keyOverheadBytes {
-		t.Errorf("keyEntryBytes = %d, want record (%d) + overhead (%d)",
-			keyEntryBytes, keyRecordBytes, keyOverheadBytes)
+	const clients = 20000
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
 	}
-	if clientBaseBytes != clientStructBytes+clientOverheadBytes {
-		t.Errorf("clientBaseBytes = %d, want struct (%d) + overhead (%d)",
-			clientBaseBytes, clientStructBytes, clientOverheadBytes)
+	for _, pages := range []int{1, 4, 17, 64} {
+		t.Run(fmt.Sprintf("pages=%d", pages), func(t *testing.T) {
+			before := heap()
+			s := New(Config{Seed: 3})
+			ips := make([]string, clients) // the store pins its clients' address strings
+			for i := range ips {
+				ips[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
+			}
+			var pk PageKeys
+			for p := 0; p < pages; p++ {
+				for _, ip := range ips {
+					s.IssuePage(ip, "/index.html", &pk)
+				}
+			}
+			clear(ips)
+			got, est := heap()-before, s.MemoryEstimate()
+			runtime.KeepAlive(s)
+			t.Logf("%d pages: heap %d B/client, estimate %d B/client (%.2fx)", pages, got/clients, est/clients, float64(est)/float64(got))
+			if est < got {
+				t.Errorf("estimate %d B < heap %d B: MemoryEstimate under-counts", est, got)
+			}
+			if est*4 > got*5 {
+				t.Errorf("estimate %d B > 1.25 x heap %d B", est, got)
+			}
+		})
 	}
 }

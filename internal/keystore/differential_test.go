@@ -1,0 +1,240 @@
+package keystore
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"testing"
+	"time"
+
+	"botdetect/internal/clock"
+)
+
+// TestDifferentialAgainstRefStore drives the flat key log and the map-based
+// reference model with the same seeded random operation sequences and
+// requires them to be indistinguishable through the public surface: every
+// issued key and token (so the RNG draw order, including redraws after a
+// collision — the narrow key spaces below make those common), every verdict,
+// every PageKeysFor answer, and the counters after every single operation.
+func TestDifferentialAgainstRefStore(t *testing.T) {
+	seeds := 240
+	if testing.Short() {
+		seeds = 40
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		diffRun(t, uint64(seed))
+	}
+}
+
+// issuedPage remembers what one issue handed out and to whom.
+type issuedPage struct {
+	ip string
+	pk PageKeys
+}
+
+func diffRun(t *testing.T, seed uint64) {
+	r := rand.New(rand.NewPCG(seed, 0x6b657973))
+	const ttl = time.Hour
+	cfg := Config{
+		Seed:         seed,
+		TTL:          ttl,
+		Decoys:       1 + r.IntN(4),
+		KeyDigits:    []int{3, 4, 10, 19}[r.IntN(4)],
+		MaxPerClient: []int{3, 8, 64}[r.IntN(3)],
+		MaxClients:   []int{2, 5, 1000}[r.IntN(3)],
+		Shards:       []int{1, 2}[r.IntN(2)],
+	}
+	vcA, vcB := clock.NewVirtual(time.Time{}), clock.NewVirtual(time.Time{})
+	cfgA, cfgB := cfg, cfg
+	cfgA.Clock, cfgB.Clock = vcA, vcB
+	got, want := New(cfgA), newRefStore(cfgB)
+
+	ips := make([]string, 8)
+	for i := range ips {
+		ips[i] = fmt.Sprintf("10.0.%d.%d", seed%200, i)
+	}
+	// The first address is hot so its log reaches the per-client cap even
+	// when that is 64 pages.
+	pickIP := func() string {
+		if r.IntN(2) == 0 {
+			return ips[0]
+		}
+		return ips[r.IntN(len(ips))]
+	}
+	var history []issuedPage
+	pickIssued := func() (issuedPage, bool) {
+		if len(history) == 0 {
+			return issuedPage{}, false
+		}
+		if r.IntN(3) == 0 { // anywhere in the past: expired, evicted, consumed
+			return history[r.IntN(len(history))], true
+		}
+		return history[len(history)-1-r.IntN(min(len(history), 12))], true
+	}
+
+	op := ""
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d cfg %+v: after %s: %s", seed, cfg, op, fmt.Sprintf(format, args...))
+	}
+	samePage := func(a, b *PageKeys) {
+		t.Helper()
+		if a.Page != b.Page || a.Key != b.Key || a.CSSToken != b.CSSToken || a.ScriptToken != b.ScriptToken ||
+			a.HiddenToken != b.HiddenToken || a.Digits != b.Digits || !a.IssuedAt.Equal(b.IssuedAt) || !slices.Equal(a.Decoys, b.Decoys) {
+			fail("issued keys differ:\n got %+v\nwant %+v", *a, *b)
+		}
+	}
+	remember := func(ip string, pk *PageKeys) {
+		c := *pk
+		c.Decoys = slices.Clone(pk.Decoys)
+		history = append(history, issuedPage{ip, c})
+	}
+
+	for step := 0; step < 400; step++ {
+		switch k := r.IntN(20); {
+		case k < 4:
+			ip, page := pickIP(), fmt.Sprintf("/p%d.html", r.IntN(5))
+			op = fmt.Sprintf("step %d IssuePage(%s)", step, ip)
+			var a, b PageKeys
+			got.IssuePage(ip, page, &a)
+			want.IssuePage(ip, page, &b)
+			samePage(&a, &b)
+			remember(ip, &a)
+		case k < 6:
+			ip, decoys := pickIP(), r.IntN(5)
+			short := []time.Duration{0, 5 * time.Minute, 20 * time.Minute, 2 * ttl}[r.IntN(4)]
+			op = fmt.Sprintf("step %d IssuePageDegraded(%s, %d decoys, %v)", step, ip, decoys, short)
+			var a, b PageKeys
+			got.IssuePageDegraded(ip, "/deg.html", decoys, short, &a)
+			want.IssuePageDegraded(ip, "/deg.html", decoys, short, &b)
+			samePage(&a, &b)
+			remember(ip, &a)
+		case k < 8:
+			ip, n := pickIP(), r.IntN(9)
+			op = fmt.Sprintf("step %d IssuePagesInto(%s, %d pages)", step, ip, n)
+			pages := make([]string, n)
+			as, bs := make([]*PageKeys, n), make([]*PageKeys, n)
+			for i := range pages {
+				pages[i], as[i], bs[i] = fmt.Sprintf("/b%d.html", i), new(PageKeys), new(PageKeys)
+			}
+			got.IssuePagesInto(ip, pages, as)
+			want.IssuePagesInto(ip, pages, bs)
+			for i := range pages {
+				samePage(as[i], bs[i])
+				remember(ip, as[i])
+			}
+		case k < 14:
+			ip, key := pickIP(), ""
+			iss, ok := pickIssued()
+			switch kind := r.IntN(8); {
+			case !ok || kind == 0: // a guess
+				key = fmt.Sprintf("%0*d", cfg.KeyDigits, r.Uint64N(1000))
+			case kind == 1: // malformed
+				key = []string{"", "12a", "7", "00000000000000000000000", "-1", " 12"}[r.IntN(6)]
+			case kind == 2: // someone else's real key
+				key = iss.pk.KeyString(iss.pk.Key)
+			case kind <= 5: // the owner's real key (fresh, replayed, expired or evicted)
+				ip, key = iss.ip, iss.pk.KeyString(iss.pk.Key)
+			case len(iss.pk.Decoys) > 0: // the owner's decoy
+				ip, key = iss.ip, iss.pk.KeyString(iss.pk.Decoys[r.IntN(len(iss.pk.Decoys))])
+			}
+			op = fmt.Sprintf("step %d Validate(%s, %q)", step, ip, key)
+			if a, b := got.Validate(ip, key), want.Validate(ip, key); a != b {
+				fail("verdict %v, reference %v", a, b)
+			}
+		case k == 14:
+			ip, key := pickIP(), []uint64{deadKey, 1 << 63, 0}[r.IntN(3)]
+			op = fmt.Sprintf("step %d ValidateValue(%s, %d)", step, ip, key)
+			if a, b := got.ValidateValue(ip, key), want.ValidateValue(ip, key); a != b {
+				fail("verdict %v, reference %v", a, b)
+			}
+		case k < 18:
+			ip, token := pickIP(), r.Uint64N(1000)
+			if iss, ok := pickIssued(); ok && r.IntN(5) > 0 {
+				token = iss.pk.ScriptToken
+				if r.IntN(4) > 0 {
+					ip = iss.ip
+				}
+			}
+			op = fmt.Sprintf("step %d PageKeysFor(%s, %d)", step, ip, token)
+			ka, da, oka := got.PageKeysFor(ip, token, nil)
+			kb, db, okb := want.PageKeysFor(ip, token, nil)
+			if ka != kb || oka != okb || !slices.Equal(da, db) {
+				fail("got (%d, %v, %v), reference (%d, %v, %v)", ka, da, oka, kb, db, okb)
+			}
+		default:
+			d := []time.Duration{time.Second, 4 * time.Minute, 16 * time.Minute, 50 * time.Minute, ttl + time.Minute}[r.IntN(5)]
+			op = fmt.Sprintf("step %d advance %v", step, d)
+			vcA.Advance(d)
+			vcB.Advance(d)
+		}
+
+		if a, b := got.Stats(), want.stats; a != b {
+			fail("stats %+v, reference %+v", a, b)
+		}
+		if a, b := got.LiveKeys(), want.liveKeys; a != b {
+			fail("LiveKeys %d, reference %d", a, b)
+		}
+		if a, b := got.Clients(), want.Clients(); a != b || int64(a) != got.LiveClients() {
+			fail("Clients %d (LiveClients %d), reference %d", a, got.LiveClients(), b)
+		}
+		for _, ip := range ips {
+			if a, b := got.OutstandingKeys(ip), want.OutstandingKeys(ip); a != b {
+				fail("OutstandingKeys(%s) %d, reference %d", ip, a, b)
+			}
+		}
+	}
+}
+
+// FuzzValidate throws attacker-controlled addresses and key strings at a
+// store with live batches: nothing may panic, and Human comes back only for
+// an unconsumed real key presented by the client it was issued to — once.
+func FuzzValidate(f *testing.F) {
+	const owner, other, digits = "10.0.0.1", "10.0.0.2", 6
+	// build returns a store in which owner holds 8 live batches (two more
+	// were evicted by the per-client cap and one real key is consumed), and
+	// the real keys of owner that can still prove a human.
+	build := func() (*Store, map[string]bool) {
+		s := New(Config{Seed: 11, KeyDigits: digits, MaxPerClient: 8})
+		var fresh []string
+		var pk PageKeys
+		for i := 0; i < 10; i++ {
+			s.IssuePage(owner, "/p.html", &pk)
+			fresh = append(fresh, pk.KeyString(pk.Key))
+			s.IssuePage(other, "/p.html", &pk)
+		}
+		fresh = fresh[2:] // evicted
+		s.Validate(owner, fresh[0])
+		set := map[string]bool{}
+		for _, k := range fresh[1:] {
+			set[k] = true
+		}
+		return s, set
+	}
+	_, fresh := build()
+	for k := range fresh {
+		f.Add(owner, k, uint64(0))
+		f.Add(other, k, deadKey)
+	}
+	f.Add("", "", uint64(1<<63))
+	f.Add(owner, "12345a", uint64(999999))
+	f.Add("10.0.0.3", "0000000", uint64(1000000))
+
+	f.Fuzz(func(t *testing.T, ip, key string, raw uint64) {
+		s, fresh := build()
+		v := s.Validate(ip, key)
+		if want := ip == owner && fresh[key]; (v == Human) != want {
+			t.Fatalf("Validate(%q, %q) = %v; a human's key: %v", ip, key, v, want)
+		}
+		if v == Human {
+			if again := s.Validate(ip, key); again != Replayed {
+				t.Fatalf("second Validate(%q, %q) = %v, want Replayed", ip, key, again)
+			}
+			delete(fresh, key)
+		}
+		want := ip == owner && raw < 1e6 && fresh[fmt.Sprintf("%0*d", digits, raw)]
+		if v := s.ValidateValue(ip, raw); (v == Human) != want {
+			t.Fatalf("ValidateValue(%q, %d) = %v; a human's key: %v", ip, raw, v, want)
+		}
+	})
+}

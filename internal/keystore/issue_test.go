@@ -2,40 +2,40 @@ package keystore
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"botdetect/internal/clock"
 )
 
-// TestIssueNMatchesSequentialIssue pins the batch path to the sequential
-// one: same seed, same pages, same client must draw identical keys and
-// tokens whether issued one at a time or in one IssueN batch.
-func TestIssueNMatchesSequentialIssue(t *testing.T) {
+// issuePages runs IssuePagesInto over freshly allocated PageKeys.
+func issuePages(s *Store, ip string, pages []string) []*PageKeys {
+	pks := make([]*PageKeys, len(pages))
+	for i := range pks {
+		pks[i] = new(PageKeys)
+	}
+	s.IssuePagesInto(ip, pages, pks)
+	return pks
+}
+
+// TestIssuePagesIntoMatchesSequentialIssue pins the batch path to the
+// sequential one: same seed, same pages, same client must draw identical keys
+// and tokens whether issued one at a time or in one IssuePagesInto batch.
+func TestIssuePagesIntoMatchesSequentialIssue(t *testing.T) {
 	pages := []string{"/", "/a.html", "/b.html", "/c.html"}
 	one := New(Config{Seed: 5, Decoys: 3})
-	var seq []Issued
-	for _, p := range pages {
-		seq = append(seq, one.Issue("10.0.0.1", p))
-	}
 	batchStore := New(Config{Seed: 5, Decoys: 3})
-	batch := batchStore.IssueN("10.0.0.1", pages, nil)
+	batch := issuePages(batchStore, "10.0.0.1", pages)
 
-	if len(batch) != len(seq) {
-		t.Fatalf("IssueN returned %d issues, want %d", len(batch), len(seq))
-	}
-	for i := range seq {
-		if batch[i].Key != seq[i].Key ||
-			batch[i].CSSToken != seq[i].CSSToken ||
-			batch[i].ScriptToken != seq[i].ScriptToken ||
-			batch[i].HiddenToken != seq[i].HiddenToken ||
-			batch[i].Page != seq[i].Page {
-			t.Fatalf("issue %d differs between batch and sequential paths:\n%+v\n%+v", i, batch[i], seq[i])
-		}
-		for j := range seq[i].Decoys {
-			if batch[i].Decoys[j] != seq[i].Decoys[j] {
-				t.Fatalf("issue %d decoy %d differs", i, j)
-			}
+	for i, p := range pages {
+		var seq PageKeys
+		one.IssuePage("10.0.0.1", p, &seq)
+		got := batch[i]
+		if got.Key != seq.Key || got.CSSToken != seq.CSSToken ||
+			got.ScriptToken != seq.ScriptToken || got.HiddenToken != seq.HiddenToken ||
+			got.Page != seq.Page || !slices.Equal(got.Decoys, seq.Decoys) {
+			t.Fatalf("issue %d differs between batch and sequential paths:\n%+v\n%+v", i, *got, seq)
 		}
 	}
 	if got := batchStore.Stats().Issued; got != int64(len(pages)) {
@@ -43,36 +43,36 @@ func TestIssueNMatchesSequentialIssue(t *testing.T) {
 	}
 }
 
-func TestIssueNValidatesAndBounds(t *testing.T) {
+func TestIssuePagesIntoValidatesAndBounds(t *testing.T) {
 	s := New(Config{Decoys: 2, MaxPerClient: 8})
 	pages := make([]string, 20)
 	for i := range pages {
 		pages[i] = fmt.Sprintf("/p%d.html", i)
 	}
-	out := s.IssueN("10.0.0.2", pages, nil)
-	if len(out) != len(pages) {
-		t.Fatalf("len(out) = %d", len(out))
-	}
+	out := issuePages(s, "10.0.0.2", pages)
 	// The per-client bound applies to the whole batch.
-	if n := s.OutstandingKeys("10.0.0.2"); n > 8*(1+2) {
-		t.Fatalf("outstanding keys = %d, want <= %d", n, 8*3)
+	if n := s.OutstandingKeys("10.0.0.2"); n != 8*(1+2) {
+		t.Fatalf("outstanding keys = %d, want %d", n, 8*3)
 	}
-	// The newest issues survive and validate.
+	// The oldest issues of the batch are evicted; the newest survive and validate.
+	if v := s.ValidateValue("10.0.0.2", out[0].Key); v != Unknown {
+		t.Fatalf("evicted real key = %v, want Unknown", v)
+	}
 	last := out[len(out)-1]
-	if v := s.Validate("10.0.0.2", last.Key); v != Human {
+	if v := s.ValidateValue("10.0.0.2", last.Key); v != Human {
 		t.Fatalf("latest real key = %v, want Human", v)
 	}
-	if v := s.Validate("10.0.0.2", last.Decoys[0]); v != Decoy {
+	if v := s.ValidateValue("10.0.0.2", last.Decoys[0]); v != Decoy {
 		t.Fatalf("latest decoy = %v, want Decoy", v)
 	}
-	if s.IssueN("10.0.0.2", nil, nil) != nil {
-		t.Fatal("empty batch must return out unchanged")
+	s.IssuePagesInto("10.0.0.2", nil, nil) // an empty batch is a no-op
+	if got := s.Stats().Issued; got != int64(len(pages)) {
+		t.Fatalf("Issued = %d after an empty batch, want %d", got, len(pages))
 	}
 }
 
-// TestClientStateRecycling hammers the eviction path so evicted client
-// states flow through the shard free list and get reused; recycled states
-// must behave exactly like fresh ones.
+// TestClientStateRecycling hammers the client-cap eviction path: an evicted
+// client's keys must never validate for the next occupant of its slot.
 func TestClientStateRecycling(t *testing.T) {
 	s := New(Config{Decoys: 2, MaxClients: 4, Shards: 1})
 	for round := 0; round < 6; round++ {
@@ -82,8 +82,8 @@ func TestClientStateRecycling(t *testing.T) {
 			if v := s.Validate(ip, iss.Key); v != Human {
 				t.Fatalf("round %d client %d: verdict %v", round, i, v)
 			}
-			// A stale key from an evicted-and-recycled state must not leak
-			// into the new occupant.
+			// A stale key from an evicted state must not leak into the new
+			// occupant.
 			if v := s.Validate(ip, "0000000000"); v == Human || v == Decoy {
 				t.Fatalf("recycled state leaked a key: %v", v)
 			}
@@ -93,7 +93,7 @@ func TestClientStateRecycling(t *testing.T) {
 		}
 	}
 	if ev := s.Stats().EvictedClients; ev == 0 {
-		t.Fatal("expected evictions to exercise the free list")
+		t.Fatal("expected evictions")
 	}
 }
 
@@ -129,11 +129,11 @@ func TestExpirySkipStaysCorrect(t *testing.T) {
 
 // TestIssueAllocCeiling pins the allocation budget of the hot-path Issue:
 // the key and token strings it must hand out, the decoy slice, and nothing
-// else at steady state (records are map values, client states are recycled,
-// candidate draws use a stack buffer).
+// else at steady state (the key log is compacted in place, candidate draws use
+// a stack buffer).
 func TestIssueAllocCeiling(t *testing.T) {
 	s := New(Config{Decoys: 4, KeyDigits: 10})
-	// Warm the client so map growth settles at the per-client cap.
+	// Warm the client so the log's capacity settles at the per-client cap.
 	for i := 0; i < 200; i++ {
 		s.Issue("10.3.0.1", "/warm.html")
 	}
@@ -144,7 +144,7 @@ func TestIssueAllocCeiling(t *testing.T) {
 		t.Skipf("paths exercised; skipping the ceiling (%.1f allocs/op measured) — allocation accounting differs under -race", allocs)
 	}
 	// 5 key strings + 3 token strings + 1 decoy slice = 9 unavoidable
-	// allocations; allow slack for map-internal churn.
+	// allocations; allow some slack.
 	const ceiling = 14
 	if allocs > ceiling {
 		t.Fatalf("Issue allocated %.1f/op, ceiling %d", allocs, ceiling)
@@ -153,8 +153,7 @@ func TestIssueAllocCeiling(t *testing.T) {
 
 // TestIssuePageZeroAlloc pins the numeric issue path at zero allocations
 // per page at steady state: keys are drawn straight into the caller-owned
-// PageKeys, records are map values, the eviction queue and decoy arena are
-// compacted in place, and client states are recycled.
+// PageKeys and the client's key log is compacted in place.
 func TestIssuePageZeroAlloc(t *testing.T) {
 	s := New(Config{Decoys: 4, KeyDigits: 10})
 	var pk PageKeys

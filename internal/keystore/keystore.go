@@ -20,24 +20,28 @@
 // are atomic and never serialise the hot path.
 //
 // Keys are decimal digit strings on the wire but uint64 values internally:
-// a key of up to MaxKeyDigits digits packs into one machine word, so the
-// per-client table is a map[uint64]keyRecord with no string storage at all,
-// and IssuePage fills a caller-owned PageKeys without allocating. The
-// eviction queue keeps each page's decoys in a per-client flat arena
-// (compacted in place, never reallocated at steady state). Issue/IssueN
-// remain as string-typed wrappers that format the same draws, byte for
-// byte, for callers that want materialised keys.
+// a key of up to MaxKeyDigits digits packs into one machine word. A client's
+// table is one flat, issue-ordered log: a slice of small batch headers (issue
+// tick, script-token tag, decoy count, consumed bit), one per page view, and
+// a key arena in which batch i's real key is followed by its decoys. A client
+// holds at most MaxPerClient batches — 320 contiguous words at the defaults —
+// so validation and the uniqueness check are linear scans, and expiry and
+// eviction drop whole batches by copy-down (never reallocating at steady
+// state). There is no per-key record and no per-client hash table; the only
+// map is each shard's client index. IssuePage fills a caller-owned PageKeys
+// without allocating, and Issue remains as the string-typed wrapper that
+// formats the same draws, byte for byte.
 package keystore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
 
 	"botdetect/internal/clock"
-	"botdetect/internal/intern"
 	"botdetect/internal/rng"
 	"botdetect/internal/shard"
 )
@@ -80,8 +84,8 @@ func (v Verdict) String() string {
 const MaxKeyDigits = 19
 
 // Issued is the set of keys generated for one rewritten page, materialised
-// as strings. It is the compatibility surface over PageKeys: Issue and
-// IssueN format the exact digit sequences the numeric path draws.
+// as strings. It is the compatibility surface over PageKeys: Issue formats
+// the exact digit sequences the numeric path draws.
 type Issued struct {
 	// Page is the page path the keys were issued for.
 	Page string
@@ -183,11 +187,6 @@ type Config struct {
 	Seed uint64
 	// Clock supplies time; defaults to the wall clock.
 	Clock clock.Clock
-	// Interner, when non-nil, is the shared string table page paths are
-	// interned into (the engine passes one interner to the tracker and the
-	// keystore). When nil the store creates a private one. Interned bytes
-	// are accounted by the interner's own MemoryEstimate, not the store's.
-	Interner *intern.Interner
 }
 
 func (c Config) withDefaults() Config {
@@ -213,68 +212,64 @@ func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = clock.System
 	}
-	if c.Interner == nil {
-		c.Interner = intern.New(8)
-	}
 	return c
 }
 
-// keyRecord flag bits.
-const (
-	flagDecoy    uint8 = 1 << 0
-	flagConsumed uint8 = 1 << 1
-)
-
-// keyRecord is stored by value in the client's key map, so issuing a page's
-// keys boxes nothing on the heap. It packs to 16 bytes: the page is an
-// interned handle (real traffic concentrates on a small path set, so a
-// million outstanding keys share a few hundred canonical strings), the issue
-// time is a coarse tick (uint32, unit ≈ TTL/65536 — quantisation is ~0.003%
-// of the TTL) and kind/consumed are flag bits.
-type keyRecord struct {
-	page  intern.Handle // interned page path (0 = empty page)
-	tick  uint32        // coarse issue time; see Store.tick
-	flags uint8         // flagDecoy | flagConsumed
-}
-
 // tickResolution is the number of coarse ticks per TTL (so a tick unit is
-// TTL/65536, floored at 1ns). The uint32 tick space then covers 65536 TTLs
-// (~7.5 years at the default 1-hour TTL) before saturating.
+// TTL/65536, floored at 1ns — quantisation is ~0.003% of the TTL). The uint32
+// tick space then covers 65536 TTLs (~7.5 years at the default 1-hour TTL)
+// before saturating.
 const tickResolution = 1 << 16
 
-// issueBatch records one page view's real key, how many decoys follow it in
-// the client's decoy arena, and a tag of the page's script token. Batches and
-// decoy runs are in the same (issue) order, so a run's arena offset is the sum
-// of the counts before it — every reader scans the queue from the front
-// anyway. Keeping the association explicit makes per-client eviction O(m)
-// instead of a scan over every outstanding key; the tag lets PageKeysFor
-// re-find the batch a script download names without storing the token.
-type issueBatch struct {
-	key uint64
-	tag uint32 // tokenTag of the page's script token
-	n   int32  // decoy count
+// batch is the header of one page view in a client's key log. Its keys sit
+// in the client's arena in the same (issue) order — the real key, then the
+// decoys — so a batch's arena offset is the sum of the runs before it; every
+// reader walks the headers from the front anyway. All of a batch's keys share
+// one issue tick, so they expire together.
+type batch struct {
+	tick     uint32 // coarse issue time; see Store.tick
+	tag      uint32 // tokenTag of the page's script token
+	decoys   int32  // decoy keys following the real key in the arena
+	consumed bool   // the real key has validated once
 }
 
-// tokenTag folds a script token into the 32 bits an issueBatch has room for
+// words is the length of the batch's run in the arena.
+func (b batch) words() int { return 1 + int(b.decoys) }
+
+// tokenTag folds a script token into the 32 bits a batch has room for
 // (Fibonacci hashing: the high half of the product mixes every token bit). A
 // client holds at most MaxPerClient batches, so two of its own tokens share a
 // tag with probability ~MaxPerClient/2^32, and the first live match wins.
 func tokenTag(token uint64) uint32 { return uint32((token * 0x9e3779b97f4a7c15) >> 32) }
 
-// clientState is the per-client key table. States are linked into their
-// shard's intrusive LRU list and recycled through the shard free list on
-// eviction. The queue and decoy arena are compacted in place (copy-down)
-// when batches are dropped, so a stable working set reaches a steady state
-// where IssuePage allocates nothing at all.
+// deadKey overwrites an arena word whose key was found expired by Validate
+// before the next issue swept its batch, so the key is counted as dropped
+// exactly once. No key can equal it: MaxKeyDigits digits stay below 2^64-1.
+const deadKey = ^uint64(0)
+
+// liveWords counts the arena words in run that still hold a key.
+func liveWords(run []uint64) int64 {
+	var n int64
+	for _, w := range run {
+		if w != deadKey {
+			n++
+		}
+	}
+	return n
+}
+
+// clientState is the per-client key log. States are linked into their
+// shard's intrusive LRU list. The headers and the arena are compacted in
+// place (copy-down) when batches are dropped, so a stable working set reaches
+// a steady state where IssuePage allocates nothing at all.
 type clientState struct {
-	ip     string
-	keys   map[uint64]keyRecord // key value -> record
-	queue  []issueBatch         // issue order, for per-client eviction
-	decoys []uint64             // flat arena backing queue[i]'s decoy runs
-	// oldestTick is a lower bound on the issue tick of every live key:
-	// expiry scans are skipped entirely while now-oldest <= TTL, because no
-	// key can have expired yet. It is exact after the first issue and after
-	// every scan (the scan re-derives the minimum over the survivors).
+	ip      string
+	batches []batch  // issue order; not tick order (degraded issues are backdated)
+	keys    []uint64 // arena: batch i's real key, then its decoys
+	// oldestTick is a lower bound on the issue tick of every batch: expiry
+	// scans are skipped entirely while now-oldest <= TTL, because no key can
+	// have expired yet. It is exact after the first issue and after every
+	// scan (the scan re-derives the minimum over the survivors).
 	oldestTick uint32
 
 	prev, next *clientState // intrusive LRU: prev = towards front (most recent)
@@ -309,41 +304,41 @@ type storeShard struct {
 	clients map[string]*clientState
 	head    *clientState // most recently used
 	tail    *clientState // least recently used
-	free    *clientState // recycled states, singly linked via next
 	count   int          // live clients (== len(clients))
 	max     int          // per-shard client cap
 }
 
-// Per-entry memory costs backing Store.MemoryEstimate, derived from the
-// actual struct layouts via unsafe.Sizeof so they cannot silently rot when
-// fields change (TestKeystoreStructBudgets pins the layouts). The hand-tuned
-// overhead components round up on purpose: the estimate feeds admission
+// Memory costs backing Store.MemoryEstimate, derived from the actual layouts
+// via unsafe.Sizeof so they cannot silently rot when fields change
+// (TestKeystoreStructBudgets pins the layouts and TestMemoryEstimateCoversHeap
+// holds the total against measured heap). The estimate feeds admission
 // control (see core.LoadState), where an overestimate degrades service early
-// and an underestimate OOMs.
+// and an underestimate OOMs — so the logs are charged at their capacity, not
+// their length: append's doubling leaves up to half of a slice spare, and
+// copy-down compaction keeps the arrays it shrinks.
 const (
-	// keyRecordBytes is the exact packed record size (16 B).
-	keyRecordBytes = int64(unsafe.Sizeof(keyRecord{}))
-	// keyOverheadBytes covers the record's map-bucket share (8 B key + load
-	// factor) plus its share of the issue queue and decoy arena.
-	keyOverheadBytes = 32
-	// keyEntryBytes is the total cost charged per outstanding key.
-	keyEntryBytes = keyRecordBytes + keyOverheadBytes
-	// clientStructBytes is the exact clientState size.
-	clientStructBytes = int64(unsafe.Sizeof(clientState{}))
-	// clientOverheadBytes covers the shard map entry, the IP string and the
-	// key-map header; queue/arena capacity is charged per key above.
-	clientOverheadBytes = 128
-	// clientBaseBytes is the total cost charged per tracked client.
-	clientBaseBytes = clientStructBytes + clientOverheadBytes
+	batchBytes = int64(unsafe.Sizeof(batch{}))
+	keyBytes   = int64(unsafe.Sizeof(uint64(0)))
+	// clientBaseBytes is charged per tracked client: the clientState in its
+	// 16-byte allocator size class, plus one slot of the shard's client map
+	// (string header, pointer, control byte) at the half load a just-doubled
+	// table has.
+	clientBaseBytes = (int64(unsafe.Sizeof(clientState{}))+15)/16*16 +
+		2*int64(unsafe.Sizeof("")+unsafe.Sizeof((*clientState)(nil))+1)
 )
+
+// pinnedBytes is the heap the client pins beyond its own struct: the address
+// string (in its 16-byte size class) and the capacity of the log.
+func (cs *clientState) pinnedBytes() int64 {
+	return int64(len(cs.ip)+15)&^15 + int64(cap(cs.batches))*batchBytes + int64(cap(cs.keys))*keyBytes
+}
 
 // Store is the key table. It is safe for concurrent use.
 type Store struct {
-	cfg      Config
-	shards   []*storeShard
-	mask     uint64
-	stats    storeStats
-	interner *intern.Interner
+	cfg    Config
+	shards []*storeShard
+	mask   uint64
+	stats  storeStats
 
 	// Coarse-tick time base (see Store.tick): epoch is set at construction
 	// far enough in the past that backdated (degraded) issues never go
@@ -354,16 +349,18 @@ type Store struct {
 	tickUnit time.Duration
 	ttlTicks uint32
 
-	// liveClients/liveKeys mirror the locked per-shard state so occupancy
-	// and memory estimates are lock-free reads on the serve path.
+	// liveClients/liveKeys/pinnedBytes mirror the locked per-shard state (the
+	// last is the sum of clientState.pinnedBytes) so occupancy and memory
+	// estimates are lock-free reads on the serve path.
 	liveClients atomic.Int64
 	liveKeys    atomic.Int64
+	pinnedBytes atomic.Int64
 }
 
 // New creates a Store with the given configuration.
 func New(cfg Config) *Store {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, mask: uint64(cfg.Shards - 1), interner: cfg.Interner}
+	s := &Store{cfg: cfg, mask: uint64(cfg.Shards - 1)}
 	s.tickUnit = cfg.TTL / tickResolution
 	if s.tickUnit <= 0 {
 		s.tickUnit = 1
@@ -455,46 +452,19 @@ func (sh *storeShard) moveToFront(cs *clientState) {
 	sh.pushFront(cs)
 }
 
-// client returns the state for ip, creating (or recycling) one as needed.
-func (sh *storeShard) client(ip string) *clientState {
-	cs, ok := sh.clients[ip]
-	if !ok {
-		if cs = sh.free; cs != nil {
-			sh.free = cs.next
-			cs.next = nil
-		} else {
-			cs = &clientState{keys: make(map[uint64]keyRecord)}
-		}
-		cs.ip = ip
-		sh.pushFront(cs)
-		sh.clients[ip] = cs
-		sh.count++
-	}
-	return cs
-}
-
 // clientLocked returns (creating if needed) the state for ip on sh,
 // mirroring creations into the lock-free liveClients counter.
 func (s *Store) clientLocked(sh *storeShard, ip string) *clientState {
-	before := sh.count
-	cs := sh.client(ip)
-	if sh.count != before {
+	cs, ok := sh.clients[ip]
+	if !ok {
+		cs = &clientState{ip: ip}
+		sh.pushFront(cs)
+		sh.clients[ip] = cs
+		sh.count++
 		s.liveClients.Add(1)
+		s.pinnedBytes.Add(cs.pinnedBytes())
 	}
 	return cs
-}
-
-// release recycles an evicted state: the key map, queue and decoy arena keep
-// their capacity so the next client on this shard issues without rebuilding
-// them.
-func (sh *storeShard) release(cs *clientState) {
-	clear(cs.keys)
-	cs.queue = cs.queue[:0]
-	cs.decoys = cs.decoys[:0]
-	cs.ip = ""
-	cs.prev = nil
-	cs.next = sh.free
-	sh.free = cs
 }
 
 // IssuePage generates a real key, decoys and the per-page object tokens for
@@ -582,42 +552,15 @@ func (s *Store) Issue(clientIP, page string) Issued {
 	return pk.Issued()
 }
 
-// IssueN issues keys for a batch of page views by one client, materialised
-// as strings (see IssuePagesInto for the allocation-free form). Results are
-// appended to out (which may be nil) and returned.
-func (s *Store) IssueN(clientIP string, pages []string, out []Issued) []Issued {
-	if len(pages) == 0 {
-		return out
-	}
-	sh := s.shard(clientIP)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	now := s.cfg.Clock.Now()
-	nowTick := s.tick(now)
-	cs := s.clientLocked(sh, clientIP)
-	sh.moveToFront(cs)
-	s.expireClientLocked(cs, nowTick)
-	var pk PageKeys
-	for _, page := range pages {
-		s.issuePageLocked(sh, cs, page, now, nowTick, s.cfg.Decoys, &pk)
-		out = append(out, pk.Issued())
-	}
-	s.enforcePerClientLocked(cs)
-	s.enforceClientCapLocked(sh)
-	return out
-}
-
-// issuePageLocked draws one page's keys and tokens and records them. The
-// draw order (real key, CSS/script/hidden tokens, then decoys) is part of
-// the store's deterministic surface: fixed-seed runs replay it byte for
-// byte, and the string wrappers format exactly these draws. issueTick is the
-// recorded coarse timestamp (normally now's tick; the degraded path
-// backdates it to shorten the effective TTL) and decoys the decoy count for
-// this page. The page path is interned once and the handle retained per
-// record, so a batch's records carry 8-byte handles into one shared string.
+// issuePageLocked draws one page's keys and tokens and appends them to the
+// client's log. The draw order (real key, CSS/script/hidden tokens, then
+// decoys) is part of the store's deterministic surface: fixed-seed runs
+// replay it byte for byte, and the string wrappers format exactly these
+// draws. issueTick is the recorded coarse timestamp (normally now's tick; the
+// degraded path backdates it to shorten the effective TTL) and decoys the
+// decoy count for this page.
 func (s *Store) issuePageLocked(sh *storeShard, cs *clientState, page string, now time.Time, issueTick uint32, decoys int, pk *PageKeys) {
-	if len(cs.keys) == 0 || issueTick < cs.oldestTick {
+	if len(cs.batches) == 0 || issueTick < cs.oldestTick {
 		cs.oldestTick = issueTick
 	}
 	digits := s.cfg.KeyDigits
@@ -628,17 +571,20 @@ func (s *Store) issuePageLocked(sh *storeShard, cs *clientState, page string, no
 	pk.ScriptToken = sh.src.DigitKeyValue(digits)
 	pk.HiddenToken = sh.src.DigitKeyValue(digits)
 	pk.IssuedAt = now
-	pageHandle, _ := s.interner.Intern(page)
-	cs.keys[pk.Key] = keyRecord{page: pageHandle, tick: issueTick}
+	// Each decoy must differ from the real key and the decoys before it, so
+	// every draw lands in the arena before the next one is checked.
+	pinned := cs.pinnedBytes()
+	cs.keys = append(slices.Grow(cs.keys, 1+decoys), pk.Key)
 	pk.Decoys = pk.Decoys[:0]
 	for i := 0; i < decoys; i++ {
 		d := s.uniqueKeyLocked(sh, cs)
 		pk.Decoys = append(pk.Decoys, d)
-		cs.decoys = append(cs.decoys, d)
-		s.interner.Retain(pageHandle)
-		cs.keys[d] = keyRecord{page: pageHandle, tick: issueTick, flags: flagDecoy}
+		cs.keys = append(cs.keys, d)
 	}
-	cs.queue = append(cs.queue, issueBatch{key: pk.Key, tag: tokenTag(pk.ScriptToken), n: int32(decoys)})
+	cs.batches = append(cs.batches, batch{tick: issueTick, tag: tokenTag(pk.ScriptToken), decoys: int32(decoys)})
+	if grown := cs.pinnedBytes() - pinned; grown != 0 {
+		s.pinnedBytes.Add(grown)
+	}
 	s.stats.issued.Add(1)
 	s.liveKeys.Add(int64(1 + decoys))
 }
@@ -647,99 +593,61 @@ func (s *Store) issuePageLocked(sh *storeShard, cs *clientState, page string, no
 func (s *Store) uniqueKeyLocked(sh *storeShard, cs *clientState) uint64 {
 	for {
 		v := sh.src.DigitKeyValue(s.cfg.KeyDigits)
-		if _, exists := cs.keys[v]; !exists {
+		if !slices.Contains(cs.keys, v) {
 			return v
 		}
 	}
 }
 
-// dropBatchesLocked removes the first n batches from the client's queue,
-// deleting their keys (and releasing their interned page handles), then
-// compacts the queue and the decoy arena in place (copy-down, no
-// reallocation) so the backing arrays never creep. It returns the number of
-// keys deleted so the caller can settle the live-key counter.
-func (s *Store) dropBatchesLocked(cs *clientState, n int) int64 {
-	if n <= 0 {
-		return 0
+// dropBatchesLocked removes the first n batches from the client's log and
+// compacts the headers and the arena in place (copy-down, no reallocation) so
+// the backing arrays never creep: O(live) per eviction wave, but
+// allocation-free forever (live sizes are MaxPerClient-bounded).
+func (s *Store) dropBatchesLocked(cs *clientState, n int) {
+	off := 0
+	for _, b := range cs.batches[:n] {
+		off += b.words()
 	}
-	var dropped int64
-	var off int32 // arena offset of batch i's decoy run
-	for i := 0; i < n; i++ {
-		b := cs.queue[i]
-		if rec, ok := cs.keys[b.key]; ok {
-			s.interner.Release(rec.page)
-			delete(cs.keys, b.key)
-			dropped++
-		}
-		for _, d := range cs.decoys[off : off+b.n] {
-			if rec, ok := cs.keys[d]; ok {
-				s.interner.Release(rec.page)
-				delete(cs.keys, d)
-				dropped++
-			}
-		}
-		off += b.n
-	}
-	// Copy-down compaction: surviving batches slide to the front of both
-	// arrays. O(live) per eviction wave, but allocation-free forever (live
-	// sizes are MaxPerClient-bounded).
-	copy(cs.decoys, cs.decoys[off:])
-	cs.decoys = cs.decoys[:int32(len(cs.decoys))-off]
-	copy(cs.queue, cs.queue[n:])
-	cs.queue = cs.queue[:len(cs.queue)-n]
-	return dropped
+	s.liveKeys.Add(-liveWords(cs.keys[:off]))
+	cs.keys = cs.keys[:copy(cs.keys, cs.keys[off:])]
+	cs.batches = cs.batches[:copy(cs.batches, cs.batches[n:])]
 }
 
-// expireClientLocked drops keys older than the TTL for one client. The
-// O(outstanding keys) map scan only runs when the oldest live key can
-// actually have expired (tracked via clientState.oldestTick, re-derived
-// exactly from the survivors on every scan), so hot-path issues skip it.
+// expireClientLocked drops the batches older than the TTL for one client.
+// Batches are not in tick order, so this is a scan over the headers; it only
+// runs when the oldest batch can actually have expired (tracked via
+// clientState.oldestTick, re-derived exactly from the survivors on every
+// scan), so hot-path issues skip it.
 func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
-	if len(cs.keys) == 0 || !s.expired(nowTick, cs.oldestTick) {
+	if len(cs.batches) == 0 || !s.expired(nowTick, cs.oldestTick) {
 		return
 	}
 	minSurvivor := nowTick
+	keepB, keepK := cs.batches[:0], cs.keys[:0]
 	var dropped int64
-	for k, rec := range cs.keys {
-		if s.expired(nowTick, rec.tick) {
-			s.interner.Release(rec.page)
-			delete(cs.keys, k)
-			dropped++
-			s.stats.expiredDropped.Add(1)
-		} else if rec.tick < minSurvivor {
-			minSurvivor = rec.tick
+	off := 0
+	for _, b := range cs.batches {
+		run := cs.keys[off : off+b.words()]
+		off += len(run)
+		if s.expired(nowTick, b.tick) {
+			dropped += liveWords(run)
+			continue
 		}
+		minSurvivor = min(minSurvivor, b.tick)
+		keepB = append(keepB, b)
+		keepK = append(keepK, run...)
 	}
 	s.liveKeys.Add(-dropped)
-	// Compact the issue queue and decoy arena over the survivors. Batches
-	// whose real key expired are dropped whole (real key and decoys share
-	// one issuedAt, so they expire together).
-	if len(cs.queue) > 0 {
-		keepQ := cs.queue[:0]
-		keepD := cs.decoys[:0]
-		var off int32
-		for _, b := range cs.queue {
-			run := cs.decoys[off : off+b.n]
-			off += b.n
-			if _, ok := cs.keys[b.key]; !ok {
-				continue
-			}
-			keepD = append(keepD, run...)
-			keepQ = append(keepQ, b)
-		}
-		cs.queue = keepQ
-		cs.decoys = keepD
-	}
+	s.stats.expiredDropped.Add(dropped)
+	cs.batches, cs.keys = keepB, keepK
 	cs.oldestTick = minSurvivor
 }
 
-// enforcePerClientLocked bounds the number of outstanding real keys for one
-// client by discarding the oldest issues together with their decoys. The
-// queue remembers each issue's decoy run, so eviction deletes exactly that
-// batch's keys — no scan over the client's whole table.
+// enforcePerClientLocked bounds the number of outstanding page views for one
+// client by discarding the oldest issues together with their decoys.
 func (s *Store) enforcePerClientLocked(cs *clientState) {
-	if over := len(cs.queue) - s.cfg.MaxPerClient; over > 0 {
-		s.liveKeys.Add(-s.dropBatchesLocked(cs, over))
+	if over := len(cs.batches) - s.cfg.MaxPerClient; over > 0 {
+		s.dropBatchesLocked(cs, over)
 	}
 }
 
@@ -754,11 +662,8 @@ func (s *Store) enforceClientCapLocked(sh *storeShard) {
 		delete(sh.clients, victim.ip)
 		sh.count--
 		s.liveClients.Add(-1)
-		s.liveKeys.Add(-int64(len(victim.keys)))
-		for _, rec := range victim.keys {
-			s.interner.Release(rec.page)
-		}
-		sh.release(victim)
+		s.liveKeys.Add(-liveWords(victim.keys))
+		s.pinnedBytes.Add(-victim.pinnedBytes())
 		s.stats.evictedClients.Add(1)
 	}
 }
@@ -776,7 +681,9 @@ func (s *Store) Validate(clientIP, key string) Verdict {
 	return s.ValidateValue(clientIP, v)
 }
 
-// ValidateValue is Validate over an already parsed key value.
+// ValidateValue is Validate over an already parsed key value: one scan of
+// the client's arena for the key, then a walk over the headers to the batch
+// that holds it.
 func (s *Store) ValidateValue(clientIP string, key uint64) Verdict {
 	sh := s.shard(clientIP)
 	sh.mu.Lock()
@@ -788,30 +695,36 @@ func (s *Store) ValidateValue(clientIP string, key uint64) Verdict {
 		return Unknown
 	}
 	sh.moveToFront(cs)
-	nowTick := s.tick(s.cfg.Clock.Now())
-	rec, ok := cs.keys[key]
-	if !ok {
+	at := -1
+	if key != deadKey {
+		at = slices.Index(cs.keys, key)
+	}
+	if at < 0 {
 		s.stats.unknownHits.Add(1)
 		return Unknown
 	}
-	if s.expired(nowTick, rec.tick) {
-		s.interner.Release(rec.page)
-		delete(cs.keys, key)
+	bi, first := 0, 0 // the batch holding at, and its real key's arena offset
+	for at >= first+cs.batches[bi].words() {
+		first += cs.batches[bi].words()
+		bi++
+	}
+	b := &cs.batches[bi]
+	if s.expired(s.tick(s.cfg.Clock.Now()), b.tick) {
+		cs.keys[at] = deadKey
 		s.liveKeys.Add(-1)
 		s.stats.expiredDropped.Add(1)
 		s.stats.unknownHits.Add(1)
 		return Unknown
 	}
-	if rec.flags&flagDecoy != 0 {
+	if at != first {
 		s.stats.decoyHits.Add(1)
 		return Decoy
 	}
-	if rec.flags&flagConsumed != 0 {
+	if b.consumed {
 		s.stats.replayHits.Add(1)
 		return Replayed
 	}
-	rec.flags |= flagConsumed
-	cs.keys[key] = rec
+	b.consumed = true
 	s.stats.humanHits.Add(1)
 	return Human
 }
@@ -834,14 +747,13 @@ func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64
 	}
 	sh.moveToFront(cs)
 	tag := tokenTag(scriptToken)
-	var off int32
-	for _, b := range cs.queue {
-		if b.tag == tag {
-			if rec, live := cs.keys[b.key]; live && !s.expired(s.tick(s.cfg.Clock.Now()), rec.tick) {
-				return b.key, append(decoys, cs.decoys[off:off+b.n]...), true
-			}
+	off := 0
+	for _, b := range cs.batches {
+		run := cs.keys[off : off+b.words()]
+		off += len(run)
+		if b.tag == tag && run[0] != deadKey && !s.expired(s.tick(s.cfg.Clock.Now()), b.tick) {
+			return run[0], append(decoys, run[1:]...), true
 		}
-		off += b.n
 	}
 	return 0, decoys, false
 }
@@ -856,7 +768,7 @@ func (s *Store) OutstandingKeys(clientIP string) int {
 	if !ok {
 		return 0
 	}
-	return len(cs.keys)
+	return int(liveWords(cs.keys))
 }
 
 // Clients returns the number of distinct client IPs currently tracked,
@@ -886,18 +798,15 @@ func (s *Store) Occupancy() float64 {
 }
 
 // MemoryEstimate returns the store's approximate live memory footprint in
-// bytes (rounded-up per-client and per-key costs). Lock-free and
-// allocation-free; the load-state recomputation reads it on the serve path.
+// bytes: a fixed cost per client plus every client's address string and
+// key-log capacity. Lock-free and allocation-free; the load-state recomputation reads it
+// on the serve path.
 func (s *Store) MemoryEstimate() int64 {
-	return s.liveClients.Load()*clientBaseBytes + s.liveKeys.Load()*keyEntryBytes
+	return s.liveClients.Load()*clientBaseBytes + s.pinnedBytes.Load()
 }
 
 // KeyDigits returns the effective (clamped) key width in decimal digits.
 func (s *Store) KeyDigits() int { return s.cfg.KeyDigits }
-
-// Interner returns the string table page paths are interned into (the
-// configured one, or the private instance created by default).
-func (s *Store) Interner() *intern.Interner { return s.interner }
 
 // Stats returns a copy of the cumulative counters.
 func (s *Store) Stats() Stats {

@@ -542,9 +542,9 @@ type Config struct {
 	// any goroutine that triggers an eviction — concurrently with itself —
 	// so it must be safe for concurrent use.
 	Evicted func(Snapshot)
-	// Interner, when non-nil, is the shared string table User-Agents are
-	// interned into (the engine passes one interner to the tracker and the
-	// keystore). When nil the tracker creates a private one. Interned bytes
+	// Interner, when non-nil, is the string table User-Agents are interned
+	// into (the engine passes its own so it can report the table's size).
+	// When nil the tracker creates a private one. Interned bytes
 	// are accounted by the interner's own MemoryEstimate, not the tracker's.
 	Interner *intern.Interner
 	// ExactPaths switches the per-session visited-path set from the compact
