@@ -350,6 +350,47 @@ func BenchmarkObserveRequestParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkDecideObserveParallel is the serve path's two session operations
+// for one request — Decide (a locked snapshot copy plus the cached verdict),
+// Release, then the quiet observe — alternating on every goroutine over
+// 10,000 warm sessions. One op is one request; run with -cpu 1,2 to read the
+// price of the shard lock the read now shares with the write.
+func BenchmarkDecideObserveParallel(b *testing.B) {
+	ips := benchClientIPs(10000)
+	at := time.Date(2006, 1, 6, 0, 0, 0, 0, time.UTC)
+	entryFor := func(ip string) logfmt.Entry {
+		return logfmt.Entry{
+			Time: at, ClientIP: ip, UserAgent: "Firefox/1.5", Method: "GET",
+			Path: "/page1.html", Status: 200, Bytes: 4096, ContentType: "text/html",
+		}
+	}
+	for _, shards := range []int{1, shard.DefaultShards} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			det := core.New(core.Config{Seed: 1, Shards: shards})
+			for _, ip := range ips {
+				for r := 0; r < 12; r++ { // past the classification threshold
+					det.ObserveRequestQuiet(entryFor(ip))
+				}
+				det.Classify(session.Key{IP: ip, UserAgent: "Firefox/1.5"}) // warm the verdict cache
+			}
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := int(next.Add(1)) * 7919 // offset goroutines into the pool
+				for pb.Next() {
+					ip := ips[i%len(ips)]
+					if snap, _, ok := det.Decide(session.Key{IP: ip, UserAgent: "Firefox/1.5"}); ok {
+						snap.Release()
+					}
+					det.ObserveRequestQuiet(entryFor(ip))
+					i++
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkHandleBeaconParallel measures concurrent beacon handling (CSS
 // signal marking plus keystore validation of unknown keys).
 func BenchmarkHandleBeaconParallel(b *testing.B) {

@@ -252,8 +252,8 @@ func (n *Node) Do(req agents.Request) agents.Response {
 	}
 
 	// Policy enforcement before serving origin content: the escalation
-	// ladder runs off the chain's cached verdict and the tracker's published
-	// snapshot (no copy).
+	// ladder runs off the chain's cached verdict and the session's current
+	// snapshot.
 	if n.cfg.Policy != nil {
 		if snap, verdict, tracked := d.Decide(key); tracked {
 			decision := n.cfg.Policy.Evaluate(*snap, verdict)
@@ -398,8 +398,7 @@ func (n *Node) observe(req agents.Request, status int, contentType string, bytes
 		Time: req.Time, ClientIP: req.IP, UserAgent: req.UserAgent, Method: req.Method,
 		Path: req.Path, Status: status, Bytes: bytes, Referer: req.Referer, ContentType: contentType,
 	}
-	// The snapshot a plain Observe returns would be discarded here; record
-	// quietly and let the next Decide/Get republish it.
+	// The snapshot a plain Observe returns would be discarded here.
 	n.cfg.Engine.ObserveRequestQuiet(entry)
 	if n.rep != nil {
 		// Fleet mode: sessions are partitioned, and the partition owner must

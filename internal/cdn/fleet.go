@@ -184,10 +184,8 @@ func (n *Network) fleetCallbacks(node *Node) fleet.Callbacks {
 				return
 			}
 			// Fold the forwarded request into the owner's session exactly as a
-			// local request would be — non-quiet, so the published snapshot is
-			// exact and threshold checks below the quiet path's power-of-two
-			// publishing granularity still fire.
-			eng.ObserveRequest(logfmt.Entry{
+			// local request would be.
+			eng.ObserveRequestQuiet(logfmt.Entry{
 				Time: time.Unix(0, u.When), ClientIP: u.Key.IP, UserAgent: u.Key.UserAgent,
 				Method: u.Method, Path: u.Path, Status: u.Status, Bytes: u.Bytes,
 				Referer: u.Refer, ContentType: u.CT,

@@ -9,7 +9,8 @@
 // the sharded session tracker, the sharded key store and atomic counters, and
 // fans every request out to exactly one shard of each, so the hot path
 // (ObserveRequest, HandleBeacon) scales with cores instead of serialising on
-// global mutexes. Reads (Classify, Session) are lock-free, and idle-session
+// global mutexes. Reads (Classify, Decide, Session) take the same one session
+// shard briefly and see the session as of its last request, and idle-session
 // expiry is amortised shard by shard — there is no stop-the-world sweep.
 //
 // The Engine is transport-agnostic: callers (the HTTP proxy middleware in
@@ -760,10 +761,8 @@ func (e *Engine) ObserveRequest(ent logfmt.Entry) session.Snapshot {
 	return e.sessions.Observe(ent)
 }
 
-// ObserveRequestQuiet records the request without materialising a snapshot
-// copy, for callers that discard the return value (the proxy serve path
-// classifies via Decide). Signal-visible state changes still publish
-// immediately; pure-counter updates are deferred to the next read.
+// ObserveRequestQuiet is ObserveRequest without the snapshot copy, for
+// callers that discard it (the proxy and cdn serve paths read via Decide).
 func (e *Engine) ObserveRequestQuiet(ent logfmt.Entry) {
 	e.sessions.ObserveQuiet(ent)
 }
@@ -905,7 +904,7 @@ func (e *Engine) handleBeacon(clientIP, userAgent, path string) Response {
 // checkUAMismatch compares the JavaScript-reported agent string with the
 // User-Agent header (both normalised the way the injected script normalises
 // them) and marks the session on mismatch. The header side is normalised
-// once per session — the tracker stores it on the published snapshot — so a
+// once per session — the tracker keeps it on the session record — so a
 // beacon flood does not re-lowercase the same header on every hit; only the
 // reported string (which varies per beacon) is normalised here.
 func (e *Engine) checkUAMismatch(key session.Key, headerUA, reported string) {
@@ -977,11 +976,12 @@ func (e *Engine) MarkCaptchaFailed(key session.Key) {
 }
 
 // Classify returns the current verdict for the session, or an undecided
-// verdict when the session is unknown. The read path is lock-free and, at
-// steady state, allocation-free: the snapshot comes from the tracker's
-// atomically published view, and the verdict comes from the session's cache
-// unless a state-changing event (new signal, new request class, threshold
-// crossing) or a model hot-swap occurred since it was computed.
+// verdict when the session is unknown. The read path is, at steady state,
+// allocation-free: the snapshot is a pooled copy taken under the session's
+// shard lock (session.Tracker.Peek), and the verdict comes from the
+// session's cache unless a state-changing event (new signal, new request
+// class, threshold crossing) or a model hot-swap occurred since it was
+// computed.
 func (e *Engine) Classify(key session.Key) Verdict {
 	snap, ok := e.sessions.Peek(key)
 	if !ok {
@@ -992,12 +992,11 @@ func (e *Engine) Classify(key session.Key) Verdict {
 	return v
 }
 
-// Decide returns the session's published snapshot together with its (cached)
-// verdict, without copying the snapshot. The snapshot is shared with the
-// tracker and must be treated as read-only; enforcement layers (proxy, cdn)
-// use it to evaluate policy without per-request allocation. The snapshot is
-// pinned in its session's republish arena: the caller MUST call
-// snap.Release() when done reading it (one atomic add).
+// Decide returns the session's current snapshot together with its (cached)
+// verdict; enforcement layers (proxy, cdn) use it to evaluate policy on the
+// session's exact counts without per-request allocation. The snapshot is a
+// pooled buffer (session.Tracker.Peek): the caller should call
+// snap.Release() when done reading it.
 func (e *Engine) Decide(key session.Key) (*session.Snapshot, Verdict, bool) {
 	snap, ok := e.sessions.Peek(key)
 	if !ok {
@@ -1251,7 +1250,6 @@ func (e *Engine) StreamSessions(yield func(session.Snapshot) bool) {
 }
 
 // Session returns the snapshot of one active session, if it is tracked.
-// The lookup is lock-free.
 func (e *Engine) Session(key session.Key) (session.Snapshot, bool) { return e.sessions.Get(key) }
 
 // SessionCount returns the number of active sessions.

@@ -254,12 +254,11 @@ func (e *Engine) LoadForced() (LoadState, bool) {
 // AdmitPage decides how much instrumentation a page view for clientIP/
 // userAgent should get under the current load state, counting every below-
 // full decision (the shed counters are exported as
-// botdetect_load_shed_total{mode=...}). The check is lock-free and, at
-// steady state, allocation-free: an atomic state load plus — only under
-// pressure — one lock-free tracker Peek. Callers must honour
-// AdmitPassThrough by not observing the request into the tracker (the proxy
-// and cdn layers do); that is what makes saturation shed load instead of
-// churning it.
+// botdetect_load_shed_total{mode=...}). The check is allocation-free: an
+// atomic state load plus — only under pressure — one tracker Peek. Callers
+// must honour AdmitPassThrough by not observing the request into the tracker
+// (the proxy and cdn layers do); that is what makes saturation shed load
+// instead of churning it.
 func (e *Engine) AdmitPage(clientIP, userAgent string) Admission {
 	if e.loadEvents.Add(1)&loadRecomputeMask == 0 {
 		e.RecomputeLoadState()

@@ -103,8 +103,8 @@ func Undecided(reason string) Verdict {
 // Detector renders an opinion about one session.
 //
 // Detect examines the snapshot and returns its verdict plus true, or
-// abstains by returning false. The snapshot is shared with the session
-// tracker's published view and MUST be treated as read-only. Detect is
+// abstains by returning false. The snapshot belongs to the caller and MUST
+// be treated as read-only. Detect is
 // called concurrently from every serving goroutine, so implementations must
 // be safe for concurrent use and should not allocate on the common path.
 type Detector interface {

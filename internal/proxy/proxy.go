@@ -113,8 +113,7 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Policy enforcement: the escalation ladder is driven by the detection
-	// chain's (cached) verdict, read off the tracker's published snapshot
-	// without copying it.
+	// chain's (cached) verdict and the session's current snapshot.
 	if m.cfg.Policy != nil {
 		if snap, verdict, tracked := d.Decide(key); tracked {
 			decision := m.cfg.Policy.Evaluate(*snap, verdict)
@@ -167,7 +166,7 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tel.ProxyRequest.ObserveSince(start)
 
 	// The snapshot a plain Observe returns would be discarded here — the
-	// policy check above reads the published one — so record quietly.
+	// policy check above reads its own — so record quietly.
 	// Pass-through requests are deliberately not observed: admitting them to
 	// the tracker is exactly the load being shed.
 	if st.admission != core.AdmitPassThrough {

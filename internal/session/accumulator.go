@@ -10,7 +10,7 @@ import (
 // to the first Limit requests. It shares the tracker's counting
 // implementation (Counts.observe) and path-tracking bound, so offline replay
 // and the prefix-classifier experiments (Figure 4) derive vectors identical
-// to what the online tracker publishes for the same stream.
+// to what the online tracker reports for the same stream.
 type Accumulator struct {
 	// Limit caps the number of requests considered (0 = unlimited).
 	Limit int64
@@ -23,13 +23,6 @@ type Accumulator struct {
 // (0 for unlimited). It uses the tracker's compact hashed path set.
 func NewAccumulator(limit int64) *Accumulator {
 	return &Accumulator{Limit: limit}
-}
-
-// NewAccumulatorExact is NewAccumulator with exact path-string storage
-// instead of the hashed set — the reference implementation the differential
-// test compares the compact representation against.
-func NewAccumulatorExact(limit int64) *Accumulator {
-	return &Accumulator{Limit: limit, paths: pathTable{exact: make(map[string]bool)}}
 }
 
 // Observe adds one request if the limit has not been reached. It reports

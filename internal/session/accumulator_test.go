@@ -2,6 +2,7 @@ package session
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -192,18 +193,37 @@ func TestEpochBumpsOnlyOnStateChanges(t *testing.T) {
 	}
 }
 
-func TestPeekSharesPublishedSnapshot(t *testing.T) {
-	tracker := NewTracker(Config{})
+// TestPeekIsExactAndReleasable pins Peek's contract: the snapshot is the
+// session as of the last request (no publication lag), it is the caller's
+// own until released, Release is forgiving, and the round trip is free.
+func TestPeekIsExactAndReleasable(t *testing.T) {
+	tracker := NewTracker(Config{DecisionMarks: []int64{10}})
 	key := Key{IP: "2.2.2.2", UserAgent: "Mozilla Firefox"}
-	tracker.Observe(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET", Path: "/x.html", Status: 200})
+	e := logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET", Path: "/x.html", Status: 200}
 
+	// 25 identical requests: the last epoch change is the doubling at 16, and
+	// Peek must still report all 25.
+	const n = 25
+	var epochAt16 uint64
+	for i := 1; i <= n; i++ {
+		tracker.ObserveQuiet(e)
+		if i == 16 {
+			s, _ := tracker.Get(key)
+			epochAt16 = s.Epoch
+		}
+	}
 	p1, ok := tracker.Peek(key)
 	if !ok || p1 == nil {
 		t.Fatal("Peek missed a tracked session")
 	}
-	p2, _ := tracker.Peek(key)
-	if p1 != p2 {
-		t.Fatal("Peek must return the shared published snapshot")
+	if p1.Epoch != epochAt16 {
+		t.Fatalf("epoch moved after request 16: %d -> %d", epochAt16, p1.Epoch)
+	}
+	if p1.Counts.Total != n {
+		t.Fatalf("Peek Total = %d after %d quiet observes with no epoch change, want %d", p1.Counts.Total, n, n)
+	}
+	if p1.Features != p1.Counts.Vector() {
+		t.Fatalf("Features %v != Counts.Vector() %v", p1.Features, p1.Counts.Vector())
 	}
 	if p1.Cache() == nil {
 		t.Fatal("tracker snapshots must carry a verdict-cache slot")
@@ -214,7 +234,30 @@ func TestPeekSharesPublishedSnapshot(t *testing.T) {
 	if _, ok := tracker.Peek(Key{IP: "none"}); ok {
 		t.Fatal("Peek invented a session")
 	}
-	// The cache slot is shared across republishes and respects epochs.
+
+	// A held snapshot is the holder's own: neither further activity nor
+	// scribbling on a later snapshot alters it.
+	held := *p1
+	tracker.ObserveQuiet(e)
+	tracker.Mark(key, SignalCSS)
+	p2, _ := tracker.Peek(key)
+	if p2 == p1 {
+		t.Fatal("Peek handed out a snapshot that is still held")
+	}
+	if p2.Counts.Total != n+1 || !p2.Has(SignalCSS) {
+		t.Fatalf("second Peek = Total %d css %v, want %d true", p2.Counts.Total, p2.Has(SignalCSS), n+1)
+	}
+	p2.Counts.Total = 999
+	p2.Signals = Signals{}
+	if p1.Counts != held.Counts || p1.Signals != held.Signals || p1.Epoch != held.Epoch || p1.LastSeen != held.LastSeen {
+		t.Fatalf("held snapshot changed under its holder:\n before %+v\n after  %+v", held, *p1)
+	}
+	if s, _ := tracker.Get(key); s.Counts.Total != n+1 || !s.Has(SignalCSS) {
+		t.Fatalf("mutating a snapshot reached the session: %+v", s)
+	}
+
+	// The cache slot is the session's, shared by every snapshot of it, and
+	// respects epochs.
 	p1.Cache().Store(p1.Epoch, 7, "verdict")
 	if v, ok := p1.Cache().Load(p1.Epoch, 7); !ok || v != "verdict" {
 		t.Fatal("cache round-trip failed")
@@ -225,9 +268,89 @@ func TestPeekSharesPublishedSnapshot(t *testing.T) {
 	if _, ok := p1.Cache().Load(p1.Epoch, 8); ok {
 		t.Fatal("cache hit across model epochs")
 	}
-	tracker.Observe(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "HEAD", Path: "/x.html", Status: 200})
+	if p2.Cache() != p1.Cache() {
+		t.Fatal("cache slot must be shared across snapshots of one session")
+	}
+
+	// Release is forgiving: twice on the same pointer, on a value copy, on a
+	// Get copy, on nil — and none of it reaches a snapshot still held.
+	p2.Release()
+	p2.Release()
+	held.Release()
+	got, _ := tracker.Get(key)
+	got.Release()
+	(*Snapshot)(nil).Release()
+	if got.Counts.Total != n+1 || held.Counts.Total != n {
+		t.Fatalf("Release cleared a value copy: get %+v held %+v", got.Counts, held.Counts)
+	}
 	p3, _ := tracker.Peek(key)
-	if p3.Cache() != p1.Cache() {
-		t.Fatal("cache slot must be shared across republished snapshots")
+	if p1.Counts != held.Counts {
+		t.Fatal("a stray Release put a held snapshot back into circulation")
+	}
+	p3.Release()
+	p1.Release()
+
+	allocs := testing.AllocsPerRun(500, func() {
+		s, ok := tracker.Peek(key)
+		if !ok || s.Counts.Total != n+1 {
+			t.Fatal("session vanished mid-run")
+		}
+		s.Release()
+	})
+	if raceEnabled {
+		t.Skip("alloc ceiling not meaningful under -race")
+	}
+	if allocs != 0 {
+		t.Errorf("Peek+Release = %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestPeekObserveMarkRace is the -race hammer for the one-copy session: four
+// goroutines on one hot key read (Peek/Release), write (ObserveQuiet, Mark)
+// and invalidate (Bump) at once. Every snapshot must be internally
+// consistent — its features are those of its own counts.
+func TestPeekObserveMarkRace(t *testing.T) {
+	tracker := NewTracker(Config{DecisionMarks: []int64{10}})
+	key := Key{IP: "6.6.6.6", UserAgent: "UA"}
+	e := logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET", Path: "/x.html", Status: 200}
+	tracker.ObserveQuiet(e)
+
+	const rounds = 5000
+	var wg sync.WaitGroup
+	run := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				f(i)
+			}
+		}()
+	}
+	run(func(int) {
+		s, ok := tracker.Peek(key)
+		if !ok {
+			t.Error("hot session vanished")
+			return
+		}
+		if s.Features != s.Counts.Vector() || s.Counts.Total == 0 || s.Key != key {
+			t.Errorf("torn snapshot: %+v", *s)
+		}
+		s.Release()
+	})
+	run(func(i int) {
+		if i%2 == 0 {
+			e.Path = "/y.jpg"
+		} else {
+			e.Path = "/x.html"
+		}
+		tracker.ObserveQuiet(e)
+	})
+	run(func(i int) { tracker.Mark(key, Signal(i%numSignals)) })
+	run(func(int) { tracker.Bump(key) })
+	wg.Wait()
+
+	s, _ := tracker.Get(key)
+	if s.Counts.Total != rounds+1 || s.Signals.Count() != numSignals {
+		t.Fatalf("lost updates: Total %d (want %d), %d signals (want %d)", s.Counts.Total, rounds+1, s.Signals.Count(), numSignals)
 	}
 }

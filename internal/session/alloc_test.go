@@ -8,9 +8,8 @@ import (
 // TestObserveQuietPeekZeroAlloc gates the steady-state request path the
 // million-session engine is built around: once a session exists and its path
 // table has grown to cover the working set, observing a request, peeking the
-// published snapshot and releasing the pin must allocate nothing. The run
-// crosses power-of-two epoch bumps, so the 2-slot snapshot arena's republish
-// path is inside the measured region too.
+// snapshot and releasing it must allocate nothing. The run crosses
+// power-of-two epoch bumps.
 func TestObserveQuietPeekZeroAlloc(t *testing.T) {
 	tr, vc := newTestTracker(Config{})
 	now := vc.Now()

@@ -65,8 +65,34 @@ func synthCorpus(seed uint64, n int) []logfmt.Entry {
 	return entries
 }
 
+// exactAccumulator is the reference the hashed path set is held against: the
+// same counting (Counts.observe), but the link-following vs unseen-referrer
+// split is decided by a set of full path strings instead of 64-bit hashes.
+type exactAccumulator struct {
+	counts Counts
+	paths  map[string]bool
+}
+
+func newExactAccumulator() *exactAccumulator {
+	return &exactAccumulator{paths: make(map[string]bool)}
+}
+
+func (a *exactAccumulator) Observe(e logfmt.Entry) {
+	// Against an empty table with no room every referrer counts as unseen;
+	// the exact set then moves the ones this session did request.
+	var none pathTable
+	a.counts.observe(e, &none, 0)
+	if e.Referer != "" && a.paths[refererPath(e.Referer)] {
+		a.counts.UnseenReferrer--
+		a.counts.LinkFollowing++
+	}
+	if len(a.paths) < DefaultMaxTrackedPaths {
+		a.paths[e.PathOnly()] = true
+	}
+}
+
 // TestHashedPathsMatchExactAccumulator replays synthetic corpora through the
-// compact hashed path set and the exact string-set escape hatch and requires
+// compact hashed path set and the exact string-set reference and requires
 // bit-identical feature vectors — the differential proof (ISSUE 9) that the
 // 8-byte-per-path representation changes nothing the detector can observe.
 func TestHashedPathsMatchExactAccumulator(t *testing.T) {
@@ -75,61 +101,50 @@ func TestHashedPathsMatchExactAccumulator(t *testing.T) {
 		n    int
 	}{
 		{1, 500},
-		{2, 5000},   // overflows DefaultMaxTrackedPaths' distinct-path cap
-		{3, 20000},  // deep stream, heavy path reuse
-		{99, 64},    // short session
+		{2, 5000},  // overflows DefaultMaxTrackedPaths' distinct-path cap
+		{3, 20000}, // deep stream, heavy path reuse
+		{99, 64},   // short session
 	} {
 		hashed := NewAccumulator(0)
-		exact := NewAccumulatorExact(0)
+		exact := newExactAccumulator()
 		for _, e := range synthCorpus(tc.seed, tc.n) {
 			hashed.Observe(e)
 			exact.Observe(e)
 		}
-		if hashed.Counts() != exact.Counts() {
+		if hashed.Counts() != exact.counts {
 			t.Errorf("seed %d: counts diverge\nhashed: %+v\nexact:  %+v",
-				tc.seed, hashed.Counts(), exact.Counts())
+				tc.seed, hashed.Counts(), exact.counts)
 		}
-		if hashed.Vector() != exact.Vector() {
+		if hashed.Vector() != exact.counts.Vector() {
 			t.Errorf("seed %d: feature vectors diverge\nhashed: %v\nexact:  %v",
-				tc.seed, hashed.Vector(), exact.Vector())
+				tc.seed, hashed.Vector(), exact.counts.Vector())
 		}
 	}
 }
 
 // TestHashedPathsMatchExactTracker is the same differential proof at the
-// tracker level: two trackers, one compact and one with Config.ExactPaths,
-// fed an identical multi-session stream must publish bit-identical snapshots
-// (features, counts, epochs).
+// tracker level: a multi-session stream goes through the tracker and, session
+// by session, through the exact reference, and after every request the
+// tracker's snapshot must carry bit-identical counts and features (the epoch
+// is a function of the counts' history, so it cannot differ if they never do).
 func TestHashedPathsMatchExactTracker(t *testing.T) {
-	compact, vc1 := newTestTracker(Config{})
-	exact, _ := newTestTracker(Config{ExactPaths: true})
+	tracker, vc := newTestTracker(Config{})
 
-	base := vc1.Now()
+	base := vc.Now()
 	for sess := 0; sess < 8; sess++ {
 		ip := fmt.Sprintf("198.51.100.%d", sess)
+		exact := newExactAccumulator()
 		for i, e := range synthCorpus(uint64(sess+1), 600) {
 			e.ClientIP = ip
 			e.Time = base.Add(time.Duration(i) * time.Millisecond)
-			compact.Observe(e)
+			snap := tracker.Observe(e)
 			exact.Observe(e)
-		}
-	}
-
-	for sess := 0; sess < 8; sess++ {
-		key := Key{IP: fmt.Sprintf("198.51.100.%d", sess), UserAgent: "Mozilla/4.0 (compatible; MSIE 6.0)"}
-		a, okA := compact.Get(key)
-		b, okB := exact.Get(key)
-		if !okA || !okB {
-			t.Fatalf("session %d: tracked = %v/%v", sess, okA, okB)
-		}
-		if a.Counts != b.Counts {
-			t.Errorf("session %d: counts diverge\ncompact: %+v\nexact:   %+v", sess, a.Counts, b.Counts)
-		}
-		if a.Features != b.Features {
-			t.Errorf("session %d: features diverge\ncompact: %v\nexact:   %v", sess, a.Features, b.Features)
-		}
-		if a.Epoch != b.Epoch {
-			t.Errorf("session %d: epoch diverge %d vs %d", sess, a.Epoch, b.Epoch)
+			if snap.Counts != exact.counts {
+				t.Fatalf("session %d request %d: counts diverge\ntracker: %+v\nexact:   %+v", sess, i, snap.Counts, exact.counts)
+			}
+			if snap.Features != exact.counts.Vector() {
+				t.Fatalf("session %d request %d: features diverge\ntracker: %v\nexact:   %v", sess, i, snap.Features, exact.counts.Vector())
+			}
 		}
 	}
 }

@@ -4,28 +4,22 @@ import "botdetect/internal/shard"
 
 // pathTable is the per-session set of visited paths backing the
 // link-following vs unseen-referrer split. The split needs membership only,
-// never the path strings back, so the default representation is an
-// open-addressed set of 64-bit FNV-1a hashes: 8 bytes per entry instead of a
-// map bucket plus the full path string (~48 B + len(path) each). A hash
-// collision between two distinct paths within one session misclassifies at
-// most one referrer and is vanishingly unlikely (birthday bound over ≤2048
-// entries in a 64-bit space ≈ 2e-13).
-//
-// Setting exact (Config.ExactPaths / NewAccumulatorExact) stores full path
-// strings instead; the differential test uses it to prove the hashed set
-// derives byte-identical feature vectors on real corpora.
+// never the path strings back, so the representation is an open-addressed
+// set of 64-bit FNV-1a hashes: 8 bytes per entry instead of a map bucket plus
+// the full path string (~48 B + len(path) each). A hash collision between two
+// distinct paths within one session misclassifies at most one referrer and is
+// vanishingly unlikely (birthday bound over ≤2048 entries in a 64-bit space
+// ≈ 2e-13). The differential tests hold it against an exact string set
+// (exactAccumulator, test-only) on synthetic corpora: byte-identical counts.
 type pathTable struct {
 	hashes []uint64 // power-of-two open-addressed set; 0 = empty slot
 	n      int      // live entries in hashes
-	exact  map[string]bool // non-nil = exactness escape hatch
 }
 
-// minPathSlots is the initial open-addressed table size (power of two).
-const minPathSlots = 16
-
-// exactPathEntryBytes approximates one exact-mode map entry beyond the
-// string bytes (map bucket share + string header).
-const exactPathEntryBytes = 48
+// minPathSlots is the initial open-addressed table size (power of two): most
+// sessions on a CDN are one or two pages long, and 4 slots hold two paths
+// before the first doubling.
+const minPathSlots = 4
 
 func pathHash(p string) uint64 {
 	h := shard.HashString(p)
@@ -35,19 +29,8 @@ func pathHash(p string) uint64 {
 	return h
 }
 
-// len returns the number of distinct paths recorded.
-func (pt *pathTable) len() int {
-	if pt.exact != nil {
-		return len(pt.exact)
-	}
-	return pt.n
-}
-
 // contains reports whether the path was recorded.
 func (pt *pathTable) contains(p string) bool {
-	if pt.exact != nil {
-		return pt.exact[p]
-	}
 	if pt.n == 0 {
 		return false
 	}
@@ -66,10 +49,6 @@ func (pt *pathTable) contains(p string) bool {
 // insert records the path, growing the table as needed. There are no
 // deletions: sessions only accumulate paths until the caller's cap.
 func (pt *pathTable) insert(p string) {
-	if pt.exact != nil {
-		pt.exact[p] = true
-		return
-	}
 	h := pathHash(p)
 	if pt.hashes == nil {
 		pt.hashes = make([]uint64, minPathSlots)
@@ -107,11 +86,6 @@ func (pt *pathTable) grow() {
 	}
 }
 
-// footprintBytes approximates the table's heap footprint, charged to the
-// tracker's memory estimate by delta on every observation.
-func (pt *pathTable) footprintBytes() int64 {
-	if pt.exact != nil {
-		return int64(len(pt.exact)) * exactPathEntryBytes
-	}
-	return int64(len(pt.hashes)) * 8
-}
+// footprintBytes is the table's heap footprint, charged to the tracker's
+// memory estimate by delta on every observation.
+func (pt *pathTable) footprintBytes() int64 { return int64(cap(pt.hashes)) * 8 }

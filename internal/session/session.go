@@ -10,18 +10,21 @@
 // The tracker is sharded: sessions are distributed over a power-of-two
 // number of independently locked shards by an FNV-1a hash of the session
 // key, so concurrent request observation scales with cores instead of
-// serialising on one global mutex. Reads (Get) are lock-free: each session
-// publishes an immutable snapshot through an atomic pointer, and an
-// auxiliary per-shard index resolves keys without taking the shard lock.
+// serialising on one global mutex. Every operation on a session — write or
+// read — takes that one shard mutex for a map lookup and a few dozen stores.
 //
-// The per-session representation is built for millions of concurrent
-// sessions: counters are saturating uint32s, signals are a fixed array,
-// visited paths are an open-addressed set of 64-bit hashes, User-Agent
+// Each session is stored once: the sessionState record is the only copy, and
+// a Snapshot is built from it on demand, under the shard mutex, for whoever
+// asks (Get, Each, Mark, Observe, eviction callbacks, Peek). Readers
+// therefore always see the session as of the last request, and there is no
+// publication protocol to get wrong. The record is built for millions of
+// concurrent sessions: counters are saturating uint32s, signals are a fixed
+// array, visited paths are an open-addressed set of 64-bit hashes, User-Agent
 // strings are interned (one canonical copy per distinct UA across all
-// sessions), the LRU is intrusive (no container/list element allocations),
-// and snapshots republish into a per-session two-slot arena guarded by pin
-// counts, so steady-state observation allocates nothing and retains no
-// GC-visible snapshot chain.
+// sessions), the LRU is intrusive (no container/list element allocations) and
+// the Table 2 attribute vector is derived from the counters when a snapshot
+// is built instead of being stored. Steady-state observation and Peek
+// allocate nothing.
 package session
 
 import (
@@ -167,8 +170,8 @@ func satInc(v *uint32) {
 
 // Vector derives the Table 2 attribute vector from the counters in O(1).
 // A session with zero requests yields the zero vector. The tracker calls it
-// on every observation so published snapshots always carry a current vector
-// and the decision layer never re-derives features on the classify path.
+// whenever it builds a snapshot, so snapshots always carry the vector of the
+// counters beside it and the decision layer never re-derives features.
 func (c Counts) Vector() features.Vector {
 	var v features.Vector
 	if c.Total == 0 {
@@ -247,21 +250,27 @@ type EvictionStats struct {
 
 // Per-session memory costs backing Tracker.MemoryEstimate, derived from the
 // actual struct layout via unsafe.Sizeof so they cannot silently rot when
-// fields change (TestSessionStructBudgets pins the layouts). The hand-tuned
-// overhead components deliberately round up: the estimate feeds admission
-// control, where overestimating degrades service early and underestimating
-// OOMs.
+// fields change (TestSessionStructBudgets pins the layouts and
+// TestSessionMemoryEstimateCoversHeap holds the sum against the measured
+// heap: the estimate feeds admission control, so it may not read below the
+// heap, and bytes_per_session is computed from it, so it may not drift far
+// above either).
 const (
-	// sessionStructBytes is the exact size of the per-session record,
-	// including the embedded two-slot snapshot arena.
-	sessionStructBytes = int64(unsafe.Sizeof(sessionState{}))
-	// sessionOverheadBytes covers what the struct size cannot see: the two
-	// map entries (shard map + sync.Map index), the initial path-hash array
-	// (minPathSlots × 8) and allocator size-class rounding.
-	sessionOverheadBytes = 288
-	// sessionBaseBytes is the total base cost charged per session; key
-	// string bytes and path-table growth are charged separately.
-	sessionBaseBytes = sessionStructBytes + sessionOverheadBytes
+	// sessionStructBytes is the per-session record in its allocator size
+	// class (the classes between 256 and 512 bytes are 32 bytes apart).
+	sessionStructBytes = (int64(unsafe.Sizeof(sessionState{})) + 31) &^ 31
+	// sessionMapSlotBytes is the session's share of the shard's swiss map at
+	// its emptiest. A full-size table is 1,024 slots in 128 groups of 8
+	// control bytes + 8 × (32-byte Key + record pointer) = 41,984 B, which
+	// the allocator rounds to six 8 KiB pages: 48 B a slot. A table splits at
+	// 7/8 load, so right after a split each entry holds 16/7 slots = 110 B,
+	// the most the map costs per entry (the least is 55 B).
+	sessionMapSlotBytes = 110
+	// sessionBaseBytes is the base cost charged per session. The address
+	// string (rounded to the 16-byte allocation it sits in) and the path
+	// table (by capacity) are charged on top; the User-Agent is the
+	// interner's.
+	sessionBaseBytes = sessionStructBytes + sessionMapSlotBytes
 )
 
 // evictScanLimit bounds how far enforceCapLocked walks up from the LRU tail
@@ -317,7 +326,7 @@ func (c *Counts) observe(e logfmt.Entry, paths *pathTable, maxPaths int) {
 	case 5:
 		satInc(&c.Status5xx)
 	}
-	if paths.len() < maxPaths {
+	if paths.n < maxPaths {
 		paths.insert(e.PathOnly())
 	}
 }
@@ -351,7 +360,7 @@ func (c *Counts) classBits() uint32 {
 	return b
 }
 
-// Snapshot is an immutable copy of a session's state.
+// Snapshot is a copy of a session's state as of the moment it was built.
 type Snapshot struct {
 	// Key identifies the session.
 	Key Key
@@ -360,10 +369,9 @@ type Snapshot struct {
 	LastSeen  time.Time
 	// Counts are the request counters.
 	Counts Counts
-	// Features is the Table 2 attribute vector over the session's requests,
-	// maintained incrementally by the tracker: every observation republishes
-	// the vector in O(1), so consumers (the learned detector, experiments)
-	// never recompute it from the counters.
+	// Features is the Table 2 attribute vector over the session's requests:
+	// Counts.Vector(), derived when the snapshot is built, so consumers (the
+	// learned detector, experiments) never recompute it from the counters.
 	Features features.Vector
 	// NormUA is the normalised (lowercased, space-stripped) User-Agent,
 	// computed once when the session is created so per-beacon comparisons
@@ -388,26 +396,28 @@ type Snapshot struct {
 	// outside the tracker.
 	cache *VerdictCache
 
-	// pins, when non-nil, is the arena slot's pin count: this snapshot lives
-	// in its session's two-slot republish arena and the holder must call
-	// Release when done reading. Value copies (clone) clear it, so only
-	// pointers handed out by Peek carry an obligation.
-	pins *atomic.Int32
+	// pooled is the snapshot's own address while it is on loan from snapPool
+	// (set by Peek, cleared by Release). A value copy lives at a different
+	// address, so only the pointer Peek handed out carries the obligation.
+	pooled *Snapshot
 }
+
+// snapPool recycles the snapshots Peek hands out, so the per-request read
+// path allocates nothing at steady state.
+var snapPool = sync.Pool{New: func() any { return new(Snapshot) }}
 
 // Cache returns the session's verdict-cache slot, or nil for snapshots not
 // produced by a tracker.
 func (s *Snapshot) Cache() *VerdictCache { return s.cache }
 
-// Release returns a snapshot pointer obtained from Peek (or any API
-// documented as pinned) to its session's republish arena. It is safe on nil
-// snapshots and value copies, and must be called exactly once per pinned
-// pointer; while pinned the slot is never rewritten, so the fields stay
-// stable. A leaked pin never corrupts data — the publisher just stops
-// reusing that slot and falls back to heap allocation.
+// Release hands a snapshot obtained from Peek (or Engine.Decide) back for
+// reuse; the caller must not touch it afterwards. It is a no-op on nil
+// snapshots, on value copies and on a pointer already released, and a
+// snapshot that is never released is simply collected.
 func (s *Snapshot) Release() {
-	if s != nil && s.pins != nil {
-		s.pins.Add(-1)
+	if s != nil && s.pooled == s {
+		*s = Snapshot{}
+		snapPool.Put(s)
 	}
 }
 
@@ -459,26 +469,9 @@ func (s Snapshot) SignalAt(sig Signal) (int64, bool) { return s.Signals.At(sig) 
 // Duration returns the session's active time span.
 func (s Snapshot) Duration() time.Duration { return s.LastSeen.Sub(s.FirstSeen) }
 
-// clone returns an independent copy: signals are a flat value (copied with
-// the struct) and the pin obligation does not transfer to copies.
-func (s Snapshot) clone() Snapshot {
-	s.pins = nil
-	return s
-}
-
-// snapSlot is one slot of a session's republish arena: a Snapshot buffer
-// plus the atomic pin count that keeps the publisher from rewriting it while
-// a lock-free reader still holds it.
-type snapSlot struct {
-	pins atomic.Int32
-	snap Snapshot
-}
-
-// sessionState is the tracker's mutable per-session record. All fields
-// except snap and slots[i].pins are guarded by the owning shard's mutex;
-// snap is the atomically published immutable view serving the lock-free
-// read path, flipping between the two arena slots (or a heap-allocated
-// fallback while both slots are pinned).
+// sessionState is the tracker's per-session record and the only copy of the
+// session. Every field but vcache (lock-free by itself) is guarded by the
+// owning shard's mutex; readers get a Snapshot built by fill under it.
 type sessionState struct {
 	key          Key
 	normUA       string
@@ -494,20 +487,25 @@ type sessionState struct {
 	memBytes     int64 // approximate footprint charged to Tracker.bytes
 
 	// prev/next chain the shard's intrusive LRU list (prev = towards the
-	// front / most recently active). Guarded by the shard mutex.
+	// front / most recently active).
 	prev, next *sessionState
 
-	// dirty marks the published snapshot stale relative to the state
-	// (counts/lastSeen moved without an epoch change). The quiet observe
-	// path sets it instead of republishing per request; every locked reader
-	// (mustSnap) republishes before handing the snapshot out, so exact
-	// views stay exact while the hot path stays allocation-free. Guarded by
-	// the shard mutex, like every field above.
-	dirty bool
-
-	snap   atomic.Pointer[Snapshot]
-	slots  [2]snapSlot
 	vcache VerdictCache
+}
+
+// fill builds the session's snapshot into out. Caller holds the shard lock.
+func (st *sessionState) fill(out *Snapshot) {
+	*out = Snapshot{
+		Key:       st.key,
+		FirstSeen: st.firstSeen,
+		LastSeen:  st.lastSeen,
+		Counts:    st.counts,
+		Features:  st.counts.Vector(),
+		NormUA:    st.normUA,
+		Epoch:     st.epoch,
+		Signals:   st.signals,
+		cache:     &st.vcache,
+	}
 }
 
 // Config controls the tracker.
@@ -547,11 +545,6 @@ type Config struct {
 	// When nil the tracker creates a private one. Interned bytes
 	// are accounted by the interner's own MemoryEstimate, not the tracker's.
 	Interner *intern.Interner
-	// ExactPaths switches the per-session visited-path set from the compact
-	// 64-bit-hash representation to exact string storage. It exists as the
-	// exactness escape hatch for differential tests; production uses the
-	// hashed set.
-	ExactPaths bool
 }
 
 func (c Config) withDefaults() Config {
@@ -575,21 +568,15 @@ func (c Config) withDefaults() Config {
 }
 
 // trackerShard is one independently locked partition of the session table.
-//
-// sessions and index deliberately hold the same Key -> *sessionState
-// mapping twice: the plain map serves the write path (which already holds
-// mu and wants non-atomic map speed), the sync.Map serves the lock-free Get
-// path. The invariant is that createLocked/removeLocked are the only
-// functions that mutate either, and they always update both. The LRU list
-// is intrusive (head = most recently active), so session records carry
-// their own links instead of allocating container/list elements.
+// createLocked/removeLocked are the only functions that mutate sessions. The
+// LRU list is intrusive (head = most recently active), so session records
+// carry their own links instead of allocating container/list elements.
 type trackerShard struct {
 	mu       sync.Mutex
 	sessions map[Key]*sessionState
 	head     *sessionState
 	tail     *sessionState
-	index    sync.Map // Key -> *sessionState, maintained for lock-free Get
-	max      int      // per-shard session cap (rebalanced; see RebalanceCaps)
+	max      int // per-shard session cap (rebalanced; see RebalanceCaps)
 }
 
 func (sh *trackerShard) pushFront(st *sessionState) {
@@ -734,23 +721,21 @@ func (t *Tracker) shard(key Key) *trackerShard {
 // are reported through Mark — so that request counts reflect the client's
 // own traffic, matching the paper's per-request accounting.
 func (t *Tracker) Observe(e logfmt.Entry) Snapshot {
-	return t.observe(e, false)
+	var snap Snapshot
+	t.observe(e, &snap)
+	return snap
 }
 
-// ObserveQuiet is Observe for callers that do not need the updated
-// snapshot: the session state is updated identically, but a fresh snapshot
-// is published only when the observation is state-changing (session
-// creation, a decision-epoch bump, a new request class). Otherwise the
-// state is marked dirty and the next locked reader republishes, so exact
-// views (Get, Each, FlushAll, eviction callbacks) are unaffected while the
-// per-request steady state allocates nothing. Lock-free Peek readers may
-// see counts up to one epoch window stale — past the first decision mark
-// the power-of-two epoch rule bounds that at 2×.
+// ObserveQuiet is Observe without the returned copy, for callers that
+// discard it (the serve paths, which read through Peek/Decide): the session
+// is updated identically.
 func (t *Tracker) ObserveQuiet(e logfmt.Entry) {
-	t.observe(e, true)
+	t.observe(e, nil)
 }
 
-func (t *Tracker) observe(e logfmt.Entry, quiet bool) Snapshot {
+// observe applies the request to its session and, when out is non-nil, fills
+// it with the updated snapshot.
+func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 	key := Key{IP: e.ClientIP, UserAgent: e.UserAgent}
 	now := e.Time
 	if now.IsZero() {
@@ -775,7 +760,6 @@ func (t *Tracker) observe(e logfmt.Entry, quiet bool) Snapshot {
 	st.lastSeen = now
 	sh.moveToFront(st)
 
-	epochBefore := st.epoch
 	pathBytesBefore := st.paths.footprintBytes()
 	c := &st.counts
 	c.observe(e, &st.paths, t.cfg.MaxTrackedPaths)
@@ -803,21 +787,13 @@ func (t *Tracker) observe(e logfmt.Entry, quiet bool) Snapshot {
 		st.epoch++ // a request class this session had never produced before
 	}
 
-	var snap Snapshot
-	if quiet {
-		if st.epoch != epochBefore || !ok || st.snap.Load() == nil {
-			st.publish()
-		} else {
-			st.dirty = true
-		}
-	} else {
-		snap = st.publish().clone()
+	if out != nil {
+		st.fill(out)
 	}
 	evicted = t.enforceCapLocked(sh, evicted)
 	sh.mu.Unlock()
 
 	t.notify(evicted)
-	return snap
 }
 
 // Mark records a detection signal for the session, creating the session if
@@ -844,7 +820,8 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 		st.epoch++ // a signal is always a state-changing event
 		newly = true
 	}
-	snap := st.publish().clone()
+	var snap Snapshot
+	st.fill(&snap)
 	evicted = t.enforceCapLocked(sh, evicted)
 	sh.mu.Unlock()
 
@@ -853,74 +830,56 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 }
 
 // Bump advances the session's decision epoch without changing any tracked
-// state and republishes its snapshot, invalidating the per-session verdict
-// cache. The fleet layer calls it when a replicated verdict lands for a
-// locally tracked session: the evidence lives on another node, but the local
-// cached verdict must still recompute through the remote-verdict stage. It
-// reports whether the session was tracked.
+// state, invalidating the per-session verdict cache. The fleet layer calls
+// it when a replicated verdict lands for a locally tracked session: the
+// evidence lives on another node, but the local cached verdict must still
+// recompute through the remote-verdict stage. It reports whether the session
+// was tracked.
 func (t *Tracker) Bump(key Key) bool {
 	sh := t.shard(key)
 	sh.mu.Lock()
 	st, ok := sh.sessions[key]
-	if !ok {
-		sh.mu.Unlock()
-		return false
+	if ok {
+		st.epoch++
 	}
-	st.epoch++
-	st.publish()
 	sh.mu.Unlock()
-	return true
+	return ok
 }
 
-// Get returns an exact, independent snapshot of the session, if it is
-// currently tracked. It takes the session's shard lock briefly so a state
-// left dirty by the quiet observe path is republished first; use Peek for
-// the lock-free (bounded-staleness) read path.
-func (t *Tracker) Get(key Key) (Snapshot, bool) {
+// Get returns a snapshot of the session, if it is currently tracked. Use
+// Peek on per-request paths: it returns the same view without the 328-byte
+// copy out.
+func (t *Tracker) Get(key Key) (snap Snapshot, ok bool) {
+	sh := t.shard(key)
+	sh.mu.Lock()
+	st, ok := sh.sessions[key]
+	if ok {
+		st.fill(&snap)
+	}
+	sh.mu.Unlock()
+	return snap, ok
+}
+
+// Peek returns the session's snapshot in a pooled buffer: the per-request
+// read path the decision layer classifies from, allocation-free at steady
+// state. It takes the shard mutex like every other operation — the same one
+// the serve path's ObserveQuiet takes for the same request a moment later —
+// so the snapshot is exact as of the last request. The snapshot is the
+// caller's own (later activity never alters it) until Release, which the
+// caller should call when done reading.
+func (t *Tracker) Peek(key Key) (*Snapshot, bool) {
 	sh := t.shard(key)
 	sh.mu.Lock()
 	st, ok := sh.sessions[key]
 	if !ok {
 		sh.mu.Unlock()
-		return Snapshot{}, false
-	}
-	snap := st.mustSnap().clone()
-	sh.mu.Unlock()
-	return snap, true
-}
-
-// Peek returns the session's currently published snapshot without copying
-// it. The returned snapshot is shared and MUST be treated as read-only; it
-// is the zero-allocation read path the decision layer classifies from. The
-// pointer is pinned: the caller MUST call Release exactly once when done
-// (cheap — one atomic add; safe on nil). Use Get for an independent copy.
-func (t *Tracker) Peek(key Key) (*Snapshot, bool) {
-	v, ok := t.shard(key).index.Load(key)
-	if !ok {
 		return nil, false
 	}
-	st := v.(*sessionState)
-	for {
-		snap := st.snap.Load()
-		if snap == nil {
-			return nil, false
-		}
-		if snap.pins == nil {
-			// Heap-allocated fallback snapshot: immutable forever, nothing
-			// to pin.
-			return snap, true
-		}
-		snap.pins.Add(1)
-		if st.snap.Load() == snap {
-			// The slot was still current after pinning, so the publisher
-			// (which skips pinned and current slots) can no longer rewrite
-			// it until Release.
-			return snap, true
-		}
-		// Lost a race with a republish that retired this slot between the
-		// load and the pin; unpin and retry on the fresh pointer.
-		snap.pins.Add(-1)
-	}
+	snap := snapPool.Get().(*Snapshot)
+	st.fill(snap)
+	sh.mu.Unlock()
+	snap.pooled = snap
+	return snap, true
 }
 
 // Active returns the number of currently tracked sessions.
@@ -971,7 +930,8 @@ func (t *Tracker) Each(yield func(Snapshot) bool) {
 		batch = batch[:0]
 		sh.mu.Lock()
 		for _, st := range sh.sessions {
-			batch = append(batch, st.mustSnap().clone())
+			batch = append(batch, Snapshot{})
+			st.fill(&batch[len(batch)-1])
 		}
 		sh.mu.Unlock()
 		for _, s := range batch {
@@ -1076,7 +1036,7 @@ func (t *Tracker) flush(yield func(Snapshot), notify bool) {
 }
 
 // createLocked inserts a fresh session into the shard. The User-Agent (and
-// its normalised form) are interned: the key stored in the maps references
+// its normalised form) are interned: the key stored in the map references
 // the canonical copy, so a million sessions from the same browser share one
 // UA string instead of carrying a million copies.
 func (t *Tracker) createLocked(sh *trackerShard, key Key, now time.Time) *sessionState {
@@ -1094,13 +1054,9 @@ func (t *Tracker) createLocked(sh *trackerShard, key Key, now time.Time) *sessio
 		lastSeen:     now,
 		epoch:        1,
 	}
-	if t.cfg.ExactPaths {
-		st.paths.exact = make(map[string]bool)
-	}
-	st.memBytes = sessionBaseBytes + int64(len(key.IP))
+	st.memBytes = sessionBaseBytes + (int64(len(key.IP))+15)&^15
 	sh.pushFront(st)
 	sh.sessions[key] = st
-	sh.index.Store(key, st)
 	t.active.Add(1)
 	t.bytes.Add(st.memBytes)
 	return st
@@ -1110,13 +1066,13 @@ func (t *Tracker) createLocked(sh *trackerShard, key Key, now time.Time) *sessio
 // snapshot. The caller delivers it to the Evicted callback after unlocking.
 func (t *Tracker) removeLocked(sh *trackerShard, st *sessionState, reason EvictReason) Snapshot {
 	delete(sh.sessions, st.key)
-	sh.index.Delete(st.key)
 	sh.unlink(st)
 	t.active.Add(-1)
 	t.ended.Add(1)
 	t.bytes.Add(-st.memBytes)
 	t.evictions[reason].Add(1)
-	snap := st.mustSnap().clone()
+	var snap Snapshot
+	st.fill(&snap)
 	t.interner.Release(st.uaHandle)
 	t.interner.Release(st.normUAHandle)
 	return snap
@@ -1165,66 +1121,6 @@ func (t *Tracker) notify(evicted []Snapshot) {
 	for _, s := range evicted {
 		t.cfg.Evicted(s)
 	}
-}
-
-// publish rebuilds the session's immutable snapshot, stores it for the
-// lock-free read path and returns the stored pointer (shared: callers that
-// hand it out for mutation must clone). It republishes into the session's
-// two-slot arena: a slot is reused only when it is not the currently
-// published one AND no Peek reader holds a pin on it, so steady-state
-// republishing allocates nothing. If both slots are held (the current one
-// plus a pinned retired one) it falls back to a heap snapshot, which is
-// simply never rewritten. Caller holds the shard lock; slot pin counts are
-// read atomically because Peek touches them without the lock.
-func (st *sessionState) publish() *Snapshot {
-	cur := st.snap.Load()
-	var out *Snapshot
-	for i := range st.slots {
-		slot := &st.slots[i]
-		if cur == &slot.snap || slot.pins.Load() != 0 {
-			continue
-		}
-		slot.snap = Snapshot{
-			Key:       st.key,
-			FirstSeen: st.firstSeen,
-			LastSeen:  st.lastSeen,
-			Counts:    st.counts,
-			Features:  st.counts.Vector(),
-			NormUA:    st.normUA,
-			Epoch:     st.epoch,
-			Signals:   st.signals,
-			cache:     &st.vcache,
-			pins:      &slot.pins,
-		}
-		out = &slot.snap
-		break
-	}
-	if out == nil {
-		out = &Snapshot{
-			Key:       st.key,
-			FirstSeen: st.firstSeen,
-			LastSeen:  st.lastSeen,
-			Counts:    st.counts,
-			Features:  st.counts.Vector(),
-			NormUA:    st.normUA,
-			Epoch:     st.epoch,
-			Signals:   st.signals,
-			cache:     &st.vcache,
-		}
-	}
-	st.snap.Store(out)
-	st.dirty = false
-	return out
-}
-
-// mustSnap returns the current published snapshot, republishing first when
-// the state is dirty (quiet observes since the last publish) or has never
-// been published. Caller holds the shard lock.
-func (st *sessionState) mustSnap() *Snapshot {
-	if s := st.snap.Load(); s != nil && !st.dirty {
-		return s
-	}
-	return st.publish()
 }
 
 func sortSnapshots(out []Snapshot) {
