@@ -13,8 +13,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 
+	"botdetect/internal/agents"
 	"botdetect/internal/core"
 	"botdetect/internal/htmlmod"
 	"botdetect/internal/proxy"
@@ -57,8 +57,9 @@ func main() {
 	for _, js := range sum.Scripts {
 		script = get(server.URL+js, browserUA)
 	}
-	// "Execute" the script: extract the genuine handler beacon and fetch it.
-	if beacon := findBeacon(script); beacon != "" {
+	// "Execute" the script: extract the genuine handler beacon (plain or
+	// String.fromCharCode-encoded) and fetch it.
+	if beacon := agents.HandlerBeaconURL(script, "__bd_f"); beacon != "" {
 		get(server.URL+beacon, browserUA)
 	}
 	browserKey := session.Key{IP: "127.0.0.1", UserAgent: browserUA}
@@ -92,44 +93,4 @@ func get(url, ua string) string {
 		log.Fatal(err)
 	}
 	return string(body)
-}
-
-// findBeacon extracts the event-handler beacon URL from the generated script
-// (works for both plain and obfuscated scripts in this small example by
-// decoding String.fromCharCode sequences).
-func findBeacon(script string) string {
-	marker := "function __bd_f()"
-	i := strings.Index(script, marker)
-	if i < 0 {
-		return ""
-	}
-	rest := script[i:]
-	j := strings.Index(rest, ".src = ")
-	if j < 0 {
-		return ""
-	}
-	expr := rest[j+len(".src = "):]
-	if nl := strings.IndexByte(expr, '\n'); nl >= 0 {
-		expr = expr[:nl]
-	}
-	expr = strings.TrimSuffix(strings.TrimSpace(expr), ";")
-	if strings.HasPrefix(expr, "'") {
-		return strings.Trim(expr, "'")
-	}
-	const fcc = "String.fromCharCode("
-	if strings.HasPrefix(expr, fcc) {
-		var b strings.Builder
-		for _, tok := range strings.Split(strings.TrimSuffix(strings.TrimPrefix(expr, fcc), ")"), ",") {
-			n := 0
-			for _, c := range strings.TrimSpace(tok) {
-				if c < '0' || c > '9' {
-					return ""
-				}
-				n = n*10 + int(c-'0')
-			}
-			b.WriteByte(byte(n))
-		}
-		return b.String()
-	}
-	return ""
 }

@@ -255,7 +255,7 @@ func TestJSParseHelpers(t *testing.T) {
 			Seed:        9,
 		}
 		script := gen.Script(p)
-		beacon := handlerBeaconURL(script, "__bd_f")
+		beacon := HandlerBeaconURL(script, "__bd_f")
 		if !strings.Contains(beacon, "0729395160.jpg") {
 			t.Fatalf("obf=%v: handler beacon = %q", obf, beacon)
 		}
@@ -263,9 +263,9 @@ func TestJSParseHelpers(t *testing.T) {
 		if !strings.Contains(exec, "/js/5556667777.gif") {
 			t.Fatalf("obf=%v: exec beacon = %q", obf, exec)
 		}
-		all := allBeaconURLs(script)
+		all := AllBeaconURLs(script)
 		if len(all) < 3 {
-			t.Fatalf("obf=%v: allBeaconURLs = %v", obf, all)
+			t.Fatalf("obf=%v: AllBeaconURLs = %v", obf, all)
 		}
 		foundDecoy := false
 		for _, u := range all {
@@ -277,7 +277,7 @@ func TestJSParseHelpers(t *testing.T) {
 			t.Fatalf("obf=%v: decoy URL not scraped", obf)
 		}
 	}
-	if handlerBeaconURL("nothing here", "__bd_f") != "" {
+	if HandlerBeaconURL("nothing here", "__bd_f") != "" {
 		t.Fatal("missing handler should yield empty URL")
 	}
 	if execBeaconURL("no beacons") != "" {
@@ -390,14 +390,14 @@ func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 		}
 
 		prefix := det.Config().BeaconPrefix
-		if got, want := handlerBeaconURL(script, "__bd_f"), prefix+"/"+inst.Issued.Key+".jpg"; got != want {
+		if got, want := HandlerBeaconURL(script, "__bd_f"), prefix+"/"+inst.Issued.Key+".jpg"; got != want {
 			t.Fatalf("obf=%v: handler beacon = %q, want %q", obf, got, want)
 		}
 		if got, want := execBeaconURL(script), prefix+"/js/"+inst.Issued.ScriptToken+".gif"; got != want {
 			t.Fatalf("obf=%v: exec beacon = %q, want %q", obf, got, want)
 		}
 		scraped := make(map[string]bool)
-		for _, u := range allBeaconURLs(script) {
+		for _, u := range AllBeaconURLs(script) {
 			scraped[u] = true
 		}
 		for _, d := range inst.Issued.Decoys {
@@ -408,5 +408,88 @@ func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 		if want := 2 + len(inst.Issued.Decoys); len(scraped) != want {
 			t.Fatalf("obf=%v: scraped %d distinct beacon URLs, want %d: %v", obf, len(scraped), want, scraped)
 		}
+	}
+}
+
+// oldLayoutScript is a beacon script laid out the way the generator spelled
+// it before PR 15 (header comment, indented bodies, blanks around '='). The
+// generator no longer emits this; the readers must still understand it,
+// which is what shows they read tokens rather than one layout.
+const oldLayoutScript = `// dynamically generated; do not cache
+var _junk = 4711;
+var _ga = false;
+function _decoy() {
+  if (_ga == false) {
+    var _ia = new Image();
+    _ga = true;
+    _ia.src = '/__bd/1111111111.jpg';
+    return true;
+  }
+  return false;
+}
+function _mix(x) { return (x * 31) % 65537; }
+var _gb = false;
+function __bd_f() {
+  if (_gb == false) {
+    var _ib = new Image();
+    _gb = true;
+    _ib.src = String.fromCharCode(47,95,95,98,100,47,48,55,50,57,51,57,53,49,54,48,46,106,112,103);
+    return true;
+  }
+  return false;
+}
+var _ie = new Image();
+_ie.src = '/__bd/js/5556667777.gif' + '?ua=' + encodeURIComponent(navigator.userAgent.toLowerCase().replace(/ /g, ''));
+`
+
+// TestScriptReadersFollowTokensNotLayout: for every compiled variant the
+// three readers recover exactly what the script would fetch — the real
+// beacon from the handler, the exec beacon, and all m+2 assigned URLs — and
+// a script in the old layout parses just the same.
+func TestScriptReadersFollowTokensNotLayout(t *testing.T) {
+	decoys := []string{"1111111111", "2222222222", "3333333333", "4444444444"}
+	gen := jsgen.NewGenerator()
+	for seed := uint64(1); seed <= 50; seed++ {
+		for _, obf := range []bool{false, true} {
+			script := gen.Script(jsgen.Params{
+				RealKey: "0729395160", DecoyKeys: decoys, UAReportKey: "5556667777", Obfuscate: obf, Seed: seed,
+			})
+			if got := HandlerBeaconURL(script, "__bd_f"); got != "/__bd/0729395160.jpg" {
+				t.Fatalf("seed %d obf=%v: handler beacon = %q", seed, obf, got)
+			}
+			if got := execBeaconURL(script); got != "/__bd/js/5556667777.gif" {
+				t.Fatalf("seed %d obf=%v: exec beacon = %q", seed, obf, got)
+			}
+			want := map[string]bool{"/__bd/0729395160.jpg": true, "/__bd/js/5556667777.gif": true}
+			for _, d := range decoys {
+				want["/__bd/"+d+".jpg"] = true
+			}
+			all := AllBeaconURLs(script)
+			if len(all) != len(want) {
+				t.Fatalf("seed %d obf=%v: scraped %d URLs, want %d: %v", seed, obf, len(all), len(want), all)
+			}
+			for _, u := range all {
+				if !want[u] {
+					t.Fatalf("seed %d obf=%v: scraped %q, which the script never fetches", seed, obf, u)
+				}
+				delete(want, u)
+			}
+		}
+	}
+
+	if got := HandlerBeaconURL(oldLayoutScript, "__bd_f"); got != "/__bd/0729395160.jpg" {
+		t.Fatalf("old layout: handler beacon = %q", got)
+	}
+	if got := execBeaconURL(oldLayoutScript); got != "/__bd/js/5556667777.gif" {
+		t.Fatalf("old layout: exec beacon = %q", got)
+	}
+	all := AllBeaconURLs(oldLayoutScript)
+	wantAll := []string{"/__bd/1111111111.jpg", "/__bd/0729395160.jpg", "/__bd/js/5556667777.gif"}
+	if strings.Join(all, " ") != strings.Join(wantAll, " ") {
+		t.Fatalf("old layout: scraped %v, want %v", all, wantAll)
+	}
+	// Neither a comparison nor a longer property name is an assignment.
+	if got := AllBeaconURLs("if(a.src=='x'){b.srcset='y';}c.src\t=\n'z'"); len(got) != 1 || got[0] != "z" {
+		t.Fatalf("non-assignments scraped: %q", got)
 	}
 }

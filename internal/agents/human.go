@@ -180,7 +180,7 @@ func (h *Human) executeScripts(c Client, now time.Time, scripts []string, pageRe
 			path := stripHost(exec) + "?ua=" + normalizeAgentForReport(h.ua)
 			c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: path, Referer: pageRef})
 		}
-		if beacon := handlerBeaconURL(script, h.handler); beacon != "" {
+		if beacon := HandlerBeaconURL(script, h.handler); beacon != "" {
 			if h.cfg.Src.Bool(h.cfg.MouseMoveProbability) {
 				c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: stripHost(beacon), Referer: pageRef})
 			}

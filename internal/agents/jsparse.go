@@ -11,60 +11,57 @@ import (
 // the body's onmousemove/onkeypress attributes) and the URL of the
 // script-load execution beacon. Real browsers execute the script; the
 // simulated browser understands the generator's two string encodings
-// (a plain single-quoted literal and String.fromCharCode(...)).
+// (a plain single-quoted literal and String.fromCharCode(...)) and reads
+// assignments by their tokens, not by the generator's whitespace.
 
-// handlerBeaconURL extracts the beacon URL assigned inside the named handler
-// function. It returns "" when the script does not contain the handler or
-// the URL cannot be decoded.
-func handlerBeaconURL(script, handlerName string) string {
-	marker := "function " + handlerName + "()"
-	start := strings.Index(script, marker)
-	if start < 0 {
-		return ""
+// srcExprs returns the right-hand side of every `<ident>.src = <expr>`
+// assignment in script, in order, however it is laid out: blanks around the
+// single '=' are optional, and the expression runs to its ';' or to the end
+// of the script.
+func srcExprs(script string) []string {
+	var out []string
+	for {
+		i := strings.Index(script, ".src")
+		if i < 0 {
+			return out
+		}
+		script = strings.TrimLeft(script[i+len(".src"):], " \t\r\n")
+		if !strings.HasPrefix(script, "=") || strings.HasPrefix(script, "==") {
+			continue // .srcset, a comparison, a read
+		}
+		var expr string
+		expr, script, _ = strings.Cut(script[1:], ";")
+		out = append(out, expr)
 	}
-	// The handler body ends at the next "}\n}" pair; searching for the
-	// ".src =" assignment within a bounded window is sufficient because the
-	// generator always emits the assignment inside the function.
-	window := script[start:]
-	if end := strings.Index(window, "return false;\n}"); end >= 0 {
-		window = window[:end]
-	}
-	idx := strings.Index(window, ".src = ")
-	if idx < 0 {
-		return ""
-	}
-	expr := window[idx+len(".src = "):]
-	if nl := strings.IndexByte(expr, '\n'); nl >= 0 {
-		expr = expr[:nl]
-	}
-	expr = strings.TrimSuffix(strings.TrimSpace(expr), ";")
-	return decodeJSStringExpr(expr)
 }
 
-// execBeaconURL extracts the script-load execution beacon URL (the statement
-// appended after the handler/decoy functions that reports the user agent).
-// It returns "" when the script carries no execution beacon.
+// HandlerBeaconURL extracts the beacon URL assigned inside the named handler
+// function (its text runs up to the next function declaration). It returns
+// "" when the script does not contain the handler or the URL cannot be
+// decoded.
+func HandlerBeaconURL(script, handlerName string) string {
+	_, body, found := strings.Cut(script, "function "+handlerName+"()")
+	body, _, _ = strings.Cut(body, "function ")
+	if exprs := srcExprs(body); found && len(exprs) > 0 {
+		return decodeJSStringExpr(exprs[0])
+	}
+	return ""
+}
+
+// execBeaconURL extracts the script-load execution beacon URL: the one
+// assignment whose URL expression goes on to append the '?ua=' report. It
+// returns "" when the script carries no execution beacon.
 func execBeaconURL(script string) string {
-	idx := strings.Index(script, "?ua=' + encodeURIComponent")
-	if idx < 0 {
-		// The URL expression ends with  + '?ua=' + ... ; find the assignment
-		// feeding it instead (obfuscated scripts still contain this suffix).
-		idx = strings.Index(script, "'?ua='")
-		if idx < 0 {
-			return ""
+	for _, expr := range srcExprs(script) {
+		if strings.Contains(expr, "?ua=") {
+			return decodeJSStringExpr(expr)
 		}
 	}
-	// Walk back to the start of the statement: `<ident>.src = <expr> + '?ua='`.
-	stmtStart := strings.LastIndex(script[:idx], ".src = ")
-	if stmtStart < 0 {
-		return ""
-	}
-	expr := script[stmtStart+len(".src = ") : idx]
-	expr = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(expr), "+"))
-	return decodeJSStringExpr(expr)
+	return ""
 }
 
-// decodeJSStringExpr decodes either 'literal' or String.fromCharCode(65,66).
+// decodeJSStringExpr decodes the leading operand of expr, either 'literal' or
+// String.fromCharCode(65,66); whatever is concatenated after it is ignored.
 func decodeJSStringExpr(expr string) string {
 	expr = strings.TrimSpace(expr)
 	if strings.HasPrefix(expr, "'") {
@@ -93,29 +90,15 @@ func decodeJSStringExpr(expr string) string {
 	return ""
 }
 
-// allBeaconURLs extracts every beacon URL assigned anywhere in the script —
+// AllBeaconURLs extracts every beacon URL assigned anywhere in the script —
 // the behaviour of a robot that statically scrapes URLs out of scripts and
 // fetches them blindly (and therefore hits decoys).
-func allBeaconURLs(script string) []string {
+func AllBeaconURLs(script string) []string {
 	var out []string
-	rest := script
-	for {
-		idx := strings.Index(rest, ".src = ")
-		if idx < 0 {
-			return out
-		}
-		expr := rest[idx+len(".src = "):]
-		if nl := strings.IndexByte(expr, '\n'); nl >= 0 {
-			expr = expr[:nl]
-		}
-		expr = strings.TrimSuffix(strings.TrimSpace(expr), ";")
-		// Strip a trailing "+ '?ua=' ..." concatenation if present.
-		if plus := strings.Index(expr, " + "); plus >= 0 {
-			expr = expr[:plus]
-		}
+	for _, expr := range srcExprs(script) {
 		if u := decodeJSStringExpr(expr); u != "" {
 			out = append(out, u)
 		}
-		rest = rest[idx+len(".src = "):]
 	}
+	return out
 }

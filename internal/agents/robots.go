@@ -342,7 +342,7 @@ func (a *OfflineBrowser) Step(c Client, now time.Time) (time.Duration, bool) {
 			if scriptResp.Status == 200 {
 				// Blindly scrape and fetch every URL inside the script; the
 				// decoy functions catch exactly this behaviour.
-				for _, u := range allBeaconURLs(string(scriptResp.Body)) {
+				for _, u := range AllBeaconURLs(string(scriptResp.Body)) {
 					c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: stripHost(u)})
 				}
 			}

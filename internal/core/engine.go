@@ -278,8 +278,9 @@ type Stats struct {
 	// PagesInstrumented counts HTML pages rewritten.
 	PagesInstrumented int64
 	// OriginalBytes and AddedBytes track page sizes before rewriting and the
-	// instrumentation bytes added (rewritten HTML growth plus generated
-	// scripts and stylesheets actually served), for the overhead experiment.
+	// instrumentation bytes added (rewritten HTML growth plus the body of
+	// every generated object actually served: scripts, stylesheets, beacon
+	// images, hidden pages), for the overhead experiment.
 	OriginalBytes int64
 	AddedBytes    int64
 	// BeaconRequests counts intercepted instrumentation requests by kind.
@@ -797,6 +798,11 @@ func (e *Engine) HandleBeacon(clientIP, userAgent, path string) (Response, bool)
 	}
 	start := time.Now()
 	resp := e.handleBeacon(clientIP, userAgent, path)
+	if resp.Status == 200 {
+		// Every generated body is instrumentation payload: script, stylesheets,
+		// beacon images, the hidden page.
+		e.stats.addedBytes.Add(int64(len(resp.Body)))
+	}
 	e.tel.Beacon.ObserveSince(start)
 	return resp, true
 }
@@ -859,13 +865,11 @@ func (e *Engine) handleBeacon(clientIP, userAgent, path string) Response {
 		} else {
 			e.stats.scriptExpired.Add(1)
 		}
-		e.stats.addedBytes.Add(int64(len(body)))
 		return Response{Status: 200, ContentType: "application/javascript", Body: body, NoCache: true, script: sb}
 
 	case strings.HasSuffix(rest, ".css"):
 		e.sessions.Mark(key, session.SignalCSS)
 		e.stats.cssBeacons.Add(1)
-		e.stats.addedBytes.Add(int64(len(emptyCSS)))
 		return Response{Status: 200, ContentType: "text/css", Body: emptyCSS, NoCache: true}
 
 	case strings.HasSuffix(rest, ".jpg"):

@@ -8,10 +8,13 @@ import (
 	"testing"
 )
 
-// goldenPage and the request sequence below must not change: the golden file
-// was captured from the pre-template-pool engine (PR 4), so this test proves
-// the instrumentation fast path still emits byte-identical pages — same keys,
-// same tokens, same injection fragments, same rewrite — from a fixed seed.
+// goldenPage and the request sequence below must not change: the golden
+// file's keys and tokens are those of the pre-template-pool engine (PR 4),
+// so this test proves the instrumentation fast path still issues the same
+// keys and tokens and emits byte-identical pages from a fixed seed. The
+// markup around them was re-captured once, when PR 15 respelled the injected
+// fragments compactly (added= 635 -> 396); keys, tokens and paths did not
+// move in that capture.
 var goldenPage = []byte(`<html>
 <head><title>golden</title><style>body { color: #000; }</style></head>
 <body class="main">
@@ -48,7 +51,7 @@ func TestInstrumentPageGoldenBytes(t *testing.T) {
 		t.Fatalf("read golden: %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("instrumented output drifted from the PR 4 golden capture\n--- got (%d bytes):\n%s\n--- want (%d bytes):\n%s",
+		t.Fatalf("instrumented output drifted from the golden capture\n--- got (%d bytes):\n%s\n--- want (%d bytes):\n%s",
 			len(got), firstDiffContext(got, want), len(want), firstDiffContext(want, got))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"botdetect/internal/agents"
 	"botdetect/internal/baselines"
 	"botdetect/internal/core"
 	"botdetect/internal/jsgen"
@@ -95,7 +96,7 @@ func AblationDecoys(scale Scale) AblationDecoysResult {
 // would.
 func scrapeBeaconKeys(script string) []string {
 	var keys []string
-	for _, u := range scrapeBeaconURLs(script) {
+	for _, u := range agents.AllBeaconURLs(script) {
 		base := u
 		if i := strings.LastIndexByte(base, '/'); i >= 0 {
 			base = base[i+1:]
@@ -105,61 +106,6 @@ func scrapeBeaconKeys(script string) []string {
 		}
 	}
 	return keys
-}
-
-// scrapeBeaconURLs decodes every String.fromCharCode/quoted URL in the script.
-func scrapeBeaconURLs(script string) []string {
-	var out []string
-	rest := script
-	for {
-		idx := strings.Index(rest, ".src = ")
-		if idx < 0 {
-			return out
-		}
-		expr := rest[idx+len(".src = "):]
-		if nl := strings.IndexByte(expr, '\n'); nl >= 0 {
-			expr = expr[:nl]
-		}
-		expr = strings.TrimSuffix(strings.TrimSpace(expr), ";")
-		if plus := strings.Index(expr, " + "); plus >= 0 {
-			expr = expr[:plus]
-		}
-		if u := decodeStringExpr(expr); u != "" {
-			out = append(out, u)
-		}
-		rest = rest[idx+len(".src = "):]
-	}
-}
-
-func decodeStringExpr(expr string) string {
-	expr = strings.TrimSpace(expr)
-	if strings.HasPrefix(expr, "'") {
-		if end := strings.Index(expr[1:], "'"); end >= 0 {
-			return expr[1 : 1+end]
-		}
-		return ""
-	}
-	const fcc = "String.fromCharCode("
-	if strings.HasPrefix(expr, fcc) {
-		end := strings.Index(expr, ")")
-		if end < 0 {
-			return ""
-		}
-		var b strings.Builder
-		for _, tok := range strings.Split(expr[len(fcc):end], ",") {
-			tok = strings.TrimSpace(tok)
-			n := 0
-			for i := 0; i < len(tok); i++ {
-				if tok[i] < '0' || tok[i] > '9' {
-					return ""
-				}
-				n = n*10 + int(tok[i]-'0')
-			}
-			b.WriteByte(byte(n))
-		}
-		return b.String()
-	}
-	return ""
 }
 
 // Format renders the result as text.

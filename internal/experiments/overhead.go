@@ -23,8 +23,10 @@ type OverheadResult struct {
 	ScriptsPerSecond float64
 	// OriginBytes is the origin payload served during the measurement run.
 	OriginBytes int64
-	// AddedBytes is the instrumentation payload (HTML growth plus generated
-	// scripts and stylesheets served).
+	// AddedBytes is the instrumentation payload: HTML growth plus the body of
+	// every generated object served (scripts, both stylesheets, the exec and
+	// mouse beacon images, the transparent image, hidden pages) — the same
+	// bytes the benchmark's overhead_bytes_ratio counts on the wire.
 	AddedBytes int64
 	// BandwidthOverhead is AddedBytes / (OriginBytes + AddedBytes).
 	BandwidthOverhead float64

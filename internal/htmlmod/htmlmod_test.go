@@ -182,22 +182,23 @@ func TestTokenizeMalformedNeverPanics(t *testing.T) {
 func TestRewriteInjectsEverything(t *testing.T) {
 	res := Rewrite([]byte(samplePage), stdInjection())
 	out := string(res.HTML)
-	if !res.InjectedCSS || !strings.Contains(out, `href="/__bd/2031464296.css"`) {
+	if !res.InjectedCSS || !strings.Contains(out, `<link rel=stylesheet href=/__bd/2031464296.css>`) {
 		t.Fatal("CSS beacon not injected")
 	}
-	if !res.InjectedScript || !strings.Contains(out, `src="/__bd/index_0729395150.js"`) {
+	if !res.InjectedScript || !strings.Contains(out, `<script src=/__bd/index_0729395150.js></script>`) {
 		t.Fatal("external script not injected")
 	}
-	if !res.InjectedHandlers || !strings.Contains(out, `onmousemove="return __bd_f();"`) {
+	if !res.InjectedHandlers || !strings.Contains(out, ` onmousemove=__bd_f() `) {
 		t.Fatal("mouse handler not injected")
 	}
-	if !strings.Contains(out, `onkeypress="return __bd_f();"`) {
+	if !strings.Contains(out, ` onkeypress=__bd_f()>`) {
 		t.Fatal("key handler not injected")
 	}
-	if !res.InjectedInline || !strings.Contains(out, "document.write('x');") {
+	if !res.InjectedInline || !strings.Contains(out, "<script>document.write('x');\n</script>") {
 		t.Fatal("inline script not injected")
 	}
-	if !res.InjectedHidden || !strings.Contains(out, `href="/__bd/hidden/5551112222.html"`) {
+	if !res.InjectedHidden || !strings.Contains(out,
+		`<a href=/__bd/hidden/5551112222.html><img src=/__bd/transp_1x1.gif width=1 height=1 border=0 alt></a>`) {
 		t.Fatal("hidden link not injected")
 	}
 	if res.AddedBytes != len(res.HTML)-len(samplePage) {
@@ -223,18 +224,38 @@ func TestRewriteInjectsEverything(t *testing.T) {
 	}
 }
 
+// TestRewritePreservesExistingHandlers: a handler the page already has must
+// still run after instrumentation — its text follows the injected call, with
+// no return in front that would make it dead code — whatever the case of the
+// attribute name or the quoting, and byte for byte as the page spelled it.
 func TestRewritePreservesExistingHandlers(t *testing.T) {
-	doc := `<html><head></head><body onmousemove="trackme();" id="b"><p>x</p></body></html>`
+	doc := `<html><head></head><body onMouseMove="trackme(a &amp;&amp; b);" id="b" ONKEYPRESS='k("x")' data-x><p>x</p></body></html>`
 	res := Rewrite([]byte(doc), stdInjection())
 	out := string(res.HTML)
-	if !strings.Contains(out, "return __bd_f(); trackme();") {
-		t.Fatalf("existing handler not chained: %s", out)
+	if !strings.Contains(out, `<body onMouseMove="__bd_f();trackme(a &amp;&amp; b);" id="b" ONKEYPRESS='__bd_f();k("x")' data-x>`) {
+		t.Fatalf("existing handlers not chained in place: %s", out)
 	}
-	if strings.Count(out, "onmousemove") != 1 {
-		t.Fatalf("duplicate onmousemove attributes: %s", out)
+	if strings.Contains(out, "return") {
+		t.Fatalf("a return in front of the page's handler disables it: %s", out)
 	}
-	if !strings.Contains(out, `id="b"`) {
-		t.Fatal("other attributes lost")
+	if strings.Count(strings.ToLower(out), "onmousemove") != 1 || strings.Count(strings.ToLower(out), "onkeypress") != 1 {
+		t.Fatalf("duplicate handler attributes: %s", out)
+	}
+	var sb strings.Builder
+	p := PrepareInjection(stdInjection())
+	if _, err := RewriteStream([]byte(doc), &sb, p); err != nil || sb.String() != out {
+		t.Fatalf("stream diverged from buffered on chained handlers (err %v): %s", err, sb.String())
+	}
+	p.Release()
+
+	// Unquoted, value-less and self-closing spellings.
+	for in, want := range map[string]string{
+		`<body onmousemove=track() onkeypress>`: `<body onmousemove=__bd_f();track() onkeypress=__bd_f()>`,
+		`<body onkeypress="" class='a'/>`:       `<body onkeypress="__bd_f();" class='a' onmousemove=__bd_f() />`,
+	} {
+		if got := string(Rewrite([]byte(in), Injection{HandlerName: "__bd_f"}).HTML); got != want {
+			t.Fatalf("%s rewritten to %s, want %s", in, got, want)
+		}
 	}
 }
 
@@ -293,7 +314,7 @@ func TestRewritePartialInjection(t *testing.T) {
 	if !strings.Contains(out, "/__bd/x.css") {
 		t.Fatal("CSS missing")
 	}
-	if strings.Contains(out, "onmousemove=\"return") || strings.Contains(out, "/__bd/hidden/") {
+	if strings.Contains(out, "onmousemove") || strings.Contains(out, "/__bd/hidden/") {
 		t.Fatal("unrequested injections present")
 	}
 }

@@ -69,7 +69,7 @@ type Prepared struct {
 	headInsert  []byte // after <head> (stylesheet link + external script)
 	bodyTop     []byte // after <body> (inline user-agent reporter)
 	bodyBottom  []byte // before </body> (hidden trap link)
-	handlerCall []byte // "return <fn>();" for the body event handlers; empty disables
+	handlerCall []byte // "<fn>()" for the body event handlers; empty disables
 
 	cssSet, scriptSet, inlineSet, hiddenSet bool
 
@@ -126,52 +126,49 @@ func composeInto[T ~string | ~[]byte](p *Prepared, cssHref, scriptSrc, inlineScr
 	p.inlineSet = len(inlineScript) > 0
 	p.hiddenSet = len(hiddenHref) > 0
 
-	// Head fragment: the stylesheet link and the external script tags.
+	// Head fragment: the stylesheet link first, then the external script.
 	b := p.headInsert[:0]
-	if p.cssSet || p.scriptSet {
-		if p.cssSet {
-			b = append(b, "\n<link rel=\"stylesheet\" type=\"text/css\" href=\""...)
-			b = appendEscaped(b, cssHref)
-			b = append(b, "\">"...)
-		}
-		if p.scriptSet {
-			b = append(b, "\n<script language=\"javascript\" type=\"text/javascript\" src=\""...)
-			b = appendEscaped(b, scriptSrc)
-			b = append(b, "\"></script>"...)
-		}
-		b = append(b, '\n')
+	if p.cssSet {
+		b = append(b, "<link rel=stylesheet href="...)
+		b = appendAttrValue(b, cssHref)
+		b = append(b, '>')
+	}
+	if p.scriptSet {
+		b = append(b, "<script src="...)
+		b = appendAttrValue(b, scriptSrc)
+		b = append(b, "></script>"...)
 	}
 	p.headInsert = b
 
 	// Body-top fragment: the inline user-agent reporter script.
 	b = p.bodyTop[:0]
 	if p.inlineSet {
-		b = append(b, "\n<script type=\"text/javascript\">\n"...)
+		b = append(b, "<script>"...)
 		b = append(b, inlineScript...)
-		b = append(b, "</script>\n"...)
+		b = append(b, "</script>"...)
 	}
 	p.bodyTop = b
 
-	// Body-bottom fragment: the hidden trap link.
+	// Body-bottom fragment: the hidden trap link, a text-less anchor around a
+	// 1x1 transparent image.
 	b = p.bodyBottom[:0]
 	if p.hiddenSet {
 		img := hiddenImgSrc
 		if len(img) == 0 {
 			img = hiddenHref
 		}
-		b = append(b, "\n<a href=\""...)
-		b = appendEscaped(b, hiddenHref)
-		b = append(b, "\"><img src=\""...)
-		b = appendEscaped(b, img)
-		b = append(b, "\" width=\"1\" height=\"1\" border=\"0\" alt=\"\"></a>\n"...)
+		b = append(b, "<a href="...)
+		b = appendAttrValue(b, hiddenHref)
+		b = append(b, "><img src="...)
+		b = appendAttrValue(b, img)
+		b = append(b, " width=1 height=1 border=0 alt></a>"...)
 	}
 	p.bodyBottom = b
 
 	b = p.handlerCall[:0]
 	if len(handlerName) > 0 {
-		b = append(b, "return "...)
 		b = append(b, handlerName...)
-		b = append(b, "();"...)
+		b = append(b, "()"...)
 	}
 	p.handlerCall = b
 }
@@ -277,53 +274,55 @@ func (p *Prepared) RewriteBuffered(doc []byte) RewriteResult {
 }
 
 // appendBodyTag rebuilds the original <body ...> tag with the
-// onmousemove/onkeypress handler call added, preserving (and chaining in
-// front of) handlers already present on the page. Attribute names are
-// lowercased and values are requoted, matching the historical rewriter.
+// onmousemove/onkeypress handler call added. The page's attributes are
+// copied as the page spelled them; a handler it already has is kept and
+// runs after the call ("<fn>();<page's own>" — no return in front, which
+// would make the page's code unreachable).
 func appendBodyTag(dst []byte, doc []byte, attrs []rawAttr, selfClosing bool, call []byte) []byte {
 	dst = append(dst, "<body"...)
 	seenMouse, seenKey := false, false
 	for _, a := range attrs {
 		name := doc[a.nameStart:a.nameEnd]
-		val := doc[a.valStart:a.valEnd]
 		isMouse := foldEq(name, "onmousemove")
 		isKey := foldEq(name, "onkeypress")
-		if len(val) == 0 && !isMouse && !isKey {
-			dst = append(dst, ' ')
-			dst = appendLower(dst, name)
-			continue
+		seenMouse = seenMouse || isMouse
+		seenKey = seenKey || isKey
+		// end is where the attribute's source text stops, closing quote
+		// included; a zero value range marks an attribute without a value.
+		end := a.valEnd
+		if a.valStart == 0 {
+			end = a.nameEnd
+		} else if q := doc[a.valStart-1]; q == '"' || q == '\'' {
+			end++
 		}
 		dst = append(dst, ' ')
-		dst = appendLower(dst, name)
-		dst = append(dst, '=', '"')
-		if isMouse || isKey {
-			dst = appendEscaped(dst, call)
-			dst = append(dst, ' ')
-			if isMouse {
-				seenMouse = true
-			} else {
-				seenKey = true
-			}
+		switch {
+		case !isMouse && !isKey:
+			dst = append(dst, doc[a.nameStart:end]...)
+		case a.valStart == 0:
+			dst = append(dst, name...)
+			dst = append(dst, '=')
+			dst = appendAttrValue(dst, call)
+		default:
+			dst = append(dst, doc[a.nameStart:a.valStart]...)
+			dst = append(dst, call...)
+			dst = append(dst, ';')
+			dst = append(dst, doc[a.valStart:end]...)
 		}
-		dst = appendEscaped(dst, val)
-		dst = append(dst, '"')
 	}
 	if !seenMouse {
-		dst = append(dst, " onmousemove=\""...)
-		dst = appendEscaped(dst, call)
-		dst = append(dst, '"')
+		dst = append(dst, " onmousemove="...)
+		dst = appendAttrValue(dst, call)
 	}
 	if !seenKey {
-		dst = append(dst, " onkeypress=\""...)
-		dst = appendEscaped(dst, call)
-		dst = append(dst, '"')
+		dst = append(dst, " onkeypress="...)
+		dst = appendAttrValue(dst, call)
 	}
 	if selfClosing {
-		dst = append(dst, '/', '>')
-	} else {
-		dst = append(dst, '>')
+		// The blank keeps "/" out of a preceding unquoted value.
+		return append(dst, " />"...)
 	}
-	return dst
+	return append(dst, '>')
 }
 
 // insertion is one positional text insertion into the original document.
@@ -372,6 +371,36 @@ func applyEdits(doc []byte, bodyStart *Token, bodyReplacement []byte, inserts []
 	return out
 }
 
+// AttrSafe reports whether v can be written as an unquoted attribute value:
+// non-empty and made only of bytes no HTML parser treats specially there.
+// The set is deliberately small — anything else is quoted. Exported for the
+// one generator outside this package that spells markup itself (the inline
+// reporter's document.write).
+func AttrSafe[T ~string | ~[]byte](v T) bool {
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
+		case c == '/', c == '_', c == '.', c == ':', c == '~', c == '-', c == '(', c == ')':
+		default:
+			return false
+		}
+	}
+	return len(v) > 0
+}
+
+// appendAttrValue appends v, a value of the rewriter's own (a URL, the
+// handler call), in its shortest spelling: bare when AttrSafe, otherwise
+// double-quoted and escaped.
+func appendAttrValue[T ~string | ~[]byte](dst []byte, v T) []byte {
+	if AttrSafe(v) {
+		return append(dst, v...)
+	}
+	dst = append(dst, '"')
+	dst = appendEscaped(dst, v)
+	return append(dst, '"')
+}
+
 // appendEscaped appends s with the characters that would break out of a
 // double-quoted attribute value or element context escaped.
 func appendEscaped[T ~string | ~[]byte](dst []byte, s T) []byte {
@@ -388,17 +417,6 @@ func appendEscaped[T ~string | ~[]byte](dst []byte, s T) []byte {
 		default:
 			dst = append(dst, s[i])
 		}
-	}
-	return dst
-}
-
-// appendLower appends b ASCII-lowercased.
-func appendLower(dst, b []byte) []byte {
-	for _, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		dst = append(dst, c)
 	}
 	return dst
 }

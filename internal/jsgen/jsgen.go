@@ -9,12 +9,18 @@
 // identifiers, junk declarations, shuffled function order, character-encoded
 // string literals), and is served uncacheable so every page view gets fresh
 // keys.
+//
+// Everything emitted is spelled in its shortest equivalent form — one-line
+// functions, no comments, no decorative whitespace — because these bytes ride
+// on every page view: what a robot has to defeat is the structure above, not
+// the formatting.
 package jsgen
 
 import (
 	"fmt"
 	"strings"
 
+	"botdetect/internal/htmlmod"
 	"botdetect/internal/rng"
 )
 
@@ -194,50 +200,36 @@ func junkStatements(nm *namer, n int) string {
 	for i := 0; i < n; i++ {
 		switch nm.src.Intn(3) {
 		case 0:
-			fmt.Fprintf(&b, "var %s = %d;\n", nm.next(), nm.src.Intn(100000))
+			fmt.Fprintf(&b, "var %s=%d;", nm.next(), nm.src.Intn(100000))
 		case 1:
-			fmt.Fprintf(&b, "var %s = '%s';\n", nm.next(), nm.src.HexKey(8))
+			fmt.Fprintf(&b, "var %s='%s';", nm.next(), nm.src.HexKey(8))
 		default:
 			a, c := nm.next(), nm.src.Intn(997)+1
-			fmt.Fprintf(&b, "function %s(x) { return (x * %d) %% 65537; }\n", a, c)
+			fmt.Fprintf(&b, "function %s(x){return x*%d%%65537}", a, c)
 		}
 	}
 	return b.String()
 }
 
-// InlineUAScript returns the inline <script> body that reports the browser's
-// user agent string back to the server by constructing a stylesheet link, as
-// in Figure 1 of the paper. The report arrives as a request for
-// <prefix>/ua/<token>/<agent>.css, letting the server compare the
-// JavaScript-visible agent with the User-Agent header (the "browser type
-// mismatch" signal in Table 1).
-func InlineUAScript(base, prefix, token string) string {
-	pre, post := InlineUAScriptParts(base, prefix)
-	return pre + token + post
-}
-
-// InlineUAScriptParts splits the inline reporter script around its per-page
-// token: InlineUAScript(base, prefix, token) == pre + token + post. Callers
-// that rewrite many pages (the detection engine) compose the parts once per
-// deployment instead of rebuilding the whole script per page view.
+// InlineUAScriptParts returns the inline <script> body that reports the
+// browser's user agent string back to the server by writing a stylesheet
+// link, as in Figure 1 of the paper, split around its per-page token: the
+// body is pre + token + post, so the engine composes the parts once per
+// deployment. The report arrives as a request for
+// <prefix>/ua/<token>/<agent>.css (agent: navigator.userAgent lower-cased,
+// blanks removed), letting the server compare the JavaScript-visible agent
+// with the User-Agent header (the "browser type mismatch" signal in Table 1).
+// The written href is bare when base and prefix allow it (htmlmod.AttrSafe)
+// and single-quoted otherwise.
 func InlineUAScriptParts(base, prefix string) (pre, post string) {
 	if prefix == "" {
 		prefix = DefaultBeaconPrefix
 	}
-	pre = "function getuseragnt() {\n" +
-		"  var agt = navigator.userAgent.toLowerCase();\n" +
-		"  agt = agt.replace(/ /g, \"\");\n" +
-		"  return agt;\n}\n" +
-		"document.write(\"<link rel='stylesheet' type='text/css' href='" + base + prefix + "/ua/"
-	post = "/\" + encodeURIComponent(getuseragnt()) + \".css'>\");\n"
-	return pre, post
-}
-
-// UAReportPrefix returns the path prefix of user-agent report requests for
-// the given token; the reported agent follows as the final path element.
-func UAReportPrefix(prefix, token string) string {
-	if prefix == "" {
-		prefix = DefaultBeaconPrefix
+	q := "'"
+	if htmlmod.AttrSafe(base + prefix) {
+		q = ""
 	}
-	return prefix + "/ua/" + token + "/"
+	pre = `document.write("<link rel=stylesheet href=` + q + base + prefix + "/ua/"
+	post = `/"+encodeURIComponent(navigator.userAgent.toLowerCase().replace(/ /g,""))+".css` + q + `>")`
+	return pre, post
 }

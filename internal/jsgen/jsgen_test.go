@@ -133,18 +133,19 @@ func TestPathHelpers(t *testing.T) {
 	if ScriptPath("", "0729395150") != "/__bd/index_0729395150.js" {
 		t.Fatalf("ScriptPath = %q", ScriptPath("", "0729395150"))
 	}
-	if UAReportPrefix("", "t") != "/__bd/ua/t/" {
-		t.Fatalf("UAReportPrefix = %q", UAReportPrefix("", "t"))
-	}
 }
 
 func TestInlineUAScript(t *testing.T) {
-	s := InlineUAScript("http://www.example.com", "", "tok123")
-	if !strings.Contains(s, "getuseragnt") || !strings.Contains(s, "document.write") {
-		t.Fatal("inline UA script missing expected statements")
+	pre, post := InlineUAScriptParts("http://www.example.com", "")
+	want := `document.write("<link rel=stylesheet href=http://www.example.com/__bd/ua/tok123/"+` +
+		`encodeURIComponent(navigator.userAgent.toLowerCase().replace(/ /g,""))+".css>")`
+	if got := pre + "tok123" + post; got != want {
+		t.Fatalf("inline UA script:\n got %s\nwant %s", got, want)
 	}
-	if !strings.Contains(s, "http://www.example.com/__bd/ua/tok123/") {
-		t.Fatalf("inline UA script missing report URL: %s", s)
+	// A base the written link cannot carry bare keeps its quotes.
+	pre, post = InlineUAScriptParts("http://h/p?a=1&b=", "")
+	if !strings.Contains(pre, `href='http://h/p?a=1&b=/__bd/ua/`) || !strings.HasSuffix(post, `+".css'>")`) {
+		t.Fatalf("exotic base not quoted: %s|%s", pre, post)
 	}
 }
 

@@ -226,20 +226,16 @@ func (tb *tmplBuilder) urlKeyExpr(pre, suf string, src, digits int, obfuscate bo
 	tb.str(")")
 }
 
-// beaconFn emits one guard+function pair fetching pre+KEY+suf. name is the
-// function's global name (the real handler or a random decoy name).
+// beaconFn emits one guard+function pair fetching pre+KEY+suf, once: the
+// guard makes every later call return false. name is the function's global
+// name (the real handler or a random decoy name).
 func beaconFn(tb *tmplBuilder, nm *namer, name, pre, suf string, src, digits int, obfuscate bool) {
 	guard := nm.next()
 	img := nm.next()
-	tb.str("var " + guard + " = false;\n")
-	tb.str("function " + name + "() {\n")
-	tb.str("  if (" + guard + " == false) {\n")
-	tb.str("    var " + img + " = new Image();\n")
-	tb.str("    " + guard + " = true;\n")
-	tb.str("    " + img + ".src = ")
+	tb.str("var " + guard + "=0;function " + name + "(){if(" + guard + ")return false;" +
+		guard + "=1;var " + img + "=new Image();" + img + ".src=")
 	tb.urlKeyExpr(pre, suf, src, digits, obfuscate)
-	tb.str(";\n")
-	tb.str("    return true;\n  }\n  return false;\n}\n")
+	tb.str(";return true}")
 }
 
 // Compile builds one script variant for the deployment shape: all lexical
@@ -271,7 +267,6 @@ func (g *Generator) Compile(cfg TemplateConfig, seed uint64) *Variant {
 	}
 
 	var out tmplBuilder
-	out.str("// dynamically generated; do not cache\n")
 	if cfg.Obfuscate {
 		out.str(junkStatements(nm, 3+nm.src.Intn(4)))
 	}
@@ -292,10 +287,9 @@ func (g *Generator) Compile(cfg TemplateConfig, seed uint64) *Variant {
 	if cfg.UAReport {
 		execPre, execSuf := ExecBeaconPathParts(cfg.BeaconPrefix)
 		execImg := nm.next()
-		out.str("var " + execImg + " = new Image();\n")
-		out.str(execImg + ".src = ")
+		out.str("var " + execImg + "=new Image();" + execImg + ".src=")
 		out.urlKeyExpr(cfg.BeaconBase+execPre, execSuf, spliceUA, cfg.KeyDigits, cfg.Obfuscate)
-		out.str(" + '?ua=' + encodeURIComponent(navigator.userAgent.toLowerCase().replace(/ /g, ''));\n")
+		out.str("+'?ua='+encodeURIComponent(navigator.userAgent.toLowerCase().replace(/ /g,''))")
 	}
 	return &Variant{tmpl: out.buf, splices: out.splices}
 }
