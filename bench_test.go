@@ -171,33 +171,36 @@ func BenchmarkBaselineComparison(b *testing.B) {
 // --- micro-benchmarks for the detection pipeline hot paths ------------------
 
 // BenchmarkInstrumentPage measures rewriting one origin page (key issue,
-// script generation, HTML injection). The client IP pool is built outside the
-// timed loop so the measurement isolates the engine, not fmt.Sprintf.
+// fragment composition, HTML injection, accounting). The client IP pool is
+// built outside the timed loop so the measurement isolates the engine, not
+// fmt.Sprintf.
 func BenchmarkInstrumentPage(b *testing.B) {
 	site := webmodel.Generate(webmodel.SiteConfig{Seed: 1, NumPages: 50})
 	det := core.New(core.Config{Seed: 1, ObfuscateJS: true})
 	page := site.Lookup("/").Body
 	ips := benchClientIPs(1024)
+	var ps core.PageState
 	b.SetBytes(int64(len(page)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.InstrumentPage(ips[i%len(ips)], "Firefox/1.5", "/", page)
+		res := det.PreparePage(ips[i%len(ips)], "Firefox/1.5", "/", &ps).Rewrite(page)
+		det.RecordInstrumented(len(page), res.AddedBytes)
 	}
 }
 
-// BenchmarkPrepareInstrumentation measures the streaming serve path's
-// per-page instrumentation cost in isolation — key issue, pooled script
-// render, cache store, fragment composition — without the HTML rewrite the
-// proxy streams separately.
-func BenchmarkPrepareInstrumentation(b *testing.B) {
+// BenchmarkPreparePage measures the serve path's per-page
+// instrumentation cost in isolation — key issue and fragment composition
+// into a reused PageState — without the HTML rewrite the proxy streams
+// separately.
+func BenchmarkPreparePage(b *testing.B) {
 	det := core.New(core.Config{Seed: 4, ObfuscateJS: true})
 	ips := benchClientIPs(1024)
+	var ps core.PageState
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prep, _ := det.PrepareInstrumentation(ips[i%len(ips)], "Firefox/1.5", "/")
-		prep.Release()
+		det.PreparePage(ips[i%len(ips)], "Firefox/1.5", "/", &ps)
 	}
 }
 
@@ -212,12 +215,12 @@ func BenchmarkScriptRender(b *testing.B) {
 	}, 8, 9)
 	src := rng.New(9)
 	decoys := []string{src.DigitKey(10), src.DigitKey(10), src.DigitKey(10), src.DigitKey(10)}
-	dst := make([]byte, 0, pool.MaxSize())
+	var dst []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	size := 0
 	for i := 0; i < b.N; i++ {
-		dst = pool.Render(dst[:0], uint64(i), "0729395160", "5550001111", decoys)
+		dst = pool.Pick(uint64(i)).Render(dst[:0], "0729395160", "5550001111", decoys)
 		size = len(dst)
 	}
 	b.ReportMetric(float64(size), "script_bytes")
@@ -275,13 +278,21 @@ func BenchmarkKeystoreValidate(b *testing.B) {
 	}
 }
 
+// benchCSSPath prepares one page view and returns its stylesheet beacon path.
+func benchCSSPath(det *core.Engine) string {
+	var ps core.PageState
+	det.PreparePage("10.0.0.1", "Firefox/1.5", "/", &ps)
+	pk := ps.Keys()
+	return jsgen.CSSPath(det.Config().BeaconPrefix, pk.KeyString(pk.CSSToken))
+}
+
 // BenchmarkHandleBeaconCSS measures serving a stylesheet beacon request.
 func BenchmarkHandleBeaconCSS(b *testing.B) {
 	det := core.New(core.Config{Seed: 2})
-	_, inst := det.InstrumentPage("10.0.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+	cssPath := benchCSSPath(det)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.HandleBeacon("10.0.0.1", "Firefox/1.5", inst.CSSPath)
+		det.HandleBeacon("10.0.0.1", "Firefox/1.5", cssPath)
 	}
 }
 
@@ -402,7 +413,7 @@ func BenchmarkHandleBeaconParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			det := core.New(core.Config{Seed: 2, Shards: shards})
-			_, inst := det.InstrumentPage("10.0.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+			cssPath := benchCSSPath(det)
 			prefix := det.Config().BeaconPrefix
 			var next atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
@@ -410,7 +421,7 @@ func BenchmarkHandleBeaconParallel(b *testing.B) {
 				for pb.Next() {
 					ip := ips[i%len(ips)]
 					if i%2 == 0 {
-						det.HandleBeacon(ip, "Firefox/1.5", inst.CSSPath)
+						det.HandleBeacon(ip, "Firefox/1.5", cssPath)
 					} else {
 						det.HandleBeacon(ip, "Firefox/1.5", prefix+"/0000000000.jpg")
 					}

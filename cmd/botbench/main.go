@@ -3,15 +3,14 @@
 //
 // Usage:
 //
-//	botbench [-exp all|table1|captcha|figure2|figure3|table2|figure4|overhead|decoys|baselines|telemetry|serve|overload|fleet]
-//	         [-sessions N] [-seed S] [-bench-json BENCH_telemetry.json]
-//	         [-clients N] [-serve-clients N] [-serve-json BENCH_serve.json]
-//	         [-serve-heap heap.pprof]
+//	botbench [-exp all|table1|captcha|figure2|figure3|table2|figure4|overhead|decoys|signals|staged|online|baselines|overload|fleet]
+//	         [-sessions N] [-seed S]
 //	         [-overload-json BENCH_overload.json]
 //	         [-fleet-json BENCH_fleet.json]
 //
 // The -sessions flag scales the synthetic workload; larger values give more
-// stable percentages at higher runtime.
+// stable percentages at higher runtime. Serve-path performance is measured by
+// go run ./benchmark, not here.
 package main
 
 import (
@@ -26,14 +25,9 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment to run: all, table1, captcha, figure2, figure3, table2, figure4, overhead, decoys, signals, staged, online, baselines, telemetry, serve")
+		exp          = flag.String("exp", "all", "comma-separated experiments to run: all, table1, captcha, figure2, figure3, table2, figure4, overhead, decoys, signals, staged, online, baselines; and, only when named, overload, fleet")
 		sessions     = flag.Int("sessions", experiments.DefaultScale().Sessions, "number of synthetic sessions per experiment")
 		seed         = flag.Uint64("seed", experiments.DefaultScale().Seed, "random seed")
-		benchJSON    = flag.String("bench-json", "", "write the telemetry experiment's result as JSON to this file")
-		serveClients = flag.Int("serve-clients", 0, "distinct clients for the serve experiment (0: the experiment's default of 100000)")
-		clients      = flag.Int("clients", 0, "alias for -serve-clients; supports the full 1M-client memory-engine run")
-		serveJSON    = flag.String("serve-json", "", "write the serve experiment's result as JSON to this file")
-		serveHeap    = flag.String("serve-heap", "", "write a pprof heap profile at the end of the serve experiment to this file")
 		overloadJSON = flag.String("overload-json", "", "write the overload experiment's result as JSON to this file")
 		fleetJSON    = flag.String("fleet-json", "", "write the fleet experiment's result as JSON to this file")
 	)
@@ -73,8 +67,8 @@ func main() {
 	run("staged", func() string { return experiments.Staged(scale).Format() })
 	run("online", func() string { return experiments.OnlineLoop(scale).Format() })
 	run("baselines", func() string { return experiments.BaselineComparison(scale).Format() })
-	// The serve experiment stands up a live localhost server and drives
-	// ~100k clients through it, so it only runs when named explicitly —
+	// The overload and fleet experiments stand up live servers and
+	// replication goroutines, so they only run when named explicitly —
 	// "-exp all" stays a quick, deterministic artifact regeneration.
 	explicit := func(name string) bool {
 		for _, s := range selected {
@@ -84,24 +78,7 @@ func main() {
 		}
 		return false
 	}
-	if explicit("serve") {
-		ran++
-		start := time.Now()
-		n := *serveClients
-		if *clients > 0 {
-			n = *clients
-		}
-		res := experiments.ServeBench(experiments.ServeConfig{Clients: n, Seed: *seed, HeapProfile: *serveHeap})
-		if *serveJSON != "" {
-			if err := os.WriteFile(*serveJSON, res.JSON(), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "botbench: writing %s: %v\n", *serveJSON, err)
-				os.Exit(1)
-			}
-		}
-		fmt.Printf("==> %s (%.1fs)\n\n%s\n", "serve", time.Since(start).Seconds(), res.Format())
-	}
-	// The overload experiment also stands up live localhost servers (reverse
-	// proxy + chaos origin) and floods them, so it too is explicit-only.
+	// Overload: a reverse proxy and a chaos origin on localhost, flooded.
 	if explicit("overload") {
 		ran++
 		start := time.Now()
@@ -114,9 +91,8 @@ func main() {
 		}
 		fmt.Printf("==> %s (%.1fs)\n\n%s\n", "overload", time.Since(start).Seconds(), res.Format())
 	}
-	// The fleet experiment stands up two in-process CDN networks (isolated and
-	// replicated arms) with live replication goroutines, node kills and a
-	// partition cycle, so it is explicit-only as well.
+	// Fleet: two in-process CDN networks (isolated and replicated arms) with
+	// live replication goroutines, node kills and a partition cycle.
 	if explicit("fleet") {
 		ran++
 		start := time.Now()
@@ -129,17 +105,6 @@ func main() {
 		}
 		fmt.Printf("==> %s (%.1fs)\n\n%s\n", "fleet", time.Since(start).Seconds(), res.Format())
 	}
-
-	run("telemetry", func() string {
-		res := experiments.TelemetryBench(scale)
-		if *benchJSON != "" {
-			if err := os.WriteFile(*benchJSON, res.JSON(), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "botbench: writing %s: %v\n", *benchJSON, err)
-				os.Exit(1)
-			}
-		}
-		return res.Format()
-	})
 
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "botbench: unknown experiment %q\n", *exp)

@@ -49,7 +49,11 @@ func main() {
 		Policy:  engine,
 		Captcha: captcha.NewService(captcha.Config{Seed: 99}),
 	})
-	front := httptest.NewServer(gateway)
+	// ConnContext gives every accepted connection its own serve state (page
+	// keys, injection fragments, rewriter), reused across keep-alive requests.
+	front := httptest.NewUnstartedServer(gateway)
+	front.Config.ConnContext = proxy.ConnContext
+	front.Start()
 	defer front.Close()
 	fmt.Println("origin:", origin.URL)
 	fmt.Println("gateway:", front.URL)
@@ -81,6 +85,7 @@ func main() {
 
 	if *serve {
 		fmt.Println("serving gateway on :8080 — press Ctrl+C to stop")
-		log.Fatal(http.ListenAndServe(":8080", gateway))
+		srv := &http.Server{Addr: ":8080", Handler: gateway, ConnContext: proxy.ConnContext}
+		log.Fatal(srv.ListenAndServe())
 	}
 }

@@ -44,7 +44,10 @@ func (tc *testClient) Do(req Request) Response {
 	})
 	body := obj.Body
 	if strings.Contains(obj.ContentType, "text/html") && obj.Status == 200 && req.Method == "GET" {
-		body, _ = tc.det.InstrumentPage(req.IP, req.UserAgent, req.Path, body)
+		var ps core.PageState
+		res := tc.det.PreparePage(req.IP, req.UserAgent, req.Path, &ps).Rewrite(body)
+		tc.det.RecordInstrumented(len(body), res.AddedBytes)
+		body = res.HTML
 	}
 	return Response{Status: obj.Status, ContentType: obj.ContentType, Body: body, RedirectTo: obj.RedirectTo}
 }
@@ -377,35 +380,38 @@ func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 			defer resp.Done()
 			return string(resp.Body)
 		}
-		_, inst := det.InstrumentPage(ip, ua, "/", []byte("<html><head></head><body></body></html>"))
-		before := fetch(inst.ScriptPath)
+		var ps core.PageState
+		det.PreparePage(ip, ua, "/", &ps)
+		iss := ps.Keys().Issued()
+		prefix := det.Config().BeaconPrefix
+		scriptPath := jsgen.ScriptPath(prefix, iss.ScriptToken)
+		before := fetch(scriptPath)
 
 		det.RotateScripts()
-		script := fetch(inst.ScriptPath)
+		script := fetch(scriptPath)
 		if script == before {
 			t.Fatalf("obf=%v: rotation did not change the rendered body", obf)
 		}
-		if again := fetch(inst.ScriptPath); again != script {
+		if again := fetch(scriptPath); again != script {
 			t.Fatalf("obf=%v: two downloads within one epoch differ", obf)
 		}
 
-		prefix := det.Config().BeaconPrefix
-		if got, want := HandlerBeaconURL(script, "__bd_f"), prefix+"/"+inst.Issued.Key+".jpg"; got != want {
+		if got, want := HandlerBeaconURL(script, "__bd_f"), prefix+"/"+iss.Key+".jpg"; got != want {
 			t.Fatalf("obf=%v: handler beacon = %q, want %q", obf, got, want)
 		}
-		if got, want := execBeaconURL(script), prefix+"/js/"+inst.Issued.ScriptToken+".gif"; got != want {
+		if got, want := execBeaconURL(script), prefix+"/js/"+iss.ScriptToken+".gif"; got != want {
 			t.Fatalf("obf=%v: exec beacon = %q, want %q", obf, got, want)
 		}
 		scraped := make(map[string]bool)
 		for _, u := range AllBeaconURLs(script) {
 			scraped[u] = true
 		}
-		for _, d := range inst.Issued.Decoys {
+		for _, d := range iss.Decoys {
 			if !scraped[prefix+"/"+d+".jpg"] {
 				t.Fatalf("obf=%v: decoy %s missing from the rendered script (scraped %v)", obf, d, scraped)
 			}
 		}
-		if want := 2 + len(inst.Issued.Decoys); len(scraped) != want {
+		if want := 2 + len(iss.Decoys); len(scraped) != want {
 			t.Fatalf("obf=%v: scraped %d distinct beacon URLs, want %d: %v", obf, len(scraped), want, scraped)
 		}
 	}

@@ -289,17 +289,18 @@ func (n *Node) Do(req agents.Request) agents.Response {
 		adm = n.failoverAdmission(key, adm)
 	}
 	if adm != core.AdmitPassThrough && instrumentable(obj, req.Method) {
-		// The same prepared-injection pipeline the proxy serves: pooled page
-		// state, composed fragments, streaming rewrite — not a bespoke
-		// buffered path.
+		// The same prepared-injection pipeline the proxy serves: page state,
+		// composed fragments, streaming rewrite — not a bespoke buffered
+		// path. The simulator has no connection to keep the state on, and the
+		// rewritten body is allocated per request anyway.
+		var ps core.PageState
 		var prep *htmlmod.Prepared
 		if adm == core.AdmitDegraded {
-			prep, _ = d.PrepareInstrumentationDegraded(req.IP, req.UserAgent, req.Path)
+			prep = d.PreparePageDegraded(req.IP, req.UserAgent, req.Path, &ps)
 		} else {
-			prep, _ = d.PrepareInstrumentation(req.IP, req.UserAgent, req.Path)
+			prep = d.PreparePage(req.IP, req.UserAgent, req.Path, &ps)
 		}
 		res := prep.Rewrite(obj.Body)
-		prep.Release()
 		d.RecordInstrumented(len(obj.Body), res.AddedBytes)
 		body = res.HTML
 	}
@@ -324,71 +325,6 @@ func (n *Node) Do(req agents.Request) agents.Response {
 // engine instruments.
 func instrumentable(obj webmodel.Object, method string) bool {
 	return obj.Status == 200 && method == "GET" && strings.Contains(obj.ContentType, "text/html")
-}
-
-// batchable reports whether req can join a batched page-view run: an
-// instrumentable origin page with no enforcement or interception step that
-// could diverge from per-request serving. Policy enforcement re-evaluates
-// per request off live session state, so any policy at all disables
-// batching for this node.
-func (n *Node) batchable(req agents.Request) bool {
-	if n.cfg.Policy != nil || req.Path == agents.CaptchaSolvePath ||
-		n.cfg.Engine.IsInstrumentationPath(req.Path) {
-		return false
-	}
-	// Batched runs always prepare full instrumentation; under load every
-	// request must go through per-request admission instead.
-	if n.cfg.Engine.LoadState() != core.LoadNormal {
-		return false
-	}
-	return instrumentable(n.cfg.Site.Lookup(req.Path), req.Method)
-}
-
-// DoBatch serves a request slice, detecting consecutive runs of page views
-// from one client and preparing each run through
-// core.PrepareInstrumentationBatch — one keystore pass per run instead of
-// one per page. Responses are appended to out and returned, positionally
-// matching reqs; every request outside a batchable run falls back to Do, so
-// results are identical to serving reqs one at a time.
-func (n *Node) DoBatch(reqs []agents.Request, out []agents.Response) []agents.Response {
-	i := 0
-	for i < len(reqs) {
-		j := i
-		for j < len(reqs) && reqs[j].IP == reqs[i].IP && reqs[j].UserAgent == reqs[i].UserAgent &&
-			n.batchable(reqs[j]) {
-			j++
-		}
-		if j-i < 2 {
-			out = append(out, n.Do(reqs[i]))
-			i++
-			continue
-		}
-		out = n.doPageRun(reqs[i:j], out)
-		i = j
-	}
-	return out
-}
-
-// doPageRun serves one client's consecutive page views through the batched
-// prepare pipeline.
-func (n *Node) doPageRun(reqs []agents.Request, out []agents.Response) []agents.Response {
-	d := n.cfg.Engine
-	pages := make([]string, len(reqs))
-	for i, req := range reqs {
-		pages[i] = req.Path
-	}
-	preps, _ := d.PrepareInstrumentationBatch(reqs[0].IP, reqs[0].UserAgent, pages, nil)
-	for i, req := range reqs {
-		n.stats.requests.Add(1)
-		obj := n.cfg.Site.Lookup(req.Path)
-		res := preps[i].Rewrite(obj.Body)
-		preps[i].Release()
-		d.RecordInstrumented(len(obj.Body), res.AddedBytes)
-		n.observe(req, obj.Status, obj.ContentType, int64(len(obj.Body)))
-		n.stats.originBytes.Add(int64(len(obj.Body)))
-		out = append(out, agents.Response{Status: obj.Status, ContentType: obj.ContentType, Body: res.HTML, RedirectTo: obj.RedirectTo})
-	}
-	return out
 }
 
 // observe records a non-instrumentation request with the detector's session
@@ -543,7 +479,9 @@ func (n *Network) DriveParallel(reqs []agents.Request) {
 		wg.Add(1)
 		go func(node *Node, batch []agents.Request) {
 			defer wg.Done()
-			node.DoBatch(batch, nil)
+			for _, req := range batch {
+				node.Do(req)
+			}
 		}(n.nodes[i], buckets[i])
 	}
 	wg.Wait()
@@ -601,9 +539,12 @@ func (n *Network) EngineStats() core.Stats {
 		total.ExecBeacons += s.ExecBeacons
 		total.CSSBeacons += s.CSSBeacons
 		total.ScriptServes += s.ScriptServes
+		total.ScriptExpired += s.ScriptExpired
 		total.HiddenHits += s.HiddenHits
 		total.UAReports += s.UAReports
 		total.UAMismatches += s.UAMismatches
+		total.ShedPassThrough += s.ShedPassThrough
+		total.ShedDegraded += s.ShedDegraded
 	}
 	return total
 }

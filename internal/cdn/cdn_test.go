@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"botdetect/internal/captcha"
 	"botdetect/internal/clock"
 	"botdetect/internal/core"
+	"botdetect/internal/htmlmod"
 	"botdetect/internal/policy"
 	"botdetect/internal/rng"
 	"botdetect/internal/session"
@@ -161,6 +163,55 @@ func TestNetworkFlushAndEngineStats(t *testing.T) {
 	if len(sessions) != 10 {
 		t.Fatalf("flushed sessions = %d, want 10 distinct keys", len(sessions))
 	}
+
+	// The rollup must carry every counter core.Stats has. Move each one on
+	// every node, then walk the struct by reflection: a counter added to
+	// core.Stats later fails here until it is both exercised and summed.
+	for i, node := range net.Nodes() {
+		ip := "10.9.1." + string(rune('0'+i))
+		get := func(ip, path string) string {
+			return string(node.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: "UA", Method: "GET", Path: path}).Body)
+		}
+		page := htmlmod.Extract([]byte(get(ip, "/")))
+		if len(page.Stylesheets) == 0 || len(page.Scripts) == 0 || len(page.HiddenLinks) == 0 {
+			t.Fatalf("node %d: page not fully instrumented: %+v", i, page)
+		}
+		get(ip, page.Stylesheets[0])
+		script := get(ip, page.Scripts[0])
+		realKey := agents.HandlerBeaconURL(script, "__bd_f")
+		get(ip, realKey) // human
+		get(ip, realKey) // replay
+		for _, u := range agents.AllBeaconURLs(script) {
+			if u != realKey && strings.HasSuffix(u, ".jpg") {
+				get(ip, u) // decoy
+				break
+			}
+		}
+		get(ip, "/__bd/0000000000.jpg")         // unknown key
+		get(ip, "/__bd/index_0000000000.js")    // expired script
+		get(ip, "/__bd/js/1.gif?ua=ua")         // exec beacon, matching agent
+		get(ip, "/__bd/ua/1/somethingelse.css") // agent report, mismatching
+		get(ip, page.HiddenLinks[0])
+		node.Engine().ForceLoadState(core.LoadPressured)
+		get(ip+"1", "/") // new client under pressure: degraded
+		node.Engine().ForceLoadState(core.LoadSaturated)
+		get(ip+"2", "/") // new client when saturated: pass-through
+		node.Engine().ClearForcedLoadState()
+	}
+	got := reflect.ValueOf(net.EngineStats())
+	for f := 0; f < got.NumField(); f++ {
+		name := got.Type().Field(f).Name
+		var want int64
+		for _, node := range net.Nodes() {
+			want += reflect.ValueOf(node.Engine().Stats()).Field(f).Int()
+		}
+		if want == 0 {
+			t.Errorf("core.Stats.%s never moved: exercise it above so its rollup is checked", name)
+		}
+		if got.Field(f).Int() != want {
+			t.Errorf("EngineStats().%s = %d, nodes sum to %d", name, got.Field(f).Int(), want)
+		}
+	}
 }
 
 func TestComplaintModelShape(t *testing.T) {
@@ -307,60 +358,5 @@ func TestDriveParallelEmpty(t *testing.T) {
 	netw.DriveParallel(nil)
 	if got := netw.TotalStats().Requests; got != 0 {
 		t.Fatalf("empty drive served %d", got)
-	}
-}
-
-// TestDoBatchMatchesDo proves the batched prepare pipeline is observationally
-// identical to per-request serving: two nodes with the same seed, one driven
-// request by request, one through DoBatch over a mixed stream (page runs,
-// non-HTML objects, beacons, several clients).
-func TestDoBatchMatchesDo(t *testing.T) {
-	one, vc := testNode(t, false)
-	bat, _ := testNode(t, false)
-
-	var reqs []agents.Request
-	src := rng.New(123)
-	for i := 0; i < 120; i++ {
-		ip := "10.20.0." + string(rune('1'+i%4))
-		path := "/"
-		switch src.Intn(4) {
-		case 1:
-			path = "/page1.html"
-		case 2:
-			path = "/page2.html"
-		case 3:
-			path = "/img/photo0_0.jpg"
-		}
-		reqs = append(reqs, agents.Request{Time: vc.Now(), IP: ip, UserAgent: "Firefox/1.5", Method: "GET", Path: path})
-	}
-
-	var want []agents.Response
-	for _, req := range reqs {
-		want = append(want, one.Do(req))
-	}
-	got := bat.DoBatch(reqs, nil)
-
-	if len(got) != len(want) {
-		t.Fatalf("DoBatch returned %d responses, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Status != want[i].Status || got[i].ContentType != want[i].ContentType ||
-			string(got[i].Body) != string(want[i].Body) {
-			t.Fatalf("request %d (%s): batched response diverged from Do", i, reqs[i].Path)
-		}
-	}
-	if one.Stats() != bat.Stats() {
-		t.Fatalf("stats diverged: serial %+v batch %+v", one.Stats(), bat.Stats())
-	}
-	es, eb := one.Engine().Stats(), bat.Engine().Stats()
-	if es != eb {
-		t.Fatalf("engine stats diverged: serial %+v batch %+v", es, eb)
-	}
-	// Every script a batched prepare stored must be downloadable, exactly as
-	// on the serial node.
-	respOne := one.Do(agents.Request{Time: vc.Now(), IP: "10.20.0.1", UserAgent: "Firefox/1.5", Method: "GET", Path: "/"})
-	respBat := bat.Do(agents.Request{Time: vc.Now(), IP: "10.20.0.1", UserAgent: "Firefox/1.5", Method: "GET", Path: "/"})
-	if string(respOne.Body) != string(respBat.Body) {
-		t.Fatal("post-batch page views diverged")
 	}
 }

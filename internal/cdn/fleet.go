@@ -243,19 +243,6 @@ func (n *Network) Ring() *fleet.Ring { return n.ring }
 // EnableReplication); chaos harnesses install intercepts on it.
 func (n *Network) Mesh() *fleet.Mesh { return n.mesh }
 
-// NodeByName returns the named node, or nil.
-func (n *Network) NodeByName(name string) *Node {
-	if n.byName == nil {
-		for _, node := range n.nodes {
-			if node.cfg.Name == name {
-				return node
-			}
-		}
-		return nil
-	}
-	return n.byName[name]
-}
-
 // routeIndex picks the node serving a client IP. Without a fleet it is the
 // legacy FNV pinning; with one it is the partition ring's first live owner,
 // so clients fail over to their session's replica when the primary dies, and

@@ -158,8 +158,8 @@ func TestFleetModelPublication(t *testing.T) {
 func TestFailoverDegradedServing(t *testing.T) {
 	net, vc := fleetNet(t, 3, nil)
 	ip, ua := "10.3.0.3", "Firefox"
-	primary := net.NodeByName(net.Ring().Primary(shard.HashString(ip)))
-	if net.NodeFor(ip) != primary {
+	primary := net.NodeFor(ip)
+	if primary.Name() != net.Ring().Primary(shard.HashString(ip)) {
 		t.Fatalf("fleet routing should pick the ring primary while it is up")
 	}
 	primary.Crash()

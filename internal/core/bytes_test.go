@@ -16,7 +16,6 @@ func TestInjectedBytesBudget(t *testing.T) {
 	e := New(Config{Seed: 31, ObfuscateJS: true})
 	added := func(prep *htmlmod.Prepared) int {
 		t.Helper()
-		defer prep.Release()
 		var buf bytes.Buffer
 		sres, err := htmlmod.RewriteStream([]byte(pageDoc), &buf, prep)
 		if err != nil {
@@ -49,7 +48,7 @@ func TestInjectedBytesBudget(t *testing.T) {
 func TestAddedBytesCountsEveryGeneratedBody(t *testing.T) {
 	e := New(Config{Seed: 33, ObfuscateJS: true})
 	const ip, ua = "10.8.1.1", "Firefox/1.5"
-	html, inst := e.InstrumentPage(ip, ua, "/", []byte(pageDoc))
+	html, inst := instrumentPage(e, ip, ua, "/", []byte(pageDoc))
 	want := int64(len(html) - len(pageDoc))
 	prefix := e.Config().BeaconPrefix
 	for _, path := range []string{

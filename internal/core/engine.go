@@ -150,17 +150,9 @@ type Config struct {
 	// (session tracker + keystore, the attacker-controlled structures) in
 	// bytes. Estimated-memory occupancy feeds the load state exactly like
 	// session-count occupancy, so a budget of 256 MiB starts degrading
-	// service when the estimate passes ~192 MiB (PressuredAt) and shedding
-	// at ~230 MiB (SaturatedAt). 0 leaves memory unbudgeted.
+	// service when the estimate passes ~192 MiB (75 %) and shedding at
+	// ~230 MiB (90 %). 0 leaves memory unbudgeted.
 	MemoryBudget int64
-	// PressuredAt and SaturatedAt are the occupancy fractions at which the
-	// load state leaves Normal (default 0.75) and Pressured (default 0.90).
-	PressuredAt float64
-	SaturatedAt float64
-	// LoadHysteresis is how far occupancy must fall below a threshold before
-	// the state steps back down (default 0.10), so a load hovering at a
-	// boundary cannot flap the degradation ladder.
-	LoadHysteresis float64
 	// DegradedDecoys is the decoy count for degraded page views (default
 	// max(1, Decoys/4)).
 	DegradedDecoys int
@@ -187,10 +179,6 @@ type Config struct {
 	// OutcomeCapacity bounds the ring buffer of labelled outcomes collected
 	// for online retraining (default 4096; negative disables collection).
 	OutcomeCapacity int
-	// OutcomeMinRequests is the minimum request count a session needs before
-	// a labelled outcome is recorded for it — vectors from very short
-	// sessions are mostly noise (default 5).
-	OutcomeMinRequests int64
 	// Telemetry supplies the serve-path instruments (per-stage latency
 	// histograms, verdict-cache counters). Nil gives the engine a private
 	// ServeMetrics with its own registry; fleet deployments (cdn.Network)
@@ -232,18 +220,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1 << 20
 	}
-	if c.PressuredAt <= 0 || c.PressuredAt > 1 {
-		c.PressuredAt = 0.75
-	}
-	if c.SaturatedAt <= 0 || c.SaturatedAt > 1 {
-		c.SaturatedAt = 0.90
-	}
-	if c.SaturatedAt < c.PressuredAt {
-		c.SaturatedAt = c.PressuredAt
-	}
-	if c.LoadHysteresis <= 0 {
-		c.LoadHysteresis = 0.10
-	}
 	if c.DegradedDecoys <= 0 {
 		c.DegradedDecoys = c.Decoys / 4
 		if c.DegradedDecoys < 1 {
@@ -258,9 +234,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OutcomeCapacity == 0 {
 		c.OutcomeCapacity = 4096
-	}
-	if c.OutcomeMinRequests <= 0 {
-		c.OutcomeMinRequests = 5
 	}
 	if c.Shards <= 0 {
 		c.Shards = shard.AutoShards(runtime.GOMAXPROCS(0))
@@ -346,7 +319,7 @@ const maxPooledScriptBuf = 1 << 20
 // pagePrecomp caches the per-deployment constant parts of the injection,
 // derived from jsgen's path helpers so the URL formats live in one place:
 // beacon path prefixes/suffixes and the inline reporter script split around
-// its token. Composing these once in New keeps PrepareInstrumentation down
+// its token. Composing these once in New keeps PreparePage down
 // to a few short concatenations per page view instead of rebuilding every
 // URL and the whole inline script with fmt.
 type pagePrecomp struct {
@@ -380,8 +353,6 @@ type Engine struct {
 	// verdict at classification time (the fleet layer replicates them).
 	// Atomic so the classify path reads it lock-free.
 	verdictExport atomic.Pointer[func(session.Key, Verdict)]
-
-	pageStates sync.Pool // *PageState, backs PrepareInstrumentation
 
 	// handlerName and transpImg are the injection's per-deployment constant
 	// byte fields, precomputed so PreparePage composes without conversions.
@@ -474,7 +445,6 @@ func New(cfg Config) *Engine {
 		// decidable there, so cached verdicts must not outlive that point.
 		DecisionMarks: []int64{cfg.MinRequests},
 	})
-	e.pageStates.New = func() any { return new(PageState) }
 	e.handlerName = []byte(e.gen.HandlerName)
 	e.transpImg = []byte(e.pre.transpImg)
 	e.loadForced.Store(loadForcedAuto)
@@ -489,21 +459,6 @@ func (e *Engine) sessionEnded(snap session.Snapshot) {
 		return
 	}
 	e.cfg.OnSessionEnd(ClassifiedSession{Snapshot: snap, Verdict: e.ClassifySnapshot(snap)})
-}
-
-// Instrumented describes what InstrumentPage injected for one page view.
-type Instrumented struct {
-	// Issued carries the keys and tokens generated for the page, formatted
-	// as strings for callers that log or assert on them. The zero-copy serve
-	// path keeps keys numeric end to end; see PreparePage.
-	Issued keystore.Issued
-	// ScriptPath, CSSPath, HiddenPath are the request paths of the injected
-	// objects.
-	ScriptPath string
-	CSSPath    string
-	HiddenPath string
-	// AddedBytes is the HTML size increase.
-	AddedBytes int
 }
 
 // scriptSeed derives the next rotation epoch's compile seed without any lock:
@@ -526,35 +481,36 @@ type PageState struct {
 	// URL scratch, reused per page view: css/script/hidden beacon URLs and
 	// the inline reporter script around the script token.
 	css, script, inline, hidden []byte
-
-	// hook recycles engine-pooled states (PrepareInstrumentation); it is
-	// created once per PageState so steady-state release costs no closure.
-	hook func(*htmlmod.Prepared)
 }
 
 // Keys returns the numeric keys issued for the most recent PreparePage call.
 func (ps *PageState) Keys() *keystore.PageKeys { return &ps.pk }
 
-// PreparePage is the zero-copy core of PrepareInstrumentation: it issues the
-// page's keys numerically into ps.pk and composes the injection fragments in
-// place in ps.prep. The page's script is not rendered here — the keystore
-// remembers the keys, and the download renders from them (see renderScript).
-// The returned Prepared aliases ps — it stays valid until the next
-// PreparePage call on the same state. At steady state the call allocates
-// nothing.
+// PreparePage sets up the injection for one HTML page view served to
+// clientIP/userAgent: it issues the page's keys numerically into ps.pk and
+// composes the injection fragments in place in ps.prep. The caller applies
+// them — by streaming the response body through an htmlmod.StreamRewriter, or
+// buffered via Prepared.Rewrite — and must call RecordInstrumented once the
+// rewrite completes so the paper's overhead accounting stays accurate. The
+// page's script is not rendered here — the keystore remembers the keys, and
+// the download renders from them (see renderScript). The returned Prepared
+// aliases ps — it stays valid until the next prepare call on the same state.
+// At steady state the call allocates nothing.
 func (e *Engine) PreparePage(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
-	start := time.Now()
-	e.keys.IssuePage(clientIP, pagePath, &ps.pk)
-	e.tel.KeystoreIssue.ObserveSince(start)
-	e.composePage(ps)
-	e.tel.Prepare.ObserveSince(start)
-	return &ps.prep
+	return e.preparePage(clientIP, pagePath, false, ps)
 }
 
-// composePage composes the injection fragments from the keys already issued
-// into ps.pk. Split from PreparePage so the batch path can issue keys for
-// many pages in one keystore pass and compose each afterwards.
-func (e *Engine) composePage(ps *PageState) {
+// preparePage is the one body behind PreparePage and PreparePageDegraded
+// (load.go); the two differ only in how the keystore issues the page's keys.
+func (e *Engine) preparePage(clientIP, pagePath string, degraded bool, ps *PageState) *htmlmod.Prepared {
+	start := time.Now()
+	if degraded {
+		e.keys.IssuePageDegraded(clientIP, pagePath, e.cfg.DegradedDecoys, e.cfg.DegradedKeyTTL, &ps.pk)
+	} else {
+		e.keys.IssuePage(clientIP, pagePath, &ps.pk)
+	}
+	e.tel.KeystoreIssue.ObserveSince(start)
+
 	ps.css = ps.pk.AppendKey(append(ps.css[:0], e.pre.cssPre...), ps.pk.CSSToken)
 	ps.css = append(ps.css, e.pre.cssSuf...)
 	ps.script = ps.pk.AppendKey(append(ps.script[:0], e.pre.scriptPre...), ps.pk.ScriptToken)
@@ -572,76 +528,8 @@ func (e *Engine) composePage(ps *PageState) {
 		HiddenHref:   ps.hidden,
 		HiddenImgSrc: e.transpImg,
 	})
-}
-
-// getPageState takes a PageState off the engine pool, arming its release
-// hook (created once per state) so Prepared.Release returns it.
-func (e *Engine) getPageState() *PageState {
-	ps := e.pageStates.Get().(*PageState)
-	if ps.hook == nil {
-		ps.hook = func(*htmlmod.Prepared) { e.pageStates.Put(ps) }
-	}
-	ps.prep.SetReleaseHook(ps.hook)
-	return ps
-}
-
-// instrumented formats the string-keyed description of a prepared page view
-// for callers that log or assert on paths and keys.
-func (e *Engine) instrumented(ps *PageState) Instrumented {
-	iss := ps.pk.Issued()
-	prefix := e.cfg.BeaconPrefix
-	return Instrumented{
-		Issued:     iss,
-		ScriptPath: jsgen.ScriptPath(prefix, iss.ScriptToken),
-		CSSPath:    jsgen.CSSPath(prefix, iss.CSSToken),
-		HiddenPath: jsgen.HiddenPath(prefix, iss.HiddenToken),
-	}
-}
-
-// PrepareInstrumentation sets up the injection for one HTML page view served
-// to clientIP/userAgent: it issues fresh keys and compiles the injection
-// fragments. The caller applies them — typically by streaming the response
-// body through an htmlmod.StreamRewriter, or buffered via Prepared.Rewrite —
-// and must call RecordInstrumented once the rewrite completes so the paper's
-// overhead accounting stays accurate. The Prepared is backed by an
-// engine-pooled PageState; Release returns it. Callers that hold their own
-// PageState (the per-connection proxy path) should use PreparePage directly
-// and skip the string formatting this wrapper adds.
-func (e *Engine) PrepareInstrumentation(clientIP, userAgent, pagePath string) (*htmlmod.Prepared, Instrumented) {
-	ps := e.getPageState()
-	prep := e.PreparePage(clientIP, userAgent, pagePath, ps)
-	return prep, e.instrumented(ps)
-}
-
-// PrepareInstrumentationBatch prepares one page view per element of pages
-// for a single client in one keystore pass: the keys for all pages are
-// issued under one shard lock (and one TTL/LRU maintenance step), then each
-// page's fragments are composed. Results are appended to out and
-// returned; each Prepared comes from the engine pool and must be Released.
-// The fleet simulator uses this to drive the same prepared-injection
-// pipeline the proxy serves, amortising keystore locking across a burst of
-// page views from one client.
-func (e *Engine) PrepareInstrumentationBatch(clientIP, userAgent string, pages []string, out []*htmlmod.Prepared) ([]*htmlmod.Prepared, []Instrumented) {
-	if len(pages) == 0 {
-		return out, nil
-	}
-	start := time.Now()
-	states := make([]*PageState, len(pages))
-	pks := make([]*keystore.PageKeys, len(pages))
-	for i := range pages {
-		states[i] = e.getPageState()
-		pks[i] = &states[i].pk
-	}
-	e.keys.IssuePagesInto(clientIP, pages, pks)
-	e.tel.KeystoreIssue.ObserveSince(start)
-	insts := make([]Instrumented, len(pages))
-	for i, ps := range states {
-		e.composePage(ps)
-		insts[i] = e.instrumented(ps)
-		out = append(out, &ps.prep)
-	}
 	e.tel.Prepare.ObserveSince(start)
-	return out, insts
+	return &ps.prep
 }
 
 // RecordInstrumented accounts one completed page rewrite (original body
@@ -703,22 +591,6 @@ func (e *Engine) StartRotator(interval time.Duration, everyPages int64) (stop fu
 		}
 	}()
 	return func() { once.Do(func() { close(done) }) }
-}
-
-// InstrumentPage rewrites one HTML page served to clientIP/userAgent:
-// it issues fresh keys and injects the beacon stylesheet, the external
-// script reference, the inline user-agent reporter, the body event handlers,
-// and the hidden trap link. The rewritten
-// page and a description of the injections are returned. Non-HTML bodies
-// should not be passed. Callers that can write the page incrementally should
-// prefer PrepareInstrumentation with a streaming rewriter.
-func (e *Engine) InstrumentPage(clientIP, userAgent, pagePath string, html []byte) ([]byte, Instrumented) {
-	prep, inst := e.PrepareInstrumentation(clientIP, userAgent, pagePath)
-	res := prep.Rewrite(html)
-	prep.Release()
-	inst.AddedBytes = res.AddedBytes
-	e.RecordInstrumented(len(html), res.AddedBytes)
-	return res.HTML, inst
 }
 
 // mix64 is the SplitMix64 finalizer.
@@ -972,7 +844,7 @@ func (e *Engine) MarkCaptchaFailed(key session.Key) {
 		return
 	}
 	if snap, ok := e.sessions.Peek(key); ok {
-		if int64(snap.Counts.Total) >= e.cfg.OutcomeMinRequests {
+		if int64(snap.Counts.Total) >= outcomeMinRequests {
 			e.outcomes.Add(snap.Features, false)
 		}
 		snap.Release()
@@ -1145,7 +1017,7 @@ func (e *Engine) RecordOutcome(key session.Key, human bool) {
 	if !ok {
 		return
 	}
-	if int64(snap.Counts.Total) >= e.cfg.OutcomeMinRequests {
+	if int64(snap.Counts.Total) >= outcomeMinRequests {
 		e.outcomes.Add(snap.Features, human)
 	}
 	snap.Release()
@@ -1163,10 +1035,10 @@ func (e *Engine) RecordOutcomeVector(x features.Vector, human bool) {
 // recordSignalOutcome feeds the training loop from the serving path itself:
 // a newly observed definite signal is ground truth (CAPTCHA and input-event
 // confirmations label humans; decoy, replay, hidden-link and forged-UA hits
-// label robots). Sessions below OutcomeMinRequests are skipped — their
+// label robots). Sessions below outcomeMinRequests are skipped — their
 // attribute vectors are noise.
 func (e *Engine) recordSignalOutcome(snap session.Snapshot, human bool) {
-	if e.outcomes == nil || int64(snap.Counts.Total) < e.cfg.OutcomeMinRequests {
+	if e.outcomes == nil || int64(snap.Counts.Total) < outcomeMinRequests {
 		return
 	}
 	e.outcomes.Add(snap.Features, human)
@@ -1313,9 +1185,7 @@ func (e *Engine) StartSweeper(interval time.Duration) (stop func()) {
 
 // FlushSessions ends all sessions and returns them with their final
 // verdicts, flushing one shard at a time. The result is sorted by
-// first-seen time then key so simulation runs stay reproducible; callers
-// that do not need the ordering (or the full copy) should use
-// FlushSessionsEach.
+// first-seen time then key so simulation runs stay reproducible.
 func (e *Engine) FlushSessions() []ClassifiedSession {
 	snaps := e.sessions.FlushAll()
 	out := make([]ClassifiedSession, len(snaps))
@@ -1323,15 +1193,6 @@ func (e *Engine) FlushSessions() []ClassifiedSession {
 		out[i] = ClassifiedSession{Snapshot: s, Verdict: e.ClassifySnapshot(s)}
 	}
 	return out
-}
-
-// FlushSessionsEach ends all sessions, streaming each with its final
-// verdict to yield without materialising a copy of the whole session table.
-// Only one shard is locked at a time; order is unspecified.
-func (e *Engine) FlushSessionsEach(yield func(ClassifiedSession)) {
-	e.sessions.FlushEach(func(s session.Snapshot) {
-		yield(ClassifiedSession{Snapshot: s, Verdict: e.ClassifySnapshot(s)})
-	})
 }
 
 // Stats returns a copy of the cumulative counters.

@@ -27,10 +27,10 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 		nKeys   = 12 // fewer keys than workers*2: heavy shard contention
 	)
 	keys := make([]session.Key, nKeys)
-	instr := make([]Instrumented, nKeys)
+	instr := make([]servedPage, nKeys)
 	for i := range keys {
 		keys[i] = session.Key{IP: fmt.Sprintf("10.9.0.%d", i), UserAgent: "Firefox/1.5"}
-		_, instr[i] = e.InstrumentPage(keys[i].IP, keys[i].UserAgent, "/", []byte("<html><head></head><body></body></html>"))
+		_, instr[i] = instrumentPage(e, keys[i].IP, keys[i].UserAgent, "/", []byte("<html><head></head><body></body></html>"))
 	}
 	prefix := e.Config().BeaconPrefix
 

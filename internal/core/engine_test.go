@@ -37,7 +37,7 @@ func observe(d *Engine, ip, ua, method, path string, status int, ref string, at 
 func TestInstrumentPageInjectsEverything(t *testing.T) {
 	d, _ := newTestEngine(Config{ObfuscateJS: true})
 	html := pageHTML()
-	out, inst := d.InstrumentPage("10.0.0.1", "Firefox", "/", html)
+	out, inst := instrumentPage(d, "10.0.0.1", "Firefox", "/", html)
 	body := string(out)
 	if !strings.Contains(body, inst.CSSPath) {
 		t.Fatal("CSS beacon path not present in rewritten page")
@@ -74,7 +74,7 @@ func TestInstrumentPageInjectsEverything(t *testing.T) {
 func TestBeaconServesScriptAndMarksSignals(t *testing.T) {
 	d, _ := newTestEngine(Config{ObfuscateJS: false})
 	ip, ua := "10.0.0.2", "Firefox"
-	_, inst := d.InstrumentPage(ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
 
 	// Script download.
 	resp, ok := d.HandleBeacon(ip, ua, inst.ScriptPath)
@@ -111,7 +111,7 @@ func TestBeaconServesScriptAndMarksSignals(t *testing.T) {
 func TestBeaconDecoyAndReplayAndUnknown(t *testing.T) {
 	d, _ := newTestEngine(Config{})
 	ip, ua := "10.0.0.3", "BadBot"
-	_, inst := d.InstrumentPage(ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
 	prefix := d.Config().BeaconPrefix
 
 	// Decoy fetch.
@@ -143,7 +143,7 @@ func TestExecBeaconAndUAMismatch(t *testing.T) {
 	d, _ := newTestEngine(Config{})
 	ip := "10.0.0.4"
 	headerUA := "Mozilla/5.0 (Windows NT 5.1) Firefox/1.5"
-	_, inst := d.InstrumentPage(ip, headerUA, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, headerUA, "/", pageHTML())
 	prefix := d.Config().BeaconPrefix
 
 	// Exec beacon reporting an agent matching the header.
@@ -164,7 +164,7 @@ func TestExecBeaconAndUAMismatch(t *testing.T) {
 	// truth and the mismatch is detected.
 	ip2 := "10.0.0.5"
 	forgedHeader := "Googlebot/2.1"
-	_, inst2 := d.InstrumentPage(ip2, forgedHeader, "/", pageHTML())
+	_, inst2 := instrumentPage(d, ip2, forgedHeader, "/", pageHTML())
 	real := "mozilla/5.0(windowsnt5.1)firefox/1.5"
 	d.HandleBeacon(ip2, forgedHeader, prefix+"/js/"+inst2.Issued.ScriptToken+".gif?ua="+real)
 	snap2, _ := d.sessions.Get(session.Key{IP: ip2, UserAgent: forgedHeader})
@@ -179,7 +179,7 @@ func TestExecBeaconAndUAMismatch(t *testing.T) {
 func TestUAReportViaStylesheetPath(t *testing.T) {
 	d, _ := newTestEngine(Config{})
 	ip, ua := "10.0.0.6", "Opera/9.0"
-	_, inst := d.InstrumentPage(ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
 	prefix := d.Config().BeaconPrefix
 	path := prefix + "/ua/" + inst.Issued.ScriptToken + "/opera%2f9.0.css"
 	resp, ok := d.HandleBeacon(ip, ua, path)
@@ -201,7 +201,7 @@ func TestUAReportViaStylesheetPath(t *testing.T) {
 func TestHiddenLinkBeacon(t *testing.T) {
 	d, _ := newTestEngine(Config{})
 	ip, ua := "10.0.0.7", "Crawler"
-	_, inst := d.InstrumentPage(ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
 	resp, ok := d.HandleBeacon(ip, ua, inst.HiddenPath)
 	if !ok || resp.Status != 200 {
 		t.Fatalf("hidden response = %+v", resp)
@@ -249,7 +249,7 @@ func TestScriptFallbackWhenEvicted(t *testing.T) {
 	// One more page view than the keystore keeps batches per client (64): the
 	// earliest page's keys are evicted, and its script goes with them.
 	for i := 0; i < 65; i++ {
-		_, inst := d.InstrumentPage(ip, ua, fmt.Sprintf("/p%d.html", i), pageHTML())
+		_, inst := instrumentPage(d, ip, ua, fmt.Sprintf("/p%d.html", i), pageHTML())
 		paths = append(paths, inst.ScriptPath)
 	}
 	// The detector still serves a harmless fallback body and records the
@@ -279,7 +279,7 @@ func TestClassificationLifecycleHumanWithJS(t *testing.T) {
 	if v := d.Classify(key); v.Class != ClassUndecided {
 		t.Fatalf("verdict after 1 request = %+v", v)
 	}
-	_, inst := d.InstrumentPage(ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
 	d.HandleBeacon(ip, ua, inst.CSSPath)
 	d.HandleBeacon(ip, ua, inst.ScriptPath)
 	d.HandleBeacon(ip, ua, d.Config().BeaconPrefix+"/js/"+inst.Issued.ScriptToken+".gif?ua="+session.NormalizeUA(ua))
@@ -296,7 +296,7 @@ func TestClassificationRobotRunningJSWithoutMouse(t *testing.T) {
 	ip, ua := "10.1.0.2", "SmartBot"
 	key := session.Key{IP: ip, UserAgent: ua}
 	now := vc.Now()
-	_, inst := d.InstrumentPage(ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
 	d.HandleBeacon(ip, ua, d.Config().BeaconPrefix+"/js/"+inst.Issued.ScriptToken+".gif?ua="+session.NormalizeUA(ua))
 	for i := 0; i < 12; i++ {
 		observe(d, ip, ua, "GET", fmt.Sprintf("/p%d.html", i), 200, "", now)
@@ -316,7 +316,7 @@ func TestClassificationHumanCSSOnlyNoJS(t *testing.T) {
 	ip, ua := "10.1.0.3", "Firefox-NoJS"
 	key := session.Key{IP: ip, UserAgent: ua}
 	now := vc.Now()
-	_, inst := d.InstrumentPage(ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
 	d.HandleBeacon(ip, ua, inst.CSSPath)
 	for i := 0; i < 11; i++ {
 		observe(d, ip, ua, "GET", fmt.Sprintf("/p%d.html", i), 200, "", now)
@@ -365,7 +365,7 @@ func TestOnSessionEndCallback(t *testing.T) {
 	d := New(Config{Seed: 3, Clock: vc, OnSessionEnd: func(cs ClassifiedSession) { ended = append(ended, cs) }})
 	ip, ua := "10.1.0.6", "Firefox"
 	now := vc.Now()
-	_, inst := d.InstrumentPage(ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
 	observe(d, ip, ua, "GET", "/", 200, "", now)
 	d.HandleBeacon(ip, ua, d.Config().BeaconPrefix+"/"+inst.Issued.Key+".jpg")
 	vc.Advance(2 * time.Hour)

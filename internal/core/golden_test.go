@@ -38,7 +38,7 @@ func TestInstrumentPageGoldenBytes(t *testing.T) {
 		{"10.1.2.3", "/a.html"},
 		{"10.9.8.7", "/"},
 	} {
-		html, inst := e.InstrumentPage(c.ip, "Firefox/1.5", c.pagePath, goldenPage)
+		html, inst := instrumentPage(e, c.ip, "Firefox/1.5", c.pagePath, goldenPage)
 		got = append(got, fmt.Sprintf("=== %s %s key=%s css=%s script=%s hidden=%s added=%d\n",
 			c.ip, c.pagePath, inst.Issued.Key, inst.CSSPath, inst.ScriptPath, inst.HiddenPath, inst.AddedBytes)...)
 		got = append(got, html...)

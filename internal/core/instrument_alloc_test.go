@@ -7,39 +7,6 @@ import (
 	"testing"
 )
 
-// TestPrepareInstrumentationAllocCeiling pins the per-page cost of the
-// instrumentation fast path: key/token strings from the keystore, the decoy
-// slice and the three public path strings. The injection fragments are
-// recycled, so nothing else may allocate at steady state.
-func TestPrepareInstrumentationAllocCeiling(t *testing.T) {
-	e := New(Config{Seed: 9, ObfuscateJS: true})
-	ips := make([]string, 64)
-	for i := range ips {
-		ips[i] = fmt.Sprintf("10.4.0.%d", i)
-	}
-	// Warm the keystore clients and the fragment pool.
-	for i := 0; i < 512; i++ {
-		prep, _ := e.PrepareInstrumentation(ips[i%len(ips)], "Firefox/1.5", "/warm.html")
-		prep.Release()
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(300, func() {
-		prep, _ := e.PrepareInstrumentation(ips[i%len(ips)], "Firefox/1.5", "/hot.html")
-		prep.Release()
-		i++
-	})
-	if raceEnabled {
-		t.Skipf("paths exercised; skipping the ceiling (%.1f allocs/op measured) — allocation accounting differs under -race", allocs)
-	}
-	// The legacy wrapper formats Issued (8 key strings + the decoy slice) and
-	// 3 path strings = 12 unavoidable. Allow slack for map-internal churn. The
-	// numeric PreparePage path is gated at zero separately.
-	const ceiling = 18
-	if allocs > ceiling {
-		t.Fatalf("PrepareInstrumentation allocated %.1f/op, ceiling %d", allocs, ceiling)
-	}
-}
-
 // TestRotateScriptsUnderServing hammers RotateScripts against concurrent
 // page instrumentation and script downloads; the -race run of this test is
 // what proves the epoch swap is safe under serving load.
@@ -61,7 +28,7 @@ func TestRotateScriptsUnderServing(t *testing.T) {
 					return
 				default:
 				}
-				_, inst := e.InstrumentPage(ip, "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+				_, inst := instrumentPage(e, ip, "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
 				resp, ok := e.HandleBeacon(ip, "Firefox/1.5", inst.ScriptPath)
 				if !ok || resp.Status != 200 {
 					t.Errorf("script serve failed: ok=%v status=%d", ok, resp.Status)
@@ -93,8 +60,8 @@ func TestRotateScriptsChangesBodies(t *testing.T) {
 
 	// Same engine seed, same single client, same first page: identical keys
 	// on both engines; only the rotation epoch differs.
-	_, instA := a.InstrumentPage("10.6.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
-	_, instB := b.InstrumentPage("10.6.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+	_, instA := instrumentPage(a, "10.6.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+	_, instB := instrumentPage(b, "10.6.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
 	if instA.Issued.Key != instB.Issued.Key {
 		t.Fatal("test setup: keys must match for a body comparison")
 	}

@@ -26,8 +26,6 @@
 package core
 
 import (
-	"time"
-
 	"botdetect/internal/htmlmod"
 	"botdetect/internal/intern"
 	"botdetect/internal/session"
@@ -39,10 +37,10 @@ type LoadState int32
 const (
 	// LoadNormal: capacity headroom everywhere; full service for everyone.
 	LoadNormal LoadState = iota
-	// LoadPressured: occupancy crossed Config.PressuredAt; new anonymous
+	// LoadPressured: occupancy crossed pressuredAt (75 %); new anonymous
 	// sessions get degraded instrumentation.
 	LoadPressured
-	// LoadSaturated: occupancy crossed Config.SaturatedAt; brand-new clients
+	// LoadSaturated: occupancy crossed saturatedAt (90 %); brand-new clients
 	// are served uninstrumented pass-through and are not tracked.
 	LoadSaturated
 )
@@ -93,6 +91,22 @@ func (a Admission) String() string {
 // loadForcedAuto marks "no operator override" in Engine.loadForced.
 const loadForcedAuto = -1
 
+// Load-ladder thresholds. pressuredAt and saturatedAt are the occupancy
+// fractions at which the load state leaves Normal and Pressured;
+// loadHysteresis is how far occupancy must fall below a threshold before the
+// state steps back down, so a load hovering at a boundary cannot flap the
+// degradation ladder.
+const (
+	pressuredAt    = 0.75
+	saturatedAt    = 0.90
+	loadHysteresis = 0.10
+)
+
+// outcomeMinRequests is the minimum request count a session needs before a
+// labelled outcome is recorded for it — attribute vectors from very short
+// sessions are mostly noise.
+const outcomeMinRequests = 5
+
 // loadRecomputeMask amortises load-state recomputation over serve events:
 // every 256th AdmitPage (plus every sweeper tick) re-derives the state from
 // the occupancy atomics. Under any traffic that could change the state, 256
@@ -101,7 +115,7 @@ const loadRecomputeMask = 255
 
 // nextLoadState is the pure transition function: given the previous state
 // and the current occupancy fraction it returns the new state. Upward
-// transitions fire at the configured thresholds; downward transitions
+// transitions fire at the given thresholds; downward transitions
 // require occupancy to fall hyst below the threshold that raised the state,
 // so a load hovering at a boundary cannot flap the ladder.
 func nextLoadState(prev LoadState, occ, pressuredAt, saturatedAt, hyst float64) LoadState {
@@ -197,8 +211,8 @@ func (e *Engine) RecomputeLoadState() LoadState {
 	// The full ladder (up to pass-through shedding) runs off the resources
 	// that grow per tracked session; a full keystore window only escalates
 	// to Pressured, where degraded issuance shrinks its per-client cost.
-	next := nextLoadState(prev, e.trackingOccupancy(), e.cfg.PressuredAt, e.cfg.SaturatedAt, e.cfg.LoadHysteresis)
-	if next == LoadNormal && e.keys.Occupancy() >= e.cfg.PressuredAt {
+	next := nextLoadState(prev, e.trackingOccupancy(), pressuredAt, saturatedAt, loadHysteresis)
+	if next == LoadNormal && e.keys.Occupancy() >= pressuredAt {
 		next = LoadPressured
 	}
 	if next != prev {
@@ -297,20 +311,7 @@ func (e *Engine) AdmitPage(clientIP, userAgent string) Admission {
 // keystore memory for less time. Its script is rendered on download from
 // those keys like any other page's.
 func (e *Engine) PreparePageDegraded(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
-	start := time.Now()
-	e.keys.IssuePageDegraded(clientIP, pagePath, e.cfg.DegradedDecoys, e.cfg.DegradedKeyTTL, &ps.pk)
-	e.tel.KeystoreIssue.ObserveSince(start)
-	e.composePage(ps)
-	e.tel.Prepare.ObserveSince(start)
-	return &ps.prep
-}
-
-// PrepareInstrumentationDegraded is PrepareInstrumentation for an
-// AdmitDegraded page view (engine-pooled PageState; Release returns it).
-func (e *Engine) PrepareInstrumentationDegraded(clientIP, userAgent, pagePath string) (*htmlmod.Prepared, Instrumented) {
-	ps := e.getPageState()
-	prep := e.PreparePageDegraded(clientIP, userAgent, pagePath, ps)
-	return prep, e.instrumented(ps)
+	return e.preparePage(clientIP, pagePath, true, ps)
 }
 
 // EvictionStats returns the session tracker's cumulative per-reason eviction

@@ -21,12 +21,13 @@ type pageView struct {
 }
 
 func prepareView(e *Engine, ip, ua, page string, degraded bool) pageView {
-	prepare := e.PrepareInstrumentation
+	var ps PageState
 	if degraded {
-		prepare = e.PrepareInstrumentationDegraded
+		e.PreparePageDegraded(ip, ua, page, &ps)
+	} else {
+		e.PreparePage(ip, ua, page, &ps)
 	}
-	prep, inst := prepare(ip, ua, page)
-	prep.Release()
+	inst := describePage(e, &ps)
 	return pageView{ip: ip, scriptPath: inst.ScriptPath, key: inst.Issued.Key}
 }
 
@@ -294,10 +295,11 @@ func FuzzScriptBeaconPath(f *testing.F) {
 	keyOf := make(map[string]string) // owner's live script tokens -> real key
 	var someToken string
 	for i := 0; i < 8; i++ {
-		prep, inst := e.PrepareInstrumentation(owner, ua, fmt.Sprintf("/p%d.html", i))
-		prep.Release()
-		keyOf[inst.Issued.ScriptToken] = inst.Issued.Key
-		someToken = inst.Issued.ScriptToken
+		var ps PageState
+		e.PreparePage(owner, ua, fmt.Sprintf("/p%d.html", i), &ps)
+		iss := ps.Keys().Issued()
+		keyOf[iss.ScriptToken] = iss.Key
+		someToken = iss.ScriptToken
 	}
 	prepareView(e, other, ua, "/", false)
 

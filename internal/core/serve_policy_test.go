@@ -42,7 +42,7 @@ func TestChallengedRobotBlockedOnGraceRequest(t *testing.T) {
 			t.Fatalf("request %d of an unremarkable session: %v", i+1, a)
 		}
 	}
-	_, inst := d.InstrumentPage(ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
 	d.HandleBeacon(ip, ua, inst.HiddenPath) // definite robot from here on
 	if a := serve(); a != policy.Challenge {
 		t.Fatalf("first request after the hidden link: %v, want challenge", a)

@@ -19,9 +19,9 @@ func TestTelemetryStagesObserve(t *testing.T) {
 	e := New(Config{Seed: 21, ObfuscateJS: true})
 	tel := e.Telemetry()
 
-	_, inst := e.InstrumentPage("10.9.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+	_, inst := instrumentPage(e, "10.9.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
 	if tel.Prepare.Snapshot().Count == 0 {
-		t.Fatal("Prepare histogram did not observe InstrumentPage")
+		t.Fatal("Prepare histogram did not observe the page prepare")
 	}
 	if tel.KeystoreIssue.Snapshot().Count == 0 {
 		t.Fatal("KeystoreIssue histogram did not observe the key issue")
@@ -113,7 +113,7 @@ func TestScrapeVersusServing(t *testing.T) {
 					return
 				default:
 				}
-				_, inst := e.InstrumentPage(ip, "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+				_, inst := instrumentPage(e, ip, "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
 				e.HandleBeacon(ip, "Firefox/1.5", inst.ScriptPath)
 				e.Classify(key)
 				if i%50 == 0 {

@@ -7,10 +7,9 @@
 // Detectors compose: Chain tries detectors in priority order and takes the
 // first opinion (the paper's structure — direct evidence outranks
 // behavioural browser tests, which outrank the learned model's statistical
-// guess); Weighted takes a confidence-weighted vote across detectors.
-// Learned wraps the AdaBoost model of Section 4.2 behind an atomic pointer
-// so a freshly trained model can be hot-swapped onto the serving path with
-// zero locks on reads (see Learned.SetModel).
+// guess). Learned wraps the AdaBoost model of Section 4.2 behind an atomic
+// pointer so a freshly trained model can be hot-swapped onto the serving path
+// with zero locks on reads (see Learned.SetModel).
 //
 // The heuristic rule detectors extracted from the old core classifier live
 // in the detect/rules subpackage.
@@ -140,88 +139,6 @@ func (c *chain) Detect(snap *session.Snapshot) (Verdict, bool) {
 	return Verdict{}, false
 }
 
-// Members returns the chain's detectors in priority order, so offline
-// harnesses can report which stage decided.
-func (c *chain) Members() []Detector { return c.members }
-
-// WeightedMember pairs a detector with its voting weight.
-type WeightedMember struct {
-	Detector Detector
-	Weight   float64
-}
-
-// weighted takes a confidence-scaled weighted vote.
-type weighted struct {
-	name    string
-	members []WeightedMember
-}
-
-// Weighted composes detectors by confidence-weighted vote: each member's
-// opinion contributes Weight scaled by its confidence (Definite 1.0,
-// Probable 0.6, Tentative 0.3), positive for human and negative for robot.
-// The sign of the sum decides; the member with the largest contribution
-// supplies the reason. Members that abstain contribute nothing; if every
-// member abstains, Weighted abstains. A zero sum yields an undecided
-// verdict (conflicting evidence of equal weight).
-func Weighted(name string, members ...WeightedMember) Detector {
-	return &weighted{name: name, members: members}
-}
-
-// Name implements Detector.
-func (w *weighted) Name() string { return w.name }
-
-func confidenceScale(c Confidence) float64 {
-	switch c {
-	case Definite:
-		return 1.0
-	case Probable:
-		return 0.6
-	default:
-		return 0.3
-	}
-}
-
-// Detect implements Detector.
-func (w *weighted) Detect(snap *session.Snapshot) (Verdict, bool) {
-	sum := 0.0
-	voted := false
-	var lead Verdict
-	leadAbs := 0.0
-	for _, m := range w.members {
-		v, ok := m.Detector.Detect(snap)
-		if !ok || v.Class == ClassUndecided {
-			continue
-		}
-		voted = true
-		contrib := m.Weight * confidenceScale(v.Confidence)
-		if v.Class == ClassRobot {
-			contrib = -contrib
-		}
-		sum += contrib
-		if abs := contrib; abs < 0 {
-			abs = -abs
-			if abs > leadAbs {
-				leadAbs, lead = abs, v
-			}
-		} else if abs > leadAbs {
-			leadAbs, lead = abs, v
-		}
-	}
-	if !voted {
-		return Verdict{}, false
-	}
-	switch {
-	case sum > 0 && lead.Class == ClassHuman, sum < 0 && lead.Class == ClassRobot:
-		return lead, true
-	case sum > 0:
-		return Verdict{Class: ClassHuman, Confidence: Probable, Reason: "weighted vote favours human", AtRequest: int64(snap.Counts.Total)}, true
-	case sum < 0:
-		return Verdict{Class: ClassRobot, Confidence: Probable, Reason: "weighted vote favours robot", AtRequest: int64(snap.Counts.Total)}, true
-	default:
-		return Undecided("weighted vote tied: " + lead.Reason), true
-	}
-}
-
 // Describe renders a one-line summary of a detector tree, for status pages.
 func Describe(d Detector) string {
 	switch t := d.(type) {
@@ -231,12 +148,6 @@ func Describe(d Detector) string {
 			names[i] = Describe(m)
 		}
 		return t.name + "(" + strings.Join(names, " → ") + ")"
-	case *weighted:
-		names := make([]string, len(t.members))
-		for i, m := range t.members {
-			names[i] = fmt.Sprintf("%s×%.1f", Describe(m.Detector), m.Weight)
-		}
-		return t.name + "(" + strings.Join(names, " + ") + ")"
 	default:
 		return d.Name()
 	}

@@ -51,54 +51,11 @@ func TestChainAllAbstain(t *testing.T) {
 	}
 }
 
-func TestWeightedVote(t *testing.T) {
-	snap := &session.Snapshot{Counts: session.Counts{Total: 42}}
-
-	// A definite robot outvotes a probable human of equal weight.
-	w := Weighted("vote",
-		WeightedMember{Detector: stub{name: "r", v: robotV(Definite), ok: true}, Weight: 1},
-		WeightedMember{Detector: stub{name: "h", v: humanV(Probable), ok: true}, Weight: 1},
-	)
-	v, ok := w.Detect(snap)
-	if !ok || v.Class != ClassRobot {
-		t.Fatalf("verdict = %+v ok=%v", v, ok)
-	}
-
-	// Weight can flip it.
-	w = Weighted("vote",
-		WeightedMember{Detector: stub{name: "r", v: robotV(Definite), ok: true}, Weight: 1},
-		WeightedMember{Detector: stub{name: "h", v: humanV(Probable), ok: true}, Weight: 3},
-	)
-	v, _ = w.Detect(snap)
-	if v.Class != ClassHuman {
-		t.Fatalf("weighted human lost: %+v", v)
-	}
-
-	// All abstain -> abstain; undecided members do not vote.
-	w = Weighted("vote",
-		WeightedMember{Detector: stub{name: "a"}, Weight: 1},
-		WeightedMember{Detector: stub{name: "u", v: Undecided("no idea"), ok: true}, Weight: 1},
-	)
-	if _, ok := w.Detect(snap); ok {
-		t.Fatal("vote with no opinions must abstain")
-	}
-
-	// Exact tie -> explicit undecided verdict.
-	w = Weighted("vote",
-		WeightedMember{Detector: stub{name: "r", v: robotV(Definite), ok: true}, Weight: 1},
-		WeightedMember{Detector: stub{name: "h", v: humanV(Definite), ok: true}, Weight: 1},
-	)
-	v, ok = w.Detect(snap)
-	if !ok || v.Class != ClassUndecided {
-		t.Fatalf("tie verdict = %+v ok=%v", v, ok)
-	}
-}
-
 func TestDescribe(t *testing.T) {
 	l := NewLearned(10)
-	d := Chain("serving", stub{name: "direct"}, l, Weighted("vote", WeightedMember{Detector: stub{name: "x"}, Weight: 2}))
+	d := Chain("serving", stub{name: "direct"}, l, Chain("inner", stub{name: "x"}))
 	s := Describe(d)
-	for _, want := range []string{"serving(", "direct", "learned", "vote(", "x×2.0"} {
+	for _, want := range []string{"serving(", "direct", "learned", "inner(x)"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Describe = %q missing %q", s, want)
 		}

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -217,12 +220,13 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 	prefix := det.Config().BeaconPrefix
 	estIP := func(i int) string { return "10.200." + strconv.Itoa(i/250) + "." + strconv.Itoa(i%250) }
 	const estUA = "Mozilla/5.0 (established)"
+	var ps core.PageState
 	for i := 0; i < cfg.Established; i++ {
 		ip := estIP(i)
 		fetchWith(estClient, ip, i)
-		prep, inst := det.PrepareInstrumentation(ip, estUA, "/page.html")
-		prep.Release()
-		det.HandleBeacon(ip, estUA, prefix+"/"+inst.Issued.Key+".jpg")
+		det.PreparePage(ip, estUA, "/page.html", &ps)
+		pk := ps.Keys()
+		det.HandleBeacon(ip, estUA, prefix+"/"+pk.KeyString(pk.Key)+".jpg")
 	}
 
 	// Baseline latency for established clients, unpressured.
@@ -395,6 +399,71 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 		out.P99Ratio = out.PressuredP99Us / out.BaselineP99Us
 	}
 	return out
+}
+
+// serveOriginPage is the synthetic origin document; small enough that the
+// run measures the instrumentation pipeline rather than kernel copy cost.
+var serveOriginPage = []byte("<html><head><title>bench</title></head>" +
+	"<body><h1>serve bench</h1><p>payload paragraph one</p>" +
+	"<p>payload paragraph two</p></body></html>")
+
+var serveOriginCT = []string{"text/html; charset=utf-8"}
+
+// serveOnePage issues one instrumented page view as the given client.
+func serveOnePage(client *http.Client, base, ip string, page int) error {
+	req, err := http.NewRequest(http.MethodGet, base+"/page"+strconv.Itoa(page%8)+".html", nil)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("X-Forwarded-For", ip)
+	req.Header.Set("User-Agent", "Mozilla/5.0 (bench)")
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return nil
+}
+
+// appendClientIP renders the id as a distinct 10.x.y.z address.
+func appendClientIP(dst []byte, id uint32) []byte {
+	dst = append(dst, "10."...)
+	dst = strconv.AppendUint(dst, uint64(id>>16&255), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(id>>8&255), 10)
+	dst = append(dst, '.')
+	dst = strconv.AppendUint(dst, uint64(id&255), 10)
+	return dst
+}
+
+// readRSS parses VmRSS from /proc/self/status; 0 where unavailable.
+func readRSS() int64 {
+	f, err := os.Open("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.HasPrefix(line, "VmRSS:") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return 0
+		}
+		kb, err := strconv.ParseInt(fields[1], 10, 64)
+		if err != nil {
+			return 0
+		}
+		return kb * 1024
+	}
+	return 0
 }
 
 // waitUntil polls cond every millisecond until it holds or d elapses.

@@ -30,7 +30,6 @@ func FuzzAttrValueRoundTrip(f *testing.F) {
 		}
 		inj := Injection{CSSHref: css, ScriptSrc: script, InlineScript: "var i=1", HandlerName: "__bd_f", HiddenHref: hidden, HiddenImgSrc: img}
 		p := PrepareInjection(inj)
-		defer p.Release()
 
 		// The page spells its own handler the way an author would: escaped,
 		// in double quotes.

@@ -40,7 +40,7 @@ func stdInjection() Injection {
 
 // TestComposeMatchesPrepareInjection pins the byte-field compose path to the
 // string one: a caller-owned Prepared refilled via Compose must rewrite
-// identically to a pool Prepared from PrepareInjection.
+// identically to a fresh Prepared from PrepareInjection.
 func TestComposeMatchesPrepareInjection(t *testing.T) {
 	inj := stdInjection()
 	want := Rewrite([]byte(samplePage), inj)
@@ -64,26 +64,6 @@ func TestComposeMatchesPrepareInjection(t *testing.T) {
 	if string(got2.HTML) == string(want.HTML) {
 		t.Fatal("recompose did not take effect")
 	}
-	// Releasing a caller-owned Prepared is a no-op: it must stay usable and
-	// never enter the package pool.
-	own.Release()
-	got3 := own.Rewrite([]byte(samplePage))
-	if string(got3.HTML) != string(got2.HTML) {
-		t.Fatal("caller-owned Prepared changed after Release")
-	}
-}
-
-// TestPreparedReleaseHook verifies the hook takes over recycling.
-func TestPreparedReleaseHook(t *testing.T) {
-	p := PrepareInjection(stdInjection())
-	var hooked *Prepared
-	p.SetReleaseHook(func(q *Prepared) { hooked = q })
-	p.Release()
-	if hooked != p {
-		t.Fatal("release hook not invoked")
-	}
-	p.SetReleaseHook(nil)
-	p.Release() // back to the package pool
 }
 
 func TestTokenizeBasic(t *testing.T) {
@@ -246,7 +226,6 @@ func TestRewritePreservesExistingHandlers(t *testing.T) {
 	if _, err := RewriteStream([]byte(doc), &sb, p); err != nil || sb.String() != out {
 		t.Fatalf("stream diverged from buffered on chained handlers (err %v): %s", err, sb.String())
 	}
-	p.Release()
 
 	// Unquoted, value-less and self-closing spellings.
 	for in, want := range map[string]string{

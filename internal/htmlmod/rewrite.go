@@ -1,9 +1,6 @@
 package htmlmod
 
-import (
-	"strings"
-	"sync"
-)
+import "strings"
 
 // Injection describes the content the rewriter adds to one HTML page. All
 // URL fields are request paths or absolute URLs; empty fields disable the
@@ -58,13 +55,9 @@ type InjectionBytes struct {
 // simulator) prepare once per page view and reuse the result across the
 // buffered and streaming rewriters.
 //
-// Ownership is explicit: instances returned by PrepareInjection come from a
-// package pool and Release recycles them there; a caller-owned instance
-// (new(Prepared), typically embedded in per-connection state and refilled
-// via Compose) is untouched by Release, so shared code can Release
-// unconditionally whichever flavour it was handed. SetReleaseHook redirects
-// Release to a custom recycler (an engine-side pool wrapping the Prepared
-// in larger per-page state). The zero value injects nothing.
+// A Prepared is owned by whoever holds it — typically embedded in
+// per-connection state (core.PageState) and refilled per page view via
+// Compose, which reuses the fragment buffers. The zero value injects nothing.
 type Prepared struct {
 	headInsert  []byte // after <head> (stylesheet link + external script)
 	bodyTop     []byte // after <body> (inline user-agent reporter)
@@ -72,40 +65,11 @@ type Prepared struct {
 	handlerCall []byte // "<fn>()" for the body event handlers; empty disables
 
 	cssSet, scriptSet, inlineSet, hiddenSet bool
-
-	pooled bool            // from preparedPool: Release returns it there
-	hook   func(*Prepared) // overrides Release's destination when set
 }
 
-var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
-
-// Release recycles p: to the release hook when one is set, to the package
-// pool when p came from PrepareInjection, and not at all for caller-owned
-// instances. The caller must not use p afterwards (hooked instances follow
-// the hook owner's rules); fragments previously copied into rewritten
-// documents stay valid (both rewrite paths copy, never alias).
-func (p *Prepared) Release() {
-	if p.hook != nil {
-		p.hook(p)
-		return
-	}
-	if p.pooled {
-		preparedPool.Put(p)
-	}
-}
-
-// SetReleaseHook redirects Release to fn, which takes over recycling (e.g.
-// an engine pool that owns the Prepared as part of larger per-page state).
-// Pass nil to restore the default behaviour.
-func (p *Prepared) SetReleaseHook(fn func(*Prepared)) { p.hook = fn }
-
-// PrepareInjection compiles an Injection into its insertion fragments. The
-// returned Prepared comes from the package pool; call Release when the page
-// view is finished to make per-page composition allocation-free.
+// PrepareInjection compiles an Injection into a fresh Prepared.
 func PrepareInjection(inj Injection) *Prepared {
-	p := preparedPool.Get().(*Prepared)
-	p.hook = nil
-	p.pooled = true
+	p := new(Prepared)
 	composeInto(p, inj.CSSHref, inj.ScriptSrc, inj.InlineScript, inj.HandlerName, inj.HiddenHref, inj.HiddenImgSrc)
 	return p
 }
@@ -185,10 +149,7 @@ func composeInto[T ~string | ~[]byte](p *Prepared, cssHref, scriptSrc, inlineScr
 // document and is preferred on hot paths. Rewrite remains the fallback for
 // documents whose anchors arrive in a pathological order.
 func Rewrite(doc []byte, inj Injection) RewriteResult {
-	p := PrepareInjection(inj)
-	res := p.RewriteBuffered(doc)
-	p.Release()
-	return res
+	return PrepareInjection(inj).RewriteBuffered(doc)
 }
 
 // RewriteBuffered is the tokenising store-and-forward rewrite path using

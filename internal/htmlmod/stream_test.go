@@ -167,7 +167,6 @@ func TestStreamVectoredMatchesBuffered(t *testing.T) {
 					t.Errorf("%s/inj%d/chunk%d: AddedBytes = %d, buffered %d", tc.name, ij, size, res.AddedBytes, want.AddedBytes)
 				}
 			}
-			prep.Release()
 		}
 	}
 }
@@ -221,7 +220,6 @@ func TestStreamVectoredOverTCP(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	r.Release()
-	prep.Release()
 	conn.Close()
 
 	rx := <-got

@@ -297,7 +297,7 @@ func (g *Generator) Compile(cfg TemplateConfig, seed uint64) *Variant {
 // DefaultVariants is the Pool size used when none is configured.
 const DefaultVariants = 8
 
-// Pool holds K compiled variants of one deployment shape. Render picks a
+// Pool holds K compiled variants of one deployment shape. Callers Pick a
 // variant per page, so consecutive page views receive differing obfuscated
 // bodies without paying compilation per page; Rotate recompiles the whole
 // set (a rotation epoch), refreshing identifiers and junk so no variant body
@@ -334,27 +334,9 @@ func (p *Pool) Rotate(seed uint64) {
 // Variants returns the number of variants per rotation epoch.
 func (p *Pool) Variants() int { return p.k }
 
-// MaxSize returns the largest rendered size across the current epoch's
-// variants (for key lengths matching the compiled KeyDigits), so callers can
-// size destination buffers once.
-func (p *Pool) MaxSize() int {
-	max := 0
-	for _, v := range *p.vars.Load() {
-		if v.Size() > max {
-			max = v.Size()
-		}
-	}
-	return max
-}
-
 // Pick returns the variant selected by pick (any well-mixed per-page value,
 // typically a draw off the caller's RNG stream).
 func (p *Pool) Pick(pick uint64) *Variant {
 	vars := *p.vars.Load()
 	return vars[pick%uint64(len(vars))]
-}
-
-// Render splices the page's keys into the picked variant, appending to dst.
-func (p *Pool) Render(dst []byte, pick uint64, realKey, uaKey string, decoys []string) []byte {
-	return p.Pick(pick).Render(dst, realKey, uaKey, decoys)
 }

@@ -92,7 +92,7 @@ func diffRun(t *testing.T, seed uint64) {
 
 	for step := 0; step < 400; step++ {
 		switch k := r.IntN(20); {
-		case k < 4:
+		case k < 6:
 			ip, page := pickIP(), fmt.Sprintf("/p%d.html", r.IntN(5))
 			op = fmt.Sprintf("step %d IssuePage(%s)", step, ip)
 			var a, b PageKeys
@@ -100,7 +100,7 @@ func diffRun(t *testing.T, seed uint64) {
 			want.IssuePage(ip, page, &b)
 			samePage(&a, &b)
 			remember(ip, &a)
-		case k < 6:
+		case k < 8:
 			ip, decoys := pickIP(), r.IntN(5)
 			short := []time.Duration{0, 5 * time.Minute, 20 * time.Minute, 2 * ttl}[r.IntN(4)]
 			op = fmt.Sprintf("step %d IssuePageDegraded(%s, %d decoys, %v)", step, ip, decoys, short)
@@ -109,20 +109,6 @@ func diffRun(t *testing.T, seed uint64) {
 			want.IssuePageDegraded(ip, "/deg.html", decoys, short, &b)
 			samePage(&a, &b)
 			remember(ip, &a)
-		case k < 8:
-			ip, n := pickIP(), r.IntN(9)
-			op = fmt.Sprintf("step %d IssuePagesInto(%s, %d pages)", step, ip, n)
-			pages := make([]string, n)
-			as, bs := make([]*PageKeys, n), make([]*PageKeys, n)
-			for i := range pages {
-				pages[i], as[i], bs[i] = fmt.Sprintf("/b%d.html", i), new(PageKeys), new(PageKeys)
-			}
-			got.IssuePagesInto(ip, pages, as)
-			want.IssuePagesInto(ip, pages, bs)
-			for i := range pages {
-				samePage(as[i], bs[i])
-				remember(ip, as[i])
-			}
 		case k < 14:
 			ip, key := pickIP(), ""
 			iss, ok := pickIssued()

@@ -2,74 +2,11 @@ package keystore
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
 	"botdetect/internal/clock"
 )
-
-// issuePages runs IssuePagesInto over freshly allocated PageKeys.
-func issuePages(s *Store, ip string, pages []string) []*PageKeys {
-	pks := make([]*PageKeys, len(pages))
-	for i := range pks {
-		pks[i] = new(PageKeys)
-	}
-	s.IssuePagesInto(ip, pages, pks)
-	return pks
-}
-
-// TestIssuePagesIntoMatchesSequentialIssue pins the batch path to the
-// sequential one: same seed, same pages, same client must draw identical keys
-// and tokens whether issued one at a time or in one IssuePagesInto batch.
-func TestIssuePagesIntoMatchesSequentialIssue(t *testing.T) {
-	pages := []string{"/", "/a.html", "/b.html", "/c.html"}
-	one := New(Config{Seed: 5, Decoys: 3})
-	batchStore := New(Config{Seed: 5, Decoys: 3})
-	batch := issuePages(batchStore, "10.0.0.1", pages)
-
-	for i, p := range pages {
-		var seq PageKeys
-		one.IssuePage("10.0.0.1", p, &seq)
-		got := batch[i]
-		if got.Key != seq.Key || got.CSSToken != seq.CSSToken ||
-			got.ScriptToken != seq.ScriptToken || got.HiddenToken != seq.HiddenToken ||
-			got.Page != seq.Page || !slices.Equal(got.Decoys, seq.Decoys) {
-			t.Fatalf("issue %d differs between batch and sequential paths:\n%+v\n%+v", i, *got, seq)
-		}
-	}
-	if got := batchStore.Stats().Issued; got != int64(len(pages)) {
-		t.Fatalf("batch Issued stat = %d, want %d", got, len(pages))
-	}
-}
-
-func TestIssuePagesIntoValidatesAndBounds(t *testing.T) {
-	s := New(Config{Decoys: 2, MaxPerClient: 8})
-	pages := make([]string, 20)
-	for i := range pages {
-		pages[i] = fmt.Sprintf("/p%d.html", i)
-	}
-	out := issuePages(s, "10.0.0.2", pages)
-	// The per-client bound applies to the whole batch.
-	if n := s.OutstandingKeys("10.0.0.2"); n != 8*(1+2) {
-		t.Fatalf("outstanding keys = %d, want %d", n, 8*3)
-	}
-	// The oldest issues of the batch are evicted; the newest survive and validate.
-	if v := s.ValidateValue("10.0.0.2", out[0].Key); v != Unknown {
-		t.Fatalf("evicted real key = %v, want Unknown", v)
-	}
-	last := out[len(out)-1]
-	if v := s.ValidateValue("10.0.0.2", last.Key); v != Human {
-		t.Fatalf("latest real key = %v, want Human", v)
-	}
-	if v := s.ValidateValue("10.0.0.2", last.Decoys[0]); v != Decoy {
-		t.Fatalf("latest decoy = %v, want Decoy", v)
-	}
-	s.IssuePagesInto("10.0.0.2", nil, nil) // an empty batch is a no-op
-	if got := s.Stats().Issued; got != int64(len(pages)) {
-		t.Fatalf("Issued = %d after an empty batch, want %d", got, len(pages))
-	}
-}
 
 // TestClientStateRecycling hammers the client-cap eviction path: an evicted
 // client's keys must never validate for the next occupant of its slot.

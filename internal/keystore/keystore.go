@@ -473,18 +473,7 @@ func (s *Store) clientLocked(sh *storeShard, ip string) *clientState {
 // PageKeys per connection issues with zero allocations at steady state.
 // Only the client's shard is locked.
 func (s *Store) IssuePage(clientIP, page string, pk *PageKeys) {
-	sh := s.shard(clientIP)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	now := s.cfg.Clock.Now()
-	nowTick := s.tick(now)
-	cs := s.clientLocked(sh, clientIP)
-	sh.moveToFront(cs)
-	s.expireClientLocked(cs, nowTick)
-	s.issuePageLocked(sh, cs, page, now, nowTick, s.cfg.Decoys, pk)
-	s.enforcePerClientLocked(cs)
-	s.enforceClientCapLocked(sh)
+	s.issuePage(clientIP, page, s.cfg.Decoys, 0, pk)
 }
 
 // IssuePageDegraded is IssuePage for a load-shedding serving layer: it
@@ -495,50 +484,27 @@ func (s *Store) IssuePage(clientIP, page string, pk *PageKeys) {
 // beacon still proves a human); they just pin less proxy memory per
 // anonymous client while the tracker is under pressure.
 func (s *Store) IssuePageDegraded(clientIP, page string, decoys int, ttl time.Duration, pk *PageKeys) {
-	sh := s.shard(clientIP)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	now := s.cfg.Clock.Now()
-	issuedAt := now
-	if ttl > 0 && ttl < s.cfg.TTL {
-		issuedAt = now.Add(ttl - s.cfg.TTL)
-	}
-	if decoys < 0 {
-		decoys = 0
-	}
-	cs := s.clientLocked(sh, clientIP)
-	sh.moveToFront(cs)
-	s.expireClientLocked(cs, s.tick(now))
-	s.issuePageLocked(sh, cs, page, now, s.tick(issuedAt), decoys, pk)
-	s.enforcePerClientLocked(cs)
-	s.enforceClientCapLocked(sh)
+	s.issuePage(clientIP, page, max(decoys, 0), ttl, pk)
 }
 
-// IssuePagesInto issues keys for a batch of page views by one client — the
-// shape the CDN driver produces when a robot or a prefetching browser pulls
-// many pages back to back. The shard lock, the LRU touch and the TTL expiry
-// scan are paid once for the whole batch. pks must have len(pages) entries;
-// each is filled in place like IssuePage.
-func (s *Store) IssuePagesInto(clientIP string, pages []string, pks []*PageKeys) {
-	if len(pages) == 0 {
-		return
-	}
-	if len(pks) != len(pages) {
-		panic("keystore: IssuePagesInto requires len(pks) == len(pages)")
-	}
+// issuePage is the locked body of every issue: one LRU touch, one expiry
+// scan, one draw, then the per-client and per-shard caps. A ttl in (0, TTL)
+// backdates the batch's issue tick so it expires after ttl.
+func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, pk *PageKeys) {
 	sh := s.shard(clientIP)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
 	now := s.cfg.Clock.Now()
 	nowTick := s.tick(now)
+	issueTick := nowTick
+	if ttl > 0 && ttl < s.cfg.TTL {
+		issueTick = s.tick(now.Add(ttl - s.cfg.TTL))
+	}
 	cs := s.clientLocked(sh, clientIP)
 	sh.moveToFront(cs)
 	s.expireClientLocked(cs, nowTick)
-	for i, page := range pages {
-		s.issuePageLocked(sh, cs, page, now, nowTick, s.cfg.Decoys, pks[i])
-	}
+	s.issuePageLocked(sh, cs, page, now, issueTick, decoys, pk)
 	s.enforcePerClientLocked(cs)
 	s.enforceClientCapLocked(sh)
 }

@@ -108,7 +108,12 @@ func (sh *refShard) client(ip string) *refClient {
 }
 
 func (s *refStore) IssuePage(ip, page string, pk *PageKeys) {
-	s.IssuePagesInto(ip, []string{page}, []*PageKeys{pk})
+	sh := s.shard(ip)
+	now := s.cfg.Clock.Now()
+	cs := sh.client(ip)
+	s.expireClient(cs, s.tick(now))
+	s.issuePage(sh, cs, page, now, s.tick(now), s.cfg.Decoys, pk)
+	s.enforceCaps(sh, cs)
 }
 
 func (s *refStore) IssuePageDegraded(ip, page string, decoys int, ttl time.Duration, pk *PageKeys) {
@@ -121,20 +126,6 @@ func (s *refStore) IssuePageDegraded(ip, page string, decoys int, ttl time.Durat
 	cs := sh.client(ip)
 	s.expireClient(cs, s.tick(now))
 	s.issuePage(sh, cs, page, now, s.tick(issuedAt), max(decoys, 0), pk)
-	s.enforceCaps(sh, cs)
-}
-
-func (s *refStore) IssuePagesInto(ip string, pages []string, pks []*PageKeys) {
-	if len(pages) == 0 {
-		return
-	}
-	sh := s.shard(ip)
-	now := s.cfg.Clock.Now()
-	cs := sh.client(ip)
-	s.expireClient(cs, s.tick(now))
-	for i, page := range pages {
-		s.issuePage(sh, cs, page, now, s.tick(now), s.cfg.Decoys, pks[i])
-	}
 	s.enforceCaps(sh, cs)
 }
 

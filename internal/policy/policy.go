@@ -433,26 +433,6 @@ func (e *Engine) BlockUntil(key session.Key, until time.Time) bool {
 	return true
 }
 
-// BlockEntry is one blocked session with its expiry, for replication and
-// drain snapshots.
-type BlockEntry struct {
-	Key   session.Key
-	Until time.Time
-}
-
-// BlockedSessions returns the sessions currently in the block stage with
-// their expiries (lock-free snapshot read).
-func (e *Engine) BlockedSessions() []BlockEntry {
-	m := e.stages.Load().m
-	out := make([]BlockEntry, 0, len(m))
-	for k, st := range m {
-		if st.stage == StageBlock {
-			out = append(out, BlockEntry{Key: k, Until: st.until})
-		}
-	}
-	return out
-}
-
 // IsBlocked reports whether a session is currently blocked. The check is
 // lock-free unless it observes an expired block to clean up.
 func (e *Engine) IsBlocked(key session.Key) bool {
@@ -550,58 +530,4 @@ func (e *Engine) RegisterMetrics(reg *telemetry.Registry, node string) {
 			emit(chLabels, float64(e.ChallengedCount()))
 			emit(blLabels, float64(e.BlockedCount()))
 		})
-}
-
-// Limiter is a token-bucket rate limiter used by the proxy to throttle
-// robot-classified sessions. It is safe for concurrent use.
-type Limiter struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-	clk    clock.Clock
-}
-
-// NewLimiter creates a token bucket admitting rate requests/second with the
-// given burst. Non-positive values are clamped to small positives.
-func NewLimiter(rate, burst float64, clk clock.Clock) *Limiter {
-	if rate <= 0 {
-		rate = 0.1
-	}
-	if burst <= 0 {
-		burst = 1
-	}
-	if clk == nil {
-		clk = clock.System
-	}
-	return &Limiter{rate: rate, burst: burst, tokens: burst, last: clk.Now(), clk: clk}
-}
-
-// Allow consumes one token if available and reports whether the request may
-// proceed.
-func (l *Limiter) Allow() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.clk.Now()
-	elapsed := now.Sub(l.last).Seconds()
-	if elapsed > 0 {
-		l.tokens += elapsed * l.rate
-		if l.tokens > l.burst {
-			l.tokens = l.burst
-		}
-		l.last = now
-	}
-	if l.tokens >= 1 {
-		l.tokens--
-		return true
-	}
-	return false
-}
-
-// Tokens returns the current token count (for tests and monitoring).
-func (l *Limiter) Tokens() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tokens
 }

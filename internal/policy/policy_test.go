@@ -245,44 +245,6 @@ func TestActionAndStageStrings(t *testing.T) {
 	}
 }
 
-func TestLimiterBasics(t *testing.T) {
-	vc := clock.NewVirtual(time.Time{})
-	l := NewLimiter(1, 3, vc) // 1 req/s, burst 3
-	allowed := 0
-	for i := 0; i < 5; i++ {
-		if l.Allow() {
-			allowed++
-		}
-	}
-	if allowed != 3 {
-		t.Fatalf("burst allowed %d, want 3", allowed)
-	}
-	vc.Advance(2 * time.Second)
-	allowed = 0
-	for i := 0; i < 5; i++ {
-		if l.Allow() {
-			allowed++
-		}
-	}
-	if allowed != 2 {
-		t.Fatalf("after refill allowed %d, want 2", allowed)
-	}
-}
-
-func TestLimiterTokenCapAndDefaults(t *testing.T) {
-	vc := clock.NewVirtual(time.Time{})
-	l := NewLimiter(10, 5, vc)
-	vc.Advance(time.Hour)
-	l.Allow()
-	if l.Tokens() > 5 {
-		t.Fatalf("tokens exceeded burst: %f", l.Tokens())
-	}
-	d := NewLimiter(-1, -1, nil)
-	if !d.Allow() {
-		t.Fatal("defaulted limiter should allow the first request")
-	}
-}
-
 func TestZeroThresholdsDisableRules(t *testing.T) {
 	e, vc := newTestEngine(Config{Thresholds: Thresholds{MaxRequestRate: 0, MaxCGIRate: 0, MaxErrorShare: 0, MinRequestsForShare: 1}})
 	// All-zero would be replaced by defaults, so set one harmless field. The

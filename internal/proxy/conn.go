@@ -23,8 +23,8 @@ var connKey connKeyType
 //
 // inUse guards the state against concurrent requests multiplexed onto one
 // connection (HTTP/2 streams share a ConnContext): the first request on the
-// wire claims the state with a CAS, concurrent losers fall back to
-// per-request allocation, and the claim is dropped when the response
+// wire claims the state with a CAS, concurrent losers serve on a fresh
+// connState of their own, and the claim is dropped when the response
 // finishes.
 type connState struct {
 	inUse atomic.Bool
@@ -38,18 +38,18 @@ type connState struct {
 //
 //	srv := &http.Server{Handler: mw, ConnContext: proxy.ConnContext}
 //
-// Without it the middleware still works, paying per-request pooled state
-// instead of per-connection reuse.
+// Without it the middleware still works, allocating the state per request
+// instead of reusing it per connection.
 func ConnContext(ctx context.Context, c net.Conn) context.Context {
 	return context.WithValue(ctx, connKey, new(connState))
 }
 
 // claimConn returns the request's connection state if this request is the
-// sole current claimant, else nil.
+// sole current claimant, else a fresh state that lives for this request only.
 func claimConn(r *http.Request) *connState {
 	cs, _ := r.Context().Value(connKey).(*connState)
 	if cs == nil || !cs.inUse.CompareAndSwap(false, true) {
-		return nil
+		cs = new(connState)
 	}
 	return cs
 }

@@ -10,8 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"botdetect/internal/agents"
+	"botdetect/internal/cdn"
 	"botdetect/internal/core"
 	"botdetect/internal/htmlmod"
+	"botdetect/internal/webmodel"
 )
 
 const connTestPage = "<html><head><title>t</title></head><body><p>content</p></body></html>"
@@ -113,6 +116,42 @@ func TestConnPathMatchesPerRequestPath(t *testing.T) {
 		}
 		if cc := recA.Header().Get("Cache-Control"); !strings.Contains(cc, "no-store") {
 			t.Fatalf("page %d: Cache-Control = %q", i, cc)
+		}
+	}
+}
+
+// TestSurfacesServeIdenticalBytes serves the same pages from the same origin
+// through every surface that instruments — the middleware on a claimed
+// connection, the middleware on a request that has no connection state to
+// claim, and the simulated edge node — on three engines with one seed. All
+// three prepare through core.Engine.PreparePage, so the bodies must match
+// byte for byte.
+func TestSurfacesServeIdenticalBytes(t *testing.T) {
+	site := webmodel.Generate(webmodel.SiteConfig{Seed: 5, NumPages: 10})
+	newEngine := func() *core.Engine { return core.New(core.Config{Seed: 43, ObfuscateJS: true}) }
+	claimed := New(site.Handler(), Config{Engine: newEngine()})
+	unclaimed := New(site.Handler(), Config{Engine: newEngine()})
+	node := cdn.NewNode(cdn.NodeConfig{Name: "edge", Site: site, Engine: newEngine()})
+
+	const ip, ua = "10.14.0.1", "Firefox/1.5"
+	viaMiddleware := func(mw *Middleware, ctx context.Context, path string) []byte {
+		req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+		req.RemoteAddr = ip + ":1000"
+		req.Header.Set("User-Agent", ua)
+		rec := httptest.NewRecorder()
+		mw.ServeHTTP(rec, req)
+		return rec.Body.Bytes()
+	}
+	conn := ConnContext(context.Background(), nil)
+	for i, path := range []string{"/", "/page1.html", "/", "/page2.html"} {
+		a := viaMiddleware(claimed, conn, path)
+		b := viaMiddleware(unclaimed, context.Background(), path)
+		c := node.Do(agents.Request{IP: ip, UserAgent: ua, Method: http.MethodGet, Path: path}).Body
+		if sum := htmlmod.Extract(a); !sum.BodyMouseHandler || len(sum.HiddenLinks) != 1 {
+			t.Fatalf("view %d (%s): page not instrumented:\n%s", i, path, a)
+		}
+		if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
+			t.Fatalf("view %d (%s): surfaces diverged:\nclaimed   %q\nunclaimed %q\nnode      %q", i, path, a, b, c)
 		}
 	}
 }

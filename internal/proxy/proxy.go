@@ -143,16 +143,12 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// is forwarded verbatim. Status and size are observed for session
 	// tracking once the response completes. A connection accepted through
 	// proxy.ConnContext carries its own streamer/rewriter/page state, reused
-	// across keep-alive requests; otherwise (or when HTTP/2 streams race for
-	// it) the state is allocated per request.
-	var st *responseStreamer
-	if cs := claimConn(r); cs != nil {
-		st = &cs.st
-		st.reset(m, w, r, clientIP, ua)
-		st.conn = cs
-	} else {
-		st = &responseStreamer{m: m, w: w, req: r, clientIP: clientIP, ua: ua}
-	}
+	// across keep-alive requests; a request that cannot claim it (no
+	// ConnContext, or HTTP/2 streams racing for it) serves on a fresh one.
+	cs := claimConn(r)
+	st := &cs.st
+	st.reset(m, w, r, clientIP, ua)
+	st.conn = cs
 	// Admission control: under load the engine degrades instrumentation for
 	// anonymous arrivals and, when saturated, serves brand-new clients as
 	// uninstrumented pass-through (no session created) so a flash crowd
@@ -183,17 +179,14 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			ContentType: st.contentType,
 		})
 	}
-	if cs := st.conn; cs != nil {
-		st.conn = nil
-		st.w, st.req = nil, nil
-		cs.inUse.Store(false)
-	}
+	st.unclaim()
 }
 
 // serveOrigin runs the origin handler with abort hygiene: when the handler
 // panics mid-response — httputil.ReverseProxy raises http.ErrAbortHandler
-// after the upstream dies with the headers already sent — the request's
-// pooled state is released and the connection claim dropped before the panic
+// after the upstream dies with the headers already sent — the connection
+// claim is released, without writing the rewrite tail (flushing held bytes
+// or injection fragments would only race the close), before the panic
 // continues to net/http, which tears the client connection down. The panic
 // must NOT be swallowed: recovering and returning normally would end the
 // response with a clean terminal chunk, presenting a truncated document as a
@@ -201,12 +194,7 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (m *Middleware) serveOrigin(st *responseStreamer, r *http.Request) {
 	defer func() {
 		if p := recover(); p != nil {
-			st.abort()
-			if cs := st.conn; cs != nil {
-				st.conn = nil
-				st.w, st.req = nil, nil
-				cs.inUse.Store(false)
-			}
+			st.unclaim()
 			panic(p)
 		}
 	}()
@@ -331,11 +319,10 @@ type responseStreamer struct {
 	originBytes int64
 	admission   core.Admission // how much instrumentation this view gets
 
-	rewriter     *htmlmod.StreamRewriter
-	prep         *htmlmod.Prepared // injection fragments, released in finish
-	discard      bool              // HEAD responses carry no body
-	rewriteNanos int64             // time spent inside the stream rewriter
-	conn         *connState        // per-connection reuse; nil for per-request state
+	rewriter     *htmlmod.StreamRewriter // &conn.rw while a page is being rewritten
+	discard      bool                    // HEAD responses carry no body
+	rewriteNanos int64                   // time spent inside the stream rewriter
+	conn         *connState              // the working set this streamer is embedded in
 }
 
 // reset rearms a connection-owned streamer for its next request.
@@ -343,8 +330,14 @@ func (s *responseStreamer) reset(m *Middleware, w http.ResponseWriter, r *http.R
 	s.m, s.w, s.req, s.clientIP, s.ua = m, w, r, clientIP, ua
 	s.started, s.status, s.contentType, s.originBytes = false, 0, "", 0
 	s.admission = core.AdmitFull
-	s.rewriter, s.prep, s.discard, s.rewriteNanos = nil, nil, false, 0
-	s.conn = nil
+	s.rewriter, s.discard, s.rewriteNanos = nil, false, 0
+}
+
+// unclaim ends the request's hold on its connection state, dropping the
+// references that would otherwise pin the finished request.
+func (s *responseStreamer) unclaim() {
+	s.w, s.req = nil, nil
+	s.conn.inUse.Store(false)
 }
 
 func (s *responseStreamer) Header() http.Header { return s.w.Header() }
@@ -365,28 +358,20 @@ func (s *responseStreamer) WriteHeader(code int) {
 	}
 	if isHTML && code == http.StatusOK && s.req.Method == http.MethodGet &&
 		s.admission != core.AdmitPassThrough {
+		// Zero-copy path: keys issued numerically into the connection's
+		// PageState, fragments composed in place, and the connection's
+		// rewriter armed for vectored writes — injection fragments and
+		// origin chunks splice into the socket via one writev per chunk.
 		eng := s.m.cfg.Engine
-		if s.conn != nil {
-			// Zero-copy path: keys issued numerically into the connection's
-			// PageState, fragments composed in place, and the connection's
-			// rewriter armed for vectored writes — injection fragments and
-			// origin chunks splice into the socket via one writev per chunk.
-			if s.admission == core.AdmitDegraded {
-				s.prep = eng.PreparePageDegraded(s.clientIP, s.ua, s.req.URL.Path, &s.conn.ps)
-			} else {
-				s.prep = eng.PreparePage(s.clientIP, s.ua, s.req.URL.Path, &s.conn.ps)
-			}
-			s.rewriter = &s.conn.rw
-			s.rewriter.Reset(s.w, s.prep)
-			s.rewriter.SetVectored(true)
+		var prep *htmlmod.Prepared
+		if s.admission == core.AdmitDegraded {
+			prep = eng.PreparePageDegraded(s.clientIP, s.ua, s.req.URL.Path, &s.conn.ps)
 		} else {
-			if s.admission == core.AdmitDegraded {
-				s.prep, _ = eng.PrepareInstrumentationDegraded(s.clientIP, s.ua, s.req.URL.Path)
-			} else {
-				s.prep, _ = eng.PrepareInstrumentation(s.clientIP, s.ua, s.req.URL.Path)
-			}
-			s.rewriter = htmlmod.NewStreamRewriter(s.w, s.prep)
+			prep = eng.PreparePage(s.clientIP, s.ua, s.req.URL.Path, &s.conn.ps)
 		}
+		s.rewriter = &s.conn.rw
+		s.rewriter.Reset(s.w, prep)
+		s.rewriter.SetVectored(true)
 		// The rewritten length is unknown until the document ends; drop the
 		// origin's Content-Length and let net/http pick the framing.
 		h.Del("Content-Length")
@@ -468,35 +453,6 @@ func (s *responseStreamer) finish() {
 			// only recorded fully rewritten, fully delivered pages.
 			s.m.cfg.Engine.RecordInstrumented(int(s.originBytes), res.AddedBytes)
 		}
-		if s.conn == nil {
-			s.rewriter.Release()
-		}
 		s.rewriter = nil
-	}
-	if s.prep != nil {
-		// Write completion: engine-pooled fragments go back to their pool so
-		// the next page view composes them allocation-free. For the
-		// connection-owned Prepared this is a no-op — the connection keeps
-		// its state across keep-alive requests.
-		s.prep.Release()
-		s.prep = nil
-	}
-}
-
-// abort releases everything an aborted response pins without writing the
-// rewrite tail: the client connection is about to be torn down, so flushing
-// held bytes or injection fragments into it would only race the close. The
-// per-request rewriter goes back to its pool unclosed (Release does not
-// require Close); the connection-owned one dies with its connection.
-func (s *responseStreamer) abort() {
-	if s.rewriter != nil {
-		if s.conn == nil {
-			s.rewriter.Release()
-		}
-		s.rewriter = nil
-	}
-	if s.prep != nil {
-		s.prep.Release()
-		s.prep = nil
 	}
 }
