@@ -362,12 +362,12 @@ func TestAgentsTerminate(t *testing.T) {
 }
 
 // TestScriptRenderedAfterRotationCarriesIssuedKeys: the engine renders a
-// page's script when it is downloaded, from the keys the keystore holds — so
-// a pool rotation between the page and the download changes the obfuscation
-// but nothing a browser (or a scraper) reads out of the script: the handler
-// keeps its name and fetches the page's real key, every issued decoy is
-// there, the exec beacon carries the script token, and within one epoch the
-// body is the same bytes on every download.
+// page's script when it is downloaded, from the keys the keystore drew on the
+// first download and holds from then on — so a pool rotation between two
+// downloads changes the obfuscation but nothing a browser (or a scraper)
+// reads out of the script: the handler keeps its name and fetches the page's
+// real key, every decoy is there, the exec beacon carries the script token,
+// and within one epoch the body is the same bytes on every download.
 func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 	for _, obf := range []bool{false, true} {
 		det := core.New(core.Config{Seed: 17, ObfuscateJS: obf})
@@ -385,7 +385,12 @@ func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 		iss := ps.Keys().Issued()
 		prefix := det.Config().BeaconPrefix
 		scriptPath := jsgen.ScriptPath(prefix, iss.ScriptToken)
-		before := fetch(scriptPath)
+		before := fetch(scriptPath) // the download that gives the page its keys
+		realBeacon := HandlerBeaconURL(before, "__bd_f")
+		if !strings.HasPrefix(realBeacon, prefix+"/") || !strings.HasSuffix(realBeacon, ".jpg") {
+			t.Fatalf("obf=%v: handler beacon = %q", obf, realBeacon)
+		}
+		issued := AllBeaconURLs(before)
 
 		det.RotateScripts()
 		script := fetch(scriptPath)
@@ -396,8 +401,8 @@ func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 			t.Fatalf("obf=%v: two downloads within one epoch differ", obf)
 		}
 
-		if got, want := HandlerBeaconURL(script, "__bd_f"), prefix+"/"+iss.Key+".jpg"; got != want {
-			t.Fatalf("obf=%v: handler beacon = %q, want %q", obf, got, want)
+		if got := HandlerBeaconURL(script, "__bd_f"); got != realBeacon {
+			t.Fatalf("obf=%v: handler beacon = %q, want %q", obf, got, realBeacon)
 		}
 		if got, want := execBeaconURL(script), prefix+"/js/"+iss.ScriptToken+".gif"; got != want {
 			t.Fatalf("obf=%v: exec beacon = %q, want %q", obf, got, want)
@@ -406,13 +411,16 @@ func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 		for _, u := range AllBeaconURLs(script) {
 			scraped[u] = true
 		}
-		for _, d := range iss.Decoys {
-			if !scraped[prefix+"/"+d+".jpg"] {
-				t.Fatalf("obf=%v: decoy %s missing from the rendered script (scraped %v)", obf, d, scraped)
+		for _, u := range issued {
+			if !scraped[u] {
+				t.Fatalf("obf=%v: %s missing from the re-rendered script (scraped %v)", obf, u, scraped)
 			}
 		}
-		if want := 2 + len(iss.Decoys); len(scraped) != want {
+		if want := 2 + det.Config().Decoys; len(scraped) != want {
 			t.Fatalf("obf=%v: scraped %d distinct beacon URLs, want %d: %v", obf, len(scraped), want, scraped)
+		}
+		if det.HandleBeacon(ip, ua, realBeacon); det.Stats().MouseBeacons != 1 {
+			t.Fatalf("obf=%v: the handler's beacon did not prove an input event: %+v", obf, det.Stats())
 		}
 	}
 }

@@ -115,7 +115,9 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 	st := e.Stats()
 	beacons := st.CSSBeacons + st.ScriptServes + st.ExecBeacons +
 		st.MouseBeacons + st.ReplayBeacons + st.DecoyBeacons + st.UnknownBeacons
-	want := int64(workers * iters * 4 / 5) // 4 of 5 branches issue a beacon
+	// 4 of 5 branches issue a beacon, and each page's script was downloaded
+	// once up front to learn its key.
+	want := int64(workers*iters*4/5 + nKeys)
 	if beacons != want {
 		t.Fatalf("beacon stats sum = %d, want %d (stats %+v)", beacons, want, st)
 	}

@@ -8,13 +8,15 @@ import (
 	"testing"
 )
 
-// goldenPage and the request sequence below must not change: the golden
-// file's keys and tokens are those of the pre-template-pool engine (PR 4),
-// so this test proves the instrumentation fast path still issues the same
-// keys and tokens and emits byte-identical pages from a fixed seed. The
-// markup around them was re-captured once, when PR 15 respelled the injected
-// fragments compactly (added= 635 -> 396); keys, tokens and paths did not
-// move in that capture.
+// goldenPage and the request sequence below must not change: the test proves
+// the instrumentation path issues the same tokens, draws the same keys and
+// emits byte-identical pages from a fixed seed. The capture was taken twice.
+// PR 15 respelled the injected fragments compactly (added= 635 -> 396; keys,
+// tokens and paths did not move). PR 17 moved the key draw from page issue to
+// script download, so in each shard's draw stream the three tokens now come
+// first and the real key follows when the script is asked for (key= is read
+// out of that download): every digit run of a key or token changed, and
+// nothing else — every added= value and every non-digit byte is as before.
 var goldenPage = []byte(`<html>
 <head><title>golden</title><style>body { color: #000; }</style></head>
 <body class="main">
@@ -24,8 +26,8 @@ var goldenPage = []byte(`<html>
 </html>`)
 
 // TestInstrumentPageGoldenBytes replays a fixed-seed instrumentation
-// sequence and compares every rewritten page (and the issued key/token
-// paths) against the checked-in capture. Any drift in the keystore's RNG
+// sequence and compares every rewritten page (and the token paths, and the
+// key each page's script download draws) against the checked-in capture. Any drift in the keystore's RNG
 // consumption, the injection composition or the rewriter shows up here as a
 // byte diff. Shards is pinned to the capture-time default: the shard count
 // now autotunes from GOMAXPROCS, and per-shard RNG streams (hence key

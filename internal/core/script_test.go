@@ -10,16 +10,20 @@ import (
 	"testing"
 	"time"
 
+	"botdetect/internal/jsgen"
 	"botdetect/internal/session"
 	"botdetect/internal/shard"
 )
 
 // pageView is one prepared page as a client sees it: who it was served to,
-// where its script lives and the real key that script must carry.
+// where its script lives and the real key its first script download drew —
+// which every later download must carry.
 type pageView struct {
 	ip, scriptPath, key string
 }
 
+// prepareView serves one page to ip and downloads its script at once, as a
+// browser does; that download is what gives the page its keys.
 func prepareView(e *Engine, ip, ua, page string, degraded bool) pageView {
 	var ps PageState
 	if degraded {
@@ -27,8 +31,16 @@ func prepareView(e *Engine, ip, ua, page string, degraded bool) pageView {
 	} else {
 		e.PreparePage(ip, ua, page, &ps)
 	}
-	inst := describePage(e, &ps)
+	inst := describePage(e, ip, ua, &ps)
 	return pageView{ip: ip, scriptPath: inst.ScriptPath, key: inst.Issued.Key}
+}
+
+// issueView serves one page to ip and stops there: nobody has asked for its
+// script, so the page has no keys yet.
+func issueView(e *Engine, ip, ua, page string) pageView {
+	var ps PageState
+	e.PreparePage(ip, ua, page, &ps)
+	return pageView{ip: ip, scriptPath: jsgen.ScriptPath(e.cfg.BeaconPrefix, ps.Keys().Issued().ScriptToken)}
 }
 
 // download fetches the view's script as its client and reports whether the
@@ -82,10 +94,20 @@ func TestScriptLivenessEqualsKeyLiveness(t *testing.T) {
 		vc.Advance(40 * time.Minute)
 		late := prepareView(e, "10.20.0.1", ua, "/b.html", false)
 		stillLive := prepareView(e, "10.20.0.2", ua, "/a.html", false)
+		// Nobody asks for this page's script while it lives.
+		unasked := issueView(e, "10.20.0.3", ua, "/a.html")
 		vc.Advance(30 * time.Minute) // early is 70 min old, late 30 min
 		checkLiveness(t, e, early, ua, false)
 		checkLiveness(t, e, late, ua, true)
 		checkLiveness(t, e, stillLive, ua, true)
+		vc.Advance(31 * time.Minute)
+		drawn := e.keys.Stats().Drawn
+		if resp, _ := e.HandleBeacon(unasked.ip, ua, unasked.scriptPath); !bytes.Equal(resp.Body, fallbackJS) {
+			t.Fatalf("first download after the TTL must fall back, got:\n%s", resp.Body)
+		}
+		if got := e.keys.Stats().Drawn; got != drawn {
+			t.Fatalf("a dead page drew keys: drawn %d -> %d", drawn, got)
+		}
 	})
 
 	t.Run("per-client batch eviction", func(t *testing.T) {
@@ -133,6 +155,43 @@ func TestScriptLivenessEqualsKeyLiveness(t *testing.T) {
 	})
 }
 
+// TestKeyBeaconBeforeScriptDownloadIsNotHuman pins the lazy draw at the
+// engine: a page's key does not exist until its script is asked for, so a
+// client presenting the very value that download would draw — learned here
+// from an identically seeded twin engine — before downloading the script is
+// guessing, and is marked as a guesser, not as a human.
+func TestKeyBeaconBeforeScriptDownloadIsNotHuman(t *testing.T) {
+	const ip, ua = "10.21.0.1", "Firefox/1.5"
+	twin, _ := newTestEngine(Config{Seed: 19})
+	e, _ := newTestEngine(Config{Seed: 19})
+	future := prepareView(twin, ip, ua, "/", false) // downloads: the twin's key exists
+
+	if v := issueView(e, ip, ua, "/"); v.scriptPath != future.scriptPath {
+		t.Fatalf("twin engines diverged: script %s vs %s", v.scriptPath, future.scriptPath)
+	}
+	e.HandleBeacon(ip, ua, e.cfg.BeaconPrefix+"/"+future.key+".jpg")
+	snap, _ := e.Session(session.Key{IP: ip, UserAgent: ua})
+	if snap.Signals.Has(session.SignalMouse) || !snap.Signals.Has(session.SignalDecoy) {
+		t.Fatalf("key presented before its script download: signals = %v, want SignalDecoy and no SignalMouse", snap.Signals)
+	}
+	if st := e.Stats(); st.MouseBeacons != 0 || st.UnknownBeacons != 1 {
+		t.Fatalf("stats = %+v, want 0 mouse / 1 unknown beacon", st)
+	}
+	if n := e.keys.OutstandingKeys(ip); n != 0 {
+		t.Fatalf("%d keys outstanding before any script download", n)
+	}
+
+	// The download draws exactly that value, and from then on it proves an
+	// input event.
+	if !download(t, e, future, ua) {
+		t.Fatal("live script fell back")
+	}
+	e.HandleBeacon(ip, ua, e.cfg.BeaconPrefix+"/"+future.key+".jpg")
+	if st := e.Stats(); st.MouseBeacons != 1 {
+		t.Fatalf("stats = %+v, want the key to validate once its script was downloaded", st)
+	}
+}
+
 // TestScriptTokenIsClientBound: script tokens are client-scoped like keys. A
 // token presented from another address gets the fallback, never the issuing
 // client's real key — and the download is still a download: the signal is
@@ -140,14 +199,19 @@ func TestScriptLivenessEqualsKeyLiveness(t *testing.T) {
 func TestScriptTokenIsClientBound(t *testing.T) {
 	const ua = "Firefox/1.5"
 	e, _ := newTestEngine(Config{})
-	owner := prepareView(e, "10.22.0.1", ua, "/", false)
+	owner := issueView(e, "10.22.0.1", ua, "/")
 	thief := "10.22.0.2"
 
+	// The thief asks first: the page has no keys yet, and a stranger's request
+	// must not be what draws them.
 	resp, _ := e.HandleBeacon(thief, ua, owner.scriptPath)
-	if !bytes.Equal(resp.Body, fallbackJS) || bytes.Contains(resp.Body, []byte(owner.key)) {
+	if !bytes.Equal(resp.Body, fallbackJS) {
 		t.Fatalf("token presented from another address must get the fallback, got:\n%s", resp.Body)
 	}
 	resp.Done()
+	if n := e.keys.OutstandingKeys(owner.ip); n != 0 || e.keys.Stats().Drawn != 0 {
+		t.Fatalf("a foreign download drew keys: %d outstanding, %d drawn", n, e.keys.Stats().Drawn)
+	}
 	st := e.Stats()
 	if st.ScriptServes != 1 || st.ScriptExpired != 1 || st.AddedBytes != int64(len(fallbackJS)) {
 		t.Fatalf("after foreign download: serves=%d expired=%d added=%d", st.ScriptServes, st.ScriptExpired, st.AddedBytes)
@@ -157,7 +221,7 @@ func TestScriptTokenIsClientBound(t *testing.T) {
 	}
 
 	resp, _ = e.HandleBeacon(owner.ip, ua, owner.scriptPath)
-	if !bytes.Contains(resp.Body, []byte("/"+owner.key+".jpg")) {
+	if owner.key, _ = scriptKeys(e, string(resp.Body)); owner.key == "" {
 		t.Fatalf("the owner must still get the rendered script, got:\n%s", resp.Body)
 	}
 	rendered := int64(len(resp.Body))
@@ -168,6 +232,17 @@ func TestScriptTokenIsClientBound(t *testing.T) {
 	}
 	if snap, ok := e.Session(session.Key{IP: owner.ip, UserAgent: ua}); !ok || !snap.Signals.Has(session.SignalJSFile) {
 		t.Fatal("owner download must mark SignalJSFile")
+	}
+
+	// Once the keys exist the thief still gets nothing of them.
+	resp, _ = e.HandleBeacon(thief, ua, owner.scriptPath)
+	if !bytes.Equal(resp.Body, fallbackJS) || bytes.Contains(resp.Body, []byte(owner.key)) {
+		t.Fatalf("token presented from another address must get the fallback, got:\n%s", resp.Body)
+	}
+	resp.Done()
+	e.HandleBeacon(thief, ua, e.cfg.BeaconPrefix+"/"+owner.key+".jpg")
+	if snap, _ := e.Session(session.Key{IP: thief, UserAgent: ua}); snap.Signals.Has(session.SignalMouse) {
+		t.Fatal("the owner's key proved the thief human")
 	}
 }
 
@@ -192,8 +267,10 @@ func TestScriptRenderRace(t *testing.T) {
 			var ps PageState
 			for i := 0; ; i++ {
 				e.PreparePage(ip, ua, "/", &ps)
-				iss := ps.Keys().Issued()
-				v := pageView{ip: ip, scriptPath: e.cfg.BeaconPrefix + "/index_" + iss.ScriptToken + ".js", key: iss.Key}
+				// The producer's own download draws the page's key; every
+				// download the readers make must carry that same key.
+				inst := describePage(e, ip, ua, &ps)
+				v := pageView{ip: ip, scriptPath: inst.ScriptPath, key: inst.Issued.Key}
 				if i%8 == 7 {
 					// Overrun the per-client batch cap so views in flight die
 					// under their downloads.
@@ -297,7 +374,7 @@ func FuzzScriptBeaconPath(f *testing.F) {
 	for i := 0; i < 8; i++ {
 		var ps PageState
 		e.PreparePage(owner, ua, fmt.Sprintf("/p%d.html", i), &ps)
-		iss := ps.Keys().Issued()
+		iss := describePage(e, owner, ua, &ps).Issued
 		keyOf[iss.ScriptToken] = iss.Key
 		someToken = iss.ScriptToken
 	}

@@ -69,22 +69,24 @@ func (e *Engine) registerTelemetry() {
 		"pass-through while saturated, or with degraded instrumentation under pressure."
 	counter(shed, telemetry.Label("mode", "passthrough"), shedHelp, e.stats.shedPassThrough.Load)
 	counter(shed, telemetry.Label("mode", "degraded"), shedHelp, e.stats.shedDegraded.Load)
-	counter("botdetect_keystore_keys_issued_total", "", "Real keys issued for rewritten pages.",
+	counter("botdetect_keystore_keys_issued_total", "", "Page views issued (a key batch owed; keys are drawn on script download).",
 		func() int64 { return e.keys.Stats().Issued })
+	counter("botdetect_keystore_batches_drawn_total", "", "Page views whose keys were drawn because their script was requested.",
+		func() int64 { return e.keys.Stats().Drawn })
 	const validations = "botdetect_keystore_validations_total"
 	valHelp := "Beacon key validations by verdict."
 	counter(validations, telemetry.Label("verdict", "human"), valHelp, func() int64 { return e.keys.Stats().HumanHits })
 	counter(validations, telemetry.Label("verdict", "decoy"), valHelp, func() int64 { return e.keys.Stats().DecoyHits })
 	counter(validations, telemetry.Label("verdict", "replayed"), valHelp, func() int64 { return e.keys.Stats().ReplayHits })
 	counter(validations, telemetry.Label("verdict", "unknown"), valHelp, func() int64 { return e.keys.Stats().UnknownHits })
-	counter("botdetect_keystore_expired_keys_total", "", "Issued keys dropped by TTL expiry.",
+	counter("botdetect_keystore_expired_keys_total", "", "Drawn keys dropped by TTL expiry.",
 		func() int64 { return e.keys.Stats().ExpiredDropped })
 	counter("botdetect_keystore_evicted_clients_total", "", "Client key tables evicted by the capacity bound.",
 		func() int64 { return e.keys.Stats().EvictedClients })
 
 	reg.GaugeFunc("botdetect_sessions_active", "Sessions currently tracked.",
 		func(emit func(labels string, v float64)) { emit(nl, float64(e.sessions.Active())) })
-	reg.GaugeFunc("botdetect_keystore_clients", "Client IPs with outstanding keys.",
+	reg.GaugeFunc("botdetect_keystore_clients", "Client IPs with outstanding page views.",
 		func(emit func(labels string, v float64)) { emit(nl, float64(e.keys.Clients())) })
 	reg.GaugeFunc("botdetect_model_epoch", "Epoch of the published learned model (0 = rules only).",
 		func(emit func(labels string, v float64)) { emit(nl, float64(e.learned.Epoch())) })

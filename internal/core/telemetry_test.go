@@ -79,6 +79,8 @@ func TestTelemetryStagesObserve(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"botdetect_pages_instrumented_total 1",
+		"botdetect_keystore_keys_issued_total 1",
+		"botdetect_keystore_batches_drawn_total 1",
 		"botdetect_script_rotations_total 1",
 		`botdetect_stage_duration_seconds_count{stage="prepare_instrumentation"} 1`,
 		`botdetect_shard_sessions{shard="0"}`,

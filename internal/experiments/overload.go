@@ -17,8 +17,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"botdetect/internal/agents"
 	"botdetect/internal/chaos"
 	"botdetect/internal/core"
+	"botdetect/internal/jsgen"
 	"botdetect/internal/proxy"
 	"botdetect/internal/session"
 )
@@ -226,7 +228,12 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 		fetchWith(estClient, ip, i)
 		det.PreparePage(ip, estUA, "/page.html", &ps)
 		pk := ps.Keys()
-		det.HandleBeacon(ip, estUA, prefix+"/"+pk.KeyString(pk.Key)+".jpg")
+		// The page's key exists once its script is downloaded, and the script
+		// is the only place to read it.
+		script, _ := det.HandleBeacon(ip, estUA, jsgen.ScriptPath(prefix, pk.KeyString(pk.ScriptToken)))
+		beacon := agents.HandlerBeaconURL(string(script.Body), "__bd_f")
+		script.Done()
+		det.HandleBeacon(ip, estUA, beacon)
 	}
 
 	// Baseline latency for established clients, unpressured.

@@ -15,6 +15,8 @@ func TestIssuePageDegradedDecoysAndTTL(t *testing.T) {
 	var full, deg PageKeys
 	s.IssuePage("10.0.0.1", "/full.html", &full)
 	s.IssuePageDegraded("10.0.0.1", "/deg.html", 2, 10*time.Minute, &deg)
+	download(t, s, "10.0.0.1", &full)
+	download(t, s, "10.0.0.1", &deg)
 
 	if len(full.Decoys) != 6 {
 		t.Fatalf("full issue decoys = %d, want 6", len(full.Decoys))
@@ -30,9 +32,16 @@ func TestIssuePageDegradedDecoysAndTTL(t *testing.T) {
 		t.Fatalf("fresh degraded key verdict = %v, want Human", v)
 	}
 
-	// A second degraded page, left unconsumed past its shortened TTL.
+	// A second degraded page, left unconsumed past its shortened TTL; a third
+	// whose script is not even asked for until then.
+	var late PageKeys
 	s.IssuePageDegraded("10.0.0.1", "/deg2.html", 2, 10*time.Minute, &deg)
+	s.IssuePageDegraded("10.0.0.1", "/deg3.html", 2, 10*time.Minute, &late)
+	download(t, s, "10.0.0.1", &deg)
 	vc.Advance(11 * time.Minute)
+	if _, _, ok := s.PageKeysFor("10.0.0.1", late.ScriptToken, nil); ok {
+		t.Fatal("script of a degraded page still served after its shortened TTL")
+	}
 	if v := s.ValidateValue("10.0.0.1", deg.Key); v != Unknown {
 		t.Fatalf("degraded key after 11m (TTL 10m) verdict = %v, want Unknown", v)
 	}
@@ -49,6 +58,7 @@ func TestIssuePageDegradedDecoyVerdict(t *testing.T) {
 	s, _ := newTestStore(t, Config{TTL: time.Hour, Decoys: 6})
 	var deg PageKeys
 	s.IssuePageDegraded("10.0.0.2", "/deg.html", 3, 10*time.Minute, &deg)
+	download(t, s, "10.0.0.2", &deg)
 	if len(deg.Decoys) != 3 {
 		t.Fatalf("decoys = %d, want 3", len(deg.Decoys))
 	}

@@ -13,9 +13,12 @@ import (
 // TestDifferentialAgainstRefStore drives the flat key log and the map-based
 // reference model with the same seeded random operation sequences and
 // requires them to be indistinguishable through the public surface: every
-// issued key and token (so the RNG draw order, including redraws after a
-// collision — the narrow key spaces below make those common), every verdict,
-// every PageKeysFor answer, and the counters after every single operation.
+// issued token and every drawn key (so the RNG draw order, including redraws
+// after a collision — the narrow key spaces below make those common), every
+// verdict, every PageKeysFor answer, and the counters after every single
+// operation. Keys are learned the way a client learns them — by downloading
+// the page's script (PageKeysFor) — in and out of issue order, repeatedly,
+// after TTL expiry and eviction, for degraded batches and from other addresses.
 func TestDifferentialAgainstRefStore(t *testing.T) {
 	seeds := 240
 	if testing.Short() {
@@ -26,10 +29,13 @@ func TestDifferentialAgainstRefStore(t *testing.T) {
 	}
 }
 
-// issuedPage remembers what one issue handed out and to whom.
+// issuedPage remembers what one issue handed out and to whom, and — once the
+// owner has downloaded the page's script — the keys that download drew.
 type issuedPage struct {
-	ip string
-	pk PageKeys
+	ip    string
+	pk    PageKeys
+	owed  int // decoys
+	drawn bool
 }
 
 func diffRun(t *testing.T, seed uint64) {
@@ -61,10 +67,10 @@ func diffRun(t *testing.T, seed uint64) {
 		}
 		return ips[r.IntN(len(ips))]
 	}
-	var history []issuedPage
-	pickIssued := func() (issuedPage, bool) {
+	var history []*issuedPage
+	pickIssued := func() (*issuedPage, bool) {
 		if len(history) == 0 {
-			return issuedPage{}, false
+			return &issuedPage{}, false
 		}
 		if r.IntN(3) == 0 { // anywhere in the past: expired, evicted, consumed
 			return history[r.IntN(len(history))], true
@@ -84,10 +90,41 @@ func diffRun(t *testing.T, seed uint64) {
 			fail("issued keys differ:\n got %+v\nwant %+v", *a, *b)
 		}
 	}
-	remember := func(ip string, pk *PageKeys) {
-		c := *pk
-		c.Decoys = slices.Clone(pk.Decoys)
-		history = append(history, issuedPage{ip, c})
+	remember := func(ip string, pk *PageKeys, owed int) {
+		if pk.Key != 0 || len(pk.Decoys) != 0 {
+			fail("issue handed out keys before any script download: %+v", *pk)
+		}
+		history = append(history, &issuedPage{ip: ip, pk: *pk, owed: owed})
+	}
+	// download asks both stores for the script keys of token as ip, and
+	// remembers what the owner of iss (nil for a made-up token) learned.
+	download := func(iss *issuedPage, ip string, token uint64) {
+		t.Helper()
+		ka, da, oka := got.PageKeysFor(ip, token, nil)
+		kb, db, okb := want.PageKeysFor(ip, token, nil)
+		if ka != kb || oka != okb || !slices.Equal(da, db) {
+			fail("got (%d, %v, %v), reference (%d, %v, %v)", ka, da, oka, kb, db, okb)
+		}
+		if iss == nil || !oka {
+			return
+		}
+		// Ten-digit tokens do not collide within a run, so a script is never
+		// served to another address and a live one always comes back with the
+		// keys it was first rendered from.
+		wide := cfg.KeyDigits >= 10
+		if ip != iss.ip {
+			if wide {
+				fail("script of %s served to another address", iss.ip)
+			}
+			return
+		}
+		if wide && len(da) != iss.owed {
+			fail("drew %d decoys, the page was owed %d", len(da), iss.owed)
+		}
+		if wide && iss.drawn && (ka != iss.pk.Key || !slices.Equal(da, iss.pk.Decoys)) {
+			fail("re-download changed the keys: (%d, %v), first (%d, %v)", ka, da, iss.pk.Key, iss.pk.Decoys)
+		}
+		iss.pk.Key, iss.pk.Decoys, iss.drawn = ka, da, true
 	}
 
 	for step := 0; step < 400; step++ {
@@ -99,7 +136,7 @@ func diffRun(t *testing.T, seed uint64) {
 			got.IssuePage(ip, page, &a)
 			want.IssuePage(ip, page, &b)
 			samePage(&a, &b)
-			remember(ip, &a)
+			remember(ip, &a, cfg.Decoys)
 		case k < 8:
 			ip, decoys := pickIP(), r.IntN(5)
 			short := []time.Duration{0, 5 * time.Minute, 20 * time.Minute, 2 * ttl}[r.IntN(4)]
@@ -108,10 +145,14 @@ func diffRun(t *testing.T, seed uint64) {
 			got.IssuePageDegraded(ip, "/deg.html", decoys, short, &a)
 			want.IssuePageDegraded(ip, "/deg.html", decoys, short, &b)
 			samePage(&a, &b)
-			remember(ip, &a)
+			remember(ip, &a, decoys)
 		case k < 14:
 			ip, key := pickIP(), ""
 			iss, ok := pickIssued()
+			if ok && !iss.drawn && r.IntN(2) == 0 {
+				op = fmt.Sprintf("step %d PageKeysFor(%s, %d) before Validate", step, iss.ip, iss.pk.ScriptToken)
+				download(iss, iss.ip, iss.pk.ScriptToken)
+			}
 			switch kind := r.IntN(8); {
 			case !ok || kind == 0: // a guess
 				key = fmt.Sprintf("%0*d", cfg.KeyDigits, r.Uint64N(1000))
@@ -125,8 +166,12 @@ func diffRun(t *testing.T, seed uint64) {
 				ip, key = iss.ip, iss.pk.KeyString(iss.pk.Decoys[r.IntN(len(iss.pk.Decoys))])
 			}
 			op = fmt.Sprintf("step %d Validate(%s, %q)", step, ip, key)
-			if a, b := got.Validate(ip, key), want.Validate(ip, key); a != b {
+			a, b := got.Validate(ip, key), want.Validate(ip, key)
+			if a != b {
 				fail("verdict %v, reference %v", a, b)
+			}
+			if a == Human && cfg.KeyDigits >= 10 && !(ok && iss.drawn && ip == iss.ip) {
+				fail("Human for a key no script download of %s handed out", ip)
 			}
 		case k == 14:
 			ip, key := pickIP(), []uint64{deadKey, 1 << 63, 0}[r.IntN(3)]
@@ -136,18 +181,17 @@ func diffRun(t *testing.T, seed uint64) {
 			}
 		case k < 18:
 			ip, token := pickIP(), r.Uint64N(1000)
-			if iss, ok := pickIssued(); ok && r.IntN(5) > 0 {
+			iss, ok := pickIssued()
+			if ok && r.IntN(5) > 0 {
 				token = iss.pk.ScriptToken
 				if r.IntN(4) > 0 {
 					ip = iss.ip
 				}
+			} else {
+				iss = nil
 			}
 			op = fmt.Sprintf("step %d PageKeysFor(%s, %d)", step, ip, token)
-			ka, da, oka := got.PageKeysFor(ip, token, nil)
-			kb, db, okb := want.PageKeysFor(ip, token, nil)
-			if ka != kb || oka != okb || !slices.Equal(da, db) {
-				fail("got (%d, %v, %v), reference (%d, %v, %v)", ka, da, oka, kb, db, okb)
-			}
+			download(iss, ip, token)
 		default:
 			d := []time.Duration{time.Second, 4 * time.Minute, 16 * time.Minute, 50 * time.Minute, ttl + time.Minute}[r.IntN(5)]
 			op = fmt.Sprintf("step %d advance %v", step, d)
@@ -157,9 +201,6 @@ func diffRun(t *testing.T, seed uint64) {
 
 		if a, b := got.Stats(), want.stats; a != b {
 			fail("stats %+v, reference %+v", a, b)
-		}
-		if a, b := got.LiveKeys(), want.liveKeys; a != b {
-			fail("LiveKeys %d, reference %d", a, b)
 		}
 		if a, b := got.Clients(), want.Clients(); a != b || int64(a) != got.LiveClients() {
 			fail("Clients %d (LiveClients %d), reference %d", a, got.LiveClients(), b)
@@ -174,19 +215,29 @@ func diffRun(t *testing.T, seed uint64) {
 
 // FuzzValidate throws attacker-controlled addresses and key strings at a
 // store with live batches: nothing may panic, and Human comes back only for
-// an unconsumed real key presented by the client it was issued to — once.
+// an unconsumed real key presented by the client it was issued to — once —
+// and only for a key whose page's script was requested before the key is
+// presented.
 func FuzzValidate(f *testing.F) {
 	const owner, other, digits = "10.0.0.1", "10.0.0.2", 6
-	// build returns a store in which owner holds 8 live batches (two more
-	// were evicted by the per-client cap and one real key is consumed), and
-	// the real keys of owner that can still prove a human.
-	build := func() (*Store, map[string]bool) {
-		s := New(Config{Seed: 11, KeyDigits: digits, MaxPerClient: 8})
+	// build returns a store in which owner holds 12 live batches (two more
+	// were evicted by the per-client cap), eight with their script downloaded
+	// (one real key of those is consumed) and four nobody has asked for yet;
+	// the real keys of owner that can prove a human right now; and the script
+	// tokens of the four undrawn pages.
+	build := func() (*Store, map[string]bool, []uint64) {
+		s := New(Config{Seed: 11, KeyDigits: digits, MaxPerClient: 12})
 		var fresh []string
+		var undrawn []uint64
 		var pk PageKeys
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 14; i++ {
 			s.IssuePage(owner, "/p.html", &pk)
-			fresh = append(fresh, pk.KeyString(pk.Key))
+			if i < 10 {
+				key, _, _ := s.PageKeysFor(owner, pk.ScriptToken, nil)
+				fresh = append(fresh, pk.KeyString(key))
+			} else {
+				undrawn = append(undrawn, pk.ScriptToken)
+			}
 			s.IssuePage(other, "/p.html", &pk)
 		}
 		fresh = fresh[2:] // evicted
@@ -195,9 +246,9 @@ func FuzzValidate(f *testing.F) {
 		for _, k := range fresh[1:] {
 			set[k] = true
 		}
-		return s, set
+		return s, set, undrawn
 	}
-	_, fresh := build()
+	s, fresh, undrawn := build()
 	for k := range fresh {
 		f.Add(owner, k, uint64(0))
 		f.Add(other, k, deadKey)
@@ -205,9 +256,13 @@ func FuzzValidate(f *testing.F) {
 	f.Add("", "", uint64(1<<63))
 	f.Add(owner, "12345a", uint64(999999))
 	f.Add("10.0.0.3", "0000000", uint64(1000000))
+	for _, token := range undrawn { // the keys the late downloads are going to draw
+		key, _, _ := s.PageKeysFor(owner, token, nil)
+		f.Add(owner, fmt.Sprintf("%0*d", digits, key), key)
+	}
 
 	f.Fuzz(func(t *testing.T, ip, key string, raw uint64) {
-		s, fresh := build()
+		s, fresh, undrawn := build()
 		v := s.Validate(ip, key)
 		if want := ip == owner && fresh[key]; (v == Human) != want {
 			t.Fatalf("Validate(%q, %q) = %v; a human's key: %v", ip, key, v, want)
@@ -221,6 +276,22 @@ func FuzzValidate(f *testing.F) {
 		want := ip == owner && raw < 1e6 && fresh[fmt.Sprintf("%0*d", digits, raw)]
 		if v := s.ValidateValue(ip, raw); (v == Human) != want {
 			t.Fatalf("ValidateValue(%q, %d) = %v; a human's key: %v", ip, raw, v, want)
+		}
+		// Whatever was presented above came before these scripts were asked
+		// for, so none of it was Human on their account (the checks above hold
+		// fresh to the downloaded pages only); once asked for, each key proves
+		// its owner human exactly as an early download's does.
+		for _, token := range undrawn {
+			late, _, ok := s.PageKeysFor(owner, token, nil)
+			if !ok {
+				t.Fatalf("no script for live token %d", token)
+			}
+			if v := s.ValidateValue(other, late); v == Human {
+				t.Fatalf("late key %d = Human for another address", late)
+			}
+			if v := s.ValidateValue(owner, late); v != Human {
+				t.Fatalf("late key %d = %v after its script download, want Human", late, v)
+			}
 		}
 	})
 }

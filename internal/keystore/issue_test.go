@@ -89,8 +89,8 @@ func TestIssueAllocCeiling(t *testing.T) {
 }
 
 // TestIssuePageZeroAlloc pins the numeric issue path at zero allocations
-// per page at steady state: keys are drawn straight into the caller-owned
-// PageKeys and the client's key log is compacted in place.
+// per page at steady state: tokens are drawn straight into the caller-owned
+// PageKeys and the client's log is compacted in place.
 func TestIssuePageZeroAlloc(t *testing.T) {
 	s := New(Config{Decoys: 4, KeyDigits: 10})
 	var pk PageKeys
@@ -110,9 +110,9 @@ func TestIssuePageZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestIssuePageMatchesIssue pins the string wrappers to the numeric path:
+// TestIssuePageMatchesIssue pins the string wrapper to the numeric path:
 // same seed, same sequence, Issue must format exactly the digits IssuePage
-// draws.
+// and the script download's PageKeysFor draw.
 func TestIssuePageMatchesIssue(t *testing.T) {
 	a := New(Config{Seed: 9, Decoys: 3, KeyDigits: 12})
 	b := New(Config{Seed: 9, Decoys: 3, KeyDigits: 12})
@@ -120,10 +120,14 @@ func TestIssuePageMatchesIssue(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		iss := a.Issue("10.5.0.1", "/p.html")
 		b.IssuePage("10.5.0.1", "/p.html", &pk)
+		download(t, b, "10.5.0.1", &pk)
 		got := pk.Issued()
 		if got.Key != iss.Key || got.CSSToken != iss.CSSToken ||
 			got.ScriptToken != iss.ScriptToken || got.HiddenToken != iss.HiddenToken {
 			t.Fatalf("issue %d: numeric path differs from string path:\n%+v\n%+v", i, got, iss)
+		}
+		if len(got.Decoys) != 3 || len(iss.Decoys) != 3 {
+			t.Fatalf("issue %d: decoys %v vs %v, want 3 each", i, got.Decoys, iss.Decoys)
 		}
 		for j := range iss.Decoys {
 			if got.Decoys[j] != iss.Decoys[j] {

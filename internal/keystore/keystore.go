@@ -2,10 +2,15 @@
 // keys that backs human activity detection (Section 2.1 of the paper).
 //
 // When the proxy rewrites page foo.html for a client, it asks the store to
-// issue a fresh random key k together with m decoy keys. The real key is
-// embedded in the mouse/keyboard event handler's beacon URL; the decoys are
-// embedded in obfuscation functions that a human's browser never calls. When
-// a beacon request arrives, the store validates the carried key:
+// issue the page view: the store draws the per-page object tokens and
+// remembers that the client is owed a fresh random key k together with m decoy
+// keys. The keys themselves are drawn when the page's script is first asked
+// for (PageKeysFor) — the script is the only thing that carries them, so a key
+// exists from the moment someone could know it and a page whose script is
+// never downloaded costs a header, not a key run. The real key is embedded in
+// the mouse/keyboard event handler's beacon URL; the decoys are embedded in
+// obfuscation functions that a human's browser never calls. When a beacon
+// request arrives, the store validates the carried key:
 //
 //   - a matching, unconsumed real key proves an input event (human),
 //   - a decoy key identifies a robot that blindly fetched embedded URLs,
@@ -21,20 +26,22 @@
 //
 // Keys are decimal digit strings on the wire but uint64 values internally:
 // a key of up to MaxKeyDigits digits packs into one machine word. A client's
-// table is one flat, issue-ordered log: a slice of small batch headers (issue
-// tick, script-token tag, decoy count, consumed bit), one per page view, and
-// a key arena in which batch i's real key is followed by its decoys. A client
-// holds at most MaxPerClient batches — 320 contiguous words at the defaults —
+// table is one flat, issue-ordered log: a slice of 12-byte batch headers
+// (issue tick, script-token tag, decoy count, drawn and consumed bits), one per
+// page view, and a key arena in which a drawn batch's real key is followed by
+// its decoys and an undrawn batch occupies no words at all. A client holds at
+// most MaxPerClient batches — at most 320 contiguous words at the defaults —
 // so validation and the uniqueness check are linear scans, and expiry and
 // eviction drop whole batches by copy-down (never reallocating at steady
 // state). There is no per-key record and no per-client hash table; the only
 // map is each shard's client index. IssuePage fills a caller-owned PageKeys
 // without allocating, and Issue remains as the string-typed wrapper that
-// formats the same draws, byte for byte.
+// issues a page and draws its keys at once, for callers that want both.
 package keystore
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -85,7 +92,7 @@ const MaxKeyDigits = 19
 
 // Issued is the set of keys generated for one rewritten page, materialised
 // as strings. It is the compatibility surface over PageKeys: Issue formats
-// the exact digit sequences the numeric path draws.
+// the exact digit sequences IssuePage and PageKeysFor draw.
 type Issued struct {
 	// Page is the page path the keys were issued for.
 	Page string
@@ -103,21 +110,23 @@ type Issued struct {
 	IssuedAt time.Time
 }
 
-// PageKeys is the allocation-free form of one page view's issued keys: the
-// real key, the per-page object tokens and the decoys as fixed-width digit
-// values. A caller that reuses one PageKeys per connection issues keys with
-// zero allocations at steady state (the Decoys slice is recycled in place).
+// PageKeys is the allocation-free form of one issued page view: the per-page
+// object tokens as fixed-width digit values, plus room for the real key and
+// the decoys. IssuePage leaves Key zero and Decoys empty — the keys are not
+// drawn until the page's script is requested, and PageKeysFor is where a
+// caller learns them. A caller that reuses one PageKeys per connection issues
+// with zero allocations.
 type PageKeys struct {
 	// Page is the page path the keys were issued for.
 	Page string
-	// Key is the real key's digit value.
+	// Key is the real key's digit value; zero until drawn.
 	Key uint64
 	// CSSToken, ScriptToken and HiddenToken name the per-page objects.
 	CSSToken    uint64
 	ScriptToken uint64
 	HiddenToken uint64
-	// Decoys are the decoy key values; the slice is owned by the PageKeys
-	// and overwritten by the next IssuePage into it.
+	// Decoys are the decoy key values; empty until drawn. The slice is owned
+	// by the PageKeys and reset by the next IssuePage into it.
 	Decoys []uint64
 	// Digits is the fixed key width in decimal digits (leading zeros are
 	// significant on the wire).
@@ -164,7 +173,8 @@ func (pk *PageKeys) Issued() Issued {
 // Config controls Store behaviour.
 type Config struct {
 	// Decoys is the number of decoy keys per page (m in the paper). A blind
-	// fetcher is caught with probability Decoys/(Decoys+1).
+	// fetcher is caught with probability Decoys/(Decoys+1). A page view is
+	// owed at most 32767 (the batch header's int16).
 	Decoys int
 	// KeyDigits is the length of each key in decimal digits (the paper's
 	// example beacons carry 10-digit numbers). Values above MaxKeyDigits
@@ -221,20 +231,30 @@ func (c Config) withDefaults() Config {
 // before saturating.
 const tickResolution = 1 << 16
 
-// batch is the header of one page view in a client's key log. Its keys sit
-// in the client's arena in the same (issue) order — the real key, then the
-// decoys — so a batch's arena offset is the sum of the runs before it; every
-// reader walks the headers from the front anyway. All of a batch's keys share
-// one issue tick, so they expire together.
+// batch is the header of one page view in a client's key log. Once drawn, its
+// keys sit in the client's arena in the same (issue) order — the real key,
+// then the decoys — so a batch's arena offset is the sum of the runs before
+// it; every reader walks the headers from the front anyway. Until its script
+// is requested a batch has no keys and no run. All of a batch's keys share one
+// issue tick, so they expire together.
 type batch struct {
 	tick     uint32 // coarse issue time; see Store.tick
 	tag      uint32 // tokenTag of the page's script token
-	decoys   int32  // decoy keys following the real key in the arena
+	decoys   int16  // decoy keys the page is owed (following the real key once drawn)
+	drawn    bool   // the keys exist: the script has been requested
 	consumed bool   // the real key has validated once
 }
 
+// maxDecoys is the largest decoy count a batch header can record.
+const maxDecoys = math.MaxInt16
+
 // words is the length of the batch's run in the arena.
-func (b batch) words() int { return 1 + int(b.decoys) }
+func (b batch) words() int {
+	if !b.drawn {
+		return 0
+	}
+	return 1 + int(b.decoys)
+}
 
 // tokenTag folds a script token into the 32 bits a batch has room for
 // (Fibonacci hashing: the high half of the product mixes every token bit). A
@@ -265,7 +285,7 @@ func liveWords(run []uint64) int64 {
 type clientState struct {
 	ip      string
 	batches []batch  // issue order; not tick order (degraded issues are backdated)
-	keys    []uint64 // arena: batch i's real key, then its decoys
+	keys    []uint64 // arena: each drawn batch's real key, then its decoys
 	// oldestTick is a lower bound on the issue tick of every batch: expiry
 	// scans are skipped entirely while now-oldest <= TTL, because no key can
 	// have expired yet. It is exact after the first issue and after every
@@ -277,7 +297,10 @@ type clientState struct {
 
 // Stats are cumulative counters exposed for monitoring and experiments.
 type Stats struct {
+	// Issued counts page views issued; Drawn counts those whose keys were
+	// drawn because their script was requested.
 	Issued         int64
+	Drawn          int64
 	HumanHits      int64
 	DecoyHits      int64
 	ReplayHits     int64
@@ -289,6 +312,7 @@ type Stats struct {
 // storeStats is the internal atomic mirror of Stats.
 type storeStats struct {
 	issued         atomic.Int64
+	drawn          atomic.Int64
 	humanHits      atomic.Int64
 	decoyHits      atomic.Int64
 	replayHits     atomic.Int64
@@ -349,11 +373,10 @@ type Store struct {
 	tickUnit time.Duration
 	ttlTicks uint32
 
-	// liveClients/liveKeys/pinnedBytes mirror the locked per-shard state (the
-	// last is the sum of clientState.pinnedBytes) so occupancy and memory
-	// estimates are lock-free reads on the serve path.
+	// liveClients/pinnedBytes mirror the locked per-shard state (the latter is
+	// the sum of clientState.pinnedBytes) so occupancy and memory estimates
+	// are lock-free reads on the serve path.
 	liveClients atomic.Int64
-	liveKeys    atomic.Int64
 	pinnedBytes atomic.Int64
 }
 
@@ -467,18 +490,20 @@ func (s *Store) clientLocked(sh *storeShard, ip string) *clientState {
 	return cs
 }
 
-// IssuePage generates a real key, decoys and the per-page object tokens for
-// the given client and page, filling the caller-owned pk in place. The
-// draws land directly in pk's reusable storage, so a caller that keeps one
-// PageKeys per connection issues with zero allocations at steady state.
-// Only the client's shard is locked.
+// IssuePage issues one page view to the given client: it draws the per-page
+// object tokens into the caller-owned pk and appends a batch header to the
+// client's log recording that the page is owed a real key and the configured
+// number of decoys. No key is drawn — pk.Key stays zero and pk.Decoys empty —
+// until the page's script is requested (PageKeysFor), so a page view whose
+// script nobody downloads holds no key anyone could present. The call
+// allocates nothing at steady state and locks only the client's shard.
 func (s *Store) IssuePage(clientIP, page string, pk *PageKeys) {
 	s.issuePage(clientIP, page, s.cfg.Decoys, 0, pk)
 }
 
-// IssuePageDegraded is IssuePage for a load-shedding serving layer: it
-// issues decoys decoy keys (instead of the configured count) and backdates
-// the issue timestamps so the whole batch expires after ttl instead of the
+// IssuePageDegraded is IssuePage for a load-shedding serving layer: the page
+// is owed decoys decoy keys (instead of the configured count) and its issue
+// timestamp is backdated so the whole batch expires after ttl instead of the
 // configured TTL. Validation and expiry are untouched — a shorter-lived key
 // is simply an older one. Degraded pages stay fully verifiable (a real key
 // beacon still proves a human); they just pin less proxy memory per
@@ -488,7 +513,7 @@ func (s *Store) IssuePageDegraded(clientIP, page string, decoys int, ttl time.Du
 }
 
 // issuePage is the locked body of every issue: one LRU touch, one expiry
-// scan, one draw, then the per-client and per-shard caps. A ttl in (0, TTL)
+// scan, one header, then the per-client and per-shard caps. A ttl in (0, TTL)
 // backdates the batch's issue tick so it expires after ttl.
 func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, pk *PageKeys) {
 	sh := s.shard(clientIP)
@@ -504,65 +529,66 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	cs := s.clientLocked(sh, clientIP)
 	sh.moveToFront(cs)
 	s.expireClientLocked(cs, nowTick)
-	s.issuePageLocked(sh, cs, page, now, issueTick, decoys, pk)
-	s.enforcePerClientLocked(cs)
-	s.enforceClientCapLocked(sh)
-}
-
-// Issue generates and materialises one page view's keys as strings. It is
-// the compatibility wrapper over IssuePage: the digit sequences are
-// identical to the numeric draws, byte for byte.
-func (s *Store) Issue(clientIP, page string) Issued {
-	var pk PageKeys
-	s.IssuePage(clientIP, page, &pk)
-	return pk.Issued()
-}
-
-// issuePageLocked draws one page's keys and tokens and appends them to the
-// client's log. The draw order (real key, CSS/script/hidden tokens, then
-// decoys) is part of the store's deterministic surface: fixed-seed runs
-// replay it byte for byte, and the string wrappers format exactly these
-// draws. issueTick is the recorded coarse timestamp (normally now's tick; the
-// degraded path backdates it to shorten the effective TTL) and decoys the
-// decoy count for this page.
-func (s *Store) issuePageLocked(sh *storeShard, cs *clientState, page string, now time.Time, issueTick uint32, decoys int, pk *PageKeys) {
 	if len(cs.batches) == 0 || issueTick < cs.oldestTick {
 		cs.oldestTick = issueTick
 	}
+
+	// The draw order (CSS, script, hidden token) is part of the store's
+	// deterministic surface: fixed-seed runs replay it byte for byte.
 	digits := s.cfg.KeyDigits
 	pk.Page = page
 	pk.Digits = digits
-	pk.Key = s.uniqueKeyLocked(sh, cs)
+	pk.Key = 0
 	pk.CSSToken = sh.src.DigitKeyValue(digits)
 	pk.ScriptToken = sh.src.DigitKeyValue(digits)
 	pk.HiddenToken = sh.src.DigitKeyValue(digits)
-	pk.IssuedAt = now
-	// Each decoy must differ from the real key and the decoys before it, so
-	// every draw lands in the arena before the next one is checked.
-	pinned := cs.pinnedBytes()
-	cs.keys = append(slices.Grow(cs.keys, 1+decoys), pk.Key)
 	pk.Decoys = pk.Decoys[:0]
-	for i := 0; i < decoys; i++ {
-		d := s.uniqueKeyLocked(sh, cs)
-		pk.Decoys = append(pk.Decoys, d)
-		cs.keys = append(cs.keys, d)
-	}
-	cs.batches = append(cs.batches, batch{tick: issueTick, tag: tokenTag(pk.ScriptToken), decoys: int32(decoys)})
+	pk.IssuedAt = now
+	pinned := cs.pinnedBytes()
+	cs.batches = append(cs.batches, batch{tick: issueTick, tag: tokenTag(pk.ScriptToken), decoys: int16(min(decoys, maxDecoys))})
 	if grown := cs.pinnedBytes() - pinned; grown != 0 {
 		s.pinnedBytes.Add(grown)
 	}
 	s.stats.issued.Add(1)
-	s.liveKeys.Add(int64(1 + decoys))
+
+	s.enforcePerClientLocked(cs)
+	s.enforceClientCapLocked(sh)
 }
 
-// uniqueKeyLocked draws a key value not already present for the client.
-func (s *Store) uniqueKeyLocked(sh *storeShard, cs *clientState) uint64 {
-	for {
+// Issue issues one page view and draws its keys at once, materialised as
+// strings: IssuePage followed by the PageKeysFor a script download would
+// make, formatting exactly the digits those two draw.
+func (s *Store) Issue(clientIP, page string) Issued {
+	var pk PageKeys
+	s.IssuePage(clientIP, page, &pk)
+	pk.Key, pk.Decoys, _ = s.PageKeysFor(clientIP, pk.ScriptToken, pk.Decoys)
+	return pk.Issued()
+}
+
+// drawLocked draws the keys of the undrawn batch b, whose (empty) run sits at
+// arena offset off: the real key, then the decoys, inserted at the batch's
+// position so the arena stays in issue order. Each draw must differ from every
+// key the client holds and from the draws before it, so it lands in the arena
+// before the next one is checked.
+func (s *Store) drawLocked(sh *storeShard, cs *clientState, b *batch, off int) {
+	n := 1 + int(b.decoys)
+	pinned := cs.pinnedBytes()
+	end := len(cs.keys)
+	cs.keys = slices.Grow(cs.keys, n)[:end+n]
+	copy(cs.keys[off+n:], cs.keys[off:end])
+	rest := cs.keys[off+n:]
+	for i := off; i < off+n; i++ {
 		v := sh.src.DigitKeyValue(s.cfg.KeyDigits)
-		if !slices.Contains(cs.keys, v) {
-			return v
+		for slices.Contains(cs.keys[:i], v) || slices.Contains(rest, v) {
+			v = sh.src.DigitKeyValue(s.cfg.KeyDigits)
 		}
+		cs.keys[i] = v
 	}
+	b.drawn = true
+	if grown := cs.pinnedBytes() - pinned; grown != 0 {
+		s.pinnedBytes.Add(grown)
+	}
+	s.stats.drawn.Add(1)
 }
 
 // dropBatchesLocked removes the first n batches from the client's log and
@@ -574,7 +600,6 @@ func (s *Store) dropBatchesLocked(cs *clientState, n int) {
 	for _, b := range cs.batches[:n] {
 		off += b.words()
 	}
-	s.liveKeys.Add(-liveWords(cs.keys[:off]))
 	cs.keys = cs.keys[:copy(cs.keys, cs.keys[off:])]
 	cs.batches = cs.batches[:copy(cs.batches, cs.batches[n:])]
 }
@@ -603,7 +628,6 @@ func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
 		keepB = append(keepB, b)
 		keepK = append(keepK, run...)
 	}
-	s.liveKeys.Add(-dropped)
 	s.stats.expiredDropped.Add(dropped)
 	cs.batches, cs.keys = keepB, keepK
 	cs.oldestTick = minSurvivor
@@ -628,7 +652,6 @@ func (s *Store) enforceClientCapLocked(sh *storeShard) {
 		delete(sh.clients, victim.ip)
 		sh.count--
 		s.liveClients.Add(-1)
-		s.liveKeys.Add(-liveWords(victim.keys))
 		s.pinnedBytes.Add(-victim.pinnedBytes())
 		s.stats.evictedClients.Add(1)
 	}
@@ -677,7 +700,6 @@ func (s *Store) ValidateValue(clientIP string, key uint64) Verdict {
 	b := &cs.batches[bi]
 	if s.expired(s.tick(s.cfg.Clock.Now()), b.tick) {
 		cs.keys[at] = deadKey
-		s.liveKeys.Add(-1)
 		s.stats.expiredDropped.Add(1)
 		s.stats.unknownHits.Add(1)
 		return Unknown
@@ -697,11 +719,13 @@ func (s *Store) ValidateValue(clientIP string, key uint64) Verdict {
 
 // PageKeysFor returns the real key and the decoys (appended to decoys) of the
 // live batch issued to clientIP under scriptToken — everything a page's
-// beacon script is rendered from, so the serving layer stores no script. ok
-// is false when the client holds no such batch or its real key is gone or
-// past the TTL (judged exactly as ValidateValue judges it): a script is
-// available precisely as long as the key it carries can still validate. The
-// scan is bounded by MaxPerClient; only the client's shard is locked.
+// beacon script is rendered from, so the serving layer stores no script. It is
+// the only door a key leaves through, and the first request for a live batch
+// is what draws its keys; every later request returns the same ones. ok is
+// false when the client holds no such batch or it is past the TTL (judged
+// exactly as ValidateValue judges its real key): a script is available
+// precisely as long as the key it carries can still validate. The scan is
+// bounded by MaxPerClient; only the client's shard is locked.
 func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64) (key uint64, _ []uint64, ok bool) {
 	sh := s.shard(clientIP)
 	sh.mu.Lock()
@@ -713,19 +737,25 @@ func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64
 	}
 	sh.moveToFront(cs)
 	tag := tokenTag(scriptToken)
+	nowTick := s.tick(s.cfg.Clock.Now())
 	off := 0
-	for _, b := range cs.batches {
-		run := cs.keys[off : off+b.words()]
-		off += len(run)
-		if b.tag == tag && run[0] != deadKey && !s.expired(s.tick(s.cfg.Clock.Now()), b.tick) {
-			return run[0], append(decoys, run[1:]...), true
+	for i := range cs.batches {
+		b := &cs.batches[i]
+		if b.tag == tag && !s.expired(nowTick, b.tick) {
+			if !b.drawn {
+				s.drawLocked(sh, cs, b, off)
+			}
+			if run := cs.keys[off : off+b.words()]; run[0] != deadKey {
+				return run[0], append(decoys, run[1:]...), true
+			}
 		}
+		off += b.words()
 	}
 	return 0, decoys, false
 }
 
-// OutstandingKeys returns the number of unexpired keys currently stored for
-// the client (real plus decoys). It is primarily for tests and monitoring.
+// OutstandingKeys returns the number of drawn, unexpired keys currently stored
+// for the client (real plus decoys). It is primarily for tests and monitoring.
 func (s *Store) OutstandingKeys(clientIP string) int {
 	sh := s.shard(clientIP)
 	sh.mu.Lock()
@@ -754,10 +784,6 @@ func (s *Store) Clients() int {
 // serve path where Clients()'s per-shard locking is too heavy).
 func (s *Store) LiveClients() int64 { return s.liveClients.Load() }
 
-// LiveKeys returns the number of outstanding keys (real plus decoys) across
-// all clients, lock-free.
-func (s *Store) LiveKeys() int64 { return s.liveKeys.Load() }
-
 // Occupancy returns the fraction of the client capacity in use, lock-free.
 func (s *Store) Occupancy() float64 {
 	return float64(s.liveClients.Load()) / float64(s.cfg.MaxClients)
@@ -778,6 +804,7 @@ func (s *Store) KeyDigits() int { return s.cfg.KeyDigits }
 func (s *Store) Stats() Stats {
 	return Stats{
 		Issued:         s.stats.issued.Load(),
+		Drawn:          s.stats.drawn.Load(),
 		HumanHits:      s.stats.humanHits.Load(),
 		DecoyHits:      s.stats.decoyHits.Load(),
 		ReplayHits:     s.stats.replayHits.Load(),

@@ -20,6 +20,16 @@ func newTestStore(t *testing.T, cfg Config) (*Store, *clock.Virtual) {
 	return New(cfg), vc
 }
 
+// download fills pk's keys the way a client learns them: by asking for the
+// page's script.
+func download(t *testing.T, s *Store, ip string, pk *PageKeys) {
+	t.Helper()
+	var ok bool
+	if pk.Key, pk.Decoys, ok = s.PageKeysFor(ip, pk.ScriptToken, pk.Decoys[:0]); !ok {
+		t.Fatalf("no live batch for %s under script token %d", ip, pk.ScriptToken)
+	}
+}
+
 func TestIssueShape(t *testing.T) {
 	s, _ := newTestStore(t, Config{Decoys: 5, KeyDigits: 12})
 	iss := s.Issue("10.0.0.1", "/index.html")

@@ -9,12 +9,11 @@ import (
 )
 
 // refStore is the reference model the differential test drives next to
-// Store: the hash-map-per-client table the flat key log replaced (one
-// refRecord per key in a map, an issue queue and a decoy arena per client),
-// kept single-threaded and without the interned page handle nothing read. It
-// shares only the value types (Config, PageKeys, Verdict, Stats), tokenTag
-// and the shard/rng helpers with the code under test; every storage and
-// expiry rule is its own.
+// Store: a hash map of key records per client and a queue of page views that
+// each own their keys, kept single-threaded. Like Store it draws a page's keys
+// on the first PageKeysFor for a live batch, not at issue. It shares only the
+// value types (Config, PageKeys, Verdict, Stats), tokenTag and the shard/rng
+// helpers with the code under test; every storage and expiry rule is its own.
 type refStore struct {
 	cfg    Config
 	shards []*refShard
@@ -24,8 +23,6 @@ type refStore struct {
 	epoch    time.Time
 	tickUnit time.Duration
 	ttlTicks uint32
-
-	liveKeys int64
 }
 
 type refRecord struct {
@@ -34,17 +31,19 @@ type refRecord struct {
 	consumed bool
 }
 
+// refBatch is one issued page view. keys is nil until the script is first
+// requested; then it holds the real key followed by the n decoys.
 type refBatch struct {
-	key uint64
-	tag uint32
-	n   int
+	tick uint32
+	tag  uint32
+	n    int
+	keys []uint64
 }
 
 type refClient struct {
 	ip         string
 	keys       map[uint64]refRecord
-	queue      []refBatch
-	decoys     []uint64
+	queue      []*refBatch
 	oldestTick uint32
 }
 
@@ -108,15 +107,14 @@ func (sh *refShard) client(ip string) *refClient {
 }
 
 func (s *refStore) IssuePage(ip, page string, pk *PageKeys) {
-	sh := s.shard(ip)
-	now := s.cfg.Clock.Now()
-	cs := sh.client(ip)
-	s.expireClient(cs, s.tick(now))
-	s.issuePage(sh, cs, page, now, s.tick(now), s.cfg.Decoys, pk)
-	s.enforceCaps(sh, cs)
+	s.issuePage(ip, page, s.cfg.Decoys, 0, pk)
 }
 
 func (s *refStore) IssuePageDegraded(ip, page string, decoys int, ttl time.Duration, pk *PageKeys) {
+	s.issuePage(ip, page, max(decoys, 0), ttl, pk)
+}
+
+func (s *refStore) issuePage(ip, page string, decoys int, ttl time.Duration, pk *PageKeys) {
 	sh := s.shard(ip)
 	now := s.cfg.Clock.Now()
 	issuedAt := now
@@ -125,86 +123,74 @@ func (s *refStore) IssuePageDegraded(ip, page string, decoys int, ttl time.Durat
 	}
 	cs := sh.client(ip)
 	s.expireClient(cs, s.tick(now))
-	s.issuePage(sh, cs, page, now, s.tick(issuedAt), max(decoys, 0), pk)
-	s.enforceCaps(sh, cs)
-}
-
-func (s *refStore) issuePage(sh *refShard, cs *refClient, page string, now time.Time, issueTick uint32, decoys int, pk *PageKeys) {
-	if len(cs.keys) == 0 || issueTick < cs.oldestTick {
+	issueTick := s.tick(issuedAt)
+	if len(cs.queue) == 0 || issueTick < cs.oldestTick {
 		cs.oldestTick = issueTick
 	}
 	digits := s.cfg.KeyDigits
-	pk.Page, pk.Digits, pk.IssuedAt = page, digits, now
-	pk.Key = s.uniqueKey(sh, cs)
+	*pk = PageKeys{Page: page, Digits: digits, IssuedAt: now, Decoys: pk.Decoys[:0]}
 	pk.CSSToken = sh.src.DigitKeyValue(digits)
 	pk.ScriptToken = sh.src.DigitKeyValue(digits)
 	pk.HiddenToken = sh.src.DigitKeyValue(digits)
-	cs.keys[pk.Key] = refRecord{tick: issueTick}
-	pk.Decoys = pk.Decoys[:0]
-	for i := 0; i < decoys; i++ {
-		d := s.uniqueKey(sh, cs)
-		pk.Decoys = append(pk.Decoys, d)
-		cs.decoys = append(cs.decoys, d)
-		cs.keys[d] = refRecord{tick: issueTick, decoy: true}
-	}
-	cs.queue = append(cs.queue, refBatch{key: pk.Key, tag: tokenTag(pk.ScriptToken), n: decoys})
+	cs.queue = append(cs.queue, &refBatch{tick: issueTick, tag: tokenTag(pk.ScriptToken), n: decoys})
 	s.stats.Issued++
-	s.liveKeys += int64(1 + decoys)
+	s.enforceCaps(sh, cs)
 }
 
-func (s *refStore) uniqueKey(sh *refShard, cs *refClient) uint64 {
-	for {
+// draw gives the batch its keys: the real key, then the decoys, each unlike
+// any key the client holds.
+func (s *refStore) draw(sh *refShard, cs *refClient, b *refBatch) {
+	b.keys = make([]uint64, 0, 1+b.n)
+	for len(b.keys) < 1+b.n {
 		v := sh.src.DigitKeyValue(s.cfg.KeyDigits)
-		if _, exists := cs.keys[v]; !exists {
-			return v
+		if _, exists := cs.keys[v]; exists {
+			continue
+		}
+		cs.keys[v] = refRecord{tick: b.tick, decoy: len(b.keys) > 0}
+		b.keys = append(b.keys, v)
+	}
+	s.stats.Drawn++
+}
+
+// forget removes the batch's keys from the client's table and reports how
+// many were still there (Validate deletes an expired key on sight).
+func (cs *refClient) forget(b *refBatch) (n int64) {
+	for _, k := range b.keys {
+		if _, ok := cs.keys[k]; ok {
+			delete(cs.keys, k)
+			n++
 		}
 	}
+	return n
 }
 
 func (s *refStore) expireClient(cs *refClient, nowTick uint32) {
-	if len(cs.keys) == 0 || !s.expired(nowTick, cs.oldestTick) {
+	if len(cs.queue) == 0 || !s.expired(nowTick, cs.oldestTick) {
 		return
 	}
 	minSurvivor := nowTick
-	for k, rec := range cs.keys {
-		if s.expired(nowTick, rec.tick) {
-			delete(cs.keys, k)
-			s.liveKeys--
-			s.stats.ExpiredDropped++
-		} else {
-			minSurvivor = min(minSurvivor, rec.tick)
-		}
-	}
-	var keepQ []refBatch
-	var keepD []uint64
-	off := 0
+	var keep []*refBatch
 	for _, b := range cs.queue {
-		run := cs.decoys[off : off+b.n]
-		off += b.n
-		if _, ok := cs.keys[b.key]; ok {
-			keepQ, keepD = append(keepQ, b), append(keepD, run...)
+		if s.expired(nowTick, b.tick) {
+			s.stats.ExpiredDropped += cs.forget(b)
+			continue
 		}
+		minSurvivor = min(minSurvivor, b.tick)
+		keep = append(keep, b)
 	}
-	cs.queue, cs.decoys = keepQ, keepD
+	cs.queue = keep
 	cs.oldestTick = minSurvivor
 }
 
 func (s *refStore) enforceCaps(sh *refShard, cs *refClient) {
 	for len(cs.queue) > s.cfg.MaxPerClient {
-		b := cs.queue[0]
-		for _, k := range append([]uint64{b.key}, cs.decoys[:b.n]...) {
-			if _, ok := cs.keys[k]; ok {
-				delete(cs.keys, k)
-				s.liveKeys--
-			}
-		}
-		cs.queue, cs.decoys = cs.queue[1:], cs.decoys[b.n:]
+		cs.forget(cs.queue[0])
+		cs.queue = cs.queue[1:]
 	}
 	for len(sh.lru) > sh.max {
 		victim := sh.lru[len(sh.lru)-1]
 		sh.lru = sh.lru[:len(sh.lru)-1]
 		delete(sh.clients, victim.ip)
-		s.liveKeys -= int64(len(victim.keys))
 		s.stats.EvictedClients++
 	}
 }
@@ -233,7 +219,6 @@ func (s *refStore) ValidateValue(ip string, key uint64) Verdict {
 		return Unknown
 	case s.expired(s.tick(s.cfg.Clock.Now()), rec.tick):
 		delete(cs.keys, key)
-		s.liveKeys--
 		s.stats.ExpiredDropped++
 		s.stats.UnknownHits++
 		return Unknown
@@ -257,14 +242,17 @@ func (s *refStore) PageKeysFor(ip string, scriptToken uint64, decoys []uint64) (
 		return 0, decoys, false
 	}
 	sh.touch(cs)
-	off := 0
+	nowTick := s.tick(s.cfg.Clock.Now())
 	for _, b := range cs.queue {
-		if b.tag == tokenTag(scriptToken) {
-			if rec, live := cs.keys[b.key]; live && !s.expired(s.tick(s.cfg.Clock.Now()), rec.tick) {
-				return b.key, append(decoys, cs.decoys[off:off+b.n]...), true
-			}
+		if b.tag != tokenTag(scriptToken) || s.expired(nowTick, b.tick) {
+			continue
 		}
-		off += b.n
+		if b.keys == nil {
+			s.draw(sh, cs, b)
+		}
+		if _, live := cs.keys[b.keys[0]]; live {
+			return b.keys[0], append(decoys, b.keys[1:]...), true
+		}
 	}
 	return 0, decoys, false
 }

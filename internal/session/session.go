@@ -217,8 +217,8 @@ const (
 	// rate here means the tracker is undersized for the evidence-bearing
 	// population.
 	EvictCapacityEvidence
-	// EvictFlush: the session was ended by FlushAll/FlushEach (shutdown or
-	// experiment teardown).
+	// EvictFlush: the session was ended by FlushAll (shutdown or experiment
+	// teardown).
 	EvictFlush
 
 	numEvictReasons = int(EvictFlush) + 1
@@ -994,11 +994,16 @@ func (t *Tracker) expireShard(sh *trackerShard, now time.Time) int {
 // FlushAll ends every tracked session, invoking the Evicted callback for
 // each, and returns their snapshots sorted by first-seen time then key.
 // Experiments call it at the end of a run so partially complete sessions are
-// still reported. Shards are flushed one at a time; use FlushEach to stream
-// without materialising the sorted slice.
+// still reported. Shards are flushed one at a time.
 func (t *Tracker) FlushAll() []Snapshot {
 	snaps := make([]Snapshot, 0, t.Active())
-	t.flush(func(s Snapshot) { snaps = append(snaps, s) }, false)
+	for _, sh := range t.shards {
+		sh.mu.Lock()
+		for _, st := range sh.sessions {
+			snaps = append(snaps, t.removeLocked(sh, st, EvictFlush))
+		}
+		sh.mu.Unlock()
+	}
 	sortSnapshots(snaps)
 	if cb := t.cfg.Evicted; cb != nil {
 		for _, s := range snaps {
@@ -1006,33 +1011,6 @@ func (t *Tracker) FlushAll() []Snapshot {
 		}
 	}
 	return snaps
-}
-
-// FlushEach ends every tracked session, streaming each final snapshot to
-// yield (and to the Evicted callback) without building a global copy of the
-// session table. Only one shard is locked at a time; order is unspecified.
-func (t *Tracker) FlushEach(yield func(Snapshot)) {
-	t.flush(yield, true)
-}
-
-func (t *Tracker) flush(yield func(Snapshot), notify bool) {
-	batch := make([]Snapshot, 0, 64)
-	for _, sh := range t.shards {
-		batch = batch[:0]
-		sh.mu.Lock()
-		for _, st := range sh.sessions {
-			batch = append(batch, t.removeLocked(sh, st, EvictFlush))
-		}
-		sh.mu.Unlock()
-		for _, s := range batch {
-			if notify && t.cfg.Evicted != nil {
-				t.cfg.Evicted(s)
-			}
-			if yield != nil {
-				yield(s)
-			}
-		}
-	}
 }
 
 // createLocked inserts a fresh session into the shard. The User-Agent (and

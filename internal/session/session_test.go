@@ -297,7 +297,8 @@ func TestMaxSessionsEviction(t *testing.T) {
 }
 
 func TestSnapshotsSortedAndFlushAll(t *testing.T) {
-	tr, vc := newTestTracker(Config{})
+	var evicted int
+	tr, vc := newTestTracker(Config{Evicted: func(Snapshot) { evicted++ }})
 	base := vc.Now()
 	tr.Observe(entry("9.9.9.2", "UA", "GET", "/a.html", 200, "", base.Add(2*time.Second)))
 	tr.Observe(entry("9.9.9.1", "UA", "GET", "/a.html", 200, "", base.Add(time.Second)))
@@ -307,8 +308,8 @@ func TestSnapshotsSortedAndFlushAll(t *testing.T) {
 		t.Fatalf("snapshots order: %v", []string{snaps[0].Key.IP, snaps[1].Key.IP, snaps[2].Key.IP})
 	}
 	flushed := tr.FlushAll()
-	if len(flushed) != 3 {
-		t.Fatalf("FlushAll returned %d", len(flushed))
+	if len(flushed) != 3 || evicted != 3 {
+		t.Fatalf("FlushAll returned %d sessions and called Evicted %d times, want 3 and 3", len(flushed), evicted)
 	}
 	if tr.Active() != 0 {
 		t.Fatal("sessions remain after FlushAll")
@@ -499,23 +500,6 @@ func TestEachStreamsAndStopsEarly(t *testing.T) {
 	tr.Each(func(Snapshot) bool { seen++; return seen < 10 })
 	if seen != 10 {
 		t.Fatalf("early-stopping Each visited %d sessions, want 10", seen)
-	}
-}
-
-func TestFlushEachStreams(t *testing.T) {
-	var evicted int
-	tr, vc := newTestTracker(Config{Evicted: func(Snapshot) { evicted++ }})
-	now := vc.Now()
-	for i := 0; i < 30; i++ {
-		tr.Observe(entry(fmt.Sprintf("17.0.0.%d", i), "UA", "GET", "/a.html", 200, "", now))
-	}
-	flushed := 0
-	tr.FlushEach(func(Snapshot) { flushed++ })
-	if flushed != 30 || evicted != 30 {
-		t.Fatalf("flushed=%d evicted=%d, want 30", flushed, evicted)
-	}
-	if tr.Active() != 0 {
-		t.Fatal("sessions remain after FlushEach")
 	}
 }
 
