@@ -19,6 +19,7 @@ import (
 	"botdetect/internal/adaboost"
 	"botdetect/internal/agents"
 	"botdetect/internal/cdn"
+	"botdetect/internal/clock"
 	"botdetect/internal/core"
 	"botdetect/internal/experiments"
 	"botdetect/internal/features"
@@ -232,21 +233,29 @@ func BenchmarkScriptRender(b *testing.B) {
 var keystoreOutstanding = []int{1, 16, 64}
 
 // BenchmarkKeystoreIssue measures per-page key issuance against warm clients
-// that each hold `outstanding` page views, so every issue also evicts the
+// that each hold `outstanding` page views: the clock moves a little over
+// TTL/outstanding per round of clients, so every issue also drops the
 // client's oldest batch (the steady state of a busy session).
 func BenchmarkKeystoreIssue(b *testing.B) {
 	for _, outstanding := range keystoreOutstanding {
 		b.Run(fmt.Sprintf("outstanding=%d", outstanding), func(b *testing.B) {
-			s := keystore.New(keystore.Config{Seed: 6, MaxPerClient: outstanding})
+			vc := clock.NewVirtual(time.Time{})
+			s := keystore.New(keystore.Config{Seed: 6, TTL: time.Hour, Clock: vc})
 			ips := benchClientIPs(64)
 			var pk keystore.PageKeys
-			for i := 0; i < 2*outstanding*len(ips); i++ {
+			issue := func(i int) {
+				if i%len(ips) == 0 {
+					vc.Advance(time.Hour/time.Duration(outstanding) + time.Second)
+				}
 				s.IssuePage(ips[i%len(ips)], "/page1.html", &pk)
+			}
+			for i := 0; i < 2*outstanding*len(ips); i++ {
+				issue(i)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.IssuePage(ips[i%len(ips)], "/page1.html", &pk)
+				issue(i)
 			}
 		})
 	}
@@ -259,7 +268,7 @@ func BenchmarkKeystoreIssue(b *testing.B) {
 func BenchmarkKeystoreValidate(b *testing.B) {
 	for _, outstanding := range keystoreOutstanding {
 		b.Run(fmt.Sprintf("outstanding=%d", outstanding), func(b *testing.B) {
-			s := keystore.New(keystore.Config{Seed: 6, MaxPerClient: outstanding})
+			s := keystore.New(keystore.Config{Seed: 6})
 			ips := benchClientIPs(64)
 			var pk keystore.PageKeys
 			keys := make([]uint64, 0, outstanding*len(ips))

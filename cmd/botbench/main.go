@@ -82,7 +82,7 @@ func main() {
 	if explicit("overload") {
 		ran++
 		start := time.Now()
-		res := experiments.OverloadBench(experiments.OverloadConfig{Seed: *seed})
+		res := experiments.OverloadBench(*seed)
 		if *overloadJSON != "" {
 			if err := os.WriteFile(*overloadJSON, res.JSON(), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "botbench: writing %s: %v\n", *overloadJSON, err)
@@ -96,7 +96,7 @@ func main() {
 	if explicit("fleet") {
 		ran++
 		start := time.Now()
-		res := experiments.FleetBench(experiments.FleetConfig{Seed: *seed})
+		res := experiments.FleetBench(*seed)
 		if *fleetJSON != "" {
 			if err := os.WriteFile(*fleetJSON, res.JSON(), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "botbench: writing %s: %v\n", *fleetJSON, err)

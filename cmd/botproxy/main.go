@@ -114,7 +114,7 @@ func main() {
 
 	// Amortised idle-session expiry: one shard swept per tick, so no request
 	// ever pays for a full-table sweep.
-	stopSweeper := det.StartSweeper(time.Minute)
+	stopSweeper := det.StartSweeper()
 	defer stopSweeper()
 
 	// Automatic script rotation: reseeding the generator invalidates every

@@ -22,8 +22,10 @@ import (
 	"strings"
 
 	"botdetect/internal/adaboost"
+	"botdetect/internal/core"
 	"botdetect/internal/detect/rules"
 	"botdetect/internal/features"
+	"botdetect/internal/jsgen"
 	"botdetect/internal/logfmt"
 	"botdetect/internal/metrics"
 	"botdetect/internal/session"
@@ -61,8 +63,12 @@ func main() {
 	err := logfmt.ReadEach(in, func(e logfmt.Entry) error {
 		total++
 		key := session.Key{IP: e.ClientIP, UserAgent: e.UserAgent}
-		if sig, ok := signalFromPath(e.Path); ok {
-			tracker.Mark(key, sig)
+		// Instrumentation requests mark signals and are not counted, as in
+		// the live engine's HandleBeacon.
+		if obj, _, _, ok := jsgen.ParsePath("", e.Path); ok {
+			if sig, ok := core.ObjectSignal[obj]; ok {
+				tracker.Mark(key, sig)
+			}
 			return nil
 		}
 		tracker.Observe(e)
@@ -119,36 +125,6 @@ func main() {
 		names[i] = features.Names[idx]
 	}
 	fmt.Printf("Most contributing attributes: %s\n", strings.Join(names, ", "))
-}
-
-// signalFromPath re-derives a detection signal from an instrumentation
-// request path recorded in the log (offline equivalent of HandleBeacon; keys
-// cannot be re-validated offline, so mouse beacons are taken at face value).
-func signalFromPath(path string) (session.Signal, bool) {
-	clean := path
-	if i := strings.IndexByte(clean, '?'); i >= 0 {
-		clean = clean[:i]
-	}
-	if !strings.HasPrefix(clean, "/__bd/") {
-		return 0, false
-	}
-	rest := strings.TrimPrefix(clean, "/__bd/")
-	switch {
-	case strings.HasPrefix(rest, "js/"):
-		return session.SignalJS, true
-	case strings.HasPrefix(rest, "ua/"):
-		return session.SignalJS, true
-	case strings.HasPrefix(rest, "hidden/"):
-		return session.SignalHidden, true
-	case strings.HasPrefix(rest, "index_") && strings.HasSuffix(rest, ".js"):
-		return session.SignalJSFile, true
-	case strings.HasSuffix(rest, ".css"):
-		return session.SignalCSS, true
-	case strings.HasSuffix(rest, ".jpg"):
-		return session.SignalMouse, true
-	default:
-		return 0, false
-	}
 }
 
 // loadTruth reads the trafficgen ground-truth file.

@@ -18,8 +18,10 @@ import (
 	"strings"
 
 	"botdetect/internal/adaboost"
+	"botdetect/internal/core"
 	"botdetect/internal/detect/rules"
 	"botdetect/internal/features"
+	"botdetect/internal/jsgen"
 	"botdetect/internal/logfmt"
 	"botdetect/internal/metrics"
 	"botdetect/internal/session"
@@ -71,8 +73,12 @@ func main() {
 	tracker := session.NewTracker(session.Config{})
 	for _, e := range parsed {
 		key := session.Key{IP: e.ClientIP, UserAgent: e.UserAgent}
-		if sig, ok := signalFromPath(e.Path); ok {
-			tracker.Mark(key, sig)
+		// Instrumentation requests mark signals and are not counted, as in
+		// the live engine's HandleBeacon.
+		if obj, _, _, ok := jsgen.ParsePath("", e.Path); ok {
+			if sig, ok := core.ObjectSignal[obj]; ok {
+				tracker.Mark(key, sig)
+			}
 			continue
 		}
 		tracker.Observe(e)
@@ -110,31 +116,4 @@ func main() {
 		names = append(names, features.Names[idx])
 	}
 	fmt.Println("most contributing attributes:", strings.Join(names, ", "))
-}
-
-// signalFromPath re-derives detection signals from instrumentation requests
-// present in the log (same convention as cmd/loganalyze).
-func signalFromPath(path string) (session.Signal, bool) {
-	clean := path
-	if i := strings.IndexByte(clean, '?'); i >= 0 {
-		clean = clean[:i]
-	}
-	if !strings.HasPrefix(clean, "/__bd/") {
-		return 0, false
-	}
-	rest := strings.TrimPrefix(clean, "/__bd/")
-	switch {
-	case strings.HasPrefix(rest, "js/"), strings.HasPrefix(rest, "ua/"):
-		return session.SignalJS, true
-	case strings.HasPrefix(rest, "hidden/"):
-		return session.SignalHidden, true
-	case strings.HasPrefix(rest, "index_") && strings.HasSuffix(rest, ".js"):
-		return session.SignalJSFile, true
-	case strings.HasSuffix(rest, ".css"):
-		return session.SignalCSS, true
-	case strings.HasSuffix(rest, ".jpg"):
-		return session.SignalMouse, true
-	default:
-		return 0, false
-	}
 }

@@ -49,18 +49,16 @@ type Model struct {
 type Config struct {
 	// Rounds is the number of boosting rounds (paper: 200).
 	Rounds int
-	// Thresholds is the number of candidate thresholds examined per
-	// attribute per round (evenly spaced over the attribute's observed
-	// range). More thresholds fit tighter stumps at higher training cost.
-	Thresholds int
 }
+
+// candidateThresholds is the number of candidate thresholds examined per
+// attribute per round (evenly spaced over the attribute's observed range).
+// More thresholds fit tighter stumps at higher training cost.
+const candidateThresholds = 32
 
 func (c Config) withDefaults() Config {
 	if c.Rounds <= 0 {
 		c.Rounds = 200
-	}
-	if c.Thresholds <= 0 {
-		c.Thresholds = 32
 	}
 	return c
 }
@@ -101,7 +99,7 @@ func Train(examples []features.Example, cfg Config) (*Model, error) {
 	}
 
 	// Candidate thresholds per feature: evenly spaced between min and max.
-	candidates := buildCandidates(examples, cfg.Thresholds)
+	candidates := buildCandidates(examples, candidateThresholds)
 
 	weights := make([]float64, n)
 	for i := range weights {

@@ -92,14 +92,14 @@ func navExamples(n int, noise float64, seed uint64) []features.Example {
 }
 
 func TestTrainNavTreeEmpty(t *testing.T) {
-	if _, err := TrainNavTree(nil, NavTreeConfig{}); err != ErrNoExamples {
+	if _, err := TrainNavTree(nil); err != ErrNoExamples {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestNavTreeLearnsSeparableData(t *testing.T) {
 	ex := navExamples(400, 0.05, 3)
-	tree, err := TrainNavTree(ex, NavTreeConfig{})
+	tree, err := TrainNavTree(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestNavTreeLearnsSeparableData(t *testing.T) {
 func TestNavTreeGeneralises(t *testing.T) {
 	train := navExamples(400, 0.15, 5)
 	test := navExamples(400, 0.15, 6)
-	tree, err := TrainNavTree(train, NavTreeConfig{MaxDepth: 5, MinLeaf: 10})
+	tree, err := TrainNavTree(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestNavTreeGeneralises(t *testing.T) {
 
 func TestNavTreeSingleClass(t *testing.T) {
 	ex := []features.Example{{Human: true}, {Human: true}, {Human: true}}
-	tree, err := TrainNavTree(ex, NavTreeConfig{})
+	tree, err := TrainNavTree(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +147,12 @@ func TestNavTreeSingleClass(t *testing.T) {
 }
 
 func TestNavTreeMinLeafRespected(t *testing.T) {
-	ex := navExamples(30, 0.3, 9)
-	tree, err := TrainNavTree(ex, NavTreeConfig{MaxDepth: 10, MinLeaf: 20})
+	ex := navExamples(2*minLeaf-1, 0.3, 9)
+	tree, err := TrainNavTree(ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With MinLeaf 20 over 30 examples, no split is possible.
+	// Nine examples cannot make two leaves of five: no split is possible.
 	if tree.NodeCount() != 1 {
 		t.Fatalf("expected a single leaf, got %d nodes", tree.NodeCount())
 	}

@@ -29,39 +29,27 @@ type navNode struct {
 	right     *navNode // feature value > threshold
 }
 
-// NavTreeConfig controls training.
-type NavTreeConfig struct {
-	// MaxDepth bounds the tree depth (default 6).
-	MaxDepth int
-	// MinLeaf is the minimum number of examples in a leaf (default 5).
-	MinLeaf int
-}
-
-func (c NavTreeConfig) withDefaults() NavTreeConfig {
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 6
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 5
-	}
-	return c
-}
+const (
+	// maxDepth bounds the tree depth.
+	maxDepth = 6
+	// minLeaf is the minimum number of examples in a leaf.
+	minLeaf = 5
+)
 
 // ErrNoExamples is returned when training data is empty.
 var ErrNoExamples = errors.New("baselines: no training examples")
 
 // TrainNavTree fits the decision tree to the labelled examples.
-func TrainNavTree(examples []features.Example, cfg NavTreeConfig) (*NavTree, error) {
-	cfg = cfg.withDefaults()
+func TrainNavTree(examples []features.Example) (*NavTree, error) {
 	if len(examples) == 0 {
 		return nil, ErrNoExamples
 	}
-	t := &NavTree{Depth: cfg.MaxDepth}
-	t.root = buildNode(examples, cfg, 0)
+	t := &NavTree{Depth: maxDepth}
+	t.root = buildNode(examples, 0)
 	return t, nil
 }
 
-func buildNode(examples []features.Example, cfg NavTreeConfig, depth int) *navNode {
+func buildNode(examples []features.Example, depth int) *navNode {
 	humans := 0
 	for _, e := range examples {
 		if e.Human {
@@ -69,7 +57,7 @@ func buildNode(examples []features.Example, cfg NavTreeConfig, depth int) *navNo
 		}
 	}
 	majority := humans*2 >= len(examples)
-	if depth >= cfg.MaxDepth || len(examples) < 2*cfg.MinLeaf || humans == 0 || humans == len(examples) {
+	if depth >= maxDepth || len(examples) < 2*minLeaf || humans == 0 || humans == len(examples) {
 		return &navNode{leaf: true, human: majority}
 	}
 
@@ -102,14 +90,14 @@ func buildNode(examples []features.Example, cfg NavTreeConfig, depth int) *navNo
 			right = append(right, e)
 		}
 	}
-	if len(left) < cfg.MinLeaf || len(right) < cfg.MinLeaf {
+	if len(left) < minLeaf || len(right) < minLeaf {
 		return &navNode{leaf: true, human: majority}
 	}
 	return &navNode{
 		feature:   bestFeature,
 		threshold: bestThr,
-		left:      buildNode(left, cfg, depth+1),
-		right:     buildNode(right, cfg, depth+1),
+		left:      buildNode(left, depth+1),
+		right:     buildNode(right, depth+1),
 	}
 }
 

@@ -40,28 +40,22 @@ type Challenge struct {
 
 // Config controls the service.
 type Config struct {
-	// TTL is how long a challenge remains solvable (default 10 minutes).
-	TTL time.Duration
-	// MaxOutstanding caps stored unsolved challenges (default 100000).
-	MaxOutstanding int
-	// MaxAttempts caps verification attempts per challenge (default 3).
-	MaxAttempts int
 	// Seed drives challenge generation.
 	Seed uint64
 	// Clock supplies time; defaults to the wall clock.
 	Clock clock.Clock
 }
 
+const (
+	// challengeTTL is how long a challenge remains solvable.
+	challengeTTL = 10 * time.Minute
+	// maxOutstanding caps stored unsolved challenges; the oldest are evicted.
+	maxOutstanding = 100000
+	// maxAttempts caps verification attempts per challenge.
+	maxAttempts = 3
+)
+
 func (c Config) withDefaults() Config {
-	if c.TTL <= 0 {
-		c.TTL = 10 * time.Minute
-	}
-	if c.MaxOutstanding <= 0 {
-		c.MaxOutstanding = 100000
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.Clock == nil {
 		c.Clock = clock.System
 	}
@@ -139,7 +133,7 @@ func (s *Service) Issue(key session.Key) Challenge {
 		ID:       s.src.HexKey(16),
 		Question: question,
 		IssuedAt: now,
-		expires:  now.Add(s.cfg.TTL),
+		expires:  now.Add(challengeTTL),
 		answer:   strconv.Itoa(answer),
 		key:      key,
 	}
@@ -151,7 +145,7 @@ func (s *Service) Issue(key session.Key) Challenge {
 }
 
 func (s *Service) evictLocked() {
-	for len(s.outstanding) > s.cfg.MaxOutstanding && len(s.order) > 0 {
+	for len(s.outstanding) > maxOutstanding && len(s.order) > 0 {
 		victim := s.order[0]
 		s.order = s.order[1:]
 		if _, ok := s.outstanding[victim]; ok {
@@ -184,7 +178,7 @@ func (s *Service) Verify(id, answer string) bool {
 		s.stats.Passed++
 		return true
 	}
-	if st.attempts >= s.cfg.MaxAttempts {
+	if st.attempts >= maxAttempts {
 		delete(s.outstanding, id)
 	}
 	s.stats.Failed++

@@ -83,13 +83,15 @@ func TestChallengeAnswersAreConsistent(t *testing.T) {
 }
 
 func TestWrongAnswerAndAttemptLimit(t *testing.T) {
-	s, _ := newTestService(Config{MaxAttempts: 2})
+	s, _ := newTestService(Config{})
 	ch := s.Issue(key(2))
-	if s.Verify(ch.ID, "not-a-number") {
-		t.Fatal("wrong answer accepted")
-	}
-	if s.Verify(ch.ID, "999999") {
-		t.Fatal("wrong answer accepted")
+	for _, wrong := range []string{"not-a-number", "999999", "-1"} {
+		if _, ok := s.Answer(ch.ID); !ok {
+			t.Fatalf("challenge discarded before its third attempt (%q)", wrong)
+		}
+		if s.Verify(ch.ID, wrong) {
+			t.Fatal("wrong answer accepted")
+		}
 	}
 	// Attempts exhausted: even the right answer is now rejected.
 	ans, ok := s.Answer(ch.ID)
@@ -102,16 +104,16 @@ func TestWrongAnswerAndAttemptLimit(t *testing.T) {
 	if s.HasPassed(key(2)) {
 		t.Fatal("failed session marked passed")
 	}
-	if s.Stats().Failed != 2 {
+	if s.Stats().Failed != 3 {
 		t.Fatalf("Failed = %d", s.Stats().Failed)
 	}
 }
 
 func TestExpiry(t *testing.T) {
-	s, vc := newTestService(Config{TTL: 5 * time.Minute})
+	s, vc := newTestService(Config{})
 	ch := s.Issue(key(3))
 	ans, _ := s.Answer(ch.ID)
-	vc.Advance(6 * time.Minute)
+	vc.Advance(11 * time.Minute)
 	if s.Verify(ch.ID, ans) {
 		t.Fatal("expired challenge accepted")
 	}
@@ -130,11 +132,11 @@ func TestWhitespaceTolerantAnswers(t *testing.T) {
 }
 
 func TestEvictionCap(t *testing.T) {
-	s, _ := newTestService(Config{MaxOutstanding: 10})
-	for i := 0; i < 30; i++ {
+	s, _ := newTestService(Config{})
+	for i := 0; i < maxOutstanding+20; i++ {
 		s.Issue(key(i))
 	}
-	if s.Outstanding() != 10 {
+	if s.Outstanding() != maxOutstanding {
 		t.Fatalf("Outstanding = %d", s.Outstanding())
 	}
 	if s.Stats().Evicted != 20 {

@@ -38,10 +38,6 @@ type NodeConfig struct {
 	Policy *policy.Engine
 	// Captcha optionally backs the CAPTCHA endpoints.
 	Captcha *captcha.Service
-	// LogWriter, when non-nil, receives every observed request.
-	LogWriter *logfmt.Writer
-	// RecordEntries keeps observed entries in memory for offline analysis.
-	RecordEntries bool
 }
 
 // NodeStats are per-node cumulative counters.
@@ -96,23 +92,22 @@ type nodeCounters struct {
 
 // Node is one proxy in the simulated CDN. It implements agents.Client and is
 // safe for concurrent use: counters are atomic, and the mutex guards only
-// the optional log sinks (writer and in-memory recording).
+// the optional in-memory recording of observed requests.
 type Node struct {
 	cfg       NodeConfig
 	stats     nodeCounters
 	recording atomic.Bool
 
-	mu      sync.Mutex // guards LogWriter writes and entries
+	mu      sync.Mutex // guards entries
 	entries []logfmt.Entry
 
 	// Fleet state (nil/zero when the node runs isolated; see fleet.go):
 	// the node's replicator, the shared partition ring, and the down flag a
 	// crash or drain sets. lastMu/lastStats cache the most recent good stats
 	// snapshot for stale-marked rollups while the node is down.
-	rep      *fleet.Replicator
-	ring     *fleet.Ring
-	replicas int
-	down     atomic.Bool
+	rep  *fleet.Replicator
+	ring *fleet.Ring
+	down atomic.Bool
 
 	lastMu    sync.Mutex
 	lastStats NodeStats
@@ -124,9 +119,7 @@ func NewNode(cfg NodeConfig) *Node {
 	if cfg.Site == nil || cfg.Engine == nil {
 		panic("cdn: NodeConfig.Site and NodeConfig.Engine are required")
 	}
-	n := &Node{cfg: cfg}
-	n.recording.Store(cfg.RecordEntries)
-	return n
+	return &Node{cfg: cfg}
 }
 
 // Name returns the node's name.
@@ -183,7 +176,7 @@ func (n *Node) SetRecording(enabled bool) {
 	n.recording.Store(enabled)
 }
 
-// Entries returns the recorded log entries (nil unless RecordEntries is set).
+// Entries returns the log entries recorded since SetRecording(true).
 func (n *Node) Entries() []logfmt.Entry {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -229,7 +222,7 @@ func (n *Node) Do(req agents.Request) agents.Response {
 	// they would in a real proxy's log.
 	if resp, ok := d.HandleBeacon(req.IP, req.UserAgent, req.Path); ok {
 		n.stats.instrumentationHits.Add(1)
-		if n.cfg.LogWriter != nil || n.recording.Load() {
+		if n.recording.Load() {
 			n.log(logfmt.Entry{
 				Time: req.Time, ClientIP: req.IP, UserAgent: req.UserAgent, Method: req.Method,
 				Path: req.Path, Status: resp.Status, Bytes: int64(len(resp.Body)),
@@ -307,7 +300,7 @@ func (n *Node) Do(req agents.Request) agents.Response {
 	if adm == core.AdmitPassThrough {
 		// Shed: served but neither instrumented nor observed into the
 		// tracker. The access log still sees it, as a real proxy's would.
-		if n.cfg.LogWriter != nil || n.recording.Load() {
+		if n.recording.Load() {
 			n.log(logfmt.Entry{
 				Time: req.Time, ClientIP: req.IP, UserAgent: req.UserAgent, Method: req.Method,
 				Path: req.Path, Status: obj.Status, Bytes: int64(len(obj.Body)),
@@ -328,7 +321,7 @@ func instrumentable(obj webmodel.Object, method string) bool {
 }
 
 // observe records a non-instrumentation request with the detector's session
-// tracker and the node's log sinks.
+// tracker and the node's recording.
 func (n *Node) observe(req agents.Request, status int, contentType string, bytes int64) {
 	entry := logfmt.Entry{
 		Time: req.Time, ClientIP: req.IP, UserAgent: req.UserAgent, Method: req.Method,
@@ -342,21 +335,17 @@ func (n *Node) observe(req agents.Request, status int, contentType string, bytes
 		// forward is a bounded-outbox enqueue — never a wait.
 		n.forwardObservation(entry)
 	}
-	if n.cfg.LogWriter != nil || n.recording.Load() {
+	if n.recording.Load() {
 		n.log(entry)
 	}
 }
 
-// log serialises writes to the node's optional log sinks.
+// log appends to the node's in-memory recording; callers check
+// n.recording first so the common path builds no Entry.
 func (n *Node) log(entry logfmt.Entry) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.cfg.LogWriter != nil {
-		_ = n.cfg.LogWriter.Write(entry)
-	}
-	if n.recording.Load() {
-		n.entries = append(n.entries, entry)
-	}
+	n.entries = append(n.entries, entry)
+	n.mu.Unlock()
 }
 
 // Network is a set of nodes sharing one origin site, with clients pinned to
@@ -366,14 +355,11 @@ type Network struct {
 	nodes []*Node
 	tel   *telemetry.ServeMetrics
 
-	// Fleet state (nil until EnableReplication): the partition ring and
-	// replica count that route clients, the in-process replication mesh, and
-	// name → node lookups.
-	ring     *fleet.Ring
-	mesh     *fleet.Mesh
-	byName   map[string]*Node
-	index    map[string]int
-	replicas int
+	// Fleet state (nil until EnableReplication): the partition ring that
+	// routes clients and name → node lookups.
+	ring   *fleet.Ring
+	byName map[string]*Node
+	index  map[string]int
 }
 
 // NewNetwork builds a network of numNodes nodes, each with its own detector
@@ -412,9 +398,6 @@ func NewNetwork(numNodes int, site *webmodel.Site, detCfg core.Config, withPolic
 	}
 	return net
 }
-
-// Telemetry returns the fleet's shared serve-path instruments.
-func (n *Network) Telemetry() *telemetry.ServeMetrics { return n.tel }
 
 // WriteMetrics renders the whole fleet's metrics — shared stage histograms
 // plus every node's labelled counters and gauges — in the Prometheus text

@@ -26,10 +26,12 @@ func testNode(t *testing.T, withPolicy bool) (*Node, *clock.Virtual) {
 	if withPolicy {
 		pol = policy.NewEngine(policy.Config{Clock: vc})
 	}
-	return NewNode(NodeConfig{
+	n := NewNode(NodeConfig{
 		Name: "codeen-test", Site: site, Engine: det, Policy: pol,
-		Captcha: captcha.NewService(captcha.Config{Seed: 3, Clock: vc}), RecordEntries: true,
-	}), vc
+		Captcha: captcha.NewService(captcha.Config{Seed: 3, Clock: vc}),
+	})
+	n.SetRecording(true)
+	return n, vc
 }
 
 func TestNodeServesAndInstruments(t *testing.T) {

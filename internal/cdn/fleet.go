@@ -1,7 +1,7 @@
 // Fleet wiring: turns a Network of isolated detection nodes into one
 // fault-tolerant fleet. EnableReplication gives every node a
 // fleet.Replicator over an in-process mesh, partitions sessions across the
-// nodes with a consistent-hash ring (N-replica routing), and wires the
+// nodes with a consistent-hash ring (two owners per session), and wires the
 // replication callbacks into each node's engines:
 //
 //   - locally derived Definite verdicts export through the engine's verdict
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"botdetect/internal/adaboost"
-	"botdetect/internal/clock"
 	"botdetect/internal/core"
 	"botdetect/internal/fleet"
 	"botdetect/internal/logfmt"
@@ -42,60 +41,47 @@ import (
 var nodeDownBody = []byte("node down")
 
 // FleetConfig controls Network.EnableReplication. The zero value is usable:
-// every field falls back to a sensible default.
+// every timing falls back to fleet.Config's default. What a session's
+// partition looks like is fixed — replicas owners on a ring of fleet.NewRing's
+// 64 virtual points per node — as are the replication layer's sizes (see the
+// constants in internal/fleet); the replicators run on the wall clock even
+// when the workload is driven on a virtual one, because they run on real
+// goroutines.
 type FleetConfig struct {
-	// Replicas is how many ring owners each session has (default 2): the
-	// primary aggregates the session's evidence, the rest can serve it
-	// degraded and take over on failure.
-	Replicas int
-	// VNodes is the number of virtual ring points per node (default 64).
-	VNodes int
 	// Intercept, when non-nil, is installed on the mesh for fault injection
 	// (see internal/chaos.Links).
 	Intercept fleet.Intercept
 
-	// Replication tuning, passed through to fleet.Config (zero = that
-	// package's defaults).
-	OutboxCapacity      int
-	BatchSize           int
+	// Replication timings, passed through to fleet.Config: the ones a
+	// deployment scales to its network (the fleet experiment runs them at
+	// simulation speed).
 	RetryBackoff        time.Duration
 	MaxBackoff          time.Duration
 	SendPatience        time.Duration
 	HeartbeatInterval   time.Duration
-	PhiThreshold        float64
 	AntiEntropyInterval time.Duration
-	AntiEntropyBatch    int
-	StallTimeout        time.Duration
 
-	// Clock supplies time for the replication layer; defaults to the wall
-	// clock (replication runs on real goroutines even when the workload is
-	// driven on a virtual clock).
-	Clock clock.Clock
 	// Seed drives backoff jitter.
 	Seed uint64
 }
 
-func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	return c
-}
+// replicas is how many ring owners each session has: the primary aggregates
+// the session's evidence, the other can serve it degraded and take over on
+// failure.
+const replicas = 2
 
 // EnableReplication joins the network's nodes into one replicated fleet.
 // Call it once, after NewNetwork and before serving traffic.
 func (n *Network) EnableReplication(cfg FleetConfig) {
-	cfg = cfg.withDefaults()
 	names := make([]string, len(n.nodes))
 	for i, node := range n.nodes {
 		names[i] = node.cfg.Name
 	}
-	n.ring = fleet.NewRing(names, cfg.VNodes)
-	n.mesh = fleet.NewMesh()
+	n.ring = fleet.NewRing(names)
+	mesh := fleet.NewMesh()
 	if cfg.Intercept != nil {
-		n.mesh.SetIntercept(cfg.Intercept)
+		mesh.SetIntercept(cfg.Intercept)
 	}
-	n.replicas = cfg.Replicas
 	n.byName = make(map[string]*Node, len(n.nodes))
 	n.index = make(map[string]int, len(n.nodes))
 	src := rng.New(cfg.Seed ^ 0x636f6465656e).Fork("cdn-fleet")
@@ -103,27 +89,20 @@ func (n *Network) EnableReplication(cfg FleetConfig) {
 		n.byName[node.cfg.Name] = node
 		n.index[node.cfg.Name] = i
 		node.ring = n.ring
-		node.replicas = cfg.Replicas
 		node.rep = fleet.New(fleet.Config{
 			Name:      node.cfg.Name,
 			Peers:     names,
-			Transport: n.mesh.Bind(node.cfg.Name),
+			Transport: mesh.Bind(node.cfg.Name),
 			Callbacks: n.fleetCallbacks(node),
 
-			OutboxCapacity:      cfg.OutboxCapacity,
-			BatchSize:           cfg.BatchSize,
 			RetryBackoff:        cfg.RetryBackoff,
 			MaxBackoff:          cfg.MaxBackoff,
 			SendPatience:        cfg.SendPatience,
 			HeartbeatInterval:   cfg.HeartbeatInterval,
-			PhiThreshold:        cfg.PhiThreshold,
 			AntiEntropyInterval: cfg.AntiEntropyInterval,
-			AntiEntropyBatch:    cfg.AntiEntropyBatch,
-			StallTimeout:        cfg.StallTimeout,
-			Clock:               cfg.Clock,
 			Seed:                src.Uint64(),
 		})
-		n.mesh.Attach(node.rep)
+		mesh.Attach(node.rep)
 		node.rep.RegisterMetrics(n.tel.Registry(), node.cfg.Name)
 		n.wireExportHooks(node)
 	}
@@ -239,10 +218,6 @@ func signalsOf(snap session.Snapshot) []fleet.SignalAt {
 // Ring returns the fleet's partition ring (nil before EnableReplication).
 func (n *Network) Ring() *fleet.Ring { return n.ring }
 
-// Mesh returns the fleet's in-process transport (nil before
-// EnableReplication); chaos harnesses install intercepts on it.
-func (n *Network) Mesh() *fleet.Mesh { return n.mesh }
-
 // routeIndex picks the node serving a client IP. Without a fleet it is the
 // legacy FNV pinning; with one it is the partition ring's first live owner,
 // so clients fail over to their session's replica when the primary dies, and
@@ -252,7 +227,7 @@ func (n *Network) routeIndex(ip string) int {
 		return n.nodeIndex(ip)
 	}
 	var buf [4]string
-	owners := n.ring.OwnersAppend(shard.HashString(ip), n.replicas, buf[:0])
+	owners := n.ring.OwnersAppend(shard.HashString(ip), replicas, buf[:0])
 	for _, o := range owners {
 		if node := n.byName[o]; node != nil && !node.down.Load() {
 			return n.index[o]
@@ -299,7 +274,7 @@ func (n *Node) failoverAdmission(key session.Key, adm core.Admission) core.Admis
 // fire-and-forget).
 func (n *Node) forwardObservation(entry logfmt.Entry) {
 	var buf [4]string
-	owners := n.ring.OwnersAppend(shard.HashString(entry.ClientIP), n.replicas, buf[:0])
+	owners := n.ring.OwnersAppend(shard.HashString(entry.ClientIP), replicas, buf[:0])
 	if len(owners) == 0 {
 		return
 	}
@@ -396,7 +371,7 @@ func (n *Node) Drain(timeout time.Duration) int {
 // owner.
 func (n *Node) drainTarget(key session.Key) string {
 	var buf [4]string
-	owners := n.ring.OwnersAppend(shard.HashString(key.IP), n.replicas+1, buf[:0])
+	owners := n.ring.OwnersAppend(shard.HashString(key.IP), replicas+1, buf[:0])
 	for _, o := range owners {
 		if o != n.cfg.Name && n.rep.PeerUp(o) {
 			return o

@@ -1,8 +1,7 @@
 // Package chaos is the fault-injection harness for overload and
 // origin-failure experiments: it wraps an origin handler with switchable
-// latency spikes, 5xx bursts and connection resets, skews a clock under the
-// detection engine, and inflates tracker pressure — the failure modes the
-// overload-resilience machinery (admission control, circuit breaker,
+// latency spikes, 5xx bursts and connection resets, and skews a clock under
+// the detection engine — the failure modes the overload-resilience machinery (admission control, circuit breaker,
 // memory budget) exists to absorb. Every fault is driven by atomics so a
 // bench or test can flip failure modes while requests are in flight.
 package chaos
@@ -15,8 +14,6 @@ import (
 	"time"
 
 	"botdetect/internal/clock"
-	"botdetect/internal/core"
-	"botdetect/internal/logfmt"
 )
 
 // Origin wraps an origin handler with injectable faults. The zero value (via
@@ -171,24 +168,3 @@ func (s *Skewed) Now() time.Time {
 
 // Skew jumps the clock by d relative to the base clock (cumulative).
 func (s *Skewed) Skew(d time.Duration) { s.offsetNanos.Add(int64(d)) }
-
-// ClearSkew snaps back to the base clock.
-func (s *Skewed) ClearSkew() { s.offsetNanos.Store(0) }
-
-// FillSessions injects n synthetic anonymous sessions into the engine's
-// tracker (distinct client IPs derived from prefix), the cheapest way to
-// push occupancy to a target level without running a workload — tests and
-// benches use it to force the Pressured/Saturated transitions.
-func FillSessions(e *core.Engine, n int, prefix string) {
-	now := e.Config().Clock.Now()
-	for i := 0; i < n; i++ {
-		e.ObserveRequestQuiet(logfmt.Entry{
-			Time:      now,
-			ClientIP:  prefix + strconv.Itoa(i),
-			Method:    http.MethodGet,
-			Path:      "/",
-			Status:    http.StatusOK,
-			UserAgent: "chaos-filler/1.0",
-		})
-	}
-}

@@ -153,12 +153,6 @@ type Config struct {
 	// service when the estimate passes ~192 MiB (75 %) and shedding at
 	// ~230 MiB (90 %). 0 leaves memory unbudgeted.
 	MemoryBudget int64
-	// DegradedDecoys is the decoy count for degraded page views (default
-	// max(1, Decoys/4)).
-	DegradedDecoys int
-	// DegradedKeyTTL is the key lifetime for degraded page views (default
-	// SessionIdleTimeout/4).
-	DegradedKeyTTL time.Duration
 	// Shards is the shard count for the session table and the key store,
 	// rounded up to a power of two. When zero the engine autotunes it from
 	// GOMAXPROCS (shard.AutoShards: four shards per
@@ -167,15 +161,6 @@ type Config struct {
 	// strict global-LRU semantics of a single-lock engine at the cost of
 	// concurrency.
 	Shards int
-	// Detector overrides the decision chain. When nil the engine composes
-	// the default serving chain (direct evidence → learned model →
-	// behavioural browser test); SetModel hot-swaps the learned stage either
-	// way. A custom Detector that wants hot-swappable learning should embed
-	// the engine's Learned stage — see New.
-	Detector detect.Detector
-	// Model is an optional initial AdaBoost model for the learned stage;
-	// equivalent to calling SetModel right after New.
-	Model *adaboost.Model
 	// OutcomeCapacity bounds the ring buffer of labelled outcomes collected
 	// for online retraining (default 4096; negative disables collection).
 	OutcomeCapacity int
@@ -219,15 +204,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1 << 20
-	}
-	if c.DegradedDecoys <= 0 {
-		c.DegradedDecoys = c.Decoys / 4
-		if c.DegradedDecoys < 1 {
-			c.DegradedDecoys = 1
-		}
-	}
-	if c.DegradedKeyTTL <= 0 {
-		c.DegradedKeyTTL = c.SessionIdleTimeout / 4
 	}
 	if c.ScriptVariants <= 0 {
 		c.ScriptVariants = jsgen.DefaultVariants
@@ -398,21 +374,14 @@ func New(cfg Config) *Engine {
 		e.cfg.Telemetry = e.tel
 	}
 	e.learned = detect.NewLearned(cfg.MinRequests)
-	if cfg.Model != nil {
-		e.learned.SetModel(cfg.Model)
-	}
 	e.remote = detect.NewRemote()
-	if cfg.Detector != nil {
-		e.det = cfg.Detector
-	} else {
-		// rules.Serving with the fleet's remote-verdict stage spliced in
-		// after direct evidence: locally observed hard evidence still wins,
-		// but a peer's replicated verdict outranks the local statistical
-		// guess (which never saw the session's cross-node request history).
-		e.det = detect.Chain("serving",
-			rules.Direct{}, e.remote, e.learned,
-			rules.BrowserTest{MinRequests: cfg.MinRequests})
-	}
+	// rules.Serving with the fleet's remote-verdict stage spliced in after
+	// direct evidence: locally observed hard evidence still wins, but a
+	// peer's replicated verdict outranks the local statistical guess (which
+	// never saw the session's cross-node request history).
+	e.det = detect.Chain("serving",
+		rules.Direct{}, e.remote, e.learned,
+		rules.BrowserTest{MinRequests: cfg.MinRequests})
 	if cfg.OutcomeCapacity > 0 {
 		e.outcomes = detect.NewOutcomes(cfg.OutcomeCapacity)
 	}
@@ -505,7 +474,7 @@ func (e *Engine) PreparePage(clientIP, userAgent, pagePath string, ps *PageState
 func (e *Engine) preparePage(clientIP, pagePath string, degraded bool, ps *PageState) *htmlmod.Prepared {
 	start := time.Now()
 	if degraded {
-		e.keys.IssuePageDegraded(clientIP, pagePath, e.cfg.DegradedDecoys, e.cfg.DegradedKeyTTL, &ps.pk)
+		e.keys.IssuePageDegraded(clientIP, pagePath, max(1, e.cfg.Decoys/degradedShare), e.cfg.SessionIdleTimeout/degradedShare, &ps.pk)
 	} else {
 		e.keys.IssuePage(clientIP, pagePath, &ps.pk)
 	}
@@ -566,31 +535,45 @@ func (e *Engine) StartRotator(interval time.Duration, everyPages int64) (stop fu
 	if everyPages > 0 && (interval <= 0 || interval > time.Second) {
 		poll = time.Second
 	}
-	done := make(chan struct{})
-	var once sync.Once
+	lastPages := e.stats.pagesInstrumented.Load()
+	lastRotate := time.Now()
+	return every(poll, func() {
+		rotate := interval > 0 && time.Since(lastRotate) >= interval
+		if !rotate && everyPages > 0 {
+			rotate = e.stats.pagesInstrumented.Load()-lastPages >= everyPages
+		}
+		if rotate {
+			e.RotateScripts()
+			lastPages = e.stats.pagesInstrumented.Load()
+			lastRotate = time.Now()
+		}
+	})
+}
+
+// every runs fn on its own goroutine once per interval until the returned
+// stop function is called; stop returns once the goroutine has exited (so no
+// call of fn is in flight afterwards) and may be called more than once. It is
+// the loop behind the rotator, the trainer and the sweeper.
+func every(interval time.Duration, fn func()) (stop func()) {
+	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
-		ticker := time.NewTicker(poll)
+		defer close(exited)
+		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
-		lastPages := e.stats.pagesInstrumented.Load()
-		lastRotate := time.Now()
 		for {
 			select {
 			case <-done:
 				return
 			case <-ticker.C:
-				rotate := interval > 0 && time.Since(lastRotate) >= interval
-				if !rotate && everyPages > 0 {
-					rotate = e.stats.pagesInstrumented.Load()-lastPages >= everyPages
-				}
-				if rotate {
-					e.RotateScripts()
-					lastPages = e.stats.pagesInstrumented.Load()
-					lastRotate = time.Now()
-				}
+				fn()
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }
 
 // mix64 is the SplitMix64 finalizer.
@@ -644,11 +627,8 @@ func (e *Engine) ObserveRequestQuiet(ent logfmt.Entry) {
 // engine's reserved prefix and should be routed to HandleBeacon instead of
 // the origin.
 func (e *Engine) IsInstrumentationPath(path string) bool {
-	clean := path
-	if i := strings.IndexByte(clean, '?'); i >= 0 {
-		clean = clean[:i]
-	}
-	return strings.HasPrefix(clean, e.cfg.BeaconPrefix+"/")
+	_, _, _, ok := jsgen.ParsePath(e.cfg.BeaconPrefix, path)
+	return ok
 }
 
 var (
@@ -665,11 +645,12 @@ var (
 // path (the caller should forward it to the origin instead). At most one
 // session shard and one keystore shard are locked per call.
 func (e *Engine) HandleBeacon(clientIP, userAgent, path string) (Response, bool) {
-	if !e.IsInstrumentationPath(path) {
+	obj, arg, query, ok := jsgen.ParsePath(e.cfg.BeaconPrefix, path)
+	if !ok {
 		return Response{}, false
 	}
 	start := time.Now()
-	resp := e.handleBeacon(clientIP, userAgent, path)
+	resp := e.handleBeacon(clientIP, userAgent, obj, arg, query)
 	if resp.Status == 200 {
 		// Every generated body is instrumentation payload: script, stylesheets,
 		// beacon images, the hidden page.
@@ -679,19 +660,13 @@ func (e *Engine) HandleBeacon(clientIP, userAgent, path string) (Response, bool)
 	return resp, true
 }
 
-// handleBeacon dispatches an instrumentation-prefix request; the exported
-// wrapper owns the stage timing.
-func (e *Engine) handleBeacon(clientIP, userAgent, path string) Response {
+// handleBeacon serves one parsed instrumentation-prefix request (see
+// jsgen.ParsePath for obj, arg and query); the exported wrapper owns the
+// stage timing.
+func (e *Engine) handleBeacon(clientIP, userAgent string, obj jsgen.Object, arg, query string) Response {
 	key := session.Key{IP: clientIP, UserAgent: userAgent}
-	rest := strings.TrimPrefix(path, e.cfg.BeaconPrefix+"/")
-	query := ""
-	if i := strings.IndexByte(rest, '?'); i >= 0 {
-		query = rest[i+1:]
-		rest = rest[:i]
-	}
-
-	switch {
-	case strings.HasPrefix(rest, "js/") && strings.HasSuffix(rest, ".gif"):
+	switch obj {
+	case jsgen.ObjectExecBeacon:
 		// JavaScript-execution beacon with the reported user agent.
 		e.sessions.Mark(key, session.SignalJS)
 		e.stats.execBeacons.Add(1)
@@ -700,35 +675,32 @@ func (e *Engine) handleBeacon(clientIP, userAgent, path string) Response {
 		}
 		return Response{Status: 200, ContentType: "image/gif", Body: tinyGIF, NoCache: true}
 
-	case strings.HasPrefix(rest, "ua/"):
-		// document.write stylesheet report: ua/<token>/<agent>.css
+	case jsgen.ObjectUAReport:
+		// document.write stylesheet report: arg is <token>/<agent>.
 		e.sessions.Mark(key, session.SignalJS)
 		e.stats.uaReports.Add(1)
-		parts := strings.SplitN(rest, "/", 3)
-		if len(parts) == 3 {
-			agent := strings.TrimSuffix(parts[2], ".css")
-			e.checkUAMismatch(key, userAgent, agent)
+		if i := strings.IndexByte(arg, '/'); i >= 0 {
+			e.checkUAMismatch(key, userAgent, arg[i+1:])
 		}
 		return Response{Status: 200, ContentType: "text/css", Body: emptyCSS, NoCache: true}
 
-	case strings.HasPrefix(rest, "hidden/"):
+	case jsgen.ObjectHidden:
 		if snap, newly := e.sessions.Mark(key, session.SignalHidden); newly {
 			e.recordSignalOutcome(snap, false)
 		}
 		e.stats.hiddenHits.Add(1)
 		return Response{Status: 200, ContentType: "text/html", Body: hiddenPage, NoCache: true}
 
-	case rest == "transp_1x1.gif":
+	case jsgen.ObjectTransparentImage:
 		return Response{Status: 200, ContentType: "image/gif", Body: tinyGIF, NoCache: true}
 
-	case strings.HasPrefix(rest, "index_") && strings.HasSuffix(rest, ".js"):
-		tokenStr := strings.TrimSuffix(strings.TrimPrefix(rest, "index_"), ".js")
+	case jsgen.ObjectScript:
 		e.sessions.Mark(key, session.SignalJSFile)
 		e.stats.scriptServes.Add(1)
 		// Script tokens are fixed-width decimal; anything else can only be a
 		// probe and gets the same expired-script fallback as a dead token.
 		var sb *scriptBuf
-		if token, okTok := rng.ParseFixedDigits(tokenStr, e.cfg.KeyDigits); okTok {
+		if token, okTok := rng.ParseFixedDigits(arg, e.cfg.KeyDigits); okTok {
 			sb = e.renderScript(clientIP, token)
 		}
 		body := fallbackJS
@@ -739,15 +711,13 @@ func (e *Engine) handleBeacon(clientIP, userAgent, path string) Response {
 		}
 		return Response{Status: 200, ContentType: "application/javascript", Body: body, NoCache: true, script: sb}
 
-	case strings.HasSuffix(rest, ".css"):
+	case jsgen.ObjectCSS:
 		e.sessions.Mark(key, session.SignalCSS)
 		e.stats.cssBeacons.Add(1)
 		return Response{Status: 200, ContentType: "text/css", Body: emptyCSS, NoCache: true}
 
-	case strings.HasSuffix(rest, ".jpg"):
-		keyStr := strings.TrimSuffix(rest, ".jpg")
-		verdict := e.keys.Validate(clientIP, keyStr)
-		switch verdict {
+	case jsgen.ObjectBeacon:
+		switch e.keys.Validate(clientIP, arg) {
 		case keystore.Human:
 			if snap, newly := e.sessions.Mark(key, session.SignalMouse); newly {
 				e.recordSignalOutcome(snap, true)
@@ -775,6 +745,20 @@ func (e *Engine) handleBeacon(clientIP, userAgent, path string) Response {
 	default:
 		return Response{Status: 404, ContentType: "text/plain", Body: []byte("not found\n"), NoCache: true}
 	}
+}
+
+// ObjectSignal is the signal a request for each kind of instrumentation
+// object marks — handleBeacon's table, for replaying an access log offline
+// (cmd/loganalyze). A logged key cannot be validated again, so a beacon is
+// taken at face value as a mouse event; objects that mark nothing (the
+// transparent image, ObjectNone) are absent.
+var ObjectSignal = map[jsgen.Object]session.Signal{
+	jsgen.ObjectBeacon:     session.SignalMouse,
+	jsgen.ObjectExecBeacon: session.SignalJS,
+	jsgen.ObjectUAReport:   session.SignalJS,
+	jsgen.ObjectHidden:     session.SignalHidden,
+	jsgen.ObjectScript:     session.SignalJSFile,
+	jsgen.ObjectCSS:        session.SignalCSS,
 }
 
 // checkUAMismatch compares the JavaScript-reported agent string with the
@@ -1087,31 +1071,19 @@ func (e *Engine) StartTrainer(interval time.Duration, minNew int, cfg adaboost.C
 	if minNew <= 0 {
 		minNew = 64
 	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		var trainedAt int64
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				if e.outcomes == nil {
-					continue
-				}
-				total := e.outcomes.Total()
-				if total-trainedAt < int64(minNew) {
-					continue
-				}
-				if _, err := e.RetrainFromOutcomes(cfg); err == nil {
-					trainedAt = total
-				}
-			}
+	var trainedAt int64
+	return every(interval, func() {
+		if e.outcomes == nil {
+			return
 		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
+		total := e.outcomes.Total()
+		if total-trainedAt < int64(minNew) {
+			return
+		}
+		if _, err := e.RetrainFromOutcomes(cfg); err == nil {
+			trainedAt = total
+		}
+	})
 }
 
 // Sessions returns snapshots of all active sessions, gathered shard by
@@ -1158,29 +1130,17 @@ func (e *Engine) SweepStep(now time.Time) int {
 	return n
 }
 
-// StartSweeper runs SweepStep every interval until the returned stop
-// function is called. A full pass over the table takes ShardCount intervals,
-// so choose interval ≈ SessionIdleTimeout / (4 * ShardCount) for timely
-// expiry. Times come from the configured Clock.
-func (e *Engine) StartSweeper(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				e.SweepStep(e.cfg.Clock.Now())
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
+// StartSweeper runs SweepStep until the returned stop function is called. A
+// full pass over the table takes ShardCount steps, so the step interval is
+// SessionIdleTimeout / (4 * ShardCount) — four passes per idle timeout, so a
+// session outlives its timeout by at most a quarter of it — and never under
+// a second. Session times come from the configured Clock.
+func (e *Engine) StartSweeper() (stop func()) {
+	return every(e.sweepInterval(), func() { e.SweepStep(e.cfg.Clock.Now()) })
+}
+
+func (e *Engine) sweepInterval() time.Duration {
+	return max(e.cfg.SessionIdleTimeout/time.Duration(4*e.sessions.ShardCount()), time.Second)
 }
 
 // FlushSessions ends all sessions and returns them with their final

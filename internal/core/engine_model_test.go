@@ -10,6 +10,7 @@ import (
 	"botdetect/internal/adaboost"
 	"botdetect/internal/detect"
 	"botdetect/internal/features"
+	"botdetect/internal/jsgen"
 	"botdetect/internal/logfmt"
 	"botdetect/internal/session"
 )
@@ -74,7 +75,7 @@ func TestSetModelChangesVerdictAndInvalidatesCache(t *testing.T) {
 
 	// Direct evidence always outranks the model.
 	d.SetModel(trainTestModel(t, 40))
-	d.HandleBeacon(key.IP, key.UserAgent, d.Config().BeaconPrefix+"/hidden/xyz")
+	d.HandleBeacon(key.IP, key.UserAgent, jsgen.HiddenPath(d.Config().BeaconPrefix, "xyz"))
 	if v := d.Classify(key); v.Class != ClassRobot || v.Confidence != Definite {
 		t.Fatalf("direct evidence lost to the model: %+v", v)
 	}
@@ -120,7 +121,7 @@ func TestModelHotSwapRace(t *testing.T) {
 			default:
 				d.RecordOutcomeVector(features.Vector{features.ReferrerPct: 0.9}, true)
 				d.RecordOutcomeVector(features.Vector{features.HTMLPct: 0.9}, false)
-				_, _ = d.RetrainFromOutcomes(adaboost.Config{Rounds: 4, Thresholds: 4})
+				_, _ = d.RetrainFromOutcomes(adaboost.Config{Rounds: 4})
 			}
 		}
 		stop.Store(true)

@@ -8,6 +8,7 @@ import (
 
 	"botdetect/internal/clock"
 	"botdetect/internal/htmlmod"
+	"botdetect/internal/jsgen"
 	"botdetect/internal/logfmt"
 	"botdetect/internal/session"
 	"botdetect/internal/webmodel"
@@ -240,6 +241,56 @@ func TestIsInstrumentationPath(t *testing.T) {
 	}
 	if d.IsInstrumentationPath("/index.html") || d.IsInstrumentationPath("/__bdx/1.css") {
 		t.Fatal("non-instrumentation path recognised")
+	}
+}
+
+// TestObjectSignalMatchesHandleBeacon holds the offline table to the live
+// path: a fresh session that requests one object of each kind ends with
+// exactly the signal ObjectSignal names for it (the beacon's key is live and
+// unconsumed, the case the table takes at face value), or with none.
+func TestObjectSignalMatchesHandleBeacon(t *testing.T) {
+	d, _ := newTestEngine(Config{})
+	prefix := d.Config().BeaconPrefix
+	const ua = "Firefox/1.5"
+	for obj := jsgen.ObjectNone; obj <= jsgen.ObjectCSS; obj++ {
+		ip := fmt.Sprintf("10.77.0.%d", obj)
+		key := session.Key{IP: ip, UserAgent: ua}
+		observe(d, ip, ua, "GET", "/", 200, "", time.Time{})
+		var ps PageState
+		d.PreparePage(ip, ua, "/", &ps)
+		iss := ps.Keys().Issued()
+		var path string
+		switch obj {
+		case jsgen.ObjectNone:
+			path = prefix + "/whatever.bin"
+		case jsgen.ObjectBeacon:
+			// Drawn straight from the keystore: downloading the script to
+			// learn the key would mark SignalJSFile as well.
+			k, _, _ := d.keys.PageKeysFor(ip, ps.Keys().ScriptToken, nil)
+			path = jsgen.BeaconPath(prefix, ps.Keys().KeyString(k))
+		case jsgen.ObjectExecBeacon:
+			path = jsgen.ExecBeaconPath(prefix, iss.ScriptToken)
+		case jsgen.ObjectUAReport:
+			path = prefix + "/ua/" + iss.ScriptToken + "/" + session.NormalizeUA(ua) + ".css"
+		case jsgen.ObjectHidden:
+			path = jsgen.HiddenPath(prefix, iss.HiddenToken)
+		case jsgen.ObjectTransparentImage:
+			path = jsgen.TransparentImagePath(prefix)
+		case jsgen.ObjectScript:
+			path = jsgen.ScriptPath(prefix, iss.ScriptToken)
+		case jsgen.ObjectCSS:
+			path = jsgen.CSSPath(prefix, iss.CSSToken)
+		}
+		if got, _, _, _ := jsgen.ParsePath(prefix, path); got != obj {
+			t.Fatalf("%s parses to object %d, want %d", path, got, obj)
+		}
+		resp, _ := d.HandleBeacon(ip, ua, path)
+		resp.Done()
+		snap, _ := d.Session(key)
+		sig, marks := ObjectSignal[obj]
+		if marks && (!snap.Signals.Has(sig) || snap.Signals.Count() != 1) || !marks && snap.Signals.Any() {
+			t.Errorf("object %d (%s): signals %v; ObjectSignal says %v (marks: %v)", obj, path, snap.Signals, sig, marks)
+		}
 	}
 }
 

@@ -47,3 +47,24 @@ func TestStartRotator(t *testing.T) {
 	// The inert configuration must return a working no-op stop.
 	e.StartRotator(0, 0)()
 }
+
+// TestSweeperPassFitsIdleTimeout pins the sweeper's derived step: at every
+// shard count a full pass over the table fits four times into the idle
+// timeout (botproxy's old fixed minute made a pass of 512 shards take 8.5
+// hours against a one-hour timeout), unless the one-second floor is what
+// stretches it.
+func TestSweeperPassFitsIdleTimeout(t *testing.T) {
+	for _, shards := range []int{1, 8, 512} {
+		e := New(Config{Seed: 29, Shards: shards})
+		step := e.sweepInterval()
+		if pass := step * time.Duration(e.ShardCount()); pass > e.cfg.SessionIdleTimeout/4 && step != time.Second {
+			t.Errorf("%d shards: step %v, a pass takes %v against an idle timeout of %v", shards, step, pass, e.cfg.SessionIdleTimeout)
+		}
+	}
+	if step := New(Config{Seed: 29, Shards: 512, SessionIdleTimeout: time.Minute}).sweepInterval(); step != time.Second {
+		t.Errorf("step %v, want the one-second floor", step)
+	}
+	stop := New(Config{Seed: 29}).StartSweeper()
+	stop()
+	stop() // idempotent, and returns only once the loop has exited
+}

@@ -144,12 +144,12 @@ func TestScriptLivenessEqualsKeyLiveness(t *testing.T) {
 	})
 
 	t.Run("degraded page", func(t *testing.T) {
-		e, vc := newTestEngine(Config{SessionIdleTimeout: time.Hour, DegradedDecoys: 1, DegradedKeyTTL: 10 * time.Minute})
+		e, vc := newTestEngine(Config{SessionIdleTimeout: time.Hour}) // degraded: 1 decoy of 4, 15 of 60 minutes
 		first := prepareView(e, "10.20.3.1", ua, "/a.html", true)
 		second := prepareView(e, "10.20.3.2", ua, "/a.html", true)
 		full := prepareView(e, "10.20.3.1", ua, "/b.html", false)
 		checkLiveness(t, e, first, ua, true) // renders with its single decoy cycled over the slots
-		vc.Advance(11 * time.Minute)
+		vc.Advance(16 * time.Minute)
 		checkLiveness(t, e, second, ua, false)
 		checkLiveness(t, e, full, ua, true)
 	})

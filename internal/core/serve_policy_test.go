@@ -13,12 +13,12 @@ import (
 // way the proxy does — Decide, policy.Evaluate, then ObserveRequestQuiet —
 // and requires the ladder to act on the session as it stands: a challenged
 // definite robot is blocked on the request where its count reaches
-// enteredTotal + ChallengeGraceRequests, not at the next power of two where
+// enteredTotal + 25 (the ladder's grace), not at the next power of two where
 // an epoch bump happens to refresh what the policy sees.
 func TestChallengedRobotBlockedOnGraceRequest(t *testing.T) {
 	d, vc := newTestEngine(Config{})
-	const entered, grace = 3, 10 // block due at 13: not a mark, not a power of two
-	pol := policy.NewEngine(policy.Config{ChallengeGraceRequests: grace, Clock: vc})
+	const entered, grace = 3, 25 // block due at 28: not a mark, not a power of two
+	pol := policy.NewEngine(policy.Config{Clock: vc})
 	ip, ua := "10.0.0.66", "Crawler"
 	key := session.Key{IP: ip, UserAgent: ua}
 

@@ -55,9 +55,8 @@ func scriptKeys(e *Engine, script string) (key string, decoys []string) {
 // beaconKey returns the key a mouse-beacon URL (<prefix>/<key>.jpg) carries,
 // or "" for any other URL.
 func beaconKey(prefix, url string) string {
-	rest, ok := strings.CutPrefix(url, prefix+"/")
-	key, isJPG := strings.CutSuffix(rest, ".jpg")
-	if !ok || !isJPG || strings.Contains(key, "/") {
+	obj, key, _, _ := jsgen.ParsePath(prefix, url)
+	if obj != jsgen.ObjectBeacon || strings.Contains(key, "/") {
 		return ""
 	}
 	return key

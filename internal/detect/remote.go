@@ -57,13 +57,3 @@ func (r *Remote) Get(key session.Key) (Verdict, bool) {
 	}
 	return v.(Verdict), true
 }
-
-// Delete removes key's replicated verdict (fleet-store eviction).
-func (r *Remote) Delete(key session.Key) { r.verdicts.Delete(key) }
-
-// Len counts stored verdicts (a full walk; status-page use only).
-func (r *Remote) Len() int {
-	n := 0
-	r.verdicts.Range(func(_, _ any) bool { n++; return true })
-	return n
-}

@@ -152,7 +152,7 @@ func figure4From(res *workload.Result, scale Scale) Figure4Result {
 		}
 		// Baseline: the navigational-pattern decision tree on the same data.
 		train, test := adaboost.Split(lastExamples, 0.5, scale.Seed^0x7ee)
-		if tree, err := baselines.TrainNavTree(train, baselines.NavTreeConfig{}); err == nil {
+		if tree, err := baselines.TrainNavTree(train); err == nil {
 			out.NavTreeTestAccuracy = tree.Accuracy(test)
 		}
 	}

@@ -21,50 +21,26 @@ import (
 	"botdetect/internal/webmodel"
 )
 
-// FleetConfig sizes the distributed control-plane run. The zero value gives a
-// 3-node fleet facing a coordinated crawler that stays under every isolated
-// engine's decision threshold.
-type FleetConfig struct {
-	// Nodes is the fleet size (default 3).
-	Nodes int
-	// Crawlers is the number of coordinated crawler identities (default 24).
-	Crawlers int
-	// RequestsPerNode is how many requests each crawler sends to EACH node —
-	// kept below the engine's MinRequests decision floor so a single isolated
-	// engine can never classify the session (default 9, floor is 10).
-	RequestsPerNode int
-	// BogusShare is the fraction of crawler requests aimed at nonexistent
-	// paths; the resulting 404s push the aggregated session over the policy's
-	// error-share block threshold (default 0.4, threshold is 0.3).
-	BogusShare float64
-	// Humans is the number of genuine browsing clients mixed into the run;
-	// none of them may ever be refused (default 12).
-	Humans int
-	// Seed drives client identities and the bogus-path mix.
-	Seed uint64
-}
-
-func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = 3
-	}
-	if c.Crawlers <= 0 {
-		c.Crawlers = 24
-	}
-	if c.RequestsPerNode <= 0 {
-		c.RequestsPerNode = 9
-	}
-	if c.BogusShare <= 0 {
-		c.BogusShare = 0.4
-	}
-	if c.Humans <= 0 {
-		c.Humans = 12
-	}
-	if c.Seed == 0 {
-		c.Seed = 2006
-	}
-	return c
-}
+// The size of the distributed control-plane run: a 3-node fleet facing a
+// coordinated crawler that stays under every isolated engine's decision
+// threshold.
+const (
+	// fleetNodes is the fleet size.
+	fleetNodes = 3
+	// fleetCrawlers is the number of coordinated crawler identities.
+	fleetCrawlers = 24
+	// fleetRequestsPerNode is how many requests each crawler sends to EACH
+	// node — kept below the engine's MinRequests decision floor (10) so a
+	// single isolated engine can never classify the session.
+	fleetRequestsPerNode = 9
+	// fleetBogusPer10 of every ten crawler requests aim at nonexistent
+	// paths; the resulting 404s (a 0.4 share) push the aggregated session
+	// over the policy's 0.3 error-share block threshold.
+	fleetBogusPer10 = 4
+	// fleetHumans is the number of genuine browsing clients mixed into the
+	// run; none of them may ever be refused.
+	fleetHumans = 12
+)
 
 // FleetResult is the distributed control-plane report. The same coordinated
 // crawler workload runs twice — once against isolated per-node engines, once
@@ -146,14 +122,14 @@ func humanKey(h int) session.Key {
 // request count below the decision floor, while humans browse through normal
 // routing with a CAPTCHA pass up front. Identical traffic runs against both
 // arms — only the control plane differs.
-func driveFleetTraffic(net *cdn.Network, vc *clock.Virtual, cfg FleetConfig, site *webmodel.Site, counts *fleetArmCounts) {
+func driveFleetTraffic(net *cdn.Network, vc *clock.Virtual, site *webmodel.Site, counts *fleetArmCounts) {
 	pages := site.Pages()
-	// Spread the bogus requests evenly so every crawler lands on exactly
-	// BogusShare across its aggregated request stream (a random mix would let
-	// unlucky crawlers dip under the policy's error-share threshold).
-	bogusPer10 := int(cfg.BogusShare*10 + 0.5)
+	// The bogus requests are spread evenly so every crawler lands on exactly
+	// fleetBogusPer10 in ten across its aggregated request stream (a random
+	// mix would let unlucky crawlers dip under the policy's error-share
+	// threshold).
 
-	for h := 0; h < cfg.Humans; h++ {
+	for h := 0; h < fleetHumans; h++ {
 		k := humanKey(h)
 		resp := net.Do(agents.Request{Time: vc.Now(), IP: k.IP, UserAgent: k.UserAgent, Method: "GET", Path: agents.CaptchaSolvePath})
 		counts.humanReqs.Add(1)
@@ -161,8 +137,8 @@ func driveFleetTraffic(net *cdn.Network, vc *clock.Virtual, cfg FleetConfig, sit
 			counts.human403.Add(1)
 		}
 	}
-	for r := 0; r < cfg.RequestsPerNode; r++ {
-		for h := 0; h < cfg.Humans; h++ {
+	for r := 0; r < fleetRequestsPerNode; r++ {
+		for h := 0; h < fleetHumans; h++ {
 			k := humanKey(h)
 			path := pages[(r*7+h)%len(pages)].Path
 			resp := net.Do(agents.Request{Time: vc.Now(), IP: k.IP, UserAgent: k.UserAgent, Method: "GET", Path: path})
@@ -171,12 +147,12 @@ func driveFleetTraffic(net *cdn.Network, vc *clock.Virtual, cfg FleetConfig, sit
 				counts.human403.Add(1)
 			}
 		}
-		for c := 0; c < cfg.Crawlers; c++ {
+		for c := 0; c < fleetCrawlers; c++ {
 			k := crawlerKey(c)
 			for ni, nd := range net.Nodes() {
 				seq := r*len(net.Nodes()) + ni // position in this crawler's aggregated stream
 				var path string
-				if (seq*7)%10 < bogusPer10 {
+				if (seq*7)%10 < fleetBogusPer10 {
 					path = "/archive/" + strconv.Itoa(c) + "/" + strconv.Itoa(r) + "/missing.html"
 				} else {
 					path = pages[(c+r)%len(pages)].Path
@@ -196,9 +172,9 @@ func driveFleetTraffic(net *cdn.Network, vc *clock.Virtual, cfg FleetConfig, sit
 // in the replicated verdict store (Definite verdicts travel the fleet) or on
 // any engine's own classification chain (the partition owner's aggregated
 // session is what crosses the decision floor in fleet mode).
-func crawlerRobotVerdicts(net *cdn.Network, cfg FleetConfig) int {
+func crawlerRobotVerdicts(net *cdn.Network) int {
 	n := 0
-	for c := 0; c < cfg.Crawlers; c++ {
+	for c := 0; c < fleetCrawlers; c++ {
 		k := crawlerKey(c)
 		found := false
 		for _, nd := range net.Nodes() {
@@ -231,9 +207,9 @@ func crawlerRobotVerdicts(net *cdn.Network, cfg FleetConfig) int {
 
 // crawlersBlocked counts crawlers refused on every live node (everywhere) or
 // on at least one (anywhere).
-func crawlersBlocked(net *cdn.Network, cfg FleetConfig, everywhere bool) int {
+func crawlersBlocked(net *cdn.Network, everywhere bool) int {
 	n := 0
-	for c := 0; c < cfg.Crawlers; c++ {
+	for c := 0; c < fleetCrawlers; c++ {
 		k := crawlerKey(c)
 		blockedAll, blockedAny := true, false
 		for _, nd := range net.Nodes() {
@@ -278,27 +254,29 @@ func fleetConverged(net *cdn.Network) bool {
 // and block-list replication aggregate its evidence at the session's
 // partition owner; a node kill, an asymmetric partition and a model publish
 // then exercise the failure modes the replication layer exists for.
-func FleetBench(cfg FleetConfig) FleetResult {
-	cfg = cfg.withDefaults()
+func FleetBench(seed uint64) FleetResult {
+	if seed == 0 {
+		seed = DefaultScale().Seed
+	}
 	start := time.Now()
 	site := webmodel.Generate(webmodel.SiteConfig{Seed: 11, NumPages: 24})
-	out := FleetResult{Nodes: cfg.Nodes, Crawlers: cfg.Crawlers, RequestsPerNode: cfg.RequestsPerNode}
+	out := FleetResult{Nodes: fleetNodes, Crawlers: fleetCrawlers, RequestsPerNode: fleetRequestsPerNode}
 
 	// Arm 1: isolated engines. Every node classifies alone; each sees only
 	// 1/Nodes of any crawler's requests and never reaches its decision floor.
 	{
 		vc := clock.NewVirtual(time.Time{})
-		net := cdn.NewNetwork(cfg.Nodes, site, core.Config{Seed: cfg.Seed, Clock: vc}, true, cfg.Seed)
+		net := cdn.NewNetwork(fleetNodes, site, core.Config{Seed: seed, Clock: vc}, true, seed)
 		var counts fleetArmCounts
-		driveFleetTraffic(net, vc, cfg, site, &counts)
-		out.IsolatedRobotVerdicts = crawlerRobotVerdicts(net, cfg)
-		out.IsolatedCrawlersBlocked = crawlersBlocked(net, cfg, false)
+		driveFleetTraffic(net, vc, site, &counts)
+		out.IsolatedRobotVerdicts = crawlerRobotVerdicts(net)
+		out.IsolatedCrawlersBlocked = crawlersBlocked(net, false)
 	}
 
 	// Arm 2: the replicated fleet, with message-layer fault injection armed.
 	links := chaos.NewLinks()
 	vc := clock.NewVirtual(time.Time{})
-	net := cdn.NewNetwork(cfg.Nodes, site, core.Config{Seed: cfg.Seed, Clock: vc}, true, cfg.Seed)
+	net := cdn.NewNetwork(fleetNodes, site, core.Config{Seed: seed, Clock: vc}, true, seed)
 	net.EnableReplication(cdn.FleetConfig{
 		Intercept:           links.Intercept,
 		HeartbeatInterval:   5 * time.Millisecond,
@@ -306,12 +284,12 @@ func FleetBench(cfg FleetConfig) FleetResult {
 		RetryBackoff:        time.Millisecond,
 		MaxBackoff:          10 * time.Millisecond,
 		SendPatience:        100 * time.Millisecond,
-		Seed:                cfg.Seed,
+		Seed:                seed,
 	})
 	defer net.StopReplication()
 	waitUntil(5*time.Second, func() bool {
 		for _, nd := range net.Nodes() {
-			if nd.Replicator().UpPeers() != cfg.Nodes-1 {
+			if nd.Replicator().UpPeers() != fleetNodes-1 {
 				return false
 			}
 		}
@@ -319,16 +297,16 @@ func FleetBench(cfg FleetConfig) FleetResult {
 	})
 
 	var counts fleetArmCounts
-	driveFleetTraffic(net, vc, cfg, site, &counts)
+	driveFleetTraffic(net, vc, site, &counts)
 	out.CrawlerRequests = counts.crawlerReqs.Load()
 
 	// Replication is asynchronous to the serve path: give the forwarded
 	// observations, ladder escalations and block broadcasts time to drain.
 	waitUntil(20*time.Second, func() bool {
-		return crawlersBlocked(net, cfg, true) == cfg.Crawlers
+		return crawlersBlocked(net, true) == fleetCrawlers
 	})
-	out.FleetRobotVerdicts = crawlerRobotVerdicts(net, cfg)
-	out.FleetCrawlersBlocked = crawlersBlocked(net, cfg, true)
+	out.FleetRobotVerdicts = crawlerRobotVerdicts(net)
+	out.FleetCrawlersBlocked = crawlersBlocked(net, true)
 
 	// Replication lag percentiles over the flood (collected now, before the
 	// kill/partition phases: anti-entropy backfill deliberately re-applies old
@@ -349,7 +327,7 @@ func FleetBench(cfg FleetConfig) FleetResult {
 	// Node kill mid-run. Everything the victim's peers acknowledged must
 	// survive the crash; the wiped node backfills by anti-entropy after
 	// restarting under a new incarnation.
-	victim := net.Nodes()[cfg.Nodes-1]
+	victim := net.Nodes()[fleetNodes-1]
 	vrep := victim.Replicator()
 	waitUntil(5*time.Second, func() bool { return vrep.MinAckedEpoch() > 0 })
 	minAcked := vrep.MinAckedEpoch()
@@ -367,7 +345,7 @@ func FleetBench(cfg FleetConfig) FleetResult {
 	// Humans keep browsing while the node is dead: routing fails them over to
 	// their partition's replica, which serves immediately (degraded).
 	for r := 0; r < 3; r++ {
-		for h := 0; h < cfg.Humans; h++ {
+		for h := 0; h < fleetHumans; h++ {
 			k := humanKey(h)
 			resp := net.Do(agents.Request{Time: vc.Now(), IP: k.IP, UserAgent: k.UserAgent, Method: "GET", Path: site.Pages()[(r+h)%len(site.Pages())].Path})
 			counts.humanReqs.Add(1)
@@ -383,7 +361,7 @@ func FleetBench(cfg FleetConfig) FleetResult {
 	out.BackfillSec = time.Since(restartAt).Seconds()
 	out.BlockedOnRestartedNode = func() int {
 		n := 0
-		for c := 0; c < cfg.Crawlers; c++ {
+		for c := 0; c < fleetCrawlers; c++ {
 			if victim.Policy().IsBlocked(crawlerKey(c)) {
 				n++
 			}
@@ -396,7 +374,7 @@ func FleetBench(cfg FleetConfig) FleetResult {
 	// verdicts, and healing converges every replica — anti-entropy repairs
 	// whatever the outboxes gave up on while the links were dark.
 	minority := net.Nodes()[0]
-	rest := make([]string, 0, cfg.Nodes-1)
+	rest := make([]string, 0, fleetNodes-1)
 	for _, nd := range net.Nodes()[1:] {
 		rest = append(rest, nd.Name())
 	}

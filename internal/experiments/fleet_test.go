@@ -2,12 +2,12 @@ package experiments
 
 import "testing"
 
-// TestFleetBenchHeadline runs a reduced fleet experiment end to end: the
+// TestFleetBenchHeadline runs the fleet experiment end to end: the
 // coordinated crawler must evade every isolated engine yet be blocked
 // fleet-wide, the node kill must lose nothing acked, and humans must never be
 // refused.
 func TestFleetBenchHeadline(t *testing.T) {
-	res := FleetBench(FleetConfig{Crawlers: 8, Humans: 4, Seed: 7})
+	res := FleetBench(7)
 	if res.IsolatedCrawlersBlocked != 0 || res.IsolatedRobotVerdicts != 0 {
 		t.Fatalf("isolated engines caught the distributed crawler: %+v", res)
 	}

@@ -25,57 +25,27 @@ import (
 	"botdetect/internal/session"
 )
 
-// OverloadConfig sizes the flash-crowd resilience run. The zero value gives a
-// run that floods a deliberately small engine with 2.5x its session capacity
-// in a few seconds of wall clock.
-type OverloadConfig struct {
-	// MaxSessions is the engine's session-table capacity; kept small so the
-	// flood saturates it quickly (default 2048).
-	MaxSessions int
-	// MemoryBudget bounds the engine's estimated tracker+keystore bytes
-	// (default 256 MiB).
-	MemoryBudget int64
-	// Established is the number of evidence-bearing sessions created before
-	// the flood (default 256).
-	Established int
-	// FloodFactor is the flood size as a multiple of MaxSessions
-	// (default 2.5).
-	FloodFactor float64
-	// Workers is the number of concurrent flood goroutines (default 16).
-	Workers int
-	// Seed drives client identities.
-	Seed uint64
-}
+// The size of the flash-crowd resilience run: it floods a deliberately small
+// engine with 2.5x its session capacity in a few seconds of wall clock.
+const (
+	// overloadMaxSessions is the engine's session-table capacity; kept small
+	// so the flood saturates it quickly.
+	overloadMaxSessions = 2048
+	// overloadMemoryBudget bounds the engine's estimated tracker+keystore
+	// bytes.
+	overloadMemoryBudget = 256 << 20
+	// overloadEstablished is the number of evidence-bearing sessions created
+	// before the flood.
+	overloadEstablished = 256
+	// overloadFloodFactor is the flood size as a multiple of
+	// overloadMaxSessions.
+	overloadFloodFactor = 2.5
+)
 
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = 2048
-	}
-	if c.MemoryBudget <= 0 {
-		c.MemoryBudget = 256 << 20
-	}
-	if c.Established <= 0 {
-		c.Established = 256
-	}
-	if c.FloodFactor <= 1 {
-		c.FloodFactor = 2.5
-	}
-	if c.Workers <= 0 {
-		// Enough concurrency to saturate admission without turning the run
-		// into a pure scheduler-queueing measurement on small machines.
-		c.Workers = 2 * runtime.GOMAXPROCS(0)
-		if c.Workers < 2 {
-			c.Workers = 2
-		}
-		if c.Workers > 16 {
-			c.Workers = 16
-		}
-	}
-	if c.Seed == 0 {
-		c.Seed = 2006
-	}
-	return c
-}
+// overloadWorkers is the number of concurrent flood goroutines: enough
+// concurrency to saturate admission without turning the run into a pure
+// scheduler-queueing measurement on small machines.
+func overloadWorkers() int { return min(max(2*runtime.GOMAXPROCS(0), 2), 16) }
 
 // OverloadResult is the flash-crowd report: a reverse proxy in front of a
 // chaos-wrapped origin is flooded with FloodFactor x MaxSessions brand-new
@@ -133,8 +103,11 @@ type OverloadResult struct {
 
 // OverloadBench runs the flash-crowd workload against a live localhost
 // reverse proxy fronting a chaos origin.
-func OverloadBench(cfg OverloadConfig) OverloadResult {
-	cfg = cfg.withDefaults()
+func OverloadBench(seed uint64) OverloadResult {
+	if seed == 0 {
+		seed = DefaultScale().Seed
+	}
+	workers := overloadWorkers()
 	const idleTimeout = 1500 * time.Millisecond
 
 	goroutinesBefore := runtime.NumGoroutine()
@@ -143,10 +116,10 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 	// clock-step fault instead of sleeping through the idle timeout.
 	skew := chaos.NewSkewed(nil)
 	det := core.New(core.Config{
-		Seed:               cfg.Seed,
+		Seed:               seed,
 		Clock:              skew,
-		MaxSessions:        cfg.MaxSessions,
-		MemoryBudget:       cfg.MemoryBudget,
+		MaxSessions:        overloadMaxSessions,
+		MemoryBudget:       overloadMemoryBudget,
 		SessionIdleTimeout: idleTimeout,
 		ObfuscateJS:        true,
 	})
@@ -188,8 +161,8 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 	base := "http://" + ln.Addr().String()
 
 	transport := &http.Transport{
-		MaxIdleConns:        cfg.Workers * 2,
-		MaxIdleConnsPerHost: cfg.Workers * 2,
+		MaxIdleConns:        workers * 2,
+		MaxIdleConnsPerHost: workers * 2,
 	}
 	defer transport.CloseIdleConnections()
 	client := &http.Client{Transport: transport}
@@ -223,7 +196,7 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 	estIP := func(i int) string { return "10.200." + strconv.Itoa(i/250) + "." + strconv.Itoa(i%250) }
 	const estUA = "Mozilla/5.0 (established)"
 	var ps core.PageState
-	for i := 0; i < cfg.Established; i++ {
+	for i := 0; i < overloadEstablished; i++ {
 		ip := estIP(i)
 		fetchWith(estClient, ip, i)
 		det.PreparePage(ip, estUA, "/page.html", &ps)
@@ -237,9 +210,9 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 	}
 
 	// Baseline latency for established clients, unpressured.
-	baseline := make([]float64, 0, 4*cfg.Established)
-	for i := 0; i < 4*cfg.Established; i++ {
-		if d, ok := fetchWith(estClient, estIP(i%cfg.Established), i); ok {
+	baseline := make([]float64, 0, 4*overloadEstablished)
+	for i := 0; i < 4*overloadEstablished; i++ {
+		if d, ok := fetchWith(estClient, estIP(i%overloadEstablished), i); ok {
 			baseline = append(baseline, float64(d.Nanoseconds())/1e3)
 		}
 	}
@@ -247,13 +220,13 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 	// Phase 2: the flash crowd — FloodFactor x MaxSessions distinct brand-new
 	// clients — while the established cohort keeps browsing and measuring,
 	// and the origin goes dark mid-flood until the breaker trips, then heals.
-	floodClients := int(cfg.FloodFactor * float64(cfg.MaxSessions))
+	floodClients := int(overloadFloodFactor * float64(overloadMaxSessions))
 	var (
 		next      atomic.Int64
 		floodWG   sync.WaitGroup
 		floodDone = make(chan struct{})
 	)
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		floodWG.Add(1)
 		go func() {
 			defer floodWG.Done()
@@ -293,7 +266,7 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 		close(floodDone)
 	}()
 	for i := 0; ; i++ {
-		if d, ok := fetchWith(estClient, estIP(i%cfg.Established), i); ok {
+		if d, ok := fetchWith(estClient, estIP(i%overloadEstablished), i); ok {
 			pressured = append(pressured, float64(d.Nanoseconds())/1e3)
 		}
 		if n := det.SessionCount(); n > peakSessions {
@@ -318,7 +291,7 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 	// Survival census before recovery: every established session must still
 	// be tracked and still carry its evidence.
 	survived := 0
-	for i := 0; i < cfg.Established; i++ {
+	for i := 0; i < overloadEstablished; i++ {
 		if snap, _, ok := det.Decide(session.Key{IP: estIP(i), UserAgent: estUA}); ok {
 			if snap.Signals.Any() {
 				survived++
@@ -367,9 +340,9 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 	}
 	brStats := br.Stats()
 	out := OverloadResult{
-		MaxSessions:  cfg.MaxSessions,
+		MaxSessions:  overloadMaxSessions,
 		FloodClients: floodClients,
-		Established:  cfg.Established,
+		Established:  overloadEstablished,
 		Requests:     requests.Load(),
 		Errors:       errors.Load(),
 		DurationSec:  elapsed.Seconds(),
@@ -384,7 +357,7 @@ func OverloadBench(cfg OverloadConfig) OverloadResult {
 		EvictedCapacityEvidence:  evBefore.CapacityEvidence,
 		EstablishedSurvived:      survived,
 
-		MemoryBudgetBytes:   cfg.MemoryBudget,
+		MemoryBudgetBytes:   overloadMemoryBudget,
 		MemoryEstimateBytes: memEstimate,
 		RSSBytes:            rss,
 

@@ -35,6 +35,12 @@
 // Observations and session handoffs ride the same transport with epoch 0:
 // they are fire-and-forget evidence streams whose loss only delays a
 // threshold crossing, so they stay outside the watermark machinery.
+//
+// What a deployment sets (Config) is who it is, whom it talks to and through
+// what, and the five timings that scale with its network: retry backoff and
+// its ceiling, send patience, heartbeat and anti-entropy intervals. The
+// sizes — outbox capacity, batch size, suspicion threshold, anti-entropy
+// batch, verdict-store bound — and the stall timeout are constants.
 package fleet
 
 import (
@@ -213,11 +219,6 @@ type Config struct {
 	Transport Transport
 	// Callbacks apply replicated state to the local engines.
 	Callbacks Callbacks
-	// OutboxCapacity bounds each per-peer outbox (default 1024); a full
-	// outbox drops new updates (counted) instead of blocking the publisher.
-	OutboxCapacity int
-	// BatchSize caps updates per transport message (default 128).
-	BatchSize int
 	// RetryBackoff is the initial send-retry delay, doubled (with jitter) up
 	// to MaxBackoff (defaults 5ms and 500ms).
 	RetryBackoff time.Duration
@@ -229,36 +230,41 @@ type Config struct {
 	// updates once the peer heals.
 	SendPatience time.Duration
 	// HeartbeatInterval paces watermark advertisement and feeds the phi
-	// suspicion (default 100ms). PhiThreshold is the multiple of the mean
-	// heartbeat inter-arrival after which a peer is suspected down
-	// (default 8).
+	// suspicion (default 100ms).
 	HeartbeatInterval time.Duration
-	PhiThreshold      float64
-	// AntiEntropyInterval paces the per-peer store re-scan (default 300ms);
-	// AntiEntropyBatch caps re-sent entries per peer per scan (default 256).
+	// AntiEntropyInterval paces the per-peer store re-scan (default 300ms).
 	AntiEntropyInterval time.Duration
-	AntiEntropyBatch    int
-	// StallTimeout bounds how long a watermark waits on a missing epoch
-	// before jumping past the gap and counting the loss (default 5s) — the
-	// configured epoch-lag bound: an update is either applied or counted as
-	// a gap within StallTimeout of its neighbours.
-	StallTimeout time.Duration
-	// MaxEntries bounds the merged verdict store (default 65536); overflow
-	// evicts the oldest-stamped entries.
-	MaxEntries int
 	// Clock supplies time; defaults to the wall clock.
 	Clock clock.Clock
 	// Seed drives backoff jitter.
 	Seed uint64
 }
 
+// The replication layer's fixed sizes. The timings above are what a
+// deployment (or the fleet experiment) scales to its network; these bound
+// memory and work per peer and nobody has needed to move them.
+const (
+	// outboxCapacity bounds each per-peer outbox; a full outbox drops new
+	// updates (counted) instead of blocking the publisher.
+	outboxCapacity = 1024
+	// batchSize caps updates per transport message.
+	batchSize = 128
+	// phiThreshold is the multiple of the mean heartbeat inter-arrival after
+	// which a peer is suspected down.
+	phiThreshold = 8.0
+	// antiEntropyBatch caps re-sent entries per peer per scan.
+	antiEntropyBatch = 256
+	// maxEntries bounds the merged verdict store; overflow evicts the
+	// oldest-stamped entries.
+	maxEntries = 1 << 16
+	// stallTimeout bounds how long a watermark waits on a missing epoch
+	// before jumping past the gap and counting the loss — the epoch-lag
+	// bound: an update is either applied or counted as a gap within
+	// stallTimeout of its neighbours.
+	stallTimeout = 5 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.OutboxCapacity <= 0 {
-		c.OutboxCapacity = 1024
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 128
-	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 5 * time.Millisecond
 	}
@@ -271,20 +277,8 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 100 * time.Millisecond
 	}
-	if c.PhiThreshold <= 0 {
-		c.PhiThreshold = 8
-	}
 	if c.AntiEntropyInterval <= 0 {
 		c.AntiEntropyInterval = 300 * time.Millisecond
-	}
-	if c.AntiEntropyBatch <= 0 {
-		c.AntiEntropyBatch = 256
-	}
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = 5 * time.Second
-	}
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 1 << 16
 	}
 	if c.Clock == nil {
 		c.Clock = clock.System
@@ -299,13 +293,6 @@ type VerdictRecord struct {
 	Inc     uint32
 	Epoch   uint64
 	Stamp   int64
-}
-
-// BlockRecord is one merged block-list entry.
-type BlockRecord struct {
-	Key   session.Key
-	Until int64
-	Stamp int64
 }
 
 type blockEntry struct {
@@ -400,7 +387,7 @@ func New(cfg Config) *Replicator {
 		if name == cfg.Name {
 			continue
 		}
-		r.peers[name] = newPeer(name, cfg.OutboxCapacity)
+		r.peers[name] = newPeer(name, outboxCapacity)
 		r.peerNames = append(r.peerNames, name)
 	}
 	sort.Strings(r.peerNames)
@@ -412,9 +399,6 @@ func (r *Replicator) Name() string { return r.cfg.Name }
 
 // Incarnation returns the current incarnation number.
 func (r *Replicator) Incarnation() uint32 { return r.inc.Load() }
-
-// Running reports whether the replicator's goroutines are live.
-func (r *Replicator) Running() bool { return r.running.Load() }
 
 // Start spins up the per-peer sender and heartbeat/anti-entropy goroutines.
 // It is idempotent while running.
@@ -704,7 +688,7 @@ func (r *Replicator) mergeModel(u *Update) {
 // admitEpoch runs the watermark admission for one durable update: stale
 // incarnations and already-applied epochs are rejected; fresh epochs are
 // recorded and the contiguous watermark advances (jumping past gaps older
-// than StallTimeout, counting the lost epochs).
+// than stallTimeout, counting the lost epochs).
 func (r *Replicator) admitEpoch(u *Update) bool {
 	now := r.nowNanos()
 	r.wmMu.Lock()
@@ -740,7 +724,7 @@ func (r *Replicator) admitEpoch(u *Update) bool {
 }
 
 // advanceLocked moves the contiguous watermark through the pending window,
-// jumping past gaps whose successors have waited longer than StallTimeout.
+// jumping past gaps whose successors have waited longer than stallTimeout.
 func (r *Replicator) advanceLocked(os *originState, now int64) {
 	for {
 		if _, ok := os.pending[os.contig+1]; ok {
@@ -761,7 +745,7 @@ func (r *Replicator) advanceLocked(os *originState, now int64) {
 				oldest = at
 			}
 		}
-		if now-oldest < int64(r.cfg.StallTimeout) {
+		if now-oldest < int64(stallTimeout) {
 			break
 		}
 		// The missing epochs are declared lost (the configured epoch-lag
@@ -797,7 +781,7 @@ func (r *Replicator) applyDurable(u Update, fromSelf bool) {
 		if !ok || verdictLess(cur, rec) {
 			r.verdicts[u.Key] = rec
 			fireVerdict = true
-			if len(r.verdicts) > r.cfg.MaxEntries {
+			if len(r.verdicts) > maxEntries {
 				r.evictVerdictsLocked()
 			}
 		}
@@ -859,7 +843,7 @@ func verdictLess(a, b VerdictRecord) bool {
 }
 
 // evictVerdictsLocked drops the oldest-stamped ~10% of verdict entries when
-// the store overflows MaxEntries.
+// the store overflows maxEntries.
 func (r *Replicator) evictVerdictsLocked() {
 	drop := len(r.verdicts) / 10
 	if drop < 1 {
@@ -925,14 +909,6 @@ func (r *Replicator) VerdictFor(key session.Key) (VerdictRecord, bool) {
 	return rec, ok
 }
 
-// BlockedUntil returns the merged block expiry for key (Unix nanos), if any.
-func (r *Replicator) BlockedUntil(key session.Key) (int64, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	b, ok := r.blocks[key]
-	return b.until, ok
-}
-
 // Model returns the merged fleet model and its sequence.
 func (r *Replicator) Model() (*adaboost.Model, uint64) {
 	r.mu.RLock()
@@ -952,17 +928,6 @@ func (r *Replicator) BlockCount() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.blocks)
-}
-
-// Blocks returns a copy of the merged block list.
-func (r *Replicator) Blocks() []BlockRecord {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]BlockRecord, 0, len(r.blocks))
-	for k, b := range r.blocks {
-		out = append(out, BlockRecord{Key: k, Until: b.until, Stamp: b.stamp})
-	}
-	return out
 }
 
 // Digest returns a delivery-order-independent hash of the merged
@@ -1065,13 +1030,13 @@ func (r *Replicator) Stats() Counters {
 
 // ---- sender / anti-entropy / heartbeat goroutines ----
 
-// sender drains one peer's outbox: it batches up to BatchSize updates per
+// sender drains one peer's outbox: it batches up to batchSize updates per
 // frame and retries failed sends with doubling backoff + jitter, for at most
 // SendPatience per batch. Durable updates dropped after patience runs out
 // are repaired by anti-entropy once the peer heals.
 func (r *Replicator) sender(p *peer, done chan struct{}) {
 	defer r.wg.Done()
-	batch := make([]Update, 0, r.cfg.BatchSize)
+	batch := make([]Update, 0, batchSize)
 	for {
 		var first Update
 		select {
@@ -1082,7 +1047,7 @@ func (r *Replicator) sender(p *peer, done chan struct{}) {
 		p.inflight.Store(1)
 		batch = append(batch[:0], first)
 	drain:
-		for len(batch) < r.cfg.BatchSize {
+		for len(batch) < batchSize {
 			select {
 			case u := <-p.out:
 				batch = append(batch, u)
@@ -1201,7 +1166,7 @@ func (r *Replicator) antiEntropy(p *peer) {
 		}
 		return w.Epoch < epoch
 	}
-	budget := r.cfg.AntiEntropyBatch
+	budget := antiEntropyBatch
 	r.mu.RLock()
 	resend := make([]Update, 0, 32)
 	for k, v := range r.verdicts {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"botdetect/internal/adaboost"
+	"botdetect/internal/clock"
 	"botdetect/internal/detect"
 	"botdetect/internal/rng"
 	"botdetect/internal/session"
@@ -151,19 +152,25 @@ func TestWatermarkRejectsReplays(t *testing.T) {
 }
 
 // TestStallJumpCountsGaps: a permanently missing epoch stalls the watermark
-// only until StallTimeout, then the gap is counted and jumped — the
-// epoch-lag bound on loss.
+// only until stallTimeout (five seconds on the replicator's clock), then the
+// gap is counted and jumped — the epoch-lag bound on loss.
 func TestStallJumpCountsGaps(t *testing.T) {
-	r := testRep(t, "x", []string{"a", "x"}, func(c *Config) { c.StallTimeout = time.Millisecond })
+	vc := clock.NewVirtual(time.Unix(1136505600, 0))
+	r := testRep(t, "x", []string{"a", "x"}, func(c *Config) { c.Clock = vc })
 	mk := func(e uint64) Update {
 		return Update{Origin: "a", Inc: 1, Epoch: e, Stamp: int64(e), Kind: KindVerdict,
 			Key: key(int(e)), Class: detect.ClassRobot, Confidence: detect.Definite}
 	}
 	deliverSequential(r, []Update{mk(1), mk(3)}) // epoch 2 never arrives
-	time.Sleep(5 * time.Millisecond)
+	vc.Advance(stallTimeout - time.Millisecond)
 	deliverSequential(r, []Update{mk(4)})
-	if wm := r.Watermark("a"); wm != 4 {
-		t.Fatalf("watermark = %d, want 4 after stall jump", wm)
+	if wm, gaps := r.Watermark("a"), r.Stats().EpochGaps; wm != 1 || gaps != 0 {
+		t.Fatalf("watermark = %d, gaps = %d inside the stall timeout, want 1 and 0", wm, gaps)
+	}
+	vc.Advance(time.Millisecond)
+	deliverSequential(r, []Update{mk(5)})
+	if wm := r.Watermark("a"); wm != 5 {
+		t.Fatalf("watermark = %d, want 5 after stall jump", wm)
 	}
 	if gaps := r.Stats().EpochGaps; gaps != 1 {
 		t.Fatalf("epoch gaps = %d, want 1", gaps)
@@ -323,9 +330,7 @@ func TestCrashRestartBackfill(t *testing.T) {
 // TestSuspicionAndQuorum: silence flips peers down and quorum loss reports
 // Isolated; recovery clears both.
 func TestSuspicionAndQuorum(t *testing.T) {
-	_, reps := meshFleet(t, []string{"a", "b", "c"}, func(_ string, c *Config) {
-		c.PhiThreshold = 4
-	})
+	_, reps := meshFleet(t, []string{"a", "b", "c"}, nil)
 	waitFor(t, 5*time.Second, "all peers up", func() bool { return reps["a"].UpPeers() == 2 })
 	if reps["a"].Isolated() {
 		t.Fatalf("a isolated with all peers up")
@@ -406,7 +411,7 @@ func TestSendPatienceDropsAndAcks(t *testing.T) {
 // and losing one node only moves that node's keys.
 func TestRingDistributionAndMovement(t *testing.T) {
 	nodes := []string{"n0", "n1", "n2", "n3"}
-	ring := NewRing(nodes, 0)
+	ring := NewRing(nodes)
 	counts := map[string]int{}
 	const keys = 8192
 	primaries := make([]string, keys)
@@ -427,7 +432,7 @@ func TestRingDistributionAndMovement(t *testing.T) {
 		t.Fatalf("owners = %v, want 2 distinct", owners)
 	}
 	// Remove n3: only keys n3 owned may move.
-	smaller := NewRing(nodes[:3], 0)
+	smaller := NewRing(nodes[:3])
 	for i := 0; i < keys; i++ {
 		p := smaller.Primary(key(i).Hash())
 		if primaries[i] != "n3" && p != primaries[i] {

@@ -140,7 +140,7 @@ func (r *Replicator) PeerUp(name string) bool {
 	if !ok {
 		return false
 	}
-	return p.upAgainst(r.nowNanos(), int64(r.cfg.HeartbeatInterval), r.cfg.PhiThreshold)
+	return p.upAgainst(r.nowNanos(), int64(r.cfg.HeartbeatInterval), phiThreshold)
 }
 
 // UpPeers returns how many peers currently look alive.
@@ -149,7 +149,7 @@ func (r *Replicator) UpPeers() int {
 	hb := int64(r.cfg.HeartbeatInterval)
 	n := 0
 	for _, p := range r.peers {
-		if p.upAgainst(now, hb, r.cfg.PhiThreshold) {
+		if p.upAgainst(now, hb, phiThreshold) {
 			n++
 		}
 	}
@@ -167,9 +167,6 @@ func (r *Replicator) Isolated() bool {
 	}
 	return r.UpPeers()+1 <= fleet/2
 }
-
-// PeerNames returns the configured peer names, sorted.
-func (r *Replicator) PeerNames() []string { return r.peerNames }
 
 // PeerStats is one peer's health snapshot for metrics/status surfaces.
 type PeerStats struct {
@@ -193,7 +190,7 @@ func (r *Replicator) PeerSnapshot() []PeerStats {
 		p := r.peers[name]
 		ps := PeerStats{
 			Name:       name,
-			Up:         p.upAgainst(now, hb, r.cfg.PhiThreshold),
+			Up:         p.upAgainst(now, hb, phiThreshold),
 			OutboxLen:  len(p.out),
 			Dropped:    p.dropped.Load(),
 			Sent:       p.sent.Load(),

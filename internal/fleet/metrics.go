@@ -21,7 +21,7 @@ import (
 //	botdetect_fleet_isolated{node}                        1 while quorum is lost
 //	botdetect_fleet_updates_applied_total{node}           durable updates applied from peers
 //	botdetect_fleet_updates_replayed_total{node}          duplicate/stale deliveries rejected
-//	botdetect_fleet_epoch_gaps_total{node}                epochs declared lost past StallTimeout
+//	botdetect_fleet_epoch_gaps_total{node}                epochs declared lost past stallTimeout (5 s)
 //	botdetect_fleet_anti_entropy_resends_total{node}      store entries re-sent by anti-entropy
 //	botdetect_fleet_observations_forwarded_total{node}    requests forwarded to partition owners
 //	botdetect_fleet_replication_lag_seconds{node,quantile} apply-lag percentiles
@@ -97,7 +97,7 @@ func (r *Replicator) RegisterMetrics(reg *telemetry.Registry, node string) {
 		"Duplicate or stale replication deliveries rejected by the watermark.",
 		func() float64 { return float64(r.Stats().Replays) })
 	reg.CounterFunc("botdetect_fleet_epoch_gaps_total", nodeLabel,
-		"Epochs declared lost after StallTimeout (the epoch-lag bound).",
+		"Epochs declared lost after the 5 s stall timeout (the epoch-lag bound).",
 		func() float64 { return float64(r.Stats().EpochGaps) })
 	reg.CounterFunc("botdetect_fleet_anti_entropy_resends_total", nodeLabel,
 		"Store entries re-sent because a peer's watermarks showed them missing.",

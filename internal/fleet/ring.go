@@ -25,12 +25,12 @@ type ringPoint struct {
 	node int32 // index into nodes
 }
 
+// vnodes is the number of virtual ring points per node.
+const vnodes = 64
+
 // NewRing builds a ring over the given node names with vnodes virtual
-// points per node (default 64 when vnodes <= 0).
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+// points per node.
+func NewRing(nodes []string) *Ring {
 	r := &Ring{nodes: append([]string(nil), nodes...)}
 	r.points = make([]ringPoint, 0, len(nodes)*vnodes)
 	for i, name := range r.nodes {
@@ -47,9 +47,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	})
 	return r
 }
-
-// Nodes returns the ring's node names in construction order.
-func (r *Ring) Nodes() []string { return r.nodes }
 
 // mix64 is a splitmix64-style finaliser: the raw FNV hashes both vnode
 // labels and session keys arrive with have weak high bits on short inputs,

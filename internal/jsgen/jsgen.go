@@ -29,9 +29,6 @@ type Params struct {
 	// BeaconBase is the URL prefix for beacon fetches, e.g.
 	// "http://www.example.com" or "" for site-relative beacons.
 	BeaconBase string
-	// BeaconPrefix is the path prefix under which beacon objects live
-	// (default "/__bd"). The proxy intercepts requests under this prefix.
-	BeaconPrefix string
 	// RealKey is the key embedded in the genuine event-handler beacon.
 	RealKey string
 	// DecoyKeys are the keys embedded in the decoy functions.
@@ -47,93 +44,147 @@ type Params struct {
 	Seed uint64
 }
 
-// DefaultBeaconPrefix is the path prefix used when Params.BeaconPrefix is empty.
+// DefaultBeaconPrefix is the path prefix under which beacon objects live when
+// a deployment names none (core.Config.BeaconPrefix); the proxy intercepts
+// requests under it. Script always generates for it.
 const DefaultBeaconPrefix = "/__bd"
 
-// BeaconPath returns the request path of the beacon image carrying key.
-func BeaconPath(prefix, key string) string {
-	pre, suf := BeaconPathParts(prefix)
-	return pre + key + suf
+// Object names the kind of generated instrumentation object a request path
+// addresses.
+type Object uint8
+
+const (
+	// ObjectNone is a path that none of the emitters produces.
+	ObjectNone Object = iota
+	// ObjectBeacon is BeaconPath; arg is the key.
+	ObjectBeacon
+	// ObjectExecBeacon is ExecBeaconPath; arg is the key.
+	ObjectExecBeacon
+	// ObjectUAReport is the request the inline script (InlineUAScriptParts)
+	// makes the browser write: <prefix>/ua/<token>/<agent>.css; arg is
+	// "<token>/<agent>".
+	ObjectUAReport
+	// ObjectHidden is HiddenPath; arg is the token.
+	ObjectHidden
+	// ObjectTransparentImage is TransparentImagePath; arg is empty.
+	ObjectTransparentImage
+	// ObjectScript is ScriptPath; arg is the token.
+	ObjectScript
+	// ObjectCSS is CSSPath; arg is the token.
+	ObjectCSS
+)
+
+// grammar is the beacon URL grammar: an object's path is
+// "<prefix>/" + pre + <key or token> + suf. The emitters below and their
+// inverse, ParsePath, read it from here and nowhere else spells it.
+var grammar = [...]struct{ pre, suf string }{
+	ObjectBeacon:           {"", ".jpg"},
+	ObjectExecBeacon:       {"js/", ".gif"},
+	ObjectUAReport:         {"ua/", ".css"},
+	ObjectHidden:           {"hidden/", ".html"},
+	ObjectTransparentImage: {"transp_1x1.gif", ""},
+	ObjectScript:           {"index_", ".js"},
+	ObjectCSS:              {"", ".css"},
 }
 
-// BeaconPathParts returns the prefix and suffix around the key in
-// BeaconPath, so template compilation splices keys into the same URL format
-// HandleBeacon parses.
-func BeaconPathParts(prefix string) (pre, suf string) {
+// parts returns what surrounds the key or token in obj's path under prefix,
+// so per-deployment callers (the engine, template compilation) compose the
+// constant parts once and splice keys into the same URL format ParsePath
+// reads back.
+func parts(obj Object, prefix string) (pre, suf string) {
 	if prefix == "" {
 		prefix = DefaultBeaconPrefix
 	}
-	return prefix + "/", ".jpg"
+	return prefix + "/" + grammar[obj].pre, grammar[obj].suf
 }
+
+func objectPath(obj Object, prefix, arg string) string {
+	pre, suf := parts(obj, prefix)
+	return pre + arg + suf
+}
+
+// BeaconPath returns the request path of the beacon image carrying key.
+func BeaconPath(prefix, key string) string { return objectPath(ObjectBeacon, prefix, key) }
+
+// BeaconPathParts returns the prefix and suffix around the key in BeaconPath.
+func BeaconPathParts(prefix string) (pre, suf string) { return parts(ObjectBeacon, prefix) }
 
 // ExecBeaconPath returns the request path of the "JavaScript executed"
 // beacon carrying key.
-func ExecBeaconPath(prefix, key string) string {
-	pre, suf := ExecBeaconPathParts(prefix)
-	return pre + key + suf
-}
+func ExecBeaconPath(prefix, key string) string { return objectPath(ObjectExecBeacon, prefix, key) }
 
 // ExecBeaconPathParts returns the prefix and suffix around the key in
 // ExecBeaconPath.
-func ExecBeaconPathParts(prefix string) (pre, suf string) {
-	if prefix == "" {
-		prefix = DefaultBeaconPrefix
-	}
-	return prefix + "/js/", ".gif"
-}
+func ExecBeaconPathParts(prefix string) (pre, suf string) { return parts(ObjectExecBeacon, prefix) }
 
 // CSSPath returns the request path of the uniquely named empty stylesheet.
-func CSSPath(prefix, token string) string {
-	pre, suf := CSSPathParts(prefix)
-	return pre + token + suf
-}
+func CSSPath(prefix, token string) string { return objectPath(ObjectCSS, prefix, token) }
 
-// CSSPathParts returns the prefix and suffix around the token in CSSPath,
-// so per-deployment callers can precompose them once.
-func CSSPathParts(prefix string) (pre, suf string) {
-	if prefix == "" {
-		prefix = DefaultBeaconPrefix
-	}
-	return prefix + "/", ".css"
-}
+// CSSPathParts returns the prefix and suffix around the token in CSSPath.
+func CSSPathParts(prefix string) (pre, suf string) { return parts(ObjectCSS, prefix) }
 
 // HiddenPath returns the request path of the hidden trap link.
-func HiddenPath(prefix, token string) string {
-	pre, suf := HiddenPathParts(prefix)
-	return pre + token + suf
-}
+func HiddenPath(prefix, token string) string { return objectPath(ObjectHidden, prefix, token) }
 
 // HiddenPathParts returns the prefix and suffix around the token in
 // HiddenPath.
-func HiddenPathParts(prefix string) (pre, suf string) {
-	if prefix == "" {
-		prefix = DefaultBeaconPrefix
-	}
-	return prefix + "/hidden/", ".html"
-}
+func HiddenPathParts(prefix string) (pre, suf string) { return parts(ObjectHidden, prefix) }
 
 // TransparentImagePath returns the request path of the 1x1 transparent image
 // that anchors the hidden link.
 func TransparentImagePath(prefix string) string {
-	if prefix == "" {
-		prefix = DefaultBeaconPrefix
-	}
-	return prefix + "/transp_1x1.gif"
+	return objectPath(ObjectTransparentImage, prefix, "")
 }
 
 // ScriptPath returns the request path of the generated external script.
-func ScriptPath(prefix, token string) string {
-	pre, suf := ScriptPathParts(prefix)
-	return pre + token + suf
-}
+func ScriptPath(prefix, token string) string { return objectPath(ObjectScript, prefix, token) }
 
 // ScriptPathParts returns the prefix and suffix around the token in
 // ScriptPath.
-func ScriptPathParts(prefix string) (pre, suf string) {
+func ScriptPathParts(prefix string) (pre, suf string) { return parts(ObjectScript, prefix) }
+
+// parseOrder is the order ParsePath tries the objects in: the families with a
+// directory of their own before the two that are told apart by suffix alone.
+var parseOrder = [...]Object{
+	ObjectExecBeacon, ObjectUAReport, ObjectHidden, ObjectTransparentImage, ObjectScript, ObjectCSS, ObjectBeacon,
+}
+
+// ParsePath is the inverse of the emitters above: it splits a request path
+// (with or without a query string) into the object it addresses, the key or
+// token the emitter was given, and the query. ok reports whether the path
+// lies under prefix at all — such a request belongs to the engine, not the
+// origin, even when obj is ObjectNone. Whenever obj is not ObjectNone, the
+// object's emitter called with (prefix, arg) reproduces the path exactly, so
+// nothing but an emitted URL (plus any query) parses. arg and query are
+// substrings of path; nothing is allocated.
+func ParsePath(prefix, path string) (obj Object, arg, query string, ok bool) {
 	if prefix == "" {
 		prefix = DefaultBeaconPrefix
 	}
-	return prefix + "/index_", ".js"
+	if i := strings.IndexByte(path, '?'); i >= 0 {
+		path, query = path[:i], path[i+1:]
+	}
+	if len(path) <= len(prefix) || path[len(prefix)] != '/' || path[:len(prefix)] != prefix {
+		return ObjectNone, "", query, false
+	}
+	rest := path[len(prefix)+1:]
+	for _, obj := range parseOrder {
+		g := grammar[obj]
+		if !strings.HasPrefix(rest, g.pre) {
+			continue
+		}
+		arg, shaped := strings.CutSuffix(rest[len(g.pre):], g.suf)
+		if shaped && (obj != ObjectTransparentImage || arg == "") {
+			return obj, arg, query, true
+		}
+		// ua/… and hidden/… are closed: what does not end the way their
+		// emitter ends it is nobody's, not a stylesheet or a key that happens
+		// to contain a slash.
+		if obj == ObjectUAReport || obj == ObjectHidden {
+			break
+		}
+	}
+	return ObjectNone, "", query, true
 }
 
 // Generator produces beacon scripts. It is stateless apart from its
@@ -183,12 +234,11 @@ func (n *namer) next() string {
 func (g *Generator) Script(p Params) string {
 	digits := len(p.RealKey)
 	v := g.Compile(TemplateConfig{
-		BeaconBase:   p.BeaconBase,
-		BeaconPrefix: p.BeaconPrefix,
-		KeyDigits:    digits,
-		Decoys:       len(p.DecoyKeys),
-		UAReport:     p.UAReportKey != "",
-		Obfuscate:    p.Obfuscate,
+		BeaconBase: p.BeaconBase,
+		KeyDigits:  digits,
+		Decoys:     len(p.DecoyKeys),
+		UAReport:   p.UAReportKey != "",
+		Obfuscate:  p.Obfuscate,
 	}, p.Seed)
 	return string(v.Render(make([]byte, 0, v.Size()+64), p.RealKey, p.UAReportKey, p.DecoyKeys))
 }
@@ -229,7 +279,8 @@ func InlineUAScriptParts(base, prefix string) (pre, post string) {
 	if htmlmod.AttrSafe(base + prefix) {
 		q = ""
 	}
-	pre = `document.write("<link rel=stylesheet href=` + q + base + prefix + "/ua/"
-	post = `/"+encodeURIComponent(navigator.userAgent.toLowerCase().replace(/ /g,""))+".css` + q + `>")`
+	uaPre, uaSuf := parts(ObjectUAReport, prefix)
+	pre = `document.write("<link rel=stylesheet href=` + q + base + uaPre
+	post = `/"+encodeURIComponent(navigator.userAgent.toLowerCase().replace(/ /g,""))+"` + uaSuf + q + `>")`
 	return pre, post
 }

@@ -31,12 +31,11 @@ func TestScriptMatchesCompiledVariant(t *testing.T) {
 	p := baseParams()
 	p.Obfuscate = true
 	v := g.Compile(TemplateConfig{
-		BeaconBase:   p.BeaconBase,
-		BeaconPrefix: p.BeaconPrefix,
-		KeyDigits:    len(p.RealKey),
-		Decoys:       len(p.DecoyKeys),
-		UAReport:     true,
-		Obfuscate:    true,
+		BeaconBase: p.BeaconBase,
+		KeyDigits:  len(p.RealKey),
+		Decoys:     len(p.DecoyKeys),
+		UAReport:   true,
+		Obfuscate:  true,
 	}, p.Seed)
 	rendered := string(v.Render(nil, p.RealKey, p.UAReportKey, p.DecoyKeys))
 	if got := g.Script(p); got != rendered {

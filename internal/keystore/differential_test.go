@@ -42,25 +42,25 @@ func diffRun(t *testing.T, seed uint64) {
 	r := rand.New(rand.NewPCG(seed, 0x6b657973))
 	const ttl = time.Hour
 	cfg := Config{
-		Seed:         seed,
-		TTL:          ttl,
-		Decoys:       1 + r.IntN(4),
-		KeyDigits:    []int{3, 4, 10, 19}[r.IntN(4)],
-		MaxPerClient: []int{3, 8, 64}[r.IntN(3)],
-		MaxClients:   []int{2, 5, 1000}[r.IntN(3)],
-		Shards:       []int{1, 2}[r.IntN(2)],
+		Seed:      seed,
+		TTL:       ttl,
+		Decoys:    1 + r.IntN(4),
+		KeyDigits: []int{3, 4, 10, 19}[r.IntN(4)],
+		Shards:    []int{1, 2}[r.IntN(2)],
 	}
+	// Eight addresses never reach the real client cap; lower it on both.
+	clients := []int{2, 5, 1000}[r.IntN(3)]
 	vcA, vcB := clock.NewVirtual(time.Time{}), clock.NewVirtual(time.Time{})
 	cfgA, cfgB := cfg, cfg
 	cfgA.Clock, cfgB.Clock = vcA, vcB
-	got, want := New(cfgA), newRefStore(cfgB)
+	got, want := capClients(New(cfgA), clients), newRefStore(cfgB, clients)
 
 	ips := make([]string, 8)
 	for i := range ips {
 		ips[i] = fmt.Sprintf("10.0.%d.%d", seed%200, i)
 	}
-	// The first address is hot so its log reaches the per-client cap even
-	// when that is 64 pages.
+	// The first address is hot; bursts of issues (below) take a log past the
+	// per-client cap before the clock expires it.
 	pickIP := func() string {
 		if r.IntN(2) == 0 {
 			return ips[0]
@@ -81,7 +81,7 @@ func diffRun(t *testing.T, seed uint64) {
 	op := ""
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("seed %d cfg %+v: after %s: %s", seed, cfg, op, fmt.Sprintf(format, args...))
+		t.Fatalf("seed %d cfg %+v clients %d: after %s: %s", seed, cfg, clients, op, fmt.Sprintf(format, args...))
 	}
 	samePage := func(a, b *PageKeys) {
 		t.Helper()
@@ -130,13 +130,18 @@ func diffRun(t *testing.T, seed uint64) {
 	for step := 0; step < 400; step++ {
 		switch k := r.IntN(20); {
 		case k < 6:
-			ip, page := pickIP(), fmt.Sprintf("/p%d.html", r.IntN(5))
-			op = fmt.Sprintf("step %d IssuePage(%s)", step, ip)
-			var a, b PageKeys
-			got.IssuePage(ip, page, &a)
-			want.IssuePage(ip, page, &b)
-			samePage(&a, &b)
-			remember(ip, &a, cfg.Decoys)
+			ip, page, n := pickIP(), fmt.Sprintf("/p%d.html", r.IntN(5)), 1
+			if r.IntN(12) == 0 { // a burst: the oldest pages fall to the per-client cap
+				n = maxPerClient/2 + r.IntN(maxPerClient)
+			}
+			op = fmt.Sprintf("step %d %d x IssuePage(%s)", step, n, ip)
+			for ; n > 0; n-- {
+				var a, b PageKeys
+				got.IssuePage(ip, page, &a)
+				want.IssuePage(ip, page, &b)
+				samePage(&a, &b)
+				remember(ip, &a, cfg.Decoys)
+			}
 		case k < 8:
 			ip, decoys := pickIP(), r.IntN(5)
 			short := []time.Duration{0, 5 * time.Minute, 20 * time.Minute, 2 * ttl}[r.IntN(4)]
@@ -220,19 +225,19 @@ func diffRun(t *testing.T, seed uint64) {
 // presented.
 func FuzzValidate(f *testing.F) {
 	const owner, other, digits = "10.0.0.1", "10.0.0.2", 6
-	// build returns a store in which owner holds 12 live batches (two more
-	// were evicted by the per-client cap), eight with their script downloaded
+	// build returns a store in which owner holds 64 live batches (two more
+	// were evicted by the per-client cap), sixty with their script downloaded
 	// (one real key of those is consumed) and four nobody has asked for yet;
 	// the real keys of owner that can prove a human right now; and the script
 	// tokens of the four undrawn pages.
 	build := func() (*Store, map[string]bool, []uint64) {
-		s := New(Config{Seed: 11, KeyDigits: digits, MaxPerClient: 12})
+		s := New(Config{Seed: 11, KeyDigits: digits})
 		var fresh []string
 		var undrawn []uint64
 		var pk PageKeys
-		for i := 0; i < 14; i++ {
+		for i := 0; i < maxPerClient+2; i++ {
 			s.IssuePage(owner, "/p.html", &pk)
-			if i < 10 {
+			if i < maxPerClient-2 {
 				key, _, _ := s.PageKeysFor(owner, pk.ScriptToken, nil)
 				fresh = append(fresh, pk.KeyString(key))
 			} else {

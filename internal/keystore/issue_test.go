@@ -11,7 +11,7 @@ import (
 // TestClientStateRecycling hammers the client-cap eviction path: an evicted
 // client's keys must never validate for the next occupant of its slot.
 func TestClientStateRecycling(t *testing.T) {
-	s := New(Config{Decoys: 2, MaxClients: 4, Shards: 1})
+	s := capClients(New(Config{Decoys: 2, Shards: 1}), 4)
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 8; i++ {
 			ip := fmt.Sprintf("10.1.%d.%d", round, i)

@@ -17,7 +17,10 @@
 //   - an unknown key is a replay or a guess.
 //
 // Keys expire after a TTL and the table is capped per client and globally so
-// a flood of page fetches cannot exhaust proxy memory.
+// a flood of page fetches cannot exhaust proxy memory. The decoy count, key
+// width, TTL, shard count, seed and clock are settable (Config — the engine
+// sets each of them); the caps are fixed: 64 outstanding page views per client
+// and 100,000 clients (maxPerClient, maxClients).
 //
 // The table is sharded by an FNV-1a hash of the client IP: each shard has
 // its own mutex, client map, LRU list and key-generation stream, so issuing
@@ -30,10 +33,10 @@
 // (issue tick, script-token tag, decoy count, drawn and consumed bits), one per
 // page view, and a key arena in which a drawn batch's real key is followed by
 // its decoys and an undrawn batch occupies no words at all. A client holds at
-// most MaxPerClient batches — at most 320 contiguous words at the defaults —
-// so validation and the uniqueness check are linear scans, and expiry and
-// eviction drop whole batches by copy-down (never reallocating at steady
-// state). There is no per-key record and no per-client hash table; the only
+// most maxPerClient (64) batches — at most 320 contiguous words at the default
+// decoy count — so validation and the uniqueness check are linear scans, and
+// expiry and eviction drop whole batches by copy-down (never reallocating at
+// steady state). There is no per-key record and no per-client hash table; the only
 // map is each shard's client index. IssuePage fills a caller-owned PageKeys
 // without allocating, and Issue remains as the string-typed wrapper that
 // issues a page and draws its keys at once, for callers that want both.
@@ -182,13 +185,6 @@ type Config struct {
 	KeyDigits int
 	// TTL is how long issued keys stay valid.
 	TTL time.Duration
-	// MaxPerClient caps outstanding issues per client IP.
-	MaxPerClient int
-	// MaxClients caps the number of distinct client IPs tracked. The bound
-	// is distributed over the shards as ceil(MaxClients/Shards) per shard
-	// (at least 1), so the effective cap is MaxClients rounded up to a
-	// multiple of the shard count. Use Shards: 1 for an exact bound.
-	MaxClients int
 	// Shards is the number of independently locked shards, rounded up to a
 	// power of two (default shard.DefaultShards). Use 1 for strict global
 	// LRU client eviction at the cost of write concurrency.
@@ -212,18 +208,24 @@ func (c Config) withDefaults() Config {
 	if c.TTL <= 0 {
 		c.TTL = time.Hour
 	}
-	if c.MaxPerClient <= 0 {
-		c.MaxPerClient = 64
-	}
-	if c.MaxClients <= 0 {
-		c.MaxClients = 100000
-	}
 	c.Shards = shard.Normalize(c.Shards)
 	if c.Clock == nil {
 		c.Clock = clock.System
 	}
 	return c
 }
+
+// The two caps that keep a flood of page fetches from exhausting proxy memory.
+const (
+	// maxPerClient caps the outstanding page views per client IP; the oldest
+	// are discarded with their keys.
+	maxPerClient = 64
+	// maxClients caps the number of distinct client IPs tracked. The bound
+	// is distributed over the shards as ceil(maxClients/Shards) per shard
+	// (storeShard.max), so the effective cap is maxClients rounded up to a
+	// multiple of the shard count; with Shards: 1 it is exact.
+	maxClients = 100000
+)
 
 // tickResolution is the number of coarse ticks per TTL (so a tick unit is
 // TTL/65536, floored at 1ns — quantisation is ~0.003% of the TTL). The uint32
@@ -258,8 +260,8 @@ func (b batch) words() int {
 
 // tokenTag folds a script token into the 32 bits a batch has room for
 // (Fibonacci hashing: the high half of the product mixes every token bit). A
-// client holds at most MaxPerClient batches, so two of its own tokens share a
-// tag with probability ~MaxPerClient/2^32, and the first live match wins.
+// client holds at most maxPerClient batches, so two of its own tokens share a
+// tag with probability ~maxPerClient/2^32, and the first live match wins.
 func tokenTag(token uint64) uint32 { return uint32((token * 0x9e3779b97f4a7c15) >> 32) }
 
 // deadKey overwrites an arena word whose key was found expired by Validate
@@ -391,7 +393,7 @@ func New(cfg Config) *Store {
 	s.ttlTicks = uint32((cfg.TTL + s.tickUnit - 1) / s.tickUnit)
 	s.epoch = cfg.Clock.Now().Add(-cfg.TTL - 4*s.tickUnit)
 	base := rng.New(cfg.Seed).Fork("keystore")
-	perShard := shard.PerShardCap(cfg.MaxClients, cfg.Shards)
+	perShard := shard.PerShardCap(maxClients, cfg.Shards)
 	s.shards = make([]*storeShard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = &storeShard{
@@ -594,7 +596,7 @@ func (s *Store) drawLocked(sh *storeShard, cs *clientState, b *batch, off int) {
 // dropBatchesLocked removes the first n batches from the client's log and
 // compacts the headers and the arena in place (copy-down, no reallocation) so
 // the backing arrays never creep: O(live) per eviction wave, but
-// allocation-free forever (live sizes are MaxPerClient-bounded).
+// allocation-free forever (live sizes are maxPerClient-bounded).
 func (s *Store) dropBatchesLocked(cs *clientState, n int) {
 	off := 0
 	for _, b := range cs.batches[:n] {
@@ -636,7 +638,7 @@ func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
 // enforcePerClientLocked bounds the number of outstanding page views for one
 // client by discarding the oldest issues together with their decoys.
 func (s *Store) enforcePerClientLocked(cs *clientState) {
-	if over := len(cs.batches) - s.cfg.MaxPerClient; over > 0 {
+	if over := len(cs.batches) - maxPerClient; over > 0 {
 		s.dropBatchesLocked(cs, over)
 	}
 }
@@ -725,7 +727,7 @@ func (s *Store) ValidateValue(clientIP string, key uint64) Verdict {
 // false when the client holds no such batch or it is past the TTL (judged
 // exactly as ValidateValue judges its real key): a script is available
 // precisely as long as the key it carries can still validate. The scan is
-// bounded by MaxPerClient; only the client's shard is locked.
+// bounded by maxPerClient; only the client's shard is locked.
 func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64) (key uint64, _ []uint64, ok bool) {
 	sh := s.shard(clientIP)
 	sh.mu.Lock()
@@ -786,7 +788,7 @@ func (s *Store) LiveClients() int64 { return s.liveClients.Load() }
 
 // Occupancy returns the fraction of the client capacity in use, lock-free.
 func (s *Store) Occupancy() float64 {
-	return float64(s.liveClients.Load()) / float64(s.cfg.MaxClients)
+	return float64(s.liveClients.Load()) / maxClients
 }
 
 // MemoryEstimate returns the store's approximate live memory footprint in
@@ -796,9 +798,6 @@ func (s *Store) Occupancy() float64 {
 func (s *Store) MemoryEstimate() int64 {
 	return s.liveClients.Load()*clientBaseBytes + s.pinnedBytes.Load()
 }
-
-// KeyDigits returns the effective (clamped) key width in decimal digits.
-func (s *Store) KeyDigits() int { return s.cfg.KeyDigits }
 
 // Stats returns a copy of the cumulative counters.
 func (s *Store) Stats() Stats {

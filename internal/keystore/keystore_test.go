@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"botdetect/internal/clock"
+	"botdetect/internal/shard"
 )
 
 func newTestStore(t *testing.T, cfg Config) (*Store, *clock.Virtual) {
@@ -19,6 +20,21 @@ func newTestStore(t *testing.T, cfg Config) (*Store, *clock.Virtual) {
 	}
 	return New(cfg), vc
 }
+
+// capClients lowers s's client cap to n (distributed over the shards as New
+// distributes the real one) for the tests that churn through the cap many
+// times over: the recycling hammer and the reference differential. The
+// eviction-order and bound tests run at the real maxClients.
+func capClients(s *Store, n int) *Store {
+	for _, sh := range s.shards {
+		sh.max = shard.PerShardCap(n, len(s.shards))
+	}
+	return s
+}
+
+// manyIP is the i-th of up to 2^24 distinct client addresses, for the tests
+// that fill the table to maxClients.
+func manyIP(i int) string { return fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&0xff, i&0xff) }
 
 // download fills pk's keys the way a client learns them: by asking for the
 // page's script.
@@ -124,53 +140,62 @@ func TestTTLExpiryOnIssue(t *testing.T) {
 }
 
 func TestPerClientCapEvictsOldest(t *testing.T) {
-	s, _ := newTestStore(t, Config{MaxPerClient: 5, Decoys: 2})
-	var first Issued
-	for i := 0; i < 20; i++ {
-		iss := s.Issue("10.0.0.1", fmt.Sprintf("/p%d.html", i))
-		if i == 0 {
-			first = iss
-		}
+	s, _ := newTestStore(t, Config{Decoys: 2})
+	var issued []Issued
+	for i := 0; i < maxPerClient+16; i++ {
+		issued = append(issued, s.Issue("10.0.0.1", fmt.Sprintf("/p%d.html", i)))
 	}
-	// Max 5 outstanding issues * (1 real + 2 decoys) keys each.
-	if got := s.OutstandingKeys("10.0.0.1"); got > 5*3 {
-		t.Fatalf("outstanding = %d, want <= 15", got)
+	// 64 outstanding issues * (1 real + 2 decoys) keys each.
+	if got := s.OutstandingKeys("10.0.0.1"); got != maxPerClient*3 {
+		t.Fatalf("outstanding = %d, want %d", got, maxPerClient*3)
 	}
-	if v := s.Validate("10.0.0.1", first.Key); v != Unknown {
+	if v := s.Validate("10.0.0.1", issued[15].Key); v != Unknown {
 		t.Fatalf("evicted key verdict = %v", v)
+	}
+	if v := s.Validate("10.0.0.1", issued[16].Key); v != Human {
+		t.Fatalf("oldest surviving key verdict = %v", v)
 	}
 }
 
 func TestClientCapEvictsLRU(t *testing.T) {
 	// Shards: 1 pins every client to one shard so the global LRU eviction
 	// order is exact; with more shards the cap is distributed per shard.
-	s, _ := newTestStore(t, Config{MaxClients: 10, Shards: 1})
-	for i := 0; i < 25; i++ {
-		s.Issue(fmt.Sprintf("10.0.0.%d", i), "/a.html")
+	s, _ := newTestStore(t, Config{Shards: 1})
+	ip := manyIP
+	var pk PageKeys
+	for i := 0; i < maxClients+15; i++ {
+		s.IssuePage(ip(i), "/a.html", &pk)
+		if i == 14 || i == 15 || i == maxClients+14 {
+			download(t, s, ip(i), &pk)
+		}
 	}
-	if got := s.Clients(); got != 10 {
-		t.Fatalf("Clients = %d, want 10", got)
+	if got := s.Clients(); got != maxClients {
+		t.Fatalf("Clients = %d, want %d", got, maxClients)
 	}
 	if s.Stats().EvictedClients != 15 {
 		t.Fatalf("EvictedClients = %d", s.Stats().EvictedClients)
 	}
 	// The most recent clients should still be tracked.
-	if s.OutstandingKeys("10.0.0.24") == 0 {
+	if s.OutstandingKeys(ip(maxClients+14)) == 0 {
 		t.Fatal("most recent client was evicted")
 	}
-	if s.OutstandingKeys("10.0.0.0") != 0 {
-		t.Fatal("oldest client should have been evicted")
+	if s.OutstandingKeys(ip(15)) == 0 {
+		t.Fatal("the oldest client inside the cap was evicted")
+	}
+	if s.OutstandingKeys(ip(14)) != 0 {
+		t.Fatal("the newest client outside the cap should have been evicted")
 	}
 }
 
 func TestShardedClientCapBoundsTotal(t *testing.T) {
-	// With the default shard count the MaxClients bound is distributed over
-	// the shards; the total never exceeds the distributed bound.
-	s, _ := newTestStore(t, Config{MaxClients: 64})
-	for i := 0; i < 1000; i++ {
-		s.Issue(fmt.Sprintf("10.8.%d.%d", i/250, i%250), "/a.html")
+	// With the default shard count the client bound is distributed over the
+	// shards; the total never exceeds the distributed bound.
+	s, _ := newTestStore(t, Config{})
+	var pk PageKeys
+	for i := 0; i < maxClients+maxClients/4; i++ {
+		s.IssuePage(manyIP(i), "/a.html", &pk)
 	}
-	perShard := (64 + s.ShardCount() - 1) / s.ShardCount()
+	perShard := (maxClients + s.ShardCount() - 1) / s.ShardCount()
 	if got := s.Clients(); got > perShard*s.ShardCount() {
 		t.Fatalf("Clients = %d exceeds distributed bound %d", got, perShard*s.ShardCount())
 	}
@@ -180,9 +205,13 @@ func TestShardedClientCapBoundsTotal(t *testing.T) {
 }
 
 func TestLRUTouchOnValidate(t *testing.T) {
-	s, _ := newTestStore(t, Config{MaxClients: 2, Shards: 1})
+	s, _ := newTestStore(t, Config{Shards: 1})
 	a := s.Issue("1.1.1.1", "/a.html")
 	s.Issue("2.2.2.2", "/a.html")
+	var pk PageKeys
+	for i := 2; i < maxClients; i++ { // fill the table to its cap behind the two
+		s.IssuePage(manyIP(i), "/a.html", &pk)
+	}
 	// Touch client 1 so client 2 becomes the LRU victim.
 	if v := s.Validate("1.1.1.1", a.Key); v != Human {
 		t.Fatalf("validate = %v", v)
@@ -250,17 +279,19 @@ func TestConcurrentOverlappingClients(t *testing.T) {
 	// Goroutines share client IPs, so shard mutexes are genuinely contended
 	// and real keys race to be consumed (run with -race): every real key
 	// must validate as Human exactly once across all goroutines.
-	// MaxPerClient is raised so a descheduled goroutine's key cannot be
-	// evicted by the others' issues before it validates.
-	s, _ := newTestStore(t, Config{Decoys: 2, MaxPerClient: 100000})
-	ips := []string{"10.2.0.1", "10.2.0.2", "10.2.0.3"}
+	// Each round's three addresses see exactly maxPerClient issues between
+	// them all (8 goroutines x 24 iterations / 3 addresses), so a descheduled
+	// goroutine's key can never be evicted by the others' issues before it
+	// validates.
+	s, _ := newTestStore(t, Config{Decoys: 2})
+	const rounds, perRound = 6, 3 * maxPerClient / 8
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 150; i++ {
-				ip := ips[(g+i)%len(ips)]
+			for i := 0; i < rounds*perRound; i++ {
+				ip := fmt.Sprintf("10.2.%d.%d", i/perRound, (g+i)%3)
 				iss := s.Issue(ip, "/p.html")
 				if v := s.Validate(ip, iss.Key); v != Human {
 					t.Errorf("goroutine %d: first validation = %v", g, v)
@@ -275,7 +306,7 @@ func TestConcurrentOverlappingClients(t *testing.T) {
 	}
 	wg.Wait()
 	st := s.Stats()
-	if st.HumanHits != 8*150 || st.ReplayHits != 8*150 {
+	if want := int64(8 * rounds * perRound); st.HumanHits != want || st.ReplayHits != want {
 		t.Fatalf("stats = %+v", st)
 	}
 }

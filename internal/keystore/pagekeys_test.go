@@ -15,7 +15,7 @@ import (
 // its neighbour's keys.
 func TestPageKeysForFollowsBatchesThroughCompaction(t *testing.T) {
 	const ip = "10.0.0.1"
-	s, vc := newTestStore(t, Config{Decoys: 4, MaxPerClient: 6, TTL: time.Hour, Shards: 1})
+	s, vc := newTestStore(t, Config{Decoys: 4, TTL: time.Hour, Shards: 1})
 	type page struct {
 		token  uint64
 		owed   int // decoys
@@ -89,18 +89,20 @@ func TestPageKeysForFollowsBatchesThroughCompaction(t *testing.T) {
 
 	issue(3, 0) // 6
 	issue(1, 0) // 7
-	issue(2, 0) // 8: seven batches against a cap of six, so batch 1 is evicted
+	for len(issued) < maxPerClient+3 {
+		issue(2, 0) // the last makes 65 batches against the cap of 64, so batch 1 is evicted
+	}
 	outstanding(1 + 3 + 5)
-	for i, live := range []bool{false, false, false, true, true, true, true, true, true} {
-		check(i, live)
+	for i := range issued {
+		check(i, i >= 3)
 	}
 
 	if v := s.ValidateValue(ip, issued[3].key); v != Human {
 		t.Fatalf("validate = %v", v)
 	}
 	check(3, true) // a consumed key is still a live batch: the script re-renders
-	if st := s.Stats(); st.Issued != 9 || st.Drawn != 8 {
-		t.Fatalf("stats = %+v, want 9 issued, 8 drawn (batch 2 died undrawn)", st)
+	if st := s.Stats(); st.Issued != maxPerClient+3 || st.Drawn != maxPerClient+2 {
+		t.Fatalf("stats = %+v, want 67 issued, 66 drawn (batch 2 died undrawn)", st)
 	}
 }
 
@@ -142,30 +144,30 @@ func TestNoKeyBeforeScriptRequest(t *testing.T) {
 	}
 }
 
-// TestTokenTagCollision quantifies the 32-bit tokenTag: two script tokens of
-// one client that share a tag (found by issuing until the birthday bound
-// bites, ~2^16 pages) are one batch as far as the script download can tell.
-// The first live batch answers both tokens, so exactly one run is drawn, its
-// key proves a human once, and the shadowed batch stays undrawn.
+// TestTokenTagCollision pins what the 32-bit tokenTag costs: two script tokens
+// of one client that share a tag are one batch as far as the script download
+// can tell. With 64 live batches a client meets that by chance about once in
+// 2^21 logs, so the pair is made: the second page's token is replaced by the
+// first's nearest tag-mate (the Fibonacci multiplier is odd, hence invertible
+// mod 2^64). The first live batch answers both tokens, so exactly one run is
+// drawn, its key proves a human once, and the shadowed batch stays undrawn.
 func TestTokenTagCollision(t *testing.T) {
 	const ip = "10.0.0.1"
-	s, _ := newTestStore(t, Config{Seed: 2, Decoys: 2, MaxPerClient: 1 << 20, Shards: 1})
+	s, _ := newTestStore(t, Config{Seed: 2, Decoys: 2, Shards: 1})
 	var pk PageKeys
-	byTag := make(map[uint32]uint64)
-	var first, second uint64
-	for i := 0; i < 1<<20; i++ {
-		s.IssuePage(ip, "/p.html", &pk)
-		tag := tokenTag(pk.ScriptToken)
-		if prev, ok := byTag[tag]; ok && prev != pk.ScriptToken {
-			first, second = prev, pk.ScriptToken
-			break
-		}
-		byTag[tag] = pk.ScriptToken
+	s.IssuePage(ip, "/p.html", &pk)
+	first := pk.ScriptToken
+	const fib = 0x9e3779b97f4a7c15
+	inv := uint64(fib) // Newton: each step doubles the correct low bits
+	for i := 0; i < 6; i++ {
+		inv *= 2 - fib*inv
 	}
-	if second == 0 {
-		t.Fatal("no two tokens shared a tag in 2^20 issues")
+	second := (first*fib ^ 1) * inv
+	if second == first || tokenTag(second) != tokenTag(first) {
+		t.Fatalf("tokens %d and %d: tags %#x and %#x", first, second, tokenTag(first), tokenTag(second))
 	}
-	t.Logf("tokens %d and %d share tag %#x after %d issues", first, second, tokenTag(first), s.Stats().Issued)
+	s.IssuePage(ip, "/p.html", &pk)
+	s.shard(ip).clients[ip].batches[1].tag = tokenTag(second)
 
 	key2, decoys2, ok2 := s.PageKeysFor(ip, second, nil) // the later page's script is asked for first
 	key1, decoys1, ok1 := s.PageKeysFor(ip, first, nil)

@@ -54,7 +54,9 @@ type refShard struct {
 	max     int
 }
 
-func newRefStore(cfg Config) *refStore {
+// newRefStore takes the client cap as an argument: the differential lowers it
+// on both stores (capClients on the real one).
+func newRefStore(cfg Config, clients int) *refStore {
 	cfg = cfg.withDefaults()
 	s := &refStore{cfg: cfg, mask: uint64(cfg.Shards - 1)}
 	s.tickUnit = max(cfg.TTL/tickResolution, 1)
@@ -65,7 +67,7 @@ func newRefStore(cfg Config) *refStore {
 		s.shards = append(s.shards, &refShard{
 			src:     base.Fork(fmt.Sprintf("shard-%d", i)),
 			clients: make(map[string]*refClient),
-			max:     shard.PerShardCap(cfg.MaxClients, cfg.Shards),
+			max:     shard.PerShardCap(clients, cfg.Shards),
 		})
 	}
 	return s
@@ -183,7 +185,7 @@ func (s *refStore) expireClient(cs *refClient, nowTick uint32) {
 }
 
 func (s *refStore) enforceCaps(sh *refShard, cs *refClient) {
-	for len(cs.queue) > s.cfg.MaxPerClient {
+	for len(cs.queue) > maxPerClient {
 		cs.forget(cs.queue[0])
 		cs.queue = cs.queue[1:]
 	}

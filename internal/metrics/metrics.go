@@ -153,85 +153,6 @@ func (s Series) Format() string {
 	return b.String()
 }
 
-// Histogram counts integer-valued observations in unit-width bins,
-// tracking everything above the configured maximum in an overflow bin.
-type Histogram struct {
-	bins     []int64
-	overflow int64
-	count    int64
-	sum      float64
-}
-
-// NewHistogram returns a histogram covering [0, maxValue]. maxValue < 0 is
-// treated as 0.
-func NewHistogram(maxValue int) *Histogram {
-	if maxValue < 0 {
-		maxValue = 0
-	}
-	return &Histogram{bins: make([]int64, maxValue+1)}
-}
-
-// Observe records one observation. Negative values clamp to 0; values above
-// the maximum land in the overflow bin.
-func (h *Histogram) Observe(v int) {
-	h.count++
-	h.sum += float64(v)
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.bins) {
-		h.overflow++
-		return
-	}
-	h.bins[v]++
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count }
-
-// Overflow returns the number of observations above the configured maximum.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
-// Bin returns the count of observations equal to v, or 0 if out of range.
-func (h *Histogram) Bin(v int) int64 {
-	if v < 0 || v >= len(h.bins) {
-		return 0
-	}
-	return h.bins[v]
-}
-
-// Mean returns the mean of all observations (including overflowed ones, at
-// their true values).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// CumulativeAt returns the fraction of observations <= v. Overflowed
-// observations are only counted when v is at or beyond the maximum bin.
-func (h *Histogram) CumulativeAt(v int) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	if v < 0 {
-		return 0
-	}
-	var acc int64
-	limit := v
-	if limit >= len(h.bins) {
-		limit = len(h.bins) - 1
-	}
-	for i := 0; i <= limit; i++ {
-		acc += h.bins[i]
-	}
-	if v >= len(h.bins) {
-		acc += h.overflow
-	}
-	return float64(acc) / float64(h.count)
-}
-
 // ConfusionMatrix accumulates binary-classification outcomes where
 // "positive" means "classified as human" unless documented otherwise by the
 // caller.
@@ -315,38 +236,6 @@ func (m *ConfusionMatrix) F1() float64 {
 func (m *ConfusionMatrix) String() string {
 	return fmt.Sprintf("TP=%d FP=%d TN=%d FN=%d acc=%.3f fpr=%.3f",
 		m.TP, m.FP, m.TN, m.FN, m.Accuracy(), m.FalsePositiveRate())
-}
-
-// Counter is a named monotonically increasing counter set, used for the
-// Table 1 style session breakdowns and the operational counters exported by
-// the proxy.
-type Counter struct {
-	counts map[string]int64
-	order  []string
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter {
-	return &Counter{counts: make(map[string]int64)}
-}
-
-// Inc adds delta (which may be negative only down to zero usage discipline is
-// the caller's responsibility) to the named counter, creating it on first use.
-func (c *Counter) Inc(name string, delta int64) {
-	if _, ok := c.counts[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.counts[name] += delta
-}
-
-// Get returns the value of the named counter (0 if never incremented).
-func (c *Counter) Get(name string) int64 { return c.counts[name] }
-
-// Names returns counter names in first-use order.
-func (c *Counter) Names() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
 }
 
 // Table is a simple fixed-column text table used to print the regenerated

@@ -125,62 +125,6 @@ func TestSeriesFormat(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(10)
-	for i := 0; i <= 12; i++ {
-		h.Observe(i)
-	}
-	h.Observe(-3)
-	if h.Count() != 14 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Overflow() != 2 {
-		t.Fatalf("Overflow = %d", h.Overflow())
-	}
-	if h.Bin(0) != 2 { // the 0 observation plus the clamped -3
-		t.Fatalf("Bin(0) = %d", h.Bin(0))
-	}
-	if h.Bin(5) != 1 || h.Bin(11) != 0 || h.Bin(-1) != 0 {
-		t.Fatal("Bin lookups incorrect")
-	}
-}
-
-func TestHistogramCumulative(t *testing.T) {
-	h := NewHistogram(5)
-	for _, v := range []int{1, 1, 2, 3, 8} {
-		h.Observe(v)
-	}
-	if got := h.CumulativeAt(2); math.Abs(got-0.6) > 1e-9 {
-		t.Fatalf("CumulativeAt(2) = %f", got)
-	}
-	if got := h.CumulativeAt(100); got != 1 {
-		t.Fatalf("CumulativeAt(100) = %f", got)
-	}
-	if got := h.CumulativeAt(-1); got != 0 {
-		t.Fatalf("CumulativeAt(-1) = %f", got)
-	}
-	if got := h.CumulativeAt(5); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("CumulativeAt(5) = %f, overflow should not count below max", got)
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(100)
-	for _, v := range []int{10, 20, 30} {
-		h.Observe(v)
-	}
-	if got := h.Mean(); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("Mean = %f", got)
-	}
-	empty := NewHistogram(10)
-	if empty.Mean() != 0 {
-		t.Fatal("empty histogram mean should be 0")
-	}
-	if NewHistogram(-5).Bin(0) != 0 {
-		t.Fatal("negative max should behave as zero-sized histogram")
-	}
-}
-
 func TestConfusionMatrix(t *testing.T) {
 	var m ConfusionMatrix
 	// 8 humans correctly classified, 2 humans missed, 1 robot misclassified,
@@ -241,20 +185,6 @@ func TestConfusionMatrixRatesBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("css", 1)
-	c.Inc("js", 2)
-	c.Inc("css", 3)
-	if c.Get("css") != 4 || c.Get("js") != 2 || c.Get("missing") != 0 {
-		t.Fatal("counter values incorrect")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "css" || names[1] != "js" {
-		t.Fatalf("Names = %v", names)
 	}
 }
 

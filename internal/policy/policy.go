@@ -6,9 +6,11 @@
 // behaving like a robot under challenge — definite evidence that ignores the
 // challenge, or behaviour past the paper's per-session thresholds (CGI
 // request rate, error-response share). A definite human verdict (input
-// events, a passed CAPTCHA) de-escalates the session back to monitor, and
-// verified humans can be given a higher bandwidth allowance (the CAPTCHA
-// incentive).
+// events, a passed CAPTCHA) de-escalates the session back to monitor.
+//
+// The ladder's numbers are the one aggressive post-classification policy the
+// paper describes deploying and are fixed (the constants below): nothing but
+// the clock is settable.
 package policy
 
 import (
@@ -86,64 +88,38 @@ type Decision struct {
 	Reason string
 }
 
-// Thresholds are the per-session behaviour limits applied to sessions in the
-// challenge stage — robots that keep going instead of proving humanity.
-type Thresholds struct {
-	// MaxRequestRate is the maximum sustained requests/second for a
-	// challenged robot session before throttling (0 disables).
-	MaxRequestRate float64
-	// MaxCGIRate is the maximum CGI requests/second before blocking.
-	MaxCGIRate float64
-	// MaxErrorShare is the maximum share of 4xx+5xx responses before
+// The per-session behaviour limits applied to sessions in the challenge stage
+// — robots that keep going instead of proving humanity. They mirror the
+// aggressive post-classification limits the paper describes deploying on
+// CoDeeN.
+const (
+	// maxRequestRate is the maximum sustained requests/second for a
+	// challenged robot session before throttling.
+	maxRequestRate = 2.0
+	// maxCGIRate is the maximum CGI requests/second before blocking.
+	maxCGIRate = 0.2
+	// maxErrorShare is the maximum share of 4xx+5xx responses before
 	// blocking (robots probing for vulnerabilities trip this).
-	MaxErrorShare float64
-	// MinRequestsForShare is the minimum request count before the error
+	maxErrorShare = 0.3
+	// minRequestsForShare is the minimum request count before the error
 	// share rule applies (avoids blocking on one early 404).
-	MinRequestsForShare int64
-}
-
-// DefaultThresholds mirror the aggressive post-classification limits the
-// paper describes deploying on CoDeeN.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		MaxRequestRate:      2.0,
-		MaxCGIRate:          0.2,
-		MaxErrorShare:       0.3,
-		MinRequestsForShare: 20,
-	}
-}
+	minRequestsForShare = 20
+	// challengeGraceRequests is how many further requests a session with a
+	// definite robot verdict may make after being challenged before the
+	// ladder escalates to block regardless of rates — direct evidence plus
+	// an ignored challenge is as certain as enforcement gets.
+	challengeGraceRequests = 25
+	// blockDuration is how long a blocked session stays blocked.
+	blockDuration = time.Hour
+)
 
 // Config controls the engine.
 type Config struct {
-	// Thresholds are the challenged-robot behaviour limits.
-	Thresholds Thresholds
-	// BlockDuration is how long a blocked session stays blocked.
-	BlockDuration time.Duration
-	// ChallengeGraceRequests is how many further requests a session with a
-	// definite robot verdict may make after being challenged before the
-	// ladder escalates to block regardless of rates — direct evidence plus
-	// an ignored challenge is as certain as enforcement gets (default 25).
-	ChallengeGraceRequests int64
-	// HumanBandwidthBonus is a multiplicative bandwidth allowance granted to
-	// CAPTCHA-verified humans (informational; the proxy applies it).
-	HumanBandwidthBonus float64
 	// Clock supplies time; defaults to the wall clock.
 	Clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
-	if c.Thresholds == (Thresholds{}) {
-		c.Thresholds = DefaultThresholds()
-	}
-	if c.BlockDuration <= 0 {
-		c.BlockDuration = time.Hour
-	}
-	if c.ChallengeGraceRequests <= 0 {
-		c.ChallengeGraceRequests = 25
-	}
-	if c.HumanBandwidthBonus <= 0 {
-		c.HumanBandwidthBonus = 2.0
-	}
 	if c.Clock == nil {
 		c.Clock = clock.System
 	}
@@ -298,12 +274,6 @@ func (e *Engine) expireBlock(key session.Key) {
 	e.stats.unblocked.Add(removed)
 }
 
-// Thresholds returns the effective thresholds.
-func (e *Engine) Thresholds() Thresholds { return e.cfg.Thresholds }
-
-// HumanBandwidthBonus returns the bandwidth multiplier for verified humans.
-func (e *Engine) HumanBandwidthBonus() float64 { return e.cfg.HumanBandwidthBonus }
-
 // Evaluate walks the session one step along the escalation ladder given its
 // current snapshot and the detection chain's verdict. The common path (no
 // transition) is lock-free.
@@ -355,35 +325,30 @@ func (e *Engine) Evaluate(snap session.Snapshot, verdict detect.Verdict) Decisio
 
 	// Challenged and still behaving like a robot: behavioural thresholds and
 	// the definite-evidence grace decide between block, throttle and allow.
-	th := e.cfg.Thresholds
 	dur := snap.Duration().Seconds()
 	if dur < 1 {
 		dur = 1
 	}
 	c := snap.Counts
 
-	if th.MaxCGIRate > 0 {
-		if rate := float64(c.CGI) / dur; rate > th.MaxCGIRate {
-			e.block(key, now)
-			return Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot CGI rate %.2f/s exceeds %.2f/s", rate, th.MaxCGIRate)}
-		}
+	if rate := float64(c.CGI) / dur; rate > maxCGIRate {
+		e.block(key, now)
+		return Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot CGI rate %.2f/s exceeds %.2f/s", rate, maxCGIRate)}
 	}
-	if th.MaxErrorShare > 0 && int64(c.Total) >= th.MinRequestsForShare {
+	if c.Total >= minRequestsForShare {
 		errShare := float64(c.Status4xx+c.Status5xx) / float64(c.Total)
-		if errShare > th.MaxErrorShare {
+		if errShare > maxErrorShare {
 			e.block(key, now)
-			return Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot error share %.0f%% exceeds %.0f%%", errShare*100, th.MaxErrorShare*100)}
+			return Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot error share %.0f%% exceeds %.0f%%", errShare*100, maxErrorShare*100)}
 		}
 	}
-	if verdict.Confidence == detect.Definite && int64(c.Total)-st.enteredTotal >= e.cfg.ChallengeGraceRequests {
+	if verdict.Confidence == detect.Definite && int64(c.Total)-st.enteredTotal >= challengeGraceRequests {
 		e.block(key, now)
 		return Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("definite robot ignored the challenge for %d requests", int64(c.Total)-st.enteredTotal)}
 	}
-	if th.MaxRequestRate > 0 {
-		if rate := float64(c.Total) / dur; rate > th.MaxRequestRate {
-			e.stats.throttled.Add(1)
-			return Decision{Action: Throttle, Stage: StageChallenge, Reason: fmt.Sprintf("challenged robot request rate %.2f/s exceeds %.2f/s", rate, th.MaxRequestRate)}
-		}
+	if rate := float64(c.Total) / dur; rate > maxRequestRate {
+		e.stats.throttled.Add(1)
+		return Decision{Action: Throttle, Stage: StageChallenge, Reason: fmt.Sprintf("challenged robot request rate %.2f/s exceeds %.2f/s", rate, maxRequestRate)}
 	}
 	e.stats.allowed.Add(1)
 	return Decision{Action: Allow, Stage: StageChallenge, Reason: "challenged robot within behavioural thresholds"}
@@ -392,7 +357,7 @@ func (e *Engine) Evaluate(snap session.Snapshot, verdict detect.Verdict) Decisio
 // block promotes key to the block stage and reports the locally decided
 // block to the fleet hook.
 func (e *Engine) block(key session.Key, now time.Time) {
-	until := now.Add(e.cfg.BlockDuration)
+	until := now.Add(blockDuration)
 	e.setStage(key, stageState{stage: StageBlock, until: until})
 	e.stats.blocked.Add(1)
 	if fn := e.onBlock.Load(); fn != nil {

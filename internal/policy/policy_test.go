@@ -156,25 +156,25 @@ func TestRobotRequestRateThrottles(t *testing.T) {
 }
 
 func TestDefiniteRobotIgnoringChallengeBlocks(t *testing.T) {
-	e, vc := newTestEngine(Config{ChallengeGraceRequests: 10})
+	e, vc := newTestEngine(Config{})
 	key := session.Key{IP: "6.6.6.7", UserAgent: "Harvester"}
 	// Slow enough to stay under every rate threshold.
 	early := snapshotWith(key, session.Counts{Total: 30, Status2xx: 30}, time.Hour, vc.Now())
 	challenge(t, e, early, robotVerdict())
 
-	// Within the grace window: still allowed.
-	within := snapshotWith(key, session.Counts{Total: 35, Status2xx: 35}, time.Hour, vc.Now())
+	// Within the grace window (24 requests after the challenge): still allowed.
+	within := snapshotWith(key, session.Counts{Total: 54, Status2xx: 54}, time.Hour, vc.Now())
 	if d := e.Evaluate(within, robotVerdict()); d.Action != Allow {
 		t.Fatalf("within grace = %+v", d)
 	}
-	// Past the grace window with definite evidence: blocked.
-	past := snapshotWith(key, session.Counts{Total: 41, Status2xx: 41}, time.Hour, vc.Now())
+	// The 25th request with definite evidence: blocked.
+	past := snapshotWith(key, session.Counts{Total: 55, Status2xx: 55}, time.Hour, vc.Now())
 	d := e.Evaluate(past, robotVerdict())
-	if d.Action != Block || !strings.Contains(d.Reason, "ignored the challenge") {
+	if d.Action != Block || !strings.Contains(d.Reason, "ignored the challenge for 25 requests") {
 		t.Fatalf("past grace = %+v", d)
 	}
 	// A merely probable robot is never grace-blocked.
-	e2, vc2 := newTestEngine(Config{ChallengeGraceRequests: 10})
+	e2, vc2 := newTestEngine(Config{})
 	challenge(t, e2, snapshotWith(key, session.Counts{Total: 30, Status2xx: 30}, time.Hour, vc2.Now()), probableRobotVerdict())
 	if d := e2.Evaluate(snapshotWith(key, session.Counts{Total: 100, Status2xx: 100}, time.Hour, vc2.Now()), probableRobotVerdict()); d.Action != Allow {
 		t.Fatalf("probable robot past grace = %+v", d)
@@ -182,13 +182,14 @@ func TestDefiniteRobotIgnoringChallengeBlocks(t *testing.T) {
 }
 
 func TestBlockExpiry(t *testing.T) {
-	e, vc := newTestEngine(Config{BlockDuration: 30 * time.Minute})
+	e, vc := newTestEngine(Config{})
 	key := session.Key{IP: "7.7.7.7", UserAgent: "Bot"}
 	e.BlockNow(key)
+	vc.Advance(59 * time.Minute)
 	if !e.IsBlocked(key) {
-		t.Fatal("BlockNow did not block")
+		t.Fatal("BlockNow did not block for the hour")
 	}
-	vc.Advance(31 * time.Minute)
+	vc.Advance(2 * time.Minute)
 	if e.IsBlocked(key) {
 		t.Fatal("block did not expire")
 	}
@@ -198,10 +199,10 @@ func TestBlockExpiry(t *testing.T) {
 }
 
 func TestBlockExpiryViaEvaluate(t *testing.T) {
-	e, vc := newTestEngine(Config{BlockDuration: 10 * time.Minute})
+	e, vc := newTestEngine(Config{})
 	key := session.Key{IP: "8.8.8.8", UserAgent: "Bot"}
 	e.BlockNow(key)
-	vc.Advance(11 * time.Minute)
+	vc.Advance(61 * time.Minute)
 	snap := snapshotWith(key, session.Counts{Total: 30, Status2xx: 30}, 10*time.Minute, vc.Now())
 	// After the block lapses, a still-robot verdict re-enters the ladder at
 	// the challenge stage rather than staying blocked.
@@ -213,25 +214,11 @@ func TestBlockExpiryViaEvaluate(t *testing.T) {
 		t.Fatalf("BlockedCount = %d", e.BlockedCount())
 	}
 	// A human verdict after expiry simply allows.
-	e2, vc2 := newTestEngine(Config{BlockDuration: 10 * time.Minute})
+	e2, vc2 := newTestEngine(Config{})
 	e2.BlockNow(key)
-	vc2.Advance(11 * time.Minute)
+	vc2.Advance(61 * time.Minute)
 	if d := e2.Evaluate(snap, humanVerdict()); d.Action != Allow {
 		t.Fatalf("human after expiry = %+v", d)
-	}
-}
-
-func TestDefaultsApplied(t *testing.T) {
-	e, _ := newTestEngine(Config{})
-	th := e.Thresholds()
-	if th != DefaultThresholds() {
-		t.Fatalf("thresholds = %+v", th)
-	}
-	if e.HumanBandwidthBonus() != 2.0 {
-		t.Fatalf("bonus = %f", e.HumanBandwidthBonus())
-	}
-	if e.cfg.ChallengeGraceRequests != 25 {
-		t.Fatalf("grace = %d", e.cfg.ChallengeGraceRequests)
 	}
 }
 
@@ -245,16 +232,26 @@ func TestActionAndStageStrings(t *testing.T) {
 	}
 }
 
-func TestZeroThresholdsDisableRules(t *testing.T) {
-	e, vc := newTestEngine(Config{Thresholds: Thresholds{MaxRequestRate: 0, MaxCGIRate: 0, MaxErrorShare: 0, MinRequestsForShare: 1}})
-	// All-zero would be replaced by defaults, so set one harmless field. The
-	// per-rule zero values disable individual rules.
-	key := session.Key{IP: "9.9.9.9", UserAgent: "Bot"}
-	snap := snapshotWith(key, session.Counts{Total: 100000, CGI: 100000, Status4xx: 100000}, time.Second, vc.Now())
-	challenge(t, e, snap, probableRobotVerdict())
-	d := e.Evaluate(snap, probableRobotVerdict())
-	if d.Action != Allow {
-		t.Fatalf("disabled rules still fired: %+v", d)
+// TestDefaultsApplied pins the ladder's limits at the paper's values by
+// behaviour: a challenged robot sitting exactly on each of them — 2
+// requests/s, 0.2 CGI requests/s, a 30 % error share — or one request short
+// of the error-share floor of 20 is allowed, because every rule fires
+// strictly above its limit (the tests above cross each one; the grace of 25
+// is pinned by TestDefiniteRobotIgnoringChallengeBlocks).
+func TestDefaultsApplied(t *testing.T) {
+	for name, counts := range map[string]session.Counts{
+		"request rate 2/s":       {Total: 200, Status2xx: 200},
+		"CGI rate 0.2/s":         {Total: 20, CGI: 20, Status2xx: 20},
+		"error share 30%":        {Total: 20, Status4xx: 3, Status5xx: 3, Status2xx: 14},
+		"19 requests, all error": {Total: 19, Status4xx: 19},
+	} {
+		e, vc := newTestEngine(Config{})
+		key := session.Key{IP: "9.9.9.9", UserAgent: "Bot"}
+		snap := snapshotWith(key, counts, 100*time.Second, vc.Now())
+		challenge(t, e, snap, probableRobotVerdict())
+		if d := e.Evaluate(snap, probableRobotVerdict()); d.Action != Allow {
+			t.Fatalf("%s: %+v", name, d)
+		}
 	}
 }
 
@@ -262,7 +259,7 @@ func TestConcurrentEnforcement(t *testing.T) {
 	// Readers (Evaluate/IsBlocked/BlockedCount) race against transition and
 	// expiry writers on the copy-on-write snapshot; run under -race this is
 	// the data-race proof for the lock-free read path.
-	eng, vc := newTestEngine(Config{BlockDuration: time.Minute})
+	eng, vc := newTestEngine(Config{})
 	start := vc.Now()
 	keys := make([]session.Key, 16)
 	for i := range keys {

@@ -27,10 +27,6 @@ type AdminConfig struct {
 	// Policy optionally enables the verdict-override endpoint to block
 	// sessions immediately.
 	Policy *policy.Engine
-	// Prefix is the URL prefix for every admin endpoint. It defaults to the
-	// engine's beacon prefix so the whole control surface lives under one
-	// reserved subtree (the CDN strips it before the origin ever sees it).
-	Prefix string
 	// EnablePprof mounts net/http/pprof under <prefix>/debug/pprof/. Off by
 	// default: profiling endpoints can stall the process and leak internals.
 	EnablePprof bool
@@ -72,9 +68,6 @@ func NewAdmin(cfg AdminConfig) *Admin {
 	if cfg.Engine == nil {
 		panic("proxy: AdminConfig.Engine is required")
 	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = cfg.Engine.Config().BeaconPrefix
-	}
 	if cfg.Retrain.Rounds <= 0 {
 		cfg.Retrain.Rounds = 200
 	}
@@ -87,7 +80,10 @@ func NewAdmin(cfg AdminConfig) *Admin {
 // beacon prefix — beacons and admin endpoints share the reserved subtree
 // without shadowing each other.
 func (a *Admin) Register(mux *http.ServeMux) {
-	p := a.cfg.Prefix
+	// Every admin endpoint lives under the engine's beacon prefix, so the
+	// whole control surface is one reserved subtree (the CDN strips it
+	// before the origin ever sees it).
+	p := a.cfg.Engine.Config().BeaconPrefix
 	mux.Handle(p+"/metrics", a.guard(http.HandlerFunc(a.handleMetrics)))
 	mux.Handle(p+"/status", a.guard(http.HandlerFunc(a.handleStatus)))
 	mux.Handle(p+"/admin/session", a.guard(http.HandlerFunc(a.handleSession)))

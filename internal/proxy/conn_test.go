@@ -9,11 +9,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"botdetect/internal/agents"
 	"botdetect/internal/cdn"
 	"botdetect/internal/core"
 	"botdetect/internal/htmlmod"
+	"botdetect/internal/policy"
+	"botdetect/internal/session"
 	"botdetect/internal/webmodel"
 )
 
@@ -120,40 +123,119 @@ func TestConnPathMatchesPerRequestPath(t *testing.T) {
 	}
 }
 
-// TestSurfacesServeIdenticalBytes serves the same pages from the same origin
-// through every surface that instruments — the middleware on a claimed
-// connection, the middleware on a request that has no connection state to
-// claim, and the simulated edge node — on three engines with one seed. All
-// three prepare through core.Engine.PreparePage, so the bodies must match
-// byte for byte.
+// TestSurfacesServeIdenticalBytes drives the same requests at the same origin
+// through every surface that serves — the middleware on a claimed connection,
+// the middleware on a request that has no connection state to claim, and the
+// simulated edge node — on three engines with one seed.
+//
+// pages: all three prepare through core.Engine.PreparePage, so the bodies
+// must match byte for byte.
+//
+// refused robot: one scripted robot — a page, its hidden link, then a probe
+// that is half bogus paths — walks the ladder on each surface: challenged on
+// the first request after the trap, blocked once the error share counts, and
+// refused from then on. A refused request is answered differently on the wire
+// but counted identically, so every surface ends with the same status
+// sequence, session counts, signals and ladder stage.
 func TestSurfacesServeIdenticalBytes(t *testing.T) {
 	site := webmodel.Generate(webmodel.SiteConfig{Seed: 5, NumPages: 10})
-	newEngine := func() *core.Engine { return core.New(core.Config{Seed: 43, ObfuscateJS: true}) }
-	claimed := New(site.Handler(), Config{Engine: newEngine()})
-	unclaimed := New(site.Handler(), Config{Engine: newEngine()})
-	node := cdn.NewNode(cdn.NodeConfig{Name: "edge", Site: site, Engine: newEngine()})
-
 	const ip, ua = "10.14.0.1", "Firefox/1.5"
-	viaMiddleware := func(mw *Middleware, ctx context.Context, path string) []byte {
-		req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
-		req.RemoteAddr = ip + ":1000"
-		req.Header.Set("User-Agent", ua)
-		rec := httptest.NewRecorder()
-		mw.ServeHTTP(rec, req)
-		return rec.Body.Bytes()
+	key := session.Key{IP: ip, UserAgent: ua}
+	// A surface answers one GET with its status and body.
+	type surface struct {
+		name string
+		eng  *core.Engine
+		pol  *policy.Engine
+		get  func(path string) (int, []byte)
 	}
-	conn := ConnContext(context.Background(), nil)
-	for i, path := range []string{"/", "/page1.html", "/", "/page2.html"} {
-		a := viaMiddleware(claimed, conn, path)
-		b := viaMiddleware(unclaimed, context.Background(), path)
-		c := node.Do(agents.Request{IP: ip, UserAgent: ua, Method: http.MethodGet, Path: path}).Body
-		if sum := htmlmod.Extract(a); !sum.BodyMouseHandler || len(sum.HiddenLinks) != 1 {
-			t.Fatalf("view %d (%s): page not instrumented:\n%s", i, path, a)
+	surfaces := func(withPolicy bool) []surface {
+		out := make([]surface, 3)
+		for i := range out {
+			out[i].eng = core.New(core.Config{Seed: 43, ObfuscateJS: true})
+			if withPolicy {
+				out[i].pol = policy.NewEngine(policy.Config{})
+			}
 		}
-		if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
-			t.Fatalf("view %d (%s): surfaces diverged:\nclaimed   %q\nunclaimed %q\nnode      %q", i, path, a, b, c)
+		viaMiddleware := func(s *surface, ctx context.Context) {
+			mw := New(site.Handler(), Config{Engine: s.eng, Policy: s.pol})
+			s.get = func(path string) (int, []byte) {
+				req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+				req.RemoteAddr = ip + ":1000"
+				req.Header.Set("User-Agent", ua)
+				rec := httptest.NewRecorder()
+				mw.ServeHTTP(rec, req)
+				return rec.Code, rec.Body.Bytes()
+			}
 		}
+		out[0].name = "claimed"
+		viaMiddleware(&out[0], ConnContext(context.Background(), nil))
+		out[1].name = "unclaimed"
+		viaMiddleware(&out[1], context.Background())
+		out[2].name = "node"
+		node := cdn.NewNode(cdn.NodeConfig{Name: "edge", Site: site, Engine: out[2].eng, Policy: out[2].pol})
+		out[2].get = func(path string) (int, []byte) {
+			resp := node.Do(agents.Request{Time: time.Now(), IP: ip, UserAgent: ua, Method: http.MethodGet, Path: path})
+			return resp.Status, resp.Body
+		}
+		return out
 	}
+
+	t.Run("pages", func(t *testing.T) {
+		ss := surfaces(false)
+		for i, path := range []string{"/", "/page1.html", "/", "/page2.html"} {
+			_, a := ss[0].get(path)
+			_, b := ss[1].get(path)
+			_, c := ss[2].get(path)
+			if sum := htmlmod.Extract(a); !sum.BodyMouseHandler || len(sum.HiddenLinks) != 1 {
+				t.Fatalf("view %d (%s): page not instrumented:\n%s", i, path, a)
+			}
+			if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
+				t.Fatalf("view %d (%s): surfaces diverged:\nclaimed   %q\nunclaimed %q\nnode      %q", i, path, a, b, c)
+			}
+		}
+	})
+
+	t.Run("refused robot", func(t *testing.T) {
+		type outcome struct {
+			statuses string
+			counts   session.Counts
+			signals  session.Signals
+			stage    policy.Stage
+		}
+		var first outcome
+		for i, s := range surfaces(true) {
+			var got outcome
+			get := func(path string) []byte {
+				status, body := s.get(path)
+				got.statuses += fmt.Sprint(status, " ")
+				return body
+			}
+			get(htmlmod.Extract(get("/")).HiddenLinks[0]) // the trap: a definite robot from here on
+			for r := 0; r < 28; r++ {
+				if r%2 == 0 {
+					get(fmt.Sprintf("/no-such-page-%d.html", r))
+				} else {
+					get("/page1.html")
+				}
+			}
+			snap, ok := s.eng.Session(key)
+			if !ok {
+				t.Fatalf("%s: session not tracked", s.name)
+			}
+			got.counts, got.signals, got.stage = snap.Counts, snap.Signals, s.pol.StageOf(key)
+			if i == 0 {
+				first = got
+				if !strings.HasPrefix(got.statuses, "200 200 429 200 404 ") || !strings.HasSuffix(got.statuses, "403 403 403 ") ||
+					got.stage != policy.StageBlock || got.counts.Total != 29 || !got.signals.Has(session.SignalHidden) {
+					t.Fatalf("the robot did not walk the ladder: %+v", got)
+				}
+				continue
+			}
+			if got != first {
+				t.Errorf("%s diverged from %s:\n got  %+v\n want %+v", s.name, "claimed", got, first)
+			}
+		}
+	})
 }
 
 // nopResponseWriter is a header-reusing discard writer for the alloc gate:

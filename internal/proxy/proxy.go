@@ -13,7 +13,7 @@
 // rather than to the document length, and non-HTML bodies are forwarded
 // verbatim with no size cap. Only documents whose anchors arrive in a
 // pathological order (no <head> before the first <body>) are held back, up
-// to MaxRewriteBytes, for a whole-document rewrite.
+// to maxRewriteBytes (2 MiB), for a whole-document rewrite.
 package proxy
 
 import (
@@ -41,14 +41,6 @@ type Config struct {
 	// Captcha optionally serves challenge/verify endpoints under the
 	// instrumentation prefix.
 	Captcha *captcha.Service
-	// MaxRewriteBytes caps the bytes the streaming rewriter may retain while
-	// a decision is pending: a document with no <head> before its first
-	// <body> is buffered whole for the fallback rewrite, and raw-text
-	// content (an inline script or style body) is held until its end tag.
-	// Documents that exceed the cap are forwarded verbatim from that point
-	// on (default 2 MiB). Well-anchored HTML whose raw-text spans fit the
-	// cap streams regardless of total document size.
-	MaxRewriteBytes int
 	// TrustForwardedFor uses the first X-Forwarded-For address as the client
 	// IP when present (for deployments behind another proxy).
 	TrustForwardedFor bool
@@ -58,12 +50,13 @@ type Config struct {
 	Upstream UpstreamConfig
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxRewriteBytes <= 0 {
-		c.MaxRewriteBytes = 2 << 20
-	}
-	return c
-}
+// maxRewriteBytes caps the bytes the streaming rewriter may retain while a
+// decision is pending: a document with no <head> before its first <body> is
+// buffered whole for the fallback rewrite, and raw-text content (an inline
+// script or style body) is held until its end tag. Documents that exceed the
+// cap are forwarded verbatim from that point on. Well-anchored HTML whose
+// raw-text spans fit the cap streams regardless of total document size.
+const maxRewriteBytes = 2 << 20
 
 // Middleware wraps an origin handler with detection and enforcement.
 type Middleware struct {
@@ -81,7 +74,7 @@ func New(origin http.Handler, cfg Config) *Middleware {
 	if cfg.Engine == nil {
 		panic("proxy: Config.Engine is required")
 	}
-	return &Middleware{cfg: cfg.withDefaults(), origin: origin}
+	return &Middleware{cfg: cfg, origin: origin}
 }
 
 // Engine returns the wrapped detection engine.
@@ -118,14 +111,20 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if snap, verdict, tracked := d.Decide(key); tracked {
 			decision := m.cfg.Policy.Evaluate(*snap, verdict)
 			snap.Release()
+			// A refused request still counts against its session, and counts
+			// the way the simulated edge (cdn.Node.Do) counts it — the status,
+			// the edge's content type, no origin bytes — so the ladder's grace
+			// and error-share arithmetic is the same on every surface.
 			switch decision.Action {
 			case policy.Block:
 				http.Error(w, "blocked: "+decision.Reason, http.StatusForbidden)
+				m.observe(r, clientIP, ua, http.StatusForbidden, 0, "text/html")
 				tel.RequestsBlocked.Inc()
 				tel.ProxyRequest.ObserveSince(start)
 				return
 			case policy.Challenge:
 				m.writeChallenge(w, decision)
+				m.observe(r, clientIP, ua, http.StatusTooManyRequests, 0, "text/plain")
 				tel.RequestsChallenged.Inc()
 				tel.ProxyRequest.ObserveSince(start)
 				return
@@ -161,25 +160,30 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	tel.RequestsOrigin.Inc()
 	tel.ProxyRequest.ObserveSince(start)
 
-	// The snapshot a plain Observe returns would be discarded here — the
-	// policy check above reads its own — so record quietly.
 	// Pass-through requests are deliberately not observed: admitting them to
 	// the tracker is exactly the load being shed.
 	if st.admission != core.AdmitPassThrough {
-		d.ObserveRequestQuiet(logfmt.Entry{
-			Time:        time.Now(),
-			ClientIP:    clientIP,
-			Method:      r.Method,
-			Path:        requestURI(r),
-			Protocol:    r.Proto,
-			Status:      st.status,
-			Bytes:       st.originBytes,
-			Referer:     r.Referer(),
-			UserAgent:   ua,
-			ContentType: st.contentType,
-		})
+		m.observe(r, clientIP, ua, st.status, st.originBytes, st.contentType)
 	}
 	st.unclaim()
+}
+
+// observe counts a completed request into its session. The snapshot a plain
+// Observe returns would be discarded — the policy check reads its own — so
+// it records quietly.
+func (m *Middleware) observe(r *http.Request, clientIP, ua string, status int, bytes int64, contentType string) {
+	m.cfg.Engine.ObserveRequestQuiet(logfmt.Entry{
+		Time:        time.Now(),
+		ClientIP:    clientIP,
+		Method:      r.Method,
+		Path:        requestURI(r),
+		Protocol:    r.Proto,
+		Status:      status,
+		Bytes:       bytes,
+		Referer:     r.Referer(),
+		UserAgent:   ua,
+		ContentType: contentType,
+	})
 }
 
 // serveOrigin runs the origin handler with abort hygiene: when the handler
@@ -375,7 +379,7 @@ func (s *responseStreamer) WriteHeader(code int) {
 		// The rewritten length is unknown until the document ends; drop the
 		// origin's Content-Length and let net/http pick the framing.
 		h.Del("Content-Length")
-		s.rewriter.SetHoldLimit(s.m.cfg.MaxRewriteBytes)
+		s.rewriter.SetHoldLimit(maxRewriteBytes)
 	}
 	s.w.WriteHeader(code)
 }

@@ -7,7 +7,6 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 
 	"botdetect/internal/captcha"
 	"botdetect/internal/core"
@@ -128,7 +127,7 @@ func TestBeaconRoundTripThroughMiddleware(t *testing.T) {
 }
 
 func TestPolicyBlocksAbusiveRobot(t *testing.T) {
-	pol := policy.NewEngine(policy.Config{BlockDuration: time.Hour})
+	pol := policy.NewEngine(policy.Config{})
 	mw, det, _ := newTestStack(t, pol, nil)
 	ip, ua := "10.0.0.4", "Firefox/1.5" // forged agent; behaviour gives it away
 	key := session.Key{IP: ip, UserAgent: ua}
@@ -272,12 +271,12 @@ func TestChunkedOriginStreamsInstrumented(t *testing.T) {
 }
 
 func TestLargePageStreamsWithoutSizeCap(t *testing.T) {
-	// The old store-and-forward path skipped pages above MaxRewriteBytes;
+	// The old store-and-forward path skipped pages above the 2 MiB hold cap;
 	// the streaming path instruments well-anchored HTML of any size while
 	// retaining only a bounded hold buffer.
 	var b strings.Builder
 	b.WriteString("<html><head></head><body>")
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < 40000; i++ {
 		b.WriteString("<p>a paragraph of filler text that pushes the page well past the cap</p>")
 	}
 	b.WriteString("</body></html>")
@@ -287,9 +286,9 @@ func TestLargePageStreamsWithoutSizeCap(t *testing.T) {
 		_, _ = io.WriteString(w, page)
 	})
 	det := core.New(core.Config{Seed: 22})
-	mw := New(origin, Config{Engine: det, MaxRewriteBytes: 64 << 10})
+	mw := New(origin, Config{Engine: det})
 	rec := doReq(t, mw, http.MethodGet, "/big.html", "10.0.0.9", "Firefox/1.5", nil)
-	if len(page) <= 64<<10 {
+	if len(page) <= maxRewriteBytes {
 		t.Fatalf("test page too small: %d", len(page))
 	}
 	sum := htmlmod.Extract(rec.Body.Bytes())
@@ -338,7 +337,7 @@ func TestReverseProxyConstruction(t *testing.T) {
 
 func TestChallengeInterstitialAndDeEscalation(t *testing.T) {
 	cap := captcha.NewService(captcha.Config{Seed: 11})
-	pol := policy.NewEngine(policy.Config{BlockDuration: time.Hour})
+	pol := policy.NewEngine(policy.Config{})
 	mw, det, _ := newTestStack(t, pol, cap)
 	ip, ua := "10.0.0.9", "SilentFetcher"
 	key := session.Key{IP: ip, UserAgent: ua}

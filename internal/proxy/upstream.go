@@ -36,11 +36,6 @@ type UpstreamConfig struct {
 	// ResponseHeaderTimeout bounds the wait for the origin's response headers
 	// after the request is written (default 15s).
 	ResponseHeaderTimeout time.Duration
-	// IdleConnTimeout closes idle origin connections (default 90s).
-	IdleConnTimeout time.Duration
-	// MaxIdleConnsPerHost sizes the keep-alive pool to the origin
-	// (default 32).
-	MaxIdleConnsPerHost int
 	// RequestTimeout is the end-to-end deadline for one origin request,
 	// including retries (default 60s; <0 disables).
 	RequestTimeout time.Duration
@@ -59,18 +54,19 @@ type UpstreamConfig struct {
 	BreakerCooldown time.Duration
 }
 
+// The origin keep-alive pool: idle connections are closed after
+// upstreamIdleConnTimeout, and at most upstreamIdleConnsPerHost are kept.
+const (
+	upstreamIdleConnTimeout  = 90 * time.Second
+	upstreamIdleConnsPerHost = 32
+)
+
 func (c UpstreamConfig) withDefaults() UpstreamConfig {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
 	if c.ResponseHeaderTimeout <= 0 {
 		c.ResponseHeaderTimeout = 15 * time.Second
-	}
-	if c.IdleConnTimeout <= 0 {
-		c.IdleConnTimeout = 90 * time.Second
-	}
-	if c.MaxIdleConnsPerHost <= 0 {
-		c.MaxIdleConnsPerHost = 32
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 60 * time.Second
@@ -429,8 +425,8 @@ func NewReverseProxy(upstream *url.URL, cfg Config) *Middleware {
 			KeepAlive: 30 * time.Second,
 		}).DialContext,
 		ResponseHeaderTimeout: ucfg.ResponseHeaderTimeout,
-		IdleConnTimeout:       ucfg.IdleConnTimeout,
-		MaxIdleConnsPerHost:   ucfg.MaxIdleConnsPerHost,
+		IdleConnTimeout:       upstreamIdleConnTimeout,
+		MaxIdleConnsPerHost:   upstreamIdleConnsPerHost,
 	}
 	tripper := &upstreamTripper{base: transport, br: br, cfg: ucfg}
 	rp := httputil.NewSingleHostReverseProxy(upstream)

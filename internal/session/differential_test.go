@@ -13,7 +13,7 @@ import (
 // CoDeeN traces the paper analyses: a skewed path popularity distribution,
 // link-following referrers (pointing at previously fetched pages), unseen
 // referrers, embedded objects, CGI hits and error statuses. Enough distinct
-// paths are generated to overflow DefaultMaxTrackedPaths, so the corpus
+// paths are generated to overflow maxTrackedPaths, so the corpus
 // exercises the tracked-path cap as well as the open-addressed set's growth.
 func synthCorpus(seed uint64, n int) []logfmt.Entry {
 	src := rng.New(seed)
@@ -86,7 +86,7 @@ func (a *exactAccumulator) Observe(e logfmt.Entry) {
 		a.counts.UnseenReferrer--
 		a.counts.LinkFollowing++
 	}
-	if len(a.paths) < DefaultMaxTrackedPaths {
+	if len(a.paths) < maxTrackedPaths {
 		a.paths[e.PathOnly()] = true
 	}
 }
@@ -101,7 +101,7 @@ func TestHashedPathsMatchExactAccumulator(t *testing.T) {
 		n    int
 	}{
 		{1, 500},
-		{2, 5000},  // overflows DefaultMaxTrackedPaths' distinct-path cap
+		{2, 5000},  // overflows maxTrackedPaths' distinct-path cap
 		{3, 20000}, // deep stream, heavy path reuse
 		{99, 64},   // short session
 	} {

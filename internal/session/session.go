@@ -193,11 +193,11 @@ func (c Counts) Vector() features.Vector {
 	return v
 }
 
-// DefaultMaxTrackedPaths is the default bound on the per-session set of
+// maxTrackedPaths is the bound on the per-session set of
 // visited paths used for the unseen-referrer computation, shared by the
 // online tracker and the offline Accumulator so both derive identical
 // attribute vectors from the same request stream.
-const DefaultMaxTrackedPaths = 2048
+const maxTrackedPaths = 2048
 
 // EvictReason classifies why a session ended, so operators can tell routine
 // idle expiry from capacity pressure — and, under pressure, whether the
@@ -519,9 +519,6 @@ type Config struct {
 	// least recently active sessions of a full shard are evicted (and
 	// reported to the Evicted callback). Use Shards: 1 for an exact bound.
 	MaxSessions int
-	// MaxTrackedPaths caps the per-session set of visited paths used for the
-	// unseen-referrer computation.
-	MaxTrackedPaths int
 	// Shards is the number of independently locked session shards, rounded
 	// up to a power of two (default shard.DefaultShards). Use 1 to recover
 	// strict global LRU ordering at the cost of write concurrency.
@@ -553,9 +550,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 1 << 20
-	}
-	if c.MaxTrackedPaths <= 0 {
-		c.MaxTrackedPaths = DefaultMaxTrackedPaths
 	}
 	c.Shards = shard.Normalize(c.Shards)
 	if c.Clock == nil {
@@ -762,7 +756,7 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 
 	pathBytesBefore := st.paths.footprintBytes()
 	c := &st.counts
-	c.observe(e, &st.paths, t.cfg.MaxTrackedPaths)
+	c.observe(e, &st.paths, maxTrackedPaths)
 	if d := st.paths.footprintBytes() - pathBytesBefore; d != 0 {
 		st.memBytes += d
 		t.bytes.Add(d)
@@ -892,10 +886,6 @@ func (t *Tracker) Active() int { return int(t.active.Load()) }
 // so reading it is lock-free and allocation-free — the load-state
 // recomputation reads it on the serve path.
 func (t *Tracker) MemoryEstimate() int64 { return t.bytes.Load() }
-
-// Interner returns the string table the tracker interns User-Agents into
-// (the configured one, or the private instance created by default).
-func (t *Tracker) Interner() *intern.Interner { return t.interner }
 
 // Evictions returns cumulative per-reason eviction counts. Lock-free.
 func (t *Tracker) Evictions() EvictionStats {

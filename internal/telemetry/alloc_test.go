@@ -22,16 +22,6 @@ func TestCounterIncAllocFree(t *testing.T) {
 	}
 }
 
-func TestGaugeSetAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under -race")
-	}
-	g := NewGauge()
-	if avg := testing.AllocsPerRun(1000, func() { g.Set(7) }); avg != 0 {
-		t.Fatalf("Gauge.Set allocates %.1f/op, want 0", avg)
-	}
-}
-
 func TestHistogramObserveAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")

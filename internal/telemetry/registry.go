@@ -78,14 +78,6 @@ func (r *Registry) CounterFunc(name, labels, help string, fn func() float64) {
 	f.collectors = append(f.collectors, valueCollector{labels: labels, value: fn})
 }
 
-// Gauge registers a gauge under name.
-func (r *Registry) Gauge(name, labels, help string, g *Gauge) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.family(name, help, "gauge")
-	f.collectors = append(f.collectors, valueCollector{labels: labels, value: func() float64 { return float64(g.Value()) }})
-}
-
 // GaugeFunc registers a gauge collector that may emit any number of labelled
 // samples at scrape time (e.g. one per shard). The emit callback appends one
 // sample with the given pre-rendered labels.

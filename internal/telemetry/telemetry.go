@@ -1,5 +1,5 @@
 // Package telemetry is the runtime observability layer the allocation-free
-// serve path can afford. Its write-side primitives — Counter, Gauge and
+// serve path can afford. Its write-side primitives — Counter and
 // Histogram — are lock-free and allocation-free: Inc/Add/Observe touch one
 // cache-line-padded atomic stripe and nothing else, mirroring the
 // atomic-mirror pattern of core.Stats and keystore.Stats. The read side
@@ -81,38 +81,4 @@ func (c *Counter) Value() int64 {
 		total += c.stripes[i].n.Load()
 	}
 	return total
-}
-
-// Gauge is a settable instantaneous value (live sessions, queue depth). Set,
-// Add and Value are single atomic operations: gauges are updated far less
-// often than counters, so they are not striped.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// NewGauge returns a new Gauge.
-func NewGauge() *Gauge { return new(Gauge) }
-
-// Set stores the value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }

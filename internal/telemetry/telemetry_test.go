@@ -3,6 +3,7 @@ package telemetry
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -28,25 +29,13 @@ func TestCounterConcurrentSum(t *testing.T) {
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(1)
 	h.Observe(time.Millisecond)
 	h.ObserveSince(time.Now())
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
+	if c.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil instruments must read zero")
-	}
-}
-
-func TestGauge(t *testing.T) {
-	g := NewGauge()
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("Value() = %d, want 7", got)
 	}
 }
 
@@ -124,7 +113,7 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 	}()
 	reg := NewRegistry()
 	reg.Counter("clash_total", "", "h", NewCounter())
-	reg.Gauge("clash_total", "", "h", NewGauge())
+	reg.GaugeFunc("clash_total", "h", func(func(string, float64)) {})
 }
 
 // TestWritePrometheusGolden pins the exposition byte-for-byte: family
@@ -137,9 +126,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	c.Inc()
 	reg.Counter("test_requests_total", "", "Total requests.", c)
 	reg.CounterFunc("test_labeled_total", Label("kind", "we\"ird\\"), "Labeled.", func() float64 { return 7 })
-	g := NewGauge()
-	g.Set(3)
-	reg.Gauge("test_active", "", "Active\nthings.", g)
+	reg.GaugeFunc("test_active", "Active\nthings.", func(emit func(string, float64)) { emit("", 3) })
 	h := NewHistogram()
 	h.Observe(500 * time.Nanosecond)
 	h.Observe(1500 * time.Nanosecond)
@@ -233,10 +220,10 @@ func TestScrapeReentrantRegistration(t *testing.T) {
 func TestScrapeWhileWriting(t *testing.T) {
 	reg := NewRegistry()
 	c := NewCounter()
-	g := NewGauge()
+	var g atomic.Int64
 	h := NewHistogram()
 	reg.Counter("hammer_total", "", "h", c)
-	reg.Gauge("hammer_active", "", "h", g)
+	reg.GaugeFunc("hammer_active", "h", func(emit func(string, float64)) { emit("", float64(g.Load())) })
 	reg.Histogram("hammer_seconds", "", "h", h)
 
 	stop := make(chan struct{})
@@ -252,7 +239,7 @@ func TestScrapeWhileWriting(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Set(n)
+				g.Store(n)
 				h.Observe(time.Duration(n) * time.Microsecond)
 			}
 		}(int64(i + 1))

@@ -23,42 +23,31 @@ import (
 
 // SiteConfig controls synthetic site generation.
 type SiteConfig struct {
-	// Host is the site's host name, used in absolute URLs.
-	Host string
 	// NumPages is the number of HTML pages (at least 1; the first is "/").
 	NumPages int
-	// LinksPerPage is the mean number of visible links from each page.
-	LinksPerPage int
-	// ImagesPerPage is the mean number of embedded images per page.
-	ImagesPerPage int
-	// CGIEndpoints is the number of distinct CGI scripts on the site.
-	CGIEndpoints int
-	// PopularitySkew is the Zipf skew of page popularity (default 0.9).
-	PopularitySkew float64
 	// Seed drives all randomness in generation.
 	Seed uint64
 }
 
+// The shape of every generated site; only its size and seed vary.
+const (
+	// host is the site's host name, used in absolute URLs.
+	host = "www.example.com"
+	// linksPerPage is the mean number of visible links from each page.
+	linksPerPage = 8
+	// imagesPerPage is the mean number of embedded images per page.
+	imagesPerPage = 4
+	// cgiEndpoints is the number of distinct CGI scripts on the site.
+	cgiEndpoints = 5
+	// popularitySkew is the Zipf skew of page popularity.
+	popularitySkew = 0.9
+)
+
 // withDefaults returns a copy of the config with zero fields replaced by
 // sensible defaults.
 func (c SiteConfig) withDefaults() SiteConfig {
-	if c.Host == "" {
-		c.Host = "www.example.com"
-	}
 	if c.NumPages <= 0 {
 		c.NumPages = 100
-	}
-	if c.LinksPerPage <= 0 {
-		c.LinksPerPage = 8
-	}
-	if c.ImagesPerPage <= 0 {
-		c.ImagesPerPage = 4
-	}
-	if c.CGIEndpoints <= 0 {
-		c.CGIEndpoints = 5
-	}
-	if c.PopularitySkew <= 0 {
-		c.PopularitySkew = 0.9
 	}
 	return c
 }
@@ -96,7 +85,6 @@ type Object struct {
 // Site is a generated synthetic web site. All methods are safe for
 // concurrent use after generation.
 type Site struct {
-	cfg     SiteConfig
 	pages   []*Page
 	byPath  map[string]*Page
 	objects map[string]Object
@@ -110,12 +98,11 @@ func Generate(cfg SiteConfig) *Site {
 	cfg = cfg.withDefaults()
 	src := rng.New(cfg.Seed).Fork("webmodel")
 	s := &Site{
-		cfg:     cfg,
 		byPath:  make(map[string]*Page),
 		objects: make(map[string]Object),
 	}
 
-	cgis := make([]string, cfg.CGIEndpoints)
+	cgis := make([]string, cgiEndpoints)
 	for i := range cgis {
 		cgis[i] = fmt.Sprintf("/cgi-bin/app%d.cgi", i)
 	}
@@ -131,7 +118,7 @@ func Generate(cfg SiteConfig) *Site {
 			Script:    fmt.Sprintf("/static/site%d.js", i%5),
 			TextBytes: int(src.Pareto(800, 1.3)),
 		}
-		nLinks := 1 + src.Poisson(float64(cfg.LinksPerPage-1))
+		nLinks := 1 + src.Poisson(linksPerPage-1)
 		for j := 0; j < nLinks; j++ {
 			target := src.Intn(cfg.NumPages)
 			tp := fmt.Sprintf("/page%d.html", target)
@@ -140,7 +127,7 @@ func Generate(cfg SiteConfig) *Site {
 			}
 			p.Links = append(p.Links, tp)
 		}
-		nImgs := src.Poisson(float64(cfg.ImagesPerPage))
+		nImgs := src.Poisson(imagesPerPage)
 		for j := 0; j < nImgs; j++ {
 			p.Images = append(p.Images, fmt.Sprintf("/img/photo%d_%d.jpg", i, j))
 		}
@@ -153,7 +140,7 @@ func Generate(cfg SiteConfig) *Site {
 
 	// Pre-render static objects.
 	for _, p := range s.pages {
-		s.objects[p.Path] = Object{Status: http.StatusOK, ContentType: "text/html; charset=utf-8", Body: []byte(renderHTML(s.cfg.Host, p))}
+		s.objects[p.Path] = Object{Status: http.StatusOK, ContentType: "text/html; charset=utf-8", Body: []byte(renderHTML(host, p))}
 		for _, img := range p.Images {
 			if _, ok := s.objects[img]; !ok {
 				size := int(src.Pareto(2000, 1.2))
@@ -174,12 +161,12 @@ func Generate(cfg SiteConfig) *Site {
 	s.objects["/robots.txt"] = Object{Status: http.StatusOK, ContentType: "text/plain",
 		Body: []byte("User-agent: *\nDisallow: /cgi-bin/\nCrawl-delay: 10\n")}
 
-	s.pop = rng.NewZipf(src.Split(), len(s.pages), cfg.PopularitySkew)
+	s.pop = rng.NewZipf(src.Split(), len(s.pages), popularitySkew)
 	return s
 }
 
 // Host returns the configured host name.
-func (s *Site) Host() string { return s.cfg.Host }
+func (s *Site) Host() string { return host }
 
 // NumPages returns the number of HTML pages on the site.
 func (s *Site) NumPages() int { return len(s.pages) }

@@ -131,7 +131,7 @@ func TestCGIBehaviourDeterministic(t *testing.T) {
 }
 
 func TestPopularPageSkew(t *testing.T) {
-	s := Generate(SiteConfig{Seed: 17, NumPages: 50, PopularitySkew: 1.1})
+	s := Generate(SiteConfig{Seed: 17, NumPages: 50})
 	counts := map[string]int{}
 	for i := 0; i < 20000; i++ {
 		counts[s.PopularPage().Path]++

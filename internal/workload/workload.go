@@ -88,16 +88,8 @@ type Config struct {
 	Mix Mix
 	// Nodes is the number of CDN nodes (default 4).
 	Nodes int
-	// Site is the origin site (generated when nil).
-	Site *webmodel.Site
 	// WithPolicy enables the enforcement engine on each node.
 	WithPolicy bool
-	// CaptchaParticipation is the probability a human session takes the
-	// optional CAPTCHA (paper: roughly 9% of all sessions passed it, i.e.
-	// about 0.38 of the human share).
-	CaptchaParticipation float64
-	// SessionArrivalRate is mean session arrivals per second.
-	SessionArrivalRate float64
 	// HumanPages is the mean page views per human session (heavy-tailed).
 	HumanPages int
 	// HumanMouseProbability is the per-page-view probability that a
@@ -109,9 +101,6 @@ type Config struct {
 	RobotRequests int
 	// RecordLogs keeps all request entries for offline analysis.
 	RecordLogs bool
-	// DetectorConfig overrides parts of the per-node detector configuration;
-	// Seed and Clock are always managed by the driver.
-	DetectorConfig core.Config
 	// Prepare, when non-nil, runs after the network is built and before any
 	// agent is scheduled. It receives the network and the virtual clock, so
 	// callers can pre-load models (cdn.Network.SetModel) or schedule
@@ -119,15 +108,21 @@ type Config struct {
 	// virtual time while traffic is being served, as the online-training
 	// experiment does.
 	Prepare func(*cdn.Network, *clock.Virtual)
-	// Start is the virtual start time (defaults to 2006-01-06, the first day
-	// of the paper's measurement week).
-	Start time.Time
 	// Seed drives all randomness.
 	Seed uint64
-	// MaxEvents bounds the discrete-event simulation (a safety valve; 0
-	// means derived from Sessions).
-	MaxEvents int
 }
+
+const (
+	// captchaParticipation is the probability a human session takes the
+	// optional CAPTCHA (paper: roughly 9% of all sessions passed it, i.e.
+	// about 0.38 of the human share).
+	captchaParticipation = 0.38
+	// sessionArrivalRate is mean session arrivals per second.
+	sessionArrivalRate = 2.0
+	// eventsPerSession bounds the discrete-event simulation at this many
+	// events per generated session (a safety valve).
+	eventsPerSession = 2000
+)
 
 func (c Config) withDefaults() Config {
 	if c.Sessions <= 0 {
@@ -139,15 +134,6 @@ func (c Config) withDefaults() Config {
 	if c.Nodes <= 0 {
 		c.Nodes = 4
 	}
-	if c.CaptchaParticipation < 0 {
-		c.CaptchaParticipation = 0
-	}
-	if c.CaptchaParticipation == 0 {
-		c.CaptchaParticipation = 0.38
-	}
-	if c.SessionArrivalRate <= 0 {
-		c.SessionArrivalRate = 2.0
-	}
 	if c.HumanPages <= 0 {
 		c.HumanPages = 12
 	}
@@ -156,12 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RobotRequests <= 0 {
 		c.RobotRequests = 40
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2006, time.January, 6, 0, 0, 0, 0, time.UTC)
-	}
-	if c.MaxEvents <= 0 {
-		c.MaxEvents = c.Sessions * 2000
 	}
 	return c
 }
@@ -228,17 +208,11 @@ func (r *Result) Snapshots() []session.Snapshot {
 func Run(cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	src := rng.New(cfg.Seed).Fork("workload")
-	vc := clock.NewVirtual(cfg.Start)
-
-	site := cfg.Site
-	if site == nil {
-		site = webmodel.Generate(webmodel.SiteConfig{Seed: cfg.Seed ^ 0x5117, NumPages: 120})
-	}
-
-	detCfg := cfg.DetectorConfig
-	detCfg.Clock = vc
+	// Virtual time starts on the first day of the paper's measurement week.
+	vc := clock.NewVirtual(time.Date(2006, time.January, 6, 0, 0, 0, 0, time.UTC))
+	site := webmodel.Generate(webmodel.SiteConfig{Seed: cfg.Seed ^ 0x5117, NumPages: 120})
 	// The simulated deployment always obfuscates, as the paper's did.
-	detCfg.ObfuscateJS = true
+	detCfg := core.Config{Clock: vc, ObfuscateJS: true}
 	network := cdn.NewNetwork(cfg.Nodes, site, detCfg, cfg.WithPolicy, cfg.Seed^0xabcd)
 	if cfg.RecordLogs {
 		for _, node := range network.Nodes() {
@@ -264,11 +238,11 @@ func Run(cfg Config) *Result {
 		truth[session.Key{IP: agent.IP(), UserAgent: agent.UserAgent()}] = kind
 		launched[kind]++
 
-		arrival += time.Duration(src.Exp(float64(time.Second) / cfg.SessionArrivalRate))
+		arrival += time.Duration(src.Exp(float64(time.Second) / sessionArrivalRate))
 		scheduleAgent(vc, network, agent, arrival)
 	}
 
-	vc.Drain(cfg.MaxEvents)
+	vc.Drain(cfg.Sessions * eventsPerSession)
 
 	// Collect sessions: everything still active plus whatever ended during
 	// the run is flushed now (the detector's OnSessionEnd callback is unused
@@ -309,7 +283,7 @@ func buildAgent(kind agents.Kind, forgedUA bool, ip, host string, cfg Config, sr
 			Pages:                pages,
 			JavaScriptEnabled:    kind == agents.KindHuman,
 			MouseMoveProbability: cfg.HumanMouseProbability,
-			SolveCaptcha:         cfg.CaptchaParticipation,
+			SolveCaptcha:         captchaParticipation,
 			ThinkTimeMean:        15 * time.Second,
 			Src:                  src,
 		})
