@@ -356,10 +356,12 @@ type Network struct {
 	tel   *telemetry.ServeMetrics
 
 	// Fleet state (nil until EnableReplication): the partition ring that
-	// routes clients and name → node lookups.
-	ring   *fleet.Ring
-	byName map[string]*Node
-	index  map[string]int
+	// routes clients and name → node lookups; repStopped ends the
+	// replicators' step event on the clock.
+	ring       *fleet.Ring
+	byName     map[string]*Node
+	index      map[string]int
+	repStopped atomic.Bool
 }
 
 // NewNetwork builds a network of numNodes nodes, each with its own detector

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"botdetect/internal/adaboost"
+	"botdetect/internal/clock"
 	"botdetect/internal/core"
 	"botdetect/internal/fleet"
 	"botdetect/internal/logfmt"
@@ -44,9 +45,7 @@ var nodeDownBody = []byte("node down")
 // every timing falls back to fleet.Config's default. What a session's
 // partition looks like is fixed — replicas owners on a ring of fleet.NewRing's
 // 64 virtual points per node — as are the replication layer's sizes (see the
-// constants in internal/fleet); the replicators run on the wall clock even
-// when the workload is driven on a virtual one, because they run on real
-// goroutines.
+// constants in internal/fleet). The replicators run on the engines' clock.
 type FleetConfig struct {
 	// Intercept, when non-nil, is installed on the mesh for fault injection
 	// (see internal/chaos.Links).
@@ -70,9 +69,20 @@ type FleetConfig struct {
 // failure.
 const replicas = 2
 
+// replicationStep is the simulated fleet's time resolution: the mesh and
+// every node's replicator step once per millisecond of the engines' clock.
+const replicationStep = time.Millisecond
+
 // EnableReplication joins the network's nodes into one replicated fleet.
-// Call it once, after NewNetwork and before serving traffic.
+// Call it once, after NewNetwork and before serving traffic. The replicators
+// share the engines' clock, which must be a clock.Virtual: their steps are
+// events on it, so replication advances exactly as far as the caller runs the
+// clock (RunUntil), and not at all while it only serves requests.
 func (n *Network) EnableReplication(cfg FleetConfig) {
+	vc, ok := n.nodes[0].cfg.Engine.Config().Clock.(*clock.Virtual)
+	if !ok {
+		panic("cdn: EnableReplication steps the fleet on the engines' clock, which must be a *clock.Virtual")
+	}
 	names := make([]string, len(n.nodes))
 	for i, node := range n.nodes {
 		names[i] = node.cfg.Name
@@ -94,6 +104,7 @@ func (n *Network) EnableReplication(cfg FleetConfig) {
 			Peers:     names,
 			Transport: mesh.Bind(node.cfg.Name),
 			Callbacks: n.fleetCallbacks(node),
+			Clock:     vc,
 
 			RetryBackoff:        cfg.RetryBackoff,
 			MaxBackoff:          cfg.MaxBackoff,
@@ -109,6 +120,17 @@ func (n *Network) EnableReplication(cfg FleetConfig) {
 	for _, node := range n.nodes {
 		node.rep.Start()
 	}
+	var step func(now time.Time)
+	step = func(now time.Time) {
+		mesh.Step(now)
+		for _, node := range n.nodes {
+			node.rep.Step(now)
+		}
+		if !n.repStopped.Load() {
+			vc.Schedule(replicationStep, step)
+		}
+	}
+	vc.Schedule(0, step)
 }
 
 // wireExportHooks points the node's engines at its replicator: locally
@@ -338,9 +360,9 @@ func (n *Node) Restart() {
 }
 
 // Drain gracefully retires the node: it stops accepting requests, hands
-// every evidence-bearing session to the partition's surviving replica, lets
-// its outboxes flush for up to timeout, and stops the replicator. It returns
-// the number of sessions handed off.
+// every evidence-bearing session to the partition's surviving replica,
+// flushes its outboxes — the retries of up to timeout, made at once — and
+// stops the replicator. It returns the number of sessions handed off.
 func (n *Node) Drain(timeout time.Duration) int {
 	n.down.Store(true)
 	handed := 0
@@ -385,7 +407,7 @@ type NodeRollup struct {
 	Node string
 	// Down marks a node that was crashed or draining at collection time;
 	// Stale marks a Stats snapshot carried over from before the node went
-	// down (or from before a failed read) rather than read live.
+	// down rather than read live.
 	Down  bool
 	Stale bool
 	Stats NodeStats
@@ -406,30 +428,12 @@ func (n *Network) CollectStats() (NodeStats, []NodeRollup) {
 			r.Stats = node.lastStats
 			node.lastMu.Unlock()
 		} else {
-			r.Stats = collectNodeStats(node, &r)
+			r.Stats = node.Stats()
 		}
 		total.add(r.Stats)
 		rollups = append(rollups, r)
 	}
 	return total, rollups
-}
-
-// collectNodeStats reads one live node's counters, degrading to its cached
-// snapshot (stale-marked) if the read panics out from under us.
-func collectNodeStats(node *Node, r *NodeRollup) (s NodeStats) {
-	defer func() {
-		if recover() != nil {
-			r.Stale = true
-			node.lastMu.Lock()
-			s = node.lastStats
-			node.lastMu.Unlock()
-		}
-	}()
-	s = node.Stats()
-	node.lastMu.Lock()
-	node.lastStats = s
-	node.lastMu.Unlock()
-	return s
 }
 
 // FlushSessionsDetail ends all sessions on every live node and reports which
@@ -448,8 +452,10 @@ func (n *Network) FlushSessionsDetail() ([]core.ClassifiedSession, []string) {
 	return out, skipped
 }
 
-// StopReplication stops every node's replicator (test/experiment teardown).
+// StopReplication stops every node's replicator and their step event
+// (test/experiment teardown).
 func (n *Network) StopReplication() {
+	n.repStopped.Store(true)
 	for _, node := range n.nodes {
 		if node.rep != nil {
 			node.rep.Stop()

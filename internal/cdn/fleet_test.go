@@ -1,7 +1,9 @@
 package cdn
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,7 +38,7 @@ func fleetNet(t *testing.T, numNodes int, intercept *chaos.Links) (*Network, *cl
 	}
 	net.EnableReplication(cfg)
 	t.Cleanup(net.StopReplication)
-	waitCond(t, 5*time.Second, "fleet heartbeats to settle", func() bool {
+	runUntil(t, vc, 5*time.Second, "fleet heartbeats to settle", func() bool {
 		for _, nd := range net.Nodes() {
 			if nd.Replicator().UpPeers() != numNodes-1 {
 				return false
@@ -47,17 +49,14 @@ func fleetNet(t *testing.T, numNodes int, intercept *chaos.Links) (*Network, *cl
 	return net, vc
 }
 
-func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
+// runUntil runs the fleet's clock — the replicators step as events on it —
+// until cond holds or d of virtual time has passed.
+func runUntil(t *testing.T, vc *clock.Virtual, d time.Duration, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for {
-		if cond() {
-			return
-		}
-		if time.Now().After(deadline) {
+	for deadline := vc.Now().Add(d); !cond(); vc.RunUntil(vc.Now().Add(time.Millisecond)) {
+		if !vc.Now().Before(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -73,7 +72,7 @@ func TestFleetVerdictReplication(t *testing.T) {
 	net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: agents.CaptchaSolvePath})
 	net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
 
-	waitCond(t, 5*time.Second, "verdict to reach every peer", func() bool {
+	runUntil(t, vc, 5*time.Second, "verdict to reach every peer", func() bool {
 		for _, nd := range net.Nodes() {
 			if nd == home {
 				continue
@@ -102,13 +101,13 @@ func TestFleetBlockReplication(t *testing.T) {
 	for i := 0; i < 120 && !blocked; i++ {
 		resp := abused.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET",
 			Path: "/cgi-bin/app0.cgi?x=" + string(rune('a'+i%26))})
-		vc.Advance(100 * time.Millisecond)
+		vc.RunUntil(vc.Now().Add(100 * time.Millisecond))
 		blocked = resp.Status == 403
 	}
 	if !blocked {
 		t.Fatalf("abusive session never blocked at its node")
 	}
-	waitCond(t, 5*time.Second, "block to replicate", func() bool {
+	runUntil(t, vc, 5*time.Second, "block to replicate", func() bool {
 		for _, nd := range net.Nodes() {
 			if nd.cfg.Policy == nil || !nd.cfg.Policy.IsBlocked(key) {
 				return false
@@ -135,7 +134,7 @@ func TestFleetBlockReplication(t *testing.T) {
 // TestFleetModelPublication: SetModel reaches every live engine and backfills
 // a node that was down during the publish.
 func TestFleetModelPublication(t *testing.T) {
-	net, _ := fleetNet(t, 3, nil)
+	net, vc := fleetNet(t, 3, nil)
 	down := net.Nodes()[2]
 	down.Crash()
 	m := &adaboost.Model{TrainingError: 0.125}
@@ -146,7 +145,7 @@ func TestFleetModelPublication(t *testing.T) {
 		}
 	}
 	down.Restart()
-	waitCond(t, 5*time.Second, "restarted node to backfill the model", func() bool {
+	runUntil(t, vc, 5*time.Second, "restarted node to backfill the model", func() bool {
 		got := down.Engine().Model()
 		return got != nil && got.TrainingError == m.TrainingError
 	})
@@ -203,7 +202,7 @@ func TestDrainHandsOffSessions(t *testing.T) {
 	if handed := home.Drain(2 * time.Second); handed == 0 {
 		t.Fatalf("drain handed off no sessions")
 	}
-	waitCond(t, 5*time.Second, "a replica to adopt the session", func() bool {
+	runUntil(t, vc, 5*time.Second, "a replica to adopt the session", func() bool {
 		for _, nd := range net.Nodes() {
 			if nd == home {
 				continue
@@ -261,14 +260,14 @@ func TestCollectStatsStaleRollup(t *testing.T) {
 // pushed to a peer survives on that peer — loss is bounded by the ack
 // watermark (the epoch-lag bound).
 func TestKillMidPublishLosesNothingAcked(t *testing.T) {
-	net, _ := fleetNet(t, 3, nil)
+	net, vc := fleetNet(t, 3, nil)
 	origin := net.Nodes()[0]
 	rep := origin.Replicator()
 	for i := 0; i < 50; i++ {
 		rep.PublishVerdict(session.Key{IP: "10.6.0.1", UserAgent: string(rune('a' + i))},
 			detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
 	}
-	waitCond(t, 5*time.Second, "some acks", func() bool { return rep.MinAckedEpoch() > 0 })
+	runUntil(t, vc, 5*time.Second, "some acks", func() bool { return rep.MinAckedEpoch() > 0 })
 	minAcked := rep.MinAckedEpoch()
 	origin.Crash()
 
@@ -280,9 +279,9 @@ func TestKillMidPublishLosesNothingAcked(t *testing.T) {
 }
 
 // TestFleetChaosHammer drives replication, classification, model rotation,
-// message-layer faults and node kills concurrently. Run with -race: the
-// assertion is that nothing deadlocks, panics or races, and the serve path
-// keeps answering.
+// message-layer faults and node kills concurrently, while this goroutine
+// steps the fleet's clock. Run with -race: the assertion is that nothing
+// deadlocks, panics or races, and the serve path keeps answering.
 func TestFleetChaosHammer(t *testing.T) {
 	links := chaos.NewLinks()
 	net, vc := fleetNet(t, 3, links)
@@ -293,7 +292,23 @@ func TestFleetChaosHammer(t *testing.T) {
 	links.SetDelay(200 * time.Microsecond)
 
 	var wg sync.WaitGroup
+	var served atomic.Int64
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	// pause waits for d to pass on the fleet's clock, which only the test
+	// goroutine moves.
+	pause := func(d time.Duration) {
+		for until := vc.Now().Add(d); vc.Now().Before(until) && !stopped(); {
+			runtime.Gosched()
+		}
+	}
 
 	// Traffic: network-routed humans and direct-to-node bot floods.
 	for w := 0; w < 4; w++ {
@@ -301,12 +316,7 @@ func TestFleetChaosHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			src := rng.New(uint64(w) + 1).Fork("hammer")
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; !stopped(); i++ {
 				ip := "10.9." + string(rune('0'+w)) + "." + string(rune('0'+i%10))
 				req := agents.Request{Time: vc.Now(), IP: ip, UserAgent: "UA", Method: "GET", Path: "/cgi-bin/app0.cgi"}
 				var resp agents.Response
@@ -315,6 +325,7 @@ func TestFleetChaosHammer(t *testing.T) {
 				} else {
 					resp = net.Nodes()[src.Uint64n(3)].Do(req)
 				}
+				served.Add(1)
 				switch resp.Status {
 				case 200, 403, 429, 503, 404, 302:
 				default:
@@ -329,39 +340,33 @@ func TestFleetChaosHammer(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		src := rng.New(77).Fork("chaos")
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for !stopped() {
 			links.DropNext(3)
 			links.DupNext(2)
 			links.FailNext(2)
 			name := net.Nodes()[src.Uint64n(3)].Name()
 			if faults.Crash(name) {
-				time.Sleep(5 * time.Millisecond)
+				pause(5 * time.Millisecond)
 				faults.Restart(name)
 			}
-			time.Sleep(2 * time.Millisecond)
+			pause(2 * time.Millisecond)
 		}
 	}()
 	// Model rotation.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for !stopped() {
 			net.SetModel(&adaboost.Model{})
-			time.Sleep(3 * time.Millisecond)
+			pause(3 * time.Millisecond)
 		}
 	}()
 
-	time.Sleep(400 * time.Millisecond)
+	// Step the fleet until every kind of work has had its share.
+	for crashes := int64(0); served.Load() < 4000 || crashes < 20; crashes, _ = faults.Counts() {
+		vc.RunUntil(vc.Now().Add(time.Millisecond))
+		runtime.Gosched()
+	}
 	close(stop)
 	wg.Wait()
 	faults.RestartAll()

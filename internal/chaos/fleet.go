@@ -66,7 +66,7 @@ func (l *Links) Heal() {
 }
 
 // SetDelay imposes d of link latency on every delivered message (0 clears
-// it). The delay is slept on the sender's goroutine, like a slow link.
+// it): the mesh holds the message until a Step at or after its due time.
 func (l *Links) SetDelay(d time.Duration) { l.delayNanos.Store(int64(d)) }
 
 // DropNext silently discards the next n messages (success reported to the

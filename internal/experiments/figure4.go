@@ -86,8 +86,12 @@ func Figure4(scale Scale) Figure4Result {
 func figure4From(res *workload.Result, scale Scale) Figure4Result {
 	// Group raw log entries per session key, in time order.
 	perSession := make(map[session.Key][]logfmt.Entry)
+	var keys []session.Key // in order of first appearance: the examples' order decides the split
 	for _, e := range res.Entries {
 		key := session.Key{IP: e.ClientIP, UserAgent: e.UserAgent}
+		if _, seen := perSession[key]; !seen {
+			keys = append(keys, key)
+		}
 		perSession[key] = append(perSession[key], e)
 	}
 	for key := range perSession {
@@ -104,7 +108,8 @@ func figure4From(res *workload.Result, scale Scale) Figure4Result {
 	for _, n := range prefixes {
 		var examples []features.Example
 		humans, robots := 0, 0
-		for key, entries := range perSession {
+		for _, key := range keys {
+			entries := perSession[key]
 			kind, ok := res.GroundTruth[key]
 			if !ok || len(entries) <= 10 {
 				continue

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"botdetect/internal/adaboost"
@@ -95,9 +94,18 @@ type FleetResult struct {
 
 // fleetArmCounts aggregates one traffic arm's request outcomes.
 type fleetArmCounts struct {
-	crawlerReqs atomic.Int64
-	humanReqs   atomic.Int64
-	human403    atomic.Int64
+	crawlerReqs, humanReqs, human403 int64
+}
+
+// humanGet sends one request from the h-th genuine client through normal
+// routing and counts it; a 403 is a human refused.
+func (c *fleetArmCounts) humanGet(net *cdn.Network, vc *clock.Virtual, h int, path string) {
+	k := humanKey(h)
+	resp := net.Do(agents.Request{Time: vc.Now(), IP: k.IP, UserAgent: k.UserAgent, Method: "GET", Path: path})
+	c.humanReqs++
+	if resp.Status == 403 {
+		c.human403++
+	}
 }
 
 // crawlerKey returns the i-th coordinated crawler's identity.
@@ -130,22 +138,11 @@ func driveFleetTraffic(net *cdn.Network, vc *clock.Virtual, site *webmodel.Site,
 	// threshold).
 
 	for h := 0; h < fleetHumans; h++ {
-		k := humanKey(h)
-		resp := net.Do(agents.Request{Time: vc.Now(), IP: k.IP, UserAgent: k.UserAgent, Method: "GET", Path: agents.CaptchaSolvePath})
-		counts.humanReqs.Add(1)
-		if resp.Status == 403 {
-			counts.human403.Add(1)
-		}
+		counts.humanGet(net, vc, h, agents.CaptchaSolvePath)
 	}
 	for r := 0; r < fleetRequestsPerNode; r++ {
 		for h := 0; h < fleetHumans; h++ {
-			k := humanKey(h)
-			path := pages[(r*7+h)%len(pages)].Path
-			resp := net.Do(agents.Request{Time: vc.Now(), IP: k.IP, UserAgent: k.UserAgent, Method: "GET", Path: path})
-			counts.humanReqs.Add(1)
-			if resp.Status == 403 {
-				counts.human403.Add(1)
-			}
+			counts.humanGet(net, vc, h, pages[(r*7+h)%len(pages)].Path)
 		}
 		for c := 0; c < fleetCrawlers; c++ {
 			k := crawlerKey(c)
@@ -157,14 +154,14 @@ func driveFleetTraffic(net *cdn.Network, vc *clock.Virtual, site *webmodel.Site,
 				} else {
 					path = pages[(c+r)%len(pages)].Path
 				}
-				resp := nd.Do(agents.Request{Time: vc.Now(), IP: k.IP, UserAgent: k.UserAgent, Method: "GET", Path: path})
-				counts.crawlerReqs.Add(1)
-				_ = resp
+				nd.Do(agents.Request{Time: vc.Now(), IP: k.IP, UserAgent: k.UserAgent, Method: "GET", Path: path})
+				counts.crawlerReqs++
 			}
 		}
 		// A whole second of model time between rounds: per isolated node each
-		// crawler runs at 1 req/s — below every rate threshold too.
-		vc.Advance(time.Second)
+		// crawler runs at 1 req/s — below every rate threshold too. Running
+		// the clock (not just moving it) is what steps the replicated arm.
+		vc.RunUntil(vc.Now().Add(time.Second))
 	}
 }
 
@@ -173,33 +170,25 @@ func driveFleetTraffic(net *cdn.Network, vc *clock.Virtual, site *webmodel.Site,
 // any engine's own classification chain (the partition owner's aggregated
 // session is what crosses the decision floor in fleet mode).
 func crawlerRobotVerdicts(net *cdn.Network) int {
-	n := 0
-	for c := 0; c < fleetCrawlers; c++ {
-		k := crawlerKey(c)
-		found := false
-		for _, nd := range net.Nodes() {
-			if nd.Down() {
-				continue
-			}
-			if rep := nd.Replicator(); rep != nil {
-				if vr, ok := rep.VerdictFor(k); ok && vr.Verdict.Class == detect.ClassRobot {
-					found = true
-				}
-			}
-			if !found {
-				if snap, verdict, tracked := nd.Engine().Decide(k); tracked {
-					if verdict.Class == detect.ClassRobot {
-						found = true
-					}
-					snap.Release()
-				}
-			}
-			if found {
-				break
+	robotAt := func(nd *cdn.Node, k session.Key) bool {
+		if rep := nd.Replicator(); rep != nil {
+			if vr, ok := rep.VerdictFor(k); ok && vr.Verdict.Class == detect.ClassRobot {
+				return true
 			}
 		}
-		if found {
-			n++
+		snap, verdict, tracked := nd.Engine().Decide(k)
+		if tracked {
+			snap.Release()
+		}
+		return tracked && verdict.Class == detect.ClassRobot
+	}
+	n := 0
+	for c := 0; c < fleetCrawlers; c++ {
+		for _, nd := range net.Nodes() {
+			if !nd.Down() && robotAt(nd, crawlerKey(c)) {
+				n++
+				break
+			}
 		}
 	}
 	return n
@@ -249,6 +238,18 @@ func fleetConverged(net *cdn.Network) bool {
 	return true
 }
 
+// runFleetUntil runs the fleet's virtual clock — the replicators step as
+// events on it — a millisecond at a time until cond holds or d has passed,
+// and reports whether cond held.
+func runFleetUntil(vc *clock.Virtual, d time.Duration, cond func() bool) bool {
+	for deadline := vc.Now().Add(d); !cond(); vc.RunUntil(vc.Now().Add(time.Millisecond)) {
+		if !vc.Now().Before(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
 // FleetBench runs the distributed control-plane experiment: the coordinated
 // crawler evades N isolated engines but is blocked fleet-wide once verdict
 // and block-list replication aggregate its evidence at the session's
@@ -287,7 +288,7 @@ func FleetBench(seed uint64) FleetResult {
 		Seed:                seed,
 	})
 	defer net.StopReplication()
-	waitUntil(5*time.Second, func() bool {
+	runFleetUntil(vc, 5*time.Second, func() bool {
 		for _, nd := range net.Nodes() {
 			if nd.Replicator().UpPeers() != fleetNodes-1 {
 				return false
@@ -298,11 +299,12 @@ func FleetBench(seed uint64) FleetResult {
 
 	var counts fleetArmCounts
 	driveFleetTraffic(net, vc, site, &counts)
-	out.CrawlerRequests = counts.crawlerReqs.Load()
+	out.CrawlerRequests = counts.crawlerReqs
 
 	// Replication is asynchronous to the serve path: give the forwarded
-	// observations, ladder escalations and block broadcasts time to drain.
-	waitUntil(20*time.Second, func() bool {
+	// observations, ladder escalations and block broadcasts (virtual) time to
+	// drain.
+	runFleetUntil(vc, 20*time.Second, func() bool {
 		return crawlersBlocked(net, true) == fleetCrawlers
 	})
 	out.FleetRobotVerdicts = crawlerRobotVerdicts(net)
@@ -329,7 +331,7 @@ func FleetBench(seed uint64) FleetResult {
 	// restarting under a new incarnation.
 	victim := net.Nodes()[fleetNodes-1]
 	vrep := victim.Replicator()
-	waitUntil(5*time.Second, func() bool { return vrep.MinAckedEpoch() > 0 })
+	runFleetUntil(vc, 5*time.Second, func() bool { return vrep.MinAckedEpoch() > 0 })
 	minAcked := vrep.MinAckedEpoch()
 	out.KilledNode = victim.Name()
 	out.AckedEpochAtKill = minAcked
@@ -346,28 +348,19 @@ func FleetBench(seed uint64) FleetResult {
 	// their partition's replica, which serves immediately (degraded).
 	for r := 0; r < 3; r++ {
 		for h := 0; h < fleetHumans; h++ {
-			k := humanKey(h)
-			resp := net.Do(agents.Request{Time: vc.Now(), IP: k.IP, UserAgent: k.UserAgent, Method: "GET", Path: site.Pages()[(r+h)%len(site.Pages())].Path})
-			counts.humanReqs.Add(1)
-			if resp.Status == 403 {
-				counts.human403.Add(1)
-			}
+			counts.humanGet(net, vc, h, site.Pages()[(r+h)%len(site.Pages())].Path)
 		}
-		vc.Advance(time.Second)
+		vc.RunUntil(vc.Now().Add(time.Second))
 	}
-	restartAt := time.Now()
+	restartAt := vc.Now()
 	victim.Restart()
-	waitUntil(20*time.Second, func() bool { return fleetConverged(net) })
-	out.BackfillSec = time.Since(restartAt).Seconds()
-	out.BlockedOnRestartedNode = func() int {
-		n := 0
-		for c := 0; c < fleetCrawlers; c++ {
-			if victim.Policy().IsBlocked(crawlerKey(c)) {
-				n++
-			}
+	runFleetUntil(vc, 20*time.Second, func() bool { return fleetConverged(net) })
+	out.BackfillSec = vc.Now().Sub(restartAt).Seconds()
+	for c := 0; c < fleetCrawlers; c++ {
+		if victim.Policy().IsBlocked(crawlerKey(c)) {
+			out.BlockedOnRestartedNode++
 		}
-		return n
-	}()
+	}
 
 	// Asymmetric partition: the first node is cut off from the rest, degrades
 	// to isolated-engine mode (quorum loss), both sides keep deriving
@@ -379,7 +372,7 @@ func FleetBench(seed uint64) FleetResult {
 		rest = append(rest, nd.Name())
 	}
 	links.Partition([]string{minority.Name()}, rest)
-	waitUntil(10*time.Second, func() bool { return minority.Replicator().Isolated() })
+	runFleetUntil(vc, 10*time.Second, func() bool { return minority.Replicator().Isolated() })
 	out.MinorityIsolated = minority.Replicator().Isolated()
 	minority.Replicator().PublishVerdict(
 		session.Key{IP: "10.91.0.1", UserAgent: "minority-side"},
@@ -387,10 +380,10 @@ func FleetBench(seed uint64) FleetResult {
 	net.Nodes()[1].Replicator().PublishVerdict(
 		session.Key{IP: "10.91.0.2", UserAgent: "majority-side"},
 		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "crawl"})
-	time.Sleep(50 * time.Millisecond)
-	healAt := time.Now()
+	vc.RunUntil(vc.Now().Add(50 * time.Millisecond))
+	healAt := vc.Now()
 	links.Heal()
-	waitUntil(20*time.Second, func() bool {
+	runFleetUntil(vc, 20*time.Second, func() bool {
 		if !fleetConverged(net) {
 			return false
 		}
@@ -404,13 +397,13 @@ func FleetBench(seed uint64) FleetResult {
 		}
 		return true
 	})
-	out.PartitionConvergeSec = time.Since(healAt).Seconds()
+	out.PartitionConvergeSec = vc.Now().Sub(healAt).Seconds()
 	out.PartitionCutMessages = links.Stats().Cut
 
 	// Single-trainer model publication: one SetModel reaches every engine.
 	m := &adaboost.Model{TrainingError: 0.0625}
 	net.SetModel(m)
-	out.ModelPublished = waitUntil(5*time.Second, func() bool {
+	out.ModelPublished = runFleetUntil(vc, 5*time.Second, func() bool {
 		for _, nd := range net.Nodes() {
 			got := nd.Engine().Model()
 			if got == nil || got.TrainingError != m.TrainingError {
@@ -461,8 +454,8 @@ func FleetBench(seed uint64) FleetResult {
 	out.PublishOps = g * perG
 	out.PublishNsPerOp = float64(benchElapsed.Nanoseconds()) / float64(out.PublishOps)
 
-	out.HumanRequests = counts.humanReqs.Load()
-	out.HumansBlocked = counts.human403.Load()
+	out.HumanRequests = counts.humanReqs
+	out.HumansBlocked = counts.human403
 	for _, nd := range net.Nodes() {
 		out.FailoverDegraded += nd.Stats().FailoverDegraded
 	}

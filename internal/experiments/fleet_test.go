@@ -32,4 +32,14 @@ func TestFleetBenchHeadline(t *testing.T) {
 	if res.BlockedOnRestartedNode != res.Crawlers {
 		t.Fatalf("restarted node restored %d/%d blocks", res.BlockedOnRestartedNode, res.Crawlers)
 	}
+
+	// The whole run is on one virtual clock: the same seed gives the same
+	// report, wall-clock measurements aside.
+	again := FleetBench(7)
+	for _, r := range []*FleetResult{&res, &again} {
+		r.DurationSec, r.PublishGoroutines, r.PublishOps, r.PublishNsPerOp = 0, 0, 0, 0
+	}
+	if res != again {
+		t.Fatalf("two runs with one seed differ:\n%s\n%s", res.JSON(), again.JSON())
+	}
 }

@@ -13,24 +13,38 @@
 //
 //   - Every durable update carries its origin node, an incarnation number
 //     and a per-origin dense epoch (1, 2, 3, …). Receivers keep a per-origin
-//     applied-epoch watermark (the highest contiguous applied epoch, read
-//     lock-free) plus a small out-of-order window above it, so replays are
-//     rejected in O(1) and reordering is harmless.
+//     applied-epoch watermark (the highest contiguous applied epoch) plus a
+//     small out-of-order window above it, so replays are rejected in O(1)
+//     and reordering is harmless.
 //   - Merges are last-writer-wins under a deterministic total order
 //     (verdicts: confidence, then stamp, then origin; blocks: latest
 //     expiry; models: highest sequence), so duplicated or reordered
 //     deliveries cannot diverge replicas.
 //   - Senders never block the serve path: Publish enqueues into a bounded
-//     per-peer outbox (full ⇒ counted drop), and a dedicated goroutine per
-//     peer drains it with doubling backoff + jitter. A dead peer costs its
-//     own outbox, nothing else.
+//     per-peer outbox (full ⇒ counted drop) and returns. Step flushes the
+//     outboxes: a batch the transport refuses is retried on later Steps with
+//     doubling backoff + jitter, for at most SendPatience, as plain per-peer
+//     arithmetic. A dead peer costs its own outbox, nothing else.
 //   - Anti-entropy heals silent loss: heartbeats advertise each node's
 //     applied watermarks, and every node periodically re-sends store
 //     entries a peer's watermarks show it to be missing — which also
 //     backfills a node that restarted empty (it simply advertises nothing).
-//   - Peer health is a phi-style accrual suspicion over heartbeat
-//     inter-arrival times; when a quorum of the fleet is unreachable the
-//     node reports Isolated and keeps serving from its local engine alone.
+//     A watermark speaks for one incarnation of its origin, so when an
+//     origin restarts, whoever holds entries from its dead incarnations
+//     adopts them: re-publishes them as its own updates, stamps kept.
+//   - Peer health is a phi-style accrual suspicion over the inter-arrival
+//     times of what Receive hears, read off Config.Clock; when a quorum of
+//     the fleet is unreachable the node reports Isolated and keeps serving
+//     from its local engine alone.
+//
+// A Replicator is a passive state machine: it owns no goroutine, no timer
+// and no channel. Its state is guarded by one mutex, and time reaches it two
+// ways only — Config.Clock stamps what it publishes and hears, and
+// Step(now), called by whoever owns the node's clock, does everything that
+// is due: heartbeats, anti-entropy scans, outbox flushes and retries, stall
+// jumps, adoptions. N replicators on one virtual clock stepped in a loop are
+// a deterministic simulation (internal/chaos's seed sweep, cdn.Network); a
+// socket binary drives the same Step from a ticker.
 //
 // Observations and session handoffs ride the same transport with epoch 0:
 // they are fire-and-forget evidence streams whose loss only delays a
@@ -47,7 +61,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"botdetect/internal/adaboost"
@@ -55,6 +68,7 @@ import (
 	"botdetect/internal/detect"
 	"botdetect/internal/rng"
 	"botdetect/internal/session"
+	"botdetect/internal/telemetry"
 )
 
 // Kind is the type of one replicated update.
@@ -74,24 +88,6 @@ const (
 	// a partition owner and a replica (fire-and-forget, epoch 0).
 	KindHandoff
 )
-
-// String returns the kind's short name.
-func (k Kind) String() string {
-	switch k {
-	case KindVerdict:
-		return "verdict"
-	case KindBlock:
-		return "block"
-	case KindModel:
-		return "model"
-	case KindObservation:
-		return "observation"
-	case KindHandoff:
-		return "handoff"
-	default:
-		return "unknown"
-	}
-}
 
 // SignalAt is one detection signal with the request index it was observed at,
 // as carried by a session handoff.
@@ -149,6 +145,11 @@ type Update struct {
 	HandoffReply bool
 }
 
+// verdict returns a verdict update's payload.
+func (u *Update) verdict() detect.Verdict {
+	return detect.Verdict{Class: u.Class, Confidence: u.Confidence, Reason: u.Reason, AtRequest: u.AtRequest}
+}
+
 // MsgKind is the transport-level message type.
 type MsgKind uint8
 
@@ -175,10 +176,12 @@ type Message struct {
 	Watermarks []Watermark // MsgHeartbeat
 }
 
-// Transport delivers messages between replicators. Send must be safe for
-// concurrent use; an error means the message was not (or may not have been)
-// delivered and the sender may retry — receivers therefore must tolerate
-// duplicate delivery, which the merge layer guarantees.
+// Transport delivers messages between replicators. Send is called from Step
+// with no replicator lock held; it must be safe for concurrent use and
+// return promptly (a slow link queues, it does not make Step wait). An error
+// means the message was not (or may not have been) delivered and the sender
+// may retry — receivers therefore must tolerate duplicate delivery, which
+// the merge layer guarantees. A transport may hold on to the frame.
 type Transport interface {
 	Send(to string, msg *Message) error
 }
@@ -187,9 +190,9 @@ type Transport interface {
 // in-process mesh) when the target replicator is stopped.
 var ErrNodeDown = errors.New("fleet: node down")
 
-// Callbacks wire applied updates into the node's local engines. All
-// callbacks may be invoked concurrently from peer goroutines; nil callbacks
-// are skipped.
+// Callbacks wire applied updates into the node's local engines. They run on
+// the goroutine that called Receive, with no replicator lock held, so they
+// may call back into the replicator; nil callbacks are skipped.
 type Callbacks struct {
 	// OnVerdict fires when a replicated verdict changed this node's merged
 	// verdict state for key.
@@ -220,7 +223,8 @@ type Config struct {
 	// Callbacks apply replicated state to the local engines.
 	Callbacks Callbacks
 	// RetryBackoff is the initial send-retry delay, doubled (with jitter) up
-	// to MaxBackoff (defaults 5ms and 500ms).
+	// to MaxBackoff (defaults 5ms and 500ms). Step cannot retry more finely
+	// than it is called.
 	RetryBackoff time.Duration
 	MaxBackoff   time.Duration
 	// SendPatience bounds how long one batch is retried against an
@@ -234,7 +238,9 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	// AntiEntropyInterval paces the per-peer store re-scan (default 300ms).
 	AntiEntropyInterval time.Duration
-	// Clock supplies time; defaults to the wall clock.
+	// Clock stamps published updates and times what Receive hears (suspicion,
+	// stall ages, apply lag); defaults to the wall clock. Pacing is Step's
+	// argument, not this.
 	Clock clock.Clock
 	// Seed drives backoff jitter.
 	Seed uint64
@@ -307,68 +313,47 @@ type modelEntry struct {
 	m      *adaboost.Model
 	seq    uint64
 	origin string
+	inc    uint32
 	stamp  int64
 }
 
 // originState tracks one origin's applied epochs: the contiguous watermark
-// (mirrored into an atomic for lock-free reads) and the out-of-order window
-// above it.
+// and the out-of-order window above it.
 type originState struct {
-	inc       uint32
-	contig    uint64
-	contigPub atomic.Uint64
-	pending   map[uint64]int64 // applied epoch above contig → first-seen nanos
+	inc     uint32
+	contig  uint64
+	pending map[uint64]int64 // applied epoch above contig → first-seen nanos
+	// orphaned marks that the origin has restarted since the last Step: what
+	// this node holds from its dead incarnations is due for adoption.
+	orphaned bool
 }
 
-const lagRing = 4096
-
-// Replicator is one node's half of the fleet control plane. It is safe for
-// concurrent use; Publish* never block on the network.
+// Replicator is one node's half of the fleet control plane: a passive state
+// machine. Publish*, ForwardObservation, the handoff calls and Receive change
+// its state; Step is the only thing that moves its time — whoever owns the
+// node's clock (the simulated CDN's virtual-clock event, a socket binary's
+// ticker) calls it. It is safe for concurrent use.
 type Replicator struct {
-	cfg Config
+	cfg       Config
+	peers     map[string]*peer // fixed after New; the peers themselves are guarded by mu
+	peerNames []string
+	lag       telemetry.Histogram // apply lag, origin stamp → local apply
 
-	inc      atomic.Uint32 // incarnation, bumped by Restart
-	epoch    atomic.Uint64 // own dense epoch counter for durable updates
-	modelSeq atomic.Uint64
-
-	mu       sync.RWMutex // guards verdicts, blocks, model
+	// mu guards everything below and every peer's fields. It is never held
+	// across Transport.Send or a Callbacks function.
+	mu       sync.Mutex
+	running  bool
+	inc      uint32 // incarnation, bumped by Restart
+	epoch    uint64 // own dense epoch counter for durable updates
 	verdicts map[session.Key]VerdictRecord
 	blocks   map[session.Key]blockEntry
 	model    modelEntry
-
-	wmMu sync.Mutex
-	wms  map[string]*originState
-
-	peers     map[string]*peer
-	peerNames []string
-
-	running atomic.Bool
-	stopMu  sync.Mutex
-	done    chan struct{}
-	wg      sync.WaitGroup
-
+	wms      map[string]*originState
 	jitter   *rng.Source
-	jitterMu sync.Mutex
-
-	// counters
-	published   atomic.Uint64 // durable updates originated here
-	applied     atomic.Uint64 // durable updates applied fresh from peers
-	replays     atomic.Uint64 // duplicate/stale deliveries rejected
-	staleInc    atomic.Uint64 // updates from an old incarnation rejected
-	epochGaps   atomic.Uint64 // epochs the watermark jumped past (lost updates)
-	obsApplied  atomic.Uint64
-	obsForward  atomic.Uint64
-	aeResends   atomic.Uint64
-	handoffsIn  atomic.Uint64
-	handoffsOut atomic.Uint64
-
-	lagMu      sync.Mutex
-	lagSamples [lagRing]int64 // apply lag, nanos
-	lagN       int
-	lagNext    int
+	stats    Counters
 }
 
-// New creates a Replicator; call Start to spin up its goroutines.
+// New creates a stopped Replicator; Start lets it receive and step.
 func New(cfg Config) *Replicator {
 	cfg = cfg.withDefaults()
 	if cfg.Name == "" || cfg.Transport == nil {
@@ -376,18 +361,18 @@ func New(cfg Config) *Replicator {
 	}
 	r := &Replicator{
 		cfg:      cfg,
+		inc:      1,
 		verdicts: make(map[session.Key]VerdictRecord),
 		blocks:   make(map[session.Key]blockEntry),
 		wms:      make(map[string]*originState),
 		peers:    make(map[string]*peer),
 		jitter:   rng.New(cfg.Seed ^ 0x666c6565742d6a69).Fork("fleet-jitter"),
 	}
-	r.inc.Store(1)
 	for _, name := range cfg.Peers {
 		if name == cfg.Name {
 			continue
 		}
-		r.peers[name] = newPeer(name, outboxCapacity)
+		r.peers[name] = &peer{name: name, wms: make(map[string]Watermark)}
 		r.peerNames = append(r.peerNames, name)
 	}
 	sort.Strings(r.peerNames)
@@ -398,59 +383,62 @@ func New(cfg Config) *Replicator {
 func (r *Replicator) Name() string { return r.cfg.Name }
 
 // Incarnation returns the current incarnation number.
-func (r *Replicator) Incarnation() uint32 { return r.inc.Load() }
+func (r *Replicator) Incarnation() uint32 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.inc
+}
 
-// Start spins up the per-peer sender and heartbeat/anti-entropy goroutines.
-// It is idempotent while running.
+// Start marks the replicator running: it accepts Receive and acts on Step.
+// Each peer's heartbeat period is drawn here (the interval plus up to a
+// quarter of jitter, so a fleet's beats do not align) and its first beat is
+// due at the next Step. It is idempotent while running.
 func (r *Replicator) Start() {
-	r.stopMu.Lock()
-	defer r.stopMu.Unlock()
-	if !r.running.CompareAndSwap(false, true) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.running {
 		return
 	}
-	r.done = make(chan struct{})
-	for _, p := range r.peers {
-		r.wg.Add(2)
-		go r.sender(p, r.done)
-		go r.peerLoop(p, r.done)
+	r.running = true
+	hb := r.cfg.HeartbeatInterval
+	for _, name := range r.peerNames {
+		p := r.peers[name]
+		p.beatEvery = int64(hb) + int64(r.jitter.Uint64n(uint64(hb/4)+1))
+		p.nextBeat, p.nextScan = 0, 0
 	}
 }
 
-// Stop halts all goroutines (outbox contents are retained for a later
-// Start). It is idempotent.
+// Stop marks the replicator stopped: Receive refuses with ErrNodeDown and
+// Step does nothing (outbox contents are retained for a later Start). It is
+// idempotent.
 func (r *Replicator) Stop() {
-	r.stopMu.Lock()
-	defer r.stopMu.Unlock()
-	if !r.running.CompareAndSwap(true, false) {
-		return
-	}
-	close(r.done)
-	r.wg.Wait()
+	r.mu.Lock()
+	r.running = false
+	r.mu.Unlock()
 }
 
-// Wipe clears all replicated state — stores, watermarks, epoch counters and
+// Wipe clears all replicated state — stores, watermarks, epoch counter and
 // outboxes — simulating a crash that lost the node's memory. Call only while
 // stopped.
 func (r *Replicator) Wipe() {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.verdicts = make(map[session.Key]VerdictRecord)
 	r.blocks = make(map[session.Key]blockEntry)
 	r.model = modelEntry{}
-	r.mu.Unlock()
-	r.wmMu.Lock()
 	r.wms = make(map[string]*originState)
-	r.wmMu.Unlock()
-	r.epoch.Store(0)
-	r.modelSeq.Store(0)
+	r.epoch = 0
 	for _, p := range r.peers {
-		p.reset()
+		*p = peer{name: p.name, wms: make(map[string]Watermark)}
 	}
 }
 
 // Restart bumps the incarnation and starts the replicator again; peers reset
 // their watermark state for this origin when they see the higher incarnation.
 func (r *Replicator) Restart() {
-	r.inc.Add(1)
+	r.mu.Lock()
+	r.inc++
+	r.mu.Unlock()
 	r.Start()
 }
 
@@ -459,36 +447,59 @@ func (r *Replicator) nowNanos() int64 { return r.cfg.Clock.Now().UnixNano() }
 
 // ---- publishing (origin side) ----
 
-// nextUpdate stamps a durable update with this origin's identity and next
-// dense epoch.
-func (r *Replicator) nextUpdate(kind Kind) Update {
-	return Update{
-		Origin: r.cfg.Name,
-		Inc:    r.inc.Load(),
-		Epoch:  r.epoch.Add(1),
-		Stamp:  r.nowNanos(),
-		Kind:   kind,
+// publishLocked stamps a durable update with this origin's identity and next
+// dense epoch, merges it locally and enqueues it to every peer outbox. It
+// never blocks: full outboxes drop (counted) and anti-entropy repairs the
+// difference later.
+func (r *Replicator) publishLocked(u Update) {
+	r.epoch++
+	u.Origin, u.Inc, u.Epoch = r.cfg.Name, r.inc, r.epoch
+	now := r.nowNanos()
+	if u.Stamp == 0 {
+		u.Stamp = now
+	}
+	r.stats.Published++
+	r.admitLocked(&u, now)
+	r.mergeLocked(&u)
+	for _, p := range r.peers {
+		p.enqueue(u)
+	}
+}
+
+// adoptLocked re-publishes, as this node's own updates with their stamps
+// kept, the entries it holds from origin's incarnations before inc. A
+// watermark speaks for one incarnation of an origin, so once a peer has seen
+// the new one nothing can tell it is missing an entry of the old — and the
+// fence would refuse it anyway. Every holder adopts what it holds; the merge
+// order settles whose label an entry ends up under.
+func (r *Replicator) adoptLocked(origin string, inc uint32) {
+	for k, v := range r.verdicts {
+		if v.Origin == origin && v.Inc < inc {
+			delete(r.verdicts, k) // the re-publication replaces it, whatever the merge order says
+			r.publishLocked(Update{Kind: KindVerdict, Key: k, Stamp: v.Stamp, Class: v.Verdict.Class,
+				Confidence: v.Verdict.Confidence, Reason: v.Verdict.Reason, AtRequest: v.Verdict.AtRequest})
+		}
+	}
+	for k, b := range r.blocks {
+		if b.origin == origin && b.inc < inc {
+			delete(r.blocks, k)
+			r.publishLocked(Update{Kind: KindBlock, Key: k, Stamp: b.stamp, Until: b.until})
+		}
 	}
 }
 
 // PublishVerdict replicates a definite verdict fleet-wide. Publishing the
 // same class/confidence for an already-replicated key is a no-op, so the
 // engine's export hook can fire on every recompute without flooding the
-// mesh. It never blocks: full outboxes drop (counted) and anti-entropy
-// repairs the difference later.
+// mesh.
 func (r *Replicator) PublishVerdict(key session.Key, v detect.Verdict) bool {
-	r.mu.RLock()
-	cur, ok := r.verdicts[key]
-	r.mu.RUnlock()
-	if ok && cur.Verdict.Class == v.Class && cur.Verdict.Confidence >= v.Confidence {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cur, ok := r.verdicts[key]; ok && cur.Verdict.Class == v.Class && cur.Verdict.Confidence >= v.Confidence {
 		return false
 	}
-	u := r.nextUpdate(KindVerdict)
-	u.Key = key
-	u.Class, u.Confidence, u.Reason, u.AtRequest = v.Class, v.Confidence, v.Reason, v.AtRequest
-	r.published.Add(1)
-	r.applyDurable(u, true)
-	r.broadcast(u)
+	r.publishLocked(Update{Kind: KindVerdict, Key: key,
+		Class: v.Class, Confidence: v.Confidence, Reason: v.Reason, AtRequest: v.AtRequest})
 	return true
 }
 
@@ -496,104 +507,103 @@ func (r *Replicator) PublishVerdict(key session.Key, v detect.Verdict) bool {
 // time). Earlier-or-equal expiries for an already-replicated key are no-ops.
 func (r *Replicator) PublishBlock(key session.Key, until time.Time) bool {
 	nanos := until.UnixNano()
-	r.mu.RLock()
-	cur, ok := r.blocks[key]
-	r.mu.RUnlock()
-	if ok && cur.until >= nanos {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cur, ok := r.blocks[key]; ok && cur.until >= nanos {
 		return false
 	}
-	u := r.nextUpdate(KindBlock)
-	u.Key = key
-	u.Until = nanos
-	r.published.Add(1)
-	r.applyDurable(u, true)
-	r.broadcast(u)
+	r.publishLocked(Update{Kind: KindBlock, Key: key, Until: nanos})
 	return true
 }
 
 // PublishModel replicates a trained model fleet-wide with the next model
-// sequence number. The fleet assumes a single trainer at a time; concurrent
-// publications converge on the highest sequence.
+// sequence number — one past the highest this node has seen, so a trainer
+// failover publishes with a winning sequence. The fleet assumes a single
+// trainer at a time; concurrent publications converge on the highest
+// sequence.
 func (r *Replicator) PublishModel(m *adaboost.Model) uint64 {
-	seq := r.modelSeq.Add(1)
-	u := r.nextUpdate(KindModel)
-	u.Model = m
-	u.ModelSeq = seq
-	r.published.Add(1)
-	r.applyDurable(u, true)
-	r.broadcast(u)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seq := r.model.seq + 1
+	r.publishLocked(Update{Kind: KindModel, Model: m, ModelSeq: seq})
 	return seq
 }
 
-// ForwardObservation forwards one observed request to the session's
-// partition owner. Fire-and-forget: a full outbox or dead owner drops it,
-// which only delays the owner's threshold crossing.
-func (r *Replicator) ForwardObservation(owner string, u Update) {
-	p, ok := r.peers[owner]
+// sendTo enqueues one fire-and-forget update to a peer's outbox: a full
+// outbox or dead peer drops it.
+func (r *Replicator) sendTo(to string, u Update) bool {
+	p, ok := r.peers[to]
 	if !ok {
-		return
+		return false
 	}
-	u.Origin, u.Inc, u.Epoch, u.Kind = r.cfg.Name, r.inc.Load(), 0, KindObservation
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	u.Origin, u.Inc, u.Epoch = r.cfg.Name, r.inc, 0
 	if u.Stamp == 0 {
 		u.Stamp = r.nowNanos()
 	}
-	r.obsForward.Add(1)
-	p.enqueue(u)
+	switch {
+	case u.Kind == KindObservation:
+		r.stats.ObsForward++
+	case u.HandoffReply:
+		r.stats.HandoffsOut++
+	}
+	return p.enqueue(u)
+}
+
+// ForwardObservation forwards one observed request to the session's
+// partition owner. Fire-and-forget: losing it only delays the owner's
+// threshold crossing.
+func (r *Replicator) ForwardObservation(owner string, u Update) {
+	u.Kind = KindObservation
+	r.sendTo(owner, u)
 }
 
 // RequestHandoff asks owner for the session's evidence (signals); the reply
 // arrives through Callbacks.OnHandoff.
 func (r *Replicator) RequestHandoff(owner string, key session.Key) {
-	p, ok := r.peers[owner]
-	if !ok {
-		return
-	}
-	p.enqueue(Update{
-		Origin: r.cfg.Name, Inc: r.inc.Load(), Kind: KindHandoff,
-		Stamp: r.nowNanos(), Key: key,
-	})
+	r.sendTo(owner, Update{Kind: KindHandoff, Key: key})
 }
 
 // SendHandoff pushes the session's evidence to a peer (graceful drain).
 func (r *Replicator) SendHandoff(to string, key session.Key, signals []SignalAt) bool {
-	p, ok := r.peers[to]
-	if !ok {
-		return false
-	}
-	r.handoffsOut.Add(1)
-	return p.enqueue(Update{
-		Origin: r.cfg.Name, Inc: r.inc.Load(), Kind: KindHandoff,
-		Stamp: r.nowNanos(), Key: key, Signals: signals, HandoffReply: true,
-	})
+	return r.sendTo(to, Update{Kind: KindHandoff, Key: key, Signals: signals, HandoffReply: true})
 }
 
-// broadcast enqueues a durable update to every peer outbox, never blocking.
-func (r *Replicator) broadcast(u Update) {
-	for _, p := range r.peers {
-		p.enqueue(u)
-	}
-}
-
-// Flush waits until every outbox has drained (or timeout elapses), for
-// graceful shutdown. It reports whether the outboxes emptied.
+// Flush steps the replicator through its own retry schedule — from the
+// clock's now, for at most timeout of it — until every outbox is empty, for
+// graceful shutdown. It does not wait: the retries a dead peer would have
+// been given over timeout are all made now. It reports whether the outboxes
+// emptied.
 func (r *Replicator) Flush(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		idle := true
-		for _, p := range r.peers {
-			if len(p.out) > 0 || p.inflight.Load() > 0 {
-				idle = false
-				break
-			}
-		}
-		if idle {
+	now := r.nowNanos()
+	for deadline := now + int64(timeout); ; {
+		r.Step(time.Unix(0, now))
+		next, queued := r.nextAttempt()
+		if !queued {
 			return true
 		}
-		if time.Now().After(deadline) {
-			return false
+		if next <= now || next > deadline {
+			return false // stopped, or the next retry lies past the timeout
 		}
-		time.Sleep(time.Millisecond)
+		now = next
 	}
+}
+
+// nextAttempt returns the earliest time a queued batch is due, and whether
+// anything is queued at all.
+func (r *Replicator) nextAttempt() (next int64, queued bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, p := range r.peers {
+		if len(p.out)+len(p.batch) == 0 {
+			continue
+		}
+		if !queued || p.nextAttempt < next {
+			next, queued = p.nextAttempt, true
+		}
+	}
+	return next, queued
 }
 
 // ---- receiving / applying ----
@@ -602,15 +612,27 @@ func (r *Replicator) Flush(timeout time.Duration) bool {
 // entry point and is safe for concurrent use; it returns ErrNodeDown while
 // the replicator is stopped (a crashed node does not receive).
 func (r *Replicator) Receive(msg *Message) error {
-	if !r.running.Load() {
+	r.mu.Lock()
+	if !r.running {
+		r.mu.Unlock()
 		return ErrNodeDown
 	}
 	if p, ok := r.peers[msg.From]; ok {
 		p.touch(r.nowNanos())
 		if msg.Kind == MsgHeartbeat {
-			p.setWatermarks(msg.Watermarks)
-			return nil
+			// Only fleet members' watermarks are kept: a frame cannot grow the
+			// vector past the fleet's size.
+			clear(p.wms)
+			for _, w := range msg.Watermarks {
+				if _, member := r.peers[w.Origin]; member || w.Origin == r.cfg.Name {
+					p.wms[w.Origin] = w
+				}
+			}
 		}
+	}
+	r.mu.Unlock()
+	if msg.Kind == MsgHeartbeat {
+		return nil
 	}
 	for i := range msg.Updates {
 		r.apply(&msg.Updates[i])
@@ -618,81 +640,73 @@ func (r *Replicator) Receive(msg *Message) error {
 	return nil
 }
 
-// apply routes one update: fire-and-forget kinds dispatch straight to
-// callbacks, durable kinds go through the watermark and merge machinery.
+// apply routes one update: durable kinds (and the model re-offer) go through
+// the watermark and merge machinery, fire-and-forget kinds dispatch straight
+// to callbacks.
 func (r *Replicator) apply(u *Update) {
-	if u.Epoch == 0 {
-		switch u.Kind {
-		case KindObservation:
-			r.obsApplied.Add(1)
-			if cb := r.cfg.Callbacks.OnObservation; cb != nil {
-				cb(*u)
-			}
-		case KindHandoff:
-			r.applyHandoff(u)
-		case KindModel:
-			// Anti-entropy re-offers the merged model with epoch 0: its merge
-			// is sequence-idempotent, so it needs no watermark admission.
-			r.mergeModel(u)
+	cb := &r.cfg.Callbacks
+	switch {
+	case u.Epoch != 0 || u.Kind == KindModel:
+		r.applyDurable(u)
+	case u.Kind == KindObservation:
+		r.bump(&r.stats.ObsApplied)
+		if cb.OnObservation != nil {
+			cb.OnObservation(*u)
 		}
-		return
+	case u.Kind == KindHandoff && u.HandoffReply:
+		r.bump(&r.stats.HandoffsIn)
+		if cb.OnHandoff != nil {
+			cb.OnHandoff(u.Key, u.Signals)
+		}
+	case u.Kind == KindHandoff && cb.HandoffSource != nil:
+		// A handoff request, served from local evidence.
+		if sigs, ok := cb.HandoffSource(u.Key); ok && len(sigs) > 0 {
+			r.SendHandoff(u.Origin, u.Key, sigs)
+		}
 	}
-	r.applyDurable(*u, false)
 }
 
-// applyHandoff serves handoff requests from local evidence and applies
-// handoff replies.
-func (r *Replicator) applyHandoff(u *Update) {
-	if u.HandoffReply {
-		r.handoffsIn.Add(1)
-		if cb := r.cfg.Callbacks.OnHandoff; cb != nil {
-			cb(u.Key, u.Signals)
-		}
-		return
-	}
-	src := r.cfg.Callbacks.HandoffSource
-	if src == nil {
-		return
-	}
-	sigs, ok := src(u.Key)
-	if !ok || len(sigs) == 0 {
-		return
-	}
-	r.SendHandoff(u.Origin, u.Key, sigs)
-}
-
-// mergeModel merges one model publication (highest sequence, then stamp,
-// wins) and fires OnModel when it superseded the current model. Used by the
-// epoch-0 anti-entropy re-offer path; the durable path embeds the same merge.
-func (r *Replicator) mergeModel(u *Update) {
-	var fire bool
+// bump increments one counter under the lock.
+func (r *Replicator) bump(c *uint64) {
 	r.mu.Lock()
-	if u.ModelSeq > r.model.seq || (u.ModelSeq == r.model.seq && u.Stamp > r.model.stamp) {
-		r.model = modelEntry{m: u.Model, seq: u.ModelSeq, origin: u.Origin, stamp: u.Stamp}
-		fire = true
-	}
+	*c++
 	r.mu.Unlock()
-	for {
-		cur := r.modelSeq.Load()
-		if u.ModelSeq <= cur || r.modelSeq.CompareAndSwap(cur, u.ModelSeq) {
-			break
-		}
+}
+
+// applyDurable admits and merges one durable update from a peer and fires
+// the callback of a merge that changed this node's state. Anti-entropy
+// re-offers the merged model with epoch 0: its merge is sequence-idempotent,
+// so it needs no watermark admission.
+func (r *Replicator) applyDurable(u *Update) {
+	now := r.nowNanos()
+	r.mu.Lock()
+	fresh := u.Epoch == 0
+	if !fresh && r.admitLocked(u, now) {
+		fresh = true
+		r.stats.Applied++
+		r.lag.Observe(time.Duration(now - u.Stamp))
 	}
-	if fire {
-		if cb := r.cfg.Callbacks.OnModel; cb != nil {
-			cb(u.Model, u.ModelSeq)
-		}
+	changed := fresh && r.mergeLocked(u)
+	r.mu.Unlock()
+	if !changed {
+		return
+	}
+	cb := &r.cfg.Callbacks
+	switch {
+	case u.Kind == KindVerdict && cb.OnVerdict != nil:
+		cb.OnVerdict(u.Key, u.verdict(), u.Origin)
+	case u.Kind == KindBlock && cb.OnBlock != nil:
+		cb.OnBlock(u.Key, time.Unix(0, u.Until))
+	case u.Kind == KindModel && cb.OnModel != nil:
+		cb.OnModel(u.Model, u.ModelSeq)
 	}
 }
 
-// admitEpoch runs the watermark admission for one durable update: stale
+// admitLocked runs the watermark admission for one durable update: stale
 // incarnations and already-applied epochs are rejected; fresh epochs are
 // recorded and the contiguous watermark advances (jumping past gaps older
 // than stallTimeout, counting the lost epochs).
-func (r *Replicator) admitEpoch(u *Update) bool {
-	now := r.nowNanos()
-	r.wmMu.Lock()
-	defer r.wmMu.Unlock()
+func (r *Replicator) admitLocked(u *Update, now int64) bool {
 	os := r.wms[u.Origin]
 	if os == nil {
 		os = &originState{inc: u.Inc, pending: make(map[uint64]int64)}
@@ -700,22 +714,18 @@ func (r *Replicator) admitEpoch(u *Update) bool {
 	}
 	switch {
 	case u.Inc < os.inc:
-		r.staleInc.Add(1)
+		r.stats.StaleInc++
 		return false
 	case u.Inc > os.inc:
 		// The origin restarted: its epochs restart dense from 1 under the
 		// new incarnation, so the applied window resets with it.
 		os.inc = u.Inc
 		os.contig = 0
-		os.contigPub.Store(0)
+		os.orphaned = true
 		clear(os.pending)
 	}
-	if u.Epoch <= os.contig {
-		r.replays.Add(1)
-		return false
-	}
-	if _, dup := os.pending[u.Epoch]; dup {
-		r.replays.Add(1)
+	if _, dup := os.pending[u.Epoch]; dup || u.Epoch <= os.contig {
+		r.stats.Replays++
 		return false
 	}
 	os.pending[u.Epoch] = now
@@ -733,7 +743,7 @@ func (r *Replicator) advanceLocked(os *originState, now int64) {
 			continue
 		}
 		if len(os.pending) == 0 {
-			break
+			return
 		}
 		// Gap: find the lowest pending epoch and its age.
 		low, oldest := uint64(0), int64(0)
@@ -746,80 +756,46 @@ func (r *Replicator) advanceLocked(os *originState, now int64) {
 			}
 		}
 		if now-oldest < int64(stallTimeout) {
-			break
+			return
 		}
 		// The missing epochs are declared lost (the configured epoch-lag
 		// bound): count them and jump the watermark to the edge of the gap.
-		r.epochGaps.Add(low - os.contig - 1)
+		r.stats.EpochGaps += low - os.contig - 1
 		os.contig = low - 1
 	}
-	os.contigPub.Store(os.contig)
 }
 
-// applyDurable merges one durable update into the stores; fromSelf marks a
-// local publication (merge + watermark, but no callback echo).
-func (r *Replicator) applyDurable(u Update, fromSelf bool) {
-	if !r.admitEpoch(&u) {
-		return
-	}
-	if !fromSelf {
-		r.applied.Add(1)
-		r.recordLag(r.nowNanos() - u.Stamp)
-	}
-
-	var fireVerdict bool
-	var fireBlock bool
-	var fireModel bool
-	r.mu.Lock()
+// mergeLocked merges one admitted update into the stores — the one place
+// each kind's last-writer-wins order is spelled — and reports whether it
+// changed this node's merged state.
+func (r *Replicator) mergeLocked(u *Update) bool {
 	switch u.Kind {
 	case KindVerdict:
-		rec := VerdictRecord{
-			Verdict: detect.Verdict{Class: u.Class, Confidence: u.Confidence, Reason: u.Reason, AtRequest: u.AtRequest},
-			Origin:  u.Origin, Inc: u.Inc, Epoch: u.Epoch, Stamp: u.Stamp,
+		rec := VerdictRecord{Verdict: u.verdict(), Origin: u.Origin, Inc: u.Inc, Epoch: u.Epoch, Stamp: u.Stamp}
+		if cur, ok := r.verdicts[u.Key]; ok && !verdictLess(cur, rec) {
+			return false
 		}
-		cur, ok := r.verdicts[u.Key]
-		if !ok || verdictLess(cur, rec) {
-			r.verdicts[u.Key] = rec
-			fireVerdict = true
-			if len(r.verdicts) > maxEntries {
-				r.evictVerdictsLocked()
-			}
+		r.verdicts[u.Key] = rec
+		if len(r.verdicts) > maxEntries {
+			r.evictVerdictsLocked()
 		}
+		return true
 	case KindBlock:
-		cur, ok := r.blocks[u.Key]
-		if !ok || u.Until > cur.until {
-			r.blocks[u.Key] = blockEntry{until: u.Until, origin: u.Origin, inc: u.Inc, epoch: u.Epoch, stamp: u.Stamp}
-			fireBlock = true
+		if cur, ok := r.blocks[u.Key]; ok && u.Until <= cur.until {
+			return false
 		}
+		r.blocks[u.Key] = blockEntry{until: u.Until, origin: u.Origin, inc: u.Inc, epoch: u.Epoch, stamp: u.Stamp}
+		return true
 	case KindModel:
-		if u.ModelSeq > r.model.seq || (u.ModelSeq == r.model.seq && u.Stamp > r.model.stamp) {
-			r.model = modelEntry{m: u.Model, seq: u.ModelSeq, origin: u.Origin, stamp: u.Stamp}
-			fireModel = true
+		// Highest sequence, then stamp, wins; a frame without a model is
+		// not a publication.
+		if u.Model == nil || u.ModelSeq < r.model.seq || (u.ModelSeq == r.model.seq && u.Stamp <= r.model.stamp) {
+			return false
 		}
-		// Keep the local sequence counter ahead of everything seen, so a
-		// trainer failover publishes with a winning sequence.
-		for {
-			cur := r.modelSeq.Load()
-			if u.ModelSeq <= cur || r.modelSeq.CompareAndSwap(cur, u.ModelSeq) {
-				break
-			}
-		}
+		r.model = modelEntry{m: u.Model, seq: u.ModelSeq, origin: u.Origin, inc: u.Inc, stamp: u.Stamp}
+		return true
 	}
-	r.mu.Unlock()
-
-	if fromSelf {
-		return
-	}
-	cb := r.cfg.Callbacks
-	if fireVerdict && cb.OnVerdict != nil {
-		cb.OnVerdict(u.Key, detect.Verdict{Class: u.Class, Confidence: u.Confidence, Reason: u.Reason, AtRequest: u.AtRequest}, u.Origin)
-	}
-	if fireBlock && cb.OnBlock != nil {
-		cb.OnBlock(u.Key, time.Unix(0, u.Until))
-	}
-	if fireModel && cb.OnModel != nil {
-		cb.OnModel(u.Model, u.ModelSeq)
-	}
+	return false
 }
 
 // verdictLess orders two verdict records deterministically (the merge's
@@ -863,78 +839,50 @@ func (r *Replicator) evictVerdictsLocked() {
 	}
 }
 
-// recordLag stores one apply-lag sample (origin stamp → local apply).
-func (r *Replicator) recordLag(nanos int64) {
-	if nanos < 0 {
-		nanos = 0
-	}
-	r.lagMu.Lock()
-	r.lagSamples[r.lagNext] = nanos
-	r.lagNext = (r.lagNext + 1) % lagRing
-	if r.lagN < lagRing {
-		r.lagN++
-	}
-	r.lagMu.Unlock()
-}
-
-// LagQuantile returns the q-quantile (0..1) of recent apply-lag samples as a
-// duration, and false when no samples exist.
+// LagQuantile returns the q-quantile (0..1) of the apply-lag samples as a
+// duration (the upper bound of the histogram bucket it falls in), and false
+// when no samples exist.
 func (r *Replicator) LagQuantile(q float64) (time.Duration, bool) {
-	r.lagMu.Lock()
-	n := r.lagN
-	buf := make([]int64, n)
-	copy(buf, r.lagSamples[:n])
-	r.lagMu.Unlock()
-	if n == 0 {
-		return 0, false
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	i := int(q * float64(n-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return time.Duration(buf[i]), true
+	s := r.lag.Snapshot()
+	return s.Quantile(q), s.Count > 0
 }
 
 // ---- state reads ----
 
 // VerdictFor returns the merged fleet verdict for key, if any.
 func (r *Replicator) VerdictFor(key session.Key) (VerdictRecord, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	rec, ok := r.verdicts[key]
 	return rec, ok
 }
 
 // Model returns the merged fleet model and its sequence.
 func (r *Replicator) Model() (*adaboost.Model, uint64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.model.m, r.model.seq
 }
 
 // VerdictCount and BlockCount return merged store sizes.
 func (r *Replicator) VerdictCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return len(r.verdicts)
 }
 
 // BlockCount returns the number of merged block entries.
 func (r *Replicator) BlockCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return len(r.blocks)
 }
 
 // Digest returns a delivery-order-independent hash of the merged
 // verdict/block state, for convergence assertions across nodes.
 func (r *Replicator) Digest() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	var h uint64
 	for k, v := range r.verdicts {
 		h ^= entryHash(k, uint64(v.Verdict.Class)<<32|uint64(v.Verdict.Confidence), uint64(v.Stamp))
@@ -954,210 +902,201 @@ func entryHash(k session.Key, kind, val uint64) uint64 {
 	return h ^ (h >> 31)
 }
 
-// Watermark returns the applied contiguous epoch for origin (lock-free on
-// the hot field; the map lookup takes the watermark mutex briefly).
+// Watermark returns the applied contiguous epoch for origin.
 func (r *Replicator) Watermark(origin string) uint64 {
-	r.wmMu.Lock()
-	os := r.wms[origin]
-	r.wmMu.Unlock()
-	if os == nil {
-		return 0
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if os := r.wms[origin]; os != nil {
+		return os.contig
 	}
-	return os.contigPub.Load()
+	return 0
 }
 
 // PublishedEpoch returns this origin's own durable epoch counter.
-func (r *Replicator) PublishedEpoch() uint64 { return r.epoch.Load() }
+func (r *Replicator) PublishedEpoch() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.epoch
+}
 
 // AckedEpoch returns the highest own-origin epoch successfully sent to the
 // named peer — the origin-side bound on what a peer can be missing.
 func (r *Replicator) AckedEpoch(peerName string) uint64 {
-	p, ok := r.peers[peerName]
-	if !ok {
-		return 0
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if p, ok := r.peers[peerName]; ok {
+		return p.acked
 	}
-	return p.acked.Load()
+	return 0
 }
 
 // MinAckedEpoch returns the smallest AckedEpoch across peers: every own
 // update at or below it survives this node's crash on at least every peer.
 func (r *Replicator) MinAckedEpoch() uint64 {
-	min := uint64(0)
-	first := true
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	min, first := uint64(0), true
 	for _, p := range r.peers {
-		a := p.acked.Load()
-		if first || a < min {
-			min, first = a, false
+		if first || p.acked < min {
+			min, first = p.acked, false
 		}
 	}
 	return min
 }
 
-// Counters returns the replicator's cumulative counters.
+// Counters are the replicator's cumulative counters.
 type Counters struct {
-	Published   uint64
-	Applied     uint64
-	Replays     uint64
-	StaleInc    uint64
-	EpochGaps   uint64
+	Published   uint64 // durable updates originated here
+	Applied     uint64 // durable updates applied fresh from peers
+	Replays     uint64 // duplicate/stale deliveries rejected
+	StaleInc    uint64 // updates from an old incarnation rejected
+	EpochGaps   uint64 // epochs the watermark jumped past (lost updates)
 	ObsApplied  uint64
 	ObsForward  uint64
 	AEResends   uint64
 	HandoffsIn  uint64
 	HandoffsOut uint64
-	Dropped     uint64
+	Dropped     uint64 // summed over peers: full outbox or exhausted patience
 }
 
 // Stats returns a snapshot of the counters.
 func (r *Replicator) Stats() Counters {
-	c := Counters{
-		Published:   r.published.Load(),
-		Applied:     r.applied.Load(),
-		Replays:     r.replays.Load(),
-		StaleInc:    r.staleInc.Load(),
-		EpochGaps:   r.epochGaps.Load(),
-		ObsApplied:  r.obsApplied.Load(),
-		ObsForward:  r.obsForward.Load(),
-		AEResends:   r.aeResends.Load(),
-		HandoffsIn:  r.handoffsIn.Load(),
-		HandoffsOut: r.handoffsOut.Load(),
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.stats
 	for _, p := range r.peers {
-		c.Dropped += uint64(p.dropped.Load())
+		c.Dropped += uint64(p.dropped)
 	}
 	return c
 }
 
-// ---- sender / anti-entropy / heartbeat goroutines ----
+// ---- Step: heartbeats, anti-entropy, outbox flush ----
 
-// sender drains one peer's outbox: it batches up to batchSize updates per
-// frame and retries failed sends with doubling backoff + jitter, for at most
-// SendPatience per batch. Durable updates dropped after patience runs out
-// are repaired by anti-entropy once the peer heals.
-func (r *Replicator) sender(p *peer, done chan struct{}) {
-	defer r.wg.Done()
-	batch := make([]Update, 0, batchSize)
-	for {
-		var first Update
-		select {
-		case <-done:
-			return
-		case first = <-p.out:
-		}
-		p.inflight.Store(1)
-		batch = append(batch[:0], first)
-	drain:
-		for len(batch) < batchSize {
-			select {
-			case u := <-p.out:
-				batch = append(batch, u)
-			default:
-				break drain
+// Step is the replicator's clock edge: it advances watermarks stalled past
+// stallTimeout, sends each peer the heartbeat and runs the anti-entropy scan
+// that are due at now, and flushes each peer's outbox — batches of up to
+// batchSize, a failed batch retried on later Steps with doubling backoff +
+// jitter for at most SendPatience before it is dropped (counted; anti-entropy
+// repairs durable updates once the peer heals). A stopped replicator ignores
+// it. Calling it more often than the timings need is harmless.
+func (r *Replicator) Step(now time.Time) {
+	t := now.UnixNano()
+	r.mu.Lock()
+	if r.running {
+		for origin, os := range r.wms {
+			r.advanceLocked(os, t)
+			if os.orphaned {
+				os.orphaned = false
+				r.adoptLocked(origin, os.inc)
 			}
 		}
-		r.sendBatch(p, batch, done)
-		p.inflight.Store(0)
 	}
-}
-
-// sendBatch delivers one batch with retry; on success it advances the
-// peer's acked own-epoch high-water mark.
-func (r *Replicator) sendBatch(p *peer, batch []Update, done chan struct{}) {
-	msg := &Message{From: r.cfg.Name, Inc: r.inc.Load(), Kind: MsgBatch, Updates: batch}
-	backoff := r.cfg.RetryBackoff
-	deadline := time.Now().Add(r.cfg.SendPatience)
-	for {
-		err := r.cfg.Transport.Send(p.name, msg)
-		if err == nil {
-			p.sent.Add(int64(len(batch)))
-			p.lastSendOK.Store(r.nowNanos())
-			var maxOwn uint64
-			for i := range batch {
-				if batch[i].Origin == r.cfg.Name && batch[i].Epoch > maxOwn {
-					maxOwn = batch[i].Epoch
-				}
-			}
-			if maxOwn > 0 {
-				p.advanceAcked(maxOwn)
-			}
-			return
+	r.mu.Unlock()
+	for _, name := range r.peerNames {
+		p := r.peers[name]
+		if hb := r.dueHeartbeat(p, t); hb != nil {
+			// Failures are ignored — the peer's phi detector reads silence as
+			// suspicion.
+			_ = r.cfg.Transport.Send(name, hb)
 		}
-		if time.Now().After(deadline) {
-			p.dropped.Add(int64(len(batch)))
-			return
-		}
-		select {
-		case <-done:
-			return
-		case <-time.After(backoff + r.jitterDur(backoff/2)):
-		}
-		backoff *= 2
-		if backoff > r.cfg.MaxBackoff {
-			backoff = r.cfg.MaxBackoff
-		}
-	}
-}
-
-// jitterDur draws a uniform jitter in [0, max).
-func (r *Replicator) jitterDur(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	r.jitterMu.Lock()
-	d := time.Duration(r.jitter.Uint64n(uint64(max)))
-	r.jitterMu.Unlock()
-	return d
-}
-
-// peerLoop paces one peer's heartbeats and anti-entropy scans.
-func (r *Replicator) peerLoop(p *peer, done chan struct{}) {
-	defer r.wg.Done()
-	ticker := time.NewTicker(r.cfg.HeartbeatInterval + r.jitterDur(r.cfg.HeartbeatInterval/4))
-	defer ticker.Stop()
-	aeEvery := int(r.cfg.AntiEntropyInterval / r.cfg.HeartbeatInterval)
-	if aeEvery < 1 {
-		aeEvery = 1
-	}
-	n := 0
-	for {
-		select {
-		case <-done:
-			return
-		case <-ticker.C:
-			r.sendHeartbeat(p)
-			n++
-			if n%aeEvery == 0 {
-				r.antiEntropy(p)
+		for msg := r.dueBatch(p, t); msg != nil; msg = r.dueBatch(p, t) {
+			if !r.sent(p, msg.Updates, r.cfg.Transport.Send(name, msg), t) {
+				break
 			}
 		}
 	}
 }
 
-// sendHeartbeat advertises this node's applied watermarks (including its own
-// published epochs) to one peer. Failures are ignored — the peer's phi
-// detector reads silence as suspicion.
-func (r *Replicator) sendHeartbeat(p *peer) {
-	r.wmMu.Lock()
+// dueHeartbeat returns the heartbeat to send the peer if one is due —
+// advertising this node's applied watermarks, its own published epochs
+// included — and runs the peer's anti-entropy scan if that is due too.
+func (r *Replicator) dueHeartbeat(p *peer, t int64) *Message {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.running || t < p.nextBeat {
+		return nil
+	}
+	p.nextBeat = t + p.beatEvery
+	if t >= p.nextScan {
+		p.nextScan = t + int64(r.cfg.AntiEntropyInterval)
+		r.antiEntropyLocked(p)
+	}
 	wms := make([]Watermark, 0, len(r.wms))
 	for origin, os := range r.wms {
 		wms = append(wms, Watermark{Origin: origin, Inc: os.inc, Epoch: os.contig})
 	}
-	r.wmMu.Unlock()
-	msg := &Message{From: r.cfg.Name, Inc: r.inc.Load(), Kind: MsgHeartbeat, Watermarks: wms}
-	_ = r.cfg.Transport.Send(p.name, msg)
+	return &Message{From: r.cfg.Name, Inc: r.inc, Kind: MsgHeartbeat, Watermarks: wms}
 }
 
-// antiEntropy re-sends store entries the peer's advertised watermarks show
-// it to be missing: silent drops, partition backlogs and post-restart
+// dueBatch returns the batch frame to send the peer now: the one being
+// retried if its backoff has run out, else a fresh one cut from the outbox —
+// a new slice each time, since a transport may hold on to a frame. It returns
+// nil when nothing is due or another Step is mid-send to this peer.
+func (r *Replicator) dueBatch(p *peer, t int64) *Message {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.running || p.sending {
+		return nil
+	}
+	if p.batch == nil {
+		n := min(len(p.out), batchSize)
+		if n == 0 {
+			return nil
+		}
+		p.batch = append([]Update(nil), p.out[:n]...)
+		p.out = append(p.out[:0], p.out[n:]...)
+		p.batchSince, p.nextAttempt, p.backoff = t, t, int64(r.cfg.RetryBackoff)
+	}
+	if t < p.nextAttempt {
+		return nil
+	}
+	p.sending = true
+	return &Message{From: r.cfg.Name, Inc: r.inc, Kind: MsgBatch, Updates: p.batch}
+}
+
+// sent records one send's outcome and reports whether the batch is done
+// with, so the next can be cut: success advances the peer's acked own-epoch
+// high-water mark; failure schedules the retry, or drops the batch once
+// SendPatience has run out.
+func (r *Replicator) sent(p *peer, batch []Update, err error, t int64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(p.batch) == 0 || &p.batch[0] != &batch[0] {
+		return false // wiped while the send was in flight
+	}
+	p.sending = false
+	switch {
+	case err == nil:
+		p.sent += int64(len(batch))
+		for _, u := range batch {
+			// Own epochs of this incarnation only: a restarted node re-sends
+			// what it backfilled of its dead incarnations, and those epochs
+			// say nothing about the counter it publishes under now.
+			if u.Origin == r.cfg.Name && u.Inc == r.inc && u.Epoch > p.acked {
+				p.acked = u.Epoch
+			}
+		}
+		p.batch = nil
+	case t-p.batchSince >= int64(r.cfg.SendPatience):
+		p.dropped += int64(len(batch))
+		p.batch = nil
+	default:
+		p.nextAttempt = t + p.backoff + int64(r.jitter.Uint64n(uint64(p.backoff/2)+1))
+		p.backoff = min(p.backoff*2, int64(r.cfg.MaxBackoff))
+	}
+	return p.batch == nil
+}
+
+// antiEntropyLocked re-sends store entries the peer's advertised watermarks
+// show it to be missing: silent drops, partition backlogs and post-restart
 // backfills all heal through this one path. Entries are enqueued through the
 // normal outbox (bounded, non-blocking).
-func (r *Replicator) antiEntropy(p *peer) {
-	if p.lastRecv.Load() == 0 {
+func (r *Replicator) antiEntropyLocked(p *peer) {
+	if p.lastRecv == 0 {
 		return // never heard from the peer; don't flood a dead outbox
 	}
-	adv := p.watermarks()
 	missing := func(origin string, inc uint32, epoch uint64) bool {
-		w, ok := adv[origin]
+		w, ok := p.wms[origin]
 		if !ok {
 			return true
 		}
@@ -1167,58 +1106,42 @@ func (r *Replicator) antiEntropy(p *peer) {
 		return w.Epoch < epoch
 	}
 	budget := antiEntropyBatch
-	r.mu.RLock()
-	resend := make([]Update, 0, 32)
+	resend := func(u Update) {
+		budget--
+		if p.enqueue(u) {
+			r.stats.AEResends++
+		}
+	}
 	for k, v := range r.verdicts {
 		if budget <= 0 {
-			break
+			return
 		}
 		if missing(v.Origin, v.Inc, v.Epoch) {
-			resend = append(resend, Update{
+			resend(Update{
 				Origin: v.Origin, Inc: v.Inc, Epoch: v.Epoch, Stamp: v.Stamp, Kind: KindVerdict,
 				Key: k, Class: v.Verdict.Class, Confidence: v.Verdict.Confidence,
 				Reason: v.Verdict.Reason, AtRequest: v.Verdict.AtRequest,
 			})
-			budget--
 		}
 	}
 	for k, b := range r.blocks {
 		if budget <= 0 {
-			break
+			return
 		}
 		if missing(b.origin, b.inc, b.epoch) {
-			resend = append(resend, Update{
+			resend(Update{
 				Origin: b.origin, Inc: b.inc, Epoch: b.epoch, Stamp: b.stamp, Kind: KindBlock,
 				Key: k, Until: b.until,
 			})
-			budget--
 		}
 	}
 	if r.model.m != nil && budget > 0 {
-		// The model entry is keyed by sequence, not epoch; re-offer it
-		// whenever the peer might be behind (the merge discards stale ones).
-		resend = append(resend, Update{
-			Origin: r.model.origin, Inc: r.inc.Load(), Epoch: 0, Stamp: r.model.stamp, Kind: KindModel,
+		// The model entry is keyed by sequence, not epoch: re-offer it with
+		// epoch 0 under its origin's own identity whenever the peer might be
+		// behind (the merge discards stale ones).
+		resend(Update{
+			Origin: r.model.origin, Inc: r.model.inc, Stamp: r.model.stamp, Kind: KindModel,
 			Model: r.model.m, ModelSeq: r.model.seq,
 		})
-	}
-	r.mu.RUnlock()
-	for i := range resend {
-		if resend[i].Kind == KindModel {
-			// Models ride the fire-and-forget path on re-offer (their merge
-			// is sequence-idempotent without epochs).
-			r.resendModel(p, resend[i])
-			continue
-		}
-		if p.enqueue(resend[i]) {
-			r.aeResends.Add(1)
-		}
-	}
-}
-
-// resendModel re-offers the merged model to a peer through its outbox.
-func (r *Replicator) resendModel(p *peer, u Update) {
-	if p.enqueue(u) {
-		r.aeResends.Add(1)
 	}
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -32,7 +31,6 @@ func testRep(t *testing.T, name string, peers []string, mut func(*Config)) *Repl
 	}
 	r := New(cfg)
 	r.Start()
-	t.Cleanup(r.Stop)
 	return r
 }
 
@@ -59,6 +57,11 @@ func updateSet() []Update {
 			}
 			ups = append(ups, u)
 		}
+		// One model publication per origin, two of them racing for sequence 2
+		// (the later stamp wins the tie).
+		seq := map[string]uint64{"a": 1, "b": 2, "c": 2}[origin]
+		ups = append(ups, Update{Origin: origin, Inc: 1, Epoch: epoch + 1, Stamp: int64(origin[0]), Kind: KindModel,
+			Model: &adaboost.Model{TrainingError: float64(origin[0])}, ModelSeq: seq})
 	}
 	return ups
 }
@@ -107,6 +110,15 @@ func TestConvergenceAnyInterleaving(t *testing.T) {
 		if sub.VerdictCount() != ref.VerdictCount() || sub.BlockCount() != ref.BlockCount() {
 			t.Fatalf("seed %d: store sizes (%d,%d) diverged from (%d,%d)", seed,
 				sub.VerdictCount(), sub.BlockCount(), ref.VerdictCount(), ref.BlockCount())
+		}
+		// The merge is spelled once, so the model and the sequence the next
+		// PublishModel would build on end the same on every replica.
+		wantM, wantSeq := ref.Model()
+		if m, seq := sub.Model(); m != wantM || seq != wantSeq || wantSeq != 2 || wantM.TrainingError != 'c' {
+			t.Fatalf("seed %d: model %v at sequence %d, want c's at sequence 2 (reference %v at %d)", seed, m, seq, wantM, wantSeq)
+		}
+		if sub.PublishModel(&adaboost.Model{}) != wantSeq+1 {
+			t.Fatalf("seed %d: next publication does not build on sequence %d", seed, wantSeq)
 		}
 		if sub.Stats().Replays == 0 {
 			t.Fatalf("seed %d: expected duplicate deliveries to be counted as replays", seed)
@@ -209,168 +221,265 @@ func fastCfg(c *Config) {
 	c.SendPatience = 20 * time.Millisecond
 }
 
-// meshFleet spins up a fully connected started fleet over an in-process mesh.
-func meshFleet(t *testing.T, names []string, mut func(string, *Config)) (*Mesh, map[string]*Replicator) {
+// testFleet is a fully connected started fleet over an in-process mesh, all
+// on one virtual clock that only run and waitFor move.
+type testFleet struct {
+	vc    *clock.Virtual
+	mesh  *Mesh
+	names []string
+	reps  map[string]*Replicator
+}
+
+func meshFleet(t *testing.T, names []string, mut func(string, *Config)) *testFleet {
 	t.Helper()
-	mesh := NewMesh()
-	reps := make(map[string]*Replicator, len(names))
+	f := &testFleet{vc: clock.NewVirtual(time.Time{}), mesh: NewMesh(), names: names, reps: map[string]*Replicator{}}
 	for _, name := range names {
-		cfg := Config{Name: name, Peers: names, Transport: mesh.Bind(name), Seed: uint64(len(name))}
+		cfg := Config{Name: name, Peers: names, Transport: f.mesh.Bind(name), Clock: f.vc, Seed: uint64(len(name))}
 		fastCfg(&cfg)
 		if mut != nil {
 			mut(name, &cfg)
 		}
 		r := New(cfg)
-		mesh.Attach(r)
-		reps[name] = r
-	}
-	for _, r := range reps {
+		f.mesh.Attach(r)
+		f.reps[name] = r
 		r.Start()
 	}
-	t.Cleanup(func() {
-		for _, r := range reps {
-			r.Stop()
-		}
-	})
-	return mesh, reps
+	return f
 }
 
-// waitFor polls until cond holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for {
-		if cond() {
-			return
+// run advances the fleet by d of virtual time, a millisecond (the finest of
+// fastCfg's timings) per step.
+func (f *testFleet) run(d time.Duration) {
+	for end := f.vc.Now().Add(d); f.vc.Now().Before(end); {
+		f.vc.Advance(time.Millisecond)
+		now := f.vc.Now()
+		f.mesh.Step(now)
+		for _, name := range f.names {
+			f.reps[name].Step(now)
 		}
-		if time.Now().After(deadline) {
+	}
+}
+
+// waitFor steps the fleet until cond holds or d of virtual time has passed.
+func (f *testFleet) waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := f.vc.Now().Add(d); !cond(); f.run(time.Millisecond) {
+		if !f.vc.Now().Before(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestMeshReplicationConverges: publishes on every node propagate everywhere.
 func TestMeshReplicationConverges(t *testing.T) {
 	names := []string{"a", "b", "c"}
-	_, reps := meshFleet(t, names, nil)
+	f := meshFleet(t, names, nil)
 	for i, name := range names {
-		reps[name].PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
-		reps[name].PublishBlock(key(i+100), time.Unix(0, int64(time.Hour)))
+		f.reps[name].PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+		f.reps[name].PublishBlock(key(i+100), time.Unix(0, int64(time.Hour)))
 	}
-	waitFor(t, 5*time.Second, "digests to converge", func() bool {
-		d := reps["a"].Digest()
-		return d != 0 && d == reps["b"].Digest() && d == reps["c"].Digest()
+	f.waitFor(t, 5*time.Second, "digests to converge", func() bool {
+		d := f.reps["a"].Digest()
+		return d != 0 && d == f.reps["b"].Digest() && d == f.reps["c"].Digest()
 	})
 }
 
 // TestAntiEntropyRepairsSilentDrops: batches silently dropped on one link are
 // healed by the watermark-driven re-send, with no retry signal at all.
 func TestAntiEntropyRepairsSilentDrops(t *testing.T) {
-	var dropBatches sync.Map // "on"/nil
-	mesh, reps := meshFleet(t, []string{"a", "b"}, nil)
-	mesh.SetIntercept(func(from, to string, msg *Message) (Fate, time.Duration) {
-		if _, on := dropBatches.Load("on"); on && from == "a" && to == "b" && msg.Kind == MsgBatch {
+	dropBatches := true
+	f := meshFleet(t, []string{"a", "b"}, nil)
+	a, b := f.reps["a"], f.reps["b"]
+	f.mesh.SetIntercept(func(from, to string, msg *Message) (Fate, time.Duration) {
+		if dropBatches && from == "a" && to == "b" && msg.Kind == MsgBatch {
 			return FateDrop, 0
 		}
 		return FateDeliver, 0
 	})
-	dropBatches.Store("on", true)
 	for i := 0; i < 20; i++ {
-		reps["a"].PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
 	}
 	// Give the (dropped) first delivery a moment, then heal the link: only
 	// anti-entropy can repair what was silently lost.
-	time.Sleep(20 * time.Millisecond)
-	if reps["b"].VerdictCount() != 0 {
-		t.Fatalf("drops leaked: b has %d verdicts", reps["b"].VerdictCount())
+	f.run(20 * time.Millisecond)
+	if b.VerdictCount() != 0 {
+		t.Fatalf("drops leaked: b has %d verdicts", b.VerdictCount())
 	}
-	dropBatches.Delete("on")
-	waitFor(t, 5*time.Second, "anti-entropy to backfill b", func() bool {
-		return reps["b"].VerdictCount() == 20 && reps["b"].Digest() == reps["a"].Digest()
+	dropBatches = false
+	f.waitFor(t, 5*time.Second, "anti-entropy to backfill b", func() bool {
+		return b.VerdictCount() == 20 && b.Digest() == a.Digest()
 	})
-	if reps["a"].Stats().AEResends == 0 {
+	if a.Stats().AEResends == 0 {
 		t.Fatalf("expected anti-entropy resends to be counted")
 	}
 }
 
 // TestCrashRestartBackfill: a node that loses its memory and restarts under a
-// new incarnation is repopulated by anti-entropy, model included.
+// new incarnation is repopulated by anti-entropy, model included — and the
+// re-offered model travels under its origin's identity, not the re-offerer's.
 func TestCrashRestartBackfill(t *testing.T) {
-	var gotModel sync.Map
-	_, reps := meshFleet(t, []string{"a", "b"}, func(name string, c *Config) {
+	gotModel := map[uint64]*adaboost.Model{}
+	var reoffered []Update
+	f := meshFleet(t, []string{"a", "b"}, func(name string, c *Config) {
 		if name == "b" {
-			c.Callbacks.OnModel = func(m *adaboost.Model, seq uint64) { gotModel.Store(seq, m) }
+			c.Callbacks.OnModel = func(m *adaboost.Model, seq uint64) { gotModel[seq] = m }
 		}
 	})
+	a, b := f.reps["a"], f.reps["b"]
+	f.mesh.SetIntercept(func(from, to string, msg *Message) (Fate, time.Duration) {
+		for _, u := range msg.Updates {
+			if u.Kind == KindModel && u.Epoch == 0 {
+				reoffered = append(reoffered, u)
+			}
+		}
+		return FateDeliver, 0
+	})
 	for i := 0; i < 10; i++ {
-		reps["a"].PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
 	}
-	reps["a"].PublishModel(&adaboost.Model{})
-	waitFor(t, 5*time.Second, "initial convergence", func() bool {
-		m, _ := reps["b"].Model()
-		return reps["b"].VerdictCount() == 10 && m != nil
+	model := &adaboost.Model{}
+	a.PublishModel(model)
+	f.waitFor(t, 5*time.Second, "initial convergence", func() bool {
+		m, _ := b.Model()
+		return b.VerdictCount() == 10 && m != nil
 	})
 
-	reps["b"].Stop()
-	reps["b"].Wipe()
-	if reps["b"].VerdictCount() != 0 {
+	b.Stop()
+	b.Wipe()
+	if b.VerdictCount() != 0 {
 		t.Fatalf("wipe left state behind")
 	}
-	reps["b"].Restart()
-	if reps["b"].Incarnation() != 2 {
-		t.Fatalf("incarnation = %d, want 2", reps["b"].Incarnation())
+	b.Restart()
+	if b.Incarnation() != 2 {
+		t.Fatalf("incarnation = %d, want 2", b.Incarnation())
 	}
-	waitFor(t, 5*time.Second, "post-restart backfill", func() bool {
-		m, _ := reps["b"].Model()
-		return reps["b"].VerdictCount() == 10 && m != nil && reps["b"].Digest() == reps["a"].Digest()
+	f.waitFor(t, 5*time.Second, "post-restart backfill", func() bool {
+		m, _ := b.Model()
+		return b.VerdictCount() == 10 && m != nil && b.Digest() == a.Digest()
 	})
+	if gotModel[1] != model {
+		t.Fatalf("b's OnModel saw %v, want the published model at sequence 1", gotModel)
+	}
+	// b re-offers a's model back to a: still a's name, a's incarnation.
+	f.run(20 * time.Millisecond)
+	fromB := false
+	for _, u := range reoffered {
+		if u.Origin != "a" || u.Inc != 1 {
+			t.Fatalf("model re-offered as %s/inc %d, want its origin a/inc 1", u.Origin, u.Inc)
+		}
+		fromB = fromB || b.Incarnation() != u.Inc
+	}
+	if !fromB {
+		t.Fatalf("restarted b (inc 2) never re-offered the model")
+	}
+}
+
+// TestOrphansAdoptedAfterOriginRestart: what an origin published under a dead
+// incarnation cannot be backfilled by watermark once its peers have seen the
+// new one — the fence would refuse it — so whoever holds it re-publishes it
+// as its own. Here c missed a's first five verdicts (silent drops) and a lost
+// them in its crash; b's adoption brings them to both.
+func TestOrphansAdoptedAfterOriginRestart(t *testing.T) {
+	dropToC := true
+	f := meshFleet(t, []string{"a", "b", "c"}, nil)
+	a, b, c := f.reps["a"], f.reps["b"], f.reps["c"]
+	f.mesh.SetIntercept(func(from, to string, msg *Message) (Fate, time.Duration) {
+		if dropToC && from == "a" && to == "c" && msg.Kind == MsgBatch {
+			return FateDrop, 0
+		}
+		return FateDeliver, 0
+	})
+	robot := detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}
+	for i := 0; i < 5; i++ {
+		a.PublishVerdict(key(i), robot)
+	}
+	f.run(time.Millisecond)
+	if b.VerdictCount() != 5 || c.VerdictCount() != 0 {
+		t.Fatalf("b holds %d and c %d of a's verdicts, want 5 and 0", b.VerdictCount(), c.VerdictCount())
+	}
+	a.Stop()
+	a.Wipe()
+	a.Restart()
+	a.PublishVerdict(key(5), robot) // peers learn of incarnation 2 before any backfill
+	dropToC = false
+	f.waitFor(t, time.Second, "the orphans to reach a and c", func() bool {
+		return a.VerdictCount() == 6 && c.VerdictCount() == 6 && a.Digest() == b.Digest() && b.Digest() == c.Digest()
+	})
+	if rec, _ := c.VerdictFor(key(0)); rec.Origin != "b" {
+		t.Fatalf("c holds a's old verdict under %s/inc %d, want it adopted by b", rec.Origin, rec.Inc)
+	}
+}
+
+// TestAckedEpochCountsThisIncarnationOnly: a restarted node re-sends what it
+// backfilled of its dead incarnation like any other entry a peer is missing;
+// those epochs are not acks of anything it has published since.
+func TestAckedEpochCountsThisIncarnationOnly(t *testing.T) {
+	dropToC := true
+	f := meshFleet(t, []string{"a", "b", "c"}, nil)
+	a, c := f.reps["a"], f.reps["c"]
+	f.mesh.SetIntercept(func(from, to string, msg *Message) (Fate, time.Duration) {
+		if dropToC && to == "c" && msg.Kind == MsgBatch {
+			return FateDrop, 0
+		}
+		return FateDeliver, 0
+	})
+	for i := 0; i < 5; i++ {
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+	}
+	f.run(time.Millisecond)
+	a.Stop()
+	a.Wipe()
+	a.Restart()
+	f.waitFor(t, time.Second, "a to backfill its own history from b", func() bool { return a.VerdictCount() == 5 })
+	dropToC = false
+	f.waitFor(t, time.Second, "c to be repaired", func() bool { return c.VerdictCount() == 5 })
+	f.run(20 * time.Millisecond)
+	if sent := a.PeerSnapshot()[1].Sent; sent == 0 {
+		t.Fatalf("a re-sent nothing to c; the scenario did not happen")
+	}
+	if acked, published := a.AckedEpoch("c"), a.PublishedEpoch(); acked != 0 || published != 0 {
+		t.Fatalf("a claims epoch %d acked by c having published %d under this incarnation", acked, published)
+	}
 }
 
 // TestSuspicionAndQuorum: silence flips peers down and quorum loss reports
 // Isolated; recovery clears both.
 func TestSuspicionAndQuorum(t *testing.T) {
-	_, reps := meshFleet(t, []string{"a", "b", "c"}, nil)
-	waitFor(t, 5*time.Second, "all peers up", func() bool { return reps["a"].UpPeers() == 2 })
-	if reps["a"].Isolated() {
+	f := meshFleet(t, []string{"a", "b", "c"}, nil)
+	a := f.reps["a"]
+	f.waitFor(t, 5*time.Second, "all peers up", func() bool { return a.UpPeers() == 2 })
+	if a.Isolated() {
 		t.Fatalf("a isolated with all peers up")
 	}
-	reps["b"].Stop()
-	reps["c"].Stop()
-	waitFor(t, 5*time.Second, "a to lose quorum", func() bool { return reps["a"].Isolated() })
-	reps["b"].Restart()
-	reps["c"].Restart()
-	waitFor(t, 5*time.Second, "a to regain quorum", func() bool { return !reps["a"].Isolated() })
+	f.reps["b"].Stop()
+	f.reps["c"].Stop()
+	f.waitFor(t, 5*time.Second, "a to lose quorum", a.Isolated)
+	f.reps["b"].Restart()
+	f.reps["c"].Restart()
+	f.waitFor(t, 5*time.Second, "a to regain quorum", func() bool { return !a.Isolated() })
 }
 
 // TestObservationAndHandoff: fire-and-forget observations reach the owner's
 // callback; handoff requests are answered from HandoffSource.
 func TestObservationAndHandoff(t *testing.T) {
-	var obs sync.Map
-	var handoff sync.Map
-	_, reps := meshFleet(t, []string{"a", "b"}, func(name string, c *Config) {
+	obs := map[string]bool{}
+	handoff := map[session.Key][]SignalAt{}
+	f := meshFleet(t, []string{"a", "b"}, func(name string, c *Config) {
 		switch name {
 		case "a":
-			c.Callbacks.OnObservation = func(u Update) { obs.Store(u.Path, true) }
+			c.Callbacks.OnObservation = func(u Update) { obs[u.Path] = true }
 			c.Callbacks.HandoffSource = func(k session.Key) ([]SignalAt, bool) {
 				return []SignalAt{{Signal: session.SignalMouse, At: 3}}, true
 			}
 		case "b":
-			c.Callbacks.OnHandoff = func(k session.Key, sigs []SignalAt) { handoff.Store(k, sigs) }
+			c.Callbacks.OnHandoff = func(k session.Key, sigs []SignalAt) { handoff[k] = sigs }
 		}
 	})
-	reps["b"].ForwardObservation("a", Update{Key: key(1), Method: "GET", Path: "/p1", Status: 200})
-	waitFor(t, 5*time.Second, "observation to arrive", func() bool {
-		_, ok := obs.Load("/p1")
-		return ok
-	})
-	reps["b"].RequestHandoff("a", key(1))
-	waitFor(t, 5*time.Second, "handoff reply", func() bool {
-		v, ok := handoff.Load(key(1))
-		if !ok {
-			return false
-		}
-		sigs := v.([]SignalAt)
+	f.reps["b"].ForwardObservation("a", Update{Key: key(1), Method: "GET", Path: "/p1", Status: 200})
+	f.waitFor(t, 5*time.Second, "observation to arrive", func() bool { return obs["/p1"] })
+	f.reps["b"].RequestHandoff("a", key(1))
+	f.waitFor(t, 5*time.Second, "handoff reply", func() bool {
+		sigs := handoff[key(1)]
 		return len(sigs) == 1 && sigs[0].Signal == session.SignalMouse && sigs[0].At == 3
 	})
 }
@@ -378,32 +487,157 @@ func TestObservationAndHandoff(t *testing.T) {
 // TestSendPatienceDropsAndAcks: a peer that always fails sends costs only its
 // own outbox — batches drop after patience — while a healthy peer acks.
 func TestSendPatienceDropsAndAcks(t *testing.T) {
-	mesh, reps := meshFleet(t, []string{"a", "b", "c"}, func(_ string, c *Config) {
+	f := meshFleet(t, []string{"a", "b", "c"}, func(_ string, c *Config) {
 		c.SendPatience = 5 * time.Millisecond
 	})
-	mesh.SetIntercept(func(from, to string, msg *Message) (Fate, time.Duration) {
+	a := f.reps["a"]
+	attempts := 0
+	f.mesh.SetIntercept(func(from, to string, msg *Message) (Fate, time.Duration) {
 		if to == "c" {
+			if from == "a" && msg.Kind == MsgBatch {
+				attempts++
+			}
 			return FateFail, 0
 		}
 		return FateDeliver, 0
 	})
 	for i := 0; i < 10; i++ {
-		reps["a"].PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
 	}
-	waitFor(t, 5*time.Second, "b to apply and ack", func() bool {
-		return reps["b"].VerdictCount() == 10 && reps["a"].AckedEpoch("b") == 10
-	})
-	waitFor(t, 5*time.Second, "c's batches to drop", func() bool {
+	f.waitFor(t, 5*time.Second, "c's batches to drop", func() bool {
 		var dropped int64
-		for _, ps := range reps["a"].PeerSnapshot() {
+		for _, ps := range a.PeerSnapshot() {
 			if ps.Name == "c" {
 				dropped = ps.Dropped
 			}
 		}
-		return dropped > 0 && reps["a"].AckedEpoch("c") == 0
+		return dropped > 0 && a.AckedEpoch("c") == 0
 	})
-	if reps["a"].MinAckedEpoch() != 0 {
-		t.Fatalf("MinAckedEpoch = %d, want 0 with c unreachable", reps["a"].MinAckedEpoch())
+	// Retried with doubling backoff inside the 5ms of patience: more than
+	// once, and not once per step.
+	if attempts < 2 || attempts > 5 {
+		t.Fatalf("a made %d attempts at c's batch before dropping it, want 2..5", attempts)
+	}
+	f.waitFor(t, 5*time.Second, "b to apply and ack", func() bool {
+		return f.reps["b"].VerdictCount() == 10 && a.AckedEpoch("b") == 10
+	})
+	if a.MinAckedEpoch() != 0 {
+		t.Fatalf("MinAckedEpoch = %d, want 0 with c unreachable", a.MinAckedEpoch())
+	}
+}
+
+// TestDelayedMessagesWaitForMeshStep: a delayed message reports success to
+// its sender at once and reaches its target at the first mesh Step at or
+// after its due time — never by sleeping, never early.
+func TestDelayedMessagesWaitForMeshStep(t *testing.T) {
+	f := meshFleet(t, []string{"a", "b"}, nil)
+	f.mesh.SetIntercept(func(from, to string, msg *Message) (Fate, time.Duration) {
+		if msg.Kind == MsgBatch {
+			return FateDup, 10 * time.Millisecond
+		}
+		return FateDeliver, 0
+	})
+	f.reps["a"].PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+	f.run(time.Millisecond)
+	sentAt := f.vc.Now()
+	if got := f.reps["a"].AckedEpoch("b"); got != 1 {
+		t.Fatalf("acked epoch = %d, want 1: the link took the frame", got)
+	}
+	f.waitFor(t, time.Second, "the delayed verdict", func() bool { return f.reps["b"].VerdictCount() == 1 })
+	if waited := f.vc.Now().Sub(sentAt); waited != 10*time.Millisecond {
+		t.Fatalf("delivered %v after the send, want the 10ms delay", waited)
+	}
+	if st := f.reps["b"].Stats(); st.Applied != 1 || st.Replays != 1 {
+		t.Fatalf("applied=%d replays=%d, want the duplicated frame applied once and replayed once", st.Applied, st.Replays)
+	}
+}
+
+// TestStoppedReplicatorIgnoresStep: Stop is a state flip — a stopped
+// replicator refuses Receive, sends nothing when stepped, and keeps its
+// outbox for the next Start.
+func TestStoppedReplicatorIgnoresStep(t *testing.T) {
+	f := meshFleet(t, []string{"a", "b"}, nil)
+	a, b := f.reps["a"], f.reps["b"]
+	a.Stop()
+	a.PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+	f.run(50 * time.Millisecond)
+	if b.VerdictCount() != 0 || b.PeerUp("a") {
+		t.Fatalf("stopped a reached b: verdicts=%d up=%v", b.VerdictCount(), b.PeerUp("a"))
+	}
+	if err := a.Receive(&Message{From: "b", Kind: MsgHeartbeat}); err != ErrNodeDown {
+		t.Fatalf("stopped Receive = %v, want ErrNodeDown", err)
+	}
+	if a.Flush(time.Second) {
+		t.Fatalf("Flush reported a stopped replicator's outbox empty")
+	}
+	a.Start()
+	if !a.Flush(time.Second) {
+		t.Fatalf("Flush left the restarted replicator's outbox queued")
+	}
+	if b.VerdictCount() != 1 {
+		t.Fatalf("retained outbox not delivered after Start: b has %d verdicts", b.VerdictCount())
+	}
+}
+
+// reentrantTransport calls back into the sending replicator from Send, the
+// way a transport that reports health or an in-process peer that answers at
+// once would.
+type reentrantTransport struct{ r *Replicator }
+
+func (rt *reentrantTransport) Send(to string, msg *Message) error {
+	rt.r.Stats()
+	rt.r.PeerSnapshot()
+	rt.r.PublishBlock(key(900+len(msg.Updates)), time.Unix(0, int64(time.Hour)))
+	return nil
+}
+
+// TestNoLockAcrossSendOrCallbacks: the replicator's one mutex is never held
+// across Transport.Send or a Callbacks function — both call straight back
+// into Publish*, Stats and the state reads here, which would deadlock.
+func TestNoLockAcrossSendOrCallbacks(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt := &reentrantTransport{}
+		var r *Replicator
+		reenter := func(k session.Key) {
+			r.Stats()
+			r.VerdictFor(k)
+			r.PublishVerdict(session.Key{IP: k.IP, UserAgent: "echo"}, detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite})
+		}
+		r = New(Config{Name: "x", Peers: []string{"a", "x"}, Transport: rt, Callbacks: Callbacks{
+			OnVerdict:     func(k session.Key, _ detect.Verdict, _ string) { reenter(k) },
+			OnBlock:       func(k session.Key, _ time.Time) { reenter(k) },
+			OnModel:       func(*adaboost.Model, uint64) { reenter(key(0)) },
+			OnObservation: func(u Update) { reenter(u.Key) },
+			OnHandoff:     func(k session.Key, _ []SignalAt) { reenter(k) },
+			HandoffSource: func(k session.Key) ([]SignalAt, bool) {
+				reenter(k)
+				return []SignalAt{{Signal: session.SignalMouse, At: 1}}, true
+			},
+		}})
+		rt.r = r
+		r.Start()
+		ups := []Update{
+			{Origin: "a", Inc: 1, Epoch: 1, Stamp: 1, Kind: KindVerdict, Key: key(1), Class: detect.ClassRobot, Confidence: detect.Definite},
+			{Origin: "a", Inc: 1, Epoch: 2, Stamp: 2, Kind: KindBlock, Key: key(2), Until: int64(time.Hour)},
+			{Origin: "a", Inc: 1, Epoch: 3, Stamp: 3, Kind: KindModel, Model: &adaboost.Model{}, ModelSeq: 1},
+			{Origin: "a", Inc: 1, Kind: KindObservation, Key: key(4)},
+			{Origin: "a", Inc: 1, Kind: KindHandoff, Key: key(5)},
+			{Origin: "a", Inc: 1, Kind: KindHandoff, Key: key(6), HandoffReply: true},
+		}
+		deliverSequential(r, ups)
+		for i := 0; i < 3; i++ {
+			r.Step(time.Unix(int64(i), 0))
+		}
+		if st := r.Stats(); st.Published < 6 {
+			t.Errorf("published = %d, want every callback's re-entrant publish counted", st.Published)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadlock: the replicator held its mutex across Transport.Send or a callback")
 	}
 }
 

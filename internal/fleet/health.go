@@ -1,155 +1,96 @@
-// Peer state: the bounded outbox feeding one peer's sender goroutine, and
-// the phi-style accrual failure detector over heartbeat inter-arrivals.
+// Peer state: the bounded outbox Step flushes to one peer, the retry
+// arithmetic of the batch in flight, and the phi-style accrual failure
+// detector over heartbeat inter-arrivals. Every field is guarded by the
+// owning Replicator's mutex.
 package fleet
-
-import (
-	"sync"
-	"sync/atomic"
-)
 
 // peer is this replicator's view of one remote node.
 type peer struct {
 	name string
 
-	out      chan Update
-	dropped  atomic.Int64 // updates dropped on full outbox or exhausted patience
-	sent     atomic.Int64 // updates delivered
-	acked    atomic.Uint64
-	inflight atomic.Int32
+	out     []Update // outbox, at most outboxCapacity
+	dropped int64    // updates dropped on full outbox or exhausted patience
+	sent    int64    // updates delivered
+	acked   uint64   // highest own epoch delivered
 
-	lastSendOK atomic.Int64 // unix nanos of the last successful send
+	// The batch cut from the outbox and not yet delivered or given up on:
+	// when it was cut, when its next attempt is due, the current (doubling)
+	// backoff, and whether a Step is sending it right now.
+	batch       []Update
+	batchSince  int64
+	nextAttempt int64
+	backoff     int64
+	sending     bool
+
+	// Heartbeat and anti-entropy pacing: the peer's beat period (drawn with
+	// jitter at Start) and when the next beat and scan are due.
+	beatEvery int64
+	nextBeat  int64
+	nextScan  int64
 
 	// phi suspicion inputs: last receive time and an EWMA of the receive
 	// inter-arrival, both unix nanos, both written only from Receive.
-	lastRecv atomic.Int64
-	ewma     atomic.Int64
+	lastRecv int64
+	ewma     int64
 
-	wmMu sync.Mutex
-	wms  map[string]Watermark // the peer's advertised applied watermarks
-}
-
-func newPeer(name string, outbox int) *peer {
-	return &peer{
-		name: name,
-		out:  make(chan Update, outbox),
-		wms:  make(map[string]Watermark),
-	}
+	wms map[string]Watermark // the peer's advertised applied watermarks
 }
 
 // enqueue offers one update to the outbox without ever blocking; a full
 // outbox drops the update (counted) — anti-entropy repairs durable state
 // later, fire-and-forget updates are simply lost.
 func (p *peer) enqueue(u Update) bool {
-	select {
-	case p.out <- u:
-		return true
-	default:
-		p.dropped.Add(1)
+	if len(p.out) >= outboxCapacity {
+		p.dropped++
 		return false
 	}
+	p.out = append(p.out, u)
+	return true
 }
 
 // touch records one received message for the suspicion EWMA.
 func (p *peer) touch(now int64) {
-	prev := p.lastRecv.Swap(now)
+	prev := p.lastRecv
+	p.lastRecv = now
 	if prev == 0 || now <= prev {
 		return
 	}
 	gap := now - prev
-	old := p.ewma.Load()
-	if old == 0 {
-		p.ewma.Store(gap)
+	if p.ewma == 0 {
+		p.ewma = gap
 		return
 	}
-	// EWMA with alpha = 1/8; a lossy race here only perturbs the estimate.
-	p.ewma.Store(old + (gap-old)/8)
+	p.ewma += (gap - p.ewma) / 8 // EWMA with alpha = 1/8
 }
 
-// upAgainst reports whether the peer looks alive: it has been heard from,
-// and the silence since then is below phi times the mean inter-arrival
+// up reports whether the peer looks alive: it has been heard from, and the
+// silence since then is below phiThreshold times the mean inter-arrival
 // (floored at the heartbeat interval, so a freshly started fleet is not all
 // "down" before the first EWMA settles).
-func (p *peer) upAgainst(now int64, heartbeat int64, phi float64) bool {
-	last := p.lastRecv.Load()
-	if last == 0 {
+func (p *peer) up(now, heartbeat int64) bool {
+	if p.lastRecv == 0 {
 		return false
 	}
-	mean := p.ewma.Load()
-	if mean < heartbeat {
-		mean = heartbeat
-	}
-	return float64(now-last) < phi*float64(mean)
-}
-
-// setWatermarks replaces the peer's advertised watermark vector.
-func (p *peer) setWatermarks(wms []Watermark) {
-	p.wmMu.Lock()
-	clear(p.wms)
-	for _, w := range wms {
-		p.wms[w.Origin] = w
-	}
-	p.wmMu.Unlock()
-}
-
-// watermarks copies the peer's advertised watermark vector.
-func (p *peer) watermarks() map[string]Watermark {
-	p.wmMu.Lock()
-	out := make(map[string]Watermark, len(p.wms))
-	for k, v := range p.wms {
-		out[k] = v
-	}
-	p.wmMu.Unlock()
-	return out
-}
-
-// reset clears transient peer state (crash simulation).
-func (p *peer) reset() {
-	for {
-		select {
-		case <-p.out:
-		default:
-			p.dropped.Store(0)
-			p.sent.Store(0)
-			p.acked.Store(0)
-			p.lastSendOK.Store(0)
-			p.lastRecv.Store(0)
-			p.ewma.Store(0)
-			p.wmMu.Lock()
-			clear(p.wms)
-			p.wmMu.Unlock()
-			return
-		}
-	}
-}
-
-// advanceAcked lifts the acked own-epoch high-water mark monotonically.
-func (p *peer) advanceAcked(epoch uint64) {
-	for {
-		cur := p.acked.Load()
-		if epoch <= cur || p.acked.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
+	return float64(now-p.lastRecv) < phiThreshold*float64(max(p.ewma, heartbeat))
 }
 
 // ---- fleet-level health reads on the Replicator ----
 
 // PeerUp reports whether the named peer currently looks alive.
 func (r *Replicator) PeerUp(name string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	p, ok := r.peers[name]
-	if !ok {
-		return false
-	}
-	return p.upAgainst(r.nowNanos(), int64(r.cfg.HeartbeatInterval), phiThreshold)
+	return ok && p.up(r.nowNanos(), int64(r.cfg.HeartbeatInterval))
 }
 
 // UpPeers returns how many peers currently look alive.
 func (r *Replicator) UpPeers() int {
-	now := r.nowNanos()
-	hb := int64(r.cfg.HeartbeatInterval)
-	n := 0
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	now, n := r.nowNanos(), 0
 	for _, p := range r.peers {
-		if p.upAgainst(now, hb, phiThreshold) {
+		if p.up(now, int64(r.cfg.HeartbeatInterval)) {
 			n++
 		}
 	}
@@ -161,11 +102,7 @@ func (r *Replicator) UpPeers() int {
 // keeps serving from its local engine alone (graceful degradation) — it
 // never blocks waiting for the fleet to come back.
 func (r *Replicator) Isolated() bool {
-	fleet := len(r.peers) + 1
-	if fleet <= 1 {
-		return false
-	}
-	return r.UpPeers()+1 <= fleet/2
+	return r.UpPeers()+1 <= (len(r.peers)+1)/2 // a fleet of one is never isolated: 1 <= 0
 }
 
 // PeerStats is one peer's health snapshot for metrics/status surfaces.
@@ -183,24 +120,23 @@ type PeerStats struct {
 
 // PeerSnapshot returns per-peer health for metrics and the admin surface.
 func (r *Replicator) PeerSnapshot() []PeerStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	now := r.nowNanos()
-	hb := int64(r.cfg.HeartbeatInterval)
 	out := make([]PeerStats, 0, len(r.peerNames))
 	for _, name := range r.peerNames {
 		p := r.peers[name]
 		ps := PeerStats{
 			Name:       name,
-			Up:         p.upAgainst(now, hb, phiThreshold),
+			Up:         p.up(now, int64(r.cfg.HeartbeatInterval)),
 			OutboxLen:  len(p.out),
-			Dropped:    p.dropped.Load(),
-			Sent:       p.sent.Load(),
-			AckedEpoch: p.acked.Load(),
+			Dropped:    p.dropped,
+			Sent:       p.sent,
+			AckedEpoch: p.acked,
 		}
-		p.wmMu.Lock()
-		if w, ok := p.wms[r.cfg.Name]; ok && w.Inc == r.inc.Load() {
+		if w, ok := p.wms[r.cfg.Name]; ok && w.Inc == r.inc {
 			ps.Watermark = w.Epoch
 		}
-		p.wmMu.Unlock()
 		out = append(out, ps)
 	}
 	return out

@@ -29,17 +29,26 @@ const (
 )
 
 // Intercept inspects one in-flight message and decides its fate, optionally
-// imposing a delivery delay (slept on the sender's goroutine, like a slow
-// link). A nil Intercept delivers everything immediately.
+// imposing a delivery delay: the sender is told the message went out, and
+// the mesh holds it until a Step at or after its due time, like a slow link.
+// A nil Intercept delivers everything immediately.
 type Intercept func(from, to string, msg *Message) (Fate, time.Duration)
 
 // Mesh is an in-process Transport connecting a set of replicators.
 type Mesh struct {
-	mu    sync.RWMutex
-	nodes map[string]*Replicator
-
+	mu        sync.Mutex // guards everything below; not held across Receive
+	nodes     map[string]*Replicator
 	intercept Intercept
-	icMu      sync.RWMutex
+	now       time.Time // the latest Step's time, from which delays count
+	held      []heldMessage
+}
+
+// heldMessage is one delayed delivery, in send order.
+type heldMessage struct {
+	due    time.Time
+	to     *Replicator
+	msg    *Message
+	copies int
 }
 
 // NewMesh creates an empty mesh.
@@ -56,9 +65,9 @@ func (m *Mesh) Attach(r *Replicator) {
 
 // SetIntercept installs (or clears, with nil) the fault-injection hook.
 func (m *Mesh) SetIntercept(ic Intercept) {
-	m.icMu.Lock()
+	m.mu.Lock()
 	m.intercept = ic
-	m.icMu.Unlock()
+	m.mu.Unlock()
 }
 
 // Bind returns a Transport view of the mesh for one sender, so each
@@ -76,37 +85,64 @@ func (b boundTransport) Send(to string, msg *Message) error {
 	return b.mesh.send(b.from, to, msg)
 }
 
+// Step moves the mesh's time to now and delivers, in send order, every held
+// message that has come due; a target that is down by then loses it. Whoever
+// steps the replicators steps the mesh first, with the same time.
+func (m *Mesh) Step(now time.Time) {
+	m.mu.Lock()
+	m.now = now
+	var due []heldMessage
+	keep := m.held[:0]
+	for _, h := range m.held {
+		if h.due.After(now) {
+			keep = append(keep, h)
+		} else {
+			due = append(due, h)
+		}
+	}
+	m.held = keep
+	m.mu.Unlock()
+	for _, h := range due {
+		_ = deliver(h.to, h.msg, h.copies) // the sender was told it went out long ago
+	}
+}
+
+// deliver hands the target one message copies times.
+func deliver(to *Replicator, msg *Message, copies int) error {
+	for ; copies > 0; copies-- {
+		if err := to.Receive(msg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // send routes one message through the intercept to the target's Receive.
 func (m *Mesh) send(from, to string, msg *Message) error {
-	m.mu.RLock()
-	target := m.nodes[to]
-	m.mu.RUnlock()
+	m.mu.Lock()
+	target, ic := m.nodes[to], m.intercept
+	m.mu.Unlock()
 	if target == nil {
 		return fmt.Errorf("fleet: unknown node %q", to)
 	}
-
-	m.icMu.RLock()
-	ic := m.intercept
-	m.icMu.RUnlock()
-
 	fate, delay := FateDeliver, time.Duration(0)
 	if ic != nil {
 		fate, delay = ic(from, to, msg)
 	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
+	copies := 1
 	switch fate {
 	case FateDrop:
 		return nil
 	case FateFail:
 		return fmt.Errorf("fleet: injected send failure %s->%s", from, to)
 	case FateDup:
-		if err := target.Receive(msg); err != nil {
-			return err
-		}
-		return target.Receive(msg)
-	default:
-		return target.Receive(msg)
+		copies = 2
 	}
+	if delay <= 0 {
+		return deliver(target, msg, copies)
+	}
+	m.mu.Lock()
+	m.held = append(m.held, heldMessage{due: m.now.Add(delay), to: target, msg: msg, copies: copies})
+	m.mu.Unlock()
+	return nil
 }

@@ -1,7 +1,7 @@
 // Prometheus export for the replication plane, following the repo's
-// read-side convention: the replicator keeps lock-free counters and the
-// registry pulls them at scrape time — the publish path pays nothing for
-// being observable.
+// read-side convention: the replicator keeps plain counters under its mutex
+// and the registry pulls them at scrape time — the publish path pays nothing
+// for being observable.
 package fleet
 
 import (
@@ -30,81 +30,60 @@ func (r *Replicator) RegisterMetrics(reg *telemetry.Registry, node string) {
 		return
 	}
 	nodeLabel := telemetry.Label("node", node)
+	flag := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
 
-	reg.GaugeFunc("botdetect_fleet_peer_up",
-		"1 if the peer currently passes phi heartbeat suspicion, else 0.",
-		func(emit func(labels string, v float64)) {
+	for _, g := range []struct {
+		name, help string
+		value      func(PeerStats) float64
+	}{
+		{"botdetect_fleet_peer_up", "1 if the peer currently passes phi heartbeat suspicion, else 0.",
+			func(ps PeerStats) float64 { return flag(ps.Up) }},
+		{"botdetect_fleet_outbox_depth", "Replication updates currently queued per peer outbox.",
+			func(ps PeerStats) float64 { return float64(ps.OutboxLen) }},
+		{"botdetect_fleet_outbox_dropped_total", "Replication updates dropped on a full outbox or an unresponsive peer.",
+			func(ps PeerStats) float64 { return float64(ps.Dropped) }},
+		{"botdetect_fleet_updates_sent_total", "Replication updates delivered per peer.",
+			func(ps PeerStats) float64 { return float64(ps.Sent) }},
+		{"botdetect_fleet_peer_applied_epoch", "The peer's advertised applied-epoch watermark for this node's updates.",
+			func(ps PeerStats) float64 { return float64(ps.Watermark) }},
+		{"botdetect_fleet_acked_epoch", "Highest own durable epoch successfully sent to the peer.",
+			func(ps PeerStats) float64 { return float64(ps.AckedEpoch) }},
+	} {
+		reg.GaugeFunc(g.name, g.help, func(emit func(labels string, v float64)) {
 			for _, ps := range r.PeerSnapshot() {
-				v := 0.0
-				if ps.Up {
-					v = 1
-				}
-				emit(telemetry.Join(nodeLabel, telemetry.Label("peer", ps.Name)), v)
+				emit(telemetry.Join(nodeLabel, telemetry.Label("peer", ps.Name)), g.value(ps))
 			}
 		})
-	reg.GaugeFunc("botdetect_fleet_outbox_depth",
-		"Replication updates currently queued per peer outbox.",
-		func(emit func(labels string, v float64)) {
-			for _, ps := range r.PeerSnapshot() {
-				emit(telemetry.Join(nodeLabel, telemetry.Label("peer", ps.Name)), float64(ps.OutboxLen))
-			}
-		})
-	reg.GaugeFunc("botdetect_fleet_outbox_dropped_total",
-		"Replication updates dropped on a full outbox or an unresponsive peer.",
-		func(emit func(labels string, v float64)) {
-			for _, ps := range r.PeerSnapshot() {
-				emit(telemetry.Join(nodeLabel, telemetry.Label("peer", ps.Name)), float64(ps.Dropped))
-			}
-		})
-	reg.GaugeFunc("botdetect_fleet_updates_sent_total",
-		"Replication updates delivered per peer.",
-		func(emit func(labels string, v float64)) {
-			for _, ps := range r.PeerSnapshot() {
-				emit(telemetry.Join(nodeLabel, telemetry.Label("peer", ps.Name)), float64(ps.Sent))
-			}
-		})
-	reg.GaugeFunc("botdetect_fleet_peer_applied_epoch",
-		"The peer's advertised applied-epoch watermark for this node's updates.",
-		func(emit func(labels string, v float64)) {
-			for _, ps := range r.PeerSnapshot() {
-				emit(telemetry.Join(nodeLabel, telemetry.Label("peer", ps.Name)), float64(ps.Watermark))
-			}
-		})
-	reg.GaugeFunc("botdetect_fleet_acked_epoch",
-		"Highest own durable epoch successfully sent to the peer.",
-		func(emit func(labels string, v float64)) {
-			for _, ps := range r.PeerSnapshot() {
-				emit(telemetry.Join(nodeLabel, telemetry.Label("peer", ps.Name)), float64(ps.AckedEpoch))
-			}
-		})
+	}
 
 	reg.CounterFunc("botdetect_fleet_published_epoch", nodeLabel,
 		"This node's durable update epoch counter.",
 		func() float64 { return float64(r.PublishedEpoch()) })
 	reg.GaugeFunc("botdetect_fleet_isolated",
 		"1 while this node has lost quorum and serves from its isolated engine.",
-		func(emit func(labels string, v float64)) {
-			v := 0.0
-			if r.Isolated() {
-				v = 1
-			}
-			emit(nodeLabel, v)
-		})
-	reg.CounterFunc("botdetect_fleet_updates_applied_total", nodeLabel,
-		"Durable replication updates applied fresh from peers.",
-		func() float64 { return float64(r.Stats().Applied) })
-	reg.CounterFunc("botdetect_fleet_updates_replayed_total", nodeLabel,
-		"Duplicate or stale replication deliveries rejected by the watermark.",
-		func() float64 { return float64(r.Stats().Replays) })
-	reg.CounterFunc("botdetect_fleet_epoch_gaps_total", nodeLabel,
-		"Epochs declared lost after the 5 s stall timeout (the epoch-lag bound).",
-		func() float64 { return float64(r.Stats().EpochGaps) })
-	reg.CounterFunc("botdetect_fleet_anti_entropy_resends_total", nodeLabel,
-		"Store entries re-sent because a peer's watermarks showed them missing.",
-		func() float64 { return float64(r.Stats().AEResends) })
-	reg.CounterFunc("botdetect_fleet_observations_forwarded_total", nodeLabel,
-		"Request observations forwarded to partition owners.",
-		func() float64 { return float64(r.Stats().ObsForward) })
+		func(emit func(labels string, v float64)) { emit(nodeLabel, flag(r.Isolated())) })
+	for _, c := range []struct {
+		name, help string
+		value      func(Counters) uint64
+	}{
+		{"botdetect_fleet_updates_applied_total", "Durable replication updates applied fresh from peers.",
+			func(c Counters) uint64 { return c.Applied }},
+		{"botdetect_fleet_updates_replayed_total", "Duplicate or stale replication deliveries rejected by the watermark.",
+			func(c Counters) uint64 { return c.Replays }},
+		{"botdetect_fleet_epoch_gaps_total", "Epochs declared lost after the 5 s stall timeout (the epoch-lag bound).",
+			func(c Counters) uint64 { return c.EpochGaps }},
+		{"botdetect_fleet_anti_entropy_resends_total", "Store entries re-sent because a peer's watermarks showed them missing.",
+			func(c Counters) uint64 { return c.AEResends }},
+		{"botdetect_fleet_observations_forwarded_total", "Request observations forwarded to partition owners.",
+			func(c Counters) uint64 { return c.ObsForward }},
+	} {
+		reg.CounterFunc(c.name, nodeLabel, c.help, func() float64 { return float64(c.value(r.Stats())) })
+	}
 
 	reg.GaugeFunc("botdetect_fleet_replication_lag_seconds",
 		"Apply lag from origin publish to local apply, recent-window quantiles.",
