@@ -20,7 +20,7 @@ type Accumulator struct {
 }
 
 // NewAccumulator creates an Accumulator considering at most limit requests
-// (0 for unlimited). It uses the tracker's compact hashed path set.
+// (0 for unlimited). It uses the tracker's compact fingerprint path set.
 func NewAccumulator(limit int64) *Accumulator {
 	return &Accumulator{Limit: limit}
 }
@@ -31,7 +31,7 @@ func (a *Accumulator) Observe(e logfmt.Entry) bool {
 	if a.Limit > 0 && int64(a.counts.Total) >= a.Limit {
 		return false
 	}
-	a.counts.observe(e, &a.paths, maxTrackedPaths)
+	a.counts.observe(e, &a.paths)
 	return true
 }
 

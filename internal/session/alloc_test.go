@@ -16,7 +16,7 @@ func TestObserveQuietPeekZeroAlloc(t *testing.T) {
 	key := Key{IP: "9.9.9.9", UserAgent: "Firefox"}
 
 	// Warm up: create the session and insert the full working set of paths
-	// so the open-addressed table is done growing before measurement.
+	// so the path set is done growing before measurement.
 	for i := 0; i < 64; i++ {
 		tr.ObserveQuiet(entry("9.9.9.9", "Firefox", "GET", fmt.Sprintf("/p%d.html", i%8), 200, "", now))
 	}

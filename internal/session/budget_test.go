@@ -10,8 +10,8 @@ import (
 
 // TestSessionStructBudgets pins the memory layout the million-session plan is
 // built on. A session is stored once — the record below, no embedded copies —
-// and the budgets leave the record in the 320-byte allocator size class. A
-// failure here means a field was added (or widened) without re-deriving the
+// and the budgets put the record exactly in the 256-byte allocator size
+// class. A failure here means a field was added (or widened) without re-deriving the
 // budget — grow the budget consciously or shrink the struct, do not silently
 // bump the number.
 func TestSessionStructBudgets(t *testing.T) {
@@ -20,14 +20,15 @@ func TestSessionStructBudgets(t *testing.T) {
 		size uintptr
 		max  uintptr
 	}{
-		{"sessionState", unsafe.Sizeof(sessionState{}), 320},
+		{"sessionState", unsafe.Sizeof(sessionState{}), 256},
 		// Snapshot is what Get/Each/Mark copy out and Peek fills.
 		{"Snapshot", unsafe.Sizeof(Snapshot{}), 344},
 		// Counts went int64 → uint32: 13 counters + Bytes in 72 bytes.
 		{"Counts", unsafe.Sizeof(Counts{}), 72},
 		// Signals is a flat first-observation array, one uint32 per signal.
 		{"Signals", unsafe.Sizeof(Signals{}), uintptr(4 * numSignals)},
-		{"pathTable", unsafe.Sizeof(pathTable{}), 32},
+		// The path set is a bare slice header: its len is the count.
+		{"pathTable", unsafe.Sizeof(pathTable{}), 24},
 	}
 	for _, b := range budgets {
 		if b.size > b.max {
@@ -35,22 +36,56 @@ func TestSessionStructBudgets(t *testing.T) {
 		}
 	}
 
-	// The MemoryEstimate constants must stay derived from the live layout.
-	if sessionStructBytes < int64(unsafe.Sizeof(sessionState{})) || sessionStructBytes%32 != 0 {
-		t.Errorf("sessionStructBytes = %d, want unsafe.Sizeof(sessionState{}) = %d rounded up to 32",
-			sessionStructBytes, unsafe.Sizeof(sessionState{}))
+	// The MemoryEstimate constants must stay derived from the live layout:
+	// the record is charged as the size class the allocator really puts it in.
+	if got := int64(cap(append([]byte(nil), make([]byte, unsafe.Sizeof(sessionState{}))...))); sessionStructBytes != got {
+		t.Errorf("sessionStructBytes = %d, but the allocator puts %d bytes in a %d-byte class",
+			sessionStructBytes, unsafe.Sizeof(sessionState{}), got)
+	}
+	for n := int64(32); n <= 512; n++ {
+		if got, want := sizeClass(n), int64(cap(append([]byte(nil), make([]byte, n)...))); got != want {
+			t.Fatalf("sizeClass(%d) = %d, the allocator's class is %d", n, got, want)
+		}
 	}
 	// The steady-state budget is a one-page session: base + the address
-	// string + the first path table.
-	steady := sessionBaseBytes + 16 + int64(minPathSlots)*8
-	if steady > 512 {
-		t.Errorf("one-page per-session estimate %d exceeds 512 B", steady)
+	// string + the first path allocation.
+	steady := sessionBaseBytes + 16 + int64(minPathSlots)*4
+	if steady > 448 {
+		t.Errorf("one-page per-session estimate %d exceeds 448 B", steady)
+	}
+}
+
+// TestPathBytesPerEntry pins what a visited path costs: growth by half into
+// the allocator's size classes keeps the charged capacity at 6.5 B per path
+// from 16 paths on (the open-addressed 64-bit table cost 11-21 B), and a full
+// set is exactly maxTrackedPaths entries, 8 KB. The one count over 6.5 is 177,
+// where the 264 entries asked for (1,056 B) land in the 1,152-byte class:
+// 6.508 B, and 6.47 at 178.
+func TestPathBytesPerEntry(t *testing.T) {
+	var pt pathTable
+	worst, worstAt := 0.0, 0
+	for n := 1; n <= maxTrackedPaths+10; n++ {
+		pt.insert(fmt.Sprintf("/doc/%d.html", n))
+		if len(pt.fps) < min(n, maxTrackedPaths) {
+			continue // a fingerprint collision among the test's own paths
+		}
+		if per := float64(pt.footprintBytes()) / float64(len(pt.fps)); n >= 16 && per > worst {
+			worst, worstAt = per, n
+		}
+	}
+	t.Logf("worst charged capacity from 16 paths on: %.3f B/path at %d paths", worst, worstAt)
+	if worst >= 6.55 {
+		t.Errorf("a visited path costs %.3f B at %d paths, over the 6.5 B budget", worst, worstAt)
+	}
+	if len(pt.fps) != maxTrackedPaths || cap(pt.fps) != maxTrackedPaths {
+		t.Errorf("full set: len %d cap %d, want both %d", len(pt.fps), cap(pt.fps), maxTrackedPaths)
 	}
 }
 
 // TestSessionMemoryEstimateCoversHeap holds MemoryEstimate against the heap
 // the tracker really pins: 50,000 sessions at 1, 12 and 200 distinct paths (a
-// one-page client, a short visit, a crawler). The estimate feeds the
+// one-page client, a short visit, a crawler) and 2,000 at the 2,048-path cap
+// (17 MB of heap, not 425). The estimate feeds the
 // admission ladder, so it may never read below the heap — and
 // bytes_per_session is computed from it, so it may not drift far above
 // either.
@@ -58,7 +93,6 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting differs under -race")
 	}
-	const sessions = 50000
 	heap := func() int64 {
 		runtime.GC()
 		runtime.GC()
@@ -66,7 +100,11 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	for _, paths := range []int{1, 12, 200} {
+	for _, tc := range []struct {
+		paths    int
+		sessions int64
+	}{{1, 50000}, {12, 50000}, {200, 50000}, {maxTrackedPaths, 2000}} {
+		paths, sessions := tc.paths, tc.sessions
 		t.Run(fmt.Sprintf("paths=%d", paths), func(t *testing.T) {
 			pathNames := make([]string, paths)
 			for p := range pathNames {

@@ -78,10 +78,10 @@ func newExactAccumulator() *exactAccumulator {
 }
 
 func (a *exactAccumulator) Observe(e logfmt.Entry) {
-	// Against an empty table with no room every referrer counts as unseen;
-	// the exact set then moves the ones this session did request.
+	// Against an empty table every referrer counts as unseen; the exact set
+	// then moves the ones this session did request.
 	var none pathTable
-	a.counts.observe(e, &none, 0)
+	a.counts.observe(e, &none)
 	if e.Referer != "" && a.paths[refererPath(e.Referer)] {
 		a.counts.UnseenReferrer--
 		a.counts.LinkFollowing++

@@ -1,91 +1,74 @@
 package session
 
-import "botdetect/internal/shard"
+import (
+	"slices"
+
+	"botdetect/internal/shard"
+)
 
 // pathTable is the per-session set of visited paths backing the
 // link-following vs unseen-referrer split. The split needs membership only,
-// never the path strings back, so the representation is an open-addressed
-// set of 64-bit FNV-1a hashes: 8 bytes per entry instead of a map bucket plus
-// the full path string (~48 B + len(path) each). A hash collision between two
-// distinct paths within one session misclassifies at most one referrer and is
-// vanishingly unlikely (birthday bound over ≤2048 entries in a 64-bit space
-// ≈ 2e-13). The differential tests hold it against an exact string set
+// never the path strings back, so the set keeps a fingerprint per path and
+// nothing else: one sorted []uint32 whose len is the count — 4 bytes per
+// entry instead of a map bucket plus the full path string (~48 B + len(path)
+// each). Lookup is a binary search, insertion a copy-shift of at most 8 KB.
+//
+// A fingerprint is the path's 64-bit FNV-1a hash folded to 32 bits, so two
+// distinct paths can share one. With n ≤ maxTrackedPaths = 2,048 entries:
+//
+//   - a referrer the session never requested reads "seen" with probability
+//     n/2^32 ≤ 4.8e-7 (occupancy of the 32-bit space), moving one request from
+//     UnseenReferrer to LinkFollowing;
+//   - some two of a session's own paths collide with probability
+//     n(n-1)/2^33 ≤ 4.9e-4 (birthday bound); the second is then not stored,
+//     which changes no answer — its fingerprint is already present.
+//
+// TestPathFingerprintCollisions measures both against these bounds, and the
+// differential tests hold the set against an exact string set
 // (exactAccumulator, test-only) on synthetic corpora: byte-identical counts.
 type pathTable struct {
-	hashes []uint64 // power-of-two open-addressed set; 0 = empty slot
-	n      int      // live entries in hashes
+	fps []uint32 // sorted, duplicate-free; cap is an allocator size class
 }
 
-// minPathSlots is the initial open-addressed table size (power of two): most
-// sessions on a CDN are one or two pages long, and 4 slots hold two paths
-// before the first doubling.
+// minPathSlots is the first allocation's capacity: most sessions on a CDN are
+// one or two pages long, and 4 slots are the 16-byte size class.
 const minPathSlots = 4
 
-func pathHash(p string) uint64 {
+func pathFingerprint(p string) uint32 {
 	h := shard.HashString(p)
-	if h == 0 {
-		return 1 // 0 marks an empty slot
-	}
-	return h
+	return uint32(h) ^ uint32(h>>32)
 }
 
 // contains reports whether the path was recorded.
 func (pt *pathTable) contains(p string) bool {
-	if pt.n == 0 {
-		return false
-	}
-	h := pathHash(p)
-	mask := uint64(len(pt.hashes) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		switch pt.hashes[i] {
-		case 0:
-			return false
-		case h:
-			return true
-		}
-	}
+	_, found := slices.BinarySearch(pt.fps, pathFingerprint(p))
+	return found
 }
 
-// insert records the path, growing the table as needed. There are no
-// deletions: sessions only accumulate paths until the caller's cap.
+// insert records the path unless the set already holds maxTrackedPaths.
+// There are no deletions: sessions only accumulate paths.
 func (pt *pathTable) insert(p string) {
-	h := pathHash(p)
-	if pt.hashes == nil {
-		pt.hashes = make([]uint64, minPathSlots)
+	fp := pathFingerprint(p)
+	i, found := slices.BinarySearch(pt.fps, fp)
+	if found || len(pt.fps) >= maxTrackedPaths {
+		return
 	}
-	mask := uint64(len(pt.hashes) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		switch pt.hashes[i] {
-		case h:
-			return
-		case 0:
-			pt.hashes[i] = h
-			pt.n++
-			if pt.n*4 >= len(pt.hashes)*3 { // grow at 75% load
-				pt.grow()
-			}
-			return
-		}
+	if len(pt.fps) == cap(pt.fps) {
+		pt.grow()
 	}
+	pt.fps = slices.Insert(pt.fps, i, fp) // a copy-shift: grow left room
 }
 
+// grow moves the set into an allocation half as large again, never past what
+// maxTrackedPaths entries need. Appending to a nil slice makes the runtime
+// round the capacity up to the allocator's size class, so cap — what
+// footprintBytes charges — is what the allocation really occupies.
 func (pt *pathTable) grow() {
-	old := pt.hashes
-	pt.hashes = make([]uint64, 2*len(old))
-	mask := uint64(len(pt.hashes) - 1)
-	for _, h := range old {
-		if h == 0 {
-			continue
-		}
-		for i := h & mask; ; i = (i + 1) & mask {
-			if pt.hashes[i] == 0 {
-				pt.hashes[i] = h
-				break
-			}
-		}
-	}
+	want := min(max(minPathSlots, cap(pt.fps)+cap(pt.fps)/2), maxTrackedPaths)
+	grown := append([]uint32(nil), make([]uint32, want)...)
+	pt.fps = grown[:copy(grown, pt.fps)]
 }
 
-// footprintBytes is the table's heap footprint, charged to the tracker's
+// footprintBytes is the set's heap footprint, charged to the tracker's
 // memory estimate by delta on every observation.
-func (pt *pathTable) footprintBytes() int64 { return int64(cap(pt.hashes)) * 8 }
+func (pt *pathTable) footprintBytes() int64 { return int64(cap(pt.fps)) * 4 }

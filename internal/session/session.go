@@ -19,12 +19,12 @@
 // therefore always see the session as of the last request, and there is no
 // publication protocol to get wrong. The record is built for millions of
 // concurrent sessions: counters are saturating uint32s, signals are a fixed
-// array, visited paths are an open-addressed set of 64-bit hashes, User-Agent
-// strings are interned (one canonical copy per distinct UA across all
-// sessions), the LRU is intrusive (no container/list element allocations) and
-// the Table 2 attribute vector is derived from the counters when a snapshot
-// is built instead of being stored. Steady-state observation and Peek
-// allocate nothing.
+// array, visited paths are a sorted set of 32-bit fingerprints, times are
+// Unix nanoseconds, User-Agent strings are interned (one canonical copy per
+// distinct UA across all sessions), the LRU is intrusive (no container/list
+// element allocations) and the Table 2 attribute vector is derived from the
+// counters when a snapshot is built instead of being stored. Steady-state
+// observation and Peek allocate nothing.
 package session
 
 import (
@@ -256,9 +256,6 @@ type EvictionStats struct {
 // heap, and bytes_per_session is computed from it, so it may not drift far
 // above either).
 const (
-	// sessionStructBytes is the per-session record in its allocator size
-	// class (the classes between 256 and 512 bytes are 32 bytes apart).
-	sessionStructBytes = (int64(unsafe.Sizeof(sessionState{})) + 31) &^ 31
 	// sessionMapSlotBytes is the session's share of the shard's swiss map at
 	// its emptiest. A full-size table is 1,024 slots in 128 groups of 8
 	// control bytes + 8 × (32-byte Key + record pointer) = 41,984 B, which
@@ -266,23 +263,38 @@ const (
 	// 7/8 load, so right after a split each entry holds 16/7 slots = 110 B,
 	// the most the map costs per entry (the least is 55 B).
 	sessionMapSlotBytes = 110
+)
+
+var (
+	// sessionStructBytes is the per-session record in its allocator size
+	// class.
+	sessionStructBytes = sizeClass(int64(unsafe.Sizeof(sessionState{})))
 	// sessionBaseBytes is the base cost charged per session. The address
 	// string (rounded to the 16-byte allocation it sits in) and the path
-	// table (by capacity) are charged on top; the User-Agent is the
-	// interner's.
+	// fingerprints (4 bytes each, by capacity) are charged on top; the
+	// User-Agent is the interner's.
 	sessionBaseBytes = sessionStructBytes + sessionMapSlotBytes
 )
+
+// sizeClass rounds an allocation of 32 to 512 bytes up to the allocator's
+// size class: the classes are 16 bytes apart up to 256 and 32 apart above.
+func sizeClass(n int64) int64 {
+	if n <= 256 {
+		return (n + 15) &^ 15
+	}
+	return (n + 31) &^ 31
+}
 
 // evictScanLimit bounds how far enforceCapLocked walks up from the LRU tail
 // looking for an evidence-free victim before falling back to strict LRU.
 const evictScanLimit = 16
 
-// observe applies one request to the counters. paths (bounded by maxPaths)
-// backs the link-following vs unseen-referrer split: the referrer is matched
-// against paths seen so far, then the request's own path is recorded. It is
-// the single counting implementation behind both Tracker.Observe and
-// Accumulator.Observe.
-func (c *Counts) observe(e logfmt.Entry, paths *pathTable, maxPaths int) {
+// observe applies one request to the counters. paths (bounded by
+// maxTrackedPaths) backs the link-following vs unseen-referrer split: the
+// referrer is matched against paths seen so far, then the request's own path
+// is recorded. It is the single counting implementation behind both
+// Tracker.Observe and Accumulator.Observe.
+func (c *Counts) observe(e logfmt.Entry, paths *pathTable) {
 	satInc(&c.Total)
 	c.Bytes += e.Bytes
 	switch {
@@ -326,9 +338,7 @@ func (c *Counts) observe(e logfmt.Entry, paths *pathTable, maxPaths int) {
 	case 5:
 		satInc(&c.Status5xx)
 	}
-	if paths.n < maxPaths {
-		paths.insert(e.PathOnly())
-	}
+	paths.insert(e.PathOnly())
 }
 
 // classBits returns one bit per non-zero counter category. The tracker bumps
@@ -477,14 +487,13 @@ type sessionState struct {
 	normUA       string
 	uaHandle     intern.Handle // interned Key.UserAgent
 	normUAHandle intern.Handle // interned normUA
-	firstSeen    time.Time
-	lastSeen     time.Time
+	firstSeen    int64         // Unix nanoseconds, like lastSeen
+	lastSeen     int64
 	counts       Counts
 	classBits    uint32  // non-zero count categories seen so far
 	epoch        uint64  // state-changing event counter (see Snapshot.Epoch)
 	signals      Signals // first-observation request counts, fixed array
 	paths        pathTable
-	memBytes     int64 // approximate footprint charged to Tracker.bytes
 
 	// prev/next chain the shard's intrusive LRU list (prev = towards the
 	// front / most recently active).
@@ -497,8 +506,8 @@ type sessionState struct {
 func (st *sessionState) fill(out *Snapshot) {
 	*out = Snapshot{
 		Key:       st.key,
-		FirstSeen: st.firstSeen,
-		LastSeen:  st.lastSeen,
+		FirstSeen: time.Unix(0, st.firstSeen),
+		LastSeen:  time.Unix(0, st.lastSeen),
 		Counts:    st.counts,
 		Features:  st.counts.Vector(),
 		NormUA:    st.normUA,
@@ -731,16 +740,17 @@ func (t *Tracker) ObserveQuiet(e logfmt.Entry) {
 // it with the updated snapshot.
 func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 	key := Key{IP: e.ClientIP, UserAgent: e.UserAgent}
-	now := e.Time
-	if now.IsZero() {
-		now = t.cfg.Clock.Now()
+	when := e.Time
+	if when.IsZero() {
+		when = t.cfg.Clock.Now()
 	}
+	now := when.UnixNano()
 	sh := t.shard(key)
 
 	var evicted []Snapshot
 	sh.mu.Lock()
 	st, ok := sh.sessions[key]
-	if ok && now.Sub(st.lastSeen) > t.cfg.IdleTimeout {
+	if ok && now-st.lastSeen > int64(t.cfg.IdleTimeout) {
 		// The gap since the last request exceeds the idle timeout: the old
 		// session ends and the new activity starts a fresh one (the paper's
 		// session definition).
@@ -756,9 +766,8 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 
 	pathBytesBefore := st.paths.footprintBytes()
 	c := &st.counts
-	c.observe(e, &st.paths, maxTrackedPaths)
+	c.observe(e, &st.paths)
 	if d := st.paths.footprintBytes() - pathBytesBefore; d != 0 {
-		st.memBytes += d
 		t.bytes.Add(d)
 	}
 	for _, mark := range t.cfg.DecisionMarks {
@@ -795,7 +804,7 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 // a client when page requests raced ahead of tracking). It returns the
 // session's snapshot and whether the signal was newly set.
 func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
-	now := t.cfg.Clock.Now()
+	now := t.cfg.Clock.Now().UnixNano()
 	sh := t.shard(key)
 
 	var evicted []Snapshot
@@ -970,9 +979,10 @@ func (t *Tracker) SweepStep(now time.Time) int {
 
 func (t *Tracker) expireShard(sh *trackerShard, now time.Time) int {
 	var evicted []Snapshot
+	deadline := now.UnixNano() - int64(t.cfg.IdleTimeout)
 	sh.mu.Lock()
 	for _, st := range sh.sessions {
-		if now.Sub(st.lastSeen) > t.cfg.IdleTimeout {
+		if st.lastSeen < deadline {
 			evicted = append(evicted, t.removeLocked(sh, st, EvictIdle))
 		}
 	}
@@ -1007,7 +1017,7 @@ func (t *Tracker) FlushAll() []Snapshot {
 // its normalised form) are interned: the key stored in the map references
 // the canonical copy, so a million sessions from the same browser share one
 // UA string instead of carrying a million copies.
-func (t *Tracker) createLocked(sh *trackerShard, key Key, now time.Time) *sessionState {
+func (t *Tracker) createLocked(sh *trackerShard, key Key, now int64) *sessionState {
 	uaHandle, ua := t.interner.Intern(key.UserAgent)
 	if uaHandle != 0 {
 		key.UserAgent = ua
@@ -1022,12 +1032,19 @@ func (t *Tracker) createLocked(sh *trackerShard, key Key, now time.Time) *sessio
 		lastSeen:     now,
 		epoch:        1,
 	}
-	st.memBytes = sessionBaseBytes + (int64(len(key.IP))+15)&^15
 	sh.pushFront(st)
 	sh.sessions[key] = st
 	t.active.Add(1)
-	t.bytes.Add(st.memBytes)
+	t.bytes.Add(st.memBytes())
 	return st
+}
+
+// memBytes is the session's footprint as charged to Tracker.bytes: the base
+// cost, the address string in its allocation and the path set by capacity.
+// createLocked adds it, observe adds the path set's growth, removeLocked
+// takes the sum back.
+func (st *sessionState) memBytes() int64 {
+	return sessionBaseBytes + (int64(len(st.key.IP))+15)&^15 + st.paths.footprintBytes()
 }
 
 // removeLocked deletes the session from the shard and returns its final
@@ -1037,7 +1054,7 @@ func (t *Tracker) removeLocked(sh *trackerShard, st *sessionState, reason EvictR
 	sh.unlink(st)
 	t.active.Add(-1)
 	t.ended.Add(1)
-	t.bytes.Add(-st.memBytes)
+	t.bytes.Add(-st.memBytes())
 	t.evictions[reason].Add(1)
 	var snap Snapshot
 	st.fill(&snap)

@@ -253,6 +253,71 @@ func TestIdleTimeoutSplitsSessions(t *testing.T) {
 	if tr.Ended() != 1 {
 		t.Fatalf("Ended = %d", tr.Ended())
 	}
+
+	// The boundary is exact: a gap of the timeout to the nanosecond continues
+	// the session, one nanosecond more ends it — on the request path and in
+	// the sweeper alike.
+	for i, tc := range []struct {
+		gap   time.Duration
+		split bool
+	}{{time.Hour - 1, false}, {time.Hour, false}, {time.Hour + 1, true}} {
+		start := vc.Now().Add(1234567 * time.Nanosecond)
+		byRequest, bySweep := fmt.Sprintf("6.6.7.%d", i), fmt.Sprintf("6.6.8.%d", i)
+		tr.Observe(entry(byRequest, "UA", "GET", "/a.html", 200, "", start))
+		snap := tr.Observe(entry(byRequest, "UA", "GET", "/b.html", 200, "", start.Add(tc.gap)))
+		if (snap.Counts.Total == 1) != tc.split {
+			t.Errorf("gap %v: Total = %d after the second request, split want %v", tc.gap, snap.Counts.Total, tc.split)
+		}
+		tr.Observe(entry(bySweep, "UA", "GET", "/a.html", 200, "", start))
+		_, before := tr.Get(Key{IP: bySweep, UserAgent: "UA"})
+		tr.ExpireIdle(start.Add(tc.gap))
+		_, after := tr.Get(Key{IP: bySweep, UserAgent: "UA"})
+		if !before || after == tc.split {
+			t.Errorf("gap %v: tracked before the sweep %v, after %v, split want %v", tc.gap, before, after, tc.split)
+		}
+	}
+}
+
+// TestSnapshotTimesRoundTrip: the record keeps Unix nanoseconds and a
+// snapshot hands back time.Time — the same instant that went in, whether it
+// came from the wall clock (monotonic reading and all), a virtual clock, or a
+// parsed log line with a zone offset.
+func TestSnapshotTimesRoundTrip(t *testing.T) {
+	parsed, err := logfmt.ParseLine(`9.9.9.9 - - [17/Mar/2006:23:59:58 -0500] "GET /a.html HTTP/1.1" 200 1000 "-" "UA"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, offset := parsed.Time.Zone(); offset != -5*3600 {
+		t.Fatalf("parsed zone offset = %d, want -18000", offset)
+	}
+	tr, vc := newTestTracker(Config{IdleTimeout: 1 << 62})
+	vc.Advance(90*time.Minute + 7) // an odd nanosecond count
+	for name, first := range map[string]time.Time{
+		"wall":   time.Now(),
+		"clf":    parsed.Time,
+		"clock":  {}, // a zero Entry.Time reads the tracker's clock
+		"subsec": time.Date(2006, 3, 17, 12, 0, 0, 123456789, time.FixedZone("", 9*3600)),
+	} {
+		want := first
+		if first.IsZero() {
+			want = vc.Now()
+		}
+		last := want.Add(42*time.Second + 1)
+		snap := tr.Observe(entry("9.9.9.9", name, "GET", "/a.html", 200, "", first))
+		if !snap.FirstSeen.Equal(want) || !snap.LastSeen.Equal(want) {
+			t.Errorf("%s: first request at %v: FirstSeen %v, LastSeen %v", name, want, snap.FirstSeen, snap.LastSeen)
+		}
+		tr.ObserveQuiet(entry("9.9.9.9", name, "GET", "/b.html", 200, "", last))
+		snap, _ = tr.Get(Key{IP: "9.9.9.9", UserAgent: name})
+		if !snap.FirstSeen.Equal(want) || !snap.LastSeen.Equal(last) || snap.Duration() != 42*time.Second+1 {
+			t.Errorf("%s: FirstSeen %v (want %v), LastSeen %v (want %v), Duration %v", name, snap.FirstSeen, want, snap.LastSeen, last, snap.Duration())
+		}
+	}
+	// Mark stamps the clock's time.
+	vc.Advance(time.Second)
+	if snap, _ := tr.Mark(Key{IP: "9.9.9.9", UserAgent: "clock"}, SignalCSS); !snap.LastSeen.Equal(vc.Now()) {
+		t.Errorf("after Mark: LastSeen %v, clock %v", snap.LastSeen, vc.Now())
+	}
 }
 
 func TestExpireIdle(t *testing.T) {

@@ -12,9 +12,11 @@
 package webmodel
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -41,6 +43,8 @@ const (
 	cgiEndpoints = 5
 	// popularitySkew is the Zipf skew of page popularity.
 	popularitySkew = 0.9
+	// maxImageBytes caps the heavy-tailed image size draw.
+	maxImageBytes = 200000
 )
 
 // withDefaults returns a copy of the config with zero fields replaced by
@@ -83,7 +87,8 @@ type Object struct {
 }
 
 // Site is a generated synthetic web site. All methods are safe for
-// concurrent use after generation.
+// concurrent use after generation. Object bodies are read-only: the image
+// bodies of one site are slices of a single shared buffer.
 type Site struct {
 	pages   []*Page
 	byPath  map[string]*Page
@@ -98,56 +103,72 @@ func Generate(cfg SiteConfig) *Site {
 	cfg = cfg.withDefaults()
 	src := rng.New(cfg.Seed).Fork("webmodel")
 	s := &Site{
-		byPath:  make(map[string]*Page),
-		objects: make(map[string]Object),
+		byPath:  make(map[string]*Page, cfg.NumPages),
+		objects: make(map[string]Object, cfg.NumPages*(1+imagesPerPage)+16),
 	}
 
 	cgis := make([]string, cgiEndpoints)
 	for i := range cgis {
 		cgis[i] = fmt.Sprintf("/cgi-bin/app%d.cgi", i)
 	}
+	// Every page, stylesheet and script path is one string, shared by the
+	// pages that name it. Numbered names are built in scratch and copied out
+	// once.
+	var scratch []byte
+	pagePaths := make([]string, cfg.NumPages)
+	for i := range pagePaths {
+		scratch = strconv.AppendInt(append(scratch[:0], "/page"...), int64(i), 10)
+		scratch = append(scratch, ".html"...)
+		pagePaths[i] = string(scratch)
+	}
+	pagePaths[0] = "/"
+	var cssPaths [7]string
+	for i := range cssPaths {
+		cssPaths[i] = fmt.Sprintf("/static/site%d.css", i)
+	}
+	var scriptPaths [5]string
+	for i := range scriptPaths {
+		scriptPaths[i] = fmt.Sprintf("/static/site%d.js", i)
+	}
 
-	for i := 0; i < cfg.NumPages; i++ {
-		path := fmt.Sprintf("/page%d.html", i)
-		if i == 0 {
-			path = "/"
-		}
+	s.pages = make([]*Page, 0, cfg.NumPages)
+	for i, path := range pagePaths {
 		p := &Page{
 			Path:      path,
-			CSS:       fmt.Sprintf("/static/site%d.css", i%7),
-			Script:    fmt.Sprintf("/static/site%d.js", i%5),
+			CSS:       cssPaths[i%len(cssPaths)],
+			Script:    scriptPaths[i%len(scriptPaths)],
 			TextBytes: int(src.Pareto(800, 1.3)),
 		}
-		nLinks := 1 + src.Poisson(linksPerPage-1)
-		for j := 0; j < nLinks; j++ {
-			target := src.Intn(cfg.NumPages)
-			tp := fmt.Sprintf("/page%d.html", target)
-			if target == 0 {
-				tp = "/"
-			}
-			p.Links = append(p.Links, tp)
+		p.Links = make([]string, 1+src.Poisson(linksPerPage-1))
+		for j := range p.Links {
+			p.Links[j] = pagePaths[src.Intn(cfg.NumPages)]
 		}
-		nImgs := src.Poisson(imagesPerPage)
-		for j := 0; j < nImgs; j++ {
-			p.Images = append(p.Images, fmt.Sprintf("/img/photo%d_%d.jpg", i, j))
+		p.Images = make([]string, src.Poisson(imagesPerPage))
+		for j := range p.Images {
+			scratch = strconv.AppendInt(append(scratch[:0], "/img/photo"...), int64(i), 10)
+			scratch = strconv.AppendInt(append(scratch, '_'), int64(j), 10)
+			scratch = append(scratch, ".jpg"...)
+			p.Images[j] = string(scratch)
 		}
 		if src.Bool(0.4) && len(cgis) > 0 {
-			p.CGILinks = append(p.CGILinks, cgis[src.Intn(len(cgis))]+fmt.Sprintf("?page=%d", i))
+			scratch = append(append(scratch[:0], cgis[src.Intn(len(cgis))]...), "?page="...)
+			scratch = strconv.AppendInt(scratch, int64(i), 10)
+			p.CGILinks = []string{string(scratch)}
 		}
 		s.pages = append(s.pages, p)
 		s.byPath[p.Path] = p
 	}
 
-	// Pre-render static objects.
+	// Pre-render static objects. Nothing reads an image but its length, so
+	// every image body is a slice of one filler, capped at its own length.
+	jpeg := bytes.Repeat([]byte{'j'}, maxImageBytes)
 	for _, p := range s.pages {
-		s.objects[p.Path] = Object{Status: http.StatusOK, ContentType: "text/html; charset=utf-8", Body: []byte(renderHTML(host, p))}
+		scratch = appendHTML(scratch[:0], host, p)
+		s.objects[p.Path] = Object{Status: http.StatusOK, ContentType: "text/html; charset=utf-8", Body: bytes.Clone(scratch)}
 		for _, img := range p.Images {
 			if _, ok := s.objects[img]; !ok {
-				size := int(src.Pareto(2000, 1.2))
-				if size > 200000 {
-					size = 200000
-				}
-				s.objects[img] = Object{Status: http.StatusOK, ContentType: "image/jpeg", Body: fillerBytes(size, byte('j'))}
+				size := min(int(src.Pareto(2000, 1.2)), maxImageBytes)
+				s.objects[img] = Object{Status: http.StatusOK, ContentType: "image/jpeg", Body: jpeg[:size:size]}
 			}
 		}
 		if _, ok := s.objects[p.CSS]; !ok {
@@ -157,7 +178,7 @@ func Generate(cfg SiteConfig) *Site {
 			s.objects[p.Script] = Object{Status: http.StatusOK, ContentType: "application/javascript", Body: []byte(renderJS(p.Script, int(src.Pareto(400, 1.5))))}
 		}
 	}
-	s.objects["/favicon.ico"] = Object{Status: http.StatusOK, ContentType: "image/x-icon", Body: fillerBytes(318, 'i')}
+	s.objects["/favicon.ico"] = Object{Status: http.StatusOK, ContentType: "image/x-icon", Body: bytes.Repeat([]byte{'i'}, 318)}
 	s.objects["/robots.txt"] = Object{Status: http.StatusOK, ContentType: "text/plain",
 		Body: []byte("User-agent: *\nDisallow: /cgi-bin/\nCrawl-delay: 10\n")}
 
@@ -257,31 +278,29 @@ func (s *Site) Handler() http.Handler {
 	})
 }
 
-// renderHTML produces the page markup: head with CSS link and script, body
-// with visible anchors, embedded images, CGI links and filler text.
-func renderHTML(host string, p *Page) string {
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html>\n<head>\n")
-	fmt.Fprintf(&b, "<title>%s %s</title>\n", host, p.Path)
-	fmt.Fprintf(&b, "<link rel=\"stylesheet\" type=\"text/css\" href=\"%s\">\n", p.CSS)
-	fmt.Fprintf(&b, "<script type=\"text/javascript\" src=\"%s\"></script>\n", p.Script)
-	b.WriteString("</head>\n<body>\n")
-	fmt.Fprintf(&b, "<h1>Page %s</h1>\n", p.Path)
-	b.WriteString("<ul>\n")
+// appendHTML appends the page markup to dst: head with CSS link and script,
+// body with visible anchors, embedded images, CGI links and filler text.
+func appendHTML(dst []byte, host string, p *Page) []byte {
+	dst = append(dst, "<!DOCTYPE html>\n<html>\n<head>\n<title>"...)
+	dst = append(append(append(dst, host...), ' '), p.Path...)
+	dst = append(append(dst, "</title>\n<link rel=\"stylesheet\" type=\"text/css\" href=\""...), p.CSS...)
+	dst = append(append(dst, "\">\n<script type=\"text/javascript\" src=\""...), p.Script...)
+	dst = append(append(dst, "\"></script>\n</head>\n<body>\n<h1>Page "...), p.Path...)
+	dst = append(dst, "</h1>\n<ul>\n"...)
 	for i, l := range p.Links {
-		fmt.Fprintf(&b, "<li><a href=\"%s\">Link %d</a></li>\n", l, i)
+		dst = append(append(dst, "<li><a href=\""...), l...)
+		dst = strconv.AppendInt(append(dst, "\">Link "...), int64(i), 10)
+		dst = append(dst, "</a></li>\n"...)
 	}
-	b.WriteString("</ul>\n")
+	dst = append(dst, "</ul>\n"...)
 	for _, img := range p.Images {
-		fmt.Fprintf(&b, "<img src=\"%s\" alt=\"photo\">\n", img)
+		dst = append(append(append(dst, "<img src=\""...), img...), "\" alt=\"photo\">\n"...)
 	}
 	for _, cgi := range p.CGILinks {
-		fmt.Fprintf(&b, "<a href=\"%s\">Search</a>\n", cgi)
+		dst = append(append(append(dst, "<a href=\""...), cgi...), "\">Search</a>\n"...)
 	}
-	b.WriteString("<p>")
-	b.WriteString(fillerText(p.TextBytes))
-	b.WriteString("</p>\n</body>\n</html>\n")
-	return b.String()
+	dst = appendFillerText(append(dst, "<p>"...), p.TextBytes)
+	return append(dst, "</p>\n</body>\n</html>\n"...)
 }
 
 func renderCSS(path string, size int) string {
@@ -304,24 +323,13 @@ func renderJS(path string, size int) string {
 
 const loremChunk = "lorem ipsum dolor sit amet consectetur adipiscing elit sed do eiusmod tempor incididunt ut labore et dolore magna aliqua "
 
-func fillerText(n int) string {
-	if n <= 0 {
-		return ""
+// appendFillerText appends n bytes of repeated loremChunk to dst.
+func appendFillerText(dst []byte, n int) []byte {
+	for ; n >= len(loremChunk); n -= len(loremChunk) {
+		dst = append(dst, loremChunk...)
 	}
-	var b strings.Builder
-	for b.Len() < n {
-		b.WriteString(loremChunk)
+	if n > 0 {
+		dst = append(dst, loremChunk[:n]...)
 	}
-	return b.String()[:n]
-}
-
-func fillerBytes(n int, fill byte) []byte {
-	if n <= 0 {
-		return nil
-	}
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = fill
-	}
-	return buf
+	return dst
 }
