@@ -67,9 +67,11 @@ func main() {
 	run("staged", func() string { return experiments.Staged(scale).Format() })
 	run("online", func() string { return experiments.OnlineLoop(scale).Format() })
 	run("baselines", func() string { return experiments.BaselineComparison(scale).Format() })
-	// The overload and fleet experiments stand up live servers and
-	// replication goroutines, so they only run when named explicitly —
-	// "-exp all" stays a quick, deterministic artifact regeneration.
+	// The overload and fleet experiments are not paper artifacts: they run
+	// only when named explicitly, and "-exp all" stays the regeneration of
+	// the paper's tables and figures. Both are deterministic — each runs on
+	// one virtual clock and prints the same report for the same seed, wall
+	// measurements aside.
 	explicit := func(name string) bool {
 		for _, s := range selected {
 			if s == name {
@@ -78,7 +80,8 @@ func main() {
 		}
 		return false
 	}
-	// Overload: a reverse proxy and a chaos origin on localhost, flooded.
+	// Overload: a reverse proxy and a chaos origin on two loopback listeners,
+	// flooded by a single driver.
 	if explicit("overload") {
 		ran++
 		start := time.Now()

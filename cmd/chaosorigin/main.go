@@ -37,7 +37,7 @@ func main() {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		fmt.Fprintf(w, "<html><head><title>chaos origin</title></head>"+
 			"<body><h1>ok</h1><p>path %s</p></body></html>", r.URL.Path)
-	}))
+	}), nil)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc(*control, origin.Control())

@@ -1,9 +1,10 @@
 // Package chaos is the fault-injection harness for overload and
 // origin-failure experiments: it wraps an origin handler with switchable
-// latency spikes, 5xx bursts and connection resets, and skews a clock under
-// the detection engine — the failure modes the overload-resilience machinery (admission control, circuit breaker,
-// memory budget) exists to absorb. Every fault is driven by atomics so a
-// bench or test can flip failure modes while requests are in flight.
+// latency spikes, 5xx bursts and connection resets — the failure modes the
+// overload-resilience machinery (admission control, circuit breaker, memory
+// budget) exists to absorb. Every fault is driven by atomics so a bench or
+// test can flip failure modes while requests are in flight. A clock stepping
+// under the engine needs no harness: advance the clock.Virtual it runs on.
 package chaos
 
 import (
@@ -20,6 +21,7 @@ import (
 // NewOrigin) is transparent: no latency, no failures.
 type Origin struct {
 	inner http.Handler
+	clk   clock.Clock // what injected latency waits on
 
 	latencyNanos   atomic.Int64 // added before every response
 	failStatus     atomic.Int32 // status to fail with while failRemaining > 0
@@ -31,9 +33,13 @@ type Origin struct {
 	reset  atomic.Int64
 }
 
-// NewOrigin wraps inner with the fault switchboard.
-func NewOrigin(inner http.Handler) *Origin {
-	return &Origin{inner: inner}
+// NewOrigin wraps inner with the fault switchboard. Injected latency passes
+// on clk; a nil clk uses the wall clock.
+func NewOrigin(inner http.Handler, clk clock.Clock) *Origin {
+	if clk == nil {
+		clk = clock.System
+	}
+	return &Origin{inner: inner, clk: clk}
 }
 
 // SetLatency adds d of synthetic origin latency to every subsequent request
@@ -85,7 +91,9 @@ func takeBudget(c *atomic.Int64) bool {
 // ServeHTTP implements http.Handler.
 func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if d := o.latencyNanos.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
+		if o.clk.Sleep(r.Context(), time.Duration(d)) != nil {
+			return // the caller hung up mid-spike: nobody is left to answer
+		}
 	}
 	if takeBudget(&o.failRemaining) {
 		o.failed.Add(1)
@@ -144,27 +152,3 @@ func (o *Origin) Control() http.HandlerFunc {
 		fmt.Fprintf(w, "served=%d failed=%d reset=%d\n", o.Served(), o.Failed(), o.Reset())
 	}
 }
-
-// Skewed is a clock.Clock whose offset can jump while components read it —
-// the "NTP step under load" fault. Components sharing a Skewed clock see the
-// skew simultaneously, which is how a real step lands on one host.
-type Skewed struct {
-	base        clock.Clock
-	offsetNanos atomic.Int64
-}
-
-// NewSkewed wraps base (nil = wall clock) with an adjustable offset.
-func NewSkewed(base clock.Clock) *Skewed {
-	if base == nil {
-		base = clock.System
-	}
-	return &Skewed{base: base}
-}
-
-// Now implements clock.Clock.
-func (s *Skewed) Now() time.Time {
-	return s.base.Now().Add(time.Duration(s.offsetNanos.Load()))
-}
-
-// Skew jumps the clock by d relative to the base clock (cumulative).
-func (s *Skewed) Skew(d time.Duration) { s.offsetNanos.Add(int64(d)) }

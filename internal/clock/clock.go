@@ -6,18 +6,31 @@
 // The virtual clock also provides a simple discrete-event scheduler used by
 // the workload driver to interleave thousands of agents without real
 // sleeping.
+//
+// Waiting goes through the clock too. Real.Sleep blocks on a timer or the
+// caller's context, whichever ends first. Virtual.Sleep does not block: a
+// virtual clock serves single-driver simulations, where nobody else would
+// move the time a sleeper is waiting for — the sleeper's wait is the passage
+// of time — so it advances the clock by the duration and returns. Code that
+// backs off, throttles or injects latency through its Clock therefore runs
+// on the wall in a live proxy and on arithmetic in a simulation, unchanged.
 package clock
 
 import (
 	"container/heap"
+	"context"
 	"sync"
 	"time"
 )
 
-// Clock supplies the current time to time-dependent components.
+// Clock supplies the current time to time-dependent components, and is what
+// they wait on.
 type Clock interface {
 	// Now returns the current time according to this clock.
 	Now() time.Time
+	// Sleep lets d pass on this clock. It returns early with ctx's error when
+	// ctx ends first, nil otherwise.
+	Sleep(ctx context.Context, d time.Duration) error
 }
 
 // Real is a Clock backed by the system wall clock.
@@ -25,6 +38,18 @@ type Real struct{}
 
 // Now implements Clock.
 func (Real) Now() time.Time { return time.Now() }
+
+// Sleep implements Clock: it blocks for d or until ctx ends.
+func (Real) Sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
 
 // System is a shared wall-clock instance for convenience.
 var System Clock = Real{}
@@ -53,6 +78,16 @@ func (v *Virtual) Now() time.Time {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.now
+}
+
+// Sleep implements Clock: unless ctx has already ended it advances the clock
+// by d (see the package doc) without running scheduled events.
+func (v *Virtual) Sleep(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	v.Advance(d)
+	return nil
 }
 
 // Advance moves the clock forward by d without running scheduled events.

@@ -1,9 +1,41 @@
 package clock
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 )
+
+// TestSleep pins what waiting means on each clock: the wall clock blocks for
+// the duration or until the context ends, the virtual clock moves itself by
+// the duration, and neither lets time pass for a caller who already gave up.
+func TestSleep(t *testing.T) {
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	if err := System.Sleep(context.Background(), time.Nanosecond); err != nil {
+		t.Fatalf("Real.Sleep(1ns) = %v, want nil", err)
+	}
+	if err := System.Sleep(gone, time.Hour); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Real.Sleep on a cancelled context = %v, want context.Canceled", err)
+	}
+
+	v := NewVirtual(time.Time{})
+	start := v.Now()
+	if err := v.Sleep(context.Background(), 3*time.Second); err != nil {
+		t.Fatalf("Virtual.Sleep = %v, want nil", err)
+	}
+	if got := v.Now().Sub(start); got != 3*time.Second {
+		t.Fatalf("Virtual.Sleep(3s) moved the clock by %v", got)
+	}
+	if err := v.Sleep(gone, time.Hour); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Virtual.Sleep on a cancelled context = %v, want context.Canceled", err)
+	}
+	if got := v.Now().Sub(start); got != 3*time.Second {
+		t.Fatalf("a cancelled Virtual.Sleep moved the clock to +%v", got)
+	}
+}
 
 func TestRealClockProgresses(t *testing.T) {
 	a := System.Now()

@@ -535,26 +535,37 @@ func (e *Engine) StartRotator(interval time.Duration, everyPages int64) (stop fu
 	if everyPages > 0 && (interval <= 0 || interval > time.Second) {
 		poll = time.Second
 	}
+	return every(poll, e.rotatorStep(poll, interval, everyPages))
+}
+
+// rotatorStep is the rotator as a function of its ticks, poll apart: the
+// first tick dates the rotator's start one poll before itself, and every
+// later decision compares tick times only.
+func (e *Engine) rotatorStep(poll, interval time.Duration, everyPages int64) func(tick time.Time) {
 	lastPages := e.stats.pagesInstrumented.Load()
-	lastRotate := time.Now()
-	return every(poll, func() {
-		rotate := interval > 0 && time.Since(lastRotate) >= interval
+	var lastRotate time.Time
+	return func(tick time.Time) {
+		if lastRotate.IsZero() {
+			lastRotate = tick.Add(-poll)
+		}
+		rotate := interval > 0 && tick.Sub(lastRotate) >= interval
 		if !rotate && everyPages > 0 {
 			rotate = e.stats.pagesInstrumented.Load()-lastPages >= everyPages
 		}
 		if rotate {
 			e.RotateScripts()
 			lastPages = e.stats.pagesInstrumented.Load()
-			lastRotate = time.Now()
+			lastRotate = tick
 		}
-	})
+	}
 }
 
-// every runs fn on its own goroutine once per interval until the returned
-// stop function is called; stop returns once the goroutine has exited (so no
-// call of fn is in flight afterwards) and may be called more than once. It is
-// the loop behind the rotator, the trainer and the sweeper.
-func every(interval time.Duration, fn func()) (stop func()) {
+// every runs step on its own goroutine once per interval, handing it the
+// tick's time, until the returned stop function is called; stop returns once
+// the goroutine has exited (so no call of step is in flight afterwards) and
+// may be called more than once. It is the loop behind the rotator, the
+// trainer and the sweeper, and the only timer they have.
+func every(interval time.Duration, step func(tick time.Time)) (stop func()) {
 	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(exited)
@@ -564,8 +575,8 @@ func every(interval time.Duration, fn func()) (stop func()) {
 			select {
 			case <-done:
 				return
-			case <-ticker.C:
-				fn()
+			case tick := <-ticker.C:
+				step(tick)
 			}
 		}
 	}()
@@ -1068,11 +1079,17 @@ func (e *Engine) StartTrainer(interval time.Duration, minNew int, cfg adaboost.C
 	if interval <= 0 {
 		interval = time.Minute
 	}
+	return every(interval, e.trainerStep(minNew, cfg))
+}
+
+// trainerStep is one check of the online training loop; when it runs is the
+// caller's business, so it ignores the tick's time.
+func (e *Engine) trainerStep(minNew int, cfg adaboost.Config) func(time.Time) {
 	if minNew <= 0 {
 		minNew = 64
 	}
 	var trainedAt int64
-	return every(interval, func() {
+	return func(time.Time) {
 		if e.outcomes == nil {
 			return
 		}
@@ -1083,7 +1100,7 @@ func (e *Engine) StartTrainer(interval time.Duration, minNew int, cfg adaboost.C
 		if _, err := e.RetrainFromOutcomes(cfg); err == nil {
 			trainedAt = total
 		}
-	})
+	}
 }
 
 // Sessions returns snapshots of all active sessions, gathered shard by
@@ -1136,7 +1153,7 @@ func (e *Engine) SweepStep(now time.Time) int {
 // session outlives its timeout by at most a quarter of it — and never under
 // a second. Session times come from the configured Clock.
 func (e *Engine) StartSweeper() (stop func()) {
-	return every(e.sweepInterval(), func() { e.SweepStep(e.cfg.Clock.Now()) })
+	return every(e.sweepInterval(), func(time.Time) { e.SweepStep(e.cfg.Clock.Now()) })
 }
 
 func (e *Engine) sweepInterval() time.Duration {

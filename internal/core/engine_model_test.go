@@ -184,26 +184,29 @@ func TestClassifySteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTrainerLoopRetrainsAndSwaps drives StartTrainer with real outcomes and
-// waits for it to publish a model.
+// TestTrainerLoopRetrainsAndSwaps steps the trainer over real outcomes: too
+// few new outcomes leave the model alone, enough publish one.
 func TestTrainerLoopRetrainsAndSwaps(t *testing.T) {
 	d := New(Config{Seed: 77})
-	for i := 0; i < 40; i++ {
-		var v features.Vector
-		if i%2 == 0 {
-			v[features.ReferrerPct] = 0.8
-		} else {
-			v[features.HTMLPct] = 0.9
+	step := d.trainerStep(10, adaboost.Config{Rounds: 8})
+	record := func(from, to int) {
+		for i := from; i < to; i++ {
+			var v features.Vector
+			if i%2 == 0 {
+				v[features.ReferrerPct] = 0.8
+			} else {
+				v[features.HTMLPct] = 0.9
+			}
+			d.RecordOutcomeVector(v, i%2 == 0)
 		}
-		d.RecordOutcomeVector(v, i%2 == 0)
 	}
-	stop := d.StartTrainer(time.Millisecond, 10, adaboost.Config{Rounds: 8})
-	defer stop()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Model() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	record(0, 8)
+	step(time.Time{})
+	if d.Model() != nil {
+		t.Fatal("trainer published a model on 8 outcomes, under its minimum of 10")
 	}
+	record(8, 40)
+	step(time.Time{})
 	if d.Model() == nil {
 		t.Fatal("trainer never published a model")
 	}

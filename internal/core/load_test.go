@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,6 +49,74 @@ func TestNextLoadStateHysteresis(t *testing.T) {
 		if got := nextLoadState(c.prev, c.occ, pres, sat, hyst); got != c.want {
 			t.Errorf("nextLoadState(%v, %.2f) = %v, want %v", c.prev, c.occ, got, c.want)
 		}
+	}
+}
+
+// loadStepViolation checks one transition of the load ladder, at the engine's
+// thresholds, against its written invariants and names the one it breaks.
+func loadStepViolation(prev LoadState, occ float64, next LoadState) string {
+	raisedAt := [...]float64{LoadPressured: pressuredAt, LoadSaturated: saturatedAt}
+	if next > prev && occ < raisedAt[next] {
+		return fmt.Sprintf("rose to %v under its threshold", next)
+	}
+	// A state is left only a full hysteresis band under the threshold that
+	// raised it — every state on the way down, so Saturated reaches Normal in
+	// one step only when occupancy is under both bands.
+	for s := prev; s > next; s-- {
+		if occ >= raisedAt[s]-loadHysteresis {
+			return fmt.Sprintf("left %v inside its hysteresis band", s)
+		}
+	}
+	for s := LoadSaturated; s > next; s-- {
+		if occ >= raisedAt[s] {
+			return fmt.Sprintf("stayed under %v at or above its threshold", s)
+		}
+	}
+	if next > LoadNormal && next <= prev && occ < raisedAt[next]-loadHysteresis {
+		return fmt.Sprintf("held %v a full band under its threshold", next)
+	}
+	if again := nextLoadState(next, occ, pressuredAt, saturatedAt, loadHysteresis); again != next {
+		return fmt.Sprintf("constant occupancy moved on to %v: not a fixed point after one step", again)
+	}
+	return ""
+}
+
+// TestNextLoadStateEnumerated is the exhaustive small-scope check of the
+// ladder: every occupancy sequence to depth 6 over a grid that brackets both
+// thresholds and both hysteresis edges, from every starting state, with
+// loadStepViolation applied to each step. A failure prints the sequence as a
+// slice literal to paste into TestNextLoadStateHysteresis's neighbourhood.
+func TestNextLoadStateEnumerated(t *testing.T) {
+	const depth = 6
+	grid := []float64{0}
+	for _, edge := range []float64{pressuredAt - loadHysteresis, pressuredAt, saturatedAt - loadHysteresis, saturatedAt} {
+		grid = append(grid, math.Nextafter(edge, 0), edge)
+	}
+	grid = append(grid, 1.2)
+
+	seq := make([]float64, 0, depth)
+	var walk func(start, cur LoadState)
+	walk = func(start, cur LoadState) {
+		if len(seq) == depth {
+			return
+		}
+		for _, occ := range grid {
+			next := nextLoadState(cur, occ, pressuredAt, saturatedAt, loadHysteresis)
+			seq = append(seq, occ)
+			if why := loadStepViolation(cur, occ, next); why != "" {
+				lits := make([]string, len(seq))
+				for i, o := range seq {
+					lits[i] = fmt.Sprintf("%v", o)
+				}
+				t.Fatalf("%v -> %v at occupancy %v: %s\nfrom %v: []float64{%s}",
+					cur, next, occ, why, start, strings.Join(lits, ", "))
+			}
+			walk(start, next)
+			seq = seq[:len(seq)-1]
+		}
+	}
+	for _, start := range []LoadState{LoadNormal, LoadPressured, LoadSaturated} {
+		walk(start, start)
 	}
 }
 

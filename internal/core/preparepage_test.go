@@ -29,23 +29,72 @@ func TestPreparePageZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStartRotator exercises both rotation triggers.
+// TestStartRotator exercises both rotation triggers on chosen tick times:
+// the interval counts from one poll before the first tick, a page-count
+// rotation restarts it, and neither fires early.
 func TestStartRotator(t *testing.T) {
 	e := New(Config{Seed: 29})
-	before := e.Telemetry().ScriptRotations.Value()
-	stop := e.StartRotator(5*time.Millisecond, 0)
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Telemetry().ScriptRotations.Value() == before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	rotations := func() int64 { return e.Telemetry().ScriptRotations.Value() }
+	t0 := time.Date(2006, 1, 6, 0, 0, 0, 0, time.UTC)
+
+	// Interval only: the poll is the interval, so the first tick rotates.
+	step := e.rotatorStep(time.Minute, time.Minute, 0)
+	before := rotations()
+	step(t0)
+	step(t0.Add(30 * time.Second))
+	if got := rotations() - before; got != 1 {
+		t.Fatalf("after the first tick and half an interval: %d rotations, want 1", got)
 	}
-	stop()
-	stop() // idempotent
-	if e.Telemetry().ScriptRotations.Value() == before {
-		t.Fatal("interval rotator never rotated")
+	step(t0.Add(time.Minute))
+	if got := rotations() - before; got != 2 {
+		t.Fatalf("a full interval after the last rotation: %d rotations, want 2", got)
+	}
+
+	// Both triggers, polled every second against a one-minute interval.
+	step = e.rotatorStep(time.Second, time.Minute, 3)
+	before = rotations()
+	step(t0)
+	if got := rotations() - before; got != 0 {
+		t.Fatalf("first poll, no pages, a second into the interval: %d rotations, want 0", got)
+	}
+	var ps PageState
+	for i := 0; i < 3; i++ {
+		e.PreparePage("10.9.0.2", "Firefox/1.5", "/p.html", &ps)
+		e.RecordInstrumented(len(pageDoc), 1)
+	}
+	step(t0.Add(50 * time.Second))
+	if got := rotations() - before; got != 1 {
+		t.Fatalf("three pages instrumented: %d rotations, want 1", got)
+	}
+	step(t0.Add(70 * time.Second)) // a minute after the start, 20 s after the page-count rotation
+	if got := rotations() - before; got != 1 {
+		t.Fatalf("the page-count rotation did not restart the interval: %d rotations, want 1", got)
+	}
+	step(t0.Add(110 * time.Second))
+	if got := rotations() - before; got != 2 {
+		t.Fatalf("a full interval after the page-count rotation: %d rotations, want 2", got)
 	}
 
 	// The inert configuration must return a working no-op stop.
 	e.StartRotator(0, 0)()
+}
+
+// TestEvery checks the one loop behind the rotator, the trainer and the
+// sweeper: it ticks, hands the tick's time over, and stop is idempotent and
+// returns only once the loop has exited.
+func TestEvery(t *testing.T) {
+	ticks := make(chan time.Time, 1)
+	stop := every(time.Nanosecond, func(tick time.Time) {
+		select {
+		case ticks <- tick:
+		default:
+		}
+	})
+	if tick := <-ticks; tick.IsZero() {
+		t.Fatal("every handed its step a zero tick time")
+	}
+	stop()
+	stop()
 }
 
 // TestSweeperPassFitsIdleTimeout pins the sweeper's derived step: at every

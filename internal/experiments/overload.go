@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,27 +11,31 @@ import (
 	"net/url"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"botdetect/internal/agents"
 	"botdetect/internal/chaos"
+	"botdetect/internal/clock"
 	"botdetect/internal/core"
-	"botdetect/internal/jsgen"
+	"botdetect/internal/htmlmod"
 	"botdetect/internal/proxy"
 	"botdetect/internal/session"
 )
 
-// The size of the flash-crowd resilience run: it floods a deliberately small
-// engine with 2.5x its session capacity in a few seconds of wall clock.
+// The flash-crowd resilience run: a deliberately small engine flooded with
+// 2.5x its session capacity. One driver goroutine issues every request over
+// real loopback sockets, one at a time, and moves the engine's virtual clock
+// a fixed step before each, so the run is a schedule, not a race: the same
+// seed gives the same report.
 const (
 	// overloadMaxSessions is the engine's session-table capacity; kept small
 	// so the flood saturates it quickly.
 	overloadMaxSessions = 2048
+	// overloadShards fixes the shard count, which otherwise follows the
+	// machine's CPUs and would make the report differ between machines.
+	overloadShards = 8
 	// overloadMemoryBudget bounds the engine's estimated tracker+keystore
 	// bytes.
 	overloadMemoryBudget = 256 << 20
@@ -40,21 +45,33 @@ const (
 	// overloadFloodFactor is the flood size as a multiple of
 	// overloadMaxSessions.
 	overloadFloodFactor = 2.5
+	// overloadEstablishedEvery interleaves one established-cohort request
+	// per this many flood requests.
+	overloadEstablishedEvery = 4
+	// overloadStep is the virtual time between requests: a 10,000 req/s
+	// crowd. The whole run (~7,200 requests, a handful of retry backoffs) is
+	// then well under a second, inside overloadIdleTimeout, so no session of
+	// either cohort idles out before the recovery phase says so.
+	overloadStep        = 100 * time.Microsecond
+	overloadIdleTimeout = 1500 * time.Millisecond
+	// overloadCooldown is the breaker's: 2,000 requests are refused on the
+	// origin's behalf before the probe.
+	overloadCooldown = 200 * time.Millisecond
+	// overloadSettleYields bounds the wait for the servers' and transports'
+	// goroutines to exit after everything is closed.
+	overloadSettleYields = 1 << 20
 )
-
-// overloadWorkers is the number of concurrent flood goroutines: enough
-// concurrency to saturate admission without turning the run into a pure
-// scheduler-queueing measurement on small machines.
-func overloadWorkers() int { return min(max(2*runtime.GOMAXPROCS(0), 2), 16) }
 
 // OverloadResult is the flash-crowd report: a reverse proxy in front of a
 // chaos-wrapped origin is flooded with FloodFactor x MaxSessions brand-new
 // clients while previously established, evidence-bearing sessions keep
-// browsing; mid-flood the origin goes dark (503 burst) until the circuit
-// breaker trips, then heals. The run measures what the overload machinery
-// promises: bounded memory, zero evidence-bearing evictions, bounded latency
-// for established clients, breaker trip + recovery, and load-state recovery
-// after the crowd leaves.
+// browsing; a quarter of the way in the origin goes dark (503s) until the
+// circuit breaker trips, then heals. The run reports what the overload
+// machinery promises: bounded memory, zero evidence-bearing evictions, full
+// service for established clients whenever the origin can be reached, one
+// breaker trip, probe and recovery, and load-state recovery after the crowd
+// leaves. Every field but DurationSec and RSSBytes is exact: a function of
+// the seed.
 type OverloadResult struct {
 	MaxSessions  int     `json:"max_sessions"`
 	FloodClients int     `json:"flood_clients"`
@@ -81,12 +98,12 @@ type OverloadResult struct {
 	MemoryEstimateBytes int64 `json:"memory_estimate_bytes"`
 	RSSBytes            int64 `json:"rss_bytes"`
 
-	// Established-session latency, unpressured vs mid-flood.
-	BaselineP50Us  float64 `json:"baseline_p50_us"`
-	BaselineP99Us  float64 `json:"baseline_p99_us"`
-	PressuredP50Us float64 `json:"pressured_p50_us"`
-	PressuredP99Us float64 `json:"pressured_p99_us"`
-	P99Ratio       float64 `json:"pressured_p99_over_baseline"`
+	// The established cohort during the flood. Every request is either
+	// served (an instrumented 200) or refused while the origin was dark or
+	// the breaker not closed; the two must sum to the requests.
+	EstablishedRequests int64 `json:"established_requests"`
+	EstablishedServed   int64 `json:"established_served"`
+	EstablishedRefused  int64 `json:"established_refused_in_outage"`
 
 	// Origin fault tolerance.
 	BreakerOpens         int64 `json:"breaker_opens"`
@@ -94,11 +111,12 @@ type OverloadResult struct {
 	BreakerRecoveries    int64 `json:"breaker_recoveries"`
 	BreakerShortCircuits int64 `json:"breaker_short_circuits"`
 
-	// Recovery after the crowd leaves (includes a +idle-timeout clock skew,
-	// the chaos harness's "NTP step" fault, so idle expiry fires at once).
-	RecoverySec     float64 `json:"recovery_sec"`
-	FinalLoadState  string  `json:"final_load_state"`
-	GoroutinesDelta int     `json:"goroutines_delta"`
+	// Recovery after the crowd leaves: the clock steps past the idle timeout
+	// and the sweeper runs until the ladder is back to normal, for at most
+	// two passes over the shards.
+	RecoverySweeps  int    `json:"recovery_sweeps"`
+	FinalLoadState  string `json:"final_load_state"`
+	GoroutinesDelta int    `json:"goroutines_delta"`
 }
 
 // OverloadBench runs the flash-crowd workload against a live localhost
@@ -107,20 +125,17 @@ func OverloadBench(seed uint64) OverloadResult {
 	if seed == 0 {
 		seed = DefaultScale().Seed
 	}
-	workers := overloadWorkers()
-	const idleTimeout = 1500 * time.Millisecond
-
 	goroutinesBefore := runtime.NumGoroutine()
+	start := time.Now()
 
-	// The engine reads a skewable clock so the recovery phase can inject the
-	// clock-step fault instead of sleeping through the idle timeout.
-	skew := chaos.NewSkewed(nil)
+	vc := clock.NewVirtual(time.Time{})
 	det := core.New(core.Config{
 		Seed:               seed,
-		Clock:              skew,
+		Clock:              vc,
+		Shards:             overloadShards,
 		MaxSessions:        overloadMaxSessions,
 		MemoryBudget:       overloadMemoryBudget,
-		SessionIdleTimeout: idleTimeout,
+		SessionIdleTimeout: overloadIdleTimeout,
 		ObfuscateJS:        true,
 	})
 
@@ -128,17 +143,16 @@ func OverloadBench(seed uint64) OverloadResult {
 	origin := chaos.NewOrigin(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header()["Content-Type"] = serveOriginCT
 		_, _ = w.Write(serveOriginPage)
-	}))
+	}), vc)
 	originLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return OverloadResult{}
 	}
 	originSrv := &http.Server{Handler: origin}
 	go func() { _ = originSrv.Serve(originLn) }()
-	defer originSrv.Close()
+	defer originSrv.Close() // for the early return below; the run's end closes it first
 
-	upstreamURL := &url.URL{Scheme: "http", Host: originLn.Addr().String()}
-	mw := proxy.NewReverseProxy(upstreamURL, proxy.Config{
+	mw := proxy.NewReverseProxy(&url.URL{Scheme: "http", Host: originLn.Addr().String()}, proxy.Config{
 		Engine:            det,
 		TrustForwardedFor: true,
 		Upstream: proxy.UpstreamConfig{
@@ -148,7 +162,7 @@ func OverloadBench(seed uint64) OverloadResult {
 			Retries:               1,
 			RetryBackoff:          5 * time.Millisecond,
 			BreakerFailures:       5,
-			BreakerCooldown:       200 * time.Millisecond,
+			BreakerCooldown:       overloadCooldown,
 		},
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -157,228 +171,129 @@ func OverloadBench(seed uint64) OverloadResult {
 	}
 	srv := &http.Server{Handler: mw, ConnContext: proxy.ConnContext}
 	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
 	base := "http://" + ln.Addr().String()
 
-	transport := &http.Transport{
-		MaxIdleConns:        workers * 2,
-		MaxIdleConnsPerHost: workers * 2,
-	}
-	defer transport.CloseIdleConnections()
+	transport := &http.Transport{}
 	client := &http.Client{Transport: transport}
-	// The established cohort measures the proxy, not the flood's client-side
-	// connection queue, so it keeps its own keep-alive connections.
-	estTransport := &http.Transport{MaxIdleConns: 4, MaxIdleConnsPerHost: 4}
-	defer estTransport.CloseIdleConnections()
-	estClient := &http.Client{Transport: estTransport}
 
-	var requests, errors atomic.Int64
-	fetchWith := func(c *http.Client, ip string, page int) (time.Duration, bool) {
-		t0 := time.Now()
-		err := serveOnePage(c, base, ip, page)
-		d := time.Since(t0)
-		requests.Add(1)
-		if err != nil {
-			errors.Add(1)
-			return d, false
+	floodClients := int(overloadFloodFactor * float64(overloadMaxSessions))
+	res := OverloadResult{
+		MaxSessions:       overloadMaxSessions,
+		FloodClients:      floodClients,
+		Established:       overloadEstablished,
+		MemoryBudgetBytes: overloadMemoryBudget,
+	}
+	// get issues one request as the given client, a step of virtual time
+	// after the one before it. Anything but a 200 counts as an error.
+	get := func(ip, ua, path string) (status int, body []byte) {
+		vc.Advance(overloadStep)
+		res.Requests++
+		if status, body = fetch(client, base+path, ip, ua); status != http.StatusOK {
+			res.Errors++
 		}
-		return d, true
+		return status, body
 	}
-	fetch := func(ip string, page int) (time.Duration, bool) { return fetchWith(client, ip, page) }
+	page := func(n int) string { return "/page" + strconv.Itoa(n%8) + ".html" }
 
-	start := time.Now()
-
-	// Phase 1: establish evidence-bearing sessions. Each client views a page
-	// over HTTP, then its instrumentation key is exercised through the
-	// engine's own beacon path (a real-key hit: the strongest human
-	// evidence), so the flood later faces sessions the tracker must protect.
-	prefix := det.Config().BeaconPrefix
+	// Phase 1: establish evidence-bearing sessions the way a browser does —
+	// view a page, download its script, fire the input-event beacon the
+	// script names (a real-key hit: the strongest human evidence) — so the
+	// flood later faces sessions the tracker must protect.
 	estIP := func(i int) string { return "10.200." + strconv.Itoa(i/250) + "." + strconv.Itoa(i%250) }
-	const estUA = "Mozilla/5.0 (established)"
-	var ps core.PageState
+	const estUA, floodUA = "Mozilla/5.0 (established)", "Mozilla/5.0 (bench)"
 	for i := 0; i < overloadEstablished; i++ {
-		ip := estIP(i)
-		fetchWith(estClient, ip, i)
-		det.PreparePage(ip, estUA, "/page.html", &ps)
-		pk := ps.Keys()
-		// The page's key exists once its script is downloaded, and the script
-		// is the only place to read it.
-		script, _ := det.HandleBeacon(ip, estUA, jsgen.ScriptPath(prefix, pk.KeyString(pk.ScriptToken)))
-		beacon := agents.HandlerBeaconURL(string(script.Body), "__bd_f")
-		script.Done()
-		det.HandleBeacon(ip, estUA, beacon)
-	}
-
-	// Baseline latency for established clients, unpressured.
-	baseline := make([]float64, 0, 4*overloadEstablished)
-	for i := 0; i < 4*overloadEstablished; i++ {
-		if d, ok := fetchWith(estClient, estIP(i%overloadEstablished), i); ok {
-			baseline = append(baseline, float64(d.Nanoseconds())/1e3)
+		_, doc := get(estIP(i), estUA, page(i))
+		for _, src := range htmlmod.Extract(doc).Scripts {
+			_, script := get(estIP(i), estUA, src)
+			if beacon := agents.HandlerBeaconURL(string(script), "__bd_f"); beacon != "" {
+				get(estIP(i), estUA, beacon)
+			}
 		}
 	}
 
 	// Phase 2: the flash crowd — FloodFactor x MaxSessions distinct brand-new
-	// clients — while the established cohort keeps browsing and measuring,
-	// and the origin goes dark mid-flood until the breaker trips, then heals.
-	floodClients := int(overloadFloodFactor * float64(overloadMaxSessions))
-	var (
-		next      atomic.Int64
-		floodWG   sync.WaitGroup
-		floodDone = make(chan struct{})
-	)
-	for w := 0; w < workers; w++ {
-		floodWG.Add(1)
-		go func() {
-			defer floodWG.Done()
-			var ipBuf [32]byte
-			for {
-				id := next.Add(1) - 1
-				if id >= int64(floodClients) {
-					return
-				}
-				ip := appendClientIP(ipBuf[:0], uint32(id))
-				fetch(string(ip), int(id))
-			}
-		}()
-	}
-
-	// Outage driver: wait for the flood to be in full swing, kill the origin
-	// until the breaker opens, heal, and confirm a half-open probe closes it.
-	outageDone := make(chan struct{})
+	// clients, with the established cohort browsing in between. A quarter of
+	// the way in the origin goes dark; it heals the moment a request finds
+	// the breaker open on it, and from there the cooldown, the probe and the
+	// recovery are arithmetic on the clock.
 	br := mw.Breaker()
-	go func() {
-		defer close(outageDone)
-		time.Sleep(50 * time.Millisecond)
-		origin.FailWith(http.StatusServiceUnavailable, -1)
-		waitUntil(2*time.Second, func() bool { return br.State() == proxy.BreakerOpen })
-		origin.Heal()
-		waitUntil(2*time.Second, func() bool { return br.State() == proxy.BreakerClosed })
-	}()
-
-	// Established cohort keeps measuring under pressure until the flood and
-	// the outage cycle both complete (its traffic also provides the breaker's
-	// half-open probe if the flood drains first).
-	pressured := make([]float64, 0, 4096)
-	peakSessions := 0
-	peakState := core.LoadNormal
-	go func() {
-		floodWG.Wait()
-		close(floodDone)
-	}()
-	for i := 0; ; i++ {
-		if d, ok := fetchWith(estClient, estIP(i%overloadEstablished), i); ok {
-			pressured = append(pressured, float64(d.Nanoseconds())/1e3)
+	dark := false
+	// outage prepares the next request: it reports whether that request may
+	// be refused for the origin's sake.
+	outage := func() bool {
+		if dark && br.State() == proxy.BreakerOpen {
+			origin.Heal()
+			dark = false
 		}
-		if n := det.SessionCount(); n > peakSessions {
-			peakSessions = n
-		}
-		if s := det.LoadState(); s > peakState {
-			peakState = s
-		}
-		select {
-		case <-floodDone:
-			select {
-			case <-outageDone:
-			default:
-				continue
-			}
-		default:
-			continue
-		}
-		break
+		return dark || br.State() != proxy.BreakerClosed
 	}
+	prefix := []byte(det.Config().BeaconPrefix + "/")
+	peakState := core.LoadNormal
+	var ipBuf [32]byte
+	for id := 0; id < floodClients; id++ {
+		if id == floodClients/4 {
+			origin.FailWith(http.StatusServiceUnavailable, -1)
+			dark = true
+		}
+		outage()
+		get(string(appendClientIP(ipBuf[:0], uint32(id))), floodUA, page(id))
+		res.LiveSessionsPeak = max(res.LiveSessionsPeak, det.SessionCount())
+		peakState = max(peakState, det.LoadState())
+
+		if id%overloadEstablishedEvery == overloadEstablishedEvery-1 {
+			n := int(res.EstablishedRequests)
+			refusable := outage()
+			status, doc := get(estIP(n%overloadEstablished), estUA, page(n))
+			res.EstablishedRequests++
+			switch {
+			case status == http.StatusOK && bytes.Contains(doc, prefix):
+				res.EstablishedServed++
+			case refusable:
+				res.EstablishedRefused++
+			}
+		}
+	}
+	res.PeakLoadState = peakState.String()
 
 	// Survival census before recovery: every established session must still
 	// be tracked and still carry its evidence.
-	survived := 0
 	for i := 0; i < overloadEstablished; i++ {
 		if snap, _, ok := det.Decide(session.Key{IP: estIP(i), UserAgent: estUA}); ok {
 			if snap.Signals.Any() {
-				survived++
+				res.EstablishedSurvived++
 			}
 			snap.Release()
 		}
 	}
+	ev, stats, brStats := det.EvictionStats(), det.Stats(), br.Stats()
+	res.ShedPassThrough, res.ShedDegraded = stats.ShedPassThrough, stats.ShedDegraded
+	res.EvictedIdle, res.EvictedCapacityAnonymous, res.EvictedCapacityEvidence = ev.Idle, ev.CapacityAnonymous, ev.CapacityEvidence
+	res.BreakerOpens, res.BreakerProbes, res.BreakerRecoveries, res.BreakerShortCircuits =
+		brStats.Opens, brStats.Probes, brStats.Recoveries, brStats.ShortCircuits
+	res.MemoryEstimateBytes = det.MemoryEstimate()
+	res.RSSBytes = readRSS()
 
-	evBefore := det.EvictionStats()
-	stats := det.Stats()
-	memEstimate := det.MemoryEstimate()
-	rss := readRSS()
-
-	// Phase 3: recovery. The crowd leaves; a clock-skew fault steps time past
-	// the idle timeout (chaos.Skewed — recovery must survive an NTP jump, not
-	// depend on a quiet wall clock), and the sweeper drains the flood's
-	// anonymous sessions until the ladder returns to Normal.
-	recoverStart := time.Now()
-	skew.Skew(idleTimeout + 100*time.Millisecond)
-	finalState := det.LoadState()
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
-		det.SweepStep(skew.Now())
-		finalState = det.RecomputeLoadState()
-		if finalState == core.LoadNormal {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Phase 3: recovery. The crowd leaves; the clock steps past the idle
+	// timeout — which is also the NTP-step fault: recovery must not depend on
+	// time arriving smoothly — and the sweeper drains the table shard by
+	// shard until the ladder is back to normal.
+	vc.Advance(overloadIdleTimeout + overloadStep)
+	for det.LoadState() != core.LoadNormal && res.RecoverySweeps < 2*det.ShardCount() {
+		det.SweepStep(vc.Now())
+		res.RecoverySweeps++
 	}
-	recovery := time.Since(recoverStart)
-	elapsed := time.Since(start)
+	res.FinalLoadState = det.LoadState().String()
 
+	// Everything the run started has been told to stop; yield until it has.
+	transport.CloseIdleConnections()
 	srv.Close()
 	originSrv.Close()
-	transport.CloseIdleConnections()
-	time.Sleep(50 * time.Millisecond)
-	runtime.GC()
-	goroutinesAfter := runtime.NumGoroutine()
-
-	sort.Float64s(baseline)
-	sort.Float64s(pressured)
-	q := func(s []float64, p float64) float64 {
-		if len(s) == 0 {
-			return 0
-		}
-		return s[int(p*float64(len(s)-1))]
+	for i := 0; i < overloadSettleYields && runtime.NumGoroutine() > goroutinesBefore; i++ {
+		runtime.Gosched()
 	}
-	brStats := br.Stats()
-	out := OverloadResult{
-		MaxSessions:  overloadMaxSessions,
-		FloodClients: floodClients,
-		Established:  overloadEstablished,
-		Requests:     requests.Load(),
-		Errors:       errors.Load(),
-		DurationSec:  elapsed.Seconds(),
-
-		PeakLoadState:    peakState.String(),
-		ShedPassThrough:  stats.ShedPassThrough,
-		ShedDegraded:     stats.ShedDegraded,
-		LiveSessionsPeak: peakSessions,
-
-		EvictedIdle:              evBefore.Idle,
-		EvictedCapacityAnonymous: evBefore.CapacityAnonymous,
-		EvictedCapacityEvidence:  evBefore.CapacityEvidence,
-		EstablishedSurvived:      survived,
-
-		MemoryBudgetBytes:   overloadMemoryBudget,
-		MemoryEstimateBytes: memEstimate,
-		RSSBytes:            rss,
-
-		BaselineP50Us:  q(baseline, 0.50),
-		BaselineP99Us:  q(baseline, 0.99),
-		PressuredP50Us: q(pressured, 0.50),
-		PressuredP99Us: q(pressured, 0.99),
-
-		BreakerOpens:         brStats.Opens,
-		BreakerProbes:        brStats.Probes,
-		BreakerRecoveries:    brStats.Recoveries,
-		BreakerShortCircuits: brStats.ShortCircuits,
-
-		RecoverySec:     recovery.Seconds(),
-		FinalLoadState:  finalState.String(),
-		GoroutinesDelta: goroutinesAfter - goroutinesBefore,
-	}
-	if out.BaselineP99Us > 0 {
-		out.P99Ratio = out.PressuredP99Us / out.BaselineP99Us
-	}
-	return out
+	res.GoroutinesDelta = runtime.NumGoroutine() - goroutinesBefore
+	res.DurationSec = time.Since(start).Seconds()
+	return res
 }
 
 // serveOriginPage is the synthetic origin document; small enough that the
@@ -389,24 +304,22 @@ var serveOriginPage = []byte("<html><head><title>bench</title></head>" +
 
 var serveOriginCT = []string{"text/html; charset=utf-8"}
 
-// serveOnePage issues one instrumented page view as the given client.
-func serveOnePage(client *http.Client, base, ip string, page int) error {
-	req, err := http.NewRequest(http.MethodGet, base+"/page"+strconv.Itoa(page%8)+".html", nil)
+// fetch GETs url as the given client and returns the status and the body;
+// status 0 is a request that got no response.
+func fetch(client *http.Client, url, ip, ua string) (status int, body []byte) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
-		return err
+		return 0, nil
 	}
 	req.Header.Set("X-Forwarded-For", ip)
-	req.Header.Set("User-Agent", "Mozilla/5.0 (bench)")
+	req.Header.Set("User-Agent", ua)
 	resp, err := client.Do(req)
 	if err != nil {
-		return err
+		return 0, nil
 	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
+	defer resp.Body.Close()
+	body, _ = io.ReadAll(resp.Body) // a body cut short shows as a page without its markers
+	return resp.StatusCode, body
 }
 
 // appendClientIP renders the id as a distinct 10.x.y.z address.
@@ -446,18 +359,6 @@ func readRSS() int64 {
 	return 0
 }
 
-// waitUntil polls cond every millisecond until it holds or d elapses.
-func waitUntil(d time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return cond()
-}
-
 // JSON renders the result as indented JSON (the BENCH_overload.json artifact).
 func (r OverloadResult) JSON() []byte {
 	b, err := json.MarshalIndent(r, "", "  ")
@@ -481,13 +382,13 @@ func (r OverloadResult) Format() string {
 		r.EvictedIdle, r.EvictedCapacityAnonymous, r.EvictedCapacityEvidence)
 	fmt.Fprintf(&sb, "  established sessions:   %d/%d survived with evidence intact\n",
 		r.EstablishedSurvived, r.Established)
+	fmt.Fprintf(&sb, "  established requests:   %d under flood = %d served instrumented + %d refused during the outage\n",
+		r.EstablishedRequests, r.EstablishedServed, r.EstablishedRefused)
 	fmt.Fprintf(&sb, "  memory:                 estimate %.1f MiB of %.0f MiB budget, %.1f MiB RSS\n",
 		float64(r.MemoryEstimateBytes)/(1<<20), float64(r.MemoryBudgetBytes)/(1<<20), float64(r.RSSBytes)/(1<<20))
-	fmt.Fprintf(&sb, "  established latency:    p99 %.0fus -> %.0fus under flood (%.1fx)\n",
-		r.BaselineP99Us, r.PressuredP99Us, r.P99Ratio)
 	fmt.Fprintf(&sb, "  origin breaker:         opens=%d probes=%d recoveries=%d short-circuits=%d\n",
 		r.BreakerOpens, r.BreakerProbes, r.BreakerRecoveries, r.BreakerShortCircuits)
-	fmt.Fprintf(&sb, "  recovery:               %s after %.2fs (goroutine delta %+d)\n",
-		r.FinalLoadState, r.RecoverySec, r.GoroutinesDelta)
+	fmt.Fprintf(&sb, "  recovery:               %s after %d sweeps (goroutine delta %+d)\n",
+		r.FinalLoadState, r.RecoverySweeps, r.GoroutinesDelta)
 	return sb.String()
 }

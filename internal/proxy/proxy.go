@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"botdetect/internal/captcha"
+	"botdetect/internal/clock"
 	"botdetect/internal/core"
 	"botdetect/internal/htmlmod"
 	"botdetect/internal/logfmt"
@@ -58,10 +59,15 @@ type Config struct {
 // raw-text spans fit the cap streams regardless of total document size.
 const maxRewriteBytes = 2 << 20
 
+// throttleDelay is the constant service delay a throttled session pays per
+// request: the cheapest fair approximation without per-session queues.
+const throttleDelay = 10 * time.Millisecond
+
 // Middleware wraps an origin handler with detection and enforcement.
 type Middleware struct {
 	cfg    Config
 	origin http.Handler
+	clk    clock.Clock // the engine's: the throttle delay, the retry backoff and the breaker are on it
 
 	// breaker/upstream are set by NewReverseProxy; nil for in-process origins.
 	breaker  *Breaker
@@ -74,7 +80,7 @@ func New(origin http.Handler, cfg Config) *Middleware {
 	if cfg.Engine == nil {
 		panic("proxy: Config.Engine is required")
 	}
-	return &Middleware{cfg: cfg, origin: origin}
+	return &Middleware{cfg: cfg, origin: origin, clk: cfg.Engine.Config().Clock}
 }
 
 // Engine returns the wrapped detection engine.
@@ -129,10 +135,11 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				tel.ProxyRequest.ObserveSince(start)
 				return
 			case policy.Throttle:
-				// Throttling is implemented as a constant service delay, the
-				// cheapest fair approximation without per-session queues.
+				// A client that hangs up mid-delay skips the rest of it: the
+				// serve below fails fast on the dead context and still counts
+				// against the session.
 				tel.RequestsThrottled.Inc()
-				time.Sleep(10 * time.Millisecond)
+				_ = m.clk.Sleep(r.Context(), throttleDelay)
 			}
 		}
 	}
@@ -170,10 +177,10 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // observe counts a completed request into its session. The snapshot a plain
 // Observe returns would be discarded — the policy check reads its own — so
-// it records quietly.
+// it records quietly. Entry.Time stays zero: the tracker stamps the request
+// with the engine's clock, the one its sweeper expires sessions by.
 func (m *Middleware) observe(r *http.Request, clientIP, ua string, status int, bytes int64, contentType string) {
 	m.cfg.Engine.ObserveRequestQuiet(logfmt.Entry{
-		Time:        time.Now(),
 		ClientIP:    clientIP,
 		Method:      r.Method,
 		Path:        requestURI(r),

@@ -7,8 +7,10 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"botdetect/internal/captcha"
+	"botdetect/internal/clock"
 	"botdetect/internal/core"
 	"botdetect/internal/htmlmod"
 	"botdetect/internal/policy"
@@ -387,5 +389,27 @@ func TestChallengeInterstitialAndDeEscalation(t *testing.T) {
 	}
 	if v := det.Classify(key); v.Class != core.ClassHuman {
 		t.Fatalf("verdict = %+v", v)
+	}
+}
+
+// TestProxySessionsExpireOnEngineClock: the middleware stamps a request with
+// the engine's clock, so the session idles out on that clock — here a virtual
+// 2005, where a wall-clock stamp would sit two decades in the future and
+// never expire.
+func TestProxySessionsExpireOnEngineClock(t *testing.T) {
+	vc := clock.NewVirtual(time.Time{})
+	site := webmodel.Generate(webmodel.SiteConfig{Seed: 3, NumPages: 20})
+	det := core.New(core.Config{Seed: 9, Clock: vc})
+	mw := New(site.Handler(), Config{Engine: det})
+
+	if rec := doReq(t, mw, http.MethodGet, "/", "10.0.0.7", "Firefox/1.5", nil); rec.Code != http.StatusOK {
+		t.Fatalf("page view = %d", rec.Code)
+	}
+	if n := det.ExpireIdle(vc.Now()); n != 0 {
+		t.Fatalf("%d sessions expired with no time passed", n)
+	}
+	vc.Advance(det.Config().SessionIdleTimeout + time.Nanosecond)
+	if n := det.ExpireIdle(vc.Now()); n != 1 {
+		t.Fatalf("ExpireIdle ended %d sessions an idle timeout after the one page view, want 1", n)
 	}
 }

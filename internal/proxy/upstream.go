@@ -187,12 +187,16 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// Success records a healthy origin exchange, closing the breaker.
+// Success records a healthy origin exchange: it clears the failure streak
+// while closed and closes the breaker when it is the half-open probe's. A
+// success reported while open is a straggler — a retry or an exchange
+// admitted before the trip — and is dropped, as Failure drops them: the only
+// way from Open to Closed is the cooldown and the probe.
 func (b *Breaker) Success() {
 	for {
 		snap := b.cur.Load()
-		if snap.state == BreakerClosed && snap.fails == 0 {
-			return // steady-state fast path: no store, no contention
+		if snap.state == BreakerOpen || (snap.state == BreakerClosed && snap.fails == 0) {
+			return // a straggler, or the steady-state fast path: no store, no contention
 		}
 		if b.cur.CompareAndSwap(snap, breakerClosedSnap) {
 			if snap.state == BreakerHalfOpen {
@@ -208,20 +212,29 @@ func (b *Breaker) Success() {
 // immediately on a failed half-open probe. Failures reported while already
 // open (stragglers that were in flight when the breaker tripped) are
 // dropped so they cannot extend the cooldown.
-func (b *Breaker) Failure() {
+func (b *Breaker) Failure() { b.fail(true) }
+
+// abandoned records an exchange that ended with no verdict on the origin: the
+// client hung up. While closed that is neither a success nor a failure — or
+// any visitor could open the breaker for everyone by disconnecting from a
+// slow origin — but an abandoned half-open probe re-opens the breaker, so the
+// probe slot is never leaked.
+func (b *Breaker) abandoned() { b.fail(false) }
+
+func (b *Breaker) fail(originFault bool) {
 	for {
 		snap := b.cur.Load()
 		var next *breakerSnap
-		switch snap.state {
-		case BreakerClosed:
+		switch {
+		case snap.state == BreakerHalfOpen:
+			next = &breakerSnap{state: BreakerOpen, openedAt: b.clk.Now()}
+		case snap.state == BreakerClosed && originFault:
 			if snap.fails+1 >= b.threshold {
 				next = &breakerSnap{state: BreakerOpen, openedAt: b.clk.Now()}
 			} else {
 				next = &breakerSnap{state: BreakerClosed, fails: snap.fails + 1}
 			}
-		case BreakerHalfOpen:
-			next = &breakerSnap{state: BreakerOpen, openedAt: b.clk.Now()}
-		default: // already open
+		default: // already open, or nothing to hold against the origin
 			return
 		}
 		if b.cur.CompareAndSwap(snap, next) {
@@ -280,9 +293,10 @@ type upstreamTripper struct {
 	base http.RoundTripper
 	br   *Breaker
 	cfg  UpstreamConfig
+	clk  clock.Clock // what the retry backoff waits on
 
 	retries   atomic.Int64 // re-attempts after a failed idempotent exchange
-	failures  atomic.Int64 // exchanges that exhausted every attempt
+	failures  atomic.Int64 // exchanges the origin failed on every attempt
 	midstream atomic.Int64 // response bodies that died after headers
 }
 
@@ -303,14 +317,10 @@ func (t *upstreamTripper) RoundTrip(r *http.Request) (*http.Response, error) {
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			t.retries.Add(1)
-			select {
-			case <-r.Context().Done():
-				t.failures.Add(1)
-				t.br.Failure()
-				return nil, fmt.Errorf("upstream retry %d abandoned: %w", attempt, r.Context().Err())
-			case <-time.After(backoff):
+			if err = t.clk.Sleep(r.Context(), backoff); err != nil {
+				break // the request ended during the backoff: no retry is made
 			}
+			t.retries.Add(1)
 			backoff *= 2
 		}
 		resp, err = t.base.RoundTrip(r)
@@ -326,12 +336,16 @@ func (t *upstreamTripper) RoundTrip(r *http.Request) (*http.Response, error) {
 			resp.Body.Close()
 			resp = nil
 		}
-		if r.Context().Err() != nil {
-			break
-		}
 	}
-	t.failures.Add(1)
-	t.br.Failure()
+	// The request's context ends Canceled only when the client hangs up (a
+	// slow origin ends it DeadlineExceeded): that says nothing about the
+	// origin, whatever error the torn-down exchange came back with.
+	if errors.Is(r.Context().Err(), context.Canceled) {
+		t.br.abandoned()
+	} else {
+		t.failures.Add(1)
+		t.br.Failure()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("upstream round trip failed after %d attempt(s): %w", attempts, err)
 	}
@@ -412,12 +426,9 @@ func (dh deadlineHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // load per request instead of a dial timeout — detection keeps running
 // against the branded 503s.
 func NewReverseProxy(upstream *url.URL, cfg Config) *Middleware {
+	m := New(nil, cfg) // the origin handler is the reverse proxy built below
 	ucfg := cfg.Upstream.withDefaults()
-	var clk clock.Clock
-	if cfg.Engine != nil {
-		clk = cfg.Engine.Config().Clock
-	}
-	br := NewBreaker(ucfg.BreakerFailures, ucfg.BreakerCooldown, clk)
+	m.breaker = NewBreaker(ucfg.BreakerFailures, ucfg.BreakerCooldown, m.clk)
 	transport := &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
 		DialContext: (&net.Dialer{
@@ -428,17 +439,14 @@ func NewReverseProxy(upstream *url.URL, cfg Config) *Middleware {
 		IdleConnTimeout:       upstreamIdleConnTimeout,
 		MaxIdleConnsPerHost:   upstreamIdleConnsPerHost,
 	}
-	tripper := &upstreamTripper{base: transport, br: br, cfg: ucfg}
+	m.upstream = &upstreamTripper{base: transport, br: m.breaker, cfg: ucfg, clk: m.clk}
 	rp := httputil.NewSingleHostReverseProxy(upstream)
-	rp.Transport = tripper
-	var handler http.Handler = rp
-	if ucfg.RequestTimeout > 0 {
-		handler = deadlineHandler{h: rp, d: ucfg.RequestTimeout}
-	}
-	m := New(handler, cfg)
-	m.breaker = br
-	m.upstream = tripper
+	rp.Transport = m.upstream
 	rp.ErrorHandler = m.upstreamErrorHandler
+	m.origin = rp
+	if ucfg.RequestTimeout > 0 {
+		m.origin = deadlineHandler{h: rp, d: ucfg.RequestTimeout}
+	}
 	m.registerUpstreamTelemetry()
 	return m
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,13 +137,17 @@ func TestRetryAfterFloor(t *testing.T) {
 	}
 }
 
+// newTestTripper builds a tripper and its breaker on one fresh virtual clock
+// (tr.clk), so a retry's backoff costs the test no wall time.
 func newTestTripper(retries int, failures int) *upstreamTripper {
 	cfg := UpstreamConfig{Retries: retries, RetryBackoff: time.Millisecond,
 		BreakerFailures: failures, BreakerCooldown: time.Second}.withDefaults()
+	vc := clock.NewVirtual(time.Time{})
 	return &upstreamTripper{
 		base: http.DefaultTransport,
-		br:   NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown, nil),
+		br:   NewBreaker(cfg.BreakerFailures, cfg.BreakerCooldown, vc),
 		cfg:  cfg,
+		clk:  vc,
 	}
 }
 
@@ -237,6 +242,31 @@ func TestTripperExhaustedRetriesWrapsError(t *testing.T) {
 	}
 }
 
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestTripperRequestEndsBeforeRetry: a client that leaves between a 5xx and
+// its retry gets an error — the drained response is gone, and returning
+// neither a response nor an error breaks the RoundTripper contract — and no
+// retry is made or counted.
+func TestTripperRequestEndsBeforeRetry(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	tr := newTestTripper(1, 10)
+	tr.base = roundTripFunc(func(*http.Request) (*http.Response, error) {
+		cancel()
+		return &http.Response{StatusCode: http.StatusServiceUnavailable, Body: io.NopCloser(strings.NewReader("dark"))}, nil
+	})
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://origin.invalid/", nil)
+	resp, err := tr.RoundTrip(req)
+	if resp != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RoundTrip = %v, %v; want no response and context.Canceled", resp, err)
+	}
+	if tr.retries.Load() != 0 {
+		t.Fatalf("retries = %d for a retry that was never made", tr.retries.Load())
+	}
+}
+
 type resetReader struct{}
 
 func (resetReader) Read([]byte) (int, error) {
@@ -308,6 +338,91 @@ func TestUpstreamErrorHandlerMapping(t *testing.T) {
 	}
 }
 
+// TestClientHangUpIsNotAnOriginFailure: an exchange that ends because the
+// client disconnected says nothing about the origin. A threshold's worth of
+// hang-ups against a healthy, slow origin leaves the breaker closed with its
+// streak and the failure counter unmoved — or any visitor could black the
+// site out for a cooldown — while a slow origin (deadline) and origin 503s
+// still count, and an abandoned half-open probe gives its slot back by
+// re-opening.
+func TestClientHangUpIsNotAnOriginFailure(t *testing.T) {
+	const threshold = 3
+	var dark atomic.Bool
+	entered := make(chan struct{})
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dark.Load() {
+			http.Error(w, "dark", http.StatusServiceUnavailable)
+			return
+		}
+		entered <- struct{}{}
+		<-r.Context().Done() // healthy but slow: it answers nobody before they leave
+	}))
+	defer origin.Close()
+
+	tr := newTestTripper(-1, threshold)
+	// get runs one exchange on ctx; hangUp makes the client leave once the
+	// origin has the request.
+	get := func(ctx context.Context, hangUp context.CancelFunc) (int, error) {
+		if hangUp != nil {
+			go func() { <-entered; hangUp() }()
+		}
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, origin.URL+"/", nil)
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	hungUpGet := func() {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		if _, err := get(ctx, cancel); !errors.Is(err, context.Canceled) {
+			t.Fatalf("hung-up GET = %v, want context.Canceled", err)
+		}
+	}
+
+	for i := 0; i < threshold; i++ {
+		hungUpGet()
+	}
+	if st := tr.br.State(); st != BreakerClosed || tr.br.cur.Load().fails != 0 || tr.failures.Load() != 0 {
+		t.Fatalf("after %d client hang-ups: breaker %v, streak %d, failures %d; want closed, 0, 0",
+			threshold, st, tr.br.cur.Load().fails, tr.failures.Load())
+	}
+
+	// The origin being too slow for the request's deadline is the origin's fault.
+	late, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := get(late, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("GET past its deadline = %v, want context.DeadlineExceeded", err)
+	}
+	if got := tr.br.cur.Load().fails; got != 1 {
+		t.Fatalf("failure streak after a deadline expiry = %d, want 1", got)
+	}
+
+	// So are its 503s: the rest of the threshold opens the breaker.
+	dark.Store(true)
+	for i := 1; i < threshold; i++ {
+		if st := tr.br.State(); st != BreakerClosed {
+			t.Fatalf("breaker %v after %d origin failures, threshold %d", st, i, threshold)
+		}
+		if code, err := get(context.Background(), nil); err != nil || code != http.StatusServiceUnavailable {
+			t.Fatalf("dark-origin GET = %d, %v", code, err)
+		}
+	}
+	if st := tr.br.State(); st != BreakerOpen {
+		t.Fatalf("breaker %v after %d origin failures, want open", st, threshold)
+	}
+
+	// A probe whose client hangs up must not leave the breaker half-open forever.
+	dark.Store(false)
+	tr.clk.(*clock.Virtual).Advance(tr.cfg.BreakerCooldown)
+	hungUpGet()
+	if st, stats := tr.br.State(), tr.br.Stats(); st != BreakerOpen || stats.Probes != 1 || stats.Opens != 2 {
+		t.Fatalf("after an abandoned probe: breaker %v, %+v; want re-opened", st, stats)
+	}
+}
+
 func chaosOriginPage(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprintf(w, "<html><head><title>t</title></head><body><h1>ok %s</h1>"+
@@ -321,16 +436,17 @@ func chaosOriginPage(w http.ResponseWriter, r *http.Request) {
 // Detection keeps running throughout — the dark-origin 503s still come from
 // the instrumenting middleware, not a dead socket.
 func TestReverseProxyBreakerEndToEnd(t *testing.T) {
-	origin := chaos.NewOrigin(http.HandlerFunc(chaosOriginPage))
+	origin := chaos.NewOrigin(http.HandlerFunc(chaosOriginPage), nil)
 	backend := httptest.NewServer(origin)
 	defer backend.Close()
 	u, _ := url.Parse(backend.URL)
 
-	det := core.New(core.Config{Seed: 41})
+	vc := clock.NewVirtual(time.Time{})
+	det := core.New(core.Config{Seed: 41, Clock: vc})
 	mw := NewReverseProxy(u, Config{Engine: det, TrustForwardedFor: true, Upstream: UpstreamConfig{
 		Retries:         -1, // no retries: each request is one breaker sample
 		BreakerFailures: 2,
-		BreakerCooldown: 50 * time.Millisecond,
+		BreakerCooldown: 10 * time.Second,
 		RequestTimeout:  5 * time.Second,
 	}})
 	front := httptest.NewServer(mw)
@@ -368,7 +484,10 @@ func TestReverseProxyBreakerEndToEnd(t *testing.T) {
 	served := origin.Served()
 
 	origin.Heal()
-	time.Sleep(60 * time.Millisecond) // let the cooldown elapse
+	if code, _ := get(); code != http.StatusServiceUnavailable {
+		t.Fatalf("GET inside the cooldown = %d, want it short-circuited however healthy the origin", code)
+	}
+	vc.Advance(10 * time.Second) // the breaker reads the engine's clock
 	if code, body := get(); code != http.StatusOK || !strings.Contains(body, "/__bd/") {
 		t.Fatalf("post-heal GET = %d, want instrumented 200 via the half-open probe", code)
 	}
@@ -386,23 +505,32 @@ func TestReverseProxyBreakerEndToEnd(t *testing.T) {
 
 // TestChaosHammerConcurrentFaults is the -race stress: a flash crowd of new
 // clients floods the proxy while the origin flaps dark/healthy, injects
-// mid-stream connection resets, scripts rotate, and an operator drill
-// forces and clears degraded mode — all concurrently. The assertions are
-// deliberately coarse (the point is the race detector and "nothing
-// deadlocks or panics"); the final section proves the system came back:
-// breaker closed, instrumented 200s flowing.
+// mid-stream connection resets and latency, scripts rotate, and an operator
+// drill forces and clears degraded mode — all concurrently. It is bounded by
+// work, not by wall time: each worker issues a fixed number of requests and
+// moves the shared virtual clock a step per request, and the faults flip on
+// request ordinals. The assertions are deliberately coarse (the point is the
+// race detector and "nothing deadlocks or panics"); the final section proves
+// the system came back: breaker closed, instrumented 200s flowing.
 func TestChaosHammerConcurrentFaults(t *testing.T) {
-	origin := chaos.NewOrigin(http.HandlerFunc(chaosOriginPage))
+	const (
+		workers    = 4
+		perWorker  = 150
+		cooldown   = 5 * time.Millisecond
+		faultCycle = 48 // request ordinals per dark / reset / slow round
+	)
+	vc := clock.NewVirtual(time.Time{})
+	origin := chaos.NewOrigin(http.HandlerFunc(chaosOriginPage), vc)
 	backend := httptest.NewServer(origin)
 	defer backend.Close()
 	u, _ := url.Parse(backend.URL)
 
-	det := core.New(core.Config{Seed: 43, MaxSessions: 128, ObfuscateJS: true})
+	det := core.New(core.Config{Seed: 43, Clock: vc, MaxSessions: 128, ObfuscateJS: true})
 	mw := NewReverseProxy(u, Config{Engine: det, TrustForwardedFor: true, Upstream: UpstreamConfig{
 		Retries:         1,
 		RetryBackoff:    time.Millisecond,
 		BreakerFailures: 3,
-		BreakerCooldown: 5 * time.Millisecond,
+		BreakerCooldown: cooldown,
 		RequestTimeout:  5 * time.Second,
 	}})
 	front := httptest.NewUnstartedServer(mw)
@@ -412,66 +540,52 @@ func TestChaosHammerConcurrentFaults(t *testing.T) {
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
 	defer client.CloseIdleConnections()
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	get := func(ip string) (int, string) {
+		req, _ := http.NewRequest(http.MethodGet, front.URL+"/page.html", nil)
+		req.Header.Set("X-Forwarded-For", ip)
+		req.Header.Set("User-Agent", "hammer")
+		resp, err := client.Do(req)
+		if err != nil {
+			return 0, "" // resets and dark phases are expected
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
 
 	// Flash crowd: every request a brand-new client, far past MaxSessions.
-	for w := 0; w < 4; w++ {
+	// Whoever draws a fault's ordinal flips it: dark bursts, mid-stream
+	// resets and latency spikes, each healed a third of a cycle later.
+	var ordinal, working atomic.Int64
+	var wg sync.WaitGroup
+	working.Store(workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
+			defer working.Add(-1)
+			for i := 0; i < perWorker; i++ {
+				switch n := ordinal.Add(1); n % faultCycle {
+				case 0:
+					origin.FailWith(http.StatusServiceUnavailable, 8)
+				case 16:
+					origin.ResetNext(4)
+				case 32:
+					origin.SetLatency(2 * time.Millisecond)
+				case 8, 24, 40:
+					origin.Heal()
 				}
-				req, _ := http.NewRequest(http.MethodGet, front.URL+"/page.html", nil)
-				req.Header.Set("X-Forwarded-For", fmt.Sprintf("10.%d.%d.%d", w, i/200%250, i%200+1))
-				req.Header.Set("User-Agent", "hammer")
-				resp, err := client.Do(req)
-				if err != nil {
-					continue // resets and dark phases are expected
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+				vc.Advance(time.Millisecond)
+				get(fmt.Sprintf("10.%d.0.%d", w, i+1))
 			}
 		}(w)
 	}
-	// Origin flapper: dark bursts, latency spikes, mid-stream resets.
+	// Script rotation and the operator drill, racing the serve path for as
+	// long as the workers run.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			switch i % 3 {
-			case 0:
-				origin.FailWith(http.StatusServiceUnavailable, 8)
-			case 1:
-				origin.ResetNext(4)
-			case 2:
-				origin.SetLatency(2 * time.Millisecond)
-			}
-			time.Sleep(4 * time.Millisecond)
-			origin.Heal()
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	// Script rotation and the operator drill, racing the serve path.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for i := 0; working.Load() > 0; i++ {
 			det.RotateScripts()
 			if i%2 == 0 {
 				det.ForceLoadState(core.LoadSaturated)
@@ -479,42 +593,30 @@ func TestChaosHammerConcurrentFaults(t *testing.T) {
 				det.ClearForcedLoadState()
 			}
 			det.RecomputeLoadState()
-			time.Sleep(3 * time.Millisecond)
+			runtime.Gosched()
 		}
 	}()
-
-	time.Sleep(400 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 
 	// Recovery: heal the origin, clear the drill, and drain the flood's
 	// sessions — the table is legitimately full (that is the ladder working),
 	// so without the drain a fresh client would correctly keep getting
-	// pass-through. Then require the breaker to close and instrumented pages
-	// to flow again.
+	// pass-through. Once the cooldown has passed, one request is the probe if
+	// the hammer left the breaker open, and the next must be an instrumented
+	// 200 through a closed breaker.
 	origin.Heal()
 	det.ClearForcedLoadState()
 	det.FlushSessions()
 	det.RecomputeLoadState()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := client.Get(front.URL + "/page.html")
-		if err == nil {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK && strings.Contains(string(body), "/__bd/") {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("proxy did not recover instrumented 200s after the chaos stopped")
-		}
-		time.Sleep(5 * time.Millisecond)
+	vc.Advance(cooldown)
+	get("10.9.9.1")
+	if st := mw.Breaker().State(); st != BreakerClosed {
+		t.Fatalf("breaker %v after the cooldown and one request against a healed origin, want closed", st)
+	}
+	if code, body := get("10.9.9.2"); code != http.StatusOK || !strings.Contains(body, "/__bd/") {
+		t.Fatalf("GET after recovery = %d (instrumented=%v), want an instrumented 200", code, strings.Contains(body, "/__bd/"))
 	}
 	if st := mw.Breaker().Stats(); st.Opens == 0 {
 		t.Errorf("breaker never tripped during the hammer: %+v", st)
-	}
-	if mw.Breaker().State() == BreakerOpen {
-		t.Error("breaker still open after recovery")
 	}
 }
