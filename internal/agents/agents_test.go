@@ -37,7 +37,7 @@ func (tc *testClient) Do(req Request) Response {
 		return Response{Status: resp.Status, ContentType: resp.ContentType, Body: resp.Body}
 	}
 	obj := tc.site.Lookup(req.Path)
-	tc.det.ObserveRequest(logfmt.Entry{
+	tc.det.ObserveRequestQuiet(logfmt.Entry{
 		Time: req.Time, ClientIP: req.IP, UserAgent: req.UserAgent, Method: req.Method,
 		Path: req.Path, Status: obj.Status, Bytes: int64(len(obj.Body)), Referer: req.Referer,
 		ContentType: obj.ContentType,
@@ -246,18 +246,20 @@ func TestSmartBotCaughtByJSWithoutMouse(t *testing.T) {
 	}
 }
 
+// compiledScript compiles one script variant of shape cfg and renders it the
+// way the engine serves it, with the paper's example beacon number as the real
+// key (its leading zero included), 5556667777 as the exec key and the given
+// decoys.
+func compiledScript(cfg jsgen.TemplateConfig, seed uint64, decoys []uint64) string {
+	cfg.KeyDigits = 10
+	return string(jsgen.NewGenerator().Compile(cfg, seed).RenderKeys(nil, 729395160, 5556667777, decoys, cfg.KeyDigits))
+}
+
 func TestJSParseHelpers(t *testing.T) {
-	gen := jsgen.NewGenerator()
 	for _, obf := range []bool{false, true} {
-		p := jsgen.Params{
-			BeaconBase:  "http://www.example.com",
-			RealKey:     "0729395160",
-			DecoyKeys:   []string{"1111111111", "2222222222"},
-			UAReportKey: "5556667777",
-			Obfuscate:   obf,
-			Seed:        9,
-		}
-		script := gen.Script(p)
+		script := compiledScript(jsgen.TemplateConfig{
+			BeaconBase: "http://www.example.com", Decoys: 2, UAReport: true, Obfuscate: obf,
+		}, 9, []uint64{1111111111, 2222222222})
 		beacon := HandlerBeaconURL(script, "__bd_f")
 		if !strings.Contains(beacon, "0729395160.jpg") {
 			t.Fatalf("obf=%v: handler beacon = %q", obf, beacon)
@@ -382,9 +384,10 @@ func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 		}
 		var ps core.PageState
 		det.PreparePage(ip, ua, "/", &ps)
-		iss := ps.Keys().Issued()
 		prefix := det.Config().BeaconPrefix
-		scriptPath := jsgen.ScriptPath(prefix, iss.ScriptToken)
+		scriptToken := string(ps.Keys().AppendKey(nil, ps.Keys().ScriptToken))
+		pre, suf := jsgen.ScriptPathParts(prefix)
+		scriptPath := pre + scriptToken + suf
 		before := fetch(scriptPath) // the download that gives the page its keys
 		realBeacon := HandlerBeaconURL(before, "__bd_f")
 		if !strings.HasPrefix(realBeacon, prefix+"/") || !strings.HasSuffix(realBeacon, ".jpg") {
@@ -404,7 +407,7 @@ func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 		if got := HandlerBeaconURL(script, "__bd_f"); got != realBeacon {
 			t.Fatalf("obf=%v: handler beacon = %q, want %q", obf, got, realBeacon)
 		}
-		if got, want := execBeaconURL(script), prefix+"/js/"+iss.ScriptToken+".gif"; got != want {
+		if got, want := execBeaconURL(script), prefix+"/js/"+scriptToken+".gif"; got != want {
 			t.Fatalf("obf=%v: exec beacon = %q, want %q", obf, got, want)
 		}
 		scraped := make(map[string]bool)
@@ -462,12 +465,10 @@ _ie.src = '/__bd/js/5556667777.gif' + '?ua=' + encodeURIComponent(navigator.user
 // a script in the old layout parses just the same.
 func TestScriptReadersFollowTokensNotLayout(t *testing.T) {
 	decoys := []string{"1111111111", "2222222222", "3333333333", "4444444444"}
-	gen := jsgen.NewGenerator()
 	for seed := uint64(1); seed <= 50; seed++ {
 		for _, obf := range []bool{false, true} {
-			script := gen.Script(jsgen.Params{
-				RealKey: "0729395160", DecoyKeys: decoys, UAReportKey: "5556667777", Obfuscate: obf, Seed: seed,
-			})
+			script := compiledScript(jsgen.TemplateConfig{Decoys: 4, UAReport: true, Obfuscate: obf}, seed,
+				[]uint64{1111111111, 2222222222, 3333333333, 4444444444})
 			if got := HandlerBeaconURL(script, "__bd_f"); got != "/__bd/0729395160.jpg" {
 				t.Fatalf("seed %d obf=%v: handler beacon = %q", seed, obf, got)
 			}

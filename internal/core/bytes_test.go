@@ -54,9 +54,9 @@ func TestAddedBytesCountsEveryGeneratedBody(t *testing.T) {
 	for _, path := range []string{
 		inst.CSSPath,
 		inst.ScriptPath,
-		jsgen.ExecBeaconPath(prefix, inst.Issued.ScriptToken) + "?ua=firefox/1.5",
+		objectPath(jsgen.ExecBeaconPathParts, prefix, inst.Issued.ScriptToken) + "?ua=firefox/1.5",
 		prefix + "/ua/" + inst.Issued.ScriptToken + "/firefox%2F1.5.css",
-		jsgen.BeaconPath(prefix, inst.Issued.Key),
+		objectPath(jsgen.BeaconPathParts, prefix, inst.Issued.Key),
 		jsgen.TransparentImagePath(prefix),
 		inst.HiddenPath,
 	} {

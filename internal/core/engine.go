@@ -8,7 +8,7 @@
 // The Engine is the concurrency facade over the detection pipeline: it owns
 // the sharded session tracker, the sharded key store and atomic counters, and
 // fans every request out to exactly one shard of each, so the hot path
-// (ObserveRequest, HandleBeacon) scales with cores instead of serialising on
+// (ObserveRequestQuiet, HandleBeacon) scales with cores instead of serialising on
 // global mutexes. Reads (Classify, Decide, Session) take the same one session
 // shard briefly and see the session as of its last request, and idle-session
 // expiry is amortised shard by shard — there is no stop-the-world sweep.
@@ -129,7 +129,10 @@ type Config struct {
 	BeaconBase string
 	// Decoys is the number of decoy beacon functions per page (paper: m).
 	Decoys int
-	// KeyDigits is the length of generated keys in decimal digits.
+	// KeyDigits is the length of generated keys in decimal digits (default
+	// 10). A key is a uint64, so values above keystore.MaxKeyDigits (19) are
+	// clamped: the store, the script templates and the token parser must all
+	// agree on one width.
 	KeyDigits int
 	// ObfuscateJS enables lexical obfuscation of the generated script.
 	ObfuscateJS bool
@@ -196,6 +199,7 @@ func (c Config) withDefaults() Config {
 	if c.KeyDigits <= 0 {
 		c.KeyDigits = 10
 	}
+	c.KeyDigits = min(c.KeyDigits, keystore.MaxKeyDigits)
 	if c.MinRequests <= 0 {
 		c.MinRequests = 10
 	}
@@ -299,9 +303,9 @@ const maxPooledScriptBuf = 1 << 20
 // to a few short concatenations per page view instead of rebuilding every
 // URL and the whole inline script with fmt.
 type pagePrecomp struct {
-	cssPre, cssSuf       string // around the token in jsgen.CSSPath
-	scriptPre, scriptSuf string // around the token in jsgen.ScriptPath
-	hiddenPre, hiddenSuf string // around the token in jsgen.HiddenPath
+	cssPre, cssSuf       string // jsgen.CSSPathParts, behind BeaconBase
+	scriptPre, scriptSuf string // jsgen.ScriptPathParts, behind BeaconBase
+	hiddenPre, hiddenSuf string // jsgen.HiddenPathParts, behind BeaconBase
 	transpImg            string // jsgen.TransparentImagePath
 	inlinePre            string // inline reporter before the token
 	inlinePost           string // inline reporter after the token
@@ -621,25 +625,11 @@ func (e *Engine) renderScript(clientIP string, token uint64) *scriptBuf {
 	return sb
 }
 
-// ObserveRequest records one ordinary (non-instrumentation) request for
-// session tracking and returns the session's snapshot. Only the session's
-// shard is locked.
-func (e *Engine) ObserveRequest(ent logfmt.Entry) session.Snapshot {
-	return e.sessions.Observe(ent)
-}
-
-// ObserveRequestQuiet is ObserveRequest without the snapshot copy, for
-// callers that discard it (the proxy and cdn serve paths read via Decide).
+// ObserveRequestQuiet records one ordinary (non-instrumentation) request for
+// session tracking; callers read the session back through Decide, Classify or
+// Session. Only the session's shard is locked.
 func (e *Engine) ObserveRequestQuiet(ent logfmt.Entry) {
 	e.sessions.ObserveQuiet(ent)
-}
-
-// IsInstrumentationPath reports whether the request path belongs to the
-// engine's reserved prefix and should be routed to HandleBeacon instead of
-// the origin.
-func (e *Engine) IsInstrumentationPath(path string) bool {
-	_, _, _, ok := jsgen.ParsePath(e.cfg.BeaconPrefix, path)
-	return ok
 }
 
 var (

@@ -12,7 +12,7 @@ import (
 )
 
 // TestEngineConcurrentPipeline hammers every hot entry point of the engine —
-// ObserveRequest, HandleBeacon (all beacon kinds), Classify, Session,
+// ObserveRequestQuiet, HandleBeacon (all beacon kinds), Classify, Session,
 // Sessions, Stats — from parallel goroutines on OVERLAPPING session keys
 // while two more goroutines run ExpireIdle and SweepStep. Run with -race;
 // the final consistency checks catch lost updates.
@@ -75,7 +75,7 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				k := keys[(g+i)%nKeys]
 				in := instr[(g+i)%nKeys]
-				e.ObserveRequest(logfmt.Entry{
+				e.ObserveRequestQuiet(logfmt.Entry{
 					Time: now, ClientIP: k.IP, UserAgent: k.UserAgent,
 					Method: "GET", Path: fmt.Sprintf("/p%d.html", i), Status: 200, Bytes: 100,
 				})
@@ -143,7 +143,7 @@ func TestEngineConcurrentExpiryDelivers(t *testing.T) {
 	start := vc.Now()
 	const old = 64
 	for i := 0; i < old; i++ {
-		e.ObserveRequest(logfmt.Entry{Time: start, ClientIP: fmt.Sprintf("10.10.0.%d", i), UserAgent: "UA", Method: "GET", Path: "/a.html", Status: 200})
+		e.ObserveRequestQuiet(logfmt.Entry{Time: start, ClientIP: fmt.Sprintf("10.10.0.%d", i), UserAgent: "UA", Method: "GET", Path: "/a.html", Status: 200})
 	}
 	later := start.Add(2 * time.Hour)
 
@@ -153,7 +153,7 @@ func TestEngineConcurrentExpiryDelivers(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				e.ObserveRequest(logfmt.Entry{Time: later, ClientIP: fmt.Sprintf("10.11.%d.%d", g, i%16), UserAgent: "UA", Method: "GET", Path: "/b.html", Status: 200})
+				e.ObserveRequestQuiet(logfmt.Entry{Time: later, ClientIP: fmt.Sprintf("10.11.%d.%d", g, i%16), UserAgent: "UA", Method: "GET", Path: "/b.html", Status: 200})
 			}
 		}(g)
 	}

@@ -43,7 +43,7 @@ func TestSetModelChangesVerdictAndInvalidatesCache(t *testing.T) {
 	// fetch: the rules call it robot (no presentation objects), the learned
 	// model below calls it human (high referrer share, no HTML).
 	for i := 0; i < 12; i++ {
-		d.ObserveRequest(logfmt.Entry{
+		d.ObserveRequestQuiet(logfmt.Entry{
 			ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET",
 			Path: fmt.Sprintf("/img/p%d.jpg", i), Status: 200, Referer: "http://h/prev.html",
 			ContentType: "image/jpeg",
@@ -75,14 +75,14 @@ func TestSetModelChangesVerdictAndInvalidatesCache(t *testing.T) {
 
 	// Direct evidence always outranks the model.
 	d.SetModel(trainTestModel(t, 40))
-	d.HandleBeacon(key.IP, key.UserAgent, jsgen.HiddenPath(d.Config().BeaconPrefix, "xyz"))
+	d.HandleBeacon(key.IP, key.UserAgent, objectPath(jsgen.HiddenPathParts, d.Config().BeaconPrefix, "xyz"))
 	if v := d.Classify(key); v.Class != ClassRobot || v.Confidence != Definite {
 		t.Fatalf("direct evidence lost to the model: %+v", v)
 	}
 }
 
 // TestModelHotSwapRace hammers Engine.SetModel concurrently with the full
-// serving surface — ObserveRequest, Classify, Decide, HandleBeacon and
+// serving surface — ObserveRequestQuiet, Classify, Decide, HandleBeacon and
 // retraining — proving (under -race) that model hot-swap takes no locks the
 // read path can trip over and that cached verdicts never tear.
 func TestModelHotSwapRace(t *testing.T) {
@@ -97,7 +97,7 @@ func TestModelHotSwapRace(t *testing.T) {
 	// Seed every session past the classification threshold.
 	for _, k := range keys {
 		for i := 0; i < 12; i++ {
-			d.ObserveRequest(logfmt.Entry{ClientIP: k.IP, UserAgent: k.UserAgent, Method: "GET",
+			d.ObserveRequestQuiet(logfmt.Entry{ClientIP: k.IP, UserAgent: k.UserAgent, Method: "GET",
 				Path: fmt.Sprintf("/s%d.html", i), Status: 200, Referer: "http://h/x.html"})
 		}
 	}
@@ -142,7 +142,7 @@ func TestModelHotSwapRace(t *testing.T) {
 						return
 					}
 				case 1:
-					d.ObserveRequest(logfmt.Entry{ClientIP: k.IP, UserAgent: k.UserAgent, Method: "GET",
+					d.ObserveRequestQuiet(logfmt.Entry{ClientIP: k.IP, UserAgent: k.UserAgent, Method: "GET",
 						Path: "/r.html", Status: 200})
 				case 2:
 					if snap, v, ok := d.Decide(k); ok && snap.Counts.Total >= 10 && v.Class == ClassUndecided {
@@ -174,7 +174,7 @@ func TestClassifySteadyStateZeroAllocs(t *testing.T) {
 	d.SetModel(trainTestModel(t, 40))
 	key := session.Key{IP: "10.6.0.1", UserAgent: "Steady"}
 	for i := 0; i < 15; i++ {
-		d.ObserveRequest(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET",
+		d.ObserveRequestQuiet(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET",
 			Path: fmt.Sprintf("/p%d.html", i), Status: 200, Referer: "http://h/x.html"})
 	}
 	d.Classify(key) // warm the cache

@@ -29,10 +29,12 @@ func pageHTML() []byte {
 }
 
 func observe(d *Engine, ip, ua, method, path string, status int, ref string, at time.Time) session.Snapshot {
-	return d.ObserveRequest(logfmt.Entry{
+	d.ObserveRequestQuiet(logfmt.Entry{
 		Time: at, ClientIP: ip, UserAgent: ua, Method: method, Path: path,
 		Status: status, Referer: ref, Bytes: 1024,
 	})
+	snap, _ := d.Session(session.Key{IP: ip, UserAgent: ua})
+	return snap
 }
 
 func TestInstrumentPageInjectsEverything(t *testing.T) {
@@ -234,13 +236,18 @@ func TestTransparentImageAndUnknownPath(t *testing.T) {
 	}
 }
 
+// TestIsInstrumentationPath: everything under the reserved prefix is the
+// engine's to answer (HandleBeacon's ok), with or without a query; nothing
+// else is, however close its spelling.
 func TestIsInstrumentationPath(t *testing.T) {
 	d, _ := newTestEngine(Config{})
-	if !d.IsInstrumentationPath("/__bd/123.css") || !d.IsInstrumentationPath("/__bd/js/1.gif?ua=x") {
-		t.Fatal("instrumentation paths not recognised")
-	}
-	if d.IsInstrumentationPath("/index.html") || d.IsInstrumentationPath("/__bdx/1.css") {
-		t.Fatal("non-instrumentation path recognised")
+	for path, want := range map[string]bool{
+		"/__bd/123.css": true, "/__bd/js/1.gif?ua=x": true, "/__bd/nothing-we-emit": true,
+		"/index.html": false, "/__bdx/1.css": false, "/__bd": false,
+	} {
+		if _, ok := d.HandleBeacon("1.2.3.4", "UA", path); ok != want {
+			t.Errorf("HandleBeacon(%q): ok = %v, want %v", path, ok, want)
+		}
 	}
 }
 
@@ -258,7 +265,8 @@ func TestObjectSignalMatchesHandleBeacon(t *testing.T) {
 		observe(d, ip, ua, "GET", "/", 200, "", time.Time{})
 		var ps PageState
 		d.PreparePage(ip, ua, "/", &ps)
-		iss := ps.Keys().Issued()
+		pk := ps.Keys()
+		scriptToken := wire(pk, pk.ScriptToken)
 		var path string
 		switch obj {
 		case jsgen.ObjectNone:
@@ -267,19 +275,19 @@ func TestObjectSignalMatchesHandleBeacon(t *testing.T) {
 			// Drawn straight from the keystore: downloading the script to
 			// learn the key would mark SignalJSFile as well.
 			k, _, _ := d.keys.PageKeysFor(ip, ps.Keys().ScriptToken, nil)
-			path = jsgen.BeaconPath(prefix, ps.Keys().KeyString(k))
+			path = objectPath(jsgen.BeaconPathParts, prefix, wire(pk, k))
 		case jsgen.ObjectExecBeacon:
-			path = jsgen.ExecBeaconPath(prefix, iss.ScriptToken)
+			path = objectPath(jsgen.ExecBeaconPathParts, prefix, scriptToken)
 		case jsgen.ObjectUAReport:
-			path = prefix + "/ua/" + iss.ScriptToken + "/" + session.NormalizeUA(ua) + ".css"
+			path = prefix + "/ua/" + scriptToken + "/" + session.NormalizeUA(ua) + ".css"
 		case jsgen.ObjectHidden:
-			path = jsgen.HiddenPath(prefix, iss.HiddenToken)
+			path = objectPath(jsgen.HiddenPathParts, prefix, wire(pk, pk.HiddenToken))
 		case jsgen.ObjectTransparentImage:
 			path = jsgen.TransparentImagePath(prefix)
 		case jsgen.ObjectScript:
-			path = jsgen.ScriptPath(prefix, iss.ScriptToken)
+			path = objectPath(jsgen.ScriptPathParts, prefix, scriptToken)
 		case jsgen.ObjectCSS:
-			path = jsgen.CSSPath(prefix, iss.CSSToken)
+			path = objectPath(jsgen.CSSPathParts, prefix, wire(pk, pk.CSSToken))
 		}
 		if got, _, _, _ := jsgen.ParsePath(prefix, path); got != obj {
 			t.Fatalf("%s parses to object %d, want %d", path, got, obj)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"botdetect/internal/jsgen"
+	"botdetect/internal/keystore"
 	"botdetect/internal/session"
 	"botdetect/internal/shard"
 )
@@ -40,7 +41,8 @@ func prepareView(e *Engine, ip, ua, page string, degraded bool) pageView {
 func issueView(e *Engine, ip, ua, page string) pageView {
 	var ps PageState
 	e.PreparePage(ip, ua, page, &ps)
-	return pageView{ip: ip, scriptPath: jsgen.ScriptPath(e.cfg.BeaconPrefix, ps.Keys().Issued().ScriptToken)}
+	pk := ps.Keys()
+	return pageView{ip: ip, scriptPath: objectPath(jsgen.ScriptPathParts, e.cfg.BeaconPrefix, wire(pk, pk.ScriptToken))}
 }
 
 // download fetches the view's script as its client and reports whether the
@@ -80,6 +82,27 @@ func checkLiveness(t *testing.T, e *Engine, v pageView, ua string, wantLive bool
 	}
 	if expired := after.ScriptExpired - before.ScriptExpired; (expired == 1) == wantLive {
 		t.Fatalf("ScriptExpired moved by %d with script live=%v", expired, wantLive)
+	}
+}
+
+// TestKeyDigitsAboveMaxAreClamped: a key is a uint64, so the keystore issues
+// at most keystore.MaxKeyDigits digits; the engine must parse script tokens and
+// compile templates at that same width, or every index_<token>.js falls back
+// and no client can ever prove human.
+func TestKeyDigitsAboveMaxAreClamped(t *testing.T) {
+	const ip, ua = "10.26.0.1", "Firefox/1.5"
+	e, _ := newTestEngine(Config{KeyDigits: 25})
+	if got := e.Config().KeyDigits; got != keystore.MaxKeyDigits {
+		t.Fatalf("effective KeyDigits = %d, want %d", got, keystore.MaxKeyDigits)
+	}
+	observe(e, ip, ua, "GET", "/", 200, "", time.Time{})
+	v := prepareView(e, ip, ua, "/", false)
+	if len(v.key) != keystore.MaxKeyDigits {
+		t.Fatalf("served script carries the real key %q, want %d digits", v.key, keystore.MaxKeyDigits)
+	}
+	checkLiveness(t, e, v, ua, true)
+	if snap, _ := e.Session(session.Key{IP: ip, UserAgent: ua}); !snap.Signals.Has(session.SignalMouse) || snap.Signals.Has(session.SignalDecoy) {
+		t.Fatalf("the downloaded real key did not prove a human: signals %v", snap.Signals)
 	}
 }
 

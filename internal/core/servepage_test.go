@@ -12,9 +12,24 @@ import (
 // servedPage describes one page view a test served: the keys and tokens as
 // the wire spells them, and the request paths of the injected objects.
 type servedPage struct {
-	Issued                          keystore.Issued
+	Issued struct {
+		Key                                string
+		Decoys                             []string
+		CSSToken, ScriptToken, HiddenToken string
+	}
 	ScriptPath, CSSPath, HiddenPath string
 	AddedBytes                      int
+}
+
+// wire spells v, one of pk's tokens or keys, the way a URL carries it.
+func wire(pk *keystore.PageKeys, v uint64) string { return string(pk.AppendKey(nil, v)) }
+
+// objectPath spells the request path of one generated object the way the
+// engine and the script templates do: the object's parts around its token or
+// key.
+func objectPath(parts func(prefix string) (pre, suf string), prefix, arg string) string {
+	pre, suf := parts(prefix)
+	return pre + arg + suf
 }
 
 // describePage formats what the last prepare call on ps issued to
@@ -23,14 +38,14 @@ type servedPage struct {
 // client does: it downloads the script and reads the beacon URLs out of it
 // (Issued.Key stays empty when the download falls back).
 func describePage(e *Engine, clientIP, userAgent string, ps *PageState) servedPage {
-	iss := ps.Keys().Issued()
-	prefix := e.cfg.BeaconPrefix
-	page := servedPage{
-		Issued:     iss,
-		ScriptPath: jsgen.ScriptPath(prefix, iss.ScriptToken),
-		CSSPath:    jsgen.CSSPath(prefix, iss.CSSToken),
-		HiddenPath: jsgen.HiddenPath(prefix, iss.HiddenToken),
-	}
+	pk, prefix := ps.Keys(), e.cfg.BeaconPrefix
+	var page servedPage
+	page.Issued.CSSToken = wire(pk, pk.CSSToken)
+	page.Issued.ScriptToken = wire(pk, pk.ScriptToken)
+	page.Issued.HiddenToken = wire(pk, pk.HiddenToken)
+	page.ScriptPath = objectPath(jsgen.ScriptPathParts, prefix, page.Issued.ScriptToken)
+	page.CSSPath = objectPath(jsgen.CSSPathParts, prefix, page.Issued.CSSToken)
+	page.HiddenPath = objectPath(jsgen.HiddenPathParts, prefix, page.Issued.HiddenToken)
 	resp, _ := e.HandleBeacon(clientIP, userAgent, page.ScriptPath)
 	page.Issued.Key, page.Issued.Decoys = scriptKeys(e, string(resp.Body))
 	resp.Done()

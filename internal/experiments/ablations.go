@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"botdetect/internal/agents"
 	"botdetect/internal/baselines"
 	"botdetect/internal/core"
 	"botdetect/internal/jsgen"
-	"botdetect/internal/keystore"
 	"botdetect/internal/metrics"
 	"botdetect/internal/rng"
 	"botdetect/internal/session"
@@ -37,12 +35,43 @@ type DecoyRow struct {
 	Expected float64
 }
 
+// blindFetcherUA is what the URL-scraping robots of the decoy sweep present.
+const blindFetcherUA = "blind-fetcher/1.0"
+
+// scrapedBeacons serves one page view to ip on e, downloads its script the way
+// any client does and returns the mouse-beacon URLs (<key>.jpg) a robot that
+// scrapes URLs out of the script text finds: the real one and the decoys, in
+// the script's own shuffled order.
+func scrapedBeacons(e *core.Engine, ip string) []string {
+	var ps core.PageState
+	e.PreparePage(ip, blindFetcherUA, "/index.html", &ps)
+	resp, _ := e.HandleBeacon(ip, blindFetcherUA, scriptPath(e, &ps))
+	defer resp.Done()
+	var urls []string
+	for _, u := range agents.AllBeaconURLs(string(resp.Body)) {
+		if obj, _, _, _ := jsgen.ParsePath(e.Config().BeaconPrefix, u); obj == jsgen.ObjectBeacon {
+			urls = append(urls, u)
+		}
+	}
+	return urls
+}
+
+// caughtFetching has the client at ip fetch urls and reports whether the
+// engine then holds decoy evidence against its session.
+func caughtFetching(e *core.Engine, ip string, urls []string) bool {
+	for _, u := range urls {
+		e.HandleBeacon(ip, blindFetcherUA, u)
+	}
+	snap, _ := e.Session(session.Key{IP: ip, UserAgent: blindFetcherUA})
+	return snap.Signals.Has(session.SignalDecoy)
+}
+
 // AblationDecoys sweeps the decoy count and measures blind-fetcher catch
-// rates directly against the key store and script generator.
+// rates against a serving engine: every trial is a page view whose script is
+// downloaded and scraped, and whose scraped beacons are fetched back.
 func AblationDecoys(scale Scale) AblationDecoysResult {
 	scale = scale.withDefaults()
 	src := rng.New(scale.Seed ^ 0xdec0)
-	gen := jsgen.NewGenerator()
 	trials := scale.Sessions
 	if trials < 100 {
 		trials = 100
@@ -50,34 +79,22 @@ func AblationDecoys(scale Scale) AblationDecoysResult {
 
 	var out AblationDecoysResult
 	for _, m := range []int{1, 2, 4, 8, 16} {
-		store := keystore.New(keystore.Config{Decoys: m, Seed: src.Uint64()})
+		e := core.New(core.Config{Decoys: m, ObfuscateJS: true, Seed: src.Uint64()})
 		caughtSingle, caughtAll := 0, 0
 		for i := 0; i < trials; i++ {
 			ip := fmt.Sprintf("10.77.%d.%d", i/250, i%250)
-			iss := store.Issue(ip, "/index.html")
-			script := gen.Script(jsgen.Params{
-				RealKey: iss.Key, DecoyKeys: iss.Decoys, Obfuscate: true, Seed: src.Uint64(),
-			})
-			urls := scrapeBeaconKeys(script)
+			urls := scrapedBeacons(e, ip)
 			if len(urls) == 0 {
 				continue
 			}
 			// Single random pick.
-			pick := urls[src.Intn(len(urls))]
-			if store.Validate(ip, pick) != keystore.Human {
+			pick := src.Intn(len(urls))
+			if caughtFetching(e, ip, urls[pick:pick+1]) {
 				caughtSingle++
 			}
 			// Fetch-all robot: caught as soon as any decoy is hit.
 			ip2 := ip + ":all"
-			iss2 := store.Issue(ip2, "/index.html")
-			script2 := gen.Script(jsgen.Params{RealKey: iss2.Key, DecoyKeys: iss2.Decoys, Obfuscate: true, Seed: src.Uint64()})
-			hitDecoy := false
-			for _, k := range scrapeBeaconKeys(script2) {
-				if store.Validate(ip2, k) == keystore.Decoy {
-					hitDecoy = true
-				}
-			}
-			if hitDecoy {
+			if caughtFetching(e, ip2, scrapedBeacons(e, ip2)) {
 				caughtAll++
 			}
 		}
@@ -89,23 +106,6 @@ func AblationDecoys(scale Scale) AblationDecoysResult {
 		})
 	}
 	return out
-}
-
-// scrapeBeaconKeys extracts the beacon keys (file names without extension)
-// from every beacon URL embedded in the script, the way a URL-scraping robot
-// would.
-func scrapeBeaconKeys(script string) []string {
-	var keys []string
-	for _, u := range agents.AllBeaconURLs(script) {
-		base := u
-		if i := strings.LastIndexByte(base, '/'); i >= 0 {
-			base = base[i+1:]
-		}
-		if strings.HasSuffix(base, ".jpg") {
-			keys = append(keys, strings.TrimSuffix(base, ".jpg"))
-		}
-	}
-	return keys
 }
 
 // Format renders the result as text.

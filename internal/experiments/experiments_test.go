@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"botdetect/internal/core"
 )
 
 // Small scales keep the experiment tests fast while still exercising every
@@ -142,6 +145,20 @@ func TestOverheadShape(t *testing.T) {
 	if r.ScriptsPerSecond < 1000 {
 		t.Errorf("script generation too slow: %.0f/s", r.ScriptsPerSecond)
 	}
+	// The reported size is a served script's: the same engine hands the same
+	// first page view the same body, inside the wire budget jsgen pins
+	// (TestScriptBytesBudget).
+	e := overheadEngine(13)
+	var ps core.PageState
+	ip, path := overheadView(e, 0, &ps)
+	resp, ok := e.HandleBeacon(ip, overheadUA, path)
+	defer resp.Done()
+	if !ok || !strings.Contains(string(resp.Body), "String.fromCharCode(") {
+		t.Fatalf("script download: ok=%v body %q", ok, resp.Body)
+	}
+	if r.ScriptBytes != len(resp.Body) || r.ScriptBytes > 1560 {
+		t.Errorf("ScriptBytes = %d; the served index_*.js body is %d bytes, budget 1560", r.ScriptBytes, len(resp.Body))
+	}
 	if !strings.Contains(r.Format(), "bandwidth overhead") {
 		t.Fatal("Format incomplete")
 	}
@@ -167,6 +184,16 @@ func TestAblationDecoys(t *testing.T) {
 	}
 	if !strings.Contains(r.Format(), "Decoys (m)") {
 		t.Fatal("Format incomplete")
+	}
+	// What the sweep picks from is what a client could hold: every downloaded
+	// script yields the real beacon and m decoys, nothing else.
+	for _, m := range []int{1, 2, 4, 8, 16} {
+		e := core.New(core.Config{Decoys: m, ObfuscateJS: true, Seed: 17})
+		for i := 0; i < 20; i++ {
+			if urls := scrapedBeacons(e, fmt.Sprintf("10.78.0.%d", i)); len(urls) != m+1 {
+				t.Fatalf("m=%d: script yields %d .jpg beacon URLs, want %d: %v", m, len(urls), m+1, urls)
+			}
+		}
 	}
 }
 

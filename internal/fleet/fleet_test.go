@@ -661,7 +661,7 @@ func TestRingDistributionAndMovement(t *testing.T) {
 		}
 	}
 	// Owners are distinct.
-	owners := ring.Owners(key(1).Hash(), 2)
+	owners := ring.OwnersAppend(key(1).Hash(), 2, nil)
 	if len(owners) != 2 || owners[0] == owners[1] {
 		t.Fatalf("owners = %v, want 2 distinct", owners)
 	}

@@ -104,8 +104,3 @@ func (r *Ring) OwnersAppend(h uint64, n int, buf []string) []string {
 	}
 	return buf
 }
-
-// Owners returns the first n distinct owners for hash h.
-func (r *Ring) Owners(h uint64, n int) []string {
-	return r.OwnersAppend(h, n, make([]string, 0, n))
-}

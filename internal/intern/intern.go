@@ -188,27 +188,6 @@ func incIfPositive(refs *atomic.Int32) bool {
 	}
 }
 
-// Retain adds one reference to an already held handle (for callers storing
-// the same handle in several records). It is a no-op on the zero Handle and
-// on stale handles.
-func (in *Interner) Retain(h Handle) {
-	if h == 0 {
-		return
-	}
-	sh := &in.shards[h.shard()&int(in.mask)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	slot := h.slot()
-	if int(slot) >= len(sh.entries) {
-		return
-	}
-	e := &sh.entries[slot]
-	if e.gen != h.gen() {
-		return
-	}
-	incIfPositive(&e.refs)
-}
-
 // Release drops one reference. When the count reaches zero the canonical
 // string is evicted and the slot recycled (its generation advances, so any
 // leaked handle to it becomes invalid rather than dangling). Release of the

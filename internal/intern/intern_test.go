@@ -56,7 +56,6 @@ func TestInternEmptyAndZeroHandle(t *testing.T) {
 		t.Fatalf("Intern(\"\") = %v, %q", h, c)
 	}
 	// All zero-handle operations are no-ops.
-	in.Retain(0)
 	in.Release(0)
 	if _, ok := in.Lookup(0); ok {
 		t.Fatal("Lookup(0) returned live")
@@ -72,24 +71,9 @@ func TestInternStaleHandleFailsValidation(t *testing.T) {
 	if s, ok := in.Lookup(h); ok {
 		t.Fatalf("stale handle resolved to %q", s)
 	}
-	in.Retain(h)   // must be a no-op on the stale generation
-	in.Release(h)  // likewise
+	in.Release(h) // must be a no-op on the stale generation
 	if s, ok := in.Lookup(h2); !ok || s != "beta" {
 		t.Fatalf("live handle broken by stale ops: %q, %v", s, ok)
-	}
-}
-
-func TestInternRetain(t *testing.T) {
-	in := New(2)
-	h, _ := in.Intern("shared")
-	in.Retain(h)
-	in.Release(h)
-	if _, ok := in.Lookup(h); !ok {
-		t.Fatal("Retain did not add a reference")
-	}
-	in.Release(h)
-	if _, ok := in.Lookup(h); ok {
-		t.Fatal("entry should be evicted after balanced releases")
 	}
 }
 
@@ -136,9 +120,13 @@ func TestInternHammer(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					in.Retain(h)
+					// A second holder of the same string retains the entry.
+					if h2, _ := in.Intern(s); h2 != h {
+						t.Errorf("second Intern(%q) = %v while %v is held", s, h2, h)
+						return
+					}
 					if got, ok := in.Lookup(h); !ok || got != s {
-						t.Errorf("Lookup after Retain = %q, %v", got, ok)
+						t.Errorf("Lookup while held twice = %q, %v", got, ok)
 						return
 					}
 					in.Release(h)

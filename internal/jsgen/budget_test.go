@@ -14,10 +14,7 @@ func TestScriptBytesBudget(t *testing.T) {
 	const (
 		n      = 200
 		decoys = 4
-		real   = "0729395160"
-		ua     = "5556667777"
 	)
-	decoyKeys := []string{"1111111111", "2222222222", "3333333333", "4444444444"}
 	cfg := TemplateConfig{KeyDigits: 10, Decoys: decoys, UAReport: true, Obfuscate: true}
 	var (
 		beaconFn  = regexp.MustCompile(`var (_[a-z]+)=0;function ([_a-z]+)\(\)\{if\((_[a-z]+)\)return false;(_[a-z]+)=1;var (_[a-z]+)=new Image\(\);(_[a-z]+)\.src=String\.fromCharCode\([0-9,]+\);return true\}`)
@@ -35,7 +32,7 @@ func TestScriptBytesBudget(t *testing.T) {
 	var common map[string]bool // lines present in every body so far
 	for seed := uint64(1); seed <= n; seed++ {
 		v := g.Compile(cfg, seed)
-		js := string(v.Render(nil, real, ua, decoyKeys))
+		js := string(v.RenderKeys(nil, testRealKey, testUAKey, testDecoys, cfg.KeyDigits))
 		if len(js) != v.Size() {
 			t.Fatalf("seed %d: rendered %d bytes, Size() %d", seed, len(js), v.Size())
 		}

@@ -14,6 +14,13 @@
 // functions, no comments, no decorative whitespace — because these bytes ride
 // on every page view: what a robot has to defeat is the structure above, not
 // the formatting.
+//
+// A script body comes to exist one way: Generator.Compile builds a Variant for
+// a deployment shape (TemplateConfig) once, a Pool holds K of them per
+// rotation epoch, and Variant.RenderKeys splices a page's numeric keys in at
+// download time. The request paths the script fetches, and every other
+// instrumentation URL, are spelled by the *PathParts functions and read back
+// by ParsePath.
 package jsgen
 
 import (
@@ -24,29 +31,9 @@ import (
 	"botdetect/internal/rng"
 )
 
-// Params controls script generation for one rewritten page.
-type Params struct {
-	// BeaconBase is the URL prefix for beacon fetches, e.g.
-	// "http://www.example.com" or "" for site-relative beacons.
-	BeaconBase string
-	// RealKey is the key embedded in the genuine event-handler beacon.
-	RealKey string
-	// DecoyKeys are the keys embedded in the decoy functions.
-	DecoyKeys []string
-	// UAReportKey, when non-empty, adds a statement that immediately fetches
-	// a "JavaScript executed" beacon carrying this key, so the server learns
-	// that the client runs JavaScript even if no input event ever happens.
-	UAReportKey string
-	// Obfuscate enables lexical obfuscation.
-	Obfuscate bool
-	// Seed drives identifier randomisation; the same seed yields the same
-	// script text.
-	Seed uint64
-}
-
 // DefaultBeaconPrefix is the path prefix under which beacon objects live when
 // a deployment names none (core.Config.BeaconPrefix); the proxy intercepts
-// requests under it. Script always generates for it.
+// requests under it.
 const DefaultBeaconPrefix = "/__bd"
 
 // Object names the kind of generated instrumentation object a request path
@@ -56,21 +43,26 @@ type Object uint8
 const (
 	// ObjectNone is a path that none of the emitters produces.
 	ObjectNone Object = iota
-	// ObjectBeacon is BeaconPath; arg is the key.
+	// ObjectBeacon is the mouse/keyboard beacon image (BeaconPathParts); arg
+	// is the key.
 	ObjectBeacon
-	// ObjectExecBeacon is ExecBeaconPath; arg is the key.
+	// ObjectExecBeacon is the "JavaScript executed" beacon
+	// (ExecBeaconPathParts); arg is the key.
 	ObjectExecBeacon
 	// ObjectUAReport is the request the inline script (InlineUAScriptParts)
 	// makes the browser write: <prefix>/ua/<token>/<agent>.css; arg is
 	// "<token>/<agent>".
 	ObjectUAReport
-	// ObjectHidden is HiddenPath; arg is the token.
+	// ObjectHidden is the hidden trap link's target (HiddenPathParts); arg is
+	// the token.
 	ObjectHidden
 	// ObjectTransparentImage is TransparentImagePath; arg is empty.
 	ObjectTransparentImage
-	// ObjectScript is ScriptPath; arg is the token.
+	// ObjectScript is the generated external script (ScriptPathParts); arg is
+	// the token.
 	ObjectScript
-	// ObjectCSS is CSSPath; arg is the token.
+	// ObjectCSS is the uniquely named empty stylesheet (CSSPathParts); arg is
+	// the token.
 	ObjectCSS
 )
 
@@ -98,49 +90,31 @@ func parts(obj Object, prefix string) (pre, suf string) {
 	return prefix + "/" + grammar[obj].pre, grammar[obj].suf
 }
 
-func objectPath(obj Object, prefix, arg string) string {
-	pre, suf := parts(obj, prefix)
-	return pre + arg + suf
-}
-
-// BeaconPath returns the request path of the beacon image carrying key.
-func BeaconPath(prefix, key string) string { return objectPath(ObjectBeacon, prefix, key) }
-
-// BeaconPathParts returns the prefix and suffix around the key in BeaconPath.
+// BeaconPathParts returns the prefix and suffix around the key in the request
+// path of the beacon image that carries it.
 func BeaconPathParts(prefix string) (pre, suf string) { return parts(ObjectBeacon, prefix) }
 
-// ExecBeaconPath returns the request path of the "JavaScript executed"
-// beacon carrying key.
-func ExecBeaconPath(prefix, key string) string { return objectPath(ObjectExecBeacon, prefix, key) }
-
-// ExecBeaconPathParts returns the prefix and suffix around the key in
-// ExecBeaconPath.
+// ExecBeaconPathParts returns the prefix and suffix around the key in the
+// request path of the "JavaScript executed" beacon.
 func ExecBeaconPathParts(prefix string) (pre, suf string) { return parts(ObjectExecBeacon, prefix) }
 
-// CSSPath returns the request path of the uniquely named empty stylesheet.
-func CSSPath(prefix, token string) string { return objectPath(ObjectCSS, prefix, token) }
-
-// CSSPathParts returns the prefix and suffix around the token in CSSPath.
+// CSSPathParts returns the prefix and suffix around the token in the request
+// path of the uniquely named empty stylesheet.
 func CSSPathParts(prefix string) (pre, suf string) { return parts(ObjectCSS, prefix) }
 
-// HiddenPath returns the request path of the hidden trap link.
-func HiddenPath(prefix, token string) string { return objectPath(ObjectHidden, prefix, token) }
-
-// HiddenPathParts returns the prefix and suffix around the token in
-// HiddenPath.
+// HiddenPathParts returns the prefix and suffix around the token in the
+// request path of the hidden trap link.
 func HiddenPathParts(prefix string) (pre, suf string) { return parts(ObjectHidden, prefix) }
 
 // TransparentImagePath returns the request path of the 1x1 transparent image
 // that anchors the hidden link.
 func TransparentImagePath(prefix string) string {
-	return objectPath(ObjectTransparentImage, prefix, "")
+	pre, suf := parts(ObjectTransparentImage, prefix)
+	return pre + suf
 }
 
-// ScriptPath returns the request path of the generated external script.
-func ScriptPath(prefix, token string) string { return objectPath(ObjectScript, prefix, token) }
-
-// ScriptPathParts returns the prefix and suffix around the token in
-// ScriptPath.
+// ScriptPathParts returns the prefix and suffix around the token in the
+// request path of the generated external script.
 func ScriptPathParts(prefix string) (pre, suf string) { return parts(ObjectScript, prefix) }
 
 // parseOrder is the order ParsePath tries the objects in: the families with a
@@ -151,11 +125,11 @@ var parseOrder = [...]Object{
 
 // ParsePath is the inverse of the emitters above: it splits a request path
 // (with or without a query string) into the object it addresses, the key or
-// token the emitter was given, and the query. ok reports whether the path
+// token spliced into it, and the query. ok reports whether the path
 // lies under prefix at all — such a request belongs to the engine, not the
 // origin, even when obj is ObjectNone. Whenever obj is not ObjectNone, the
-// object's emitter called with (prefix, arg) reproduces the path exactly, so
-// nothing but an emitted URL (plus any query) parses. arg and query are
+// object's parts under prefix, spliced around arg, reproduce the path exactly,
+// so nothing but an emitted URL (plus any query) parses. arg and query are
 // substrings of path; nothing is allocated.
 func ParsePath(prefix, path string) (obj Object, arg, query string, ok bool) {
 	if prefix == "" {
@@ -224,23 +198,6 @@ func (n *namer) next() string {
 			return name
 		}
 	}
-}
-
-// Script returns the external JavaScript file body for one rewritten page.
-// It is the compatibility wrapper over the precompiled path: the Params are
-// compiled into a one-off Variant and the keys spliced in immediately. Hot
-// paths serving many pages per deployment shape should hold a Pool and call
-// Render instead, which amortises compilation across page views.
-func (g *Generator) Script(p Params) string {
-	digits := len(p.RealKey)
-	v := g.Compile(TemplateConfig{
-		BeaconBase: p.BeaconBase,
-		KeyDigits:  digits,
-		Decoys:     len(p.DecoyKeys),
-		UAReport:   p.UAReportKey != "",
-		Obfuscate:  p.Obfuscate,
-	}, p.Seed)
-	return string(v.Render(make([]byte, 0, v.Size()+64), p.RealKey, p.UAReportKey, p.DecoyKeys))
 }
 
 // junkStatements emits harmless declarations that vary per page to defeat

@@ -6,29 +6,41 @@ import (
 	"testing/quick"
 )
 
-func baseParams() Params {
-	return Params{
-		BeaconBase:  "http://www.example.com",
-		RealKey:     "0729395160",
-		DecoyKeys:   []string{"1111111111", "2222222222", "3333333333"},
-		UAReportKey: "9999999999",
-		Seed:        1,
-	}
+// The keys the script tests splice: the paper's example beacon number (its
+// leading zero is significant on the wire), four decoys and the exec key.
+const (
+	testRealKey = 729395160
+	testRealStr = "0729395160"
+	testUAKey   = 9999999999
+)
+
+var testDecoys = []uint64{1111111111, 2222222222, 3333333333, 4444444444}
+
+// testScript compiles cfg at seed and renders it with the test keys, the way
+// the engine serves a script download.
+func testScript(g *Generator, cfg TemplateConfig, seed uint64) string {
+	return string(g.Compile(cfg, seed).RenderKeys(nil, testRealKey, testUAKey, testDecoys, cfg.KeyDigits))
+}
+
+// beaconURL is the site-relative beacon path carrying key, composed from the
+// parts the template compiler splices around it.
+func beaconURL(key string) string {
+	pre, suf := BeaconPathParts("")
+	return pre + key + suf
 }
 
 func TestScriptPlainContainsRealBeacon(t *testing.T) {
-	g := NewGenerator()
-	p := baseParams()
-	p.Obfuscate = false
-	js := g.Script(p)
+	cfg := testTemplateConfig()
+	cfg.Obfuscate = false
+	js := testScript(NewGenerator(), cfg, 1)
 	if !strings.Contains(js, "function __bd_f()") {
 		t.Fatal("handler function missing")
 	}
-	if !strings.Contains(js, BeaconPath(DefaultBeaconPrefix, p.RealKey)) {
+	if !strings.Contains(js, beaconURL(testRealStr)) {
 		t.Fatal("real beacon URL missing in plain script")
 	}
-	for _, d := range p.DecoyKeys {
-		if !strings.Contains(js, BeaconPath(DefaultBeaconPrefix, d)) {
+	for _, d := range []string{"1111111111", "2222222222", "3333333333", "4444444444"} {
+		if !strings.Contains(js, beaconURL(d)) {
 			t.Fatalf("decoy %s missing", d)
 		}
 	}
@@ -41,14 +53,11 @@ func TestScriptPlainContainsRealBeacon(t *testing.T) {
 }
 
 func TestScriptObfuscationHidesURLs(t *testing.T) {
-	g := NewGenerator()
-	p := baseParams()
-	p.Obfuscate = true
-	js := g.Script(p)
-	if strings.Contains(js, p.RealKey) {
+	js := testScript(NewGenerator(), testTemplateConfig(), 1)
+	if strings.Contains(js, testRealStr) {
 		t.Fatal("obfuscated script leaks the real key verbatim")
 	}
-	if strings.Contains(js, "/__bd/"+p.RealKey) {
+	if strings.Contains(js, "/__bd/") {
 		t.Fatal("obfuscated script leaks the beacon URL verbatim")
 	}
 	if !strings.Contains(js, "String.fromCharCode(") {
@@ -61,77 +70,63 @@ func TestScriptObfuscationHidesURLs(t *testing.T) {
 
 func TestScriptDeterministicPerSeed(t *testing.T) {
 	g := NewGenerator()
-	p := baseParams()
-	p.Obfuscate = true
-	a := g.Script(p)
-	b := g.Script(p)
-	if a != b {
+	a := testScript(g, testTemplateConfig(), 1)
+	if testScript(g, testTemplateConfig(), 1) != a {
 		t.Fatal("same seed should generate identical script")
 	}
-	p2 := p
-	p2.Seed = 2
-	if g.Script(p2) == a {
+	if testScript(g, testTemplateConfig(), 2) == a {
 		t.Fatal("different seed should change the obfuscated script")
 	}
 }
 
 func TestScriptsDifferAcrossKeys(t *testing.T) {
-	g := NewGenerator()
-	p := baseParams()
-	p.Obfuscate = true
-	a := g.Script(p)
-	p.RealKey = "0000000042"
-	p.Seed = 77
-	b := g.Script(p)
+	v := NewGenerator().Compile(testTemplateConfig(), 1)
+	a := string(v.RenderKeys(nil, testRealKey, testUAKey, testDecoys, 10))
+	b := string(v.RenderKeys(nil, 42, testUAKey, testDecoys, 10))
 	if a == b {
-		t.Fatal("different keys/seeds should produce different script bodies")
+		t.Fatal("different keys should produce different script bodies from one variant")
+	}
+	if len(a) != len(b) {
+		t.Fatalf("bodies of one variant differ in length (%d vs %d): keys are fixed-width", len(a), len(b))
 	}
 }
 
 func TestScriptWithoutUAReport(t *testing.T) {
-	g := NewGenerator()
-	p := baseParams()
-	p.UAReportKey = ""
-	js := g.Script(p)
-	if strings.Contains(js, "navigator.userAgent") {
-		t.Fatal("UA report should be absent when no key is provided")
+	cfg := testTemplateConfig()
+	cfg.UAReport = false
+	if js := testScript(NewGenerator(), cfg, 1); strings.Contains(js, "navigator.userAgent") {
+		t.Fatal("UA report should be absent when the shape has none")
 	}
 }
 
 func TestCustomHandlerName(t *testing.T) {
-	g := &Generator{HandlerName: "myhandler"}
-	js := g.Script(baseParams())
+	js := testScript(&Generator{HandlerName: "myhandler"}, testTemplateConfig(), 1)
 	if !strings.Contains(js, "function myhandler()") {
 		t.Fatal("custom handler name not used")
 	}
-	empty := &Generator{}
-	js = empty.Script(baseParams())
+	js = testScript(&Generator{}, testTemplateConfig(), 1)
 	if !strings.Contains(js, "function __bd_f()") {
 		t.Fatal("empty handler name should default")
 	}
 }
 
 func TestPathHelpers(t *testing.T) {
-	if BeaconPath("", "k") != "/__bd/k.jpg" {
-		t.Fatalf("BeaconPath = %q", BeaconPath("", "k"))
+	around := func(parts func(string) (string, string), prefix, arg string) string {
+		pre, suf := parts(prefix)
+		return pre + arg + suf
 	}
-	if BeaconPath("/x", "k") != "/x/k.jpg" {
-		t.Fatalf("BeaconPath custom = %q", BeaconPath("/x", "k"))
-	}
-	if ExecBeaconPath("", "k") != "/__bd/js/k.gif" {
-		t.Fatalf("ExecBeaconPath = %q", ExecBeaconPath("", "k"))
-	}
-	if CSSPath("", "t") != "/__bd/t.css" {
-		t.Fatalf("CSSPath = %q", CSSPath("", "t"))
-	}
-	if HiddenPath("", "t") != "/__bd/hidden/t.html" {
-		t.Fatalf("HiddenPath = %q", HiddenPath("", "t"))
-	}
-	if TransparentImagePath("") != "/__bd/transp_1x1.gif" {
-		t.Fatalf("TransparentImagePath = %q", TransparentImagePath(""))
-	}
-	if ScriptPath("", "0729395150") != "/__bd/index_0729395150.js" {
-		t.Fatalf("ScriptPath = %q", ScriptPath("", "0729395150"))
+	for _, c := range []struct{ got, want string }{
+		{around(BeaconPathParts, "", "k"), "/__bd/k.jpg"},
+		{around(BeaconPathParts, "/x", "k"), "/x/k.jpg"},
+		{around(ExecBeaconPathParts, "", "k"), "/__bd/js/k.gif"},
+		{around(CSSPathParts, "", "t"), "/__bd/t.css"},
+		{around(HiddenPathParts, "", "t"), "/__bd/hidden/t.html"},
+		{TransparentImagePath(""), "/__bd/transp_1x1.gif"},
+		{around(ScriptPathParts, "", "0729395150"), "/__bd/index_0729395150.js"},
+	} {
+		if c.got != c.want {
+			t.Errorf("path = %q, want %q", c.got, c.want)
+		}
 	}
 }
 
@@ -152,21 +147,14 @@ func TestInlineUAScript(t *testing.T) {
 func TestObfuscatedScriptStructureProperty(t *testing.T) {
 	g := NewGenerator()
 	f := func(seed uint64, nDecoys uint8) bool {
-		p := Params{
-			RealKey:   "1234567890",
-			Obfuscate: true,
-			Seed:      seed,
-		}
-		for i := 0; i < int(nDecoys%8); i++ {
-			p.DecoyKeys = append(p.DecoyKeys, strings.Repeat("9", 5)+strings.Repeat("0", 5))
-		}
-		js := g.Script(p)
+		cfg := TemplateConfig{KeyDigits: 10, Decoys: int(nDecoys % 8), Obfuscate: true}
+		js := testScript(g, cfg, seed)
 		// Exactly one genuine handler definition, decoy count + 1 total
 		// "new Image()" allocations at minimum, balanced braces.
 		if strings.Count(js, "function __bd_f()") != 1 {
 			return false
 		}
-		if strings.Count(js, "new Image()") < len(p.DecoyKeys)+1 {
+		if strings.Count(js, "new Image()") < cfg.Decoys+1 {
 			return false
 		}
 		return strings.Count(js, "{") == strings.Count(js, "}")
@@ -177,10 +165,7 @@ func TestObfuscatedScriptStructureProperty(t *testing.T) {
 }
 
 func TestScriptSizeReasonable(t *testing.T) {
-	g := NewGenerator()
-	p := baseParams()
-	p.Obfuscate = true
-	js := g.Script(p)
+	js := testScript(NewGenerator(), testTemplateConfig(), 1)
 	// Paper quotes ~1 KB of fake JavaScript; with encoding overhead we allow
 	// a few KB, but it must not balloon.
 	if len(js) < 500 || len(js) > 16*1024 {

@@ -17,25 +17,29 @@ func uaReportPath(prefix, arg string) string {
 	return strings.TrimPrefix(path, "'") + arg + strings.TrimSuffix(suf, "'")
 }
 
-// emit is the emitter of each object, the function ParsePath inverts.
+// emit spells obj's path the way the engine and the template compiler do:
+// the object's parts around arg. It is what ParsePath inverts.
 func emit(obj Object, prefix, arg string) string {
+	var pre, suf string
 	switch obj {
 	case ObjectBeacon:
-		return BeaconPath(prefix, arg)
+		pre, suf = BeaconPathParts(prefix)
 	case ObjectExecBeacon:
-		return ExecBeaconPath(prefix, arg)
+		pre, suf = ExecBeaconPathParts(prefix)
 	case ObjectUAReport:
 		return uaReportPath(prefix, arg)
 	case ObjectHidden:
-		return HiddenPath(prefix, arg)
+		pre, suf = HiddenPathParts(prefix)
 	case ObjectTransparentImage:
 		return TransparentImagePath(prefix)
 	case ObjectScript:
-		return ScriptPath(prefix, arg)
+		pre, suf = ScriptPathParts(prefix)
 	case ObjectCSS:
-		return CSSPath(prefix, arg)
+		pre, suf = CSSPathParts(prefix)
+	default:
+		return ""
 	}
-	return ""
+	return pre + arg + suf
 }
 
 var fuzzPrefixes = []string{"", DefaultBeaconPrefix, "/x", "/a/b.c", "/js", "/__bd/hidden"}

@@ -24,10 +24,8 @@ type TemplateConfig struct {
 	BeaconBase string
 	// BeaconPrefix is the instrumentation path prefix (default "/__bd").
 	BeaconPrefix string
-	// KeyDigits is the decimal-digit length of the spliced keys. Render
-	// accepts keys of any length (the splice points carry placeholder widths,
-	// not hard requirements), but renders are allocation-free only when key
-	// lengths match and the destination buffer is reused.
+	// KeyDigits is the decimal-digit length of the spliced keys (default 10);
+	// values above MaxTokenDigits are clamped, as the keystore clamps its own.
 	KeyDigits int
 	// Decoys is the number of decoy beacon functions.
 	Decoys int
@@ -45,10 +43,11 @@ func (c TemplateConfig) withDefaults() TemplateConfig {
 	if c.KeyDigits <= 0 {
 		c.KeyDigits = 10
 	}
+	c.KeyDigits = min(c.KeyDigits, MaxTokenDigits)
 	return c
 }
 
-// MaxTokenDigits is the widest numeric key RenderKeys accepts: 19 decimal
+// MaxTokenDigits is the widest numeric key RenderKeys splices: 19 decimal
 // digits, the uint64 limit (mirrors keystore.MaxKeyDigits).
 const MaxTokenDigits = 19
 
@@ -68,7 +67,7 @@ type splice struct {
 }
 
 // Variant is one precompiled script template. It is immutable after Compile
-// and safe for concurrent Render calls.
+// and safe for concurrent RenderKeys calls.
 type Variant struct {
 	tmpl    []byte
 	splices []splice
@@ -78,44 +77,13 @@ type Variant struct {
 // compiled KeyDigits length (placeholders are fixed-width in that case).
 func (v *Variant) Size() int { return len(v.tmpl) }
 
-// Render appends the script with the given keys spliced in to dst and
-// returns the extended slice. With dst capacity >= Size and keys of the
-// compiled digit length it performs no allocation.
-func (v *Variant) Render(dst []byte, realKey, uaKey string, decoys []string) []byte {
-	prev := 0
-	for _, sp := range v.splices {
-		dst = append(dst, v.tmpl[prev:sp.off]...)
-		var key string
-		switch sp.src {
-		case spliceReal:
-			key = realKey
-		case spliceUA:
-			key = uaKey
-		default:
-			// Fewer issued decoys than template slots (a degraded page
-			// view): cycle the issued set so every slot still carries a
-			// plausible beacon URL — an empty splice would render the
-			// fingerprintable literal '/__bd/.jpg'.
-			if len(decoys) > 0 {
-				key = decoys[sp.src%len(decoys)]
-			}
-		}
-		if sp.charEnc {
-			dst = appendCharCodes(dst, key)
-		} else {
-			dst = append(dst, key...)
-		}
-		prev = sp.off + sp.n
-	}
-	return append(dst, v.tmpl[prev:]...)
-}
-
-// RenderKeys is Render over numeric keys: each key is spliced as exactly
-// digits decimal digits (leading zeros preserved), the wire format
-// keystore.PageKeys carries. It produces byte-identical output to Render
-// with the equivalent fixed-width strings and allocates nothing when dst
-// has capacity >= Size.
+// RenderKeys appends the script with the given keys spliced in to dst and
+// returns the extended slice. Each key is spliced as exactly digits decimal
+// digits (leading zeros preserved, digits bounded by MaxTokenDigits), the wire
+// format keystore.PageKeys carries. With dst capacity >= Size and digits the
+// compiled KeyDigits it allocates nothing.
 func (v *Variant) RenderKeys(dst []byte, realKey, uaKey uint64, decoys []uint64, digits int) []byte {
+	digits = min(digits, MaxTokenDigits)
 	prev := 0
 	for _, sp := range v.splices {
 		dst = append(dst, v.tmpl[prev:sp.off]...)
@@ -127,7 +95,10 @@ func (v *Variant) RenderKeys(dst []byte, realKey, uaKey uint64, decoys []uint64,
 		case spliceUA:
 			key = uaKey
 		default:
-			// Mirror Render: cycle a short decoy set over the slots.
+			// Fewer issued decoys than template slots (a degraded page
+			// view): cycle the issued set so every slot still carries a
+			// plausible beacon URL — an empty splice would render the
+			// fingerprintable literal '/__bd/.jpg'.
 			if len(decoys) > 0 {
 				key = decoys[sp.src%len(decoys)]
 			} else {
@@ -146,20 +117,12 @@ func (v *Variant) RenderKeys(dst []byte, realKey, uaKey uint64, decoys []uint64,
 	return append(dst, v.tmpl[prev:]...)
 }
 
-// appendCharCodes appends the String.fromCharCode argument run for s: each
-// byte's decimal code followed by a comma (the template always continues with
-// at least the URL suffix after a key, so the trailing comma is correct).
-func appendCharCodes(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		dst = strconv.AppendInt(dst, int64(s[i]), 10)
-		dst = append(dst, ',')
-	}
-	return dst
-}
-
-// appendCharCodesValue is appendCharCodes for a fixed-width numeric key:
-// digit d has character code 48+d, always two decimal digits, so no
-// strconv round trip is needed.
+// appendCharCodesValue appends the String.fromCharCode argument run for a
+// fixed-width numeric key of at most MaxTokenDigits digits: each digit's
+// character code followed by a comma (the template always continues with at
+// least the URL suffix after a key, so the trailing comma is correct). Digit d
+// has character code 48+d, always two decimal digits, so no strconv round trip
+// is needed.
 func appendCharCodesValue(dst []byte, v uint64, digits int) []byte {
 	var buf [MaxTokenDigits]byte
 	for i := digits - 1; i >= 0; i-- {
@@ -240,7 +203,7 @@ func beaconFn(tb *tmplBuilder, nm *namer, name, pre, suf string, src, digits int
 
 // Compile builds one script variant for the deployment shape: all lexical
 // obfuscation work (identifier randomisation, junk statements, function-order
-// shuffling, character encoding of URLs) happens here, once, and Render
+// shuffling, character encoding of URLs) happens here, once, and RenderKeys
 // reduces a page view to a copy plus key splices. The same (config, seed)
 // pair always compiles the same variant.
 func (g *Generator) Compile(cfg TemplateConfig, seed uint64) *Variant {

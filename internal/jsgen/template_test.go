@@ -26,34 +26,17 @@ func charCodes(s string) string {
 	return strings.Join(parts, ",")
 }
 
-func TestScriptMatchesCompiledVariant(t *testing.T) {
-	g := NewGenerator()
-	p := baseParams()
-	p.Obfuscate = true
-	v := g.Compile(TemplateConfig{
-		BeaconBase: p.BeaconBase,
-		KeyDigits:  len(p.RealKey),
-		Decoys:     len(p.DecoyKeys),
-		UAReport:   true,
-		Obfuscate:  true,
-	}, p.Seed)
-	rendered := string(v.Render(nil, p.RealKey, p.UAReportKey, p.DecoyKeys))
-	if got := g.Script(p); got != rendered {
-		t.Fatal("Script wrapper and Compile+Render disagree for the same seed")
-	}
-}
-
 func TestVariantRenderSplicesAllKeys(t *testing.T) {
-	g := NewGenerator()
-	real := "1234567890"
-	ua := "5556667778"
-	decoys := []string{"1111111111", "2222222222", "3333333333", "4444444444"}
+	// Leading zeros are part of a key: "0000000042" and "42" are different
+	// beacons on the wire.
+	real, ua := "0000000042", "5556667778"
+	decoys := []string{"1111111111", "0222222222", "3333333333", "4444444444"}
 
 	for _, obf := range []bool{false, true} {
 		cfg := testTemplateConfig()
 		cfg.Obfuscate = obf
-		v := g.Compile(cfg, 42)
-		js := string(v.Render(nil, real, ua, decoys))
+		v := NewGenerator().Compile(cfg, 42)
+		js := string(v.RenderKeys(nil, 42, 5556667778, []uint64{1111111111, 222222222, 3333333333, 4444444444}, 10))
 		find := func(dir, key, suffix string) string {
 			if obf {
 				return charCodes(dir + key + suffix)
@@ -83,39 +66,6 @@ func TestVariantRenderSplicesAllKeys(t *testing.T) {
 	}
 }
 
-// TestRenderKeysMatchesRender pins the numeric splice path to the string
-// one: for every variant shape, RenderKeys over uint64 keys must produce
-// byte-identical output to Render over the equivalent fixed-width strings,
-// leading zeros included.
-func TestRenderKeysMatchesRender(t *testing.T) {
-	g := NewGenerator()
-	realV, uaV := uint64(42), uint64(9876543210)
-	decoyV := []uint64{1, 2222222222, 303, 4444444444}
-	const digits = 10
-	pad := func(v uint64) string {
-		s := strconv.FormatUint(v, 10)
-		return strings.Repeat("0", digits-len(s)) + s
-	}
-	realS, uaS := pad(realV), pad(uaV)
-	decoyS := make([]string, len(decoyV))
-	for i, d := range decoyV {
-		decoyS[i] = pad(d)
-	}
-	for _, obf := range []bool{false, true} {
-		for _, ua := range []bool{false, true} {
-			cfg := testTemplateConfig()
-			cfg.Obfuscate = obf
-			cfg.UAReport = ua
-			v := g.Compile(cfg, 99)
-			want := v.Render(nil, realS, uaS, decoyS)
-			got := v.RenderKeys(nil, realV, uaV, decoyV, digits)
-			if string(got) != string(want) {
-				t.Fatalf("obf=%v ua=%v: RenderKeys differs from Render", obf, ua)
-			}
-		}
-	}
-}
-
 // TestRenderKeysZeroAlloc pins the numeric render at zero allocations when
 // the destination buffer is reused at the variant's size.
 func TestRenderKeysZeroAlloc(t *testing.T) {
@@ -137,26 +87,9 @@ func TestRenderKeysZeroAlloc(t *testing.T) {
 func TestVariantRenderFixedWidthSize(t *testing.T) {
 	g := NewGenerator()
 	v := g.Compile(testTemplateConfig(), 7)
-	js := v.Render(nil, "0123456789", "9876543210",
-		[]string{"0000000001", "0000000002", "0000000003", "0000000004"})
+	js := v.RenderKeys(nil, 123456789, 9876543210, []uint64{1, 2, 3, 4}, 10)
 	if len(js) != v.Size() {
 		t.Fatalf("rendered %d bytes, Size() = %d: keys of the compiled digit length must be fixed-width", len(js), v.Size())
-	}
-}
-
-func TestVariantRenderVariableLengthKeys(t *testing.T) {
-	// The compatibility wrapper can splice keys whose length differs from the
-	// compiled placeholder width; output must stay structurally sound.
-	g := NewGenerator()
-	cfg := testTemplateConfig()
-	cfg.Decoys = 1
-	v := g.Compile(cfg, 3)
-	js := string(v.Render(nil, "42", "123456789012345", []string{"7"}))
-	if !strings.Contains(js, charCodes("/__bd/42.jpg")) {
-		t.Fatal("short real key not spliced")
-	}
-	if strings.Count(js, "{") != strings.Count(js, "}") {
-		t.Fatal("unbalanced braces with variable-length keys")
 	}
 }
 
@@ -198,9 +131,7 @@ func TestPoolPickAndRotate(t *testing.T) {
 func TestVariantRenderZeroAlloc(t *testing.T) {
 	g := NewGenerator()
 	pool := NewPool(g, testTemplateConfig(), 4, 21)
-	real := "0123456789"
-	ua := "9876543210"
-	decoys := []string{"0000000001", "0000000002", "0000000003", "0000000004"}
+	decoys := []uint64{1, 2, 3, 4}
 	size := 0
 	for pick := uint64(0); pick < 4; pick++ {
 		size = max(size, pool.Pick(pick).Size())
@@ -208,7 +139,7 @@ func TestVariantRenderZeroAlloc(t *testing.T) {
 	dst := make([]byte, 0, size)
 	pick := uint64(0)
 	allocs := testing.AllocsPerRun(200, func() {
-		dst = pool.Pick(pick).Render(dst[:0], real, ua, decoys)
+		dst = pool.Pick(pick).RenderKeys(dst[:0], 123456789, 9876543210, decoys, 10)
 		pick++
 	})
 	if raceEnabled {
@@ -237,11 +168,31 @@ func TestRenderShortDecoysCycles(t *testing.T) {
 	if !strings.Contains(out, "2222222222") {
 		t.Fatal("issued decoy missing from rendered script")
 	}
-	// String and numeric paths must stay byte-identical in the short case too.
-	outS := string(v.Render(nil, "1111111111", "0000000456", []string{"2222222222"}))
-	if out != outS {
-		t.Fatal("RenderKeys differs from Render for a short decoy set")
+	if n := strings.Count(out, "2222222222.jpg"); n != cfg.Decoys {
+		t.Fatalf("the one issued decoy fills %d of %d slots", n, cfg.Decoys)
 	}
 	// And an empty decoy set must not panic (mod-by-zero guard).
 	_ = v.RenderKeys(nil, 1111111111, 456, nil, 10)
+}
+
+// TestRenderKeysClampsDigits: a key is a uint64, so no shape asking for more
+// than MaxTokenDigits digits can be honoured — the compile and the render both
+// clamp, as the keystore does, instead of indexing past the digit buffer.
+func TestRenderKeysClampsDigits(t *testing.T) {
+	const wide = 25
+	for _, obf := range []bool{false, true} {
+		cfg := TemplateConfig{KeyDigits: wide, Decoys: 2, UAReport: true, Obfuscate: obf}
+		v := NewGenerator().Compile(cfg, 5)
+		js := string(v.RenderKeys(nil, 42, 7, []uint64{8, 9}, wide))
+		if len(js) != v.Size() {
+			t.Fatalf("obf=%v: rendered %d bytes, Size() = %d", obf, len(js), v.Size())
+		}
+		want := "/__bd/" + strings.Repeat("0", MaxTokenDigits-2) + "42.jpg"
+		if obf {
+			want = charCodes(want)
+		}
+		if !strings.Contains(js, want) {
+			t.Fatalf("obf=%v: real key not spliced as %d digits:\n%s", obf, MaxTokenDigits, js)
+		}
+	}
 }

@@ -164,11 +164,11 @@ func diffRun(t *testing.T, seed uint64) {
 			case kind == 1: // malformed
 				key = []string{"", "12a", "7", "00000000000000000000000", "-1", " 12"}[r.IntN(6)]
 			case kind == 2: // someone else's real key
-				key = iss.pk.KeyString(iss.pk.Key)
+				key = wire(&iss.pk, iss.pk.Key)
 			case kind <= 5: // the owner's real key (fresh, replayed, expired or evicted)
-				ip, key = iss.ip, iss.pk.KeyString(iss.pk.Key)
+				ip, key = iss.ip, wire(&iss.pk, iss.pk.Key)
 			case len(iss.pk.Decoys) > 0: // the owner's decoy
-				ip, key = iss.ip, iss.pk.KeyString(iss.pk.Decoys[r.IntN(len(iss.pk.Decoys))])
+				ip, key = iss.ip, wire(&iss.pk, iss.pk.Decoys[r.IntN(len(iss.pk.Decoys))])
 			}
 			op = fmt.Sprintf("step %d Validate(%s, %q)", step, ip, key)
 			a, b := got.Validate(ip, key), want.Validate(ip, key)
@@ -207,8 +207,8 @@ func diffRun(t *testing.T, seed uint64) {
 		if a, b := got.Stats(), want.stats; a != b {
 			fail("stats %+v, reference %+v", a, b)
 		}
-		if a, b := got.Clients(), want.Clients(); a != b || int64(a) != got.LiveClients() {
-			fail("Clients %d (LiveClients %d), reference %d", a, got.LiveClients(), b)
+		if a, b := got.Clients(), want.Clients(); a != b || int64(a) != got.liveClients.Load() {
+			fail("Clients %d (lock-free mirror %d), reference %d", a, got.liveClients.Load(), b)
 		}
 		for _, ip := range ips {
 			if a, b := got.OutstandingKeys(ip), want.OutstandingKeys(ip); a != b {
@@ -239,7 +239,7 @@ func FuzzValidate(f *testing.F) {
 			s.IssuePage(owner, "/p.html", &pk)
 			if i < maxPerClient-2 {
 				key, _, _ := s.PageKeysFor(owner, pk.ScriptToken, nil)
-				fresh = append(fresh, pk.KeyString(key))
+				fresh = append(fresh, wire(&pk, key))
 			} else {
 				undrawn = append(undrawn, pk.ScriptToken)
 			}

@@ -37,9 +37,14 @@
 // decoy count — so validation and the uniqueness check are linear scans, and
 // expiry and eviction drop whole batches by copy-down (never reallocating at
 // steady state). There is no per-key record and no per-client hash table; the only
-// map is each shard's client index. IssuePage fills a caller-owned PageKeys
-// without allocating, and Issue remains as the string-typed wrapper that
-// issues a page and draws its keys at once, for callers that want both.
+// map is each shard's client index.
+//
+// A key is a number from draw to wire, and there is one path it can take:
+// IssuePage fills a caller-owned PageKeys without allocating, PageKeysFor draws
+// (once) and returns the keys a script download splices in as fixed-width
+// digits (PageKeys.AppendKey, jsgen.Variant.RenderKeys), and Validate parses
+// the digits a beacon request carries — the only strings the store ever sees,
+// because those bytes are the attacker's.
 package keystore
 
 import (
@@ -93,29 +98,9 @@ func (v Verdict) String() string {
 // clamped; the ~2^63 space is far beyond guessable either way.
 const MaxKeyDigits = 19
 
-// Issued is the set of keys generated for one rewritten page, materialised
-// as strings. It is the compatibility surface over PageKeys: Issue formats
-// the exact digit sequences IssuePage and PageKeysFor draw.
-type Issued struct {
-	// Page is the page path the keys were issued for.
-	Page string
-	// Key is the real key carried by the genuine event-handler beacon.
-	Key string
-	// Decoys are the m decoy keys embedded in obfuscation functions.
-	Decoys []string
-	// CSSToken names the uniquely generated empty stylesheet for the page.
-	CSSToken string
-	// ScriptToken names the uniquely generated external JavaScript file.
-	ScriptToken string
-	// HiddenToken names the hidden (invisible) trap link target.
-	HiddenToken string
-	// IssuedAt is when the keys were generated.
-	IssuedAt time.Time
-}
-
-// PageKeys is the allocation-free form of one issued page view: the per-page
-// object tokens as fixed-width digit values, plus room for the real key and
-// the decoys. IssuePage leaves Key zero and Decoys empty — the keys are not
+// PageKeys is one issued page view: the per-page object tokens as
+// fixed-width digit values, plus room for the real key and the decoys.
+// IssuePage leaves Key zero and Decoys empty — the keys are not
 // drawn until the page's script is requested, and PageKeysFor is where a
 // caller learns them. A caller that reuses one PageKeys per connection issues
 // with zero allocations.
@@ -141,36 +126,6 @@ type PageKeys struct {
 // AppendKey appends v in the page's fixed-width digit format.
 func (pk *PageKeys) AppendKey(dst []byte, v uint64) []byte {
 	return rng.AppendFixedDigits(dst, v, pk.Digits)
-}
-
-// KeyString formats v in the page's fixed-width digit format. The digit
-// loop runs on a stack buffer so the only allocation is the string itself.
-func (pk *PageKeys) KeyString(v uint64) string {
-	var buf [MaxKeyDigits]byte
-	n := pk.Digits
-	for i := n - 1; i >= 0; i-- {
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[:n])
-}
-
-// Issued materialises the page keys as strings, formatting exactly the
-// digit sequences the store drew.
-func (pk *PageKeys) Issued() Issued {
-	iss := Issued{
-		Page:        pk.Page,
-		Key:         pk.KeyString(pk.Key),
-		CSSToken:    pk.KeyString(pk.CSSToken),
-		ScriptToken: pk.KeyString(pk.ScriptToken),
-		HiddenToken: pk.KeyString(pk.HiddenToken),
-		IssuedAt:    pk.IssuedAt,
-		Decoys:      make([]string, len(pk.Decoys)),
-	}
-	for i, d := range pk.Decoys {
-		iss.Decoys[i] = pk.KeyString(d)
-	}
-	return iss
 }
 
 // Config controls Store behaviour.
@@ -557,16 +512,6 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	s.enforceClientCapLocked(sh)
 }
 
-// Issue issues one page view and draws its keys at once, materialised as
-// strings: IssuePage followed by the PageKeysFor a script download would
-// make, formatting exactly the digits those two draw.
-func (s *Store) Issue(clientIP, page string) Issued {
-	var pk PageKeys
-	s.IssuePage(clientIP, page, &pk)
-	pk.Key, pk.Decoys, _ = s.PageKeysFor(clientIP, pk.ScriptToken, pk.Decoys)
-	return pk.Issued()
-}
-
 // drawLocked draws the keys of the undrawn batch b, whose (empty) run sits at
 // arena offset off: the real key, then the decoys, inserted at the batch's
 // position so the arena stays in issue order. Each draw must differ from every
@@ -780,11 +725,6 @@ func (s *Store) Clients() int {
 	}
 	return total
 }
-
-// LiveClients returns the number of distinct client IPs currently tracked,
-// from the lock-free mirror (equal to Clients() at quiescence; use it on the
-// serve path where Clients()'s per-shard locking is too heavy).
-func (s *Store) LiveClients() int64 { return s.liveClients.Load() }
 
 // Occupancy returns the fraction of the client capacity in use, lock-free.
 func (s *Store) Occupancy() float64 {

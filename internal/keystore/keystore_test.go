@@ -46,22 +46,35 @@ func download(t *testing.T, s *Store, ip string, pk *PageKeys) {
 	}
 }
 
+// issue issues one page view to ip and downloads its script: the one way a
+// page's keys come to exist.
+func issue(t *testing.T, s *Store, ip, page string) *PageKeys {
+	t.Helper()
+	pk := new(PageKeys)
+	s.IssuePage(ip, page, pk)
+	download(t, s, ip, pk)
+	return pk
+}
+
+// wire spells v the way a beacon request carries it.
+func wire(pk *PageKeys, v uint64) string { return string(pk.AppendKey(nil, v)) }
+
 func TestIssueShape(t *testing.T) {
 	s, _ := newTestStore(t, Config{Decoys: 5, KeyDigits: 12})
-	iss := s.Issue("10.0.0.1", "/index.html")
+	iss := issue(t, s, "10.0.0.1", "/index.html")
 	if iss.Page != "/index.html" {
 		t.Fatalf("Page = %q", iss.Page)
 	}
-	if len(iss.Key) != 12 {
-		t.Fatalf("key length = %d", len(iss.Key))
+	if iss.Digits != 12 || len(wire(iss, iss.Key)) != 12 || iss.Key >= 1e12 {
+		t.Fatalf("key %d at width %d, want 12 digits", iss.Key, iss.Digits)
 	}
 	if len(iss.Decoys) != 5 {
 		t.Fatalf("decoys = %d", len(iss.Decoys))
 	}
-	if iss.CSSToken == "" || iss.ScriptToken == "" || iss.HiddenToken == "" {
-		t.Fatal("object tokens missing")
+	if iss.CSSToken == iss.ScriptToken || iss.ScriptToken == iss.HiddenToken || iss.CSSToken == iss.HiddenToken {
+		t.Fatalf("object tokens not distinct: %d %d %d", iss.CSSToken, iss.ScriptToken, iss.HiddenToken)
 	}
-	seen := map[string]bool{iss.Key: true}
+	seen := map[uint64]bool{iss.Key: true}
 	for _, d := range iss.Decoys {
 		if seen[d] {
 			t.Fatal("duplicate key among real+decoys")
@@ -72,11 +85,12 @@ func TestIssueShape(t *testing.T) {
 
 func TestValidateRealKeyOnceOnly(t *testing.T) {
 	s, _ := newTestStore(t, Config{})
-	iss := s.Issue("10.0.0.1", "/a.html")
-	if v := s.Validate("10.0.0.1", iss.Key); v != Human {
+	iss := issue(t, s, "10.0.0.1", "/a.html")
+	key := wire(iss, iss.Key)
+	if v := s.Validate("10.0.0.1", key); v != Human {
 		t.Fatalf("first validation = %v", v)
 	}
-	if v := s.Validate("10.0.0.1", iss.Key); v != Replayed {
+	if v := s.Validate("10.0.0.1", key); v != Replayed {
 		t.Fatalf("second validation = %v", v)
 	}
 	st := s.Stats()
@@ -87,9 +101,9 @@ func TestValidateRealKeyOnceOnly(t *testing.T) {
 
 func TestValidateDecoy(t *testing.T) {
 	s, _ := newTestStore(t, Config{Decoys: 3})
-	iss := s.Issue("10.0.0.1", "/a.html")
+	iss := issue(t, s, "10.0.0.1", "/a.html")
 	for _, d := range iss.Decoys {
-		if v := s.Validate("10.0.0.1", d); v != Decoy {
+		if v := s.Validate("10.0.0.1", wire(iss, d)); v != Decoy {
 			t.Fatalf("decoy validation = %v", v)
 		}
 	}
@@ -100,12 +114,18 @@ func TestValidateDecoy(t *testing.T) {
 
 func TestValidateUnknownAndWrongClient(t *testing.T) {
 	s, _ := newTestStore(t, Config{})
-	iss := s.Issue("10.0.0.1", "/a.html")
+	iss := issue(t, s, "10.0.0.1", "/a.html")
 	if v := s.Validate("10.0.0.1", "0000000000"); v != Unknown {
 		t.Fatalf("guessed key = %v", v)
 	}
-	if v := s.Validate("10.0.0.9", iss.Key); v != Unknown {
+	if v := s.Validate("10.0.0.9", wire(iss, iss.Key)); v != Unknown {
 		t.Fatalf("key from wrong client = %v", v)
+	}
+	// Wrong-width keys never validate, so "007" and "7" cannot collide.
+	for _, k := range []string{wire(iss, iss.Key)[1:], "0" + wire(iss, iss.Key), "7"} {
+		if v := s.Validate("10.0.0.1", k); v != Unknown {
+			t.Fatalf("key %q at the wrong width = %v", k, v)
+		}
 	}
 	if v := s.Validate("192.168.0.5", "1234"); v != Unknown {
 		t.Fatalf("unknown client = %v", v)
@@ -114,9 +134,9 @@ func TestValidateUnknownAndWrongClient(t *testing.T) {
 
 func TestTTLExpiry(t *testing.T) {
 	s, vc := newTestStore(t, Config{TTL: 30 * time.Minute})
-	iss := s.Issue("10.0.0.1", "/a.html")
+	iss := issue(t, s, "10.0.0.1", "/a.html")
 	vc.Advance(31 * time.Minute)
-	if v := s.Validate("10.0.0.1", iss.Key); v != Unknown {
+	if v := s.Validate("10.0.0.1", wire(iss, iss.Key)); v != Unknown {
 		t.Fatalf("expired key verdict = %v", v)
 	}
 	if s.Stats().ExpiredDropped == 0 {
@@ -126,13 +146,13 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestTTLExpiryOnIssue(t *testing.T) {
 	s, vc := newTestStore(t, Config{TTL: 10 * time.Minute, Decoys: 2})
-	s.Issue("10.0.0.1", "/a.html")
+	issue(t, s, "10.0.0.1", "/a.html")
 	before := s.OutstandingKeys("10.0.0.1")
 	if before != 3 {
 		t.Fatalf("outstanding = %d, want 3", before)
 	}
 	vc.Advance(11 * time.Minute)
-	s.Issue("10.0.0.1", "/b.html")
+	issue(t, s, "10.0.0.1", "/b.html")
 	// The previous issue should have been purged; only the new 3 remain.
 	if got := s.OutstandingKeys("10.0.0.1"); got != 3 {
 		t.Fatalf("outstanding after expiry = %d, want 3", got)
@@ -141,18 +161,18 @@ func TestTTLExpiryOnIssue(t *testing.T) {
 
 func TestPerClientCapEvictsOldest(t *testing.T) {
 	s, _ := newTestStore(t, Config{Decoys: 2})
-	var issued []Issued
+	var issued []*PageKeys
 	for i := 0; i < maxPerClient+16; i++ {
-		issued = append(issued, s.Issue("10.0.0.1", fmt.Sprintf("/p%d.html", i)))
+		issued = append(issued, issue(t, s, "10.0.0.1", fmt.Sprintf("/p%d.html", i)))
 	}
 	// 64 outstanding issues * (1 real + 2 decoys) keys each.
 	if got := s.OutstandingKeys("10.0.0.1"); got != maxPerClient*3 {
 		t.Fatalf("outstanding = %d, want %d", got, maxPerClient*3)
 	}
-	if v := s.Validate("10.0.0.1", issued[15].Key); v != Unknown {
+	if v := s.ValidateValue("10.0.0.1", issued[15].Key); v != Unknown {
 		t.Fatalf("evicted key verdict = %v", v)
 	}
-	if v := s.Validate("10.0.0.1", issued[16].Key); v != Human {
+	if v := s.ValidateValue("10.0.0.1", issued[16].Key); v != Human {
 		t.Fatalf("oldest surviving key verdict = %v", v)
 	}
 }
@@ -206,17 +226,17 @@ func TestShardedClientCapBoundsTotal(t *testing.T) {
 
 func TestLRUTouchOnValidate(t *testing.T) {
 	s, _ := newTestStore(t, Config{Shards: 1})
-	a := s.Issue("1.1.1.1", "/a.html")
-	s.Issue("2.2.2.2", "/a.html")
+	a := issue(t, s, "1.1.1.1", "/a.html")
+	issue(t, s, "2.2.2.2", "/a.html")
 	var pk PageKeys
 	for i := 2; i < maxClients; i++ { // fill the table to its cap behind the two
 		s.IssuePage(manyIP(i), "/a.html", &pk)
 	}
 	// Touch client 1 so client 2 becomes the LRU victim.
-	if v := s.Validate("1.1.1.1", a.Key); v != Human {
+	if v := s.ValidateValue("1.1.1.1", a.Key); v != Human {
 		t.Fatalf("validate = %v", v)
 	}
-	s.Issue("3.3.3.3", "/a.html")
+	issue(t, s, "3.3.3.3", "/a.html")
 	if s.OutstandingKeys("1.1.1.1") == 0 {
 		t.Fatal("recently validated client evicted")
 	}
@@ -227,13 +247,12 @@ func TestLRUTouchOnValidate(t *testing.T) {
 
 func TestKeysUniqueAcrossIssues(t *testing.T) {
 	s, _ := newTestStore(t, Config{Decoys: 3, KeyDigits: 10})
-	seen := map[string]bool{}
+	seen := map[uint64]bool{}
 	for i := 0; i < 500; i++ {
-		iss := s.Issue("10.0.0.1", "/a.html")
-		all := append([]string{iss.Key}, iss.Decoys...)
-		for _, k := range all {
-			if len(k) != 10 {
-				t.Fatalf("key length %d", len(k))
+		iss := issue(t, s, "10.0.0.1", "/a.html")
+		for _, k := range append([]uint64{iss.Key}, iss.Decoys...) {
+			if len(wire(iss, k)) != 10 || k >= 1e10 {
+				t.Fatalf("key %d is not 10 digits", k)
 			}
 		}
 		if seen[iss.Key] {
@@ -260,9 +279,11 @@ func TestConcurrentIssueValidate(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			ip := fmt.Sprintf("10.1.0.%d", g)
+			var pk PageKeys
 			for i := 0; i < 200; i++ {
-				iss := s.Issue(ip, "/p.html")
-				if v := s.Validate(ip, iss.Key); v != Human {
+				s.IssuePage(ip, "/p.html", &pk)
+				key, _, _ := s.PageKeysFor(ip, pk.ScriptToken, nil)
+				if v := s.ValidateValue(ip, key); v != Human {
 					t.Errorf("goroutine %d: verdict %v", g, v)
 					return
 				}
@@ -290,14 +311,16 @@ func TestConcurrentOverlappingClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var pk PageKeys
 			for i := 0; i < rounds*perRound; i++ {
 				ip := fmt.Sprintf("10.2.%d.%d", i/perRound, (g+i)%3)
-				iss := s.Issue(ip, "/p.html")
-				if v := s.Validate(ip, iss.Key); v != Human {
+				s.IssuePage(ip, "/p.html", &pk)
+				key, _, _ := s.PageKeysFor(ip, pk.ScriptToken, nil)
+				if v := s.ValidateValue(ip, key); v != Human {
 					t.Errorf("goroutine %d: first validation = %v", g, v)
 					return
 				}
-				if v := s.Validate(ip, iss.Key); v != Replayed {
+				if v := s.ValidateValue(ip, key); v != Replayed {
 					t.Errorf("goroutine %d: second validation = %v", g, v)
 					return
 				}
@@ -315,16 +338,16 @@ func TestPropertyRealAndDecoysDisjointAndValid(t *testing.T) {
 	s, _ := newTestStore(t, Config{Decoys: 6})
 	f := func(ipByte uint8, pageID uint16) bool {
 		ip := fmt.Sprintf("10.9.0.%d", ipByte)
-		iss := s.Issue(ip, fmt.Sprintf("/q%d.html", pageID))
+		iss := issue(t, s, ip, fmt.Sprintf("/q%d.html", pageID))
 		// Real key must validate as Human exactly once; every decoy as Decoy.
-		if s.Validate(ip, iss.Key) != Human {
+		if s.Validate(ip, wire(iss, iss.Key)) != Human {
 			return false
 		}
 		for _, d := range iss.Decoys {
 			if d == iss.Key {
 				return false
 			}
-			if s.Validate(ip, d) != Decoy {
+			if s.Validate(ip, wire(iss, d)) != Decoy {
 				return false
 			}
 		}

@@ -81,27 +81,6 @@ func (c *CDF) Quantile(q float64) float64 {
 	return c.samples[idx]
 }
 
-// Mean returns the sample mean, or 0 for an empty CDF.
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range c.samples {
-		sum += v
-	}
-	return sum / float64(len(c.samples))
-}
-
-// Min returns the smallest sample, or 0 for an empty CDF.
-func (c *CDF) Min() float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.ensureSorted()
-	return c.samples[0]
-}
-
 // Max returns the largest sample, or 0 for an empty CDF.
 func (c *CDF) Max() float64 {
 	if len(c.samples) == 0 {
@@ -223,15 +202,6 @@ func (m *ConfusionMatrix) Recall() float64 {
 	return float64(m.TP) / float64(p)
 }
 
-// F1 returns the harmonic mean of precision and recall.
-func (m *ConfusionMatrix) F1() float64 {
-	p, r := m.Precision(), m.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
 // String renders the matrix compactly for logs and test failures.
 func (m *ConfusionMatrix) String() string {
 	return fmt.Sprintf("TP=%d FP=%d TN=%d FN=%d acc=%.3f fpr=%.3f",
@@ -304,12 +274,4 @@ func (t *Table) Format() string {
 // Pct formats a fraction as a percentage with one decimal, e.g. 0.289 -> "28.9".
 func Pct(fraction float64) string {
 	return fmt.Sprintf("%.1f", fraction*100)
-}
-
-// Ratio returns a/b, or 0 when b == 0.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

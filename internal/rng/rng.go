@@ -188,13 +188,6 @@ func (r *Source) Normal(mean, stddev float64) float64 {
 	}
 }
 
-// LogNormal returns a log-normally distributed value parameterised by the
-// mean and standard deviation of the underlying normal distribution. Human
-// think times between page requests are commonly modelled this way.
-func (r *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Pareto returns a Pareto-distributed value with scale xm and shape alpha.
 // Web object sizes and session lengths are heavy-tailed; the simulator uses
 // Pareto draws for both.
@@ -234,30 +227,13 @@ func (r *Source) Poisson(mean float64) int {
 	}
 }
 
-// Geometric returns the number of failures before the first success in a
-// Bernoulli(p) sequence. p is clamped to (0, 1].
-func (r *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		p = math.SmallestNonzeroFloat64
-	}
-	u := r.Float64()
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
 // Zipf samples integers in [0, n) following a Zipf distribution with the
 // given skew s > 0; lower ranks are more probable. It is used to pick pages
 // from the synthetic site following Web-like popularity.
 type Zipf struct {
-	src  *Source
-	cdf  []float64
-	n    int
-	skew float64
+	src *Source
+	cdf []float64
+	n   int
 }
 
 // NewZipf constructs a Zipf sampler over [0, n) with skew s. It panics if
@@ -278,14 +254,11 @@ func NewZipf(src *Source, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{src: src, cdf: cdf, n: n, skew: s}
+	return &Zipf{src: src, cdf: cdf, n: n}
 }
 
 // N returns the size of the sampled domain.
 func (z *Zipf) N() int { return z.n }
-
-// Skew returns the configured skew parameter.
-func (z *Zipf) Skew() float64 { return z.skew }
 
 // Next returns the next sample in [0, n).
 func (z *Zipf) Next() int {
@@ -353,32 +326,11 @@ func (r *Source) HexKey(n int) string {
 	return string(buf)
 }
 
-// DigitKey returns a string of n random decimal digits, matching the style
-// of the beacon object names shown in the paper (e.g. "0729395160.jpg").
-func (r *Source) DigitKey(n int) string {
-	if n <= 0 {
-		return ""
-	}
-	return string(r.AppendDigitKey(make([]byte, 0, n), n))
-}
-
-// AppendDigitKey appends n random decimal digits to dst and returns the
-// extended slice. It consumes the stream exactly like DigitKey, so callers
-// that format keys into reusable buffers stay bit-compatible with callers
-// that materialise strings.
-func (r *Source) AppendDigitKey(dst []byte, n int) []byte {
-	const digits = "0123456789"
-	for i := 0; i < n; i++ {
-		dst = append(dst, digits[r.Intn(10)])
-	}
-	return dst
-}
-
 // DigitKeyValue draws n decimal digits and packs them into a uint64
 // (most-significant digit first, leading zeros preserved by the fixed
-// width). It consumes the stream exactly like DigitKey and AppendDigitKey —
-// one Intn(10) per digit — so numeric and string key consumers seeded alike
-// draw identical keys. n must be at most 19 (10^19-1 fits a uint64).
+// width), matching the style of the beacon object names shown in the paper
+// (e.g. "0729395160.jpg"). It consumes one Intn(10) per digit. n must be at
+// most 19 (10^19-1 fits a uint64).
 func (r *Source) DigitKeyValue(n int) uint64 {
 	var v uint64
 	for i := 0; i < n; i++ {
@@ -388,9 +340,8 @@ func (r *Source) DigitKeyValue(n int) uint64 {
 }
 
 // AppendFixedDigits appends v formatted as exactly n decimal digits (zero
-// padded) to dst and returns the extended slice. It is the inverse of
-// DigitKeyValue: AppendFixedDigits(nil, DigitKeyValue(n), n) equals the
-// AppendDigitKey output for the same draw.
+// padded) to dst and returns the extended slice: the wire spelling of a
+// DigitKeyValue(n) draw. n must be at most 20.
 func AppendFixedDigits(dst []byte, v uint64, n int) []byte {
 	var buf [20]byte
 	for i := n - 1; i >= 0; i-- {

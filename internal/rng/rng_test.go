@@ -232,15 +232,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestLogNormalPositive(t *testing.T) {
-	r := New(41)
-	for i := 0; i < 10000; i++ {
-		if r.LogNormal(0, 1) <= 0 {
-			t.Fatal("LogNormal returned non-positive value")
-		}
-	}
-}
-
 func TestParetoLowerBound(t *testing.T) {
 	r := New(43)
 	for i := 0; i < 10000; i++ {
@@ -279,23 +270,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestGeometric(t *testing.T) {
-	r := New(53)
-	if r.Geometric(1) != 0 {
-		t.Fatal("Geometric(1) should be 0")
-	}
-	const draws = 100000
-	sum := 0
-	for i := 0; i < draws; i++ {
-		sum += r.Geometric(0.25)
-	}
-	mean := float64(sum) / draws
-	// Mean of failures before success is (1-p)/p = 3.
-	if math.Abs(mean-3) > 0.2 {
-		t.Fatalf("Geometric(0.25) sample mean = %f", mean)
-	}
-}
-
 func TestZipfSkewsLow(t *testing.T) {
 	r := New(59)
 	z := NewZipf(r, 100, 1.0)
@@ -313,8 +287,8 @@ func TestZipfSkewsLow(t *testing.T) {
 	if counts[0] <= counts[99] {
 		t.Fatalf("Zipf rank 0 (%d) not more popular than rank 99 (%d)", counts[0], counts[99])
 	}
-	if z.N() != 100 || z.Skew() != 1.0 {
-		t.Fatal("Zipf accessors incorrect")
+	if z.N() != 100 {
+		t.Fatalf("N() = %d, want 100", z.N())
 	}
 }
 
@@ -372,9 +346,9 @@ func TestHexKeyProperties(t *testing.T) {
 
 func TestDigitKeyProperties(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%32) + 1
-		r := New(seed)
-		k := r.DigitKey(n)
+		n := int(nRaw%19) + 1
+		v := New(seed).DigitKeyValue(n)
+		k := string(AppendFixedDigits(nil, v, n))
 		if len(k) != n {
 			return false
 		}
@@ -383,7 +357,14 @@ func TestDigitKeyProperties(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		// The wire spelling parses back to the draw, at its own width only.
+		if got, ok := ParseFixedDigits(k, n); !ok || got != v {
+			return false
+		}
+		_, shorter := ParseFixedDigits(k[1:], n)
+		_, longer := ParseFixedDigits("0"+k, n)
+		_, signed := ParseFixedDigits("-"+k[1:], n)
+		return !shorter && !longer && !signed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -402,20 +383,25 @@ func TestHexKeyCollisionRate(t *testing.T) {
 	}
 }
 
-func TestAppendDigitKeyMatchesDigitKey(t *testing.T) {
+// TestAppendFixedDigitsMatchesDigitKeyValue: a key is one Intn(10) per digit,
+// most significant first — the draw order fixed-seed runs replay — and its
+// wire spelling is those digits.
+func TestAppendFixedDigitsMatchesDigitKeyValue(t *testing.T) {
 	a := New(77)
 	b := New(77)
 	var buf []byte
 	for i := 0; i < 50; i++ {
 		n := i % 13
-		want := a.DigitKey(n)
-		buf = b.AppendDigitKey(buf[:0], n)
-		if string(buf) != want {
-			t.Fatalf("n=%d: AppendDigitKey = %q, DigitKey = %q", n, buf, want)
+		want := make([]byte, n)
+		for j := range want {
+			want[j] = byte('0' + a.Intn(10))
+		}
+		buf = AppendFixedDigits(buf[:0], b.DigitKeyValue(n), n)
+		if string(buf) != string(want) {
+			t.Fatalf("n=%d: AppendFixedDigits(DigitKeyValue) = %q, the digit draws = %q", n, buf, want)
 		}
 	}
-	// The two sources must stay stream-synchronised: identical next draws.
 	if a.Uint64() != b.Uint64() {
-		t.Fatal("AppendDigitKey consumed the stream differently from DigitKey")
+		t.Fatal("DigitKeyValue consumed the stream differently from n digit draws")
 	}
 }

@@ -650,9 +650,6 @@ func NewTracker(cfg Config) *Tracker {
 // ShardCount returns the number of shards (a power of two).
 func (t *Tracker) ShardCount() int { return len(t.shards) }
 
-// ShardIndex returns the shard the key maps to, for tests and diagnostics.
-func (t *Tracker) ShardIndex(key Key) int { return int(key.Hash() & t.mask) }
-
 // ShardActive returns the number of sessions currently tracked by shard i,
 // for per-shard telemetry gauges (a skewed shard is the first sign of a
 // hash-flooding client mix). It locks only that shard.

@@ -504,7 +504,7 @@ func TestShardDistribution(t *testing.T) {
 			IP:        fmt.Sprintf("%d.%d.%d.%d", 10+i%80, (i/250)%250, i%250, 1+i%17),
 			UserAgent: uas[i%len(uas)],
 		}
-		counts[tr.ShardIndex(key)]++
+		counts[key.Hash()&tr.mask]++
 	}
 	mean := n / tr.ShardCount()
 	for i, c := range counts {

@@ -5,10 +5,10 @@
 // CoDeeN network; this package substitutes a deterministic site whose pages
 // have the structure the detector cares about: visible links between pages,
 // embedded images, a stylesheet, a JavaScript file, CGI endpoints that
-// redirect or fail, a robots.txt, and a favicon. Page popularity follows a
-// Zipf distribution, and page/object sizes follow heavy-tailed draws, so the
-// synthetic traffic resembles Web traffic at the level of observable request
-// streams.
+// redirect or fail, a robots.txt, and a favicon. Page and object sizes follow
+// heavy-tailed draws, so the synthetic traffic resembles Web traffic at the
+// level of observable request streams; which pages a client asks for is the
+// client's business (internal/agents follows links).
 package webmodel
 
 import (
@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"botdetect/internal/rng"
 )
@@ -41,8 +40,6 @@ const (
 	imagesPerPage = 4
 	// cgiEndpoints is the number of distinct CGI scripts on the site.
 	cgiEndpoints = 5
-	// popularitySkew is the Zipf skew of page popularity.
-	popularitySkew = 0.9
 	// maxImageBytes caps the heavy-tailed image size draw.
 	maxImageBytes = 200000
 )
@@ -93,9 +90,6 @@ type Site struct {
 	pages   []*Page
 	byPath  map[string]*Page
 	objects map[string]Object
-
-	popMu sync.Mutex
-	pop   *rng.Zipf
 }
 
 // Generate builds a synthetic site from the configuration.
@@ -181,8 +175,6 @@ func Generate(cfg SiteConfig) *Site {
 	s.objects["/favicon.ico"] = Object{Status: http.StatusOK, ContentType: "image/x-icon", Body: bytes.Repeat([]byte{'i'}, 318)}
 	s.objects["/robots.txt"] = Object{Status: http.StatusOK, ContentType: "text/plain",
 		Body: []byte("User-agent: *\nDisallow: /cgi-bin/\nCrawl-delay: 10\n")}
-
-	s.pop = rng.NewZipf(src.Split(), len(s.pages), popularitySkew)
 	return s
 }
 
@@ -198,17 +190,6 @@ func (s *Site) Pages() []*Page { return s.pages }
 
 // Page returns the page with the given path, or nil.
 func (s *Site) Page(path string) *Page { return s.byPath[path] }
-
-// HomePage returns the site's root page.
-func (s *Site) HomePage() *Page { return s.pages[0] }
-
-// PopularPage draws a page according to the Zipf popularity distribution.
-func (s *Site) PopularPage() *Page {
-	s.popMu.Lock()
-	idx := s.pop.Next()
-	s.popMu.Unlock()
-	return s.pages[idx]
-}
 
 // Paths returns all servable object paths in sorted order.
 func (s *Site) Paths() []string {

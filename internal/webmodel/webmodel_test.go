@@ -19,8 +19,8 @@ func TestGenerateDefaults(t *testing.T) {
 	if s.NumPages() != 100 {
 		t.Fatalf("NumPages = %d", s.NumPages())
 	}
-	if s.HomePage().Path != "/" {
-		t.Fatalf("home path = %q", s.HomePage().Path)
+	if s.Pages()[0].Path != "/" {
+		t.Fatalf("home path = %q", s.Pages()[0].Path)
 	}
 }
 
@@ -131,21 +131,6 @@ func TestCGIBehaviourDeterministic(t *testing.T) {
 	}
 	if ok200 == 0 || redir == 0 || fail == 0 {
 		t.Fatalf("CGI status mix degenerate: 200=%d 3xx=%d 5xx=%d", ok200, redir, fail)
-	}
-}
-
-func TestPopularPageSkew(t *testing.T) {
-	s := Generate(SiteConfig{Seed: 17, NumPages: 50})
-	counts := map[string]int{}
-	for i := 0; i < 20000; i++ {
-		counts[s.PopularPage().Path]++
-	}
-	if counts["/"] == 0 {
-		t.Fatal("home page never drawn")
-	}
-	// The most popular page should be drawn far more often than a mid-rank page.
-	if counts["/"] < counts["/page25.html"] {
-		t.Fatalf("popularity skew not visible: home=%d page25=%d", counts["/"], counts["/page25.html"])
 	}
 }
 
