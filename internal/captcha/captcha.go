@@ -84,7 +84,6 @@ type Service struct {
 	mu          sync.Mutex
 	src         *rng.Source
 	outstanding map[string]*stored
-	passed      map[session.Key]time.Time
 	order       []string // issue order for eviction
 	stats       Stats
 }
@@ -96,7 +95,6 @@ func NewService(cfg Config) *Service {
 		cfg:         cfg,
 		src:         rng.New(cfg.Seed).Fork("captcha"),
 		outstanding: make(map[string]*stored),
-		passed:      make(map[session.Key]time.Time),
 	}
 }
 
@@ -155,8 +153,9 @@ func (s *Service) evictLocked() {
 	}
 }
 
-// Verify checks an answer for the challenge with the given ID. On success
-// the session is recorded as having passed a CAPTCHA.
+// Verify checks an answer for the challenge with the given ID. The service
+// keeps no record of who passed: the caller marks the session
+// (core.Engine.MarkCaptchaPassed), and the record ends with the session.
 func (s *Service) Verify(id, answer string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,7 +173,6 @@ func (s *Service) Verify(id, answer string) bool {
 	st.attempts++
 	if strings.TrimSpace(answer) == st.ch.answer {
 		delete(s.outstanding, id)
-		s.passed[st.ch.key] = now
 		s.stats.Passed++
 		return true
 	}
@@ -183,21 +181,6 @@ func (s *Service) Verify(id, answer string) bool {
 	}
 	s.stats.Failed++
 	return false
-}
-
-// HasPassed reports whether the session has ever passed a challenge.
-func (s *Service) HasPassed(key session.Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.passed[key]
-	return ok
-}
-
-// PassedCount returns the number of sessions that have passed a challenge.
-func (s *Service) PassedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.passed)
 }
 
 // Outstanding returns the number of unsolved, unexpired challenges stored.

@@ -49,8 +49,8 @@ type NodeStats struct {
 	OriginBytes         int64
 	InstrumentationHits int64
 	CaptchaSolved       int64
-	// FleetBlocked counts requests rejected by the replicated block list's
-	// lock-free fast path (a subset of BlockedRequests).
+	// FleetBlocked counts requests refused by the replicated block-list
+	// check that runs ahead of session state (a subset of BlockedRequests).
 	FleetBlocked int64
 	// FailoverDegraded counts page views served degraded because the session
 	// belongs to another partition owner this node had never seen.
@@ -234,9 +234,9 @@ func (n *Node) Do(req agents.Request) agents.Response {
 
 	// Replicated block list, checked before local session state: a session
 	// blocked anywhere in the fleet is refused here even though this node
-	// may never have tracked it. The check is the policy engine's lock-free
-	// snapshot read, so the fast path costs one pointer load; it only runs
-	// in fleet mode so isolated-node behaviour is bit-identical to before.
+	// may never have tracked it. The check is one lookup in the policy
+	// engine's table under its lock; it only runs in fleet mode so
+	// isolated-node behaviour is bit-identical to before.
 	if n.rep != nil && n.cfg.Policy != nil && n.cfg.Policy.IsBlocked(key) {
 		n.stats.blockedRequests.Add(1)
 		n.stats.fleetBlocked.Add(1)

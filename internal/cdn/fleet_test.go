@@ -115,8 +115,8 @@ func TestFleetBlockReplication(t *testing.T) {
 		}
 		return true
 	})
-	// Every node now refuses the session on the lock-free fast path, even the
-	// ones that never tracked it.
+	// Every node now refuses the session ahead of its own session state, even
+	// the ones that never tracked it.
 	for _, nd := range net.Nodes() {
 		if nd == abused {
 			continue

@@ -186,7 +186,9 @@ func (e *Engine) trackingOccupancy() float64 {
 // MemoryEstimate returns the engine's approximate live memory footprint in
 // bytes — the session tracker, the keystore, and the tracker's string
 // interner, the structures whose size is attacker-controlled. Lock-free and
-// allocation-free.
+// allocation-free. The policy ladder (policy.Engine, owned by the serving
+// surface, not the engine) is not charged: it holds at most one 72-byte entry
+// per session evaluated as a robot, or blocked, within the last hour.
 func (e *Engine) MemoryEstimate() int64 {
 	return e.sessions.MemoryEstimate() + e.keys.MemoryEstimate() + e.interner.MemoryEstimate()
 }

@@ -7,9 +7,8 @@
 // duplicates, reorders) converges to the same verdict/block state as
 // sequential delivery.
 //
-// The design generalises the repo's existing single-node publication
-// patterns (the policy ladder's copy-on-write snapshot, Engine.SetModel's
-// atomic swap) to cross-node asynchrony:
+// The design generalises the repo's single-node publication pattern
+// (Engine.SetModel's atomic swap) to cross-node asynchrony:
 //
 //   - Every durable update carries its origin node, an incarnation number
 //     and a per-origin dense epoch (1, 2, 3, …). Receivers keep a per-origin

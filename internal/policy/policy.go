@@ -11,6 +11,14 @@
 // The ladder's numbers are the one aggressive post-classification policy the
 // paper describes deploying and are fixed (the constants below): nothing but
 // the clock is settable.
+//
+// The ladder is one pure function, step, over one table under one mutex, the
+// engine's only synchronisation. The table holds an entry for each session off
+// the monitor stage, and an entry ends with what it was issued to: a block at
+// its expiry, a challenge blockDuration (the paper's one-hour session timeout)
+// after the session's last evaluated request, so a key that returns later
+// starts again at monitor. A lapsed entry is dropped by its next reader, and
+// by a whole-table pass that a write runs at most once per blockDuration/4.
 package policy
 
 import (
@@ -150,177 +158,67 @@ type engineStats struct {
 	deescalated  atomic.Int64
 }
 
-// stageState is one session's position on the ladder.
+// stageState is one session's entry on the ladder. The zero value is the
+// monitor stage, which the table stores by absence.
 type stageState struct {
 	stage Stage
-	// enteredTotal is the session's request count when it entered the stage,
-	// for the challenge-grace computation.
+	// enteredTotal is the session's request count when it was challenged, for
+	// the challenge-grace computation.
 	enteredTotal int64
-	// until is the block expiry (block stage only).
+	// until is when the entry ends: a block's expiry, and for a challenge
+	// blockDuration past the session's last evaluated request.
 	until time.Time
 }
 
-// stageSet is an immutable snapshot of the per-session ladder state. The
-// enforcement read path loads it through an atomic pointer, so checking a
-// request never takes a lock; mutations (stage transitions, block expiry)
-// copy the map and publish a new snapshot. Transitions are rare — at most a
-// handful per session lifetime — so copy-on-write is the right trade.
-type stageSet struct {
-	m map[session.Key]stageState
-}
-
-// Engine applies the policy. It is safe for concurrent use: Evaluate and
-// IsBlocked read an atomically published snapshot of the ladder state, and
-// the mutex serialises only the rare copy-on-write transitions.
+// Engine applies the policy. It is safe for concurrent use: mu guards the
+// table and everything derived from it, and is never held across onBlock.
 type Engine struct {
-	cfg Config
+	cfg   Config
+	stats engineStats
 
-	stages atomic.Pointer[stageSet]
-	mu     sync.Mutex // serialises stage writers
-	stats  engineStats
+	mu sync.Mutex
+	// stages holds one entry per session off the monitor stage.
+	stages map[session.Key]stageState
+	// onLadder counts the table's entries by stage as they enter and leave,
+	// so a scrape never walks the table; the monitor slot is unused.
+	onLadder [StageBlock + 1]int
+	// nextSweep is when a write next drops every lapsed entry.
+	nextSweep time.Time
 
 	// onBlock, when set, receives every LOCALLY decided block (never one
 	// applied via BlockUntil) so the fleet layer can replicate it without
-	// echo loops. Atomic: the block path reads it lock-free.
+	// echo loops.
 	onBlock atomic.Pointer[func(session.Key, time.Time)]
 }
 
 // NewEngine creates an Engine.
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{cfg: cfg.withDefaults()}
-	e.stages.Store(&stageSet{m: map[session.Key]stageState{}})
-	return e
+	return &Engine{cfg: cfg.withDefaults(), stages: map[session.Key]stageState{}}
 }
 
-// stage returns the session's ladder state from the current snapshot.
-func (e *Engine) stage(key session.Key) (stageState, bool) {
-	st, ok := e.stages.Load().m[key]
-	return st, ok
-}
-
-// setStage copies the snapshot with key at the given state.
-func (e *Engine) setStage(key session.Key, st stageState) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.setStageLocked(key, st)
-}
-
-func (e *Engine) setStageLocked(key session.Key, st stageState) {
-	cur := e.stages.Load()
-	next := make(map[session.Key]stageState, len(cur.m)+1)
-	for k, v := range cur.m {
-		next[k] = v
+// step is the whole ladder: one session's entry, the request's snapshot and
+// verdict and the time in, the entry to store and the decision out. The
+// caller has already dropped a lapsed entry.
+func step(st stageState, snap *session.Snapshot, verdict detect.Verdict, now time.Time) (stageState, Decision) {
+	if st.stage == StageBlock {
+		return st, Decision{Action: Block, Stage: StageBlock, Reason: "session is blocked"}
 	}
-	next[key] = st
-	e.stages.Store(&stageSet{m: next})
-}
-
-// escalateChallenge promotes key from monitor to challenge. The caller's
-// stage read was lock-free, so the current state is re-validated under the
-// mutex: if a concurrent evaluation already challenged — or blocked — the
-// session, that state wins and transitioned is false. Without this check a
-// stale monitor read could overwrite a just-published block.
-func (e *Engine) escalateChallenge(key session.Key, total int64) (st stageState, transitioned bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cur, ok := e.stages.Load().m[key]; ok {
-		return cur, false
+	if st.stage == StageChallenge {
+		// The entry lives as long as the session it was issued to keeps coming.
+		st.until = now.Add(blockDuration)
 	}
-	st = stageState{stage: StageChallenge, enteredTotal: total}
-	e.setStageLocked(key, st)
-	return st, true
-}
-
-// demote removes key from the ladder (back to monitor).
-func (e *Engine) demote(key session.Key) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.stages.Load()
-	if _, ok := cur.m[key]; !ok {
-		return
-	}
-	next := make(map[session.Key]stageState, len(cur.m))
-	for k, v := range cur.m {
-		if k != key {
-			next[k] = v
-		}
-	}
-	e.stages.Store(&stageSet{m: next})
-}
-
-// expireBlock drops key if its block has lapsed, counting the unblock
-// exactly once even when readers race on the expiry. It sweeps every other
-// expired block in the same copy, so draining a ladder whose blocks lapse
-// together costs one map copy, not one per entry.
-func (e *Engine) expireBlock(key session.Key) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.stages.Load()
-	now := e.cfg.Clock.Now()
-	st, ok := cur.m[key]
-	if !ok || st.stage != StageBlock || now.Before(st.until) {
-		return
-	}
-	next := make(map[session.Key]stageState, len(cur.m))
-	removed := int64(0)
-	for k, v := range cur.m {
-		if v.stage == StageBlock && !now.Before(v.until) {
-			removed++
-			continue
-		}
-		next[k] = v
-	}
-	e.stages.Store(&stageSet{m: next})
-	e.stats.unblocked.Add(removed)
-}
-
-// Evaluate walks the session one step along the escalation ladder given its
-// current snapshot and the detection chain's verdict. The common path (no
-// transition) is lock-free.
-func (e *Engine) Evaluate(snap session.Snapshot, verdict detect.Verdict) Decision {
-	e.stats.evaluations.Add(1)
-	now := e.cfg.Clock.Now()
-	key := snap.Key
-
-	st, ok := e.stage(key)
-	if ok && st.stage == StageBlock {
-		if now.Before(st.until) {
-			e.stats.blocked.Add(1)
-			return Decision{Action: Block, Stage: StageBlock, Reason: "session is blocked"}
-		}
-		e.expireBlock(key)
-		st, ok = e.stage(key)
-	}
-
 	if verdict.Class != detect.ClassRobot {
-		stage := StageMonitor
-		if ok {
-			stage = st.stage
-		}
-		if ok && st.stage == StageChallenge && verdict.Class == detect.ClassHuman && verdict.Confidence == detect.Definite {
+		if st.stage == StageChallenge && verdict.Class == detect.ClassHuman && verdict.Confidence == detect.Definite {
 			// The challenge worked: direct human evidence (CAPTCHA pass,
 			// input events) de-escalates the session.
-			e.demote(key)
-			e.stats.deescalated.Add(1)
-			stage = StageMonitor
+			st = stageState{}
 		}
-		e.stats.allowed.Add(1)
-		return Decision{Action: Allow, Stage: stage, Reason: "session not classified as robot"}
+		return st, Decision{Action: Allow, Stage: st.stage, Reason: "session not classified as robot"}
 	}
-
-	// Robot verdict: monitor → challenge on the first one. The transition
-	// re-validates under the writer mutex; a concurrent block wins.
-	if !ok || st.stage != StageChallenge {
-		st2, transitioned := e.escalateChallenge(key, int64(snap.Counts.Total))
-		if transitioned {
-			e.stats.challenged.Add(1)
-			return Decision{Action: Challenge, Stage: StageChallenge, Reason: "robot verdict (" + verdict.Reason + "): challenge issued"}
-		}
-		if st2.stage == StageBlock {
-			e.stats.blocked.Add(1)
-			return Decision{Action: Block, Stage: StageBlock, Reason: "session is blocked"}
-		}
-		st = st2 // already challenged by a concurrent evaluation
+	c := snap.Counts
+	if st.stage == StageMonitor {
+		st = stageState{stage: StageChallenge, enteredTotal: int64(c.Total), until: now.Add(blockDuration)}
+		return st, Decision{Action: Challenge, Stage: StageChallenge, Reason: "robot verdict (" + verdict.Reason + "): challenge issued"}
 	}
 
 	// Challenged and still behaving like a robot: behavioural thresholds and
@@ -329,37 +227,100 @@ func (e *Engine) Evaluate(snap session.Snapshot, verdict detect.Verdict) Decisio
 	if dur < 1 {
 		dur = 1
 	}
-	c := snap.Counts
-
+	blocked := stageState{stage: StageBlock, until: now.Add(blockDuration)}
 	if rate := float64(c.CGI) / dur; rate > maxCGIRate {
-		e.block(key, now)
-		return Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot CGI rate %.2f/s exceeds %.2f/s", rate, maxCGIRate)}
+		return blocked, Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot CGI rate %.2f/s exceeds %.2f/s", rate, maxCGIRate)}
 	}
 	if c.Total >= minRequestsForShare {
-		errShare := float64(c.Status4xx+c.Status5xx) / float64(c.Total)
-		if errShare > maxErrorShare {
-			e.block(key, now)
-			return Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot error share %.0f%% exceeds %.0f%%", errShare*100, maxErrorShare*100)}
+		if errShare := float64(c.Status4xx+c.Status5xx) / float64(c.Total); errShare > maxErrorShare {
+			return blocked, Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot error share %.0f%% exceeds %.0f%%", errShare*100, maxErrorShare*100)}
 		}
 	}
-	if verdict.Confidence == detect.Definite && int64(c.Total)-st.enteredTotal >= challengeGraceRequests {
-		e.block(key, now)
-		return Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("definite robot ignored the challenge for %d requests", int64(c.Total)-st.enteredTotal)}
+	if since := int64(c.Total) - st.enteredTotal; verdict.Confidence == detect.Definite && since >= challengeGraceRequests {
+		return blocked, Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("definite robot ignored the challenge for %d requests", since)}
 	}
 	if rate := float64(c.Total) / dur; rate > maxRequestRate {
-		e.stats.throttled.Add(1)
-		return Decision{Action: Throttle, Stage: StageChallenge, Reason: fmt.Sprintf("challenged robot request rate %.2f/s exceeds %.2f/s", rate, maxRequestRate)}
+		return st, Decision{Action: Throttle, Stage: StageChallenge, Reason: fmt.Sprintf("challenged robot request rate %.2f/s exceeds %.2f/s", rate, maxRequestRate)}
 	}
-	e.stats.allowed.Add(1)
-	return Decision{Action: Allow, Stage: StageChallenge, Reason: "challenged robot within behavioural thresholds"}
+	return st, Decision{Action: Allow, Stage: StageChallenge, Reason: "challenged robot within behavioural thresholds"}
 }
 
-// block promotes key to the block stage and reports the locally decided
-// block to the fleet hook.
-func (e *Engine) block(key session.Key, now time.Time) {
-	until := now.Add(blockDuration)
-	e.setStage(key, stageState{stage: StageBlock, until: until})
-	e.stats.blocked.Add(1)
+// live returns key's entry, dropping it first if it has lapsed. Caller holds mu.
+func (e *Engine) live(key session.Key, now time.Time) stageState {
+	st, ok := e.stages[key]
+	if ok && !now.Before(st.until) {
+		e.drop(key, st)
+		return stageState{}
+	}
+	return st
+}
+
+// drop removes key's lapsed entry st, counting an ended block. Caller holds mu.
+func (e *Engine) drop(key session.Key, st stageState) {
+	delete(e.stages, key)
+	e.onLadder[st.stage]--
+	if st.stage == StageBlock {
+		e.stats.unblocked.Add(1)
+	}
+}
+
+// set replaces key's entry prev with next. It is the table's only writer, so
+// it is also where the whole-table pass runs, at most once per blockDuration/4:
+// an entry nobody reads again is gone within that of lapsing. Caller holds mu.
+func (e *Engine) set(key session.Key, prev, next stageState, now time.Time) {
+	e.onLadder[prev.stage]--
+	e.onLadder[next.stage]++
+	if next.stage == StageMonitor {
+		delete(e.stages, key)
+	} else {
+		e.stages[key] = next
+	}
+	if now.Before(e.nextSweep) {
+		return
+	}
+	e.nextSweep = now.Add(blockDuration / 4)
+	for k, st := range e.stages {
+		if !now.Before(st.until) {
+			e.drop(k, st)
+		}
+	}
+}
+
+// Evaluate walks the session one step along the escalation ladder given its
+// current snapshot and the detection chain's verdict.
+func (e *Engine) Evaluate(snap session.Snapshot, verdict detect.Verdict) Decision {
+	e.stats.evaluations.Add(1)
+	now := e.cfg.Clock.Now()
+
+	e.mu.Lock()
+	prev := e.live(snap.Key, now)
+	next, d := step(prev, &snap, verdict, now)
+	if next != prev {
+		e.set(snap.Key, prev, next, now)
+	}
+	e.mu.Unlock()
+
+	switch d.Action {
+	case Challenge:
+		e.stats.challenged.Add(1)
+	case Throttle:
+		e.stats.throttled.Add(1)
+	case Block:
+		e.stats.blocked.Add(1)
+	default:
+		e.stats.allowed.Add(1)
+	}
+	if prev.stage == StageChallenge && next.stage == StageMonitor {
+		e.stats.deescalated.Add(1)
+	}
+	if prev.stage != StageBlock && next.stage == StageBlock {
+		e.reportBlock(snap.Key, next.until)
+	}
+	return d
+}
+
+// reportBlock hands a locally decided block to the fleet hook.
+func (e *Engine) reportBlock(key session.Key, until time.Time) {
 	if fn := e.onBlock.Load(); fn != nil {
 		(*fn)(key, until)
 	}
@@ -367,7 +328,13 @@ func (e *Engine) block(key session.Key, now time.Time) {
 
 // BlockNow explicitly blocks a session (e.g. after an operator decision).
 func (e *Engine) BlockNow(key session.Key) {
-	e.block(key, e.cfg.Clock.Now())
+	now := e.cfg.Clock.Now()
+	until := now.Add(blockDuration)
+	e.mu.Lock()
+	e.set(key, e.stages[key], stageState{stage: StageBlock, until: until}, now)
+	e.mu.Unlock()
+	e.stats.blocked.Add(1)
+	e.reportBlock(key, until)
 }
 
 // SetOnBlock installs (or clears, with nil) the fleet replication hook: it
@@ -390,59 +357,40 @@ func (e *Engine) SetOnBlock(fn func(session.Key, time.Time)) {
 func (e *Engine) BlockUntil(key session.Key, until time.Time) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if cur, ok := e.stages.Load().m[key]; ok && cur.stage == StageBlock && !cur.until.Before(until) {
+	cur := e.stages[key]
+	if cur.stage == StageBlock && !cur.until.Before(until) {
 		return false
 	}
-	e.setStageLocked(key, stageState{stage: StageBlock, until: until})
+	e.set(key, cur, stageState{stage: StageBlock, until: until}, e.cfg.Clock.Now())
 	e.stats.remoteBlocks.Add(1)
 	return true
 }
 
-// IsBlocked reports whether a session is currently blocked. The check is
-// lock-free unless it observes an expired block to clean up.
+// IsBlocked reports whether a session is currently blocked.
 func (e *Engine) IsBlocked(key session.Key) bool {
-	st, ok := e.stage(key)
-	if !ok || st.stage != StageBlock {
-		return false
-	}
-	if e.cfg.Clock.Now().Before(st.until) {
-		return true
-	}
-	e.expireBlock(key)
-	return false
+	return e.StageOf(key) == StageBlock
 }
 
 // StageOf returns the session's current escalation stage.
 func (e *Engine) StageOf(key session.Key) Stage {
-	st, ok := e.stage(key)
-	if !ok {
-		return StageMonitor
-	}
-	return st.stage
+	now := e.cfg.Clock.Now()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.live(key, now).stage
 }
 
-// BlockedCount returns the number of sessions currently in the block stage
-// (including blocks whose expiry has passed but has not been observed yet).
-func (e *Engine) BlockedCount() int {
-	n := 0
-	for _, st := range e.stages.Load().m {
-		if st.stage == StageBlock {
-			n++
-		}
-	}
-	return n
-}
+// BlockedCount returns the number of sessions in the block stage (including
+// blocks whose expiry has passed but that nothing has read or swept yet).
+func (e *Engine) BlockedCount() int { return e.count(StageBlock) }
 
-// ChallengedCount returns the number of sessions currently in the challenge
-// stage.
-func (e *Engine) ChallengedCount() int {
-	n := 0
-	for _, st := range e.stages.Load().m {
-		if st.stage == StageChallenge {
-			n++
-		}
-	}
-	return n
+// ChallengedCount returns the number of sessions in the challenge stage
+// (lapsed entries included, as for BlockedCount).
+func (e *Engine) ChallengedCount() int { return e.count(StageChallenge) }
+
+func (e *Engine) count(s Stage) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.onLadder[s]
 }
 
 // Stats returns a copy of the counters.
@@ -460,33 +408,27 @@ func (e *Engine) Stats() Stats {
 }
 
 // RegisterMetrics exposes the engine's decision counters and ladder gauges
-// through a telemetry registry. The collectors read the existing atomic
-// stats at scrape time, so enforcement pays nothing for being observable;
-// node labels the samples in fleet registries ("" for none).
+// through a telemetry registry. The collectors read the existing stats and
+// the table's two per-stage counts at scrape time, so enforcement pays
+// nothing for being observable and a scrape never walks the table; node
+// labels the samples in fleet registries ("" for none).
 func (e *Engine) RegisterMetrics(reg *telemetry.Registry, node string) {
 	nl := ""
 	if node != "" {
 		nl = telemetry.Label("node", node)
 	}
-	const decisions = "botdetect_policy_decisions_total"
-	decHelp := "Policy evaluations by resulting action."
-	reg.CounterFunc(decisions, telemetry.Join(telemetry.Label("action", "allow"), nl), decHelp,
-		func() float64 { return float64(e.stats.allowed.Load()) })
-	reg.CounterFunc(decisions, telemetry.Join(telemetry.Label("action", "challenge"), nl), decHelp,
-		func() float64 { return float64(e.stats.challenged.Load()) })
-	reg.CounterFunc(decisions, telemetry.Join(telemetry.Label("action", "throttle"), nl), decHelp,
-		func() float64 { return float64(e.stats.throttled.Load()) })
-	reg.CounterFunc(decisions, telemetry.Join(telemetry.Label("action", "block"), nl), decHelp,
-		func() float64 { return float64(e.stats.blocked.Load()) })
-
-	const transitions = "botdetect_policy_transitions_total"
-	trHelp := "Escalation-ladder transitions by kind."
-	reg.CounterFunc(transitions, telemetry.Join(telemetry.Label("event", "unblocked"), nl), trHelp,
-		func() float64 { return float64(e.stats.unblocked.Load()) })
-	reg.CounterFunc(transitions, telemetry.Join(telemetry.Label("event", "remote_block"), nl), trHelp,
-		func() float64 { return float64(e.stats.remoteBlocks.Load()) })
-	reg.CounterFunc(transitions, telemetry.Join(telemetry.Label("event", "deescalated"), nl), trHelp,
-		func() float64 { return float64(e.stats.deescalated.Load()) })
+	counter := func(name, label, help string, v *atomic.Int64) {
+		reg.CounterFunc(name, telemetry.Join(label, nl), help, func() float64 { return float64(v.Load()) })
+	}
+	const decisions, decHelp = "botdetect_policy_decisions_total", "Policy evaluations by resulting action."
+	counter(decisions, telemetry.Label("action", "allow"), decHelp, &e.stats.allowed)
+	counter(decisions, telemetry.Label("action", "challenge"), decHelp, &e.stats.challenged)
+	counter(decisions, telemetry.Label("action", "throttle"), decHelp, &e.stats.throttled)
+	counter(decisions, telemetry.Label("action", "block"), decHelp, &e.stats.blocked)
+	const transitions, trHelp = "botdetect_policy_transitions_total", "Escalation-ladder transitions by kind."
+	counter(transitions, telemetry.Label("event", "unblocked"), trHelp, &e.stats.unblocked)
+	counter(transitions, telemetry.Label("event", "remote_block"), trHelp, &e.stats.remoteBlocks)
+	counter(transitions, telemetry.Label("event", "deescalated"), trHelp, &e.stats.deescalated)
 
 	chLabels := telemetry.Join(telemetry.Label("stage", "challenge"), nl)
 	blLabels := telemetry.Join(telemetry.Label("stage", "block"), nl)

@@ -257,8 +257,8 @@ func TestDefaultsApplied(t *testing.T) {
 
 func TestConcurrentEnforcement(t *testing.T) {
 	// Readers (Evaluate/IsBlocked/BlockedCount) race against transition and
-	// expiry writers on the copy-on-write snapshot; run under -race this is
-	// the data-race proof for the lock-free read path.
+	// expiry writers on the one table; run under -race this is the proof
+	// that its mutex covers every access.
 	eng, vc := newTestEngine(Config{})
 	start := vc.Now()
 	keys := make([]session.Key, 16)

@@ -118,10 +118,9 @@ func (s BreakerState) String() string {
 }
 
 // breakerSnap is one immutable breaker state; transitions publish a fresh
-// snapshot with a CAS, the same copy-on-write shape as the policy engine's
-// block list, so the per-request Allow check is a single atomic load with no
-// lock to convoy on when the origin melts down and every request fails at
-// once.
+// snapshot with a CAS, so the per-request Allow check is a single atomic load
+// with no lock to convoy on when the origin melts down and every request
+// fails at once.
 type breakerSnap struct {
 	state    BreakerState
 	fails    int
