@@ -537,8 +537,8 @@ func BenchmarkAdaBoostPredict(b *testing.B) {
 }
 
 // BenchmarkClassifyParallel compares the two classification paths of the
-// detect layer from all cores at once: "cached" reads the per-session
-// verdict cache off the tracker's published snapshot (the serving path —
+// detect layer from all cores at once: "cached" reads the verdict stored in
+// the session record off the snapshot Peek copies (the serving path —
 // 0 allocs/op at steady state), while "recompute" re-derives the feature
 // vector from the counters and re-runs the full chain on every call (what
 // every consumer did before the verdict path was unified).

@@ -20,11 +20,12 @@
 //
 // Classification itself lives in the internal/detect layer: the engine owns
 // a pluggable detect.Detector chain (direct evidence → learned model →
-// behavioural browser test by default), caches one verdict per session
-// keyed by the session's decision epoch and the model epoch, and closes the
-// online-training loop — labelled outcomes accumulate as ground truth
-// reveals itself, RetrainFromOutcomes fits a fresh AdaBoost ensemble, and
-// SetModel hot-swaps it onto the read path with a single atomic store.
+// behavioural browser test by default), stores one verdict per session in
+// the session's record, valid for the session's decision epoch and the model
+// epoch it was derived under, and closes the online-training loop — labelled
+// outcomes accumulate as ground truth reveals itself, RetrainFromOutcomes
+// fits a fresh AdaBoost ensemble, and SetModel hot-swaps it onto the read
+// path with a single atomic store.
 package core
 
 import (
@@ -324,6 +325,7 @@ type Engine struct {
 	sessions *session.Tracker
 
 	det      detect.Detector  // the decision chain every verdict flows through
+	texts    *verdictTexts    // numbers the reason/origin of stored verdicts
 	learned  *detect.Learned  // hot-swappable learned stage (SetModel)
 	remote   *detect.Remote   // fleet-replicated verdicts (ApplyRemoteVerdict)
 	outcomes *detect.Outcomes // labelled material for online retraining
@@ -378,6 +380,7 @@ func New(cfg Config) *Engine {
 		e.cfg.Telemetry = e.tel
 	}
 	e.learned = detect.NewLearned(cfg.MinRequests)
+	e.texts = newVerdictTexts()
 	e.remote = detect.NewRemote()
 	// rules.Serving with the fleet's remote-verdict stage spliced in after
 	// direct evidence: locally observed hard evidence still wins, but a
@@ -415,7 +418,7 @@ func New(cfg Config) *Engine {
 		Interner:    e.interner,
 		// Bump the decision epoch when the classification threshold is
 		// crossed: the behavioural rules (and the learned model) first become
-		// decidable there, so cached verdicts must not outlive that point.
+		// decidable there, so stored verdicts must not outlive that point.
 		DecisionMarks: []int64{cfg.MinRequests},
 	})
 	e.handlerName = []byte(e.gen.HandlerName)
@@ -763,11 +766,11 @@ var ObjectSignal = map[jsgen.Object]session.Signal{
 }
 
 // checkUAMismatch compares the JavaScript-reported agent string with the
-// User-Agent header (both normalised the way the injected script normalises
-// them) and marks the session on mismatch. The header side is normalised
-// once per session — the tracker keeps it on the session record — so a
-// beacon flood does not re-lowercase the same header on every hit; only the
-// reported string (which varies per beacon) is normalised here.
+// User-Agent header, both normalised the way the injected script normalises
+// them (session.NormalizeUA), and marks the session on mismatch. The
+// comparison normalises as it goes (session.SameNormalizedUA), so a beacon
+// flood builds no lowercased copies and reads no session; an agent string
+// that normalises to nothing on either side proves nothing.
 func (e *Engine) checkUAMismatch(key session.Key, headerUA, reported string) {
 	if unescaped, err := url.PathUnescape(reported); err == nil {
 		reported = unescaped
@@ -775,19 +778,10 @@ func (e *Engine) checkUAMismatch(key session.Key, headerUA, reported string) {
 	if unescaped, err := url.QueryUnescape(reported); err == nil {
 		reported = unescaped
 	}
-	var want string
-	if snap, ok := e.sessions.Peek(key); ok {
-		want = snap.NormUA
-		snap.Release()
-	} else {
-		// The session raced away (eviction); fall back to normalising inline.
-		want = session.NormalizeUA(headerUA)
-	}
-	got := session.NormalizeUA(reported)
-	if want == "" || got == "" {
+	if strings.TrimLeft(headerUA, " ") == "" || strings.TrimLeft(reported, " ") == "" {
 		return
 	}
-	if want != got {
+	if !session.SameNormalizedUA(headerUA, reported) {
 		if snap, newly := e.sessions.Mark(key, session.SignalUAMismatch); newly {
 			e.recordSignalOutcome(snap, false)
 		}
@@ -839,10 +833,10 @@ func (e *Engine) MarkCaptchaFailed(key session.Key) {
 // Classify returns the current verdict for the session, or an undecided
 // verdict when the session is unknown. The read path is, at steady state,
 // allocation-free: the snapshot is a pooled copy taken under the session's
-// shard lock (session.Tracker.Peek), and the verdict comes from the
-// session's cache unless a state-changing event (new signal, new request
-// class, threshold crossing) or a model hot-swap occurred since it was
-// computed.
+// shard lock (session.Tracker.Peek), and the verdict is the one stored in
+// the session's record unless a state-changing event (new signal, new
+// request class, threshold crossing) or a model hot-swap occurred since it
+// was computed.
 func (e *Engine) Classify(key session.Key) Verdict {
 	snap, ok := e.sessions.Peek(key)
 	if !ok {
@@ -853,7 +847,7 @@ func (e *Engine) Classify(key session.Key) Verdict {
 	return v
 }
 
-// Decide returns the session's current snapshot together with its (cached)
+// Decide returns the session's current snapshot together with its (stored)
 // verdict; enforcement layers (proxy, cdn) use it to evaluate policy on the
 // session's exact counts without per-request allocation. The snapshot is a
 // pooled buffer (session.Tracker.Peek): the caller should call
@@ -873,25 +867,26 @@ func (e *Engine) ClassifySnapshot(snap session.Snapshot) Verdict {
 	return e.classify(&snap)
 }
 
-// classify runs the chain with per-session verdict caching. A cached verdict
-// is valid only for the exact (session epoch, model epoch) pair it was
-// computed at, so it is invalidated by new signals, new request classes,
-// threshold crossings and model hot-swaps — and by nothing else.
+// classify is the one verdict read path: Decide, Classify and
+// ClassifySnapshot all end here. The session record holds at most one
+// verdict, and only for the session's current epoch — the tracker drops it
+// whenever the epoch moves — so the snapshot already carries the answer
+// unless a new signal, a new request class, a threshold crossing or a model
+// hot-swap came since it was derived: a hit costs nothing beyond the Peek
+// that filled the snapshot. On a miss the chain runs outside any lock, and
+// the result is written back through one tracker call that keeps it only if
+// the session is still at the snapshot's epoch. A literal snapshot (tests,
+// offline replay) never hits and its write-back finds no session.
 func (e *Engine) classify(snap *session.Snapshot) Verdict {
-	cache := snap.Cache()
-	if cache == nil {
-		// Literal snapshots (tests, offline replay) have no cache slot.
-		v := e.timedDetect(snap)
-		e.exportVerdict(snap.Key, v)
+	modelEpoch := e.learned.Epoch()
+	if v, ok := e.texts.load(snap.StoredVerdict(), modelEpoch); ok {
+		e.tel.ClassifyCacheHits.Inc()
 		return v
 	}
-	modelEpoch := e.learned.Epoch()
-	if v, ok := cache.Load(snap.Epoch, modelEpoch); ok {
-		e.tel.ClassifyCacheHits.Inc()
-		return v.(Verdict)
-	}
 	v := e.timedDetect(snap)
-	cache.Store(snap.Epoch, modelEpoch, v)
+	if sv, ok := e.texts.store(v, modelEpoch); ok {
+		e.sessions.StoreVerdict(snap, sv)
+	}
 	// Recompute means the session's evidence (or the model) changed: this is
 	// the one point where a fresh Definite verdict first exists, so the fleet
 	// export hook fires here — never on cache hits, so replication costs the
@@ -914,7 +909,7 @@ func (e *Engine) exportVerdict(key session.Key, v Verdict) {
 
 // timedDetect runs the chain uncached, recording the recompute under the
 // classify stage histogram (cache hits are counted, not timed — they are a
-// pointer load).
+// few compares on the snapshot).
 func (e *Engine) timedDetect(snap *session.Snapshot) Verdict {
 	start := time.Now()
 	v := e.detect(snap)
@@ -941,7 +936,7 @@ func (e *Engine) Learned() *detect.Learned { return e.learned }
 // SetModel atomically publishes a (re)trained AdaBoost model onto the
 // serving path. Readers take no lock: in-flight Classify calls finish on
 // whichever model they loaded, subsequent calls see the new one, and every
-// cached verdict is implicitly invalidated by the model-epoch advance.
+// stored verdict is implicitly invalidated by the model-epoch advance.
 // Passing nil unpublishes the model, reverting to rules-only verdicts.
 func (e *Engine) SetModel(m *adaboost.Model) { e.learned.SetModel(m) }
 
@@ -950,10 +945,10 @@ func (e *Engine) Model() *adaboost.Model { return e.learned.Model() }
 
 // SetVerdictExport installs (or clears, with nil) the fleet export hook: it
 // receives every locally derived Definite verdict exactly when it is first
-// computed (cache-miss classification), tagged with its session key. The
-// hook must be fast and non-blocking — it runs on the serving path's
-// classify recompute, so the fleet layer only enqueues into a bounded
-// outbox there.
+// computed (a classification that missed the stored verdict), tagged with
+// its session key. The hook must be fast and non-blocking — it runs on the
+// serving path's classify recompute, so the fleet layer only enqueues into a
+// bounded outbox there.
 func (e *Engine) SetVerdictExport(fn func(session.Key, Verdict)) {
 	if fn == nil {
 		e.verdictExport.Store(nil)
@@ -968,8 +963,8 @@ func (e *Engine) Remote() *detect.Remote { return e.remote }
 // ApplyRemoteVerdict installs a verdict replicated from another fleet node
 // (identified by origin) into the remote detector stage. If the stored
 // verdict changed and the session is tracked locally, its decision epoch is
-// bumped so the per-session verdict cache recomputes through the remote
-// stage on the next classification.
+// bumped, dropping its stored verdict, so the next classification recomputes
+// through the remote stage.
 func (e *Engine) ApplyRemoteVerdict(key session.Key, v Verdict, origin string) bool {
 	if !e.remote.Set(key, v, origin) {
 		return false

@@ -184,6 +184,49 @@ func TestClassifySteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDecideRecomputeZeroAlloc gates the other half of the verdict read
+// path: a Decide whose session moved epoch since its verdict was stored
+// re-runs the chain and writes the verdict back into the session record,
+// and neither allocates. (While the verdict lived beside the record, every
+// recompute allocated the holder and the boxed Verdict: 2 allocs.) The hit
+// that follows stays at 0 too.
+func TestDecideRecomputeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc ceiling not meaningful under -race")
+	}
+	d := New(Config{Seed: 56})
+	d.SetModel(trainTestModel(t, 40))
+	key := session.Key{IP: "10.6.0.2", UserAgent: "Recompute"}
+	for i := 0; i < 15; i++ {
+		d.ObserveRequestQuiet(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET",
+			Path: fmt.Sprintf("/p%d.html", i), Status: 200, Referer: "http://h/x.html"})
+	}
+	decide := func() {
+		snap, v, ok := d.Decide(key)
+		if !ok || v.Class == ClassUndecided {
+			t.Fatalf("Decide = %+v, %v", v, ok)
+		}
+		snap.Release()
+	}
+	decide() // warm the snapshot pool and number the verdict's text
+
+	const runs = 200
+	recomputes := d.tel.ClassifyRecomputes.Value()
+	if allocs := testing.AllocsPerRun(runs, func() { d.sessions.Bump(key); decide() }); allocs != 0 {
+		t.Errorf("Bump + recomputing Decide allocates %.1f objects/op, want 0", allocs)
+	}
+	if got := d.tel.ClassifyRecomputes.Value() - recomputes; got != runs+1 {
+		t.Fatalf("%d recomputes over %d bumped Decides (AllocsPerRun runs one more), want every one", got, runs)
+	}
+	hits := d.tel.ClassifyCacheHits.Value()
+	if allocs := testing.AllocsPerRun(runs, decide); allocs != 0 {
+		t.Errorf("Decide on a stored verdict allocates %.1f objects/op, want 0", allocs)
+	}
+	if got := d.tel.ClassifyCacheHits.Value() - hits; got != runs+1 {
+		t.Fatalf("%d hits over %d Decides after the write-back, want every one", got, runs+1)
+	}
+}
+
 // TestTrainerLoopRetrainsAndSwaps steps the trainer over real outcomes: too
 // few new outcomes leave the model alone, enough publish one.
 func TestTrainerLoopRetrainsAndSwaps(t *testing.T) {

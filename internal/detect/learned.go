@@ -13,9 +13,10 @@ import (
 // single pointer load — no lock is ever taken on reads, so the online
 // trainer can hot-swap models under full classification load.
 //
-// Each swap advances the model epoch. The session layer's verdict cache is
-// keyed by (session epoch, model epoch), so every cached verdict in the
-// system is implicitly invalidated the moment a new model is published.
+// Each swap advances the model epoch. The verdict a session record stores
+// belongs to one session epoch and is served only under the model epoch it
+// was derived at, so every stored verdict in the system is implicitly
+// invalidated the moment a new model is published.
 //
 // With no model published, Learned abstains and the rule detectors decide
 // alone — a zero-value-safe degradation to the paper's rules-only deployment.

@@ -225,11 +225,8 @@ func TestPeekIsExactAndReleasable(t *testing.T) {
 	if p1.Features != p1.Counts.Vector() {
 		t.Fatalf("Features %v != Counts.Vector() %v", p1.Features, p1.Counts.Vector())
 	}
-	if p1.Cache() == nil {
-		t.Fatal("tracker snapshots must carry a verdict-cache slot")
-	}
-	if p1.NormUA != "mozillafirefox" {
-		t.Fatalf("NormUA = %q", p1.NormUA)
+	if p1.StoredVerdict() != (StoredVerdict{}) {
+		t.Fatalf("a session nobody stored a verdict for carries %+v", p1.StoredVerdict())
 	}
 	if _, ok := tracker.Peek(Key{IP: "none"}); ok {
 		t.Fatal("Peek invented a session")
@@ -254,22 +251,6 @@ func TestPeekIsExactAndReleasable(t *testing.T) {
 	}
 	if s, _ := tracker.Get(key); s.Counts.Total != n+1 || !s.Has(SignalCSS) {
 		t.Fatalf("mutating a snapshot reached the session: %+v", s)
-	}
-
-	// The cache slot is the session's, shared by every snapshot of it, and
-	// respects epochs.
-	p1.Cache().Store(p1.Epoch, 7, "verdict")
-	if v, ok := p1.Cache().Load(p1.Epoch, 7); !ok || v != "verdict" {
-		t.Fatal("cache round-trip failed")
-	}
-	if _, ok := p1.Cache().Load(p1.Epoch+1, 7); ok {
-		t.Fatal("cache hit across session epochs")
-	}
-	if _, ok := p1.Cache().Load(p1.Epoch, 8); ok {
-		t.Fatal("cache hit across model epochs")
-	}
-	if p2.Cache() != p1.Cache() {
-		t.Fatal("cache slot must be shared across snapshots of one session")
 	}
 
 	// Release is forgiving: twice on the same pointer, on a value copy, on a

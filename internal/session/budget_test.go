@@ -9,22 +9,24 @@ import (
 )
 
 // TestSessionStructBudgets pins the memory layout the million-session plan is
-// built on. A session is stored once — the record below, no embedded copies —
-// and the budgets put the record exactly in the 256-byte allocator size
-// class. A failure here means a field was added (or widened) without re-deriving the
-// budget — grow the budget consciously or shrink the struct, do not silently
-// bump the number.
+// built on. A session is stored once — the record below, no embedded copies,
+// its verdict a 12-byte value inside it — and the budgets put the record
+// exactly in the 224-byte allocator size class. A failure here means a field
+// was added (or widened) without re-deriving the budget — grow the budget
+// consciously or shrink the struct, do not silently bump the number.
 func TestSessionStructBudgets(t *testing.T) {
 	budgets := []struct {
 		name string
 		size uintptr
 		max  uintptr
 	}{
-		{"sessionState", unsafe.Sizeof(sessionState{}), 256},
+		{"sessionState", unsafe.Sizeof(sessionState{}), 224},
 		// Snapshot is what Get/Each/Mark copy out and Peek fills.
-		{"Snapshot", unsafe.Sizeof(Snapshot{}), 344},
-		// Counts went int64 → uint32: 13 counters + Bytes in 72 bytes.
-		{"Counts", unsafe.Sizeof(Counts{}), 72},
+		{"Snapshot", unsafe.Sizeof(Snapshot{}), 304},
+		// Counts went int64 → uint32: 16 counters in 64 bytes.
+		{"Counts", unsafe.Sizeof(Counts{}), 64},
+		// The stored verdict: two uint32s, a uint16 text number, two bytes.
+		{"StoredVerdict", unsafe.Sizeof(StoredVerdict{}), 12},
 		// Signals is a flat first-observation array, one uint32 per signal.
 		{"Signals", unsafe.Sizeof(Signals{}), uintptr(4 * numSignals)},
 		// The path set is a bare slice header: its len is the count.
@@ -48,10 +50,10 @@ func TestSessionStructBudgets(t *testing.T) {
 		}
 	}
 	// The steady-state budget is a one-page session: base + the address
-	// string + the first path allocation.
+	// string + the first path allocation (224 + 42 + 16 + 16 = 298 B).
 	steady := sessionBaseBytes + 16 + int64(minPathSlots)*4
-	if steady > 448 {
-		t.Errorf("one-page per-session estimate %d exceeds 448 B", steady)
+	if steady > 320 {
+		t.Errorf("one-page per-session estimate %d exceeds 320 B", steady)
 	}
 }
 

@@ -202,18 +202,27 @@ func (r *evictRun) step(op evictOp) string {
 	sh := r.tr.shards[0]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if len(sh.sessions) > enumMaxSessions || len(sh.sessions) != len(r.lru) {
-		return fmt.Sprintf("shard holds %d sessions, cap %d, model %d", len(sh.sessions), enumMaxSessions, len(r.lru))
+	if sh.n > enumMaxSessions || sh.n != len(r.lru) {
+		return fmt.Sprintf("shard holds %d sessions, cap %d, model %d", sh.n, enumMaxSessions, len(r.lru))
+	}
+	indexed := 0
+	for _, st := range sh.index {
+		for ; st != nil; st = st.hnext {
+			indexed++
+		}
+	}
+	if indexed != sh.n {
+		return fmt.Sprintf("the index chains hold %d records, the shard counts %d", indexed, sh.n)
 	}
 	bytes, i := int64(0), 0
 	for st := sh.tail; st != nil; st, i = st.prev, i+1 {
-		if i >= len(r.lru) || st.key != r.lru[i].key || st.hasEvidence() != r.lru[i].evidence || sh.sessions[st.key] != st {
+		if i >= len(r.lru) || st.key != r.lru[i].key || st.hasEvidence() != r.lru[i].evidence || sh.lookup(r.tr.indexHash(st.key), st.key) != st {
 			return fmt.Sprintf("LRU position %d from the tail holds %v (evidence %v), model %+v", i, st.key, st.hasEvidence(), r.lru)
 		}
 		bytes += st.memBytes()
 	}
 	if i != len(r.lru) {
-		return fmt.Sprintf("LRU list has %d sessions, the map %d", i, len(r.lru))
+		return fmt.Sprintf("LRU list has %d sessions, the model %d", i, len(r.lru))
 	}
 	if est := r.tr.MemoryEstimate(); est != bytes {
 		return fmt.Sprintf("MemoryEstimate %d, the tracked sessions are charged %d", est, bytes)

@@ -11,7 +11,8 @@
 // number of independently locked shards by an FNV-1a hash of the session
 // key, so concurrent request observation scales with cores instead of
 // serialising on one global mutex. Every operation on a session — write or
-// read — takes that one shard mutex for a map lookup and a few dozen stores.
+// read — takes that one shard mutex for an index lookup and a few dozen
+// stores.
 //
 // Each session is stored once: the sessionState record is the only copy, and
 // a Snapshot is built from it on demand, under the shard mutex, for whoever
@@ -22,12 +23,16 @@
 // array, visited paths are a sorted set of 32-bit fingerprints, times are
 // Unix nanoseconds, User-Agent strings are interned (one canonical copy per
 // distinct UA across all sessions), the LRU is intrusive (no container/list
-// element allocations) and the Table 2 attribute vector is derived from the
-// counters when a snapshot is built instead of being stored. Steady-state
-// observation and Peek allocate nothing.
+// element allocations), the decision layer's verdict is a 12-byte value in
+// the record, and the Table 2 attribute vector is derived from the counters
+// when a snapshot is built instead of being stored. A shard indexes its
+// records by a seeded 64-bit hash of the key, not by the key the record
+// already holds (see Tracker). Steady-state observation and Peek allocate
+// nothing.
 package session
 
 import (
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -121,8 +126,8 @@ func (s Signal) String() string {
 // attributes and the policy-engine rates are derived. Counters are uint32
 // with saturating adds: 4 billion requests per single session is beyond any
 // session the idle timeout admits, and halving the counter block matters
-// when millions of sessions are resident. Bytes stays 64-bit (response
-// volume crosses 4 GiB routinely).
+// when millions of sessions are resident. Response bytes are not counted:
+// no attribute, rate or rule reads them.
 type Counts struct {
 	// Total is the number of requests observed (instrumentation beacons are
 	// excluded by the caller; see Tracker.Observe).
@@ -157,8 +162,6 @@ type Counts struct {
 	Status3xx uint32
 	Status4xx uint32
 	Status5xx uint32
-	// Bytes is the total response bytes.
-	Bytes int64
 }
 
 // satInc increments a saturating counter.
@@ -258,11 +261,11 @@ type EvictionStats struct {
 const (
 	// sessionMapSlotBytes is the session's share of the shard's swiss map at
 	// its emptiest. A full-size table is 1,024 slots in 128 groups of 8
-	// control bytes + 8 × (32-byte Key + record pointer) = 41,984 B, which
-	// the allocator rounds to six 8 KiB pages: 48 B a slot. A table splits at
-	// 7/8 load, so right after a split each entry holds 16/7 slots = 110 B,
-	// the most the map costs per entry (the least is 55 B).
-	sessionMapSlotBytes = 110
+	// control bytes + 8 × (8-byte key hash + record pointer) = 17,408 B,
+	// which the allocator puts in its 18,432-byte class: 18 B a slot. A table
+	// splits at 7/8 load, so right after a split each entry holds 16/7 slots
+	// = 41.1 B, the most the map costs per entry (the least is 20.6 B).
+	sessionMapSlotBytes = 42
 )
 
 var (
@@ -296,7 +299,6 @@ const evictScanLimit = 16
 // Tracker.Observe and Accumulator.Observe.
 func (c *Counts) observe(e logfmt.Entry, paths *pathTable) {
 	satInc(&c.Total)
-	c.Bytes += e.Bytes
 	switch {
 	case e.IsHead():
 		satInc(&c.Head)
@@ -383,28 +385,22 @@ type Snapshot struct {
 	// Counts.Vector(), derived when the snapshot is built, so consumers (the
 	// learned detector, experiments) never recompute it from the counters.
 	Features features.Vector
-	// NormUA is the normalised (lowercased, space-stripped) User-Agent,
-	// computed once when the session is created so per-beacon comparisons
-	// against script-reported agents do not re-normalise the header. It is
-	// an interned string shared across sessions with the same User-Agent.
-	NormUA string
 	// Epoch counts the session's state-changing events: creation, a newly
 	// observed detection signal, a previously unseen request class, the
 	// crossing of a configured decision mark (e.g. the classification
 	// threshold), and — past the first mark — each doubling of the request
 	// count (so verdicts derived from continuously drifting feature
 	// fractions are refreshed at least logarithmically often). The decision
-	// layer caches one verdict per epoch; other requests leave the epoch
+	// layer stores one verdict per epoch; other requests leave the epoch
 	// untouched.
 	Epoch uint64
 	// Signals records, per detection signal, the request count at which it
 	// was first observed (absent = unobserved).
 	Signals Signals
 
-	// cache points at the session's shared verdict-cache slot. All snapshots
-	// of one session share the slot; it is nil for literal snapshots built
-	// outside the tracker.
-	cache *VerdictCache
+	// verdict is the verdict the record held when the snapshot was built;
+	// zero for literal snapshots built outside the tracker.
+	verdict StoredVerdict
 
 	// pooled is the snapshot's own address while it is on loan from snapPool
 	// (set by Peek, cleared by Release). A value copy lives at a different
@@ -412,13 +408,29 @@ type Snapshot struct {
 	pooled *Snapshot
 }
 
+// StoredVerdict is a verdict as the session record keeps it: 12 bytes of
+// values, read and written under the shard mutex like the rest of the record.
+// What the numbers mean — which model epoch, which reason text — is the
+// decision layer's business; the tracker stores one (Tracker.StoreVerdict),
+// copies it into every snapshot, and drops it whenever the session's epoch
+// advances, so a stored verdict always belongs to the session's current
+// epoch. Text 0 means nothing is stored.
+type StoredVerdict struct {
+	ModelEpoch uint32
+	AtRequest  uint32
+	Text       uint16
+	Class      uint8
+	Confidence uint8
+}
+
 // snapPool recycles the snapshots Peek hands out, so the per-request read
 // path allocates nothing at steady state.
 var snapPool = sync.Pool{New: func() any { return new(Snapshot) }}
 
-// Cache returns the session's verdict-cache slot, or nil for snapshots not
-// produced by a tracker.
-func (s *Snapshot) Cache() *VerdictCache { return s.cache }
+// StoredVerdict returns the verdict the session record held when the
+// snapshot was built (zero when none was stored, and for snapshots not
+// produced by a tracker).
+func (s *Snapshot) StoredVerdict() StoredVerdict { return s.verdict }
 
 // Release hands a snapshot obtained from Peek (or Engine.Decide) back for
 // reuse; the caller must not touch it afterwards. It is a no-op on nil
@@ -438,35 +450,47 @@ func NormalizeUA(ua string) string {
 	return strings.ReplaceAll(strings.ToLower(ua), " ", "")
 }
 
-// VerdictCache is a lock-free, single-slot cache the decision layer attaches
-// verdicts to. The stored value is opaque to the session package. A cached
-// value is keyed by the session epoch and a caller-defined model epoch, so
-// it is invalidated implicitly by state-changing session events and by
-// hot-swapping the learned model — never by ordinary request traffic.
-type VerdictCache struct {
-	p atomic.Pointer[cachedVerdict]
-}
-
-type cachedVerdict struct {
-	epoch      uint64
-	modelEpoch uint64
-	value      any
-}
-
-// Load returns the cached value if it was stored at exactly this (session
-// epoch, model epoch) pair.
-func (c *VerdictCache) Load(epoch, modelEpoch uint64) (any, bool) {
-	cv := c.p.Load()
-	if cv == nil || cv.epoch != epoch || cv.modelEpoch != modelEpoch {
-		return nil, false
+// SameNormalizedUA reports whether NormalizeUA(a) == NormalizeUA(b) without
+// building either string. ASCII input — every real User-Agent — is compared
+// byte by byte, skipping spaces and folding A-Z to a-z. Anything else takes
+// the reference path: lowercasing a non-ASCII rune can change its length, or
+// even produce ASCII (the Kelvin sign lowercases to 'k').
+func SameNormalizedUA(a, b string) bool {
+	if !isASCII(a) || !isASCII(b) {
+		return NormalizeUA(a) == NormalizeUA(b)
 	}
-	return cv.value, true
+	i, j := 0, 0
+	for {
+		for i < len(a) && a[i] == ' ' {
+			i++
+		}
+		for j < len(b) && b[j] == ' ' {
+			j++
+		}
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		if lowerASCII(a[i]) != lowerASCII(b[j]) {
+			return false
+		}
+		i, j = i+1, j+1
+	}
 }
 
-// Store publishes a value computed at the given (session epoch, model epoch)
-// pair, replacing whatever was cached before.
-func (c *VerdictCache) Store(epoch, modelEpoch uint64, value any) {
-	c.p.Store(&cachedVerdict{epoch: epoch, modelEpoch: modelEpoch, value: value})
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // Has reports whether the snapshot observed the signal.
@@ -480,26 +504,25 @@ func (s Snapshot) SignalAt(sig Signal) (int64, bool) { return s.Signals.At(sig) 
 func (s Snapshot) Duration() time.Duration { return s.LastSeen.Sub(s.FirstSeen) }
 
 // sessionState is the tracker's per-session record and the only copy of the
-// session. Every field but vcache (lock-free by itself) is guarded by the
-// owning shard's mutex; readers get a Snapshot built by fill under it.
+// session: 224 bytes, exactly an allocator size class. Every field is
+// guarded by the owning shard's mutex; readers get a Snapshot built by fill
+// under it.
 type sessionState struct {
-	key          Key
-	normUA       string
-	uaHandle     intern.Handle // interned Key.UserAgent
-	normUAHandle intern.Handle // interned normUA
-	firstSeen    int64         // Unix nanoseconds, like lastSeen
-	lastSeen     int64
-	counts       Counts
-	classBits    uint32  // non-zero count categories seen so far
-	epoch        uint64  // state-changing event counter (see Snapshot.Epoch)
-	signals      Signals // first-observation request counts, fixed array
-	paths        pathTable
+	key       Key
+	firstSeen int64 // Unix nanoseconds, like lastSeen
+	lastSeen  int64
+	counts    Counts
+	signals   Signals // first-observation request counts, fixed array
+	epoch     uint32  // state-changing event counter (see Snapshot.Epoch)
+	paths     pathTable
 
 	// prev/next chain the shard's intrusive LRU list (prev = towards the
-	// front / most recently active).
-	prev, next *sessionState
+	// front / most recently active); hnext chains the records whose keys
+	// share an index hash.
+	prev, next, hnext *sessionState
 
-	vcache VerdictCache
+	uaHandle intern.Handle // interned Key.UserAgent
+	verdict  StoredVerdict // the decision layer's verdict at this epoch
 }
 
 // fill builds the session's snapshot into out. Caller holds the shard lock.
@@ -510,11 +533,17 @@ func (st *sessionState) fill(out *Snapshot) {
 		LastSeen:  time.Unix(0, st.lastSeen),
 		Counts:    st.counts,
 		Features:  st.counts.Vector(),
-		NormUA:    st.normUA,
-		Epoch:     st.epoch,
+		Epoch:     uint64(st.epoch),
 		Signals:   st.signals,
-		cache:     &st.vcache,
+		verdict:   st.verdict,
 	}
+}
+
+// bump advances the session's decision epoch. The stored verdict was derived
+// at the epoch being left, so it goes too. Caller holds the shard lock.
+func (st *sessionState) bump() {
+	st.epoch++
+	st.verdict = StoredVerdict{}
 }
 
 // Config controls the tracker.
@@ -571,15 +600,58 @@ func (c Config) withDefaults() Config {
 }
 
 // trackerShard is one independently locked partition of the session table.
-// createLocked/removeLocked are the only functions that mutate sessions. The
-// LRU list is intrusive (head = most recently active), so session records
-// carry their own links instead of allocating container/list elements.
+// createLocked/removeLocked are the only functions that add or drop
+// sessions. The index maps a key's seeded hash (Tracker.indexHash) to the
+// first record of its chain, so a slot holds 16 bytes instead of a copy of
+// the 32-byte Key; keys that share a hash chain through hnext. The LRU list
+// is intrusive (head = most recently active), so session records carry their
+// own links instead of allocating container/list elements, and it is also
+// how the shard enumerates its sessions.
 type trackerShard struct {
-	mu       sync.Mutex
-	sessions map[Key]*sessionState
-	head     *sessionState
-	tail     *sessionState
-	max      int // per-shard session cap (rebalanced; see RebalanceCaps)
+	mu    sync.Mutex
+	index map[uint64]*sessionState
+	n     int // sessions in the shard
+	head  *sessionState
+	tail  *sessionState
+	max   int // per-shard session cap (rebalanced; see RebalanceCaps)
+}
+
+// lookup returns the shard's session for key, whose index hash is h, or nil.
+// Caller holds the shard lock.
+func (sh *trackerShard) lookup(h uint64, key Key) *sessionState {
+	for st := sh.index[h]; st != nil; st = st.hnext {
+		if st.key == key {
+			return st
+		}
+	}
+	return nil
+}
+
+// insert adds st, whose key's index hash is h, to the index.
+func (sh *trackerShard) insert(h uint64, st *sessionState) {
+	st.hnext = sh.index[h]
+	sh.index[h] = st
+	sh.n++
+}
+
+// unindex removes st, whose key's index hash is h, from the index.
+func (sh *trackerShard) unindex(h uint64, st *sessionState) {
+	if first := sh.index[h]; first == st {
+		if st.hnext == nil {
+			delete(sh.index, h)
+		} else {
+			sh.index[h] = st.hnext
+		}
+	} else {
+		for p := first; p != nil; p = p.hnext {
+			if p.hnext == st {
+				p.hnext = st.hnext
+				break
+			}
+		}
+	}
+	st.hnext = nil
+	sh.n--
 }
 
 func (sh *trackerShard) pushFront(st *sessionState) {
@@ -618,11 +690,25 @@ func (sh *trackerShard) moveToFront(st *sessionState) {
 
 // Tracker maintains the set of active sessions, partitioned into shards.
 // It is safe for concurrent use.
+//
+// A session is found in two steps: Key.Hash (FNV-1a, unseeded, so placement
+// and therefore capacity eviction are the same on every run) picks the
+// shard, and a maphash of the key under the tracker's random seed picks the
+// shard's index slot. The slot hash must be seeded: FNV is an iterated
+// 64-bit hash, so many keys with one FNV value are cheap to build, and an
+// index keyed by it would let a client line them up in one chain. Besides
+// the sessions, the decision layer's verdict for each session's current
+// epoch lives here (StoreVerdict), so reading a session reads its verdict.
 type Tracker struct {
 	cfg      Config
 	shards   []*trackerShard
 	mask     uint64
 	interner *intern.Interner
+	seed     maphash.Seed
+
+	// hash, when set, replaces the seeded index hash. Only tests set it, to
+	// force keys into one collision chain.
+	hash func(Key) uint64
 
 	active atomic.Int64
 	ended  atomic.Int64
@@ -635,16 +721,24 @@ type Tracker struct {
 // NewTracker creates a Tracker.
 func NewTracker(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
-	t := &Tracker{cfg: cfg, mask: uint64(cfg.Shards - 1), interner: cfg.Interner}
+	t := &Tracker{cfg: cfg, mask: uint64(cfg.Shards - 1), interner: cfg.Interner, seed: maphash.MakeSeed()}
 	perShard := shard.PerShardCap(cfg.MaxSessions, cfg.Shards)
 	t.shards = make([]*trackerShard, cfg.Shards)
 	for i := range t.shards {
 		t.shards[i] = &trackerShard{
-			sessions: make(map[Key]*sessionState),
-			max:      perShard,
+			index: make(map[uint64]*sessionState),
+			max:   perShard,
 		}
 	}
 	return t
+}
+
+// indexHash is key's slot hash in its shard's index.
+func (t *Tracker) indexHash(key Key) uint64 {
+	if t.hash != nil {
+		return t.hash(key)
+	}
+	return maphash.Comparable(t.seed, key)
 }
 
 // ShardCount returns the number of shards (a power of two).
@@ -657,7 +751,7 @@ func (t *Tracker) ShardActive(i int) int {
 	sh := t.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return len(sh.sessions)
+	return sh.n
 }
 
 // ShardCap returns shard i's current session cap (the static split of
@@ -686,7 +780,7 @@ func (t *Tracker) RebalanceCaps() {
 	total := 0
 	for i, sh := range t.shards {
 		sh.mu.Lock()
-		occ[i] = len(sh.sessions)
+		occ[i] = sh.n
 		sh.mu.Unlock()
 		total += occ[i]
 	}
@@ -710,8 +804,10 @@ func (t *Tracker) RebalanceCaps() {
 	}
 }
 
-func (t *Tracker) shard(key Key) *trackerShard {
-	return t.shards[key.Hash()&t.mask]
+// locate returns key's shard and its slot hash in the shard's index. Both
+// hashes are computed before the shard lock is taken.
+func (t *Tracker) locate(key Key) (*trackerShard, uint64) {
+	return t.shards[key.Hash()&t.mask], t.indexHash(key)
 }
 
 // Observe records one request for the session identified by the entry's
@@ -742,20 +838,20 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 		when = t.cfg.Clock.Now()
 	}
 	now := when.UnixNano()
-	sh := t.shard(key)
+	sh, h := t.locate(key)
 
 	var evicted []Snapshot
 	sh.mu.Lock()
-	st, ok := sh.sessions[key]
-	if ok && now-st.lastSeen > int64(t.cfg.IdleTimeout) {
+	st := sh.lookup(h, key)
+	if st != nil && now-st.lastSeen > int64(t.cfg.IdleTimeout) {
 		// The gap since the last request exceeds the idle timeout: the old
 		// session ends and the new activity starts a fresh one (the paper's
 		// session definition).
 		evicted = append(evicted, t.removeLocked(sh, st, EvictIdle))
-		ok = false
+		st = nil
 	}
-	if !ok {
-		st = t.createLocked(sh, key, now)
+	if st == nil {
+		st = t.createLocked(sh, h, key, now)
 	}
 
 	st.lastSeen = now
@@ -763,28 +859,28 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 
 	pathBytesBefore := st.paths.footprintBytes()
 	c := &st.counts
+	classesBefore := c.classBits()
 	c.observe(e, &st.paths)
 	if d := st.paths.footprintBytes() - pathBytesBefore; d != 0 {
 		t.bytes.Add(d)
 	}
 	for _, mark := range t.cfg.DecisionMarks {
 		if int64(c.Total) == mark {
-			st.epoch++
+			st.bump()
 		}
 	}
 	// Past the first decision mark, refresh the epoch whenever the request
 	// count doubles (powers of two): detectors over continuous feature
 	// fractions (the learned model) drift with every request even when no
-	// discrete event fires, so cached verdicts must be re-derived at least
+	// discrete event fires, so stored verdicts must be re-derived at least
 	// logarithmically often. O(log n) extra recomputes per session bounds
 	// staleness at 2× the session length while keeping the steady state
 	// allocation-free.
 	if len(t.cfg.DecisionMarks) > 0 && int64(c.Total) > t.cfg.DecisionMarks[0] && c.Total&(c.Total-1) == 0 {
-		st.epoch++
+		st.bump()
 	}
-	if bits := c.classBits(); bits != st.classBits {
-		st.classBits = bits
-		st.epoch++ // a request class this session had never produced before
+	if c.classBits() != classesBefore {
+		st.bump() // a request class this session had never produced before
 	}
 
 	if out != nil {
@@ -802,13 +898,13 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 // session's snapshot and whether the signal was newly set.
 func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 	now := t.cfg.Clock.Now().UnixNano()
-	sh := t.shard(key)
+	sh, h := t.locate(key)
 
 	var evicted []Snapshot
 	sh.mu.Lock()
-	st, ok := sh.sessions[key]
-	if !ok {
-		st = t.createLocked(sh, key, now)
+	st := sh.lookup(h, key)
+	if st == nil {
+		st = t.createLocked(sh, h, key, now)
 	}
 	st.lastSeen = now
 	sh.moveToFront(st)
@@ -817,7 +913,7 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 		// A signal before any tracked request is attributed to request 1
 		// (Signals.set maps 0 to 1).
 		st.signals.set(sig, st.counts.Total)
-		st.epoch++ // a signal is always a state-changing event
+		st.bump() // a signal is always a state-changing event
 		newly = true
 	}
 	var snap Snapshot
@@ -830,48 +926,66 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 }
 
 // Bump advances the session's decision epoch without changing any tracked
-// state, invalidating the per-session verdict cache. The fleet layer calls
-// it when a replicated verdict lands for a locally tracked session: the
-// evidence lives on another node, but the local cached verdict must still
-// recompute through the remote-verdict stage. It reports whether the session
-// was tracked.
+// state, dropping the session's stored verdict. The fleet layer calls it
+// when a replicated verdict lands for a locally tracked session: the
+// evidence lives on another node, but the local verdict must still be
+// recomputed through the remote-verdict stage. It reports whether the
+// session was tracked.
 func (t *Tracker) Bump(key Key) bool {
-	sh := t.shard(key)
+	sh, h := t.locate(key)
 	sh.mu.Lock()
-	st, ok := sh.sessions[key]
+	st := sh.lookup(h, key)
+	if st != nil {
+		st.bump()
+	}
+	sh.mu.Unlock()
+	return st != nil
+}
+
+// StoreVerdict stores v in the record of the session snap was taken from, if
+// that session is still tracked and still at snap's epoch: a verdict derived
+// from an older state, or from an earlier session under the same key (told
+// apart by its first-seen time), is dropped. It reports whether v was
+// stored. The decision layer calls it after deriving a verdict outside the
+// lock; every later snapshot of the session carries v until its epoch moves.
+func (t *Tracker) StoreVerdict(snap *Snapshot, v StoredVerdict) bool {
+	sh, h := t.locate(snap.Key)
+	sh.mu.Lock()
+	st := sh.lookup(h, snap.Key)
+	ok := st != nil && uint64(st.epoch) == snap.Epoch && st.firstSeen == snap.FirstSeen.UnixNano()
 	if ok {
-		st.epoch++
+		st.verdict = v
 	}
 	sh.mu.Unlock()
 	return ok
 }
 
 // Get returns a snapshot of the session, if it is currently tracked. Use
-// Peek on per-request paths: it returns the same view without the 328-byte
+// Peek on per-request paths: it returns the same view without the 304-byte
 // copy out.
 func (t *Tracker) Get(key Key) (snap Snapshot, ok bool) {
-	sh := t.shard(key)
+	sh, h := t.locate(key)
 	sh.mu.Lock()
-	st, ok := sh.sessions[key]
-	if ok {
+	st := sh.lookup(h, key)
+	if st != nil {
 		st.fill(&snap)
 	}
 	sh.mu.Unlock()
-	return snap, ok
+	return snap, st != nil
 }
 
 // Peek returns the session's snapshot in a pooled buffer: the per-request
 // read path the decision layer classifies from, allocation-free at steady
 // state. It takes the shard mutex like every other operation — the same one
 // the serve path's ObserveQuiet takes for the same request a moment later —
-// so the snapshot is exact as of the last request. The snapshot is the
-// caller's own (later activity never alters it) until Release, which the
-// caller should call when done reading.
+// so the snapshot is exact as of the last request, stored verdict included.
+// The snapshot is the caller's own (later activity never alters it) until
+// Release, which the caller should call when done reading.
 func (t *Tracker) Peek(key Key) (*Snapshot, bool) {
-	sh := t.shard(key)
+	sh, h := t.locate(key)
 	sh.mu.Lock()
-	st, ok := sh.sessions[key]
-	if !ok {
+	st := sh.lookup(h, key)
+	if st == nil {
 		sh.mu.Unlock()
 		return nil, false
 	}
@@ -919,13 +1033,14 @@ func (t *Tracker) Ended() int64 { return t.ended.Load() }
 // stopping early when yield returns false. Only one shard is locked at a
 // time (and only while its batch is copied out, not while yield runs), so
 // iteration never pauses the whole tracker. Sessions created or removed
-// concurrently may or may not be visited; order is unspecified.
+// concurrently may or may not be visited; order is unspecified (within a
+// shard it is most recently active first).
 func (t *Tracker) Each(yield func(Snapshot) bool) {
 	batch := make([]Snapshot, 0, 64)
 	for _, sh := range t.shards {
 		batch = batch[:0]
 		sh.mu.Lock()
-		for _, st := range sh.sessions {
+		for st := sh.head; st != nil; st = st.next {
 			batch = append(batch, Snapshot{})
 			st.fill(&batch[len(batch)-1])
 		}
@@ -974,14 +1089,18 @@ func (t *Tracker) SweepStep(now time.Time) int {
 	return t.expireShard(t.shards[i&t.mask], now)
 }
 
+// expireShard walks the whole LRU list, tail first: an observed request
+// carries its own time, so list order is not lastSeen order.
 func (t *Tracker) expireShard(sh *trackerShard, now time.Time) int {
 	var evicted []Snapshot
 	deadline := now.UnixNano() - int64(t.cfg.IdleTimeout)
 	sh.mu.Lock()
-	for _, st := range sh.sessions {
+	for st := sh.tail; st != nil; {
+		prev := st.prev
 		if st.lastSeen < deadline {
 			evicted = append(evicted, t.removeLocked(sh, st, EvictIdle))
 		}
+		st = prev
 	}
 	sh.mu.Unlock()
 	t.notify(evicted)
@@ -996,8 +1115,8 @@ func (t *Tracker) FlushAll() []Snapshot {
 	snaps := make([]Snapshot, 0, t.Active())
 	for _, sh := range t.shards {
 		sh.mu.Lock()
-		for _, st := range sh.sessions {
-			snaps = append(snaps, t.removeLocked(sh, st, EvictFlush))
+		for sh.tail != nil {
+			snaps = append(snaps, t.removeLocked(sh, sh.tail, EvictFlush))
 		}
 		sh.mu.Unlock()
 	}
@@ -1010,27 +1129,24 @@ func (t *Tracker) FlushAll() []Snapshot {
 	return snaps
 }
 
-// createLocked inserts a fresh session into the shard. The User-Agent (and
-// its normalised form) are interned: the key stored in the map references
-// the canonical copy, so a million sessions from the same browser share one
-// UA string instead of carrying a million copies.
-func (t *Tracker) createLocked(sh *trackerShard, key Key, now int64) *sessionState {
+// createLocked inserts a fresh session, whose key's index hash is h, into
+// the shard. The User-Agent is interned: the key stored in the record
+// references the canonical copy, so a million sessions from the same browser
+// share one UA string instead of carrying a million copies.
+func (t *Tracker) createLocked(sh *trackerShard, h uint64, key Key, now int64) *sessionState {
 	uaHandle, ua := t.interner.Intern(key.UserAgent)
 	if uaHandle != 0 {
 		key.UserAgent = ua
 	}
-	normUAHandle, normUA := t.interner.Intern(NormalizeUA(key.UserAgent))
 	st := &sessionState{
-		key:          key,
-		normUA:       normUA,
-		uaHandle:     uaHandle,
-		normUAHandle: normUAHandle,
-		firstSeen:    now,
-		lastSeen:     now,
-		epoch:        1,
+		key:       key,
+		uaHandle:  uaHandle,
+		firstSeen: now,
+		lastSeen:  now,
+		epoch:     1,
 	}
 	sh.pushFront(st)
-	sh.sessions[key] = st
+	sh.insert(h, st)
 	t.active.Add(1)
 	t.bytes.Add(st.memBytes())
 	return st
@@ -1047,7 +1163,7 @@ func (st *sessionState) memBytes() int64 {
 // removeLocked deletes the session from the shard and returns its final
 // snapshot. The caller delivers it to the Evicted callback after unlocking.
 func (t *Tracker) removeLocked(sh *trackerShard, st *sessionState, reason EvictReason) Snapshot {
-	delete(sh.sessions, st.key)
+	sh.unindex(t.indexHash(st.key), st)
 	sh.unlink(st)
 	t.active.Add(-1)
 	t.ended.Add(1)
@@ -1056,7 +1172,6 @@ func (t *Tracker) removeLocked(sh *trackerShard, st *sessionState, reason EvictR
 	var snap Snapshot
 	st.fill(&snap)
 	t.interner.Release(st.uaHandle)
-	t.interner.Release(st.normUAHandle)
 	return snap
 }
 
@@ -1075,7 +1190,7 @@ func (st *sessionState) hasEvidence() bool { return st.signals.Any() }
 // LRU), while the scan bound keeps the worst-case hold time of the shard
 // lock constant.
 func (t *Tracker) enforceCapLocked(sh *trackerShard, evicted []Snapshot) []Snapshot {
-	for len(sh.sessions) > sh.max {
+	for sh.n > sh.max {
 		victim := sh.tail
 		if victim == nil {
 			break
