@@ -13,10 +13,12 @@ import (
 // TestMemoryCeilingPerSession is the e2e gate for the million-session memory
 // engine (ISSUE 9): after a realistic serve pattern — one instrumented page
 // issue plus a few observed requests per client — the engine's own
-// MemoryEstimate must come in at or under 520 B per tracked session (472 B
+// MemoryEstimate must come in at or under 460 B per tracked session (436 B
 // measured: a 224-byte record, its 42-byte index slot, three path
-// fingerprints and an undownloaded page's keystore entry; the ceiling stood
-// at 640 B while the number was 572, and at 2 KiB while it was 684). The
+// fingerprints and an undownloaded page's keystore entry — a 64-byte client
+// node, its 42-byte index slot, its address and a 16-byte key log; the
+// ceiling stood at 520 B while the number was 472, at 640 B while it was 572,
+// and at 2 KiB while it was 684). The
 // estimate is the same number admission control budgets
 // against and the serve benchmark reports as bytes_per_session, so this pins
 // the plan's core arithmetic: 1M clients fit in well under 1 GB.
@@ -46,8 +48,8 @@ func TestMemoryCeilingPerSession(t *testing.T) {
 	t.Logf("engine estimate: %d sessions, %d B total, %d B/session", n, e.MemoryEstimate(), perSession)
 	sess, keys, interned := e.MemoryBreakdown()
 	t.Logf("breakdown: sessions=%d keys=%d interned=%d", sess, keys, interned)
-	if perSession > 520 {
-		t.Fatalf("engine memory = %d B/session, exceeds the 520 B ceiling", perSession)
+	if perSession > 460 {
+		t.Fatalf("engine memory = %d B/session, exceeds the 460 B ceiling", perSession)
 	}
 }
 
@@ -112,9 +114,10 @@ func TestEngineMemoryEstimateCoversHeap(t *testing.T) {
 // number admission control budgets against) says it retains, within 30%. A
 // per-page structure the estimate cannot see, like a parked script body,
 // fails this. And the estimate itself is pinned: such a client costs its
-// keystore entry and one 12-byte batch header — measured 174 B — because a
+// keystore entry and one 11-byte page-view header — measured 138 B (174 B
+// while a client was a 96-byte struct behind a string-keyed slot) — because a
 // page nobody downloads the script of has no keys; drawing them at issue
-// again (a 48-byte run per page; 226 B before this pin) fails by number.
+// again (a 25-byte run per page) fails by number.
 func TestMemoryCeilingUndownloadedPages(t *testing.T) {
 	const clients = 50000
 	e := New(Config{Seed: 12})
@@ -140,7 +143,7 @@ func TestMemoryCeilingUndownloadedPages(t *testing.T) {
 	if float64(heap) > 1.3*float64(est) {
 		t.Fatalf("heap grew %d B against an estimate of %d B (%.2fx): memory the estimate cannot see", heap, est, float64(heap)/float64(est))
 	}
-	const measured = 174 // B/client
+	const measured = 138 // B/client
 	if perClient := est / clients; perClient*100 > measured*105 {
 		t.Fatalf("an undownloaded page view costs %d B/client by the estimate, measured %d B when this was pinned: are keys drawn before the script is asked for?", perClient, measured)
 	}

@@ -100,6 +100,20 @@ func (e *Engine) registerTelemetry() {
 		func(emit func(labels string, v float64)) { emit(nl, e.LoadOccupancy()) })
 	reg.GaugeFunc("botdetect_memory_estimate_bytes", "Estimated live bytes in the session tracker, keystore and interner.",
 		func(emit func(labels string, v float64)) { emit(nl, float64(e.MemoryEstimate())) })
+	// The estimate's decomposition, read once per scrape so the three series
+	// sum to the estimate. botdetect_memory_estimate_bytes keeps its own
+	// family: the benchmark reads it by that name.
+	components := [3]string{}
+	for i, c := range []string{"sessions", "keystore", "intern"} {
+		components[i] = telemetry.Join(telemetry.Label("component", c), nl)
+	}
+	reg.GaugeFunc("botdetect_memory_component_bytes", "Estimated live bytes by component; the components sum to botdetect_memory_estimate_bytes.",
+		func(emit func(labels string, v float64)) {
+			sessions, keys, interned := e.MemoryBreakdown()
+			for i, v := range [3]int64{sessions, keys, interned} {
+				emit(components[i], float64(v))
+			}
+		})
 	reg.GaugeFunc("botdetect_memory_bytes_per_session", "Estimated live engine bytes per tracked session.",
 		func(emit func(labels string, v float64)) {
 			if n := e.sessions.Active(); n > 0 {

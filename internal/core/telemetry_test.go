@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -89,6 +90,54 @@ func TestTelemetryStagesObserve(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestMemoryComponentsSumToEstimate reads where the estimated bytes go off
+// one scrape: botdetect_memory_component_bytes carries the sessions, keystore
+// and intern components, each with the engine's node label, and they add up
+// to botdetect_memory_estimate_bytes in the same exposition.
+func TestMemoryComponentsSumToEstimate(t *testing.T) {
+	e := New(Config{Seed: 27, TelemetryNode: "edge-1"})
+	for i := 0; i < 40; i++ {
+		ip := fmt.Sprintf("10.7.0.%d", i)
+		_, inst := instrumentPage(e, ip, "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+		if i%2 == 0 {
+			e.HandleBeacon(ip, "Firefox/1.5", inst.ScriptPath)
+		}
+	}
+	var sb strings.Builder
+	if err := e.Telemetry().Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	components := map[string]float64{}
+	estimate := -1.0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		sample, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		switch name, labels, _ := strings.Cut(sample, "{"); name {
+		case "botdetect_memory_estimate_bytes":
+			estimate = v
+		case "botdetect_memory_component_bytes":
+			components[strings.TrimSuffix(labels, "}")] = v
+		}
+	}
+	sum := 0.0
+	for _, c := range []string{"sessions", "keystore", "intern"} {
+		v, ok := components[`component="`+c+`",node="edge-1"`]
+		if !ok || v <= 0 {
+			t.Fatalf("component %q missing or empty in %v", c, components)
+		}
+		sum += v
+	}
+	if len(components) != 3 || sum != estimate {
+		t.Fatalf("components %v sum to %.0f, estimate %.0f", components, sum, estimate)
 	}
 }
 

@@ -7,68 +7,92 @@ import (
 	"unsafe"
 )
 
-// TestKeystoreStructBudgets pins the flat log's layout: one outstanding page
-// view costs a 12-byte header (issue tick, token tag, decoy count, drawn and
-// consumed bits) and nothing else until its script is requested, then one
-// 8-byte arena word per key; one tracked client stays within a
-// cache-line-and-a-half. A failure means a field was added without re-deriving
-// the budget.
+// TestKeystoreStructBudgets pins the log's layout: a tracked client is one
+// 64-byte node (address, log, LRU and index-chain links); one outstanding page
+// view costs a header of at most 12 bytes (issue tick, token tag, decoy count,
+// drawn and consumed bits) and nothing else until its script is requested,
+// then keyWidth(KeyDigits) bytes per key. Every width must leave room for the
+// dead sentinel: 10^d-1 below all-ones in keyWidth(d) bytes, so no key of d
+// digits spells it. A failure means a field was added without re-deriving the
+// budget.
 func TestKeystoreStructBudgets(t *testing.T) {
-	if got := unsafe.Sizeof(batch{}); got > 12 {
-		t.Errorf("batch = %d bytes, exceeds the 12-byte header budget", got)
+	if got := unsafe.Sizeof(clientState{}); got > 64 {
+		t.Errorf("clientState = %d bytes, exceeds the 64-byte budget", got)
 	}
-	if got := unsafe.Sizeof(clientState{}); got > 96 {
-		t.Errorf("clientState = %d bytes, exceeds the 96-byte budget", got)
+	if headerBytes > 12 || hdrFlags+1 != headerBytes {
+		t.Errorf("header = %d bytes with its flags at %d, want at most 12 ending in the flag byte", headerBytes, hdrFlags)
+	}
+	widths := [MaxKeyDigits + 1]int{1: 1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 7, 7, 8, 8, 8}
+	for d := 1; d <= MaxKeyDigits; d++ {
+		w := keyWidth(d)
+		if w != widths[d] {
+			t.Errorf("keyWidth(%d) = %d, want %d", d, w, widths[d])
+		}
+		s := New(Config{KeyDigits: d})
+		if s.width != w || s.limit != pow10(d) || s.dead != ^uint64(0)>>(64-8*w) {
+			t.Errorf("%d digits: store width %d limit %d sentinel %#x", d, s.width, s.limit, s.dead)
+		}
+		if pow10(d)-1 >= s.dead {
+			t.Errorf("%d digits: the largest key %d is not below the %d-byte sentinel %#x", d, pow10(d)-1, w, s.dead)
+		}
 	}
 }
 
-// TestMemoryEstimateCoversHeap holds MemoryEstimate against the heap the
-// store really pins: 20,000 clients at 1, 4, 17 and 64 outstanding pages (a
-// one-page visitor, a short visit, a slice just past a doubling, and the
-// per-client cap), with every page's script downloaded (pages=N: headers plus
-// full key runs), none (undrawn: headers only — what a robot that never runs
-// scripts costs) and every other one (half: runs inserted between undrawn
-// neighbours). The estimate feeds the admission ladder, so it may never read
-// below the heap — and bytes_per_session is computed from it, so it may not
-// drift far above either.
-func TestMemoryEstimateCoversHeap(t *testing.T) {
-	if raceEnabled {
-		t.Skip("heap accounting differs under -race")
-	}
+// heapClients is the heap a store pins, and its MemoryEstimate, after
+// 20,000 clients each viewed pages pages, with the script of every every-th
+// page view downloaded (0: none).
+func heapClients(pages, every int) (heap, est int64, s *Store) {
 	const clients = 20000
-	heap := func() int64 {
+	live := func() int64 {
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
+	before := live()
+	s = New(Config{Seed: 3})
+	ips := make([]string, clients) // the store pins its clients' address strings
+	for i := range ips {
+		ips[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
+	}
+	var pk PageKeys
+	for p := 0; p < pages; p++ {
+		for i, ip := range ips {
+			s.IssuePage(ip, "/index.html", &pk)
+			if every > 0 && (p+i)%every == 0 {
+				_, pk.Decoys, _ = s.PageKeysFor(ip, pk.ScriptToken, pk.Decoys[:0])
+			}
+		}
+	}
+	clear(ips)
+	heap, est = live()-before, s.MemoryEstimate()
+	runtime.KeepAlive(s)
+	return heap / clients, est / clients, s
+}
+
+// TestMemoryEstimateCoversHeap holds MemoryEstimate against the heap the
+// store really pins: 20,000 clients at 1, 4, 17, 64, 65 and 200 outstanding
+// pages (a one-page visitor, a short visit, a log just past a doubling, the
+// per-client cap, one past it and far past it), with every page's script
+// downloaded (pages=N: headers plus full key runs), none (undrawn: headers
+// only — what a robot that never runs scripts costs) and every other one
+// (half: runs inserted between undrawn neighbours). The estimate feeds the
+// admission ladder, so it may never read below the heap — and
+// bytes_per_session is computed from it, so it may not drift far above either.
+func TestMemoryEstimateCoversHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting differs under -race")
+	}
 	for _, draw := range []struct {
 		suffix string
 		every  int // download the script of every n-th page view; 0 = never
 	}{{"", 1}, {",undrawn", 0}, {",half", 2}} {
-		for _, pages := range []int{1, 4, 17, 64} {
+		for _, pages := range []int{1, 4, 17, 64, 65, 200} {
 			t.Run(fmt.Sprintf("pages=%d%s", pages, draw.suffix), func(t *testing.T) {
-				before := heap()
-				s := New(Config{Seed: 3})
-				ips := make([]string, clients) // the store pins its clients' address strings
-				for i := range ips {
-					ips[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
-				}
-				var pk PageKeys
-				for p := 0; p < pages; p++ {
-					for i, ip := range ips {
-						s.IssuePage(ip, "/index.html", &pk)
-						if draw.every > 0 && (p+i)%draw.every == 0 {
-							_, pk.Decoys, _ = s.PageKeysFor(ip, pk.ScriptToken, pk.Decoys[:0])
-						}
-					}
-				}
-				clear(ips)
-				got, est := heap()-before, s.MemoryEstimate()
-				runtime.KeepAlive(s)
+				got, est, s := heapClients(pages, draw.every)
 				t.Logf("%d pages: heap %d B/client, estimate %d B/client (%.2fx), %d of %d drawn",
-					pages, got/clients, est/clients, float64(est)/float64(got), s.Stats().Drawn, s.Stats().Issued)
+					pages, got, est, float64(est)/float64(got), s.Stats().Drawn, s.Stats().Issued)
 				if est < got {
 					t.Errorf("estimate %d B < heap %d B: MemoryEstimate under-counts", est, got)
 				}
@@ -77,5 +101,27 @@ func TestMemoryEstimateCoversHeap(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestKeyLogNeverOutgrowsTheCap pins the per-client cap in bytes, not just in
+// page views: a client past maxPerClient page views holds no more heap than
+// one at it (+16 B for the allocator's noise), with no script downloaded and
+// with every one. A log that appends the new page view before it drops the
+// oldest outgrows its cap-sized array once and keeps the larger one; that
+// measured 1,691 against 923 B/client undrawn and 4,763 against 3,996 drawn.
+func TestKeyLogNeverOutgrowsTheCap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting differs under -race")
+	}
+	for _, every := range []int{0, 1} {
+		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
+			atCap, _, _ := heapClients(maxPerClient, every)
+			past, _, _ := heapClients(200, every)
+			t.Logf("heap per client: %d B at %d page views, %d B at 200", atCap, maxPerClient, past)
+			if past > atCap+16 {
+				t.Errorf("a client at 200 page views holds %d B, at the %d-view cap %d B: the log outgrew the cap", past, maxPerClient, atCap)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -25,9 +26,50 @@ func TestDifferentialAgainstRefStore(t *testing.T) {
 		seeds = 40
 	}
 	for seed := 1; seed <= seeds; seed++ {
-		diffRun(t, uint64(seed))
+		diffRun(t, uint64(seed), rand.New(rand.NewPCG(uint64(seed), 0x6b657973)), []int{3, 4, 10, 19}, 400)
 	}
 }
+
+// FuzzStoreMatchesReference is the differential with fuzz bytes making every
+// choice (diffChoices): the operation, the address, the page, the key
+// presented and the clock's step. The key width is one of eight digit counts
+// that between them store keys in 2, 3, 4, 5, 6, 7 and 8 bytes, so each
+// width's byte offsets, truncation and dead sentinel meet the reference.
+func FuzzStoreMatchesReference(f *testing.F) {
+	for seed := range uint64(8) {
+		seeded := make([]byte, 1200)
+		r := rand.New(rand.NewPCG(seed, 0x6b657973))
+		for i := range seeded {
+			seeded[i] = byte(r.Uint32())
+		}
+		seeded[2], seeded[3] = 0, byte(seed) // the second choice is KeyDigits: one seed for each
+		f.Add(seeded)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seed := uint64(len(data))
+		if len(data) > 0 {
+			seed = uint64(data[0])
+		}
+		diffRun(t, seed, &diffChoices{data}, []int{3, 6, 9, 10, 12, 14, 16, 19}, min(len(data)/3, 400))
+	})
+}
+
+// diffChoices answers diffRun's choices from fuzz bytes, two at a time, and
+// with zeros once they run out.
+type diffChoices struct{ b []byte }
+
+func (c *diffChoices) Uint64N(n uint64) uint64 {
+	var v uint64
+	for range 2 {
+		if len(c.b) > 0 {
+			v = v<<8 | uint64(c.b[0])
+			c.b = c.b[1:]
+		}
+	}
+	return v % n
+}
+
+func (c *diffChoices) IntN(n int) int { return int(c.Uint64N(uint64(n))) }
 
 // issuedPage remembers what one issue handed out and to whom, and — once the
 // owner has downloaded the page's script — the keys that download drew.
@@ -38,14 +80,18 @@ type issuedPage struct {
 	drawn bool
 }
 
-func diffRun(t *testing.T, seed uint64) {
-	r := rand.New(rand.NewPCG(seed, 0x6b657973))
+// diffRun drives a Store and a refStore through steps operations chosen by
+// r, with KeyDigits one of digits, and fails at the first difference.
+func diffRun(t *testing.T, seed uint64, r interface {
+	IntN(int) int
+	Uint64N(uint64) uint64
+}, digits []int, steps int) {
 	const ttl = time.Hour
 	cfg := Config{
 		Seed:      seed,
 		TTL:       ttl,
 		Decoys:    1 + r.IntN(4),
-		KeyDigits: []int{3, 4, 10, 19}[r.IntN(4)],
+		KeyDigits: digits[r.IntN(len(digits))],
 		Shards:    []int{1, 2}[r.IntN(2)],
 	}
 	// Eight addresses never reach the real client cap; lower it on both.
@@ -127,7 +173,7 @@ func diffRun(t *testing.T, seed uint64) {
 		iss.pk.Key, iss.pk.Decoys, iss.drawn = ka, da, true
 	}
 
-	for step := 0; step < 400; step++ {
+	for step := 0; step < steps; step++ {
 		switch k := r.IntN(20); {
 		case k < 6:
 			ip, page, n := pickIP(), fmt.Sprintf("/p%d.html", r.IntN(5)), 1
@@ -179,7 +225,10 @@ func diffRun(t *testing.T, seed uint64) {
 				fail("Human for a key no script download of %s handed out", ip)
 			}
 		case k == 14:
-			ip, key := pickIP(), []uint64{deadKey, 1 << 63, 0}[r.IntN(3)]
+			ip, key := pickIP(), []uint64{got.dead, 1 << 63, 0, got.limit}[r.IntN(4)]
+			if iss, ok := pickIssued(); ok && r.IntN(2) == 0 { // a key's low bytes under high ones
+				ip, key = iss.ip, iss.pk.Key+uint64(1+r.IntN(3))<<(8*got.width)
+			}
 			op = fmt.Sprintf("step %d ValidateValue(%s, %d)", step, ip, key)
 			if a, b := got.ValidateValue(ip, key), want.ValidateValue(ip, key); a != b {
 				fail("verdict %v, reference %v", a, b)
@@ -256,7 +305,7 @@ func FuzzValidate(f *testing.F) {
 	s, fresh, undrawn := build()
 	for k := range fresh {
 		f.Add(owner, k, uint64(0))
-		f.Add(other, k, deadKey)
+		f.Add(other, k, s.dead)
 	}
 	f.Add("", "", uint64(1<<63))
 	f.Add(owner, "12345a", uint64(999999))
@@ -264,6 +313,22 @@ func FuzzValidate(f *testing.F) {
 	for _, token := range undrawn { // the keys the late downloads are going to draw
 		key, _, _ := s.PageKeysFor(owner, token, nil)
 		f.Add(owner, fmt.Sprintf("%0*d", digits, key), key)
+	}
+	// The truncation cases: keys are stored in s.width (3) bytes, and a value
+	// that agrees with a live key in those bytes, the dead sentinel of every
+	// width and the first value past every digit count must all be refused.
+	for w := 1; w <= 8; w++ {
+		f.Add(owner, "", ^uint64(0)>>(64-8*w))
+	}
+	for d := 1; d <= MaxKeyDigits; d++ {
+		f.Add(owner, fmt.Sprint(pow10(d)), pow10(d))
+	}
+	for k := range fresh {
+		live, _ := strconv.ParseUint(k, 10, 64)
+		for _, high := range []uint64{1, 2, 1 << 20, 1<<(64-8*s.width) - 1} {
+			f.Add(owner, "", live+high<<(8*s.width))
+		}
+		break
 	}
 
 	f.Fuzz(func(t *testing.T, ip, key string, raw uint64) {

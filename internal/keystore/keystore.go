@@ -23,33 +23,49 @@
 // and 100,000 clients (maxPerClient, maxClients).
 //
 // The table is sharded by an FNV-1a hash of the client IP: each shard has
-// its own mutex, client map, LRU list and key-generation stream, so issuing
+// its own mutex, client index, LRU list and key-generation stream, so issuing
 // and validating keys for different clients proceeds in parallel. Counters
-// are atomic and never serialise the hot path.
+// are atomic and never serialise the hot path. A shard indexes its clients by
+// a maphash of the address under a per-store random seed, in a
+// map[uint64]*clientState whose colliding addresses chain through the client
+// node. FNV picks the shard, so placement and LRU eviction are the same on
+// every run; it must not pick the slot, because many addresses with one FNV
+// value are cheap to build and would line up in one chain.
 //
-// Keys are decimal digit strings on the wire but uint64 values internally:
-// a key of up to MaxKeyDigits digits packs into one machine word. A client's
-// table is one flat, issue-ordered log: a slice of 12-byte batch headers
-// (issue tick, script-token tag, decoy count, drawn and consumed bits), one per
-// page view, and a key arena in which a drawn batch's real key is followed by
-// its decoys and an undrawn batch occupies no words at all. A client holds at
-// most maxPerClient (64) batches — at most 320 contiguous words at the default
-// decoy count — so validation and the uniqueness check are linear scans, and
-// expiry and eviction drop whole batches by copy-down (never reallocating at
-// steady state). There is no per-key record and no per-client hash table; the only
-// map is each shard's client index.
+// Keys are decimal digit strings on the wire but numbers internally, stored in
+// w bytes, the fewest that hold 10^KeyDigits-1 (5 at the default 10 digits, 8
+// at MaxKeyDigits). A client is one 64-byte node and one byte log: a 5-byte
+// prefix (the oldest issue tick, the number of page views), the keys, and one
+// 11-byte header per page view (issue tick, script-token tag, decoy count,
+// drawn and consumed bits). Headers and keys are both in issue order; the
+// keys of a page view exist once its script has been requested — its real
+// key, then its decoys — so a page nobody asked the script of costs its header
+// and no key. The keys sit in one region before the headers rather than
+// after each header, so a key is found with one vectorised search of an
+// aligned array and its header by a fixed-stride walk. A client holds at most
+// maxPerClient (64) page views and the oldest is dropped before a new one is
+// appended, so the log never outgrows 5 + 64*(11 + w*(1+m)) bytes — 2,309 at
+// the defaults. Validation and the uniqueness check are linear scans, and
+// expiry and the cap compact the log in place, so a stable working set never
+// reallocates. There is no per-key record and no per-client hash table.
 //
 // A key is a number from draw to wire, and there is one path it can take:
 // IssuePage fills a caller-owned PageKeys without allocating, PageKeysFor draws
 // (once) and returns the keys a script download splices in as fixed-width
 // digits (PageKeys.AppendKey, jsgen.Variant.RenderKeys), and Validate parses
 // the digits a beacon request carries — the only strings the store ever sees,
-// because those bytes are the attacker's.
+// because those bytes are the attacker's. ValidateValue refuses a value of
+// more than KeyDigits digits before it reads the log: no key is that wide,
+// but the sentinel that marks a dead key is.
 package keystore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -94,7 +110,7 @@ func (v Verdict) String() string {
 
 // MaxKeyDigits is the largest supported key width: 19 decimal digits still
 // fit a uint64 (10^19-1 < 2^64), which is what lets the store hold keys as
-// machine words instead of strings. Configurations asking for more are
+// numbers instead of strings. Configurations asking for more are
 // clamped; the ~2^63 space is far beyond guessable either way.
 const MaxKeyDigits = 19
 
@@ -132,7 +148,7 @@ func (pk *PageKeys) AppendKey(dst []byte, v uint64) []byte {
 type Config struct {
 	// Decoys is the number of decoy keys per page (m in the paper). A blind
 	// fetcher is caught with probability Decoys/(Decoys+1). A page view is
-	// owed at most 32767 (the batch header's int16).
+	// owed at most 32767 (maxDecoys).
 	Decoys int
 	// KeyDigits is the length of each key in decimal digits (the paper's
 	// example beacons carry 10-digit numbers). Values above MaxKeyDigits
@@ -188,68 +204,93 @@ const (
 // before saturating.
 const tickResolution = 1 << 16
 
-// batch is the header of one page view in a client's key log. Once drawn, its
-// keys sit in the client's arena in the same (issue) order — the real key,
-// then the decoys — so a batch's arena offset is the sum of the runs before
-// it; every reader walks the headers from the front anyway. Until its script
-// is requested a batch has no keys and no run. All of a batch's keys share one
-// issue tick, so they expire together.
-type batch struct {
-	tick     uint32 // coarse issue time; see Store.tick
-	tag      uint32 // tokenTag of the page's script token
-	decoys   int16  // decoy keys the page is owed (following the real key once drawn)
-	drawn    bool   // the keys exist: the script has been requested
-	consumed bool   // the real key has validated once
-}
+// The key log's layout (see the package doc). Every field is little-endian.
+const (
+	// logPrefixBytes is the log's prefix: a u32 lower bound on every header's
+	// issue tick — expiry scans are skipped while now-oldest <= TTL, because
+	// no key can have expired yet; it is exact after the first issue and
+	// after every scan — then the u8 number of headers (at most maxPerClient).
+	logPrefixBytes = 5
+	// headerBytes is one page view's header: the coarse issue tick (u32, see
+	// Store.tick), the tokenTag of the page's script token (u32), the decoy
+	// keys the page is owed (u16) and the flag byte. Headers are in issue
+	// order, not tick order (degraded issues are backdated). All of a page's
+	// keys share its issue tick, so they expire together. The headers fill
+	// the end of the log, the last batches()*headerBytes bytes.
+	headerBytes = 11
 
-// maxDecoys is the largest decoy count a batch header can record.
+	hdrTag    = 4  // offset of the tag in a header
+	hdrDecoys = 8  // offset of the decoy count
+	hdrFlags  = 10 // offset of the flag byte
+
+	flagDrawn    = 1 // the keys exist: the script has been requested
+	flagConsumed = 2 // the real key has validated once
+)
+
+// maxDecoys is the largest decoy count a header records.
 const maxDecoys = math.MaxInt16
 
-// words is the length of the batch's run in the arena.
-func (b batch) words() int {
-	if !b.drawn {
+// keyLog is a client's log: the prefix, the key region — each drawn page
+// view's run, the real key then the decoys — and the headers.
+type keyLog []byte
+
+// oldest is the prefix's lower bound on the headers' issue ticks.
+func (l keyLog) oldest() uint32 { return binary.LittleEndian.Uint32(l) }
+
+// batches is the number of headers in the log.
+func (l keyLog) batches() int {
+	if len(l) < logPrefixBytes {
 		return 0
 	}
-	return 1 + int(b.decoys)
+	return int(l[4])
 }
 
-// tokenTag folds a script token into the 32 bits a batch has room for
+// headers is the offset of the first header: the end of the key region.
+func (l keyLog) headers() int { return len(l) - l.batches()*headerBytes }
+
+// tick and tag read the header at offset h.
+func (l keyLog) tick(h int) uint32 { return binary.LittleEndian.Uint32(l[h:]) }
+func (l keyLog) tag(h int) uint32  { return binary.LittleEndian.Uint32(l[h+hdrTag:]) }
+
+// keys is the length of the run of the page view whose header is at h: none
+// until drawn, then the real key and the decoys.
+func (l keyLog) keys(h int) int {
+	if l[h+hdrFlags]&flagDrawn == 0 {
+		return 0
+	}
+	return 1 + int(binary.LittleEndian.Uint16(l[h+hdrDecoys:]))
+}
+
+// tokenTag folds a script token into the 32 bits a header has room for
 // (Fibonacci hashing: the high half of the product mixes every token bit). A
-// client holds at most maxPerClient batches, so two of its own tokens share a
+// client holds at most maxPerClient headers, so two of its own tokens share a
 // tag with probability ~maxPerClient/2^32, and the first live match wins.
 func tokenTag(token uint64) uint32 { return uint32((token * 0x9e3779b97f4a7c15) >> 32) }
 
-// deadKey overwrites an arena word whose key was found expired by Validate
-// before the next issue swept its batch, so the key is counted as dropped
-// exactly once. No key can equal it: MaxKeyDigits digits stay below 2^64-1.
-const deadKey = ^uint64(0)
+// keyWidth is the number of bytes a key of digits decimal digits is stored
+// in: the fewest that hold 10^digits-1.
+func keyWidth(digits int) int { return (bits.Len64(pow10(digits)-1) + 7) / 8 }
 
-// liveWords counts the arena words in run that still hold a key.
-func liveWords(run []uint64) int64 {
-	var n int64
-	for _, w := range run {
-		if w != deadKey {
-			n++
-		}
+// pow10 is 10^n for n <= MaxKeyDigits.
+func pow10(n int) uint64 {
+	v := uint64(1)
+	for range n {
+		v *= 10
 	}
-	return n
+	return v
 }
 
-// clientState is the per-client key log. States are linked into their
-// shard's intrusive LRU list. The headers and the arena are compacted in
-// place (copy-down) when batches are dropped, so a stable working set reaches
-// a steady state where IssuePage allocates nothing at all.
+// clientState is one tracked client: its address, its key log, and the links
+// of its shard's intrusive LRU list (prev = towards the front, most recently
+// used) and index chain (hnext: the next client whose address shares the
+// index hash). The log is compacted in place (copy-down) when page views are
+// dropped, so a stable working set reaches a steady state where IssuePage
+// allocates nothing at all.
 type clientState struct {
-	ip      string
-	batches []batch  // issue order; not tick order (degraded issues are backdated)
-	keys    []uint64 // arena: each drawn batch's real key, then its decoys
-	// oldestTick is a lower bound on the issue tick of every batch: expiry
-	// scans are skipped entirely while now-oldest <= TTL, because no key can
-	// have expired yet. It is exact after the first issue and after every
-	// scan (the scan re-derives the minimum over the survivors).
-	oldestTick uint32
+	ip  string
+	log keyLog
 
-	prev, next *clientState // intrusive LRU: prev = towards front (most recent)
+	prev, next, hnext *clientState
 }
 
 // Stats are cumulative counters exposed for monitoring and experiments.
@@ -278,40 +319,43 @@ type storeStats struct {
 	evictedClients atomic.Int64
 }
 
-// storeShard is one independently locked partition of the key table.
+// storeShard is one independently locked partition of the key table. The
+// index maps an address's seeded hash (Store.indexHash) to the first client
+// of its chain.
 type storeShard struct {
-	mu      sync.Mutex
-	src     *rng.Source
-	clients map[string]*clientState
-	head    *clientState // most recently used
-	tail    *clientState // least recently used
-	count   int          // live clients (== len(clients))
-	max     int          // per-shard client cap
+	mu    sync.Mutex
+	src   *rng.Source
+	index map[uint64]*clientState
+	head  *clientState // most recently used
+	tail  *clientState // least recently used
+	count int          // live clients
+	max   int          // per-shard client cap
 }
 
 // Memory costs backing Store.MemoryEstimate, derived from the actual layouts
-// via unsafe.Sizeof so they cannot silently rot when fields change
-// (TestKeystoreStructBudgets pins the layouts and TestMemoryEstimateCoversHeap
-// holds the total against measured heap). The estimate feeds admission
-// control (see core.LoadState), where an overestimate degrades service early
-// and an underestimate OOMs — so the logs are charged at their capacity, not
-// their length: append's doubling leaves up to half of a slice spare, and
-// copy-down compaction keeps the arrays it shrinks.
+// so they cannot silently rot when fields change (TestKeystoreStructBudgets
+// pins the layouts and TestMemoryEstimateCoversHeap holds the total against
+// measured heap). The estimate feeds admission control (see core.LoadState),
+// where an overestimate degrades service early and an underestimate OOMs — so
+// a log is charged at its capacity, not its length: append's growth leaves
+// part of it spare, and copy-down compaction keeps the array it shrinks.
 const (
-	batchBytes = int64(unsafe.Sizeof(batch{}))
-	keyBytes   = int64(unsafe.Sizeof(uint64(0)))
-	// clientBaseBytes is charged per tracked client: the clientState in its
-	// 16-byte allocator size class, plus one slot of the shard's client map
-	// (string header, pointer, control byte) at the half load a just-doubled
-	// table has.
-	clientBaseBytes = (int64(unsafe.Sizeof(clientState{}))+15)/16*16 +
-		2*int64(unsafe.Sizeof("")+unsafe.Sizeof((*clientState)(nil))+1)
+	// clientSlotBytes is the client's share of its shard's index at its
+	// emptiest. The index has the session tracker's layout (an 8-byte hash
+	// and a pointer per slot), so the same derivation holds: a full-size
+	// table is 1,024 slots in 128 groups of 8 control bytes + 8 × 16 B =
+	// 17,408 B in the allocator's 18,432-byte class, 18 B a slot, and right
+	// after a split at 7/8 load each entry holds 16/7 slots = 41.1 B.
+	clientSlotBytes = 42
+	// clientBaseBytes is charged per tracked client: the node in its 16-byte
+	// allocator size class, plus its index slot.
+	clientBaseBytes = (int64(unsafe.Sizeof(clientState{}))+15)&^15 + clientSlotBytes
 )
 
-// pinnedBytes is the heap the client pins beyond its own struct: the address
-// string (in its 16-byte size class) and the capacity of the log.
+// pinnedBytes is the heap the client pins beyond its node and slot: the
+// address string (in its 16-byte size class) and the capacity of the log.
 func (cs *clientState) pinnedBytes() int64 {
-	return int64(len(cs.ip)+15)&^15 + int64(cap(cs.batches))*batchBytes + int64(cap(cs.keys))*keyBytes
+	return int64(len(cs.ip)+15)&^15 + int64(cap(cs.log))
 }
 
 // Store is the key table. It is safe for concurrent use.
@@ -320,6 +364,19 @@ type Store struct {
 	shards []*storeShard
 	mask   uint64
 	stats  storeStats
+	seed   maphash.Seed
+
+	// hash, when set, replaces the seeded index hash. Only tests set it, to
+	// force addresses into collision chains.
+	hash func(string) uint64
+
+	// A key is stored in width bytes. limit is 10^KeyDigits: no key reaches
+	// it, so a value at or above it is refused before the log is read. dead
+	// is all-ones in width bytes — above limit, so no key spells it — and
+	// overwrites a key found expired before a sweep removed its page view.
+	width int
+	limit uint64
+	dead  uint64
 
 	// Coarse-tick time base (see Store.tick): epoch is set at construction
 	// far enough in the past that backdated (degraded) issues never go
@@ -340,7 +397,10 @@ type Store struct {
 // New creates a Store with the given configuration.
 func New(cfg Config) *Store {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, mask: uint64(cfg.Shards - 1)}
+	s := &Store{cfg: cfg, mask: uint64(cfg.Shards - 1), seed: maphash.MakeSeed()}
+	s.width = keyWidth(cfg.KeyDigits)
+	s.limit = pow10(cfg.KeyDigits)
+	s.dead = ^uint64(0) >> (64 - 8*s.width)
 	s.tickUnit = cfg.TTL / tickResolution
 	if s.tickUnit <= 0 {
 		s.tickUnit = 1
@@ -352,9 +412,9 @@ func New(cfg Config) *Store {
 	s.shards = make([]*storeShard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = &storeShard{
-			src:     base.Fork(fmt.Sprintf("shard-%d", i)),
-			clients: make(map[string]*clientState),
-			max:     perShard,
+			src:   base.Fork(fmt.Sprintf("shard-%d", i)),
+			index: make(map[uint64]*clientState),
+			max:   perShard,
 		}
 	}
 	return s
@@ -372,8 +432,18 @@ func (s *Store) ShardClients(i int) int {
 	return sh.count
 }
 
-func (s *Store) shard(ip string) *storeShard {
-	return s.shards[shard.HashString(ip)&s.mask]
+// indexHash is ip's slot hash in its shard's index.
+func (s *Store) indexHash(ip string) uint64 {
+	if s.hash != nil {
+		return s.hash(ip)
+	}
+	return maphash.String(s.seed, ip)
+}
+
+// locate returns ip's shard and its slot hash in the shard's index. Both
+// hashes are computed before the shard lock is taken.
+func (s *Store) locate(ip string) (*storeShard, uint64) {
+	return s.shards[shard.HashString(ip)&s.mask], s.indexHash(ip)
 }
 
 // tick converts a wall time to the store's coarse tick scale. Times before
@@ -396,7 +466,61 @@ func (s *Store) expired(nowTick, recTick uint32) bool {
 	return int64(nowTick)-int64(recTick) > int64(s.ttlTicks)
 }
 
-// --- intrusive LRU -----------------------------------------------------------
+// key returns the key stored at log offset c. It loads eight bytes — in
+// bounds for any c in the key region, which at least one header follows —
+// and masks off those past the key (s.dead is all-ones in exactly its bytes).
+func (s *Store) key(l keyLog, c int) uint64 {
+	return binary.LittleEndian.Uint64(l[c:]) & s.dead
+}
+
+// putKey stores v, which must not exceed s.dead, at log offset c, leaving the
+// bytes after the key as they were.
+func (s *Store) putKey(l keyLog, c int, v uint64) {
+	b := l[c : c+8]
+	binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)&^s.dead|v)
+}
+
+// find returns the log offset of key, or -1 if the log holds no such key. It
+// searches the key region for the key's low byte (bytes.IndexByte,
+// vectorised), compares the whole key where it finds one, and on a match
+// checks that the match starts a key rather than straddling two.
+func (s *Store) find(l keyLog, key uint64) int {
+	end := l.headers()
+	for c := logPrefixBytes; c < end; c++ {
+		j := bytes.IndexByte(l[c:end], byte(key))
+		if j < 0 {
+			break
+		}
+		if c += j; s.key(l, c) == key && (c-logPrefixBytes)%s.width == 0 {
+			return c
+		}
+	}
+	return -1
+}
+
+// batchOf returns the header of the page view whose run holds the key at log
+// offset c, and the key's index in the run (0 is the real key).
+func (s *Store) batchOf(l keyLog, c int) (h, i int) {
+	i = (c - logPrefixBytes) / s.width
+	for h = l.headers(); i >= l.keys(h); h += headerBytes {
+		i -= l.keys(h)
+	}
+	return h, i
+}
+
+// liveKeys counts the keys between log offsets from and to that are not
+// dead.
+func (s *Store) liveKeys(l keyLog, from, to int) int64 {
+	var n int64
+	for c := from; c < to; c += s.width {
+		if s.key(l, c) != s.dead {
+			n++
+		}
+	}
+	return n
+}
+
+// --- intrusive LRU and index --------------------------------------------------
 
 func (sh *storeShard) pushFront(cs *clientState) {
 	cs.prev = nil
@@ -432,15 +556,46 @@ func (sh *storeShard) moveToFront(cs *clientState) {
 	sh.pushFront(cs)
 }
 
-// clientLocked returns (creating if needed) the state for ip on sh,
-// mirroring creations into the lock-free liveClients counter.
-func (s *Store) clientLocked(sh *storeShard, ip string) *clientState {
-	cs, ok := sh.clients[ip]
-	if !ok {
-		cs = &clientState{ip: ip}
-		sh.pushFront(cs)
-		sh.clients[ip] = cs
+// lookup returns the shard's client for ip, whose index hash is h, or nil.
+func (sh *storeShard) lookup(h uint64, ip string) *clientState {
+	for cs := sh.index[h]; cs != nil; cs = cs.hnext {
+		if cs.ip == ip {
+			return cs
+		}
+	}
+	return nil
+}
+
+// unindex removes cs, whose address's index hash is h, from the index.
+func (sh *storeShard) unindex(h uint64, cs *clientState) {
+	if first := sh.index[h]; first == cs {
+		if cs.hnext == nil {
+			delete(sh.index, h)
+		} else {
+			sh.index[h] = cs.hnext
+		}
+	} else {
+		for p := first; p != nil; p = p.hnext {
+			if p.hnext == cs {
+				p.hnext = cs.hnext
+				break
+			}
+		}
+	}
+	cs.hnext = nil
+	sh.count--
+}
+
+// clientLocked returns (creating if needed) the state for ip, whose index
+// hash is h, on sh, mirroring creations into the lock-free liveClients
+// counter.
+func (s *Store) clientLocked(sh *storeShard, h uint64, ip string) *clientState {
+	cs := sh.lookup(h, ip)
+	if cs == nil {
+		cs = &clientState{ip: ip, hnext: sh.index[h]}
+		sh.index[h] = cs
 		sh.count++
+		sh.pushFront(cs)
 		s.liveClients.Add(1)
 		s.pinnedBytes.Add(cs.pinnedBytes())
 	}
@@ -448,19 +603,19 @@ func (s *Store) clientLocked(sh *storeShard, ip string) *clientState {
 }
 
 // IssuePage issues one page view to the given client: it draws the per-page
-// object tokens into the caller-owned pk and appends a batch header to the
-// client's log recording that the page is owed a real key and the configured
-// number of decoys. No key is drawn — pk.Key stays zero and pk.Decoys empty —
-// until the page's script is requested (PageKeysFor), so a page view whose
-// script nobody downloads holds no key anyone could present. The call
-// allocates nothing at steady state and locks only the client's shard.
+// object tokens into the caller-owned pk and appends a header to the client's
+// log recording that the page is owed a real key and the configured number of
+// decoys. No key is drawn — pk.Key stays zero and pk.Decoys empty — until the
+// page's script is requested (PageKeysFor), so a page view whose script nobody
+// downloads holds no key anyone could present. The call allocates nothing at
+// steady state and locks only the client's shard.
 func (s *Store) IssuePage(clientIP, page string, pk *PageKeys) {
 	s.issuePage(clientIP, page, s.cfg.Decoys, 0, pk)
 }
 
 // IssuePageDegraded is IssuePage for a load-shedding serving layer: the page
 // is owed decoys decoy keys (instead of the configured count) and its issue
-// timestamp is backdated so the whole batch expires after ttl instead of the
+// timestamp is backdated so all its keys expire after ttl instead of the
 // configured TTL. Validation and expiry are untouched — a shorter-lived key
 // is simply an older one. Degraded pages stay fully verifiable (a real key
 // beacon still proves a human); they just pin less proxy memory per
@@ -470,10 +625,10 @@ func (s *Store) IssuePageDegraded(clientIP, page string, decoys int, ttl time.Du
 }
 
 // issuePage is the locked body of every issue: one LRU touch, one expiry
-// scan, one header, then the per-client and per-shard caps. A ttl in (0, TTL)
-// backdates the batch's issue tick so it expires after ttl.
+// scan, one header, then the per-shard client cap. A ttl in (0, TTL)
+// backdates the page view's issue tick so it expires after ttl.
 func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, pk *PageKeys) {
-	sh := s.shard(clientIP)
+	sh, hash := s.locate(clientIP)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
@@ -483,12 +638,9 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	if ttl > 0 && ttl < s.cfg.TTL {
 		issueTick = s.tick(now.Add(ttl - s.cfg.TTL))
 	}
-	cs := s.clientLocked(sh, clientIP)
+	cs := s.clientLocked(sh, hash, clientIP)
 	sh.moveToFront(cs)
 	s.expireClientLocked(cs, nowTick)
-	if len(cs.batches) == 0 || issueTick < cs.oldestTick {
-		cs.oldestTick = issueTick
-	}
 
 	// The draw order (CSS, script, hidden token) is part of the store's
 	// deterministic surface: fixed-seed runs replay it byte for byte.
@@ -502,90 +654,116 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	pk.Decoys = pk.Decoys[:0]
 	pk.IssuedAt = now
 	pinned := cs.pinnedBytes()
-	cs.batches = append(cs.batches, batch{tick: issueTick, tag: tokenTag(pk.ScriptToken), decoys: int16(min(decoys, maxDecoys))})
+	s.appendLocked(cs, issueTick, tokenTag(pk.ScriptToken), min(decoys, maxDecoys))
 	if grown := cs.pinnedBytes() - pinned; grown != 0 {
 		s.pinnedBytes.Add(grown)
 	}
 	s.stats.issued.Add(1)
 
-	s.enforcePerClientLocked(cs)
 	s.enforceClientCapLocked(sh)
 }
 
-// drawLocked draws the keys of the undrawn batch b, whose (empty) run sits at
-// arena offset off: the real key, then the decoys, inserted at the batch's
-// position so the arena stays in issue order. Each draw must differ from every
-// key the client holds and from the draws before it, so it lands in the arena
-// before the next one is checked.
-func (s *Store) drawLocked(sh *storeShard, cs *clientState, b *batch, off int) {
-	n := 1 + int(b.decoys)
+// appendLocked appends an undrawn page view's header to the client's log. A
+// client holds at most maxPerClient page views: at the cap the oldest issue —
+// the first run and the first header — is dropped first, so the log never
+// grows past the bound the package doc gives.
+func (s *Store) appendLocked(cs *clientState, tick, tag uint32, decoys int) {
+	l := cs.log
+	if len(l) == 0 {
+		l = make(keyLog, logPrefixBytes, logPrefixBytes+headerBytes)
+	}
+	n := l.batches()
+	if n == 0 || tick < l.oldest() {
+		binary.LittleEndian.PutUint32(l, tick)
+	}
+	if n == maxPerClient {
+		h := l.headers()
+		run := l.keys(h) * s.width
+		copy(l[logPrefixBytes:], l[logPrefixBytes+run:h])
+		l = l[:h-run+copy(l[h-run:], l[h+headerBytes:])]
+		n--
+	}
+	l = slices.Grow(l, headerBytes)
+	l = binary.LittleEndian.AppendUint32(l, tick)
+	l = binary.LittleEndian.AppendUint32(l, tag)
+	l = binary.LittleEndian.AppendUint16(l, uint16(decoys))
+	l = append(l, 0)
+	l[4] = byte(n + 1)
+	cs.log = l
+}
+
+// drawLocked draws the keys of the undrawn page view whose header is at h
+// and whose run belongs at key offset at: the real key, then the decoys,
+// inserted there so the key region stays in issue order. Each draw must
+// differ from every key the client holds and from the draws before it; the
+// slots not yet drawn hold the dead sentinel meanwhile, which no draw equals.
+// It returns the bytes inserted, by which the header has moved.
+func (s *Store) drawLocked(sh *storeShard, cs *clientState, h, at int) int {
+	size := (1 + int(binary.LittleEndian.Uint16(cs.log[h+hdrDecoys:]))) * s.width
 	pinned := cs.pinnedBytes()
-	end := len(cs.keys)
-	cs.keys = slices.Grow(cs.keys, n)[:end+n]
-	copy(cs.keys[off+n:], cs.keys[off:end])
-	rest := cs.keys[off+n:]
-	for i := off; i < off+n; i++ {
+	tail := len(cs.log)
+	l := slices.Grow(cs.log, size)[:tail+size]
+	copy(l[at+size:], l[at:tail])
+	for i := at; i < at+size; i++ {
+		l[i] = 0xff
+	}
+	l[h+size+hdrFlags] |= flagDrawn
+	for c := at; c < at+size; c += s.width {
 		v := sh.src.DigitKeyValue(s.cfg.KeyDigits)
-		for slices.Contains(cs.keys[:i], v) || slices.Contains(rest, v) {
+		for s.find(l, v) >= 0 {
 			v = sh.src.DigitKeyValue(s.cfg.KeyDigits)
 		}
-		cs.keys[i] = v
+		s.putKey(l, c, v)
 	}
-	b.drawn = true
+	cs.log = l
 	if grown := cs.pinnedBytes() - pinned; grown != 0 {
 		s.pinnedBytes.Add(grown)
 	}
 	s.stats.drawn.Add(1)
+	return size
 }
 
-// dropBatchesLocked removes the first n batches from the client's log and
-// compacts the headers and the arena in place (copy-down, no reallocation) so
-// the backing arrays never creep: O(live) per eviction wave, but
-// allocation-free forever (live sizes are maxPerClient-bounded).
-func (s *Store) dropBatchesLocked(cs *clientState, n int) {
-	off := 0
-	for _, b := range cs.batches[:n] {
-		off += b.words()
-	}
-	cs.keys = cs.keys[:copy(cs.keys, cs.keys[off:])]
-	cs.batches = cs.batches[:copy(cs.batches, cs.batches[n:])]
-}
-
-// expireClientLocked drops the batches older than the TTL for one client.
-// Batches are not in tick order, so this is a scan over the headers; it only
-// runs when the oldest batch can actually have expired (tracked via
-// clientState.oldestTick, re-derived exactly from the survivors on every
+// expireClientLocked drops the page views older than the TTL for one client.
+// Headers are not in tick order, so this is a scan over them that moves each
+// span of surviving runs, then each span of surviving headers, down in place;
+// it only runs when the oldest page view can actually have expired (tracked
+// by the prefix's oldest tick, re-derived exactly from the survivors on every
 // scan), so hot-path issues skip it.
 func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
-	if len(cs.batches) == 0 || !s.expired(nowTick, cs.oldestTick) {
+	l := cs.log
+	if l.batches() == 0 || !s.expired(nowTick, l.oldest()) {
 		return
 	}
 	minSurvivor := nowTick
-	keepB, keepK := cs.batches[:0], cs.keys[:0]
+	first := l.headers()
 	var dropped int64
-	off := 0
-	for _, b := range cs.batches {
-		run := cs.keys[off : off+b.words()]
-		off += len(run)
-		if s.expired(nowTick, b.tick) {
-			dropped += liveWords(run)
-			continue
+	to, from, off := logPrefixBytes, logPrefixBytes, logPrefixBytes
+	for h := first; h < len(l); h += headerBytes {
+		run := l.keys(h) * s.width
+		if tick := l.tick(h); s.expired(nowTick, tick) {
+			to += copy(l[to:], l[from:off])
+			dropped += s.liveKeys(l, off, off+run)
+			from = off + run
+		} else {
+			minSurvivor = min(minSurvivor, tick)
 		}
-		minSurvivor = min(minSurvivor, b.tick)
-		keepB = append(keepB, b)
-		keepK = append(keepK, run...)
+		off += run
 	}
+	to += copy(l[to:], l[from:first])
+	kept, from := 0, first
+	for h := first; h < len(l); h += headerBytes {
+		if s.expired(nowTick, l.tick(h)) {
+			to += copy(l[to:], l[from:h])
+			from = h + headerBytes
+		} else {
+			kept++
+		}
+	}
+	to += copy(l[to:], l[from:])
 	s.stats.expiredDropped.Add(dropped)
-	cs.batches, cs.keys = keepB, keepK
-	cs.oldestTick = minSurvivor
-}
-
-// enforcePerClientLocked bounds the number of outstanding page views for one
-// client by discarding the oldest issues together with their decoys.
-func (s *Store) enforcePerClientLocked(cs *clientState) {
-	if over := len(cs.batches) - maxPerClient; over > 0 {
-		s.dropBatchesLocked(cs, over)
-	}
+	binary.LittleEndian.PutUint32(l, minSurvivor)
+	l[4] = byte(kept)
+	cs.log = l[:to]
 }
 
 // enforceClientCapLocked bounds the number of distinct clients in the shard.
@@ -596,8 +774,7 @@ func (s *Store) enforceClientCapLocked(sh *storeShard) {
 			return
 		}
 		sh.unlink(victim)
-		delete(sh.clients, victim.ip)
-		sh.count--
+		sh.unindex(s.indexHash(victim.ip), victim)
 		s.liveClients.Add(-1)
 		s.pinnedBytes.Add(-victim.pinnedBytes())
 		s.stats.evictedClients.Add(1)
@@ -617,86 +794,86 @@ func (s *Store) Validate(clientIP, key string) Verdict {
 	return s.ValidateValue(clientIP, v)
 }
 
-// ValidateValue is Validate over an already parsed key value: one scan of
-// the client's arena for the key, then a walk over the headers to the batch
-// that holds it.
+// ValidateValue is Validate over an already parsed key value: one scan of the
+// client's log for the key. A value of more than KeyDigits digits is Unknown
+// before the log is read: no key is that wide, and the dead sentinel, which
+// a scan would otherwise find in the slot of every key that died unswept, is.
 func (s *Store) ValidateValue(clientIP string, key uint64) Verdict {
-	sh := s.shard(clientIP)
+	sh, hash := s.locate(clientIP)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	cs, ok := sh.clients[clientIP]
-	if !ok {
+	cs := sh.lookup(hash, clientIP)
+	if cs == nil {
 		s.stats.unknownHits.Add(1)
 		return Unknown
 	}
 	sh.moveToFront(cs)
-	at := -1
-	if key != deadKey {
-		at = slices.Index(cs.keys, key)
-	}
-	if at < 0 {
+	if key >= s.limit {
 		s.stats.unknownHits.Add(1)
 		return Unknown
 	}
-	bi, first := 0, 0 // the batch holding at, and its real key's arena offset
-	for at >= first+cs.batches[bi].words() {
-		first += cs.batches[bi].words()
-		bi++
+	l := cs.log
+	c := s.find(l, key)
+	if c < 0 {
+		s.stats.unknownHits.Add(1)
+		return Unknown
 	}
-	b := &cs.batches[bi]
-	if s.expired(s.tick(s.cfg.Clock.Now()), b.tick) {
-		cs.keys[at] = deadKey
+	h, i := s.batchOf(l, c)
+	if s.expired(s.tick(s.cfg.Clock.Now()), l.tick(h)) {
+		s.putKey(l, c, s.dead)
 		s.stats.expiredDropped.Add(1)
 		s.stats.unknownHits.Add(1)
 		return Unknown
 	}
-	if at != first {
+	if i != 0 {
 		s.stats.decoyHits.Add(1)
 		return Decoy
 	}
-	if b.consumed {
+	if l[h+hdrFlags]&flagConsumed != 0 {
 		s.stats.replayHits.Add(1)
 		return Replayed
 	}
-	b.consumed = true
+	l[h+hdrFlags] |= flagConsumed
 	s.stats.humanHits.Add(1)
 	return Human
 }
 
 // PageKeysFor returns the real key and the decoys (appended to decoys) of the
-// live batch issued to clientIP under scriptToken — everything a page's
+// live page view issued to clientIP under scriptToken — everything a page's
 // beacon script is rendered from, so the serving layer stores no script. It is
-// the only door a key leaves through, and the first request for a live batch
-// is what draws its keys; every later request returns the same ones. ok is
-// false when the client holds no such batch or it is past the TTL (judged
-// exactly as ValidateValue judges its real key): a script is available
+// the only door a key leaves through, and the first request for a live page
+// view is what draws its keys; every later request returns the same ones. ok
+// is false when the client holds no such page view or it is past the TTL
+// (judged exactly as ValidateValue judges its real key): a script is available
 // precisely as long as the key it carries can still validate. The scan is
 // bounded by maxPerClient; only the client's shard is locked.
 func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64) (key uint64, _ []uint64, ok bool) {
-	sh := s.shard(clientIP)
+	sh, hash := s.locate(clientIP)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	cs, found := sh.clients[clientIP]
-	if !found {
+	cs := sh.lookup(hash, clientIP)
+	if cs == nil {
 		return 0, decoys, false
 	}
 	sh.moveToFront(cs)
 	tag := tokenTag(scriptToken)
 	nowTick := s.tick(s.cfg.Clock.Now())
-	off := 0
-	for i := range cs.batches {
-		b := &cs.batches[i]
-		if b.tag == tag && !s.expired(nowTick, b.tick) {
-			if !b.drawn {
-				s.drawLocked(sh, cs, b, off)
+	off := logPrefixBytes // the key offset of the run of the page view at h
+	for h := cs.log.headers(); h < len(cs.log); h += headerBytes {
+		if cs.log.tag(h) == tag && !s.expired(nowTick, cs.log.tick(h)) {
+			if cs.log.keys(h) == 0 {
+				h += s.drawLocked(sh, cs, h, off)
 			}
-			if run := cs.keys[off : off+b.words()]; run[0] != deadKey {
-				return run[0], append(decoys, run[1:]...), true
+			if key = s.key(cs.log, off); key != s.dead {
+				for c := off + s.width; c < off+cs.log.keys(h)*s.width; c += s.width {
+					decoys = append(decoys, s.key(cs.log, c))
+				}
+				return key, decoys, true
 			}
 		}
-		off += b.words()
+		off += cs.log.keys(h) * s.width
 	}
 	return 0, decoys, false
 }
@@ -704,14 +881,14 @@ func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64
 // OutstandingKeys returns the number of drawn, unexpired keys currently stored
 // for the client (real plus decoys). It is primarily for tests and monitoring.
 func (s *Store) OutstandingKeys(clientIP string) int {
-	sh := s.shard(clientIP)
+	sh, hash := s.locate(clientIP)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	cs, ok := sh.clients[clientIP]
-	if !ok {
+	cs := sh.lookup(hash, clientIP)
+	if cs == nil {
 		return 0
 	}
-	return int(liveWords(cs.keys))
+	return int(s.liveKeys(cs.log, logPrefixBytes, cs.log.headers()))
 }
 
 // Clients returns the number of distinct client IPs currently tracked,
@@ -732,9 +909,9 @@ func (s *Store) Occupancy() float64 {
 }
 
 // MemoryEstimate returns the store's approximate live memory footprint in
-// bytes: a fixed cost per client plus every client's address string and
-// key-log capacity. Lock-free and allocation-free; the load-state recomputation reads it
-// on the serve path.
+// bytes: per client, its 64-byte node and index slot (clientBaseBytes), its
+// address string and its log's capacity. Lock-free and allocation-free; the
+// load-state recomputation reads it on the serve path.
 func (s *Store) MemoryEstimate() int64 {
 	return s.liveClients.Load()*clientBaseBytes + s.pinnedBytes.Load()
 }

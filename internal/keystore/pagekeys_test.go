@@ -1,6 +1,7 @@
 package keystore
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 	"time"
@@ -167,7 +168,9 @@ func TestTokenTagCollision(t *testing.T) {
 		t.Fatalf("tokens %d and %d: tags %#x and %#x", first, second, tokenTag(first), tokenTag(second))
 	}
 	s.IssuePage(ip, "/p.html", &pk)
-	s.shard(ip).clients[ip].batches[1].tag = tokenTag(second)
+	sh, h := s.locate(ip)
+	l := sh.lookup(h, ip).log
+	binary.LittleEndian.PutUint32(l[l.headers()+headerBytes+hdrTag:], tokenTag(second))
 
 	key2, decoys2, ok2 := s.PageKeysFor(ip, second, nil) // the later page's script is asked for first
 	key1, decoys1, ok1 := s.PageKeysFor(ip, first, nil)

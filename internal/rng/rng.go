@@ -227,55 +227,6 @@ func (r *Source) Poisson(mean float64) int {
 	}
 }
 
-// Zipf samples integers in [0, n) following a Zipf distribution with the
-// given skew s > 0; lower ranks are more probable. It is used to pick pages
-// from the synthetic site following Web-like popularity.
-type Zipf struct {
-	src *Source
-	cdf []float64
-	n   int
-}
-
-// NewZipf constructs a Zipf sampler over [0, n) with skew s. It panics if
-// n <= 0 or s <= 0.
-func NewZipf(src *Source, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf requires n > 0")
-	}
-	if s <= 0 {
-		panic("rng: NewZipf requires s > 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{src: src, cdf: cdf, n: n}
-}
-
-// N returns the size of the sampled domain.
-func (z *Zipf) N() int { return z.n }
-
-// Next returns the next sample in [0, n).
-func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	// Binary search the CDF.
-	lo, hi := 0, z.n-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // WeightedChoice selects index i with probability weights[i]/sum(weights).
 // Zero and negative weights are treated as zero. If all weights are zero it
 // returns 0.

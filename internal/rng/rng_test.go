@@ -270,37 +270,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestZipfSkewsLow(t *testing.T) {
-	r := New(59)
-	z := NewZipf(r, 100, 1.0)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		v := z.Next()
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("Zipf rank 0 (%d) not more popular than rank 50 (%d)", counts[0], counts[50])
-	}
-	if counts[0] <= counts[99] {
-		t.Fatalf("Zipf rank 0 (%d) not more popular than rank 99 (%d)", counts[0], counts[99])
-	}
-	if z.N() != 100 {
-		t.Fatalf("N() = %d, want 100", z.N())
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for NewZipf(_, 0, 1)")
-		}
-	}()
-	NewZipf(New(1), 0, 1)
-}
-
 func TestWeightedChoice(t *testing.T) {
 	r := New(61)
 	weights := []float64{0, 1, 3, 0, 6}

@@ -2,12 +2,88 @@ package session
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"botdetect/internal/logfmt"
 	"botdetect/internal/rng"
 )
+
+// zipf samples integers in [0, n) following a Zipf distribution with skew
+// s > 0: lower ranks are more probable, like the path popularity of a Web
+// trace.
+type zipf struct {
+	src *rng.Source
+	cdf []float64
+}
+
+// newZipf constructs a Zipf sampler over [0, n) with skew s. It panics if
+// n <= 0 or s <= 0.
+func newZipf(src *rng.Source, n int, s float64) *zipf {
+	if n <= 0 || s <= 0 {
+		panic("newZipf requires n > 0 and s > 0")
+	}
+	cdf := make([]float64, n)
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / math.Pow(float64(i+1), s)
+		cdf[i] = sum
+	}
+	for i := range cdf {
+		cdf[i] /= sum
+	}
+	return &zipf{src: src, cdf: cdf}
+}
+
+// Next returns the next sample: a binary search of the CDF.
+func (z *zipf) Next() int {
+	u := z.src.Float64()
+	lo, hi := 0, len(z.cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if z.cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func TestZipfSkewsLow(t *testing.T) {
+	z := newZipf(rng.New(59), 100, 1.0)
+	counts := make([]int, 100)
+	for i := 0; i < 100000; i++ {
+		v := z.Next()
+		if v < 0 || v >= 100 {
+			t.Fatalf("Zipf out of range: %d", v)
+		}
+		counts[v]++
+	}
+	if counts[0] <= counts[50] {
+		t.Fatalf("Zipf rank 0 (%d) not more popular than rank 50 (%d)", counts[0], counts[50])
+	}
+	if counts[0] <= counts[99] {
+		t.Fatalf("Zipf rank 0 (%d) not more popular than rank 99 (%d)", counts[0], counts[99])
+	}
+}
+
+func TestZipfPanics(t *testing.T) {
+	for _, c := range []struct {
+		n int
+		s float64
+	}{{0, 1}, {10, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for newZipf(_, %d, %v)", c.n, c.s)
+				}
+			}()
+			newZipf(rng.New(1), c.n, c.s)
+		}()
+	}
+}
 
 // synthCorpus generates a deterministic logfmt request stream shaped like the
 // CoDeeN traces the paper analyses: a skewed path popularity distribution,
@@ -17,7 +93,7 @@ import (
 // exercises the tracked-path cap as well as the open-addressed set's growth.
 func synthCorpus(seed uint64, n int) []logfmt.Entry {
 	src := rng.New(seed)
-	zipf := rng.NewZipf(src, 4096, 1.2)
+	zipf := newZipf(src, 4096, 1.2)
 	start := time.Unix(1136073600, 0) // 2006-01-01, the paper's trace era
 	entries := make([]logfmt.Entry, 0, n)
 	var visited []string
