@@ -4,9 +4,10 @@
 // nodes with a consistent-hash ring (two owners per session), and wires the
 // replication callbacks into each node's engines:
 //
-//   - locally derived Definite verdicts export through the engine's verdict
-//     hook and replicate fleet-wide (each peer installs them in its remote
-//     detector stage);
+//   - locally derived Definite verdicts export through the engine's fleet
+//     hook and replicate fleet-wide until one session idle timeout past the
+//     session's last request (each peer's engine reads them from its
+//     replicator in the remote detector stage);
 //   - policy block escalations replicate into every peer's block list, so a
 //     session blocked anywhere is refused everywhere;
 //   - model publications reach every engine (single trainer, fleet-wide
@@ -134,17 +135,13 @@ func (n *Network) EnableReplication(cfg FleetConfig) {
 }
 
 // wireExportHooks points the node's engines at its replicator: locally
-// derived Definite verdicts and policy block escalations publish fleet-wide.
-// Both hooks check the down flag — a crashed node must not publish epochs
-// while its engine flushes, or Wipe's epoch-counter reset would later reissue
-// them.
+// derived Definite verdicts and policy block escalations publish fleet-wide,
+// and the engine's remote stage reads peers' verdicts. Both publishing hooks
+// check the down flag — a crashed node must not publish epochs while its
+// engine flushes, or Wipe's epoch-counter reset would later reissue them.
 func (n *Network) wireExportHooks(node *Node) {
-	node.cfg.Engine.SetVerdictExport(func(key session.Key, v core.Verdict) {
-		if node.down.Load() {
-			return
-		}
-		node.rep.PublishVerdict(key, v)
-	})
+	cfg := node.cfg.Engine.Config()
+	node.cfg.Engine.SetFleet(nodeFleet{node: node, clock: cfg.Clock, idle: cfg.SessionIdleTimeout})
 	if node.cfg.Policy != nil {
 		node.cfg.Policy.SetOnBlock(func(key session.Key, until time.Time) {
 			if node.down.Load() {
@@ -155,18 +152,48 @@ func (n *Network) wireExportHooks(node *Node) {
 	}
 }
 
+// nodeFleet is a node's replicator as its engine sees it (core.Fleet).
+type nodeFleet struct {
+	node  *Node
+	clock clock.Clock
+	idle  time.Duration
+}
+
+// ExportVerdict publishes a locally derived verdict until one session idle
+// timeout from now: a replicated verdict ends with the session it judged.
+func (f nodeFleet) ExportVerdict(key session.Key, v core.Verdict) {
+	if f.node.down.Load() {
+		return
+	}
+	f.node.rep.PublishVerdict(key, v, f.clock.Now().Add(f.idle))
+}
+
+// PeerVerdict serves the merged record for key unless it is this node's own
+// publication, which its engine's verdict is already. A record this node
+// adopted from a peer is the peer's: its Verdict.Origin still names the node
+// that derived it. (What a restarted node adopts back of its own earlier
+// verdicts counts as its own.)
+func (f nodeFleet) PeerVerdict(key session.Key) (core.Verdict, bool) {
+	rec, ok := f.node.rep.VerdictFor(key)
+	if !ok || rec.Origin == f.node.cfg.Name && rec.Verdict.Origin == f.node.cfg.Name {
+		return core.Verdict{}, false
+	}
+	return rec.Verdict, true
+}
+
 // fleetCallbacks builds the replication callbacks that apply peer updates to
 // one node's local engines. Every callback checks the down flag first: a
 // crashed node neither applies nor re-exports anything.
 func (n *Network) fleetCallbacks(node *Node) fleet.Callbacks {
 	eng := node.cfg.Engine
 	pol := node.cfg.Policy
+	idle := eng.Config().SessionIdleTimeout
 	return fleet.Callbacks{
-		OnVerdict: func(key session.Key, v core.Verdict, origin string) {
+		OnVerdict: func(key session.Key) {
 			if node.down.Load() {
 				return
 			}
-			eng.ApplyRemoteVerdict(key, v, origin)
+			eng.ApplyRemoteVerdict(key)
 		},
 		OnBlock: func(key session.Key, until time.Time) {
 			if node.down.Load() || pol == nil {
@@ -222,6 +249,13 @@ func (n *Network) fleetCallbacks(node *Node) fleet.Callbacks {
 			}
 			sigs := signalsOf(snap)
 			return sigs, len(sigs) > 0
+		},
+		SessionEnd: func(key session.Key) (time.Time, bool) {
+			if node.down.Load() {
+				return time.Time{}, false
+			}
+			snap, ok := eng.Session(key)
+			return snap.LastSeen.Add(idle), ok
 		},
 	}
 }

@@ -2,6 +2,7 @@ package cdn
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,8 +62,9 @@ func runUntil(t *testing.T, vc *clock.Virtual, d time.Duration, what string, con
 }
 
 // TestFleetVerdictReplication: a Definite verdict derived on one node's
-// engine (CAPTCHA pass) lands in every peer's remote detector stage, tagged
-// with its origin.
+// engine (CAPTCHA pass) reaches every peer's replicator tagged with its
+// origin, and a peer serving the session answers with it through its remote
+// detector stage.
 func TestFleetVerdictReplication(t *testing.T) {
 	net, vc := fleetNet(t, 3, nil)
 	ip, ua := "10.1.0.1", "Firefox"
@@ -74,19 +76,237 @@ func TestFleetVerdictReplication(t *testing.T) {
 
 	runUntil(t, vc, 5*time.Second, "verdict to reach every peer", func() bool {
 		for _, nd := range net.Nodes() {
-			if nd == home {
-				continue
-			}
-			v, ok := nd.Engine().Remote().Get(key)
-			if !ok || v.Class != detect.ClassHuman || v.Confidence != detect.Definite {
+			rec, ok := nd.Replicator().VerdictFor(key)
+			if !ok || rec.Verdict.Class != detect.ClassHuman || rec.Verdict.Confidence != detect.Definite {
 				return false
 			}
-			if v.Origin != home.Name() {
-				t.Fatalf("replicated verdict origin = %q, want %q", v.Origin, home.Name())
+			if rec.Origin != home.Name() {
+				t.Fatalf("replicated verdict origin = %q, want %q", rec.Origin, home.Name())
 			}
 		}
 		return true
 	})
+	for _, nd := range net.Nodes() {
+		if nd == home {
+			continue
+		}
+		nd.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
+		if v := nd.Engine().Classify(key); v.Class != detect.ClassHuman || v.Origin != home.Name() {
+			t.Fatalf("node %s serves %+v, want the human verdict from %s", nd.Name(), v, home.Name())
+		}
+	}
+}
+
+// TestCrashForgetsReplicatedVerdicts: a crash loses the peers' verdicts with
+// the rest of the replicated state. Restarted with its links cut, so nothing
+// can backfill them, the node judges the session from its own evidence.
+func TestCrashForgetsReplicatedVerdicts(t *testing.T) {
+	links := chaos.NewLinks()
+	net, vc := fleetNet(t, 3, links)
+	ip, ua := "10.1.0.2", "Firefox"
+	key := session.Key{IP: ip, UserAgent: ua}
+	home := net.NodeFor(ip)
+	var b *Node
+	for _, nd := range net.Nodes() {
+		if nd != home {
+			b = nd
+			break
+		}
+	}
+
+	home.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: agents.CaptchaSolvePath})
+	home.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
+	runUntil(t, vc, 5*time.Second, "the verdict to reach "+b.Name(), func() bool {
+		_, ok := b.Replicator().VerdictFor(key)
+		return ok
+	})
+
+	var others []string
+	for _, nd := range net.Nodes() {
+		if nd != b {
+			others = append(others, nd.Name())
+		}
+	}
+	links.Partition([]string{b.Name()}, others)
+	b.Crash()
+	b.Restart()
+	vc.RunUntil(vc.Now().Add(20 * time.Millisecond))
+
+	b.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
+	if v := b.Engine().Classify(key); v.Origin != "" {
+		t.Fatalf("restarted %s serves %+v, a verdict from %s it should have forgotten", b.Name(), v, v.Origin)
+	}
+}
+
+// TestAdoptedVerdictsStillServed: when the node that derived a verdict
+// crashes and restarts, its peers adopt what it published — re-publish it
+// under their own names — and every one of them still serves it as the
+// deriving node's verdict, whichever adopter's label the merge keeps.
+func TestAdoptedVerdictsStillServed(t *testing.T) {
+	for h := 0; h < 3; h++ {
+		t.Run("home"+strconv.Itoa(h), func(t *testing.T) {
+			net, vc := fleetNet(t, 3, nil)
+			home := net.Nodes()[h]
+			ua := "Firefox"
+			ipOn := func(nd *Node, from int) (string, int) {
+				for i := from; ; i++ {
+					if ip := "10.1.3." + strconv.Itoa(i); net.NodeFor(ip) == nd {
+						return ip, i + 1
+					}
+				}
+			}
+			ip, next := ipOn(home, 0)
+			key := session.Key{IP: ip, UserAgent: ua}
+			home.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: agents.CaptchaSolvePath})
+			home.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
+			runUntil(t, vc, 5*time.Second, "the verdict to reach every peer", func() bool {
+				for _, nd := range net.Nodes() {
+					if _, ok := nd.Replicator().VerdictFor(key); !ok {
+						return false
+					}
+				}
+				return true
+			})
+
+			home.Crash()
+			home.Restart()
+			// A publication under the new incarnation tells the peers the old
+			// one is dead: they adopt what they hold of it.
+			other, _ := ipOn(home, next)
+			home.Do(agents.Request{Time: vc.Now(), IP: other, UserAgent: ua, Method: "GET", Path: agents.CaptchaSolvePath})
+			home.Do(agents.Request{Time: vc.Now(), IP: other, UserAgent: ua, Method: "GET", Path: "/"})
+			runUntil(t, vc, 5*time.Second, "adoption to settle", func() bool {
+				d := home.Replicator().Digest()
+				for _, nd := range net.Nodes() {
+					rec, ok := nd.Replicator().VerdictFor(key)
+					adopted := rec.Origin != home.Name() || rec.Inc > 1
+					if !ok || !adopted || nd.Replicator().Digest() != d {
+						return false
+					}
+				}
+				return true
+			})
+			for _, nd := range net.Nodes() {
+				if nd == home {
+					continue
+				}
+				nd.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
+				if v := nd.Engine().Classify(key); v.Class != detect.ClassHuman || v.Origin != home.Name() {
+					rec, _ := nd.Replicator().VerdictFor(key)
+					t.Fatalf("node %s serves %+v after adoption (record under %s), want the human verdict from %s",
+						nd.Name(), v, rec.Origin, home.Name())
+				}
+			}
+		})
+	}
+}
+
+// TestVerdictLastsWhileSessionBrowses: a client that keeps browsing keeps
+// its replicated verdict past the expiry it was first published with — a peer
+// that starts serving it two hours in still sees it.
+func TestVerdictLastsWhileSessionBrowses(t *testing.T) {
+	net, vc := fleetNet(t, 3, nil)
+	ip, ua := "10.1.0.4", "Firefox"
+	key := session.Key{IP: ip, UserAgent: ua}
+	home := net.NodeFor(ip)
+	net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: agents.CaptchaSolvePath})
+	net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
+	var peer *Node
+	for _, nd := range net.Nodes() {
+		if nd != home {
+			peer = nd
+		}
+	}
+	runUntil(t, vc, 5*time.Second, "the verdict to reach "+peer.Name(), func() bool {
+		_, ok := peer.Replicator().VerdictFor(key)
+		return ok
+	})
+	for i := 1; i <= 12; i++ {
+		vc.Advance(10 * time.Minute)
+		net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
+		vc.RunUntil(vc.Now().Add(10 * time.Millisecond))
+		if _, ok := peer.Replicator().VerdictFor(key); !ok {
+			t.Fatalf("%s lost the verdict of a session browsing for %d minutes", peer.Name(), 10*i)
+		}
+	}
+	peer.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
+	if v := peer.Engine().Classify(key); v.Class != detect.ClassHuman || v.Origin != home.Name() {
+		t.Fatalf("%s serves %+v two hours in, want the human verdict from %s", peer.Name(), v, home.Name())
+	}
+}
+
+// TestFleetStateEndsWithSessions: every replicated verdict and block lapses
+// one session idle timeout after its last publication, on every node at
+// once, so the fleet's stores drain once its clients go quiet.
+func TestFleetStateEndsWithSessions(t *testing.T) {
+	net, vc := fleetNet(t, 3, nil)
+	agree := func() bool {
+		d := net.Nodes()[0].Replicator().Digest()
+		for _, nd := range net.Nodes()[1:] {
+			if nd.Replicator().Digest() != d {
+				return false
+			}
+		}
+		return true
+	}
+	stored := func() (n int) {
+		for _, nd := range net.Nodes() {
+			n += nd.Replicator().VerdictCount() + nd.Replicator().BlockCount()
+		}
+		return n
+	}
+
+	const clients = 12
+	for i := 0; i < clients; i++ {
+		ip, ua := "10.7.0."+strconv.Itoa(i), "Firefox"
+		if i%2 == 0 {
+			net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: agents.CaptchaSolvePath})
+		} else {
+			net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/__bd/12345.jpg"})
+		}
+		net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
+	}
+	abused := net.Nodes()[0]
+	for i := 0; i < 120 && abused.Replicator().BlockCount() == 0; i++ {
+		abused.Do(agents.Request{Time: vc.Now(), IP: "10.7.1.1", UserAgent: "BadBot", Method: "GET",
+			Path: "/cgi-bin/app0.cgi?x=" + string(rune('a'+i%26))})
+		vc.RunUntil(vc.Now().Add(100 * time.Millisecond))
+	}
+	runUntil(t, vc, 5*time.Second, "every verdict and the block to replicate", func() bool {
+		for _, nd := range net.Nodes() {
+			if nd.Replicator().VerdictCount() != clients || nd.Replicator().BlockCount() != 1 {
+				return false
+			}
+		}
+		return agree()
+	})
+
+	idle := abused.Engine().Config().SessionIdleTimeout
+	vc.Advance(idle - time.Minute)
+	vc.RunUntil(vc.Now().Add(10 * time.Millisecond))
+	if got := stored(); got != 3*(clients+1) || !agree() {
+		t.Fatalf("%d entries stored fleet-wide a minute before they lapse, want %d in agreement", got, 3*(clients+1))
+	}
+	// Lapsed, the entries are invisible at once; Step drops them at its next
+	// pass, at most a quarter of their lifetime later.
+	vc.Advance(2 * time.Minute)
+	vc.RunUntil(vc.Now().Add(10 * time.Millisecond))
+	for _, nd := range net.Nodes() {
+		if d := nd.Replicator().Digest(); d != 0 {
+			t.Fatalf("node %s still serves lapsed entries (digest %x)", nd.Name(), d)
+		}
+	}
+	vc.Advance(idle / 4)
+	vc.RunUntil(vc.Now().Add(10 * time.Millisecond))
+	for _, nd := range net.Nodes() {
+		rep := nd.Replicator()
+		if n := rep.VerdictCount() + rep.BlockCount(); n != 0 {
+			t.Fatalf("node %s holds %d entries past an idle timeout and a prune", nd.Name(), n)
+		}
+		if rep.Stats().Expired != clients+1 {
+			t.Fatalf("node %s counted %d entries expired, want %d", nd.Name(), rep.Stats().Expired, clients+1)
+		}
+	}
 }
 
 // TestFleetBlockReplication: a session blocked by one node's policy ladder is
@@ -265,7 +485,7 @@ func TestKillMidPublishLosesNothingAcked(t *testing.T) {
 	rep := origin.Replicator()
 	for i := 0; i < 50; i++ {
 		rep.PublishVerdict(session.Key{IP: "10.6.0.1", UserAgent: string(rune('a' + i))},
-			detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+			detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, vc.Now().Add(time.Hour))
 	}
 	runUntil(t, vc, 5*time.Second, "some acks", func() bool { return rep.MinAckedEpoch() > 0 })
 	minAcked := rep.MinAckedEpoch()

@@ -327,14 +327,13 @@ type Engine struct {
 	det      detect.Detector  // the decision chain every verdict flows through
 	texts    *verdictTexts    // numbers the reason/origin of stored verdicts
 	learned  *detect.Learned  // hot-swappable learned stage (SetModel)
-	remote   *detect.Remote   // fleet-replicated verdicts (ApplyRemoteVerdict)
 	outcomes *detect.Outcomes // labelled material for online retraining
 	tel      *telemetry.ServeMetrics
 
-	// verdictExport, when set, receives every locally derived Definite
-	// verdict at classification time (the fleet layer replicates them).
-	// Atomic so the classify path reads it lock-free.
-	verdictExport atomic.Pointer[func(session.Key, Verdict)]
+	// fleet, when set, is the replication layer (SetFleet): the remote stage
+	// reads peers' verdicts from it and classify exports Definite verdicts
+	// to it. Atomic so the classify path reads it lock-free.
+	fleet atomic.Pointer[Fleet]
 
 	// handlerName and transpImg are the injection's per-deployment constant
 	// byte fields, precomputed so PreparePage composes without conversions.
@@ -381,13 +380,12 @@ func New(cfg Config) *Engine {
 	}
 	e.learned = detect.NewLearned(cfg.MinRequests)
 	e.texts = newVerdictTexts()
-	e.remote = detect.NewRemote()
 	// rules.Serving with the fleet's remote-verdict stage spliced in after
 	// direct evidence: locally observed hard evidence still wins, but a
 	// peer's replicated verdict outranks the local statistical guess (which
 	// never saw the session's cross-node request history).
 	e.det = detect.Chain("serving",
-		rules.Direct{}, e.remote, e.learned,
+		rules.Direct{}, remoteStage{e}, e.learned,
 		rules.BrowserTest{MinRequests: cfg.MinRequests})
 	if cfg.OutcomeCapacity > 0 {
 		e.outcomes = detect.NewOutcomes(cfg.OutcomeCapacity)
@@ -890,21 +888,12 @@ func (e *Engine) classify(snap *session.Snapshot) Verdict {
 	// Recompute means the session's evidence (or the model) changed: this is
 	// the one point where a fresh Definite verdict first exists, so the fleet
 	// export hook fires here — never on cache hits, so replication costs the
-	// steady-state serve path nothing.
-	e.exportVerdict(snap.Key, v)
+	// steady-state serve path nothing. A verdict that arrived via replication
+	// carries its origin node and is not exported: replication must not echo.
+	if f := e.fleet.Load(); f != nil && *f != nil && v.Confidence == Definite && v.Origin == "" {
+		(*f).ExportVerdict(snap.Key, v)
+	}
 	return v
-}
-
-// exportVerdict hands a locally derived Definite verdict to the fleet layer.
-// Verdicts that arrived via replication carry their origin node and are
-// skipped — replication must not echo.
-func (e *Engine) exportVerdict(key session.Key, v Verdict) {
-	if v.Confidence != Definite || v.Origin != "" {
-		return
-	}
-	if fn := e.verdictExport.Load(); fn != nil {
-		(*fn)(key, v)
-	}
 }
 
 // timedDetect runs the chain uncached, recording the recompute under the
@@ -943,35 +932,41 @@ func (e *Engine) SetModel(m *adaboost.Model) { e.learned.SetModel(m) }
 // Model returns the currently published AdaBoost model, or nil.
 func (e *Engine) Model() *adaboost.Model { return e.learned.Model() }
 
-// SetVerdictExport installs (or clears, with nil) the fleet export hook: it
-// receives every locally derived Definite verdict exactly when it is first
-// computed (a classification that missed the stored verdict), tagged with
-// its session key. The hook must be fast and non-blocking — it runs on the
-// serving path's classify recompute, so the fleet layer only enqueues into a
-// bounded outbox there.
-func (e *Engine) SetVerdictExport(fn func(session.Key, Verdict)) {
-	if fn == nil {
-		e.verdictExport.Store(nil)
-		return
-	}
-	e.verdictExport.Store(&fn)
+// Fleet is the replication layer as the engine sees it (cdn wires a
+// fleet.Replicator through it).
+type Fleet interface {
+	// ExportVerdict receives every locally derived Definite verdict exactly
+	// when it is first computed (a classification that missed the stored
+	// verdict). It runs on the serving path's classify recompute, so it must
+	// be fast and non-blocking.
+	ExportVerdict(key session.Key, v Verdict)
+	// PeerVerdict returns the live verdict another node replicated for key,
+	// its Origin set to that node, or false.
+	PeerVerdict(key session.Key) (Verdict, bool)
 }
 
-// Remote returns the engine's fleet-replicated verdict stage.
-func (e *Engine) Remote() *detect.Remote { return e.remote }
+// SetFleet attaches (or detaches, with nil) the replication layer: the
+// serving chain's remote stage serves f.PeerVerdict after direct evidence,
+// and every locally derived Definite verdict goes to f.ExportVerdict.
+func (e *Engine) SetFleet(f Fleet) { e.fleet.Store(&f) }
 
-// ApplyRemoteVerdict installs a verdict replicated from another fleet node
-// (identified by origin) into the remote detector stage. If the stored
-// verdict changed and the session is tracked locally, its decision epoch is
-// bumped, dropping its stored verdict, so the next classification recomputes
-// through the remote stage.
-func (e *Engine) ApplyRemoteVerdict(key session.Key, v Verdict, origin string) bool {
-	if !e.remote.Set(key, v, origin) {
-		return false
+// remoteStage is the serving chain's fleet stage; with no fleet attached it
+// abstains.
+type remoteStage struct{ e *Engine }
+
+func (remoteStage) Name() string { return "remote-verdicts" }
+
+func (s remoteStage) Detect(snap *session.Snapshot) (Verdict, bool) {
+	if f := s.e.fleet.Load(); f != nil && *f != nil {
+		return (*f).PeerVerdict(snap.Key)
 	}
-	e.sessions.Bump(key)
-	return true
+	return Verdict{}, false
 }
+
+// ApplyRemoteVerdict tells the engine the fleet's verdict for key changed:
+// a locally tracked session's decision epoch is bumped, dropping its stored
+// verdict, so the next classification reads the remote stage afresh.
+func (e *Engine) ApplyRemoteVerdict(key session.Key) { e.sessions.Bump(key) }
 
 // AdoptSession replays another node's evidence for a session into the local
 // tracker — the receiving half of a partition-failover or drain handoff.

@@ -487,3 +487,46 @@ func TestQueryParam(t *testing.T) {
 		t.Fatal("queryParam no value")
 	}
 }
+
+// stubFleet is a replication layer holding one peer verdict per key and
+// recording what the engine exports.
+type stubFleet struct {
+	peer     map[session.Key]Verdict
+	exported []Verdict
+}
+
+func (f *stubFleet) ExportVerdict(_ session.Key, v Verdict) { f.exported = append(f.exported, v) }
+
+func (f *stubFleet) PeerVerdict(k session.Key) (Verdict, bool) {
+	v, ok := f.peer[k]
+	return v, ok
+}
+
+// TestFleetStage: with no fleet attached the remote stage abstains; attached,
+// a peer's verdict outranks the local statistical guess but not direct
+// evidence, and only locally derived Definite verdicts are exported — a
+// peer's is never echoed back.
+func TestFleetStage(t *testing.T) {
+	e, vc := newTestEngine(Config{})
+	k := session.Key{IP: "10.0.0.1", UserAgent: "UA"}
+	observe(e, k.IP, k.UserAgent, "GET", "/", 200, "", vc.Now())
+	if v := e.Classify(k); v.Origin != "" {
+		t.Fatalf("no fleet attached, yet the session is judged by %s: %+v", v.Origin, v)
+	}
+	f := &stubFleet{peer: map[session.Key]Verdict{k: {Class: ClassRobot, Confidence: Definite, Reason: "peer", Origin: "b"}}}
+	e.SetFleet(f)
+	e.ApplyRemoteVerdict(k)
+	if v := e.Classify(k); v.Class != ClassRobot || v.Origin != "b" {
+		t.Fatalf("attached fleet's verdict not served: %+v", v)
+	}
+	if len(f.exported) != 0 {
+		t.Fatalf("a peer's verdict was exported back: %+v", f.exported)
+	}
+	e.MarkCaptchaPassed(k)
+	if v := e.Classify(k); v.Class != ClassHuman || v.Origin != "" {
+		t.Fatalf("direct evidence lost to the peer's verdict: %+v", v)
+	}
+	if len(f.exported) != 1 || f.exported[0].Class != ClassHuman {
+		t.Fatalf("exported %+v, want the one local human verdict", f.exported)
+	}
+}

@@ -222,16 +222,9 @@ func crawlersBlocked(net *cdn.Network, everywhere bool) int {
 // fleetConverged reports whether every live replicator holds an identical
 // verdict/block digest.
 func fleetConverged(net *cdn.Network) bool {
-	var d0 uint64
-	first := true
+	d0 := net.Nodes()[0].Replicator().Digest()
 	for _, nd := range net.Nodes() {
-		if nd.Down() {
-			return false
-		}
-		dg := nd.Replicator().Digest()
-		if first {
-			d0, first = dg, false
-		} else if dg != d0 {
+		if nd.Down() || nd.Replicator().Digest() != d0 {
 			return false
 		}
 	}
@@ -312,18 +305,12 @@ func FleetBench(seed uint64) FleetResult {
 
 	// Replication lag percentiles over the flood (collected now, before the
 	// kill/partition phases: anti-entropy backfill deliberately re-applies old
-	// entries, which would read as huge lag).
+	// entries, which would read as huge lag). A node with no samples reads 0.
 	for _, nd := range net.Nodes() {
-		if p50, ok := nd.Replicator().LagQuantile(0.50); ok {
-			if ms := float64(p50.Nanoseconds()) / 1e6; ms > out.ReplicationLagP50Ms {
-				out.ReplicationLagP50Ms = ms
-			}
-		}
-		if p99, ok := nd.Replicator().LagQuantile(0.99); ok {
-			if ms := float64(p99.Nanoseconds()) / 1e6; ms > out.ReplicationLagP99Ms {
-				out.ReplicationLagP99Ms = ms
-			}
-		}
+		p50, _ := nd.Replicator().LagQuantile(0.50)
+		p99, _ := nd.Replicator().LagQuantile(0.99)
+		out.ReplicationLagP50Ms = max(out.ReplicationLagP50Ms, float64(p50.Nanoseconds())/1e6)
+		out.ReplicationLagP99Ms = max(out.ReplicationLagP99Ms, float64(p99.Nanoseconds())/1e6)
 	}
 
 	// Node kill mid-run. Everything the victim's peers acknowledged must
@@ -376,10 +363,10 @@ func FleetBench(seed uint64) FleetResult {
 	out.MinorityIsolated = minority.Replicator().Isolated()
 	minority.Replicator().PublishVerdict(
 		session.Key{IP: "10.91.0.1", UserAgent: "minority-side"},
-		detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "captcha"})
+		detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "captcha"}, vc.Now().Add(time.Hour))
 	net.Nodes()[1].Replicator().PublishVerdict(
 		session.Key{IP: "10.91.0.2", UserAgent: "majority-side"},
-		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "crawl"})
+		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "crawl"}, vc.Now().Add(time.Hour))
 	vc.RunUntil(vc.Now().Add(50 * time.Millisecond))
 	healAt := vc.Now()
 	links.Heal()
@@ -419,13 +406,7 @@ func FleetBench(seed uint64) FleetResult {
 	// Publish-path contention: concurrent goroutines hammering one
 	// replicator's verdict/block publish paths (the paths every serve-path
 	// export hook rides).
-	g := runtime.GOMAXPROCS(0)
-	if g > 8 {
-		g = 8
-	}
-	if g < 2 {
-		g = 2
-	}
+	g := min(max(runtime.GOMAXPROCS(0), 2), 8)
 	const perG = 1024
 	rep0 := net.Nodes()[0].Replicator()
 	until := vc.Now().Add(time.Hour)
@@ -441,7 +422,7 @@ func FleetBench(seed uint64) FleetResult {
 					UserAgent: "bench/" + strconv.Itoa(w) + "/" + strconv.Itoa(i),
 				}
 				if i%2 == 0 {
-					rep0.PublishVerdict(k, detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "bench"})
+					rep0.PublishVerdict(k, detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "bench"}, until)
 				} else {
 					rep0.PublishBlock(k, until)
 				}

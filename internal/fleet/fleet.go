@@ -16,9 +16,14 @@
 //     small out-of-order window above it, so replays are rejected in O(1)
 //     and reordering is harmless.
 //   - Merges are last-writer-wins under a deterministic total order
-//     (verdicts: confidence, then stamp, then origin; blocks: latest
-//     expiry; models: highest sequence), so duplicated or reordered
+//     (verdicts and blocks: latest expiry, then confidence, stamp and
+//     origin; models: highest sequence), so duplicated or reordered
 //     deliveries cannot diverge replicas.
+//   - Every verdict and block entry ends: it carries its expiry (Until),
+//     readers ignore it from then on, a late frame carrying it is admitted
+//     to the watermark but never stored, and Step drops it. The origin
+//     stamps the expiry, so every replica loses the entry at the same time,
+//     and re-publishes a verdict with a later one while its session goes on.
 //   - Senders never block the serve path: Publish enqueues into a bounded
 //     per-peer outbox (full ⇒ counted drop) and returns. Step flushes the
 //     outboxes: a batch the transport refuses is retried on later Steps with
@@ -53,7 +58,8 @@
 // what, and the five timings that scale with its network: retry backoff and
 // its ceiling, send patience, heartbeat and anti-entropy intervals. The
 // sizes — outbox capacity, batch size, suspicion threshold, anti-entropy
-// batch, verdict-store bound — and the stall timeout are constants.
+// batch — and the stall timeout are constants; the stores need no bound, as
+// every entry lapses at the expiry its publisher gave it.
 package fleet
 
 import (
@@ -116,13 +122,11 @@ type Update struct {
 	// Key identifies the session (verdict, block, observation, handoff).
 	Key session.Key
 
-	// Verdict payload.
-	Class      detect.Class
-	Confidence detect.Confidence
-	Reason     string
-	AtRequest  int64
+	// Verdict payload. Its Origin names the node whose engine derived it:
+	// the update's Origin changes when a node adopts the entry, that never does.
+	Verdict detect.Verdict
 
-	// Block payload: expiry in Unix nanoseconds.
+	// Verdict and block: when the entry lapses, in Unix nanoseconds.
 	Until int64
 
 	// Model payload.
@@ -142,11 +146,6 @@ type Update struct {
 	// the session's evidence; HandoffReply true carries it.
 	Signals      []SignalAt
 	HandoffReply bool
-}
-
-// verdict returns a verdict update's payload.
-func (u *Update) verdict() detect.Verdict {
-	return detect.Verdict{Class: u.Class, Confidence: u.Confidence, Reason: u.Reason, AtRequest: u.AtRequest}
 }
 
 // MsgKind is the transport-level message type.
@@ -194,8 +193,8 @@ var ErrNodeDown = errors.New("fleet: node down")
 // may call back into the replicator; nil callbacks are skipped.
 type Callbacks struct {
 	// OnVerdict fires when a replicated verdict changed this node's merged
-	// verdict state for key.
-	OnVerdict func(key session.Key, v detect.Verdict, origin string)
+	// verdict state for key (VerdictFor reads the new state).
+	OnVerdict func(key session.Key)
 	// OnBlock fires when a replicated block extended this node's merged
 	// block state for key.
 	OnBlock func(key session.Key, until time.Time)
@@ -210,6 +209,11 @@ type Callbacks struct {
 	// HandoffSource supplies the local evidence for a session when a peer
 	// requests a handoff (anti-entropy backfill for failover serving).
 	HandoffSource func(key session.Key) ([]SignalAt, bool)
+	// SessionEnd reports when the local session for key ends if it stays
+	// idle from now on, or false when none is tracked. Step uses it to carry
+	// this node's own verdicts on past their expiry while their sessions go
+	// on; without it they lapse at the expiry they were published with.
+	SessionEnd func(key session.Key) (time.Time, bool)
 }
 
 // Config controls one Replicator.
@@ -259,9 +263,6 @@ const (
 	phiThreshold = 8.0
 	// antiEntropyBatch caps re-sent entries per peer per scan.
 	antiEntropyBatch = 256
-	// maxEntries bounds the merged verdict store; overflow evicts the
-	// oldest-stamped entries.
-	maxEntries = 1 << 16
 	// stallTimeout bounds how long a watermark waits on a missing epoch
 	// before jumping past the gap and counting the loss — the epoch-lag
 	// bound: an update is either applied or counted as a gap within
@@ -291,21 +292,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// VerdictRecord is one merged verdict entry.
-type VerdictRecord struct {
-	Verdict detect.Verdict
+// Record is one merged verdict or block entry: the identity it travelled
+// under, its origin's stamp, when it lapses, and for a verdict the verdict.
+type Record struct {
+	Verdict detect.Verdict // KindVerdict only
 	Origin  string
 	Inc     uint32
 	Epoch   uint64
 	Stamp   int64
+	Until   int64 // Unix nanoseconds; from then on no reader sees the entry
 }
 
-type blockEntry struct {
-	until  int64
-	origin string
-	inc    uint32
-	epoch  uint64
-	stamp  int64
+// record returns the store entry a verdict or block update merges as.
+func (u *Update) record() Record {
+	return Record{Verdict: u.Verdict, Origin: u.Origin, Inc: u.Inc, Epoch: u.Epoch, Stamp: u.Stamp, Until: u.Until}
+}
+
+// update rebuilds, for re-sending, the update a record was merged from.
+func (rec *Record) update(kind Kind, key session.Key) Update {
+	return Update{Origin: rec.Origin, Inc: rec.Inc, Epoch: rec.Epoch, Stamp: rec.Stamp, Kind: kind, Key: key, Until: rec.Until, Verdict: rec.Verdict}
 }
 
 type modelEntry struct {
@@ -340,16 +345,17 @@ type Replicator struct {
 
 	// mu guards everything below and every peer's fields. It is never held
 	// across Transport.Send or a Callbacks function.
-	mu       sync.Mutex
-	running  bool
-	inc      uint32 // incarnation, bumped by Restart
-	epoch    uint64 // own dense epoch counter for durable updates
-	verdicts map[session.Key]VerdictRecord
-	blocks   map[session.Key]blockEntry
-	model    modelEntry
-	wms      map[string]*originState
-	jitter   *rng.Source
-	stats    Counters
+	mu      sync.Mutex
+	running bool
+	inc     uint32                    // incarnation, bumped by Restart
+	epoch   uint64                    // own dense epoch counter for durable updates
+	stores  [2]map[session.Key]Record // indexed by KindVerdict, KindBlock
+	model   modelEntry
+	wms     map[string]*originState
+	jitter  *rng.Source
+	stats   Counters
+	minLife int64 // shortest Until − Stamp merged since the last wipe
+	pruned  int64 // when Step last dropped lapsed entries
 }
 
 // New creates a stopped Replicator; Start lets it receive and step.
@@ -359,19 +365,19 @@ func New(cfg Config) *Replicator {
 		panic("fleet: Config.Name and Config.Transport are required")
 	}
 	r := &Replicator{
-		cfg:      cfg,
-		inc:      1,
-		verdicts: make(map[session.Key]VerdictRecord),
-		blocks:   make(map[session.Key]blockEntry),
-		wms:      make(map[string]*originState),
-		peers:    make(map[string]*peer),
-		jitter:   rng.New(cfg.Seed ^ 0x666c6565742d6a69).Fork("fleet-jitter"),
+		cfg:    cfg,
+		inc:    1,
+		stores: [2]map[session.Key]Record{{}, {}},
+		wms:    make(map[string]*originState),
+		peers:  make(map[string]*peer),
+		jitter: rng.New(cfg.Seed ^ 0x666c6565742d6a69).Fork("fleet-jitter"),
 	}
 	for _, name := range cfg.Peers {
 		if name == cfg.Name {
 			continue
 		}
-		r.peers[name] = &peer{name: name, wms: make(map[string]Watermark)}
+		p := newPeer(name)
+		r.peers[name] = &p
 		r.peerNames = append(r.peerNames, name)
 	}
 	sort.Strings(r.peerNames)
@@ -422,13 +428,12 @@ func (r *Replicator) Stop() {
 func (r *Replicator) Wipe() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.verdicts = make(map[session.Key]VerdictRecord)
-	r.blocks = make(map[session.Key]blockEntry)
+	r.stores = [2]map[session.Key]Record{{}, {}}
 	r.model = modelEntry{}
 	r.wms = make(map[string]*originState)
-	r.epoch = 0
+	r.epoch, r.minLife, r.pruned = 0, 0, 0
 	for _, p := range r.peers {
-		*p = peer{name: p.name, wms: make(map[string]Watermark)}
+		*p = newPeer(p.name)
 	}
 }
 
@@ -459,46 +464,43 @@ func (r *Replicator) publishLocked(u Update) {
 	}
 	r.stats.Published++
 	r.admitLocked(&u, now)
-	r.mergeLocked(&u)
+	r.mergeLocked(&u, now)
 	for _, p := range r.peers {
 		p.enqueue(u)
 	}
 }
 
-// adoptLocked re-publishes, as this node's own updates with their stamps
-// kept, the entries it holds from origin's incarnations before inc. A
-// watermark speaks for one incarnation of an origin, so once a peer has seen
-// the new one nothing can tell it is missing an entry of the old — and the
-// fence would refuse it anyway. Every holder adopts what it holds; the merge
-// order settles whose label an entry ends up under.
-func (r *Replicator) adoptLocked(origin string, inc uint32) {
-	for k, v := range r.verdicts {
-		if v.Origin == origin && v.Inc < inc {
-			delete(r.verdicts, k) // the re-publication replaces it, whatever the merge order says
-			r.publishLocked(Update{Kind: KindVerdict, Key: k, Stamp: v.Stamp, Class: v.Verdict.Class,
-				Confidence: v.Verdict.Confidence, Reason: v.Verdict.Reason, AtRequest: v.Verdict.AtRequest})
-		}
-	}
-	for k, b := range r.blocks {
-		if b.origin == origin && b.inc < inc {
-			delete(r.blocks, k)
-			r.publishLocked(Update{Kind: KindBlock, Key: k, Stamp: b.stamp, Until: b.until})
+// adoptLocked re-publishes, as this node's own updates with their stamps,
+// expiries and authors kept, the live entries it holds from origin's incarnations before
+// inc. A watermark speaks for one incarnation of an origin, so once a peer
+// has seen the new one nothing can tell it is missing an entry of the old —
+// and the fence would refuse it anyway. Every holder adopts what it holds;
+// the merge order settles whose label an entry ends up under.
+func (r *Replicator) adoptLocked(origin string, inc uint32, now int64) {
+	for kind, store := range r.stores {
+		for k, rec := range store {
+			if rec.Origin == origin && rec.Inc < inc && rec.Until > now {
+				delete(store, k) // the re-publication replaces it, whatever the merge order says
+				r.publishLocked(rec.update(Kind(kind), k))
+			}
 		}
 	}
 }
 
-// PublishVerdict replicates a definite verdict fleet-wide. Publishing the
-// same class/confidence for an already-replicated key is a no-op, so the
-// engine's export hook can fire on every recompute without flooding the
-// mesh.
-func (r *Replicator) PublishVerdict(key session.Key, v detect.Verdict) bool {
+// PublishVerdict replicates a definite verdict fleet-wide until the given
+// time. While the key's merged record is live, publishing the same class at
+// no higher confidence is a no-op, so the engine's export hook can fire on
+// every recompute without flooding the mesh; once the record has lapsed, the
+// next recompute publishes it afresh.
+func (r *Replicator) PublishVerdict(key session.Key, v detect.Verdict, until time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cur, ok := r.verdicts[key]; ok && cur.Verdict.Class == v.Class && cur.Verdict.Confidence >= v.Confidence {
+	if cur, ok := r.stores[KindVerdict][key]; ok && cur.Until > r.nowNanos() &&
+		cur.Verdict.Class == v.Class && cur.Verdict.Confidence >= v.Confidence {
 		return false
 	}
-	r.publishLocked(Update{Kind: KindVerdict, Key: key,
-		Class: v.Class, Confidence: v.Confidence, Reason: v.Reason, AtRequest: v.AtRequest})
+	v.Origin = r.cfg.Name
+	r.publishLocked(Update{Kind: KindVerdict, Key: key, Until: until.UnixNano(), Verdict: v})
 	return true
 }
 
@@ -508,7 +510,7 @@ func (r *Replicator) PublishBlock(key session.Key, until time.Time) bool {
 	nanos := until.UnixNano()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cur, ok := r.blocks[key]; ok && cur.until >= nanos {
+	if cur, ok := r.stores[KindBlock][key]; ok && cur.Until >= nanos {
 		return false
 	}
 	r.publishLocked(Update{Kind: KindBlock, Key: key, Until: nanos})
@@ -617,6 +619,12 @@ func (r *Replicator) Receive(msg *Message) error {
 		return ErrNodeDown
 	}
 	if p, ok := r.peers[msg.From]; ok {
+		if msg.Inc > p.inc {
+			// The peer restarted and forgot what it had applied: neither what
+			// was delivered to it nor what it advertised holds any more.
+			p.inc, p.acked = msg.Inc, 0
+			clear(p.wms)
+		}
 		p.touch(r.nowNanos())
 		if msg.Kind == MsgHeartbeat {
 			// Only fleet members' watermarks are kept: a frame cannot grow the
@@ -685,7 +693,7 @@ func (r *Replicator) applyDurable(u *Update) {
 		r.stats.Applied++
 		r.lag.Observe(time.Duration(now - u.Stamp))
 	}
-	changed := fresh && r.mergeLocked(u)
+	changed := fresh && r.mergeLocked(u, now)
 	r.mu.Unlock()
 	if !changed {
 		return
@@ -693,7 +701,7 @@ func (r *Replicator) applyDurable(u *Update) {
 	cb := &r.cfg.Callbacks
 	switch {
 	case u.Kind == KindVerdict && cb.OnVerdict != nil:
-		cb.OnVerdict(u.Key, u.verdict(), u.Origin)
+		cb.OnVerdict(u.Key)
 	case u.Kind == KindBlock && cb.OnBlock != nil:
 		cb.OnBlock(u.Key, time.Unix(0, u.Until))
 	case u.Kind == KindModel && cb.OnModel != nil:
@@ -766,24 +774,23 @@ func (r *Replicator) advanceLocked(os *originState, now int64) {
 
 // mergeLocked merges one admitted update into the stores — the one place
 // each kind's last-writer-wins order is spelled — and reports whether it
-// changed this node's merged state.
-func (r *Replicator) mergeLocked(u *Update) bool {
+// changed this node's merged state. An entry that has lapsed by now is not
+// stored: a late frame cannot bring it back.
+func (r *Replicator) mergeLocked(u *Update, now int64) bool {
 	switch u.Kind {
-	case KindVerdict:
-		rec := VerdictRecord{Verdict: u.verdict(), Origin: u.Origin, Inc: u.Inc, Epoch: u.Epoch, Stamp: u.Stamp}
-		if cur, ok := r.verdicts[u.Key]; ok && !verdictLess(cur, rec) {
+	case KindVerdict, KindBlock:
+		rec := u.record()
+		if rec.Until <= now {
 			return false
 		}
-		r.verdicts[u.Key] = rec
-		if len(r.verdicts) > maxEntries {
-			r.evictVerdictsLocked()
-		}
-		return true
-	case KindBlock:
-		if cur, ok := r.blocks[u.Key]; ok && u.Until <= cur.until {
+		store := r.stores[u.Kind]
+		if cur, ok := store[u.Key]; ok && !recordLess(cur, rec) {
 			return false
 		}
-		r.blocks[u.Key] = blockEntry{until: u.Until, origin: u.Origin, inc: u.Inc, epoch: u.Epoch, stamp: u.Stamp}
+		store[u.Key] = rec
+		if life := rec.Until - rec.Stamp; life > 0 && (r.minLife == 0 || life < r.minLife) {
+			r.minLife = life
+		}
 		return true
 	case KindModel:
 		// Highest sequence, then stamp, wins; a frame without a model is
@@ -797,11 +804,16 @@ func (r *Replicator) mergeLocked(u *Update) bool {
 	return false
 }
 
-// verdictLess orders two verdict records deterministically (the merge's
-// total order): higher confidence wins, then later stamp, then origin name,
-// then incarnation and epoch. Any delivery order of the same update set
-// therefore converges on the same winner.
-func verdictLess(a, b VerdictRecord) bool {
+// recordLess orders two records for one key deterministically (the merge's
+// total order): the later expiry wins, then higher confidence, later stamp,
+// origin name, incarnation and epoch. The winner is the last of the key's
+// records to lapse, so keeping only it loses nothing a reader could still
+// see, and any delivery order and timing of the same updates leaves every
+// replica the same winner.
+func recordLess(a, b Record) bool {
+	if a.Until != b.Until {
+		return a.Until < b.Until
+	}
 	if a.Verdict.Confidence != b.Verdict.Confidence {
 		return a.Verdict.Confidence < b.Verdict.Confidence
 	}
@@ -817,24 +829,43 @@ func verdictLess(a, b VerdictRecord) bool {
 	return a.Epoch < b.Epoch
 }
 
-// evictVerdictsLocked drops the oldest-stamped ~10% of verdict entries when
-// the store overflows maxEntries.
-func (r *Replicator) evictVerdictsLocked() {
-	drop := len(r.verdicts) / 10
-	if drop < 1 {
-		drop = 1
+// ownLocked reports whether rec is this node's own publication of a verdict
+// its engine derived — not one it adopted from a peer.
+func (r *Replicator) ownLocked(rec Record) bool {
+	return rec.Origin == r.cfg.Name && rec.Verdict.Origin == r.cfg.Name
+}
+
+// pruneLocked drops every entry that has lapsed by now and lists this node's
+// own verdicts that lapse within half the shortest lifetime: Step's pass, at
+// most a quarter of it apart, sees each of them at least once before it does.
+func (r *Replicator) pruneLocked(now int64) (expiring []session.Key) {
+	for kind, store := range r.stores {
+		for k, rec := range store {
+			switch {
+			case rec.Until <= now:
+				delete(store, k)
+				r.stats.Expired++
+			case Kind(kind) == KindVerdict && rec.Until-now <= r.minLife/2 && r.ownLocked(rec) && r.cfg.Callbacks.SessionEnd != nil:
+				expiring = append(expiring, k)
+			}
+		}
 	}
-	type aged struct {
-		key   session.Key
-		stamp int64
-	}
-	oldest := make([]aged, 0, len(r.verdicts))
-	for k, v := range r.verdicts {
-		oldest = append(oldest, aged{k, v.Stamp})
-	}
-	sort.Slice(oldest, func(i, j int) bool { return oldest[i].stamp < oldest[j].stamp })
-	for i := 0; i < drop && i < len(oldest); i++ {
-		delete(r.verdicts, oldest[i].key)
+	return expiring
+}
+
+// renew re-publishes each expiring own verdict whose session goes on past
+// the verdict's expiry, until the session's new end: a verdict lasts as long
+// as the session it judged, not only as long as its first publication said.
+func (r *Replicator) renew(keys []session.Key) {
+	for _, k := range keys {
+		end, ok := r.cfg.Callbacks.SessionEnd(k)
+		r.mu.Lock()
+		if rec, live := r.stores[KindVerdict][k]; ok && live && r.running && r.ownLocked(rec) && end.UnixNano() > rec.Until {
+			u := rec.update(KindVerdict, k)
+			u.Stamp, u.Until = 0, end.UnixNano()
+			r.publishLocked(u)
+		}
+		r.mu.Unlock()
 	}
 }
 
@@ -848,12 +879,15 @@ func (r *Replicator) LagQuantile(q float64) (time.Duration, bool) {
 
 // ---- state reads ----
 
-// VerdictFor returns the merged fleet verdict for key, if any.
-func (r *Replicator) VerdictFor(key session.Key) (VerdictRecord, bool) {
+// VerdictFor returns the live merged fleet verdict for key, if any.
+func (r *Replicator) VerdictFor(key session.Key) (Record, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, ok := r.verdicts[key]
-	return rec, ok
+	rec, ok := r.stores[KindVerdict][key]
+	if !ok || rec.Until <= r.nowNanos() {
+		return Record{}, false
+	}
+	return rec, true
 }
 
 // Model returns the merged fleet model and its sequence.
@@ -863,31 +897,35 @@ func (r *Replicator) Model() (*adaboost.Model, uint64) {
 	return r.model.m, r.model.seq
 }
 
-// VerdictCount and BlockCount return merged store sizes.
+// VerdictCount and BlockCount return merged store sizes, counting entries
+// that have lapsed but that Step has not dropped yet.
 func (r *Replicator) VerdictCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.verdicts)
+	return len(r.stores[KindVerdict])
 }
 
 // BlockCount returns the number of merged block entries.
 func (r *Replicator) BlockCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.blocks)
+	return len(r.stores[KindBlock])
 }
 
-// Digest returns a delivery-order-independent hash of the merged
+// Digest returns a delivery-order-independent hash of the live merged
 // verdict/block state, for convergence assertions across nodes.
 func (r *Replicator) Digest() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	now := r.nowNanos()
 	var h uint64
-	for k, v := range r.verdicts {
-		h ^= entryHash(k, uint64(v.Verdict.Class)<<32|uint64(v.Verdict.Confidence), uint64(v.Stamp))
-	}
-	for k, b := range r.blocks {
-		h ^= entryHash(k, 0x626c6f636b, uint64(b.until))
+	for kind, store := range r.stores {
+		for k, rec := range store {
+			if rec.Until > now {
+				h ^= entryHash(k, uint64(kind)<<40|uint64(rec.Verdict.Class)<<32|uint64(rec.Verdict.Confidence),
+					uint64(rec.Stamp)^uint64(rec.Until)*0x94d049bb133111eb)
+			}
+		}
 	}
 	return h
 }
@@ -956,6 +994,7 @@ type Counters struct {
 	HandoffsIn  uint64
 	HandoffsOut uint64
 	Dropped     uint64 // summed over peers: full outbox or exhausted patience
+	Expired     uint64 // lapsed verdict and block entries Step dropped
 }
 
 // Stats returns a snapshot of the counters.
@@ -971,26 +1010,35 @@ func (r *Replicator) Stats() Counters {
 
 // ---- Step: heartbeats, anti-entropy, outbox flush ----
 
-// Step is the replicator's clock edge: it advances watermarks stalled past
-// stallTimeout, sends each peer the heartbeat and runs the anti-entropy scan
-// that are due at now, and flushes each peer's outbox — batches of up to
-// batchSize, a failed batch retried on later Steps with doubling backoff +
-// jitter for at most SendPatience before it is dropped (counted; anti-entropy
-// repairs durable updates once the peer heals). A stopped replicator ignores
-// it. Calling it more often than the timings need is harmless.
+// Step is the replicator's clock edge: it drops lapsed entries and renews
+// this node's own verdicts whose sessions outlast them (Callbacks.SessionEnd)
+// — at most once per quarter of the shortest lifetime (Until − Stamp) it has
+// stored — advances watermarks stalled past stallTimeout, sends each peer the
+// heartbeat and runs the anti-entropy scan that are due at now, and flushes
+// each peer's outbox — batches of up to batchSize, a failed batch retried on
+// later Steps with doubling backoff + jitter for at most SendPatience before
+// it is dropped (counted; anti-entropy repairs durable updates once the peer
+// heals). A stopped replicator ignores it. Calling it more often than the
+// timings need is harmless.
 func (r *Replicator) Step(now time.Time) {
 	t := now.UnixNano()
+	var expiring []session.Key
 	r.mu.Lock()
 	if r.running {
+		if r.minLife > 0 && t-r.pruned >= r.minLife/4 {
+			r.pruned = t
+			expiring = r.pruneLocked(t)
+		}
 		for origin, os := range r.wms {
 			r.advanceLocked(os, t)
 			if os.orphaned {
 				os.orphaned = false
-				r.adoptLocked(origin, os.inc)
+				r.adoptLocked(origin, os.inc, t)
 			}
 		}
 	}
 	r.mu.Unlock()
+	r.renew(expiring)
 	for _, name := range r.peerNames {
 		p := r.peers[name]
 		if hb := r.dueHeartbeat(p, t); hb != nil {
@@ -1018,7 +1066,7 @@ func (r *Replicator) dueHeartbeat(p *peer, t int64) *Message {
 	p.nextBeat = t + p.beatEvery
 	if t >= p.nextScan {
 		p.nextScan = t + int64(r.cfg.AntiEntropyInterval)
-		r.antiEntropyLocked(p)
+		r.antiEntropyLocked(p, t)
 	}
 	wms := make([]Watermark, 0, len(r.wms))
 	for origin, os := range r.wms {
@@ -1086,11 +1134,11 @@ func (r *Replicator) sent(p *peer, batch []Update, err error, t int64) bool {
 	return p.batch == nil
 }
 
-// antiEntropyLocked re-sends store entries the peer's advertised watermarks
-// show it to be missing: silent drops, partition backlogs and post-restart
-// backfills all heal through this one path. Entries are enqueued through the
-// normal outbox (bounded, non-blocking).
-func (r *Replicator) antiEntropyLocked(p *peer) {
+// antiEntropyLocked re-sends the live store entries the peer's advertised
+// watermarks show it to be missing: silent drops, partition backlogs and
+// post-restart backfills all heal through this one path. Entries are enqueued
+// through the normal outbox (bounded, non-blocking).
+func (r *Replicator) antiEntropyLocked(p *peer, now int64) {
 	if p.lastRecv == 0 {
 		return // never heard from the peer; don't flood a dead outbox
 	}
@@ -1111,27 +1159,14 @@ func (r *Replicator) antiEntropyLocked(p *peer) {
 			r.stats.AEResends++
 		}
 	}
-	for k, v := range r.verdicts {
-		if budget <= 0 {
-			return
-		}
-		if missing(v.Origin, v.Inc, v.Epoch) {
-			resend(Update{
-				Origin: v.Origin, Inc: v.Inc, Epoch: v.Epoch, Stamp: v.Stamp, Kind: KindVerdict,
-				Key: k, Class: v.Verdict.Class, Confidence: v.Verdict.Confidence,
-				Reason: v.Verdict.Reason, AtRequest: v.Verdict.AtRequest,
-			})
-		}
-	}
-	for k, b := range r.blocks {
-		if budget <= 0 {
-			return
-		}
-		if missing(b.origin, b.inc, b.epoch) {
-			resend(Update{
-				Origin: b.origin, Inc: b.inc, Epoch: b.epoch, Stamp: b.stamp, Kind: KindBlock,
-				Key: k, Until: b.until,
-			})
+	for kind, store := range r.stores {
+		for k, rec := range store {
+			if budget <= 0 {
+				return
+			}
+			if rec.Until > now && missing(rec.Origin, rec.Inc, rec.Epoch) {
+				resend(rec.update(Kind(kind), k))
+			}
 		}
 	}
 	if r.model.m != nil && budget > 0 {

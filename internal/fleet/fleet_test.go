@@ -18,6 +18,9 @@ type nullTransport struct{}
 
 func (nullTransport) Send(string, *Message) error { return nil }
 
+// later is an expiry no test reaches.
+var later = time.Date(2100, time.January, 1, 0, 0, 0, 0, time.UTC)
+
 func key(i int) session.Key {
 	return session.Key{IP: fmt.Sprintf("10.%d.%d.%d", i/65536, (i/256)%256, i%256), UserAgent: "ua"}
 }
@@ -41,19 +44,16 @@ func updateSet() []Update {
 		epoch := uint64(0)
 		for i := 0; i < 40; i++ {
 			epoch++
-			u := Update{Origin: origin, Inc: 1, Epoch: epoch, Stamp: int64(epoch) * 1000}
+			u := Update{Origin: origin, Inc: 1, Epoch: epoch, Stamp: int64(epoch) * 1000, Until: later.UnixNano()}
 			switch i % 3 {
 			case 0, 1:
 				u.Kind = KindVerdict
 				u.Key = key(i * 7)
-				u.Class = detect.ClassRobot
-				u.Confidence = detect.Definite
-				u.Reason = "decoy fetch"
-				u.AtRequest = int64(i + 1)
+				u.Verdict = detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "decoy fetch", AtRequest: int64(i + 1)}
 			case 2:
 				u.Kind = KindBlock
 				u.Key = key(i * 7)
-				u.Until = int64(i+1) * int64(time.Hour)
+				u.Until += int64(i+1) * int64(time.Hour)
 			}
 			ups = append(ups, u)
 		}
@@ -131,10 +131,10 @@ func TestConvergenceAnyInterleaving(t *testing.T) {
 func TestMergeTotalOrder(t *testing.T) {
 	peers := []string{"a", "b", "x"}
 	k := key(1)
-	v1 := Update{Origin: "a", Inc: 1, Epoch: 1, Stamp: 100, Kind: KindVerdict,
-		Key: k, Class: detect.ClassHuman, Confidence: detect.Probable, Reason: "model"}
-	v2 := Update{Origin: "b", Inc: 1, Epoch: 1, Stamp: 50, Kind: KindVerdict,
-		Key: k, Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "decoy"}
+	v1 := Update{Origin: "a", Inc: 1, Epoch: 1, Stamp: 100, Until: later.UnixNano(), Kind: KindVerdict,
+		Key: k, Verdict: detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Probable, Reason: "model"}}
+	v2 := Update{Origin: "b", Inc: 1, Epoch: 1, Stamp: 50, Until: later.UnixNano(), Kind: KindVerdict,
+		Key: k, Verdict: detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "decoy"}}
 
 	for name, order := range map[string][]Update{"fwd": {v1, v2}, "rev": {v2, v1}} {
 		r := testRep(t, "x", peers, nil)
@@ -152,7 +152,7 @@ func TestMergeTotalOrder(t *testing.T) {
 func TestWatermarkRejectsReplays(t *testing.T) {
 	r := testRep(t, "x", []string{"a", "x"}, nil)
 	u := Update{Origin: "a", Inc: 1, Epoch: 1, Stamp: 1, Kind: KindVerdict,
-		Key: key(1), Class: detect.ClassRobot, Confidence: detect.Definite}
+		Key: key(1), Verdict: detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite}}
 	deliverSequential(r, []Update{u, u, u})
 	st := r.Stats()
 	if st.Applied != 1 || st.Replays != 2 {
@@ -171,7 +171,7 @@ func TestStallJumpCountsGaps(t *testing.T) {
 	r := testRep(t, "x", []string{"a", "x"}, func(c *Config) { c.Clock = vc })
 	mk := func(e uint64) Update {
 		return Update{Origin: "a", Inc: 1, Epoch: e, Stamp: int64(e), Kind: KindVerdict,
-			Key: key(int(e)), Class: detect.ClassRobot, Confidence: detect.Definite}
+			Key: key(int(e)), Verdict: detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite}}
 	}
 	deliverSequential(r, []Update{mk(1), mk(3)}) // epoch 2 never arrives
 	vc.Advance(stallTimeout - time.Millisecond)
@@ -275,8 +275,8 @@ func TestMeshReplicationConverges(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	f := meshFleet(t, names, nil)
 	for i, name := range names {
-		f.reps[name].PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
-		f.reps[name].PublishBlock(key(i+100), time.Unix(0, int64(time.Hour)))
+		f.reps[name].PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+		f.reps[name].PublishBlock(key(i+100), later)
 	}
 	f.waitFor(t, 5*time.Second, "digests to converge", func() bool {
 		d := f.reps["a"].Digest()
@@ -297,7 +297,7 @@ func TestAntiEntropyRepairsSilentDrops(t *testing.T) {
 		return FateDeliver, 0
 	})
 	for i := 0; i < 20; i++ {
-		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
 	}
 	// Give the (dropped) first delivery a moment, then heal the link: only
 	// anti-entropy can repair what was silently lost.
@@ -335,7 +335,7 @@ func TestCrashRestartBackfill(t *testing.T) {
 		return FateDeliver, 0
 	})
 	for i := 0; i < 10; i++ {
-		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
 	}
 	model := &adaboost.Model{}
 	a.PublishModel(model)
@@ -391,7 +391,7 @@ func TestOrphansAdoptedAfterOriginRestart(t *testing.T) {
 	})
 	robot := detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}
 	for i := 0; i < 5; i++ {
-		a.PublishVerdict(key(i), robot)
+		a.PublishVerdict(key(i), robot, later)
 	}
 	f.run(time.Millisecond)
 	if b.VerdictCount() != 5 || c.VerdictCount() != 0 {
@@ -400,13 +400,50 @@ func TestOrphansAdoptedAfterOriginRestart(t *testing.T) {
 	a.Stop()
 	a.Wipe()
 	a.Restart()
-	a.PublishVerdict(key(5), robot) // peers learn of incarnation 2 before any backfill
+	a.PublishVerdict(key(5), robot, later) // peers learn of incarnation 2 before any backfill
 	dropToC = false
 	f.waitFor(t, time.Second, "the orphans to reach a and c", func() bool {
 		return a.VerdictCount() == 6 && c.VerdictCount() == 6 && a.Digest() == b.Digest() && b.Digest() == c.Digest()
 	})
-	if rec, _ := c.VerdictFor(key(0)); rec.Origin != "b" {
-		t.Fatalf("c holds a's old verdict under %s/inc %d, want it adopted by b", rec.Origin, rec.Inc)
+	if rec, _ := c.VerdictFor(key(0)); rec.Origin != "b" || rec.Verdict.Origin != "a" {
+		t.Fatalf("c holds a's old verdict under %s/inc %d authored by %q, want it adopted by b, authored by a",
+			rec.Origin, rec.Inc, rec.Verdict.Origin)
+	}
+}
+
+// TestOwnVerdictRenewedWhileSessionGoesOn: the origin carries its verdict
+// past the expiry it first published while the session it judged goes on,
+// and lets it lapse with the session.
+func TestOwnVerdictRenewedWhileSessionGoesOn(t *testing.T) {
+	const life = time.Hour
+	var sessionEnd time.Time
+	f := meshFleet(t, []string{"a", "b"}, func(name string, c *Config) {
+		if name == "a" {
+			c.Callbacks.SessionEnd = func(session.Key) (time.Time, bool) { return sessionEnd, !sessionEnd.IsZero() }
+		}
+	})
+	a, b := f.reps["a"], f.reps["b"]
+	start := f.vc.Now()
+	sessionEnd = start.Add(life)
+	a.PublishVerdict(key(1), detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "captcha"}, sessionEnd)
+	f.waitFor(t, time.Second, "b to hold the verdict", func() bool { _, ok := b.VerdictFor(key(1)); return ok })
+	// The client keeps browsing: a request every ten minutes for two hours.
+	for at := 10 * time.Minute; at <= 2*time.Hour; at += 10 * time.Minute {
+		f.vc.Advance(start.Add(at).Sub(f.vc.Now()))
+		sessionEnd = f.vc.Now().Add(life)
+		f.run(time.Millisecond)
+		if _, ok := b.VerdictFor(key(1)); !ok {
+			t.Fatalf("b lost the verdict %v into a session still browsing", at)
+		}
+	}
+	if rec, _ := b.VerdictFor(key(1)); rec.Origin != "a" || rec.Verdict.Origin != "a" {
+		t.Fatalf("renewed verdict travels as %s authored by %q, want a's own", rec.Origin, rec.Verdict.Origin)
+	}
+	// The client goes quiet: the verdict ends with its session.
+	f.vc.Advance(sessionEnd.Sub(f.vc.Now()))
+	f.run(time.Millisecond)
+	if _, ok := b.VerdictFor(key(1)); ok {
+		t.Fatalf("b still serves the verdict past its session's end")
 	}
 }
 
@@ -424,7 +461,7 @@ func TestAckedEpochCountsThisIncarnationOnly(t *testing.T) {
 		return FateDeliver, 0
 	})
 	for i := 0; i < 5; i++ {
-		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
 	}
 	f.run(time.Millisecond)
 	a.Stop()
@@ -439,6 +476,34 @@ func TestAckedEpochCountsThisIncarnationOnly(t *testing.T) {
 	}
 	if acked, published := a.AckedEpoch("c"), a.PublishedEpoch(); acked != 0 || published != 0 {
 		t.Fatalf("a claims epoch %d acked by c having published %d under this incarnation", acked, published)
+	}
+}
+
+// TestAcksVoidedByPeerRestart: a peer that crashed forgot what it had been
+// delivered, so its first frame under a new incarnation voids its acks — they
+// are not regained until the entries reach it again.
+func TestAcksVoidedByPeerRestart(t *testing.T) {
+	restarted, heard := false, false
+	f := meshFleet(t, []string{"a", "b"}, nil)
+	a, b := f.reps["a"], f.reps["b"]
+	f.mesh.SetIntercept(func(from, to string, msg *Message) (Fate, time.Duration) {
+		if restarted && from == "a" && msg.Kind == MsgBatch {
+			return FateDrop, 0
+		}
+		heard = heard || restarted && from == "b"
+		return FateDeliver, 0
+	})
+	for i := 0; i < 5; i++ {
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+	}
+	f.waitFor(t, time.Second, "b to ack a's verdicts", func() bool { return a.AckedEpoch("b") == 5 })
+	b.Stop()
+	b.Wipe()
+	b.Restart()
+	restarted = true
+	f.waitFor(t, time.Second, "b's first frame after its restart", func() bool { return heard })
+	if got := a.AckedEpoch("b"); got != 0 {
+		t.Fatalf("a holds epoch %d acked by b after b restarted empty", got)
 	}
 }
 
@@ -502,7 +567,7 @@ func TestSendPatienceDropsAndAcks(t *testing.T) {
 		return FateDeliver, 0
 	})
 	for i := 0; i < 10; i++ {
-		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
 	}
 	f.waitFor(t, 5*time.Second, "c's batches to drop", func() bool {
 		var dropped int64
@@ -537,7 +602,7 @@ func TestDelayedMessagesWaitForMeshStep(t *testing.T) {
 		}
 		return FateDeliver, 0
 	})
-	f.reps["a"].PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+	f.reps["a"].PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
 	f.run(time.Millisecond)
 	sentAt := f.vc.Now()
 	if got := f.reps["a"].AckedEpoch("b"); got != 1 {
@@ -559,7 +624,7 @@ func TestStoppedReplicatorIgnoresStep(t *testing.T) {
 	f := meshFleet(t, []string{"a", "b"}, nil)
 	a, b := f.reps["a"], f.reps["b"]
 	a.Stop()
-	a.PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+	a.PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
 	f.run(50 * time.Millisecond)
 	if b.VerdictCount() != 0 || b.PeerUp("a") {
 		t.Fatalf("stopped a reached b: verdicts=%d up=%v", b.VerdictCount(), b.PeerUp("a"))
@@ -587,7 +652,7 @@ type reentrantTransport struct{ r *Replicator }
 func (rt *reentrantTransport) Send(to string, msg *Message) error {
 	rt.r.Stats()
 	rt.r.PeerSnapshot()
-	rt.r.PublishBlock(key(900+len(msg.Updates)), time.Unix(0, int64(time.Hour)))
+	rt.r.PublishBlock(key(900+len(msg.Updates)), later)
 	return nil
 }
 
@@ -603,10 +668,10 @@ func TestNoLockAcrossSendOrCallbacks(t *testing.T) {
 		reenter := func(k session.Key) {
 			r.Stats()
 			r.VerdictFor(k)
-			r.PublishVerdict(session.Key{IP: k.IP, UserAgent: "echo"}, detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite})
+			r.PublishVerdict(session.Key{IP: k.IP, UserAgent: "echo"}, detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite}, later)
 		}
 		r = New(Config{Name: "x", Peers: []string{"a", "x"}, Transport: rt, Callbacks: Callbacks{
-			OnVerdict:     func(k session.Key, _ detect.Verdict, _ string) { reenter(k) },
+			OnVerdict:     func(k session.Key) { reenter(k) },
 			OnBlock:       func(k session.Key, _ time.Time) { reenter(k) },
 			OnModel:       func(*adaboost.Model, uint64) { reenter(key(0)) },
 			OnObservation: func(u Update) { reenter(u.Key) },
@@ -615,12 +680,16 @@ func TestNoLockAcrossSendOrCallbacks(t *testing.T) {
 				reenter(k)
 				return []SignalAt{{Signal: session.SignalMouse, At: 1}}, true
 			},
+			SessionEnd: func(k session.Key) (time.Time, bool) {
+				reenter(k)
+				return later.Add(time.Hour), true
+			},
 		}})
 		rt.r = r
 		r.Start()
 		ups := []Update{
-			{Origin: "a", Inc: 1, Epoch: 1, Stamp: 1, Kind: KindVerdict, Key: key(1), Class: detect.ClassRobot, Confidence: detect.Definite},
-			{Origin: "a", Inc: 1, Epoch: 2, Stamp: 2, Kind: KindBlock, Key: key(2), Until: int64(time.Hour)},
+			{Origin: "a", Inc: 1, Epoch: 1, Stamp: 1, Kind: KindVerdict, Key: key(1), Until: later.UnixNano(), Verdict: detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite}},
+			{Origin: "a", Inc: 1, Epoch: 2, Stamp: 2, Kind: KindBlock, Key: key(2), Until: later.UnixNano()},
 			{Origin: "a", Inc: 1, Epoch: 3, Stamp: 3, Kind: KindModel, Model: &adaboost.Model{}, ModelSeq: 1},
 			{Origin: "a", Inc: 1, Kind: KindObservation, Key: key(4)},
 			{Origin: "a", Inc: 1, Kind: KindHandoff, Key: key(5)},
@@ -630,6 +699,7 @@ func TestNoLockAcrossSendOrCallbacks(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			r.Step(time.Unix(int64(i), 0))
 		}
+		r.Step(later.Add(-time.Second)) // the echo verdicts are due for renewal
 		if st := r.Stats(); st.Published < 6 {
 			t.Errorf("published = %d, want every callback's re-entrant publish counted", st.Published)
 		}
@@ -673,4 +743,60 @@ func TestRingDistributionAndMovement(t *testing.T) {
 			t.Fatalf("key %d moved %s → %s though its owner survived", i, primaries[i], p)
 		}
 	}
+}
+
+// BenchmarkVerdictFor measures the serving chain's remote-stage lookup
+// against a store of 65,536 live verdicts, alone and with a concurrent Step
+// running a full prune-and-renew scan on every call (the worst case: Step
+// holds the mutex across the whole store).
+func BenchmarkVerdictFor(b *testing.B) {
+	const entries = 1 << 16
+	vc := clock.NewVirtual(time.Time{})
+	r := New(Config{Name: "x", Peers: []string{"a", "x"}, Transport: nullTransport{}, Clock: vc,
+		Callbacks: Callbacks{SessionEnd: func(session.Key) (time.Time, bool) { return time.Time{}, false }}})
+	r.Start()
+	until := vc.Now().Add(time.Hour)
+	keys := make([]session.Key, entries)
+	for i := range keys {
+		keys[i] = key(i)
+		r.PublishVerdict(keys[i], detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite}, until)
+	}
+	lookup := func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				if _, ok := r.VerdictFor(keys[i%entries]); !ok {
+					b.Error("lookup missed a live verdict")
+					return
+				}
+			}
+		})
+	}
+	b.Run("idle", lookup)
+	b.Run("stepping", func(b *testing.B) {
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			// A prune pass is due every quarter hour of the clock; moving the
+			// clock by that much but staying short of every expiry makes each
+			// Step scan the whole store.
+			for t := vc.Now(); ; t = t.Add(15 * time.Minute) {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !t.Before(until) {
+					t = vc.Now()
+				}
+				r.mu.Lock()
+				r.pruned = 0
+				r.mu.Unlock()
+				r.Step(t)
+			}
+		}()
+		lookup(b)
+		close(stop)
+		<-done
+	})
 }

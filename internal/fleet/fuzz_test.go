@@ -8,23 +8,29 @@ import (
 	"botdetect/internal/adaboost"
 	"botdetect/internal/clock"
 	"botdetect/internal/detect"
+	"botdetect/internal/session"
 )
 
 // fuzzNames are the origins and senders a fuzzed frame can name: the fleet's
 // members (x is the replicator under test) and a stranger.
 var fuzzNames = []string{"a", "b", "c", "x", "stranger"}
 
+// fuzzNow is the replicator's clock throughout a fuzzed run; a fifth of the
+// fuzzed verdicts and blocks have lapsed by then.
+var fuzzNow = time.Unix(1136505600, 0)
+
 // fuzzDurable builds the one durable update with the given identity: its kind
 // and payload are functions of (origin, inc, epoch), so two frames that name
 // the same identity carry the same update, as retries and re-sends do.
 func fuzzDurable(origin string, inc uint32, epoch uint64) Update {
 	h := mix64(uint64(len(origin))<<56 ^ uint64(origin[0])<<48 ^ uint64(inc)<<40 ^ epoch)
-	u := Update{Origin: origin, Inc: inc, Epoch: epoch, Stamp: int64(h >> 40), Key: key(int(h % 12))}
+	u := Update{Origin: origin, Inc: inc, Epoch: epoch, Stamp: int64(h >> 40), Key: key(int(h % 12)),
+		Until: fuzzNow.Add(time.Duration(int64(h>>24%1000)-200) * time.Second).UnixNano()}
 	switch (h >> 8) % 5 {
 	case 0, 1:
-		u.Kind, u.Class, u.Confidence = KindVerdict, detect.Class(h>>16%3), detect.Confidence(h>>20%3)
+		u.Kind, u.Verdict = KindVerdict, detect.Verdict{Class: detect.Class(h >> 16 % 3), Confidence: detect.Confidence(h >> 20 % 3)}
 	case 2:
-		u.Kind, u.Until = KindBlock, int64(h>>24%1000)*int64(time.Second)
+		u.Kind = KindBlock
 	case 3:
 		u.Kind, u.ModelSeq = KindModel, h>>28%6
 		if h>>36%4 != 0 { // one in four is a frame without its model
@@ -73,19 +79,20 @@ func fuzzMessage(op []byte) *Message {
 // the fleet — into a replicator that already holds state. It must not panic;
 // a watermark never moves backwards within an incarnation and an incarnation
 // never moves backwards; the merged model's sequence never decreases; an
-// advertised watermark vector never outgrows the fleet; and the store ends
+// advertised watermark vector never outgrows the fleet; the store ends
 // exactly where the same updates lead when each is delivered once, in sorted
-// order — leaving out only those that arrived behind their origin's fence.
+// order — leaving out only those that arrived behind their origin's fence;
+// and it holds a key exactly when one of its updates was live on arrival.
 func FuzzReceive(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0, 1, 1, 1, 2, 0x10, 0, 1, 1, 1, 2, 0x00, 0, 2, 1, 1, 0, 0x20, 0, 1, 2, 1, 1})
 	f.Add([]byte{0x07, 0, 1, 9, 255, 0, 0x10, 1, 3, 251, 3, 2, 0x30, 3, 2, 4, 5, 1, 0x40, 4, 0, 0, 10, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vc := clock.NewVirtual(time.Unix(1136505600, 0))
+		vc := clock.NewVirtual(fuzzNow)
 		live := func() *Replicator {
 			r := testRep(t, "x", fuzzNames[:4], func(c *Config) { c.Clock = vc })
-			r.PublishVerdict(key(100), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "own"})
-			r.PublishBlock(key(101), time.Unix(0, int64(time.Hour)))
+			r.PublishVerdict(key(100), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "own"}, fuzzNow.Add(time.Hour))
+			r.PublishBlock(key(101), fuzzNow.Add(time.Hour))
 			return r
 		}
 		type ident struct {
@@ -162,6 +169,18 @@ func FuzzReceive(f *testing.F) {
 		}
 		if got, want := sub.Stats().Applied, uint64(len(once)); got != want {
 			t.Fatalf("applied %d durable updates, want %d", got, want)
+		}
+		// The lapse rule, independently of the merge: a lapsed entry is
+		// admitted to the watermark above but never stored.
+		stored := [2]map[session.Key]bool{{key(100): true}, {key(101): true}}
+		for _, u := range once {
+			if (u.Kind == KindVerdict || u.Kind == KindBlock) && u.Until > fuzzNow.UnixNano() {
+				stored[u.Kind][u.Key] = true
+			}
+		}
+		if sub.VerdictCount() != len(stored[KindVerdict]) || sub.BlockCount() != len(stored[KindBlock]) {
+			t.Fatalf("stores hold (%d,%d) keys, want the (%d,%d) with a live update",
+				sub.VerdictCount(), sub.BlockCount(), len(stored[KindVerdict]), len(stored[KindBlock]))
 		}
 	})
 }

@@ -7,11 +7,12 @@ package fleet
 // peer is this replicator's view of one remote node.
 type peer struct {
 	name string
+	inc  uint32 // the highest incarnation heard from it
 
 	out     []Update // outbox, at most outboxCapacity
 	dropped int64    // updates dropped on full outbox or exhausted patience
 	sent    int64    // updates delivered
-	acked   uint64   // highest own epoch delivered
+	acked   uint64   // highest own epoch delivered to incarnation inc
 
 	// The batch cut from the outbox and not yet delivered or given up on:
 	// when it was cut, when its next attempt is due, the current (doubling)
@@ -34,6 +35,12 @@ type peer struct {
 	ewma     int64
 
 	wms map[string]Watermark // the peer's advertised applied watermarks
+}
+
+// newPeer returns the view of a peer not heard from yet: every replicator
+// starts at incarnation 1, so a frame from any later one voids the acks.
+func newPeer(name string) peer {
+	return peer{name: name, inc: 1, wms: make(map[string]Watermark)}
 }
 
 // enqueue offers one update to the outbox without ever blocking; a full

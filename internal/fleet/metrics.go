@@ -5,6 +5,8 @@
 package fleet
 
 import (
+	"strconv"
+
 	"botdetect/internal/telemetry"
 )
 
@@ -23,6 +25,7 @@ import (
 //	botdetect_fleet_updates_replayed_total{node}          duplicate/stale deliveries rejected
 //	botdetect_fleet_epoch_gaps_total{node}                epochs declared lost past stallTimeout (5 s)
 //	botdetect_fleet_anti_entropy_resends_total{node}      store entries re-sent by anti-entropy
+//	botdetect_fleet_entries_expired_total{node}           verdict and block entries dropped at their expiry
 //	botdetect_fleet_observations_forwarded_total{node}    requests forwarded to partition owners
 //	botdetect_fleet_replication_lag_seconds{node,quantile} apply-lag percentiles
 func (r *Replicator) RegisterMetrics(reg *telemetry.Registry, node string) {
@@ -79,6 +82,8 @@ func (r *Replicator) RegisterMetrics(reg *telemetry.Registry, node string) {
 			func(c Counters) uint64 { return c.EpochGaps }},
 		{"botdetect_fleet_anti_entropy_resends_total", "Store entries re-sent because a peer's watermarks showed them missing.",
 			func(c Counters) uint64 { return c.AEResends }},
+		{"botdetect_fleet_entries_expired_total", "Verdict and block entries dropped from the stores at their expiry.",
+			func(c Counters) uint64 { return c.Expired }},
 		{"botdetect_fleet_observations_forwarded_total", "Request observations forwarded to partition owners.",
 			func(c Counters) uint64 { return c.ObsForward }},
 	} {
@@ -93,11 +98,8 @@ func (r *Replicator) RegisterMetrics(reg *telemetry.Registry, node string) {
 				if !ok {
 					continue
 				}
-				label := "0.5"
-				if q == 0.99 {
-					label = "0.99"
-				}
-				emit(telemetry.Join(nodeLabel, telemetry.Label("quantile", label)), d.Seconds())
+				label := telemetry.Label("quantile", strconv.FormatFloat(q, 'g', -1, 64))
+				emit(telemetry.Join(nodeLabel, label), d.Seconds())
 			}
 		})
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"botdetect/internal/core"
 	"botdetect/internal/detect"
@@ -116,7 +117,7 @@ func TestAdminStatusFleetSection(t *testing.T) {
 	rep.Start()
 	defer rep.Stop()
 	rep.PublishVerdict(session.Key{IP: "10.0.0.9", UserAgent: "x"},
-		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"})
+		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, time.Now().Add(time.Hour))
 	mw := New(origin, Config{Engine: eng})
 	admin := NewAdmin(AdminConfig{Engine: eng, Fleet: rep})
 	mux := http.NewServeMux()
