@@ -27,6 +27,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"net/url"
@@ -35,6 +36,7 @@ import (
 	"botdetect/internal/adaboost"
 	"botdetect/internal/captcha"
 	"botdetect/internal/core"
+	"botdetect/internal/keystore"
 	"botdetect/internal/policy"
 	"botdetect/internal/proxy"
 	"botdetect/internal/webmodel"
@@ -44,7 +46,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		origin      = flag.String("origin", "", "upstream origin URL (empty: serve the built-in synthetic site)")
-		decoys      = flag.Int("decoys", 4, "decoy beacon functions per page")
+		decoys      = flag.Int("decoys", 4, fmt.Sprintf("decoy beacon functions per page (at most %d; larger values are clamped)", keystore.MaxDecoys))
 		obfuscate   = flag.Bool("obfuscate", true, "lexically obfuscate the generated JavaScript")
 		withPol     = flag.Bool("policy", true, "enable rate limiting / blocking of robot sessions")
 		withCap     = flag.Bool("captcha", true, "enable CAPTCHA endpoints under /__bd/captcha/")

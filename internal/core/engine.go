@@ -129,6 +129,9 @@ type Config struct {
 	// host); empty means site-relative beacons.
 	BeaconBase string
 	// Decoys is the number of decoy beacon functions per page (paper: m).
+	// Values above keystore.MaxDecoys (255, what a page view's header
+	// records) are clamped: the store and the script templates must agree on
+	// one count.
 	Decoys int
 	// KeyDigits is the length of generated keys in decimal digits (default
 	// 10). A key is a uint64, so values above keystore.MaxKeyDigits (19) are
@@ -197,6 +200,7 @@ func (c Config) withDefaults() Config {
 	if c.Decoys <= 0 {
 		c.Decoys = 4
 	}
+	c.Decoys = min(c.Decoys, keystore.MaxDecoys)
 	if c.KeyDigits <= 0 {
 		c.KeyDigits = 10
 	}

@@ -16,9 +16,11 @@ import (
 // MemoryEstimate must come in at or under 460 B per tracked session (436 B
 // measured: a 224-byte record, its 42-byte index slot, three path
 // fingerprints and an undownloaded page's keystore entry — a 64-byte client
-// node, its 42-byte index slot, its address and a 16-byte key log; the
-// ceiling stood at 520 B while the number was 472, at 640 B while it was 572,
-// and at 2 KiB while it was 684). The
+// node, its 42-byte index slot, its address and a 16-byte key log; 8-byte
+// headers and size-class growth leave it at 436 B, because a one-page log
+// and a three-path set already sit in their smallest classes; the ceiling
+// stood at 520 B while the number was 472, at 640 B while it was 572, and at
+// 2 KiB while it was 684). The
 // estimate is the same number admission control budgets
 // against and the serve benchmark reports as bytes_per_session, so this pins
 // the plan's core arithmetic: 1M clients fit in well under 1 GB.
@@ -114,8 +116,9 @@ func TestEngineMemoryEstimateCoversHeap(t *testing.T) {
 // number admission control budgets against) says it retains, within 30%. A
 // per-page structure the estimate cannot see, like a parked script body,
 // fails this. And the estimate itself is pinned: such a client costs its
-// keystore entry and one 11-byte page-view header — measured 138 B (174 B
-// while a client was a 96-byte struct behind a string-keyed slot) — because a
+// keystore entry and one 8-byte page-view header — measured 138 B, the 13-byte
+// log in the same 16-byte class the 11-byte header's log filled (174 B while a
+// client was a 96-byte struct behind a string-keyed slot) — because a
 // page nobody downloads the script of has no keys; drawing them at issue
 // again (a 25-byte run per page) fails by number.
 func TestMemoryCeilingUndownloadedPages(t *testing.T) {

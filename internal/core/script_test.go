@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"botdetect/internal/agents"
 	"botdetect/internal/jsgen"
 	"botdetect/internal/keystore"
 	"botdetect/internal/session"
@@ -103,6 +104,41 @@ func TestKeyDigitsAboveMaxAreClamped(t *testing.T) {
 	checkLiveness(t, e, v, ua, true)
 	if snap, _ := e.Session(session.Key{IP: ip, UserAgent: ua}); !snap.Signals.Has(session.SignalMouse) || snap.Signals.Has(session.SignalDecoy) {
 		t.Fatalf("the downloaded real key did not prove a human: signals %v", snap.Signals)
+	}
+}
+
+// TestDecoysAboveMaxAreClamped: a page view's header records at most
+// keystore.MaxDecoys decoys, so the engine must compile its script templates
+// with that many decoy slots too, or a download fills the extra slots by
+// cycling the page's decoys and a blind fetcher meets repeated keys.
+func TestDecoysAboveMaxAreClamped(t *testing.T) {
+	const ip, ua = "10.26.0.2", "Firefox/1.5"
+	e, _ := newTestEngine(Config{Decoys: 1000})
+	if got := e.Config().Decoys; got != keystore.MaxDecoys {
+		t.Fatalf("effective Decoys = %d, want %d", got, keystore.MaxDecoys)
+	}
+	var ps PageState
+	e.PreparePage(ip, ua, "/", &ps)
+	pk, prefix := ps.Keys(), e.cfg.BeaconPrefix
+	resp, ok := e.HandleBeacon(ip, ua, objectPath(jsgen.ScriptPathParts, prefix, wire(pk, pk.ScriptToken)))
+	if !ok || resp.Status != 200 {
+		t.Fatalf("script download: ok=%v status=%d", ok, resp.Status)
+	}
+	script := string(resp.Body)
+	resp.Done()
+	real := agents.HandlerBeaconURL(script, string(e.handlerName))
+	if beaconKey(prefix, real) == "" {
+		t.Fatal("the downloaded script carries no real key")
+	}
+	slots, distinct := 0, map[string]bool{}
+	for _, u := range agents.AllBeaconURLs(script) {
+		if k := beaconKey(prefix, u); k != "" && u != real {
+			slots++
+			distinct[k] = true
+		}
+	}
+	if slots != keystore.MaxDecoys || len(distinct) != keystore.MaxDecoys {
+		t.Fatalf("script carries %d decoy beacons, %d distinct; want %d of each", slots, len(distinct), keystore.MaxDecoys)
 	}
 }
 

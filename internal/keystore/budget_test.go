@@ -2,25 +2,33 @@ package keystore
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 )
 
 // TestKeystoreStructBudgets pins the log's layout: a tracked client is one
 // 64-byte node (address, log, LRU and index-chain links); one outstanding page
-// view costs a header of at most 12 bytes (issue tick, token tag, decoy count,
-// drawn and consumed bits) and nothing else until its script is requested,
-// then keyWidth(KeyDigits) bytes per key. Every width must leave room for the
-// dead sentinel: 10^d-1 below all-ones in keyWidth(d) bytes, so no key of d
-// digits spells it. A failure means a field was added without re-deriving the
-// budget.
+// view costs an 8-byte header (a u16 tick offset, a u32 token tag, a u8 decoy
+// count, drawn and consumed bits) and nothing else until its script is
+// requested, then keyWidth(KeyDigits) bytes per key. The offset must hold the
+// TTL in ticks at every TTL. Every width must leave
+// room for the dead sentinel: 10^d-1 below all-ones in keyWidth(d) bytes, so no
+// key of d digits spells it. A failure means a field was added without
+// re-deriving the budget.
 func TestKeystoreStructBudgets(t *testing.T) {
 	if got := unsafe.Sizeof(clientState{}); got > 64 {
 		t.Errorf("clientState = %d bytes, exceeds the 64-byte budget", got)
 	}
-	if headerBytes > 12 || hdrFlags+1 != headerBytes {
-		t.Errorf("header = %d bytes with its flags at %d, want at most 12 ending in the flag byte", headerBytes, hdrFlags)
+	if headerBytes != 8 || hdrTag != 2 || hdrDecoys != 6 || hdrFlags != 7 {
+		t.Errorf("header = %d bytes (tag at %d, decoys at %d, flags at %d), want 8: offset, tag, decoys, flags", headerBytes, hdrTag, hdrDecoys, hdrFlags)
+	}
+	for _, ttl := range []time.Duration{1, tickResolution - 1, tickResolution, 2*tickResolution - 1, 2 * tickResolution, time.Second, time.Hour + 1, 1 << 62} {
+		if s := New(Config{TTL: ttl}); s.ttlTicks > math.MaxUint16 {
+			t.Errorf("TTL %v is %d ticks, past a 16-bit offset", ttl, s.ttlTicks)
+		}
 	}
 	widths := [MaxKeyDigits + 1]int{1: 1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 7, 7, 8, 8, 8}
 	for d := 1; d <= MaxKeyDigits; d++ {
@@ -73,8 +81,8 @@ func heapClients(pages, every int) (heap, est int64, s *Store) {
 
 // TestMemoryEstimateCoversHeap holds MemoryEstimate against the heap the
 // store really pins: 20,000 clients at 1, 4, 17, 64, 65 and 200 outstanding
-// pages (a one-page visitor, a short visit, a log just past a doubling, the
-// per-client cap, one past it and far past it), with every page's script
+// pages (a one-page visitor, a short visit, a longer one, the per-client cap,
+// one past it and far past it), with every page's script
 // downloaded (pages=N: headers plus full key runs), none (undrawn: headers
 // only — what a robot that never runs scripts costs) and every other one
 // (half: runs inserted between undrawn neighbours). The estimate feeds the
@@ -110,6 +118,8 @@ func TestMemoryEstimateCoversHeap(t *testing.T) {
 // with every one. A log that appends the new page view before it drops the
 // oldest outgrows its cap-sized array once and keeps the larger one; that
 // measured 1,691 against 923 B/client undrawn and 4,763 against 3,996 drawn.
+// With 8-byte headers in size-class arrays both sides measure 685 B undrawn
+// and 2,413 B drawn (1,005 and 2,797 with 11-byte headers and doubling).
 func TestKeyLogNeverOutgrowsTheCap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting differs under -race")

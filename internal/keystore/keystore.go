@@ -35,19 +35,28 @@
 // Keys are decimal digit strings on the wire but numbers internally, stored in
 // w bytes, the fewest that hold 10^KeyDigits-1 (5 at the default 10 digits, 8
 // at MaxKeyDigits). A client is one 64-byte node and one byte log: a 5-byte
-// prefix (the oldest issue tick, the number of page views), the keys, and one
-// 11-byte header per page view (issue tick, script-token tag, decoy count,
-// drawn and consumed bits). Headers and keys are both in issue order; the
-// keys of a page view exist once its script has been requested — its real
-// key, then its decoys — so a page nobody asked the script of costs its header
-// and no key. The keys sit in one region before the headers rather than
-// after each header, so a key is found with one vectorised search of an
-// aligned array and its header by a fixed-stride walk. A client holds at most
-// maxPerClient (64) page views and the oldest is dropped before a new one is
-// appended, so the log never outgrows 5 + 64*(11 + w*(1+m)) bytes — 2,309 at
-// the defaults. Validation and the uniqueness check are linear scans, and
-// expiry and the cap compact the log in place, so a stable working set never
-// reallocates. There is no per-key record and no per-client hash table.
+// prefix (a base tick, the number of page views), the keys, and one 8-byte
+// header per page view (its issue tick as an offset from the base, script-token
+// tag, decoy count, drawn and consumed bits). Headers and keys are both in
+// issue order; the keys of a page view exist once its script has been
+// requested — its real key, then its decoys — so a page nobody asked the
+// script of costs its header and no key. The keys sit in one region before the
+// headers rather than after each header, so a key is found with one vectorised
+// search of an aligned array and its header by a fixed-stride walk. A client
+// holds at most maxPerClient (64) page views and the oldest is dropped before
+// a new one is appended, so the log never outgrows 5 + 64*(8 + w*(1+m)) bytes
+// — 2,117 at the defaults. The log grows into the smallest allocator size
+// class that holds it, never by doubling. Validation and the uniqueness check
+// are linear scans, and expiry and the cap compact the log in place, so a
+// stable working set never reallocates. There is no per-key record and no
+// per-client hash table.
+//
+// A header's tick fits 16 bits because no live page view is more than a TTL
+// older than the base: the base is at most every header's tick, and each
+// header is at most ttlTicks (under 2^16) past it. The expiry scan moves the
+// base up to the oldest survivor and rewrites the survivors' offsets; a
+// degraded issue backdated below the base moves it down and rewrites them the
+// other way (at most 64 headers, and only under load shedding).
 //
 // A key is a number from draw to wire, and there is one path it can take:
 // IssuePage fills a caller-owned PageKeys without allocating, PageKeysFor draws
@@ -66,7 +75,6 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,7 +156,7 @@ func (pk *PageKeys) AppendKey(dst []byte, v uint64) []byte {
 type Config struct {
 	// Decoys is the number of decoy keys per page (m in the paper). A blind
 	// fetcher is caught with probability Decoys/(Decoys+1). A page view is
-	// owed at most 32767 (maxDecoys).
+	// owed at most MaxDecoys.
 	Decoys int
 	// KeyDigits is the length of each key in decimal digits (the paper's
 	// example beacons carry 10-digit numbers). Values above MaxKeyDigits
@@ -170,6 +178,7 @@ func (c Config) withDefaults() Config {
 	if c.Decoys <= 0 {
 		c.Decoys = 4
 	}
+	c.Decoys = min(c.Decoys, MaxDecoys)
 	if c.KeyDigits <= 0 {
 		c.KeyDigits = 10
 	}
@@ -199,43 +208,48 @@ const (
 )
 
 // tickResolution is the number of coarse ticks per TTL (so a tick unit is
-// TTL/65536, floored at 1ns — quantisation is ~0.003% of the TTL). The uint32
-// tick space then covers 65536 TTLs (~7.5 years at the default 1-hour TTL)
-// before saturating.
-const tickResolution = 1 << 16
+// TTL/32768, floored at 1ns — quantisation is ~0.006% of the TTL). The TTL in
+// ticks is then below 2^16 at every TTL (at most 32,769 from about a second
+// up, 65,535 at a TTL of 65,535ns), which is what lets a header store its
+// tick in 16 bits. The uint32 tick space covers 131,072 TTLs (~15 years at
+// the default 1-hour TTL) before saturating.
+const tickResolution = 1 << 15
 
 // The key log's layout (see the package doc). Every field is little-endian.
 const (
-	// logPrefixBytes is the log's prefix: a u32 lower bound on every header's
-	// issue tick — expiry scans are skipped while now-oldest <= TTL, because
-	// no key can have expired yet; it is exact after the first issue and
-	// after every scan — then the u8 number of headers (at most maxPerClient).
+	// logPrefixBytes is the log's prefix: the u32 base tick, at most every
+	// header's issue tick and no more than ttlTicks below any of them —
+	// expiry scans are skipped while now-base <= TTL, because no key can have
+	// expired yet; it is exact after the first issue and after every scan —
+	// then the u8 number of headers (at most maxPerClient).
 	logPrefixBytes = 5
-	// headerBytes is one page view's header: the coarse issue tick (u32, see
-	// Store.tick), the tokenTag of the page's script token (u32), the decoy
-	// keys the page is owed (u16) and the flag byte. Headers are in issue
-	// order, not tick order (degraded issues are backdated). All of a page's
-	// keys share its issue tick, so they expire together. The headers fill
-	// the end of the log, the last batches()*headerBytes bytes.
-	headerBytes = 11
+	// headerBytes is one page view's header: the coarse issue tick as an
+	// offset from the base (u16, see Store.tick), the tokenTag of the page's
+	// script token (u32), the decoy keys the page is owed (u8) and the flag
+	// byte. Headers are in issue order, not tick order (degraded issues are
+	// backdated). All of a page's keys share its issue tick, so they expire
+	// together. The headers fill the end of the log, the last
+	// batches()*headerBytes bytes.
+	headerBytes = 8
 
-	hdrTag    = 4  // offset of the tag in a header
-	hdrDecoys = 8  // offset of the decoy count
-	hdrFlags  = 10 // offset of the flag byte
+	hdrTag    = 2 // offset of the tag in a header
+	hdrDecoys = 6 // offset of the decoy count
+	hdrFlags  = 7 // offset of the flag byte
 
 	flagDrawn    = 1 // the keys exist: the script has been requested
 	flagConsumed = 2 // the real key has validated once
 )
 
-// maxDecoys is the largest decoy count a header records.
-const maxDecoys = math.MaxInt16
+// MaxDecoys is the largest decoy count a page view is owed: a header records
+// it in one byte. Config.Decoys above it is clamped.
+const MaxDecoys = math.MaxUint8
 
 // keyLog is a client's log: the prefix, the key region — each drawn page
 // view's run, the real key then the decoys — and the headers.
 type keyLog []byte
 
-// oldest is the prefix's lower bound on the headers' issue ticks.
-func (l keyLog) oldest() uint32 { return binary.LittleEndian.Uint32(l) }
+// base is the prefix's base tick, from which every header's tick counts.
+func (l keyLog) base() uint32 { return binary.LittleEndian.Uint32(l) }
 
 // batches is the number of headers in the log.
 func (l keyLog) batches() int {
@@ -249,8 +263,21 @@ func (l keyLog) batches() int {
 func (l keyLog) headers() int { return len(l) - l.batches()*headerBytes }
 
 // tick and tag read the header at offset h.
-func (l keyLog) tick(h int) uint32 { return binary.LittleEndian.Uint32(l[h:]) }
+func (l keyLog) tick(h int) uint32 { return l.base() + uint32(binary.LittleEndian.Uint16(l[h:])) }
 func (l keyLog) tag(h int) uint32  { return binary.LittleEndian.Uint32(l[h+hdrTag:]) }
+
+// rebase moves the base to tick, which must be at most every header's tick,
+// rewriting every offset so its tick stays put. An offset that would pass
+// 2^16-1, which only a clock running backwards can cause, saturates: that
+// page view expires early rather than wrapping.
+func (l keyLog) rebase(tick uint32) {
+	d := int64(l.base()) - int64(tick)
+	for h := l.headers(); h < len(l); h += headerBytes {
+		off := int64(binary.LittleEndian.Uint16(l[h:])) + d
+		binary.LittleEndian.PutUint16(l[h:], uint16(min(off, math.MaxUint16)))
+	}
+	binary.LittleEndian.PutUint32(l, tick)
+}
 
 // keys is the length of the run of the page view whose header is at h: none
 // until drawn, then the real key and the decoys.
@@ -258,7 +285,19 @@ func (l keyLog) keys(h int) int {
 	if l[h+hdrFlags]&flagDrawn == 0 {
 		return 0
 	}
-	return 1 + int(binary.LittleEndian.Uint16(l[h+hdrDecoys:]))
+	return 1 + int(l[h+hdrDecoys])
+}
+
+// grow returns l with room for n more bytes. A log that is full moves into
+// the smallest allocator size class that holds the new length: appending to
+// a nil slice rounds the capacity up to exactly that class, so cap — what
+// pinnedBytes charges — is what the allocation occupies, and no more.
+func (l keyLog) grow(n int) keyLog {
+	if len(l)+n <= cap(l) {
+		return l
+	}
+	g := append(keyLog(nil), make(keyLog, len(l)+n)...)
+	return g[:copy(g, l)]
 }
 
 // tokenTag folds a script token into the 32 bits a header has room for
@@ -382,7 +421,7 @@ type Store struct {
 	// far enough in the past that backdated (degraded) issues never go
 	// negative, tickUnit is TTL/tickResolution floored at 1ns, and ttlTicks
 	// is the TTL in ticks rounded up, so quantisation can only ever lengthen
-	// a key's life (by < 2 ticks ≈ TTL/32768), never expire it early.
+	// a key's life (by < 2 ticks ≈ TTL/16384), never expire it early.
 	epoch    time.Time
 	tickUnit time.Duration
 	ttlTicks uint32
@@ -654,7 +693,7 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	pk.Decoys = pk.Decoys[:0]
 	pk.IssuedAt = now
 	pinned := cs.pinnedBytes()
-	s.appendLocked(cs, issueTick, tokenTag(pk.ScriptToken), min(decoys, maxDecoys))
+	s.appendLocked(cs, issueTick, tokenTag(pk.ScriptToken), min(decoys, MaxDecoys))
 	if grown := cs.pinnedBytes() - pinned; grown != 0 {
 		s.pinnedBytes.Add(grown)
 	}
@@ -666,28 +705,34 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 // appendLocked appends an undrawn page view's header to the client's log. A
 // client holds at most maxPerClient page views: at the cap the oldest issue —
 // the first run and the first header — is dropped first, so the log never
-// grows past the bound the package doc gives.
+// grows past the bound the package doc gives. The expiry scan has run at
+// tick's issue time, so tick is at most ttlTicks past the base; a backdated
+// tick below it becomes the base.
 func (s *Store) appendLocked(cs *clientState, tick, tag uint32, decoys int) {
 	l := cs.log
 	if len(l) == 0 {
-		l = make(keyLog, logPrefixBytes, logPrefixBytes+headerBytes)
+		l = l.grow(logPrefixBytes + headerBytes)[:logPrefixBytes]
 	}
 	n := l.batches()
-	if n == 0 || tick < l.oldest() {
-		binary.LittleEndian.PutUint32(l, tick)
-	}
 	if n == maxPerClient {
 		h := l.headers()
 		run := l.keys(h) * s.width
 		copy(l[logPrefixBytes:], l[logPrefixBytes+run:h])
 		l = l[:h-run+copy(l[h-run:], l[h+headerBytes:])]
 		n--
+		l[4] = byte(n)
 	}
-	l = slices.Grow(l, headerBytes)
-	l = binary.LittleEndian.AppendUint32(l, tick)
-	l = binary.LittleEndian.AppendUint32(l, tag)
-	l = binary.LittleEndian.AppendUint16(l, uint16(decoys))
-	l = append(l, 0)
+	if n == 0 {
+		binary.LittleEndian.PutUint32(l, tick)
+	} else if tick < l.base() {
+		l.rebase(tick)
+	}
+	h := len(l)
+	l = l.grow(headerBytes)[:h+headerBytes]
+	binary.LittleEndian.PutUint16(l[h:], uint16(tick-l.base()))
+	binary.LittleEndian.PutUint32(l[h+hdrTag:], tag)
+	l[h+hdrDecoys] = byte(decoys)
+	l[h+hdrFlags] = 0
 	l[4] = byte(n + 1)
 	cs.log = l
 }
@@ -699,10 +744,10 @@ func (s *Store) appendLocked(cs *clientState, tick, tag uint32, decoys int) {
 // slots not yet drawn hold the dead sentinel meanwhile, which no draw equals.
 // It returns the bytes inserted, by which the header has moved.
 func (s *Store) drawLocked(sh *storeShard, cs *clientState, h, at int) int {
-	size := (1 + int(binary.LittleEndian.Uint16(cs.log[h+hdrDecoys:]))) * s.width
+	size := (1 + int(cs.log[h+hdrDecoys])) * s.width
 	pinned := cs.pinnedBytes()
 	tail := len(cs.log)
-	l := slices.Grow(cs.log, size)[:tail+size]
+	l := cs.log.grow(size)[:tail+size]
 	copy(l[at+size:], l[at:tail])
 	for i := at; i < at+size; i++ {
 		l[i] = 0xff
@@ -727,11 +772,12 @@ func (s *Store) drawLocked(sh *storeShard, cs *clientState, h, at int) int {
 // Headers are not in tick order, so this is a scan over them that moves each
 // span of surviving runs, then each span of surviving headers, down in place;
 // it only runs when the oldest page view can actually have expired (tracked
-// by the prefix's oldest tick, re-derived exactly from the survivors on every
-// scan), so hot-path issues skip it.
+// by the prefix's base tick, re-derived exactly from the survivors on every
+// scan), so hot-path issues skip it. The survivors' offsets are rewritten
+// against the new base.
 func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
 	l := cs.log
-	if l.batches() == 0 || !s.expired(nowTick, l.oldest()) {
+	if l.batches() == 0 || !s.expired(nowTick, l.base()) {
 		return
 	}
 	minSurvivor := nowTick
@@ -761,9 +807,10 @@ func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
 	}
 	to += copy(l[to:], l[from:])
 	s.stats.expiredDropped.Add(dropped)
-	binary.LittleEndian.PutUint32(l, minSurvivor)
 	l[4] = byte(kept)
-	cs.log = l[:to]
+	l = l[:to]
+	l.rebase(minSurvivor)
+	cs.log = l
 }
 
 // enforceClientCapLocked bounds the number of distinct clients in the shard.

@@ -57,12 +57,12 @@ func TestSessionStructBudgets(t *testing.T) {
 	}
 }
 
-// TestPathBytesPerEntry pins what a visited path costs: growth by half into
-// the allocator's size classes keeps the charged capacity at 6.5 B per path
-// from 16 paths on (the open-addressed 64-bit table cost 11-21 B), and a full
-// set is exactly maxTrackedPaths entries, 8 KB. The one count over 6.5 is 177,
-// where the 264 entries asked for (1,056 B) land in the 1,152-byte class:
-// 6.508 B, and 6.47 at 178.
+// TestPathBytesPerEntry pins what a visited path costs: growth into the
+// smallest size class that holds the set keeps the charged capacity under
+// 4.75 B per path from 16 paths on (6.5 B with growth by half; the
+// open-addressed 64-bit table cost 11-21 B), and a full set is exactly
+// maxTrackedPaths entries, 8 KB. The worst count is 1,025, whose 4,100 B land
+// in the 4,864-byte class: 4.745 B.
 func TestPathBytesPerEntry(t *testing.T) {
 	var pt pathTable
 	worst, worstAt := 0.0, 0
@@ -76,8 +76,8 @@ func TestPathBytesPerEntry(t *testing.T) {
 		}
 	}
 	t.Logf("worst charged capacity from 16 paths on: %.3f B/path at %d paths", worst, worstAt)
-	if worst >= 6.55 {
-		t.Errorf("a visited path costs %.3f B at %d paths, over the 6.5 B budget", worst, worstAt)
+	if worst >= 4.75 {
+		t.Errorf("a visited path costs %.3f B at %d paths, over the 4.75 B budget", worst, worstAt)
 	}
 	if len(pt.fps) != maxTrackedPaths || cap(pt.fps) != maxTrackedPaths {
 		t.Errorf("full set: len %d cap %d, want both %d", len(pt.fps), cap(pt.fps), maxTrackedPaths)

@@ -59,12 +59,13 @@ func (pt *pathTable) insert(p string) {
 	pt.fps = slices.Insert(pt.fps, i, fp) // a copy-shift: grow left room
 }
 
-// grow moves the set into an allocation half as large again, never past what
-// maxTrackedPaths entries need. Appending to a nil slice makes the runtime
-// round the capacity up to the allocator's size class, so cap — what
-// footprintBytes charges — is what the allocation really occupies.
+// grow moves the set into the smallest allocator size class that holds one
+// more entry (at least minPathSlots, never past what maxTrackedPaths entries
+// need). Appending to a nil slice makes the runtime round the capacity up to
+// exactly that class, so cap — what footprintBytes charges — is what the
+// allocation really occupies, and no more.
 func (pt *pathTable) grow() {
-	want := min(max(minPathSlots, cap(pt.fps)+cap(pt.fps)/2), maxTrackedPaths)
+	want := min(max(minPathSlots, len(pt.fps)+1), maxTrackedPaths)
 	grown := append([]uint32(nil), make([]uint32, want)...)
 	pt.fps = grown[:copy(grown, pt.fps)]
 }

@@ -118,9 +118,8 @@ func TestPathFingerprintCollisions(t *testing.T) {
 // bytes an op: kind, then a 16-bit path id) beside a map of fingerprints:
 // the same answers at every step, and at the end a sorted duplicate-free
 // slice holding the map's keys, the same slice when the paths are inserted in
-// reverse order, and no more capacity than growth by half plus the
-// allocator's rounding (a size class is at most an eighth above its request)
-// explains.
+// reverse order, and never more capacity than the allocator's size class for
+// the entries held.
 func FuzzPathTable(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 0, 1, 1, 0, 2})
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0})
@@ -150,8 +149,9 @@ func FuzzPathTable(f *testing.F) {
 			if len(pt.fps) != len(ref) {
 				t.Fatalf("after insert(%q): %d entries, reference %d", p, len(pt.fps), len(ref))
 			}
-			if c, n := cap(pt.fps), len(pt.fps); c > maxTrackedPaths || c > (n+n/2)*9/8+minPathSlots {
-				t.Fatalf("cap %d for %d entries", c, n)
+			c, n := cap(pt.fps), len(pt.fps)
+			if class := cap(append([]uint32(nil), make([]uint32, max(n, minPathSlots))...)); c > maxTrackedPaths || c > class {
+				t.Fatalf("cap %d for %d entries, whose size class holds %d", c, n, class)
 			}
 		}
 		for i, fp := range pt.fps {
