@@ -142,27 +142,22 @@ func (e *Engine) registerTelemetry() {
 	// Per-shard occupancy gauges: the label strings are rendered once here so
 	// a scrape only walks the shards. Session shards and keystore shards
 	// share one label slice (the counts are always equal by construction).
-	shards := e.sessions.ShardCount()
-	shardLabels := make([]string, shards)
+	shardLabels := make([]string, e.sessions.ShardCount())
 	for i := range shardLabels {
 		shardLabels[i] = telemetry.Join(telemetry.Label("shard", strconv.Itoa(i)), nl)
 	}
-	reg.GaugeFunc("botdetect_shard_sessions", "Tracked sessions per tracker shard.",
-		func(emit func(labels string, v float64)) {
+	perShard := func(name, help string, fill func(i int) (n, max int), caps bool) {
+		reg.GaugeFunc(name, help, func(emit func(labels string, v float64)) {
 			for i, l := range shardLabels {
-				emit(l, float64(e.sessions.ShardActive(i)))
+				if n, max := fill(i); caps {
+					emit(l, float64(max))
+				} else {
+					emit(l, float64(n))
+				}
 			}
 		})
-	reg.GaugeFunc("botdetect_shard_keystore_clients", "Client key tables per keystore shard.",
-		func(emit func(labels string, v float64)) {
-			for i, l := range shardLabels {
-				emit(l, float64(e.keys.ShardClients(i)))
-			}
-		})
-	reg.GaugeFunc("botdetect_shard_session_cap", "Per-shard session cap after occupancy rebalancing.",
-		func(emit func(labels string, v float64)) {
-			for i, l := range shardLabels {
-				emit(l, float64(e.sessions.ShardCap(i)))
-			}
-		})
+	}
+	perShard("botdetect_shard_sessions", "Tracked sessions per tracker shard.", e.sessions.ShardFill, false)
+	perShard("botdetect_shard_keystore_clients", "Client key tables per keystore shard.", e.keys.ShardFill, false)
+	perShard("botdetect_shard_session_cap", "Per-shard session cap after occupancy rebalancing.", e.sessions.ShardFill, true)
 }

@@ -256,8 +256,8 @@ func diffRun(t *testing.T, seed uint64, r interface {
 		if a, b := got.Stats(), want.stats; a != b {
 			fail("stats %+v, reference %+v", a, b)
 		}
-		if a, b := got.Clients(), want.Clients(); a != b || int64(a) != got.liveClients.Load() {
-			fail("Clients %d (lock-free mirror %d), reference %d", a, got.liveClients.Load(), b)
+		if a, b := got.Clients(), want.Clients(); a != b || a != shardClients(got) {
+			fail("Clients %d (shard by shard %d), reference %d", a, shardClients(got), b)
 		}
 		for _, ip := range ips {
 			if a, b := got.OutstandingKeys(ip), want.OutstandingKeys(ip); a != b {

@@ -16,8 +16,8 @@ import (
 // than ttlTicks past the base (an unsigned offset cannot be below it).
 func headerTicks(t *testing.T, s *Store, ip string) []uint32 {
 	t.Helper()
-	sh, hash := s.locate(ip)
-	cs := sh.lookup(hash, ip)
+	sh, hash := s.clients.Locate(ip)
+	cs := sh.Get(hash, ip)
 	if cs == nil {
 		return nil
 	}

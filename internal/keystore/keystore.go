@@ -22,15 +22,13 @@
 // sets each of them); the caps are fixed: 64 outstanding page views per client
 // and 100,000 clients (maxPerClient, maxClients).
 //
-// The table is sharded by an FNV-1a hash of the client IP: each shard has
-// its own mutex, client index, LRU list and key-generation stream, so issuing
-// and validating keys for different clients proceeds in parallel. Counters
-// are atomic and never serialise the hot path. A shard indexes its clients by
-// a maphash of the address under a per-store random seed, in a
-// map[uint64]*clientState whose colliding addresses chain through the client
-// node. FNV picks the shard, so placement and LRU eviction are the same on
-// every run; it must not pick the slot, because many addresses with one FNV
-// value are cheap to build and would line up in one chain.
+// The clients are a shard.Table keyed by IP, the same table the session
+// tracker keeps its sessions in: an FNV-1a hash of the address picks the
+// shard, so placement and LRU eviction are the same on every run, and each
+// shard has its own mutex, seeded client index, LRU list and cap. The store
+// adds a key-generation stream per shard, so issuing and validating keys for
+// different clients proceeds in parallel. Counters are atomic and never
+// serialise the hot path.
 //
 // Keys are decimal digit strings on the wire but numbers internally, stored in
 // w bytes, the fewest that hold 10^KeyDigits-1 (5 at the default 10 digits, 8
@@ -72,10 +70,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -202,7 +198,7 @@ const (
 	maxPerClient = 64
 	// maxClients caps the number of distinct client IPs tracked. The bound
 	// is distributed over the shards as ceil(maxClients/Shards) per shard
-	// (storeShard.max), so the effective cap is maxClients rounded up to a
+	// (shard.PerShardCap), so the effective cap is maxClients rounded up to a
 	// multiple of the shard count; with Shards: 1 it is exact.
 	maxClients = 100000
 )
@@ -319,18 +315,17 @@ func pow10(n int) uint64 {
 	return v
 }
 
-// clientState is one tracked client: its address, its key log, and the links
-// of its shard's intrusive LRU list (prev = towards the front, most recently
-// used) and index chain (hnext: the next client whose address shares the
-// index hash). The log is compacted in place (copy-down) when page views are
-// dropped, so a stable working set reaches a steady state where IssuePage
-// allocates nothing at all.
+// clientState is one tracked client: the table's node (its address and its
+// LRU and index-chain links) and its key log. The log is compacted in place
+// (copy-down) when page views are dropped, so a stable working set reaches a
+// steady state where IssuePage allocates nothing at all.
 type clientState struct {
-	ip  string
+	shard.Node[string, clientState]
 	log keyLog
-
-	prev, next, hnext *clientState
 }
+
+// clientShard is one locked partition of the store's client table.
+type clientShard = shard.Shard[string, clientState, *clientState]
 
 // Stats are cumulative counters exposed for monitoring and experiments.
 type Stats struct {
@@ -358,19 +353,6 @@ type storeStats struct {
 	evictedClients atomic.Int64
 }
 
-// storeShard is one independently locked partition of the key table. The
-// index maps an address's seeded hash (Store.indexHash) to the first client
-// of its chain.
-type storeShard struct {
-	mu    sync.Mutex
-	src   *rng.Source
-	index map[uint64]*clientState
-	head  *clientState // most recently used
-	tail  *clientState // least recently used
-	count int          // live clients
-	max   int          // per-shard client cap
-}
-
 // Memory costs backing Store.MemoryEstimate, derived from the actual layouts
 // so they cannot silently rot when fields change (TestKeystoreStructBudgets
 // pins the layouts and TestMemoryEstimateCoversHeap holds the total against
@@ -378,36 +360,23 @@ type storeShard struct {
 // where an overestimate degrades service early and an underestimate OOMs — so
 // a log is charged at its capacity, not its length: append's growth leaves
 // part of it spare, and copy-down compaction keeps the array it shrinks.
-const (
-	// clientSlotBytes is the client's share of its shard's index at its
-	// emptiest. The index has the session tracker's layout (an 8-byte hash
-	// and a pointer per slot), so the same derivation holds: a full-size
-	// table is 1,024 slots in 128 groups of 8 control bytes + 8 × 16 B =
-	// 17,408 B in the allocator's 18,432-byte class, 18 B a slot, and right
-	// after a split at 7/8 load each entry holds 16/7 slots = 41.1 B.
-	clientSlotBytes = 42
-	// clientBaseBytes is charged per tracked client: the node in its 16-byte
-	// allocator size class, plus its index slot.
-	clientBaseBytes = (int64(unsafe.Sizeof(clientState{}))+15)&^15 + clientSlotBytes
-)
+//
+// clientBaseBytes is charged per tracked client: the node in its 16-byte
+// allocator size class, plus its index slot.
+const clientBaseBytes = (int64(unsafe.Sizeof(clientState{}))+15)&^15 + shard.SlotBytes
 
 // pinnedBytes is the heap the client pins beyond its node and slot: the
 // address string (in its 16-byte size class) and the capacity of the log.
 func (cs *clientState) pinnedBytes() int64 {
-	return int64(len(cs.ip)+15)&^15 + int64(cap(cs.log))
+	return int64(len(cs.Key())+15)&^15 + int64(cap(cs.log))
 }
 
 // Store is the key table. It is safe for concurrent use.
 type Store struct {
-	cfg    Config
-	shards []*storeShard
-	mask   uint64
-	stats  storeStats
-	seed   maphash.Seed
-
-	// hash, when set, replaces the seeded index hash. Only tests set it, to
-	// force addresses into collision chains.
-	hash func(string) uint64
+	cfg     Config
+	clients *shard.Table[string, clientState, *clientState]
+	srcs    []*rng.Source // shard i's key-generation stream
+	stats   storeStats
 
 	// A key is stored in width bytes. limit is 10^KeyDigits: no key reaches
 	// it, so a value at or above it is refused before the log is read. dead
@@ -426,17 +395,15 @@ type Store struct {
 	tickUnit time.Duration
 	ttlTicks uint32
 
-	// liveClients/pinnedBytes mirror the locked per-shard state (the latter is
-	// the sum of clientState.pinnedBytes) so occupancy and memory estimates
-	// are lock-free reads on the serve path.
-	liveClients atomic.Int64
+	// pinnedBytes is the sum of clientState.pinnedBytes, so the memory
+	// estimate, like the client count, is a lock-free read on the serve path.
 	pinnedBytes atomic.Int64
 }
 
 // New creates a Store with the given configuration.
 func New(cfg Config) *Store {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, mask: uint64(cfg.Shards - 1), seed: maphash.MakeSeed()}
+	s := &Store{cfg: cfg, clients: shard.NewTable[string, clientState](cfg.Shards, maxClients, shard.HashString)}
 	s.width = keyWidth(cfg.KeyDigits)
 	s.limit = pow10(cfg.KeyDigits)
 	s.dead = ^uint64(0) >> (64 - 8*s.width)
@@ -447,43 +414,16 @@ func New(cfg Config) *Store {
 	s.ttlTicks = uint32((cfg.TTL + s.tickUnit - 1) / s.tickUnit)
 	s.epoch = cfg.Clock.Now().Add(-cfg.TTL - 4*s.tickUnit)
 	base := rng.New(cfg.Seed).Fork("keystore")
-	perShard := shard.PerShardCap(maxClients, cfg.Shards)
-	s.shards = make([]*storeShard, cfg.Shards)
-	for i := range s.shards {
-		s.shards[i] = &storeShard{
-			src:   base.Fork(fmt.Sprintf("shard-%d", i)),
-			index: make(map[uint64]*clientState),
-			max:   perShard,
-		}
+	s.srcs = make([]*rng.Source, cfg.Shards)
+	for i := range s.srcs {
+		s.srcs[i] = base.Fork(fmt.Sprintf("shard-%d", i))
 	}
 	return s
 }
 
-// ShardCount returns the number of shards (a power of two).
-func (s *Store) ShardCount() int { return len(s.shards) }
-
-// ShardClients returns the number of client states currently held by shard
-// i, for per-shard telemetry gauges. It locks only that shard.
-func (s *Store) ShardClients(i int) int {
-	sh := s.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.count
-}
-
-// indexHash is ip's slot hash in its shard's index.
-func (s *Store) indexHash(ip string) uint64 {
-	if s.hash != nil {
-		return s.hash(ip)
-	}
-	return maphash.String(s.seed, ip)
-}
-
-// locate returns ip's shard and its slot hash in the shard's index. Both
-// hashes are computed before the shard lock is taken.
-func (s *Store) locate(ip string) (*storeShard, uint64) {
-	return s.shards[shard.HashString(ip)&s.mask], s.indexHash(ip)
-}
+// ShardFill returns shard i's client count and cap, for the per-shard
+// telemetry gauges. It locks only that shard.
+func (s *Store) ShardFill(i int) (n, max int) { return s.clients.ShardFill(i) }
 
 // tick converts a wall time to the store's coarse tick scale. Times before
 // the epoch clamp to 0 and the scale saturates at the uint32 ceiling; both
@@ -559,88 +499,6 @@ func (s *Store) liveKeys(l keyLog, from, to int) int64 {
 	return n
 }
 
-// --- intrusive LRU and index --------------------------------------------------
-
-func (sh *storeShard) pushFront(cs *clientState) {
-	cs.prev = nil
-	cs.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = cs
-	}
-	sh.head = cs
-	if sh.tail == nil {
-		sh.tail = cs
-	}
-}
-
-func (sh *storeShard) unlink(cs *clientState) {
-	if cs.prev != nil {
-		cs.prev.next = cs.next
-	} else {
-		sh.head = cs.next
-	}
-	if cs.next != nil {
-		cs.next.prev = cs.prev
-	} else {
-		sh.tail = cs.prev
-	}
-	cs.prev, cs.next = nil, nil
-}
-
-func (sh *storeShard) moveToFront(cs *clientState) {
-	if sh.head == cs {
-		return
-	}
-	sh.unlink(cs)
-	sh.pushFront(cs)
-}
-
-// lookup returns the shard's client for ip, whose index hash is h, or nil.
-func (sh *storeShard) lookup(h uint64, ip string) *clientState {
-	for cs := sh.index[h]; cs != nil; cs = cs.hnext {
-		if cs.ip == ip {
-			return cs
-		}
-	}
-	return nil
-}
-
-// unindex removes cs, whose address's index hash is h, from the index.
-func (sh *storeShard) unindex(h uint64, cs *clientState) {
-	if first := sh.index[h]; first == cs {
-		if cs.hnext == nil {
-			delete(sh.index, h)
-		} else {
-			sh.index[h] = cs.hnext
-		}
-	} else {
-		for p := first; p != nil; p = p.hnext {
-			if p.hnext == cs {
-				p.hnext = cs.hnext
-				break
-			}
-		}
-	}
-	cs.hnext = nil
-	sh.count--
-}
-
-// clientLocked returns (creating if needed) the state for ip, whose index
-// hash is h, on sh, mirroring creations into the lock-free liveClients
-// counter.
-func (s *Store) clientLocked(sh *storeShard, h uint64, ip string) *clientState {
-	cs := sh.lookup(h, ip)
-	if cs == nil {
-		cs = &clientState{ip: ip, hnext: sh.index[h]}
-		sh.index[h] = cs
-		sh.count++
-		sh.pushFront(cs)
-		s.liveClients.Add(1)
-		s.pinnedBytes.Add(cs.pinnedBytes())
-	}
-	return cs
-}
-
 // IssuePage issues one page view to the given client: it draws the per-page
 // object tokens into the caller-owned pk and appends a header to the client's
 // log recording that the page is owed a real key and the configured number of
@@ -667,9 +525,9 @@ func (s *Store) IssuePageDegraded(clientIP, page string, decoys int, ttl time.Du
 // scan, one header, then the per-shard client cap. A ttl in (0, TTL)
 // backdates the page view's issue tick so it expires after ttl.
 func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, pk *PageKeys) {
-	sh, hash := s.locate(clientIP)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh, hash := s.clients.Locate(clientIP)
+	sh.Lock()
+	defer sh.Unlock()
 
 	now := s.cfg.Clock.Now()
 	nowTick := s.tick(now)
@@ -677,19 +535,24 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	if ttl > 0 && ttl < s.cfg.TTL {
 		issueTick = s.tick(now.Add(ttl - s.cfg.TTL))
 	}
-	cs := s.clientLocked(sh, hash, clientIP)
-	sh.moveToFront(cs)
+	cs := sh.Get(hash, clientIP)
+	if cs == nil {
+		cs = new(clientState)
+		sh.Insert(hash, clientIP, cs)
+		s.pinnedBytes.Add(cs.pinnedBytes())
+	}
+	sh.Touch(cs)
 	s.expireClientLocked(cs, nowTick)
 
 	// The draw order (CSS, script, hidden token) is part of the store's
 	// deterministic surface: fixed-seed runs replay it byte for byte.
-	digits := s.cfg.KeyDigits
+	digits, src := s.cfg.KeyDigits, s.srcs[sh.Index()]
 	pk.Page = page
 	pk.Digits = digits
 	pk.Key = 0
-	pk.CSSToken = sh.src.DigitKeyValue(digits)
-	pk.ScriptToken = sh.src.DigitKeyValue(digits)
-	pk.HiddenToken = sh.src.DigitKeyValue(digits)
+	pk.CSSToken = src.DigitKeyValue(digits)
+	pk.ScriptToken = src.DigitKeyValue(digits)
+	pk.HiddenToken = src.DigitKeyValue(digits)
 	pk.Decoys = pk.Decoys[:0]
 	pk.IssuedAt = now
 	pinned := cs.pinnedBytes()
@@ -743,7 +606,7 @@ func (s *Store) appendLocked(cs *clientState, tick, tag uint32, decoys int) {
 // differ from every key the client holds and from the draws before it; the
 // slots not yet drawn hold the dead sentinel meanwhile, which no draw equals.
 // It returns the bytes inserted, by which the header has moved.
-func (s *Store) drawLocked(sh *storeShard, cs *clientState, h, at int) int {
+func (s *Store) drawLocked(src *rng.Source, cs *clientState, h, at int) int {
 	size := (1 + int(cs.log[h+hdrDecoys])) * s.width
 	pinned := cs.pinnedBytes()
 	tail := len(cs.log)
@@ -754,9 +617,9 @@ func (s *Store) drawLocked(sh *storeShard, cs *clientState, h, at int) int {
 	}
 	l[h+size+hdrFlags] |= flagDrawn
 	for c := at; c < at+size; c += s.width {
-		v := sh.src.DigitKeyValue(s.cfg.KeyDigits)
+		v := src.DigitKeyValue(s.cfg.KeyDigits)
 		for s.find(l, v) >= 0 {
-			v = sh.src.DigitKeyValue(s.cfg.KeyDigits)
+			v = src.DigitKeyValue(s.cfg.KeyDigits)
 		}
 		s.putKey(l, c, v)
 	}
@@ -813,16 +676,12 @@ func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
 	cs.log = l
 }
 
-// enforceClientCapLocked bounds the number of distinct clients in the shard.
-func (s *Store) enforceClientCapLocked(sh *storeShard) {
-	for sh.count > sh.max {
-		victim := sh.tail
-		if victim == nil {
-			return
-		}
-		sh.unlink(victim)
-		sh.unindex(s.indexHash(victim.ip), victim)
-		s.liveClients.Add(-1)
+// enforceClientCapLocked bounds the number of distinct clients in the shard,
+// evicting in strict LRU order.
+func (s *Store) enforceClientCapLocked(sh *clientShard) {
+	for sh.Len() > sh.Cap() {
+		victim := sh.Tail()
+		sh.Remove(victim)
 		s.pinnedBytes.Add(-victim.pinnedBytes())
 		s.stats.evictedClients.Add(1)
 	}
@@ -846,16 +705,16 @@ func (s *Store) Validate(clientIP, key string) Verdict {
 // before the log is read: no key is that wide, and the dead sentinel, which
 // a scan would otherwise find in the slot of every key that died unswept, is.
 func (s *Store) ValidateValue(clientIP string, key uint64) Verdict {
-	sh, hash := s.locate(clientIP)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh, hash := s.clients.Locate(clientIP)
+	sh.Lock()
+	defer sh.Unlock()
 
-	cs := sh.lookup(hash, clientIP)
+	cs := sh.Get(hash, clientIP)
 	if cs == nil {
 		s.stats.unknownHits.Add(1)
 		return Unknown
 	}
-	sh.moveToFront(cs)
+	sh.Touch(cs)
 	if key >= s.limit {
 		s.stats.unknownHits.Add(1)
 		return Unknown
@@ -896,22 +755,22 @@ func (s *Store) ValidateValue(clientIP string, key uint64) Verdict {
 // precisely as long as the key it carries can still validate. The scan is
 // bounded by maxPerClient; only the client's shard is locked.
 func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64) (key uint64, _ []uint64, ok bool) {
-	sh, hash := s.locate(clientIP)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh, hash := s.clients.Locate(clientIP)
+	sh.Lock()
+	defer sh.Unlock()
 
-	cs := sh.lookup(hash, clientIP)
+	cs := sh.Get(hash, clientIP)
 	if cs == nil {
 		return 0, decoys, false
 	}
-	sh.moveToFront(cs)
+	sh.Touch(cs)
 	tag := tokenTag(scriptToken)
 	nowTick := s.tick(s.cfg.Clock.Now())
 	off := logPrefixBytes // the key offset of the run of the page view at h
 	for h := cs.log.headers(); h < len(cs.log); h += headerBytes {
 		if cs.log.tag(h) == tag && !s.expired(nowTick, cs.log.tick(h)) {
 			if cs.log.keys(h) == 0 {
-				h += s.drawLocked(sh, cs, h, off)
+				h += s.drawLocked(s.srcs[sh.Index()], cs, h, off)
 			}
 			if key = s.key(cs.log, off); key != s.dead {
 				for c := off + s.width; c < off+cs.log.keys(h)*s.width; c += s.width {
@@ -928,10 +787,10 @@ func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64
 // OutstandingKeys returns the number of drawn, unexpired keys currently stored
 // for the client (real plus decoys). It is primarily for tests and monitoring.
 func (s *Store) OutstandingKeys(clientIP string) int {
-	sh, hash := s.locate(clientIP)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cs := sh.lookup(hash, clientIP)
+	sh, hash := s.clients.Locate(clientIP)
+	sh.Lock()
+	defer sh.Unlock()
+	cs := sh.Get(hash, clientIP)
 	if cs == nil {
 		return 0
 	}
@@ -939,28 +798,18 @@ func (s *Store) OutstandingKeys(clientIP string) int {
 }
 
 // Clients returns the number of distinct client IPs currently tracked,
-// summed shard by shard (no global lock).
-func (s *Store) Clients() int {
-	total := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		total += sh.count
-		sh.mu.Unlock()
-	}
-	return total
-}
+// lock-free.
+func (s *Store) Clients() int { return s.clients.Len() }
 
 // Occupancy returns the fraction of the client capacity in use, lock-free.
-func (s *Store) Occupancy() float64 {
-	return float64(s.liveClients.Load()) / maxClients
-}
+func (s *Store) Occupancy() float64 { return float64(s.clients.Len()) / maxClients }
 
 // MemoryEstimate returns the store's approximate live memory footprint in
 // bytes: per client, its 64-byte node and index slot (clientBaseBytes), its
 // address string and its log's capacity. Lock-free and allocation-free; the
 // load-state recomputation reads it on the serve path.
 func (s *Store) MemoryEstimate() int64 {
-	return s.liveClients.Load()*clientBaseBytes + s.pinnedBytes.Load()
+	return int64(s.clients.Len())*clientBaseBytes + s.pinnedBytes.Load()
 }
 
 // Stats returns a copy of the cumulative counters.

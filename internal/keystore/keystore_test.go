@@ -26,10 +26,21 @@ func newTestStore(t *testing.T, cfg Config) (*Store, *clock.Virtual) {
 // times over: the recycling hammer and the reference differential. The
 // eviction-order and bound tests run at the real maxClients.
 func capClients(s *Store, n int) *Store {
-	for _, sh := range s.shards {
-		sh.max = shard.PerShardCap(n, len(s.shards))
+	for i := range s.clients.Shards() {
+		s.clients.SetShardCap(i, shard.PerShardCap(n, s.clients.Shards()))
 	}
 	return s
+}
+
+// shardClients is the client count summed shard by shard under each shard's
+// lock, against which the lock-free Clients is checked.
+func shardClients(s *Store) int {
+	n := 0
+	for i := range s.clients.Shards() {
+		have, _ := s.ShardFill(i)
+		n += have
+	}
+	return n
 }
 
 // manyIP is the i-th of up to 2^24 distinct client addresses, for the tests
@@ -215,9 +226,10 @@ func TestShardedClientCapBoundsTotal(t *testing.T) {
 	for i := 0; i < maxClients+maxClients/4; i++ {
 		s.IssuePage(manyIP(i), "/a.html", &pk)
 	}
-	perShard := (maxClients + s.ShardCount() - 1) / s.ShardCount()
-	if got := s.Clients(); got > perShard*s.ShardCount() {
-		t.Fatalf("Clients = %d exceeds distributed bound %d", got, perShard*s.ShardCount())
+	shards := s.clients.Shards()
+	perShard := (maxClients + shards - 1) / shards
+	if got := s.Clients(); got > perShard*shards {
+		t.Fatalf("Clients = %d exceeds distributed bound %d", got, perShard*shards)
 	}
 	if s.Stats().EvictedClients == 0 {
 		t.Fatal("no clients evicted despite exceeding the cap")

@@ -168,8 +168,8 @@ func TestTokenTagCollision(t *testing.T) {
 		t.Fatalf("tokens %d and %d: tags %#x and %#x", first, second, tokenTag(first), tokenTag(second))
 	}
 	s.IssuePage(ip, "/p.html", &pk)
-	sh, h := s.locate(ip)
-	l := sh.lookup(h, ip).log
+	sh, h := s.clients.Locate(ip)
+	l := sh.Get(h, ip).log
 	binary.LittleEndian.PutUint32(l[l.headers()+headerBytes+hdrTag:], tokenTag(second))
 
 	key2, decoys2, ok2 := s.PageKeysFor(ip, second, nil) // the later page's script is asked for first

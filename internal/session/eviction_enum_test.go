@@ -199,25 +199,16 @@ func (r *evictRun) step(op evictOp) string {
 		return fmt.Sprintf("%d created, %d ended (counters %+v), Active %d, model holds %d",
 			r.created, r.tr.Ended(), got, r.tr.Active(), len(r.lru))
 	}
-	sh := r.tr.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.n > enumMaxSessions || sh.n != len(r.lru) {
-		return fmt.Sprintf("shard holds %d sessions, cap %d, model %d", sh.n, enumMaxSessions, len(r.lru))
-	}
-	indexed := 0
-	for _, st := range sh.index {
-		for ; st != nil; st = st.hnext {
-			indexed++
-		}
-	}
-	if indexed != sh.n {
-		return fmt.Sprintf("the index chains hold %d records, the shard counts %d", indexed, sh.n)
+	sh := r.tr.table.Shard(0)
+	sh.Lock()
+	defer sh.Unlock()
+	if sh.Len() > enumMaxSessions || sh.Len() != len(r.lru) {
+		return fmt.Sprintf("shard holds %d sessions, cap %d, model %d", sh.Len(), enumMaxSessions, len(r.lru))
 	}
 	bytes, i := int64(0), 0
-	for st := sh.tail; st != nil; st, i = st.prev, i+1 {
-		if i >= len(r.lru) || st.key != r.lru[i].key || st.hasEvidence() != r.lru[i].evidence || sh.lookup(r.tr.indexHash(st.key), st.key) != st {
-			return fmt.Sprintf("LRU position %d from the tail holds %v (evidence %v), model %+v", i, st.key, st.hasEvidence(), r.lru)
+	for st := sh.Tail(); st != nil; st, i = st.Prev(), i+1 {
+		if _, h := r.tr.table.Locate(st.Key()); i >= len(r.lru) || st.Key() != r.lru[i].key || st.hasEvidence() != r.lru[i].evidence || sh.Get(h, st.Key()) != st {
+			return fmt.Sprintf("LRU position %d from the tail holds %v (evidence %v), model %+v", i, st.Key(), st.hasEvidence(), r.lru)
 		}
 		bytes += st.memBytes()
 	}

@@ -7,10 +7,10 @@
 // shares), and records at which request number each detection signal first
 // fired (Figure 2).
 //
-// The tracker is sharded: sessions are distributed over a power-of-two
-// number of independently locked shards by an FNV-1a hash of the session
-// key, so concurrent request observation scales with cores instead of
-// serialising on one global mutex. Every operation on a session — write or
+// The tracker is a shard.Table, the one the keystore keeps its clients in:
+// sessions are distributed over a power-of-two number of independently locked
+// shards by an FNV-1a hash of the session key, so concurrent request
+// observation scales with cores instead of serialising on one global mutex. Every operation on a session — write or
 // read — takes that one shard mutex for an index lookup and a few dozen
 // stores.
 //
@@ -25,14 +25,11 @@
 // distinct UA across all sessions), the LRU is intrusive (no container/list
 // element allocations), the decision layer's verdict is a 12-byte value in
 // the record, and the Table 2 attribute vector is derived from the counters
-// when a snapshot is built instead of being stored. A shard indexes its
-// records by a seeded 64-bit hash of the key, not by the key the record
-// already holds (see Tracker). Steady-state observation and Peek allocate
-// nothing.
+// when a snapshot is built instead of being stored. Steady-state observation
+// and Peek allocate nothing.
 package session
 
 import (
-	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -258,25 +255,15 @@ type EvictionStats struct {
 // heap: the estimate feeds admission control, so it may not read below the
 // heap, and bytes_per_session is computed from it, so it may not drift far
 // above either).
-const (
-	// sessionMapSlotBytes is the session's share of the shard's swiss map at
-	// its emptiest. A full-size table is 1,024 slots in 128 groups of 8
-	// control bytes + 8 × (8-byte key hash + record pointer) = 17,408 B,
-	// which the allocator puts in its 18,432-byte class: 18 B a slot. A table
-	// splits at 7/8 load, so right after a split each entry holds 16/7 slots
-	// = 41.1 B, the most the map costs per entry (the least is 20.6 B).
-	sessionMapSlotBytes = 42
-)
-
 var (
 	// sessionStructBytes is the per-session record in its allocator size
 	// class.
 	sessionStructBytes = sizeClass(int64(unsafe.Sizeof(sessionState{})))
-	// sessionBaseBytes is the base cost charged per session. The address
-	// string (rounded to the 16-byte allocation it sits in) and the path
-	// fingerprints (4 bytes each, by capacity) are charged on top; the
-	// User-Agent is the interner's.
-	sessionBaseBytes = sessionStructBytes + sessionMapSlotBytes
+	// sessionBaseBytes is the base cost charged per session: the record and
+	// its index slot. The address string (rounded to the 16-byte allocation
+	// it sits in) and the path fingerprints (4 bytes each, by capacity) are
+	// charged on top; the User-Agent is the interner's.
+	sessionBaseBytes = sessionStructBytes + shard.SlotBytes
 )
 
 // sizeClass rounds an allocation of 32 to 512 bytes up to the allocator's
@@ -504,31 +491,30 @@ func (s Snapshot) SignalAt(sig Signal) (int64, bool) { return s.Signals.At(sig) 
 func (s Snapshot) Duration() time.Duration { return s.LastSeen.Sub(s.FirstSeen) }
 
 // sessionState is the tracker's per-session record and the only copy of the
-// session: 224 bytes, exactly an allocator size class. Every field is
-// guarded by the owning shard's mutex; readers get a Snapshot built by fill
-// under it.
+// session: 224 bytes, exactly an allocator size class. The embedded node is
+// the table's: the session's key and its LRU and index-chain links. Every
+// field is guarded by the owning shard's mutex; readers get a Snapshot built
+// by fill under it.
 type sessionState struct {
-	key       Key
-	firstSeen int64 // Unix nanoseconds, like lastSeen
+	shard.Node[Key, sessionState]
+
+	firstSeen int64 // Unix nanoseconds; lastSeen never moves backwards
 	lastSeen  int64
 	counts    Counts
 	signals   Signals // first-observation request counts, fixed array
 	epoch     uint32  // state-changing event counter (see Snapshot.Epoch)
 	paths     pathTable
-
-	// prev/next chain the shard's intrusive LRU list (prev = towards the
-	// front / most recently active); hnext chains the records whose keys
-	// share an index hash.
-	prev, next, hnext *sessionState
-
-	uaHandle intern.Handle // interned Key.UserAgent
-	verdict  StoredVerdict // the decision layer's verdict at this epoch
+	uaHandle  intern.Handle // interned Key.UserAgent
+	verdict   StoredVerdict // the decision layer's verdict at this epoch
 }
+
+// sessionShard is one locked partition of the tracker's table.
+type sessionShard = shard.Shard[Key, sessionState, *sessionState]
 
 // fill builds the session's snapshot into out. Caller holds the shard lock.
 func (st *sessionState) fill(out *Snapshot) {
 	*out = Snapshot{
-		Key:       st.key,
+		Key:       st.Key(),
 		FirstSeen: time.Unix(0, st.firstSeen),
 		LastSeen:  time.Unix(0, st.lastSeen),
 		Counts:    st.counts,
@@ -599,121 +585,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// trackerShard is one independently locked partition of the session table.
-// createLocked/removeLocked are the only functions that add or drop
-// sessions. The index maps a key's seeded hash (Tracker.indexHash) to the
-// first record of its chain, so a slot holds 16 bytes instead of a copy of
-// the 32-byte Key; keys that share a hash chain through hnext. The LRU list
-// is intrusive (head = most recently active), so session records carry their
-// own links instead of allocating container/list elements, and it is also
-// how the shard enumerates its sessions.
-type trackerShard struct {
-	mu    sync.Mutex
-	index map[uint64]*sessionState
-	n     int // sessions in the shard
-	head  *sessionState
-	tail  *sessionState
-	max   int // per-shard session cap (rebalanced; see RebalanceCaps)
-}
-
-// lookup returns the shard's session for key, whose index hash is h, or nil.
-// Caller holds the shard lock.
-func (sh *trackerShard) lookup(h uint64, key Key) *sessionState {
-	for st := sh.index[h]; st != nil; st = st.hnext {
-		if st.key == key {
-			return st
-		}
-	}
-	return nil
-}
-
-// insert adds st, whose key's index hash is h, to the index.
-func (sh *trackerShard) insert(h uint64, st *sessionState) {
-	st.hnext = sh.index[h]
-	sh.index[h] = st
-	sh.n++
-}
-
-// unindex removes st, whose key's index hash is h, from the index.
-func (sh *trackerShard) unindex(h uint64, st *sessionState) {
-	if first := sh.index[h]; first == st {
-		if st.hnext == nil {
-			delete(sh.index, h)
-		} else {
-			sh.index[h] = st.hnext
-		}
-	} else {
-		for p := first; p != nil; p = p.hnext {
-			if p.hnext == st {
-				p.hnext = st.hnext
-				break
-			}
-		}
-	}
-	st.hnext = nil
-	sh.n--
-}
-
-func (sh *trackerShard) pushFront(st *sessionState) {
-	st.prev = nil
-	st.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = st
-	}
-	sh.head = st
-	if sh.tail == nil {
-		sh.tail = st
-	}
-}
-
-func (sh *trackerShard) unlink(st *sessionState) {
-	if st.prev != nil {
-		st.prev.next = st.next
-	} else {
-		sh.head = st.next
-	}
-	if st.next != nil {
-		st.next.prev = st.prev
-	} else {
-		sh.tail = st.prev
-	}
-	st.prev, st.next = nil, nil
-}
-
-func (sh *trackerShard) moveToFront(st *sessionState) {
-	if sh.head == st {
-		return
-	}
-	sh.unlink(st)
-	sh.pushFront(st)
-}
-
 // Tracker maintains the set of active sessions, partitioned into shards.
 // It is safe for concurrent use.
 //
-// A session is found in two steps: Key.Hash (FNV-1a, unseeded, so placement
-// and therefore capacity eviction are the same on every run) picks the
-// shard, and a maphash of the key under the tracker's random seed picks the
-// shard's index slot. The slot hash must be seeded: FNV is an iterated
-// 64-bit hash, so many keys with one FNV value are cheap to build, and an
-// index keyed by it would let a client line them up in one chain. Besides
-// the sessions, the decision layer's verdict for each session's current
-// epoch lives here (StoreVerdict), so reading a session reads its verdict.
+// Key.Hash (FNV-1a, unseeded, so placement and therefore capacity eviction
+// are the same on every run) picks a session's shard, and the table's seeded
+// slot hash its index slot (see shard.Table). Besides the sessions, the
+// decision layer's verdict for each session's current epoch lives here
+// (StoreVerdict), so reading a session reads its verdict.
 type Tracker struct {
 	cfg      Config
-	shards   []*trackerShard
-	mask     uint64
+	table    *shard.Table[Key, sessionState, *sessionState]
 	interner *intern.Interner
-	seed     maphash.Seed
 
-	// hash, when set, replaces the seeded index hash. Only tests set it, to
-	// force keys into one collision chain.
-	hash func(Key) uint64
-
-	active atomic.Int64
-	ended  atomic.Int64
-	sweep  atomic.Uint64 // round-robin cursor for amortized expiry
-	bytes  atomic.Int64  // approximate live footprint (see MemoryEstimate)
+	ended atomic.Int64
+	sweep atomic.Uint64 // round-robin cursor for amortized expiry
+	bytes atomic.Int64  // approximate live footprint (see MemoryEstimate)
 
 	evictions [numEvictReasons]atomic.Int64
 }
@@ -721,47 +608,20 @@ type Tracker struct {
 // NewTracker creates a Tracker.
 func NewTracker(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
-	t := &Tracker{cfg: cfg, mask: uint64(cfg.Shards - 1), interner: cfg.Interner, seed: maphash.MakeSeed()}
-	perShard := shard.PerShardCap(cfg.MaxSessions, cfg.Shards)
-	t.shards = make([]*trackerShard, cfg.Shards)
-	for i := range t.shards {
-		t.shards[i] = &trackerShard{
-			index: make(map[uint64]*sessionState),
-			max:   perShard,
-		}
+	return &Tracker{
+		cfg:      cfg,
+		table:    shard.NewTable[Key, sessionState](cfg.Shards, cfg.MaxSessions, Key.Hash),
+		interner: cfg.Interner,
 	}
-	return t
-}
-
-// indexHash is key's slot hash in its shard's index.
-func (t *Tracker) indexHash(key Key) uint64 {
-	if t.hash != nil {
-		return t.hash(key)
-	}
-	return maphash.Comparable(t.seed, key)
 }
 
 // ShardCount returns the number of shards (a power of two).
-func (t *Tracker) ShardCount() int { return len(t.shards) }
+func (t *Tracker) ShardCount() int { return t.table.Shards() }
 
-// ShardActive returns the number of sessions currently tracked by shard i,
-// for per-shard telemetry gauges (a skewed shard is the first sign of a
-// hash-flooding client mix). It locks only that shard.
-func (t *Tracker) ShardActive(i int) int {
-	sh := t.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.n
-}
-
-// ShardCap returns shard i's current session cap (the static split of
-// MaxSessions until RebalanceCaps redistributes it).
-func (t *Tracker) ShardCap(i int) int {
-	sh := t.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.max
-}
+// ShardFill returns shard i's session count and cap (the static split of
+// MaxSessions until RebalanceCaps redistributes it), for the per-shard
+// telemetry gauges. It locks only that shard.
+func (t *Tracker) ShardFill(i int) (n, max int) { return t.table.ShardFill(i) }
 
 // RebalanceCaps redistributes the global MaxSessions budget across shards
 // proportional to observed occupancy: each shard's cap becomes its current
@@ -772,42 +632,21 @@ func (t *Tracker) ShardCap(i int) int {
 // shards sit on unused quota. The engine calls this once per full sweep
 // cycle from the occupancy signal; it locks one shard at a time.
 func (t *Tracker) RebalanceCaps() {
-	n := len(t.shards)
+	n := t.table.Shards()
 	if n == 1 {
 		return
 	}
 	occ := make([]int, n)
 	total := 0
-	for i, sh := range t.shards {
-		sh.mu.Lock()
-		occ[i] = sh.n
-		sh.mu.Unlock()
+	for i := range occ {
+		occ[i], _ = t.table.ShardFill(i)
 		total += occ[i]
 	}
-	headroom := t.cfg.MaxSessions - total
-	if headroom < 0 {
-		headroom = 0
+	share := max(t.cfg.MaxSessions-total, 0) / n
+	floor := max(shard.PerShardCap(t.cfg.MaxSessions, n)/4, 1)
+	for i, have := range occ {
+		t.table.SetShardCap(i, max(have+share, floor))
 	}
-	share := headroom / n
-	floor := shard.PerShardCap(t.cfg.MaxSessions, n) / 4
-	if floor < 1 {
-		floor = 1
-	}
-	for i, sh := range t.shards {
-		cap := occ[i] + share
-		if cap < floor {
-			cap = floor
-		}
-		sh.mu.Lock()
-		sh.max = cap
-		sh.mu.Unlock()
-	}
-}
-
-// locate returns key's shard and its slot hash in the shard's index. Both
-// hashes are computed before the shard lock is taken.
-func (t *Tracker) locate(key Key) (*trackerShard, uint64) {
-	return t.shards[key.Hash()&t.mask], t.indexHash(key)
 }
 
 // Observe records one request for the session identified by the entry's
@@ -838,11 +677,11 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 		when = t.cfg.Clock.Now()
 	}
 	now := when.UnixNano()
-	sh, h := t.locate(key)
+	sh, h := t.table.Locate(key)
 
 	var evicted []Snapshot
-	sh.mu.Lock()
-	st := sh.lookup(h, key)
+	sh.Lock()
+	st := sh.Get(h, key)
 	if st != nil && now-st.lastSeen > int64(t.cfg.IdleTimeout) {
 		// The gap since the last request exceeds the idle timeout: the old
 		// session ends and the new activity starts a fresh one (the paper's
@@ -854,8 +693,11 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 		st = t.createLocked(sh, h, key, now)
 	}
 
-	st.lastSeen = now
-	sh.moveToFront(st)
+	// A forwarded request can arrive after a later one (a fleet owner applies
+	// its peers' requests with their origin times, after mesh delay): it
+	// counts, but the session stays as recent as its newest request.
+	st.lastSeen = max(st.lastSeen, now)
+	sh.Touch(st)
 
 	pathBytesBefore := st.paths.footprintBytes()
 	c := &st.counts
@@ -887,7 +729,7 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 		st.fill(out)
 	}
 	evicted = t.enforceCapLocked(sh, evicted)
-	sh.mu.Unlock()
+	sh.Unlock()
 
 	t.notify(evicted)
 }
@@ -898,16 +740,16 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 // session's snapshot and whether the signal was newly set.
 func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 	now := t.cfg.Clock.Now().UnixNano()
-	sh, h := t.locate(key)
+	sh, h := t.table.Locate(key)
 
 	var evicted []Snapshot
-	sh.mu.Lock()
-	st := sh.lookup(h, key)
+	sh.Lock()
+	st := sh.Get(h, key)
 	if st == nil {
 		st = t.createLocked(sh, h, key, now)
 	}
-	st.lastSeen = now
-	sh.moveToFront(st)
+	st.lastSeen = max(st.lastSeen, now)
+	sh.Touch(st)
 	newly := false
 	if !st.signals.Has(sig) && int(sig) >= 0 && int(sig) < numSignals {
 		// A signal before any tracked request is attributed to request 1
@@ -919,7 +761,7 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 	var snap Snapshot
 	st.fill(&snap)
 	evicted = t.enforceCapLocked(sh, evicted)
-	sh.mu.Unlock()
+	sh.Unlock()
 
 	t.notify(evicted)
 	return snap, newly
@@ -932,13 +774,13 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 // recomputed through the remote-verdict stage. It reports whether the
 // session was tracked.
 func (t *Tracker) Bump(key Key) bool {
-	sh, h := t.locate(key)
-	sh.mu.Lock()
-	st := sh.lookup(h, key)
+	sh, h := t.table.Locate(key)
+	sh.Lock()
+	st := sh.Get(h, key)
 	if st != nil {
 		st.bump()
 	}
-	sh.mu.Unlock()
+	sh.Unlock()
 	return st != nil
 }
 
@@ -949,14 +791,14 @@ func (t *Tracker) Bump(key Key) bool {
 // stored. The decision layer calls it after deriving a verdict outside the
 // lock; every later snapshot of the session carries v until its epoch moves.
 func (t *Tracker) StoreVerdict(snap *Snapshot, v StoredVerdict) bool {
-	sh, h := t.locate(snap.Key)
-	sh.mu.Lock()
-	st := sh.lookup(h, snap.Key)
+	sh, h := t.table.Locate(snap.Key)
+	sh.Lock()
+	st := sh.Get(h, snap.Key)
 	ok := st != nil && uint64(st.epoch) == snap.Epoch && st.firstSeen == snap.FirstSeen.UnixNano()
 	if ok {
 		st.verdict = v
 	}
-	sh.mu.Unlock()
+	sh.Unlock()
 	return ok
 }
 
@@ -964,13 +806,13 @@ func (t *Tracker) StoreVerdict(snap *Snapshot, v StoredVerdict) bool {
 // Peek on per-request paths: it returns the same view without the 304-byte
 // copy out.
 func (t *Tracker) Get(key Key) (snap Snapshot, ok bool) {
-	sh, h := t.locate(key)
-	sh.mu.Lock()
-	st := sh.lookup(h, key)
+	sh, h := t.table.Locate(key)
+	sh.Lock()
+	st := sh.Get(h, key)
 	if st != nil {
 		st.fill(&snap)
 	}
-	sh.mu.Unlock()
+	sh.Unlock()
 	return snap, st != nil
 }
 
@@ -982,22 +824,22 @@ func (t *Tracker) Get(key Key) (snap Snapshot, ok bool) {
 // The snapshot is the caller's own (later activity never alters it) until
 // Release, which the caller should call when done reading.
 func (t *Tracker) Peek(key Key) (*Snapshot, bool) {
-	sh, h := t.locate(key)
-	sh.mu.Lock()
-	st := sh.lookup(h, key)
+	sh, h := t.table.Locate(key)
+	sh.Lock()
+	st := sh.Get(h, key)
 	if st == nil {
-		sh.mu.Unlock()
+		sh.Unlock()
 		return nil, false
 	}
 	snap := snapPool.Get().(*Snapshot)
 	st.fill(snap)
-	sh.mu.Unlock()
+	sh.Unlock()
 	snap.pooled = snap
 	return snap, true
 }
 
 // Active returns the number of currently tracked sessions.
-func (t *Tracker) Active() int { return int(t.active.Load()) }
+func (t *Tracker) Active() int { return t.table.Len() }
 
 // MemoryEstimate returns the tracker's approximate live memory footprint in
 // bytes: a rounded-up base cost per session plus key string bytes and the
@@ -1037,14 +879,15 @@ func (t *Tracker) Ended() int64 { return t.ended.Load() }
 // shard it is most recently active first).
 func (t *Tracker) Each(yield func(Snapshot) bool) {
 	batch := make([]Snapshot, 0, 64)
-	for _, sh := range t.shards {
+	for i := range t.table.Shards() {
+		sh := t.table.Shard(i)
 		batch = batch[:0]
-		sh.mu.Lock()
-		for st := sh.head; st != nil; st = st.next {
+		sh.Lock()
+		for st := sh.Head(); st != nil; st = st.Next() {
 			batch = append(batch, Snapshot{})
 			st.fill(&batch[len(batch)-1])
 		}
-		sh.mu.Unlock()
+		sh.Unlock()
 		for _, s := range batch {
 			if !yield(s) {
 				return
@@ -1073,8 +916,8 @@ func (t *Tracker) Snapshots() []Snapshot {
 // sessions ended.
 func (t *Tracker) ExpireIdle(now time.Time) int {
 	total := 0
-	for _, sh := range t.shards {
-		total += t.expireShard(sh, now)
+	for i := range t.table.Shards() {
+		total += t.expireShard(t.table.Shard(i), now)
 	}
 	return total
 }
@@ -1086,23 +929,23 @@ func (t *Tracker) ExpireIdle(now time.Time) int {
 // ended in the swept shard.
 func (t *Tracker) SweepStep(now time.Time) int {
 	i := t.sweep.Add(1) - 1
-	return t.expireShard(t.shards[i&t.mask], now)
+	return t.expireShard(t.table.Shard(int(i%uint64(t.table.Shards()))), now)
 }
 
 // expireShard walks the whole LRU list, tail first: an observed request
 // carries its own time, so list order is not lastSeen order.
-func (t *Tracker) expireShard(sh *trackerShard, now time.Time) int {
+func (t *Tracker) expireShard(sh *sessionShard, now time.Time) int {
 	var evicted []Snapshot
 	deadline := now.UnixNano() - int64(t.cfg.IdleTimeout)
-	sh.mu.Lock()
-	for st := sh.tail; st != nil; {
-		prev := st.prev
+	sh.Lock()
+	for st := sh.Tail(); st != nil; {
+		prev := st.Prev()
 		if st.lastSeen < deadline {
 			evicted = append(evicted, t.removeLocked(sh, st, EvictIdle))
 		}
 		st = prev
 	}
-	sh.mu.Unlock()
+	sh.Unlock()
 	t.notify(evicted)
 	return len(evicted)
 }
@@ -1113,12 +956,13 @@ func (t *Tracker) expireShard(sh *trackerShard, now time.Time) int {
 // still reported. Shards are flushed one at a time.
 func (t *Tracker) FlushAll() []Snapshot {
 	snaps := make([]Snapshot, 0, t.Active())
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for sh.tail != nil {
-			snaps = append(snaps, t.removeLocked(sh, sh.tail, EvictFlush))
+	for i := range t.table.Shards() {
+		sh := t.table.Shard(i)
+		sh.Lock()
+		for sh.Tail() != nil {
+			snaps = append(snaps, t.removeLocked(sh, sh.Tail(), EvictFlush))
 		}
-		sh.mu.Unlock()
+		sh.Unlock()
 	}
 	sortSnapshots(snaps)
 	if cb := t.cfg.Evicted; cb != nil {
@@ -1133,21 +977,18 @@ func (t *Tracker) FlushAll() []Snapshot {
 // the shard. The User-Agent is interned: the key stored in the record
 // references the canonical copy, so a million sessions from the same browser
 // share one UA string instead of carrying a million copies.
-func (t *Tracker) createLocked(sh *trackerShard, h uint64, key Key, now int64) *sessionState {
+func (t *Tracker) createLocked(sh *sessionShard, h uint64, key Key, now int64) *sessionState {
 	uaHandle, ua := t.interner.Intern(key.UserAgent)
 	if uaHandle != 0 {
 		key.UserAgent = ua
 	}
 	st := &sessionState{
-		key:       key,
 		uaHandle:  uaHandle,
 		firstSeen: now,
 		lastSeen:  now,
 		epoch:     1,
 	}
-	sh.pushFront(st)
-	sh.insert(h, st)
-	t.active.Add(1)
+	sh.Insert(h, key, st)
 	t.bytes.Add(st.memBytes())
 	return st
 }
@@ -1157,15 +998,13 @@ func (t *Tracker) createLocked(sh *trackerShard, h uint64, key Key, now int64) *
 // createLocked adds it, observe adds the path set's growth, removeLocked
 // takes the sum back.
 func (st *sessionState) memBytes() int64 {
-	return sessionBaseBytes + (int64(len(st.key.IP))+15)&^15 + st.paths.footprintBytes()
+	return sessionBaseBytes + (int64(len(st.Key().IP))+15)&^15 + st.paths.footprintBytes()
 }
 
 // removeLocked deletes the session from the shard and returns its final
 // snapshot. The caller delivers it to the Evicted callback after unlocking.
-func (t *Tracker) removeLocked(sh *trackerShard, st *sessionState, reason EvictReason) Snapshot {
-	sh.unindex(t.indexHash(st.key), st)
-	sh.unlink(st)
-	t.active.Add(-1)
+func (t *Tracker) removeLocked(sh *sessionShard, st *sessionState, reason EvictReason) Snapshot {
+	sh.Remove(st)
 	t.ended.Add(1)
 	t.bytes.Add(-st.memBytes())
 	t.evictions[reason].Add(1)
@@ -1189,16 +1028,13 @@ func (st *sessionState) hasEvidence() bool { return st.signals.Any() }
 // of the tracker just by showing up (the attacker-laundering hole in plain
 // LRU), while the scan bound keeps the worst-case hold time of the shard
 // lock constant.
-func (t *Tracker) enforceCapLocked(sh *trackerShard, evicted []Snapshot) []Snapshot {
-	for sh.n > sh.max {
-		victim := sh.tail
-		if victim == nil {
-			break
-		}
+func (t *Tracker) enforceCapLocked(sh *sessionShard, evicted []Snapshot) []Snapshot {
+	for sh.Len() > sh.Cap() {
+		victim := sh.Tail()
 		reason := EvictCapacityAnonymous
 		if victim.hasEvidence() {
 			reason = EvictCapacityEvidence
-			for cand, n := victim.prev, 0; cand != nil && n < evictScanLimit; cand, n = cand.prev, n+1 {
+			for cand, n := victim.Prev(), 0; cand != nil && n < evictScanLimit; cand, n = cand.Prev(), n+1 {
 				if !cand.hasEvidence() {
 					victim, reason = cand, EvictCapacityAnonymous
 					break

@@ -358,10 +358,36 @@ func TestSnapshotTimesRoundTrip(t *testing.T) {
 			t.Errorf("%s: FirstSeen %v (want %v), LastSeen %v (want %v), Duration %v", name, snap.FirstSeen, want, snap.LastSeen, last, snap.Duration())
 		}
 	}
-	// Mark stamps the clock's time.
+	// Mark stamps the clock's time, but never before the session's newest
+	// request: the "clock" session's last one is 42 s ahead of the clock.
+	key := Key{IP: "9.9.9.9", UserAgent: "clock"}
+	newest := vc.Now().Add(42*time.Second + 1)
 	vc.Advance(time.Second)
-	if snap, _ := tr.Mark(Key{IP: "9.9.9.9", UserAgent: "clock"}, SignalCSS); !snap.LastSeen.Equal(vc.Now()) {
+	if snap, _ := tr.Mark(key, SignalCSS); !snap.LastSeen.Equal(newest) {
+		t.Errorf("Mark behind the newest request: LastSeen %v, want %v", snap.LastSeen, newest)
+	}
+	vc.Advance(time.Minute)
+	if snap, _ := tr.Mark(key, SignalJS); !snap.LastSeen.Equal(vc.Now()) {
 		t.Errorf("after Mark: LastSeen %v, clock %v", snap.LastSeen, vc.Now())
+	}
+}
+
+// TestLastSeenNeverMovesBackwards: a fleet owner applies a forwarded request
+// with its origin time, after mesh delay, so a request can arrive after a
+// later one. It counts, but the session stays as recent as its newest
+// request: a sweep one idle timeout after the late request's time ends
+// nothing.
+func TestLastSeenNeverMovesBackwards(t *testing.T) {
+	tr, vc := newTestTracker(Config{IdleTimeout: time.Hour})
+	base := vc.Now()
+	key := Key{IP: "9.9.9.8", UserAgent: "UA"}
+	tr.ObserveQuiet(entry(key.IP, key.UserAgent, "GET", "/a.html", 200, "", base.Add(10*time.Second)))
+	snap := tr.Observe(entry(key.IP, key.UserAgent, "GET", "/b.html", 200, "", base.Add(5*time.Second)))
+	if !snap.LastSeen.Equal(base.Add(10*time.Second)) || snap.Counts.Total != 2 {
+		t.Fatalf("after a late request: LastSeen %v (want T+10s), %d requests (want 2)", snap.LastSeen, snap.Counts.Total)
+	}
+	if n := tr.ExpireIdle(base.Add(5*time.Second + time.Hour + time.Second)); n != 0 || tr.Active() != 1 {
+		t.Fatalf("a sweep inside the idle timeout of the newest request ended %d sessions, %d left", n, tr.Active())
 	}
 }
 
@@ -549,7 +575,7 @@ func TestShardDistribution(t *testing.T) {
 			IP:        fmt.Sprintf("%d.%d.%d.%d", 10+i%80, (i/250)%250, i%250, 1+i%17),
 			UserAgent: uas[i%len(uas)],
 		}
-		counts[key.Hash()&tr.mask]++
+		counts[key.Hash()%uint64(tr.ShardCount())]++
 	}
 	mean := n / tr.ShardCount()
 	for i, c := range counts {

@@ -1,9 +1,10 @@
-// Package shard holds the primitives shared by every sharded component in
-// the detection pipeline (the session tracker, the keystore): one
-// normalization rule for shard counts, one string hash
-// for shard selection, and one formula for distributing a global capacity
-// bound over shards. Centralising them keeps the components from silently
-// drifting to different shard counts or cap semantics.
+// Package shard holds the sharded client table (Table) that the session
+// tracker (keyed by ⟨IP, User-Agent⟩) and the keystore (keyed by IP) are
+// built on, and the primitives under it: one normalization rule for shard
+// counts, one string hash for shard selection, and one formula for
+// distributing a global capacity bound over shards. One copy keeps the two
+// tables from drifting to different shard counts, hash seeding or cap
+// semantics.
 package shard
 
 // DefaultShards is the default shard count. 32 shards keep per-shard lock
