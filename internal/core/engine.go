@@ -135,8 +135,9 @@ type Config struct {
 	Decoys int
 	// KeyDigits is the length of generated keys in decimal digits (default
 	// 10). A key is a uint64, so values above keystore.MaxKeyDigits (19) are
-	// clamped: the store, the script templates and the token parser must all
-	// agree on one width.
+	// clamped, and the keystore's permutation needs a domain of at least
+	// 10^keystore.MinKeyDigits, so values below 6 are raised: the store, the
+	// script templates and the token parser must all agree on one width.
 	KeyDigits int
 	// ObfuscateJS enables lexical obfuscation of the generated script.
 	ObfuscateJS bool
@@ -204,7 +205,7 @@ func (c Config) withDefaults() Config {
 	if c.KeyDigits <= 0 {
 		c.KeyDigits = 10
 	}
-	c.KeyDigits = min(c.KeyDigits, keystore.MaxKeyDigits)
+	c.KeyDigits = min(max(c.KeyDigits, keystore.MinKeyDigits), keystore.MaxKeyDigits)
 	if c.MinRequests <= 0 {
 		c.MinRequests = 10
 	}

@@ -17,6 +17,9 @@ import (
 // first and the real key follows when the script is asked for (key= is read
 // out of that download): every digit run of a key or token changed, and
 // nothing else — every added= value and every non-digit byte is as before.
+// Deriving every token and key from a keyed permutation of the page view's
+// number, instead of drawing it, again changed every digit run of a key or
+// token, and nothing else.
 var goldenPage = []byte(`<html>
 <head><title>golden</title><style>body { color: #000; }</style></head>
 <body class="main">
@@ -27,34 +30,39 @@ var goldenPage = []byte(`<html>
 
 // TestInstrumentPageGoldenBytes replays a fixed-seed instrumentation
 // sequence and compares every rewritten page (and the token paths, and the
-// key each page's script download draws) against the checked-in capture. Any drift in the keystore's RNG
-// consumption, the injection composition or the rewriter shows up here as a
-// byte diff. Shards is pinned to the capture-time default: the shard count
-// now autotunes from GOMAXPROCS, and per-shard RNG streams (hence key
-// digits) depend on it, so a machine-portable golden must fix it.
+// key each page's script download hands out) against the checked-in capture.
+// Any drift in the keystore's derivation of tokens and keys, the injection
+// composition or the rewriter shows up here as a byte diff. The shard count
+// autotunes from GOMAXPROCS, and nothing in the capture may depend on it: a
+// token or key is a function of the seed, the client's address, its
+// incarnation (the order clients are first seen in, store-wide) and its
+// page-view number, and the script variant a function of the token and the
+// seed. So the sequence runs at the capture-time 32 shards and at 1, and
+// both must give the capture's bytes.
 func TestInstrumentPageGoldenBytes(t *testing.T) {
-	e := New(Config{Seed: 7, ObfuscateJS: true, Shards: 32})
-	var got []byte
-	for _, c := range []struct{ ip, pagePath string }{
-		{"10.1.2.3", "/"},
-		{"10.1.2.3", "/a.html"},
-		{"10.9.8.7", "/"},
-	} {
-		html, inst := instrumentPage(e, c.ip, "Firefox/1.5", c.pagePath, goldenPage)
-		got = append(got, fmt.Sprintf("=== %s %s key=%s css=%s script=%s hidden=%s added=%d\n",
-			c.ip, c.pagePath, inst.Issued.Key, inst.CSSPath, inst.ScriptPath, inst.HiddenPath, inst.AddedBytes)...)
-		got = append(got, html...)
-		got = append(got, '\n')
-	}
-
 	path := filepath.Join("testdata", "instrumented_golden.txt")
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("instrumented output drifted from the golden capture\n--- got (%d bytes):\n%s\n--- want (%d bytes):\n%s",
-			len(got), firstDiffContext(got, want), len(want), firstDiffContext(want, got))
+	for _, shards := range []int{32, 1} {
+		e := New(Config{Seed: 7, ObfuscateJS: true, Shards: shards})
+		var got []byte
+		for _, c := range []struct{ ip, pagePath string }{
+			{"10.1.2.3", "/"},
+			{"10.1.2.3", "/a.html"},
+			{"10.9.8.7", "/"},
+		} {
+			html, inst := instrumentPage(e, c.ip, "Firefox/1.5", c.pagePath, goldenPage)
+			got = append(got, fmt.Sprintf("=== %s %s key=%s css=%s script=%s hidden=%s added=%d\n",
+				c.ip, c.pagePath, inst.Issued.Key, inst.CSSPath, inst.ScriptPath, inst.HiddenPath, inst.AddedBytes)...)
+			got = append(got, html...)
+			got = append(got, '\n')
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d shards: instrumented output drifted from the golden capture\n--- got (%d bytes):\n%s\n--- want (%d bytes):\n%s",
+				shards, len(got), firstDiffContext(got, want), len(want), firstDiffContext(want, got))
+		}
 	}
 }
 

@@ -16,9 +16,10 @@ import (
 // MemoryEstimate must come in at or under 460 B per tracked session (436 B
 // measured: a 224-byte record, its 42-byte index slot, three path
 // fingerprints and an undownloaded page's keystore entry — a 64-byte client
-// node, its 42-byte index slot, its address and a 16-byte key log; 8-byte
-// headers and size-class growth leave it at 436 B, because a one-page log
-// and a three-path set already sit in their smallest classes; the ceiling
+// node, its 42-byte index slot, its address and a 16-byte window, a 12-byte
+// prefix and one 4-byte header; 8-byte headers, size-class growth and
+// derived keys each left it at 436 B, because a one-page window and a
+// three-path set already sit in their smallest classes; the ceiling
 // stood at 520 B while the number was 472, at 640 B while it was 572, and at
 // 2 KiB while it was 684). The
 // estimate is the same number admission control budgets
@@ -116,11 +117,11 @@ func TestEngineMemoryEstimateCoversHeap(t *testing.T) {
 // number admission control budgets against) says it retains, within 30%. A
 // per-page structure the estimate cannot see, like a parked script body,
 // fails this. And the estimate itself is pinned: such a client costs its
-// keystore entry and one 8-byte page-view header — measured 138 B, the 13-byte
-// log in the same 16-byte class the 11-byte header's log filled (174 B while a
-// client was a 96-byte struct behind a string-keyed slot) — because a
-// page nobody downloads the script of has no keys; drawing them at issue
-// again (a 25-byte run per page) fails by number.
+// keystore entry and one 4-byte page-view header — measured 138 B, its
+// 16-byte window (a 12-byte prefix) in the same 16-byte class the logs of
+// 8- and 11-byte headers filled (174 B while a client was a 96-byte struct
+// behind a string-keyed slot) — because the store keeps no key; storing a
+// page's keys at issue again (a 25-byte run per page) fails by number.
 func TestMemoryCeilingUndownloadedPages(t *testing.T) {
 	const clients = 50000
 	e := New(Config{Seed: 12})

@@ -91,15 +91,30 @@ func checkLiveness(t *testing.T, e *Engine, v pageView, ua string, wantLive bool
 // compile templates at that same width, or every index_<token>.js falls back
 // and no client can ever prove human.
 func TestKeyDigitsAboveMaxAreClamped(t *testing.T) {
-	const ip, ua = "10.26.0.1", "Firefox/1.5"
-	e, _ := newTestEngine(Config{KeyDigits: 25})
-	if got := e.Config().KeyDigits; got != keystore.MaxKeyDigits {
-		t.Fatalf("effective KeyDigits = %d, want %d", got, keystore.MaxKeyDigits)
+	checkKeyDigits(t, "10.26.0.1", 25, keystore.MaxKeyDigits)
+}
+
+// TestKeyDigitsBelowMinAreRaised is the same agreement at the other end: the
+// keystore raises a width below keystore.MinKeyDigits, and so must the
+// engine.
+func TestKeyDigitsBelowMinAreRaised(t *testing.T) {
+	checkKeyDigits(t, "10.26.0.3", 2, keystore.MinKeyDigits)
+}
+
+// checkKeyDigits asks an engine for asked-digit keys and holds it to want:
+// the effective config, the key the served script carries, and that key
+// proving its client human.
+func checkKeyDigits(t *testing.T, ip string, asked, want int) {
+	t.Helper()
+	const ua = "Firefox/1.5"
+	e, _ := newTestEngine(Config{KeyDigits: asked})
+	if got := e.Config().KeyDigits; got != want {
+		t.Fatalf("effective KeyDigits = %d, want %d", got, want)
 	}
 	observe(e, ip, ua, "GET", "/", 200, "", time.Time{})
 	v := prepareView(e, ip, ua, "/", false)
-	if len(v.key) != keystore.MaxKeyDigits {
-		t.Fatalf("served script carries the real key %q, want %d digits", v.key, keystore.MaxKeyDigits)
+	if len(v.key) != want {
+		t.Fatalf("served script carries the real key %q, want %d digits", v.key, want)
 	}
 	checkLiveness(t, e, v, ua, true)
 	if snap, _ := e.Session(session.Key{IP: ip, UserAgent: ua}); !snap.Signals.Has(session.SignalMouse) || snap.Signals.Has(session.SignalDecoy) {

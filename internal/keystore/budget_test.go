@@ -9,39 +9,39 @@ import (
 	"unsafe"
 )
 
-// TestKeystoreStructBudgets pins the log's layout: a tracked client is one
-// 64-byte node (address, log, LRU and index-chain links); one outstanding page
-// view costs an 8-byte header (a u16 tick offset, a u32 token tag, a u8 decoy
-// count, drawn and consumed bits) and nothing else until its script is
-// requested, then keyWidth(KeyDigits) bytes per key. The offset must hold the
-// TTL in ticks at every TTL. Every width must leave
-// room for the dead sentinel: 10^d-1 below all-ones in keyWidth(d) bytes, so no
-// key of d digits spells it. A failure means a field was added without
-// re-deriving the budget.
+// TestKeystoreStructBudgets pins the window's layout: a tracked client is one
+// 64-byte node (address, window, LRU and index-chain links); its window is a
+// 12-byte prefix (a u32 base tick, a u32 incarnation, a u24 first page-view
+// number and a u8 count) and one 4-byte header per page view (a u16 tick
+// offset, a u8 decoy count, drawn, consumed and lapsed bits), and no key. The
+// offset must hold the TTL in ticks at every TTL, and at every width a page
+// view's last key index must stay in the domain and its number in the u24. A
+// failure means a field was added without re-deriving the budget.
 func TestKeystoreStructBudgets(t *testing.T) {
 	if got := unsafe.Sizeof(clientState{}); got > 64 {
 		t.Errorf("clientState = %d bytes, exceeds the 64-byte budget", got)
 	}
-	if headerBytes != 8 || hdrTag != 2 || hdrDecoys != 6 || hdrFlags != 7 {
-		t.Errorf("header = %d bytes (tag at %d, decoys at %d, flags at %d), want 8: offset, tag, decoys, flags", headerBytes, hdrTag, hdrDecoys, hdrFlags)
+	if logPrefixBytes != 12 || preIncarnation != 4 || preWindow != 8 {
+		t.Errorf("prefix = %d bytes (incarnation at %d, window word at %d), want 12: base, incarnation, first|count", logPrefixBytes, preIncarnation, preWindow)
+	}
+	if headerBytes != 4 || hdrDecoys != 2 || hdrFlags != 3 {
+		t.Errorf("header = %d bytes (decoys at %d, flags at %d), want 4: offset, decoys, flags", headerBytes, hdrDecoys, hdrFlags)
+	}
+	if maxPerClient > math.MaxUint8 || MaxDecoys > 0xff {
+		t.Errorf("a u8 count cannot hold %d page views, or a key index byte %d decoys", maxPerClient, MaxDecoys)
 	}
 	for _, ttl := range []time.Duration{1, tickResolution - 1, tickResolution, 2*tickResolution - 1, 2 * tickResolution, time.Second, time.Hour + 1, 1 << 62} {
 		if s := New(Config{TTL: ttl}); s.ttlTicks > math.MaxUint16 {
 			t.Errorf("TTL %v is %d ticks, past a 16-bit offset", ttl, s.ttlTicks)
 		}
 	}
-	widths := [MaxKeyDigits + 1]int{1: 1, 1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6, 7, 7, 8, 8, 8}
-	for d := 1; d <= MaxKeyDigits; d++ {
-		w := keyWidth(d)
-		if w != widths[d] {
-			t.Errorf("keyWidth(%d) = %d, want %d", d, w, widths[d])
-		}
+	for d := MinKeyDigits; d <= MaxKeyDigits; d++ {
 		s := New(Config{KeyDigits: d})
-		if s.width != w || s.limit != pow10(d) || s.dead != ^uint64(0)>>(64-8*w) {
-			t.Errorf("%d digits: store width %d limit %d sentinel %#x", d, s.width, s.limit, s.dead)
+		if s.limit != pow10(d) || uint64(s.views) != min(maxViewNumbers, pow10(d)/256) {
+			t.Errorf("%d digits: limit %d, %d page-view numbers", d, s.limit, s.views)
 		}
-		if pow10(d)-1 >= s.dead {
-			t.Errorf("%d digits: the largest key %d is not below the %d-byte sentinel %#x", d, pow10(d)-1, w, s.dead)
+		if last := uint64(s.views-1)<<8 | MaxDecoys; last >= s.limit || s.views >= 1<<24 || s.views < 2*maxPerClient {
+			t.Errorf("%d digits: %d page-view numbers (last key index %d against the domain %d)", d, s.views, last, s.limit)
 		}
 	}
 }
@@ -83,9 +83,9 @@ func heapClients(pages, every int) (heap, est int64, s *Store) {
 // store really pins: 20,000 clients at 1, 4, 17, 64, 65 and 200 outstanding
 // pages (a one-page visitor, a short visit, a longer one, the per-client cap,
 // one past it and far past it), with every page's script
-// downloaded (pages=N: headers plus full key runs), none (undrawn: headers
-// only — what a robot that never runs scripts costs) and every other one
-// (half: runs inserted between undrawn neighbours). The estimate feeds the
+// downloaded (pages=N), none (undrawn — what a robot that never runs scripts
+// costs) and every other one
+// (half: drawn and undrawn neighbours). The estimate feeds the
 // admission ladder, so it may never read below the heap — and
 // bytes_per_session is computed from it, so it may not drift far above either.
 func TestMemoryEstimateCoversHeap(t *testing.T) {
@@ -113,22 +113,37 @@ func TestMemoryEstimateCoversHeap(t *testing.T) {
 }
 
 // TestKeyLogNeverOutgrowsTheCap pins the per-client cap in bytes, not just in
-// page views: a client past maxPerClient page views holds no more heap than
-// one at it (+16 B for the allocator's noise), with no script downloaded and
-// with every one. A log that appends the new page view before it drops the
-// oldest outgrows its cap-sized array once and keeps the larger one; that
-// measured 1,691 against 923 B/client undrawn and 4,763 against 3,996 drawn.
-// With 8-byte headers in size-class arrays both sides measure 685 B undrawn
-// and 2,413 B drawn (1,005 and 2,797 with 11-byte headers and doubling).
+// page views: a client's window at maxPerClient page views is 12 + 64*4 = 268
+// bytes in the 288-byte size class, a client past the cap keeps exactly that
+// array, and holds no more heap than one at it (+16 B for the allocator's
+// noise), with no script downloaded and with every one — a derived key costs
+// nothing, so both measure the same: 397 B per client at the cap and past
+// it, every script downloaded or none. A log that appended the new page view
+// before it dropped the oldest outgrew its cap-sized array once and kept the
+// larger one (1,691 against 923 B/client undrawn, 4,763 against 3,996 drawn);
+// 8-byte headers beside stored keys measured 685 B undrawn and 2,413 B drawn.
 func TestKeyLogNeverOutgrowsTheCap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting differs under -race")
 	}
+	const capBytes, class = logPrefixBytes + maxPerClient*headerBytes, 288
+	if capBytes != 268 {
+		t.Fatalf("a full window is %d bytes, want 268", capBytes)
+	}
+	logOf := func(s *Store) window {
+		sh, h := s.clients.Locate("10.0.0.0")
+		return sh.Get(h, "10.0.0.0").log
+	}
 	for _, every := range []int{0, 1} {
 		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
-			atCap, _, _ := heapClients(maxPerClient, every)
-			past, _, _ := heapClients(200, every)
+			atCap, _, s := heapClients(maxPerClient, every)
+			past, _, s200 := heapClients(200, every)
 			t.Logf("heap per client: %d B at %d page views, %d B at 200", atCap, maxPerClient, past)
+			for _, w := range []window{logOf(s), logOf(s200)} {
+				if len(w) != capBytes || cap(w) != class {
+					t.Errorf("a full window is %d bytes in a %d-byte array, want %d in %d", len(w), cap(w), capBytes, class)
+				}
+			}
 			if past > atCap+16 {
 				t.Errorf("a client at 200 page views holds %d B, at the %d-view cap %d B: the log outgrew the cap", past, maxPerClient, atCap)
 			}

@@ -11,30 +11,32 @@ import (
 	"botdetect/internal/clock"
 )
 
-// TestDifferentialAgainstRefStore drives the flat key log and the map-based
+// TestDifferentialAgainstRefStore drives the byte window and the queue-based
 // reference model with the same seeded random operation sequences and
 // requires them to be indistinguishable through the public surface: every
-// issued token and every drawn key (so the RNG draw order, including redraws
-// after a collision — the narrow key spaces below make those common), every
-// verdict, every PageKeysFor answer, and the counters after every single
-// operation. Keys are learned the way a client learns them — by downloading
-// the page's script (PageKeysFor) — in and out of issue order, repeatedly,
-// after TTL expiry and eviction, for degraded batches and from other addresses.
+// issued token and every key a download hands out (so every page-view number
+// and incarnation behind them), every verdict, every PageKeysFor answer, and
+// the counters after every single operation. Keys are learned the way a client
+// learns them — by downloading the page's script (PageKeysFor) — in and out of
+// issue order, repeatedly, after TTL expiry and eviction, for degraded page
+// views and from other addresses. Half the runs lower the page-view numbers
+// an incarnation has on both stores (to 100 or 300), so clients run out of
+// them and take fresh incarnations many times a run.
 func TestDifferentialAgainstRefStore(t *testing.T) {
 	seeds := 240
 	if testing.Short() {
 		seeds = 40
 	}
 	for seed := 1; seed <= seeds; seed++ {
-		diffRun(t, uint64(seed), rand.New(rand.NewPCG(uint64(seed), 0x6b657973)), []int{3, 4, 10, 19}, 400)
+		diffRun(t, uint64(seed), rand.New(rand.NewPCG(uint64(seed), 0x6b657973)), []int{6, 7, 10, 19}, 400)
 	}
 }
 
 // FuzzStoreMatchesReference is the differential with fuzz bytes making every
 // choice (diffChoices): the operation, the address, the page, the key
 // presented and the clock's step. The key width is one of eight digit counts
-// that between them store keys in 2, 3, 4, 5, 6, 7 and 8 bytes, so each
-// width's byte offsets, truncation and dead sentinel meet the reference.
+// from the floor to MaxKeyDigits, odd and even, so every split of the digits
+// into the permutation's two halves meets the reference.
 func FuzzStoreMatchesReference(f *testing.F) {
 	for seed := range uint64(8) {
 		seeded := make([]byte, 1200)
@@ -50,7 +52,7 @@ func FuzzStoreMatchesReference(f *testing.F) {
 		if len(data) > 0 {
 			seed = uint64(data[0])
 		}
-		diffRun(t, seed, &diffChoices{data}, []int{3, 6, 9, 10, 12, 14, 16, 19}, min(len(data)/3, 400))
+		diffRun(t, seed, &diffChoices{data}, []int{6, 7, 9, 10, 12, 14, 16, 19}, min(len(data)/3, 400))
 	})
 }
 
@@ -100,6 +102,9 @@ func diffRun(t *testing.T, seed uint64, r interface {
 	cfgA, cfgB := cfg, cfg
 	cfgA.Clock, cfgB.Clock = vcA, vcB
 	got, want := capClients(New(cfgA), clients), newRefStore(cfgB, clients)
+	if views := []uint32{0, 0, 100, 300}[r.IntN(4)]; views > 0 {
+		got.views, want.views = views, uint64(views)
+	}
 
 	ips := make([]string, 8)
 	for i := range ips {
@@ -225,9 +230,9 @@ func diffRun(t *testing.T, seed uint64, r interface {
 				fail("Human for a key no script download of %s handed out", ip)
 			}
 		case k == 14:
-			ip, key := pickIP(), []uint64{got.dead, 1 << 63, 0, got.limit}[r.IntN(4)]
-			if iss, ok := pickIssued(); ok && r.IntN(2) == 0 { // a key's low bytes under high ones
-				ip, key = iss.ip, iss.pk.Key+uint64(1+r.IntN(3))<<(8*got.width)
+			ip, key := pickIP(), []uint64{got.limit - 1, 1 << 63, 0, got.limit}[r.IntN(4)]
+			if iss, ok := pickIssued(); ok && r.IntN(2) == 0 { // a key plus a multiple of the domain
+				ip, key = iss.ip, iss.pk.Key+uint64(1+r.IntN(3))*got.limit
 			}
 			op = fmt.Sprintf("step %d ValidateValue(%s, %d)", step, ip, key)
 			if a, b := got.ValidateValue(ip, key), want.ValidateValue(ip, key); a != b {
@@ -255,6 +260,9 @@ func diffRun(t *testing.T, seed uint64, r interface {
 
 		if a, b := got.Stats(), want.stats; a != b {
 			fail("stats %+v, reference %+v", a, b)
+		}
+		if got.incarnations.Load() != want.incarnation {
+			fail("incarnation %d, reference %d", got.incarnations.Load(), want.incarnation)
 		}
 		if a, b := got.Clients(), want.Clients(); a != b || a != shardClients(got) {
 			fail("Clients %d (shard by shard %d), reference %d", a, shardClients(got), b)
@@ -305,7 +313,7 @@ func FuzzValidate(f *testing.F) {
 	s, fresh, undrawn := build()
 	for k := range fresh {
 		f.Add(owner, k, uint64(0))
-		f.Add(other, k, s.dead)
+		f.Add(other, k, s.limit-1)
 	}
 	f.Add("", "", uint64(1<<63))
 	f.Add(owner, "12345a", uint64(999999))
@@ -314,9 +322,9 @@ func FuzzValidate(f *testing.F) {
 		key, _, _ := s.PageKeysFor(owner, token, nil)
 		f.Add(owner, fmt.Sprintf("%0*d", digits, key), key)
 	}
-	// The truncation cases: keys are stored in s.width (3) bytes, and a value
-	// that agrees with a live key in those bytes, the dead sentinel of every
-	// width and the first value past every digit count must all be refused.
+	// The values past the domain: a live key plus a multiple of 10^6, all-ones
+	// in every byte width and the first value past every digit count must all
+	// be refused before P is inverted.
 	for w := 1; w <= 8; w++ {
 		f.Add(owner, "", ^uint64(0)>>(64-8*w))
 	}
@@ -325,8 +333,8 @@ func FuzzValidate(f *testing.F) {
 	}
 	for k := range fresh {
 		live, _ := strconv.ParseUint(k, 10, 64)
-		for _, high := range []uint64{1, 2, 1 << 20, 1<<(64-8*s.width) - 1} {
-			f.Add(owner, "", live+high<<(8*s.width))
+		for _, high := range []uint64{1, 2, 1 << 20, (1<<64-1)/s.limit - 1} {
+			f.Add(owner, "", live+high*s.limit)
 		}
 		break
 	}

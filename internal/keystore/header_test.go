@@ -11,9 +11,14 @@ import (
 	"botdetect/internal/clock"
 )
 
-// headerTicks reconstructs the issue tick of every header ip's log holds, in
-// issue order, and checks the offset invariant on the way: no tick is more
-// than ttlTicks past the base (an unsigned offset cannot be below it).
+// lapsedTick stands in headerTicks for the tick of a lapsed header, which
+// the window no longer keeps.
+const lapsedTick = math.MaxUint32
+
+// headerTicks reconstructs the issue tick of every header ip's window holds,
+// in issue order (lapsedTick for a lapsed one), and checks the offset
+// invariant on the way: no live tick is more than ttlTicks past the base (an
+// unsigned offset cannot be below it).
 func headerTicks(t *testing.T, s *Store, ip string) []uint32 {
 	t.Helper()
 	sh, hash := s.clients.Locate(ip)
@@ -21,13 +26,17 @@ func headerTicks(t *testing.T, s *Store, ip string) []uint32 {
 	if cs == nil {
 		return nil
 	}
-	l := cs.log
+	w := cs.log
 	var ticks []uint32
-	for h := l.headers(); h < len(l); h += headerBytes {
-		if off := uint32(binary.LittleEndian.Uint16(l[h:])); off > s.ttlTicks || l.base() > math.MaxUint32-off {
-			t.Fatalf("header offset %d from base %d: past ttlTicks (%d) or the tick space", off, l.base(), s.ttlTicks)
+	for h := logPrefixBytes; h < len(w); h += headerBytes {
+		if w[h+hdrFlags]&flagLapsed != 0 {
+			ticks = append(ticks, lapsedTick)
+			continue
 		}
-		ticks = append(ticks, l.tick(h))
+		if off := uint32(binary.LittleEndian.Uint16(w[h:])); off > s.ttlTicks || w.base() > math.MaxUint32-off {
+			t.Fatalf("header offset %d from base %d: past ttlTicks (%d) or the tick space", off, w.base(), s.ttlTicks)
+		}
+		ticks = append(ticks, w.tick(h))
 	}
 	return ticks
 }
@@ -40,8 +49,9 @@ func headerTicks(t *testing.T, s *Store, ip string) []uint32 {
 // offset is ttlTicks, the most a live header holds) and then a degraded one
 // backdated as far as it goes; later, after everything expired, a degraded
 // issue lands below the base and rebases the live header to the same
-// distance. After every step each reconstructed tick, each script download
-// and each verdict must equal the reference store's.
+// distance. After every step each reconstructed tick (or, for a header the
+// window marked lapsed, the reference's page view being past its TTL), each
+// script download and each verdict must equal the reference store's.
 func TestHeaderTickOffsetAtTTLEdge(t *testing.T) {
 	const ip = "10.0.0.1"
 	for _, ttl := range []time.Duration{time.Hour, time.Hour + 1, 32767, 65535, 1} {
@@ -82,8 +92,14 @@ func TestHeaderTickOffsetAtTTLEdge(t *testing.T) {
 				t.Helper()
 				var ref []uint32
 				if cs, ok := want.shard(ip).clients[ip]; ok {
-					for _, b := range cs.queue {
-						ref = append(ref, b.tick)
+					ticks := headerTicks(t, got, ip)
+					nowTick := want.tick(vcB.Now())
+					for i, v := range cs.views {
+						if i < len(ticks) && ticks[i] == lapsedTick && want.expired(nowTick, v.tick) {
+							ref = append(ref, lapsedTick)
+						} else {
+							ref = append(ref, v.tick)
+						}
 					}
 				}
 				if ticks := headerTicks(t, got, ip); !slices.Equal(ticks, ref) {

@@ -64,16 +64,20 @@ func TestExpirySkipStaysCorrect(t *testing.T) {
 }
 
 // TestIssueAllocCeiling pins the allocation budget of a page view whose
-// script is downloaded — IssuePage, then the PageKeysFor that draws its keys
-// into the arena at the batch's position — at zero once the client's log and
-// the caller's decoy buffer have grown: the arena is compacted in place, so
-// its capacity comes back for the next draw.
+// script is downloaded and whose keys come back — IssuePage, the PageKeysFor
+// that derives its keys, then ValidateValue of the real key and of a decoy —
+// at zero once the client's window and the caller's decoy buffer have grown:
+// the window drops its oldest page view in place, and the permutation works
+// in the shard's own AES block.
 func TestIssueAllocCeiling(t *testing.T) {
 	s := New(Config{Decoys: 4, KeyDigits: 10})
 	var pk PageKeys
 	view := func() {
 		s.IssuePage("10.3.0.1", "/hot.html", &pk)
 		pk.Key, pk.Decoys, _ = s.PageKeysFor("10.3.0.1", pk.ScriptToken, pk.Decoys[:0])
+		if s.ValidateValue("10.3.0.1", pk.Key) != Human || s.ValidateValue("10.3.0.1", pk.Decoys[0]) != Decoy {
+			t.Fatal("the downloaded keys do not validate")
+		}
 	}
 	// Warm the client so the log's capacity settles at the per-client cap.
 	for i := 0; i < 300; i++ {
@@ -89,8 +93,9 @@ func TestIssueAllocCeiling(t *testing.T) {
 }
 
 // TestIssuePageZeroAlloc pins the numeric issue path at zero allocations
-// per page at steady state: tokens are drawn straight into the caller-owned
-// PageKeys and the client's log is compacted in place.
+// per page at steady state: tokens are derived straight into the
+// caller-owned PageKeys and the client's window drops from its front in
+// place.
 func TestIssuePageZeroAlloc(t *testing.T) {
 	s := New(Config{Decoys: 4, KeyDigits: 10})
 	var pk PageKeys

@@ -150,8 +150,14 @@ func TestTTLExpiry(t *testing.T) {
 	if v := s.Validate("10.0.0.1", wire(iss, iss.Key)); v != Unknown {
 		t.Fatalf("expired key verdict = %v", v)
 	}
-	if s.Stats().ExpiredDropped == 0 {
-		t.Fatal("expired key not counted")
+	// The keys count as expired once, when the window drops their page view:
+	// the next issue drops it from the front.
+	if n := s.Stats().ExpiredDropped; n != 0 {
+		t.Fatalf("a validation counted %d expired keys, want 0", n)
+	}
+	s.IssuePage("10.0.0.1", "/b.html", new(PageKeys))
+	if n := s.Stats().ExpiredDropped; n != int64(1+len(iss.Decoys)) {
+		t.Fatalf("expired keys counted %d, want %d", n, 1+len(iss.Decoys))
 	}
 }
 

@@ -1,19 +1,19 @@
 package keystore
 
 import (
-	"encoding/binary"
 	"slices"
 	"testing"
 	"time"
 )
 
-// TestPageKeysForFollowsBatchesThroughCompaction issues batches of differing
-// decoy counts, draws their keys out of issue order (some at once, some only
-// after neighbours were swept), kills some by TTL and some by the per-client
-// cap, and checks that every survivor is still found under its script token
-// with exactly the keys its first download drew — runs are located by running
-// sum, so an insertion or compaction that drifts by one count hands a batch
-// its neighbour's keys.
+// TestPageKeysForFollowsBatchesThroughCompaction issues page views of
+// differing decoy counts, downloads their scripts out of issue order (some at
+// once, some only after neighbours were dropped), kills some by TTL — one at
+// the window's front, one behind it that keeps its slot — and some by the
+// per-client cap, and checks that every survivor is still found under its
+// script token with exactly the keys its first download handed out: headers
+// are indexed by page-view number minus the window's first, so a drop that
+// drifts by one hands a page view its neighbour's header.
 func TestPageKeysForFollowsBatchesThroughCompaction(t *testing.T) {
 	const ip = "10.0.0.1"
 	s, vc := newTestStore(t, Config{Decoys: 4, TTL: time.Hour, Shards: 1})
@@ -78,10 +78,10 @@ func TestPageKeysForFollowsBatchesThroughCompaction(t *testing.T) {
 	outstanding(1 + 4 + 3) // a stranger's request draws nothing
 
 	vc.Advance(11 * time.Minute)
-	check(0, false) // drawn, expired but not yet swept: liveness must not wait for the sweep
-	check(2, false) // never drawn and now expired: no keys are drawn for a dead page
+	check(0, false) // drawn, expired but not yet dropped: liveness must not wait for the drop
+	check(2, false) // never drawn and now expired: an expired page view is never drawn
 	outstanding(1 + 4 + 3)
-	issue(4, 0) // 5: the issue sweeps 0 and 2 out of the headers and the arena
+	issue(4, 0) // 5: the issue drops 0 from the front; 2 keeps its slot, lapsed
 	outstanding(1 + 3)
 	for i, live := range []bool{false, true, false, true, true, true} {
 		check(i, live) // 1 and 5 are drawn here, around the survivors
@@ -91,7 +91,7 @@ func TestPageKeysForFollowsBatchesThroughCompaction(t *testing.T) {
 	issue(3, 0) // 6
 	issue(1, 0) // 7
 	for len(issued) < maxPerClient+3 {
-		issue(2, 0) // the last makes 65 batches against the cap of 64, so batch 1 is evicted
+		issue(2, 0) // the window is the last 64 issues, so 1 and 2 fall to the cap
 	}
 	outstanding(1 + 3 + 5)
 	for i := range issued {
@@ -145,53 +145,76 @@ func TestNoKeyBeforeScriptRequest(t *testing.T) {
 	}
 }
 
-// TestTokenTagCollision pins what the 32-bit tokenTag costs: two script tokens
-// of one client that share a tag are one batch as far as the script download
-// can tell. With 64 live batches a client meets that by chance about once in
-// 2^21 logs, so the pair is made: the second page's token is replaced by the
-// first's nearest tag-mate (the Fibonacci multiplier is odd, hence invertible
-// mod 2^64). The first live batch answers both tokens, so exactly one run is
-// drawn, its key proves a human once, and the shadowed batch stays undrawn.
-func TestTokenTagCollision(t *testing.T) {
-	const ip = "10.0.0.1"
-	s, _ := newTestStore(t, Config{Seed: 2, Decoys: 2, Shards: 1})
-	var pk PageKeys
-	s.IssuePage(ip, "/p.html", &pk)
-	first := pk.ScriptToken
-	const fib = 0x9e3779b97f4a7c15
-	inv := uint64(fib) // Newton: each step doubles the correct low bits
-	for i := 0; i < 6; i++ {
-		inv *= 2 - fib*inv
-	}
-	second := (first*fib ^ 1) * inv
-	if second == first || tokenTag(second) != tokenTag(first) {
-		t.Fatalf("tokens %d and %d: tags %#x and %#x", first, second, tokenTag(first), tokenTag(second))
-	}
-	s.IssuePage(ip, "/p.html", &pk)
-	sh, h := s.clients.Locate(ip)
-	l := sh.Get(h, ip).log
-	binary.LittleEndian.PutUint32(l[l.headers()+headerBytes+hdrTag:], tokenTag(second))
-
-	key2, decoys2, ok2 := s.PageKeysFor(ip, second, nil) // the later page's script is asked for first
-	key1, decoys1, ok1 := s.PageKeysFor(ip, first, nil)
-	if !ok1 || !ok2 || key1 != key2 || !slices.Equal(decoys1, decoys2) {
-		t.Fatalf("downloads differ: (%d, %v, %v) vs (%d, %v, %v)", key1, decoys1, ok1, key2, decoys2, ok2)
-	}
-	if st := s.Stats(); st.Drawn != 1 {
-		t.Fatalf("drawn = %d, want 1", st.Drawn)
-	}
-	if n := s.OutstandingKeys(ip); n != 3 {
-		t.Fatalf("outstanding keys = %d, want one run of 3", n)
-	}
-	if v := s.ValidateValue(ip, key1); v != Human {
-		t.Fatalf("first validation = %v, want Human", v)
-	}
-	if v := s.ValidateValue(ip, key1); v != Replayed {
-		t.Fatalf("second validation = %v, want Replayed", v)
-	}
-	for _, d := range decoys1 {
-		if v := s.ValidateValue(ip, d); v != Decoy {
-			t.Fatalf("decoy = %v", v)
+// TestForeignScriptTokenServesNoKeys pins what replaced the script-token
+// tag: a token names a page view only under the tweak it was issued under,
+// the presenting client's address and incarnation. The same page-view
+// numbers held by another client, by the same address after an eviction, or
+// by the same client after it ran out of numbers and took a fresh
+// incarnation, answer a foreign or earlier token with no keys and draw
+// nothing; the earlier incarnation's keys are Unknown, and the current
+// page views still serve theirs.
+func TestForeignScriptTokenServesNoKeys(t *testing.T) {
+	const a, b = "10.0.0.1", "10.0.0.2"
+	s := capClients(New(Config{Seed: 2, Decoys: 2, Shards: 1}), 2)
+	issueN := func(ip string, n int) []*PageKeys {
+		var pages []*PageKeys
+		for range n {
+			pk := new(PageKeys)
+			s.IssuePage(ip, "/p.html", pk)
+			pages = append(pages, pk)
 		}
+		return pages
+	}
+	refused := func(when, ip string, pages []*PageKeys) {
+		t.Helper()
+		drawn := s.Stats().Drawn
+		for i, pk := range pages {
+			if key, decoys, ok := s.PageKeysFor(ip, pk.ScriptToken, nil); ok {
+				t.Fatalf("%s: page view %d's token served %s (%d, %v)", when, i, ip, key, decoys)
+			}
+			if pk.Key != 0 {
+				if v := s.ValidateValue(ip, pk.Key); v != Unknown {
+					t.Fatalf("%s: page view %d's key = %v for %s, want Unknown", when, i, v, ip)
+				}
+			}
+		}
+		if s.Stats().Drawn != drawn {
+			t.Fatalf("%s: a refused token drew a page view", when)
+		}
+	}
+	served := func(when, ip string, pages []*PageKeys) {
+		t.Helper()
+		for i, pk := range pages {
+			download(t, s, ip, pk)
+			if len(pk.Decoys) != 2 {
+				t.Fatalf("%s: page view %d served %d decoys", when, i, len(pk.Decoys))
+			}
+		}
+	}
+
+	// The same numbers 0..7 at two addresses.
+	pagesA, pagesB := issueN(a, 8), issueN(b, 8)
+	refused("another client", b, pagesA)
+	refused("another client", a, pagesB)
+	served("the owner", a, pagesA)
+	served("the owner", b, pagesB)
+
+	// a is evicted by a third client, then comes back with numbers 0..7.
+	s.IssuePage("10.0.0.3", "/p.html", new(PageKeys))
+	s.IssuePage(b, "/p.html", new(PageKeys))
+	if s.OutstandingKeys(a) != 0 || s.Stats().EvictedClients != 1 {
+		t.Fatalf("a was not evicted: %+v", s.Stats())
+	}
+	again := issueN(a, 8)
+	refused("an earlier incarnation", a, pagesA)
+	served("the re-created client", a, again)
+
+	// a runs out of numbers: the ninth issue takes a fresh incarnation.
+	s.views = 8
+	wrapped := issueN(a, 1)
+	refused("before the wrap", a, again)
+	served("after the wrap", a, wrapped)
+	if got := s.incarnations.Load(); got != 5 {
+		t.Fatalf("incarnations = %d, want 5 (a, b, the third client, a again, a wrapped)", got)
 	}
 }

@@ -1,7 +1,6 @@
 package keystore
 
 import (
-	"fmt"
 	"time"
 
 	"botdetect/internal/rng"
@@ -9,46 +8,42 @@ import (
 )
 
 // refStore is the reference model the differential test drives next to
-// Store: a hash map of key records per client and a queue of page views that
-// each own their keys, kept single-threaded. Like Store it draws a page's keys
-// on the first PageKeysFor for a live batch, not at issue. It shares only the
-// value types (Config, PageKeys, Verdict, Stats), tokenTag and the shard/rng
-// helpers with the code under test; every storage and expiry rule is its own.
+// Store: per client, a queue of page-view records — each with its exact
+// issue tick, decoy count and drawn and consumed flags — the number of the
+// first one and the client's incarnation, kept single-threaded. It shares
+// only the value types (Config, PageKeys, Verdict, Stats), the permutation
+// (perm, permKey, clientTweak) and the shard helpers with the code under
+// test; its storage, numbering, incarnations and expiry rules are its own.
 type refStore struct {
-	cfg    Config
-	shards []*refShard
-	mask   uint64
-	stats  Stats
+	cfg         Config
+	perm        perm
+	buf         permBuf
+	shards      []*refShard
+	mask        uint64
+	stats       Stats
+	views       uint64 // page-view numbers per incarnation
+	incarnation uint32 // the last one handed out
 
 	epoch    time.Time
 	tickUnit time.Duration
 	ttlTicks uint32
 }
 
-type refRecord struct {
-	tick     uint32
-	decoy    bool
-	consumed bool
-}
-
-// refBatch is one issued page view. keys is nil until the script is first
-// requested; then it holds the real key followed by the n decoys.
-type refBatch struct {
-	tick uint32
-	tag  uint32
-	n    int
-	keys []uint64
+// refView is one issued page view.
+type refView struct {
+	tick            uint32
+	decoys          int
+	drawn, consumed bool
 }
 
 type refClient struct {
-	ip         string
-	keys       map[uint64]refRecord
-	queue      []*refBatch
-	oldestTick uint32
+	ip          string
+	incarnation uint32
+	first       uint64 // the number of views[0]
+	views       []*refView
 }
 
 type refShard struct {
-	src     *rng.Source
 	clients map[string]*refClient
 	lru     []*refClient // most recently used first
 	max     int
@@ -58,14 +53,13 @@ type refShard struct {
 // on both stores (capClients on the real one).
 func newRefStore(cfg Config, clients int) *refStore {
 	cfg = cfg.withDefaults()
-	s := &refStore{cfg: cfg, mask: uint64(cfg.Shards - 1)}
+	s := &refStore{cfg: cfg, mask: uint64(cfg.Shards - 1), perm: newPerm(permKey(cfg.Seed), cfg.KeyDigits)}
+	s.views = min(1<<24-1, pow10(cfg.KeyDigits)/256)
 	s.tickUnit = max(cfg.TTL/tickResolution, 1)
 	s.ttlTicks = uint32((cfg.TTL + s.tickUnit - 1) / s.tickUnit)
 	s.epoch = cfg.Clock.Now().Add(-cfg.TTL - 4*s.tickUnit)
-	base := rng.New(cfg.Seed).Fork("keystore")
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, &refShard{
-			src:     base.Fork(fmt.Sprintf("shard-%d", i)),
 			clients: make(map[string]*refClient),
 			max:     shard.PerShardCap(clients, cfg.Shards),
 		})
@@ -98,16 +92,6 @@ func (sh *refShard) touch(cs *refClient) {
 	sh.lru = append([]*refClient{cs}, sh.lru...)
 }
 
-func (sh *refShard) client(ip string) *refClient {
-	cs, ok := sh.clients[ip]
-	if !ok {
-		cs = &refClient{ip: ip, keys: make(map[uint64]refRecord)}
-		sh.clients[ip] = cs
-	}
-	sh.touch(cs)
-	return cs
-}
-
 func (s *refStore) IssuePage(ip, page string, pk *PageKeys) {
 	s.issuePage(ip, page, s.cfg.Decoys, 0, pk)
 }
@@ -123,78 +107,64 @@ func (s *refStore) issuePage(ip, page string, decoys int, ttl time.Duration, pk 
 	if ttl > 0 && ttl < s.cfg.TTL {
 		issuedAt = now.Add(ttl - s.cfg.TTL)
 	}
-	cs := sh.client(ip)
-	s.expireClient(cs, s.tick(now))
-	issueTick := s.tick(issuedAt)
-	if len(cs.queue) == 0 || issueTick < cs.oldestTick {
-		cs.oldestTick = issueTick
+	cs, ok := sh.clients[ip]
+	if !ok {
+		s.incarnation++
+		cs = &refClient{ip: ip, incarnation: s.incarnation}
+		sh.clients[ip] = cs
 	}
-	digits := s.cfg.KeyDigits
-	*pk = PageKeys{Page: page, Digits: digits, IssuedAt: now, Decoys: pk.Decoys[:0]}
-	pk.CSSToken = sh.src.DigitKeyValue(digits)
-	pk.ScriptToken = sh.src.DigitKeyValue(digits)
-	pk.HiddenToken = sh.src.DigitKeyValue(digits)
-	cs.queue = append(cs.queue, &refBatch{tick: issueTick, tag: tokenTag(pk.ScriptToken), n: decoys})
+	sh.touch(cs)
+	nowTick := s.tick(now)
+	for len(cs.views) > 0 && s.expired(nowTick, cs.views[0].tick) {
+		s.dropOldest(cs, nowTick)
+	}
+	switch {
+	case cs.first+uint64(len(cs.views)) >= s.views: // the numbers are used up
+		for len(cs.views) > 0 {
+			s.dropOldest(cs, nowTick)
+		}
+		s.incarnation++
+		cs.incarnation, cs.first = s.incarnation, 0
+	case len(cs.views) == maxPerClient:
+		s.dropOldest(cs, nowTick)
+	}
+	n := cs.first + uint64(len(cs.views))
+	cs.views = append(cs.views, &refView{tick: s.tick(issuedAt), decoys: min(decoys, MaxDecoys)})
+
+	tweak := clientTweak(ip, cs.incarnation)
+	*pk = PageKeys{Page: page, Digits: s.cfg.KeyDigits, IssuedAt: now, Decoys: pk.Decoys[:0]}
+	pk.CSSToken = s.perm.permute(&s.buf, tweak, kindCSS, n)
+	pk.ScriptToken = s.perm.permute(&s.buf, tweak, kindScript, n)
+	pk.HiddenToken = s.perm.permute(&s.buf, tweak, kindHidden, n)
 	s.stats.Issued++
-	s.enforceCaps(sh, cs)
-}
-
-// draw gives the batch its keys: the real key, then the decoys, each unlike
-// any key the client holds.
-func (s *refStore) draw(sh *refShard, cs *refClient, b *refBatch) {
-	b.keys = make([]uint64, 0, 1+b.n)
-	for len(b.keys) < 1+b.n {
-		v := sh.src.DigitKeyValue(s.cfg.KeyDigits)
-		if _, exists := cs.keys[v]; exists {
-			continue
-		}
-		cs.keys[v] = refRecord{tick: b.tick, decoy: len(b.keys) > 0}
-		b.keys = append(b.keys, v)
-	}
-	s.stats.Drawn++
-}
-
-// forget removes the batch's keys from the client's table and reports how
-// many were still there (Validate deletes an expired key on sight).
-func (cs *refClient) forget(b *refBatch) (n int64) {
-	for _, k := range b.keys {
-		if _, ok := cs.keys[k]; ok {
-			delete(cs.keys, k)
-			n++
-		}
-	}
-	return n
-}
-
-func (s *refStore) expireClient(cs *refClient, nowTick uint32) {
-	if len(cs.queue) == 0 || !s.expired(nowTick, cs.oldestTick) {
-		return
-	}
-	minSurvivor := nowTick
-	var keep []*refBatch
-	for _, b := range cs.queue {
-		if s.expired(nowTick, b.tick) {
-			s.stats.ExpiredDropped += cs.forget(b)
-			continue
-		}
-		minSurvivor = min(minSurvivor, b.tick)
-		keep = append(keep, b)
-	}
-	cs.queue = keep
-	cs.oldestTick = minSurvivor
-}
-
-func (s *refStore) enforceCaps(sh *refShard, cs *refClient) {
-	for len(cs.queue) > maxPerClient {
-		cs.forget(cs.queue[0])
-		cs.queue = cs.queue[1:]
-	}
 	for len(sh.lru) > sh.max {
 		victim := sh.lru[len(sh.lru)-1]
 		sh.lru = sh.lru[:len(sh.lru)-1]
 		delete(sh.clients, victim.ip)
 		s.stats.EvictedClients++
 	}
+}
+
+// dropOldest drops the client's oldest page view; its keys count as expired
+// if it was drawn and is past its TTL.
+func (s *refStore) dropOldest(cs *refClient, nowTick uint32) {
+	if v := cs.views[0]; v.drawn && s.expired(nowTick, v.tick) {
+		s.stats.ExpiredDropped += int64(1 + v.decoys)
+	}
+	cs.views = cs.views[1:]
+	cs.first++
+}
+
+// live returns page view n of the client if the client holds it and it is
+// within its TTL.
+func (s *refStore) live(cs *refClient, n uint64) *refView {
+	if n < cs.first || n-cs.first >= uint64(len(cs.views)) {
+		return nil
+	}
+	if v := cs.views[n-cs.first]; !s.expired(s.tick(s.cfg.Clock.Now()), v.tick) {
+		return v
+	}
+	return nil
 }
 
 func (s *refStore) Validate(ip, key string) Verdict {
@@ -214,25 +184,24 @@ func (s *refStore) ValidateValue(ip string, key uint64) Verdict {
 		return Unknown
 	}
 	sh.touch(cs)
-	rec, ok := cs.keys[key]
+	if key >= pow10(s.cfg.KeyDigits) {
+		s.stats.UnknownHits++
+		return Unknown
+	}
+	x := s.perm.invert(&s.buf, clientTweak(ip, cs.incarnation), kindKey, key)
+	v, i := s.live(cs, x/256), int(x%256)
 	switch {
-	case !ok:
+	case v == nil || !v.drawn || i > v.decoys:
 		s.stats.UnknownHits++
 		return Unknown
-	case s.expired(s.tick(s.cfg.Clock.Now()), rec.tick):
-		delete(cs.keys, key)
-		s.stats.ExpiredDropped++
-		s.stats.UnknownHits++
-		return Unknown
-	case rec.decoy:
+	case i > 0:
 		s.stats.DecoyHits++
 		return Decoy
-	case rec.consumed:
+	case v.consumed:
 		s.stats.ReplayHits++
 		return Replayed
 	}
-	rec.consumed = true
-	cs.keys[key] = rec
+	v.consumed = true
 	s.stats.HumanHits++
 	return Human
 }
@@ -244,26 +213,35 @@ func (s *refStore) PageKeysFor(ip string, scriptToken uint64, decoys []uint64) (
 		return 0, decoys, false
 	}
 	sh.touch(cs)
-	nowTick := s.tick(s.cfg.Clock.Now())
-	for _, b := range cs.queue {
-		if b.tag != tokenTag(scriptToken) || s.expired(nowTick, b.tick) {
-			continue
-		}
-		if b.keys == nil {
-			s.draw(sh, cs, b)
-		}
-		if _, live := cs.keys[b.keys[0]]; live {
-			return b.keys[0], append(decoys, b.keys[1:]...), true
-		}
+	if scriptToken >= pow10(s.cfg.KeyDigits) {
+		return 0, decoys, false
 	}
-	return 0, decoys, false
+	tweak := clientTweak(ip, cs.incarnation)
+	n := s.perm.invert(&s.buf, tweak, kindScript, scriptToken)
+	v := s.live(cs, n)
+	if v == nil {
+		return 0, decoys, false
+	}
+	if !v.drawn {
+		v.drawn = true
+		s.stats.Drawn++
+	}
+	for i := 1; i <= v.decoys; i++ {
+		decoys = append(decoys, s.perm.permute(&s.buf, tweak, kindKey, n*256+uint64(i)))
+	}
+	return s.perm.permute(&s.buf, tweak, kindKey, n*256), decoys, true
 }
 
 func (s *refStore) OutstandingKeys(ip string) int {
+	n := 0
 	if cs, ok := s.shard(ip).clients[ip]; ok {
-		return len(cs.keys)
+		for _, v := range cs.views {
+			if v.drawn {
+				n += 1 + v.decoys
+			}
+		}
 	}
-	return 0
+	return n
 }
 
 func (s *refStore) Clients() int {
