@@ -515,6 +515,7 @@ func (n *Network) EngineStats() core.Stats {
 	for _, node := range n.nodes {
 		s := node.Engine().Stats()
 		total.PagesInstrumented += s.PagesInstrumented
+		total.PagesLite += s.PagesLite
 		total.OriginalBytes += s.OriginalBytes
 		total.AddedBytes += s.AddedBytes
 		total.MouseBeacons += s.MouseBeacons

@@ -182,6 +182,12 @@ func TestNetworkFlushAndEngineStats(t *testing.T) {
 		script := get(ip, page.Scripts[0])
 		realKey := agents.HandlerBeaconURL(script, "__bd_f")
 		get(ip, realKey) // human
+		for views := 1; node.Engine().Stats().PagesLite == 0; views++ {
+			if views == 32 { // a definite human's page is lite on seven views in eight
+				t.Fatalf("node %d: 32 full pages served to a definite human", i)
+			}
+			get(ip, "/")
+		}
 		get(ip, realKey) // replay
 		for _, u := range agents.AllBeaconURLs(script) {
 			if u != realKey && strings.HasSuffix(u, ".jpg") {

@@ -236,6 +236,10 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	// PagesInstrumented counts HTML pages rewritten.
 	PagesInstrumented int64
+	// PagesLite counts the pages prepared for a definite human with the
+	// hidden trap link alone (see PreparePage); the rest of PagesInstrumented
+	// carried the full instrumentation.
+	PagesLite int64
 	// OriginalBytes and AddedBytes track page sizes before rewriting and the
 	// instrumentation bytes added (rewritten HTML growth plus the body of
 	// every generated object actually served: scripts, stylesheets, beacon
@@ -269,6 +273,7 @@ type Stats struct {
 // independent atomic so beacon handling on different cores never contends.
 type engineStats struct {
 	pagesInstrumented atomic.Int64
+	pagesLite         atomic.Int64
 	originalBytes     atomic.Int64
 	addedBytes        atomic.Int64
 	mouseBeacons      atomic.Int64
@@ -472,16 +477,32 @@ func (ps *PageState) Keys() *keystore.PageKeys { return &ps.pk }
 // buffered via Prepared.Rewrite — and must call RecordInstrumented once the
 // rewrite completes so the paper's overhead accounting stays accurate. The
 // page's script is not rendered here — the keystore remembers the keys, and
-// the download renders from them (see renderScript). The returned Prepared
-// aliases ps — it stays valid until the next prepare call on the same state.
-// At steady state the call allocates nothing.
+// the download renders from them (see renderScript). A session already
+// proven human gets, on most views, a lite page carrying the hidden trap link
+// alone (see preparePage). The returned Prepared aliases ps — it stays valid
+// until the next prepare call on the same state. At steady state the call
+// allocates nothing.
 func (e *Engine) PreparePage(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
-	return e.preparePage(clientIP, pagePath, false, ps)
+	return e.preparePage(clientIP, userAgent, pagePath, false, ps)
 }
+
+// fullPageEvery is how often a proven human still gets a fully instrumented
+// page: one view in fullPageEvery, chosen by the view's hidden token (see
+// preparePage).
+const fullPageEvery = 8
 
 // preparePage is the one body behind PreparePage and PreparePageDegraded
 // (load.go); the two differ only in how the keystore issues the page's keys.
-func (e *Engine) preparePage(clientIP, pagePath string, degraded bool, ps *PageState) *htmlmod.Prepared {
+//
+// A session whose verdict is a definite human gets a lite page — the hidden
+// trap link alone — except on the views whose hidden token is a multiple of
+// fullPageEvery, which stay fully instrumented. The token is a keyed
+// permutation output, so a client cannot tell which view comes full, and
+// engines sharing a seed agree on it; 8 divides 10^d for every key width, so
+// the choice is unbiased. Any robot evidence, a model swap or a new session
+// after an idle gap ends the definite human verdict, and with it the lite
+// pages. The page view is issued either way: its hidden token comes from it.
+func (e *Engine) preparePage(clientIP, userAgent, pagePath string, degraded bool, ps *PageState) *htmlmod.Prepared {
 	start := time.Now()
 	if degraded {
 		e.keys.IssuePageDegraded(clientIP, pagePath, max(1, e.cfg.Decoys/degradedShare), e.cfg.SessionIdleTimeout/degradedShare, &ps.pk)
@@ -490,25 +511,36 @@ func (e *Engine) preparePage(clientIP, pagePath string, degraded bool, ps *PageS
 	}
 	e.tel.KeystoreIssue.ObserveSince(start)
 
-	ps.css = ps.pk.AppendKey(append(ps.css[:0], e.pre.cssPre...), ps.pk.CSSToken)
-	ps.css = append(ps.css, e.pre.cssSuf...)
-	ps.script = ps.pk.AppendKey(append(ps.script[:0], e.pre.scriptPre...), ps.pk.ScriptToken)
-	ps.script = append(ps.script, e.pre.scriptSuf...)
-	ps.inline = ps.pk.AppendKey(append(ps.inline[:0], e.pre.inlinePre...), ps.pk.ScriptToken)
-	ps.inline = append(ps.inline, e.pre.inlinePost...)
 	ps.hidden = ps.pk.AppendKey(append(ps.hidden[:0], e.pre.hiddenPre...), ps.pk.HiddenToken)
 	ps.hidden = append(ps.hidden, e.pre.hiddenSuf...)
-
-	ps.prep.Compose(htmlmod.InjectionBytes{
-		CSSHref:      ps.css,
-		ScriptSrc:    ps.script,
-		InlineScript: ps.inline,
-		HandlerName:  e.handlerName,
-		HiddenHref:   ps.hidden,
-		HiddenImgSrc: e.transpImg,
-	})
+	inj := htmlmod.InjectionBytes{HiddenHref: ps.hidden, HiddenImgSrc: e.transpImg}
+	if ps.pk.HiddenToken%fullPageEvery != 0 && e.definiteHuman(session.Key{IP: clientIP, UserAgent: userAgent}) {
+		e.stats.pagesLite.Add(1)
+	} else {
+		ps.css = ps.pk.AppendKey(append(ps.css[:0], e.pre.cssPre...), ps.pk.CSSToken)
+		ps.css = append(ps.css, e.pre.cssSuf...)
+		ps.script = ps.pk.AppendKey(append(ps.script[:0], e.pre.scriptPre...), ps.pk.ScriptToken)
+		ps.script = append(ps.script, e.pre.scriptSuf...)
+		ps.inline = ps.pk.AppendKey(append(ps.inline[:0], e.pre.inlinePre...), ps.pk.ScriptToken)
+		ps.inline = append(ps.inline, e.pre.inlinePost...)
+		inj.CSSHref, inj.ScriptSrc, inj.InlineScript, inj.HandlerName = ps.css, ps.script, ps.inline, e.handlerName
+	}
+	ps.prep.Compose(inj)
 	e.tel.Prepare.ObserveSince(start)
 	return &ps.prep
+}
+
+// definiteHuman reports whether key's session is, as of its last request, a
+// definite human, read through classify like every other verdict: behind
+// Decide it is a stored-verdict hit.
+func (e *Engine) definiteHuman(key session.Key) bool {
+	snap, ok := e.sessions.Peek(key)
+	if !ok {
+		return false
+	}
+	v := e.classify(snap)
+	snap.Release()
+	return v.Class == ClassHuman && v.Confidence == Definite
 }
 
 // RecordInstrumented accounts one completed page rewrite (original body
@@ -678,7 +710,7 @@ func (e *Engine) handleBeacon(clientIP, userAgent string, obj jsgen.Object, arg,
 		e.sessions.Mark(key, session.SignalJS)
 		e.stats.execBeacons.Add(1)
 		if agent := queryParam(query, "ua"); agent != "" {
-			e.checkUAMismatch(key, userAgent, agent)
+			e.checkUAMismatch(key, userAgent, agent, url.QueryUnescape)
 		}
 		return Response{Status: 200, ContentType: "image/gif", Body: tinyGIF, NoCache: true}
 
@@ -687,7 +719,7 @@ func (e *Engine) handleBeacon(clientIP, userAgent string, obj jsgen.Object, arg,
 		e.sessions.Mark(key, session.SignalJS)
 		e.stats.uaReports.Add(1)
 		if i := strings.IndexByte(arg, '/'); i >= 0 {
-			e.checkUAMismatch(key, userAgent, arg[i+1:])
+			e.checkUAMismatch(key, userAgent, arg[i+1:], url.PathUnescape)
 		}
 		return Response{Status: 200, ContentType: "text/css", Body: emptyCSS, NoCache: true}
 
@@ -770,15 +802,16 @@ var ObjectSignal = map[jsgen.Object]session.Signal{
 
 // checkUAMismatch compares the JavaScript-reported agent string with the
 // User-Agent header, both normalised the way the injected script normalises
-// them (session.NormalizeUA), and marks the session on mismatch. The
-// comparison normalises as it goes (session.SameNormalizedUA), so a beacon
-// flood builds no lowercased copies and reads no session; an agent string
-// that normalises to nothing on either side proves nothing.
-func (e *Engine) checkUAMismatch(key session.Key, headerUA, reported string) {
-	if unescaped, err := url.PathUnescape(reported); err == nil {
-		reported = unescaped
-	}
-	if unescaped, err := url.QueryUnescape(reported); err == nil {
+// them (session.NormalizeUA), and marks the session on mismatch. The script
+// reports encodeURIComponent(agent), so the raw report is decoded exactly
+// once, by unescape — the decoding of where it sits in the URL: a query value
+// or a path segment. A second decoding would turn a browser's own "+" or
+// "%41" into something else and call it a forgery. The comparison normalises
+// as it goes (session.SameNormalizedUA), so a beacon flood builds no
+// lowercased copies and reads no session; an agent string that normalises to
+// nothing on either side proves nothing.
+func (e *Engine) checkUAMismatch(key session.Key, headerUA, reported string, unescape func(string) (string, error)) {
+	if unescaped, err := unescape(reported); err == nil {
 		reported = unescaped
 	}
 	if strings.TrimLeft(headerUA, " ") == "" || strings.TrimLeft(reported, " ") == "" {
@@ -1161,6 +1194,7 @@ func (e *Engine) FlushSessions() []ClassifiedSession {
 func (e *Engine) Stats() Stats {
 	return Stats{
 		PagesInstrumented: e.stats.pagesInstrumented.Load(),
+		PagesLite:         e.stats.pagesLite.Load(),
 		OriginalBytes:     e.stats.originalBytes.Load(),
 		AddedBytes:        e.stats.addedBytes.Load(),
 		MouseBeacons:      e.stats.mouseBeacons.Load(),

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -261,4 +263,31 @@ func TestTrainerLoopRetrainsAndSwaps(t *testing.T) {
 		t.Fatal("model epoch did not advance")
 	}
 	_ = detect.Describe(d.Detector())
+}
+
+// TestFreshEngineHoldsNoOutcomeBuffer: the outcome ring grows on demand, so
+// an engine that has seen no ground truth pays next to nothing for it — not
+// OutcomeCapacity examples up front.
+func TestFreshEngineHoldsNoOutcomeBuffer(t *testing.T) {
+	heapOf := func(cfg Config) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		New(cfg)
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	cost := int64(math.MaxInt64)
+	for i := 0; i < 3; i++ { // the smallest of three: a stray allocation elsewhere only inflates
+		cost = min(cost, heapOf(Config{Seed: 3, OutcomeCapacity: 4096})-heapOf(Config{Seed: 3, OutcomeCapacity: -1}))
+	}
+	if cost >= 1024 {
+		t.Fatalf("a fresh engine holds %d B of outcome buffer, want < 1 KB", cost)
+	}
+	e := New(Config{Seed: 3, OutcomeCapacity: 20})
+	for i := 0; i < 50; i++ {
+		e.RecordOutcomeVector(features.Vector{}, i%2 == 0)
+	}
+	if e.OutcomeCount() != 20 || e.outcomes.Total() != 50 {
+		t.Fatalf("ring holds %d of %d outcomes, want 20 of 50", e.OutcomeCount(), e.outcomes.Total())
+	}
 }

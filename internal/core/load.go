@@ -319,7 +319,7 @@ func (e *Engine) AdmitPage(clientIP, userAgent string) Admission {
 // arrival pins less keystore memory for less time. Its script is rendered on download from
 // those keys like any other page's.
 func (e *Engine) PreparePageDegraded(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
-	return e.preparePage(clientIP, pagePath, true, ps)
+	return e.preparePage(clientIP, userAgent, pagePath, true, ps)
 }
 
 // EvictionStats returns the session tracker's cumulative per-reason eviction

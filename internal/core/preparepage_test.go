@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"botdetect/internal/session"
 )
 
 const pageDoc = "<html><head><title>x</title></head><body><p>hello</p></body></html>"
@@ -26,6 +28,32 @@ func TestPreparePageZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("PreparePage allocated %.2f/op, want 0", allocs)
+	}
+}
+
+// TestPreparePageLiteZeroAlloc gates a proven human's page views — seven in
+// eight lite, the rest full — at zero allocations: the verdict read is a
+// pooled Peek and a stored-verdict hit.
+func TestPreparePageLiteZeroAlloc(t *testing.T) {
+	e, vc := newTestEngine(Config{Seed: 26, ObfuscateJS: true, Shards: 1})
+	key := session.Key{IP: "10.9.0.2", UserAgent: "Firefox/1.5"}
+	proveHuman(t, e, vc, key)
+	var ps PageState
+	for i := 0; i < 600; i++ {
+		e.PreparePage(key.IP, key.UserAgent, "/warm.html", &ps)
+	}
+	before := e.Stats().PagesLite
+	allocs := testing.AllocsPerRun(300, func() {
+		e.PreparePage(key.IP, key.UserAgent, "/hot.html", &ps)
+	})
+	if lite := e.Stats().PagesLite - before; lite < 200 {
+		t.Fatalf("%d of 301 views lite, want about seven in eight", lite)
+	}
+	if raceEnabled {
+		t.Skipf("paths exercised; skipping the ceiling (%.1f allocs/op measured) — allocation accounting differs under -race", allocs)
+	}
+	if allocs != 0 {
+		t.Fatalf("PreparePage for a definite human allocated %.2f/op, want 0", allocs)
 	}
 }
 

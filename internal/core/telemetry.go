@@ -29,6 +29,8 @@ func (e *Engine) registerTelemetry() {
 
 	counter("botdetect_pages_instrumented_total", "", "HTML pages rewritten with instrumentation.",
 		e.stats.pagesInstrumented.Load)
+	counter("botdetect_pages_lite_total", "", "Pages prepared for a definite human with the hidden trap link alone.",
+		e.stats.pagesLite.Load)
 	counter("botdetect_instrumentation_bytes_total", telemetry.Label("direction", "original"),
 		"Page bytes before rewriting vs instrumentation bytes added.", e.stats.originalBytes.Load)
 	counter("botdetect_instrumentation_bytes_total", telemetry.Label("direction", "added"),

@@ -150,6 +150,42 @@ func TestOutcomesRing(t *testing.T) {
 	}
 }
 
+// TestOutcomesRingAcrossChunks: a ring larger than one allocation chunk,
+// with a short last chunk, keeps insertion order while it fills and the
+// newest capacity examples, oldest first, once it wraps.
+func TestOutcomesRingAcrossChunks(t *testing.T) {
+	const capacity = 2*outcomeChunk + 44
+	o := NewOutcomes(capacity)
+	add := func(i int) {
+		var v features.Vector
+		v[0] = float64(i)
+		o.Add(v, i%2 == 0)
+	}
+	check := func(first, n int) {
+		t.Helper()
+		snap := o.Snapshot()
+		if len(snap) != n || o.Len() != n {
+			t.Fatalf("snapshot holds %d, Len %d, want %d", len(snap), o.Len(), n)
+		}
+		for k, ex := range snap {
+			if ex.X[0] != float64(first+k) {
+				t.Fatalf("snapshot[%d] = #%v, want #%d", k, ex.X[0], first+k)
+			}
+		}
+	}
+	for i := 0; i < capacity-1; i++ {
+		add(i)
+	}
+	check(0, capacity-1)
+	for i := capacity - 1; i < 1000; i++ {
+		add(i)
+	}
+	check(1000-capacity, capacity)
+	if len(o.chunks) != 3 || len(o.chunks[2]) != 44 {
+		t.Fatalf("storage is %d chunks, the last of %d examples; want 3, the last of 44", len(o.chunks), len(o.chunks[len(o.chunks)-1]))
+	}
+}
+
 func TestOutcomesConcurrent(t *testing.T) {
 	o := NewOutcomes(64)
 	var wg sync.WaitGroup

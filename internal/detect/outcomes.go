@@ -15,23 +15,32 @@ import (
 //
 // The buffer is a ring: once full, new outcomes overwrite the oldest, so a
 // long-running deployment trains on a sliding window of recent behaviour.
+// It grows on demand, one fixed-size chunk at a time and never by copying, so
+// an engine that has seen no ground truth holds no buffer and a growing one
+// leaves no garbage behind.
 // Appends are rare events (at most a handful per session), so a plain mutex
 // is the right cost model; classification never touches this structure.
 type Outcomes struct {
-	mu    sync.Mutex
-	buf   []features.Example
-	next  int   // ring cursor once full
-	full  bool  // buf has wrapped
-	total int64 // lifetime appends
+	mu       sync.Mutex
+	chunks   [][]features.Example // outcomeChunk examples each; the last may be shorter
+	n        int                  // retained examples
+	capacity int                  // n once full
+	next     int                  // ring cursor once full
+	total    int64                // lifetime appends
 }
 
+// outcomeChunk is how many examples the ring allocates at a time (13 KB).
+const outcomeChunk = 128
+
 // NewOutcomes creates a buffer retaining the most recent capacity examples
-// (minimum 16).
+// (minimum 16). It allocates nothing until the first Add.
 func NewOutcomes(capacity int) *Outcomes {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &Outcomes{buf: make([]features.Example, 0, capacity)}
+	return &Outcomes{capacity: max(capacity, 16)}
+}
+
+// at returns the i-th slot of the ring's storage.
+func (o *Outcomes) at(i int) *features.Example {
+	return &o.chunks[i/outcomeChunk][i%outcomeChunk]
 }
 
 // Add appends one labelled outcome.
@@ -39,14 +48,15 @@ func (o *Outcomes) Add(x features.Vector, human bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	ex := features.Example{X: x, Human: human}
-	if o.full {
-		o.buf[o.next] = ex
-		o.next = (o.next + 1) % len(o.buf)
+	if o.n == o.capacity {
+		*o.at(o.next) = ex
+		o.next = (o.next + 1) % o.capacity
 	} else {
-		o.buf = append(o.buf, ex)
-		if len(o.buf) == cap(o.buf) {
-			o.full = true
+		if o.n%outcomeChunk == 0 {
+			o.chunks = append(o.chunks, make([]features.Example, min(outcomeChunk, o.capacity-o.n)))
 		}
+		*o.at(o.n) = ex
+		o.n++
 	}
 	o.total++
 }
@@ -55,7 +65,7 @@ func (o *Outcomes) Add(x features.Vector, human bool) {
 func (o *Outcomes) Len() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return len(o.buf)
+	return o.n
 }
 
 // Total returns the lifetime number of appended outcomes, including ones
@@ -72,12 +82,9 @@ func (o *Outcomes) Total() int64 {
 func (o *Outcomes) Snapshot() []features.Example {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make([]features.Example, 0, len(o.buf))
-	if o.full {
-		out = append(out, o.buf[o.next:]...)
-		out = append(out, o.buf[:o.next]...)
-	} else {
-		out = append(out, o.buf...)
+	out := make([]features.Example, 0, o.n)
+	for k := 0; k < o.n; k++ {
+		out = append(out, *o.at((o.next + k) % o.n))
 	}
 	return out
 }

@@ -209,6 +209,7 @@ func (a *Admin) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	fmt.Fprintf(w, "pages instrumented: %d\n", stats.PagesInstrumented)
+	fmt.Fprintf(w, "pages lite (definite humans, hidden link only): %d\n", stats.PagesLite)
 	fmt.Fprintf(w, "beacons: mouse=%d decoy=%d replay=%d exec=%d css=%d hidden=%d ua-mismatch=%d\n",
 		stats.MouseBeacons, stats.DecoyBeacons, stats.ReplayBeacons, stats.ExecBeacons,
 		stats.CSSBeacons, stats.HiddenHits, stats.UAMismatches)

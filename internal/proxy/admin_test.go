@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -99,6 +100,31 @@ func TestAdminStatusEndpoint(t *testing.T) {
 	body := rec.Body.String()
 	if !strings.Contains(body, "detector chain:") || !strings.Contains(body, "active sessions: 1") {
 		t.Fatalf("status body incomplete:\n%s", body)
+	}
+}
+
+// TestAdminCountsLitePages: the lite pages served to a definite human show
+// on /__bd/metrics and /__bd/status beside the pages instrumented.
+func TestAdminCountsLitePages(t *testing.T) {
+	mux, eng, _ := newAdminStack(t, false)
+	proveHuman(t, func(path string) (int, []byte) {
+		rec := adminGet(mux, path)
+		return rec.Code, rec.Body.Bytes()
+	})
+	for i := 0; i < 16; i++ {
+		adminGet(mux, "/page.html")
+	}
+	lite := eng.Stats().PagesLite
+	if lite == 0 {
+		t.Fatal("no lite page in 16 views of a definite human")
+	}
+	metrics := adminGet(mux, "/__bd/metrics").Body.String()
+	if want := fmt.Sprint("botdetect_pages_lite_total ", lite, "\n"); !strings.Contains(metrics, want) {
+		t.Errorf("exposition missing %q", want)
+	}
+	status := adminGet(mux, "/__bd/status").Body.String()
+	if want := fmt.Sprint("pages lite (definite humans, hidden link only): ", lite, "\n"); !strings.Contains(status, want) {
+		t.Errorf("status missing %q:\n%s", want, status)
 	}
 }
 

@@ -195,6 +195,36 @@ func TestSurfacesServeIdenticalBytes(t *testing.T) {
 		}
 	})
 
+	// A definite human: every surface serves the same lite pages (the hidden
+	// trap link alone) on the same views, and the same full page on the
+	// views the hidden token picks.
+	t.Run("definite human", func(t *testing.T) {
+		ss := surfaces(false)
+		for _, s := range ss {
+			proveHuman(t, s.get)
+		}
+		lite := 0
+		for i := 0; i < 16; i++ {
+			path := fmt.Sprintf("/page%d.html", 1+i%4)
+			_, a := ss[0].get(path)
+			_, b := ss[1].get(path)
+			_, c := ss[2].get(path)
+			if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
+				t.Fatalf("view %d (%s): surfaces diverged:\nclaimed   %q\nunclaimed %q\nnode      %q", i, path, a, b, c)
+			}
+			if sum := htmlmod.Extract(a); len(sum.HiddenLinks) != 1 {
+				t.Fatalf("view %d (%s): no hidden trap link:\n%s", i, path, a)
+			} else if !sum.BodyMouseHandler {
+				lite++
+			}
+		}
+		for _, s := range ss {
+			if got := s.eng.Stats().PagesLite; got != int64(lite) || lite == 0 {
+				t.Errorf("%s: PagesLite = %d, %d lite pages served", s.name, got, lite)
+			}
+		}
+	})
+
 	t.Run("refused robot", func(t *testing.T) {
 		type outcome struct {
 			statuses string
@@ -238,6 +268,27 @@ func TestSurfacesServeIdenticalBytes(t *testing.T) {
 	})
 }
 
+// proveHuman makes the client behind get a definite human the way a browser
+// does: a page, its script, and the real key the script's input handler
+// carries.
+func proveHuman(t *testing.T, get func(path string) (int, []byte)) {
+	t.Helper()
+	_, page := get("/")
+	var script []byte
+	for _, src := range htmlmod.Extract(page).Scripts {
+		if strings.HasPrefix(src, "/__bd/") {
+			_, script = get(src)
+		}
+	}
+	key := agents.HandlerBeaconURL(string(script), "__bd_f")
+	if key == "" {
+		t.Fatalf("no input-event beacon in the page's script:\n%s", script)
+	}
+	if status, _ := get(key); status != http.StatusOK {
+		t.Fatalf("input-event beacon: status %d", status)
+	}
+}
+
 // nopResponseWriter is a header-reusing discard writer for the alloc gate:
 // a real keep-alive connection reuses its header map the same way.
 type nopResponseWriter struct {
@@ -275,6 +326,47 @@ func TestServePageZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("keep-alive page serve allocated %.2f/op, want 0", allocs)
+	}
+}
+
+// TestServeLitePageZeroAlloc is TestServePageZeroAlloc for a definite human,
+// whose pages are lite seven views in eight: reading the verdict for the
+// choice costs the keep-alive serve no allocation.
+func TestServeLitePageZeroAlloc(t *testing.T) {
+	det := core.New(core.Config{Seed: 42, ObfuscateJS: true, Shards: 1})
+	mw := New(htmlOrigin(), Config{Engine: det})
+	ctx := ConnContext(context.Background(), nil)
+	get := func(path string) (int, []byte) {
+		req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+		req.RemoteAddr = "10.13.0.2:2000"
+		req.Header.Set("User-Agent", "Firefox/1.5")
+		rec := httptest.NewRecorder()
+		mw.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.Bytes()
+	}
+	proveHuman(t, get)
+
+	req := httptest.NewRequest(http.MethodGet, "/hot.html", nil).WithContext(ctx)
+	req.RemoteAddr = "10.13.0.2:2000"
+	req.Header.Set("User-Agent", "Firefox/1.5")
+	w := &nopResponseWriter{h: make(http.Header)}
+	serve := func() { mw.ServeHTTP(w, req) }
+	for i := 0; i < 600; i++ {
+		serve()
+	}
+	before := det.Stats().PagesLite
+	allocs := testing.AllocsPerRun(400, serve)
+	if lite := det.Stats().PagesLite - before; lite < 300 {
+		t.Fatalf("%d of 401 views lite, want about seven in eight", lite)
+	}
+	if cc := w.h.Get("Cache-Control"); !strings.Contains(cc, "no-store") {
+		t.Fatalf("lite page Cache-Control = %q, want no-store", cc)
+	}
+	if raceEnabled {
+		t.Skipf("paths exercised; skipping the ceiling (%.1f allocs/op measured) — allocation accounting differs under -race", allocs)
+	}
+	if allocs != 0 {
+		t.Fatalf("keep-alive lite page serve allocated %.2f/op, want 0", allocs)
 	}
 }
 
