@@ -245,7 +245,7 @@ func (n *Node) Do(req agents.Request) agents.Response {
 	}
 
 	// Policy enforcement before serving origin content: the escalation
-	// ladder runs off the chain's cached verdict and the session's current
+	// ladder runs off the engine's stored verdict and the session's current
 	// snapshot.
 	if n.cfg.Policy != nil {
 		if snap, verdict, tracked := d.Decide(key); tracked {

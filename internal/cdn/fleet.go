@@ -116,7 +116,7 @@ func (n *Network) EnableReplication(cfg FleetConfig) {
 		})
 		mesh.Attach(node.rep)
 		node.rep.RegisterMetrics(n.tel.Registry(), node.cfg.Name)
-		n.wireExportHooks(node)
+		n.wireExportHooks(node, names)
 	}
 	for _, node := range n.nodes {
 		node.rep.Start()
@@ -136,12 +136,12 @@ func (n *Network) EnableReplication(cfg FleetConfig) {
 
 // wireExportHooks points the node's engines at its replicator: locally
 // derived Definite verdicts and policy block escalations publish fleet-wide,
-// and the engine's remote stage reads peers' verdicts. Both publishing hooks
+// and the engine's remote row reads peers' verdicts. Both publishing hooks
 // check the down flag — a crashed node must not publish epochs while its
 // engine flushes, or Wipe's epoch-counter reset would later reissue them.
-func (n *Network) wireExportHooks(node *Node) {
+func (n *Network) wireExportHooks(node *Node, members []string) {
 	cfg := node.cfg.Engine.Config()
-	node.cfg.Engine.SetFleet(nodeFleet{node: node, clock: cfg.Clock, idle: cfg.SessionIdleTimeout})
+	node.cfg.Engine.SetFleet(nodeFleet{node: node, clock: cfg.Clock, idle: cfg.SessionIdleTimeout, members: members})
 	if node.cfg.Policy != nil {
 		node.cfg.Policy.SetOnBlock(func(key session.Key, until time.Time) {
 			if node.down.Load() {
@@ -154,9 +154,10 @@ func (n *Network) wireExportHooks(node *Node) {
 
 // nodeFleet is a node's replicator as its engine sees it (core.Fleet).
 type nodeFleet struct {
-	node  *Node
-	clock clock.Clock
-	idle  time.Duration
+	node    *Node
+	clock   clock.Clock
+	idle    time.Duration
+	members []string // every node's name, in the network's fixed order
 }
 
 // ExportVerdict publishes a locally derived verdict until one session idle
@@ -180,6 +181,9 @@ func (f nodeFleet) PeerVerdict(key session.Key) (core.Verdict, bool) {
 	}
 	return rec.Verdict, true
 }
+
+// Members is the network's fixed node list.
+func (f nodeFleet) Members() []string { return f.members }
 
 // fleetCallbacks builds the replication callbacks that apply peer updates to
 // one node's local engines. Every callback checks the down flag first: a

@@ -485,7 +485,7 @@ func TestKillMidPublishLosesNothingAcked(t *testing.T) {
 	rep := origin.Replicator()
 	for i := 0; i < 50; i++ {
 		rep.PublishVerdict(session.Key{IP: "10.6.0.1", UserAgent: string(rune('a' + i))},
-			detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, vc.Now().Add(time.Hour))
+			detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, vc.Now().Add(time.Hour))
 	}
 	runUntil(t, vc, 5*time.Second, "some acks", func() bool { return rep.MinAckedEpoch() > 0 })
 	minAcked := rep.MinAckedEpoch()

@@ -149,9 +149,10 @@ func newSimFleet(src *rng.Source) *simFleet {
 					// under: it must not be from an incarnation this node had
 					// already seen superseded.
 					rec, _ := nd.rep.VerdictFor(key)
-					merged(rec.Verdict.Reason)
+					id := verdictID(rec.Verdict.AtRequest)
+					merged(id)
 					if rec.Inc < nd.seenInc[rec.Origin] {
-						f.failf("%s applied %s from %s inc %d after seeing inc %d", nd.name, rec.Verdict.Reason, rec.Origin, rec.Inc, nd.seenInc[rec.Origin])
+						f.failf("%s applied %s from %s inc %d after seeing inc %d", nd.name, id, rec.Origin, rec.Inc, nd.seenInc[rec.Origin])
 					}
 					nd.seenInc[rec.Origin] = rec.Inc
 				},
@@ -206,8 +207,11 @@ func (f *simFleet) step() {
 	}
 }
 
+// verdictID names the verdict published with serial.
+func verdictID(serial int64) string { return fmt.Sprintf("verdict/%d", serial) }
+
 // publish originates one update with a never-reused key on nd: a verdict
-// whose Reason is its id, or a block whose (unique) expiry is. It lives past
+// whose AtRequest is its serial, or a block whose (unique) expiry is. It lives past
 // the run, or for life when that is not zero.
 func (f *simFleet) publish(nd *simNode, serial int, block bool, life time.Duration) {
 	key := session.Key{IP: fmt.Sprintf("10.0.%d.%d", serial/250, serial%250), UserAgent: nd.name}
@@ -223,8 +227,8 @@ func (f *simFleet) publish(nd *simNode, serial int, block bool, life time.Durati
 		id = blockID(until)
 		nd.rep.PublishBlock(key, until)
 	} else {
-		id = fmt.Sprintf("verdict/%d", serial)
-		nd.rep.PublishVerdict(key, detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: id}, until)
+		id = verdictID(int64(serial))
+		nd.rep.PublishVerdict(key, detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy, AtRequest: int64(serial)}, until)
 	}
 	f.until[id] = until
 	if life > 0 {

@@ -18,19 +18,22 @@
 // offline log analyzer) feed it page bodies and request observations and
 // receive rewritten pages, beacon responses and per-session verdicts.
 //
-// Classification itself lives in the internal/detect layer: the engine owns
-// a pluggable detect.Detector chain (direct evidence → learned model →
-// behavioural browser test by default), stores one verdict per session in
-// the session's record, valid for the session's decision epoch and the model
-// epoch it was derived under, and closes the online-training loop — labelled
+// Classification itself lives in the internal/detect layer: every verdict is
+// the first row that fires in detect's one verdict table (direct evidence →
+// a fleet peer's verdict → learned model → behavioural browser test). The
+// engine stores one verdict per session in the session's record — the row's
+// ID, valid for the session's decision epoch and the model epoch it was
+// derived under — and closes the online-training loop — labelled
 // outcomes accumulate as ground truth reveals itself, RetrainFromOutcomes
 // fits a fresh AdaBoost ensemble, and SetModel hot-swaps it onto the read
 // path with a single atomic store.
 package core
 
 import (
+	"math"
 	"net/url"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,7 +42,6 @@ import (
 	"botdetect/internal/adaboost"
 	"botdetect/internal/clock"
 	"botdetect/internal/detect"
-	"botdetect/internal/detect/rules"
 	"botdetect/internal/features"
 	"botdetect/internal/htmlmod"
 	"botdetect/internal/intern"
@@ -334,13 +336,12 @@ type Engine struct {
 
 	sessions *session.Tracker
 
-	det      detect.Detector  // the decision chain every verdict flows through
-	texts    *verdictTexts    // numbers the reason/origin of stored verdicts
+	det      detect.Detector  // the verdict table every verdict comes from
 	learned  *detect.Learned  // hot-swappable learned stage (SetModel)
 	outcomes *detect.Outcomes // labelled material for online retraining
 	tel      *telemetry.ServeMetrics
 
-	// fleet, when set, is the replication layer (SetFleet): the remote stage
+	// fleet, when set, is the replication layer (SetFleet): the remote row
 	// reads peers' verdicts from it and classify exports Definite verdicts
 	// to it. Atomic so the classify path reads it lock-free.
 	fleet atomic.Pointer[Fleet]
@@ -388,15 +389,11 @@ func New(cfg Config) *Engine {
 		e.tel = telemetry.NewServeMetrics(nil)
 		e.cfg.Telemetry = e.tel
 	}
-	e.learned = detect.NewLearned(cfg.MinRequests)
-	e.texts = newVerdictTexts()
-	// rules.Serving with the fleet's remote-verdict stage spliced in after
-	// direct evidence: locally observed hard evidence still wins, but a
+	e.learned = detect.NewLearned()
+	// The whole table: locally observed hard evidence still wins, but a
 	// peer's replicated verdict outranks the local statistical guess (which
 	// never saw the session's cross-node request history).
-	e.det = detect.Chain("serving",
-		rules.Direct{}, remoteStage{e}, e.learned,
-		rules.BrowserTest{MinRequests: cfg.MinRequests})
+	e.det = detect.New(detect.AllRows, cfg.MinRequests, e.learned, e.peerVerdict)
 	if cfg.OutcomeCapacity > 0 {
 		e.outcomes = detect.NewOutcomes(cfg.OutcomeCapacity)
 	}
@@ -876,7 +873,7 @@ func (e *Engine) MarkCaptchaFailed(key session.Key) {
 func (e *Engine) Classify(key session.Key) Verdict {
 	snap, ok := e.sessions.Peek(key)
 	if !ok {
-		return Verdict{Class: ClassUndecided, Confidence: Tentative, Reason: "unknown session"}
+		return Verdict{}
 	}
 	v := e.classify(snap)
 	snap.Release()
@@ -896,9 +893,8 @@ func (e *Engine) Decide(key session.Key) (*session.Snapshot, Verdict, bool) {
 	return snap, e.classify(snap), true
 }
 
-// ClassifySnapshot routes a session snapshot through the engine's detector
-// chain. The classification heuristics themselves live in
-// internal/detect/rules; see Config.Detector for the chain composition.
+// ClassifySnapshot classifies a session snapshot through the engine's
+// verdict table (internal/detect).
 func (e *Engine) ClassifySnapshot(snap session.Snapshot) Verdict {
 	return e.classify(&snap)
 }
@@ -909,18 +905,18 @@ func (e *Engine) ClassifySnapshot(snap session.Snapshot) Verdict {
 // whenever the epoch moves — so the snapshot already carries the answer
 // unless a new signal, a new request class, a threshold crossing or a model
 // hot-swap came since it was derived: a hit costs nothing beyond the Peek
-// that filled the snapshot. On a miss the chain runs outside any lock, and
+// that filled the snapshot. On a miss the table runs outside any lock, and
 // the result is written back through one tracker call that keeps it only if
 // the session is still at the snapshot's epoch. A literal snapshot (tests,
 // offline replay) never hits and its write-back finds no session.
 func (e *Engine) classify(snap *session.Snapshot) Verdict {
 	modelEpoch := e.learned.Epoch()
-	if v, ok := e.texts.load(snap.StoredVerdict(), modelEpoch); ok {
+	if v, ok := e.loadVerdict(snap.StoredVerdict(), modelEpoch); ok {
 		e.tel.ClassifyCacheHits.Inc()
 		return v
 	}
 	v := e.timedDetect(snap)
-	if sv, ok := e.texts.store(v, modelEpoch); ok {
+	if sv, ok := e.storeVerdict(v, modelEpoch); ok {
 		e.sessions.StoreVerdict(snap, sv)
 	}
 	// Recompute means the session's evidence (or the model) changed: this is
@@ -934,30 +930,63 @@ func (e *Engine) classify(snap *session.Snapshot) Verdict {
 	return v
 }
 
-// timedDetect runs the chain uncached, recording the recompute under the
+// timedDetect runs the table uncached, recording the recompute under the
 // classify stage histogram (cache hits are counted, not timed — they are a
-// few compares on the snapshot).
+// few compares on the snapshot). The whole table always decides: below the
+// threshold its below-threshold row fires, at it the no-presentation row.
 func (e *Engine) timedDetect(snap *session.Snapshot) Verdict {
 	start := time.Now()
-	v := e.detect(snap)
+	v, _ := e.det.Detect(snap)
 	e.tel.Classify.ObserveSince(start)
 	e.tel.ClassifyRecomputes.Inc()
 	return v
 }
 
-// detect runs the chain without caching.
-func (e *Engine) detect(snap *session.Snapshot) Verdict {
-	if v, ok := e.det.Detect(snap); ok {
-		return v
+// storeVerdict encodes v, derived under modelEpoch, for the session record:
+// its row, its AtRequest, and for a replicated verdict its origin's index in
+// the fleet's membership (plus one; 0 is a local verdict). The class and
+// confidence are the row's. It reports false for a verdict the record cannot
+// hold: no row, an AtRequest out of its width, or an origin outside the
+// membership (a replicated verdict's fields come from another node).
+func (e *Engine) storeVerdict(v Verdict, modelEpoch uint64) (session.StoredVerdict, bool) {
+	if !v.Rule.Known() || v.AtRequest < 0 || v.AtRequest > math.MaxUint32 {
+		return session.StoredVerdict{}, false
 	}
-	return Verdict{Class: ClassUndecided, Confidence: Tentative, Reason: "no detector rendered an opinion"}
+	// The model epoch is kept to 32 bits: a stored verdict would be served
+	// again only after 2^32 model swaps.
+	sv := session.StoredVerdict{ModelEpoch: uint32(modelEpoch), AtRequest: uint32(v.AtRequest), Rule: uint8(v.Rule)}
+	if v.Origin != "" {
+		i := slices.Index(e.members(), v.Origin)
+		if i < 0 || i >= math.MaxUint8 {
+			return session.StoredVerdict{}, false
+		}
+		sv.Origin = uint8(i + 1)
+	}
+	return sv, true
 }
 
-// Detector returns the engine's decision chain.
+// loadVerdict decodes a stored verdict, if there is one and it was derived
+// under modelEpoch.
+func (e *Engine) loadVerdict(sv session.StoredVerdict, modelEpoch uint64) (Verdict, bool) {
+	r := detect.Rule(sv.Rule)
+	if !r.Known() || sv.ModelEpoch != uint32(modelEpoch) {
+		return Verdict{}, false
+	}
+	v := Verdict{Class: r.Class(), Confidence: r.Confidence(), Rule: r, AtRequest: int64(sv.AtRequest)}
+	if sv.Origin != 0 {
+		members := e.members()
+		if int(sv.Origin) > len(members) {
+			return Verdict{}, false
+		}
+		v.Origin = members[sv.Origin-1]
+	}
+	return v, true
+}
+
+// Detector returns the engine's verdict table.
 func (e *Engine) Detector() detect.Detector { return e.det }
 
-// Learned returns the engine's hot-swappable learned stage. Custom detector
-// chains (Config.Detector) can embed it so SetModel keeps working.
+// Learned returns the model holder the table's learned rows read.
 func (e *Engine) Learned() *detect.Learned { return e.learned }
 
 // SetModel atomically publishes a (re)trained AdaBoost model onto the
@@ -981,29 +1010,36 @@ type Fleet interface {
 	// PeerVerdict returns the live verdict another node replicated for key,
 	// its Origin set to that node, or false.
 	PeerVerdict(key session.Key) (Verdict, bool)
+	// Members is the fleet's fixed membership, every node including this
+	// one: a stored replicated verdict keeps its origin as an index into it.
+	Members() []string
 }
 
 // SetFleet attaches (or detaches, with nil) the replication layer: the
-// serving chain's remote stage serves f.PeerVerdict after direct evidence,
-// and every locally derived Definite verdict goes to f.ExportVerdict.
+// table's remote row serves f.PeerVerdict after direct evidence, and every
+// locally derived Definite verdict goes to f.ExportVerdict.
 func (e *Engine) SetFleet(f Fleet) { e.fleet.Store(&f) }
 
-// remoteStage is the serving chain's fleet stage; with no fleet attached it
-// abstains.
-type remoteStage struct{ e *Engine }
-
-func (remoteStage) Name() string { return "remote-verdicts" }
-
-func (s remoteStage) Detect(snap *session.Snapshot) (Verdict, bool) {
-	if f := s.e.fleet.Load(); f != nil && *f != nil {
-		return (*f).PeerVerdict(snap.Key)
+// peerVerdict is the remote row's source; with no fleet attached no peer
+// holds a verdict.
+func (e *Engine) peerVerdict(key session.Key) (Verdict, bool) {
+	if f := e.fleet.Load(); f != nil && *f != nil {
+		return (*f).PeerVerdict(key)
 	}
 	return Verdict{}, false
 }
 
+// members returns the attached fleet's membership (nil with none).
+func (e *Engine) members() []string {
+	if f := e.fleet.Load(); f != nil && *f != nil {
+		return (*f).Members()
+	}
+	return nil
+}
+
 // ApplyRemoteVerdict tells the engine the fleet's verdict for key changed:
 // a locally tracked session's decision epoch is bumped, dropping its stored
-// verdict, so the next classification reads the remote stage afresh.
+// verdict, so the next classification reads the remote row afresh.
 func (e *Engine) ApplyRemoteVerdict(key session.Key) { e.sessions.Bump(key) }
 
 // AdoptSession replays another node's evidence for a session into the local

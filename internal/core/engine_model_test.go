@@ -139,7 +139,7 @@ func TestModelHotSwapRace(t *testing.T) {
 				switch i % 4 {
 				case 0:
 					v := d.Classify(k)
-					if v.Class == ClassUndecided && v.Reason == "" {
+					if v.Class == ClassUndecided && v.Rule == 0 {
 						t.Error("torn verdict")
 						return
 					}
@@ -210,7 +210,7 @@ func TestDecideRecomputeZeroAlloc(t *testing.T) {
 		}
 		snap.Release()
 	}
-	decide() // warm the snapshot pool and number the verdict's text
+	decide() // warm the snapshot pool
 
 	const runs = 200
 	recomputes := d.tel.ClassifyRecomputes.Value()
@@ -223,6 +223,45 @@ func TestDecideRecomputeZeroAlloc(t *testing.T) {
 	hits := d.tel.ClassifyCacheHits.Value()
 	if allocs := testing.AllocsPerRun(runs, decide); allocs != 0 {
 		t.Errorf("Decide on a stored verdict allocates %.1f objects/op, want 0", allocs)
+	}
+	if got := d.tel.ClassifyCacheHits.Value() - hits; got != runs+1 {
+		t.Fatalf("%d hits over %d Decides after the write-back, want every one", got, runs+1)
+	}
+}
+
+// TestRemoteRecomputeZeroAlloc is TestDecideRecomputeZeroAlloc for a
+// session a fleet peer judged: the remote row serves the peer's verdict, the
+// write-back stores its origin as an index into the fleet's membership, and
+// the hit that follows decodes it — none of it allocates.
+func TestRemoteRecomputeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc ceiling not meaningful under -race")
+	}
+	d := New(Config{Seed: 57})
+	key := session.Key{IP: "10.6.0.3", UserAgent: "Remote"}
+	d.ObserveRequestQuiet(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET", Path: "/", Status: 200})
+	peer := Verdict{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleDecoy, AtRequest: 3, Origin: "c"}
+	d.SetFleet(&stubFleet{peer: map[session.Key]Verdict{key: peer}})
+	decide := func() {
+		snap, v, ok := d.Decide(key)
+		if !ok || v != peer {
+			t.Fatalf("Decide = %+v, %v; want the peer's %+v", v, ok, peer)
+		}
+		snap.Release()
+	}
+	decide()
+
+	const runs = 200
+	recomputes := d.tel.ClassifyRecomputes.Value()
+	if allocs := testing.AllocsPerRun(runs, func() { d.ApplyRemoteVerdict(key); decide() }); allocs != 0 {
+		t.Errorf("ApplyRemoteVerdict + recomputing Decide allocates %.1f objects/op, want 0", allocs)
+	}
+	if got := d.tel.ClassifyRecomputes.Value() - recomputes; got != runs+1 {
+		t.Fatalf("%d recomputes over %d bumped Decides, want every one", got, runs)
+	}
+	hits := d.tel.ClassifyCacheHits.Value()
+	if allocs := testing.AllocsPerRun(runs, decide); allocs != 0 {
+		t.Errorf("Decide on a stored peer verdict allocates %.1f objects/op, want 0", allocs)
 	}
 	if got := d.tel.ClassifyCacheHits.Value() - hits; got != runs+1 {
 		t.Fatalf("%d hits over %d Decides after the write-back, want every one", got, runs+1)
@@ -262,7 +301,6 @@ func TestTrainerLoopRetrainsAndSwaps(t *testing.T) {
 	if d.Learned().Epoch() == 0 {
 		t.Fatal("model epoch did not advance")
 	}
-	_ = detect.Describe(d.Detector())
 }
 
 // TestFreshEngineHoldsNoOutcomeBuffer: the outcome ring grows on demand, so

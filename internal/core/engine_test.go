@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"botdetect/internal/clock"
+	"botdetect/internal/detect"
 	"botdetect/internal/htmlmod"
 	"botdetect/internal/jsgen"
 	"botdetect/internal/logfmt"
@@ -366,8 +368,8 @@ func TestClassificationRobotRunningJSWithoutMouse(t *testing.T) {
 	if v.Class != ClassRobot || v.Confidence != Probable {
 		t.Fatalf("verdict = %+v", v)
 	}
-	if !strings.Contains(v.Reason, "no input events") {
-		t.Fatalf("reason = %q", v.Reason)
+	if v.Rule != detect.RuleJSWithoutInput || !strings.Contains(v.Reason(), "no input events") {
+		t.Fatalf("rule %s, reason %q", v.Rule.Name(), v.Reason())
 	}
 }
 
@@ -457,9 +459,9 @@ func TestFlushSessions(t *testing.T) {
 }
 
 func TestVerdictAndEnumStrings(t *testing.T) {
-	v := Verdict{Class: ClassRobot, Confidence: Definite, Reason: "followed hidden link", AtRequest: 7}
+	v := Verdict{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleHidden, AtRequest: 7}
 	s := v.String()
-	if !strings.Contains(s, "robot") || !strings.Contains(s, "definite") || !strings.Contains(s, "7") {
+	if !strings.Contains(s, "robot") || !strings.Contains(s, "definite") || !strings.Contains(s, "7") || !strings.Contains(s, "invisible") {
 		t.Fatalf("Verdict.String = %q", s)
 	}
 	if ClassHuman.String() != "human" || ClassUndecided.String() != "undecided" || Class(9).String() != "undecided" {
@@ -488,12 +490,16 @@ func TestQueryParam(t *testing.T) {
 	}
 }
 
-// stubFleet is a replication layer holding one peer verdict per key and
-// recording what the engine exports.
+// stubFleet is a replication layer of nodes a, b and c, holding one peer
+// verdict per key and recording what the engine exports.
 type stubFleet struct {
 	peer     map[session.Key]Verdict
 	exported []Verdict
 }
+
+var stubMembers = []string{"a", "b", "c"}
+
+func (f *stubFleet) Members() []string { return stubMembers }
 
 func (f *stubFleet) ExportVerdict(_ session.Key, v Verdict) { f.exported = append(f.exported, v) }
 
@@ -513,11 +519,15 @@ func TestFleetStage(t *testing.T) {
 	if v := e.Classify(k); v.Origin != "" {
 		t.Fatalf("no fleet attached, yet the session is judged by %s: %+v", v.Origin, v)
 	}
-	f := &stubFleet{peer: map[session.Key]Verdict{k: {Class: ClassRobot, Confidence: Definite, Reason: "peer", Origin: "b"}}}
+	peer := Verdict{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleHidden, AtRequest: 4, Origin: "b"}
+	f := &stubFleet{peer: map[session.Key]Verdict{k: peer}}
 	e.SetFleet(f)
 	e.ApplyRemoteVerdict(k)
-	if v := e.Classify(k); v.Class != ClassRobot || v.Origin != "b" {
+	if v := e.Classify(k); v != peer {
 		t.Fatalf("attached fleet's verdict not served: %+v", v)
+	}
+	if v := e.Classify(k); v != peer || e.tel.ClassifyCacheHits.Value() == 0 {
+		t.Fatalf("the stored peer verdict came back as %+v (%d hits)", v, e.tel.ClassifyCacheHits.Value())
 	}
 	if len(f.exported) != 0 {
 		t.Fatalf("a peer's verdict was exported back: %+v", f.exported)
@@ -528,5 +538,71 @@ func TestFleetStage(t *testing.T) {
 	}
 	if len(f.exported) != 1 || f.exported[0].Class != ClassHuman {
 		t.Fatalf("exported %+v, want the one local human verdict", f.exported)
+	}
+}
+
+// TestRemoteRowRefusesMalformedPeerVerdicts: a replicated verdict is another
+// node's input. One whose row is unknown, is the remote row itself, or
+// whose class or confidence disagree with its row, or one that names no
+// origin, is refused as if no peer held a verdict: the local rows decide.
+func TestRemoteRowRefusesMalformedPeerVerdicts(t *testing.T) {
+	e, vc := newTestEngine(Config{})
+	k := session.Key{IP: "10.0.0.2", UserAgent: "UA"}
+	observe(e, k.IP, k.UserAgent, "GET", "/", 200, "", vc.Now())
+	f := &stubFleet{peer: map[session.Key]Verdict{}}
+	e.SetFleet(f)
+	for _, bad := range []Verdict{
+		{Class: ClassRobot, Confidence: Definite, Rule: 200, Origin: "b"},
+		{Class: ClassRobot, Confidence: Definite, Rule: detect.Rule(detect.RuleNoPresentation + 1), Origin: "b"},
+		{Class: ClassRobot, Confidence: Definite, Origin: "b"},
+		{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleRemote, Origin: "b"},
+		{Class: ClassHuman, Confidence: Definite, Rule: detect.RuleDecoy, Origin: "b"},
+		{Class: ClassRobot, Confidence: Probable, Rule: detect.RuleDecoy, Origin: "b"},
+		{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleDecoy},
+	} {
+		f.peer[k] = bad
+		e.ApplyRemoteVerdict(k)
+		if v := e.Classify(k); v.Rule != detect.RuleBelowThreshold || v.Origin != "" {
+			t.Errorf("peer verdict %+v: served %+v, want the local below-threshold row", bad, v)
+		}
+	}
+}
+
+// TestStoredVerdictRoundTripAndRefusal pins the stored verdict's encoding: a
+// verdict comes back exactly, under its own model epoch only, a replicated
+// one with its origin; and what the record cannot hold — no row, an
+// AtRequest wider than its slot, an origin outside the fleet — is refused,
+// not truncated.
+func TestStoredVerdictRoundTripAndRefusal(t *testing.T) {
+	e, _ := newTestEngine(Config{})
+	e.SetFleet(&stubFleet{})
+	for _, v := range []Verdict{
+		{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleHidden, AtRequest: 12, Origin: "c"},
+		{Class: ClassHuman, Confidence: Probable, Rule: detect.RuleCSS, AtRequest: math.MaxUint32},
+		{Class: ClassUndecided, Confidence: Tentative, Rule: detect.RuleBelowThreshold},
+	} {
+		sv, ok := e.storeVerdict(v, 7)
+		if !ok {
+			t.Fatalf("store(%+v) refused", v)
+		}
+		if got, ok := e.loadVerdict(sv, 7); !ok || got != v {
+			t.Fatalf("load = %+v, %v; want %+v", got, ok, v)
+		}
+		if _, ok := e.loadVerdict(sv, 8); ok {
+			t.Fatal("a verdict was served under another model epoch")
+		}
+	}
+	for _, bad := range []Verdict{
+		{}, {Rule: 200}, {Rule: detect.RuleCSS, AtRequest: -1}, {Rule: detect.RuleCSS, AtRequest: math.MaxUint32 + 1},
+		{Rule: detect.RuleDecoy, Origin: "stranger"},
+	} {
+		if sv, ok := e.storeVerdict(bad, 0); ok {
+			t.Errorf("store(%+v) = %+v, want refused", bad, sv)
+		}
+	}
+	sv, _ := e.storeVerdict(Verdict{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleDecoy, Origin: "c"}, 0)
+	e.SetFleet(nil)
+	if v, ok := e.loadVerdict(sv, 0); ok {
+		t.Fatalf("a replicated verdict outlived its fleet: %+v", v)
 	}
 }

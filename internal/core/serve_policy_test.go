@@ -115,7 +115,7 @@ func TestHumanReplayingConsumedKeyIsDefiniteRobot(t *testing.T) {
 		t.Fatalf("beacons %+v, want one input event and one replay", st)
 	}
 	v, a := decide("after the replay")
-	if v.Class != ClassRobot || v.Confidence != Definite || v.Reason != "replayed an already consumed beacon key" || a != policy.Challenge {
+	if v.Class != ClassRobot || v.Confidence != Definite || v.Reason() != "replayed an already consumed beacon key" || a != policy.Challenge {
 		t.Fatalf("after the replay: %v, %v; today it is a definite robot by replay, challenged", v, a)
 	}
 

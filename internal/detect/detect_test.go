@@ -1,7 +1,6 @@
 package detect
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -10,55 +9,46 @@ import (
 	"botdetect/internal/session"
 )
 
-// stub is a configurable detector for combinator tests.
-type stub struct {
-	name string
-	v    Verdict
-	ok   bool
+func snapWith(total uint32, sigs map[session.Signal]int64) *session.Snapshot {
+	return &session.Snapshot{Counts: session.Counts{Total: total}, Signals: session.MakeSignals(sigs)}
 }
 
-func (s stub) Name() string                             { return s.name }
-func (s stub) Detect(*session.Snapshot) (Verdict, bool) { return s.v, s.ok }
-
-func robotV(conf Confidence) Verdict {
-	return Verdict{Class: ClassRobot, Confidence: conf, Reason: "stub robot", AtRequest: 1}
-}
-
-func humanV(conf Confidence) Verdict {
-	return Verdict{Class: ClassHuman, Confidence: conf, Reason: "stub human", AtRequest: 2}
-}
-
-func TestChainFirstOpinionWins(t *testing.T) {
-	snap := &session.Snapshot{}
-	c := Chain("test",
-		stub{name: "abstain", ok: false},
-		stub{name: "robot", v: robotV(Definite), ok: true},
-		stub{name: "human", v: humanV(Definite), ok: true},
-	)
-	v, ok := c.Detect(snap)
-	if !ok || v.Class != ClassRobot || v.Reason != "stub robot" {
+// TestVerdictTableFirstRowWins: the first row of the mask that fires
+// decides, its verdict carries the row, and a mask whose rows all stay
+// silent abstains.
+func TestVerdictTableFirstRowWins(t *testing.T) {
+	snap := snapWith(20, map[session.Signal]int64{session.SignalMouse: 2, session.SignalHidden: 5, session.SignalCSS: 3})
+	v, ok := New(AllRows, 10, nil, nil).Detect(snap)
+	if !ok || v != (Verdict{Class: ClassRobot, Confidence: Definite, Rule: RuleHidden, AtRequest: 5}) {
 		t.Fatalf("verdict = %+v ok=%v", v, ok)
 	}
-	if c.Name() != "test" {
-		t.Fatalf("name = %q", c.Name())
+	if v.Reason() != "followed a link invisible to human users" || v.Rule.Name() != "hidden" {
+		t.Fatalf("row %q explains %q", v.Rule.Name(), v.Reason())
 	}
-}
-
-func TestChainAllAbstain(t *testing.T) {
-	c := Chain("empty", stub{name: "a"}, stub{name: "b"})
-	if _, ok := c.Detect(&session.Snapshot{}); ok {
-		t.Fatal("chain of abstainers must abstain")
+	v, ok = New(AllRows&^(1<<RuleHidden), 10, nil, nil).Detect(snap)
+	if !ok || v.Rule != RuleMouse || v.Class != ClassHuman || v.AtRequest != 2 {
+		t.Fatalf("without the hidden row: verdict = %+v ok=%v", v, ok)
 	}
-}
+	if _, ok := New(DirectRows, 10, nil, nil).Detect(snapWith(50, map[session.Signal]int64{session.SignalCSS: 1})); ok {
+		t.Fatal("the direct rows fired on a stylesheet fetch")
+	}
+	if _, ok := (Detector{}).Detect(snap); ok {
+		t.Fatal("the empty mask fired")
+	}
 
-func TestDescribe(t *testing.T) {
-	l := NewLearned(10)
-	d := Chain("serving", stub{name: "direct"}, l, Chain("inner", stub{name: "x"}))
-	s := Describe(d)
-	for _, want := range []string{"serving(", "direct", "learned", "inner(x)"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("Describe = %q missing %q", s, want)
+	var got []Rule
+	for r := Rule(0); r < 20; r++ {
+		if AllRows.Has(r) {
+			got = append(got, r)
+			if r.Name() == "" || r.Reason() == "" {
+				t.Errorf("row %d has no name or reason", r)
+			}
+		} else if r.Name() != "" || r.Reason() != "" || r.Class() != ClassUndecided {
+			t.Errorf("unknown row %d reads as %q / %q", r, r.Name(), r.Reason())
 		}
+	}
+	if len(got) != 13 || len(AllRows.Rules()) != 13 || got[0] != RuleDecoy || got[12] != RuleNoPresentation {
+		t.Fatalf("the table's rows are %v", got)
 	}
 }
 
@@ -83,12 +73,13 @@ func trainToyModel(t *testing.T) *adaboost.Model {
 }
 
 func TestLearnedAbstainsAndDecides(t *testing.T) {
-	l := NewLearned(10)
+	l := NewLearned()
+	rows := New(LearnedRows, 10, l, nil)
 	var human features.Vector
 	human[features.ReferrerPct] = 0.8
 	long := &session.Snapshot{Counts: session.Counts{Total: 20}, Features: human}
 
-	if _, ok := l.Detect(long); ok {
+	if _, ok := rows.Detect(long); ok {
 		t.Fatal("learned without a model must abstain")
 	}
 	if l.Epoch() != 0 || l.Model() != nil {
@@ -101,25 +92,25 @@ func TestLearnedAbstainsAndDecides(t *testing.T) {
 		t.Fatalf("epoch=%d model=%p", l.Epoch(), l.Model())
 	}
 
-	v, ok := l.Detect(long)
-	if !ok || v.Class != ClassHuman || v.Confidence != Probable || v.AtRequest != 20 {
+	v, ok := rows.Detect(long)
+	if !ok || v.Rule != RuleLearnedHuman || v.Class != ClassHuman || v.Confidence != Probable || v.AtRequest != 20 {
 		t.Fatalf("verdict = %+v ok=%v", v, ok)
 	}
 	var robot features.Vector
 	robot[features.HTMLPct] = 0.9
-	v, ok = l.Detect(&session.Snapshot{Counts: session.Counts{Total: 20}, Features: robot})
-	if !ok || v.Class != ClassRobot {
+	v, ok = rows.Detect(&session.Snapshot{Counts: session.Counts{Total: 20}, Features: robot})
+	if !ok || v.Rule != RuleLearnedRobot || v.Class != ClassRobot {
 		t.Fatalf("robot verdict = %+v ok=%v", v, ok)
 	}
 
 	// Too-short sessions abstain even with a model.
-	if _, ok := l.Detect(&session.Snapshot{Counts: session.Counts{Total: 5}, Features: human}); ok {
-		t.Fatal("learned must abstain below MinRequests")
+	if _, ok := rows.Detect(&session.Snapshot{Counts: session.Counts{Total: 5}, Features: human}); ok {
+		t.Fatal("learned rows must not fire below the threshold")
 	}
 
 	// Unpublishing reverts to abstention and advances the epoch.
 	l.SetModel(nil)
-	if _, ok := l.Detect(long); ok {
+	if _, ok := rows.Detect(long); ok {
 		t.Fatal("unpublished model must abstain")
 	}
 	if l.Epoch() != 2 {

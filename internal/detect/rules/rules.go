@@ -1,9 +1,9 @@
-// Package rules holds the paper's heuristic detectors, extracted from the
-// old core classifier so that every consumer — serving proxy, CDN
-// simulator, offline experiments — composes them through the same
-// detect.Detector chain. It also hosts the Section 3.1 aggregate analysis
-// (the combining rule S_H, Table 1 breakdowns, Figure 2 latencies) and the
-// rule variants the ablation experiments sweep.
+// Package rules holds the paper's combining rule as row masks over the
+// verdict table in internal/detect: the serving detector every consumer —
+// serving proxy, CDN simulator, offline experiments — builds, the Section 3.1
+// set S_H and the ablation variants that drop one of its terms. It also hosts
+// the Section 3.1 aggregate analysis (Table 1 breakdowns, Figure 2
+// latencies).
 package rules
 
 import (
@@ -11,85 +11,51 @@ import (
 	"botdetect/internal/session"
 )
 
-// Direct is the direct-evidence detector. Robot evidence comes first
-// (Definite): decoy fetches, replayed keys, hidden-link fetches, and a
-// forged User-Agent can only be produced by automation — a browser driven by
-// a human never calls the decoy functions or follows invisible links — so
-// they outrank everything else. This also catches robots that blindly fetch
-// every URL in the script and therefore happen to hit the real key as well.
-// Direct human evidence is next (Definite): a valid input-event beacon or a
-// passed CAPTCHA. With neither, Direct abstains.
-type Direct struct{}
-
-// Name implements detect.Detector.
-func (Direct) Name() string { return "direct-evidence" }
-
-// Detect implements detect.Detector.
-func (Direct) Detect(snap *session.Snapshot) (detect.Verdict, bool) {
-	if at, ok := snap.SignalAt(session.SignalDecoy); ok {
-		return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "fetched a decoy beacon URL without executing the script", AtRequest: at}, true
-	}
-	if at, ok := snap.SignalAt(session.SignalReplay); ok {
-		return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "replayed an already consumed beacon key", AtRequest: at}, true
-	}
-	if at, ok := snap.SignalAt(session.SignalHidden); ok {
-		return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "followed a link invisible to human users", AtRequest: at}, true
-	}
-	if at, ok := snap.SignalAt(session.SignalUAMismatch); ok {
-		return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "User-Agent header does not match the script-reported agent", AtRequest: at}, true
-	}
-	if at, ok := snap.SignalAt(session.SignalMouse); ok {
-		return detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "input event beacon carried a valid key", AtRequest: at}, true
-	}
-	if at, ok := snap.SignalAt(session.SignalCaptcha); ok {
-		return detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "passed CAPTCHA challenge", AtRequest: at}, true
-	}
-	return detect.Verdict{}, false
-}
-
-// BrowserTest is the behavioural browser-test detector (Probable, only after
-// MinRequests requests): running the injected JavaScript without ever
-// producing an input event indicates a robot (the S_JS − S_MM term);
-// fetching the injected stylesheet without contrary evidence indicates a
-// standard browser, hence a human (the S_CSS term); fetching neither
-// indicates a robot. Below MinRequests it returns an explicit undecided
-// verdict, making it a terminal chain stage.
-type BrowserTest struct {
-	// MinRequests is the number of requests a session must reach before the
-	// behavioural rules classify it (paper: 10).
-	MinRequests int64
-}
-
-// Name implements detect.Detector.
-func (BrowserTest) Name() string { return "browser-test" }
-
-// Detect implements detect.Detector.
-func (b BrowserTest) Detect(snap *session.Snapshot) (detect.Verdict, bool) {
-	if int64(snap.Counts.Total) < b.MinRequests {
-		return detect.Undecided("fewer requests than the classification threshold"), true
-	}
-	if jsAt, ok := snap.SignalAt(session.SignalJS); ok {
-		// Ran the script but never produced an input event over a full
-		// session prefix: S_JS − S_MM.
-		return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Probable, Reason: "executed JavaScript but produced no input events", AtRequest: jsAt}, true
-	}
-	if cssAt, ok := snap.SignalAt(session.SignalCSS); ok {
-		return detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Probable, Reason: "fetched the embedded stylesheet like a standard browser", AtRequest: cssAt}, true
-	}
-	// The "no presentation objects" rule first becomes decidable at the
-	// classification threshold; report that point so downstream consumers
-	// (rate limiting, the complaint model) know when enforcement could start.
-	return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Probable, Reason: "ignored all embedded presentation objects", AtRequest: b.MinRequests}, true
-}
-
-// Serving composes the serving-path chain used by every consumer: direct
-// evidence outranks the learned model, which outranks the behavioural
-// browser test. learned may be nil for a rules-only chain. The chain always
-// decides (possibly "undecided") for any tracked session, since BrowserTest
-// is terminal.
+// Serving is the serving path's detector without the fleet: the whole table,
+// with the threshold of minRequests requests (paper: 10). learned may be nil
+// for rules-only verdicts. It decides (possibly "undecided") for every
+// session: below the threshold the below-threshold row fires, at it the
+// no-presentation row.
 func Serving(minRequests int64, learned *detect.Learned) detect.Detector {
-	if learned == nil {
-		return detect.Chain("serving", Direct{}, BrowserTest{MinRequests: minRequests})
-	}
-	return detect.Chain("serving", Direct{}, learned, BrowserTest{MinRequests: minRequests})
+	return detect.New(detect.AllRows, minRequests, learned, nil)
 }
+
+// The combining rule of Section 3.1 and its ablation variants, as row masks:
+// a session is in a variant's human set when the first of its rows to fire
+// judges it human. The rows' request threshold does not apply here (Breakdown
+// filters short sessions itself).
+const (
+	// HumanSet is S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM): the mouse row
+	// outranks the JS row, which outranks the CSS row.
+	HumanSet = detect.Mask(1<<detect.RuleMouse | 1<<detect.RuleJSWithoutInput | 1<<detect.RuleCSS)
+	// CSSOnly is the browser-test-only variant, S_H = S_CSS.
+	CSSOnly = detect.Mask(1 << detect.RuleCSS)
+	// MouseOnly is the human-activity-only variant, S_H = S_MM.
+	MouseOnly = detect.Mask(1 << detect.RuleMouse)
+	// Union keeps the union but drops the subtraction, S_H = S_CSS ∪ S_MM.
+	Union = detect.Mask(1<<detect.RuleMouse | 1<<detect.RuleCSS)
+)
+
+// Variants are the ablation's combining rules, the paper's last.
+var Variants = []struct {
+	Name string
+	Rows detect.Mask
+}{
+	{"CSS only", CSSOnly},
+	{"MM only", MouseOnly},
+	{"CSS ∪ MM", Union},
+	{"(CSS ∪ MM) − (JS − MM)", HumanSet},
+}
+
+// InSet reports whether a session belongs to the human set of the variant
+// rows.
+func InSet(rows detect.Mask, s *session.Snapshot) bool {
+	v, ok := detect.New(rows, 0, nil, nil).Detect(s)
+	return ok && v.Class == detect.ClassHuman
+}
+
+// InHumanSet reports whether a single session belongs to S_H under the
+// combining rule: it fetched the embedded stylesheet or produced an input
+// event, and it is not one of the sessions that executed the JavaScript yet
+// never produced an input event.
+func InHumanSet(s session.Snapshot) bool { return InSet(HumanSet, &s) }

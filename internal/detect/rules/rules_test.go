@@ -12,44 +12,46 @@ func sigSnap(total int64, sigs map[session.Signal]int64) *session.Snapshot {
 }
 
 func TestDirectPriorityOrder(t *testing.T) {
+	direct := detect.New(detect.DirectRows, 10, nil, nil)
 	// Decoy outranks mouse: a robot that blindly fetches every URL hits the
 	// real key too, and must still be classified robot.
-	v, ok := (Direct{}).Detect(sigSnap(5, map[session.Signal]int64{
+	v, ok := direct.Detect(sigSnap(5, map[session.Signal]int64{
 		session.SignalDecoy: 3, session.SignalMouse: 2,
 	}))
-	if !ok || v.Class != detect.ClassRobot || v.Confidence != detect.Definite || v.AtRequest != 3 {
+	if !ok || v.Rule != detect.RuleDecoy || v.Class != detect.ClassRobot || v.Confidence != detect.Definite || v.AtRequest != 3 {
 		t.Fatalf("verdict = %+v ok=%v", v, ok)
 	}
 
 	cases := []struct {
 		sig   session.Signal
+		rule  detect.Rule
 		class detect.Class
 	}{
-		{session.SignalDecoy, detect.ClassRobot},
-		{session.SignalReplay, detect.ClassRobot},
-		{session.SignalHidden, detect.ClassRobot},
-		{session.SignalUAMismatch, detect.ClassRobot},
-		{session.SignalMouse, detect.ClassHuman},
-		{session.SignalCaptcha, detect.ClassHuman},
+		{session.SignalDecoy, detect.RuleDecoy, detect.ClassRobot},
+		{session.SignalReplay, detect.RuleReplay, detect.ClassRobot},
+		{session.SignalHidden, detect.RuleHidden, detect.ClassRobot},
+		{session.SignalUAMismatch, detect.RuleUAMismatch, detect.ClassRobot},
+		{session.SignalMouse, detect.RuleMouse, detect.ClassHuman},
+		{session.SignalCaptcha, detect.RuleCaptcha, detect.ClassHuman},
 	}
 	for _, tc := range cases {
-		v, ok := (Direct{}).Detect(sigSnap(1, map[session.Signal]int64{tc.sig: 1}))
-		if !ok || v.Class != tc.class || v.Confidence != detect.Definite {
+		v, ok := direct.Detect(sigSnap(1, map[session.Signal]int64{tc.sig: 1}))
+		if !ok || v.Rule != tc.rule || v.Class != tc.class || v.Confidence != detect.Definite {
 			t.Fatalf("signal %v: verdict = %+v ok=%v", tc.sig, v, ok)
 		}
 	}
 
 	// No direct evidence: abstain (CSS/JS are behavioural, not direct).
-	if _, ok := (Direct{}).Detect(sigSnap(50, map[session.Signal]int64{session.SignalCSS: 1, session.SignalJS: 1})); ok {
-		t.Fatal("Direct must abstain without direct evidence")
+	if _, ok := direct.Detect(sigSnap(50, map[session.Signal]int64{session.SignalCSS: 1, session.SignalJS: 1})); ok {
+		t.Fatal("the direct rows must abstain without direct evidence")
 	}
 }
 
 func TestBrowserTestRules(t *testing.T) {
-	b := BrowserTest{MinRequests: 10}
+	b := detect.New(1<<detect.RuleBelowThreshold|1<<detect.RuleJSWithoutInput|1<<detect.RuleCSS|1<<detect.RuleNoPresentation, 10, nil, nil)
 
 	v, ok := b.Detect(sigSnap(5, nil))
-	if !ok || v.Class != detect.ClassUndecided {
+	if !ok || v.Class != detect.ClassUndecided || v.Rule != detect.RuleBelowThreshold {
 		t.Fatalf("short session verdict = %+v ok=%v", v, ok)
 	}
 
@@ -70,15 +72,15 @@ func TestBrowserTestRules(t *testing.T) {
 	}
 
 	v, _ = b.Detect(sigSnap(12, nil))
-	if v.Class != detect.ClassRobot || v.AtRequest != 10 {
+	if v.Class != detect.ClassRobot || v.AtRequest != 10 || v.Rule != detect.RuleNoPresentation {
 		t.Fatalf("no-presentation verdict = %+v", v)
 	}
 }
 
 func TestServingChainEquivalentToLegacyClassifier(t *testing.T) {
-	// The rules-only serving chain must reproduce the old core classifier's
-	// decision table exactly.
-	chain := Serving(10, nil)
+	// The rules-only serving detector must reproduce the old core
+	// classifier's decision table exactly.
+	serving := Serving(10, nil)
 
 	cases := []struct {
 		name  string
@@ -94,15 +96,14 @@ func TestServingChainEquivalentToLegacyClassifier(t *testing.T) {
 		{"silent robot", sigSnap(20, nil), detect.ClassRobot, detect.Probable},
 	}
 	for _, tc := range cases {
-		v, ok := chain.Detect(tc.snap)
+		v, ok := serving.Detect(tc.snap)
 		if !ok || v.Class != tc.class || v.Confidence != tc.conf {
 			t.Fatalf("%s: verdict = %+v ok=%v", tc.name, v, ok)
 		}
 	}
 
-	// With a learned stage the chain composes three detectors.
-	withModel := Serving(10, detect.NewLearned(10))
-	if got := detect.Describe(withModel); got != "serving(direct-evidence → learned → browser-test)" {
-		t.Fatalf("Describe = %q", got)
+	// Serving is the whole table, with or without a model.
+	if Serving(10, detect.NewLearned()).Rows() != detect.AllRows || serving.Rows() != detect.AllRows {
+		t.Fatal("the serving detector is not the whole table")
 	}
 }

@@ -6,20 +6,9 @@ import (
 )
 
 // This file implements the aggregate session-set analysis of Section 3.1:
-// the combining rule S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM), the lower/upper
-// bounds on the human share, the maximum false-positive rate, and the
-// Table 1 style breakdown of detection signals over a set of sessions.
-
-// InHumanSet reports whether a single session belongs to S_H under the
-// combining rule: it fetched the embedded stylesheet or produced an input
-// event, and it is not one of the sessions that executed the JavaScript yet
-// never produced an input event.
-func InHumanSet(s session.Snapshot) bool {
-	css := s.Has(session.SignalCSS)
-	mouse := s.Has(session.SignalMouse)
-	js := s.Has(session.SignalJS)
-	return (css || mouse) && !(js && !mouse)
-}
+// the size of the combining rule's S_H (InHumanSet), the lower/upper bounds
+// on the human share, the maximum false-positive rate, and the Table 1 style
+// breakdown of detection signals over a set of sessions.
 
 // SetBreakdown summarises a session set the way Table 1 does.
 type SetBreakdown struct {

@@ -3,6 +3,7 @@ package rules
 import (
 	"testing"
 
+	"botdetect/internal/detect"
 	"botdetect/internal/session"
 )
 
@@ -20,14 +21,15 @@ func variantSnap(css, mouse, js bool) session.Snapshot {
 	return session.Snapshot{Counts: session.Counts{Total: 20}, Signals: session.MakeSignals(sigs)}
 }
 
+// TestFullRuleMatchesInHumanSet: the S_H mask is the formula
+// (S_CSS ∪ S_MM) − (S_JS − S_MM).
 func TestFullRuleMatchesInHumanSet(t *testing.T) {
-	rule := FullRule()
 	for _, css := range []bool{false, true} {
 		for _, mouse := range []bool{false, true} {
 			for _, js := range []bool{false, true} {
 				s := variantSnap(css, mouse, js)
-				if rule.InHumanSet(s) != InHumanSet(s) {
-					t.Fatalf("FullRule diverges from InHumanSet for css=%v mouse=%v js=%v", css, mouse, js)
+				if want := (css || mouse) && !(js && !mouse); InHumanSet(s) != want || InSet(HumanSet, &s) != want {
+					t.Fatalf("S_H mask diverges from the formula for css=%v mouse=%v js=%v", css, mouse, js)
 				}
 			}
 		}
@@ -41,30 +43,36 @@ func TestRuleVariantSemantics(t *testing.T) {
 	bareBot := variantSnap(false, false, false)
 
 	cases := []struct {
-		rule Rule
+		rows detect.Mask
 		name string
 		want map[*session.Snapshot]bool
 	}{
-		{CSSOnlyRule(), "css-only", map[*session.Snapshot]bool{&smartBot: true, &noJSHuman: true, &jsHuman: true, &bareBot: false}},
-		{MouseOnlyRule(), "mouse-only", map[*session.Snapshot]bool{&smartBot: false, &noJSHuman: false, &jsHuman: true, &bareBot: false}},
-		{UnionOnlyRule(), "union", map[*session.Snapshot]bool{&smartBot: true, &noJSHuman: true, &jsHuman: true, &bareBot: false}},
-		{FullRule(), "full", map[*session.Snapshot]bool{&smartBot: false, &noJSHuman: true, &jsHuman: true, &bareBot: false}},
+		{CSSOnly, "css-only", map[*session.Snapshot]bool{&smartBot: true, &noJSHuman: true, &jsHuman: true, &bareBot: false}},
+		{MouseOnly, "mouse-only", map[*session.Snapshot]bool{&smartBot: false, &noJSHuman: false, &jsHuman: true, &bareBot: false}},
+		{Union, "union", map[*session.Snapshot]bool{&smartBot: true, &noJSHuman: true, &jsHuman: true, &bareBot: false}},
+		{HumanSet, "full", map[*session.Snapshot]bool{&smartBot: false, &noJSHuman: true, &jsHuman: true, &bareBot: false}},
 	}
 	for _, tc := range cases {
 		for snap, want := range tc.want {
-			if got := tc.rule.InHumanSet(*snap); got != want {
+			if got := InSet(tc.rows, snap); got != want {
 				t.Errorf("%s: got %v, want %v for %v", tc.name, got, want, snap.Signals)
 			}
 		}
 	}
 }
 
+// TestRuleNames: the ablation names four distinct variants, each a mask of
+// browser-test and human-activity rows only, the paper's rule last.
 func TestRuleNames(t *testing.T) {
-	if FullRule().Name() == "custom" || CSSOnlyRule().Name() == "custom" ||
-		MouseOnlyRule().Name() == "custom" || UnionOnlyRule().Name() == "custom" {
-		t.Fatal("named variants should not be 'custom'")
+	names := map[string]bool{}
+	masks := map[detect.Mask]bool{}
+	for _, v := range Variants {
+		if v.Name == "" || names[v.Name] || masks[v.Rows] || v.Rows&^HumanSet != 0 {
+			t.Fatalf("variant %q (%b) is unnamed, repeated or reads rows outside S_H's", v.Name, v.Rows)
+		}
+		names[v.Name], masks[v.Rows] = true, true
 	}
-	if (Rule{UseCSS: true, SubtractJSWithoutMouse: true}).Name() != "custom" {
-		t.Fatal("unnamed variant should be 'custom'")
+	if len(Variants) != 4 || Variants[3].Rows != HumanSet {
+		t.Fatalf("variants %+v; want four, S_H last", Variants)
 	}
 }

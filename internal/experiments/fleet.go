@@ -167,7 +167,7 @@ func driveFleetTraffic(net *cdn.Network, vc *clock.Virtual, site *webmodel.Site,
 
 // crawlerRobotVerdicts counts crawlers holding a robot verdict anywhere —
 // in the replicated verdict store (Definite verdicts travel the fleet) or on
-// any engine's own classification chain (the partition owner's aggregated
+// any engine's own verdict table (the partition owner's aggregated
 // session is what crosses the decision floor in fleet mode).
 func crawlerRobotVerdicts(net *cdn.Network) int {
 	robotAt := func(nd *cdn.Node, k session.Key) bool {
@@ -363,10 +363,10 @@ func FleetBench(seed uint64) FleetResult {
 	out.MinorityIsolated = minority.Replicator().Isolated()
 	minority.Replicator().PublishVerdict(
 		session.Key{IP: "10.91.0.1", UserAgent: "minority-side"},
-		detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "captcha"}, vc.Now().Add(time.Hour))
+		detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Rule: detect.RuleCaptcha}, vc.Now().Add(time.Hour))
 	net.Nodes()[1].Replicator().PublishVerdict(
 		session.Key{IP: "10.91.0.2", UserAgent: "majority-side"},
-		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "crawl"}, vc.Now().Add(time.Hour))
+		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleHidden}, vc.Now().Add(time.Hour))
 	vc.RunUntil(vc.Now().Add(50 * time.Millisecond))
 	healAt := vc.Now()
 	links.Heal()
@@ -422,7 +422,7 @@ func FleetBench(seed uint64) FleetResult {
 					UserAgent: "bench/" + strconv.Itoa(w) + "/" + strconv.Itoa(i),
 				}
 				if i%2 == 0 {
-					rep0.PublishVerdict(k, detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "bench"}, until)
+					rep0.PublishVerdict(k, detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, until)
 				} else {
 					rep0.PublishBlock(k, until)
 				}

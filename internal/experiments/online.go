@@ -40,7 +40,7 @@ type OnlineLoopResult struct {
 	// was published to the serving fleet.
 	SwapAt time.Duration
 	// OnlineAccuracy/FPR/FNR score the held-out run's own verdicts — the
-	// full serving chain (direct evidence → hot-swapped model → browser
+	// full serving table (direct evidence → hot-swapped model → browser
 	// test) — against ground truth.
 	OnlineAccuracy float64
 	OnlineFPR      float64
@@ -49,7 +49,7 @@ type OnlineLoopResult struct {
 	// held-out sessions: an AdaBoost ensemble trained offline on the
 	// training workload's ground-truth examples, applied alone.
 	OfflineMLAccuracy float64
-	// RulesOnlyAccuracy applies the rules-only serving chain to the same
+	// RulesOnlyAccuracy applies the rules-only serving table to the same
 	// held-out sessions, for reference.
 	RulesOnlyAccuracy float64
 }
@@ -122,7 +122,7 @@ func OnlineLoop(scale Scale) OnlineLoopResult {
 		}
 		out.HeldOutSessions++
 		isHuman := s.IsHuman()
-		// Online: the verdict the serving chain itself produced (undecided
+		// Online: the verdict the serving table itself produced (undecided
 		// counted as robot, matching the other experiments).
 		onlineCM.Record(s.Verdict.Class == detect.ClassHuman, isHuman)
 		// Offline baseline: the offline model alone on the same session.

@@ -16,7 +16,8 @@ import (
 // AblationSignalsResult quantifies what each term of the combining rule
 // contributes by evaluating rule variants (CSS only, mouse only, the union,
 // and the full rule with the S_JS − S_MM subtraction) against ground truth on
-// the same workload.
+// the same workload. Each variant is a row mask over the verdict table
+// (rules.Variants).
 type AblationSignalsResult struct {
 	Rows []SignalRuleRow
 }
@@ -37,18 +38,17 @@ func AblationSignals(scale Scale) AblationSignalsResult {
 	scale = scale.withDefaults()
 	res := workload.Run(workload.Config{Sessions: scale.Sessions, Seed: scale.Seed ^ 0x51a})
 
-	variants := []rules.Rule{rules.CSSOnlyRule(), rules.MouseOnlyRule(), rules.UnionOnlyRule(), rules.FullRule()}
 	var out AblationSignalsResult
-	for _, rule := range variants {
+	for _, variant := range rules.Variants {
 		var cm metrics.ConfusionMatrix
 		for _, s := range res.Sessions {
 			if s.Snapshot.Counts.Total <= 10 {
 				continue
 			}
-			cm.Record(rule.InHumanSet(s.Snapshot), s.IsHuman())
+			cm.Record(rules.InSet(variant.Rows, &s.Snapshot), s.IsHuman())
 		}
 		out.Rows = append(out.Rows, SignalRuleRow{
-			Rule:     rule.Name(),
+			Rule:     variant.Name,
 			Accuracy: cm.Accuracy(),
 			FPR:      cm.FalsePositiveRate(),
 			FNR:      cm.FalseNegativeRate(),
@@ -112,13 +112,12 @@ func Staged(scale Scale) StagedResult {
 	// Evaluation workload.
 	evalRes := workload.Run(workload.Config{Sessions: scale.Sessions, Seed: scale.Seed ^ 0x7a12})
 
-	// The staged configuration is the serving chain itself — direct evidence,
-	// then the learned model — composed from the same detect combinators the
-	// live engine uses, so this ablation measures exactly what deployment
-	// would deploy.
-	learnedStage := detect.NewLearned(10)
-	learnedStage.SetModel(model)
-	staged := detect.Chain("staged", rules.Direct{}, learnedStage)
+	// The staged configuration is the serving table itself under a row mask
+	// — direct evidence, then the learned model — so this ablation measures
+	// exactly the rows deployment would deploy.
+	learned := detect.NewLearned()
+	learned.SetModel(model)
+	staged := detect.New(detect.DirectRows|detect.LearnedRows, 10, learned, nil)
 
 	var rulesCM, mlCM, stagedCM metrics.ConfusionMatrix
 	fastDecided, total := 0, 0
@@ -134,7 +133,7 @@ func Staged(scale Scale) StagedResult {
 		rulesCM.Record(s.Verdict.Class == core.ClassHuman, isHuman)
 		// ML only.
 		mlCM.Record(mlSaysHuman, isHuman)
-		// Staged: run the chain; a definite verdict means the direct-evidence
+		// Staged: run the rows; a definite verdict means the direct-evidence
 		// fast path decided, everything else fell through to the ML stage.
 		v, ok := staged.Detect(&s.Snapshot)
 		if ok && v.Confidence == core.Definite {

@@ -49,7 +49,7 @@ func updateSet() []Update {
 			case 0, 1:
 				u.Kind = KindVerdict
 				u.Key = key(i * 7)
-				u.Verdict = detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "decoy fetch", AtRequest: int64(i + 1)}
+				u.Verdict = detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy, AtRequest: int64(i + 1)}
 			case 2:
 				u.Kind = KindBlock
 				u.Key = key(i * 7)
@@ -132,9 +132,9 @@ func TestMergeTotalOrder(t *testing.T) {
 	peers := []string{"a", "b", "x"}
 	k := key(1)
 	v1 := Update{Origin: "a", Inc: 1, Epoch: 1, Stamp: 100, Until: later.UnixNano(), Kind: KindVerdict,
-		Key: k, Verdict: detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Probable, Reason: "model"}}
+		Key: k, Verdict: detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Probable, Rule: detect.RuleLearnedHuman}}
 	v2 := Update{Origin: "b", Inc: 1, Epoch: 1, Stamp: 50, Until: later.UnixNano(), Kind: KindVerdict,
-		Key: k, Verdict: detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "decoy"}}
+		Key: k, Verdict: detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}}
 
 	for name, order := range map[string][]Update{"fwd": {v1, v2}, "rev": {v2, v1}} {
 		r := testRep(t, "x", peers, nil)
@@ -275,7 +275,7 @@ func TestMeshReplicationConverges(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	f := meshFleet(t, names, nil)
 	for i, name := range names {
-		f.reps[name].PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+		f.reps[name].PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, later)
 		f.reps[name].PublishBlock(key(i+100), later)
 	}
 	f.waitFor(t, 5*time.Second, "digests to converge", func() bool {
@@ -297,7 +297,7 @@ func TestAntiEntropyRepairsSilentDrops(t *testing.T) {
 		return FateDeliver, 0
 	})
 	for i := 0; i < 20; i++ {
-		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, later)
 	}
 	// Give the (dropped) first delivery a moment, then heal the link: only
 	// anti-entropy can repair what was silently lost.
@@ -335,7 +335,7 @@ func TestCrashRestartBackfill(t *testing.T) {
 		return FateDeliver, 0
 	})
 	for i := 0; i < 10; i++ {
-		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, later)
 	}
 	model := &adaboost.Model{}
 	a.PublishModel(model)
@@ -389,7 +389,7 @@ func TestOrphansAdoptedAfterOriginRestart(t *testing.T) {
 		}
 		return FateDeliver, 0
 	})
-	robot := detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}
+	robot := detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}
 	for i := 0; i < 5; i++ {
 		a.PublishVerdict(key(i), robot, later)
 	}
@@ -425,7 +425,7 @@ func TestOwnVerdictRenewedWhileSessionGoesOn(t *testing.T) {
 	a, b := f.reps["a"], f.reps["b"]
 	start := f.vc.Now()
 	sessionEnd = start.Add(life)
-	a.PublishVerdict(key(1), detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "captcha"}, sessionEnd)
+	a.PublishVerdict(key(1), detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Rule: detect.RuleCaptcha}, sessionEnd)
 	f.waitFor(t, time.Second, "b to hold the verdict", func() bool { _, ok := b.VerdictFor(key(1)); return ok })
 	// The client keeps browsing: a request every ten minutes for two hours.
 	for at := 10 * time.Minute; at <= 2*time.Hour; at += 10 * time.Minute {
@@ -461,7 +461,7 @@ func TestAckedEpochCountsThisIncarnationOnly(t *testing.T) {
 		return FateDeliver, 0
 	})
 	for i := 0; i < 5; i++ {
-		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, later)
 	}
 	f.run(time.Millisecond)
 	a.Stop()
@@ -494,7 +494,7 @@ func TestAcksVoidedByPeerRestart(t *testing.T) {
 		return FateDeliver, 0
 	})
 	for i := 0; i < 5; i++ {
-		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, later)
 	}
 	f.waitFor(t, time.Second, "b to ack a's verdicts", func() bool { return a.AckedEpoch("b") == 5 })
 	b.Stop()
@@ -567,7 +567,7 @@ func TestSendPatienceDropsAndAcks(t *testing.T) {
 		return FateDeliver, 0
 	})
 	for i := 0; i < 10; i++ {
-		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+		a.PublishVerdict(key(i), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, later)
 	}
 	f.waitFor(t, 5*time.Second, "c's batches to drop", func() bool {
 		var dropped int64
@@ -602,7 +602,7 @@ func TestDelayedMessagesWaitForMeshStep(t *testing.T) {
 		}
 		return FateDeliver, 0
 	})
-	f.reps["a"].PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+	f.reps["a"].PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, later)
 	f.run(time.Millisecond)
 	sentAt := f.vc.Now()
 	if got := f.reps["a"].AckedEpoch("b"); got != 1 {
@@ -624,7 +624,7 @@ func TestStoppedReplicatorIgnoresStep(t *testing.T) {
 	f := meshFleet(t, []string{"a", "b"}, nil)
 	a, b := f.reps["a"], f.reps["b"]
 	a.Stop()
-	a.PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, later)
+	a.PublishVerdict(key(1), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, later)
 	f.run(50 * time.Millisecond)
 	if b.VerdictCount() != 0 || b.PeerUp("a") {
 		t.Fatalf("stopped a reached b: verdicts=%d up=%v", b.VerdictCount(), b.PeerUp("a"))

@@ -28,7 +28,10 @@ func fuzzDurable(origin string, inc uint32, epoch uint64) Update {
 		Until: fuzzNow.Add(time.Duration(int64(h>>24%1000)-200) * time.Second).UnixNano()}
 	switch (h >> 8) % 5 {
 	case 0, 1:
-		u.Kind, u.Verdict = KindVerdict, detect.Verdict{Class: detect.Class(h >> 16 % 3), Confidence: detect.Confidence(h >> 20 % 3)}
+		// Any row byte: the fleet carries it as it came, and the engine's
+		// remote row refuses one that is not a row of its table.
+		u.Kind, u.Verdict = KindVerdict, detect.Verdict{Class: detect.Class(h >> 16 % 3), Confidence: detect.Confidence(h >> 20 % 3),
+			Rule: detect.Rule(h >> 48)}
 	case 2:
 		u.Kind = KindBlock
 	case 3:
@@ -91,7 +94,7 @@ func FuzzReceive(f *testing.F) {
 		vc := clock.NewVirtual(fuzzNow)
 		live := func() *Replicator {
 			r := testRep(t, "x", fuzzNames[:4], func(c *Config) { c.Clock = vc })
-			r.PublishVerdict(key(100), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "own"}, fuzzNow.Add(time.Hour))
+			r.PublishVerdict(key(100), detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, fuzzNow.Add(time.Hour))
 			r.PublishBlock(key(101), fuzzNow.Add(time.Hour))
 			return r
 		}
@@ -163,6 +166,13 @@ func FuzzReceive(f *testing.F) {
 		deliverSequential(ref, once)
 		if got, want := sub.Digest(), ref.Digest(); got != want {
 			t.Fatalf("digest %#x, want %#x from the same %d updates delivered once in sorted order", got, want, len(once))
+		}
+		for k := 0; k < 12; k++ {
+			got, okG := sub.VerdictFor(key(k))
+			want, okW := ref.VerdictFor(key(k))
+			if okG != okW || got.Verdict != want.Verdict {
+				t.Fatalf("%v holds verdict %+v (%v), want %+v (%v)", key(k), got.Verdict, okG, want.Verdict, okW)
+			}
 		}
 		if sub.VerdictCount() != ref.VerdictCount() || sub.BlockCount() != ref.BlockCount() {
 			t.Fatalf("stores hold (%d,%d), want (%d,%d)", sub.VerdictCount(), sub.BlockCount(), ref.VerdictCount(), ref.BlockCount())

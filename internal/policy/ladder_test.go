@@ -24,7 +24,7 @@ func TestLadderGrowthIsLinear(t *testing.T) {
 		key := session.Key{IP: fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&255, i&255), UserAgent: "Bot"}
 		snaps[i] = snapshotWith(key, session.Counts{Total: 10, Status2xx: 10}, time.Minute, vc.Now())
 	}
-	verdict := detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Tentative, Reason: "no CSS"}
+	verdict := detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Tentative}
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -81,7 +81,7 @@ func TestLadderEntryEndsWithItsSession(t *testing.T) {
 func TestEvaluateMonitorZeroAlloc(t *testing.T) {
 	e, vc := newTestEngine(Config{})
 	snap := snapshotWith(session.Key{IP: "1.1.1.2", UserAgent: "Firefox"}, session.Counts{Total: 40, Status2xx: 40}, time.Minute, vc.Now())
-	verdicts := []detect.Verdict{humanVerdict(), detect.Undecided("no evidence yet")}
+	verdicts := []detect.Verdict{humanVerdict(), {Class: detect.ClassUndecided, Confidence: detect.Tentative, Rule: detect.RuleBelowThreshold}}
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, v := range verdicts {
 			if d := e.Evaluate(snap, v); d.Action != Allow || d.Stage != StageMonitor {
@@ -116,10 +116,10 @@ func TestStepOnlyDefiniteHumanDeEscalates(t *testing.T) {
 // of four ways, or the clock jumping blockDuration ahead.
 var (
 	enumVerdicts = [...]detect.Verdict{
-		{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "enum"},
-		detect.Undecided("enum"),
-		{Class: detect.ClassRobot, Confidence: detect.Tentative, Reason: "enum"},
-		{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "enum"},
+		{Class: detect.ClassHuman, Confidence: detect.Definite, Rule: detect.RuleCaptcha},
+		{Class: detect.ClassUndecided, Confidence: detect.Tentative, Rule: detect.RuleBelowThreshold},
+		{Class: detect.ClassRobot, Confidence: detect.Tentative},
+		{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy},
 	}
 	enumVerdictNames   = [...]string{"human", "undecided", "tentativeRobot", "definiteRobot"}
 	enumBehaviourNames = [...]string{"quiet", "cgiBurst", "errorBurst", "fast"}

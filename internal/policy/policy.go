@@ -1,8 +1,8 @@
 // Package policy implements the enforcement stage the paper deployed on
 // CoDeeN after classification (Section 3.2). Enforcement is driven by
 // verdict transitions rather than raw counters: a session starts in the
-// monitor stage, is challenged (offered a CAPTCHA) the moment the detection
-// chain first classifies it as a robot, and is blocked when it keeps
+// monitor stage, is challenged (offered a CAPTCHA) the moment the verdict
+// table first classifies it as a robot, and is blocked when it keeps
 // behaving like a robot under challenge — definite evidence that ignores the
 // challenge, or behaviour past the paper's per-session thresholds (CGI
 // request rate, error-response share). A definite human verdict (input
@@ -218,7 +218,7 @@ func step(st stageState, snap *session.Snapshot, verdict detect.Verdict, now tim
 	c := snap.Counts
 	if st.stage == StageMonitor {
 		st = stageState{stage: StageChallenge, enteredTotal: int64(c.Total), until: now.Add(blockDuration)}
-		return st, Decision{Action: Challenge, Stage: StageChallenge, Reason: "robot verdict (" + verdict.Reason + "): challenge issued"}
+		return st, Decision{Action: Challenge, Stage: StageChallenge, Reason: "robot verdict (" + verdict.Reason() + "): challenge issued"}
 	}
 
 	// Challenged and still behaving like a robot: behavioural thresholds and
@@ -287,7 +287,7 @@ func (e *Engine) set(key session.Key, prev, next stageState, now time.Time) {
 }
 
 // Evaluate walks the session one step along the escalation ladder given its
-// current snapshot and the detection chain's verdict.
+// current snapshot and the verdict table's verdict.
 func (e *Engine) Evaluate(snap session.Snapshot, verdict detect.Verdict) Decision {
 	e.stats.evaluations.Add(1)
 	now := e.cfg.Clock.Now()

@@ -18,15 +18,15 @@ func newTestEngine(cfg Config) (*Engine, *clock.Virtual) {
 }
 
 func robotVerdict() detect.Verdict {
-	return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "test"}
+	return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}
 }
 
 func probableRobotVerdict() detect.Verdict {
-	return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Probable, Reason: "test"}
+	return detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Probable, Rule: detect.RuleJSWithoutInput}
 }
 
 func humanVerdict() detect.Verdict {
-	return detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "test"}
+	return detect.Verdict{Class: detect.ClassHuman, Confidence: detect.Definite, Rule: detect.RuleCaptcha}
 }
 
 func snapshotWith(key session.Key, counts session.Counts, dur time.Duration, start time.Time) session.Snapshot {

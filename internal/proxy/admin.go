@@ -140,14 +140,21 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = a.cfg.Engine.Telemetry().Registry().WritePrometheus(w)
 }
 
-// handleStatus renders the plain-text operator overview: detector chain,
+// handleStatus renders the plain-text operator overview: the verdict table,
 // model state, instrumentation counters, and the busiest live sessions with
 // their verdicts.
 func (a *Admin) handleStatus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	det := a.cfg.Engine
 	stats := det.Stats()
-	fmt.Fprintf(w, "detector chain: %s\n", detect.Describe(det.Detector()))
+	fmt.Fprintln(w, "verdict table (the first row that fires decides):")
+	for _, r := range det.Detector().Rows().Rules() {
+		outcome := r.Class().String() + "/" + r.Confidence().String()
+		if r == detect.RuleRemote {
+			outcome = "the origin's row"
+		}
+		fmt.Fprintf(w, "  %2d %-16s %s\n", r, r.Name(), outcome)
+	}
 	if m := det.Model(); m != nil {
 		fmt.Fprintf(w, "learned model: %s (%d labelled outcomes buffered)\n", m, det.OutcomeCount())
 	} else {
@@ -242,8 +249,10 @@ type sessionView struct {
 type verdictView struct {
 	Class      string `json:"class"`
 	Confidence string `json:"confidence"`
+	Rule       string `json:"rule"`
 	Reason     string `json:"reason"`
 	AtRequest  int64  `json:"at_request"`
+	Origin     string `json:"origin,omitempty"`
 }
 
 type featureView struct {
@@ -277,8 +286,10 @@ func (a *Admin) handleSession(w http.ResponseWriter, r *http.Request) {
 		Verdict: verdictView{
 			Class:      verdict.Class.String(),
 			Confidence: verdict.Confidence.String(),
-			Reason:     verdict.Reason,
+			Rule:       verdict.Rule.Name(),
+			Reason:     verdict.Reason(),
 			AtRequest:  verdict.AtRequest,
+			Origin:     verdict.Origin,
 		},
 		Features: make([]featureView, 0, len(features.Names)),
 	}

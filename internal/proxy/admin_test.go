@@ -98,8 +98,20 @@ func TestAdminStatusEndpoint(t *testing.T) {
 		t.Fatalf("status content-type %q", ct)
 	}
 	body := rec.Body.String()
-	if !strings.Contains(body, "detector chain:") || !strings.Contains(body, "active sessions: 1") {
+	if !strings.Contains(body, "verdict table") || !strings.Contains(body, "active sessions: 1") {
 		t.Fatalf("status body incomplete:\n%s", body)
+	}
+	// The table, one line per row in order: ID, name, class/confidence.
+	for _, want := range []string{
+		"\n   1 decoy            robot/definite\n   2 replay ",
+		"\n   5 mouse            human/definite\n",
+		"\n   7 remote           the origin's row\n",
+		"\n  10 below-threshold  undecided/tentative\n",
+		"\n  13 no-presentation  robot/probable\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("status missing the table line %q:\n%s", want, body)
+		}
 	}
 }
 
@@ -143,7 +155,7 @@ func TestAdminStatusFleetSection(t *testing.T) {
 	rep.Start()
 	defer rep.Stop()
 	rep.PublishVerdict(session.Key{IP: "10.0.0.9", UserAgent: "x"},
-		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "r"}, time.Now().Add(time.Hour))
+		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, time.Now().Add(time.Hour))
 	mw := New(origin, Config{Engine: eng})
 	admin := NewAdmin(AdminConfig{Engine: eng, Fleet: rep})
 	mux := http.NewServeMux()
@@ -173,7 +185,7 @@ func TestAdminStatusFleetSection(t *testing.T) {
 }
 
 func TestAdminSessionInspect(t *testing.T) {
-	mux, _, _ := newAdminStack(t, false)
+	mux, eng, _ := newAdminStack(t, false)
 	if rec := adminGet(mux, "/__bd/admin/session?ip=10.1.2.3&ua=nobody"); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown session status %d, want 404", rec.Code)
 	}
@@ -190,7 +202,10 @@ func TestAdminSessionInspect(t *testing.T) {
 		IP       string `json:"ip"`
 		Requests int64  `json:"requests"`
 		Verdict  struct {
-			Class string `json:"class"`
+			Class  string  `json:"class"`
+			Rule   string  `json:"rule"`
+			Reason string  `json:"reason"`
+			Origin *string `json:"origin"`
 		} `json:"verdict"`
 		Features []struct {
 			Name  string  `json:"name"`
@@ -212,6 +227,36 @@ func TestAdminSessionInspect(t *testing.T) {
 	if view.Policy == nil || view.Policy.Stage == "" {
 		t.Fatal("policy stage missing")
 	}
+	if view.Verdict.Rule != "below-threshold" || view.Verdict.Origin != nil {
+		t.Fatalf("a local verdict reads as rule %q from %v", view.Verdict.Rule, view.Verdict.Origin)
+	}
+
+	// A verdict replicated from node n1: the row that fired there, and n1.
+	key := session.Key{IP: "10.1.2.3", UserAgent: adminTestUA}
+	eng.SetFleet(peerFleet{key: key, v: detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite,
+		Rule: detect.RuleHidden, AtRequest: 3, Origin: "n1"}})
+	eng.ApplyRemoteVerdict(key)
+	rec = adminGet(mux, "/__bd/admin/session?ip=10.1.2.3&ua="+strings.ReplaceAll(adminTestUA, " ", "+"))
+	view.Verdict.Origin = nil
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		t.Fatalf("session inspect is not JSON: %v", err)
+	}
+	if v := view.Verdict; v.Class != "robot" || v.Rule != "hidden" || v.Reason != "followed a link invisible to human users" ||
+		v.Origin == nil || *v.Origin != "n1" {
+		t.Fatalf("replicated verdict reads as %+v (origin %v)", v, v.Origin)
+	}
+}
+
+// peerFleet is a two-node fleet in which node n1 judged one session.
+type peerFleet struct {
+	key session.Key
+	v   detect.Verdict
+}
+
+func (peerFleet) ExportVerdict(session.Key, detect.Verdict) {}
+func (peerFleet) Members() []string                         { return []string{"n0", "n1"} }
+func (f peerFleet) PeerVerdict(k session.Key) (detect.Verdict, bool) {
+	return f.v, k == f.key
 }
 
 func TestAdminRotateAndRetrain(t *testing.T) {

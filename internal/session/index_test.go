@@ -96,7 +96,7 @@ func TestCollisionChainMatchesSeededIndex(t *testing.T) {
 				seeded.Mark(key, SignalCSS)
 				chained.Mark(key, SignalCSS)
 			}
-			v := StoredVerdict{ModelEpoch: uint32(step), AtRequest: uint32(rnd.Intn(50)), Text: uint16(1 + rnd.Intn(9)), Class: 1}
+			v := StoredVerdict{ModelEpoch: uint32(step), AtRequest: uint32(rnd.Intn(50)), Rule: uint8(1 + rnd.Intn(9))}
 			if okA {
 				stored := seeded.StoreVerdict(&a, v)
 				if stored != chained.StoreVerdict(&b, v) {

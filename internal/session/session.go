@@ -397,17 +397,16 @@ type Snapshot struct {
 
 // StoredVerdict is a verdict as the session record keeps it: 12 bytes of
 // values, read and written under the shard mutex like the rest of the record.
-// What the numbers mean — which model epoch, which reason text — is the
-// decision layer's business; the tracker stores one (Tracker.StoreVerdict),
-// copies it into every snapshot, and drops it whenever the session's epoch
-// advances, so a stored verdict always belongs to the session's current
-// epoch. Text 0 means nothing is stored.
+// What the numbers mean — which model epoch, which row of the verdict table,
+// which fleet node — is the decision layer's business; the tracker stores one
+// (Tracker.StoreVerdict), copies it into every snapshot, and drops it
+// whenever the session's epoch advances, so a stored verdict always belongs
+// to the session's current epoch. Rule 0 means nothing is stored.
 type StoredVerdict struct {
 	ModelEpoch uint32
 	AtRequest  uint32
-	Text       uint16
-	Class      uint8
-	Confidence uint8
+	Rule       uint8
+	Origin     uint8
 }
 
 // snapPool recycles the snapshots Peek hands out, so the per-request read

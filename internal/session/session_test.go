@@ -283,7 +283,7 @@ func TestIdleTimeoutSplitsSessions(t *testing.T) {
 func TestStoreVerdictFollowsTheEpoch(t *testing.T) {
 	tr, vc := newTestTracker(Config{IdleTimeout: time.Hour})
 	key := Key{IP: "6.6.9.9", UserAgent: "UA"}
-	v := StoredVerdict{ModelEpoch: 7, AtRequest: 3, Text: 1, Class: 2, Confidence: 1}
+	v := StoredVerdict{ModelEpoch: 7, AtRequest: 3, Rule: 3, Origin: 1}
 	stored := func(k Key) StoredVerdict { s, _ := tr.Get(k); return s.StoredVerdict() }
 
 	tr.ObserveQuiet(entry(key.IP, key.UserAgent, "GET", "/a.html", 200, "", vc.Now()))

@@ -8,7 +8,7 @@ const (
 	StageBeacon        = "beacon"                  // HandleBeacon dispatch
 	StagePrepare       = "prepare_instrumentation" // key issue + fragment compose
 	StageKeystoreIssue = "keystore_issue"          // the key-issue slice of prepare
-	StageClassify      = "classify_recompute"      // verdict chain on a cache miss
+	StageClassify      = "classify_recompute"      // verdict table on a cache miss
 	StageRewrite       = "rewrite_stream"          // StreamRewriter splice time (write + close)
 )
 
