@@ -13,10 +13,9 @@ func snapWith(total uint32, sigs map[session.Signal]int64) *session.Snapshot {
 	return &session.Snapshot{Counts: session.Counts{Total: total}, Signals: session.MakeSignals(sigs)}
 }
 
-// TestVerdictTableFirstRowWins: the first row of the mask that fires
-// decides, its verdict carries the row, and a mask whose rows all stay
-// silent abstains.
-func TestVerdictTableFirstRowWins(t *testing.T) {
+// TestChainFirstOpinionWins: the table is a chain of rows; the first row
+// of the mask that fires decides and its verdict carries the row.
+func TestChainFirstOpinionWins(t *testing.T) {
 	snap := snapWith(20, map[session.Signal]int64{session.SignalMouse: 2, session.SignalHidden: 5, session.SignalCSS: 3})
 	v, ok := New(AllRows, 10, nil, nil).Detect(snap)
 	if !ok || v != (Verdict{Class: ClassRobot, Confidence: Definite, Rule: RuleHidden, AtRequest: 5}) {
@@ -29,13 +28,23 @@ func TestVerdictTableFirstRowWins(t *testing.T) {
 	if !ok || v.Rule != RuleMouse || v.Class != ClassHuman || v.AtRequest != 2 {
 		t.Fatalf("without the hidden row: verdict = %+v ok=%v", v, ok)
 	}
+}
+
+// TestChainAllAbstain: a mask whose rows all stay silent, and the empty
+// mask, abstain.
+func TestChainAllAbstain(t *testing.T) {
+	snap := snapWith(20, map[session.Signal]int64{session.SignalMouse: 2, session.SignalHidden: 5, session.SignalCSS: 3})
 	if _, ok := New(DirectRows, 10, nil, nil).Detect(snapWith(50, map[session.Signal]int64{session.SignalCSS: 1})); ok {
 		t.Fatal("the direct rows fired on a stylesheet fetch")
 	}
 	if _, ok := (Detector{}).Detect(snap); ok {
 		t.Fatal("the empty mask fired")
 	}
+}
 
+// TestVerdictTableRows: every row of the table has a name and a reason,
+// and no ID outside the table reads as a row.
+func TestVerdictTableRows(t *testing.T) {
 	var got []Rule
 	for r := Rule(0); r < 20; r++ {
 		if AllRows.Has(r) {
