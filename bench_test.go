@@ -193,7 +193,7 @@ func BenchmarkScriptRender(b *testing.B) {
 		KeyDigits:  10, Decoys: 4, UAReport: true, Obfuscate: true,
 	}, 8, 9)
 	src := rng.New(9)
-	decoys := []uint64{src.DigitKeyValue(10), src.DigitKeyValue(10), src.DigitKeyValue(10), src.DigitKeyValue(10)}
+	decoys := []uint64{src.Uint64n(1e10), src.Uint64n(1e10), src.Uint64n(1e10), src.Uint64n(1e10)}
 	var dst []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -424,10 +424,7 @@ func BenchmarkHandleBeaconParallel(b *testing.B) {
 }
 
 // BenchmarkNetworkDrive measures replaying a fixed request batch through an
-// 8-node CDN, serially versus with the per-node parallel driver. On a
-// multi-core host the parallel driver should approach a linear speedup: each
-// node's engine is sharded, node stats are atomic, and policy reads are
-// lock-free, so the workers share almost nothing.
+// 8-node CDN, the way the workload driver does: one request at a time.
 func BenchmarkNetworkDrive(b *testing.B) {
 	site := webmodel.Generate(webmodel.SiteConfig{Seed: 31, NumPages: 40})
 	ips := benchClientIPs(512)
@@ -443,22 +440,13 @@ func BenchmarkNetworkDrive(b *testing.B) {
 			UserAgent: "Firefox/1.5", Method: "GET", Path: path,
 		}
 	}
-	b.Run("serial", func(b *testing.B) {
-		netw := cdn.NewNetwork(8, site, core.Config{Seed: 32}, true, 5)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, req := range reqs {
-				netw.Do(req)
-			}
+	netw := cdn.NewNetwork(8, site, core.Config{Seed: 32}, true, 5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, req := range reqs {
+			netw.Do(req)
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		netw := cdn.NewNetwork(8, site, core.Config{Seed: 32}, true, 5)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			netw.DriveParallel(reqs)
-		}
-	})
+	}
 }
 
 // BenchmarkSessionObserve measures per-request session accounting.

@@ -45,10 +45,6 @@ func TestHeuristicRobotsTxt(t *testing.T) {
 	if !h.IsRobot(key) {
 		t.Fatal("session fetching robots.txt should be classified robot")
 	}
-	h.Reset()
-	if h.IsRobot(key) {
-		t.Fatal("Reset should clear robots.txt state")
-	}
 }
 
 func TestHeuristicMissesDisguisedRobot(t *testing.T) {

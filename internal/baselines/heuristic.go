@@ -69,10 +69,3 @@ func (h *Heuristic) IsRobot(key session.Key) bool {
 	defer h.mu.Unlock()
 	return h.fetchedRobots[key]
 }
-
-// Reset clears per-session state.
-func (h *Heuristic) Reset() {
-	h.mu.Lock()
-	h.fetchedRobots = make(map[session.Key]bool)
-	h.mu.Unlock()
-}

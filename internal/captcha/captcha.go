@@ -62,16 +62,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats are cumulative counters.
-type Stats struct {
-	Issued  int64
-	Passed  int64
-	Failed  int64
-	Expired int64
-	Unknown int64
-	Evicted int64
-}
-
 type stored struct {
 	ch       Challenge
 	attempts int
@@ -85,7 +75,6 @@ type Service struct {
 	src         *rng.Source
 	outstanding map[string]*stored
 	order       []string // issue order for eviction
-	stats       Stats
 }
 
 // NewService creates a Service.
@@ -137,7 +126,6 @@ func (s *Service) Issue(key session.Key) Challenge {
 	}
 	s.outstanding[ch.ID] = &stored{ch: ch}
 	s.order = append(s.order, ch.ID)
-	s.stats.Issued++
 	s.evictLocked()
 	return ch
 }
@@ -148,7 +136,6 @@ func (s *Service) evictLocked() {
 		s.order = s.order[1:]
 		if _, ok := s.outstanding[victim]; ok {
 			delete(s.outstanding, victim)
-			s.stats.Evicted++
 		}
 	}
 }
@@ -161,40 +148,22 @@ func (s *Service) Verify(id, answer string) bool {
 	defer s.mu.Unlock()
 	st, ok := s.outstanding[id]
 	if !ok {
-		s.stats.Unknown++
 		return false
 	}
 	now := s.cfg.Clock.Now()
 	if now.After(st.ch.expires) {
 		delete(s.outstanding, id)
-		s.stats.Expired++
 		return false
 	}
 	st.attempts++
 	if strings.TrimSpace(answer) == st.ch.answer {
 		delete(s.outstanding, id)
-		s.stats.Passed++
 		return true
 	}
 	if st.attempts >= maxAttempts {
 		delete(s.outstanding, id)
 	}
-	s.stats.Failed++
 	return false
-}
-
-// Outstanding returns the number of unsolved, unexpired challenges stored.
-func (s *Service) Outstanding() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.outstanding)
-}
-
-// Stats returns a copy of the counters.
-func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
 }
 
 // Answer exposes the expected answer of a challenge the service itself

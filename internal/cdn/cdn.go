@@ -56,7 +56,7 @@ type NodeStats struct {
 	// belongs to another partition owner this node had never seen.
 	FailoverDegraded int64
 	// Unavailable counts requests refused because the node was down
-	// (crashed or draining).
+	// (crashed).
 	Unavailable int64
 }
 
@@ -103,7 +103,7 @@ type Node struct {
 
 	// Fleet state (nil/zero when the node runs isolated; see fleet.go):
 	// the node's replicator, the shared partition ring, and the down flag a
-	// crash or drain sets. lastMu/lastStats cache the most recent good stats
+	// crash sets. lastMu/lastStats cache the most recent good stats
 	// snapshot for stale-marked rollups while the node is down.
 	rep  *fleet.Replicator
 	ring *fleet.Ring
@@ -189,7 +189,7 @@ func (n *Node) Entries() []logfmt.Entry {
 // proxy plays for a real client request.
 func (n *Node) Do(req agents.Request) agents.Response {
 	if n.down.Load() {
-		// Crashed or draining: a real dead proxy answers nothing; the
+		// Crashed: a real dead proxy answers nothing; the
 		// simulator's closest honest equivalent is an immediate 503 so
 		// drivers can observe the outage and re-route.
 		n.stats.unavailable.Add(1)
@@ -437,39 +437,6 @@ func (n *Network) nodeIndex(ip string) int {
 // Do implements agents.Client by routing to the client's node.
 func (n *Network) Do(req agents.Request) agents.Response {
 	return n.NodeFor(req.IP).Do(req)
-}
-
-// DriveParallel replays a batch of requests across the network with one
-// worker goroutine per node, so multi-node simulations actually exercise the
-// sharded engine layer from many cores at once. Requests are partitioned by
-// the same IP pinning as Do, which preserves each client's request order;
-// only cross-client interleaving differs between runs, so per-node and
-// aggregate statistics match the serial driver. Experiments that need
-// fully reproducible event interleaving should keep driving the network
-// serially on the virtual clock (internal/workload).
-func (n *Network) DriveParallel(reqs []agents.Request) {
-	if len(reqs) == 0 || len(n.nodes) == 0 {
-		return
-	}
-	buckets := make([][]agents.Request, len(n.nodes))
-	for _, req := range reqs {
-		i := n.routeIndex(req.IP)
-		buckets[i] = append(buckets[i], req)
-	}
-	var wg sync.WaitGroup
-	for i := range buckets {
-		if len(buckets[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(node *Node, batch []agents.Request) {
-			defer wg.Done()
-			for _, req := range batch {
-				node.Do(req)
-			}
-		}(n.nodes[i], buckets[i])
-	}
-	wg.Wait()
 }
 
 // SetModel hot-swaps a (re)trained AdaBoost model onto every node's engine.

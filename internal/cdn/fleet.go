@@ -19,11 +19,9 @@
 //     degraded instrumentation immediately and backfills the session's
 //     evidence with a handoff — the serve path never waits on a peer.
 //
-// Node.Crash/Restart/Drain simulate the failure modes the chaos harness
-// (internal/chaos) drives: a crash loses the node's memory (sessions,
-// replicated stores) and anti-entropy backfills it after Restart under a new
-// incarnation; Drain hands evidence-bearing sessions to the partition's
-// surviving replica before the node retires.
+// Node.Crash/Restart simulate the failure the chaos harness (internal/chaos)
+// drives: a crash loses the node's memory (sessions, replicated stores) and
+// anti-entropy backfills it after Restart under a new incarnation.
 package cdn
 
 import (
@@ -39,7 +37,7 @@ import (
 	"botdetect/internal/shard"
 )
 
-// nodeDownBody is the 503 body a crashed or draining node returns.
+// nodeDownBody is the 503 body a crashed node returns.
 var nodeDownBody = []byte("node down")
 
 // FleetConfig controls Network.EnableReplication. The zero value is usable:
@@ -275,9 +273,6 @@ func signalsOf(snap session.Snapshot) []fleet.SignalAt {
 	return sigs
 }
 
-// Ring returns the fleet's partition ring (nil before EnableReplication).
-func (n *Network) Ring() *fleet.Ring { return n.ring }
-
 // routeIndex picks the node serving a client IP. Without a fleet it is the
 // legacy FNV pinning; with one it is the partition ring's first live owner,
 // so clients fail over to their session's replica when the primary dies, and
@@ -304,7 +299,7 @@ func (n *Network) routeIndex(ip string) int {
 // Replicator returns the node's fleet replicator (nil on an isolated node).
 func (n *Node) Replicator() *fleet.Replicator { return n.rep }
 
-// Down reports whether the node is refusing requests (crashed or draining).
+// Down reports whether the node is refusing requests (crashed).
 func (n *Node) Down() bool { return n.down.Load() }
 
 // failoverAdmission downgrades admission for a session this node has never
@@ -387,7 +382,7 @@ func (n *Node) Crash() {
 	}
 }
 
-// Restart brings a crashed or drained node back: the replicator restarts
+// Restart brings a crashed node back: the replicator restarts
 // under a bumped incarnation (so peers reset its watermark instead of
 // treating its fresh epochs as replays) and the node accepts requests again.
 func (n *Node) Restart() {
@@ -397,53 +392,10 @@ func (n *Node) Restart() {
 	n.down.Store(false)
 }
 
-// Drain gracefully retires the node: it stops accepting requests, hands
-// every evidence-bearing session to the partition's surviving replica,
-// flushes its outboxes — the retries of up to timeout, made at once — and
-// stops the replicator. It returns the number of sessions handed off.
-func (n *Node) Drain(timeout time.Duration) int {
-	n.down.Store(true)
-	handed := 0
-	if n.rep != nil && n.ring != nil {
-		n.cfg.Engine.StreamSessions(func(snap session.Snapshot) bool {
-			sigs := signalsOf(snap)
-			if len(sigs) == 0 {
-				return true
-			}
-			if to := n.drainTarget(snap.Key); to != "" && n.rep.SendHandoff(to, snap.Key, sigs) {
-				handed++
-			}
-			return true
-		})
-	}
-	n.cacheStats()
-	n.cfg.Engine.FlushSessions()
-	if n.rep != nil {
-		n.rep.Flush(timeout)
-		n.rep.Stop()
-	}
-	return handed
-}
-
-// drainTarget picks the live ring owner inheriting one of the draining
-// node's sessions: the first owner (beyond this node) that is up. Looking one
-// owner past the replica set covers the case where this node is itself an
-// owner.
-func (n *Node) drainTarget(key session.Key) string {
-	var buf [4]string
-	owners := n.ring.OwnersAppend(shard.HashString(key.IP), replicas+1, buf[:0])
-	for _, o := range owners {
-		if o != n.cfg.Name && n.rep.PeerUp(o) {
-			return o
-		}
-	}
-	return ""
-}
-
 // NodeRollup is one node's contribution to a fleet-wide stats rollup.
 type NodeRollup struct {
 	Node string
-	// Down marks a node that was crashed or draining at collection time;
+	// Down marks a node that was crashed at collection time;
 	// Stale marks a Stats snapshot carried over from before the node went
 	// down rather than read live.
 	Down  bool
@@ -475,8 +427,7 @@ func (n *Network) CollectStats() (NodeStats, []NodeRollup) {
 }
 
 // FlushSessionsDetail ends all sessions on every live node and reports which
-// down nodes were skipped (a crashed node's sessions died with it; a drained
-// node's were handed off).
+// down nodes were skipped (a crashed node's sessions died with it).
 func (n *Network) FlushSessionsDetail() ([]core.ClassifiedSession, []string) {
 	var out []core.ClassifiedSession
 	var skipped []string

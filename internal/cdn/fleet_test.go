@@ -14,6 +14,7 @@ import (
 	"botdetect/internal/clock"
 	"botdetect/internal/core"
 	"botdetect/internal/detect"
+	"botdetect/internal/fleet"
 	"botdetect/internal/rng"
 	"botdetect/internal/session"
 	"botdetect/internal/shard"
@@ -21,7 +22,7 @@ import (
 )
 
 // fleetNet builds a replicated network with fast replication intervals.
-func fleetNet(t *testing.T, numNodes int, intercept *chaos.Links) (*Network, *clock.Virtual) {
+func fleetNet(t *testing.T, numNodes int, intercept fleet.Intercept) (*Network, *clock.Virtual) {
 	t.Helper()
 	vc := clock.NewVirtual(time.Time{})
 	site := webmodel.Generate(webmodel.SiteConfig{Seed: 11, NumPages: 20})
@@ -33,9 +34,7 @@ func fleetNet(t *testing.T, numNodes int, intercept *chaos.Links) (*Network, *cl
 		MaxBackoff:          5 * time.Millisecond,
 		SendPatience:        50 * time.Millisecond,
 		Seed:                42,
-	}
-	if intercept != nil {
-		cfg.Intercept = intercept.Intercept
+		Intercept:           intercept,
 	}
 	net.EnableReplication(cfg)
 	t.Cleanup(net.StopReplication)
@@ -102,7 +101,7 @@ func TestFleetVerdictReplication(t *testing.T) {
 // can backfill them, the node judges the session from its own evidence.
 func TestCrashForgetsReplicatedVerdicts(t *testing.T) {
 	links := chaos.NewLinks()
-	net, vc := fleetNet(t, 3, links)
+	net, vc := fleetNet(t, 3, links.Intercept)
 	ip, ua := "10.1.0.2", "Firefox"
 	key := session.Key{IP: ip, UserAgent: ua}
 	home := net.NodeFor(ip)
@@ -378,7 +377,7 @@ func TestFailoverDegradedServing(t *testing.T) {
 	net, vc := fleetNet(t, 3, nil)
 	ip, ua := "10.3.0.3", "Firefox"
 	primary := net.NodeFor(ip)
-	if primary.Name() != net.Ring().Primary(shard.HashString(ip)) {
+	if primary.Name() != net.ring.Primary(shard.HashString(ip)) {
 		t.Fatalf("fleet routing should pick the ring primary while it is up")
 	}
 	primary.Crash()
@@ -403,42 +402,6 @@ func TestFailoverDegradedServing(t *testing.T) {
 	}
 	if primary.Stats().Unavailable == 0 {
 		t.Fatalf("crashed node did not count the refused request")
-	}
-}
-
-// TestDrainHandsOffSessions: Drain pushes evidence-bearing sessions to a
-// surviving replica and the network routes the client there.
-func TestDrainHandsOffSessions(t *testing.T) {
-	net, vc := fleetNet(t, 3, nil)
-	ip, ua := "10.4.0.4", "Firefox"
-	key := session.Key{IP: ip, UserAgent: ua}
-	home := net.NodeFor(ip)
-
-	net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: agents.CaptchaSolvePath})
-	if snap, ok := home.Engine().Session(key); !ok || !snap.Has(session.SignalCaptcha) {
-		t.Fatalf("session evidence missing before drain")
-	}
-
-	if handed := home.Drain(2 * time.Second); handed == 0 {
-		t.Fatalf("drain handed off no sessions")
-	}
-	runUntil(t, vc, 5*time.Second, "a replica to adopt the session", func() bool {
-		for _, nd := range net.Nodes() {
-			if nd == home {
-				continue
-			}
-			if snap, ok := nd.Engine().Session(key); ok && snap.Has(session.SignalCaptcha) {
-				return true
-			}
-		}
-		return false
-	})
-	after := net.NodeFor(ip)
-	if after == home {
-		t.Fatalf("routing still points at the drained node")
-	}
-	if resp := net.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"}); resp.Status != 200 {
-		t.Fatalf("post-drain serve status = %d", resp.Status)
 	}
 }
 
@@ -503,13 +466,21 @@ func TestKillMidPublishLosesNothingAcked(t *testing.T) {
 // steps the fleet's clock. Run with -race: the assertion is that nothing
 // deadlocks, panics or races, and the serve path keeps answering.
 func TestFleetChaosHammer(t *testing.T) {
-	links := chaos.NewLinks()
-	net, vc := fleetNet(t, 3, links)
-	faults := chaos.NewNodeFaults()
-	for _, nd := range net.Nodes() {
-		faults.Register(nd)
-	}
-	links.SetDelay(200 * time.Microsecond)
+	// Every message is delayed 200 µs; the chaos goroutine refills budgets
+	// of drops, erroring sends and duplicates, spent in that order.
+	var drop, fail, dup, crashes atomic.Int64
+	net, vc := fleetNet(t, 3, func(from, to string, msg *fleet.Message) (fleet.Fate, time.Duration) {
+		const delay = 200 * time.Microsecond
+		switch {
+		case drop.Add(-1) >= 0:
+			return fleet.FateDrop, delay
+		case fail.Add(-1) >= 0:
+			return fleet.FateFail, delay
+		case dup.Add(-1) >= 0:
+			return fleet.FateDup, delay
+		}
+		return fleet.FateDeliver, delay
+	})
 
 	var wg sync.WaitGroup
 	var served atomic.Int64
@@ -561,14 +532,14 @@ func TestFleetChaosHammer(t *testing.T) {
 		defer wg.Done()
 		src := rng.New(77).Fork("chaos")
 		for !stopped() {
-			links.DropNext(3)
-			links.DupNext(2)
-			links.FailNext(2)
-			name := net.Nodes()[src.Uint64n(3)].Name()
-			if faults.Crash(name) {
-				pause(5 * time.Millisecond)
-				faults.Restart(name)
-			}
+			drop.Store(3)
+			dup.Store(2)
+			fail.Store(2)
+			nd := net.Nodes()[src.Uint64n(3)]
+			nd.Crash()
+			crashes.Add(1)
+			pause(5 * time.Millisecond)
+			nd.Restart()
 			pause(2 * time.Millisecond)
 		}
 	}()
@@ -583,14 +554,15 @@ func TestFleetChaosHammer(t *testing.T) {
 	}()
 
 	// Step the fleet until every kind of work has had its share.
-	for crashes := int64(0); served.Load() < 4000 || crashes < 20; crashes, _ = faults.Counts() {
+	for served.Load() < 4000 || crashes.Load() < 20 {
 		vc.RunUntil(vc.Now().Add(time.Millisecond))
 		runtime.Gosched()
 	}
 	close(stop)
 	wg.Wait()
-	faults.RestartAll()
-	if crashes, restarts := faults.Counts(); crashes == 0 || restarts == 0 {
-		t.Fatalf("hammer never exercised node kills (crashes=%d restarts=%d)", crashes, restarts)
+	for _, nd := range net.Nodes() {
+		if nd.Down() {
+			t.Fatalf("node %s left down after the hammer", nd.Name())
+		}
 	}
 }

@@ -7,13 +7,57 @@ import (
 	"botdetect/internal/fleet"
 )
 
+// faultLinks adds the message faults the seeded simulation schedules to
+// Links' partitions: one-way cuts, one link delay, and budgets of silent
+// drops, erroring sends and duplicated deliveries, spent in that order. The
+// simulation is single-threaded, so the budgets are plain counters.
+type faultLinks struct {
+	*Links
+	delay           time.Duration
+	drop, fail, dup int
+}
+
+func newFaultLinks() *faultLinks { return &faultLinks{Links: NewLinks()} }
+
+// partitionOneWay cuts the directed link from→to: messages silently vanish,
+// exactly like an asymmetric network partition (from can still hear to).
+func (l *faultLinks) partitionOneWay(from, to string) {
+	l.mu.Lock()
+	l.partitioned[[2]string{from, to}] = true
+	l.mu.Unlock()
+}
+
+// clear heals every link and zeroes the delay and the budgets.
+func (l *faultLinks) clear() {
+	l.Heal()
+	l.delay, l.drop, l.fail, l.dup = 0, 0, 0, 0
+}
+
+func (l *faultLinks) Intercept(from, to string, msg *fleet.Message) (fleet.Fate, time.Duration) {
+	if fate, _ := l.Links.Intercept(from, to, msg); fate == fleet.FateDrop {
+		return fate, 0
+	}
+	switch {
+	case l.drop > 0:
+		l.drop--
+		return fleet.FateDrop, l.delay
+	case l.fail > 0:
+		l.fail--
+		return fleet.FateFail, l.delay
+	case l.dup > 0:
+		l.dup--
+		return fleet.FateDup, l.delay
+	}
+	return fleet.FateDeliver, l.delay
+}
+
 func TestLinksFates(t *testing.T) {
-	l := NewLinks()
+	l := newFaultLinks()
 	msg := &fleet.Message{}
 	if fate, _ := l.Intercept("a", "b", msg); fate != fleet.FateDeliver {
 		t.Fatalf("transparent links delivered fate %v", fate)
 	}
-	l.PartitionOneWay("a", "b")
+	l.partitionOneWay("a", "b")
 	if fate, _ := l.Intercept("a", "b", msg); fate != fleet.FateDrop {
 		t.Fatalf("cut link fate %v, want drop", fate)
 	}
@@ -21,9 +65,7 @@ func TestLinksFates(t *testing.T) {
 		t.Fatalf("one-way cut swallowed the reverse direction")
 	}
 	l.Heal()
-	l.DropNext(1)
-	l.FailNext(1)
-	l.DupNext(1)
+	l.drop, l.fail, l.dup = 1, 1, 1
 	fates := []fleet.Fate{}
 	for i := 0; i < 4; i++ {
 		f, _ := l.Intercept("a", "b", msg)
@@ -35,13 +77,12 @@ func TestLinksFates(t *testing.T) {
 			t.Fatalf("fates = %v, want %v", fates, want)
 		}
 	}
-	l.SetDelay(time.Millisecond)
+	l.delay = time.Millisecond
 	if _, d := l.Intercept("a", "b", msg); d != time.Millisecond {
 		t.Fatalf("delay = %v", d)
 	}
-	st := l.Stats()
-	if st.Cut != 1 || st.Dropped != 1 || st.Failed != 1 || st.Duped != 1 || st.Delivered < 2 {
-		t.Fatalf("stats = %+v", st)
+	if n := l.CutMessages(); n != 1 {
+		t.Fatalf("%d messages cut, want 1", n)
 	}
 	l.Partition([]string{"a"}, []string{"b", "c"})
 	for _, pair := range [][2]string{{"a", "b"}, {"b", "a"}, {"a", "c"}, {"c", "a"}} {
@@ -49,39 +90,7 @@ func TestLinksFates(t *testing.T) {
 			t.Fatalf("partition left %v connected", pair)
 		}
 	}
-}
-
-type fakeNode struct {
-	name string
-	down bool
-}
-
-func (f *fakeNode) Name() string { return f.name }
-func (f *fakeNode) Crash()       { f.down = true }
-func (f *fakeNode) Restart()     { f.down = false }
-func (f *fakeNode) Down() bool   { return f.down }
-
-func TestNodeFaults(t *testing.T) {
-	nf := NewNodeFaults()
-	a := &fakeNode{name: "a"}
-	nf.Register(a)
-	if nf.Crash("missing") {
-		t.Fatal("crashed an unknown node")
-	}
-	if !nf.Crash("a") || !a.down {
-		t.Fatal("crash did not land")
-	}
-	if nf.Crash("a") {
-		t.Fatal("double crash")
-	}
-	if !nf.Restart("a") || a.down {
-		t.Fatal("restart did not land")
-	}
-	nf.Crash("a")
-	if n := nf.RestartAll(); n != 1 || a.down {
-		t.Fatalf("RestartAll = %d", n)
-	}
-	if c, r := nf.Counts(); c != 2 || r != 2 {
-		t.Fatalf("counts = %d,%d", c, r)
+	if fate, _ := l.Intercept("b", "c", msg); fate != fleet.FateDeliver {
+		t.Fatalf("partition cut a link within one side")
 	}
 }

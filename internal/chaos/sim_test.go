@@ -59,7 +59,7 @@ type simUpdate struct {
 type simFleet struct {
 	vc     *clock.Virtual
 	mesh   *fleet.Mesh
-	links  *Links
+	links  *faultLinks
 	nodes  []*simNode
 	byName map[string]*simNode
 	errs   []string
@@ -114,7 +114,7 @@ func (f *simFleet) failf(format string, args ...any) {
 }
 
 func newSimFleet(src *rng.Source) *simFleet {
-	f := &simFleet{vc: clock.NewVirtual(time.Time{}), mesh: fleet.NewMesh(), links: NewLinks(),
+	f := &simFleet{vc: clock.NewVirtual(time.Time{}), mesh: fleet.NewMesh(), links: newFaultLinks(),
 		byName: map[string]*simNode{}, lost: map[string]bool{}, until: map[string]time.Time{}, short: map[string]bool{}}
 	n := 3 + src.Intn(3)
 	names := make([]string, n)
@@ -298,7 +298,7 @@ func simulate(seed uint64) *simFleet {
 		f.step() // heartbeats settle
 	}
 	// One link latency per schedule, so frames on a link stay in order.
-	f.links.SetDelay(time.Duration(src.Intn(4)) * simMaxDelay / 4)
+	f.links.delay = time.Duration(src.Intn(4)) * simMaxDelay / 4
 	serial := 0
 	for i, steps := 0, 100+src.Intn(200); i < steps; i++ {
 		live := f.nodes[:0:0]
@@ -317,13 +317,13 @@ func simulate(seed uint64) *simFleet {
 		}
 		switch a, b := f.nodes[src.Intn(len(f.nodes))], f.nodes[src.Intn(len(f.nodes))]; src.Intn(40) {
 		case 0:
-			f.links.DropNext(1 + src.Intn(3))
+			f.links.drop = 1 + src.Intn(3)
 		case 1:
-			f.links.DupNext(1 + src.Intn(3))
+			f.links.dup = 1 + src.Intn(3)
 		case 2:
-			f.links.FailNext(1 + src.Intn(6))
+			f.links.fail = 1 + src.Intn(6)
 		case 3:
-			f.links.PartitionOneWay(a.name, b.name)
+			f.links.partitionOneWay(a.name, b.name)
 		case 4:
 			f.links.Heal()
 		case 5, 6:
@@ -336,11 +336,7 @@ func simulate(seed uint64) *simFleet {
 	}
 
 	// Heal everything, then a bounded number of steps must converge the fleet.
-	f.links.Heal()
-	f.links.SetDelay(0)
-	f.links.DropNext(0)
-	f.links.DupNext(0)
-	f.links.FailNext(0)
+	f.links.clear()
 	for i := 0; i < 500 && !f.converged(); i++ {
 		f.step()
 	}

@@ -101,15 +101,6 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// Set moves the clock to t if t is not before the current time.
-func (v *Virtual) Set(t time.Time) {
-	v.mu.Lock()
-	if t.After(v.now) {
-		v.now = t
-	}
-	v.mu.Unlock()
-}
-
 // Event is a scheduled callback. The callback runs with the clock already
 // advanced to the event's time.
 type Event struct {
@@ -160,25 +151,6 @@ func (v *Virtual) Schedule(delay time.Duration, fn func(now time.Time)) {
 	}
 	v.seq++
 	heap.Push(&v.events, &Event{At: at, Fn: fn, seq: v.seq})
-}
-
-// ScheduleAt registers fn to run when the clock reaches t. Times in the past
-// run at the current time.
-func (v *Virtual) ScheduleAt(t time.Time, fn func(now time.Time)) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if t.Before(v.now) {
-		t = v.now
-	}
-	v.seq++
-	heap.Push(&v.events, &Event{At: t, Fn: fn, seq: v.seq})
-}
-
-// Pending returns the number of scheduled events that have not yet run.
-func (v *Virtual) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.events)
 }
 
 // Step runs the earliest pending event, advancing the clock to its time.

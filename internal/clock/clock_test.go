@@ -66,26 +66,15 @@ func TestVirtualAdvance(t *testing.T) {
 	}
 }
 
-func TestVirtualSetNeverBackwards(t *testing.T) {
-	start := time.Date(2006, 1, 6, 0, 0, 0, 0, time.UTC)
-	v := NewVirtual(start)
-	v.Set(start.Add(time.Hour))
-	v.Set(start.Add(30 * time.Minute))
-	if !v.Now().Equal(start.Add(time.Hour)) {
-		t.Fatalf("Set moved the clock backwards to %v", v.Now())
-	}
-}
-
 func TestScheduleOrdering(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	var order []int
 	v.Schedule(3*time.Second, func(time.Time) { order = append(order, 3) })
 	v.Schedule(1*time.Second, func(time.Time) { order = append(order, 1) })
 	v.Schedule(2*time.Second, func(time.Time) { order = append(order, 2) })
-	if v.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", v.Pending())
+	if n := v.Drain(0); n != 3 {
+		t.Fatalf("Drain ran %d events, want 3", n)
 	}
-	v.Drain(0)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events ran out of order: %v", order)
 	}
@@ -129,7 +118,7 @@ func TestScheduleAtPastRunsNow(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	v.Advance(time.Hour)
 	var ran time.Time
-	v.ScheduleAt(v.Now().Add(-time.Minute), func(now time.Time) { ran = now })
+	v.Schedule(-time.Minute, func(now time.Time) { ran = now })
 	v.Step()
 	if !ran.Equal(v.Now()) {
 		t.Fatalf("past event ran at %v, clock %v", ran, v.Now())
@@ -150,8 +139,8 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	if !v.Now().Equal(start.Add(5 * time.Minute)) {
 		t.Fatalf("clock should rest at deadline, got %v", v.Now())
 	}
-	if v.Pending() != 5 {
-		t.Fatalf("expected 5 events pending, got %d", v.Pending())
+	if n := v.Drain(0); n != 5 {
+		t.Fatalf("expected 5 events pending, ran %d", n)
 	}
 }
 
@@ -180,7 +169,7 @@ func TestDrainMaxEvents(t *testing.T) {
 	if n := v.Drain(4); n != 4 {
 		t.Fatalf("Drain(4) ran %d events", n)
 	}
-	if v.Pending() != 6 {
-		t.Fatalf("Pending = %d, want 6", v.Pending())
+	if n := v.Drain(0); n != 6 {
+		t.Fatalf("%d events left pending, want 6", n)
 	}
 }

@@ -54,17 +54,9 @@ import (
 	"botdetect/internal/telemetry"
 )
 
-// Class, Confidence and Verdict are defined by the decision layer; the
-// aliases keep the engine's public surface stable for consumers that predate
-// internal/detect.
-type (
-	// Class is the engine's decision about a session's traffic source.
-	Class = detect.Class
-	// Confidence qualifies a verdict.
-	Confidence = detect.Confidence
-	// Verdict is the classification of one session.
-	Verdict = detect.Verdict
-)
+// Verdict and its classes are defined by the decision layer; the aliases
+// are the names the engine's consumers use.
+type Verdict = detect.Verdict
 
 const (
 	// ClassUndecided means the engine has not yet seen enough evidence.
@@ -74,10 +66,6 @@ const (
 	// ClassRobot means the traffic source is an automated agent.
 	ClassRobot = detect.ClassRobot
 
-	// Tentative verdicts may flip as more requests arrive.
-	Tentative = detect.Tentative
-	// Probable verdicts rest on behavioural or statistical evidence.
-	Probable = detect.Probable
 	// Definite verdicts rest on direct evidence (input events, decoy hits,
 	// hidden-link fetches, CAPTCHA).
 	Definite = detect.Definite
@@ -1158,15 +1146,8 @@ func (e *Engine) trainerStep(minNew int, cfg adaboost.Config) func(time.Time) {
 }
 
 // Sessions returns snapshots of all active sessions, gathered shard by
-// shard (no global lock; see StreamSessions for the allocation-free path).
+// shard (no global lock).
 func (e *Engine) Sessions() []session.Snapshot { return e.sessions.Snapshots() }
-
-// StreamSessions streams a snapshot of every active session to yield,
-// locking one shard at a time, until yield returns false. Order is
-// unspecified; sessions created or removed concurrently may be missed.
-func (e *Engine) StreamSessions(yield func(session.Snapshot) bool) {
-	e.sessions.Each(yield)
-}
 
 // Session returns the snapshot of one active session, if it is tracked.
 func (e *Engine) Session(key session.Key) (session.Snapshot, bool) { return e.sessions.Get(key) }
@@ -1176,11 +1157,6 @@ func (e *Engine) SessionCount() int { return e.sessions.Active() }
 
 // ShardCount returns the engine's shard count (a power of two).
 func (e *Engine) ShardCount() int { return e.sessions.ShardCount() }
-
-// ExpireIdle ends idle sessions as of now, reporting them via OnSessionEnd.
-// The sweep is batched shard by shard — one shard locked at a time — so it
-// never pauses the whole engine.
-func (e *Engine) ExpireIdle(now time.Time) int { return e.sessions.ExpireIdle(now) }
 
 // SweepStep amortises idle expiry: each call sweeps the next shard in
 // round-robin order (ShardCount calls make one full pass) and returns the

@@ -14,7 +14,7 @@ import (
 // TestEngineConcurrentPipeline hammers every hot entry point of the engine —
 // ObserveRequestQuiet, HandleBeacon (all beacon kinds), Classify, Session,
 // Sessions, Stats — from parallel goroutines on OVERLAPPING session keys
-// while two more goroutines run ExpireIdle and SweepStep. Run with -race;
+// while two more goroutines sweep idle sessions and read. Run with -race;
 // the final consistency checks catch lost updates.
 func TestEngineConcurrentPipeline(t *testing.T) {
 	vc := clock.NewVirtual(time.Time{})
@@ -36,9 +36,8 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 
 	var aux, writers sync.WaitGroup
 	stop := make(chan struct{})
-	// Sweepers: a full-table batched pass and the amortized per-shard step.
-	// They loop until the writers finish, so sweeps genuinely race the hot
-	// path for the whole run.
+	// Sweeper: the amortized per-shard step, looping until the writers
+	// finish, so sweeps genuinely race the hot path for the whole run.
 	aux.Add(1)
 	go func() {
 		defer aux.Done()
@@ -47,12 +46,11 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				e.ExpireIdle(now)
 				e.SweepStep(now)
 			}
 		}
 	}()
-	// Readers: snapshots, streaming, stats.
+	// Readers: snapshots and stats.
 	aux.Add(1)
 	go func() {
 		defer aux.Done()
@@ -62,7 +60,6 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 				return
 			default:
 				e.Sessions()
-				e.StreamSessions(func(session.Snapshot) bool { return true })
 				e.Stats()
 				e.SessionCount()
 			}
@@ -105,10 +102,9 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 		t.Fatalf("SessionCount = %d, want %d", e.SessionCount(), nKeys)
 	}
 	var total int64
-	e.StreamSessions(func(s session.Snapshot) bool {
+	for _, s := range e.Sessions() {
 		total += int64(s.Counts.Total)
-		return true
-	})
+	}
 	if total != workers*iters {
 		t.Fatalf("total observed = %d, want %d", total, workers*iters)
 	}
@@ -165,7 +161,7 @@ func TestEngineConcurrentExpiryDelivers(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	e.ExpireIdle(later) // finish whatever the amortized pass raced past
+	sweepAll(e, later) // finish whatever the amortized pass raced past
 
 	mu.Lock()
 	defer mu.Unlock()

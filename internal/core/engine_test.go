@@ -365,7 +365,7 @@ func TestClassificationRobotRunningJSWithoutMouse(t *testing.T) {
 		observe(d, ip, ua, "GET", fmt.Sprintf("/p%d.html", i), 200, "", now)
 	}
 	v := d.Classify(key)
-	if v.Class != ClassRobot || v.Confidence != Probable {
+	if v.Class != ClassRobot || v.Confidence != detect.Probable {
 		t.Fatalf("verdict = %+v", v)
 	}
 	if v.Rule != detect.RuleJSWithoutInput || !strings.Contains(v.Reason(), "no input events") {
@@ -385,7 +385,7 @@ func TestClassificationHumanCSSOnlyNoJS(t *testing.T) {
 		observe(d, ip, ua, "GET", fmt.Sprintf("/p%d.html", i), 200, "", now)
 	}
 	v := d.Classify(key)
-	if v.Class != ClassHuman || v.Confidence != Probable {
+	if v.Class != ClassHuman || v.Confidence != detect.Probable {
 		t.Fatalf("verdict = %+v", v)
 	}
 }
@@ -422,6 +422,16 @@ func TestClassifyUnknownSession(t *testing.T) {
 	}
 }
 
+// sweepAll makes one full pass of SweepStep over the engine's shards and
+// returns the number of sessions it ended.
+func sweepAll(e *Engine, now time.Time) int {
+	n := 0
+	for range e.ShardCount() {
+		n += e.SweepStep(now)
+	}
+	return n
+}
+
 func TestOnSessionEndCallback(t *testing.T) {
 	var ended []ClassifiedSession
 	vc := clock.NewVirtual(time.Time{})
@@ -432,8 +442,8 @@ func TestOnSessionEndCallback(t *testing.T) {
 	observe(d, ip, ua, "GET", "/", 200, "", now)
 	d.HandleBeacon(ip, ua, d.Config().BeaconPrefix+"/"+inst.Issued.Key+".jpg")
 	vc.Advance(2 * time.Hour)
-	if n := d.ExpireIdle(vc.Now()); n != 1 {
-		t.Fatalf("ExpireIdle = %d", n)
+	if n := sweepAll(d, vc.Now()); n != 1 {
+		t.Fatalf("swept %d sessions, want 1", n)
 	}
 	if len(ended) != 1 || ended[0].Verdict.Class != ClassHuman {
 		t.Fatalf("ended = %+v", ended)
@@ -464,10 +474,10 @@ func TestVerdictAndEnumStrings(t *testing.T) {
 	if !strings.Contains(s, "robot") || !strings.Contains(s, "definite") || !strings.Contains(s, "7") || !strings.Contains(s, "invisible") {
 		t.Fatalf("Verdict.String = %q", s)
 	}
-	if ClassHuman.String() != "human" || ClassUndecided.String() != "undecided" || Class(9).String() != "undecided" {
+	if ClassHuman.String() != "human" || ClassUndecided.String() != "undecided" || detect.Class(9).String() != "undecided" {
 		t.Fatal("Class names wrong")
 	}
-	if Tentative.String() != "tentative" || Probable.String() != "probable" || Definite.String() != "definite" {
+	if detect.Tentative.String() != "tentative" || detect.Probable.String() != "probable" || Definite.String() != "definite" {
 		t.Fatal("Confidence names wrong")
 	}
 }
@@ -557,7 +567,7 @@ func TestRemoteRowRefusesMalformedPeerVerdicts(t *testing.T) {
 		{Class: ClassRobot, Confidence: Definite, Origin: "b"},
 		{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleRemote, Origin: "b"},
 		{Class: ClassHuman, Confidence: Definite, Rule: detect.RuleDecoy, Origin: "b"},
-		{Class: ClassRobot, Confidence: Probable, Rule: detect.RuleDecoy, Origin: "b"},
+		{Class: ClassRobot, Confidence: detect.Probable, Rule: detect.RuleDecoy, Origin: "b"},
 		{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleDecoy},
 	} {
 		f.peer[k] = bad
@@ -578,8 +588,8 @@ func TestStoredVerdictRoundTripAndRefusal(t *testing.T) {
 	e.SetFleet(&stubFleet{})
 	for _, v := range []Verdict{
 		{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleHidden, AtRequest: 12, Origin: "c"},
-		{Class: ClassHuman, Confidence: Probable, Rule: detect.RuleCSS, AtRequest: math.MaxUint32},
-		{Class: ClassUndecided, Confidence: Tentative, Rule: detect.RuleBelowThreshold},
+		{Class: ClassHuman, Confidence: detect.Probable, Rule: detect.RuleCSS, AtRequest: math.MaxUint32},
+		{Class: ClassUndecided, Confidence: detect.Tentative, Rule: detect.RuleBelowThreshold},
 	} {
 		sv, ok := e.storeVerdict(v, 7)
 		if !ok {

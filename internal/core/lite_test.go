@@ -109,7 +109,7 @@ func TestLitePagesForDefiniteHumans(t *testing.T) {
 		{name: "idle expiry", setup: func(t *testing.T, e *Engine, vc *clock.Virtual, key session.Key) {
 			proveHuman(t, e, vc, key)
 			vc.Advance(e.cfg.SessionIdleTimeout + time.Second)
-			if n := e.ExpireIdle(vc.Now()); n != 1 {
+			if n := sweepAll(e, vc.Now()); n != 1 {
 				t.Fatalf("idle expiry ended %d sessions, want 1", n)
 			}
 		}},

@@ -6,11 +6,30 @@ import (
 
 	"botdetect/internal/adaboost"
 	"botdetect/internal/features"
+	"botdetect/internal/logfmt"
 	"botdetect/internal/session"
 )
 
+// recorded returns the signals a tracker holds for a session whose signals
+// were each first seen at the given request (a count below 1 reads as 1).
+func recorded(sigs map[session.Signal]int64) session.Signals {
+	tr := session.NewTracker(session.Config{Shards: 1})
+	key := session.Key{IP: "10.0.0.1", UserAgent: "UA"}
+	var snap session.Snapshot
+	for n, left := int64(1), len(sigs); left > 0; n++ {
+		snap = tr.Observe(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET", Path: "/", Status: 200})
+		for sig, at := range sigs {
+			if max(at, 1) == n {
+				snap, _ = tr.Mark(key, sig)
+				left--
+			}
+		}
+	}
+	return snap.Signals
+}
+
 func snapWith(total uint32, sigs map[session.Signal]int64) *session.Snapshot {
-	return &session.Snapshot{Counts: session.Counts{Total: total}, Signals: session.MakeSignals(sigs)}
+	return &session.Snapshot{Counts: session.Counts{Total: total}, Signals: recorded(sigs)}
 }
 
 // TestChainFirstOpinionWins: the table is a chain of rows; the first row

@@ -15,7 +15,7 @@ func snapWith(total int64, sigs map[session.Signal]int64) session.Snapshot {
 	return session.Snapshot{
 		Key:     session.Key{IP: "10.0.0.1", UserAgent: "x"},
 		Counts:  session.Counts{Total: uint32(total)},
-		Signals: session.MakeSignals(sigs),
+		Signals: recorded(sigs),
 	}
 }
 

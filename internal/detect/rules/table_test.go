@@ -172,7 +172,7 @@ func TestVerdictTableEnumerated(t *testing.T) {
 		}
 		for _, total := range []uint32{0, 9, 10, 11, 40} {
 			snap := &session.Snapshot{Key: session.Key{IP: "10.0.0.1", UserAgent: "UA"},
-				Counts: session.Counts{Total: total}, Signals: session.MakeSignals(sigs)}
+				Counts: session.Counts{Total: total}, Signals: recorded(sigs)}
 			for _, m := range models {
 				learned := detect.NewLearned()
 				learned.SetModel(m.model)
@@ -203,7 +203,7 @@ func TestVerdictTableEnumerated(t *testing.T) {
 				}
 			}
 		}
-		snap := session.Snapshot{Counts: session.Counts{Total: 20}, Signals: session.MakeSignals(sigs)}
+		snap := session.Snapshot{Counts: session.Counts{Total: 20}, Signals: recorded(sigs)}
 		for _, variant := range []struct {
 			name string
 			rows detect.Mask

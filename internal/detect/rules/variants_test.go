@@ -18,7 +18,7 @@ func variantSnap(css, mouse, js bool) session.Snapshot {
 	if js {
 		sigs[session.SignalJS] = 3
 	}
-	return session.Snapshot{Counts: session.Counts{Total: 20}, Signals: session.MakeSignals(sigs)}
+	return session.Snapshot{Counts: session.Counts{Total: 20}, Signals: recorded(sigs)}
 }
 
 // TestFullRuleMatchesInHumanSet: the S_H mask is the formula

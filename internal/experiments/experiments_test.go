@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"botdetect/internal/core"
 )
@@ -63,12 +64,55 @@ func TestCaptchaCross(t *testing.T) {
 	}
 }
 
+// figure2ShapeHolds reports whether the qualitative claims of Figure 2 hold
+// in the regenerated data: the CSS (browser test) signal fires in fewer
+// requests than the mouse (human activity) signal at matched coverage, and
+// both fire within a few tens of requests for the vast majority of sessions.
+func figure2ShapeHolds(r Figure2Result) bool {
+	if r.MouseCDF.Len() == 0 || r.CSSCDF.Len() == 0 {
+		return false
+	}
+	if r.CSS95 > r.Mouse95 {
+		return false
+	}
+	return r.Mouse95 <= 100 && r.CSS95 <= 60
+}
+
+// figure3ShapeHolds reports whether the qualitative Figure 3 claim holds:
+// complaints rise to a mid-year peak after the network expansion and drop by
+// a large factor once the detector and rate limiting are deployed.
+func figure3ShapeHolds(r Figure3Result) bool {
+	return r.PeakBeforeDeployment >= 3 && r.ReductionFactor >= 3
+}
+
+// figure4ShapeHolds reports whether the qualitative Figure 4 claims hold:
+// test accuracy stays in the ~90%+ band throughout and does not degrade as
+// the classifier sees more requests.
+func figure4ShapeHolds(r Figure4Result) bool {
+	if len(r.Points) < 4 {
+		return false
+	}
+	first := r.Points[0].TestAccuracy
+	last := r.Points[len(r.Points)-1].TestAccuracy
+	if first < 0.85 || last < 0.85 {
+		return false
+	}
+	return last >= first-0.03
+}
+
+// overheadShapeHolds reports whether the qualitative overhead claim holds:
+// script generation is far below one millisecond and instrumentation is a
+// small fraction of served bytes.
+func overheadShapeHolds(r OverheadResult) bool {
+	return r.ScriptGenTime < time.Millisecond && r.BandwidthOverhead < 0.15 && r.ScriptBytes > 200
+}
+
 func TestFigure2Shape(t *testing.T) {
 	r := Figure2(smallScale())
 	if r.MouseCDF.Len() == 0 || r.CSSCDF.Len() == 0 || r.JSFileCDF.Len() == 0 {
 		t.Fatalf("empty CDFs: mouse=%d css=%d js=%d", r.MouseCDF.Len(), r.CSSCDF.Len(), r.JSFileCDF.Len())
 	}
-	if !r.ShapeHolds() {
+	if !figure2ShapeHolds(r) {
 		t.Errorf("Figure 2 shape does not hold: mouse95=%f css95=%f", r.Mouse95, r.CSS95)
 	}
 	if len(r.Series) != 3 {
@@ -88,7 +132,7 @@ func TestFigure3Shape(t *testing.T) {
 	if r.MeasuredBlockedFraction <= 0.2 {
 		t.Errorf("measured blocked fraction = %f; policy engine seems ineffective", r.MeasuredBlockedFraction)
 	}
-	if !r.ShapeHolds() {
+	if !figure3ShapeHolds(r) {
 		t.Errorf("Figure 3 shape does not hold: peak=%d after=%d reduction=%.1f",
 			r.PeakBeforeDeployment, r.TotalRobotAfterDeployment, r.ReductionFactor)
 	}
@@ -119,7 +163,7 @@ func TestFigure4Shape(t *testing.T) {
 	if len(r.Points) < 4 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
-	if !r.ShapeHolds() {
+	if !figure4ShapeHolds(r) {
 		for _, p := range r.Points {
 			t.Logf("requests=%d train=%.3f test=%.3f", p.Requests, p.TrainAccuracy, p.TestAccuracy)
 		}
@@ -139,7 +183,7 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestOverheadShape(t *testing.T) {
 	r := Overhead(Scale{Sessions: 80, Seed: 13})
-	if !r.ShapeHolds() {
+	if !overheadShapeHolds(r) {
 		t.Errorf("overhead shape does not hold: %+v", r)
 	}
 	if r.ScriptsPerSecond < 1000 {

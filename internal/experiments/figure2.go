@@ -76,17 +76,3 @@ func (r Figure2Result) Format() string {
 	}
 	return sb.String()
 }
-
-// ShapeHolds reports whether the qualitative claims of Figure 2 hold in the
-// regenerated data: the CSS (browser test) signal fires in fewer requests
-// than the mouse (human activity) signal at matched coverage, and both fire
-// within a few tens of requests for the vast majority of sessions.
-func (r Figure2Result) ShapeHolds() bool {
-	if r.MouseCDF.Len() == 0 || r.CSSCDF.Len() == 0 {
-		return false
-	}
-	if r.CSS95 > r.Mouse95 {
-		return false
-	}
-	return r.Mouse95 <= 100 && r.CSS95 <= 60
-}

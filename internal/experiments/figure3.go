@@ -126,10 +126,3 @@ func (r Figure3Result) Format() string {
 	fmt.Fprintf(&sb, "Reduction factor (peak / mean after): %.1fx (paper ~10x)\n", r.ReductionFactor)
 	return sb.String()
 }
-
-// ShapeHolds reports whether the qualitative Figure 3 claim holds: complaints
-// rise to a mid-year peak after the network expansion and drop by a large
-// factor once the detector and rate limiting are deployed.
-func (r Figure3Result) ShapeHolds() bool {
-	return r.PeakBeforeDeployment >= 3 && r.ReductionFactor >= 3
-}

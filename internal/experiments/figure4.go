@@ -182,18 +182,3 @@ func (r Figure4Result) Format() string {
 	fmt.Fprintf(&sb, "Tan & Kumar style decision-tree baseline (full prefix): %.1f%% test accuracy\n", r.NavTreeTestAccuracy*100)
 	return sb.String()
 }
-
-// ShapeHolds reports whether the qualitative Figure 4 claims hold: test
-// accuracy stays in the ~90%+ band throughout and does not degrade as the
-// classifier sees more requests.
-func (r Figure4Result) ShapeHolds() bool {
-	if len(r.Points) < 4 {
-		return false
-	}
-	first := r.Points[0].TestAccuracy
-	last := r.Points[len(r.Points)-1].TestAccuracy
-	if first < 0.85 || last < 0.85 {
-		return false
-	}
-	return last >= first-0.03
-}

@@ -385,7 +385,7 @@ func FleetBench(seed uint64) FleetResult {
 		return true
 	})
 	out.PartitionConvergeSec = vc.Now().Sub(healAt).Seconds()
-	out.PartitionCutMessages = links.Stats().Cut
+	out.PartitionCutMessages = links.CutMessages()
 
 	// Single-trainer model publication: one SetModel reaches every engine.
 	m := &adaboost.Model{TrainingError: 0.0625}

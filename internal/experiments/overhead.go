@@ -120,10 +120,3 @@ func (r OverheadResult) Format() string {
 	fmt.Fprintf(&sb, "  bandwidth overhead:            %s%% (paper 0.3%% of CoDeeN's much larger traffic)\n", metrics.Pct(r.BandwidthOverhead))
 	return sb.String()
 }
-
-// ShapeHolds reports whether the qualitative overhead claim holds: script
-// generation is far below one millisecond and instrumentation is a small
-// fraction of served bytes.
-func (r OverheadResult) ShapeHolds() bool {
-	return r.ScriptGenTime < time.Millisecond && r.BandwidthOverhead < 0.15 && r.ScriptBytes > 200
-}

@@ -87,14 +87,3 @@ func (v Vector) String() string {
 	}
 	return out
 }
-
-// Validate reports whether every attribute lies in [0, 1]; attribute vectors
-// derived from well-formed counts always do.
-func (v Vector) Validate() error {
-	for i, val := range v {
-		if val < 0 || val > 1 {
-			return fmt.Errorf("features: attribute %s = %f out of [0,1]", Names[i], val)
-		}
-	}
-	return nil
-}

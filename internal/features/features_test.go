@@ -31,18 +31,3 @@ func TestVectorString(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
-
-func TestVectorValidate(t *testing.T) {
-	var v Vector
-	if err := v.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	v[3] = 1.5
-	if err := v.Validate(); err == nil {
-		t.Fatal("expected validation error")
-	}
-	v[3] = -0.1
-	if err := v.Validate(); err == nil {
-		t.Fatal("expected validation error for negative")
-	}
-}

@@ -566,47 +566,6 @@ func (r *Replicator) RequestHandoff(owner string, key session.Key) {
 	r.sendTo(owner, Update{Kind: KindHandoff, Key: key})
 }
 
-// SendHandoff pushes the session's evidence to a peer (graceful drain).
-func (r *Replicator) SendHandoff(to string, key session.Key, signals []SignalAt) bool {
-	return r.sendTo(to, Update{Kind: KindHandoff, Key: key, Signals: signals, HandoffReply: true})
-}
-
-// Flush steps the replicator through its own retry schedule — from the
-// clock's now, for at most timeout of it — until every outbox is empty, for
-// graceful shutdown. It does not wait: the retries a dead peer would have
-// been given over timeout are all made now. It reports whether the outboxes
-// emptied.
-func (r *Replicator) Flush(timeout time.Duration) bool {
-	now := r.nowNanos()
-	for deadline := now + int64(timeout); ; {
-		r.Step(time.Unix(0, now))
-		next, queued := r.nextAttempt()
-		if !queued {
-			return true
-		}
-		if next <= now || next > deadline {
-			return false // stopped, or the next retry lies past the timeout
-		}
-		now = next
-	}
-}
-
-// nextAttempt returns the earliest time a queued batch is due, and whether
-// anything is queued at all.
-func (r *Replicator) nextAttempt() (next int64, queued bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, p := range r.peers {
-		if len(p.out)+len(p.batch) == 0 {
-			continue
-		}
-		if !queued || p.nextAttempt < next {
-			next, queued = p.nextAttempt, true
-		}
-	}
-	return next, queued
-}
-
 // ---- receiving / applying ----
 
 // Receive applies one transport frame. It is the Transport's delivery
@@ -668,7 +627,7 @@ func (r *Replicator) apply(u *Update) {
 	case u.Kind == KindHandoff && cb.HandoffSource != nil:
 		// A handoff request, served from local evidence.
 		if sigs, ok := cb.HandoffSource(u.Key); ok && len(sigs) > 0 {
-			r.SendHandoff(u.Origin, u.Key, sigs)
+			r.sendTo(u.Origin, Update{Kind: KindHandoff, Key: u.Key, Signals: sigs, HandoffReply: true})
 		}
 	}
 }
@@ -956,18 +915,7 @@ func (r *Replicator) PublishedEpoch() uint64 {
 	return r.epoch
 }
 
-// AckedEpoch returns the highest own-origin epoch successfully sent to the
-// named peer — the origin-side bound on what a peer can be missing.
-func (r *Replicator) AckedEpoch(peerName string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.peers[peerName]; ok {
-		return p.acked
-	}
-	return 0
-}
-
-// MinAckedEpoch returns the smallest AckedEpoch across peers: every own
+// MinAckedEpoch returns the smallest epoch acked by a peer: every own
 // update at or below it survives this node's crash on at least every peer.
 func (r *Replicator) MinAckedEpoch() uint64 {
 	r.mu.Lock()

@@ -22,7 +22,7 @@ import (
 )
 
 // Handle identifies one interned string. The zero Handle is "no string":
-// Release and Lookup treat it as a no-op/miss, so zero-valued records are
+// Release treats it as a no-op, so zero-valued records are
 // safe. A handle encodes shard, slot and a per-slot generation; a stale
 // handle (its string already evicted and the slot reused) fails validation
 // instead of resolving to the wrong string.
@@ -228,27 +228,6 @@ func (in *Interner) Release(h Handle) {
 	e.s = ""
 	e.gen = (e.gen + 1) & genMask
 	sh.free = append(sh.free, slot)
-}
-
-// Lookup resolves a handle to its canonical string, reporting whether the
-// handle is live. Diagnostics only — the canonical string is already in the
-// caller's hands from Intern on every hot path.
-func (in *Interner) Lookup(h Handle) (string, bool) {
-	if h == 0 {
-		return "", false
-	}
-	sh := &in.shards[h.shard()&int(in.mask)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	slot := h.slot()
-	if int(slot) >= len(sh.entries) {
-		return "", false
-	}
-	e := &sh.entries[slot]
-	if e.gen != h.gen() || e.refs.Load() <= 0 {
-		return "", false
-	}
-	return e.s, true
 }
 
 // Stats returns a point-in-time summary (lock-free).

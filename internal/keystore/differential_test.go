@@ -268,8 +268,8 @@ func diffRun(t *testing.T, seed uint64, r interface {
 			fail("Clients %d (shard by shard %d), reference %d", a, shardClients(got), b)
 		}
 		for _, ip := range ips {
-			if a, b := got.OutstandingKeys(ip), want.OutstandingKeys(ip); a != b {
-				fail("OutstandingKeys(%s) %d, reference %d", ip, a, b)
+			if a, b := got.outstandingKeys(ip), want.outstandingKeys(ip); a != b {
+				fail("outstandingKeys(%s) %d, reference %d", ip, a, b)
 			}
 		}
 	}

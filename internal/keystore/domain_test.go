@@ -125,7 +125,7 @@ func TestEveryKeyInTheDomain(t *testing.T) {
 
 	// b stays recent; c evicts a, and a comes back with numbers 0..63 again.
 	s.IssuePage(c, "/p.html", new(PageKeys))
-	if s.OutstandingKeys(a) != 0 || s.Stats().EvictedClients != 1 {
+	if s.outstandingKeys(a) != 0 || s.Stats().EvictedClients != 1 {
 		t.Fatalf("a was not evicted: %+v", s.Stats())
 	}
 	s.IssuePage(b, "/p.html", new(PageKeys))

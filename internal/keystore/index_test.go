@@ -17,7 +17,7 @@ import (
 // Issues, degraded issues, script downloads, validations of real, decoy,
 // guessed and foreign keys, TTL expiry and client-cap eviction (64 clients on
 // one shard) must give the same draws, verdicts, Stats, Clients,
-// OutstandingKeys and MemoryEstimate on both. A chain's head is its newest
+// outstandingKeys and MemoryEstimate on both. A chain's head is its newest
 // client and the LRU victim is never the client an issue just created, so one
 // chain would never lose its head: the second, short one (addresses ending in
 // 7) does, when its newest client goes idle while older ones stay busy — which
@@ -61,8 +61,8 @@ func TestKeystoreCollisionChainMatchesSeededIndex(t *testing.T) {
 		if a, b := seeded.MemoryEstimate(), chained.MemoryEstimate(); a != b || seeded.Clients() != chained.Clients() {
 			t.Fatalf("step %d: estimate %d vs %d, clients %d vs %d", step, a, b, seeded.Clients(), chained.Clients())
 		}
-		if a, b := seeded.OutstandingKeys(ip), chained.OutstandingKeys(ip); a != b {
-			t.Fatalf("step %d: OutstandingKeys(%s) %d, chained %d", step, ip, a, b)
+		if a, b := seeded.outstandingKeys(ip), chained.outstandingKeys(ip); a != b {
+			t.Fatalf("step %d: outstandingKeys(%s) %d, chained %d", step, ip, a, b)
 		}
 		fullest = max(fullest, chained.Clients())
 	}
@@ -121,8 +121,8 @@ func TestKeystoreCollisionChainMatchesSeededIndex(t *testing.T) {
 		check(step, ip)
 		if step%1000 == 999 {
 			for _, ip := range ips {
-				if a, b := seeded.OutstandingKeys(ip), chained.OutstandingKeys(ip); a != b {
-					t.Fatalf("step %d: OutstandingKeys(%s) %d, chained %d", step, ip, a, b)
+				if a, b := seeded.outstandingKeys(ip), chained.outstandingKeys(ip); a != b {
+					t.Fatalf("step %d: outstandingKeys(%s) %d, chained %d", step, ip, a, b)
 				}
 			}
 		}

@@ -44,7 +44,7 @@ func TestExpirySkipStaysCorrect(t *testing.T) {
 	first := issue(t, s, "10.2.0.1", "/a.html")
 	fc.Advance(9 * time.Minute)
 	second := issue(t, s, "10.2.0.1", "/b.html") // skip path: nothing expired yet
-	if n := s.OutstandingKeys("10.2.0.1"); n != 4 {
+	if n := s.outstandingKeys("10.2.0.1"); n != 4 {
 		t.Fatalf("outstanding = %d, want 4", n)
 	}
 	fc.Advance(2 * time.Minute) // first batch now expired, second alive

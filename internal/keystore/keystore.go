@@ -662,26 +662,6 @@ func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64
 	return key, decoys, true
 }
 
-// OutstandingKeys returns the number of keys of the drawn page views the
-// client's window holds, real plus decoys, expired or not. It is primarily
-// for tests and monitoring.
-func (s *Store) OutstandingKeys(clientIP string) int {
-	sh, hash := s.clients.Locate(clientIP)
-	sh.Lock()
-	defer sh.Unlock()
-	cs := sh.Get(hash, clientIP)
-	if cs == nil {
-		return 0
-	}
-	n := 0
-	for h := logPrefixBytes; h < len(cs.log); h += headerBytes {
-		if cs.log[h+hdrFlags]&flagDrawn != 0 {
-			n += 1 + int(cs.log[h+hdrDecoys])
-		}
-	}
-	return n
-}
-
 // Clients returns the number of client IPs tracked, lock-free.
 func (s *Store) Clients() int { return s.clients.Len() }
 
@@ -709,6 +689,3 @@ func (s *Store) Stats() Stats {
 		EvictedClients: s.stats.evictedClients.Load(),
 	}
 }
-
-// Decoys returns the configured number of decoy keys per page.
-func (s *Store) Decoys() int { return s.cfg.Decoys }

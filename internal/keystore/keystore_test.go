@@ -70,6 +70,25 @@ func issue(t *testing.T, s *Store, ip, page string) *PageKeys {
 // wire spells v the way a beacon request carries it.
 func wire(pk *PageKeys, v uint64) string { return string(pk.AppendKey(nil, v)) }
 
+// outstandingKeys returns the number of keys of the drawn page views the
+// client's window holds, real plus decoys, expired or not.
+func (s *Store) outstandingKeys(clientIP string) int {
+	sh, hash := s.clients.Locate(clientIP)
+	sh.Lock()
+	defer sh.Unlock()
+	cs := sh.Get(hash, clientIP)
+	if cs == nil {
+		return 0
+	}
+	n := 0
+	for h := logPrefixBytes; h < len(cs.log); h += headerBytes {
+		if cs.log[h+hdrFlags]&flagDrawn != 0 {
+			n += 1 + int(cs.log[h+hdrDecoys])
+		}
+	}
+	return n
+}
+
 func TestIssueShape(t *testing.T) {
 	s, _ := newTestStore(t, Config{Decoys: 5, KeyDigits: 12})
 	iss := issue(t, s, "10.0.0.1", "/index.html")
@@ -164,14 +183,14 @@ func TestTTLExpiry(t *testing.T) {
 func TestTTLExpiryOnIssue(t *testing.T) {
 	s, vc := newTestStore(t, Config{TTL: 10 * time.Minute, Decoys: 2})
 	issue(t, s, "10.0.0.1", "/a.html")
-	before := s.OutstandingKeys("10.0.0.1")
+	before := s.outstandingKeys("10.0.0.1")
 	if before != 3 {
 		t.Fatalf("outstanding = %d, want 3", before)
 	}
 	vc.Advance(11 * time.Minute)
 	issue(t, s, "10.0.0.1", "/b.html")
 	// The previous issue should have been purged; only the new 3 remain.
-	if got := s.OutstandingKeys("10.0.0.1"); got != 3 {
+	if got := s.outstandingKeys("10.0.0.1"); got != 3 {
 		t.Fatalf("outstanding after expiry = %d, want 3", got)
 	}
 }
@@ -183,7 +202,7 @@ func TestPerClientCapEvictsOldest(t *testing.T) {
 		issued = append(issued, issue(t, s, "10.0.0.1", fmt.Sprintf("/p%d.html", i)))
 	}
 	// 64 outstanding issues * (1 real + 2 decoys) keys each.
-	if got := s.OutstandingKeys("10.0.0.1"); got != maxPerClient*3 {
+	if got := s.outstandingKeys("10.0.0.1"); got != maxPerClient*3 {
 		t.Fatalf("outstanding = %d, want %d", got, maxPerClient*3)
 	}
 	if v := s.ValidateValue("10.0.0.1", issued[15].Key); v != Unknown {
@@ -213,13 +232,13 @@ func TestClientCapEvictsLRU(t *testing.T) {
 		t.Fatalf("EvictedClients = %d", s.Stats().EvictedClients)
 	}
 	// The most recent clients should still be tracked.
-	if s.OutstandingKeys(ip(maxClients+14)) == 0 {
+	if s.outstandingKeys(ip(maxClients+14)) == 0 {
 		t.Fatal("most recent client was evicted")
 	}
-	if s.OutstandingKeys(ip(15)) == 0 {
+	if s.outstandingKeys(ip(15)) == 0 {
 		t.Fatal("the oldest client inside the cap was evicted")
 	}
-	if s.OutstandingKeys(ip(14)) != 0 {
+	if s.outstandingKeys(ip(14)) != 0 {
 		t.Fatal("the newest client outside the cap should have been evicted")
 	}
 }
@@ -255,10 +274,10 @@ func TestLRUTouchOnValidate(t *testing.T) {
 		t.Fatalf("validate = %v", v)
 	}
 	issue(t, s, "3.3.3.3", "/a.html")
-	if s.OutstandingKeys("1.1.1.1") == 0 {
+	if s.outstandingKeys("1.1.1.1") == 0 {
 		t.Fatal("recently validated client evicted")
 	}
-	if s.OutstandingKeys("2.2.2.2") != 0 {
+	if s.outstandingKeys("2.2.2.2") != 0 {
 		t.Fatal("stale client not evicted")
 	}
 }
@@ -378,11 +397,11 @@ func TestPropertyRealAndDecoysDisjointAndValid(t *testing.T) {
 
 func TestDecoysAccessor(t *testing.T) {
 	s, _ := newTestStore(t, Config{Decoys: 7})
-	if s.Decoys() != 7 {
-		t.Fatalf("Decoys() = %d", s.Decoys())
+	if n := len(issue(t, s, "10.0.0.1", "/a.html").Decoys); n != 7 {
+		t.Fatalf("decoys per page = %d, want 7", n)
 	}
 	d, _ := newTestStore(t, Config{})
-	if d.Decoys() != 4 {
-		t.Fatalf("default Decoys() = %d", d.Decoys())
+	if n := len(issue(t, d, "10.0.0.1", "/a.html").Decoys); n != 4 {
+		t.Fatalf("default decoys per page = %d, want 4", n)
 	}
 }

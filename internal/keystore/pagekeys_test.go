@@ -55,7 +55,7 @@ func TestPageKeysForFollowsBatchesThroughCompaction(t *testing.T) {
 	}
 	outstanding := func(want int) {
 		t.Helper()
-		if n := s.OutstandingKeys(ip); n != want {
+		if n := s.outstandingKeys(ip); n != want {
 			t.Fatalf("outstanding keys = %d, want %d", n, want)
 		}
 	}
@@ -130,7 +130,7 @@ func TestNoKeyBeforeScriptRequest(t *testing.T) {
 			t.Fatalf("key %d before any script request = %v, want Unknown", k, v)
 		}
 	}
-	if n := s.OutstandingKeys(ip); n != 0 {
+	if n := s.outstandingKeys(ip); n != 0 {
 		t.Fatalf("outstanding keys before any script request = %d, want 0", n)
 	}
 	download(t, s, ip, &pk)
@@ -202,7 +202,7 @@ func TestForeignScriptTokenServesNoKeys(t *testing.T) {
 	// a is evicted by a third client, then comes back with numbers 0..7.
 	s.IssuePage("10.0.0.3", "/p.html", new(PageKeys))
 	s.IssuePage(b, "/p.html", new(PageKeys))
-	if s.OutstandingKeys(a) != 0 || s.Stats().EvictedClients != 1 {
+	if s.outstandingKeys(a) != 0 || s.Stats().EvictedClients != 1 {
 		t.Fatalf("a was not evicted: %+v", s.Stats())
 	}
 	again := issueN(a, 8)

@@ -232,7 +232,7 @@ func (s *refStore) PageKeysFor(ip string, scriptToken uint64, decoys []uint64) (
 	return s.perm.permute(&s.buf, tweak, kindKey, n*256), decoys, true
 }
 
-func (s *refStore) OutstandingKeys(ip string) int {
+func (s *refStore) outstandingKeys(ip string) int {
 	n := 0
 	if cs, ok := s.shard(ip).clients[ip]; ok {
 		for _, v := range cs.views {

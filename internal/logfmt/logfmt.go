@@ -339,19 +339,6 @@ func (lr *Reader) Read() (Entry, error) {
 	return Entry{}, io.EOF
 }
 
-// ReadAll reads entries until EOF, returning the successfully parsed entries
-// and the first error other than EOF (if any). Consumers that do not need
-// the whole log in memory should use ReadEach, which streams in bounded
-// memory regardless of log size.
-func ReadAll(r io.Reader) ([]Entry, error) {
-	var out []Entry
-	err := ReadEach(r, func(e Entry) error {
-		out = append(out, e)
-		return nil
-	})
-	return out, err
-}
-
 // ReadEach streams entries from r to fn, one at a time, in bounded memory:
 // nothing beyond the current line is retained. It stops at EOF (returning
 // nil), on the first parse error, or on the first error returned by fn

@@ -120,9 +120,12 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		t.Fatalf("Count = %d", w.Count())
 	}
 
-	got, err := ReadAll(&buf)
-	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+	var got []Entry
+	if err := ReadEach(&buf, func(e Entry) error {
+		got = append(got, e)
+		return nil
+	}); err != nil {
+		t.Fatalf("ReadEach: %v", err)
 	}
 	if len(got) != len(entries) {
 		t.Fatalf("got %d entries, want %d", len(got), len(entries))
@@ -205,6 +208,58 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(b[i:])
+}
+
+// writable reports whether AppendLine spells e so that ParseLine can read
+// it back: the host is one unquoted token, the request line splits at its
+// first two spaces, "-" stands for an empty host or quoted field, an empty
+// protocol is written as HTTP/1.1, a zero status with no positive byte count
+// writes "-", and the timestamp has a four-digit year, whole seconds and a
+// whole-minute offset.
+func writable(e Entry) bool {
+	for i := 0; i < len(e.ClientIP); i++ {
+		if c := e.ClientIP[i]; c <= ' ' || c >= 0x7f {
+			return false
+		}
+	}
+	_, off := e.Time.Zone()
+	return e.ClientIP != "-" && !strings.Contains(e.Method, " ") && !strings.Contains(e.Path, " ") &&
+		e.Protocol != "" && e.Referer != "-" && e.UserAgent != "-" && e.ContentType != "-" &&
+		(e.Status != 0 || e.Bytes >= 0) &&
+		e.Time.Year() >= 0 && e.Time.Year() <= 9999 && e.Time.Nanosecond() == 0 && off%60 == 0
+}
+
+// FuzzParseLine: ParseLine never panics on arbitrary bytes, and gives back
+// every entry the writer can spell.
+func FuzzParseLine(f *testing.F) {
+	e := sampleEntry()
+	f.Add(e.String(), e.Time.Unix(), int16(0), e.ClientIP, e.Method, e.Path, e.Protocol, e.Status, e.Bytes, e.Referer, e.UserAgent, e.ContentType)
+	f.Add(`- - - [06/Jan/2006:13:55:36 +0000] "GET / HTTP/1.0" 200 - "-" "-"`, int64(0), int16(-420), "", "", "", "HTTP/2 x", 0, int64(0), "", "", "")
+	f.Add(`1.2.3.4 - - [x] "\" 0 0 "\xff" "a\"b"`, int64(-62135596800), int16(330), "::1", "PO\"ST", "/a?b=\xff\n", "HTTP/1.1", -1, int64(-5), "\x00", "Mozilla \"5\"", "text/html; charset=utf-8")
+	f.Fuzz(func(t *testing.T, line string, unix int64, offMin int16, ip, method, path, proto string, status int, nbytes int64, ref, ua, ctype string) {
+		ParseLine(line) // must not panic
+
+		e := Entry{
+			Time:     time.Unix(unix, 0).In(time.FixedZone("", int(offMin%(15*60))*60)),
+			ClientIP: ip, Method: method, Path: path, Protocol: proto, Status: status,
+			Bytes: nbytes, Referer: ref, UserAgent: ua, ContentType: ctype,
+		}
+		if !writable(e) {
+			return
+		}
+		written := string(e.AppendLine(nil))
+		got, err := ParseLine(written)
+		if err != nil {
+			t.Fatalf("%q: %v", written, err)
+		}
+		if !got.Time.Equal(e.Time) {
+			t.Fatalf("%q: time %v, want %v", written, got.Time, e.Time)
+		}
+		got.Time = e.Time
+		if got != e {
+			t.Fatalf("%q reads back as\n%+v, want\n%+v", written, got, e)
+		}
+	})
 }
 
 func TestClassificationHelpers(t *testing.T) {

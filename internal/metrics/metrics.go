@@ -19,22 +19,9 @@ type CDF struct {
 	sorted  bool
 }
 
-// NewCDF returns a CDF pre-populated with the given samples.
-func NewCDF(samples ...float64) *CDF {
-	c := &CDF{}
-	c.AddAll(samples)
-	return c
-}
-
 // Add appends one sample.
 func (c *CDF) Add(v float64) {
 	c.samples = append(c.samples, v)
-	c.sorted = false
-}
-
-// AddAll appends all samples.
-func (c *CDF) AddAll(vs []float64) {
-	c.samples = append(c.samples, vs...)
 	c.sorted = false
 }
 
@@ -48,17 +35,8 @@ func (c *CDF) ensureSorted() {
 	}
 }
 
-// At returns the fraction of samples <= x, in [0, 1]. An empty CDF returns 0.
-func (c *CDF) At(x float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.ensureSorted()
-	idx := sort.SearchFloat64s(c.samples, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.samples))
-}
-
-// Quantile returns the smallest sample value v such that At(v) >= q.
+// Quantile returns the smallest sample value v such that at least a
+// fraction q of the samples are <= v.
 // q is clamped to [0, 1]. An empty CDF returns 0.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.samples) == 0 {
@@ -79,15 +57,6 @@ func (c *CDF) Quantile(q float64) float64 {
 		idx = len(c.samples) - 1
 	}
 	return c.samples[idx]
-}
-
-// Max returns the largest sample, or 0 for an empty CDF.
-func (c *CDF) Max() float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.ensureSorted()
-	return c.samples[len(c.samples)-1]
 }
 
 // Points returns up to n evenly spaced (x, F(x)) points suitable for
@@ -182,24 +151,6 @@ func (m *ConfusionMatrix) FalseNegativeRate() float64 {
 		return 0
 	}
 	return float64(m.FN) / float64(pos)
-}
-
-// Precision returns TP/(TP+FP), or 0 when nothing was predicted positive.
-func (m *ConfusionMatrix) Precision() float64 {
-	p := m.TP + m.FP
-	if p == 0 {
-		return 0
-	}
-	return float64(m.TP) / float64(p)
-}
-
-// Recall returns TP/(TP+FN), or 0 when there are no positives.
-func (m *ConfusionMatrix) Recall() float64 {
-	p := m.TP + m.FN
-	if p == 0 {
-		return 0
-	}
-	return float64(m.TP) / float64(p)
 }
 
 // String renders the matrix compactly for logs and test failures.

@@ -8,9 +8,28 @@ import (
 	"testing/quick"
 )
 
+// newCDF returns a CDF holding the given samples.
+func newCDF(samples ...float64) *CDF {
+	c := &CDF{}
+	for _, v := range samples {
+		c.Add(v)
+	}
+	return c
+}
+
+// at returns the fraction of samples <= x, in [0, 1]. An empty CDF returns 0.
+func (c *CDF) at(x float64) float64 {
+	if len(c.samples) == 0 {
+		return 0
+	}
+	c.ensureSorted()
+	idx := sort.SearchFloat64s(c.samples, math.Nextafter(x, math.Inf(1)))
+	return float64(idx) / float64(len(c.samples))
+}
+
 func TestCDFEmpty(t *testing.T) {
 	var c CDF
-	if c.At(10) != 0 || c.Quantile(0.5) != 0 || c.Max() != 0 {
+	if c.at(10) != 0 || c.Quantile(0.5) != 0 || c.Quantile(1) != 0 {
 		t.Fatal("empty CDF should return zeros")
 	}
 	if c.Points(5) != nil {
@@ -19,15 +38,15 @@ func TestCDFEmpty(t *testing.T) {
 }
 
 func TestCDFBasic(t *testing.T) {
-	c := NewCDF(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	if got := c.At(5); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("At(5) = %f, want 0.5", got)
+	c := newCDF(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	if got := c.at(5); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("at(5) = %f, want 0.5", got)
 	}
-	if got := c.At(0); got != 0 {
-		t.Fatalf("At(0) = %f, want 0", got)
+	if got := c.at(0); got != 0 {
+		t.Fatalf("at(0) = %f, want 0", got)
 	}
-	if got := c.At(10); got != 1 {
-		t.Fatalf("At(10) = %f, want 1", got)
+	if got := c.at(10); got != 1 {
+		t.Fatalf("at(10) = %f, want 1", got)
 	}
 	if got := c.Quantile(0.8); got != 8 {
 		t.Fatalf("Quantile(0.8) = %f, want 8", got)
@@ -38,20 +57,20 @@ func TestCDFBasic(t *testing.T) {
 	if got := c.Quantile(1); got != 10 {
 		t.Fatalf("Quantile(1) = %f, want 10", got)
 	}
-	if c.Max() != 10 || c.Len() != 10 {
-		t.Fatal("Max/Len incorrect")
+	if c.Len() != 10 {
+		t.Fatal("Len incorrect")
 	}
 }
 
 func TestCDFAddAfterQuery(t *testing.T) {
-	c := NewCDF(5, 1)
-	_ = c.At(2)
+	c := newCDF(5, 1)
+	_ = c.at(2)
 	c.Add(3)
 	if got := c.Quantile(1); got != 5 {
 		t.Fatalf("Quantile(1) after Add = %f", got)
 	}
-	if got := c.At(3); math.Abs(got-2.0/3.0) > 1e-9 {
-		t.Fatalf("At(3) = %f", got)
+	if got := c.at(3); math.Abs(got-2.0/3.0) > 1e-9 {
+		t.Fatalf("at(3) = %f", got)
 	}
 }
 
@@ -67,7 +86,7 @@ func TestCDFQuantileAtMonotonic(t *testing.T) {
 		// At must be monotonically non-decreasing.
 		prev := -1.0
 		for x := 0.0; x <= 1000; x += 50 {
-			v := c.At(x)
+			v := c.at(x)
 			if v < prev {
 				return false
 			}
@@ -97,7 +116,7 @@ func minInt(a, b int) int {
 }
 
 func TestCDFPoints(t *testing.T) {
-	c := NewCDF(1, 2, 3, 4, 5)
+	c := newCDF(1, 2, 3, 4, 5)
 	pts := c.Points(3)
 	if len(pts) != 3 {
 		t.Fatalf("Points(3) returned %d points", len(pts))
@@ -148,12 +167,6 @@ func TestConfusionMatrix(t *testing.T) {
 	if got := m.FalseNegativeRate(); math.Abs(got-0.2) > 1e-9 {
 		t.Fatalf("FNR = %f", got)
 	}
-	if got := m.Precision(); math.Abs(got-8.0/9.0) > 1e-9 {
-		t.Fatalf("Precision = %f", got)
-	}
-	if got := m.Recall(); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("Recall = %f", got)
-	}
 	if !strings.Contains(m.String(), "TP=8") {
 		t.Fatalf("String() = %q", m.String())
 	}
@@ -161,8 +174,7 @@ func TestConfusionMatrix(t *testing.T) {
 
 func TestConfusionMatrixEmpty(t *testing.T) {
 	var m ConfusionMatrix
-	if m.Accuracy() != 0 || m.FalsePositiveRate() != 0 || m.FalseNegativeRate() != 0 ||
-		m.Precision() != 0 || m.Recall() != 0 {
+	if m.Accuracy() != 0 || m.FalsePositiveRate() != 0 || m.FalseNegativeRate() != 0 {
 		t.Fatal("empty matrix rates should all be 0")
 	}
 }
@@ -170,7 +182,7 @@ func TestConfusionMatrixEmpty(t *testing.T) {
 func TestConfusionMatrixRatesBounded(t *testing.T) {
 	f := func(tp, fp, tn, fn uint8) bool {
 		m := ConfusionMatrix{TP: int64(tp), FP: int64(fp), TN: int64(tn), FN: int64(fn)}
-		for _, v := range []float64{m.Accuracy(), m.FalsePositiveRate(), m.FalseNegativeRate(), m.Precision(), m.Recall()} {
+		for _, v := range []float64{m.Accuracy(), m.FalsePositiveRate(), m.FalseNegativeRate()} {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
 			}

@@ -299,17 +299,17 @@ func (r *ladderRun) jump() string {
 		if r.st.until.After(end) {
 			return fail("entry outlives blockDuration: until %v", r.st.until)
 		}
-		r.vc.Set(r.st.until.Add(-1))
+		r.vc.Advance(r.st.until.Add(-1).Sub(r.vc.Now()))
 		if got := r.e.StageOf(enumKey); got != r.st.stage || r.e.IsBlocked(enumKey) != (got == StageBlock) {
 			return fail("a tick before its until the entry reads %v", got)
 		}
 		at := r.fork()
-		at.vc.Set(r.st.until)
+		at.vc.Advance(r.st.until.Sub(at.vc.Now()))
 		if got := at.e.StageOf(enumKey); got != StageMonitor || at.e.IsBlocked(enumKey) {
 			return fail("at its until the entry still reads %v", got)
 		}
 	}
-	r.vc.Set(end)
+	r.vc.Advance(end.Sub(r.vc.Now()))
 
 	reader := r.fork()
 	wantUnblocked := int64(0)

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/netip"
 	"strconv"
 	"strings"
 	"time"
@@ -42,8 +43,9 @@ type Config struct {
 	// Captcha optionally serves challenge/verify endpoints under the
 	// instrumentation prefix.
 	Captcha *captcha.Service
-	// TrustForwardedFor uses the first X-Forwarded-For address as the client
-	// IP when present (for deployments behind another proxy).
+	// TrustForwardedFor names the client by the rightmost X-Forwarded-For
+	// entry when the request comes from a loopback or private peer (for
+	// deployments behind another proxy); a public peer's header is ignored.
 	TrustForwardedFor bool
 	// Upstream configures the origin transport, retries, per-request deadline
 	// and circuit breaker for middleware built with NewReverseProxy. Ignored
@@ -82,9 +84,6 @@ func New(origin http.Handler, cfg Config) *Middleware {
 	}
 	return &Middleware{cfg: cfg, origin: origin, clk: cfg.Engine.Config().Clock}
 }
-
-// Engine returns the wrapped detection engine.
-func (m *Middleware) Engine() *core.Engine { return m.cfg.Engine }
 
 // ServeHTTP implements http.Handler.
 func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -274,25 +273,32 @@ func (m *Middleware) writeChallenge(w http.ResponseWriter, d policy.Decision) {
 	}
 }
 
-// clientIP extracts the client address.
+// clientIP extracts the client address: the TCP peer's host, or, with
+// TrustForwardedFor and a loopback or private peer, the rightmost
+// X-Forwarded-For entry (the one that hop appended) when it parses as an IP
+// address. A public peer's header is never read: anyone can send one.
 func (m *Middleware) clientIP(r *http.Request) string {
-	if m.cfg.TrustForwardedFor {
-		if fwd := r.Header.Get("X-Forwarded-For"); fwd != "" {
-			first := fwd
-			if i := strings.IndexByte(fwd, ','); i >= 0 {
-				first = fwd[:i]
-			}
-			first = strings.TrimSpace(first)
-			if first != "" {
-				return first
-			}
-		}
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
+	peer, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
-		return r.RemoteAddr
+		peer = r.RemoteAddr
 	}
-	return host
+	if !m.cfg.TrustForwardedFor {
+		return peer
+	}
+	addr, err := netip.ParseAddr(peer)
+	if addr = addr.Unmap(); err != nil || !addr.IsLoopback() && !addr.IsPrivate() {
+		return peer
+	}
+	lines := r.Header["X-Forwarded-For"]
+	if len(lines) == 0 {
+		return peer
+	}
+	last := lines[len(lines)-1]
+	last = strings.TrimSpace(last[strings.LastIndexByte(last, ',')+1:])
+	if _, err := netip.ParseAddr(last); err != nil {
+		return peer
+	}
+	return last
 }
 
 // noStoreHeader is the preallocated Cache-Control value for instrumented

@@ -2,8 +2,10 @@ package proxy
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"net/url"
 	"strings"
 	"testing"
@@ -202,14 +204,96 @@ func TestCaptchaEndpoints(t *testing.T) {
 func TestXForwardedForTrusted(t *testing.T) {
 	mw, det, _ := newTestStack(t, nil, nil)
 	req := httptest.NewRequest(http.MethodGet, "/", nil)
-	req.RemoteAddr = "192.0.2.1:9999"
+	req.RemoteAddr = "10.0.0.2:9999"
 	req.Header.Set("User-Agent", "Firefox/1.5")
-	req.Header.Set("X-Forwarded-For", "203.0.113.7, 192.0.2.1")
+	req.Header.Set("X-Forwarded-For", "198.51.100.4, 203.0.113.7")
 	rec := httptest.NewRecorder()
 	mw.ServeHTTP(rec, req)
 	if _, ok := det.Session(session.Key{IP: "203.0.113.7", UserAgent: "Firefox/1.5"}); !ok {
-		t.Fatal("X-Forwarded-For client address not used")
+		t.Fatal("the rightmost X-Forwarded-For entry from a private peer does not name the client")
 	}
+	if det.SessionCount() != 1 {
+		t.Fatalf("%d sessions, want only the rightmost entry's", det.SessionCount())
+	}
+}
+
+// TestForwardedForFromPublicPeerIgnored: a robot blocked from a public
+// address stays blocked whatever X-Forwarded-For it sends, and a header from
+// a trusted peer counts only when its rightmost entry is an IP address.
+func TestForwardedForFromPublicPeerIgnored(t *testing.T) {
+	pol := policy.NewEngine(policy.Config{})
+	mw, det, _ := newTestStack(t, pol, nil)
+	const ua = "Firefox/1.5"
+	get := func(peer string, fwd ...string) int {
+		req := httptest.NewRequest(http.MethodGet, "/cgi-bin/app0.cgi?run=x", nil)
+		req.RemoteAddr = peer + ":40000"
+		req.Header.Set("User-Agent", ua)
+		for _, f := range fwd {
+			req.Header.Add("X-Forwarded-For", f)
+		}
+		rec := httptest.NewRecorder()
+		mw.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	const robot = "198.51.100.9"
+	for i := 0; i < 60 && !pol.IsBlocked(session.Key{IP: robot, UserAgent: ua}); i++ {
+		get(robot)
+	}
+	if !pol.IsBlocked(session.Key{IP: robot, UserAgent: ua}) {
+		t.Fatal("the robot was never blocked")
+	}
+	sessions := det.SessionCount()
+	for _, fwd := range [][]string{{"203.0.113.77"}, {"10.0.0.8"}, {"127.0.0.1"}, {"203.0.113.77, 203.0.113.78"}, {"a", "203.0.113.79"}} {
+		if code := get(robot, fwd...); code != http.StatusForbidden {
+			t.Fatalf("blocked robot sending X-Forwarded-For %q got %d, want 403", fwd, code)
+		}
+	}
+	if det.SessionCount() != sessions {
+		t.Fatalf("a public peer's X-Forwarded-For opened %d new sessions", det.SessionCount()-sessions)
+	}
+
+	// From a trusted hop, an entry that is not an address leaves the peer.
+	for _, fwd := range []string{"203.0.113.80, junk", "203.0.113.80,", ""} {
+		get("127.0.0.1", fwd)
+	}
+	if _, ok := det.Session(session.Key{IP: "127.0.0.1", UserAgent: ua}); !ok || det.SessionCount() != sessions+1 {
+		t.Fatalf("unparseable rightmost entries: %d new sessions, want the loopback peer's only", det.SessionCount()-sessions)
+	}
+}
+
+// FuzzClientIP: any peer address and any X-Forwarded-For lines (split on
+// newlines) never panic, always name the client by the peer's host or by a
+// parsed IP address, and from a peer that is not loopback or private always
+// by the peer's host.
+func FuzzClientIP(f *testing.F) {
+	f.Add("127.0.0.1:4000", "203.0.113.7")
+	f.Add("10.0.0.2:4000", "198.51.100.4, 203.0.113.7")
+	f.Add("198.51.100.9:4000", "203.0.113.77")
+	f.Add("[::1]:4000", "2001:db8::1\n203.0.113.5, ")
+	f.Add("[::ffff:192.168.0.1]:80", " 192.0.2.4 ,junk")
+	f.Add("192.168.1.1", "fe80::1%eth0")
+	f.Add("not an address", "")
+	m := &Middleware{cfg: Config{TrustForwardedFor: true}}
+	f.Fuzz(func(t *testing.T, remoteAddr, fwd string) {
+		r := &http.Request{RemoteAddr: remoteAddr, Header: http.Header{}}
+		if fwd != "" {
+			r.Header["X-Forwarded-For"] = strings.Split(fwd, "\n")
+		}
+		got := m.clientIP(r)
+		peer, _, err := net.SplitHostPort(remoteAddr)
+		if err != nil {
+			peer = remoteAddr
+		}
+		if got == peer {
+			return
+		}
+		if _, err := netip.ParseAddr(got); err != nil {
+			t.Fatalf("peer %q, X-Forwarded-For %q: client %q is neither the peer nor an IP address", remoteAddr, fwd, got)
+		}
+		if addr, err := netip.ParseAddr(peer); err != nil || !addr.Unmap().IsLoopback() && !addr.Unmap().IsPrivate() {
+			t.Fatalf("untrusted peer %q: X-Forwarded-For %q named the client %q", remoteAddr, fwd, got)
+		}
+	})
 }
 
 func TestHeadRequestNoBody(t *testing.T) {
@@ -332,9 +416,6 @@ func TestReverseProxyConstruction(t *testing.T) {
 	if !strings.Contains(string(body), "/__bd/") {
 		t.Fatal("reverse proxy did not instrument the upstream page")
 	}
-	if mw.Engine() != det {
-		t.Fatal("Engine accessor broken")
-	}
 }
 
 func TestChallengeInterstitialAndDeEscalation(t *testing.T) {
@@ -405,11 +486,17 @@ func TestProxySessionsExpireOnEngineClock(t *testing.T) {
 	if rec := doReq(t, mw, http.MethodGet, "/", "10.0.0.7", "Firefox/1.5", nil); rec.Code != http.StatusOK {
 		t.Fatalf("page view = %d", rec.Code)
 	}
-	if n := det.ExpireIdle(vc.Now()); n != 0 {
+	sweep := func() (n int) {
+		for range det.ShardCount() {
+			n += det.SweepStep(vc.Now())
+		}
+		return n
+	}
+	if n := sweep(); n != 0 {
 		t.Fatalf("%d sessions expired with no time passed", n)
 	}
 	vc.Advance(det.Config().SessionIdleTimeout + time.Nanosecond)
-	if n := det.ExpireIdle(vc.Now()); n != 1 {
-		t.Fatalf("ExpireIdle ended %d sessions an idle timeout after the one page view, want 1", n)
+	if n := sweep(); n != 1 {
+		t.Fatalf("a sweep ended %d sessions an idle timeout after the one page view, want 1", n)
 	}
 }

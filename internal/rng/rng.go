@@ -277,22 +277,9 @@ func (r *Source) HexKey(n int) string {
 	return string(buf)
 }
 
-// DigitKeyValue draws n decimal digits and packs them into a uint64
-// (most-significant digit first, leading zeros preserved by the fixed
-// width), matching the style of the beacon object names shown in the paper
-// (e.g. "0729395160.jpg"). It consumes one Intn(10) per digit. n must be at
-// most 19 (10^19-1 fits a uint64).
-func (r *Source) DigitKeyValue(n int) uint64 {
-	var v uint64
-	for i := 0; i < n; i++ {
-		v = v*10 + uint64(r.Intn(10))
-	}
-	return v
-}
-
 // AppendFixedDigits appends v formatted as exactly n decimal digits (zero
-// padded) to dst and returns the extended slice: the wire spelling of a
-// DigitKeyValue(n) draw. n must be at most 20.
+// padded) to dst and returns the extended slice: the wire spelling of an
+// n-digit key. n must be at most 20.
 func AppendFixedDigits(dst []byte, v uint64, n int) []byte {
 	var buf [20]byte
 	for i := n - 1; i >= 0; i-- {
@@ -303,7 +290,7 @@ func AppendFixedDigits(dst []byte, v uint64, n int) []byte {
 }
 
 // ParseFixedDigits parses a string of exactly n decimal digits into the
-// uint64 DigitKeyValue would have produced. It reports false when s has the
+// uint64 AppendFixedDigits spells that way. It reports false when s has the
 // wrong length or contains a non-digit, so "007" and "7" never collide.
 func ParseFixedDigits(s string, n int) (uint64, bool) {
 	if len(s) != n || n > 19 {

@@ -6,6 +6,19 @@ import (
 	"testing/quick"
 )
 
+// digitKeyValue draws n decimal digits and packs them into a uint64
+// (most-significant digit first, leading zeros preserved by the fixed
+// width), matching the style of the beacon object names shown in the paper
+// (e.g. "0729395160.jpg"). It consumes one Intn(10) per digit. n must be at
+// most 19 (10^19-1 fits a uint64).
+func (r *Source) digitKeyValue(n int) uint64 {
+	var v uint64
+	for i := 0; i < n; i++ {
+		v = v*10 + uint64(r.Intn(10))
+	}
+	return v
+}
+
 func TestDeterminism(t *testing.T) {
 	a := New(42)
 	b := New(42)
@@ -316,7 +329,7 @@ func TestHexKeyProperties(t *testing.T) {
 func TestDigitKeyProperties(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%19) + 1
-		v := New(seed).DigitKeyValue(n)
+		v := New(seed).digitKeyValue(n)
 		k := string(AppendFixedDigits(nil, v, n))
 		if len(k) != n {
 			return false
@@ -365,12 +378,12 @@ func TestAppendFixedDigitsMatchesDigitKeyValue(t *testing.T) {
 		for j := range want {
 			want[j] = byte('0' + a.Intn(10))
 		}
-		buf = AppendFixedDigits(buf[:0], b.DigitKeyValue(n), n)
+		buf = AppendFixedDigits(buf[:0], b.digitKeyValue(n), n)
 		if string(buf) != string(want) {
-			t.Fatalf("n=%d: AppendFixedDigits(DigitKeyValue) = %q, the digit draws = %q", n, buf, want)
+			t.Fatalf("n=%d: AppendFixedDigits(digitKeyValue) = %q, the digit draws = %q", n, buf, want)
 		}
 	}
 	if a.Uint64() != b.Uint64() {
-		t.Fatal("DigitKeyValue consumed the stream differently from n digit draws")
+		t.Fatal("digitKeyValue consumed the stream differently from n digit draws")
 	}
 }

@@ -35,11 +35,5 @@ func (a *Accumulator) Observe(e logfmt.Entry) bool {
 	return true
 }
 
-// Requests returns the number of requests counted so far.
-func (a *Accumulator) Requests() int64 { return int64(a.counts.Total) }
-
-// Counts returns the accumulated counters.
-func (a *Accumulator) Counts() Counts { return a.counts }
-
 // Vector returns the attribute vector over the counted requests.
 func (a *Accumulator) Vector() features.Vector { return a.counts.Vector() }

@@ -187,9 +187,9 @@ func TestHashedPathsMatchExactAccumulator(t *testing.T) {
 			hashed.Observe(e)
 			exact.Observe(e)
 		}
-		if hashed.Counts() != exact.counts {
+		if hashed.counts != exact.counts {
 			t.Errorf("seed %d: counts diverge\nhashed: %+v\nexact:  %+v",
-				tc.seed, hashed.Counts(), exact.counts)
+				tc.seed, hashed.counts, exact.counts)
 		}
 		if hashed.Vector() != exact.counts.Vector() {
 			t.Errorf("seed %d: feature vectors diverge\nhashed: %v\nexact:  %v",

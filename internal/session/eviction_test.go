@@ -112,7 +112,7 @@ func TestEvictionStatsRollup(t *testing.T) {
 	tr.Observe(entry("10.9.0.2", "UA", "GET", "/a.html", 200, "", now.Add(time.Minute)))
 	tr.Observe(entry("10.9.0.3", "UA", "GET", "/a.html", 200, "", now.Add(2*time.Minute))) // capacity
 	vc.Advance(3 * time.Hour)
-	tr.ExpireIdle(vc.Now()) // idle
+	expireAll(tr, vc.Now()) // idle
 	tr.Observe(entry("10.9.0.4", "UA", "GET", "/a.html", 200, "", vc.Now()))
 	tr.FlushAll() // flush
 

@@ -117,8 +117,8 @@ func TestCollisionChainMatchesSeededIndex(t *testing.T) {
 			vc.Advance(time.Duration(rnd.Intn(90)) * time.Second)
 			if rnd.Intn(2) == 0 {
 				now := vc.Now()
-				if a, b := seeded.ExpireIdle(now), chained.ExpireIdle(now); a != b {
-					t.Fatalf("step %d: ExpireIdle ended %d vs %d", step, a, b)
+				if a, b := expireAll(seeded, now), expireAll(chained, now); a != b {
+					t.Fatalf("step %d: a full sweep ended %d vs %d", step, a, b)
 				}
 			}
 		}
@@ -134,8 +134,8 @@ func TestCollisionChainMatchesSeededIndex(t *testing.T) {
 		same(-1, "Observe", seeded.Observe(e), chained.Observe(e))
 	}
 	vc.Advance(time.Hour)
-	seeded.ExpireIdle(vc.Now())
-	chained.ExpireIdle(vc.Now())
+	expireAll(seeded, vc.Now())
+	expireAll(chained, vc.Now())
 	for _, k := range trio {
 		observe(k)
 	}
@@ -143,8 +143,8 @@ func TestCollisionChainMatchesSeededIndex(t *testing.T) {
 	observe(trio[0])
 	observe(trio[1])
 	vc.Advance(20 * time.Second)
-	if a, b := seeded.ExpireIdle(vc.Now()), chained.ExpireIdle(vc.Now()); a != 1 || b != 1 {
-		t.Fatalf("ExpireIdle ended %d and %d sessions, want the newest only", a, b)
+	if a, b := expireAll(seeded, vc.Now()), expireAll(chained, vc.Now()); a != 1 || b != 1 {
+		t.Fatalf("a full sweep ended %d and %d sessions, want the newest only", a, b)
 	}
 	checkBooks(-1)
 	for _, k := range trio[:2] {

@@ -908,19 +908,6 @@ func (t *Tracker) Snapshots() []Snapshot {
 	return out
 }
 
-// ExpireIdle ends every session idle for longer than the configured timeout
-// as of the given time, invoking the Evicted callback for each. The sweep is
-// batched per shard — one shard is locked, swept and released before the
-// next — so it never stops the whole tracker. It returns the number of
-// sessions ended.
-func (t *Tracker) ExpireIdle(now time.Time) int {
-	total := 0
-	for i := range t.table.Shards() {
-		total += t.expireShard(t.table.Shard(i), now)
-	}
-	return total
-}
-
 // SweepStep expires idle sessions in one shard, advancing a round-robin
 // cursor so that repeated calls cover the whole table. Callers amortize
 // expiry by invoking it periodically (ShardCount calls make one full pass);

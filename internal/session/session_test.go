@@ -267,7 +267,7 @@ func TestIdleTimeoutSplitsSessions(t *testing.T) {
 		}
 		tr.Observe(entry(bySweep, "UA", "GET", "/a.html", 200, "", start))
 		_, before := tr.Get(Key{IP: bySweep, UserAgent: "UA"})
-		tr.ExpireIdle(start.Add(tc.gap))
+		expireAll(tr, start.Add(tc.gap))
 		_, after := tr.Get(Key{IP: bySweep, UserAgent: "UA"})
 		if !before || after == tc.split {
 			t.Errorf("gap %v: tracked before the sweep %v, after %v, split want %v", tc.gap, before, after, tc.split)
@@ -386,9 +386,19 @@ func TestLastSeenNeverMovesBackwards(t *testing.T) {
 	if !snap.LastSeen.Equal(base.Add(10*time.Second)) || snap.Counts.Total != 2 {
 		t.Fatalf("after a late request: LastSeen %v (want T+10s), %d requests (want 2)", snap.LastSeen, snap.Counts.Total)
 	}
-	if n := tr.ExpireIdle(base.Add(5*time.Second + time.Hour + time.Second)); n != 0 || tr.Active() != 1 {
+	if n := expireAll(tr, base.Add(5*time.Second+time.Hour+time.Second)); n != 0 || tr.Active() != 1 {
 		t.Fatalf("a sweep inside the idle timeout of the newest request ended %d sessions, %d left", n, tr.Active())
 	}
+}
+
+// expireAll makes one full pass of SweepStep over the tracker's shards and
+// returns the number of sessions it ended.
+func expireAll(tr *Tracker, now time.Time) int {
+	n := 0
+	for range tr.ShardCount() {
+		n += tr.SweepStep(now)
+	}
+	return n
 }
 
 func TestExpireIdle(t *testing.T) {
@@ -402,9 +412,9 @@ func TestExpireIdle(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Observe(entry(fmt.Sprintf("7.7.7.%d", i), "UA", "GET", "/b.html", 200, "", now.Add(30*time.Minute)))
 	}
-	n := tr.ExpireIdle(now.Add(80 * time.Minute))
+	n := expireAll(tr, now.Add(80*time.Minute))
 	if n != 5 || evicted != 5 {
-		t.Fatalf("ExpireIdle = %d, evicted = %d, want 5", n, evicted)
+		t.Fatalf("expireAll = %d, evicted = %d, want 5", n, evicted)
 	}
 	if tr.Active() != 5 {
 		t.Fatalf("Active = %d", tr.Active())
@@ -507,7 +517,8 @@ func TestDurationAndSnapshotIndependence(t *testing.T) {
 	}
 	// Mutating the returned snapshot must not affect the tracker: Signals is
 	// a value type now, so overwriting the copy's field is purely local.
-	snap1.Signals = MakeSignals(map[Signal]int64{SignalCSS: 1})
+	snap1.Signals = Signals{}
+	snap1.Signals.set(SignalCSS, 1)
 	snap2, _ := tr.Get(key)
 	if snap2.Has(SignalCSS) {
 		t.Fatal("snapshot mutation leaked into tracker state")
@@ -641,7 +652,7 @@ func TestEachStreamsAndStopsEarly(t *testing.T) {
 
 func TestConcurrentOverlappingKeysWithExpiry(t *testing.T) {
 	// Goroutines hammer Observe/Mark on OVERLAPPING keys while another
-	// goroutine runs ExpireIdle/SweepStep: exercises shard locking under
+	// goroutine runs SweepStep: exercises shard locking under
 	// contention (run with -race).
 	tr, vc := newTestTracker(Config{IdleTimeout: time.Hour})
 	now := vc.Now()
@@ -659,7 +670,6 @@ func TestConcurrentOverlappingKeysWithExpiry(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				tr.ExpireIdle(now)
 				tr.SweepStep(now)
 			}
 		}

@@ -54,23 +54,6 @@ func (s *Signals) Each(yield func(sig Signal, at int64) bool) {
 	}
 }
 
-// MakeSignals builds a Signals value from a map of signal → first-observation
-// request count — the fixture shape tests and offline tools use. Counts are
-// clamped into uint32 (0 becomes 1, matching set's first-observation floor).
-func MakeSignals(m map[Signal]int64) Signals {
-	var s Signals
-	for sig, at := range m {
-		if at < 0 {
-			at = 0
-		}
-		if at > 0xffffffff {
-			at = 0xffffffff
-		}
-		s.set(sig, uint32(at))
-	}
-	return s
-}
-
 // set records the signal's first observation. Later sets are ignored (first
 // observation wins, matching the former map semantics where Mark only wrote
 // an absent key).

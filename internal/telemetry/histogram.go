@@ -101,14 +101,6 @@ func (h *Histogram) Snapshot() Snapshot {
 	return s
 }
 
-// Mean returns the mean observed duration, or 0 with no observations.
-func (s Snapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
 // OverflowBound is the sentinel Quantile reports when the requested quantile
 // lands in the overflow (+Inf) bucket: one doubling past the last finite
 // bound (~67 s), so it is greater than every finite BucketBound and a

@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -88,7 +87,6 @@ type Object struct {
 // bodies of one site are slices of a single shared buffer.
 type Site struct {
 	pages   []*Page
-	byPath  map[string]*Page
 	objects map[string]Object
 }
 
@@ -97,7 +95,6 @@ func Generate(cfg SiteConfig) *Site {
 	cfg = cfg.withDefaults()
 	src := rng.New(cfg.Seed).Fork("webmodel")
 	s := &Site{
-		byPath:  make(map[string]*Page, cfg.NumPages),
 		objects: make(map[string]Object, cfg.NumPages*(1+imagesPerPage)+16),
 	}
 
@@ -150,7 +147,6 @@ func Generate(cfg SiteConfig) *Site {
 			p.CGILinks = []string{string(scratch)}
 		}
 		s.pages = append(s.pages, p)
-		s.byPath[p.Path] = p
 	}
 
 	// Pre-render static objects. Nothing reads an image but its length, so
@@ -187,19 +183,6 @@ func (s *Site) NumPages() int { return len(s.pages) }
 // Pages returns all pages in index order. The returned slice must not be
 // modified.
 func (s *Site) Pages() []*Page { return s.pages }
-
-// Page returns the page with the given path, or nil.
-func (s *Site) Page(path string) *Page { return s.byPath[path] }
-
-// Paths returns all servable object paths in sorted order.
-func (s *Site) Paths() []string {
-	out := make([]string, 0, len(s.objects))
-	for p := range s.objects {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Lookup resolves a request path (query string allowed) to an object.
 // Unknown paths yield a 404 object; CGI paths yield dynamic objects:

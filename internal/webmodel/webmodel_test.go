@@ -7,9 +7,26 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// paths returns all servable object paths in sorted order.
+func (s *Site) paths() []string {
+	out := make([]string, 0, len(s.objects))
+	for p := range s.objects {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// isPage reports whether the site serves path as an HTML page.
+func isPage(s *Site, path string) bool {
+	obj := s.Lookup(path)
+	return obj.Status == http.StatusOK && strings.HasPrefix(obj.ContentType, "text/html")
+}
 
 func TestGenerateDefaults(t *testing.T) {
 	s := Generate(SiteConfig{Seed: 1})
@@ -27,7 +44,7 @@ func TestGenerateDefaults(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(SiteConfig{Seed: 42, NumPages: 20})
 	b := Generate(SiteConfig{Seed: 42, NumPages: 20})
-	if len(a.Paths()) != len(b.Paths()) {
+	if len(a.paths()) != len(b.paths()) {
 		t.Fatal("same seed produced different object sets")
 	}
 	for i, p := range a.Pages() {
@@ -59,7 +76,7 @@ func TestEveryPageHasStructure(t *testing.T) {
 			t.Fatalf("page %s missing CSS or script", p.Path)
 		}
 		for _, l := range p.Links {
-			if s.Page(l) == nil {
+			if !isPage(s, l) {
 				t.Fatalf("page %s links to unknown page %s", p.Path, l)
 			}
 		}
@@ -122,7 +139,7 @@ func TestCGIBehaviourDeterministic(t *testing.T) {
 			if obj.RedirectTo == "" {
 				t.Fatal("redirect object missing target")
 			}
-			if s.Page(obj.RedirectTo) == nil {
+			if !isPage(s, obj.RedirectTo) {
 				t.Fatalf("redirect target %q is not a site page", obj.RedirectTo)
 			}
 		case obj.Status/100 == 5:
@@ -185,10 +202,10 @@ func TestFillerHelpers(t *testing.T) {
 
 func TestPathsSortedAndComplete(t *testing.T) {
 	s := Generate(SiteConfig{Seed: 23, NumPages: 10})
-	paths := s.Paths()
+	paths := s.paths()
 	for i := 1; i < len(paths); i++ {
 		if paths[i-1] >= paths[i] {
-			t.Fatal("Paths not sorted or contains duplicates")
+			t.Fatal("paths not sorted or contains duplicates")
 		}
 	}
 	found := map[string]bool{}
@@ -197,7 +214,7 @@ func TestPathsSortedAndComplete(t *testing.T) {
 	}
 	for _, want := range []string{"/", "/robots.txt", "/favicon.ico"} {
 		if !found[want] {
-			t.Fatalf("Paths missing %q", want)
+			t.Fatalf("paths missing %q", want)
 		}
 	}
 }
@@ -206,7 +223,7 @@ func TestPathsSortedAndComplete(t *testing.T) {
 // in path order, length-prefixed so field boundaries cannot shift.
 func siteDigest(s *Site) string {
 	h := sha256.New()
-	for _, p := range s.Paths() {
+	for _, p := range s.paths() {
 		obj := s.Lookup(p)
 		fmt.Fprintf(h, "%d:%s %d %d:%s %d:", len(p), p, obj.Status, len(obj.ContentType), obj.ContentType, len(obj.Body))
 		h.Write(obj.Body)

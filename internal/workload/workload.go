@@ -173,28 +173,6 @@ type Result struct {
 	AgentsLaunched map[agents.Kind]int
 }
 
-// HumanSessions returns only ground-truth human sessions.
-func (r *Result) HumanSessions() []LabeledSession {
-	var out []LabeledSession
-	for _, s := range r.Sessions {
-		if s.IsHuman() {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// RobotSessions returns only ground-truth robot sessions.
-func (r *Result) RobotSessions() []LabeledSession {
-	var out []LabeledSession
-	for _, s := range r.Sessions {
-		if !s.IsHuman() {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Snapshots returns the raw session snapshots.
 func (r *Result) Snapshots() []session.Snapshot {
 	out := make([]session.Snapshot, len(r.Sessions))

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -77,6 +78,58 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
+// module is the module type-checked from source, shared by both guards so
+// the ~3 s load is paid once per test binary.
+var module struct {
+	once sync.Once
+	m    *moduleImporter
+	err  error
+}
+
+// loadModule type-checks every package of the module (benchmark/ with its
+// tests, every other package without), or skips under -short.
+func loadModule(t *testing.T) *moduleImporter {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module from source")
+	}
+	module.once.Do(func() {
+		// The source importer reads build.Default: have it pick the pure-Go
+		// files of net and os/user instead of running the cgo tool.
+		cgo := build.Default.CgoEnabled
+		build.Default.CgoEnabled = false
+		defer func() { build.Default.CgoEnabled = cgo }()
+		fset := token.NewFileSet()
+		m := &moduleImporter{
+			fset:  fset,
+			std:   importer.ForCompiler(fset, "source", nil),
+			pkgs:  map[string]*types.Package{},
+			infos: map[string]*types.Info{},
+			files: map[string][]*ast.File{},
+		}
+		module.m, module.err = m, filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if goFiles, _ := filepath.Glob(filepath.Join(path, "*.go")); len(goFiles) == 0 {
+				return nil
+			}
+			if path == "." {
+				return nil // the root package is tests only
+			}
+			_, err = m.Import("botdetect/" + filepath.ToSlash(path))
+			return err
+		})
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.m
+}
+
 // TestEveryOptionHasASetter keeps the settable surface from regrowing: an
 // exported field of a *Config / Thresholds / Params struct under internal/
 // must be assigned by non-test code outside its declaring package (a cmd/
@@ -84,41 +137,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 // benchmark/; anything else is a constant, or is in wiringOptions with its
 // reason — and leaves that list again the day it gains a setter.
 func TestEveryOptionHasASetter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module from source")
-	}
-	// The source importer reads build.Default: have it pick the pure-Go files
-	// of net and os/user instead of running the cgo tool.
-	cgo := build.Default.CgoEnabled
-	build.Default.CgoEnabled = false
-	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
-	fset := token.NewFileSet()
-	m := &moduleImporter{
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil),
-		pkgs:  map[string]*types.Package{},
-		infos: map[string]*types.Info{},
-		files: map[string][]*ast.File{},
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata" {
-			return filepath.SkipDir
-		}
-		if goFiles, _ := filepath.Glob(filepath.Join(path, "*.go")); len(goFiles) == 0 {
-			return nil
-		}
-		if path == "." {
-			return nil // the root package is tests only
-		}
-		_, err = m.Import("botdetect/" + filepath.ToSlash(path))
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModule(t)
 
 	// The options: exported fields of the config structs under internal/.
 	options := map[*types.Var]string{}
