@@ -500,6 +500,30 @@ func TestQueryParam(t *testing.T) {
 	}
 }
 
+// FuzzQueryParam: on any query string and any name, queryParam never panics
+// and returns what a split on '&' finds, the raw value of the first pair that
+// reads name=, or "" when no pair does.
+func FuzzQueryParam(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"ua=abc&x=1", "ua"}, {"x=1&ua=abc", "ua"}, {"ua", "ua"}, {"", "ua"}, {"ua=1&ua=2", "ua"},
+		{"&&ua=&", "ua"}, {"=x&ua==y", ""}, {"a=b=c", "a"}, {"ua=%41%zz+b", "ua"}, {"u=a&ua", "u=a"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, query, name string) {
+		want := ""
+		for _, pair := range strings.Split(query, "&") {
+			if k, v, ok := strings.Cut(pair, "="); ok && k == name {
+				want = v
+				break
+			}
+		}
+		if got := queryParam(query, name); got != want {
+			t.Fatalf("queryParam(%q, %q) = %q, want %q", query, name, got, want)
+		}
+	})
+}
+
 // stubFleet is a replication layer of nodes a, b and c, holding one peer
 // verdict per key and recording what the engine exports.
 type stubFleet struct {

@@ -49,6 +49,7 @@ package keystore
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -314,15 +315,15 @@ type storeStats struct {
 }
 
 // clientBaseBytes is what Store.MemoryEstimate charges per tracked client:
-// the node in its 16-byte allocator size class, plus its index slot. It is
-// derived from the layouts so it cannot silently rot (TestKeystoreStructBudgets
-// pins them, TestMemoryEstimateCoversHeap holds the total against measured
-// heap). The estimate feeds admission control (see core.LoadState), where an
+// the node in its 16-byte allocator size class; the table's index is charged
+// once for all clients. It is derived from the layouts so it cannot silently
+// rot (TestKeystoreStructBudgets pins them, TestMemoryEstimateCoversHeap
+// holds the total against measured heap). The estimate feeds admission control (see core.LoadState), where an
 // underestimate OOMs, so a window is charged at its capacity: dropping from
 // the front keeps the array it shrinks.
-const clientBaseBytes = (int64(unsafe.Sizeof(clientState{}))+15)&^15 + shard.SlotBytes
+const clientBaseBytes = (int64(unsafe.Sizeof(clientState{})) + 15) &^ 15
 
-// pinnedBytes is the heap the client pins beyond its node and slot: the
+// pinnedBytes is the heap the client pins beyond its node: the
 // address string (in its 16-byte size class) and the capacity of the window.
 func (cs *clientState) pinnedBytes() int64 {
 	return int64(len(cs.Key())+15)&^15 + int64(cap(cs.log))
@@ -443,7 +444,9 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	if cs == nil {
 		cs = &clientState{log: window(nil).grow(logPrefixBytes + headerBytes)[:logPrefixBytes]}
 		binary.LittleEndian.PutUint32(cs.log[preIncarnation:], s.incarnations.Add(1))
-		sh.Insert(hash, clientIP, cs)
+		// A copy of the address: it may be cut from a request line (a
+		// forwarded-for header) the store must not pin.
+		sh.Insert(hash, strings.Clone(clientIP), cs)
 	} else {
 		pinned = cs.pinnedBytes()
 	}
@@ -669,11 +672,11 @@ func (s *Store) Clients() int { return s.clients.Len() }
 func (s *Store) Occupancy() float64 { return float64(s.clients.Len()) / maxClients }
 
 // MemoryEstimate returns the store's approximate live memory footprint in
-// bytes: per client, its 64-byte node and index slot (clientBaseBytes), its
-// address string and its window's capacity. Lock-free and allocation-free;
-// the load-state recomputation reads it on the serve path.
+// bytes: per client, its 64-byte node (clientBaseBytes), its address string
+// and its window's capacity, and the table's index. Lock-free and
+// allocation-free; the load-state recomputation reads it on the serve path.
 func (s *Store) MemoryEstimate() int64 {
-	return int64(s.clients.Len())*clientBaseBytes + s.pinnedBytes.Load()
+	return int64(s.clients.Len())*clientBaseBytes + s.pinnedBytes.Load() + s.clients.IndexBytes()
 }
 
 // Stats returns a copy of the cumulative counters.

@@ -23,6 +23,7 @@ package policy
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,6 +274,11 @@ func (e *Engine) set(key session.Key, prev, next stageState, now time.Time) {
 	if next.stage == StageMonitor {
 		delete(e.stages, key)
 	} else {
+		if prev.stage == StageMonitor {
+			// A new entry: the address may be cut from a request line the
+			// table must not pin.
+			key.IP = strings.Clone(key.IP)
+		}
 		e.stages[key] = next
 	}
 	if now.Before(e.nextSweep) {

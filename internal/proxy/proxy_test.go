@@ -1,12 +1,14 @@
 package proxy
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -258,6 +260,53 @@ func TestForwardedForFromPublicPeerIgnored(t *testing.T) {
 	}
 	if _, ok := det.Session(session.Key{IP: "127.0.0.1", UserAgent: ua}); !ok || det.SessionCount() != sessions+1 {
 		t.Fatalf("unparseable rightmost entries: %d new sessions, want the loopback peer's only", det.SessionCount()-sessions)
+	}
+}
+
+// TestForwardedForPaddingPinsNoHeap: behind a trusted hop a client is named
+// by the rightmost X-Forwarded-For entry, a substring of a header line the
+// client writes. 200 clients each pad that line to 64 KB, send their own
+// User-Agent and fetch a page; what the process then retains per client must
+// stay within what the engine's estimate charges for it plus one policy
+// entry (at most policyEntryBytes). A session or key table that stored the
+// substring would pin the whole line: 64 KB a client.
+func TestForwardedForPaddingPinsNoHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting differs under -race")
+	}
+	// One P while the heap is measured: a thread the runtime starts meanwhile
+	// puts its own 5.5 KB on the heap (runtime.allocm).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const clients, policyEntryBytes = 200, 256
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	mw, det, _ := newTestStack(t, policy.NewEngine(policy.Config{}), nil)
+	pad := strings.Repeat("198.51.100.1, ", 64<<10/len("198.51.100.1, "))
+	before, est0 := heap(), det.MemoryEstimate()
+	for i := range clients {
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		req.RemoteAddr = "127.0.0.1:40000"
+		req.Header.Set("User-Agent", fmt.Sprintf("Padder/%d", i))
+		req.Header.Set("X-Forwarded-For", pad+fmt.Sprintf("10.1.%d.%d", i/256, i%256))
+		rec := httptest.NewRecorder()
+		if mw.ServeHTTP(rec, req); rec.Code != http.StatusOK {
+			t.Fatalf("client %d: status %d", i, rec.Code)
+		}
+	}
+	got, est := heap()-before, det.MemoryEstimate()-est0
+	runtime.KeepAlive(mw)
+	runtime.KeepAlive(pad)
+	if det.SessionCount() != clients {
+		t.Fatalf("%d sessions, want one per forwarded address", det.SessionCount())
+	}
+	t.Logf("per client: heap %d B, estimate %d B", got/clients, est/clients)
+	if got > est+clients*policyEntryBytes {
+		t.Fatalf("heap grew %d B a client, the estimate %d B: a stored address pins its header line", got/clients, est/clients)
 	}
 }
 

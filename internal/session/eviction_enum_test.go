@@ -215,8 +215,8 @@ func (r *evictRun) step(op evictOp) string {
 	if i != len(r.lru) {
 		return fmt.Sprintf("LRU list has %d sessions, the model %d", i, len(r.lru))
 	}
-	if est := r.tr.MemoryEstimate(); est != bytes {
-		return fmt.Sprintf("MemoryEstimate %d, the tracked sessions are charged %d", est, bytes)
+	if est := r.tr.MemoryEstimate(); est != bytes+r.tr.table.IndexBytes() {
+		return fmt.Sprintf("MemoryEstimate %d, the tracked sessions are charged %d and the index %d", est, bytes, r.tr.table.IndexBytes())
 	}
 	return ""
 }
@@ -230,9 +230,10 @@ func (r *evictRun) step(op evictOp) string {
 // evidence-bearing session for capacity while an anonymous one was there to
 // take, and must balance its books: Active, Ended, the Evicted callback and
 // the per-reason counters account for every create and remove, and
-// MemoryEstimate is exactly what the tracked sessions are charged. A tracker
-// cannot be forked, so each sequence is replayed from an empty one; the first
-// failure prints its sequence. Under the race detector the depth is 5.
+// MemoryEstimate is exactly what the tracked sessions are charged plus the
+// table's IndexBytes. A tracker cannot be forked, so each sequence is
+// replayed from an empty one; the first failure prints its sequence. Under
+// the race detector the depth is 5.
 func TestCapacityEvictionEnumerated(t *testing.T) {
 	depth := 7
 	if raceEnabled {

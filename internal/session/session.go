@@ -248,23 +248,17 @@ type EvictionStats struct {
 	Flush             int64
 }
 
-// Per-session memory costs backing Tracker.MemoryEstimate, derived from the
-// actual struct layout via unsafe.Sizeof so they cannot silently rot when
-// fields change (TestSessionStructBudgets pins the layouts and
-// TestSessionMemoryEstimateCoversHeap holds the sum against the measured
-// heap: the estimate feeds admission control, so it may not read below the
-// heap, and bytes_per_session is computed from it, so it may not drift far
-// above either).
-var (
-	// sessionStructBytes is the per-session record in its allocator size
-	// class.
-	sessionStructBytes = sizeClass(int64(unsafe.Sizeof(sessionState{})))
-	// sessionBaseBytes is the base cost charged per session: the record and
-	// its index slot. The address string (rounded to the 16-byte allocation
-	// it sits in) and the path fingerprints (4 bytes each, by capacity) are
-	// charged on top; the User-Agent is the interner's.
-	sessionBaseBytes = sessionStructBytes + shard.SlotBytes
-)
+// sessionBaseBytes is the base cost Tracker.MemoryEstimate charges per
+// session: the record in its allocator size class, derived from the struct
+// layout via unsafe.Sizeof so it cannot silently rot when fields change
+// (TestSessionStructBudgets pins the layouts and
+// TestSessionMemoryEstimateCoversHeap holds the estimate against the measured
+// heap: it feeds admission control, so it may not read below the heap, and
+// bytes_per_session is computed from it, so it may not drift far above
+// either). The address string (rounded to the 16-byte allocation it sits in)
+// and the path fingerprints (4 bytes each, by capacity) are charged on top,
+// the table's index once for all sessions; the User-Agent is the interner's.
+var sessionBaseBytes = sizeClass(int64(unsafe.Sizeof(sessionState{})))
 
 // sizeClass rounds an allocation of 32 to 512 bytes up to the allocator's
 // size class: the classes are 16 bytes apart up to 256 and 32 apart above.
@@ -842,11 +836,11 @@ func (t *Tracker) Active() int { return t.table.Len() }
 
 // MemoryEstimate returns the tracker's approximate live memory footprint in
 // bytes: a rounded-up base cost per session plus key string bytes and the
-// tracked-path set. Interned User-Agent bytes are accounted by the shared
-// interner, not here. It is maintained with atomic adds on the write path,
-// so reading it is lock-free and allocation-free — the load-state
-// recomputation reads it on the serve path.
-func (t *Tracker) MemoryEstimate() int64 { return t.bytes.Load() }
+// tracked-path set, and the table's index. Interned User-Agent bytes are
+// accounted by the shared interner, not here. It is maintained with atomic
+// adds on the write path, so reading it is lock-free and allocation-free —
+// the load-state recomputation reads it on the serve path.
+func (t *Tracker) MemoryEstimate() int64 { return t.bytes.Load() + t.table.IndexBytes() }
 
 // Evictions returns cumulative per-reason eviction counts. Lock-free.
 func (t *Tracker) Evictions() EvictionStats {
@@ -959,15 +953,18 @@ func (t *Tracker) FlushAll() []Snapshot {
 	return snaps
 }
 
-// createLocked inserts a fresh session, whose key's index hash is h, into
+// createLocked inserts a fresh session, whose key's slot hash is h, into
 // the shard. The User-Agent is interned: the key stored in the record
 // references the canonical copy, so a million sessions from the same browser
-// share one UA string instead of carrying a million copies.
+// share one UA string instead of carrying a million copies. The address is
+// copied: it may be cut from a request line (a forwarded-for header) the
+// session must not pin.
 func (t *Tracker) createLocked(sh *sessionShard, h uint64, key Key, now int64) *sessionState {
 	uaHandle, ua := t.interner.Intern(key.UserAgent)
 	if uaHandle != 0 {
 		key.UserAgent = ua
 	}
+	key.IP = strings.Clone(key.IP)
 	st := &sessionState{
 		uaHandle:  uaHandle,
 		firstSeen: now,

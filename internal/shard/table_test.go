@@ -3,10 +3,11 @@ package shard
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 // entry is the smallest table user: a Node and nothing else.
@@ -50,7 +51,16 @@ type tableRun struct {
 	held    map[string]*entry
 	lru     []string
 	removed map[chainPos]int // removals by the entry's position in its chain
+	resized map[resize]int   // bucket array resizes by kind
 }
+
+type resize int
+
+const (
+	resizeGrow    resize = iota // the array doubled
+	resizeShrink                // the array halved
+	resizeRelease               // the array was freed
+)
 
 type chainPos int
 
@@ -64,12 +74,17 @@ const (
 func newTableRun(hook func(string) uint64) *tableRun {
 	t := NewTable[string, entry](1, 8, HashString)
 	t.HashHook = hook
-	return &tableRun{t: t, sh: t.Shard(0), held: map[string]*entry{}, removed: map[chainPos]int{}}
+	return &tableRun{t: t, sh: t.Shard(0), held: map[string]*entry{}, removed: map[chainPos]int{}, resized: map[resize]int{}}
+}
+
+// bucket is the bucket key belongs in. Caller holds the lock.
+func (r *tableRun) bucket(key string) int {
+	return int(r.t.slot(key) & uint64(len(r.sh.buckets)-1))
 }
 
 // position is where e sits in its index chain. Caller holds the lock.
 func (r *tableRun) position(e *entry) chainPos {
-	first := r.sh.index[r.t.slot(e.key)]
+	first := r.sh.buckets[r.bucket(e.key)]
 	switch {
 	case first == e && e.hnext == nil:
 		return chainAlone
@@ -97,6 +112,17 @@ func (r *tableRun) apply(op tableOp) {
 	_, h := r.t.Locate(op.key)
 	r.sh.Lock()
 	defer r.sh.Unlock()
+	before := len(r.sh.buckets)
+	defer func() {
+		switch after := len(r.sh.buckets); {
+		case after == 0 && before > 0:
+			r.resized[resizeRelease]++
+		case after > before && before > 0:
+			r.resized[resizeGrow]++
+		case after < before:
+			r.resized[resizeShrink]++
+		}
+	}()
 	e := r.sh.Get(h, op.key)
 	switch op.kind {
 	case opGet:
@@ -156,14 +182,14 @@ func (r *tableRun) check() string {
 	if !slices.Equal(forward, r.lru) || !slices.Equal(backward, r.lru) {
 		return fmt.Sprintf("LRU from the head %v, from the tail (reversed) %v, reference %v", forward, backward, r.lru)
 	}
+	if why := indexBooks(r.t); why != "" {
+		return why
+	}
 	chained := map[*entry]bool{}
-	for h, first := range r.sh.index {
-		if first == nil {
-			return fmt.Sprintf("slot %d holds an empty chain", h)
-		}
+	for i, first := range r.sh.buckets {
 		for e := first; e != nil; e = e.hnext {
-			if r.t.slot(e.key) != h || chained[e] || r.held[e.key] != e {
-				return fmt.Sprintf("%s is in the chain of slot %d, twice, or not held", e.key, h)
+			if r.bucket(e.key) != i || chained[e] || r.held[e.key] != e {
+				return fmt.Sprintf("%s is in the chain of bucket %d, twice, or not held", e.key, i)
 			}
 			chained[e] = true
 		}
@@ -174,21 +200,46 @@ func (r *tableRun) check() string {
 	return ""
 }
 
+// indexBooks checks every shard's bucket array against its count and the
+// table's IndexBytes against the arrays: none while a shard is empty, else a
+// power of two no shorter than the count and under four times it (or the
+// smallest array), and IndexBytes is what the arrays pin. It returns what
+// broke, or "". It reads the shards without their locks: the table must have
+// no other user.
+func indexBooks(t *Table[string, entry, *entry]) string {
+	var pinned int64
+	for _, sh := range t.shards {
+		n, size := sh.n, len(sh.buckets)
+		if n == 0 && size != 0 || n > 0 && (size&(size-1) != 0 || size < n || shrinkRatio*n <= size && size > minBuckets) {
+			return fmt.Sprintf("shard %d holds %d entries in %d buckets", sh.i, n, size)
+		}
+		pinned += arrayBytes(size)
+	}
+	if t.IndexBytes() != pinned {
+		return fmt.Sprintf("IndexBytes %d, the shards' bucket arrays pin %d B", t.IndexBytes(), pinned)
+	}
+	return ""
+}
+
 // TestTableEnumerated is the exhaustive small-scope check of the table every
 // sharded client store is built on: every sequence of get-or-insert, touch,
 // remove and evict-tail over three keys on one shard, to depth 6, once with
 // all keys hashed into one collision chain and once into distinct slots.
 // After each input the table must agree with a reference (a map and an
 // ordered slice) on every lookup, on the LRU order walked both ways and on
-// its counts, and its index chains must hold exactly the held entries; a
-// removed entry keeps no links. The one-chain walk must have removed entries
-// from a chain's head, middle and tail. A table cannot be forked, so each
-// sequence is replayed from an empty one; the first failure prints its
-// sequence. Under the race detector the depth is 4.
+// its counts; each held entry must sit exactly once in the chain of the
+// bucket its slot hash picks, the bucket array must fit the count and
+// IndexBytes the array; a removed entry keeps no links. The one-chain walk
+// must have removed entries from a chain's head, middle and tail, and each
+// walk must have grown, shrunk and released the bucket array (three keys
+// reach four buckets from one). A table cannot be forked, so each sequence
+// is replayed from an empty one; the first failure prints its sequence.
+// Under the race detector the depth is 5, the least that shrinks the array
+// (three inserts grow it to four buckets, two removals halve it).
 func TestTableEnumerated(t *testing.T) {
 	depth := 6
 	if raceEnabled {
-		depth = 4
+		depth = 5
 	}
 	for _, mode := range []struct {
 		name string
@@ -198,7 +249,7 @@ func TestTableEnumerated(t *testing.T) {
 		{"distinct-slots", HashString}, // distinct for a, b and c
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			removed := map[chainPos]int{}
+			removed, resized := map[chainPos]int{}, map[resize]int{}
 			seq := make([]tableOp, 0, depth)
 			var walk func()
 			walk = func() {
@@ -222,6 +273,9 @@ func TestTableEnumerated(t *testing.T) {
 					for pos, n := range run.removed {
 						removed[pos] += n
 					}
+					for kind, n := range run.resized {
+						resized[kind] += n
+					}
 					walk()
 					seq = seq[:len(seq)-1]
 				}
@@ -229,8 +283,13 @@ func TestTableEnumerated(t *testing.T) {
 			walk()
 			t.Logf("removals by chain position (head, middle, tail, alone): %d %d %d %d",
 				removed[chainHead], removed[chainMiddle], removed[chainTail], removed[chainAlone])
+			t.Logf("bucket array resizes (grow, shrink, release): %d %d %d",
+				resized[resizeGrow], resized[resizeShrink], resized[resizeRelease])
 			if mode.name == "one-chain" && (removed[chainHead] == 0 || removed[chainMiddle] == 0 || removed[chainTail] == 0) {
 				t.Fatal("the walk never removed from a chain's head, middle and tail: it tests nothing")
+			}
+			if resized[resizeGrow] == 0 || resized[resizeShrink] == 0 || resized[resizeRelease] == 0 {
+				t.Fatal("the walk never grew, shrank and released the bucket array: it tests nothing")
 			}
 		})
 	}
@@ -254,17 +313,71 @@ func TestTableLocatePlacement(t *testing.T) {
 	}
 }
 
-// TestIndexSlotStructBudgets re-derives SlotBytes from the index's layout: a
-// full-size swiss-map table of 1,024 slots is 128 groups of 8 control bytes
-// and 8 slots of a uint64 slot hash and an entry pointer, in the allocator's
-// size class for that many bytes; right after a split at 7/8 load each entry
-// holds 16/7 slots.
-func TestIndexSlotStructBudgets(t *testing.T) {
-	const groups, perGroup = 128, 8
-	slot := int(unsafe.Sizeof(uint64(0)) + unsafe.Sizeof((*entry)(nil)))
-	class := cap(append([]byte(nil), make([]byte, groups*(perGroup+perGroup*slot))...))
-	worst := float64(class) / (groups * perGroup) * 16 / 7
-	if want := int(math.Ceil(worst)); SlotBytes != want {
-		t.Fatalf("SlotBytes = %d, the layout gives %.1f B per entry right after a split (a %d-byte table)", SlotBytes, worst, class)
+// bucketSink keeps a measured bucket array on the heap.
+var bucketSink []*entry
+
+// TestIndexBytesMatchesBuckets holds IndexBytes to the bucket arrays of a
+// four-shard table after every insert and removal while 20,000 keys come and
+// go in a seeded order, and to 0 once the table is empty again; at its
+// fullest a shard must have held an array past the allocator's large-object
+// threshold (4,096 buckets of 8 B, 32 KiB). What an array pins, arrayBytes,
+// is measured against the allocator first, from 1 to 2^16 buckets, as the
+// least of three allocations: whatever the runtime allocates meanwhile only
+// adds.
+func TestIndexBytesMatchesBuckets(t *testing.T) {
+	var before, after runtime.MemStats
+	for size := 1; size <= 1<<16; size *= 2 {
+		got := int64(math.MaxInt64)
+		for range 3 {
+			runtime.ReadMemStats(&before)
+			bucketSink = make([]*entry, size)
+			runtime.ReadMemStats(&after)
+			got = min(got, int64(after.TotalAlloc-before.TotalAlloc))
+		}
+		if got != arrayBytes(size) {
+			t.Fatalf("an array of %d buckets allocated %d B, arrayBytes says %d", size, got, arrayBytes(size))
+		}
+	}
+	bucketSink = nil
+
+	tab := NewTable[string, entry](4, 1<<20, HashString)
+	r := rand.New(rand.NewPCG(40, 0))
+	keys := make([]string, 20000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("10.0.%d.%d", i/256, i%256)
+	}
+	held, fullest := map[string]bool{}, 0
+	step := func(k string) {
+		sh, h := tab.Locate(k)
+		sh.Lock()
+		if e := sh.Get(h, k); e != nil {
+			sh.Remove(e)
+			delete(held, k)
+		} else {
+			sh.Insert(h, k, new(entry))
+			held[k] = true
+		}
+		fullest = max(fullest, len(sh.buckets))
+		sh.Unlock()
+		if why := indexBooks(tab); why != "" {
+			t.Fatalf("at %d entries: %s", len(held), why)
+		}
+	}
+	for _, k := range keys {
+		step(k)
+	}
+	for range len(keys) {
+		step(keys[r.IntN(len(keys))])
+	}
+	for _, i := range r.Perm(len(keys)) {
+		if held[keys[i]] {
+			step(keys[i])
+		}
+	}
+	if tab.Len() != 0 || tab.IndexBytes() != 0 {
+		t.Fatalf("an empty table holds %d entries and %d B of index", tab.Len(), tab.IndexBytes())
+	}
+	if arrayBytes(fullest) < 32<<10 {
+		t.Fatalf("the largest bucket array was %d buckets: the walk never left the small size classes", fullest)
 	}
 }
