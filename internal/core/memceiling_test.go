@@ -11,16 +11,18 @@ import (
 )
 
 // TestMemoryCeilingPerSession is the e2e gate for the million-session memory
-// engine (ISSUE 9): after a realistic serve pattern — one instrumented page
-// issue plus a few observed requests per client — the engine's own
-// MemoryEstimate must come in at or under 384 B per tracked session (378 B
-// measured at 8 shards: a 224-byte record, its address and three path
-// fingerprints, and an undownloaded page's keystore entry — a 64-byte client
-// node, its address and a 16-byte window, a 12-byte prefix and one 4-byte
-// header — 352 B, plus both tables' bucket arrays at 13.1 B a session each;
-// the arrays cost 13.1 to 15.6 B a session each at any shard count from 8
-// to 512, and the total measured 377 to 383 B across them, so the ceiling
-// holds on any core count). The ceiling stood at 460 B
+// engine: after a realistic serve pattern — one instrumented page issue plus
+// a few observed requests per client — the engine's own MemoryEstimate must
+// come in at or under 304 B per tracked session (296 B measured at 8 shards:
+// a 192-byte session record holding its address and its three path
+// fingerprints, and an undownloaded page's 64-byte keystore record holding
+// its address and its window, a 12-byte prefix and one 4-byte header — 256 B
+// and no pointer — plus both tables' directories and bucket arrays at 19.7 B
+// a session each; those cost 19.7 to 22.1 B a session each at any shard
+// count from 8 to 512, and the total measured 293 to 301 B across them, so
+// the ceiling holds on any core count). The ceiling stood at 384 B while the
+// records held their addresses as strings, their links as pointers and the
+// path set as a slice (378 B, 377 to 383 B across shard counts), at 460 B
 // while each table charged a 42-byte map slot per entry (436 B; 8-byte
 // headers, size-class growth and derived keys had each left that at 436 B,
 // because a one-page window and a three-path set already sit in their
@@ -55,8 +57,8 @@ func TestMemoryCeilingPerSession(t *testing.T) {
 	t.Logf("engine estimate: %d sessions, %d B total, %d B/session", n, e.MemoryEstimate(), perSession)
 	sess, keys, interned := e.MemoryBreakdown()
 	t.Logf("breakdown: sessions=%d keys=%d interned=%d", sess, keys, interned)
-	if perSession > 384 {
-		t.Fatalf("engine memory = %d B/session, exceeds the 384 B ceiling", perSession)
+	if perSession > 304 {
+		t.Fatalf("engine memory = %d B/session, exceeds the 304 B ceiling", perSession)
 	}
 }
 
@@ -124,11 +126,14 @@ func TestEngineMemoryEstimateCoversHeap(t *testing.T) {
 // number admission control budgets against) says it retains, within 30%. A
 // per-page structure the estimate cannot see, like a parked script body,
 // fails this. And the estimate itself is pinned: such a client costs its
-// keystore entry and one 4-byte page-view header — measured 138 B, its
-// 16-byte window (a 12-byte prefix) in the same 16-byte class the logs of
-// 8- and 11-byte headers filled (174 B while a client was a 96-byte struct
-// behind a string-keyed slot) — because the store keeps no key; storing a
-// page's keys at issue again (a 25-byte run per page) fails by number.
+// keystore entry and one 4-byte page-view header — measured 79 B, a 64-byte
+// record holding its address and its window, and its share of the
+// directory and bucket array; 79.7 to 81.7 B at 8 to 512 shards (106 B while
+// the record pointed at an address string and a 16-byte window, though this
+// pin stayed at 138 B; 138 B while the index was a map; 174 B while a client
+// was a 96-byte struct behind a string-keyed slot) — because the store keeps
+// no key; storing a page's keys at issue again (a 25-byte run per page)
+// fails by number.
 func TestMemoryCeilingUndownloadedPages(t *testing.T) {
 	const clients = 50000
 	e := New(Config{Seed: 12})
@@ -154,7 +159,7 @@ func TestMemoryCeilingUndownloadedPages(t *testing.T) {
 	if float64(heap) > 1.3*float64(est) {
 		t.Fatalf("heap grew %d B against an estimate of %d B (%.2fx): memory the estimate cannot see", heap, est, float64(heap)/float64(est))
 	}
-	const measured = 138 // B/client
+	const measured = 79 // B/client
 	if perClient := est / clients; perClient*100 > measured*105 {
 		t.Fatalf("an undownloaded page view costs %d B/client by the estimate, measured %d B when this was pinned: are keys drawn before the script is asked for?", perClient, measured)
 	}

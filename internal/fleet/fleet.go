@@ -65,6 +65,7 @@ package fleet
 import (
 	"errors"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -500,7 +501,7 @@ func (r *Replicator) PublishVerdict(key session.Key, v detect.Verdict, until tim
 		return false
 	}
 	v.Origin = r.cfg.Name
-	r.publishLocked(Update{Kind: KindVerdict, Key: key, Until: until.UnixNano(), Verdict: v})
+	r.publishLocked(Update{Kind: KindVerdict, Key: ownKey(key), Until: until.UnixNano(), Verdict: v})
 	return true
 }
 
@@ -513,8 +514,15 @@ func (r *Replicator) PublishBlock(key session.Key, until time.Time) bool {
 	if cur, ok := r.stores[KindBlock][key]; ok && cur.Until >= nanos {
 		return false
 	}
-	r.publishLocked(Update{Kind: KindBlock, Key: key, Until: nanos})
+	r.publishLocked(Update{Kind: KindBlock, Key: ownKey(key), Until: nanos})
 	return true
+}
+
+// ownKey copies a key the fleet keeps past the request that named it: a
+// snapshot's key holds the caller's strings, and a client address may be cut
+// from a request line the store must not pin.
+func ownKey(key session.Key) session.Key {
+	return session.Key{IP: strings.Clone(key.IP), UserAgent: strings.Clone(key.UserAgent)}
 }
 
 // PublishModel replicates a trained model fleet-wide with the next model

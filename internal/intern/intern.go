@@ -3,9 +3,12 @@
 // session used to carry its own copy (raw and normalized). The interner
 // collapses those copies to 8-byte handles:
 // the first Intern of a string stores one canonical copy, later Interns of
-// equal strings return the same handle and canonical string, and Release
-// drops a reference — the canonical copy is evicted when the last holder
-// releases it, so the table tracks the live working set, not history.
+// equal strings return the same handle, and Release drops a reference — the
+// canonical copy is evicted when the last holder releases it, so the table
+// tracks the live working set, not history. A record that keeps a Handle
+// instead of a string holds no pointer, so the garbage collector never scans
+// it; Lookup finds the handle of a string without taking a reference, which
+// is how a client table compares a caller's key with the records it holds.
 //
 // The fast path (a string already interned) takes a shard read-lock, one map
 // lookup and one compare-and-swap on the entry's reference count; it
@@ -14,6 +17,7 @@
 package intern
 
 import (
+	"hash/maphash"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,7 +76,10 @@ type internShard struct {
 type Stats struct {
 	// Entries is the number of live interned strings.
 	Entries int64
-	// Bytes is the total length of live interned strings.
+	// Bytes is the heap the live interned strings' copies take, each
+	// rounded up to what the allocator gives it (shard.AllocBytes): a
+	// string a client writes, an address with a long zone say, can be
+	// large, and the estimate feeds admission control.
 	Bytes int64
 	// Hits and Misses count Intern calls that found / did not find the
 	// string already interned.
@@ -93,6 +100,7 @@ func (s Stats) HitRate() float64 {
 type Interner struct {
 	shards []internShard
 	mask   uint64
+	seed   maphash.Seed // picks a string's shard
 
 	entries atomic.Int64
 	bytes   atomic.Int64
@@ -110,22 +118,21 @@ func New(shards int) *Interner {
 	if shards > maxShards {
 		shards = maxShards
 	}
-	in := &Interner{shards: make([]internShard, shards), mask: uint64(shards - 1)}
+	in := &Interner{shards: make([]internShard, shards), mask: uint64(shards - 1), seed: maphash.MakeSeed()}
 	for i := range in.shards {
 		in.shards[i].byStr = make(map[string]uint32)
 	}
 	return in
 }
 
-// Intern returns a handle for s plus the canonical copy of s. The caller owns
-// one reference, released with Release. The canonical string should replace
-// the caller's copy of s, so equal strings across sessions share one backing
-// array. Interning the empty string returns the zero Handle and "".
-func (in *Interner) Intern(s string) (Handle, string) {
+// Intern returns the handle of s: equal strings get equal handles while one
+// is held, distinct strings distinct ones. The caller owns one reference,
+// released with Release. Interning the empty string returns the zero Handle.
+func (in *Interner) Intern(s string) Handle {
 	if s == "" {
-		return 0, ""
+		return 0
 	}
-	idx := int(shard.HashString(s) & in.mask)
+	idx := in.shardOf(s)
 	sh := &in.shards[idx]
 
 	sh.mu.RLock()
@@ -133,10 +140,9 @@ func (in *Interner) Intern(s string) (Handle, string) {
 		e := &sh.entries[slot]
 		if incIfPositive(&e.refs) {
 			h := makeHandle(idx, e.gen, slot)
-			canon := e.s
 			sh.mu.RUnlock()
 			in.hits.Add(1)
-			return h, canon
+			return h
 		}
 	}
 	sh.mu.RUnlock()
@@ -149,7 +155,7 @@ func (in *Interner) Intern(s string) (Handle, string) {
 		e := &sh.entries[slot]
 		e.refs.Add(1)
 		in.hits.Add(1)
-		return makeHandle(idx, e.gen, slot), e.s
+		return makeHandle(idx, e.gen, slot)
 	}
 	var slot uint32
 	if n := len(sh.free); n > 0 {
@@ -157,9 +163,9 @@ func (in *Interner) Intern(s string) (Handle, string) {
 		sh.free = sh.free[:n-1]
 	} else {
 		if len(sh.entries) >= slotMask {
-			// Table exhausted (~4G strings per shard): serve the string
-			// unshared rather than corrupting handles.
-			return 0, strings.Clone(s)
+			// ~4G strings in one shard, some hundred gigabytes: no handle is
+			// left that names s alone, and a shared one would merge clients.
+			panic("intern: shard table exhausted")
 		}
 		sh.entries = append(sh.entries, entry{})
 		slot = uint32(len(sh.entries) - 1)
@@ -170,8 +176,52 @@ func (in *Interner) Intern(s string) (Handle, string) {
 	sh.byStr[e.s] = slot
 	in.misses.Add(1)
 	in.entries.Add(1)
-	in.bytes.Add(int64(len(e.s)))
-	return makeHandle(idx, e.gen, slot), e.s
+	in.bytes.Add(shard.AllocBytes(int64(len(e.s))))
+	return makeHandle(idx, e.gen, slot)
+}
+
+// shardOf picks s's shard.
+func (in *Interner) shardOf(s string) int {
+	return int(maphash.String(in.seed, s) & in.mask)
+}
+
+// Lookup returns the handle of s without taking a reference: ok is false when
+// s is not interned, so nothing holding a handle can be holding s. The empty
+// string is always found, as the zero Handle. A table that keeps handles in
+// its records compares a caller's string with them this way; under the lock
+// that guards those records, a handle a record holds stays s's, because the
+// record holds a reference on it.
+func (in *Interner) Lookup(s string) (Handle, bool) {
+	if s == "" {
+		return 0, true
+	}
+	idx := in.shardOf(s)
+	sh := &in.shards[idx]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if slot, ok := sh.byStr[s]; ok {
+		if e := &sh.entries[slot]; e.refs.Load() > 0 {
+			return makeHandle(idx, e.gen, slot), true
+		}
+	}
+	return 0, false
+}
+
+// String returns the string a live handle names, "" for the zero Handle and
+// for a handle already released. It takes the shard's read-lock: it is for
+// rebuilding a key off the hot path (a snapshot of an evicted session), not
+// for comparing one.
+func (in *Interner) String(h Handle) string {
+	if h == 0 {
+		return ""
+	}
+	sh := &in.shards[h.shard()&int(in.mask)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if slot := h.slot(); int(slot) < len(sh.entries) && sh.entries[slot].gen == h.gen() {
+		return sh.entries[slot].s
+	}
+	return ""
 }
 
 // incIfPositive increments refs only if it is currently positive, so a
@@ -224,7 +274,7 @@ func (in *Interner) Release(h Handle) {
 	}
 	delete(sh.byStr, e.s)
 	in.entries.Add(-1)
-	in.bytes.Add(-int64(len(e.s)))
+	in.bytes.Add(-shard.AllocBytes(int64(len(e.s))))
 	e.s = ""
 	e.gen = (e.gen + 1) & genMask
 	sh.free = append(sh.free, slot)
@@ -240,13 +290,20 @@ func (in *Interner) Stats() Stats {
 	}
 }
 
-// internEntryBytes is the approximate per-entry overhead beyond the string
-// bytes themselves: the entry struct, its share of the byStr map and the
-// entries/free slices.
-const internEntryBytes = 96
+// internEntryBytes is the approximate per-entry overhead beyond the string's
+// copy: the entry struct, its share of the byStr map and the entries/free
+// slices. internShardBytes is what a shard's first entry can cost beyond
+// that: it allocates the map's first group of eight slots and the entry
+// array, 248 B measured.
+const (
+	internEntryBytes = 96
+	internShardBytes = 248 - internEntryBytes
+)
 
-// MemoryEstimate returns the interner's approximate live footprint in bytes
-// (canonical string bytes plus per-entry overhead). Lock-free.
+// MemoryEstimate returns the interner's approximate live footprint in bytes:
+// the canonical copies (Stats.Bytes), per-entry overhead, and the
+// first-entry cost of as many shards as could hold an entry. Lock-free.
 func (in *Interner) MemoryEstimate() int64 {
-	return in.bytes.Load() + in.entries.Load()*internEntryBytes
+	n := in.entries.Load()
+	return in.bytes.Load() + n*internEntryBytes + min(n, int64(len(in.shards)))*internShardBytes
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"botdetect/internal/shard"
 )
 
 // lookup resolves a handle to its canonical string, reporting whether the
@@ -29,23 +31,26 @@ func (in *Interner) lookup(h Handle) (string, bool) {
 func TestInternBasics(t *testing.T) {
 	in := New(4)
 
-	h1, c1 := in.Intern("Mozilla/5.0")
-	if h1 == 0 || c1 != "Mozilla/5.0" {
-		t.Fatalf("Intern = %v, %q", h1, c1)
+	h1 := in.Intern("Mozilla/5.0")
+	if h1 == 0 || in.String(h1) != "Mozilla/5.0" {
+		t.Fatalf("Intern = %v, %q", h1, in.String(h1))
 	}
-	h2, c2 := in.Intern("Mozilla/5.0")
+	h2 := in.Intern("Mozilla/5.0")
 	if h2 != h1 {
 		t.Fatalf("second Intern handle = %v, want %v", h2, h1)
-	}
-	if &c1 == &c2 {
-		t.Fatal("canonical strings should be the same backing value")
 	}
 	if got, ok := in.lookup(h1); !ok || got != "Mozilla/5.0" {
 		t.Fatalf("lookup = %q, %v", got, ok)
 	}
+	if got, ok := in.Lookup("Mozilla/5.0"); !ok || got != h1 {
+		t.Fatalf("Lookup = %v, %v, want %v", got, ok, h1)
+	}
+	if _, ok := in.Lookup("Mozilla/4.0"); ok {
+		t.Fatal("Lookup found a string never interned")
+	}
 
 	st := in.Stats()
-	if st.Entries != 1 || st.Bytes != int64(len("Mozilla/5.0")) {
+	if st.Entries != 1 || st.Bytes != 16 { // 11 bytes, in the 16-byte size class
 		t.Fatalf("Stats = %+v", st)
 	}
 	if st.Hits != 1 || st.Misses != 1 {
@@ -64,6 +69,9 @@ func TestInternBasics(t *testing.T) {
 	if _, ok := in.lookup(h1); ok {
 		t.Fatal("entry survived its last Release")
 	}
+	if _, ok := in.Lookup("Mozilla/5.0"); ok || in.String(h1) != "" {
+		t.Fatal("Lookup or String found a released string")
+	}
 	if st := in.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("Stats after eviction = %+v", st)
 	}
@@ -71,9 +79,11 @@ func TestInternBasics(t *testing.T) {
 
 func TestInternEmptyAndZeroHandle(t *testing.T) {
 	in := New(0)
-	h, c := in.Intern("")
-	if h != 0 || c != "" {
-		t.Fatalf("Intern(\"\") = %v, %q", h, c)
+	if h := in.Intern(""); h != 0 || in.String(h) != "" {
+		t.Fatalf("Intern(\"\") = %v", h)
+	}
+	if h, ok := in.Lookup(""); h != 0 || !ok {
+		t.Fatalf("Lookup(\"\") = %v, %v", h, ok)
 	}
 	// All zero-handle operations are no-ops.
 	in.Release(0)
@@ -84,10 +94,10 @@ func TestInternEmptyAndZeroHandle(t *testing.T) {
 
 func TestInternStaleHandleFailsValidation(t *testing.T) {
 	in := New(1)
-	h, _ := in.Intern("alpha")
+	h := in.Intern("alpha")
 	in.Release(h) // evicts: slot recycled, generation bumped
 
-	h2, _ := in.Intern("beta") // likely reuses the slot
+	h2 := in.Intern("beta") // likely reuses the slot
 	if s, ok := in.lookup(h); ok {
 		t.Fatalf("stale handle resolved to %q", s)
 	}
@@ -103,12 +113,12 @@ func TestInternMemoryEstimateTracksLiveSet(t *testing.T) {
 	var want int64
 	for i := 0; i < 100; i++ {
 		s := fmt.Sprintf("/page/%03d.html", i)
-		h, _ := in.Intern(s)
+		h := in.Intern(s)
 		hs = append(hs, h)
-		want += int64(len(s))
+		want += shard.AllocBytes(int64(len(s)))
 	}
-	if got := in.MemoryEstimate(); got != want+100*internEntryBytes {
-		t.Fatalf("MemoryEstimate = %d, want %d", got, want+100*internEntryBytes)
+	if got := in.MemoryEstimate(); got != want+100*internEntryBytes+4*internShardBytes {
+		t.Fatalf("MemoryEstimate = %d, want %d", got, want+100*internEntryBytes+4*internShardBytes)
 	}
 	for _, h := range hs {
 		in.Release(h)
@@ -134,14 +144,14 @@ func TestInternHammer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				// 8 distinct strings: constant churn on shared entries.
 				s := fmt.Sprintf("ua-%d", (g+i)%8)
-				h, canon := in.Intern(s)
-				if canon != s {
+				h := in.Intern(s)
+				if canon := in.String(h); canon != s {
 					t.Errorf("canonical mismatch: %q vs %q", canon, s)
 					return
 				}
 				if i%3 == 0 {
 					// A second holder of the same string retains the entry.
-					if h2, _ := in.Intern(s); h2 != h {
+					if h2 := in.Intern(s); h2 != h {
 						t.Errorf("second Intern(%q) = %v while %v is held", s, h2, h)
 						return
 					}
@@ -166,11 +176,17 @@ func TestInternHammer(t *testing.T) {
 
 func TestInternAllocFreeFastPath(t *testing.T) {
 	in := New(4)
-	h, _ := in.Intern("Mozilla/5.0 (X11; Linux x86_64)")
+	h := in.Intern("Mozilla/5.0 (X11; Linux x86_64)")
 	defer in.Release(h)
 	avg := testing.AllocsPerRun(1000, func() {
-		hh, _ := in.Intern("Mozilla/5.0 (X11; Linux x86_64)")
+		hh := in.Intern("Mozilla/5.0 (X11; Linux x86_64)")
 		in.Release(hh)
+		if _, ok := in.Lookup("Mozilla/5.0 (X11; Linux x86_64)"); !ok {
+			panic("lost")
+		}
+		if _, ok := in.LookupAddr("10.1.2.3"); !ok {
+			panic("not an address")
+		}
 	})
 	if avg != 0 {
 		t.Fatalf("interner fast path allocates %.2f allocs/op, want 0", avg)

@@ -3,23 +3,33 @@ package keystore
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 	"time"
 	"unsafe"
 )
 
 // TestKeystoreStructBudgets pins the window's layout: a tracked client is one
-// 64-byte node (address, window, LRU and index-chain links); its window is a
-// 12-byte prefix (a u32 base tick, a u32 incarnation, a u24 first page-view
-// number and a u8 count) and one 4-byte header per page view (a u16 tick
-// offset, a u8 decoy count, drawn, consumed and lapsed bits), and no key. The
-// offset must hold the TTL in ticks at every TTL, and at every width a page
-// view's last key index must stay in the domain and its number in the u24. A
-// failure means a field was added without re-deriving the budget.
+// 64-byte record with no pointer (its 17-byte address, its LRU and
+// index-chain links and slot hash, and 28 bytes of window: a prefix and four
+// headers); its window is a 12-byte prefix (a u32 base tick, a u32
+// incarnation, a u24 first page-view number and a u8 count) and one 4-byte
+// header per page view (a u16 tick offset, a u8 decoy count, drawn, consumed
+// and lapsed bits), and no key. The offset must hold the TTL in ticks at
+// every TTL, and at every width a page view's last key index must stay in the
+// domain and its number in the u24; the count byte must be able to say
+// spilled. A failure means a field was added without re-deriving the budget.
 func TestKeystoreStructBudgets(t *testing.T) {
-	if got := unsafe.Sizeof(clientState{}); got > 64 {
-		t.Errorf("clientState = %d bytes, exceeds the 64-byte budget", got)
+	if got := unsafe.Sizeof(clientState{}); got != 64 || clientBaseBytes != 64 {
+		t.Errorf("clientState = %d bytes, charged %d: want both 64", got, clientBaseBytes)
+	}
+	if reflect.TypeFor[clientState]().Size() != 64 || hasPointers(reflect.TypeFor[clientState]()) {
+		t.Error("clientState holds a pointer: the collector scans every client again")
+	}
+	if inlineHeaders != 4 || len(clientState{}.log) != logPrefixBytes+4*headerBytes || spilled <= maxPerClient {
+		t.Errorf("the record's window holds %d headers in %d bytes, spilled reads %d", inlineHeaders, len(clientState{}.log), spilled)
 	}
 	if logPrefixBytes != 12 || preIncarnation != 4 || preWindow != 8 {
 		t.Errorf("prefix = %d bytes (incarnation at %d, window word at %d), want 12: base, incarnation, first|count", logPrefixBytes, preIncarnation, preWindow)
@@ -116,13 +126,71 @@ func TestMemoryEstimateCoversHeap(t *testing.T) {
 	}
 }
 
+// hasPointers reports whether a value of type t holds a pointer the garbage
+// collector follows.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestGCScanBytesPerClient holds what a client costs the garbage collector:
+// 200,000 clients with one undownloaded page view each, on one P, may grow a
+// full cycle's scan work by at most 16 B a client. A record holds no pointer
+// and a window of up to four page views sits in it, so the work is the
+// table's directory, one 8-byte word per slot, and inserts leave at most two
+// slots a client. While a client was a node of three links, an address string and a
+// window slice, the collector scanned 48 of its 64 bytes, 58.5 B a client
+// with the bucket array of pointers.
+func TestGCScanBytesPerClient(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory changes what the collector scans")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const clients = 200000
+	scan := func() int64 {
+		runtime.GC()
+		s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+		metrics.Read(s)
+		return int64(s[0].Value.Uint64())
+	}
+	s := New(Config{Seed: 5, Shards: 8})
+	for i := range s.clients.Shards() {
+		s.clients.SetShardCap(i, clients) // past maxClients: nothing is evicted
+	}
+	var pk PageKeys
+	before := scan()
+	for i := range clients {
+		s.IssuePage(fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff), "/index.html", &pk)
+	}
+	per := float64(scan()-before) / clients
+	runtime.KeepAlive(s)
+	t.Logf("%d clients: the collector scans %.1f B a client", s.Clients(), per)
+	if s.Clients() != clients || per > 16 {
+		t.Fatalf("%d clients cost %.1f B of scan work each, over 16 B: a pointer is back in the record", s.Clients(), per)
+	}
+}
+
 // TestKeyLogNeverOutgrowsTheCap pins the per-client cap in bytes, not just in
 // page views: a client's window at maxPerClient page views is 12 + 64*4 = 268
 // bytes in the 288-byte size class, a client past the cap keeps exactly that
 // array, and holds no more heap than one at it (+16 B for the allocator's
 // noise), with no script downloaded and with every one — a derived key costs
-// nothing, so both measure the same: 397 B per client at the cap and past
-// it, every script downloaded or none. A log that appended the new page view
+// nothing, so both measure the same: 385 B per client at the cap and past
+// it, every script downloaded or none (the record, the spilled window and
+// its spill-store pointer; 383 B while the record pointed at an address
+// string and a window slice, 397 B with a map slot per client). A log that appended the new page view
 // before it dropped the oldest outgrew its cap-sized array once and kept the
 // larger one (1,691 against 923 B/client undrawn, 4,763 against 3,996 drawn);
 // 8-byte headers beside stored keys measured 685 B undrawn and 2,413 B drawn.
@@ -134,10 +202,7 @@ func TestKeyLogNeverOutgrowsTheCap(t *testing.T) {
 	if capBytes != 268 {
 		t.Fatalf("a full window is %d bytes, want 268", capBytes)
 	}
-	logOf := func(s *Store) window {
-		sh, h := s.clients.Locate("10.0.0.0")
-		return sh.Get(h, "10.0.0.0").log
-	}
+	logOf := func(s *Store) window { return s.windowOf("10.0.0.0") }
 	for _, every := range []int{0, 1} {
 		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
 			atCap, _, s := heapClients(maxPerClient, every)

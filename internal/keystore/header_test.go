@@ -21,12 +21,10 @@ const lapsedTick = math.MaxUint32
 // unsigned offset cannot be below it).
 func headerTicks(t *testing.T, s *Store, ip string) []uint32 {
 	t.Helper()
-	sh, hash := s.clients.Locate(ip)
-	cs := sh.Get(hash, ip)
-	if cs == nil {
+	w := s.windowOf(ip)
+	if w == nil {
 		return nil
 	}
-	w := cs.log
 	var ticks []uint32
 	for h := logPrefixBytes; h < len(w); h += headerBytes {
 		if w[h+hdrFlags]&flagLapsed != 0 {

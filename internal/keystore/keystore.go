@@ -27,12 +27,17 @@
 // probability at most 64/10^KeyDigits and anything but Unknown with
 // probability at most 64·(m+1)/10^KeyDigits.
 //
-// A client is one 64-byte node and a window: a 12-byte prefix (base tick,
-// incarnation, the first page-view number held and how many) and a 4-byte
-// header per page view (tick offset, decoy count, drawn/consumed/lapsed
-// flags), indexed by n − first. The window is the last maxPerClient (64)
-// issues — at most 268 bytes, in the 288-byte size class — and drops from its
-// front in place, so a stable working set never reallocates. An issue drops
+// A client is one 64-byte record with no pointer in it — its address inline
+// (intern.Addr), its table links and its window while the window fits in
+// the record's 28 bytes — and past that a spilled window. The window is a
+// 12-byte prefix (base tick, incarnation, the first page-view number held and
+// how many) and a 4-byte header per page view (tick offset, decoy count,
+// drawn/consumed/lapsed flags), indexed by n − first. The record holds four
+// headers; the fifth page view moves the window into the shard's spill
+// store, where it grows through the allocator's size classes to the last
+// maxPerClient (64) issues — at most 268 bytes, in the 288-byte size class —
+// and drops from its front in place, so a stable working set never
+// reallocates. An issue drops
 // the expired page views at the front; one expired behind the front (only a
 // backdated, degraded issue makes one) keeps its slot and answers as expired
 // until the front or the cap reaches it. A drawn page view's keys count in
@@ -49,12 +54,12 @@ package keystore
 import (
 	"encoding/binary"
 	"math"
-	"strings"
 	"sync/atomic"
 	"time"
 	"unsafe"
 
 	"botdetect/internal/clock"
+	"botdetect/internal/intern"
 	"botdetect/internal/rng"
 	"botdetect/internal/shard"
 )
@@ -277,16 +282,26 @@ func pow10(n int) uint64 {
 }
 
 // clientState is one tracked client: the table's node (its address and its
-// LRU and index-chain links) and its window. The window drops from its front
-// in place, so a stable working set reaches a steady state where IssuePage
-// allocates nothing at all.
+// LRU and index-chain links) and its window while the window fits in log.
+// Past that, log's count byte reads spilled, its first four bytes hold the
+// window's index in the shard's spill store and the next four its capacity.
+// The window drops from its front in place, so a stable working set reaches
+// a steady state where IssuePage allocates nothing at all.
 type clientState struct {
-	shard.Node[string, clientState]
-	log window
+	shard.Node[intern.Addr]
+	log [logPrefixBytes + inlineHeaders*headerBytes]byte
 }
 
+// inlineHeaders is how many page views a record's own window holds, and
+// spilled the count byte of a record whose window is in the spill store: no
+// window holds that many page views.
+const (
+	inlineHeaders = 4
+	spilled       = math.MaxUint8
+)
+
 // clientShard is one locked partition of the store's client table.
-type clientShard = shard.Shard[string, clientState, *clientState]
+type clientShard = shard.Shard[intern.Addr, clientState, *clientState]
 
 // Stats are cumulative counters exposed for monitoring and experiments.
 type Stats struct {
@@ -315,27 +330,102 @@ type storeStats struct {
 }
 
 // clientBaseBytes is what Store.MemoryEstimate charges per tracked client:
-// the node in its 16-byte allocator size class; the table's index is charged
-// once for all clients. It is derived from the layouts so it cannot silently
-// rot (TestKeystoreStructBudgets pins them, TestMemoryEstimateCoversHeap
-// holds the total against measured heap). The estimate feeds admission control (see core.LoadState), where an
-// underestimate OOMs, so a window is charged at its capacity: dropping from
-// the front keeps the array it shrinks.
+// the record in its 16-byte allocator size class, its window included while
+// it fits there; the table's index is charged once for all clients. It is
+// derived from the layouts so it cannot silently rot
+// (TestKeystoreStructBudgets pins them, TestMemoryEstimateCoversHeap holds
+// the total against measured heap). The estimate feeds admission control
+// (see core.LoadState), where an underestimate OOMs, so a spilled window is
+// charged at its capacity: dropping from the front keeps the array it
+// shrinks.
 const clientBaseBytes = (int64(unsafe.Sizeof(clientState{})) + 15) &^ 15
 
-// pinnedBytes is the heap the client pins beyond its node: the
-// address string (in its 16-byte size class) and the capacity of the window.
-func (cs *clientState) pinnedBytes() int64 {
-	return int64(len(cs.Key())+15)&^15 + int64(cap(cs.log))
+// spilledIndex reports whether the client's window is in the spill store,
+// under which index and with what capacity.
+func (cs *clientState) spilledIndex() (i uint32, capacity int, ok bool) {
+	return binary.LittleEndian.Uint32(cs.log[:]), int(binary.LittleEndian.Uint32(cs.log[4:])), cs.log[preWindow+3] == spilled
+}
+
+// logOf returns the client's window: the record's own bytes while it fits
+// there, else its spilled copy, whose length its prefix's count gives.
+// Caller holds the shard's lock.
+func (s *Store) logOf(sh *clientShard, cs *clientState) window {
+	w := cs.log[:]
+	if i, c, ok := cs.spilledIndex(); ok {
+		w = shard.SpillGet[byte](sh.Spill(), i, c, c)
+	}
+	return w[:logPrefixBytes+headerBytes*int(w[preWindow+3])]
+}
+
+// storeLog records w, the client's window after it grew or shrank, and
+// charges the heap it moved to. A window in the record was changed in place;
+// one that outgrew the record was copied to the heap by grow and spills.
+// Caller holds the shard's lock.
+func (s *Store) storeLog(sh *clientShard, cs *clientState, w window) {
+	i, c, ok := cs.spilledIndex()
+	if !ok && &w[0] == &cs.log[0] || ok && cap(w) == c {
+		return
+	}
+	var moved int64
+	if ok {
+		moved = shard.SpillSet(sh.Spill(), i, c, w)
+	} else {
+		i, moved = shard.SpillPut(sh.Spill(), w)
+		binary.LittleEndian.PutUint32(cs.log[:], i)
+		cs.log[preWindow+3] = spilled
+	}
+	binary.LittleEndian.PutUint32(cs.log[4:], uint32(cap(w)))
+	s.pinnedBytes.Add(moved)
+}
+
+// dropClientLocked removes the client from its shard and takes back what it
+// was charged beyond its record.
+func (s *Store) dropClientLocked(sh *clientShard, cs *clientState) {
+	if i, c, ok := cs.spilledIndex(); ok {
+		s.pinnedBytes.Add(shard.SpillDrop[byte](sh.Spill(), i, c))
+	}
+	addr := cs.ID()
+	sh.Remove(cs)
+	if names := s.names.Load(); names != nil {
+		names.ReleaseAddr(addr)
+	}
+}
+
+// lookupAddr returns clientIP's Addr for a lookup under its shard's lock; ok
+// is false when no client can hold it (see intern.Interner.LookupAddr).
+func (s *Store) lookupAddr(clientIP string) (intern.Addr, bool) {
+	if names := s.names.Load(); names != nil {
+		return names.LookupAddr(clientIP)
+	}
+	return intern.ParseAddr(clientIP)
+}
+
+// addr returns clientIP's Addr for a new client, interning an address that is
+// not an IP address into the store's own interner, made the first time one
+// arrives.
+func (s *Store) addr(clientIP string) intern.Addr {
+	if a, ok := intern.ParseAddr(clientIP); ok {
+		return a
+	}
+	names := s.names.Load()
+	if names == nil {
+		s.names.CompareAndSwap(nil, intern.New(1))
+		names = s.names.Load()
+	}
+	return names.Addr(clientIP)
 }
 
 // Store is the key table. It is safe for concurrent use.
 type Store struct {
 	cfg     Config
-	clients *shard.Table[string, clientState, *clientState]
+	clients *shard.Table[string, intern.Addr, clientState, *clientState]
 	perm    perm
 	bufs    []permBuf // shard i's AES block, used under its lock
 	stats   storeStats
+
+	// names interns the client addresses that are not IP addresses; it is
+	// made when the first one arrives.
+	names atomic.Pointer[intern.Interner]
 
 	// limit is 10^KeyDigits: a value at or above it is refused before P is
 	// inverted. An incarnation has views page-view numbers,
@@ -353,15 +443,16 @@ type Store struct {
 	tickUnit time.Duration
 	ttlTicks uint32
 
-	// pinnedBytes is the sum of clientState.pinnedBytes, so the memory
-	// estimate, like the client count, is a lock-free read on the serve path.
+	// pinnedBytes is the heap of the spilled windows and of the spill stores,
+	// so the memory estimate, like the client count, is a lock-free read on
+	// the serve path.
 	pinnedBytes atomic.Int64
 }
 
 // New creates a Store with the given configuration.
 func New(cfg Config) *Store {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, clients: shard.NewTable[string, clientState](cfg.Shards, maxClients, shard.HashString)}
+	s := &Store{cfg: cfg, clients: shard.NewTable[string, intern.Addr, clientState](cfg.Shards, maxClients, shard.HashString)}
 	s.perm = newPerm(permKey(cfg.Seed), cfg.KeyDigits)
 	s.bufs = make([]permBuf, s.clients.Shards())
 	s.limit = pow10(cfg.KeyDigits)
@@ -439,25 +530,22 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	if ttl > 0 && ttl < s.cfg.TTL {
 		issueTick = s.tick(now.Add(ttl - s.cfg.TTL))
 	}
-	var pinned int64
-	cs := sh.Get(hash, clientIP)
+	cs := s.getLocked(sh, hash, clientIP)
 	if cs == nil {
-		cs = &clientState{log: window(nil).grow(logPrefixBytes + headerBytes)[:logPrefixBytes]}
+		cs = new(clientState)
 		binary.LittleEndian.PutUint32(cs.log[preIncarnation:], s.incarnations.Add(1))
-		// A copy of the address: it may be cut from a request line (a
-		// forwarded-for header) the store must not pin.
-		sh.Insert(hash, strings.Clone(clientIP), cs)
-	} else {
-		pinned = cs.pinnedBytes()
+		// The record keeps an IP address itself and interns any other
+		// address string: it may be cut from a request line (a forwarded-for
+		// header) the store must not pin.
+		sh.Insert(hash, s.addr(clientIP), cs)
 	}
 	sh.Touch(cs)
-	s.expireClientLocked(cs, nowTick)
-	n := s.appendLocked(cs, nowTick, issueTick, min(decoys, MaxDecoys))
-	if grown := cs.pinnedBytes() - pinned; grown != 0 {
-		s.pinnedBytes.Add(grown)
-	}
+	w := s.logOf(sh, cs)
+	s.expireClientLocked(&w, nowTick)
+	n := s.appendLocked(&w, nowTick, issueTick, min(decoys, MaxDecoys))
+	s.storeLog(sh, cs, w)
 
-	tweak, buf := clientTweak(clientIP, cs.log.incarnation()), &s.bufs[sh.Index()]
+	tweak, buf := clientTweak(clientIP, w.incarnation()), &s.bufs[sh.Index()]
 	pk.Page = page
 	pk.Digits = s.cfg.KeyDigits
 	pk.Key = 0
@@ -471,21 +559,30 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	s.enforceClientCapLocked(sh)
 }
 
+// getLocked returns the client under clientIP, whose slot hash is hash, or
+// nil. Caller holds the shard's lock.
+func (s *Store) getLocked(sh *clientShard, hash uint64, clientIP string) *clientState {
+	if addr, ok := s.lookupAddr(clientIP); ok {
+		return sh.Get(hash, addr)
+	}
+	return nil
+}
+
 // appendLocked appends the header of a page view issued at tick and owed
-// decoys decoy keys to the client's window and returns the page view's
+// decoys decoy keys to the client's window *lg and returns the page view's
 // number. A client whose numbers are used up first takes a fresh incarnation
 // and drops its page views; one at maxPerClient drops the oldest. The front's
 // expiry has run at nowTick, so tick is at most ttlTicks past the base; a
 // backdated tick below it becomes the base.
-func (s *Store) appendLocked(cs *clientState, nowTick, tick uint32, decoys int) uint64 {
-	if w := cs.log; w.first()+uint32(w.count()) >= s.views {
-		s.dropLocked(cs, w.count(), nowTick)
-		binary.LittleEndian.PutUint32(cs.log[preIncarnation:], s.incarnations.Add(1))
-		cs.log.setWindow(0, 0)
+func (s *Store) appendLocked(lg *window, nowTick, tick uint32, decoys int) uint64 {
+	if w := *lg; w.first()+uint32(w.count()) >= s.views {
+		s.dropLocked(lg, w.count(), nowTick)
+		binary.LittleEndian.PutUint32((*lg)[preIncarnation:], s.incarnations.Add(1))
+		lg.setWindow(0, 0)
 	} else if w.count() == maxPerClient {
-		s.dropLocked(cs, 1, nowTick)
+		s.dropLocked(lg, 1, nowTick)
 	}
-	w := cs.log
+	w := *lg
 	first, count := w.first(), w.count()
 	if count == 0 {
 		binary.LittleEndian.PutUint32(w, tick)
@@ -498,18 +595,18 @@ func (s *Store) appendLocked(cs *clientState, nowTick, tick uint32, decoys int) 
 	w[h+hdrDecoys] = byte(decoys)
 	w[h+hdrFlags] = 0
 	w.setWindow(first, count+1)
-	cs.log = w
+	*lg = w
 	return uint64(first) + uint64(count)
 }
 
-// dropLocked drops the k oldest page views from the client's window, moving
-// the survivors down in place, and counts in ExpiredDropped the keys of each
-// dropped page view that was drawn and is past its TTL at nowTick.
-func (s *Store) dropLocked(cs *clientState, k int, nowTick uint32) {
+// dropLocked drops the k oldest page views from the client's window *lg,
+// moving the survivors down in place, and counts in ExpiredDropped the keys
+// of each dropped page view that was drawn and is past its TTL at nowTick.
+func (s *Store) dropLocked(lg *window, k int, nowTick uint32) {
 	if k == 0 {
 		return
 	}
-	w := cs.log
+	w := *lg
 	var keys int64
 	end := logPrefixBytes + k*headerBytes
 	for h := logPrefixBytes; h < end; h += headerBytes {
@@ -521,24 +618,24 @@ func (s *Store) dropLocked(cs *clientState, k int, nowTick uint32) {
 		s.stats.expiredDropped.Add(keys)
 	}
 	w.setWindow(w.first()+uint32(k), w.count()-k)
-	cs.log = w[:logPrefixBytes+copy(w[logPrefixBytes:], w[end:])]
+	*lg = w[:logPrefixBytes+copy(w[logPrefixBytes:], w[end:])]
 }
 
 // expireClientLocked drops the expired page views at the front of the
-// client's window. When the base tick is past the TTL, a page view behind the
-// front can have expired too: the scan marks each such header lapsed (its
+// client's window *lg. When the base tick is past the TTL, a page view behind
+// the front can have expired too: the scan marks each such header lapsed (its
 // tick is never read again; an expired page view behind a live front may lie
 // up to two TTLs back, past a 16-bit offset) and moves the base up to the
 // oldest live tick, rewriting the live offsets, so every live offset stays
 // within ttlTicks. The base is exact after every scan, so hot-path issues
 // skip it.
-func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
+func (s *Store) expireClientLocked(lg *window, nowTick uint32) {
 	k := 0
-	for k < cs.log.count() && s.lapsed(cs.log, logPrefixBytes+k*headerBytes, nowTick) {
+	for k < lg.count() && s.lapsed(*lg, logPrefixBytes+k*headerBytes, nowTick) {
 		k++
 	}
-	s.dropLocked(cs, k, nowTick)
-	w := cs.log
+	s.dropLocked(lg, k, nowTick)
+	w := *lg
 	if w.count() == 0 || !s.expired(nowTick, w.base()) {
 		return
 	}
@@ -560,17 +657,14 @@ func (s *Store) expireClientLocked(cs *clientState, nowTick uint32) {
 // evicting in strict LRU order.
 func (s *Store) enforceClientCapLocked(sh *clientShard) {
 	for sh.Len() > sh.Cap() {
-		victim := sh.Tail()
-		sh.Remove(victim)
-		s.pinnedBytes.Add(-victim.pinnedBytes())
+		s.dropClientLocked(sh, sh.Tail())
 		s.stats.evictedClients.Add(1)
 	}
 }
 
-// viewLocked returns the header offset of page view n of the client if the
-// window holds it and it is within its TTL.
-func (s *Store) viewLocked(cs *clientState, n uint64) (h int, ok bool) {
-	w := cs.log
+// viewLocked returns the header offset of page view n in the client's
+// window w if w holds it and it is within its TTL.
+func (s *Store) viewLocked(w window, n uint64) (h int, ok bool) {
 	j := n - uint64(w.first()) // wraps to huge below first
 	if j >= uint64(w.count()) {
 		return 0, false
@@ -602,7 +696,7 @@ func (s *Store) ValidateValue(clientIP string, key uint64) (v Verdict) {
 	defer sh.Unlock()
 	defer func() { s.stats.hits[v].Add(1) }()
 
-	cs := sh.Get(hash, clientIP)
+	cs := s.getLocked(sh, hash, clientIP)
 	if cs == nil {
 		return Unknown
 	}
@@ -610,17 +704,18 @@ func (s *Store) ValidateValue(clientIP string, key uint64) (v Verdict) {
 	if key >= s.limit {
 		return Unknown
 	}
-	x := s.perm.invert(&s.bufs[sh.Index()], clientTweak(clientIP, cs.log.incarnation()), kindKey, key)
-	h, ok := s.viewLocked(cs, x>>8)
-	if i := x & 0xff; !ok || cs.log[h+hdrFlags]&flagDrawn == 0 || i > uint64(cs.log[h+hdrDecoys]) {
+	w := s.logOf(sh, cs)
+	x := s.perm.invert(&s.bufs[sh.Index()], clientTweak(clientIP, w.incarnation()), kindKey, key)
+	h, ok := s.viewLocked(w, x>>8)
+	if i := x & 0xff; !ok || w[h+hdrFlags]&flagDrawn == 0 || i > uint64(w[h+hdrDecoys]) {
 		return Unknown
 	} else if i != 0 {
 		return Decoy
 	}
-	if cs.log[h+hdrFlags]&flagConsumed != 0 {
+	if w[h+hdrFlags]&flagConsumed != 0 {
 		return Replayed
 	}
-	cs.log[h+hdrFlags] |= flagConsumed
+	w[h+hdrFlags] |= flagConsumed
 	return Human
 }
 
@@ -637,7 +732,7 @@ func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64
 	sh.Lock()
 	defer sh.Unlock()
 
-	cs := sh.Get(hash, clientIP)
+	cs := s.getLocked(sh, hash, clientIP)
 	if cs == nil {
 		return 0, decoys, false
 	}
@@ -645,17 +740,18 @@ func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64
 	if scriptToken >= s.limit {
 		return 0, decoys, false
 	}
-	tweak, buf := clientTweak(clientIP, cs.log.incarnation()), &s.bufs[sh.Index()]
+	w := s.logOf(sh, cs)
+	tweak, buf := clientTweak(clientIP, w.incarnation()), &s.bufs[sh.Index()]
 	n := s.perm.invert(buf, tweak, kindScript, scriptToken)
-	h, ok := s.viewLocked(cs, n)
+	h, ok := s.viewLocked(w, n)
 	if !ok {
 		return 0, decoys, false
 	}
-	if cs.log[h+hdrFlags]&flagDrawn == 0 {
-		cs.log[h+hdrFlags] |= flagDrawn
+	if w[h+hdrFlags]&flagDrawn == 0 {
+		w[h+hdrFlags] |= flagDrawn
 		s.stats.drawn.Add(1)
 	}
-	for i := range 1 + uint64(cs.log[h+hdrDecoys]) {
+	for i := range 1 + uint64(w[h+hdrDecoys]) {
 		if v := s.perm.permute(buf, tweak, kindKey, n<<8|i); i == 0 {
 			key = v
 		} else {
@@ -672,11 +768,16 @@ func (s *Store) Clients() int { return s.clients.Len() }
 func (s *Store) Occupancy() float64 { return float64(s.clients.Len()) / maxClients }
 
 // MemoryEstimate returns the store's approximate live memory footprint in
-// bytes: per client, its 64-byte node (clientBaseBytes), its address string
-// and its window's capacity, and the table's index. Lock-free and
+// bytes: per client, its 64-byte record (clientBaseBytes) and a spilled
+// window's capacity, the shards' spill stores, the table's index and the
+// interned copies of the addresses that are not IP addresses. Lock-free and
 // allocation-free; the load-state recomputation reads it on the serve path.
 func (s *Store) MemoryEstimate() int64 {
-	return int64(s.clients.Len())*clientBaseBytes + s.pinnedBytes.Load() + s.clients.IndexBytes()
+	b := int64(s.clients.Len())*clientBaseBytes + s.pinnedBytes.Load() + s.clients.IndexBytes()
+	if names := s.names.Load(); names != nil {
+		b += names.MemoryEstimate()
+	}
+	return b
 }
 
 // Stats returns a copy of the cumulative counters.

@@ -73,20 +73,28 @@ func wire(pk *PageKeys, v uint64) string { return string(pk.AppendKey(nil, v)) }
 // outstandingKeys returns the number of keys of the drawn page views the
 // client's window holds, real plus decoys, expired or not.
 func (s *Store) outstandingKeys(clientIP string) int {
-	sh, hash := s.clients.Locate(clientIP)
+	sh, _ := s.clients.Locate(clientIP)
 	sh.Lock()
 	defer sh.Unlock()
-	cs := sh.Get(hash, clientIP)
-	if cs == nil {
-		return 0
-	}
+	w := s.windowOf(clientIP)
 	n := 0
-	for h := logPrefixBytes; h < len(cs.log); h += headerBytes {
-		if cs.log[h+hdrFlags]&flagDrawn != 0 {
-			n += 1 + int(cs.log[h+hdrDecoys])
+	for h := logPrefixBytes; h < len(w); h += headerBytes {
+		if w[h+hdrFlags]&flagDrawn != 0 {
+			n += 1 + int(w[h+hdrDecoys])
 		}
 	}
 	return n
+}
+
+// windowOf returns clientIP's window, nil when the store holds no such
+// client. The caller holds the client's shard lock, or the store has no
+// other user.
+func (s *Store) windowOf(clientIP string) window {
+	sh, hash := s.clients.Locate(clientIP)
+	if cs := s.getLocked(sh, hash, clientIP); cs != nil {
+		return s.logOf(sh, cs)
+	}
+	return nil
 }
 
 func TestIssueShape(t *testing.T) {

@@ -2,25 +2,32 @@ package session
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 	"unsafe"
+
+	"botdetect/internal/intern"
 )
 
 // TestSessionStructBudgets pins the memory layout the million-session plan is
 // built on. A session is stored once — the record below, no embedded copies,
-// its verdict a 12-byte value inside it — and the budgets put the record
-// exactly in the 224-byte allocator size class. A failure here means a field
-// was added (or widened) without re-deriving the budget — grow the budget
-// consciously or shrink the struct, do not silently bump the number.
+// its verdict a 12-byte value inside it, its key a 25-byte ID, its first
+// three path fingerprints inline — and the budgets put the record exactly in
+// the 192-byte allocator size class, with no pointer for the garbage
+// collector to scan. A failure here means a field was added (or widened)
+// without re-deriving the budget — grow the budget consciously or shrink the
+// struct, do not silently bump the number.
 func TestSessionStructBudgets(t *testing.T) {
 	budgets := []struct {
 		name string
 		size uintptr
 		max  uintptr
 	}{
-		{"sessionState", unsafe.Sizeof(sessionState{}), 224},
+		{"sessionState", unsafe.Sizeof(sessionState{}), 192},
+		// The key: a 17-byte address and an 8-byte handle, unpadded.
+		{"sessionID", unsafe.Sizeof(sessionID{}), 25},
 		// Snapshot is what Get/Each/Mark copy out and Peek fills.
 		{"Snapshot", unsafe.Sizeof(Snapshot{}), 304},
 		// Counts went int64 → uint32: 16 counters in 64 bytes.
@@ -37,6 +44,9 @@ func TestSessionStructBudgets(t *testing.T) {
 			t.Errorf("%s = %d bytes, exceeds the %d-byte budget", b.name, b.size, b.max)
 		}
 	}
+	if hasPointers(reflect.TypeFor[sessionState]()) {
+		t.Error("sessionState holds a pointer: the collector scans every session again")
+	}
 
 	// The MemoryEstimate constants must stay derived from the live layout:
 	// the record is charged as the size class the allocator really puts it in.
@@ -44,18 +54,34 @@ func TestSessionStructBudgets(t *testing.T) {
 		t.Errorf("sessionBaseBytes = %d, but the allocator puts %d bytes in a %d-byte class",
 			sessionBaseBytes, unsafe.Sizeof(sessionState{}), got)
 	}
-	for n := int64(32); n <= 512; n++ {
-		if got, want := sizeClass(n), int64(cap(append([]byte(nil), make([]byte, n)...))); got != want {
-			t.Fatalf("sizeClass(%d) = %d, the allocator's class is %d", n, got, want)
+	// The steady-state budget is a one-page session: the record, whose path
+	// set and address are inline, and its share of the index right after the
+	// index doubled, two 8-byte directory slots and two 4-byte buckets
+	// (192 + 24 = 216 B; 272 B while the record held an address string and a
+	// path slice and the index was 8-byte buckets).
+	steady := sessionBaseBytes + 2*8 + 2*4
+	if steady > 216 {
+		t.Errorf("one-page per-session estimate %d exceeds 216 B", steady)
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the garbage
+// collector follows.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
 		}
 	}
-	// The steady-state budget is a one-page session: base + the address
-	// string + the first path allocation + its share of the index right
-	// after the index doubled, two 8-byte buckets (224 + 16 + 16 + 16 = 272 B).
-	steady := sessionBaseBytes + 16 + int64(minPathSlots)*4 + 16
-	if steady > 320 {
-		t.Errorf("one-page per-session estimate %d exceeds 320 B", steady)
-	}
+	return false
 }
 
 // TestPathBytesPerEntry pins what a visited path costs: growth into the
@@ -72,7 +98,7 @@ func TestPathBytesPerEntry(t *testing.T) {
 		if len(pt.fps) < min(n, maxTrackedPaths) {
 			continue // a fingerprint collision among the test's own paths
 		}
-		if per := float64(pt.footprintBytes()) / float64(len(pt.fps)); n >= 16 && per > worst {
+		if per := float64(4*cap(pt.fps)) / float64(len(pt.fps)); n >= 16 && per > worst {
 			worst, worstAt = per, n
 		}
 	}
@@ -93,7 +119,8 @@ func TestPathBytesPerEntry(t *testing.T) {
 // bytes_per_session is computed from it, so it may not drift far above
 // either. The heap is measured from an empty tracker, the state FlushAll
 // returns to and the estimate calls 0, as the engine's gate measures from an
-// empty engine: the shard records and the private interner (4.2 KB) are not a
+// empty engine: the shard records and the interner (4.2 KB, and the one
+// User-Agent's entry, which the estimate now meets to the byte) are not a
 // session's.
 func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 	if raceEnabled {
@@ -119,7 +146,12 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 			for p := range pathNames {
 				pathNames[p] = fmt.Sprintf("/doc/%d.html", p)
 			}
-			tr := NewTracker(Config{})
+			// The User-Agent's one canonical copy is the interner's, which
+			// its own estimate charges: it is on the heap before the baseline.
+			const ua = "Mozilla/4.0 (compatible; MSIE 6.0)"
+			in := intern.New(8)
+			defer in.Release(in.Intern(ua))
+			tr := NewTracker(Config{Interner: in})
 			before := heap()
 			ips := make([]string, sessions) // the tracker pins its sessions' address strings
 			for i := range ips {
@@ -128,7 +160,7 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 			now := time.Unix(1136073600, 0)
 			for _, ip := range ips {
 				for _, p := range pathNames {
-					tr.ObserveQuiet(entry(ip, "Mozilla/4.0 (compatible; MSIE 6.0)", "GET", p, 200, "", now))
+					tr.ObserveQuiet(entry(ip, ua, "GET", p, 200, "", now))
 				}
 			}
 			ips = nil

@@ -205,18 +205,22 @@ func (r *evictRun) step(op evictOp) string {
 	if sh.Len() > enumMaxSessions || sh.Len() != len(r.lru) {
 		return fmt.Sprintf("shard holds %d sessions, cap %d, model %d", sh.Len(), enumMaxSessions, len(r.lru))
 	}
-	bytes, i := int64(0), 0
-	for st := sh.Tail(); st != nil; st, i = st.Prev(), i+1 {
-		if _, h := r.tr.table.Locate(st.Key()); i >= len(r.lru) || st.Key() != r.lru[i].key || st.hasEvidence() != r.lru[i].evidence || sh.Get(h, st.Key()) != st {
-			return fmt.Sprintf("LRU position %d from the tail holds %v (evidence %v), model %+v", i, st.Key(), st.hasEvidence(), r.lru)
+	bytes, i := sh.Spill().Bytes(), 0
+	for st := sh.Tail(); st != nil; st, i = sh.Prev(st), i+1 {
+		key := r.tr.keyOf(st.ID())
+		if _, h := r.tr.table.Locate(key); i >= len(r.lru) || key != r.lru[i].key || st.hasEvidence() != r.lru[i].evidence || r.tr.find(sh, h, key) != st {
+			return fmt.Sprintf("LRU position %d from the tail holds %v (evidence %v), model %+v", i, key, st.hasEvidence(), r.lru)
 		}
-		bytes += st.memBytes()
+		bytes += sessionBaseBytes
+		if st.npaths > inlinePaths {
+			bytes += 4 * int64(cap(r.tr.pathsOf(sh, st).fps))
+		}
 	}
 	if i != len(r.lru) {
 		return fmt.Sprintf("LRU list has %d sessions, the model %d", i, len(r.lru))
 	}
 	if est := r.tr.MemoryEstimate(); est != bytes+r.tr.table.IndexBytes() {
-		return fmt.Sprintf("MemoryEstimate %d, the tracked sessions are charged %d and the index %d", est, bytes, r.tr.table.IndexBytes())
+		return fmt.Sprintf("MemoryEstimate %d, the tracked sessions and the spill store are charged %d and the index %d", est, bytes, r.tr.table.IndexBytes())
 	}
 	return ""
 }

@@ -26,8 +26,12 @@ import (
 // TestPathFingerprintCollisions measures both against these bounds, and the
 // differential tests hold the set against an exact string set
 // (exactAccumulator, test-only) on synthetic corpora: byte-identical counts.
+//
+// A session record lends its set out as a pathTable over its own three
+// fingerprints (Tracker.pathsOf); the insert that outgrows them moves the set
+// to the heap, which Tracker.storePaths records.
 type pathTable struct {
-	fps []uint32 // sorted, duplicate-free; cap is an allocator size class
+	fps []uint32 // sorted, duplicate-free; on the heap, cap is an allocator size class
 }
 
 // minPathSlots is the first allocation's capacity: most sessions on a CDN are
@@ -62,14 +66,10 @@ func (pt *pathTable) insert(p string) {
 // grow moves the set into the smallest allocator size class that holds one
 // more entry (at least minPathSlots, never past what maxTrackedPaths entries
 // need). Appending to a nil slice makes the runtime round the capacity up to
-// exactly that class, so cap — what footprintBytes charges — is what the
-// allocation really occupies, and no more.
+// exactly that class, so cap — what the spill store charges for a spilled
+// set — is what the allocation really occupies, and no more.
 func (pt *pathTable) grow() {
 	want := min(max(minPathSlots, len(pt.fps)+1), maxTrackedPaths)
 	grown := append([]uint32(nil), make([]uint32, want)...)
 	pt.fps = grown[:copy(grown, pt.fps)]
 }
-
-// footprintBytes is the set's heap footprint, charged to the tracker's
-// memory estimate by delta on every observation.
-func (pt *pathTable) footprintBytes() int64 { return int64(cap(pt.fps)) * 4 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"botdetect/internal/webmodel"
 )
@@ -130,10 +131,15 @@ func TestPathFingerprintCollisions(t *testing.T) {
 // the same answers at every step, and at the end a sorted duplicate-free
 // slice holding the map's keys, the same slice when the paths are inserted in
 // reverse order, and never more capacity than the allocator's size class for
-// the entries held.
+// the entries held. A session record's path set takes the same ops through
+// the tracker (inlinePaths fingerprints in the record, the rest spilled): the
+// same answers and the same set, in the record exactly while it fits there,
+// and the tracker charges the spilled set's capacity and the spill store.
 func FuzzPathTable(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 0, 1, 1, 0, 2})
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0})
+	// Across the record's inline room: three inserts, a fourth, a fifth.
+	f.Add([]byte{0, 0, 1, 0, 0, 2, 0, 0, 3, 1, 0, 3, 0, 0, 4, 1, 0, 1, 1, 0, 4, 0, 0, 5, 1, 0, 9})
 	var crawl []byte // past maxTrackedPaths, with a lookup after every insert
 	for id := 0; id < maxTrackedPaths+200; id++ {
 		crawl = append(crawl, 0, byte(id>>8), byte(id), 1, byte(id>>7), byte(id*3))
@@ -143,16 +149,24 @@ func FuzzPathTable(f *testing.F) {
 		var pt pathTable
 		ref := make(map[uint32]struct{})
 		var order []string
+		tr := NewTracker(Config{Shards: 1})
+		sh, st := tr.table.Shard(0), new(sessionState)
 		for ; len(ops) >= 3; ops = ops[3:] {
 			p := "/p/" + strconv.Itoa(int(ops[1])<<8|int(ops[2])) + ".html"
 			_, had := ref[pathFingerprint(p)]
 			if ops[0]&1 == 1 {
-				if got := pt.contains(p); got != had {
-					t.Fatalf("contains(%q) = %v, reference %v", p, got, had)
+				if got, inRecord := pt.contains(p), tr.pathsOf(sh, st); got != had || inRecord.contains(p) != had {
+					t.Fatalf("contains(%q) = %v, in the record %v, reference %v", p, got, inRecord.contains(p), had)
 				}
 				continue
 			}
 			pt.insert(p)
+			rp := tr.pathsOf(sh, st)
+			rp.insert(p)
+			tr.storePaths(sh, st, rp)
+			if why := recordPathBooks(tr, st); why != "" {
+				t.Fatalf("after insert(%q): %s", p, why)
+			}
 			if !had && len(ref) < maxTrackedPaths {
 				ref[pathFingerprint(p)] = struct{}{}
 				order = append(order, p)
@@ -180,5 +194,32 @@ func FuzzPathTable(f *testing.F) {
 		if !slices.Equal(reversed.fps, pt.fps) {
 			t.Fatalf("contents depend on insertion order:\n%v\n%v", pt.fps, reversed.fps)
 		}
+		if got := tr.pathsOf(sh, st).fps; !slices.Equal(got, pt.fps) {
+			t.Fatalf("the record's set is %v, the pathTable's %v", got, pt.fps)
+		}
 	})
+}
+
+// recordPathBooks checks a session record's path set, held by tr's shard 0
+// outside the table: inline exactly while it fits, spilled under the index
+// the record keeps past that, and tr's estimate is the spilled set's
+// capacity and the spill store. It returns what broke, or "".
+func recordPathBooks(tr *Tracker, st *sessionState) string {
+	sh := tr.table.Shard(0)
+	sp := sh.Spill()
+	fps := tr.pathsOf(sh, st).fps
+	if len(fps) != int(st.npaths) {
+		return fmt.Sprintf("the record counts %d paths, its set holds %d", st.npaths, len(fps))
+	}
+	want := sp.Bytes()
+	if inline := unsafe.SliceData(fps) == &st.paths[0]; (st.npaths <= inlinePaths) != (inline || st.npaths == 0) {
+		return fmt.Sprintf("%d paths, inline %v", st.npaths, inline)
+	}
+	if st.npaths > inlinePaths {
+		want += 4 * int64(cap(fps))
+	}
+	if tr.MemoryEstimate() != want {
+		return fmt.Sprintf("estimate %d, the spilled set and the spill store pin %d", tr.MemoryEstimate(), want)
+	}
+	return ""
 }

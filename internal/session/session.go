@@ -19,17 +19,20 @@
 // asks (Get, Each, Mark, Observe, eviction callbacks, Peek). Readers
 // therefore always see the session as of the last request, and there is no
 // publication protocol to get wrong. The record is built for millions of
-// concurrent sessions: counters are saturating uint32s, signals are a fixed
-// array, visited paths are a sorted set of 32-bit fingerprints, times are
-// Unix nanoseconds, User-Agent strings are interned (one canonical copy per
-// distinct UA across all sessions), the LRU is intrusive (no container/list
-// element allocations), the decision layer's verdict is a 12-byte value in
+// concurrent sessions and holds no pointer, so the garbage collector never
+// scans it: the key is the address inline (an IP address as its 16 bytes)
+// and the User-Agent's interned handle (one canonical copy per distinct UA
+// across all sessions), the LRU and index links are slot numbers, counters
+// are saturating uint32s, signals are a fixed array, visited paths are a
+// sorted set of 32-bit fingerprints whose first three sit in the record, times
+// are Unix nanoseconds, the decision layer's verdict is a 12-byte value in
 // the record, and the Table 2 attribute vector is derived from the counters
 // when a snapshot is built instead of being stored. Steady-state observation
 // and Peek allocate nothing.
 package session
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 	"sync"
@@ -255,19 +258,11 @@ type EvictionStats struct {
 // TestSessionMemoryEstimateCoversHeap holds the estimate against the measured
 // heap: it feeds admission control, so it may not read below the heap, and
 // bytes_per_session is computed from it, so it may not drift far above
-// either). The address string (rounded to the 16-byte allocation it sits in)
-// and the path fingerprints (4 bytes each, by capacity) are charged on top,
-// the table's index once for all sessions; the User-Agent is the interner's.
-var sessionBaseBytes = sizeClass(int64(unsafe.Sizeof(sessionState{})))
-
-// sizeClass rounds an allocation of 32 to 512 bytes up to the allocator's
-// size class: the classes are 16 bytes apart up to 256 and 32 apart above.
-func sizeClass(n int64) int64 {
-	if n <= 256 {
-		return (n + 15) &^ 15
-	}
-	return (n + 31) &^ 31
-}
+// either). A path set past the record's inline room is charged on top (4
+// bytes a fingerprint, by capacity), the shard's spill store and the table's
+// index once for all sessions; the User-Agent, and an address that is not an
+// IP address, are the interner's.
+var sessionBaseBytes = shard.AllocBytes(int64(unsafe.Sizeof(sessionState{})))
 
 // evictScanLimit bounds how far enforceCapLocked walks up from the LRU tail
 // looking for an evidence-free victim before falling back to strict LRU.
@@ -355,7 +350,11 @@ func (c *Counts) classBits() uint32 {
 
 // Snapshot is a copy of a session's state as of the moment it was built.
 type Snapshot struct {
-	// Key identifies the session.
+	// Key identifies the session. It holds the strings of the key the
+	// snapshot was asked for (or, off the request path, strings rebuilt
+	// from the record): a caller that keeps it past the request copies
+	// them, or it pins the request's own copies (an address cut from a
+	// header line, say).
 	Key Key
 	// FirstSeen and LastSeen bound the session's activity.
 	FirstSeen time.Time
@@ -484,30 +483,58 @@ func (s Snapshot) SignalAt(sig Signal) (int64, bool) { return s.Signals.At(sig) 
 func (s Snapshot) Duration() time.Duration { return s.LastSeen.Sub(s.FirstSeen) }
 
 // sessionState is the tracker's per-session record and the only copy of the
-// session: 224 bytes, exactly an allocator size class. The embedded node is
-// the table's: the session's key and its LRU and index-chain links. Every
-// field is guarded by the owning shard's mutex; readers get a Snapshot built
-// by fill under it.
+// session: 192 bytes, exactly an allocator size class, and no pointer. The
+// embedded node is the table's: the session's ID and its LRU and
+// index-chain links. Every field is guarded by the owning shard's mutex;
+// readers get a Snapshot built by fill under it.
 type sessionState struct {
-	shard.Node[Key, sessionState]
+	shard.Node[sessionID]
 
-	firstSeen int64 // Unix nanoseconds; lastSeen never moves backwards
+	epoch     uint32 // state-changing event counter (see Snapshot.Epoch)
+	firstSeen int64  // Unix nanoseconds; lastSeen never moves backwards
 	lastSeen  int64
 	counts    Counts
-	signals   Signals // first-observation request counts, fixed array
-	epoch     uint32  // state-changing event counter (see Snapshot.Epoch)
-	paths     pathTable
-	uaHandle  intern.Handle // interned Key.UserAgent
+	signals   Signals       // first-observation request counts, fixed array
 	verdict   StoredVerdict // the decision layer's verdict at this epoch
+	// paths holds the path set's fingerprints while npaths <= inlinePaths;
+	// past that, paths[0] is the set's index in the shard's spill store and
+	// paths[1] its capacity.
+	paths  [inlinePaths]uint32
+	npaths uint16
+}
+
+// inlinePaths is how many path fingerprints a record holds itself: a
+// session of up to three distinct pages allocates nothing beside its record.
+const inlinePaths = 3
+
+// sessionID is a session's key as its record holds it, 25 bytes and no
+// pointer: the address (see intern.Addr) and the User-Agent's interned
+// handle. The handle is kept as bytes so that the ID packs beside the
+// address without padding. IDs are equal exactly when the keys they were
+// built from are (FuzzClientKey).
+type sessionID struct {
+	addr intern.Addr
+	ua   [8]byte
+}
+
+func makeID(addr intern.Addr, ua intern.Handle) sessionID {
+	id := sessionID{addr: addr}
+	binary.LittleEndian.PutUint64(id.ua[:], uint64(ua))
+	return id
+}
+
+func (id sessionID) uaHandle() intern.Handle {
+	return intern.Handle(binary.LittleEndian.Uint64(id.ua[:]))
 }
 
 // sessionShard is one locked partition of the tracker's table.
-type sessionShard = shard.Shard[Key, sessionState, *sessionState]
+type sessionShard = shard.Shard[sessionID, sessionState, *sessionState]
 
-// fill builds the session's snapshot into out. Caller holds the shard lock.
-func (st *sessionState) fill(out *Snapshot) {
+// fill builds the session's snapshot, under key, into out. Caller holds the
+// shard lock.
+func (st *sessionState) fill(out *Snapshot, key Key) {
 	*out = Snapshot{
-		Key:       st.Key(),
+		Key:       key,
 		FirstSeen: time.Unix(0, st.firstSeen),
 		LastSeen:  time.Unix(0, st.lastSeen),
 		Counts:    st.counts,
@@ -588,7 +615,7 @@ func (c Config) withDefaults() Config {
 // (StoreVerdict), so reading a session reads its verdict.
 type Tracker struct {
 	cfg      Config
-	table    *shard.Table[Key, sessionState, *sessionState]
+	table    *shard.Table[Key, sessionID, sessionState, *sessionState]
 	interner *intern.Interner
 
 	ended atomic.Int64
@@ -603,7 +630,7 @@ func NewTracker(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
 	return &Tracker{
 		cfg:      cfg,
-		table:    shard.NewTable[Key, sessionState](cfg.Shards, cfg.MaxSessions, Key.Hash),
+		table:    shard.NewTable[Key, sessionID, sessionState](cfg.Shards, cfg.MaxSessions, Key.Hash),
 		interner: cfg.Interner,
 	}
 }
@@ -674,12 +701,12 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 
 	var evicted []Snapshot
 	sh.Lock()
-	st := sh.Get(h, key)
+	st := t.find(sh, h, key)
 	if st != nil && now-st.lastSeen > int64(t.cfg.IdleTimeout) {
 		// The gap since the last request exceeds the idle timeout: the old
 		// session ends and the new activity starts a fresh one (the paper's
 		// session definition).
-		evicted = append(evicted, t.removeLocked(sh, st, EvictIdle))
+		evicted = append(evicted, t.removeLocked(sh, st, EvictIdle, key))
 		st = nil
 	}
 	if st == nil {
@@ -692,13 +719,11 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 	st.lastSeen = max(st.lastSeen, now)
 	sh.Touch(st)
 
-	pathBytesBefore := st.paths.footprintBytes()
 	c := &st.counts
 	classesBefore := c.classBits()
-	c.observe(e, &st.paths)
-	if d := st.paths.footprintBytes() - pathBytesBefore; d != 0 {
-		t.bytes.Add(d)
-	}
+	paths := t.pathsOf(sh, st)
+	c.observe(e, &paths)
+	t.storePaths(sh, st, paths)
 	for _, mark := range t.cfg.DecisionMarks {
 		if int64(c.Total) == mark {
 			st.bump()
@@ -719,7 +744,7 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 	}
 
 	if out != nil {
-		st.fill(out)
+		st.fill(out, key)
 	}
 	evicted = t.enforceCapLocked(sh, evicted)
 	sh.Unlock()
@@ -737,7 +762,7 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 
 	var evicted []Snapshot
 	sh.Lock()
-	st := sh.Get(h, key)
+	st := t.find(sh, h, key)
 	if st == nil {
 		st = t.createLocked(sh, h, key, now)
 	}
@@ -752,7 +777,7 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 		newly = true
 	}
 	var snap Snapshot
-	st.fill(&snap)
+	st.fill(&snap, key)
 	evicted = t.enforceCapLocked(sh, evicted)
 	sh.Unlock()
 
@@ -769,7 +794,7 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 func (t *Tracker) Bump(key Key) bool {
 	sh, h := t.table.Locate(key)
 	sh.Lock()
-	st := sh.Get(h, key)
+	st := t.find(sh, h, key)
 	if st != nil {
 		st.bump()
 	}
@@ -786,7 +811,7 @@ func (t *Tracker) Bump(key Key) bool {
 func (t *Tracker) StoreVerdict(snap *Snapshot, v StoredVerdict) bool {
 	sh, h := t.table.Locate(snap.Key)
 	sh.Lock()
-	st := sh.Get(h, snap.Key)
+	st := t.find(sh, h, snap.Key)
 	ok := st != nil && uint64(st.epoch) == snap.Epoch && st.firstSeen == snap.FirstSeen.UnixNano()
 	if ok {
 		st.verdict = v
@@ -801,9 +826,9 @@ func (t *Tracker) StoreVerdict(snap *Snapshot, v StoredVerdict) bool {
 func (t *Tracker) Get(key Key) (snap Snapshot, ok bool) {
 	sh, h := t.table.Locate(key)
 	sh.Lock()
-	st := sh.Get(h, key)
+	st := t.find(sh, h, key)
 	if st != nil {
-		st.fill(&snap)
+		st.fill(&snap, key)
 	}
 	sh.Unlock()
 	return snap, st != nil
@@ -819,13 +844,13 @@ func (t *Tracker) Get(key Key) (snap Snapshot, ok bool) {
 func (t *Tracker) Peek(key Key) (*Snapshot, bool) {
 	sh, h := t.table.Locate(key)
 	sh.Lock()
-	st := sh.Get(h, key)
+	st := t.find(sh, h, key)
 	if st == nil {
 		sh.Unlock()
 		return nil, false
 	}
 	snap := snapPool.Get().(*Snapshot)
-	st.fill(snap)
+	st.fill(snap, key)
 	sh.Unlock()
 	snap.pooled = snap
 	return snap, true
@@ -835,8 +860,9 @@ func (t *Tracker) Peek(key Key) (*Snapshot, bool) {
 func (t *Tracker) Active() int { return t.table.Len() }
 
 // MemoryEstimate returns the tracker's approximate live memory footprint in
-// bytes: a rounded-up base cost per session plus key string bytes and the
-// tracked-path set, and the table's index. Interned User-Agent bytes are
+// bytes: a rounded-up base cost per session plus the path sets past a
+// record's inline room, the shards' spill stores and the table's index.
+// Interned User-Agent bytes (and addresses that are not IP addresses) are
 // accounted by the shared interner, not here. It is maintained with atomic
 // adds on the write path, so reading it is lock-free and allocation-free —
 // the load-state recomputation reads it on the serve path.
@@ -876,9 +902,9 @@ func (t *Tracker) Each(yield func(Snapshot) bool) {
 		sh := t.table.Shard(i)
 		batch = batch[:0]
 		sh.Lock()
-		for st := sh.Head(); st != nil; st = st.Next() {
+		for st := sh.Head(); st != nil; st = sh.Next(st) {
 			batch = append(batch, Snapshot{})
-			st.fill(&batch[len(batch)-1])
+			st.fill(&batch[len(batch)-1], t.keyOf(st.ID()))
 		}
 		sh.Unlock()
 		for _, s := range batch {
@@ -919,9 +945,9 @@ func (t *Tracker) expireShard(sh *sessionShard, now time.Time) int {
 	deadline := now.UnixNano() - int64(t.cfg.IdleTimeout)
 	sh.Lock()
 	for st := sh.Tail(); st != nil; {
-		prev := st.Prev()
+		prev := sh.Prev(st)
 		if st.lastSeen < deadline {
-			evicted = append(evicted, t.removeLocked(sh, st, EvictIdle))
+			evicted = append(evicted, t.removeLocked(sh, st, EvictIdle, t.keyOf(st.ID())))
 		}
 		st = prev
 	}
@@ -939,8 +965,8 @@ func (t *Tracker) FlushAll() []Snapshot {
 	for i := range t.table.Shards() {
 		sh := t.table.Shard(i)
 		sh.Lock()
-		for sh.Tail() != nil {
-			snaps = append(snaps, t.removeLocked(sh, sh.Tail(), EvictFlush))
+		for st := sh.Tail(); st != nil; st = sh.Tail() {
+			snaps = append(snaps, t.removeLocked(sh, st, EvictFlush, t.keyOf(st.ID())))
 		}
 		sh.Unlock()
 	}
@@ -953,47 +979,107 @@ func (t *Tracker) FlushAll() []Snapshot {
 	return snaps
 }
 
-// createLocked inserts a fresh session, whose key's slot hash is h, into
-// the shard. The User-Agent is interned: the key stored in the record
-// references the canonical copy, so a million sessions from the same browser
-// share one UA string instead of carrying a million copies. The address is
-// copied: it may be cut from a request line (a forwarded-for header) the
-// session must not pin.
-func (t *Tracker) createLocked(sh *sessionShard, h uint64, key Key, now int64) *sessionState {
-	uaHandle, ua := t.interner.Intern(key.UserAgent)
-	if uaHandle != 0 {
-		key.UserAgent = ua
+// find returns the session under key, whose slot hash is h, or nil. Caller
+// holds the shard lock. The ID is looked up under it: a User-Agent (or an
+// address that is not an IP address) the interner does not hold is in no
+// record, and no insert into the shard can race that answer.
+func (t *Tracker) find(sh *sessionShard, h uint64, key Key) *sessionState {
+	if id, ok := t.lookupID(key); ok {
+		return sh.Get(h, id)
 	}
-	key.IP = strings.Clone(key.IP)
+	return nil
+}
+
+// lookupID returns key's ID without taking a reference on its interned
+// strings; ok is false when no record can hold it.
+func (t *Tracker) lookupID(key Key) (sessionID, bool) {
+	addr, ok := t.interner.LookupAddr(key.IP)
+	if !ok {
+		return sessionID{}, false
+	}
+	ua, ok := t.interner.Lookup(key.UserAgent)
+	return makeID(addr, ua), ok
+}
+
+// newID returns key's ID for a new record, which owns the references it
+// takes on the interned strings until removeLocked drops them.
+func (t *Tracker) newID(key Key) sessionID {
+	return makeID(t.interner.Addr(key.IP), t.interner.Intern(key.UserAgent))
+}
+
+// keyOf rebuilds the key a session's ID was built from: the snapshots of
+// sessions no caller named (eviction, expiry, Each, FlushAll) carry it. It
+// allocates the address string. Caller holds the shard lock, so the ID's
+// handles are live.
+func (t *Tracker) keyOf(id sessionID) Key {
+	return Key{IP: t.interner.AddrString(id.addr), UserAgent: t.interner.String(id.uaHandle())}
+}
+
+// createLocked inserts a fresh session, whose key's slot hash is h, into
+// the shard. The User-Agent is interned: a million sessions from the same
+// browser share one UA string instead of carrying a million copies, and the
+// record keeps its handle. An IP address is kept in the record; any other
+// address string is interned too, so the session pins no part of a request
+// line (a forwarded-for header).
+func (t *Tracker) createLocked(sh *sessionShard, h uint64, key Key, now int64) *sessionState {
 	st := &sessionState{
-		uaHandle:  uaHandle,
 		firstSeen: now,
 		lastSeen:  now,
 		epoch:     1,
 	}
-	sh.Insert(h, key, st)
-	t.bytes.Add(st.memBytes())
+	sh.Insert(h, t.newID(key), st)
+	t.bytes.Add(sessionBaseBytes)
 	return st
 }
 
-// memBytes is the session's footprint as charged to Tracker.bytes: the base
-// cost, the address string in its allocation and the path set by capacity.
-// createLocked adds it, observe adds the path set's growth, removeLocked
-// takes the sum back.
-func (st *sessionState) memBytes() int64 {
-	return sessionBaseBytes + (int64(len(st.Key().IP))+15)&^15 + st.paths.footprintBytes()
+// pathsOf returns the session's path set: its record's own fingerprints while
+// they fit there, else its spilled set. Caller holds the shard lock.
+func (t *Tracker) pathsOf(sh *sessionShard, st *sessionState) pathTable {
+	if st.npaths <= inlinePaths {
+		return pathTable{fps: st.paths[:st.npaths]}
+	}
+	return pathTable{fps: shard.SpillGet[uint32](sh.Spill(), st.paths[0], int(st.npaths), int(st.paths[1]))}
+}
+
+// storePaths records pt, the session's path set after an observation, and
+// charges its growth. A set within the record was updated in place; the
+// insert that outgrows it moved the set to the heap, and the record keeps
+// the set's spill index instead. Caller holds the shard lock.
+func (t *Tracker) storePaths(sh *sessionShard, st *sessionState, pt pathTable) {
+	n := len(pt.fps)
+	if n == int(st.npaths) {
+		return
+	}
+	if n > inlinePaths {
+		var moved int64
+		if st.npaths > inlinePaths {
+			moved = shard.SpillSet(sh.Spill(), st.paths[0], int(st.paths[1]), pt.fps)
+		} else {
+			st.paths[0], moved = shard.SpillPut(sh.Spill(), pt.fps)
+		}
+		st.paths[1] = uint32(cap(pt.fps))
+		t.bytes.Add(moved)
+	}
+	st.npaths = uint16(n)
 }
 
 // removeLocked deletes the session from the shard and returns its final
-// snapshot. The caller delivers it to the Evicted callback after unlocking.
-func (t *Tracker) removeLocked(sh *sessionShard, st *sessionState, reason EvictReason) Snapshot {
+// snapshot under key. The caller delivers it to the Evicted callback after
+// unlocking.
+func (t *Tracker) removeLocked(sh *sessionShard, st *sessionState, reason EvictReason, key Key) Snapshot {
+	var snap Snapshot
+	st.fill(&snap, key)
+	moved := -sessionBaseBytes
+	if st.npaths > inlinePaths {
+		moved += shard.SpillDrop[uint32](sh.Spill(), st.paths[0], int(st.paths[1]))
+	}
+	id := st.ID()
 	sh.Remove(st)
 	t.ended.Add(1)
-	t.bytes.Add(-st.memBytes())
+	t.bytes.Add(moved)
 	t.evictions[reason].Add(1)
-	var snap Snapshot
-	st.fill(&snap)
-	t.interner.Release(st.uaHandle)
+	t.interner.ReleaseAddr(id.addr)
+	t.interner.Release(id.uaHandle())
 	return snap
 }
 
@@ -1017,14 +1103,14 @@ func (t *Tracker) enforceCapLocked(sh *sessionShard, evicted []Snapshot) []Snaps
 		reason := EvictCapacityAnonymous
 		if victim.hasEvidence() {
 			reason = EvictCapacityEvidence
-			for cand, n := victim.Prev(), 0; cand != nil && n < evictScanLimit; cand, n = cand.Prev(), n+1 {
+			for cand, n := sh.Prev(victim), 0; cand != nil && n < evictScanLimit; cand, n = sh.Prev(cand), n+1 {
 				if !cand.hasEvidence() {
 					victim, reason = cand, EvictCapacityAnonymous
 					break
 				}
 			}
 		}
-		evicted = append(evicted, t.removeLocked(sh, victim, reason))
+		evicted = append(evicted, t.removeLocked(sh, victim, reason, t.keyOf(victim.ID())))
 	}
 	return evicted
 }

@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// entry is the smallest table user: a Node and nothing else.
+// entry is the smallest table user: a Node and nothing else. Its ID is the
+// key itself.
 type entry struct {
-	Node[string, entry]
+	Node[string]
 }
 
 // tableOp is one input to a one-shard table.
@@ -46,20 +47,21 @@ var tableOps = func() []tableOp {
 // tableRun is a one-shard table beside its reference: the held entries by
 // key, and the keys in LRU order, most recent first.
 type tableRun struct {
-	t       *Table[string, entry, *entry]
+	t       *Table[string, string, entry, *entry]
 	sh      *Shard[string, entry, *entry]
 	held    map[string]*entry
 	lru     []string
 	removed map[chainPos]int // removals by the entry's position in its chain
-	resized map[resize]int   // bucket array resizes by kind
+	resized map[resize]int   // directory and bucket array resizes by kind
+	moved   int              // removals that moved the last entry into the freed slot
 }
 
 type resize int
 
 const (
-	resizeGrow    resize = iota // the array doubled
-	resizeShrink                // the array halved
-	resizeRelease               // the array was freed
+	resizeGrow    resize = iota // the arrays doubled
+	resizeShrink                // the arrays halved
+	resizeRelease               // the arrays were freed
 )
 
 type chainPos int
@@ -72,7 +74,7 @@ const (
 )
 
 func newTableRun(hook func(string) uint64) *tableRun {
-	t := NewTable[string, entry](1, 8, HashString)
+	t := NewTable[string, string, entry](1, 8, HashString)
 	t.HashHook = hook
 	return &tableRun{t: t, sh: t.Shard(0), held: map[string]*entry{}, removed: map[chainPos]int{}, resized: map[resize]int{}}
 }
@@ -82,15 +84,21 @@ func (r *tableRun) bucket(key string) int {
 	return int(r.t.slot(key) & uint64(len(r.sh.buckets)-1))
 }
 
+// slot is e's slot number: one more than its position in the directory.
+// Caller holds the lock.
+func (r *tableRun) slot(e *entry) uint32 {
+	return uint32(slices.Index(r.sh.dir, e) + 1)
+}
+
 // position is where e sits in its index chain. Caller holds the lock.
 func (r *tableRun) position(e *entry) chainPos {
-	first := r.sh.buckets[r.bucket(e.key)]
+	first := r.sh.buckets[r.bucket(e.id)] == r.slot(e)
 	switch {
-	case first == e && e.hnext == nil:
+	case first && e.hnext == 0:
 		return chainAlone
-	case first == e:
+	case first:
 		return chainHead
-	case e.hnext == nil:
+	case e.hnext == 0:
 		return chainTail
 	}
 	return chainMiddle
@@ -99,10 +107,13 @@ func (r *tableRun) position(e *entry) chainPos {
 // remove removes e from the table and k from the reference.
 func (r *tableRun) remove(k string, e *entry) {
 	r.removed[r.position(e)]++
+	if r.slot(e) != uint32(len(r.sh.dir)) {
+		r.moved++
+	}
 	r.sh.Remove(e)
 	delete(r.held, k)
 	r.lru = slices.DeleteFunc(r.lru, func(have string) bool { return have == k })
-	if e.prev != nil || e.next != nil || e.hnext != nil {
+	if e.prev != 0 || e.next != 0 || e.hnext != 0 {
 		panic(fmt.Sprintf("removed entry %s kept its links", k))
 	}
 }
@@ -143,15 +154,16 @@ func (r *tableRun) apply(op tableOp) {
 		}
 	case opEvictTail:
 		if tail := r.sh.Tail(); tail != nil {
-			r.remove(tail.Key(), tail)
+			r.remove(tail.ID(), tail)
 		}
 	}
 }
 
 // check compares the table with the reference and with its own books: what
 // every key looks up to, the LRU list walked from either end, the counts,
-// and the index chains, which must hold each held entry exactly once under
-// its own slot hash. It returns what broke, or "".
+// the directory, which must hold each held entry exactly once, and the index
+// chains, which must hold each held entry's slot exactly once under its own
+// slot hash. It returns what broke, or "".
 func (r *tableRun) check() string {
 	r.sh.Lock()
 	defer r.sh.Unlock()
@@ -166,17 +178,17 @@ func (r *tableRun) check() string {
 	}
 	var forward, backward []string
 	var prev *entry
-	for e := r.sh.Head(); e != nil; prev, e = e, e.Next() {
-		if e.Prev() != prev {
-			return fmt.Sprintf("%s's Prev is not the entry before it", e.Key())
+	for e := r.sh.Head(); e != nil; prev, e = e, r.sh.Next(e) {
+		if r.sh.Prev(e) != prev {
+			return fmt.Sprintf("%s's Prev is not the entry before it", e.ID())
 		}
-		forward = append(forward, e.Key())
+		forward = append(forward, e.ID())
 	}
 	if r.sh.Tail() != prev {
 		return "Tail is not the last entry walked from Head"
 	}
-	for e := r.sh.Tail(); e != nil; e = e.Prev() {
-		backward = append(backward, e.Key())
+	for e := r.sh.Tail(); e != nil; e = r.sh.Prev(e) {
+		backward = append(backward, e.ID())
 	}
 	slices.Reverse(backward)
 	if !slices.Equal(forward, r.lru) || !slices.Equal(backward, r.lru) {
@@ -185,11 +197,25 @@ func (r *tableRun) check() string {
 	if why := indexBooks(r.t); why != "" {
 		return why
 	}
+	inDir := map[*entry]bool{}
+	for _, e := range r.sh.dir {
+		if inDir[e] || r.held[e.id] != e {
+			return fmt.Sprintf("%s is in the directory twice, or not held", e.id)
+		}
+		inDir[e] = true
+	}
+	if len(inDir) != len(r.held) {
+		return fmt.Sprintf("the directory holds %d entries, the reference %d", len(inDir), len(r.held))
+	}
 	chained := map[*entry]bool{}
 	for i, first := range r.sh.buckets {
-		for e := first; e != nil; e = e.hnext {
-			if r.bucket(e.key) != i || chained[e] || r.held[e.key] != e {
-				return fmt.Sprintf("%s is in the chain of bucket %d, twice, or not held", e.key, i)
+		for s := first; s != 0; s = r.sh.dir[s-1].hnext {
+			if int(s) > len(r.sh.dir) {
+				return fmt.Sprintf("bucket %d's chain names slot %d of %d", i, s, len(r.sh.dir))
+			}
+			e := r.sh.dir[s-1]
+			if r.bucket(e.id) != i || chained[e] || uint32(r.t.slot(e.id)) != e.hash {
+				return fmt.Sprintf("%s is in the chain of bucket %d, twice, or under another hash", e.id, i)
 			}
 			chained[e] = true
 		}
@@ -200,23 +226,26 @@ func (r *tableRun) check() string {
 	return ""
 }
 
-// indexBooks checks every shard's bucket array against its count and the
-// table's IndexBytes against the arrays: none while a shard is empty, else a
-// power of two no shorter than the count and under four times it (or the
-// smallest array), and IndexBytes is what the arrays pin. It returns what
-// broke, or "". It reads the shards without their locks: the table must have
-// no other user.
-func indexBooks(t *Table[string, entry, *entry]) string {
+// indexBooks checks every shard's directory and bucket array against its
+// count and the table's IndexBytes against the arrays: none while a shard is
+// empty, else as many slots as buckets, a power of two no shorter than the
+// count and under four times it (or the smallest array), and IndexBytes is
+// what the directories and the bucket arrays pin. It returns what broke, or
+// "". It reads the shards without their locks: the table must have no other
+// user.
+func indexBooks(t *Table[string, string, entry, *entry]) string {
 	var pinned int64
 	for _, sh := range t.shards {
-		n, size := sh.n, len(sh.buckets)
-		if n == 0 && size != 0 || n > 0 && (size&(size-1) != 0 || size < n || shrinkRatio*n <= size && size > minBuckets) {
-			return fmt.Sprintf("shard %d holds %d entries in %d buckets", sh.i, n, size)
+		n, size := len(sh.dir), len(sh.buckets)
+		if n == 0 && size != 0 || n > 0 && (size&(size-1) != 0 || size < n || shrinkRatio*n <= size && size > minBuckets) || cap(sh.dir) != size {
+			return fmt.Sprintf("shard %d holds %d entries in a directory of %d slots and %d buckets", sh.i, n, cap(sh.dir), size)
 		}
-		pinned += arrayBytes(size)
+		if size > 0 {
+			pinned += dirBytes(cap(sh.dir)) + bucketArrayBytes(size)
+		}
 	}
 	if t.IndexBytes() != pinned {
-		return fmt.Sprintf("IndexBytes %d, the shards' bucket arrays pin %d B", t.IndexBytes(), pinned)
+		return fmt.Sprintf("IndexBytes %d, the shards' directories and bucket arrays pin %d B", t.IndexBytes(), pinned)
 	}
 	return ""
 }
@@ -227,15 +256,17 @@ func indexBooks(t *Table[string, entry, *entry]) string {
 // all keys hashed into one collision chain and once into distinct slots.
 // After each input the table must agree with a reference (a map and an
 // ordered slice) on every lookup, on the LRU order walked both ways and on
-// its counts; each held entry must sit exactly once in the chain of the
-// bucket its slot hash picks, the bucket array must fit the count and
-// IndexBytes the array; a removed entry keeps no links. The one-chain walk
-// must have removed entries from a chain's head, middle and tail, and each
-// walk must have grown, shrunk and released the bucket array (three keys
-// reach four buckets from one). A table cannot be forked, so each sequence
-// is replayed from an empty one; the first failure prints its sequence.
-// Under the race detector the depth is 5, the least that shrinks the array
-// (three inserts grow it to four buckets, two removals halve it).
+// its counts; the directory must hold each held entry exactly once and the
+// chain of the bucket its slot hash picks its slot exactly once, the
+// directory and the bucket array must fit the count and IndexBytes the two
+// arrays; a removed entry keeps no links. The one-chain walk must have
+// removed entries from a chain's head, middle and tail, and each walk must
+// have grown, shrunk and released the arrays (three keys reach four buckets
+// from one) and reused a freed slot for the directory's last entry. A table
+// cannot be forked, so each sequence is replayed from an empty one; the
+// first failure prints its sequence. Under the race detector the depth is 5,
+// the least that shrinks the arrays (three inserts grow them to four, two
+// removals halve them).
 func TestTableEnumerated(t *testing.T) {
 	depth := 6
 	if raceEnabled {
@@ -249,7 +280,7 @@ func TestTableEnumerated(t *testing.T) {
 		{"distinct-slots", HashString}, // distinct for a, b and c
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			removed, resized := map[chainPos]int{}, map[resize]int{}
+			removed, resized, moved := map[chainPos]int{}, map[resize]int{}, 0
 			seq := make([]tableOp, 0, depth)
 			var walk func()
 			walk = func() {
@@ -276,6 +307,7 @@ func TestTableEnumerated(t *testing.T) {
 					for kind, n := range run.resized {
 						resized[kind] += n
 					}
+					moved += run.moved
 					walk()
 					seq = seq[:len(seq)-1]
 				}
@@ -283,13 +315,13 @@ func TestTableEnumerated(t *testing.T) {
 			walk()
 			t.Logf("removals by chain position (head, middle, tail, alone): %d %d %d %d",
 				removed[chainHead], removed[chainMiddle], removed[chainTail], removed[chainAlone])
-			t.Logf("bucket array resizes (grow, shrink, release): %d %d %d",
-				resized[resizeGrow], resized[resizeShrink], resized[resizeRelease])
+			t.Logf("directory and bucket array resizes (grow, shrink, release): %d %d %d; freed slots reused: %d",
+				resized[resizeGrow], resized[resizeShrink], resized[resizeRelease], moved)
 			if mode.name == "one-chain" && (removed[chainHead] == 0 || removed[chainMiddle] == 0 || removed[chainTail] == 0) {
 				t.Fatal("the walk never removed from a chain's head, middle and tail: it tests nothing")
 			}
-			if resized[resizeGrow] == 0 || resized[resizeShrink] == 0 || resized[resizeRelease] == 0 {
-				t.Fatal("the walk never grew, shrank and released the bucket array: it tests nothing")
+			if resized[resizeGrow] == 0 || resized[resizeShrink] == 0 || resized[resizeRelease] == 0 || moved == 0 {
+				t.Fatal("the walk never grew, shrank and released the arrays, or never reused a freed slot: it tests nothing")
 			}
 		})
 	}
@@ -298,7 +330,7 @@ func TestTableEnumerated(t *testing.T) {
 // TestTableLocatePlacement pins what shard selection is: the caller's FNV
 // hash modulo the shard count, with a cap split by PerShardCap.
 func TestTableLocatePlacement(t *testing.T) {
-	tab := NewTable[string, entry](5, 20, HashString)
+	tab := NewTable[string, string, entry](5, 20, HashString)
 	if _, max := tab.ShardFill(3); tab.Shards() != 8 || max != 3 {
 		t.Fatalf("5 shards for 20 entries: %d shards of cap %d, want 8 of 3", tab.Shards(), max)
 	}
@@ -313,34 +345,45 @@ func TestTableLocatePlacement(t *testing.T) {
 	}
 }
 
-// bucketSink keeps a measured bucket array on the heap.
-var bucketSink []*entry
+// dirSink and bucketSink keep a measured array on the heap.
+var (
+	dirSink    []*entry
+	bucketSink []uint32
+)
 
-// TestIndexBytesMatchesBuckets holds IndexBytes to the bucket arrays of a
-// four-shard table after every insert and removal while 20,000 keys come and
-// go in a seeded order, and to 0 once the table is empty again; at its
-// fullest a shard must have held an array past the allocator's large-object
-// threshold (4,096 buckets of 8 B, 32 KiB). What an array pins, arrayBytes,
-// is measured against the allocator first, from 1 to 2^16 buckets, as the
-// least of three allocations: whatever the runtime allocates meanwhile only
-// adds.
+// TestIndexBytesMatchesBuckets holds IndexBytes to the directories and bucket
+// arrays of a four-shard table after every insert and removal while 20,000
+// keys come and go in a seeded order, and to 0 once the table is empty
+// again; at its fullest a shard must have held a directory past the
+// allocator's large-object threshold (4,096 slots of 8 B, 32 KiB). What the
+// arrays pin, dirBytes and bucketArrayBytes, is measured against the
+// allocator first, from 1 to 2^16 slots and buckets, as the least of three
+// allocations: whatever the runtime allocates meanwhile only adds. A
+// directory of pointers between 512 B and 32 KiB carries an allocation
+// header; a bucket array holds none and never does.
 func TestIndexBytesMatchesBuckets(t *testing.T) {
 	var before, after runtime.MemStats
-	for size := 1; size <= 1<<16; size *= 2 {
+	measure := func(alloc func()) int64 {
 		got := int64(math.MaxInt64)
 		for range 3 {
 			runtime.ReadMemStats(&before)
-			bucketSink = make([]*entry, size)
+			alloc()
 			runtime.ReadMemStats(&after)
 			got = min(got, int64(after.TotalAlloc-before.TotalAlloc))
 		}
-		if got != arrayBytes(size) {
-			t.Fatalf("an array of %d buckets allocated %d B, arrayBytes says %d", size, got, arrayBytes(size))
+		return got
+	}
+	for size := 1; size <= 1<<16; size *= 2 {
+		if got := measure(func() { dirSink = make([]*entry, 0, size) }); got != dirBytes(size) {
+			t.Fatalf("a directory of %d slots allocated %d B, dirBytes says %d", size, got, dirBytes(size))
+		}
+		if got := measure(func() { bucketSink = bucketArray(size) }); got != bucketArrayBytes(size) {
+			t.Fatalf("an array of %d buckets allocated %d B, bucketArrayBytes says %d", size, got, bucketArrayBytes(size))
 		}
 	}
-	bucketSink = nil
+	dirSink, bucketSink = nil, nil
 
-	tab := NewTable[string, entry](4, 1<<20, HashString)
+	tab := NewTable[string, string, entry](4, 1<<20, HashString)
 	r := rand.New(rand.NewPCG(40, 0))
 	keys := make([]string, 20000)
 	for i := range keys {
@@ -357,7 +400,7 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 			sh.Insert(h, k, new(entry))
 			held[k] = true
 		}
-		fullest = max(fullest, len(sh.buckets))
+		fullest = max(fullest, cap(sh.dir))
 		sh.Unlock()
 		if why := indexBooks(tab); why != "" {
 			t.Fatalf("at %d entries: %s", len(held), why)
@@ -377,7 +420,7 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 	if tab.Len() != 0 || tab.IndexBytes() != 0 {
 		t.Fatalf("an empty table holds %d entries and %d B of index", tab.Len(), tab.IndexBytes())
 	}
-	if arrayBytes(fullest) < 32<<10 {
-		t.Fatalf("the largest bucket array was %d buckets: the walk never left the small size classes", fullest)
+	if dirBytes(fullest) < 32<<10 {
+		t.Fatalf("the largest directory was %d slots: the walk never left the small size classes", fullest)
 	}
 }
