@@ -13,52 +13,60 @@ import (
 // TestMemoryCeilingPerSession is the e2e gate for the million-session memory
 // engine: after a realistic serve pattern — one instrumented page issue plus
 // a few observed requests per client — the engine's own MemoryEstimate must
-// come in at or under 304 B per tracked session (296 B measured at 8 shards:
-// a 192-byte session record holding its address and its three path
-// fingerprints, and an undownloaded page's 64-byte keystore record holding
-// its address and its window, a 12-byte prefix and one 4-byte header — 256 B
-// and no pointer — plus both tables' directories and bucket arrays at 19.7 B
-// a session each; those cost 19.7 to 22.1 B a session each at any shard
-// count from 8 to 512, and the total measured 293 to 301 B across them, so
-// the ceiling holds on any core count). The ceiling stood at 384 B while the
-// records held their addresses as strings, their links as pointers and the
-// path set as a slice (378 B, 377 to 383 B across shard counts), at 460 B
-// while each table charged a 42-byte map slot per entry (436 B; 8-byte
-// headers, size-class growth and derived keys had each left that at 436 B,
-// because a one-page window and a three-path set already sit in their
-// smallest classes), at 520 B while the number was 472, at 640 B while it
-// was 572, and at 2 KiB while it was 684. The
-// estimate is the same number admission control budgets
-// against and the serve benchmark reports as bytes_per_session, so this pins
-// the plan's core arithmetic: 1M clients fit in well under 1 GB.
+// come in at or under 280 B per tracked session at 8 shards, and at or under
+// 296 B at 512, the most shard.AutoShards picks for any core count. It
+// measured 273.8 B at 8 shards: a 192-byte session record holding its
+// address and its three path fingerprints, and an undownloaded page's
+// 64-byte keystore record holding its address and its window, a 12-byte
+// prefix and one 4-byte header — 256 B and no pointer — plus both tables'
+// unfilled chunk slots, chunk directories and bucket arrays. It measured
+// 274.0 to 283.9 B at 16 to 256 shards and 294.5 B at 512, where 39 sessions
+// a shard leave a last chunk half empty in both tables. The ceiling stood at
+// 304 B at any shard count while each table kept a directory of record
+// pointers as long as its bucket array (296 B at 8 shards, 293 to 301 B at 8
+// to 512), at 384 B while the records held their addresses as strings, their
+// links as pointers and the path set as a slice (378 B, 377 to 383 B across
+// shard counts), at 460 B while each table charged a 42-byte map slot per
+// entry (436 B; 8-byte headers, size-class growth and derived keys had each
+// left that at 436 B, because a one-page window and a three-path set already
+// sit in their smallest classes), at 520 B while the number was 472, at 640 B
+// while it was 572, and at 2 KiB while it was 684. The estimate is the same
+// number admission control budgets against and the serve benchmark reports
+// as bytes_per_session, so this pins the plan's core arithmetic: 1M clients
+// fit in well under 1 GB.
 func TestMemoryCeilingPerSession(t *testing.T) {
-	const clients = 20000
-	e := New(Config{Seed: 11, MaxSessions: clients * 2})
-	base := time.Unix(1136073600, 0)
-	ps := &PageState{}
-	for i := 0; i < clients; i++ {
-		ip := fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
-		ua := fmt.Sprintf("Mozilla/5.0 (bench; rv:%d)", i%64) // 64 distinct UAs, like real traffic
-		e.PreparePage(ip, ua, "/index.html", ps)
-		for r := 0; r < 3; r++ {
-			e.ObserveRequestQuiet(logfmt.Entry{
-				Time: base.Add(time.Duration(r) * time.Second), ClientIP: ip, UserAgent: ua,
-				Method: "GET", Path: fmt.Sprintf("/doc/%d.html", r), Status: 200, Bytes: 1200,
-				ContentType: "text/html",
-			})
+	for _, c := range []struct {
+		shards  int
+		ceiling int64
+	}{{8, 280}, {512, 296}} {
+		const clients = 20000
+		e := New(Config{Seed: 11, MaxSessions: clients * 2, Shards: c.shards})
+		base := time.Unix(1136073600, 0)
+		ps := &PageState{}
+		for i := 0; i < clients; i++ {
+			ip := fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
+			ua := fmt.Sprintf("Mozilla/5.0 (bench; rv:%d)", i%64) // 64 distinct UAs, like real traffic
+			e.PreparePage(ip, ua, "/index.html", ps)
+			for r := 0; r < 3; r++ {
+				e.ObserveRequestQuiet(logfmt.Entry{
+					Time: base.Add(time.Duration(r) * time.Second), ClientIP: ip, UserAgent: ua,
+					Method: "GET", Path: fmt.Sprintf("/doc/%d.html", r), Status: 200, Bytes: 1200,
+					ContentType: "text/html",
+				})
+			}
 		}
-	}
 
-	n := e.SessionCount()
-	if n < clients*99/100 {
-		t.Fatalf("tracked sessions = %d, want ~%d", n, clients)
-	}
-	perSession := e.MemoryEstimate() / int64(n)
-	t.Logf("engine estimate: %d sessions, %d B total, %d B/session", n, e.MemoryEstimate(), perSession)
-	sess, keys, interned := e.MemoryBreakdown()
-	t.Logf("breakdown: sessions=%d keys=%d interned=%d", sess, keys, interned)
-	if perSession > 304 {
-		t.Fatalf("engine memory = %d B/session, exceeds the 304 B ceiling", perSession)
+		n := e.SessionCount()
+		if n < clients*99/100 {
+			t.Fatalf("tracked sessions = %d, want ~%d", n, clients)
+		}
+		perSession := e.MemoryEstimate() / int64(n)
+		t.Logf("%d shards: engine estimate: %d sessions, %d B total, %d B/session", c.shards, n, e.MemoryEstimate(), perSession)
+		sess, keys, interned := e.MemoryBreakdown()
+		t.Logf("breakdown: sessions=%d keys=%d interned=%d", sess, keys, interned)
+		if perSession > c.ceiling {
+			t.Fatalf("engine memory at %d shards = %d B/session, exceeds the %d B ceiling", c.shards, perSession, c.ceiling)
+		}
 	}
 }
 
@@ -126,14 +134,15 @@ func TestEngineMemoryEstimateCoversHeap(t *testing.T) {
 // number admission control budgets against) says it retains, within 30%. A
 // per-page structure the estimate cannot see, like a parked script body,
 // fails this. And the estimate itself is pinned: such a client costs its
-// keystore entry and one 4-byte page-view header — measured 79 B, a 64-byte
-// record holding its address and its window, and its share of the
-// directory and bucket array; 79.7 to 81.7 B at 8 to 512 shards (106 B while
-// the record pointed at an address string and a 16-byte window, though this
-// pin stayed at 138 B; 138 B while the index was a map; 174 B while a client
-// was a 96-byte struct behind a string-keyed slot) — because the store keeps
-// no key; storing a page's keys at issue again (a 25-byte run per page)
-// fails by number.
+// keystore entry and one 4-byte page-view header — measured 70 B, a 64-byte
+// record holding its address and its window, and its share of the unfilled
+// chunk slots, the chunk directory and the bucket array; 70.6 to 72.8 B at 8
+// to 512 shards (79 B while the table kept a directory of record pointers;
+// 106 B while the record pointed at an address string and a 16-byte window,
+// though this pin stayed at 138 B; 138 B while the index was a map; 174 B
+// while a client was a 96-byte struct behind a string-keyed slot) — because
+// the store keeps no key; storing a page's keys at issue again (a 25-byte
+// run per page) fails by number.
 func TestMemoryCeilingUndownloadedPages(t *testing.T) {
 	const clients = 50000
 	e := New(Config{Seed: 12})
@@ -159,7 +168,7 @@ func TestMemoryCeilingUndownloadedPages(t *testing.T) {
 	if float64(heap) > 1.3*float64(est) {
 		t.Fatalf("heap grew %d B against an estimate of %d B (%.2fx): memory the estimate cannot see", heap, est, float64(heap)/float64(est))
 	}
-	const measured = 79 // B/client
+	const measured = 70 // B/client
 	if perClient := est / clients; perClient*100 > measured*105 {
 		t.Fatalf("an undownloaded page view costs %d B/client by the estimate, measured %d B when this was pinned: are keys drawn before the script is asked for?", perClient, measured)
 	}

@@ -14,7 +14,7 @@ import (
 // TestKeystoreStructBudgets pins the window's layout: a tracked client is one
 // 64-byte record with no pointer (its 17-byte address, its LRU and
 // index-chain links and slot hash, and 28 bytes of window: a prefix and four
-// headers); its window is a 12-byte prefix (a u32 base tick, a u32
+// headers), eight of which fill a 512-byte chunk of the table; its window is a 12-byte prefix (a u32 base tick, a u32
 // incarnation, a u24 first page-view number and a u8 count) and one 4-byte
 // header per page view (a u16 tick offset, a u8 decoy count, drawn, consumed
 // and lapsed bits), and no key. The offset must hold the TTL in ticks at
@@ -22,8 +22,8 @@ import (
 // domain and its number in the u24; the count byte must be able to say
 // spilled. A failure means a field was added without re-deriving the budget.
 func TestKeystoreStructBudgets(t *testing.T) {
-	if got := unsafe.Sizeof(clientState{}); got != 64 || clientBaseBytes != 64 {
-		t.Errorf("clientState = %d bytes, charged %d: want both 64", got, clientBaseBytes)
+	if got := unsafe.Sizeof(clientState{}); got != 64 {
+		t.Errorf("clientState = %d bytes: want 64, eight to a 512-byte chunk", got)
 	}
 	if reflect.TypeFor[clientState]().Size() != 64 || hasPointers(reflect.TypeFor[clientState]()) {
 		t.Error("clientState holds a pointer: the collector scans every client again")
@@ -147,10 +147,12 @@ func hasPointers(t reflect.Type) bool {
 
 // TestGCScanBytesPerClient holds what a client costs the garbage collector:
 // 200,000 clients with one undownloaded page view each, on one P, may grow a
-// full cycle's scan work by at most 16 B a client. A record holds no pointer
-// and a window of up to four page views sits in it, so the work is the
-// table's directory, one 8-byte word per slot, and inserts leave at most two
-// slots a client. While a client was a node of three links, an address string and a
+// full cycle's scan work by at most 4 B a client. A record holds no pointer,
+// a window of up to four page views sits in it, and the table keeps records
+// by value in chunks of eight, so the work is the chunk directory, one 8-byte
+// word per chunk: 1.3 B a client measured. While the table kept a directory
+// of record pointers, one word per slot, it measured 10.5 B against a bound
+// of 16; while a client was a node of three links, an address string and a
 // window slice, the collector scanned 48 of its 64 bytes, 58.5 B a client
 // with the bucket array of pointers.
 func TestGCScanBytesPerClient(t *testing.T) {
@@ -177,8 +179,8 @@ func TestGCScanBytesPerClient(t *testing.T) {
 	per := float64(scan()-before) / clients
 	runtime.KeepAlive(s)
 	t.Logf("%d clients: the collector scans %.1f B a client", s.Clients(), per)
-	if s.Clients() != clients || per > 16 {
-		t.Fatalf("%d clients cost %.1f B of scan work each, over 16 B: a pointer is back in the record", s.Clients(), per)
+	if s.Clients() != clients || per > 4 {
+		t.Fatalf("%d clients cost %.1f B of scan work each, over 4 B: a pointer is back in the record or the table", s.Clients(), per)
 	}
 }
 
@@ -187,12 +189,13 @@ func TestGCScanBytesPerClient(t *testing.T) {
 // bytes in the 288-byte size class, a client past the cap keeps exactly that
 // array, and holds no more heap than one at it (+16 B for the allocator's
 // noise), with no script downloaded and with every one — a derived key costs
-// nothing, so both measure the same: 385 B per client at the cap and past
+// nothing, so both measure the same: 372 B per client at the cap and past
 // it, every script downloaded or none (the record, the spilled window and
-// its spill-store pointer; 383 B while the record pointed at an address
-// string and a window slice, 397 B with a map slot per client). A log that appended the new page view
-// before it dropped the oldest outgrew its cap-sized array once and kept the
-// larger one (1,691 against 923 B/client undrawn, 4,763 against 3,996 drawn);
+// its spill-store pointer; 385 B while the table kept a directory of record
+// pointers, 383 B while the record pointed at an address string and a
+// window slice, 397 B with a map slot per client). A log that appended the
+// new page view before it dropped the oldest outgrew its cap-sized array
+// once and kept the larger one (1,691 against 923 B/client undrawn, 4,763 against 3,996 drawn);
 // 8-byte headers beside stored keys measured 685 B undrawn and 2,413 B drawn.
 func TestKeyLogNeverOutgrowsTheCap(t *testing.T) {
 	if raceEnabled {

@@ -56,7 +56,6 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"botdetect/internal/clock"
 	"botdetect/internal/intern"
@@ -329,17 +328,6 @@ type storeStats struct {
 	evictedClients atomic.Int64
 }
 
-// clientBaseBytes is what Store.MemoryEstimate charges per tracked client:
-// the record in its 16-byte allocator size class, its window included while
-// it fits there; the table's index is charged once for all clients. It is
-// derived from the layouts so it cannot silently rot
-// (TestKeystoreStructBudgets pins them, TestMemoryEstimateCoversHeap holds
-// the total against measured heap). The estimate feeds admission control
-// (see core.LoadState), where an underestimate OOMs, so a spilled window is
-// charged at its capacity: dropping from the front keeps the array it
-// shrinks.
-const clientBaseBytes = (int64(unsafe.Sizeof(clientState{})) + 15) &^ 15
-
 // spilledIndex reports whether the client's window is in the spill store,
 // under which index and with what capacity.
 func (cs *clientState) spilledIndex() (i uint32, capacity int, ok bool) {
@@ -532,12 +520,11 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	}
 	cs := s.getLocked(sh, hash, clientIP)
 	if cs == nil {
-		cs = new(clientState)
-		binary.LittleEndian.PutUint32(cs.log[preIncarnation:], s.incarnations.Add(1))
 		// The record keeps an IP address itself and interns any other
 		// address string: it may be cut from a request line (a forwarded-for
 		// header) the store must not pin.
-		sh.Insert(hash, s.addr(clientIP), cs)
+		cs = sh.Insert(hash, s.addr(clientIP))
+		binary.LittleEndian.PutUint32(cs.log[preIncarnation:], s.incarnations.Add(1))
 	}
 	sh.Touch(cs)
 	w := s.logOf(sh, cs)
@@ -768,12 +755,15 @@ func (s *Store) Clients() int { return s.clients.Len() }
 func (s *Store) Occupancy() float64 { return float64(s.clients.Len()) / maxClients }
 
 // MemoryEstimate returns the store's approximate live memory footprint in
-// bytes: per client, its 64-byte record (clientBaseBytes) and a spilled
-// window's capacity, the shards' spill stores, the table's index and the
-// interned copies of the addresses that are not IP addresses. Lock-free and
-// allocation-free; the load-state recomputation reads it on the serve path.
+// bytes: the table's chunks of 64-byte client records, chunk directories and
+// bucket arrays (its IndexBytes), a spilled window's capacity (charged at
+// its capacity: dropping from the front keeps the array it shrinks, and an
+// underestimate here is what admission control would OOM on), the shards'
+// spill stores and the interned copies of the addresses that are not IP
+// addresses. Lock-free and allocation-free; the load-state recomputation
+// reads it on the serve path.
 func (s *Store) MemoryEstimate() int64 {
-	b := int64(s.clients.Len())*clientBaseBytes + s.pinnedBytes.Load() + s.clients.IndexBytes()
+	b := s.pinnedBytes.Load() + s.clients.IndexBytes()
 	if names := s.names.Load(); names != nil {
 		b += names.MemoryEstimate()
 	}

@@ -273,10 +273,18 @@ func (m *Middleware) writeChallenge(w http.ResponseWriter, d policy.Decision) {
 	}
 }
 
+// maxAddrLen is the longest textual IP address without a zone, an IPv6
+// address ending in an IPv4 one:
+// ffff:ffff:ffff:ffff:ffff:ffff:255.255.255.255.
+const maxAddrLen = 45
+
 // clientIP extracts the client address: the TCP peer's host, or, with
 // TrustForwardedFor and a loopback or private peer, the rightmost
 // X-Forwarded-For entry (the one that hop appended) when it parses as an IP
-// address. A public peer's header is never read: anyone can send one.
+// address. A public peer's header is never read: anyone can send one. An
+// entry with a zone or longer than any IP address names the peer too: a
+// zone names an interface of the host that wrote it, which means nothing
+// here, and netip would copy an arbitrarily long one into its cache.
 func (m *Middleware) clientIP(r *http.Request) string {
 	peer, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
@@ -295,6 +303,9 @@ func (m *Middleware) clientIP(r *http.Request) string {
 	}
 	last := lines[len(lines)-1]
 	last = strings.TrimSpace(last[strings.LastIndexByte(last, ',')+1:])
+	if len(last) > maxAddrLen || strings.IndexByte(last, '%') >= 0 {
+		return peer
+	}
 	if _, err := netip.ParseAddr(last); err != nil {
 		return peer
 	}

@@ -270,9 +270,10 @@ func TestForwardedForFromPublicPeerIgnored(t *testing.T) {
 // stay within what the engine's estimate charges for it plus one policy
 // entry (at most policyEntryBytes). A canonical address padded in front
 // must pin nothing of the line: a session or key table that stored the
-// substring would pin all of it. An address the tables intern instead — an
-// IPv6 address spelled otherwise, or one whose zone is the 64 KB — must be
-// charged for its copies.
+// substring would pin all of it. An address the tables intern instead, an
+// IPv6 address spelled otherwise, must be charged for its copies. An entry
+// whose zone is the 64 KB is no client address: the client is the peer, and
+// nothing of the line is kept, not even in netip's zone cache.
 func TestForwardedForPaddingPinsNoHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting differs under -race")
@@ -290,19 +291,18 @@ func TestForwardedForPaddingPinsNoHeap(t *testing.T) {
 	}
 	pad := strings.Repeat("198.51.100.1, ", 64<<10/len("198.51.100.1, "))
 	zone := strings.Repeat("z", 64<<10)
-	// netip keeps a parsed zone in package unique's map until the
-	// collector's cleanup drops it: the last zone the proxy parsed can still
-	// be there, once, in 9 pages.
-	const zoneCacheBytes = 9 << 13
 	for _, tc := range []struct {
 		name    string
 		clients int
 		fwd     func(i int) string
-		fixed   int64 // heap allowed once, outside the tables
+		client  func(i int) string // the address the client is keyed by
 	}{
-		{"padded canonical", 200, func(i int) string { return pad + fmt.Sprintf("10.1.%d.%d", i/256, i%256) }, 0},
-		{"padded upper-case v6", 200, func(i int) string { return pad + fmt.Sprintf("::FFFF:10.1.%d.%d", i/256, i%256) }, 0},
-		{"zone of 64 KB", 40, func(i int) string { return fmt.Sprintf("fe80::%x%%", i+1) + zone }, zoneCacheBytes},
+		{"padded canonical", 200, func(i int) string { return pad + fmt.Sprintf("10.1.%d.%d", i/256, i%256) },
+			func(i int) string { return fmt.Sprintf("10.1.%d.%d", i/256, i%256) }},
+		{"padded upper-case v6", 200, func(i int) string { return pad + fmt.Sprintf("::FFFF:10.1.%d.%d", i/256, i%256) },
+			func(i int) string { return fmt.Sprintf("::FFFF:10.1.%d.%d", i/256, i%256) }},
+		{"zone of 64 KB", 40, func(i int) string { return fmt.Sprintf("fe80::%x%%", i+1) + zone },
+			func(int) string { return "127.0.0.1" }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mw, det, _ := newTestStack(t, policy.NewEngine(policy.Config{}), nil)
@@ -320,10 +320,15 @@ func TestForwardedForPaddingPinsNoHeap(t *testing.T) {
 			got, est := heap()-before, det.MemoryEstimate()-est0
 			runtime.KeepAlive(mw)
 			if det.SessionCount() != tc.clients {
-				t.Fatalf("%d sessions, want one per forwarded address", det.SessionCount())
+				t.Fatalf("%d sessions, want one per client", det.SessionCount())
+			}
+			for i := range tc.clients {
+				if _, ok := det.Session(session.Key{IP: tc.client(i), UserAgent: fmt.Sprintf("Padder/%d", i)}); !ok {
+					t.Fatalf("client %d is not keyed by %s", i, tc.client(i))
+				}
 			}
 			t.Logf("per client: heap %d B, estimate %d B", got/int64(tc.clients), est/int64(tc.clients))
-			if got > est+int64(tc.clients)*policyEntryBytes+tc.fixed {
+			if got > est+int64(tc.clients)*policyEntryBytes {
 				t.Fatalf("heap grew %d B a client, the estimate %d B: a stored address pins heap the estimate does not charge",
 					got/int64(tc.clients), est/int64(tc.clients))
 			}
@@ -335,8 +340,8 @@ func TestForwardedForPaddingPinsNoHeap(t *testing.T) {
 
 // FuzzClientIP: any peer address and any X-Forwarded-For lines (split on
 // newlines) never panic, always name the client by the peer's host or by a
-// parsed IP address, and from a peer that is not loopback or private always
-// by the peer's host.
+// parsed IP address without a zone, and from a peer that is not loopback or
+// private always by the peer's host.
 func FuzzClientIP(f *testing.F) {
 	f.Add("127.0.0.1:4000", "203.0.113.7")
 	f.Add("10.0.0.2:4000", "198.51.100.4, 203.0.113.7")
@@ -359,8 +364,8 @@ func FuzzClientIP(f *testing.F) {
 		if got == peer {
 			return
 		}
-		if _, err := netip.ParseAddr(got); err != nil {
-			t.Fatalf("peer %q, X-Forwarded-For %q: client %q is neither the peer nor an IP address", remoteAddr, fwd, got)
+		if addr, err := netip.ParseAddr(got); err != nil || addr.Zone() != "" || len(got) > maxAddrLen {
+			t.Fatalf("peer %q, X-Forwarded-For %q: client %q is neither the peer nor an IP address without a zone", remoteAddr, fwd, got)
 		}
 		if addr, err := netip.ParseAddr(peer); err != nil || !addr.Unmap().IsLoopback() && !addr.Unmap().IsPrivate() {
 			t.Fatalf("untrusted peer %q: X-Forwarded-For %q named the client %q", remoteAddr, fwd, got)

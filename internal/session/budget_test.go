@@ -9,14 +9,15 @@ import (
 	"unsafe"
 
 	"botdetect/internal/intern"
+	"botdetect/internal/shard"
 )
 
 // TestSessionStructBudgets pins the memory layout the million-session plan is
 // built on. A session is stored once — the record below, no embedded copies,
 // its verdict a 12-byte value inside it, its key a 25-byte ID, its first
-// three path fingerprints inline — and the budgets put the record exactly in
-// the 192-byte allocator size class, with no pointer for the garbage
-// collector to scan. A failure here means a field was added (or widened)
+// three path fingerprints inline — and the budgets make the record 192 bytes,
+// so that the table's chunk of eight fills the 1,536-byte allocator size
+// class exactly, with no pointer for the garbage collector to scan. A failure here means a field was added (or widened)
 // without re-deriving the budget — grow the budget consciously or shrink the
 // struct, do not silently bump the number.
 func TestSessionStructBudgets(t *testing.T) {
@@ -48,20 +49,22 @@ func TestSessionStructBudgets(t *testing.T) {
 		t.Error("sessionState holds a pointer: the collector scans every session again")
 	}
 
-	// The MemoryEstimate constants must stay derived from the live layout:
-	// the record is charged as the size class the allocator really puts it in.
-	if got := int64(cap(append([]byte(nil), make([]byte, unsafe.Sizeof(sessionState{}))...))); sessionBaseBytes != got {
-		t.Errorf("sessionBaseBytes = %d, but the allocator puts %d bytes in a %d-byte class",
-			sessionBaseBytes, unsafe.Sizeof(sessionState{}), got)
+	// The table charges a chunk of eight records as the size class the
+	// allocator puts it in: a record that stops dividing 1,536 B wastes the
+	// rest of every chunk.
+	record := int64(unsafe.Sizeof(sessionState{}))
+	if chunk := shard.AllocBytes(8 * record); chunk != 8*record {
+		t.Errorf("eight %d-byte records take %d B: the chunk does not fill its size class", record, chunk)
 	}
 	// The steady-state budget is a one-page session: the record, whose path
 	// set and address are inline, and its share of the index right after the
-	// index doubled, two 8-byte directory slots and two 4-byte buckets
-	// (192 + 24 = 216 B; 272 B while the record held an address string and a
+	// index doubled, two 4-byte buckets and two eighths of an 8-byte chunk
+	// pointer (192 + 10 = 202 B; 216 B while the table kept a directory of
+	// record pointers, 272 B while the record held an address string and a
 	// path slice and the index was 8-byte buckets).
-	steady := sessionBaseBytes + 2*8 + 2*4
-	if steady > 216 {
-		t.Errorf("one-page per-session estimate %d exceeds 216 B", steady)
+	steady := record + 2*4 + 2*8/8
+	if steady > 208 {
+		t.Errorf("one-page per-session estimate %d exceeds 208 B", steady)
 	}
 }
 

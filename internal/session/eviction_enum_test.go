@@ -211,7 +211,6 @@ func (r *evictRun) step(op evictOp) string {
 		if _, h := r.tr.table.Locate(key); i >= len(r.lru) || key != r.lru[i].key || st.hasEvidence() != r.lru[i].evidence || r.tr.find(sh, h, key) != st {
 			return fmt.Sprintf("LRU position %d from the tail holds %v (evidence %v), model %+v", i, key, st.hasEvidence(), r.lru)
 		}
-		bytes += sessionBaseBytes
 		if st.npaths > inlinePaths {
 			bytes += 4 * int64(cap(r.tr.pathsOf(sh, st).fps))
 		}
@@ -220,7 +219,7 @@ func (r *evictRun) step(op evictOp) string {
 		return fmt.Sprintf("LRU list has %d sessions, the model %d", i, len(r.lru))
 	}
 	if est := r.tr.MemoryEstimate(); est != bytes+r.tr.table.IndexBytes() {
-		return fmt.Sprintf("MemoryEstimate %d, the tracked sessions and the spill store are charged %d and the index %d", est, bytes, r.tr.table.IndexBytes())
+		return fmt.Sprintf("MemoryEstimate %d, the spilled path sets and the spill store are charged %d and the records and index %d", est, bytes, r.tr.table.IndexBytes())
 	}
 	return ""
 }
@@ -234,10 +233,10 @@ func (r *evictRun) step(op evictOp) string {
 // evidence-bearing session for capacity while an anonymous one was there to
 // take, and must balance its books: Active, Ended, the Evicted callback and
 // the per-reason counters account for every create and remove, and
-// MemoryEstimate is exactly what the tracked sessions are charged plus the
-// table's IndexBytes. A tracker cannot be forked, so each sequence is
-// replayed from an empty one; the first failure prints its sequence. Under
-// the race detector the depth is 5.
+// MemoryEstimate is exactly the spilled path sets and the spill store plus
+// the table's IndexBytes, which holds the records. A tracker cannot be
+// forked, so each sequence is replayed from an empty one; the first failure
+// prints its sequence. Under the race detector the depth is 5.
 func TestCapacityEvictionEnumerated(t *testing.T) {
 	depth := 7
 	if raceEnabled {

@@ -134,3 +134,45 @@ func TestEvictionStatsRollup(t *testing.T) {
 		t.Fatalf("total evictions = %d, want 4", total)
 	}
 }
+
+// TestSweepFollowsMovedNeighbour pins the idle sweep's walk over a table that
+// keeps its records dense: removing a session copies the shard's last record
+// into the freed slot, and the sweep holds the next session to visit across
+// the removal. Three sessions a, b and c take slots 1 to 3 in that order.
+// When the walk's saved neighbour is the record that moved (b observed again,
+// so c sits between a and b in LRU order: removing a moves c), the walk must
+// follow it into a's slot; when the removed session is itself the last
+// record and has no neighbour to save (every session expired: c is the head
+// and last), nothing moved and the walk must end. Either way exactly the idle
+// sessions end, tail first, and the rest stay tracked.
+func TestSweepFollowsMovedNeighbour(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		touch bool // observe b again, after the sweep's idle deadline
+		ended []string
+	}{
+		{"neighbour in the last slot", true, []string{"a", "c"}},
+		{"head in the last slot", false, []string{"a", "b", "c"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ended []string
+			tr := NewTracker(Config{Shards: 1, IdleTimeout: time.Hour, Evicted: func(s Snapshot) { ended = append(ended, s.Key.UserAgent) }})
+			start := time.Unix(1136073600, 0)
+			for _, ua := range []string{"a", "b", "c"} {
+				tr.ObserveQuiet(entry("10.0.0.1", ua, "GET", "/", 200, "", start))
+			}
+			if tc.touch {
+				tr.ObserveQuiet(entry("10.0.0.1", "b", "GET", "/", 200, "", start.Add(40*time.Minute)))
+			}
+			if n := tr.SweepStep(start.Add(90 * time.Minute)); n != len(tc.ended) || fmt.Sprint(ended) != fmt.Sprint(tc.ended) {
+				t.Fatalf("the sweep ended %d sessions, %v; want %v", n, ended, tc.ended)
+			}
+			if want := 3 - len(tc.ended); tr.Active() != want {
+				t.Fatalf("%d sessions tracked after the sweep, want %d", tr.Active(), want)
+			}
+			if _, ok := tr.Get(Key{IP: "10.0.0.1", UserAgent: "b"}); ok != tc.touch {
+				t.Fatalf("b tracked: %v, want %v", ok, tc.touch)
+			}
+		})
+	}
+}

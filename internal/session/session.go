@@ -38,7 +38,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"botdetect/internal/clock"
 	"botdetect/internal/features"
@@ -250,19 +249,6 @@ type EvictionStats struct {
 	CapacityEvidence  int64
 	Flush             int64
 }
-
-// sessionBaseBytes is the base cost Tracker.MemoryEstimate charges per
-// session: the record in its allocator size class, derived from the struct
-// layout via unsafe.Sizeof so it cannot silently rot when fields change
-// (TestSessionStructBudgets pins the layouts and
-// TestSessionMemoryEstimateCoversHeap holds the estimate against the measured
-// heap: it feeds admission control, so it may not read below the heap, and
-// bytes_per_session is computed from it, so it may not drift far above
-// either). A path set past the record's inline room is charged on top (4
-// bytes a fingerprint, by capacity), the shard's spill store and the table's
-// index once for all sessions; the User-Agent, and an address that is not an
-// IP address, are the interner's.
-var sessionBaseBytes = shard.AllocBytes(int64(unsafe.Sizeof(sessionState{})))
 
 // evictScanLimit bounds how far enforceCapLocked walks up from the LRU tail
 // looking for an evidence-free victim before falling back to strict LRU.
@@ -483,10 +469,11 @@ func (s Snapshot) SignalAt(sig Signal) (int64, bool) { return s.Signals.At(sig) 
 func (s Snapshot) Duration() time.Duration { return s.LastSeen.Sub(s.FirstSeen) }
 
 // sessionState is the tracker's per-session record and the only copy of the
-// session: 192 bytes, exactly an allocator size class, and no pointer. The
-// embedded node is the table's: the session's ID and its LRU and
-// index-chain links. Every field is guarded by the owning shard's mutex;
-// readers get a Snapshot built by fill under it.
+// session: 192 bytes, eight of which fill an allocator size class exactly in
+// the table's chunk, and no pointer. The embedded node is the table's: the
+// session's ID and its LRU and index-chain links. A removal in the shard may
+// move the record (see shard.Shard.Remove). Every field is guarded by the
+// owning shard's mutex; readers get a Snapshot built by fill under it.
 type sessionState struct {
 	shard.Node[sessionID]
 
@@ -620,7 +607,7 @@ type Tracker struct {
 
 	ended atomic.Int64
 	sweep atomic.Uint64 // round-robin cursor for amortized expiry
-	bytes atomic.Int64  // approximate live footprint (see MemoryEstimate)
+	bytes atomic.Int64  // heap of the spilled path sets and spill stores (see MemoryEstimate)
 
 	evictions [numEvictReasons]atomic.Int64
 }
@@ -706,7 +693,7 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 		// The gap since the last request exceeds the idle timeout: the old
 		// session ends and the new activity starts a fresh one (the paper's
 		// session definition).
-		evicted = append(evicted, t.removeLocked(sh, st, EvictIdle, key))
+		evicted, _ = t.removeLocked(sh, st, EvictIdle, key, evicted)
 		st = nil
 	}
 	if st == nil {
@@ -860,12 +847,13 @@ func (t *Tracker) Peek(key Key) (*Snapshot, bool) {
 func (t *Tracker) Active() int { return t.table.Len() }
 
 // MemoryEstimate returns the tracker's approximate live memory footprint in
-// bytes: a rounded-up base cost per session plus the path sets past a
-// record's inline room, the shards' spill stores and the table's index.
-// Interned User-Agent bytes (and addresses that are not IP addresses) are
-// accounted by the shared interner, not here. It is maintained with atomic
-// adds on the write path, so reading it is lock-free and allocation-free —
-// the load-state recomputation reads it on the serve path.
+// bytes: the table's chunks of session records, chunk directories and bucket
+// arrays (its IndexBytes), the path sets past a record's inline room and the
+// shards' spill stores. Interned User-Agent bytes (and addresses that are
+// not IP addresses) are accounted by the shared interner, not here. It is
+// maintained with atomic adds on the write path, so reading it is lock-free
+// and allocation-free — the load-state recomputation reads it on the serve
+// path.
 func (t *Tracker) MemoryEstimate() int64 { return t.bytes.Load() + t.table.IndexBytes() }
 
 // Evictions returns cumulative per-reason eviction counts. Lock-free.
@@ -947,7 +935,11 @@ func (t *Tracker) expireShard(sh *sessionShard, now time.Time) int {
 	for st := sh.Tail(); st != nil; {
 		prev := sh.Prev(st)
 		if st.lastSeen < deadline {
-			evicted = append(evicted, t.removeLocked(sh, st, EvictIdle, t.keyOf(st.ID())))
+			var from *sessionState
+			evicted, from = t.removeLocked(sh, st, EvictIdle, t.keyOf(st.ID()), evicted)
+			if from != nil && prev == from {
+				prev = st // the removal moved prev into st's slot
+			}
 		}
 		st = prev
 	}
@@ -966,7 +958,7 @@ func (t *Tracker) FlushAll() []Snapshot {
 		sh := t.table.Shard(i)
 		sh.Lock()
 		for st := sh.Tail(); st != nil; st = sh.Tail() {
-			snaps = append(snaps, t.removeLocked(sh, st, EvictFlush, t.keyOf(st.ID())))
+			snaps, _ = t.removeLocked(sh, st, EvictFlush, t.keyOf(st.ID()), snaps)
 		}
 		sh.Unlock()
 	}
@@ -1022,13 +1014,8 @@ func (t *Tracker) keyOf(id sessionID) Key {
 // address string is interned too, so the session pins no part of a request
 // line (a forwarded-for header).
 func (t *Tracker) createLocked(sh *sessionShard, h uint64, key Key, now int64) *sessionState {
-	st := &sessionState{
-		firstSeen: now,
-		lastSeen:  now,
-		epoch:     1,
-	}
-	sh.Insert(h, t.newID(key), st)
-	t.bytes.Add(sessionBaseBytes)
+	st := sh.Insert(h, t.newID(key))
+	st.firstSeen, st.lastSeen, st.epoch = now, now, 1
 	return st
 }
 
@@ -1063,24 +1050,24 @@ func (t *Tracker) storePaths(sh *sessionShard, st *sessionState, pt pathTable) {
 	st.npaths = uint16(n)
 }
 
-// removeLocked deletes the session from the shard and returns its final
-// snapshot under key. The caller delivers it to the Evicted callback after
-// unlocking.
-func (t *Tracker) removeLocked(sh *sessionShard, st *sessionState, reason EvictReason, key Key) Snapshot {
-	var snap Snapshot
-	st.fill(&snap, key)
-	moved := -sessionBaseBytes
+// removeLocked deletes the session from the shard and appends its final
+// snapshot under key to out; the caller delivers it to the Evicted callback
+// after unlocking. The record in the shard's last slot moves into st's:
+// removeLocked returns the address it moved from, nil when none moved, as
+// shard.Shard.Remove does.
+func (t *Tracker) removeLocked(sh *sessionShard, st *sessionState, reason EvictReason, key Key, out []Snapshot) ([]Snapshot, *sessionState) {
+	out = append(out, Snapshot{})
+	st.fill(&out[len(out)-1], key)
 	if st.npaths > inlinePaths {
-		moved += shard.SpillDrop[uint32](sh.Spill(), st.paths[0], int(st.paths[1]))
+		t.bytes.Add(shard.SpillDrop[uint32](sh.Spill(), st.paths[0], int(st.paths[1])))
 	}
 	id := st.ID()
-	sh.Remove(st)
+	from := sh.Remove(st)
 	t.ended.Add(1)
-	t.bytes.Add(moved)
 	t.evictions[reason].Add(1)
 	t.interner.ReleaseAddr(id.addr)
 	t.interner.Release(id.uaHandle())
-	return snap
+	return out, from
 }
 
 // hasEvidence reports whether the session has observed any detection signal.
@@ -1110,7 +1097,7 @@ func (t *Tracker) enforceCapLocked(sh *sessionShard, evicted []Snapshot) []Snaps
 				}
 			}
 		}
-		evicted = append(evicted, t.removeLocked(sh, victim, reason, t.keyOf(victim.ID())))
+		evicted, _ = t.removeLocked(sh, victim, reason, t.keyOf(victim.ID()), evicted)
 	}
 	return evicted
 }

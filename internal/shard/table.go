@@ -8,19 +8,35 @@ import (
 	"unsafe"
 )
 
-// A shard keeps its entries in a directory, an array of pointers to them in
-// no particular order, and links them by position in it: the LRU list, the
-// collision chains and the bucket array hold slot numbers, a position plus
-// one, so 0 links nothing. An entry type that holds no pointer of its own is
-// then never scanned by the garbage collector: its work per entry is one
-// directory word. The directory is dense — a removal moves the last entry
-// into the slot it frees — and it and the bucket array have the same
-// power-of-two length, allocated at the shard's first Insert. The length
+// A shard keeps its entries' records by value, in chunks of chunkLen records
+// each, and links them by slot number: slot s, a position plus one (0 links
+// nothing), is record (s-1)%chunkLen of chunk (s-1)/chunkLen. The LRU list,
+// the collision chains and the bucket array hold slot numbers. A record type
+// that holds no pointer makes a chunk the garbage collector never scans: its
+// work per entry is one chunk pointer for every chunkLen records, in the
+// shard's chunk directory. The slots are dense: a removal copies the last
+// record into the slot it frees, so a *E is valid only until the next Remove
+// on its shard, and Remove returns the address the moved record had, so that
+// a walk holding a neighbour across it can follow the move. A chunk is
+// allocated when the slots run out and the last one is freed once two are
+// empty, so a shard that sits at a cap divisible by chunkLen keeps a spare
+// and does not allocate and free a chunk on every insert. The bucket array
+// has a power-of-two length, allocated at the shard's first Insert; it
 // doubles when the shard holds more entries than it has buckets and halves
 // when it holds a quarter of them or fewer, so right after a resize an entry
-// holds one or two of each, and a shard that hovers at its cap never resizes
-// back and forth. An empty shard frees both.
+// has one or two buckets, and a shard that hovers at its cap never resizes
+// back and forth. A resize re-chains the entries where they are and moves
+// no record; a halving also trims the chunk directory to its length. An
+// empty shard frees all of it.
+//
+// A chunk holds 8 records. 8 sessions (1,536 B) and 8 keystore clients
+// (512 B) each fill an allocator size class exactly, and a shard's last
+// chunk leaves 3.5 records unused on average. At bigpage_origin's ~63
+// sessions a shard, 16-record chunks would leave 7.5 unused, 1,440 B a
+// shard or 23 B a session: more than the 8 to 18 B a session the directory
+// of record pointers they replace cost there.
 const (
+	chunkLen    = 8
 	minBuckets  = 1
 	shrinkRatio = 4
 	slotBytes   = int64(unsafe.Sizeof(uintptr(0)))
@@ -54,15 +70,26 @@ func AllocBytes(n int64) int64 {
 	return int64(sizeClasses[i])
 }
 
-// dirBytes is the heap a directory of size slots pins. An array of pointers
-// past 512 B and under 32 KiB carries an 8-byte type header, which the
-// allocator rounds up with it; a smaller or larger array of a power of two
-// pointers fills its allocation exactly.
-func dirBytes(size int) int64 {
-	if b := slotBytes * int64(size); b <= 512 || b >= 32<<10 {
+// dirBytes is the heap an array of slots pointers pins. Past 512 B and up to
+// 32 KiB it carries an 8-byte type header, which the allocator rounds up with
+// it; an array of one pointer takes the 8-byte size class.
+func dirBytes(slots int) int64 {
+	b := slotBytes * int64(slots)
+	switch {
+	case b <= slotBytes:
 		return b
+	case b > 512 && b <= 32<<10-8:
+		b += 8
 	}
-	return AllocBytes(slotBytes*int64(size) + 8)
+	return AllocBytes(b)
+}
+
+// chunkBytes is the heap a chunk of records of type E pins. It charges no
+// allocation header: the records hold no pointer, or a chunk of them is at
+// most 512 B.
+func chunkBytes[E any]() int64 {
+	var c [chunkLen]E
+	return AllocBytes(int64(unsafe.Sizeof(c)))
 }
 
 // bucketArray returns a bucket array of size buckets. Its allocation is at
@@ -72,27 +99,21 @@ func bucketArray(size int) []uint32 {
 	return make([]uint32, max(size, minBucketAlloc))[:size]
 }
 
+// bucketArrayBytes is the heap an array of size buckets pins, 0 for none.
 func bucketArrayBytes(size int) int64 {
-	return bucketBytes * int64(max(size, minBucketAlloc))
-}
-
-// indexBytes is the heap a shard's directory and bucket array of size each
-// pin together, 0 for none. TestIndexBytesMatchesBuckets measures both
-// against the allocator at every size.
-func indexBytes(size int) int64 {
 	if size == 0 {
 		return 0
 	}
-	return dirBytes(size) + bucketArrayBytes(size)
+	return bucketBytes * int64(max(size, minBucketAlloc))
 }
 
 // Node is the part of a table entry the table owns: the entry's key as the
 // entry stores it (its ID), the slot numbers of its LRU neighbours and of the
 // next entry in its collision chain, and the low 32 bits of its slot hash, so
 // no key is ever hashed again after Insert. prev points towards the head, the
-// most recently used. An entry type embeds it, so an entry is one allocation
-// and the table keeps no record of its own; a pointer-free ID keeps the whole
-// entry pointer-free.
+// most recently used. An entry type embeds it, so an entry is one record in
+// its shard's chunk and the table keeps no record of its own; a pointer-free
+// ID keeps the whole entry pointer-free.
 type Node[I comparable] struct {
 	id                      I
 	prev, next, hnext, hash uint32
@@ -119,8 +140,8 @@ type Entry[I comparable, E any] interface {
 // hash, picks the bucket in that shard's index. The slot hash must be seeded:
 // FNV is an iterated 64-bit hash, so many keys with one FNV value are cheap
 // to build and would line up in one chain. Each shard has its own lock,
-// directory, intrusive LRU list, spill store, live count and cap; what to
-// evict when a shard is over its cap is the user's call.
+// chunks of records, intrusive LRU list, spill store, live count and cap;
+// what to evict when a shard is over its cap is the user's call.
 type Table[K, I comparable, E any, P Entry[I, E]] struct {
 	shards []*Shard[I, E, P]
 	fnv    func(K) uint64
@@ -135,7 +156,7 @@ type Table[K, I comparable, E any, P Entry[I, E]] struct {
 // books are the table's lock-free totals, which its shards keep up to date.
 type books struct {
 	live  atomic.Int64
-	index atomic.Int64 // heap of every shard's directory and bucket array
+	index atomic.Int64 // heap of every shard's chunks, chunk directory and bucket array
 }
 
 // Shard is one independently locked partition of a table. Every method but
@@ -143,7 +164,8 @@ type books struct {
 type Shard[I comparable, E any, P Entry[I, E]] struct {
 	sync.Mutex
 	books      *books
-	dir        []*E // the entries; cap(dir) == len(buckets)
+	chunks     []*[chunkLen]E // the records; slots 1 to n hold the entries
+	n          int
 	buckets    []uint32
 	head, tail uint32
 	spill      Spill
@@ -187,8 +209,9 @@ func (t *Table[K, I, E, P]) Shard(i int) *Shard[I, E, P] { return t.shards[i] }
 // Len returns the number of entries in the whole table, lock-free.
 func (t *Table[K, I, E, P]) Len() int { return int(t.live.Load()) }
 
-// IndexBytes returns the heap every shard's directory and bucket array pin,
-// lock-free: what the table's users charge for its index.
+// IndexBytes returns the heap every shard's records, chunk directory and
+// bucket array pin, lock-free: what the table's users charge for their
+// records and its index.
 func (t *Table[K, I, E, P]) IndexBytes() int64 { return t.index.Load() }
 
 // ShardFill returns the number of entries in shard i and its cap, for
@@ -198,7 +221,7 @@ func (t *Table[K, I, E, P]) ShardFill(i int) (n, max int) {
 	sh := t.shards[i]
 	sh.Lock()
 	defer sh.Unlock()
-	return len(sh.dir), sh.max
+	return sh.n, sh.max
 }
 
 // SetShardCap sets shard i's cap. The shard evicts nothing itself: its user
@@ -215,7 +238,7 @@ func (t *Table[K, I, E, P]) SetShardCap(i, max int) {
 func (sh *Shard[I, E, P]) Index() int { return sh.i }
 
 // Len returns the number of entries in the shard.
-func (sh *Shard[I, E, P]) Len() int { return len(sh.dir) }
+func (sh *Shard[I, E, P]) Len() int { return sh.n }
 
 // Cap returns the shard's cap.
 func (sh *Shard[I, E, P]) Cap() int { return sh.max }
@@ -224,16 +247,21 @@ func (sh *Shard[I, E, P]) Cap() int { return sh.max }
 // its entries' records.
 func (sh *Shard[I, E, P]) Spill() *Spill { return &sh.spill }
 
-// entry returns the entry in slot s, nil for 0.
+// entry returns the record in slot s, nil for 0.
 func (sh *Shard[I, E, P]) entry(s uint32) *E {
 	if s == 0 {
 		return nil
 	}
-	return sh.dir[s-1]
+	return sh.rec(s)
+}
+
+// rec returns the record in slot s, which must not be 0.
+func (sh *Shard[I, E, P]) rec(s uint32) *E {
+	return &sh.chunks[(s-1)/chunkLen][(s-1)%chunkLen]
 }
 
 // at returns the node of the entry in slot s, which must be held.
-func (sh *Shard[I, E, P]) at(s uint32) *Node[I] { return P(sh.dir[s-1]).node() }
+func (sh *Shard[I, E, P]) at(s uint32) *Node[I] { return P(sh.rec(s)).node() }
 
 // Head returns the shard's most recently used entry, nil when it is empty.
 func (sh *Shard[I, E, P]) Head() *E { return sh.entry(sh.head) }
@@ -255,7 +283,7 @@ func (sh *Shard[I, E, P]) Get(h uint64, id I) *E {
 		return nil
 	}
 	for s := sh.buckets[uint32(h)&uint32(len(sh.buckets)-1)]; s != 0; {
-		e := sh.dir[s-1]
+		e := sh.rec(s)
 		n := P(e).node()
 		if n.hash == uint32(h) && n.id == id {
 			return e
@@ -265,30 +293,40 @@ func (sh *Shard[I, E, P]) Get(h uint64, id I) *E {
 	return nil
 }
 
-// Insert adds e with ID id, whose key's slot hash is h, as the shard's most
-// recently used entry. The shard must not hold id already.
-func (sh *Shard[I, E, P]) Insert(h uint64, id I, e *E) {
-	n := P(e).node()
-	n.id, n.hash = id, uint32(h)
-	if len(sh.dir) == len(sh.buckets) {
+// Insert adds an entry with ID id, whose key's slot hash is h, as the shard's
+// most recently used entry, and returns its record: the next slot, zero but
+// for its node. The shard must not hold id already. No record moves.
+func (sh *Shard[I, E, P]) Insert(h uint64, id I) *E {
+	if sh.n == len(sh.buckets) {
 		sh.resize(max(2*len(sh.buckets), minBuckets))
 	}
-	sh.dir = append(sh.dir, e) // within the capacity resize gave it
-	s := uint32(len(sh.dir))
+	if sh.n == chunkLen*len(sh.chunks) {
+		before := sh.pinned()
+		sh.chunks = append(sh.chunks, new([chunkLen]E))
+		sh.books.index.Add(sh.pinned() - before)
+	}
+	sh.n++
+	s := uint32(sh.n)
+	e := sh.rec(s) // every slot past the last is zero
+	n := P(e).node()
+	n.id, n.hash = id, uint32(h)
 	sh.pushFront(s, n)
 	sh.chain(s, n)
 	sh.books.live.Add(1)
+	return e
 }
 
-// Remove drops e from the shard. The last entry of the directory moves into
-// the slot e frees.
-func (sh *Shard[I, E, P]) Remove(e *E) {
+// Remove drops e from the shard. The record in the last slot is copied into
+// the slot e frees, and the last slot is zeroed; Remove returns the address
+// the moved record had, nil when e was the last and nothing moved. A *E the
+// caller holds to that address must be taken as e from here on.
+func (sh *Shard[I, E, P]) Remove(e *E) (from *E) {
 	n := P(e).node()
 	s := sh.slotOf(n)
 	*sh.link(n.hash, s) = n.hnext
-	n.hnext = 0
 	sh.unlink(n)
-	if last := uint32(len(sh.dir)); s != last {
+	last := uint32(sh.n)
+	if s != last {
 		m := sh.at(last)
 		if m.prev != 0 {
 			sh.at(m.prev).next = s
@@ -301,17 +339,27 @@ func (sh *Shard[I, E, P]) Remove(e *E) {
 			sh.tail = s
 		}
 		*sh.link(m.hash, last) = s
-		sh.dir[s-1] = sh.dir[last-1]
+		from = sh.rec(last)
+		*e = *from
 	}
-	sh.dir[len(sh.dir)-1] = nil
-	sh.dir = sh.dir[:len(sh.dir)-1]
+	var zero E
+	*sh.rec(last) = zero
+	sh.n--
 	sh.books.live.Add(-1)
-	switch {
-	case len(sh.dir) == 0:
+	if sh.n == 0 {
 		sh.resize(0)
-	case len(sh.dir)*shrinkRatio <= len(sh.buckets):
+		return from
+	}
+	if len(sh.chunks)-(sh.n+chunkLen-1)/chunkLen == 2 {
+		before := sh.pinned()
+		sh.chunks[len(sh.chunks)-1] = nil
+		sh.chunks = sh.chunks[:len(sh.chunks)-1]
+		sh.books.index.Add(sh.pinned() - before)
+	}
+	if sh.n*shrinkRatio <= len(sh.buckets) {
 		sh.resize(len(sh.buckets) / 2)
 	}
+	return from
 }
 
 // slotOf returns the slot of the entry whose node is n: its LRU neighbour
@@ -340,21 +388,29 @@ func (sh *Shard[I, E, P]) chain(s uint32, n *Node[I]) {
 	n.hnext, *b = *b, s
 }
 
-// resize replaces the directory and the bucket array with ones of size slots
-// and buckets (none at 0), moves the entries over in slot order and chains
-// them again.
+// pinned is the heap the shard's chunks, chunk directory and bucket array
+// pin.
+func (sh *Shard[I, E, P]) pinned() int64 {
+	return int64(len(sh.chunks))*chunkBytes[E]() + dirBytes(cap(sh.chunks)) + bucketArrayBytes(len(sh.buckets))
+}
+
+// resize replaces the bucket array with one of size buckets and chains the
+// entries again where they are; at 0 it frees the chunks too. A halving
+// trims the chunk directory to its length.
 func (sh *Shard[I, E, P]) resize(size int) {
-	sh.books.index.Add(indexBytes(size) - indexBytes(len(sh.buckets)))
+	before := sh.pinned()
 	if size == 0 {
-		sh.dir, sh.buckets = nil, nil
-		return
+		sh.chunks, sh.buckets = nil, nil
+	} else {
+		if size < len(sh.buckets) {
+			sh.chunks = slices.Clone(sh.chunks)
+		}
+		sh.buckets = bucketArray(size)
+		for s := uint32(1); s <= uint32(sh.n); s++ {
+			sh.chain(s, sh.at(s))
+		}
 	}
-	dir := make([]*E, len(sh.dir), size)
-	copy(dir, sh.dir)
-	sh.dir, sh.buckets = dir, bucketArray(size)
-	for i, e := range sh.dir {
-		sh.chain(uint32(i+1), P(e).node())
-	}
+	sh.books.index.Add(sh.pinned() - before)
 }
 
 // Touch makes e the shard's most recently used entry.

@@ -18,7 +18,7 @@ type entry struct {
 
 // tableOp is one input to a one-shard table.
 type tableOp struct {
-	kind int // opGet, opTouch, opRemove or opEvictTail
+	kind int // opGet, opTouch, opRemove, opEvictTail or opSweep
 	key  string
 }
 
@@ -27,13 +27,15 @@ const (
 	opTouch            // Touch, if the key is held
 	opRemove           // Remove, if the key is held
 	opEvictTail        // Remove the LRU tail, if any
+	opSweep            // remove every entry but key's in one walk from the tail
 )
 
 func (o tableOp) String() string {
-	return [...]string{"get", "touch", "remove", "evict-tail"}[o.kind] + "(" + o.key + ")"
+	return [...]string{"get", "touch", "remove", "evict-tail", "sweep-all-but"}[o.kind] + "(" + o.key + ")"
 }
 
-// tableOps is every input over the keys a, b and c.
+// tableOps is every input over the keys a, b and c, and one sweep that keeps
+// b.
 var tableOps = func() []tableOp {
 	var ops []tableOp
 	for _, kind := range []int{opGet, opTouch, opRemove} {
@@ -41,27 +43,30 @@ var tableOps = func() []tableOp {
 			ops = append(ops, tableOp{kind, k})
 		}
 	}
-	return append(ops, tableOp{kind: opEvictTail})
+	return append(ops, tableOp{kind: opEvictTail}, tableOp{opSweep, "b"})
 }()
 
-// tableRun is a one-shard table beside its reference: the held entries by
-// key, and the keys in LRU order, most recent first.
+// tableRun is a one-shard table beside its reference: the held keys, and
+// the keys in LRU order, most recent first.
 type tableRun struct {
-	t       *Table[string, string, entry, *entry]
-	sh      *Shard[string, entry, *entry]
-	held    map[string]*entry
-	lru     []string
-	removed map[chainPos]int // removals by the entry's position in its chain
-	resized map[resize]int   // directory and bucket array resizes by kind
-	moved   int              // removals that moved the last entry into the freed slot
+	t         *Table[string, string, entry, *entry]
+	sh        *Shard[string, entry, *entry]
+	keys      []string // every key a sequence can hold
+	held      map[string]bool
+	lru       []string
+	removed   map[chainPos]int // removals by the entry's position in its chain
+	resized   map[resize]int   // bucket array resizes by kind
+	chunks    map[chunkEvent]int
+	moved     int // removals that moved the last record into the freed slot
+	walkMoved int // sweep removals that moved the walk's saved neighbour
 }
 
 type resize int
 
 const (
-	resizeGrow    resize = iota // the arrays doubled
-	resizeShrink                // the arrays halved
-	resizeRelease               // the arrays were freed
+	resizeGrow    resize = iota // the bucket array doubled
+	resizeShrink                // the bucket array halved
+	resizeRelease               // the arrays and chunks were freed
 )
 
 type chainPos int
@@ -73,10 +78,29 @@ const (
 	chainAlone
 )
 
-func newTableRun(hook func(string) uint64) *tableRun {
+type chunkEvent int
+
+const (
+	chunkAdded chunkEvent = iota // an insert allocated a second or later chunk
+	chunkSpare                   // a removal emptied a chunk and kept it
+	chunkFreed                   // a removal freed the last of two empty chunks
+)
+
+// newTableRun returns an empty one-shard table, or one holding the keys k0
+// to k<prefill-1> inserted in that order, and its reference.
+func newTableRun(hook func(string) uint64, prefill int) *tableRun {
 	t := NewTable[string, string, entry](1, 8, HashString)
 	t.HashHook = hook
-	return &tableRun{t: t, sh: t.Shard(0), held: map[string]*entry{}, removed: map[chainPos]int{}, resized: map[resize]int{}}
+	r := &tableRun{t: t, sh: t.Shard(0), keys: []string{"a", "b", "c"}, held: map[string]bool{},
+		removed: map[chainPos]int{}, resized: map[resize]int{}, chunks: map[chunkEvent]int{}}
+	for i := range prefill {
+		k := fmt.Sprintf("k%d", i)
+		r.keys = append(r.keys, k)
+		r.apply(tableOp{opGet, k})
+	}
+	clear(r.resized) // count the sequence's events only
+	clear(r.chunks)
+	return r
 }
 
 // bucket is the bucket key belongs in. Caller holds the lock.
@@ -84,10 +108,15 @@ func (r *tableRun) bucket(key string) int {
 	return int(r.t.slot(key) & uint64(len(r.sh.buckets)-1))
 }
 
-// slot is e's slot number: one more than its position in the directory.
-// Caller holds the lock.
+// slot is the number of the slot e is the record of, 0 for none. Caller
+// holds the lock.
 func (r *tableRun) slot(e *entry) uint32 {
-	return uint32(slices.Index(r.sh.dir, e) + 1)
+	for s := uint32(1); s <= uint32(r.sh.n); s++ {
+		if r.sh.rec(s) == e {
+			return s
+		}
+	}
+	return 0
 }
 
 // position is where e sits in its index chain. Caller holds the lock.
@@ -104,18 +133,33 @@ func (r *tableRun) position(e *entry) chainPos {
 	return chainMiddle
 }
 
-// remove removes e from the table and k from the reference.
-func (r *tableRun) remove(k string, e *entry) {
+// remove removes e, whose key is k, from the table and k from the reference,
+// and returns what Remove returned. Remove must have moved the last record
+// into e exactly when e was not it, said where from, and zeroed the last
+// slot.
+func (r *tableRun) remove(k string, e *entry) *entry {
 	r.removed[r.position(e)]++
-	if r.slot(e) != uint32(len(r.sh.dir)) {
+	last, chunks := r.sh.rec(uint32(r.sh.n)), len(r.sh.chunks)
+	from := r.sh.Remove(e)
+	if e == last && from != nil || e != last && (from != last || e.id == k || !r.held[e.id]) {
+		panic(fmt.Sprintf("removing %s from slot %d of %d: Remove reports a move from %p (last slot %p), %s is in its slot",
+			k, r.slot(e), r.sh.n+1, from, last, e.id))
+	}
+	if *last != (entry{}) {
+		panic(fmt.Sprintf("removing %s left %s in the last slot", k, last.id))
+	}
+	if from != nil {
 		r.moved++
 	}
-	r.sh.Remove(e)
+	switch n := r.sh.n; {
+	case len(r.sh.chunks) < chunks && n > 0:
+		r.chunks[chunkFreed]++
+	case n > 0 && n%chunkLen == 0 && len(r.sh.chunks) > n/chunkLen:
+		r.chunks[chunkSpare]++
+	}
 	delete(r.held, k)
 	r.lru = slices.DeleteFunc(r.lru, func(have string) bool { return have == k })
-	if e.prev != 0 || e.next != 0 || e.hnext != 0 {
-		panic(fmt.Sprintf("removed entry %s kept its links", k))
-	}
+	return from
 }
 
 // apply makes one input on the table and the reference.
@@ -138,9 +182,14 @@ func (r *tableRun) apply(op tableOp) {
 	switch op.kind {
 	case opGet:
 		if e == nil {
-			e = new(entry)
-			r.sh.Insert(h, op.key, e)
-			r.held[op.key] = e
+			chunks := len(r.sh.chunks)
+			if e = r.sh.Insert(h, op.key); e.id != op.key || e.hash != uint32(h) {
+				panic(fmt.Sprintf("Insert(%s) returned the record of %s", op.key, e.id))
+			}
+			if len(r.sh.chunks) > max(chunks, 1) {
+				r.chunks[chunkAdded]++
+			}
+			r.held[op.key] = true
 			r.lru = append([]string{op.key}, r.lru...)
 		}
 	case opTouch:
@@ -156,21 +205,44 @@ func (r *tableRun) apply(op tableOp) {
 		if tail := r.sh.Tail(); tail != nil {
 			r.remove(tail.ID(), tail)
 		}
+	case opSweep:
+		// The walk an expiry sweep makes: it holds the next entry to visit
+		// across each removal, and takes it as the removed one's slot when
+		// the removal moved it there.
+		want := slices.Clone(r.lru)
+		slices.Reverse(want)
+		var walked []string
+		for e := r.sh.Tail(); e != nil; {
+			prev := r.sh.Prev(e)
+			if walked = append(walked, e.id); len(walked) > len(want) {
+				break
+			}
+			if e.id != op.key {
+				if from := r.remove(e.id, e); from != nil && prev == from {
+					prev = e
+					r.walkMoved++
+				}
+			}
+			e = prev
+		}
+		if !slices.Equal(walked, want) {
+			panic(fmt.Sprintf("the sweep walked %v, the LRU list from the tail is %v", walked, want))
+		}
 	}
 }
 
 // check compares the table with the reference and with its own books: what
 // every key looks up to, the LRU list walked from either end, the counts,
-// the directory, which must hold each held entry exactly once, and the index
+// the slots, which must hold each held entry exactly once, and the index
 // chains, which must hold each held entry's slot exactly once under its own
 // slot hash. It returns what broke, or "".
 func (r *tableRun) check() string {
 	r.sh.Lock()
 	defer r.sh.Unlock()
-	for _, k := range []string{"a", "b", "c"} {
+	for _, k := range r.keys {
 		_, h := r.t.Locate(k)
-		if got, want := r.sh.Get(h, k), r.held[k]; got != want {
-			return fmt.Sprintf("Get(%s) = %p, reference %p", k, got, want)
+		if got := r.sh.Get(h, k); (got != nil) != r.held[k] || got != nil && got.id != k {
+			return fmt.Sprintf("Get(%s) = %v, held %v", k, got, r.held[k])
 		}
 	}
 	if r.sh.Len() != len(r.lru) || r.t.Len() != len(r.lru) {
@@ -197,23 +269,29 @@ func (r *tableRun) check() string {
 	if why := indexBooks(r.t); why != "" {
 		return why
 	}
-	inDir := map[*entry]bool{}
-	for _, e := range r.sh.dir {
-		if inDir[e] || r.held[e.id] != e {
-			return fmt.Sprintf("%s is in the directory twice, or not held", e.id)
+	inSlots := map[string]bool{}
+	for s := uint32(1); s <= uint32(r.sh.n); s++ {
+		id := r.sh.rec(s).id
+		if inSlots[id] || !r.held[id] {
+			return fmt.Sprintf("%s is in two slots, or not held", id)
 		}
-		inDir[e] = true
+		inSlots[id] = true
 	}
-	if len(inDir) != len(r.held) {
-		return fmt.Sprintf("the directory holds %d entries, the reference %d", len(inDir), len(r.held))
+	if len(inSlots) != len(r.held) {
+		return fmt.Sprintf("the slots hold %d entries, the reference %d", len(inSlots), len(r.held))
+	}
+	for s := uint32(r.sh.n) + 1; s <= uint32(chunkLen*len(r.sh.chunks)); s++ {
+		if *r.sh.rec(s) != (entry{}) {
+			return fmt.Sprintf("slot %d past the last holds %s", s, r.sh.rec(s).id)
+		}
 	}
 	chained := map[*entry]bool{}
 	for i, first := range r.sh.buckets {
-		for s := first; s != 0; s = r.sh.dir[s-1].hnext {
-			if int(s) > len(r.sh.dir) {
-				return fmt.Sprintf("bucket %d's chain names slot %d of %d", i, s, len(r.sh.dir))
+		for s := first; s != 0; s = r.sh.rec(s).hnext {
+			if int(s) > r.sh.n {
+				return fmt.Sprintf("bucket %d's chain names slot %d of %d", i, s, r.sh.n)
 			}
-			e := r.sh.dir[s-1]
+			e := r.sh.rec(s)
 			if r.bucket(e.id) != i || chained[e] || uint32(r.t.slot(e.id)) != e.hash {
 				return fmt.Sprintf("%s is in the chain of bucket %d, twice, or under another hash", e.id, i)
 			}
@@ -226,75 +304,93 @@ func (r *tableRun) check() string {
 	return ""
 }
 
-// indexBooks checks every shard's directory and bucket array against its
-// count and the table's IndexBytes against the arrays: none while a shard is
-// empty, else as many slots as buckets, a power of two no shorter than the
-// count and under four times it (or the smallest array), and IndexBytes is
-// what the directories and the bucket arrays pin. It returns what broke, or
-// "". It reads the shards without their locks: the table must have no other
-// user.
+// indexBooks checks every shard's chunks and bucket array against its count
+// and the table's IndexBytes against what they pin: none while a shard is
+// empty; else as many chunks as its entries fill, or one more, and a
+// power-of-two bucket array no shorter than the count and under four times
+// it (or the smallest array); and IndexBytes is what the chunks, the chunk
+// directories and the bucket arrays pin. It returns what broke, or "". It
+// reads the shards without their locks: the table must have no other user.
 func indexBooks(t *Table[string, string, entry, *entry]) string {
 	var pinned int64
 	for _, sh := range t.shards {
-		n, size := len(sh.dir), len(sh.buckets)
-		if n == 0 && size != 0 || n > 0 && (size&(size-1) != 0 || size < n || shrinkRatio*n <= size && size > minBuckets) || cap(sh.dir) != size {
-			return fmt.Sprintf("shard %d holds %d entries in a directory of %d slots and %d buckets", sh.i, n, cap(sh.dir), size)
+		n, size, need := sh.n, len(sh.buckets), (sh.n+chunkLen-1)/chunkLen
+		if n == 0 && (size != 0 || cap(sh.chunks) != 0) ||
+			n > 0 && (size&(size-1) != 0 || size < n || shrinkRatio*n <= size && size > minBuckets || len(sh.chunks) < need || len(sh.chunks) > need+1) ||
+			slices.Contains(sh.chunks, nil) {
+			return fmt.Sprintf("shard %d holds %d entries in %d chunks (directory of %d) and %d buckets", sh.i, n, len(sh.chunks), cap(sh.chunks), size)
 		}
-		if size > 0 {
-			pinned += dirBytes(cap(sh.dir)) + bucketArrayBytes(size)
-		}
+		pinned += int64(len(sh.chunks))*chunkBytes[entry]() + dirBytes(cap(sh.chunks)) + bucketArrayBytes(size)
 	}
 	if t.IndexBytes() != pinned {
-		return fmt.Sprintf("IndexBytes %d, the shards' directories and bucket arrays pin %d B", t.IndexBytes(), pinned)
+		return fmt.Sprintf("IndexBytes %d, the shards' chunks, chunk directories and bucket arrays pin %d B", t.IndexBytes(), pinned)
 	}
 	return ""
 }
 
 // TestTableEnumerated is the exhaustive small-scope check of the table every
 // sharded client store is built on: every sequence of get-or-insert, touch,
-// remove and evict-tail over three keys on one shard, to depth 6, once with
-// all keys hashed into one collision chain and once into distinct slots.
-// After each input the table must agree with a reference (a map and an
-// ordered slice) on every lookup, on the LRU order walked both ways and on
-// its counts; the directory must hold each held entry exactly once and the
-// chain of the bucket its slot hash picks its slot exactly once, the
-// directory and the bucket array must fit the count and IndexBytes the two
-// arrays; a removed entry keeps no links. The one-chain walk must have
-// removed entries from a chain's head, middle and tail, and each walk must
-// have grown, shrunk and released the arrays (three keys reach four buckets
-// from one) and reused a freed slot for the directory's last entry. A table
-// cannot be forked, so each sequence is replayed from an empty one; the
-// first failure prints its sequence. Under the race detector the depth is 5,
-// the least that shrinks the arrays (three inserts grow them to four, two
-// removals halve them).
+// remove and evict-tail over three keys, and a sweep that removes all but
+// one key in one walk from the tail, on one shard, to depth 6, once with all
+// keys hashed into one collision chain, once into distinct slots, and once
+// into distinct slots after 14 other keys, so that the three keys fill a
+// third chunk. After each input the table must agree with a reference (a set
+// and an ordered slice) on every lookup, on the LRU order walked both ways
+// and on its counts; the slots must hold each held entry exactly once and
+// nothing past the last, the chain of the bucket its slot hash picks its
+// slot exactly once, the chunks and the bucket array must fit the count and
+// IndexBytes what they pin; Remove must move the last record into the slot
+// it frees and say where from, and the sweep, which holds its next entry
+// across a removal, must visit every entry once. The one-chain walk must have
+// removed entries from a chain's head, middle and tail; each walk must have
+// grown, shrunk and released the arrays (three keys reach four buckets from
+// one), moved a last record, and moved the sweep's saved neighbour; the
+// prefilled walk must have added a chunk past the eighth entry, kept an
+// emptied chunk as the spare and freed the last of two empty ones. A table
+// cannot be forked, so each sequence is replayed from a new one; the first
+// failure prints its sequence. Under the race detector the depth is 5, the
+// least that shrinks the arrays (three inserts grow them to four, two
+// removals halve them); the prefilled walk goes four inputs deep, enough to
+// fill the third chunk and sweep it.
 func TestTableEnumerated(t *testing.T) {
 	depth := 6
 	if raceEnabled {
 		depth = 5
 	}
 	for _, mode := range []struct {
-		name string
-		hook func(string) uint64
+		name    string
+		hook    func(string) uint64
+		prefill int
+		depth   int
 	}{
-		{"one-chain", func(string) uint64 { return 0 }},
-		{"distinct-slots", HashString}, // distinct for a, b and c
+		{"one-chain", func(string) uint64 { return 0 }, 0, depth},
+		{"distinct-slots", HashString, 0, depth}, // distinct for a, b and c
+		{"past-two-chunks", HashString, 2*chunkLen - 2, 4},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			removed, resized, moved := map[chainPos]int{}, map[resize]int{}, 0
-			seq := make([]tableOp, 0, depth)
+			removed, resized, chunks, moved, walkMoved := map[chainPos]int{}, map[resize]int{}, map[chunkEvent]int{}, 0, 0
+			seq := make([]tableOp, 0, mode.depth)
 			var walk func()
 			walk = func() {
-				if len(seq) == depth {
+				if len(seq) == mode.depth {
 					return
 				}
 				for _, op := range tableOps {
-					run := newTableRun(mode.hook)
+					run := newTableRun(mode.hook, mode.prefill)
 					for _, earlier := range seq {
 						run.apply(earlier)
 					}
 					seq = append(seq, op)
-					run.apply(op)
-					if why := run.check(); why != "" {
+					why := func() (why string) {
+						defer func() {
+							if p := recover(); p != nil {
+								why = fmt.Sprint(p)
+							}
+						}()
+						run.apply(op)
+						return run.check()
+					}()
+					if why != "" {
 						names := make([]string, len(seq))
 						for i, o := range seq {
 							names[i] = o.String()
@@ -307,7 +403,11 @@ func TestTableEnumerated(t *testing.T) {
 					for kind, n := range run.resized {
 						resized[kind] += n
 					}
+					for kind, n := range run.chunks {
+						chunks[kind] += n
+					}
 					moved += run.moved
+					walkMoved += run.walkMoved
 					walk()
 					seq = seq[:len(seq)-1]
 				}
@@ -315,13 +415,17 @@ func TestTableEnumerated(t *testing.T) {
 			walk()
 			t.Logf("removals by chain position (head, middle, tail, alone): %d %d %d %d",
 				removed[chainHead], removed[chainMiddle], removed[chainTail], removed[chainAlone])
-			t.Logf("directory and bucket array resizes (grow, shrink, release): %d %d %d; freed slots reused: %d",
-				resized[resizeGrow], resized[resizeShrink], resized[resizeRelease], moved)
+			t.Logf("bucket array resizes (grow, shrink, release): %d %d %d; last records moved: %d, of them the sweep's saved neighbour: %d",
+				resized[resizeGrow], resized[resizeShrink], resized[resizeRelease], moved, walkMoved)
+			t.Logf("chunks added, kept spare, freed: %d %d %d", chunks[chunkAdded], chunks[chunkSpare], chunks[chunkFreed])
 			if mode.name == "one-chain" && (removed[chainHead] == 0 || removed[chainMiddle] == 0 || removed[chainTail] == 0) {
 				t.Fatal("the walk never removed from a chain's head, middle and tail: it tests nothing")
 			}
-			if resized[resizeGrow] == 0 || resized[resizeShrink] == 0 || resized[resizeRelease] == 0 || moved == 0 {
-				t.Fatal("the walk never grew, shrank and released the arrays, or never reused a freed slot: it tests nothing")
+			if resized[resizeGrow] == 0 || resized[resizeShrink] == 0 || resized[resizeRelease] == 0 || moved == 0 || walkMoved == 0 {
+				t.Fatal("the walk never grew, shrank and released the arrays, never moved a last record, or never moved the sweep's saved neighbour: it tests nothing")
+			}
+			if mode.prefill > 0 && (chunks[chunkAdded] == 0 || chunks[chunkSpare] == 0 || chunks[chunkFreed] == 0) {
+				t.Fatal("the walk never added a chunk, kept a spare or freed one: it tests nothing")
 			}
 		})
 	}
@@ -345,39 +449,84 @@ func TestTableLocatePlacement(t *testing.T) {
 	}
 }
 
-// dirSink and bucketSink keep a measured array on the heap.
-var (
-	dirSink    []*entry
-	bucketSink []uint32
+// record192 and record64 stand for a session and a keystore client: records
+// of their sizes with no pointer.
+type (
+	record192 struct {
+		Node[uint64]
+		_ [192 - 24]byte
+	}
+	record64 struct {
+		Node[uint64]
+		_ [64 - 24]byte
+	}
 )
 
-// TestIndexBytesMatchesBuckets holds IndexBytes to the directories and bucket
-// arrays of a four-shard table after every insert and removal while 20,000
-// keys come and go in a seeded order, and to 0 once the table is empty
-// again; at its fullest a shard must have held a directory past the
-// allocator's large-object threshold (4,096 slots of 8 B, 32 KiB). What the
-// arrays pin, dirBytes and bucketArrayBytes, is measured against the
-// allocator first, from 1 to 2^16 slots and buckets, as the least of three
-// allocations: whatever the runtime allocates meanwhile only adds. A
-// directory of pointers between 512 B and 32 KiB carries an allocation
-// header; a bucket array holds none and never does.
-func TestIndexBytesMatchesBuckets(t *testing.T) {
+// Sinks keep a measured array on the heap.
+var (
+	dirSink      []*[chunkLen]entry
+	bucketSink   []uint32
+	chunkSink    *[chunkLen]entry
+	chunk192Sink *[chunkLen]record192
+	chunk64Sink  *[chunkLen]record64
+)
+
+// allocMeasured is the heap alloc allocates, the least of three runs:
+// whatever the runtime allocates meanwhile only adds.
+func allocMeasured(alloc func()) int64 {
 	var before, after runtime.MemStats
-	measure := func(alloc func()) int64 {
-		got := int64(math.MaxInt64)
-		for range 3 {
-			runtime.ReadMemStats(&before)
-			alloc()
-			runtime.ReadMemStats(&after)
-			got = min(got, int64(after.TotalAlloc-before.TotalAlloc))
+	got := int64(math.MaxInt64)
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		alloc()
+		runtime.ReadMemStats(&after)
+		got = min(got, int64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return got
+}
+
+// TestIndexBytesMatchesBuckets holds IndexBytes to the chunks, chunk
+// directories and bucket arrays of a four-shard table after every insert and
+// removal while 20,000 keys come and go in a seeded order, and to 0 once the
+// table is empty again; at its fullest a shard must have held a chunk
+// directory past 512 B, where it carries an allocation header. What they
+// pin, chunkBytes, dirBytes and bucketArrayBytes, is measured against the
+// allocator first: a chunk of the test's entries and of pointer-free records
+// of a session's 192 and a keystore client's 64 bytes, which fill the 1,536-
+// and 512-byte size classes exactly; a chunk directory of the fewest and the
+// most slots each size class or page count holds, to 2^16 slots (append and
+// slices.Clone give it the most; past 512 B and up to 32 KiB it carries a
+// header); and bucket arrays from 1 to 2^16, which hold no header.
+func TestIndexBytesMatchesBuckets(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		alloc func()
+		want  int64
+		fills int64 // the record size whose chunk fills its size class, or 0
+	}{
+		{"entry", func() { chunkSink = new([chunkLen]entry) }, chunkBytes[entry](), 0},
+		{"192-byte record", func() { chunk192Sink = new([chunkLen]record192) }, chunkBytes[record192](), 192},
+		{"64-byte record", func() { chunk64Sink = new([chunkLen]record64) }, chunkBytes[record64](), 64},
+	} {
+		got := allocMeasured(c.alloc)
+		if got != c.want || c.fills != 0 && got != chunkLen*c.fills {
+			t.Fatalf("a chunk of %s allocated %d B, chunkBytes says %d", c.name, got, c.want)
 		}
-		return got
+	}
+	chunkSink, chunk192Sink, chunk64Sink = nil, nil, nil
+	// Append grows a directory, and a halving clones it, to the most
+	// slots its allocation holds: one length per size class or page count.
+	lengths := []int{}
+	for n := 1; n <= 1<<16; n = cap(slices.Clone(make([]*[chunkLen]entry, n))) + 1 {
+		lengths = append(lengths, n, cap(slices.Clone(make([]*[chunkLen]entry, n))))
+	}
+	for _, n := range lengths {
+		if got := allocMeasured(func() { dirSink = make([]*[chunkLen]entry, 0, n) }); got != dirBytes(n) {
+			t.Fatalf("a chunk directory of %d slots allocated %d B, dirBytes says %d", n, got, dirBytes(n))
+		}
 	}
 	for size := 1; size <= 1<<16; size *= 2 {
-		if got := measure(func() { dirSink = make([]*entry, 0, size) }); got != dirBytes(size) {
-			t.Fatalf("a directory of %d slots allocated %d B, dirBytes says %d", size, got, dirBytes(size))
-		}
-		if got := measure(func() { bucketSink = bucketArray(size) }); got != bucketArrayBytes(size) {
+		if got := allocMeasured(func() { bucketSink = bucketArray(size) }); got != bucketArrayBytes(size) {
 			t.Fatalf("an array of %d buckets allocated %d B, bucketArrayBytes says %d", size, got, bucketArrayBytes(size))
 		}
 	}
@@ -397,10 +546,10 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 			sh.Remove(e)
 			delete(held, k)
 		} else {
-			sh.Insert(h, k, new(entry))
+			sh.Insert(h, k)
 			held[k] = true
 		}
-		fullest = max(fullest, cap(sh.dir))
+		fullest = max(fullest, cap(sh.chunks))
 		sh.Unlock()
 		if why := indexBooks(tab); why != "" {
 			t.Fatalf("at %d entries: %s", len(held), why)
@@ -420,7 +569,7 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 	if tab.Len() != 0 || tab.IndexBytes() != 0 {
 		t.Fatalf("an empty table holds %d entries and %d B of index", tab.Len(), tab.IndexBytes())
 	}
-	if dirBytes(fullest) < 32<<10 {
-		t.Fatalf("the largest directory was %d slots: the walk never left the small size classes", fullest)
+	if slotBytes*int64(fullest) <= 512 {
+		t.Fatalf("the largest chunk directory was %d slots: the walk never reached the header's size classes", fullest)
 	}
 }
