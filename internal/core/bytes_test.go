@@ -9,9 +9,10 @@ import (
 )
 
 // TestInjectedBytesBudget pins what instrumentation adds to every page at the
-// default shape (default prefix, 10-digit keys): at most 400 bytes, reported
-// identically by the buffered and the streaming rewriter, and a degraded page
-// — fewer decoys, same markup — no larger.
+// default shape (default prefix, 10-digit keys): at most 400 bytes, the
+// rewriter's AddedBytes equal to the growth on the wire and to the
+// whole-document Rewrite's, and a degraded page — fewer decoys, same markup
+// — no larger.
 func TestInjectedBytesBudget(t *testing.T) {
 	e := New(Config{Seed: 31, ObfuscateJS: true})
 	added := func(prep *htmlmod.Prepared) int {
@@ -21,9 +22,9 @@ func TestInjectedBytesBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bres := prep.RewriteBuffered([]byte(pageDoc))
-		if sres.AddedBytes != buf.Len()-len(pageDoc) || sres.AddedBytes != bres.AddedBytes || !bytes.Equal(buf.Bytes(), bres.HTML) {
-			t.Fatalf("stream added %d (%d on the wire), buffered added %d", sres.AddedBytes, buf.Len()-len(pageDoc), bres.AddedBytes)
+		whole := prep.Rewrite([]byte(pageDoc))
+		if sres.AddedBytes != buf.Len()-len(pageDoc) || sres.AddedBytes != whole.AddedBytes || !bytes.Equal(buf.Bytes(), whole.HTML) {
+			t.Fatalf("stream added %d (%d on the wire), whole-document Rewrite added %d", sres.AddedBytes, buf.Len()-len(pageDoc), whole.AddedBytes)
 		}
 		if !sres.InjectedCSS || !sres.InjectedScript || !sres.InjectedHandlers || !sres.InjectedInline || !sres.InjectedHidden {
 			t.Fatalf("not everything injected: %+v", sres)

@@ -516,15 +516,10 @@ func (e *Engine) preparePage(clientIP, userAgent, pagePath string, degraded bool
 }
 
 // definiteHuman reports whether key's session is, as of its last request, a
-// definite human, read through classify like every other verdict: behind
+// definite human, read through Classify like every other verdict: behind
 // Decide it is a stored-verdict hit.
 func (e *Engine) definiteHuman(key session.Key) bool {
-	snap, ok := e.sessions.Peek(key)
-	if !ok {
-		return false
-	}
-	v := e.classify(snap)
-	snap.Release()
+	v := e.Classify(key)
 	return v.Class == ClassHuman && v.Confidence == Definite
 }
 

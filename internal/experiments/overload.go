@@ -3,6 +3,7 @@ package experiments
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,8 +12,10 @@ import (
 	"net/url"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"botdetect/internal/agents"
@@ -57,9 +60,14 @@ const (
 	// overloadCooldown is the breaker's: 2,000 requests are refused on the
 	// origin's behalf before the probe.
 	overloadCooldown = 200 * time.Millisecond
-	// overloadSettleYields bounds the wait for the servers' and transports'
-	// goroutines to exit after everything is closed.
-	overloadSettleYields = 1 << 20
+	// overloadSettlePolls bounds the wait for the servers' and transports'
+	// goroutines to exit after everything is closed: each poll yields the
+	// processor overloadPollYields times, then counts the run's goroutines.
+	overloadSettlePolls = 1 << 12
+	overloadPollYields  = 64
+	// overloadRunLabel is the pprof label key that marks each run's
+	// goroutines, so that GoroutinesDelta counts those alone.
+	overloadRunLabel = "overload-run"
 )
 
 // OverloadResult is the flash-crowd report: a reverse proxy in front of a
@@ -119,15 +127,63 @@ type OverloadResult struct {
 	GoroutinesDelta int    `json:"goroutines_delta"`
 }
 
+// overloadRuns numbers the runs in this process: the number is the value
+// of each run's goroutine label.
+var overloadRuns atomic.Uint64
+
 // OverloadBench runs the flash-crowd workload against a live localhost
-// reverse proxy fronting a chaos origin.
+// reverse proxy fronting a chaos origin. The run executes under a pprof
+// label of its own, which every goroutine it starts inherits (the servers,
+// their connections, the client transport's), and GoroutinesDelta is the
+// number of those still alive after the run closed everything: a
+// goroutine another caller started or ended meanwhile does not count.
 func OverloadBench(seed uint64) OverloadResult {
 	if seed == 0 {
 		seed = DefaultScale().Seed
 	}
-	goroutinesBefore := runtime.NumGoroutine()
 	start := time.Now()
+	run := strconv.FormatUint(overloadRuns.Add(1), 10)
+	var res OverloadResult
+	pprof.Do(context.Background(), pprof.Labels(overloadRunLabel, run), func(context.Context) {
+		res = overloadRun(seed)
+	})
+	// Everything the run started has been told to stop; yield until it has.
+	for i := 0; i < overloadSettlePolls && labelledGoroutines(overloadRunLabel, run) > 0; i++ {
+		for j := 0; j < overloadPollYields; j++ {
+			runtime.Gosched()
+		}
+	}
+	res.GoroutinesDelta = labelledGoroutines(overloadRunLabel, run)
+	res.DurationSec = time.Since(start).Seconds()
+	return res
+}
 
+// labelledGoroutines counts the live goroutines whose pprof labels include
+// key=value, read from the goroutine profile's text form: each record is a
+// "<count> @ <pcs>" line, followed by a "# labels: {...}" line when its
+// goroutines carry labels.
+func labelledGoroutines(key, value string) int {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		return -1
+	}
+	want := strconv.Quote(key) + ":" + strconv.Quote(value)
+	n, count := 0, 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if labels, ok := strings.CutPrefix(line, "# labels: "); ok {
+			if strings.Contains(labels, want) {
+				n += count
+			}
+		} else if c, _, ok := strings.Cut(line, " @ "); ok {
+			count, _ = strconv.Atoi(c)
+		}
+	}
+	return n
+}
+
+// overloadRun is one flash-crowd run; it closes everything it started
+// before it returns.
+func overloadRun(seed uint64) OverloadResult {
 	vc := clock.NewVirtual(time.Time{})
 	det := core.New(core.Config{
 		Seed:               seed,
@@ -284,15 +340,9 @@ func OverloadBench(seed uint64) OverloadResult {
 	}
 	res.FinalLoadState = det.LoadState().String()
 
-	// Everything the run started has been told to stop; yield until it has.
 	transport.CloseIdleConnections()
 	srv.Close()
 	originSrv.Close()
-	for i := 0; i < overloadSettleYields && runtime.NumGoroutine() > goroutinesBefore; i++ {
-		runtime.Gosched()
-	}
-	res.GoroutinesDelta = runtime.NumGoroutine() - goroutinesBefore
-	res.DurationSec = time.Since(start).Seconds()
 	return res
 }
 

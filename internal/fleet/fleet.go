@@ -388,13 +388,6 @@ func New(cfg Config) *Replicator {
 // Name returns the node name.
 func (r *Replicator) Name() string { return r.cfg.Name }
 
-// Incarnation returns the current incarnation number.
-func (r *Replicator) Incarnation() uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inc
-}
-
 // Start marks the replicator running: it accepts Receive and acts on Step.
 // Each peer's heartbeat period is drawn here (the interval plus up to a
 // quarter of jitter, so a fleet's beats do not align) and its first beat is

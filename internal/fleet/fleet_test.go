@@ -16,6 +16,13 @@ import (
 // Receive).
 type nullTransport struct{}
 
+// incarnation returns the current incarnation number.
+func (r *Replicator) incarnation() uint32 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.inc
+}
+
 // ackedEpoch returns the highest own-origin epoch successfully sent to the
 // named peer — the origin-side bound on what a peer can be missing.
 func (r *Replicator) ackedEpoch(peerName string) uint64 {
@@ -361,8 +368,8 @@ func TestCrashRestartBackfill(t *testing.T) {
 		t.Fatalf("wipe left state behind")
 	}
 	b.Restart()
-	if b.Incarnation() != 2 {
-		t.Fatalf("incarnation = %d, want 2", b.Incarnation())
+	if b.incarnation() != 2 {
+		t.Fatalf("incarnation = %d, want 2", b.incarnation())
 	}
 	f.waitFor(t, 5*time.Second, "post-restart backfill", func() bool {
 		m, _ := b.Model()
@@ -378,7 +385,7 @@ func TestCrashRestartBackfill(t *testing.T) {
 		if u.Origin != "a" || u.Inc != 1 {
 			t.Fatalf("model re-offered as %s/inc %d, want its origin a/inc 1", u.Origin, u.Inc)
 		}
-		fromB = fromB || b.Incarnation() != u.Inc
+		fromB = fromB || b.incarnation() != u.Inc
 	}
 	if !fromB {
 		t.Fatalf("restarted b (inc 2) never re-offered the model")

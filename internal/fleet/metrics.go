@@ -21,6 +21,7 @@ import (
 //	botdetect_fleet_acked_epoch{node,peer}                highest own epoch successfully sent to the peer
 //	botdetect_fleet_published_epoch{node}                 this node's durable epoch counter
 //	botdetect_fleet_isolated{node}                        1 while quorum is lost
+//	botdetect_fleet_store_entries{node,kind}              merged verdict and block entries held
 //	botdetect_fleet_updates_applied_total{node}           durable updates applied from peers
 //	botdetect_fleet_updates_replayed_total{node}          duplicate/stale deliveries rejected
 //	botdetect_fleet_epoch_gaps_total{node}                epochs declared lost past stallTimeout (5 s)
@@ -70,6 +71,12 @@ func (r *Replicator) RegisterMetrics(reg *telemetry.Registry, node string) {
 	reg.GaugeFunc("botdetect_fleet_isolated",
 		"1 while this node has lost quorum and serves from its isolated engine.",
 		func(emit func(labels string, v float64)) { emit(nodeLabel, flag(r.Isolated())) })
+	reg.GaugeFunc("botdetect_fleet_store_entries",
+		"Merged verdict and block store entries, lapsed ones included until Step drops them.",
+		func(emit func(labels string, v float64)) {
+			emit(telemetry.Join(nodeLabel, telemetry.Label("kind", "verdict")), float64(r.VerdictCount()))
+			emit(telemetry.Join(nodeLabel, telemetry.Label("kind", "block")), float64(r.BlockCount()))
+		})
 	for _, c := range []struct {
 		name, help string
 		value      func(Counters) uint64

@@ -37,7 +37,7 @@ func FuzzAttrValueRoundTrip(f *testing.F) {
 		origin := `<html><head><title>t</title></head><body onmousemove="` + ownAttr + `><p>x</p></body></html>`
 		want := `<html><head>` + string(p.headInsert) + `<title>t</title></head><body onmousemove="__bd_f();` + ownAttr + ` onkeypress=__bd_f()>` +
 			string(p.bodyTop) + `<p>x</p>` + string(p.bodyBottom) + `</body></html>`
-		got := p.RewriteBuffered([]byte(origin)).HTML
+		got := p.rewriteBuffered([]byte(origin)).HTML
 		if string(got) != want {
 			t.Fatalf("not the origin plus insertions:\n got %q\nwant %q", got, want)
 		}
@@ -60,10 +60,10 @@ func FuzzAttrValueRoundTrip(f *testing.F) {
 			t.Fatalf("summary %+v\n%s", sum, got)
 		}
 		wantMouse := "__bd_f();" + own
-		for _, tok := range Tokenize(got) {
-			if tok.Type == StartTagToken && tok.Name == "body" {
-				mouse, _ := tok.Get("onmousemove")
-				key, _ := tok.Get("onkeypress")
+		for _, tok := range tokenize(got) {
+			if tok.Type == startTagToken && tok.Name == "body" {
+				mouse, _ := tok.get("onmousemove")
+				key, _ := tok.get("onkeypress")
 				if html.UnescapeString(mouse) != wantMouse || key != "__bd_f()" {
 					t.Fatalf("handlers: onmousemove=%q (want %q) onkeypress=%q\n%s", mouse, wantMouse, key, got)
 				}

@@ -1,6 +1,7 @@
 package htmlmod
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -67,10 +68,10 @@ func TestComposeMatchesPrepareInjection(t *testing.T) {
 }
 
 func TestTokenizeBasic(t *testing.T) {
-	toks := Tokenize([]byte(samplePage))
+	toks := tokenize([]byte(samplePage))
 	var names []string
 	for _, tk := range toks {
-		if tk.Type == StartTagToken {
+		if tk.Type == startTagToken {
 			names = append(names, tk.Name)
 		}
 	}
@@ -83,7 +84,7 @@ func TestTokenizeBasic(t *testing.T) {
 }
 
 func TestTokenizeOffsetsCoverDocument(t *testing.T) {
-	toks := Tokenize([]byte(samplePage))
+	toks := tokenize([]byte(samplePage))
 	prevEnd := 0
 	for _, tk := range toks {
 		if tk.Start < prevEnd {
@@ -101,34 +102,34 @@ func TestTokenizeOffsetsCoverDocument(t *testing.T) {
 
 func TestTokenizeAttributes(t *testing.T) {
 	doc := `<a href="/x.html" class='big' disabled data-v=37>link</a>`
-	toks := Tokenize([]byte(doc))
-	if toks[0].Type != StartTagToken || toks[0].Name != "a" {
+	toks := tokenize([]byte(doc))
+	if toks[0].Type != startTagToken || toks[0].Name != "a" {
 		t.Fatalf("first token %+v", toks[0])
 	}
-	if v, ok := toks[0].Get("href"); !ok || v != "/x.html" {
+	if v, ok := toks[0].get("href"); !ok || v != "/x.html" {
 		t.Fatalf("href = %q, %v", v, ok)
 	}
-	if v, ok := toks[0].Get("class"); !ok || v != "big" {
+	if v, ok := toks[0].get("class"); !ok || v != "big" {
 		t.Fatalf("class = %q", v)
 	}
-	if _, ok := toks[0].Get("disabled"); !ok {
+	if _, ok := toks[0].get("disabled"); !ok {
 		t.Fatal("valueless attribute missing")
 	}
-	if v, _ := toks[0].Get("data-v"); v != "37" {
+	if v, _ := toks[0].get("data-v"); v != "37" {
 		t.Fatalf("unquoted attribute = %q", v)
 	}
-	if _, ok := toks[0].Get("absent"); ok {
+	if _, ok := toks[0].get("absent"); ok {
 		t.Fatal("absent attribute reported present")
 	}
 }
 
 func TestTokenizeSelfClosingAndComments(t *testing.T) {
 	doc := `<br/><!-- hidden <b>not a tag</b> --><img src="/a.png"/>`
-	toks := Tokenize([]byte(doc))
+	toks := tokenize([]byte(doc))
 	if !toks[0].SelfClosing || toks[0].Name != "br" {
 		t.Fatalf("br token %+v", toks[0])
 	}
-	if toks[1].Type != CommentToken {
+	if toks[1].Type != commentToken {
 		t.Fatalf("comment token %+v", toks[1])
 	}
 	if toks[2].Name != "img" || !toks[2].SelfClosing {
@@ -136,9 +137,10 @@ func TestTokenizeSelfClosingAndComments(t *testing.T) {
 	}
 }
 
+const scriptRawTextDoc = `<script>if (a < b) { document.write("<a href='/fake.html'>x</a>"); }</script><a href="/real.html">r</a>`
+
 func TestTokenizeScriptRawText(t *testing.T) {
-	doc := `<script>if (a < b) { document.write("<a href='/fake.html'>x</a>"); }</script><a href="/real.html">r</a>`
-	sum := Extract([]byte(doc))
+	sum := Extract([]byte(scriptRawTextDoc))
 	if len(sum.Links) != 1 || sum.Links[0] != "/real.html" {
 		t.Fatalf("links = %v; script content leaked into extraction", sum.Links)
 	}
@@ -147,13 +149,14 @@ func TestTokenizeScriptRawText(t *testing.T) {
 	}
 }
 
+var malformedDocs = []string{
+	"", "<", "<>", "<a", "<a href=", `<a href="unterminated`, "<!-- unterminated",
+	"<<<>>>", "</>", "<a href='x'", "plain text only", "<ScRiPt>var x = 1;",
+}
+
 func TestTokenizeMalformedNeverPanics(t *testing.T) {
-	cases := []string{
-		"", "<", "<>", "<a", "<a href=", `<a href="unterminated`, "<!-- unterminated",
-		"<<<>>>", "</>", "<a href='x'", "plain text only", "<ScRiPt>var x = 1;",
-	}
-	for _, c := range cases {
-		_ = Tokenize([]byte(c))
+	for _, c := range malformedDocs {
+		_ = tokenize([]byte(c))
 		_ = Extract([]byte(c))
 		_ = Rewrite([]byte(c), stdInjection())
 	}
@@ -379,34 +382,81 @@ func TestExtractRewrittenPage(t *testing.T) {
 	}
 }
 
-func TestExtractSkipsNonNavigableAnchors(t *testing.T) {
-	doc := `<body>
+const nonNavigableDoc = `<body>
 <a href="#top">top</a>
 <a href="javascript:void(0)">js</a>
 <a href="mailto:user@example.com">mail</a>
 <a href="/ok.html">ok</a>
 <a href="">empty</a>
 </body>`
-	sum := Extract([]byte(doc))
+
+func TestExtractSkipsNonNavigableAnchors(t *testing.T) {
+	sum := Extract([]byte(nonNavigableDoc))
 	if len(sum.Links) != 1 || sum.Links[0] != "/ok.html" {
 		t.Fatalf("links = %v", sum.Links)
 	}
 }
 
-func TestExtractHiddenLinkVariants(t *testing.T) {
-	doc := `<body>
+const hiddenVariantsDoc = `<body>
 <a href="/hidden1.html"><img src="/transp_1x1.gif"></a>
 <a href="/hidden2.html"><img width="1" height="1" src="/dot.gif"></a>
 <a href="/visible.html"><img src="/big-photo.jpg"></a>
 <a href="/textual.html">Some visible anchor text</a>
 </body>`
-	sum := Extract([]byte(doc))
+
+func TestExtractHiddenLinkVariants(t *testing.T) {
+	sum := Extract([]byte(hiddenVariantsDoc))
 	if len(sum.HiddenLinks) != 2 {
 		t.Fatalf("hidden links = %v", sum.HiddenLinks)
 	}
 	if len(sum.Links) != 2 {
 		t.Fatalf("visible links = %v", sum.Links)
 	}
+}
+
+// FuzzExtract: Extract, which walks the raw scanner, summarises every
+// document exactly as the token-list oracle does, and the walk meets the
+// oracle's tags — offsets, names, attributes — in the same order.
+func FuzzExtract(f *testing.F) {
+	seeds := append([]string{
+		samplePage, string(Rewrite([]byte(samplePage), stdInjection()).HTML),
+		nonNavigableDoc, hiddenVariantsDoc, scriptRawTextDoc,
+		`<title><a href=/t.html></title><textarea><a href=/x.html></TEXTAREA><style>a{}</style ><a href=/s.html>s</a>`,
+		`<a href=/in.html><script>x</script >  <img width=1 height=1></a>`,
+		`<a href=/x.html>x</a><script>var s = "</script"<a href=/y.html>y</a>`,
+		`<a href=/x.html><script>x</script`,
+		`<script><a href=/z.html>z</a>`,
+		`<A HREF=/u.html><BR><IMG SRC=/TRANSP.GIF></A><AREA href=JavaScript:x><LINK REL="Alternate StyleSheet" HREF=/a.css>`,
+		`<a href="javascr` + "İ" + `pt:x">u</a><img src=/1X1.png><a href=/o.html><!-- c --><img width=1 height=1 src=/d.gif><b>x</b></a>`,
+		`<body ONMOUSEMOVE><script src=/s.js/><script/></body>`,
+	}, malformedDocs...)
+	for _, doc := range seeds {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		if len(doc) > 1<<16 {
+			t.Skip()
+		}
+		if got, want := Extract(doc), extractTokens(doc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Extract(%q)\n got %+v\nwant %+v", doc, got, want)
+		}
+		w := tagWalk{doc: doc}
+		for _, want := range tokenize(doc) {
+			if want.Type == textToken {
+				continue
+			}
+			tok, _, ok := w.next()
+			if !ok {
+				t.Fatalf("%q: walk ended before %+v", doc, want)
+			}
+			if got := materializeToken(doc, tok, w.attrs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q: walk read %+v, oracle %+v", doc, got, want)
+			}
+		}
+		if tok, _, ok := w.next(); ok {
+			t.Fatalf("%q: walk read %+v past the oracle's last token", doc, tok)
+		}
+	})
 }
 
 func TestRewritePropertyNeverLosesContent(t *testing.T) {

@@ -52,8 +52,8 @@ type InjectionBytes struct {
 
 // Prepared is an Injection compiled into its literal insertion fragments.
 // Callers serving the same logical injection shape (the proxy, the CDN
-// simulator) prepare once per page view and reuse the result across the
-// buffered and streaming rewriters.
+// simulator) prepare once per page view and stream the page through a
+// StreamRewriter with it.
 //
 // A Prepared is owned by whoever holds it — typically embedded in
 // per-connection state (core.PageState) and refilled per page view via
@@ -137,101 +137,14 @@ func composeInto[T ~string | ~[]byte](p *Prepared, cssHref, scriptSrc, inlineScr
 	p.handlerCall = b
 }
 
-// Rewrite injects the instrumentation into the document, buffering and
-// rebuilding it in one pass. It never fails: documents without a <head> get
-// head-level injections right after <body> (or after <html>, or prepended),
-// documents without a <body> get body-level injections appended, and
-// non-HTML input is returned with only appended content when nothing can be
-// located safely.
-//
-// This is the reference (store-and-forward) path; the streaming rewriter in
-// stream.go produces byte-identical output without materialising the
-// document and is preferred on hot paths. Rewrite remains the fallback for
-// documents whose anchors arrive in a pathological order.
+// Rewrite injects the instrumentation into the document and returns the
+// rewritten copy: PrepareInjection(inj).Rewrite(doc). It never fails:
+// documents without a <head> get head-level injections right after <body>
+// (or after <html>, or prepended), documents without a <body> get
+// body-level injections appended, and non-HTML input is returned with only
+// appended content when nothing can be located safely.
 func Rewrite(doc []byte, inj Injection) RewriteResult {
-	return PrepareInjection(inj).RewriteBuffered(doc)
-}
-
-// RewriteBuffered is the tokenising store-and-forward rewrite path using
-// prepared fragments. See Rewrite.
-func (p *Prepared) RewriteBuffered(doc []byte) RewriteResult {
-	tokens := Tokenize(doc)
-
-	var headStart *Token // the first <head> start tag
-	var bodyStart *Token // the first <body> start tag
-	var bodyEnd *Token   // the first </body> end tag
-	var htmlStart *Token // the first <html> start tag
-	for idx := range tokens {
-		t := &tokens[idx]
-		switch {
-		case t.Type == StartTagToken && t.Name == "head" && headStart == nil:
-			headStart = t
-		case t.Type == StartTagToken && t.Name == "body" && bodyStart == nil:
-			bodyStart = t
-		case t.Type == EndTagToken && t.Name == "body" && bodyEnd == nil:
-			bodyEnd = t
-		case t.Type == StartTagToken && t.Name == "html" && htmlStart == nil:
-			htmlStart = t
-		}
-	}
-
-	// Decide insertion offsets in the original document.
-	var inserts [3]insertion
-	n := 0
-	res := RewriteResult{}
-
-	if len(p.headInsert) > 0 {
-		switch {
-		case headStart != nil:
-			inserts[n] = insertion{headStart.End, p.headInsert}
-		case bodyStart != nil:
-			inserts[n] = insertion{bodyStart.End, p.headInsert}
-		case htmlStart != nil:
-			inserts[n] = insertion{htmlStart.End, p.headInsert}
-		default:
-			inserts[n] = insertion{0, p.headInsert}
-		}
-		n++
-		res.InjectedCSS = p.cssSet
-		res.InjectedScript = p.scriptSet
-	}
-
-	if len(p.bodyTop) > 0 {
-		switch {
-		case bodyStart != nil:
-			inserts[n] = insertion{bodyStart.End, p.bodyTop}
-		default:
-			inserts[n] = insertion{len(doc), p.bodyTop}
-		}
-		n++
-		res.InjectedInline = p.inlineSet
-	}
-
-	if len(p.bodyBottom) > 0 {
-		switch {
-		case bodyEnd != nil:
-			inserts[n] = insertion{bodyEnd.Start, p.bodyBottom}
-		default:
-			inserts[n] = insertion{len(doc), p.bodyBottom}
-		}
-		n++
-		res.InjectedHidden = p.hiddenSet
-	}
-
-	// Event-handler attributes on the <body> tag itself.
-	var bodyTagReplacement []byte
-	if len(p.handlerCall) > 0 && bodyStart != nil {
-		var attrs []rawAttr
-		if raw, complete, ok := scanStartTagRaw(doc, bodyStart.Start, &attrs); complete && ok {
-			bodyTagReplacement = appendBodyTag(nil, doc, attrs, raw.selfClosing, p.handlerCall)
-			res.InjectedHandlers = true
-		}
-	}
-
-	out := applyEdits(doc, bodyStart, bodyTagReplacement, inserts[:n])
-	res.HTML = out
-	res.AddedBytes = len(out) - len(doc)
-	return res
+	return PrepareInjection(inj).Rewrite(doc)
 }
 
 // appendBodyTag rebuilds the original <body ...> tag with the
@@ -284,52 +197,6 @@ func appendBodyTag(dst []byte, doc []byte, attrs []rawAttr, selfClosing bool, ca
 		return append(dst, " />"...)
 	}
 	return append(dst, '>')
-}
-
-// insertion is one positional text insertion into the original document.
-type insertion struct {
-	at   int
-	text []byte
-}
-
-// applyEdits rebuilds the document applying the body-tag replacement and the
-// positional insertions in one pass.
-func applyEdits(doc []byte, bodyStart *Token, bodyReplacement []byte, inserts []insertion) []byte {
-	// Sort insertions by offset (stable for equal offsets: insertion order).
-	for i := 1; i < len(inserts); i++ {
-		for j := i; j > 0 && inserts[j].at < inserts[j-1].at; j-- {
-			inserts[j], inserts[j-1] = inserts[j-1], inserts[j]
-		}
-	}
-	extra := len(bodyReplacement) + 16
-	for _, ins := range inserts {
-		extra += len(ins.text)
-	}
-	out := make([]byte, 0, len(doc)+extra)
-	pos := 0
-	nextInsert := 0
-	emitUpTo := func(end int) {
-		for nextInsert < len(inserts) && inserts[nextInsert].at <= end {
-			at := inserts[nextInsert].at
-			if at > pos {
-				out = append(out, doc[pos:at]...)
-				pos = at
-			}
-			out = append(out, inserts[nextInsert].text...)
-			nextInsert++
-		}
-		if end > pos {
-			out = append(out, doc[pos:end]...)
-			pos = end
-		}
-	}
-	if len(bodyReplacement) > 0 && bodyStart != nil {
-		emitUpTo(bodyStart.Start)
-		out = append(out, bodyReplacement...)
-		pos = bodyStart.End
-	}
-	emitUpTo(len(doc))
-	return out
 }
 
 // AttrSafe reports whether v can be written as an unquoted attribute value:
@@ -408,88 +275,90 @@ type PageSummary struct {
 // construction: an anchor whose only content is an <img> with width and
 // height of 1 (or a transparent beacon image) is treated as invisible.
 func Extract(doc []byte) PageSummary {
-	tokens := Tokenize(doc)
 	var sum PageSummary
-
-	for i := 0; i < len(tokens); i++ {
-		t := tokens[i]
-		if t.Type != StartTagToken {
+	w := tagWalk{doc: doc}
+	for {
+		tok, _, ok := w.next()
+		if !ok {
+			return sum
+		}
+		if tok.typ != startTagToken {
 			continue
 		}
-		switch t.Name {
-		case "a", "area":
-			href, ok := t.Get("href")
-			if !ok || href == "" || strings.HasPrefix(href, "#") ||
+		switch name := w.name(tok); {
+		case foldEq(name, "a") || foldEq(name, "area"):
+			v, _ := w.attr("href")
+			href := string(v)
+			if href == "" || strings.HasPrefix(href, "#") ||
 				strings.HasPrefix(strings.ToLower(href), "javascript:") ||
 				strings.HasPrefix(strings.ToLower(href), "mailto:") {
 				continue
 			}
-			if isHiddenAnchor(tokens, i) {
+			if w.hiddenAnchor() {
 				sum.HiddenLinks = append(sum.HiddenLinks, href)
 			} else {
 				sum.Links = append(sum.Links, href)
 			}
-		case "img":
-			if src, ok := t.Get("src"); ok && src != "" {
-				sum.Images = append(sum.Images, src)
+		case foldEq(name, "img"):
+			if src, _ := w.attr("src"); len(src) > 0 {
+				sum.Images = append(sum.Images, string(src))
 			}
-		case "link":
-			rel, _ := t.Get("rel")
-			if strings.Contains(strings.ToLower(rel), "stylesheet") {
-				if href, ok := t.Get("href"); ok && href != "" {
-					sum.Stylesheets = append(sum.Stylesheets, href)
+		case foldEq(name, "link"):
+			rel, _ := w.attr("rel")
+			if strings.Contains(strings.ToLower(string(rel)), "stylesheet") {
+				if href, _ := w.attr("href"); len(href) > 0 {
+					sum.Stylesheets = append(sum.Stylesheets, string(href))
 				}
 			}
-		case "script":
-			if src, ok := t.Get("src"); ok && src != "" {
-				sum.Scripts = append(sum.Scripts, src)
-			} else if !t.SelfClosing {
+		case foldEq(name, "script"):
+			if src, _ := w.attr("src"); len(src) > 0 {
+				sum.Scripts = append(sum.Scripts, string(src))
+			} else if !tok.selfClosing {
 				sum.InlineScripts++
 			}
-		case "body":
-			if _, ok := t.Get("onmousemove"); ok {
+		case foldEq(name, "body"):
+			if _, ok := w.attr("onmousemove"); ok {
 				sum.BodyMouseHandler = true
 			}
 		}
 	}
-	return sum
 }
 
-// isHiddenAnchor reports whether the anchor starting at tokens[i] wraps only
-// a 1x1 or transparent image (and no visible text).
-func isHiddenAnchor(tokens []Token, i int) bool {
+// hiddenAnchor reports whether the anchor w has just read wraps only a 1x1
+// or transparent image (and no visible text). It reads ahead on a copy of
+// the walk, whose attribute scratch it shares: the caller's tag attributes
+// are spent once it is called.
+func (w tagWalk) hiddenAnchor() bool {
 	sawTinyImage := false
-	for j := i + 1; j < len(tokens); j++ {
-		t := tokens[j]
-		switch t.Type {
-		case EndTagToken:
-			if t.Name == "a" || t.Name == "area" {
+	for {
+		tok, text, ok := w.next()
+		// Text makes the link visible. Whitespace-only runs are common in
+		// real markup and the injected hidden link carries no text at all,
+		// so runs of up to six bytes are let through.
+		if !ok || text > 6 {
+			return false
+		}
+		name := w.name(tok)
+		switch tok.typ {
+		case endTagToken:
+			if foldEq(name, "a") || foldEq(name, "area") {
 				return sawTinyImage
 			}
-		case StartTagToken:
-			if t.Name == "img" {
-				w, _ := t.Get("width")
-				h, _ := t.Get("height")
-				src, _ := t.Get("src")
-				lsrc := strings.ToLower(src)
-				if (w == "1" && h == "1") || strings.Contains(lsrc, "transp") || strings.Contains(lsrc, "1x1") {
-					sawTinyImage = true
-				} else {
-					return false // a real image: the link is visible
+		case startTagToken:
+			if !foldEq(name, "img") {
+				if !foldEq(name, "br") {
+					return false
 				}
-			} else if t.Name != "br" {
-				return false
+				continue
 			}
-		case TextToken:
-			// Any visible text makes the link visible; we cannot see the
-			// original bytes here, so treat non-empty ranges conservatively:
-			// the caller's injected hidden link carries no text at all, and
-			// whitespace-only runs are common in real markup. Ranges longer
-			// than a few bytes are assumed to be visible text.
-			if t.End-t.Start > 6 {
-				return false
+			width, _ := w.attr("width")
+			height, _ := w.attr("height")
+			src, _ := w.attr("src")
+			lsrc := strings.ToLower(string(src))
+			if !(string(width) == "1" && string(height) == "1") && !strings.Contains(lsrc, "transp") && !strings.Contains(lsrc, "1x1") {
+				return false // a real image: the link is visible
 			}
+			sawTinyImage = true
 		}
 	}
-	return false
 }

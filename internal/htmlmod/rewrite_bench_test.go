@@ -40,25 +40,8 @@ var benchCorpus = []struct {
 	{"large", 1500}, // ~240 KB: a heavy listing page
 }
 
-// BenchmarkRewriteBuffered measures the store-and-forward reference path
-// (tokenise, locate anchors, rebuild the document).
-func BenchmarkRewriteBuffered(b *testing.B) {
-	inj := stdInjection()
-	for _, c := range benchCorpus {
-		page := benchPage(c.paragraphs)
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(page)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Rewrite(page, inj)
-			}
-		})
-	}
-}
-
 // BenchmarkRewriteStream measures the single-pass streaming injector over
-// the same corpus, feeding the page in transport-sized chunks into a reused
+// the corpus, feeding the page in transport-sized chunks into a reused
 // sink the way the proxy's response path does.
 func BenchmarkRewriteStream(b *testing.B) {
 	prep := PrepareInjection(stdInjection())

@@ -22,18 +22,20 @@ type StreamResult struct {
 	// Truncated reports that the hold limit was exceeded: the remaining
 	// input was forwarded verbatim and pending injections were skipped.
 	Truncated bool
-	// UsedFallback reports that the document's anchors arrived in an order
-	// the single-pass injector cannot stream (no <head> before the first
-	// <body>/<body-end>, or no anchors at all), so the whole document was
-	// buffered and rewritten by the reference path.
-	UsedFallback bool
 }
 
 // StreamRewriter injects instrumentation into an HTML document as its bytes
 // flow through, emitting untouched spans verbatim to the underlying writer
 // and splicing the prepared fragments in at the <head>, <body> and </body>
-// anchors as they are recognised. Output is byte-identical to the buffered
-// Rewrite on every input.
+// anchors as they are recognised. It is the package's one rewriter:
+// Rewrite and Prepared.Rewrite run a whole document through it.
+//
+// Each fragment has one place. The head fragment goes after the first
+// <head>; a document with none gets it after the first <body>, else after
+// the first <html>, else in front. The inline reporter goes after the first
+// <body> and the trap link before the first </body>, each appended at the
+// end when its tag never comes; the handler attributes go on the first
+// <body>.
 //
 // The rewriter emits eagerly: once the first <head> tag has been seen, the
 // head fragment and everything before it are already on the wire, so
@@ -41,16 +43,18 @@ type StreamResult struct {
 // not to the document length. Input is retained only where the decision is
 // not yet safe:
 //
-//   - everything before the first <head> (a document with no head anchors
-//     its fragments elsewhere, which only the whole-document pass can place);
+//   - everything before the first <head>, because only the document's end
+//     can show that it has none;
 //   - raw-text element content (script/style/textarea/title) until its end
 //     tag, because an unterminated raw-text element is re-scanned as markup;
 //   - an incomplete trailing token (a tag split across chunks).
 //
-// Documents whose anchors never resolve — no <head> before the first
-// <body>, or none at all — fall back to the buffered reference rewriter
-// over the retained bytes at Close, which is exactly the store-and-forward
-// behaviour this type replaces.
+// While holding, the rewriter keeps scanning and notes whether a <body>,
+// </body> or <html> went by. At the first <head> it streams on as usual,
+// unless a body anchor came first: then it streams the held bytes again
+// from the start, placing the body fragments as it meets them. A document
+// that ends without a <head> is streamed again the same way at Close, with
+// the head fragment's anchor chosen from what went by.
 //
 // A StreamRewriter is not safe for concurrent use. Use NewStreamRewriter
 // and Release to recycle instances through the package pool.
@@ -60,8 +64,13 @@ type StreamRewriter struct {
 
 	// Pending anchors.
 	needHead, needBody, needBodyEnd bool
-	// holding retains all output while the head anchor is unresolved.
-	holding bool
+	// headTag is the tag the head fragment follows: "head", or for a
+	// document that ended without one, "body" or "html".
+	headTag string
+	// holding retains all output while the head anchor is unresolved; the
+	// held* flags note the other anchors that went by meanwhile.
+	holding                         bool
+	heldBody, heldBodyEnd, heldHTML bool
 
 	mode    int
 	carry   []byte // retained, unemitted input
@@ -107,7 +116,6 @@ type StreamRewriter struct {
 const (
 	modeScan        = iota // scanning for tokens and anchors
 	modeRawText            // inside a raw-text element, seeking its end tag
-	modeHoldAll            // fallback pending: retain everything until Close
 	modePassthrough        // nothing left to inject: copy bytes verbatim
 )
 
@@ -130,7 +138,9 @@ func (r *StreamRewriter) Reset(w io.Writer, p *Prepared) {
 	r.needHead = len(p.headInsert) > 0
 	r.needBody = len(p.bodyTop) > 0 || len(p.handlerCall) > 0
 	r.needBodyEnd = len(p.bodyBottom) > 0
+	r.headTag = "head"
 	r.holding = r.needHead
+	r.heldBody, r.heldBodyEnd, r.heldHTML = false, false, false
 	r.mode = modeScan
 	if !r.needHead && !r.needBody && !r.needBodyEnd {
 		r.mode = modePassthrough
@@ -156,7 +166,7 @@ func (r *StreamRewriter) Reset(w io.Writer, p *Prepared) {
 func (r *StreamRewriter) SetVectored(on bool) { r.vecMode = on }
 
 // SetHoldLimit bounds the bytes the rewriter may retain while waiting for an
-// anchor (the no-head fallback buffers the whole document otherwise). When
+// anchor (a document without a <head> is held whole otherwise). When
 // the limit is exceeded the retained bytes are forwarded verbatim and the
 // remaining injections are skipped (Result reports Truncated). Zero means
 // unlimited.
@@ -193,8 +203,8 @@ func (r *StreamRewriter) Write(p []byte) (int, error) {
 }
 
 // Close finishes the document: unresolved constructs are re-scanned under
-// end-of-input rules, fallback documents are rewritten whole, and pending
-// body fragments are appended.
+// end-of-input rules, a held document without a <head> is streamed out with
+// its head fragment placed, and pending body fragments are appended.
 func (r *StreamRewriter) Close() error {
 	if r.closed {
 		return r.err
@@ -272,14 +282,6 @@ func (r *StreamRewriter) process(buf []byte, atEOF bool) int {
 	done := 0
 	for {
 		switch r.mode {
-		case modeHoldAll:
-			if !atEOF {
-				r.scanPos = len(buf)
-				return 0
-			}
-			r.fallback(buf)
-			return len(buf)
-
 		case modeRawText:
 			name := r.rawName[:r.rawNameLen]
 			idx := findRawTextClose(buf, r.rawProbe, name)
@@ -307,8 +309,8 @@ func (r *StreamRewriter) process(buf []byte, atEOF bool) int {
 				// "</name" with no closing '>': the historical scanner stops
 				// here; nothing after idx is a token or an anchor.
 				if r.holding {
-					r.fallback(buf)
-					return len(buf)
+					r.releaseHeadless()
+					continue
 				}
 				r.emitRange(buf, done, len(buf))
 				done = len(buf)
@@ -345,8 +347,8 @@ func (r *StreamRewriter) process(buf []byte, atEOF bool) int {
 				return done
 			case scanEOFText:
 				if r.holding {
-					r.fallback(buf)
-					return len(buf)
+					r.releaseHeadless()
+					continue
 				}
 				r.emitRange(buf, done, len(buf))
 				done = len(buf)
@@ -370,61 +372,63 @@ func (r *StreamRewriter) handleToken(buf []byte, tok rawToken, done int) int {
 		}
 	}
 	switch tok.typ {
-	case StartTagToken:
+	case startTagToken:
 		name := buf[tok.nameStart:tok.nameEnd]
-		switch {
-		case r.needHead && foldEq(name, "head"):
-			// Head anchor: release everything up to and including the tag,
-			// then splice the head fragment.
-			r.holding = false
-			r.emitRange(buf, done, tok.end)
-			done = tok.end
-			r.emit(r.p.headInsert)
-			r.needHead = false
-			r.res.InjectedCSS, r.res.InjectedScript = r.p.cssSet, r.p.scriptSet
-		case foldEq(name, "body"):
-			if r.holding {
-				// A <body> before any <head>: the whole-document pass may
-				// anchor the head fragment to a later <head>, so stop
-				// streaming and let it decide at Close.
-				r.mode = modeHoldAll
-				r.scanPos = len(buf)
-				return done
-			}
-			if r.needBody {
-				if len(r.p.handlerCall) > 0 {
-					emitTo(tok.start)
-					r.scratch = appendBodyTag(r.scratch[:0], buf, r.attrs, tok.selfClosing, r.p.handlerCall)
-					r.emit(r.scratch)
-					done = tok.end
-					r.res.InjectedHandlers = true
-				} else {
-					emitTo(tok.end)
+		if r.holding {
+			switch {
+			case foldEq(name, "head"):
+				r.holding = false
+				if r.heldBody || r.heldBodyEnd {
+					// A body anchor went by first: stream the held bytes
+					// again, placing its fragments on the way to this tag.
+					r.replay()
+					return 0
 				}
-				r.emit(r.p.bodyTop)
-				r.res.InjectedInline = r.p.inlineSet
-				r.needBody = false
+			case foldEq(name, "body"):
+				r.heldBody = true
+			case foldEq(name, "html"):
+				r.heldHTML = true
+			}
+		}
+		switch {
+		case r.holding:
+			// Nothing is placed while the head anchor is unresolved.
+		case foldEq(name, "body"):
+			if r.needBody && len(r.p.handlerCall) > 0 {
+				emitTo(tok.start)
+				r.scratch = appendBodyTag(r.scratch[:0], buf, r.attrs, tok.selfClosing, r.p.handlerCall)
+				r.emit(r.scratch)
+				done = tok.end
+				r.res.InjectedHandlers = true
 			} else {
 				emitTo(tok.end)
 			}
-		case !tok.selfClosing && isRawTextName(name):
+			if r.needHead && foldEq(name, r.headTag) {
+				r.placeHead()
+			}
+			if r.needBody {
+				r.emit(r.p.bodyTop)
+				r.res.InjectedInline = r.p.inlineSet
+				r.needBody = false
+			}
+		case r.needHead && foldEq(name, r.headTag):
 			emitTo(tok.end)
+			r.placeHead()
+		default:
+			emitTo(tok.end)
+		}
+		if !tok.selfClosing && isRawTextName(name) {
 			r.rawNameLen = copy(r.rawName[:], name)
 			r.scanPos = tok.end
 			r.rawProbe = tok.end
 			r.mode = modeRawText
 			return done
-		default:
-			emitTo(tok.end)
 		}
-	case EndTagToken:
+	case endTagToken:
 		if foldEq(buf[tok.nameStart:tok.nameEnd], "body") {
 			if r.holding {
-				r.mode = modeHoldAll
-				r.scanPos = len(buf)
-				return done
-			}
-			if r.needBodyEnd {
+				r.heldBodyEnd = true
+			} else if r.needBodyEnd {
 				emitTo(tok.start)
 				r.emit(r.p.bodyBottom)
 				r.res.InjectedHidden = r.p.hiddenSet
@@ -442,8 +446,38 @@ func (r *StreamRewriter) handleToken(buf []byte, tok rawToken, done int) int {
 	return done
 }
 
-// finishEOF appends the fragments whose anchors never appeared, in the same
-// order the buffered rewriter appends them.
+// placeHead emits the head fragment.
+func (r *StreamRewriter) placeHead() {
+	r.emit(r.p.headInsert)
+	r.needHead = false
+	r.res.InjectedCSS, r.res.InjectedScript = r.p.cssSet, r.p.scriptSet
+}
+
+// releaseHeadless ends the hold of a document that has no <head>: its head
+// fragment goes after the first <body>, else after the first <html>, else
+// in front, and the held bytes are streamed again to place it.
+func (r *StreamRewriter) releaseHeadless() {
+	r.holding = false
+	switch {
+	case r.heldBody:
+		r.headTag = "body"
+	case r.heldHTML:
+		r.headTag = "html"
+	default:
+		r.placeHead()
+	}
+	r.replay()
+}
+
+// replay restarts the scan at the front of the held bytes, which nothing
+// has been emitted from yet.
+func (r *StreamRewriter) replay() {
+	r.mode = modeScan
+	r.scanPos, r.rawProbe, r.minGrow = 0, 0, 0
+}
+
+// finishEOF appends the fragments whose anchors never appeared: the inline
+// reporter, then the trap link.
 func (r *StreamRewriter) finishEOF() {
 	if r.needBody {
 		r.emit(r.p.bodyTop)
@@ -455,22 +489,6 @@ func (r *StreamRewriter) finishEOF() {
 		r.res.InjectedHidden = r.p.hiddenSet
 		r.needBodyEnd = false
 	}
-	r.mode = modePassthrough
-}
-
-// fallback rewrites the fully retained document with the buffered reference
-// path. Only reachable while holding, i.e. before anything was emitted.
-func (r *StreamRewriter) fallback(buf []byte) {
-	res := r.p.RewriteBuffered(buf)
-	r.emit(res.HTML)
-	r.res.InjectedCSS = res.InjectedCSS
-	r.res.InjectedScript = res.InjectedScript
-	r.res.InjectedHandlers = res.InjectedHandlers
-	r.res.InjectedInline = res.InjectedInline
-	r.res.InjectedHidden = res.InjectedHidden
-	r.res.UsedFallback = true
-	r.holding = false
-	r.needHead, r.needBody, r.needBodyEnd = false, false, false
 	r.mode = modePassthrough
 }
 
@@ -512,8 +530,7 @@ func (r *StreamRewriter) emitRange(buf []byte, from, to int) {
 }
 
 // RewriteStream streams doc through a pooled StreamRewriter into w and
-// returns what was injected. Output is byte-identical to Rewrite(doc, inj)
-// for the equivalent injection.
+// returns what was injected.
 func RewriteStream(doc []byte, w io.Writer, p *Prepared) (StreamResult, error) {
 	r := NewStreamRewriter(w, p)
 	_, _ = r.Write(doc)
@@ -523,9 +540,8 @@ func RewriteStream(doc []byte, w io.Writer, p *Prepared) (StreamResult, error) {
 	return res, err
 }
 
-// Rewrite is the fast whole-document path over the streaming injector:
-// byte-identical output to the package-level Rewrite, without the token
-// materialisation. The returned HTML is freshly allocated and caller-owned.
+// Rewrite runs a whole document through the streaming injector. The
+// returned HTML is freshly allocated and caller-owned.
 func (p *Prepared) Rewrite(doc []byte) RewriteResult {
 	var b bytes.Buffer
 	b.Grow(len(doc) + len(p.headInsert) + len(p.bodyTop) + len(p.bodyBottom) + 96)

@@ -9,8 +9,8 @@ import (
 )
 
 // diffCorpus is the document corpus the streaming rewriter must reproduce
-// byte-for-byte against the buffered reference: well-formed markup plus the
-// malformed shapes a proxy sees in the wild.
+// byte-for-byte against the buffered oracle (rewriteBuffered): well-formed
+// markup plus the malformed shapes a proxy sees in the wild.
 var diffCorpus = []struct {
 	name string
 	doc  string
@@ -96,8 +96,8 @@ func TestStreamMatchesBufferedRewrite(t *testing.T) {
 	chunkSizes := []int{1, 2, 3, 7, 16, 64, 1 << 20}
 	for _, tc := range diffCorpus {
 		for ij, inj := range diffInjections() {
-			want := Rewrite([]byte(tc.doc), inj)
 			prep := PrepareInjection(inj)
+			want := prep.rewriteBuffered([]byte(tc.doc))
 			for _, size := range chunkSizes {
 				got, res := streamChunked(t, []byte(tc.doc), prep, size)
 				if !bytes.Equal(got, want.HTML) {
@@ -114,10 +114,9 @@ func TestStreamMatchesBufferedRewrite(t *testing.T) {
 					t.Errorf("%s/inj%d/chunk%d: flags = %+v, buffered %+v", tc.name, ij, size, res, want)
 				}
 			}
-			// The whole-document fast path must agree too.
-			fast := prep.Rewrite([]byte(tc.doc))
-			if !bytes.Equal(fast.HTML, want.HTML) {
-				t.Errorf("%s/inj%d: Prepared.Rewrite diverged from buffered", tc.name, ij)
+			// The whole-document entry points must agree too.
+			if whole := Rewrite([]byte(tc.doc), inj); !bytes.Equal(whole.HTML, want.HTML) || whole.AddedBytes != want.AddedBytes {
+				t.Errorf("%s/inj%d: Rewrite diverged from buffered", tc.name, ij)
 			}
 		}
 	}
@@ -154,8 +153,8 @@ func TestStreamVectoredMatchesBuffered(t *testing.T) {
 	chunkSizes := []int{1, 2, 3, 7, 16, 64, 1 << 20}
 	for _, tc := range diffCorpus {
 		for ij, inj := range diffInjections() {
-			want := Rewrite([]byte(tc.doc), inj)
 			prep := PrepareInjection(inj)
+			want := prep.rewriteBuffered([]byte(tc.doc))
 			for _, size := range chunkSizes {
 				got, res := streamChunkedVec(t, []byte(tc.doc), prep, size)
 				if !bytes.Equal(got, want.HTML) {
@@ -182,7 +181,8 @@ func TestStreamVectoredOverTCP(t *testing.T) {
 	defer ln.Close()
 
 	doc := []byte(samplePage)
-	want := Rewrite(doc, stdInjection())
+	prep := PrepareInjection(stdInjection())
+	want := prep.rewriteBuffered(doc)
 
 	type recv struct {
 		data []byte
@@ -204,7 +204,6 @@ func TestStreamVectoredOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	prep := PrepareInjection(stdInjection())
 	r := NewStreamRewriter(conn, prep)
 	r.SetVectored(true)
 	for off := 0; off < len(doc); off += 512 {
@@ -287,21 +286,46 @@ func TestStreamHoldLimit(t *testing.T) {
 	}
 }
 
-// TestStreamFallbackReported verifies UsedFallback is set for anchor orders
-// the single pass cannot stream, and not set for the common shape.
-func TestStreamFallbackReported(t *testing.T) {
+// TestStreamPlacesHeadlessAnchors: a page with a <head> and one without
+// stream to the oracle's bytes, the second with its head fragment after
+// <body> and nothing before <html> held back from its anchors.
+func TestStreamPlacesHeadlessAnchors(t *testing.T) {
 	prep := PrepareInjection(stdInjection())
-
-	var out bytes.Buffer
-	res, err := RewriteStream([]byte(samplePage), &out, prep)
-	if err != nil || res.UsedFallback {
-		t.Fatalf("well-formed page took the fallback path: %+v err=%v", res, err)
+	for _, doc := range []string{samplePage, "<html><body>no head</body></html>"} {
+		var out bytes.Buffer
+		res, err := RewriteStream([]byte(doc), &out, prep)
+		want := prep.rewriteBuffered([]byte(doc))
+		if err != nil || !bytes.Equal(out.Bytes(), want.HTML) || res.AddedBytes != want.AddedBytes {
+			t.Fatalf("%q streamed to %q (err %v), oracle %q", doc, out.Bytes(), err, want.HTML)
+		}
 	}
+	out := string(Rewrite([]byte("<html><body>no head</body></html>"), stdInjection()).HTML)
+	if !strings.HasPrefix(out, "<html><body onmousemove=__bd_f() onkeypress=__bd_f()><link rel=stylesheet") {
+		t.Fatalf("head fragment not after the head-less page's <body>: %s", out)
+	}
+}
 
-	out.Reset()
-	res, err = RewriteStream([]byte("<html><body>no head</body></html>"), &out, prep)
-	if err != nil || !res.UsedFallback {
-		t.Fatalf("head-less page did not report fallback: %+v err=%v", res, err)
+// TestStreamHeadlessPageZeroAlloc: a head-less page, held whole and then
+// streamed again with its anchors placed, costs a reused rewriter nothing
+// at steady state.
+func TestStreamHeadlessPageZeroAlloc(t *testing.T) {
+	doc := []byte("<html><body><p>no head here</p><script>var a = '<body>';</script></body></html>")
+	prep := PrepareInjection(stdInjection())
+	var out bytes.Buffer
+	var r StreamRewriter
+	run := func() {
+		out.Reset()
+		r.Reset(&out, prep)
+		_, _ = r.Write(doc[:20])
+		_, _ = r.Write(doc[20:])
+		_ = r.Close()
+	}
+	run()
+	if want := prep.rewriteBuffered(doc).HTML; !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("streamed %q, oracle %q", out.Bytes(), want)
+	}
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Fatalf("head-less page: %.1f allocs/op, want 0", n)
 	}
 }
 
@@ -319,7 +343,8 @@ func TestStreamWriteAfterClose(t *testing.T) {
 }
 
 // FuzzStreamVsBuffered fuzzes the differential property over arbitrary
-// documents: chunked streaming output must equal the buffered reference.
+// documents: chunked streaming output, plain and vectored, must equal the
+// buffered oracle.
 func FuzzStreamVsBuffered(f *testing.F) {
 	for _, tc := range diffCorpus {
 		f.Add([]byte(tc.doc), 7)
@@ -335,7 +360,7 @@ func FuzzStreamVsBuffered(f *testing.F) {
 			chunk = 1
 		}
 		inj := injections[(chunk+len(doc))%len(injections)]
-		want := Rewrite(doc, inj)
+		want := PrepareInjection(inj).rewriteBuffered(doc)
 		got, res := streamChunked(t, doc, PrepareInjection(inj), chunk)
 		if !bytes.Equal(got, want.HTML) {
 			t.Fatalf("diverged for %q chunk=%d:\n  buffered: %q\n  streamed: %q", doc, chunk, want.HTML, got)

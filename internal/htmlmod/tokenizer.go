@@ -13,72 +13,37 @@
 // (script/style), and it must never reorder or re-serialise untouched
 // content, so it operates on byte offsets into the original document.
 //
-// Two consumers sit on one scanning core. scanNextTag classifies regions by
+// One scanning core serves every reader. scanNextTag classifies regions by
 // byte offset without allocating: the streaming rewriter (stream.go) drives
-// it incrementally as response bytes flow through the proxy, and the legacy
-// Tokenize drives it over a whole document, materialising the []Token slice
-// (with lowercase name and attribute strings) that the link-extraction
-// consumers in internal/agents still use.
+// it incrementally as response bytes flow through the proxy, and Extract
+// walks it over a whole document (tagWalk) for the link-extraction consumers
+// in internal/agents.
 package htmlmod
 
 import (
 	"bytes"
 )
 
-// TokenType identifies a scanned token.
-type TokenType int
+// tokenType identifies a scanned non-text token. Text is never a token: it
+// is the bytes between one token's end and the next one's start.
+type tokenType uint8
 
 const (
-	// TextToken is character data between tags.
-	TextToken TokenType = iota
-	// StartTagToken is an opening tag, possibly self-closing.
-	StartTagToken
-	// EndTagToken is a closing tag.
-	EndTagToken
-	// CommentToken is an HTML comment.
-	CommentToken
-	// DeclToken is a <!DOCTYPE ...> or similar declaration.
-	DeclToken
+	// startTagToken is an opening tag, possibly self-closing.
+	startTagToken tokenType = iota + 1
+	// endTagToken is a closing tag.
+	endTagToken
+	// commentToken is an HTML comment.
+	commentToken
+	// declToken is a <!DOCTYPE ...> or similar declaration.
+	declToken
 )
-
-// Token is one scanned region of the document.
-type Token struct {
-	// Type is the token type.
-	Type TokenType
-	// Name is the lowercase tag name for start/end tags.
-	Name string
-	// Start and End are byte offsets of the token in the original document
-	// (End is exclusive).
-	Start, End int
-	// SelfClosing reports whether a start tag ends with "/>".
-	SelfClosing bool
-	// Attrs are the tag's attributes in document order (start tags only).
-	Attrs []Attr
-}
-
-// Attr is one tag attribute.
-type Attr struct {
-	// Name is the lowercase attribute name.
-	Name string
-	// Value is the unquoted attribute value ("" for value-less attributes).
-	Value string
-}
-
-// Get returns the value of the named attribute and whether it is present.
-func (t Token) Get(name string) (string, bool) {
-	for _, a := range t.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
-}
 
 // --- raw scanning core ------------------------------------------------------
 
 // rawAttr is one attribute described purely by offsets into the document.
 // Quoted values exclude their quotes; value-less attributes have a zero
-// value range, indistinguishable from `x=""` (both materialise as Value "").
+// value range, so their value reads as empty, like `x=""`.
 type rawAttr struct {
 	nameStart, nameEnd int
 	valStart, valEnd   int
@@ -88,7 +53,7 @@ type rawAttr struct {
 // scanning never allocates. Text is implicit: the bytes between the caller's
 // scan position and the token's start.
 type rawToken struct {
-	typ                TokenType
+	typ                tokenType
 	start, end         int
 	nameStart, nameEnd int
 	selfClosing        bool
@@ -140,11 +105,11 @@ func scanNextTag(doc []byte, pos int, atEOF bool, attrs *[]rawAttr) (rawToken, i
 			if hasPrefixAt(doc, i, "<!--") {
 				end := indexFrom(doc, i+4, "-->")
 				if end >= 0 {
-					return rawToken{typ: CommentToken, start: i, end: end + 3}, i, scanTok
+					return rawToken{typ: commentToken, start: i, end: end + 3}, i, scanTok
 				}
 				if atEOF {
 					// Unterminated comment: the rest of the document.
-					return rawToken{typ: CommentToken, start: i, end: n}, i, scanTok
+					return rawToken{typ: commentToken, start: i, end: n}, i, scanTok
 				}
 				return rawToken{}, i, scanNeedMore
 			}
@@ -161,7 +126,7 @@ func scanNextTag(doc []byte, pos int, atEOF bool, attrs *[]rawAttr) (rawToken, i
 				}
 				return rawToken{}, i, scanNeedMore
 			}
-			return rawToken{typ: DeclToken, start: i, end: end + 1}, i, scanTok
+			return rawToken{typ: declToken, start: i, end: end + 1}, i, scanTok
 		case c == '/':
 			end := indexFrom(doc, i+2, ">")
 			if end < 0 {
@@ -172,7 +137,7 @@ func scanNextTag(doc []byte, pos int, atEOF bool, attrs *[]rawAttr) (rawToken, i
 				return rawToken{}, i, scanNeedMore
 			}
 			ns, ne := endTagName(doc, i+2, end)
-			return rawToken{typ: EndTagToken, start: i, end: end + 1, nameStart: ns, nameEnd: ne}, i, scanTok
+			return rawToken{typ: endTagToken, start: i, end: end + 1, nameStart: ns, nameEnd: ne}, i, scanTok
 		default:
 			tok, complete, ok := scanStartTagRaw(doc, i, attrs)
 			if !complete {
@@ -213,7 +178,7 @@ func scanStartTagRaw(doc []byte, i int, attrs *[]rawAttr) (tok rawToken, complet
 		}
 		return rawToken{}, true, false // "<" not followed by a tag name
 	}
-	tok = rawToken{typ: StartTagToken, start: i, nameStart: nameStart, nameEnd: j}
+	tok = rawToken{typ: startTagToken, start: i, nameStart: nameStart, nameEnd: j}
 
 	// Scan attributes respecting quotes.
 	for j < n {
@@ -370,100 +335,58 @@ func findRawTextClose(doc []byte, pos int, name []byte) int {
 	return -1
 }
 
-// --- legacy token materialisation ------------------------------------------
-
-// Tokenize scans the document and returns its tokens. The scan is
-// best-effort: malformed markup never causes an error, the scanner simply
-// treats unparseable regions as text, which is the safe behaviour for a
-// rewriter (it will inject less rather than corrupt output).
-func Tokenize(doc []byte) []Token {
-	var tokens []Token
-	var attrs []rawAttr
-	n := len(doc)
-	i := 0
-	for i < n {
-		raw, _, st := scanNextTag(doc, i, true, &attrs)
-		if st == scanEOFText {
-			if n > i {
-				tokens = append(tokens, Token{Type: TextToken, Start: i, End: n})
-			}
-			return tokens
-		}
-		if raw.start > i {
-			tokens = append(tokens, Token{Type: TextToken, Start: i, End: raw.start})
-		}
-		tokens = append(tokens, materializeToken(doc, raw, attrs))
-		i = raw.end
-
-		// Raw-text elements: skip to their end tag so "<a href=...>" inside a
-		// script string is not mistaken for markup.
-		if raw.typ == StartTagToken && !raw.selfClosing {
-			name := doc[raw.nameStart:raw.nameEnd]
-			if !isRawTextName(name) {
-				continue
-			}
-			idx := findRawTextClose(doc, i, name)
-			if idx < 0 {
-				continue
-			}
-			if idx > i {
-				tokens = append(tokens, Token{Type: TextToken, Start: i, End: idx})
-			}
-			end := indexFrom(doc, idx, ">")
-			if end < 0 {
-				// A "</name" with no closing '>': the historical scanner
-				// stops here, leaving the tail untokenised.
-				return tokens
-			}
-			tokens = append(tokens, Token{
-				Type: EndTagToken, Name: lowerString(name), Start: idx, End: end + 1,
-			})
-			i = end + 1
-		}
-	}
-	return tokens
+// tagWalk reads a whole document's non-text tokens in order under the
+// scanner's end-of-input rules, the way the rewriter meets them at Close. A
+// raw-text element's content is skipped to its end tag, so "<a href=...>"
+// inside a script string is not mistaken for markup; a raw-text element
+// that is never closed is read on as markup, and a "</name" with no closing
+// '>' ends the walk.
+type tagWalk struct {
+	doc   []byte
+	pos   int
+	attrs []rawAttr // the last start tag's attributes
+	raw   []byte    // the open raw-text element's name, while its content is skipped
 }
 
-// materializeToken converts a raw token into the public Token form,
-// allocating the lowercase name and attribute strings the legacy API exposes.
-func materializeToken(doc []byte, raw rawToken, attrs []rawAttr) Token {
-	t := Token{Type: raw.typ, Start: raw.start, End: raw.end, SelfClosing: raw.selfClosing}
-	switch raw.typ {
-	case StartTagToken:
-		t.Name = lowerString(doc[raw.nameStart:raw.nameEnd])
-		if len(attrs) > 0 {
-			t.Attrs = make([]Attr, len(attrs))
-			for k, a := range attrs {
-				t.Attrs[k] = Attr{
-					Name:  lowerString(doc[a.nameStart:a.nameEnd]),
-					Value: string(doc[a.valStart:a.valEnd]),
-				}
+// next returns the next token and the number of text bytes before it;
+// ok is false at the end of the walk.
+func (w *tagWalk) next() (tok rawToken, text int, ok bool) {
+	if name := w.raw; name != nil {
+		w.raw = nil
+		if idx := findRawTextClose(w.doc, w.pos, name); idx >= 0 {
+			gt := indexFrom(w.doc, idx, ">")
+			if gt < 0 {
+				w.pos = len(w.doc)
+				return rawToken{}, 0, false
 			}
+			tok = rawToken{typ: endTagToken, start: idx, end: gt + 1, nameStart: idx + 2, nameEnd: idx + 2 + len(name)}
+			text, w.pos = idx-w.pos, gt+1
+			return tok, text, true
 		}
-	case EndTagToken:
-		t.Name = lowerString(doc[raw.nameStart:raw.nameEnd])
 	}
-	return t
+	tok, _, st := scanNextTag(w.doc, w.pos, true, &w.attrs)
+	if st == scanEOFText {
+		return rawToken{}, 0, false
+	}
+	text, w.pos = tok.start-w.pos, tok.end
+	if name := w.doc[tok.nameStart:tok.nameEnd]; tok.typ == startTagToken && !tok.selfClosing && isRawTextName(name) {
+		w.raw = name
+	}
+	return tok, text, true
 }
 
-// lowerString allocates the ASCII-lowercased string of b.
-func lowerString(b []byte) string {
-	for k := 0; k < len(b); k++ {
-		if b[k] >= 'A' && b[k] <= 'Z' {
-			goto convert
+// name returns the token's tag name as the document spells it.
+func (w *tagWalk) name(tok rawToken) []byte { return w.doc[tok.nameStart:tok.nameEnd] }
+
+// attr returns the value of the last start tag's first attribute named
+// name (lowercase; the document's spelling is folded) and whether it has one.
+func (w *tagWalk) attr(name string) ([]byte, bool) {
+	for _, a := range w.attrs {
+		if foldEq(w.doc[a.nameStart:a.nameEnd], name) {
+			return w.doc[a.valStart:a.valEnd], true
 		}
 	}
-	return string(b)
-convert:
-	out := make([]byte, len(b))
-	for k := 0; k < len(b); k++ {
-		c := b[k]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out[k] = c
-	}
-	return string(out)
+	return nil, false
 }
 
 func isNameByte(b byte) bool {

@@ -14,7 +14,6 @@ import (
 	"botdetect/internal/core"
 	"botdetect/internal/detect"
 	"botdetect/internal/features"
-	"botdetect/internal/fleet"
 	"botdetect/internal/policy"
 	"botdetect/internal/session"
 	"botdetect/internal/telemetry"
@@ -47,12 +46,6 @@ type AdminConfig struct {
 	// Breaker optionally exposes the reverse proxy's origin circuit breaker
 	// on the status page (Middleware.Breaker()).
 	Breaker *Breaker
-	// Fleet optionally exposes this node's replication health — peer
-	// liveness, outbox depths, acked-epoch watermarks, replication lag — on
-	// the status page. Its gauges land on /metrics by registering the
-	// replicator with the engine's telemetry registry
-	// (fleet.Replicator.RegisterMetrics).
-	Fleet *fleet.Replicator
 }
 
 // Admin bundles the proxy's operational endpoints — Prometheus metrics, the
@@ -190,30 +183,6 @@ func (a *Admin) handleStatus(w http.ResponseWriter, r *http.Request) {
 		b := a.cfg.Breaker
 		fmt.Fprintf(w, "origin breaker: %s (opens=%d probes=%d recoveries=%d short-circuits=%d)\n",
 			b.State(), b.opens.Load(), b.probes.Load(), b.recoveries.Load(), b.shortCircuits.Load())
-	}
-	if rep := a.cfg.Fleet; rep != nil {
-		fc := rep.Stats()
-		mode := "replicated"
-		if rep.Isolated() {
-			mode = "ISOLATED (quorum lost, local-only decisions)"
-		}
-		fmt.Fprintf(w, "fleet: node=%s inc=%d mode=%s published-epoch=%d\n",
-			rep.Name(), rep.Incarnation(), mode, rep.PublishedEpoch())
-		fmt.Fprintf(w, "fleet replication: applied=%d replayed=%d stale-inc=%d epoch-gaps=%d ae-resends=%d dropped=%d\n",
-			fc.Applied, fc.Replays, fc.StaleInc, fc.EpochGaps, fc.AEResends, fc.Dropped)
-		fmt.Fprintf(w, "fleet stores: verdicts=%d blocks=%d\n", rep.VerdictCount(), rep.BlockCount())
-		if p50, ok := rep.LagQuantile(0.50); ok {
-			p99, _ := rep.LagQuantile(0.99)
-			fmt.Fprintf(w, "fleet replication lag: p50=%s p99=%s\n", p50, p99)
-		}
-		for _, ps := range rep.PeerSnapshot() {
-			state := "up"
-			if !ps.Up {
-				state = "DOWN"
-			}
-			fmt.Fprintf(w, "fleet peer %-18s %-4s outbox=%d sent=%d dropped=%d acked-epoch=%d applied-watermark=%d\n",
-				ps.Name, state, ps.OutboxLen, ps.Sent, ps.Dropped, ps.AckedEpoch, ps.Watermark)
-		}
 	}
 	fmt.Fprintf(w, "pages instrumented: %d\n", stats.PagesInstrumented)
 	fmt.Fprintf(w, "pages lite (definite humans, hidden link only): %d\n", stats.PagesLite)

@@ -7,11 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"botdetect/internal/core"
 	"botdetect/internal/detect"
-	"botdetect/internal/fleet"
 	"botdetect/internal/policy"
 	"botdetect/internal/session"
 	"botdetect/internal/telemetry"
@@ -137,50 +135,6 @@ func TestAdminCountsLitePages(t *testing.T) {
 	status := adminGet(mux, "/__bd/status").Body.String()
 	if want := fmt.Sprint("pages lite (definite humans, hidden link only): ", lite, "\n"); !strings.Contains(status, want) {
 		t.Errorf("status missing %q:\n%s", want, status)
-	}
-}
-
-// discardTransport drops every replication message (the admin surface only
-// reads the replicator's local state).
-type discardTransport struct{}
-
-func (discardTransport) Send(to string, msg *fleet.Message) error { return nil }
-
-func TestAdminStatusFleetSection(t *testing.T) {
-	origin := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("ok"))
-	})
-	eng := core.New(core.Config{Seed: 31})
-	rep := fleet.New(fleet.Config{Name: "n0", Peers: []string{"n0", "n1"}, Transport: discardTransport{}})
-	rep.Start()
-	defer rep.Stop()
-	rep.PublishVerdict(session.Key{IP: "10.0.0.9", UserAgent: "x"},
-		detect.Verdict{Class: detect.ClassRobot, Confidence: detect.Definite, Rule: detect.RuleDecoy}, time.Now().Add(time.Hour))
-	mw := New(origin, Config{Engine: eng})
-	admin := NewAdmin(AdminConfig{Engine: eng, Fleet: rep})
-	mux := http.NewServeMux()
-	mux.Handle("/", mw)
-	admin.Register(mux)
-
-	rec := adminGet(mux, "/__bd/status")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status endpoint status %d", rec.Code)
-	}
-	body := rec.Body.String()
-	for _, want := range []string{
-		"fleet: node=n0 inc=1",
-		"fleet replication:",
-		"fleet stores: verdicts=1",
-		"fleet peer n1",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("fleet status missing %q:\n%s", want, body)
-		}
-	}
-	// A one-peer fleet that cannot hear its peer is below quorum: the status
-	// page must say so rather than pretend the control plane is healthy.
-	if !strings.Contains(body, "ISOLATED") {
-		t.Errorf("status should mark the peerless node isolated:\n%s", body)
 	}
 }
 

@@ -54,9 +54,10 @@ type Config struct {
 }
 
 // maxRewriteBytes caps the bytes the streaming rewriter may retain while a
-// decision is pending: a document with no <head> before its first <body> is
-// buffered whole for the fallback rewrite, and raw-text content (an inline
-// script or style body) is held until its end tag. Documents that exceed the
+// decision is pending: everything before the first <head> is held (a
+// document without one is held whole, until its end shows where the head
+// fragment goes), and raw-text content (an inline script or style body) is
+// held until its end tag. Documents that exceed the
 // cap are forwarded verbatim from that point on. Well-anchored HTML whose
 // raw-text spans fit the cap streams regardless of total document size.
 const maxRewriteBytes = 2 << 20

@@ -21,12 +21,11 @@ import (
 // collaborator) or is read back by benchmark/ through a value, which the
 // scan cannot see as a field reference. Every entry says which.
 var wiringOptions = map[string]string{
-	"cdn.NodeConfig.Name":     "rule b: the node's address on the mesh and its telemetry label; cdn.NewNetwork names its own nodes",
-	"cdn.NodeConfig.Site":     "rule b: collaborator (the origin); cdn.NewNetwork wires it",
-	"cdn.NodeConfig.Engine":   "rule b: collaborator (the detection engine); cdn.NewNetwork wires it",
-	"cdn.NodeConfig.Policy":   "rule b: collaborator (the enforcement ladder); cdn.NewNetwork wires it",
-	"cdn.NodeConfig.Captcha":  "rule b: collaborator (the CAPTCHA service); cdn.NewNetwork wires it",
-	"proxy.AdminConfig.Fleet": "rule b: collaborator (the replicator whose health the status page shows); waits for the socket-fleet binary",
+	"cdn.NodeConfig.Name":    "rule b: the node's address on the mesh and its telemetry label; cdn.NewNetwork names its own nodes",
+	"cdn.NodeConfig.Site":    "rule b: collaborator (the origin); cdn.NewNetwork wires it",
+	"cdn.NodeConfig.Engine":  "rule b: collaborator (the detection engine); cdn.NewNetwork wires it",
+	"cdn.NodeConfig.Policy":  "rule b: collaborator (the enforcement ladder); cdn.NewNetwork wires it",
+	"cdn.NodeConfig.Captcha": "rule b: collaborator (the CAPTCHA service); cdn.NewNetwork wires it",
 }
 
 // moduleImporter type-checks this module's packages from source, once each,
