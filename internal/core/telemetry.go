@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"botdetect/internal/session"
+	"botdetect/internal/shard"
 	"botdetect/internal/telemetry"
 )
 
@@ -123,6 +124,15 @@ func (e *Engine) registerTelemetry() {
 			} else {
 				emit(nl, 0)
 			}
+		})
+	// The tables' records sit in blocks mapped outside the Go heap: the
+	// runtime's heap statistics leave them out, and this family holds them.
+	arenaStates := [2]string{telemetry.Join(telemetry.Label("state", "mapped"), nl), telemetry.Join(telemetry.Label("state", "touched"), nl)}
+	reg.GaugeFunc("botdetect_table_arena_bytes", "Bytes of session and keystore record blocks the process maps outside the Go heap (mapped), and the part of them ever written (touched).",
+		func(emit func(labels string, v float64)) {
+			mapped, touched := shard.ArenaBytes()
+			emit(arenaStates[0], float64(mapped))
+			emit(arenaStates[1], float64(touched))
 		})
 	reg.GaugeFunc("botdetect_intern_entries", "Live canonical strings in the shared interner.",
 		func(emit func(labels string, v float64)) { emit(nl, float64(e.interner.Stats().Entries)) })

@@ -17,6 +17,7 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -442,12 +443,39 @@ func NewReverseProxy(upstream *url.URL, cfg Config) *Middleware {
 	rp := httputil.NewSingleHostReverseProxy(upstream)
 	rp.Transport = m.upstream
 	rp.ErrorHandler = m.upstreamErrorHandler
+	rp.BufferPool = copyBuffers{}
 	m.origin = rp
 	if ucfg.RequestTimeout > 0 {
 		m.origin = deadlineHandler{h: rp, d: ucfg.RequestTimeout}
 	}
 	m.registerUpstreamTelemetry()
 	return m
+}
+
+// copyBufferBytes is the size of the buffer httputil.ReverseProxy copies a
+// response body through, the size it allocates itself without a pool.
+const copyBufferBytes = 32 << 10
+
+// copyBufferPool holds the reverse proxy's idle copy buffers.
+var copyBufferPool sync.Pool
+
+// copyBuffers lends httputil.ReverseProxy its copy buffers from
+// copyBufferPool: without a BufferPool it allocates one for every response
+// it streams, most of what a large proxied body costs the heap. The pool
+// keeps the array pointer, so a Put allocates nothing.
+type copyBuffers struct{}
+
+func (copyBuffers) Get() []byte {
+	if buf, ok := copyBufferPool.Get().(*[copyBufferBytes]byte); ok {
+		return buf[:]
+	}
+	return make([]byte, copyBufferBytes)
+}
+
+func (copyBuffers) Put(buf []byte) {
+	if cap(buf) >= copyBufferBytes {
+		copyBufferPool.Put((*[copyBufferBytes]byte)(buf[:copyBufferBytes]))
+	}
 }
 
 // Breaker returns the reverse proxy's circuit breaker (nil for middleware

@@ -9,6 +9,7 @@ import (
 
 	"botdetect/internal/intern"
 	"botdetect/internal/keystore"
+	"botdetect/internal/shard"
 )
 
 // FuzzClientKey holds the keys both client tables build to the strings they
@@ -97,6 +98,45 @@ func gcScanBytes() int64 {
 	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
 	metrics.Read(s)
 	return int64(s[0].Value.Uint64())
+}
+
+// gcHeapBytes is the heap in use after two full collections, the live heap
+// the collector's next heap goal is set from.
+func gcHeapBytes() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestGCHeapBytesPerSession holds what a session adds to the live heap,
+// which the collector doubles into its heap goal under GOGC=100: 200,000
+// one-page sessions on one P may grow it by at most 16 B a session. The
+// records sit in the table's arena outside the heap, so what is left is the
+// chunk directory and the bucket array: 6.7 B a session measured, against
+// 198.6 B while the chunks were heap objects. Where the arena's blocks are
+// heap arrays (under the race detector, and off unix) there is nothing to
+// hold.
+func TestGCHeapBytesPerSession(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const sessions = 200000
+	tr := NewTracker(Config{})
+	now := time.Unix(1136073600, 0)
+	before := gcHeapBytes()
+	for i := range sessions {
+		ip := fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
+		tr.ObserveQuiet(entry(ip, "Mozilla/5.0 (X11; Linux x86_64)", "GET", "/index.html", 200, "", now))
+	}
+	if mapped, _ := shard.ArenaBytes(); mapped == 0 {
+		t.Skip("the table's blocks are heap arrays here")
+	}
+	per := float64(gcHeapBytes()-before) / sessions
+	runtime.KeepAlive(tr)
+	t.Logf("%d sessions: %.1f B of live heap a session", tr.Active(), per)
+	if tr.Active() != sessions || per > 16 {
+		t.Fatalf("%d sessions hold %.1f B of live heap each, over 16 B: the records are back on the heap", tr.Active(), per)
+	}
 }
 
 // TestGCScanBytesPerSession holds what a session costs the garbage

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"hash/maphash"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,30 +12,34 @@ import (
 // A shard keeps its entries' records by value, in chunks of chunkLen records
 // each, and links them by slot number: slot s, a position plus one (0 links
 // nothing), is record (s-1)%chunkLen of chunk (s-1)/chunkLen. The LRU list,
-// the collision chains and the bucket array hold slot numbers. A record type
-// that holds no pointer makes a chunk the garbage collector never scans: its
-// work per entry is one chunk pointer for every chunkLen records, in the
-// shard's chunk directory. The slots are dense: a removal copies the last
-// record into the slot it frees, so a *E is valid only until the next Remove
-// on its shard, and Remove returns the address the moved record had, so that
-// a walk holding a neighbour across it can follow the move. A chunk is
-// allocated when the slots run out and the last one is freed once two are
-// empty, so a shard that sits at a cap divisible by chunkLen keeps a spare
-// and does not allocate and free a chunk on every insert. The bucket array
-// has a power-of-two length, allocated at the shard's first Insert; it
-// doubles when the shard holds more entries than it has buckets and halves
-// when it holds a quarter of them or fewer, so right after a resize an entry
-// has one or two buckets, and a shard that hovers at its cap never resizes
-// back and forth. A resize re-chains the entries where they are and moves
-// no record; a halving also trims the chunk directory to its length. An
-// empty shard frees all of it.
+// the collision chains and the bucket array hold slot numbers. A record
+// holds no pointer (NewTable refuses a record type that does), so the chunks
+// live outside the garbage-collected heap: the table's arena (arena.go)
+// carves them from blocks it maps itself on unix, and from heap arrays under
+// the race detector and elsewhere. The collector neither scans the records
+// nor counts them towards its heap goal; its work per entry is one chunk
+// pointer for every chunkLen records, in the shard's chunk directory, which
+// stays on the heap with the bucket array. The slots are dense: a removal
+// copies the last record into the slot it frees, so a *E is valid only until
+// the next Remove on its shard, and Remove returns the address the moved
+// record had, so that a walk holding a neighbour across it can follow the
+// move. A chunk is taken from the arena when the slots run out and the last
+// one is given back once two are empty, so a shard that sits at a cap
+// divisible by chunkLen keeps a spare and does not take and give back a
+// chunk on every insert. The bucket array has a power-of-two length,
+// allocated at the shard's first Insert; it doubles when the shard holds
+// more entries than it has buckets and halves when it holds a quarter of
+// them or fewer, so right after a resize an entry has one or two buckets,
+// and a shard that hovers at its cap never resizes back and forth. A resize
+// re-chains the entries where they are and moves no record; a halving also
+// trims the chunk directory to its length. An empty shard frees all of it
+// and gives its chunks back.
 //
-// A chunk holds 8 records. 8 sessions (1,536 B) and 8 keystore clients
-// (512 B) each fill an allocator size class exactly, and a shard's last
-// chunk leaves 3.5 records unused on average. At bigpage_origin's ~63
-// sessions a shard, 16-record chunks would leave 7.5 unused, 1,440 B a
-// shard or 23 B a session: more than the 8 to 18 B a session the directory
-// of record pointers they replace cost there.
+// A chunk holds 8 records: 8 sessions take 1,536 B and 8 keystore clients
+// 512 B, and a shard's last chunk leaves 3.5 records unused on average. At
+// bigpage_origin's ~63 sessions a shard, 16-record chunks would leave 7.5
+// unused, 1,440 B a shard or 23 B a session: more than the 8 to 18 B a
+// session the directory of record pointers they replaced cost there.
 const (
 	chunkLen    = 8
 	minBuckets  = 1
@@ -84,12 +89,10 @@ func dirBytes(slots int) int64 {
 	return AllocBytes(b)
 }
 
-// chunkBytes is the heap a chunk of records of type E pins. It charges no
-// allocation header: the records hold no pointer, or a chunk of them is at
-// most 512 B.
+// chunkBytes is what a chunk of records of type E takes in its arena.
 func chunkBytes[E any]() int64 {
 	var c [chunkLen]E
-	return AllocBytes(int64(unsafe.Sizeof(c)))
+	return int64(unsafe.Sizeof(c))
 }
 
 // bucketArray returns a bucket array of size buckets. Its allocation is at
@@ -146,6 +149,7 @@ type Table[K, I comparable, E any, P Entry[I, E]] struct {
 	shards []*Shard[I, E, P]
 	fnv    func(K) uint64
 	seed   maphash.Seed
+	arena  *arena
 	books
 
 	// HashHook, when set, replaces the seeded slot hash. Only tests set it, to
@@ -156,14 +160,15 @@ type Table[K, I comparable, E any, P Entry[I, E]] struct {
 // books are the table's lock-free totals, which its shards keep up to date.
 type books struct {
 	live  atomic.Int64
-	index atomic.Int64 // heap of every shard's chunks, chunk directory and bucket array
+	index atomic.Int64 // what the arena charges, and every shard's chunk directory and bucket array
 }
 
 // Shard is one independently locked partition of a table. Every method but
 // Lock and Unlock requires the caller to hold the shard's lock.
 type Shard[I comparable, E any, P Entry[I, E]] struct {
 	sync.Mutex
-	books      *books
+	books      *books // in the table, which it keeps alive and with it the arena
+	arena      *arena
 	chunks     []*[chunkLen]E // the records; slots 1 to n hold the entries
 	n          int
 	buckets    []uint32
@@ -175,14 +180,20 @@ type Shard[I comparable, E any, P Entry[I, E]] struct {
 
 // NewTable returns a table of Normalize(shards) shards, each holding at most
 // PerShardCap(capacity, shards) entries until SetShardCap says otherwise. fnv
-// is the shard-selection hash of a key.
+// is the shard-selection hash of a key. It panics if E, and so its ID I,
+// holds a pointer: the collector would not see it in the arena. The arena's
+// blocks are unmapped once neither the table nor any of its shards can be
+// reached.
 func NewTable[K, I comparable, E any, P Entry[I, E]](shards, capacity int, fnv func(K) uint64) *Table[K, I, E, P] {
+	mustHoldNoPointer[E]()
 	shards = Normalize(shards)
-	t := &Table[K, I, E, P]{shards: make([]*Shard[I, E, P], shards), fnv: fnv, seed: maphash.MakeSeed()}
+	t := &Table[K, I, E, P]{shards: make([]*Shard[I, E, P], shards), fnv: fnv, seed: maphash.MakeSeed(),
+		arena: newArena(int(chunkBytes[E]()))}
 	per := PerShardCap(capacity, shards)
 	for i := range t.shards {
-		t.shards[i] = &Shard[I, E, P]{books: &t.books, max: per, i: i}
+		t.shards[i] = &Shard[I, E, P]{books: &t.books, arena: t.arena, max: per, i: i}
 	}
+	runtime.AddCleanup(t, (*arena).release, t.arena)
 	return t
 }
 
@@ -209,9 +220,11 @@ func (t *Table[K, I, E, P]) Shard(i int) *Shard[I, E, P] { return t.shards[i] }
 // Len returns the number of entries in the whole table, lock-free.
 func (t *Table[K, I, E, P]) Len() int { return int(t.live.Load()) }
 
-// IndexBytes returns the heap every shard's records, chunk directory and
-// bucket array pin, lock-free: what the table's users charge for their
-// records and its index.
+// IndexBytes returns what the table's records and index take, lock-free:
+// every chunk its arena has handed out and not unmapped, in use or free,
+// each mapped block's bookkeeping, and the heap every shard's chunk
+// directory and bucket array pin. It is what the table's users charge for
+// their records and its index.
 func (t *Table[K, I, E, P]) IndexBytes() int64 { return t.index.Load() }
 
 // ShardFill returns the number of entries in shard i and its cap, for
@@ -302,8 +315,9 @@ func (sh *Shard[I, E, P]) Insert(h uint64, id I) *E {
 	}
 	if sh.n == chunkLen*len(sh.chunks) {
 		before := sh.pinned()
-		sh.chunks = append(sh.chunks, new([chunkLen]E))
-		sh.books.index.Add(sh.pinned() - before)
+		c, charged := sh.arena.alloc()
+		sh.chunks = append(sh.chunks, (*[chunkLen]E)(c))
+		sh.books.index.Add(sh.pinned() - before + charged)
 	}
 	sh.n++
 	s := uint32(sh.n)
@@ -350,11 +364,10 @@ func (sh *Shard[I, E, P]) Remove(e *E) (from *E) {
 		sh.resize(0)
 		return from
 	}
-	if len(sh.chunks)-(sh.n+chunkLen-1)/chunkLen == 2 {
-		before := sh.pinned()
-		sh.chunks[len(sh.chunks)-1] = nil
-		sh.chunks = sh.chunks[:len(sh.chunks)-1]
-		sh.books.index.Add(sh.pinned() - before)
+	if last := len(sh.chunks) - 1; last-(sh.n+chunkLen-1)/chunkLen == 1 {
+		sh.books.index.Add(sh.arena.free(unsafe.Pointer(sh.chunks[last])))
+		sh.chunks[last] = nil
+		sh.chunks = sh.chunks[:last]
 	}
 	if sh.n*shrinkRatio <= len(sh.buckets) {
 		sh.resize(len(sh.buckets) / 2)
@@ -388,18 +401,20 @@ func (sh *Shard[I, E, P]) chain(s uint32, n *Node[I]) {
 	n.hnext, *b = *b, s
 }
 
-// pinned is the heap the shard's chunks, chunk directory and bucket array
-// pin.
+// pinned is the heap the shard's chunk directory and bucket array pin.
 func (sh *Shard[I, E, P]) pinned() int64 {
-	return int64(len(sh.chunks))*chunkBytes[E]() + dirBytes(cap(sh.chunks)) + bucketArrayBytes(len(sh.buckets))
+	return dirBytes(cap(sh.chunks)) + bucketArrayBytes(len(sh.buckets))
 }
 
 // resize replaces the bucket array with one of size buckets and chains the
-// entries again where they are; at 0 it frees the chunks too. A halving
-// trims the chunk directory to its length.
+// entries again where they are; at 0 it gives the chunks back to the arena
+// too. A halving trims the chunk directory to its length.
 func (sh *Shard[I, E, P]) resize(size int) {
 	before := sh.pinned()
 	if size == 0 {
+		for _, c := range sh.chunks {
+			sh.books.index.Add(sh.arena.free(unsafe.Pointer(c)))
+		}
 		sh.chunks, sh.buckets = nil, nil
 	} else {
 		if size < len(sh.buckets) {

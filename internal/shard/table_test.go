@@ -3,18 +3,34 @@ package shard
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // entry is the smallest table user: a Node and nothing else. Its ID is the
-// key itself.
+// key's bytes.
 type entry struct {
-	Node[string]
+	Node[key]
 }
+
+// key is a test key as an entry stores it: its bytes, zero-padded, and no
+// pointer.
+type key [16]byte
+
+func keyOf(s string) (k key) {
+	copy(k[:], s)
+	return k
+}
+
+// name is the key e was inserted under.
+func (e *entry) name() string { return strings.TrimRight(string(e.id[:]), "\x00") }
 
 // tableOp is one input to a one-shard table.
 type tableOp struct {
@@ -49,8 +65,8 @@ var tableOps = func() []tableOp {
 // tableRun is a one-shard table beside its reference: the held keys, and
 // the keys in LRU order, most recent first.
 type tableRun struct {
-	t         *Table[string, string, entry, *entry]
-	sh        *Shard[string, entry, *entry]
+	t         *Table[string, key, entry, *entry]
+	sh        *Shard[key, entry, *entry]
 	keys      []string // every key a sequence can hold
 	held      map[string]bool
 	lru       []string
@@ -81,16 +97,24 @@ const (
 type chunkEvent int
 
 const (
-	chunkAdded chunkEvent = iota // an insert allocated a second or later chunk
-	chunkSpare                   // a removal emptied a chunk and kept it
-	chunkFreed                   // a removal freed the last of two empty chunks
+	chunkAdded    chunkEvent = iota // an insert took a second or later chunk
+	chunkSpare                      // a removal emptied a chunk and kept it
+	chunkFreed                      // a removal gave back the last of two empty chunks
+	chunkReused                     // an insert took a chunk the arena had handed out before
+	blockReleased                   // the arena unmapped a block
 )
 
 // newTableRun returns an empty one-shard table, or one holding the keys k0
-// to k<prefill-1> inserted in that order, and its reference.
-func newTableRun(hook func(string) uint64, prefill int) *tableRun {
-	t := NewTable[string, string, entry](1, 8, HashString)
+// to k<prefill-1> inserted in that order, and its reference. The table takes
+// over the arena a, which holds one chunk a block, so that a handful of
+// entries empty two blocks at once, and which recycle empties first: the
+// runs of a walk share it, and no table's cleanup unmaps it.
+func newTableRun(hook func(string) uint64, prefill int, a *arena) *tableRun {
+	t := NewTable[string, key, entry](1, 8, HashString)
 	t.HashHook = hook
+	recycle(a)
+	t.arena, t.shards[0].arena = a, a
+	t.index.Add(blockHeapBytes * int64(len(a.list))) // the spare's bookkeeping
 	r := &tableRun{t: t, sh: t.Shard(0), keys: []string{"a", "b", "c"}, held: map[string]bool{},
 		removed: map[chainPos]int{}, resized: map[resize]int{}, chunks: map[chunkEvent]int{}}
 	for i := range prefill {
@@ -101,6 +125,39 @@ func newTableRun(hook func(string) uint64, prefill int) *tableRun {
 	clear(r.resized) // count the sequence's events only
 	clear(r.chunks)
 	return r
+}
+
+// newRunArena returns an arena for newTableRun: one chunk of entries a
+// block.
+func newRunArena() *arena {
+	a := newArena(int(chunkBytes[entry]()))
+	a.per = 1
+	return a
+}
+
+// recycle empties a finished run's arena for the next run's table: it unmaps
+// every block but the lowest and leaves that one zeroed, with no chunk ever
+// handed out, as its spare. The next table starts from the state a new
+// arena reaches once its first block emptied, without the two system calls
+// a new arena's first block costs, which would make up most of the
+// enumeration's time.
+func recycle(a *arena) {
+	for len(a.list) > 1 {
+		a.unmapBlock(a.list[len(a.list)-1])
+	}
+	a.low, a.spare = 0, nil
+	if len(a.list) == 1 {
+		b := a.list[0]
+		clear(b.mem[:int(b.touched)*a.stride])
+		if blocksOffHeap {
+			offHeap.touched.Add(-int64(b.touched) * int64(a.stride))
+		}
+		clear(b.used[:])
+		for c := a.per; c < blockChunks; c++ {
+			b.used[c/64] |= 1 << (c % 64)
+		}
+		b.touched, b.inUse, a.spare = 0, 0, b
+	}
 }
 
 // bucket is the bucket key belongs in. Caller holds the lock.
@@ -121,7 +178,7 @@ func (r *tableRun) slot(e *entry) uint32 {
 
 // position is where e sits in its index chain. Caller holds the lock.
 func (r *tableRun) position(e *entry) chainPos {
-	first := r.sh.buckets[r.bucket(e.id)] == r.slot(e)
+	first := r.sh.buckets[r.bucket(e.name())] == r.slot(e)
 	switch {
 	case first && e.hnext == 0:
 		return chainAlone
@@ -141,12 +198,14 @@ func (r *tableRun) remove(k string, e *entry) *entry {
 	r.removed[r.position(e)]++
 	last, chunks := r.sh.rec(uint32(r.sh.n)), len(r.sh.chunks)
 	from := r.sh.Remove(e)
-	if e == last && from != nil || e != last && (from != last || e.id == k || !r.held[e.id]) {
+	if e == last && from != nil || e != last && (from != last || e.name() == k || !r.held[e.name()]) {
 		panic(fmt.Sprintf("removing %s from slot %d of %d: Remove reports a move from %p (last slot %p), %s is in its slot",
-			k, r.slot(e), r.sh.n+1, from, last, e.id))
+			k, r.slot(e), r.sh.n+1, from, last, e.name()))
 	}
-	if *last != (entry{}) {
-		panic(fmt.Sprintf("removing %s left %s in the last slot", k, last.id))
+	// An emptied shard gave its chunks back, and the arena may have unmapped
+	// the last slot's: arenaZeroed checks that what it keeps is zero.
+	if r.sh.n > 0 && *last != (entry{}) {
+		panic(fmt.Sprintf("removing %s left %s in the last slot", k, last.name()))
 	}
 	if from != nil {
 		r.moved++
@@ -167,8 +226,14 @@ func (r *tableRun) apply(op tableOp) {
 	_, h := r.t.Locate(op.key)
 	r.sh.Lock()
 	defer r.sh.Unlock()
-	before := len(r.sh.buckets)
+	before, chunks, blocks, touched := len(r.sh.buckets), len(r.sh.chunks), len(r.t.arena.list), arenaTouched(r.t.arena)
 	defer func() {
+		if len(r.sh.chunks) > chunks && arenaTouched(r.t.arena) == touched {
+			r.chunks[chunkReused]++
+		}
+		if len(r.t.arena.list) < blocks {
+			r.chunks[blockReleased]++
+		}
 		switch after := len(r.sh.buckets); {
 		case after == 0 && before > 0:
 			r.resized[resizeRelease]++
@@ -178,13 +243,13 @@ func (r *tableRun) apply(op tableOp) {
 			r.resized[resizeShrink]++
 		}
 	}()
-	e := r.sh.Get(h, op.key)
+	e := r.sh.Get(h, keyOf(op.key))
 	switch op.kind {
 	case opGet:
 		if e == nil {
 			chunks := len(r.sh.chunks)
-			if e = r.sh.Insert(h, op.key); e.id != op.key || e.hash != uint32(h) {
-				panic(fmt.Sprintf("Insert(%s) returned the record of %s", op.key, e.id))
+			if e = r.sh.Insert(h, keyOf(op.key)); e.name() != op.key || e.hash != uint32(h) {
+				panic(fmt.Sprintf("Insert(%s) returned the record of %s", op.key, e.name()))
 			}
 			if len(r.sh.chunks) > max(chunks, 1) {
 				r.chunks[chunkAdded]++
@@ -203,7 +268,7 @@ func (r *tableRun) apply(op tableOp) {
 		}
 	case opEvictTail:
 		if tail := r.sh.Tail(); tail != nil {
-			r.remove(tail.ID(), tail)
+			r.remove(tail.name(), tail)
 		}
 	case opSweep:
 		// The walk an expiry sweep makes: it holds the next entry to visit
@@ -214,11 +279,11 @@ func (r *tableRun) apply(op tableOp) {
 		var walked []string
 		for e := r.sh.Tail(); e != nil; {
 			prev := r.sh.Prev(e)
-			if walked = append(walked, e.id); len(walked) > len(want) {
+			if walked = append(walked, e.name()); len(walked) > len(want) {
 				break
 			}
-			if e.id != op.key {
-				if from := r.remove(e.id, e); from != nil && prev == from {
+			if e.name() != op.key {
+				if from := r.remove(e.name(), e); from != nil && prev == from {
 					prev = e
 					r.walkMoved++
 				}
@@ -241,7 +306,7 @@ func (r *tableRun) check() string {
 	defer r.sh.Unlock()
 	for _, k := range r.keys {
 		_, h := r.t.Locate(k)
-		if got := r.sh.Get(h, k); (got != nil) != r.held[k] || got != nil && got.id != k {
+		if got := r.sh.Get(h, keyOf(k)); (got != nil) != r.held[k] || got != nil && got.name() != k {
 			return fmt.Sprintf("Get(%s) = %v, held %v", k, got, r.held[k])
 		}
 	}
@@ -252,15 +317,15 @@ func (r *tableRun) check() string {
 	var prev *entry
 	for e := r.sh.Head(); e != nil; prev, e = e, r.sh.Next(e) {
 		if r.sh.Prev(e) != prev {
-			return fmt.Sprintf("%s's Prev is not the entry before it", e.ID())
+			return fmt.Sprintf("%s's Prev is not the entry before it", e.name())
 		}
-		forward = append(forward, e.ID())
+		forward = append(forward, e.name())
 	}
 	if r.sh.Tail() != prev {
 		return "Tail is not the last entry walked from Head"
 	}
 	for e := r.sh.Tail(); e != nil; e = r.sh.Prev(e) {
-		backward = append(backward, e.ID())
+		backward = append(backward, e.name())
 	}
 	slices.Reverse(backward)
 	if !slices.Equal(forward, r.lru) || !slices.Equal(backward, r.lru) {
@@ -269,9 +334,12 @@ func (r *tableRun) check() string {
 	if why := indexBooks(r.t); why != "" {
 		return why
 	}
+	if why := arenaZeroed(r.t.arena); why != "" {
+		return why
+	}
 	inSlots := map[string]bool{}
 	for s := uint32(1); s <= uint32(r.sh.n); s++ {
-		id := r.sh.rec(s).id
+		id := r.sh.rec(s).name()
 		if inSlots[id] || !r.held[id] {
 			return fmt.Sprintf("%s is in two slots, or not held", id)
 		}
@@ -282,7 +350,7 @@ func (r *tableRun) check() string {
 	}
 	for s := uint32(r.sh.n) + 1; s <= uint32(chunkLen*len(r.sh.chunks)); s++ {
 		if *r.sh.rec(s) != (entry{}) {
-			return fmt.Sprintf("slot %d past the last holds %s", s, r.sh.rec(s).id)
+			return fmt.Sprintf("slot %d past the last holds %s", s, r.sh.rec(s).name())
 		}
 	}
 	chained := map[*entry]bool{}
@@ -292,8 +360,8 @@ func (r *tableRun) check() string {
 				return fmt.Sprintf("bucket %d's chain names slot %d of %d", i, s, r.sh.n)
 			}
 			e := r.sh.rec(s)
-			if r.bucket(e.id) != i || chained[e] || uint32(r.t.slot(e.id)) != e.hash {
-				return fmt.Sprintf("%s is in the chain of bucket %d, twice, or under another hash", e.id, i)
+			if r.bucket(e.name()) != i || chained[e] || uint32(r.t.slot(e.name())) != e.hash {
+				return fmt.Sprintf("%s is in the chain of bucket %d, twice, or under another hash", e.name(), i)
 			}
 			chained[e] = true
 		}
@@ -304,15 +372,23 @@ func (r *tableRun) check() string {
 	return ""
 }
 
-// indexBooks checks every shard's chunks and bucket array against its count
-// and the table's IndexBytes against what they pin: none while a shard is
-// empty; else as many chunks as its entries fill, or one more, and a
-// power-of-two bucket array no shorter than the count and under four times
-// it (or the smallest array); and IndexBytes is what the chunks, the chunk
-// directories and the bucket arrays pin. It returns what broke, or "". It
-// reads the shards without their locks: the table must have no other user.
-func indexBooks(t *Table[string, string, entry, *entry]) string {
+// indexBooks checks every shard's chunks and bucket array against its count,
+// the arena against the shards' chunks, and the table's IndexBytes against
+// what they take: a shard holds none while it is empty; else as many chunks
+// as its entries fill, or one more, and a power-of-two bucket array no
+// shorter than the count and under four times it (or the smallest array);
+// the arena's blocks are in address order, with every chunk a shard holds
+// in use and no other, none in use past the chunks handed out from the
+// block's front, and at most one block with none in use, the spare; and
+// IndexBytes is every chunk handed out from a mapped block, in use or free,
+// each block's bookkeeping, and the heap the chunk directories and bucket
+// arrays pin. It returns what
+// broke, or "". It reads the shards without their locks: the table must
+// have no other user.
+func indexBooks(t *Table[string, key, entry, *entry]) string {
 	var pinned int64
+	a := t.arena
+	held := make([]int, len(a.list)) // chunks the shards hold, by block
 	for _, sh := range t.shards {
 		n, size, need := sh.n, len(sh.buckets), (sh.n+chunkLen-1)/chunkLen
 		if n == 0 && (size != 0 || cap(sh.chunks) != 0) ||
@@ -320,10 +396,66 @@ func indexBooks(t *Table[string, string, entry, *entry]) string {
 			slices.Contains(sh.chunks, nil) {
 			return fmt.Sprintf("shard %d holds %d entries in %d chunks (directory of %d) and %d buckets", sh.i, n, len(sh.chunks), cap(sh.chunks), size)
 		}
-		pinned += int64(len(sh.chunks))*chunkBytes[entry]() + dirBytes(cap(sh.chunks)) + bucketArrayBytes(size)
+		for _, c := range sh.chunks {
+			p := uintptr(unsafe.Pointer(c))
+			j := sort.Search(len(a.list), func(j int) bool { return a.list[j].base+uintptr(len(a.list[j].mem)) > p })
+			if j == len(a.list) || p < a.list[j].base || (p-a.list[j].base)%uintptr(a.stride) != 0 {
+				return fmt.Sprintf("shard %d holds a chunk at %#x, in no block's chunk", sh.i, p)
+			}
+			b, i := a.list[j], int(p-a.list[j].base)/a.stride
+			if b.used[i/64]&(1<<(i%64)) == 0 || i >= int(b.touched) {
+				return fmt.Sprintf("shard %d holds chunk %d of block %d, which is free or past the %d handed out", sh.i, i, j, b.touched)
+			}
+			held[j]++
+		}
+		pinned += dirBytes(cap(sh.chunks)) + bucketArrayBytes(size)
+	}
+	empty := 0
+	for j, b := range a.list {
+		inUse := -(blockChunks - a.per) // the bits past per are set
+		for _, w := range b.used {
+			inUse += bits.OnesCount64(w)
+		}
+		if j > 0 && a.list[j-1].base >= b.base || inUse != held[j] || int(b.inUse) != inUse || int(b.touched) > a.per {
+			return fmt.Sprintf("block %d (in address order %v) has %d chunks in use, counts %d, the shards hold %d of its %d handed out",
+				j, j == 0 || a.list[j-1].base < b.base, inUse, b.inUse, held[j], b.touched)
+		}
+		if inUse == 0 {
+			empty++
+		}
+		pinned += int64(b.touched)*chunkBytes[entry]() + blockHeapBytes
+	}
+	if empty > 1 || (empty == 0) != (a.spare == nil) || a.spare != nil && a.spare.inUse != 0 {
+		return fmt.Sprintf("%d blocks are empty; a spare is kept: %v", empty, a.spare != nil)
 	}
 	if t.IndexBytes() != pinned {
-		return fmt.Sprintf("IndexBytes %d, the shards' chunks, chunk directories and bucket arrays pin %d B", t.IndexBytes(), pinned)
+		return fmt.Sprintf("IndexBytes %d, the arena's chunks and the shards' chunk directories and bucket arrays take %d B", t.IndexBytes(), pinned)
+	}
+	return ""
+}
+
+// arenaTouched is the number of chunks a's blocks have handed out.
+func arenaTouched(a *arena) (n int) {
+	for _, b := range a.list {
+		n += int(b.touched)
+	}
+	return n
+}
+
+// arenaZeroed checks that every chunk a holds free is zero, the state an
+// allocation hands it out in, and returns what broke, or "".
+func arenaZeroed(a *arena) string {
+	for i, b := range a.list {
+		for c := range int(b.touched) {
+			if b.used[c/64]&(1<<(c%64)) != 0 {
+				continue
+			}
+			for _, x := range b.mem[c*a.stride : (c+1)*a.stride] {
+				if x != 0 {
+					return fmt.Sprintf("free chunk %d of block %d is not zero", c, i)
+				}
+			}
+		}
 	}
 	return ""
 }
@@ -338,17 +470,21 @@ func indexBooks(t *Table[string, string, entry, *entry]) string {
 // and an ordered slice) on every lookup, on the LRU order walked both ways
 // and on its counts; the slots must hold each held entry exactly once and
 // nothing past the last, the chain of the bucket its slot hash picks its
-// slot exactly once, the chunks and the bucket array must fit the count and
-// IndexBytes what they pin; Remove must move the last record into the slot
-// it frees and say where from, and the sweep, which holds its next entry
-// across a removal, must visit every entry once. The one-chain walk must have
-// removed entries from a chain's head, middle and tail; each walk must have
-// grown, shrunk and released the arrays (three keys reach four buckets from
-// one), moved a last record, and moved the sweep's saved neighbour; the
-// prefilled walk must have added a chunk past the eighth entry, kept an
-// emptied chunk as the spare and freed the last of two empty ones. A table
-// cannot be forked, so each sequence is replayed from a new one; the first
-// failure prints its sequence. Under the race detector the depth is 5, the
+// slot exactly once, the chunks and the bucket array must fit the count,
+// the arena's blocks the chunks and IndexBytes what they take, and every
+// chunk the arena holds free must be zero; Remove must move the last record
+// into the slot it frees and say where from, and the sweep, which holds its
+// next entry across a removal, must visit every entry once. The arena puts
+// each chunk in a block of its own. The one-chain walk must have removed
+// entries from a chain's head, middle and tail; each walk must have grown,
+// shrunk and released the arrays (three keys reach four buckets from one),
+// moved a last record, moved the sweep's saved neighbour, and taken a chunk
+// the arena had handed out before; the prefilled walk must have added a
+// chunk past the eighth entry, kept an emptied chunk as the spare, given
+// back the last of two empty ones and seen the arena unmap a block (a sweep
+// that empties the shard empties two blocks). A table cannot be forked, so
+// each sequence is replayed from a new one, whose blocks are unmapped when
+// it is done; the first failure prints its sequence. Under the race detector the depth is 5, the
 // least that shrinks the arrays (three inserts grow them to four, two
 // removals halve them); the prefilled walk goes four inputs deep, enough to
 // fill the third chunk and sweep it.
@@ -370,13 +506,15 @@ func TestTableEnumerated(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			removed, resized, chunks, moved, walkMoved := map[chainPos]int{}, map[resize]int{}, map[chunkEvent]int{}, 0, 0
 			seq := make([]tableOp, 0, mode.depth)
+			runs := newRunArena()
+			defer runs.release()
 			var walk func()
 			walk = func() {
 				if len(seq) == mode.depth {
 					return
 				}
 				for _, op := range tableOps {
-					run := newTableRun(mode.hook, mode.prefill)
+					run := newTableRun(mode.hook, mode.prefill, runs)
 					for _, earlier := range seq {
 						run.apply(earlier)
 					}
@@ -417,15 +555,16 @@ func TestTableEnumerated(t *testing.T) {
 				removed[chainHead], removed[chainMiddle], removed[chainTail], removed[chainAlone])
 			t.Logf("bucket array resizes (grow, shrink, release): %d %d %d; last records moved: %d, of them the sweep's saved neighbour: %d",
 				resized[resizeGrow], resized[resizeShrink], resized[resizeRelease], moved, walkMoved)
-			t.Logf("chunks added, kept spare, freed: %d %d %d", chunks[chunkAdded], chunks[chunkSpare], chunks[chunkFreed])
+			t.Logf("chunks added, kept spare, given back, reused: %d %d %d %d; blocks unmapped: %d",
+				chunks[chunkAdded], chunks[chunkSpare], chunks[chunkFreed], chunks[chunkReused], chunks[blockReleased])
 			if mode.name == "one-chain" && (removed[chainHead] == 0 || removed[chainMiddle] == 0 || removed[chainTail] == 0) {
 				t.Fatal("the walk never removed from a chain's head, middle and tail: it tests nothing")
 			}
-			if resized[resizeGrow] == 0 || resized[resizeShrink] == 0 || resized[resizeRelease] == 0 || moved == 0 || walkMoved == 0 {
-				t.Fatal("the walk never grew, shrank and released the arrays, never moved a last record, or never moved the sweep's saved neighbour: it tests nothing")
+			if resized[resizeGrow] == 0 || resized[resizeShrink] == 0 || resized[resizeRelease] == 0 || moved == 0 || walkMoved == 0 || chunks[chunkReused] == 0 {
+				t.Fatal("the walk never grew, shrank and released the arrays, never moved a last record, never moved the sweep's saved neighbour, or never reused a chunk: it tests nothing")
 			}
-			if mode.prefill > 0 && (chunks[chunkAdded] == 0 || chunks[chunkSpare] == 0 || chunks[chunkFreed] == 0) {
-				t.Fatal("the walk never added a chunk, kept a spare or freed one: it tests nothing")
+			if mode.prefill > 0 && (chunks[chunkAdded] == 0 || chunks[chunkSpare] == 0 || chunks[chunkFreed] == 0 || chunks[blockReleased] == 0) {
+				t.Fatal("the walk never added a chunk, kept a spare, gave one back or saw a block unmapped: it tests nothing")
 			}
 		})
 	}
@@ -434,7 +573,7 @@ func TestTableEnumerated(t *testing.T) {
 // TestTableLocatePlacement pins what shard selection is: the caller's FNV
 // hash modulo the shard count, with a cap split by PerShardCap.
 func TestTableLocatePlacement(t *testing.T) {
-	tab := NewTable[string, string, entry](5, 20, HashString)
+	tab := NewTable[string, key, entry](5, 20, HashString)
 	if _, max := tab.ShardFill(3); tab.Shards() != 8 || max != 3 {
 		t.Fatalf("5 shards for 20 entries: %d shards of cap %d, want 8 of 3", tab.Shards(), max)
 	}
@@ -464,12 +603,40 @@ type (
 
 // Sinks keep a measured array on the heap.
 var (
-	dirSink      []*[chunkLen]entry
-	bucketSink   []uint32
-	chunkSink    *[chunkLen]entry
-	chunk192Sink *[chunkLen]record192
-	chunk64Sink  *[chunkLen]record64
+	dirSink    []*[chunkLen]entry
+	bucketSink []uint32
 )
+
+// chunkLayout hands out every chunk of a new arena's first block and checks
+// them against chunkBytes: each chunk's charge (the first one's with the
+// block's bookkeeping), the distance from one chunk to the next and the room
+// they take in the block, which must hold as many as arenaBlockBytes does,
+// or blockChunks; a record of fills bytes, unless 0, must fill its chunk's
+// chunkLen slots with no padding. It returns what broke, or "".
+func chunkLayout[E any](fills int64) string {
+	a := newArena(int(chunkBytes[E]()))
+	defer a.release()
+	name, want := reflect.TypeFor[E]().Name(), chunkBytes[E]()
+	if fills != 0 && want != chunkLen*fills {
+		return fmt.Sprintf("a chunk of %s takes %d B, not %d records of %d B", name, want, chunkLen, fills)
+	}
+	var prev uintptr
+	for i := range a.per {
+		p, charged := a.alloc()
+		if i == 0 {
+			charged -= blockHeapBytes
+		}
+		if charged != want || i > 0 && int64(uintptr(p)-prev) != want || len(a.list) != 1 {
+			return fmt.Sprintf("chunk %d of %s was charged %d B, %d B past the one before, in %d blocks; chunkBytes says %d",
+				i, name, charged, uintptr(p)-prev, len(a.list), want)
+		}
+		prev = uintptr(p)
+	}
+	if b := a.list[0]; a.blockBytes() > arenaBlockBytes || a.per < blockChunks && int64(a.per+1)*want <= arenaBlockBytes || prev+uintptr(want) > b.base+uintptr(len(b.mem)) {
+		return fmt.Sprintf("a block of %d B holds %d chunks of %s, %d B each", a.blockBytes(), a.per, name, want)
+	}
+	return ""
+}
 
 // allocMeasured is the heap alloc allocates, the least of three runs:
 // whatever the runtime allocates meanwhile only adds.
@@ -485,35 +652,26 @@ func allocMeasured(alloc func()) int64 {
 	return got
 }
 
-// TestIndexBytesMatchesBuckets holds IndexBytes to the chunks, chunk
-// directories and bucket arrays of a four-shard table after every insert and
-// removal while 20,000 keys come and go in a seeded order, and to 0 once the
-// table is empty again; at its fullest a shard must have held a chunk
+// TestIndexBytesMatchesBuckets holds IndexBytes to the arena's chunks and
+// the chunk directories and bucket arrays of a four-shard table after every
+// insert and removal while 20,000 keys come and go in a seeded order, and,
+// once the table is empty again, to the chunks of the one block the arena
+// keeps as its spare; at its fullest a shard must have held a chunk
 // directory past 512 B, where it carries an allocation header. What they
-// pin, chunkBytes, dirBytes and bucketArrayBytes, is measured against the
-// allocator first: a chunk of the test's entries and of pointer-free records
-// of a session's 192 and a keystore client's 64 bytes, which fill the 1,536-
-// and 512-byte size classes exactly; a chunk directory of the fewest and the
-// most slots each size class or page count holds, to 2^16 slots (append and
-// slices.Clone give it the most; past 512 B and up to 32 KiB it carries a
-// header); and bucket arrays from 1 to 2^16, which hold no header.
+// take, chunkBytes, dirBytes and bucketArrayBytes, is measured first:
+// chunkBytes against an arena's layout, for the test's entries and for
+// pointer-free records of a session's 192 and a keystore client's 64 bytes,
+// which fill 1,536 and 512 B exactly; against the allocator, a chunk
+// directory of the fewest and the most slots each size class or page count
+// holds, to 2^16 slots (append and slices.Clone give it the most; past 512 B
+// and up to 32 KiB it carries a header), and bucket arrays from 1 to 2^16,
+// which hold no header.
 func TestIndexBytesMatchesBuckets(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		alloc func()
-		want  int64
-		fills int64 // the record size whose chunk fills its size class, or 0
-	}{
-		{"entry", func() { chunkSink = new([chunkLen]entry) }, chunkBytes[entry](), 0},
-		{"192-byte record", func() { chunk192Sink = new([chunkLen]record192) }, chunkBytes[record192](), 192},
-		{"64-byte record", func() { chunk64Sink = new([chunkLen]record64) }, chunkBytes[record64](), 64},
-	} {
-		got := allocMeasured(c.alloc)
-		if got != c.want || c.fills != 0 && got != chunkLen*c.fills {
-			t.Fatalf("a chunk of %s allocated %d B, chunkBytes says %d", c.name, got, c.want)
+	for _, why := range []string{chunkLayout[entry](0), chunkLayout[record192](192), chunkLayout[record64](64)} {
+		if why != "" {
+			t.Fatal(why)
 		}
 	}
-	chunkSink, chunk192Sink, chunk64Sink = nil, nil, nil
 	// Append grows a directory, and a halving clones it, to the most
 	// slots its allocation holds: one length per size class or page count.
 	lengths := []int{}
@@ -532,7 +690,7 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 	}
 	dirSink, bucketSink = nil, nil
 
-	tab := NewTable[string, string, entry](4, 1<<20, HashString)
+	tab := NewTable[string, key, entry](4, 1<<20, HashString)
 	r := rand.New(rand.NewPCG(40, 0))
 	keys := make([]string, 20000)
 	for i := range keys {
@@ -542,11 +700,11 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 	step := func(k string) {
 		sh, h := tab.Locate(k)
 		sh.Lock()
-		if e := sh.Get(h, k); e != nil {
+		if e := sh.Get(h, keyOf(k)); e != nil {
 			sh.Remove(e)
 			delete(held, k)
 		} else {
-			sh.Insert(h, k)
+			sh.Insert(h, keyOf(k))
 			held[k] = true
 		}
 		fullest = max(fullest, cap(sh.chunks))
@@ -566,8 +724,8 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 			step(keys[i])
 		}
 	}
-	if tab.Len() != 0 || tab.IndexBytes() != 0 {
-		t.Fatalf("an empty table holds %d entries and %d B of index", tab.Len(), tab.IndexBytes())
+	if spare := tab.arena.spare; tab.Len() != 0 || len(tab.arena.list) != 1 || tab.IndexBytes() != int64(spare.touched)*chunkBytes[entry]()+blockHeapBytes {
+		t.Fatalf("an empty table holds %d entries, %d blocks and %d B of index", tab.Len(), len(tab.arena.list), tab.IndexBytes())
 	}
 	if slotBytes*int64(fullest) <= 512 {
 		t.Fatalf("the largest chunk directory was %d slots: the walk never reached the header's size classes", fullest)
