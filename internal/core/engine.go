@@ -490,7 +490,7 @@ const fullPageEvery = 8
 func (e *Engine) preparePage(clientIP, userAgent, pagePath string, degraded bool, ps *PageState) *htmlmod.Prepared {
 	start := time.Now()
 	if degraded {
-		e.keys.IssuePageDegraded(clientIP, pagePath, max(1, e.cfg.Decoys/degradedShare), e.cfg.SessionIdleTimeout/degradedShare, &ps.pk)
+		e.keys.IssuePageDegraded(clientIP, pagePath, &ps.pk)
 	} else {
 		e.keys.IssuePage(clientIP, pagePath, &ps.pk)
 	}

@@ -66,7 +66,8 @@ const (
 	// AdmitFull: full instrumentation (all decoys, full key lifetime).
 	AdmitFull Admission = iota
 	// AdmitDegraded: lighter instrumentation — a quarter of the decoys (at
-	// least one), a quarter of the key lifetime (see degradedShare).
+	// least one), a quarter of the key lifetime (see
+	// keystore.Store.IssuePageDegraded).
 	AdmitDegraded
 	// AdmitPassThrough: serve the origin response untouched and do not
 	// create a session. Only ever returned for clients with no tracked
@@ -101,12 +102,6 @@ const (
 	saturatedAt    = 0.90
 	loadHysteresis = 0.10
 )
-
-// degradedShare is what a degraded page view gets of a full one: a quarter
-// of the decoys (at least one) and a quarter of the key lifetime, so each
-// anonymous arrival under pressure pins less keystore memory for less time
-// while its page still carries a real key.
-const degradedShare = 4
 
 // outcomeMinRequests is the minimum request count a session needs before a
 // labelled outcome is recorded for it — attribute vectors from very short
@@ -314,9 +309,10 @@ func (e *Engine) AdmitPage(clientIP, userAgent string) Admission {
 
 // PreparePageDegraded is PreparePage for an AdmitDegraded page view: the
 // page still carries a real key (a mouse beacon still proves a human), but
-// with Decoys/degradedShare decoys (at least one) instead of the full set and
-// key TTLs shortened to SessionIdleTimeout/degradedShare, so each anonymous
-// arrival pins less keystore memory for less time. Its script is rendered on download from
+// with a quarter of the decoys (at least one) instead of the full set and
+// key TTLs shortened to a quarter of SessionIdleTimeout, so each anonymous
+// arrival pins less keystore memory for less time (see
+// keystore.Store.IssuePageDegraded). Its script is rendered on download from
 // those keys like any other page's.
 func (e *Engine) PreparePageDegraded(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
 	return e.preparePage(clientIP, userAgent, pagePath, true, ps)

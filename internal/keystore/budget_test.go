@@ -15,14 +15,15 @@ import (
 
 // TestKeystoreStructBudgets pins the window's layout: a tracked client is one
 // 64-byte record with no pointer (its 17-byte address, its LRU and
-// index-chain links and slot hash, and 28 bytes of window: a prefix and four
-// headers), eight of which fill a 512-byte chunk of the table; its window is a 12-byte prefix (a u32 base tick, a u32
-// incarnation, a u24 first page-view number and a u8 count) and one 4-byte
-// header per page view (a u16 tick offset, a u8 decoy count, drawn, consumed
-// and lapsed bits), and no key. The offset must hold the TTL in ticks at
-// every TTL, and at every width a page view's last key index must stay in the
-// domain and its number in the u24; the count byte must be able to say
-// spilled. A failure means a field was added without re-deriving the budget.
+// index-chain links and slot hash, and 28 bytes of window: a prefix and eight
+// headers), eight of which fill a 512-byte chunk of the table; its window is
+// a 12-byte prefix (a u32 base tick, a u32 incarnation, a u24 first
+// page-view number and a u8 count) and one 2-byte header per page view (a
+// 12-bit tick offset, then degraded, drawn, consumed and lapsed bits), and no
+// key and no decoy count. The offset must hold the TTL in ticks at every TTL,
+// and at every width a page view's last key index must stay in the domain
+// and its number in the u24; the count byte must be able to say spilled. A
+// failure means a field was added without re-deriving the budget.
 func TestKeystoreStructBudgets(t *testing.T) {
 	if got := unsafe.Sizeof(clientState{}); got != 64 {
 		t.Errorf("clientState = %d bytes: want 64, eight to a 512-byte chunk", got)
@@ -30,21 +31,22 @@ func TestKeystoreStructBudgets(t *testing.T) {
 	if reflect.TypeFor[clientState]().Size() != 64 || hasPointers(reflect.TypeFor[clientState]()) {
 		t.Error("clientState holds a pointer: the collector scans every client again")
 	}
-	if inlineHeaders != 4 || len(clientState{}.log) != logPrefixBytes+4*headerBytes || spilled <= maxPerClient {
+	if inlineHeaders != 8 || len(clientState{}.log) != logPrefixBytes+8*headerBytes || spilled <= maxPerClient {
 		t.Errorf("the record's window holds %d headers in %d bytes, spilled reads %d", inlineHeaders, len(clientState{}.log), spilled)
 	}
 	if logPrefixBytes != 12 || preIncarnation != 4 || preWindow != 8 {
 		t.Errorf("prefix = %d bytes (incarnation at %d, window word at %d), want 12: base, incarnation, first|count", logPrefixBytes, preIncarnation, preWindow)
 	}
-	if headerBytes != 4 || hdrDecoys != 2 || hdrFlags != 3 {
-		t.Errorf("header = %d bytes (decoys at %d, flags at %d), want 4: offset, decoys, flags", headerBytes, hdrDecoys, hdrFlags)
+	if headerBytes != 2 || maxOffset != 1<<12-1 || flagDegraded != 1<<12 || flagDrawn != 1<<13 || flagConsumed != 1<<14 || flagLapsed != 1<<15 {
+		t.Errorf("header = %d bytes (offset mask %#x, flags %#x %#x %#x %#x), want 2: a 12-bit offset, degraded, drawn, consumed, lapsed",
+			headerBytes, maxOffset, flagDegraded, flagDrawn, flagConsumed, flagLapsed)
 	}
 	if maxPerClient > math.MaxUint8 || MaxDecoys > 0xff {
 		t.Errorf("a u8 count cannot hold %d page views, or a key index byte %d decoys", maxPerClient, MaxDecoys)
 	}
 	for _, ttl := range []time.Duration{1, tickResolution - 1, tickResolution, 2*tickResolution - 1, 2 * tickResolution, time.Second, time.Hour + 1, 1 << 62} {
-		if s := New(Config{TTL: ttl}); s.ttlTicks > math.MaxUint16 {
-			t.Errorf("TTL %v is %d ticks, past a 16-bit offset", ttl, s.ttlTicks)
+		if s := New(Config{TTL: ttl}); s.ttlTicks > maxOffset {
+			t.Errorf("TTL %v is %d ticks, past a 12-bit offset", ttl, s.ttlTicks)
 		}
 	}
 	for d := MinKeyDigits; d <= MaxKeyDigits; d++ {
@@ -161,7 +163,7 @@ func hasPointers(t reflect.Type) bool {
 // TestGCScanBytesPerClient holds what a client costs the garbage collector:
 // 200,000 clients with one undownloaded page view each, on one P, may grow a
 // full cycle's scan work by at most 4 B a client. A record holds no pointer,
-// a window of up to four page views sits in it, and the table keeps records
+// a window of up to eight page views sits in it, and the table keeps records
 // by value in chunks of eight, so the work is the chunk directory, one 8-byte
 // word per chunk: 1.3 B a client measured. While the table kept a directory
 // of record pointers, one word per slot, it measured 10.5 B against a bound
@@ -236,15 +238,17 @@ func TestGCHeapBytesPerClient(t *testing.T) {
 }
 
 // TestKeyLogNeverOutgrowsTheCap pins the per-client cap in bytes, not just in
-// page views: a client's window at maxPerClient page views is 12 + 64*4 = 268
-// bytes in the 288-byte size class, a client past the cap keeps exactly that
+// page views: a client's window at maxPerClient page views is 12 + 64*2 = 140
+// bytes in the 144-byte size class, a client past the cap keeps exactly that
 // array, and holds no more heap than one at it (+16 B for the allocator's
 // noise), with no script downloaded and with every one — a derived key costs
-// nothing, so both measure the same: 372 B per client at the cap and past
-// it, every script downloaded or none (the record, the spilled window and
-// its spill-store pointer; 385 B while the table kept a directory of record
+// nothing, so both measure the same: 228 B per client at the cap and past
+// it, every script downloaded or none (the record with its share of the
+// table's index, 72 B, the spilled window and its spill-store slot), held
+// under 240 B. 4-byte headers with a decoy byte measured 372 B in the
+// 288-byte class; 385 B while the table kept a directory of record
 // pointers, 383 B while the record pointed at an address string and a
-// window slice, 397 B with a map slot per client). A log that appended the
+// window slice, 397 B with a map slot per client. A log that appended the
 // new page view before it dropped the oldest outgrew its cap-sized array
 // once and kept the larger one (1,691 against 923 B/client undrawn, 4,763 against 3,996 drawn);
 // 8-byte headers beside stored keys measured 685 B undrawn and 2,413 B drawn.
@@ -252,9 +256,9 @@ func TestKeyLogNeverOutgrowsTheCap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap accounting differs under -race")
 	}
-	const capBytes, class = logPrefixBytes + maxPerClient*headerBytes, 288
-	if capBytes != 268 {
-		t.Fatalf("a full window is %d bytes, want 268", capBytes)
+	const capBytes, class = logPrefixBytes + maxPerClient*headerBytes, 144
+	if capBytes != 140 {
+		t.Fatalf("a full window is %d bytes, want 140", capBytes)
 	}
 	logOf := func(s *Store) window { return s.windowOf("10.0.0.0") }
 	for _, every := range []int{0, 1} {
@@ -266,6 +270,9 @@ func TestKeyLogNeverOutgrowsTheCap(t *testing.T) {
 				if len(w) != capBytes || cap(w) != class {
 					t.Errorf("a full window is %d bytes in a %d-byte array, want %d in %d", len(w), cap(w), capBytes, class)
 				}
+			}
+			if atCap > 240 {
+				t.Errorf("a client at the %d-view cap holds %d B, over 240 B: the window left the 144-byte class", maxPerClient, atCap)
 			}
 			if past > atCap+16 {
 				t.Errorf("a client at 200 page views holds %d B, at the %d-view cap %d B: the log outgrew the cap", past, maxPerClient, atCap)

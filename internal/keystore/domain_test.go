@@ -56,40 +56,48 @@ func TestNarrowKeyDigitsAreRaised(t *testing.T) {
 func TestEveryKeyInTheDomain(t *testing.T) {
 	const a, b, c = "10.0.0.1", "10.0.0.2", "10.0.0.3"
 	vc := clock.NewVirtual(time.Time{})
-	s := capClients(New(Config{Seed: 9, KeyDigits: 6, Decoys: 3, TTL: time.Hour, Shards: 1, Clock: vc}), 2)
+	s := capClients(New(Config{Seed: 9, KeyDigits: 6, Decoys: 8, TTL: time.Hour, Shards: 1, Clock: vc}), 2)
 
-	// fill issues 64 page views to ip at the current time and returns what
-	// every domain value must give for it ten minutes later (the zero
-	// Verdict is Unknown) and every key it handed out.
-	fill := func(ip string) (want map[uint64]Verdict, keys []uint64) {
-		want = map[uint64]Verdict{}
+	// fill issues 64 page views to each of ips in turn, with the clock six
+	// minutes later from the twelfth on, and returns what every domain value
+	// must give each client ten minutes after that (the zero Verdict is
+	// Unknown) and every key each was handed. The eleventh, degraded, is then
+	// 16 minutes old, past its 15-minute TTL behind a live front; the 21st,
+	// degraded too, is 10 minutes old and live.
+	fill := func(ips ...string) (want map[string]map[uint64]Verdict, keys map[string][]uint64) {
+		want, keys = map[string]map[uint64]Verdict{}, map[string][]uint64{}
+		for _, ip := range ips {
+			want[ip] = map[uint64]Verdict{}
+		}
 		for i := range maxPerClient {
-			var pk PageKeys
-			switch i {
-			case 10: // expired by the sweep, behind a live front
-				s.IssuePageDegraded(ip, "/p.html", 3, 5*time.Minute, &pk)
-			case 20: // degraded and live
-				s.IssuePageDegraded(ip, "/p.html", 2, 30*time.Minute, &pk)
-			default:
-				s.IssuePage(ip, "/p.html", &pk)
+			if i == 11 {
+				vc.Advance(6 * time.Minute)
 			}
-			if i%4 == 3 {
-				continue // never downloaded: its keys are Unknown
-			}
-			download(t, s, ip, &pk)
-			keys = append(append(keys, pk.Key), pk.Decoys...)
-			if i == 10 {
-				continue
-			}
-			want[pk.Key] = Human
-			if i%8 == 1 {
-				if v := s.ValidateValue(ip, pk.Key); v != Human {
-					t.Fatalf("%s page view %d: first validation %v", ip, i, v)
+			for _, ip := range ips {
+				var pk PageKeys
+				if i == 10 || i == 20 {
+					s.IssuePageDegraded(ip, "/p.html", &pk)
+				} else {
+					s.IssuePage(ip, "/p.html", &pk)
 				}
-				want[pk.Key] = Replayed
-			}
-			for _, d := range pk.Decoys {
-				want[d] = Decoy
+				if i%4 == 3 {
+					continue // never downloaded: its keys are Unknown
+				}
+				download(t, s, ip, &pk)
+				keys[ip] = append(append(keys[ip], pk.Key), pk.Decoys...)
+				if i == 10 {
+					continue
+				}
+				want[ip][pk.Key] = Human
+				if i%8 == 1 {
+					if v := s.ValidateValue(ip, pk.Key); v != Human {
+						t.Fatalf("%s page view %d: first validation %v", ip, i, v)
+					}
+					want[ip][pk.Key] = Replayed
+				}
+				for _, d := range pk.Decoys {
+					want[ip][d] = Decoy
+				}
 			}
 		}
 		return want, keys
@@ -107,19 +115,15 @@ func TestEveryKeyInTheDomain(t *testing.T) {
 		return seen
 	}
 
-	wantA, keysA := fill(a)
-	wantB, _ := fill(b)
+	want, keys := fill(a, b)
 	vc.Advance(10 * time.Minute)
-	for _, cl := range []struct {
-		ip   string
-		want map[uint64]Verdict
-	}{{a, wantA}, {b, wantB}} {
-		seen := sweep("first incarnation", cl.ip, cl.want)
-		t.Logf("%s: %v", cl.ip, seen)
+	for _, ip := range []string{a, b} {
+		seen := sweep("first incarnation", ip, want[ip])
+		t.Logf("%s: %v", ip, seen)
 		// 48 downloaded page views, one of them expired: 47 live, 8 consumed,
-		// 46 x 3 + 2 decoys.
-		if seen[Human] != 39 || seen[Replayed] != 8 || seen[Decoy] != 140 {
-			t.Fatalf("%s: verdict counts %v, want 39 human, 8 replayed, 140 decoy", cl.ip, seen)
+		// 46 x 8 + 2 decoys.
+		if seen[Human] != 39 || seen[Replayed] != 8 || seen[Decoy] != 370 {
+			t.Fatalf("%s: verdict counts %v, want 39 human, 8 replayed, 370 decoy", ip, seen)
 		}
 	}
 
@@ -129,16 +133,16 @@ func TestEveryKeyInTheDomain(t *testing.T) {
 		t.Fatalf("a was not evicted: %+v", s.Stats())
 	}
 	s.IssuePage(b, "/p.html", new(PageKeys))
-	wantA2, _ := fill(a)
+	again, _ := fill(a)
 	vc.Advance(10 * time.Minute)
 	shared := 0 // values that are keys in both incarnations, by chance
-	for _, k := range keysA {
-		if _, ok := wantA2[k]; ok {
+	for _, k := range keys[a] {
+		if _, ok := again[a][k]; ok {
 			shared++
 		}
 	}
 	if shared > 4 {
-		t.Fatalf("%d of the earlier incarnation's %d keys are keys again: the incarnation does not reach the tweak", shared, len(keysA))
+		t.Fatalf("%d of the earlier incarnation's %d keys are keys again: the incarnation does not reach the tweak", shared, len(keys[a]))
 	}
-	sweep("re-created", a, wantA2)
+	sweep("re-created", a, again[a])
 }

@@ -27,11 +27,11 @@ func headerTicks(t *testing.T, s *Store, ip string) []uint32 {
 	}
 	var ticks []uint32
 	for h := logPrefixBytes; h < len(w); h += headerBytes {
-		if w[h+hdrFlags]&flagLapsed != 0 {
+		if w.has(h, flagLapsed) {
 			ticks = append(ticks, lapsedTick)
 			continue
 		}
-		if off := uint32(binary.LittleEndian.Uint16(w[h:])); off > s.ttlTicks || w.base() > math.MaxUint32-off {
+		if off := uint32(w.header(h) & maxOffset); off > s.ttlTicks || w.base() > math.MaxUint32-off {
 			t.Fatalf("header offset %d from base %d: past ttlTicks (%d) or the tick space", off, w.base(), s.ttlTicks)
 		}
 		ticks = append(ticks, w.tick(h))
@@ -39,28 +39,31 @@ func headerTicks(t *testing.T, s *Store, ip string) []uint32 {
 	return ticks
 }
 
-// TestHeaderTickOffsetAtTTLEdge holds the 16-bit tick offset where it is
+// TestHeaderTickOffsetAtTTLEdge holds the 12-bit tick offset where it is
 // widest. At each TTL — the default hour, one nanosecond past it (where
-// ttlTicks rounds up), 32,767ns (under tickResolution, so the tick unit is
-// floored at 1ns), 65,535ns (the most ticks any TTL spans: 2^16-1) and 1ns —
-// the oldest page view is exactly ttlTicks old when a normal issue lands (its
-// offset is ttlTicks, the most a live header holds) and then a degraded one
-// backdated as far as it goes; later, after everything expired, a degraded
-// issue lands below the base and rebases the live header to the same
-// distance. After every step each reconstructed tick (or, for a header the
-// window marked lapsed, the reference's page view being past its TTL), each
-// script download and each verdict must equal the reference store's.
+// ttlTicks rounds up), 65,535ns and 32,767ns (a tick unit of 31 and 15ns,
+// 2,115 and 2,185 ticks: from about 4ms up a TTL spans at most 2,049),
+// 2,047ns (under tickResolution, so the tick unit is floored at 1ns), 4,095ns
+// (the most ticks any TTL spans: 2^12-1) and 1ns — the oldest page view is
+// exactly ttlTicks old when a normal issue lands (its offset is ttlTicks, the
+// most a live header holds) and then a degraded one, backdated by three
+// quarters of the TTL; later, after everything expired, a degraded issue
+// lands below the base and rebases the live header to that distance. The
+// degraded page views carry the flag just above the offset. After every step
+// each reconstructed tick (or, for a header the window marked lapsed, the
+// reference's page view being past its TTL), each script download and each
+// verdict must equal the reference store's.
 func TestHeaderTickOffsetAtTTLEdge(t *testing.T) {
 	const ip = "10.0.0.1"
-	for _, ttl := range []time.Duration{time.Hour, time.Hour + 1, 32767, 65535, 1} {
+	for _, ttl := range []time.Duration{time.Hour, time.Hour + 1, 65535, 32767, 2047, 4095, 1} {
 		t.Run(fmt.Sprint(ttl), func(t *testing.T) {
 			vcA, vcB := clock.NewVirtual(time.Time{}), clock.NewVirtual(time.Time{})
 			got := New(Config{Seed: 5, TTL: ttl, Decoys: 2, Shards: 1, Clock: vcA})
 			want := newRefStore(Config{Seed: 5, TTL: ttl, Decoys: 2, Shards: 1, Clock: vcB}, maxClients)
 			unit := got.tickUnit
 			edge := time.Duration(got.ttlTicks) * unit
-			if got.ttlTicks > 1<<16-1 {
-				t.Fatalf("ttlTicks %d does not fit a 16-bit offset", got.ttlTicks)
+			if got.ttlTicks > maxOffset {
+				t.Fatalf("ttlTicks %d does not fit a 12-bit offset", got.ttlTicks)
 			}
 			advance := func(d time.Duration) {
 				if d > 0 {
@@ -69,14 +72,13 @@ func TestHeaderTickOffsetAtTTLEdge(t *testing.T) {
 				}
 			}
 			var tokens []uint64
-			// issue issues one page view to both stores, degraded to a TTL of
-			// short when short > 0.
-			issue := func(short time.Duration) {
+			// issue issues one page view to both stores, degraded or not.
+			issue := func(degraded bool) {
 				t.Helper()
 				var a, b PageKeys
-				if short > 0 {
-					got.IssuePageDegraded(ip, "/p.html", 1, short, &a)
-					want.IssuePageDegraded(ip, "/p.html", 1, short, &b)
+				if degraded {
+					got.IssuePageDegraded(ip, "/p.html", &a)
+					want.IssuePageDegraded(ip, "/p.html", &b)
 				} else {
 					got.IssuePage(ip, "/p.html", &a)
 					want.IssuePage(ip, "/p.html", &b)
@@ -120,36 +122,42 @@ func TestHeaderTickOffsetAtTTLEdge(t *testing.T) {
 				}
 			}
 
-			issue(0)
+			issue(false)
 			check("first issue")
 			advance(edge)
-			issue(0)
+			issue(false)
 			check("an issue exactly ttlTicks after the base")
 			if ticks := headerTicks(t, got, ip); ticks[1]-ticks[0] != got.ttlTicks {
 				t.Fatalf("the second issue is %d ticks after the first, want %d", ticks[1]-ticks[0], got.ttlTicks)
 			}
-			issue(1) // backdated by all of the TTL but a nanosecond
+			issue(true)
 			check("a degraded issue at the edge")
 			advance(unit)
 			check("one tick past the first page view's life")
-			issue(0)
+			issue(false)
 			check("the expiry scan")
 
 			advance(2 * ttl)
-			issue(0)
-			issue(1)
+			issue(false)
+			issue(true)
 			check("a degraded issue below the base")
-			if ttl > 1 { // a 1ns TTL cannot be shortened
+			if ttl >= degradedShare { // a TTL under 4ns cannot be shortened
 				ticks := headerTicks(t, got, ip)
-				if n := len(ticks); ticks[n-1] >= ticks[n-2] || ticks[n-2]-ticks[n-1] < got.ttlTicks-1 {
-					t.Fatalf("degraded tick %d against %d: not backdated about ttlTicks (%d) below the base", ticks[n-1], ticks[n-2], got.ttlTicks)
+				now := vcA.Now()
+				back := got.tick(now) - got.tick(now.Add(ttl/degradedShare-ttl))
+				if n := len(ticks); ticks[n-2]-ticks[n-1] != back || back < 3*got.ttlTicks/4-1 {
+					t.Fatalf("degraded tick %d against %d: not backdated by %d ticks, about 3/4 of ttlTicks (%d)", ticks[n-1], ticks[n-2], back, got.ttlTicks)
 				}
+			}
+			w := got.windowOf(ip)
+			if hdr := w.header(len(w) - headerBytes); hdr != flagDegraded|flagDrawn {
+				t.Fatalf("the degraded header, downloaded, at the base, reads %#04x, want %#04x", hdr, flagDegraded|flagDrawn)
 			}
 			for _, d := range []time.Duration{unit, unit, edge - 3*unit, unit, unit, unit} {
 				advance(d)
 				check(fmt.Sprintf("advance %v", d))
 			}
-			issue(0)
+			issue(false)
 			check("the last issue")
 			for _, token := range tokens {
 				key, _, _ := got.PageKeysFor(ip, token, nil)
@@ -158,5 +166,28 @@ func TestHeaderTickOffsetAtTTLEdge(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRebaseSaturatesAtTheOffsetWidth: a rebase that would carry an offset
+// past 12 bits — only a clock running backwards does that — stops it at
+// maxOffset and leaves the flags above it alone, and a lapsed header keeps
+// its bits.
+func TestRebaseSaturatesAtTheOffsetWidth(t *testing.T) {
+	hdrs := []uint16{0, flagDrawn | 100, flagDrawn | flagConsumed | maxOffset, flagDegraded | 95, flagLapsed | flagDrawn | 7}
+	want := []uint16{4000, flagDrawn | maxOffset, flagDrawn | flagConsumed | maxOffset, flagDegraded | 4095, flagLapsed | flagDrawn | 7}
+	w := make(window, logPrefixBytes+len(hdrs)*headerBytes)
+	binary.LittleEndian.PutUint32(w, 10000)
+	for i, hdr := range hdrs {
+		binary.LittleEndian.PutUint16(w[logPrefixBytes+i*headerBytes:], hdr)
+	}
+	w.rebase(6000)
+	for i := range hdrs {
+		if got := w.header(logPrefixBytes + i*headerBytes); got != want[i] {
+			t.Errorf("header %d: %#04x rebased by 4,000 ticks reads %#04x, want %#04x", i, hdrs[i], got, want[i])
+		}
+	}
+	if w.base() != 6000 {
+		t.Errorf("base %d, want 6000", w.base())
 	}
 }

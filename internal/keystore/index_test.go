@@ -73,9 +73,8 @@ func TestKeystoreCollisionChainMatchesSeededIndex(t *testing.T) {
 		case op < 35:
 			var a, b PageKeys
 			if r.IntN(4) == 0 {
-				decoys, ttl := r.IntN(4), time.Duration(1+r.IntN(12))*time.Minute
-				seeded.IssuePageDegraded(ip, "/deg.html", decoys, ttl, &a)
-				chained.IssuePageDegraded(ip, "/deg.html", decoys, ttl, &b)
+				seeded.IssuePageDegraded(ip, "/deg.html", &a)
+				chained.IssuePageDegraded(ip, "/deg.html", &b)
 			} else {
 				seeded.IssuePage(ip, "/p.html", &a)
 				chained.IssuePage(ip, "/p.html", &b)

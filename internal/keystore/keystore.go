@@ -31,19 +31,27 @@
 // (intern.Addr), its table links and its window while the window fits in
 // the record's 28 bytes — and past that a spilled window. The window is a
 // 12-byte prefix (base tick, incarnation, the first page-view number held and
-// how many) and a 4-byte header per page view (tick offset, decoy count,
-// drawn/consumed/lapsed flags), indexed by n − first. The record holds four
-// headers; the fifth page view moves the window into the shard's spill
-// store, where it grows through the allocator's size classes to the last
-// maxPerClient (64) issues — at most 268 bytes, in the 288-byte size class —
-// and drops from its front in place, so a stable working set never
-// reallocates. An issue drops
+// how many) and a 2-byte header per page view, indexed by n − first: a
+// 12-bit tick offset from the base, then a degraded, a drawn, a consumed and
+// a lapsed bit. A header keeps no decoy count: a page view is owed either
+// Config.Decoys or, degraded, max(1, Decoys/4), and the bit says which. The
+// record holds eight headers; the ninth page view moves the window into the
+// shard's spill store, where it grows through the allocator's size classes
+// to the last maxPerClient (64) issues — at most 140 bytes, in the 144-byte
+// size class — and drops from its front in place, so a stable working set
+// never reallocates. An issue drops
 // the expired page views at the front; one expired behind the front (only a
 // backdated, degraded issue makes one) keeps its slot and answers as expired
 // until the front or the cap reaches it. A drawn page view's keys count in
 // ExpiredDropped once, when the window drops it past its TTL. A client whose
 // page-view numbers would pass min(2^24-1, 10^KeyDigits/256) takes a fresh
 // incarnation and drops its page views.
+//
+// Time is counted in ticks of TTL/2048 (floored at 1ns; 1.76 s at the default
+// hour), so a TTL spans at most 4,095 ticks (2,049 from about 4ms up) and a
+// live page view's offset fits 12 bits: an issue keeps the base within the
+// TTL of now (see expireClientLocked), and no live page view is older than
+// that.
 //
 // The clients are a shard.Table keyed by IP, the session tracker's table: an
 // FNV-1a hash of the address picks the shard, so placement and LRU eviction
@@ -194,12 +202,12 @@ const (
 )
 
 // tickResolution is the number of coarse ticks per TTL (so a tick unit is
-// TTL/32768, floored at 1ns — quantisation is ~0.006% of the TTL). The TTL in
-// ticks is then below 2^16 at every TTL (at most 32,769 from about a second
-// up, 65,535 at a TTL of 65,535ns), which is what lets a header store its
-// tick in 16 bits. The uint32 tick space covers 131,072 TTLs (~15 years at
-// the default 1-hour TTL) before saturating.
-const tickResolution = 1 << 15
+// TTL/2048, floored at 1ns — quantisation is ~0.05% of the TTL). The TTL in
+// ticks is then at most maxOffset at every TTL (at most 2,049 from about 4ms
+// up, 4,095 at a TTL of 4,095ns), which is what lets a header store its tick
+// in 12 bits. The uint32 tick space covers 2^21 TTLs (~239 years at the
+// default 1-hour TTL) before saturating.
+const tickResolution = 1 << 11
 
 // The window's layout (see the package doc), little-endian. The prefix's base
 // tick is at most every live header's tick; issues skip the lapse scan while
@@ -211,18 +219,24 @@ const (
 	preIncarnation = 4 // offset of the u32 incarnation
 	preWindow      = 8 // offset of the u32 first | count<<24
 
-	headerBytes = 4
-	hdrDecoys   = 2 // offset of the u8 decoy count
-	hdrFlags    = 3 // offset of the flag byte
+	// A header is a u16: the tick offset in its low 12 bits, the flags above.
+	headerBytes = 2
+	maxOffset   = 1<<12 - 1
 
-	flagDrawn    = 1 // the script has been requested: the keys validate
-	flagConsumed = 2 // the real key has validated once
-	flagLapsed   = 4 // past its TTL behind the window's front; the offset is unused
+	flagDegraded = 1 << 12 // owed the degraded decoy count (see Store.owed)
+	flagDrawn    = 1 << 13 // the script has been requested: the keys validate
+	flagConsumed = 1 << 14 // the real key has validated once
+	flagLapsed   = 1 << 15 // past its TTL behind the window's front; the offset is unused
 )
 
-// MaxDecoys is the largest decoy count a page view is owed: a header records
-// it in one byte, and a key's index i = 0..m fits the low byte of n·256 + i.
-// Config.Decoys above it is clamped.
+// degradedShare is what a degraded page view gets of a full one: a quarter
+// of the decoys (at least one) and a quarter of the key lifetime, so each
+// anonymous arrival under pressure pins less keystore memory for less time
+// while its page still carries a real key.
+const degradedShare = 4
+
+// MaxDecoys is the largest decoy count a page view is owed: a key's index
+// i = 0..m fits the low byte of n·256 + i. Config.Decoys above it is clamped.
 const MaxDecoys = math.MaxUint8
 
 // window is a client's log: the prefix, then one header per page view held.
@@ -241,19 +255,29 @@ func (w window) setWindow(first uint32, count int) {
 	binary.LittleEndian.PutUint32(w[preWindow:], first|uint32(count)<<24)
 }
 
+// header reads the header at offset h.
+func (w window) header(h int) uint16 { return binary.LittleEndian.Uint16(w[h:]) }
+
+// has reports whether the header at offset h carries flag.
+func (w window) has(h int, flag uint16) bool { return w.header(h)&flag != 0 }
+
+// mark sets flag in the header at offset h.
+func (w window) mark(h int, flag uint16) { binary.LittleEndian.PutUint16(w[h:], w.header(h)|flag) }
+
 // tick reads the issue tick of the live header at offset h.
-func (w window) tick(h int) uint32 { return w.base() + uint32(binary.LittleEndian.Uint16(w[h:])) }
+func (w window) tick(h int) uint32 { return w.base() + uint32(w.header(h)&maxOffset) }
 
 // rebase moves the base to tick, which must be at most every live header's
 // tick, rewriting the live offsets so their ticks stay put. An offset that
-// would pass 2^16-1, which only a clock running backwards can cause,
-// saturates: that page view expires early rather than wrapping.
+// would pass maxOffset, which only a clock running backwards can cause,
+// saturates: that page view expires early rather than wrapping into the
+// flags.
 func (w window) rebase(tick uint32) {
 	d := int64(w.base()) - int64(tick)
 	for h := logPrefixBytes; h < len(w); h += headerBytes {
-		if w[h+hdrFlags]&flagLapsed == 0 {
-			off := int64(binary.LittleEndian.Uint16(w[h:])) + d
-			binary.LittleEndian.PutUint16(w[h:], uint16(min(off, math.MaxUint16)))
+		if hdr := w.header(h); hdr&flagLapsed == 0 {
+			off := min(int64(hdr&maxOffset)+d, maxOffset)
+			binary.LittleEndian.PutUint16(w[h:], hdr&^maxOffset|uint16(off))
 		}
 	}
 	binary.LittleEndian.PutUint32(w, tick)
@@ -295,7 +319,7 @@ type clientState struct {
 // spilled the count byte of a record whose window is in the spill store: no
 // window holds that many page views.
 const (
-	inlineHeaders = 4
+	inlineHeaders = 8
 	spilled       = math.MaxUint8
 )
 
@@ -426,7 +450,7 @@ type Store struct {
 	// far enough in the past that backdated (degraded) issues never go
 	// negative, tickUnit is TTL/tickResolution floored at 1ns, and ttlTicks
 	// is the TTL in ticks rounded up, so quantisation can only ever lengthen
-	// a key's life (by < 2 ticks ≈ TTL/16384), never expire it early.
+	// a key's life (by < 2 ticks ≈ TTL/1024), never expire it early.
 	epoch    time.Time
 	tickUnit time.Duration
 	ttlTicks uint32
@@ -481,7 +505,16 @@ func (s *Store) expired(nowTick, recTick uint32) bool {
 // lapsed reports whether the page view whose header is at h is past its TTL
 // at nowTick.
 func (s *Store) lapsed(w window, h int, nowTick uint32) bool {
-	return w[h+hdrFlags]&flagLapsed != 0 || s.expired(nowTick, w.tick(h))
+	return w.has(h, flagLapsed) || s.expired(nowTick, w.tick(h))
+}
+
+// owed returns the decoy count of the page view whose header is hdr: the
+// configured count, or a quarter of it (at least one) for a degraded one.
+func (s *Store) owed(hdr uint16) int {
+	if hdr&flagDegraded != 0 {
+		return max(1, s.cfg.Decoys/degradedShare)
+	}
+	return s.cfg.Decoys
 }
 
 // IssuePage issues one page view to the given client: it numbers the page
@@ -491,32 +524,35 @@ func (s *Store) lapsed(w window, h int, nowTick uint32) bool {
 // its script is requested (PageKeysFor). The call allocates nothing at steady
 // state and locks only the client's shard.
 func (s *Store) IssuePage(clientIP, page string, pk *PageKeys) {
-	s.issuePage(clientIP, page, s.cfg.Decoys, 0, pk)
+	s.issuePage(clientIP, page, false, pk)
 }
 
 // IssuePageDegraded is IssuePage for a load-shedding serving layer: the page
-// is owed decoys decoy keys instead of the configured count, and its issue
-// tick is backdated so its keys expire after ttl instead of the configured
-// TTL — a shorter-lived key is simply an older one. Degraded pages stay
-// fully verifiable; they just hold less for anonymous clients under pressure.
-func (s *Store) IssuePageDegraded(clientIP, page string, decoys int, ttl time.Duration, pk *PageKeys) {
-	s.issuePage(clientIP, page, max(decoys, 0), ttl, pk)
+// is owed a quarter of the configured decoys (at least one), and its issue
+// tick is backdated so its keys expire after a quarter of the TTL — a
+// shorter-lived key is simply an older one. Degraded pages stay fully
+// verifiable; they just hold less for anonymous clients under pressure.
+func (s *Store) IssuePageDegraded(clientIP, page string, pk *PageKeys) {
+	s.issuePage(clientIP, page, true, pk)
 }
 
 // issuePage is the locked body of every issue: one LRU touch, the expiry of
 // the window's front, one header, the three tokens, then the per-shard client
-// cap. A ttl in (0, TTL) backdates the page view's issue tick so it expires
-// after ttl.
-func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, pk *PageKeys) {
+// cap. A degraded page view's issue tick is backdated by all but
+// TTL/degradedShare of the TTL.
+func (s *Store) issuePage(clientIP, page string, degraded bool, pk *PageKeys) {
 	sh, hash := s.clients.Locate(clientIP)
 	sh.Lock()
 	defer sh.Unlock()
 
 	now := s.cfg.Clock.Now()
 	nowTick := s.tick(now)
-	issueTick := nowTick
-	if ttl > 0 && ttl < s.cfg.TTL {
-		issueTick = s.tick(now.Add(ttl - s.cfg.TTL))
+	issueTick, hdr := nowTick, uint16(0)
+	if degraded {
+		hdr = flagDegraded
+		if ttl := s.cfg.TTL / degradedShare; ttl > 0 {
+			issueTick = s.tick(now.Add(ttl - s.cfg.TTL))
+		}
 	}
 	cs := s.getLocked(sh, hash, clientIP)
 	if cs == nil {
@@ -529,7 +565,7 @@ func (s *Store) issuePage(clientIP, page string, decoys int, ttl time.Duration, 
 	sh.Touch(cs)
 	w := s.logOf(sh, cs)
 	s.expireClientLocked(&w, nowTick)
-	n := s.appendLocked(&w, nowTick, issueTick, min(decoys, MaxDecoys))
+	n := s.appendLocked(&w, nowTick, issueTick, hdr)
 	s.storeLog(sh, cs, w)
 
 	tweak, buf := clientTweak(clientIP, w.incarnation()), &s.bufs[sh.Index()]
@@ -555,13 +591,13 @@ func (s *Store) getLocked(sh *clientShard, hash uint64, clientIP string) *client
 	return nil
 }
 
-// appendLocked appends the header of a page view issued at tick and owed
-// decoys decoy keys to the client's window *lg and returns the page view's
+// appendLocked appends the header of a page view issued at tick, with flags
+// hdr, to the client's window *lg and returns the page view's
 // number. A client whose numbers are used up first takes a fresh incarnation
 // and drops its page views; one at maxPerClient drops the oldest. The front's
 // expiry has run at nowTick, so tick is at most ttlTicks past the base; a
 // backdated tick below it becomes the base.
-func (s *Store) appendLocked(lg *window, nowTick, tick uint32, decoys int) uint64 {
+func (s *Store) appendLocked(lg *window, nowTick, tick uint32, hdr uint16) uint64 {
 	if w := *lg; w.first()+uint32(w.count()) >= s.views {
 		s.dropLocked(lg, w.count(), nowTick)
 		binary.LittleEndian.PutUint32((*lg)[preIncarnation:], s.incarnations.Add(1))
@@ -578,9 +614,7 @@ func (s *Store) appendLocked(lg *window, nowTick, tick uint32, decoys int) uint6
 	}
 	h := len(w)
 	w = w.grow(headerBytes)[:h+headerBytes]
-	binary.LittleEndian.PutUint16(w[h:], uint16(tick-w.base()))
-	w[h+hdrDecoys] = byte(decoys)
-	w[h+hdrFlags] = 0
+	binary.LittleEndian.PutUint16(w[h:], hdr|uint16(tick-w.base()))
 	w.setWindow(first, count+1)
 	*lg = w
 	return uint64(first) + uint64(count)
@@ -597,8 +631,8 @@ func (s *Store) dropLocked(lg *window, k int, nowTick uint32) {
 	var keys int64
 	end := logPrefixBytes + k*headerBytes
 	for h := logPrefixBytes; h < end; h += headerBytes {
-		if w[h+hdrFlags]&flagDrawn != 0 && s.lapsed(w, h, nowTick) {
-			keys += 1 + int64(w[h+hdrDecoys])
+		if w.has(h, flagDrawn) && s.lapsed(w, h, nowTick) {
+			keys += 1 + int64(s.owed(w.header(h)))
 		}
 	}
 	if keys != 0 {
@@ -612,7 +646,7 @@ func (s *Store) dropLocked(lg *window, k int, nowTick uint32) {
 // client's window *lg. When the base tick is past the TTL, a page view behind
 // the front can have expired too: the scan marks each such header lapsed (its
 // tick is never read again; an expired page view behind a live front may lie
-// up to two TTLs back, past a 16-bit offset) and moves the base up to the
+// up to two TTLs back, past a 12-bit offset) and moves the base up to the
 // oldest live tick, rewriting the live offsets, so every live offset stays
 // within ttlTicks. The base is exact after every scan, so hot-path issues
 // skip it.
@@ -628,11 +662,11 @@ func (s *Store) expireClientLocked(lg *window, nowTick uint32) {
 	}
 	oldest := nowTick // the front is live, so some header lowers it
 	for h := logPrefixBytes; h < len(w); h += headerBytes {
-		if w[h+hdrFlags]&flagLapsed != 0 {
+		if w.has(h, flagLapsed) {
 			continue
 		}
 		if tick := w.tick(h); s.expired(nowTick, tick) {
-			w[h+hdrFlags] |= flagLapsed
+			w.mark(h, flagLapsed)
 		} else {
 			oldest = min(oldest, tick)
 		}
@@ -694,15 +728,15 @@ func (s *Store) ValidateValue(clientIP string, key uint64) (v Verdict) {
 	w := s.logOf(sh, cs)
 	x := s.perm.invert(&s.bufs[sh.Index()], clientTweak(clientIP, w.incarnation()), kindKey, key)
 	h, ok := s.viewLocked(w, x>>8)
-	if i := x & 0xff; !ok || w[h+hdrFlags]&flagDrawn == 0 || i > uint64(w[h+hdrDecoys]) {
+	if i := x & 0xff; !ok || !w.has(h, flagDrawn) || i > uint64(s.owed(w.header(h))) {
 		return Unknown
 	} else if i != 0 {
 		return Decoy
 	}
-	if w[h+hdrFlags]&flagConsumed != 0 {
+	if w.has(h, flagConsumed) {
 		return Replayed
 	}
-	w[h+hdrFlags] |= flagConsumed
+	w.mark(h, flagConsumed)
 	return Human
 }
 
@@ -734,11 +768,11 @@ func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64
 	if !ok {
 		return 0, decoys, false
 	}
-	if w[h+hdrFlags]&flagDrawn == 0 {
-		w[h+hdrFlags] |= flagDrawn
+	if !w.has(h, flagDrawn) {
+		w.mark(h, flagDrawn)
 		s.stats.drawn.Add(1)
 	}
-	for i := range 1 + uint64(w[h+hdrDecoys]) {
+	for i := range 1 + uint64(s.owed(w.header(h))) {
 		if v := s.perm.permute(buf, tweak, kindKey, n<<8|i); i == 0 {
 			key = v
 		} else {

@@ -79,8 +79,8 @@ func (s *Store) outstandingKeys(clientIP string) int {
 	w := s.windowOf(clientIP)
 	n := 0
 	for h := logPrefixBytes; h < len(w); h += headerBytes {
-		if w[h+hdrFlags]&flagDrawn != 0 {
-			n += 1 + int(w[h+hdrDecoys])
+		if w.has(h, flagDrawn) {
+			n += 1 + s.owed(w.header(h))
 		}
 	}
 	return n

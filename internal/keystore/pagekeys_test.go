@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// TestPageKeysForFollowsBatchesThroughCompaction issues page views of
-// differing decoy counts, downloads their scripts out of issue order (some at
+// TestPageKeysForFollowsBatchesThroughCompaction issues full and degraded
+// page views (8 and 2 decoys), downloads their scripts out of issue order (some at
 // once, some only after neighbours were dropped), kills some by TTL — one at
 // the window's front, one behind it that keeps its slot — and some by the
 // per-client cap, and checks that every survivor is still found under its
@@ -16,7 +16,7 @@ import (
 // drifts by one hands a page view its neighbour's header.
 func TestPageKeysForFollowsBatchesThroughCompaction(t *testing.T) {
 	const ip = "10.0.0.1"
-	s, vc := newTestStore(t, Config{Decoys: 4, TTL: time.Hour, Shards: 1})
+	s, vc := newTestStore(t, Config{Decoys: 8, TTL: time.Hour, Shards: 1})
 	type page struct {
 		token  uint64
 		owed   int // decoys
@@ -25,13 +25,19 @@ func TestPageKeysForFollowsBatchesThroughCompaction(t *testing.T) {
 		decoys []uint64
 	}
 	var issued []*page
-	issue := func(decoys int, ttl time.Duration) {
+	issue := func(degraded bool) {
 		var pk PageKeys
-		s.IssuePageDegraded(ip, "/p.html", decoys, ttl, &pk)
+		owed := 8
+		if degraded {
+			s.IssuePageDegraded(ip, "/p.html", &pk)
+			owed = 2
+		} else {
+			s.IssuePage(ip, "/p.html", &pk)
+		}
 		if pk.Key != 0 || len(pk.Decoys) != 0 {
 			t.Fatalf("issue handed out keys: %+v", pk)
 		}
-		issued = append(issued, &page{token: pk.ScriptToken, owed: decoys})
+		issued = append(issued, &page{token: pk.ScriptToken, owed: owed})
 	}
 	check := func(i int, wantLive bool) {
 		t.Helper()
@@ -60,40 +66,40 @@ func TestPageKeysForFollowsBatchesThroughCompaction(t *testing.T) {
 		}
 	}
 
-	issue(3, 10*time.Minute) // 0: dies by TTL
-	issue(1, 0)              // 1
-	issue(4, 10*time.Minute) // 2: dies by TTL
-	issue(0, 0)              // 3
-	issue(2, 0)              // 4
+	issue(true)  // 0: degraded, dies by TTL
+	issue(false) // 1
+	issue(true)  // 2: degraded, dies by TTL
+	issue(false) // 3
+	issue(false) // 4
 	outstanding(0)
 	for _, i := range []int{3, 0, 4} { // out of issue order: 0's run is inserted before 3's
 		check(i, true)
 	}
-	outstanding(1 + 4 + 3)
+	outstanding(9 + 3 + 9)
 	for i, p := range issued {
 		if _, _, ok := s.PageKeysFor("10.0.0.2", p.token, nil); ok {
 			t.Fatalf("batch %d found under another client's address", i)
 		}
 	}
-	outstanding(1 + 4 + 3) // a stranger's request draws nothing
+	outstanding(9 + 3 + 9) // a stranger's request draws nothing
 
-	vc.Advance(11 * time.Minute)
+	vc.Advance(16 * time.Minute)
 	check(0, false) // drawn, expired but not yet dropped: liveness must not wait for the drop
 	check(2, false) // never drawn and now expired: an expired page view is never drawn
-	outstanding(1 + 4 + 3)
-	issue(4, 0) // 5: the issue drops 0 from the front; 2 keeps its slot, lapsed
-	outstanding(1 + 3)
+	outstanding(9 + 3 + 9)
+	issue(true) // 5: the issue drops 0 from the front; 2 keeps its slot, lapsed
+	outstanding(9 + 9)
 	for i, live := range []bool{false, true, false, true, true, true} {
 		check(i, live) // 1 and 5 are drawn here, around the survivors
 	}
-	outstanding(2 + 1 + 3 + 5)
+	outstanding(9 + 9 + 9 + 3)
 
-	issue(3, 0) // 6
-	issue(1, 0) // 7
+	issue(false) // 6
+	issue(true)  // 7
 	for len(issued) < maxPerClient+3 {
-		issue(2, 0) // the window is the last 64 issues, so 1 and 2 fall to the cap
+		issue(false) // the window is the last 64 issues, so 1 and 2 fall to the cap
 	}
-	outstanding(1 + 3 + 5)
+	outstanding(9 + 9 + 3)
 	for i := range issued {
 		check(i, i >= 3)
 	}

@@ -96,15 +96,17 @@ func (s *refStore) IssuePage(ip, page string, pk *PageKeys) {
 	s.issuePage(ip, page, s.cfg.Decoys, 0, pk)
 }
 
-func (s *refStore) IssuePageDegraded(ip, page string, decoys int, ttl time.Duration, pk *PageKeys) {
-	s.issuePage(ip, page, max(decoys, 0), ttl, pk)
+// IssuePageDegraded owes the page a quarter of the decoys (at least one) and
+// gives its keys a quarter of the TTL.
+func (s *refStore) IssuePageDegraded(ip, page string, pk *PageKeys) {
+	s.issuePage(ip, page, max(1, s.cfg.Decoys/4), s.cfg.TTL/4, pk)
 }
 
 func (s *refStore) issuePage(ip, page string, decoys int, ttl time.Duration, pk *PageKeys) {
 	sh := s.shard(ip)
 	now := s.cfg.Clock.Now()
 	issuedAt := now
-	if ttl > 0 && ttl < s.cfg.TTL {
+	if ttl > 0 {
 		issuedAt = now.Add(ttl - s.cfg.TTL)
 	}
 	cs, ok := sh.clients[ip]
@@ -129,7 +131,7 @@ func (s *refStore) issuePage(ip, page string, decoys int, ttl time.Duration, pk 
 		s.dropOldest(cs, nowTick)
 	}
 	n := cs.first + uint64(len(cs.views))
-	cs.views = append(cs.views, &refView{tick: s.tick(issuedAt), decoys: min(decoys, MaxDecoys)})
+	cs.views = append(cs.views, &refView{tick: s.tick(issuedAt), decoys: decoys})
 
 	tweak := clientTweak(ip, cs.incarnation)
 	*pk = PageKeys{Page: page, Digits: s.cfg.KeyDigits, IssuedAt: now, Decoys: pk.Decoys[:0]}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -82,6 +83,41 @@ func TestAdminMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestAdminMetricsGCCounters: /__bd/metrics carries the Go runtime's GC
+// cycles, GC CPU seconds and heap goal, read at scrape time; across a forced
+// collection the cycle count rises, the CPU seconds do not fall, and the heap
+// goal stays positive.
+func TestAdminMetricsGCCounters(t *testing.T) {
+	mux, _, _ := newAdminStack(t, false)
+	names := []string{"botdetect_go_gc_cycles_total", "botdetect_go_gc_cpu_seconds_total", "botdetect_go_heap_goal_bytes"}
+	scrape := func() []float64 {
+		t.Helper()
+		body := adminGet(mux, "/__bd/metrics").Body.String()
+		vals := make([]float64, len(names))
+		for i, name := range names {
+			_, rest, ok := strings.Cut(body, "\n"+name+" ")
+			if !ok {
+				t.Fatalf("exposition missing %s", name)
+			}
+			line, _, _ := strings.Cut(rest, "\n")
+			if _, err := fmt.Sscan(line, &vals[i]); err != nil {
+				t.Fatalf("%s %q: %v", name, line, err)
+			}
+		}
+		return vals
+	}
+	before := scrape()
+	runtime.GC()
+	after := scrape()
+	t.Logf("before %v, after a forced GC %v", before, after)
+	if after[0] <= before[0] || after[1] < before[1] {
+		t.Errorf("across a forced GC: cycles %v -> %v, GC CPU seconds %v -> %v", before[0], after[0], before[1], after[1])
+	}
+	if before[2] <= 0 || after[2] <= 0 {
+		t.Errorf("heap goal %v, then %v bytes", before[2], after[2])
 	}
 }
 

@@ -370,6 +370,55 @@ func TestServeLitePageZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestServeSitePageRotatingClientsZeroAlloc gates the serve the benchmark's
+// browse workloads make most: the generated site's front page through the
+// middleware, with a policy engine, to 40 clients in turn, each on its own
+// keep-alive connection. A round serves each client once, and the rounds
+// that make their fourth to sixth page views allocate nothing, counted per
+// round: the site's handler sets prebuilt header values (Header.Set made a
+// []string a response), and a client's window holds up to eight page views
+// in its record (four while a header took four bytes, so the window spilled
+// to the heap at the fifth and moved to a larger size class at the sixth).
+func TestServeSitePageRotatingClientsZeroAlloc(t *testing.T) {
+	const clients = 40
+	site := webmodel.Generate(webmodel.SiteConfig{Seed: 5, NumPages: 10})
+	det := core.New(core.Config{Seed: 44, ObfuscateJS: true})
+	mw := New(site.Handler(), Config{Engine: det, Policy: policy.NewEngine(policy.Config{})})
+	reqs := make([]*http.Request, clients)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/", nil).WithContext(ConnContext(context.Background(), nil))
+		reqs[i].RemoteAddr = fmt.Sprintf("10.16.0.%d:5000", i)
+		reqs[i].Header.Set("User-Agent", "Firefox/1.5")
+	}
+	w := &nopResponseWriter{h: make(http.Header)}
+	n := 0
+	serve := func() {
+		mw.ServeHTTP(w, reqs[n%clients])
+		n++
+	}
+	for range 2 * clients { // every client, its session and its window exist
+		serve()
+	}
+	// AllocsPerRun's warm-up round makes the third page views.
+	allocs := testing.AllocsPerRun(3, func() {
+		for range clients {
+			serve()
+		}
+	})
+	if pages := det.Stats().PagesInstrumented; pages != int64(n) || pages > 8*clients {
+		t.Fatalf("%d pages instrumented in %d serves, want one a serve and at most eight a client", pages, n)
+	}
+	if ct := w.h.Get("Content-Type"); ct != "text/html; charset=utf-8" {
+		t.Fatalf("Content-Type = %q", ct)
+	}
+	if raceEnabled {
+		t.Skipf("paths exercised; skipping the ceiling (%.1f allocs/op measured) — allocation accounting differs under -race", allocs)
+	}
+	if allocs != 0 {
+		t.Fatalf("a round of %d site page serves to rotating clients allocated %.0f times, want 0", clients, allocs)
+	}
+}
+
 // TestConcurrentStreamsFallBack drives concurrent requests through one
 // connState (the HTTP/2 stream scenario): exactly one claims the state, the
 // rest fall back to per-request streamers, and every response is correct.

@@ -51,7 +51,7 @@ type ServeMetrics struct {
 }
 
 // NewServeMetrics creates the serve-path instruments and registers them with
-// reg (a fresh registry when nil).
+// reg (a fresh registry when nil), beside the Go runtime's GC figures.
 func NewServeMetrics(reg *Registry) *ServeMetrics {
 	if reg == nil {
 		reg = NewRegistry()
@@ -106,6 +106,7 @@ func NewServeMetrics(reg *Registry) *ServeMetrics {
 	reg.Counter(reqTotal, Label("outcome", "challenged"), reqHelp, m.RequestsChallenged)
 	reg.Counter(reqTotal, Label("outcome", "throttled"), reqHelp, m.RequestsThrottled)
 	reg.Counter(reqTotal, Label("outcome", "captcha"), reqHelp, m.RequestsCaptcha)
+	registerRuntime(reg)
 	return m
 }
 

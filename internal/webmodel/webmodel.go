@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -88,6 +89,10 @@ type Object struct {
 type Site struct {
 	pages   []*Page
 	objects map[string]Object
+	// values holds the one-element header value of every content type and
+	// redirect target the site serves, so Handler sets its headers without
+	// allocating.
+	values map[string][]string
 }
 
 // Generate builds a synthetic site from the configuration.
@@ -171,6 +176,19 @@ func Generate(cfg SiteConfig) *Site {
 	s.objects["/favicon.ico"] = Object{Status: http.StatusOK, ContentType: "image/x-icon", Body: bytes.Repeat([]byte{'i'}, 318)}
 	s.objects["/robots.txt"] = Object{Status: http.StatusOK, ContentType: "text/plain",
 		Body: []byte("User-agent: *\nDisallow: /cgi-bin/\nCrawl-delay: 10\n")}
+
+	// The redirect targets (every page) and the content types (the 404 and
+	// CGI pages' besides the objects'), one backing array for all.
+	values := append(pagePaths, "text/html")
+	for _, obj := range s.objects {
+		if !slices.Contains(values[len(pagePaths):], obj.ContentType) {
+			values = append(values, obj.ContentType)
+		}
+	}
+	s.values = make(map[string][]string, len(values))
+	for i, v := range values {
+		s.values[v] = values[i : i+1 : i+1]
+	}
 	return s
 }
 
@@ -231,15 +249,25 @@ func (s *Site) cgiResponse(path string) Object {
 func (s *Site) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		obj := s.Lookup(r.URL.RequestURI())
+		h := w.Header()
 		if obj.RedirectTo != "" {
-			w.Header().Set("Location", obj.RedirectTo)
+			h["Location"] = s.value(obj.RedirectTo)
 		}
-		w.Header().Set("Content-Type", obj.ContentType)
+		h["Content-Type"] = s.value(obj.ContentType)
 		w.WriteHeader(obj.Status)
 		if r.Method != http.MethodHead {
 			_, _ = w.Write(obj.Body)
 		}
 	})
+}
+
+// value returns v as a one-element header value: the site's shared copy when
+// it has one. Callers must not modify it.
+func (s *Site) value(v string) []string {
+	if vs, ok := s.values[v]; ok {
+		return vs
+	}
+	return []string{v}
 }
 
 // appendHTML appends the page markup to dst: head with CSS link and script,
