@@ -8,7 +8,6 @@ package cdn
 
 import (
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -223,11 +222,7 @@ func (n *Node) Do(req agents.Request) agents.Response {
 	if resp, ok := d.HandleBeacon(req.IP, req.UserAgent, req.Path); ok {
 		n.stats.instrumentationHits.Add(1)
 		if n.recording.Load() {
-			n.log(logfmt.Entry{
-				Time: req.Time, ClientIP: req.IP, UserAgent: req.UserAgent, Method: req.Method,
-				Path: req.Path, Status: resp.Status, Bytes: int64(len(resp.Body)),
-				Referer: req.Referer, ContentType: resp.ContentType,
-			})
+			n.log(requestEntry(req, resp.Status, resp.ContentType, int64(len(resp.Body))))
 		}
 		return agents.Response{Status: resp.Status, ContentType: resp.ContentType, Body: resp.Body}
 	}
@@ -301,11 +296,7 @@ func (n *Node) Do(req agents.Request) agents.Response {
 		// Shed: served but neither instrumented nor observed into the
 		// tracker. The access log still sees it, as a real proxy's would.
 		if n.recording.Load() {
-			n.log(logfmt.Entry{
-				Time: req.Time, ClientIP: req.IP, UserAgent: req.UserAgent, Method: req.Method,
-				Path: req.Path, Status: obj.Status, Bytes: int64(len(obj.Body)),
-				Referer: req.Referer, ContentType: obj.ContentType,
-			})
+			n.log(requestEntry(req, obj.Status, obj.ContentType, int64(len(obj.Body))))
 		}
 	} else {
 		n.observe(req, obj.Status, obj.ContentType, int64(len(obj.Body)))
@@ -317,16 +308,22 @@ func (n *Node) Do(req agents.Request) agents.Response {
 // instrumentable reports whether the origin object is an HTML page view the
 // engine instruments.
 func instrumentable(obj webmodel.Object, method string) bool {
-	return obj.Status == 200 && method == "GET" && strings.Contains(obj.ContentType, "text/html")
+	return obj.Status == 200 && method == "GET" && logfmt.IsHTMLType(obj.ContentType)
+}
+
+// requestEntry is the access-log record of req answered with status,
+// contentType and bytes of body.
+func requestEntry(req agents.Request, status int, contentType string, bytes int64) logfmt.Entry {
+	return logfmt.Entry{
+		Time: req.Time, ClientIP: req.IP, UserAgent: req.UserAgent, Method: req.Method,
+		Path: req.Path, Status: status, Bytes: bytes, Referer: req.Referer, ContentType: contentType,
+	}
 }
 
 // observe records a non-instrumentation request with the detector's session
 // tracker and the node's recording.
 func (n *Node) observe(req agents.Request, status int, contentType string, bytes int64) {
-	entry := logfmt.Entry{
-		Time: req.Time, ClientIP: req.IP, UserAgent: req.UserAgent, Method: req.Method,
-		Path: req.Path, Status: status, Bytes: bytes, Referer: req.Referer, ContentType: contentType,
-	}
+	entry := requestEntry(req, status, contentType, bytes)
 	// The snapshot a plain Observe returns would be discarded here.
 	n.cfg.Engine.ObserveRequestQuiet(entry)
 	if n.rep != nil {

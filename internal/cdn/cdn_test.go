@@ -54,6 +54,28 @@ func TestNodeServesAndInstruments(t *testing.T) {
 	}
 }
 
+// TestInstrumentableAnyLetterCase: the node instruments a page by the
+// tracker's own HTML test, a content type beginning with text/html in any
+// letter case, as the live proxy does.
+func TestInstrumentableAnyLetterCase(t *testing.T) {
+	for _, c := range []struct {
+		obj    webmodel.Object
+		method string
+		want   bool
+	}{
+		{webmodel.Object{Status: 200, ContentType: "Text/HTML; charset=UTF-8"}, "GET", true},
+		{webmodel.Object{Status: 200, ContentType: "text/html"}, "GET", true},
+		{webmodel.Object{Status: 200, ContentType: "text/html"}, "HEAD", false},
+		{webmodel.Object{Status: 404, ContentType: "text/html"}, "GET", false},
+		{webmodel.Object{Status: 200, ContentType: "text/css"}, "GET", false},
+		{webmodel.Object{Status: 200, ContentType: "application/xhtml+xml, text/html"}, "GET", false},
+	} {
+		if got := instrumentable(c.obj, c.method); got != c.want {
+			t.Errorf("instrumentable(%d %q, %s) = %v, want %v", c.obj.Status, c.obj.ContentType, c.method, got, c.want)
+		}
+	}
+}
+
 func TestNodeBeaconHandling(t *testing.T) {
 	n, vc := testNode(t, false)
 	page := n.Do(agents.Request{Time: vc.Now(), IP: "10.0.0.2", UserAgent: "Firefox", Method: "GET", Path: "/"})

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Entry is one HTTP request/response observation.
@@ -359,12 +360,17 @@ func ReadEach(r io.Reader, fn func(Entry) error) error {
 	}
 }
 
-// --- request classification helpers -----------------------------------------
+// --- request classification -------------------------------------------------
 //
-// The detector and the feature extractor both need to know what kind of
-// object a request refers to. Classification is based on the path extension
-// and (when present) the response content type, mirroring how the CoDeeN
-// implementation keyed on file names it had itself generated.
+// Entry.Kind tells the detector and the feature extractor what kind of object
+// a request refers to, once per request, from the path's extension (after its
+// last '.' past its last '/') and, when there is one, the response content
+// type, mirroring how the CoDeeN implementation keyed on file names it had
+// itself generated. Letter case folds as strings.ToLower folds it, without
+// building the lowered string: ASCII letters fold to lowercase, U+0130 (İ) to
+// i and U+212A (the Kelvin sign) to k, the only non-ASCII runes whose
+// lowercase is ASCII; no other rune, nor invalid UTF-8, matches an ASCII
+// letter. So /FAVİCON.ICO is a favicon, and Kind allocates nothing.
 
 // PathOnly strips any query string from the path.
 func (e Entry) PathOnly() string {
@@ -374,104 +380,145 @@ func (e Entry) PathOnly() string {
 	return e.Path
 }
 
-// Query returns the query string without the '?', or "".
-func (e Entry) Query() string {
-	if i := strings.IndexByte(e.Path, '?'); i >= 0 {
-		return e.Path[i+1:]
-	}
-	return ""
-}
+// Kind is the class of object a request asks for, as a bit set of the
+// request classes the session counters and the Table 2 attributes count.
+type Kind uint8
 
-// Ext returns the lowercase path extension including the dot, or "".
-func (e Entry) Ext() string {
-	p := e.PathOnly()
+// The request classes. kindCSS and kindJS only feed KindEmbedded.
+const (
+	KindHTML     Kind = 1 << iota // an HTML page
+	KindImage                     // an image
+	KindCGI                       // a dynamic, CGI-style resource
+	KindFavicon                   // favicon.ico
+	KindEmbedded                  // a page dependency: image, CSS, JS, favicon, font, media
+	kindCSS
+	kindJS
+)
+
+// IsHTMLType reports whether a content type begins with text/html in any
+// letter case: the HTML test of Kind and of both serving surfaces.
+func IsHTMLType(contentType string) bool { return foldPrefix(contentType, "text/html") >= 0 }
+
+// Kind classifies the request's object. A content type beginning with
+// text/html is HTML and any other vetoes HTML; without one, an HTML or
+// server-page extension is HTML, and so is an extension-less path that ends
+// in '/' or holds no '.' at all. CGI is /cgi-bin/ or /cgi/ in the path, a
+// script extension or a non-empty query; a script's content type names
+// javascript or ecmascript anywhere.
+func (e Entry) Kind() Kind {
+	p, query, _ := strings.Cut(e.Path, "?")
 	slash := strings.LastIndexByte(p, '/')
 	dot := strings.LastIndexByte(p, '.')
-	if dot < 0 || dot < slash {
-		return ""
+
+	var k Kind
+	if dot > slash {
+		var buf [len(".shtml")]byte
+		k = extKind(foldExt(&buf, p[dot:]))
+	} else if dot < 0 || strings.HasSuffix(p, "/") {
+		k = KindHTML
 	}
-	return strings.ToLower(p[dot:])
+	if ct := e.ContentType; ct != "" {
+		k &^= KindHTML
+		if IsHTMLType(ct) {
+			k |= KindHTML
+		}
+		if foldPrefix(ct, "image/") >= 0 {
+			k |= KindImage
+		}
+		if foldPrefix(ct, "text/css") >= 0 {
+			k |= kindCSS
+		}
+		if containsFold(ct, "javascript") || containsFold(ct, "ecmascript") {
+			k |= kindJS
+		}
+	}
+	if query != "" || containsFold(p, "/cgi-bin/") || containsFold(p, "/cgi/") {
+		k |= KindCGI
+	}
+	if slash >= 0 && foldPrefix(p[slash:], "/favicon.ico") == len(p)-slash || foldPrefix(p, "favicon.ico") == len(p) {
+		k |= KindFavicon
+	}
+	if k&(KindImage|kindCSS|kindJS|KindFavicon) != 0 {
+		k |= KindEmbedded
+	}
+	return k
 }
 
-// IsHTML reports whether the request is for an HTML page (by content type or
-// by extension / extension-less path).
-func (e Entry) IsHTML() bool {
-	ct := strings.ToLower(e.ContentType)
-	if strings.HasPrefix(ct, "text/html") {
-		return true
-	}
-	if ct != "" && !strings.HasPrefix(ct, "text/html") {
-		return false
-	}
-	switch e.Ext() {
-	case ".html", ".htm", ".shtml", ".php", ".asp", ".aspx", ".jsp":
-		return true
-	case "":
-		// Directory-style URL.
-		return strings.HasSuffix(e.PathOnly(), "/") || !strings.Contains(e.PathOnly(), ".")
-	}
-	return false
-}
-
-// IsImage reports whether the request is for an image object.
-func (e Entry) IsImage() bool {
-	if strings.HasPrefix(strings.ToLower(e.ContentType), "image/") {
-		return true
-	}
-	switch e.Ext() {
+// extKind classifies a lowercase extension.
+func extKind(ext []byte) Kind {
+	switch string(ext) {
+	case ".html", ".htm", ".shtml":
+		return KindHTML
+	case ".php", ".asp", ".aspx", ".jsp":
+		return KindHTML | KindCGI
+	case ".cgi", ".pl":
+		return KindCGI
 	case ".gif", ".jpg", ".jpeg", ".png", ".bmp", ".ico", ".webp":
-		return true
-	}
-	return false
-}
-
-// IsCSS reports whether the request is for a stylesheet.
-func (e Entry) IsCSS() bool {
-	if strings.HasPrefix(strings.ToLower(e.ContentType), "text/css") {
-		return true
-	}
-	return e.Ext() == ".css"
-}
-
-// IsJS reports whether the request is for a JavaScript file.
-func (e Entry) IsJS() bool {
-	ct := strings.ToLower(e.ContentType)
-	if strings.Contains(ct, "javascript") || strings.Contains(ct, "ecmascript") {
-		return true
-	}
-	return e.Ext() == ".js"
-}
-
-// IsCGI reports whether the request targets a dynamic/CGI-style resource
-// (cgi-bin paths, script extensions, or any request carrying a query string).
-func (e Entry) IsCGI() bool {
-	p := strings.ToLower(e.PathOnly())
-	if strings.Contains(p, "/cgi-bin/") || strings.Contains(p, "/cgi/") {
-		return true
-	}
-	switch e.Ext() {
-	case ".cgi", ".pl", ".php", ".asp", ".aspx", ".jsp":
-		return true
-	}
-	return e.Query() != ""
-}
-
-// IsFavicon reports whether the request is for favicon.ico.
-func (e Entry) IsFavicon() bool {
-	return strings.HasSuffix(strings.ToLower(e.PathOnly()), "/favicon.ico") ||
-		strings.ToLower(e.PathOnly()) == "favicon.ico"
-}
-
-// IsEmbedded reports whether the object is one a browser fetches as a page
-// dependency rather than a navigation target: images, CSS, JS, favicon,
-// fonts, media.
-func (e Entry) IsEmbedded() bool {
-	if e.IsImage() || e.IsCSS() || e.IsJS() || e.IsFavicon() {
-		return true
-	}
-	switch e.Ext() {
+		return KindImage
+	case ".css":
+		return kindCSS
+	case ".js":
+		return kindJS
 	case ".woff", ".woff2", ".ttf", ".swf", ".mp3", ".wav":
-		return true
+		return KindEmbedded
+	}
+	return 0
+}
+
+// foldExt lowercases ext into buf, or returns nil when ext cannot be one
+// extKind names: longer than buf, or holding a rune whose lowercase is not
+// ASCII.
+func foldExt(buf *[len(".shtml")]byte, ext string) []byte {
+	n := 0
+	for i := 0; i < len(ext); n++ {
+		c, w := foldByte(ext[i:])
+		if w == 0 || n == len(buf) {
+			return nil
+		}
+		buf[n], i = c, i+w
+	}
+	return buf[:n]
+}
+
+// foldByte returns the lowercase of the rune s begins with and the rune's
+// width in s, or a width of 0 when s is empty or that lowercase is not ASCII.
+func foldByte(s string) (byte, int) {
+	switch {
+	case s == "":
+	case 'A' <= s[0] && s[0] <= 'Z':
+		return s[0] + 'a' - 'A', 1
+	case s[0] < utf8.RuneSelf:
+		return s[0], 1
+	case strings.HasPrefix(s, "İ"):
+		return 'i', len("İ")
+	case strings.HasPrefix(s, "K"):
+		return 'k', len("K")
+	}
+	return 0, 0
+}
+
+// foldPrefix returns how many bytes of s lowercase to the lowercase ASCII t
+// when s begins with it, or -1.
+func foldPrefix(s, t string) int {
+	i := 0
+	for j := 0; j < len(t); j++ {
+		c, w := foldByte(s[i:])
+		if w == 0 || c != t[j] {
+			return -1
+		}
+		i += w
+	}
+	return i
+}
+
+// containsFold reports whether s lowercased contains the lowercase ASCII t.
+// Every byte offset may be tried: a match begins at an ASCII byte or a UTF-8
+// leading byte, which never sits inside another rune.
+func containsFold(s, t string) bool {
+	for i := 0; i+len(t) <= len(s); i++ {
+		if foldPrefix(s[i:], t) >= 0 {
+			return true
+		}
 	}
 	return false
 }

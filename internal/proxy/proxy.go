@@ -380,7 +380,7 @@ func (s *responseStreamer) WriteHeader(code int) {
 	h := s.w.Header()
 	s.contentType = h.Get("Content-Type")
 	s.discard = s.req.Method == http.MethodHead
-	isHTML := containsFold(s.contentType, "text/html")
+	isHTML := logfmt.IsHTMLType(s.contentType)
 	if isHTML {
 		// Instrumented pages carry per-view keys and must not be cached.
 		h["Cache-Control"] = noStoreHeader
@@ -407,29 +407,6 @@ func (s *responseStreamer) WriteHeader(code int) {
 		s.rewriter.SetHoldLimit(maxRewriteBytes)
 	}
 	s.w.WriteHeader(code)
-}
-
-// containsFold reports whether s contains t case-insensitively; t must be
-// lowercase ASCII. It replaces strings.Contains(strings.ToLower(s), t) on
-// the per-request path, which allocates for any uppercase content type.
-func containsFold(s, t string) bool {
-	for i := 0; i+len(t) <= len(s); i++ {
-		j := 0
-		for j < len(t) {
-			c := s[i+j]
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if c != t[j] {
-				break
-			}
-			j++
-		}
-		if j == len(t) {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *responseStreamer) Write(p []byte) (int, error) {

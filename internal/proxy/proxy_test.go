@@ -443,6 +443,39 @@ func TestChunkedOriginStreamsInstrumented(t *testing.T) {
 	}
 }
 
+// TestHTMLTypeAnyLetterCaseInstrumented: the proxy instruments a page by the
+// tracker's own HTML test, a content type beginning with text/html in any
+// letter case, so the page it instruments is the page view the session
+// counts. A type that only mentions text/html later is not a page.
+func TestHTMLTypeAnyLetterCaseInstrumented(t *testing.T) {
+	page := []byte("<html><head><title>t</title></head><body><p>x</p></body></html>")
+	for _, c := range []struct {
+		contentType string
+		page        bool
+	}{
+		{"Text/HTML; charset=UTF-8", true},
+		{"text/html", true},
+		{"application/xhtml+xml, text/html", false},
+	} {
+		origin := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", c.contentType)
+			_, _ = w.Write(page)
+		})
+		det := core.New(core.Config{Seed: 21})
+		mw := New(origin, Config{Engine: det})
+		rec := doReq(t, mw, http.MethodGet, "/p.html", "10.0.0.9", "Firefox/1.5", nil)
+		instrumented := strings.Contains(rec.Body.String(), "/__bd/")
+		noStore := strings.Contains(rec.Header().Get("Cache-Control"), "no-store")
+		if rec.Code != http.StatusOK || instrumented != c.page || noStore != c.page {
+			t.Errorf("%q: status %d, instrumented %v, no-store %v, want a page: %v", c.contentType, rec.Code, instrumented, noStore, c.page)
+		}
+		snap, ok := det.Session(session.Key{IP: "10.0.0.9", UserAgent: "Firefox/1.5"})
+		if !ok || (snap.Counts.HTML == 1) != c.page {
+			t.Errorf("%q: session counts %+v, want an HTML page view: %v", c.contentType, snap.Counts, c.page)
+		}
+	}
+}
+
 func TestLargePageStreamsWithoutSizeCap(t *testing.T) {
 	// The old store-and-forward path skipped pages above the 2 MiB hold cap;
 	// the streaming path instruments well-anchored HTML of any size while

@@ -31,7 +31,7 @@ func (a *Accumulator) Observe(e logfmt.Entry) bool {
 	if a.Limit > 0 && int64(a.counts.Total) >= a.Limit {
 		return false
 	}
-	a.counts.observe(e, &a.paths)
+	a.counts.observe(e, e.Kind(), &a.paths)
 	return true
 }
 

@@ -157,7 +157,7 @@ func (a *exactAccumulator) Observe(e logfmt.Entry) {
 	// Against an empty table every referrer counts as unseen; the exact set
 	// then moves the ones this session did request.
 	var none pathTable
-	a.counts.observe(e, &none)
+	a.counts.observe(e, e.Kind(), &none)
 	if e.Referer != "" && a.paths[refererPath(e.Referer)] {
 		a.counts.UnseenReferrer--
 		a.counts.LinkFollowing++

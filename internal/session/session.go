@@ -258,8 +258,9 @@ const evictScanLimit = 16
 // maxTrackedPaths) backs the link-following vs unseen-referrer split: the
 // referrer is matched against paths seen so far, then the request's own path
 // is recorded. It is the single counting implementation behind both
-// Tracker.Observe and Accumulator.Observe.
-func (c *Counts) observe(e logfmt.Entry, paths *pathTable) {
+// Tracker.Observe and Accumulator.Observe; k is e.Kind(), which the callers
+// compute before taking any lock.
+func (c *Counts) observe(e logfmt.Entry, k logfmt.Kind, paths *pathTable) {
 	satInc(&c.Total)
 	switch {
 	case e.IsHead():
@@ -269,19 +270,19 @@ func (c *Counts) observe(e logfmt.Entry, paths *pathTable) {
 	default:
 		satInc(&c.Get)
 	}
-	if e.IsHTML() {
+	if k&logfmt.KindHTML != 0 {
 		satInc(&c.HTML)
 	}
-	if e.IsImage() {
+	if k&logfmt.KindImage != 0 {
 		satInc(&c.Image)
 	}
-	if e.IsCGI() {
+	if k&logfmt.KindCGI != 0 {
 		satInc(&c.CGI)
 	}
-	if e.IsFavicon() {
+	if k&logfmt.KindFavicon != 0 {
 		satInc(&c.Favicon)
 	}
-	if e.IsEmbedded() {
+	if k&logfmt.KindEmbedded != 0 {
 		satInc(&c.Embedded)
 	}
 	if e.Referer != "" {
@@ -684,6 +685,7 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 		when = t.cfg.Clock.Now()
 	}
 	now := when.UnixNano()
+	kind := e.Kind()
 	sh, h := t.table.Locate(key)
 
 	var evicted []Snapshot
@@ -709,7 +711,7 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 	c := &st.counts
 	classesBefore := c.classBits()
 	paths := t.pathsOf(sh, st)
-	c.observe(e, &paths)
+	c.observe(e, kind, &paths)
 	t.storePaths(sh, st, paths)
 	for _, mark := range t.cfg.DecisionMarks {
 		if int64(c.Total) == mark {
@@ -1128,40 +1130,16 @@ func sortSnapshots(out []Snapshot) {
 // matched against the session's own requested paths.
 func refererPath(ref string) string {
 	s := ref
-	if i := indexAfterScheme(s); i >= 0 {
-		s = s[i:]
-		if j := indexByte(s, '/'); j >= 0 {
-			s = s[j:]
-		} else {
-			s = "/"
+	if _, rest, ok := strings.Cut(s, "://"); ok {
+		s = "/"
+		if j := strings.IndexByte(rest, '/'); j >= 0 {
+			s = rest[j:]
 		}
 	}
-	if i := indexByte(s, '?'); i >= 0 {
-		s = s[:i]
-	}
-	if i := indexByte(s, '#'); i >= 0 {
-		s = s[:i]
-	}
+	s, _, _ = strings.Cut(s, "?")
+	s, _, _ = strings.Cut(s, "#")
 	if s == "" {
 		s = "/"
 	}
 	return s
-}
-
-func indexAfterScheme(s string) int {
-	for i := 0; i+2 < len(s); i++ {
-		if s[i] == ':' && s[i+1] == '/' && s[i+2] == '/' {
-			return i + 3
-		}
-	}
-	return -1
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
