@@ -579,8 +579,8 @@ func BenchmarkClassifyParallel(b *testing.B) {
 
 	b.Run("recompute", func(b *testing.B) {
 		d, keys := setup(b)
-		// Rebuild cache-less snapshots so every call pays the pre-unification
-		// cost: feature re-derivation from counts plus a full chain walk.
+		// Rebuild cache-less snapshots so every call pays the recompute: a
+		// full walk of the verdict table.
 		snaps := make([]session.Snapshot, len(keys))
 		for i, k := range keys {
 			snap, ok := d.Session(k)
@@ -597,9 +597,7 @@ func BenchmarkClassifyParallel(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				s := snaps[i%len(snaps)]
-				s.Features = s.Counts.Vector() // the old re-derive-per-classify cost
-				d.ClassifySnapshot(s)
+				d.ClassifySnapshot(snaps[i%len(snaps)])
 				i++
 			}
 		})

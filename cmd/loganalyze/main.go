@@ -107,7 +107,7 @@ func main() {
 		}
 		isHuman := strings.HasPrefix(kind, "human")
 		cm.Record(rules.InHumanSet(s), isHuman)
-		examples = append(examples, features.Example{X: s.Features, Human: isHuman})
+		examples = append(examples, features.Example{X: s.Counts.Vector(), Human: isHuman})
 	}
 	fmt.Printf("Combining rule vs ground truth: %s\n", cm.String())
 

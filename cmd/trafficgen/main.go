@@ -14,13 +14,18 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 
 	"botdetect/internal/logfmt"
+	"botdetect/internal/session"
 	"botdetect/internal/workload"
 )
 
@@ -83,9 +88,13 @@ func main() {
 			log.Fatalf("trafficgen: %v", err)
 		}
 		defer f.Close()
+		// Sorted by (IP, User-Agent), so a seed gives the same file byte for byte.
+		keys := slices.SortedFunc(maps.Keys(res.GroundTruth), func(a, b session.Key) int {
+			return cmp.Or(strings.Compare(a.IP, b.IP), strings.Compare(a.UserAgent, b.UserAgent))
+		})
 		bw := bufio.NewWriter(f)
-		for key, kind := range res.GroundTruth {
-			fmt.Fprintf(bw, "%s\t%s\t%s\n", key.IP, key.UserAgent, kind)
+		for _, key := range keys {
+			fmt.Fprintf(bw, "%s\t%s\t%s\n", key.IP, key.UserAgent, res.GroundTruth[key])
 		}
 		if err := bw.Flush(); err != nil {
 			log.Fatalf("trafficgen: truth flush: %v", err)

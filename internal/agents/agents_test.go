@@ -94,10 +94,10 @@ func TestHumanWithJSDetectedAsHuman(t *testing.T) {
 		t.Fatalf("verdict = %+v", v)
 	}
 	snap, _ := tc.det.Session(session.Key{IP: h.IP(), UserAgent: h.UserAgent()})
-	if !snap.Has(session.SignalMouse) || !snap.Has(session.SignalCSS) || !snap.Has(session.SignalJS) {
+	if !snap.Signals.Has(session.SignalMouse) || !snap.Signals.Has(session.SignalCSS) || !snap.Signals.Has(session.SignalJS) {
 		t.Fatalf("signals = %v", snap.Signals)
 	}
-	if snap.Has(session.SignalHidden) || snap.Has(session.SignalDecoy) || snap.Has(session.SignalUAMismatch) {
+	if snap.Signals.Has(session.SignalHidden) || snap.Signals.Has(session.SignalDecoy) || snap.Signals.Has(session.SignalUAMismatch) {
 		t.Fatalf("human tripped robot signals: %v", snap.Signals)
 	}
 }
@@ -107,10 +107,10 @@ func TestHumanWithoutJSDetectedViaCSS(t *testing.T) {
 	h := NewHuman(HumanConfig{IP: "10.1.0.2", JavaScriptEnabled: false, Pages: 12, Src: rng.New(5)})
 	run(tc, h)
 	snap, _ := tc.det.Session(session.Key{IP: h.IP(), UserAgent: h.UserAgent()})
-	if !snap.Has(session.SignalCSS) {
+	if !snap.Signals.Has(session.SignalCSS) {
 		t.Fatal("no-JS human did not fetch the injected stylesheet")
 	}
-	if snap.Has(session.SignalJS) || snap.Has(session.SignalMouse) {
+	if snap.Signals.Has(session.SignalJS) || snap.Signals.Has(session.SignalMouse) {
 		t.Fatalf("no-JS human produced JS signals: %v", snap.Signals)
 	}
 	if !rules.InHumanSet(snap) {
@@ -126,7 +126,7 @@ func TestHumanCaptchaParticipation(t *testing.T) {
 	h := NewHuman(HumanConfig{IP: "10.1.0.3", JavaScriptEnabled: true, Pages: 5, SolveCaptcha: 1.0, Src: rng.New(7)})
 	run(tc, h)
 	snap, _ := tc.det.Session(session.Key{IP: h.IP(), UserAgent: h.UserAgent()})
-	if !snap.Has(session.SignalCaptcha) {
+	if !snap.Signals.Has(session.SignalCaptcha) {
 		t.Fatal("captcha-participating human not marked")
 	}
 }
@@ -140,10 +140,10 @@ func TestCrawlerDetectedAsRobot(t *testing.T) {
 		t.Fatal("crawler session missing")
 	}
 	// Crawlers follow every link and eventually hit the hidden trap.
-	if !snap.Has(session.SignalHidden) {
+	if !snap.Signals.Has(session.SignalHidden) {
 		t.Fatalf("crawler did not hit the hidden link; signals = %v, requests = %d", snap.Signals, snap.Counts.Total)
 	}
-	if snap.Has(session.SignalCSS) || snap.Has(session.SignalJS) {
+	if snap.Signals.Has(session.SignalCSS) || snap.Signals.Has(session.SignalJS) {
 		t.Fatal("crawler should not fetch presentation objects")
 	}
 	v := tc.verdict(a)
@@ -215,10 +215,10 @@ func TestOfflineBrowserCaughtByDecoysOrHiddenLinks(t *testing.T) {
 	snap, _ := tc.det.Session(session.Key{IP: a.IP(), UserAgent: a.UserAgent()})
 	// The mirroring tool downloads CSS (looks browser-like) but blindly
 	// fetches scraped beacon URLs and hidden links.
-	if !snap.Has(session.SignalCSS) {
+	if !snap.Signals.Has(session.SignalCSS) {
 		t.Fatalf("offline browser should download stylesheets: %v", snap.Signals)
 	}
-	if !snap.Has(session.SignalDecoy) && !snap.Has(session.SignalHidden) {
+	if !snap.Signals.Has(session.SignalDecoy) && !snap.Signals.Has(session.SignalHidden) {
 		t.Fatalf("offline browser not caught by decoys or hidden links: %v", snap.Signals)
 	}
 	if v := tc.verdict(a); v.Class != core.ClassRobot {
@@ -231,10 +231,10 @@ func TestSmartBotCaughtByJSWithoutMouse(t *testing.T) {
 	a := NewSmartBot(RobotConfig{IP: "10.2.0.7", Requests: 25, Src: rng.New(31)})
 	run(tc, a)
 	snap, _ := tc.det.Session(session.Key{IP: a.IP(), UserAgent: a.UserAgent()})
-	if !snap.Has(session.SignalJS) || !snap.Has(session.SignalCSS) {
+	if !snap.Signals.Has(session.SignalJS) || !snap.Signals.Has(session.SignalCSS) {
 		t.Fatalf("smart bot should execute JS and fetch CSS: %v", snap.Signals)
 	}
-	if snap.Has(session.SignalMouse) || snap.Has(session.SignalDecoy) || snap.Has(session.SignalHidden) || snap.Has(session.SignalUAMismatch) {
+	if snap.Signals.Has(session.SignalMouse) || snap.Signals.Has(session.SignalDecoy) || snap.Signals.Has(session.SignalHidden) || snap.Signals.Has(session.SignalUAMismatch) {
 		t.Fatalf("smart bot tripped unexpected signals: %v", snap.Signals)
 	}
 	if rules.InHumanSet(snap) {

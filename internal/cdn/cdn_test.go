@@ -11,6 +11,7 @@ import (
 	"botdetect/internal/clock"
 	"botdetect/internal/core"
 	"botdetect/internal/htmlmod"
+	"botdetect/internal/jsgen"
 	"botdetect/internal/policy"
 	"botdetect/internal/rng"
 	"botdetect/internal/session"
@@ -92,7 +93,7 @@ func TestNodeBeaconHandling(t *testing.T) {
 		t.Fatalf("stats = %+v", n.Stats())
 	}
 	snap, _ := n.Engine().Session(session.Key{IP: "10.0.0.2", UserAgent: "Firefox"})
-	if !snap.Has(session.SignalCSS) {
+	if !snap.Signals.Has(session.SignalCSS) {
 		t.Fatal("CSS signal not recorded")
 	}
 }
@@ -107,7 +108,7 @@ func TestNodeCaptchaSolvePath(t *testing.T) {
 		t.Fatalf("stats = %+v", n.Stats())
 	}
 	snap, _ := n.Engine().Session(session.Key{IP: "10.0.0.3", UserAgent: "Firefox"})
-	if !snap.Has(session.SignalCaptcha) {
+	if !snap.Signals.Has(session.SignalCaptcha) {
 		t.Fatal("captcha signal not recorded")
 	}
 }
@@ -352,5 +353,75 @@ func TestStatsReadableWhileServing(t *testing.T) {
 
 	if netw.TotalStats().Requests != int64(len(reqs)) {
 		t.Fatalf("requests = %d, want %d", netw.TotalStats().Requests, len(reqs))
+	}
+}
+
+// TestBeaconVerdictsCountedOnce: a key beacon's verdict is counted once, by
+// the keystore. One beacon of each verdict — the page's real key, one of its
+// decoys, the real key again (a replay) and a key never issued — reads 1 for
+// each in the engine's Stats, in both metric families
+// (botdetect_beacon_requests_total by kind, botdetect_keystore_validations_total
+// by verdict) and in the network's EngineStats.
+func TestBeaconVerdictsCountedOnce(t *testing.T) {
+	vc := clock.NewVirtual(time.Time{})
+	site := webmodel.Generate(webmodel.SiteConfig{Seed: 1, NumPages: 20})
+	network := NewNetwork(2, site, core.Config{Seed: 2, Clock: vc}, false, 3)
+	ip, ua := "10.0.0.9", "Firefox/1.5"
+	node := network.NodeFor(ip)
+	eng := node.Engine()
+
+	var ps core.PageState
+	eng.PreparePage(ip, ua, "/", &ps)
+	prefix := eng.Config().BeaconPrefix
+	pre, suf := jsgen.ScriptPathParts(prefix)
+	resp, ok := eng.HandleBeacon(ip, ua, pre+string(ps.Keys().AppendKey(nil, ps.Keys().ScriptToken))+suf)
+	if !ok {
+		t.Fatal("script path not intercepted")
+	}
+	script := string(resp.Body)
+	resp.Done()
+	realKey := agents.HandlerBeaconURL(script, "__bd_f")
+	decoy := ""
+	for _, u := range agents.AllBeaconURLs(script) {
+		if u != realKey && strings.HasSuffix(u, ".jpg") {
+			decoy = u
+		}
+	}
+	if realKey == "" || decoy == "" {
+		t.Fatalf("script gave real key %q, decoy %q", realKey, decoy)
+	}
+	for _, path := range []string{realKey, decoy, realKey, prefix + "/0000000000.jpg"} {
+		eng.HandleBeacon(ip, ua, path)
+	}
+
+	want := core.Stats{MouseBeacons: 1, DecoyBeacons: 1, ReplayBeacons: 1, UnknownBeacons: 1}
+	verdicts := func(s core.Stats) core.Stats {
+		return core.Stats{MouseBeacons: s.MouseBeacons, DecoyBeacons: s.DecoyBeacons, ReplayBeacons: s.ReplayBeacons, UnknownBeacons: s.UnknownBeacons}
+	}
+	if got := verdicts(eng.Stats()); got != want {
+		t.Errorf("engine Stats verdicts = %+v, want one each", got)
+	}
+	if got := verdicts(network.EngineStats()); got != want {
+		t.Errorf("network EngineStats verdicts = %+v, want one each", got)
+	}
+	var sb strings.Builder
+	if err := network.tel.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exposition := sb.String()
+	label := `node="` + node.Name() + `"`
+	for _, series := range []string{
+		`botdetect_beacon_requests_total{kind="mouse",` + label + `} 1`,
+		`botdetect_beacon_requests_total{kind="decoy",` + label + `} 1`,
+		`botdetect_beacon_requests_total{kind="replay",` + label + `} 1`,
+		`botdetect_beacon_requests_total{kind="unknown",` + label + `} 1`,
+		`botdetect_keystore_validations_total{verdict="human",` + label + `} 1`,
+		`botdetect_keystore_validations_total{verdict="decoy",` + label + `} 1`,
+		`botdetect_keystore_validations_total{verdict="replayed",` + label + `} 1`,
+		`botdetect_keystore_validations_total{verdict="unknown",` + label + `} 1`,
+	} {
+		if !strings.Contains(exposition, series+"\n") {
+			t.Errorf("exposition lacks %s", series)
+		}
 	}
 }

@@ -261,15 +261,12 @@ type Stats struct {
 
 // engineStats is the internal atomic mirror of Stats: every counter is an
 // independent atomic so beacon handling on different cores never contends.
+// The four key-beacon verdicts are the keystore's validation counters.
 type engineStats struct {
 	pagesInstrumented atomic.Int64
 	pagesLite         atomic.Int64
 	originalBytes     atomic.Int64
 	addedBytes        atomic.Int64
-	mouseBeacons      atomic.Int64
-	decoyBeacons      atomic.Int64
-	replayBeacons     atomic.Int64
-	unknownBeacons    atomic.Int64
 	execBeacons       atomic.Int64
 	cssBeacons        atomic.Int64
 	scriptServes      atomic.Int64
@@ -402,18 +399,23 @@ func New(cfg Config) *Engine {
 	hiddenPre, hiddenSuf := jsgen.HiddenPathParts(prefix)
 	e.pre.hiddenPre, e.pre.hiddenSuf = base+hiddenPre, hiddenSuf
 	e.pre.inlinePre, e.pre.inlinePost = jsgen.InlineUAScriptParts(base, prefix)
-	e.sessions = session.NewTracker(session.Config{
+	tcfg := session.Config{
 		IdleTimeout: cfg.SessionIdleTimeout,
 		MaxSessions: cfg.MaxSessions,
 		Shards:      cfg.Shards,
 		Clock:       cfg.Clock,
-		Evicted:     e.sessionEnded,
 		Interner:    e.interner,
 		// Bump the decision epoch when the classification threshold is
 		// crossed: the behavioural rules (and the learned model) first become
 		// decidable there, so stored verdicts must not outlive that point.
 		DecisionMarks: []int64{cfg.MinRequests},
-	})
+	}
+	if cfg.OnSessionEnd != nil {
+		// Without a listener the tracker builds no snapshot for a session
+		// that ends: an expiry or eviction nobody hears allocates nothing.
+		tcfg.Evicted = e.sessionEnded
+	}
+	e.sessions = session.NewTracker(tcfg)
 	e.handlerName = []byte(e.gen.HandlerName)
 	e.transpImg = []byte(e.pre.transpImg)
 	e.loadForced.Store(loadForcedAuto)
@@ -422,11 +424,8 @@ func New(cfg Config) *Engine {
 }
 
 // sessionEnded forwards finished sessions (with final verdicts) to the
-// configured callback.
+// configured callback; New installs it only when there is one.
 func (e *Engine) sessionEnded(snap session.Snapshot) {
-	if e.cfg.OnSessionEnd == nil {
-		return
-	}
 	e.cfg.OnSessionEnd(ClassifiedSession{Snapshot: snap, Verdict: e.ClassifySnapshot(snap)})
 }
 
@@ -704,9 +703,7 @@ func (e *Engine) handleBeacon(clientIP, userAgent string, obj jsgen.Object, arg,
 		return Response{Status: 200, ContentType: "text/css", Body: emptyCSS, NoCache: true}
 
 	case jsgen.ObjectHidden:
-		if snap, newly := e.sessions.Mark(key, session.SignalHidden); newly {
-			e.recordSignalOutcome(snap, false)
-		}
+		e.markDefinite(key, session.SignalHidden, false)
 		e.stats.hiddenHits.Add(1)
 		return Response{Status: 200, ContentType: "text/html", Body: hiddenPage, NoCache: true}
 
@@ -736,28 +733,16 @@ func (e *Engine) handleBeacon(clientIP, userAgent string, obj jsgen.Object, arg,
 		return Response{Status: 200, ContentType: "text/css", Body: emptyCSS, NoCache: true}
 
 	case jsgen.ObjectBeacon:
+		// The keystore counts each verdict (Stats reads its counters).
 		switch e.keys.Validate(clientIP, arg) {
 		case keystore.Human:
-			if snap, newly := e.sessions.Mark(key, session.SignalMouse); newly {
-				e.recordSignalOutcome(snap, true)
-			}
-			e.stats.mouseBeacons.Add(1)
-		case keystore.Decoy:
-			if snap, newly := e.sessions.Mark(key, session.SignalDecoy); newly {
-				e.recordSignalOutcome(snap, false)
-			}
-			e.stats.decoyBeacons.Add(1)
+			e.markDefinite(key, session.SignalMouse, true)
 		case keystore.Replayed:
-			if snap, newly := e.sessions.Mark(key, session.SignalReplay); newly {
-				e.recordSignalOutcome(snap, false)
-			}
-			e.stats.replayBeacons.Add(1)
+			e.markDefinite(key, session.SignalReplay, false)
 		default:
-			// A key the server never issued: a guess or a stale replay.
-			if snap, newly := e.sessions.Mark(key, session.SignalDecoy); newly {
-				e.recordSignalOutcome(snap, false)
-			}
-			e.stats.unknownBeacons.Add(1)
+			// A decoy, or a key the server never issued: a guess or a stale
+			// replay.
+			e.markDefinite(key, session.SignalDecoy, false)
 		}
 		return Response{Status: 200, ContentType: "image/jpeg", Body: tinyJPEG, NoCache: true}
 
@@ -798,9 +783,7 @@ func (e *Engine) checkUAMismatch(key session.Key, headerUA, reported string, une
 		return
 	}
 	if !session.SameNormalizedUA(headerUA, reported) {
-		if snap, newly := e.sessions.Mark(key, session.SignalUAMismatch); newly {
-			e.recordSignalOutcome(snap, false)
-		}
+		e.markDefinite(key, session.SignalUAMismatch, false)
 		e.stats.uaMismatches.Add(1)
 	}
 }
@@ -825,24 +808,23 @@ func queryParam(query, name string) string {
 // MarkCaptchaPassed records that the session solved a CAPTCHA challenge — a
 // definite human confirmation that also feeds the online training loop.
 func (e *Engine) MarkCaptchaPassed(key session.Key) {
-	if snap, newly := e.sessions.Mark(key, session.SignalCaptcha); newly {
-		e.recordSignalOutcome(snap, true)
-	}
+	e.markDefinite(key, session.SignalCaptcha, true)
 }
 
 // MarkCaptchaFailed records a failed CAPTCHA attempt. A single failure is
 // not definite evidence (humans mistype), so no detection signal is set;
 // the outcome still feeds the training loop as a weak robot label, the way
 // the paper uses CAPTCHA outcomes as ground truth for the learned model.
-func (e *Engine) MarkCaptchaFailed(key session.Key) {
-	if e.outcomes == nil {
-		return
-	}
-	if snap, ok := e.sessions.Peek(key); ok {
-		if int64(snap.Counts.Total) >= outcomeMinRequests {
-			e.outcomes.Add(snap.Features, false)
-		}
-		snap.Release()
+func (e *Engine) MarkCaptchaFailed(key session.Key) { e.RecordOutcome(key, false) }
+
+// markDefinite marks a definite signal — direct evidence of a human (input
+// events, CAPTCHA) or of a robot (decoy, replay, hidden-link and forged-UA
+// hits) — and, when it is newly set, feeds the training loop from the
+// serving path itself: the signal is ground truth for the session's request
+// mix (RecordOutcome).
+func (e *Engine) markDefinite(key session.Key, sig session.Signal, human bool) {
+	if e.sessions.Mark(key, sig) {
+		e.RecordOutcome(key, human)
 	}
 }
 
@@ -1040,7 +1022,9 @@ func (e *Engine) AdoptSession(key session.Key, signals []session.Signal) {
 
 // RecordOutcome stores a labelled outcome for a tracked session — external
 // ground truth such as a workload label, an operator decision or an abuse
-// report. It feeds the online retraining loop.
+// report, or a newly set definite signal. It feeds the online retraining
+// loop with the session's attribute vector; sessions below
+// outcomeMinRequests are skipped — their attribute vectors are noise.
 func (e *Engine) RecordOutcome(key session.Key, human bool) {
 	if e.outcomes == nil {
 		return
@@ -1050,7 +1034,7 @@ func (e *Engine) RecordOutcome(key session.Key, human bool) {
 		return
 	}
 	if int64(snap.Counts.Total) >= outcomeMinRequests {
-		e.outcomes.Add(snap.Features, human)
+		e.outcomes.Add(snap.Counts.Vector(), human)
 	}
 	snap.Release()
 }
@@ -1062,18 +1046,6 @@ func (e *Engine) RecordOutcomeVector(x features.Vector, human bool) {
 		return
 	}
 	e.outcomes.Add(x, human)
-}
-
-// recordSignalOutcome feeds the training loop from the serving path itself:
-// a newly observed definite signal is ground truth (CAPTCHA and input-event
-// confirmations label humans; decoy, replay, hidden-link and forged-UA hits
-// label robots). Sessions below outcomeMinRequests are skipped — their
-// attribute vectors are noise.
-func (e *Engine) recordSignalOutcome(snap session.Snapshot, human bool) {
-	if e.outcomes == nil || int64(snap.Counts.Total) < outcomeMinRequests {
-		return
-	}
-	e.outcomes.Add(snap.Features, human)
 }
 
 // OutcomeCount returns the number of labelled outcomes currently retained.
@@ -1144,8 +1116,18 @@ func (e *Engine) trainerStep(minNew int, cfg adaboost.Config) func(time.Time) {
 // shard (no global lock).
 func (e *Engine) Sessions() []session.Snapshot { return e.sessions.Snapshots() }
 
-// Session returns the snapshot of one active session, if it is tracked.
-func (e *Engine) Session(key session.Key) (session.Snapshot, bool) { return e.sessions.Get(key) }
+// Session returns a copy of one active session's snapshot, if it is
+// tracked. Per-request readers use Decide or Classify, which read the same
+// Peek without copying it out.
+func (e *Engine) Session(key session.Key) (session.Snapshot, bool) {
+	p, ok := e.sessions.Peek(key)
+	if !ok {
+		return session.Snapshot{}, false
+	}
+	snap := *p
+	p.Release()
+	return snap, true
+}
 
 // SessionCount returns the number of active sessions.
 func (e *Engine) SessionCount() int { return e.sessions.Active() }
@@ -1199,15 +1181,16 @@ func (e *Engine) FlushSessions() []ClassifiedSession {
 
 // Stats returns a copy of the cumulative counters.
 func (e *Engine) Stats() Stats {
+	keys := e.keys.Stats()
 	return Stats{
 		PagesInstrumented: e.stats.pagesInstrumented.Load(),
 		PagesLite:         e.stats.pagesLite.Load(),
 		OriginalBytes:     e.stats.originalBytes.Load(),
 		AddedBytes:        e.stats.addedBytes.Load(),
-		MouseBeacons:      e.stats.mouseBeacons.Load(),
-		DecoyBeacons:      e.stats.decoyBeacons.Load(),
-		ReplayBeacons:     e.stats.replayBeacons.Load(),
-		UnknownBeacons:    e.stats.unknownBeacons.Load(),
+		MouseBeacons:      keys.HumanHits,
+		DecoyBeacons:      keys.DecoyHits,
+		ReplayBeacons:     keys.ReplayHits,
+		UnknownBeacons:    keys.UnknownHits,
 		ExecBeacons:       e.stats.execBeacons.Load(),
 		CSSBeacons:        e.stats.cssBeacons.Load(),
 		ScriptServes:      e.stats.scriptServes.Load(),

@@ -100,11 +100,11 @@ func TestBeaconServesScriptAndMarksSignals(t *testing.T) {
 		t.Fatalf("mouse beacon response = %+v", resp)
 	}
 
-	snap, found := d.sessions.Get(session.Key{IP: ip, UserAgent: ua})
+	snap, found := d.Session(session.Key{IP: ip, UserAgent: ua})
 	if !found {
 		t.Fatal("session not tracked")
 	}
-	if !snap.Has(session.SignalJSFile) || !snap.Has(session.SignalCSS) || !snap.Has(session.SignalMouse) {
+	if !snap.Signals.Has(session.SignalJSFile) || !snap.Signals.Has(session.SignalCSS) || !snap.Signals.Has(session.SignalMouse) {
 		t.Fatalf("signals = %v", snap.Signals)
 	}
 	st := d.Stats()
@@ -128,8 +128,8 @@ func TestBeaconDecoyAndReplayAndUnknown(t *testing.T) {
 	// Guessed key.
 	d.HandleBeacon(ip, ua, prefix+"/0000000000.jpg")
 
-	snap, _ := d.sessions.Get(session.Key{IP: ip, UserAgent: ua})
-	if !snap.Has(session.SignalDecoy) || !snap.Has(session.SignalReplay) || !snap.Has(session.SignalMouse) {
+	snap, _ := d.Session(session.Key{IP: ip, UserAgent: ua})
+	if !snap.Signals.Has(session.SignalDecoy) || !snap.Signals.Has(session.SignalReplay) || !snap.Signals.Has(session.SignalMouse) {
 		t.Fatalf("signals = %v", snap.Signals)
 	}
 	st := d.Stats()
@@ -158,11 +158,11 @@ func TestExecBeaconAndUAMismatch(t *testing.T) {
 	if _, ok := d.HandleBeacon(ip, headerUA, path); !ok {
 		t.Fatal("exec beacon not handled")
 	}
-	snap, _ := d.sessions.Get(session.Key{IP: ip, UserAgent: headerUA})
-	if !snap.Has(session.SignalJS) {
+	snap, _ := d.Session(session.Key{IP: ip, UserAgent: headerUA})
+	if !snap.Signals.Has(session.SignalJS) {
 		t.Fatal("JS signal not set")
 	}
-	if snap.Has(session.SignalUAMismatch) {
+	if snap.Signals.Has(session.SignalUAMismatch) {
 		t.Fatal("matching agent flagged as mismatch")
 	}
 
@@ -173,8 +173,8 @@ func TestExecBeaconAndUAMismatch(t *testing.T) {
 	_, inst2 := instrumentPage(d, ip2, forgedHeader, "/", pageHTML())
 	real := "mozilla/5.0(windowsnt5.1)firefox/1.5"
 	d.HandleBeacon(ip2, forgedHeader, prefix+"/js/"+inst2.Issued.ScriptToken+".gif?ua="+real)
-	snap2, _ := d.sessions.Get(session.Key{IP: ip2, UserAgent: forgedHeader})
-	if !snap2.Has(session.SignalUAMismatch) {
+	snap2, _ := d.Session(session.Key{IP: ip2, UserAgent: forgedHeader})
+	if !snap2.Signals.Has(session.SignalUAMismatch) {
 		t.Fatal("forged User-Agent not detected")
 	}
 	if d.Stats().UAMismatches != 1 {
@@ -192,11 +192,11 @@ func TestUAReportViaStylesheetPath(t *testing.T) {
 	if !ok || resp.ContentType != "text/css" {
 		t.Fatalf("ua-report response = %+v", resp)
 	}
-	snap, _ := d.sessions.Get(session.Key{IP: ip, UserAgent: ua})
-	if !snap.Has(session.SignalJS) {
+	snap, _ := d.Session(session.Key{IP: ip, UserAgent: ua})
+	if !snap.Signals.Has(session.SignalJS) {
 		t.Fatal("ua-report should imply JS execution")
 	}
-	if snap.Has(session.SignalUAMismatch) {
+	if snap.Signals.Has(session.SignalUAMismatch) {
 		t.Fatal("matching agent flagged as mismatch")
 	}
 	if d.Stats().UAReports != 1 {
@@ -212,8 +212,8 @@ func TestHiddenLinkBeacon(t *testing.T) {
 	if !ok || resp.Status != 200 {
 		t.Fatalf("hidden response = %+v", resp)
 	}
-	snap, _ := d.sessions.Get(session.Key{IP: ip, UserAgent: ua})
-	if !snap.Has(session.SignalHidden) {
+	snap, _ := d.Session(session.Key{IP: ip, UserAgent: ua})
+	if !snap.Signals.Has(session.SignalHidden) {
 		t.Fatal("hidden-link signal not set")
 	}
 	v := d.ClassifySnapshot(snap)

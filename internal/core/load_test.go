@@ -160,7 +160,7 @@ func TestLoadLadderAndRecovery(t *testing.T) {
 	}
 	// Plant evidence on one tracked session: it must keep full service.
 	key := session.Key{IP: ip(5), UserAgent: "UA"}
-	if _, ok := d.sessions.Mark(key, session.SignalMouse); !ok {
+	if !d.sessions.Mark(key, session.SignalMouse) {
 		t.Fatal("Mark failed on tracked session")
 	}
 	if a := d.AdmitPage(key.IP, key.UserAgent); a != AdmitFull {

@@ -39,10 +39,12 @@ func (e *Engine) registerTelemetry() {
 
 	const beacons = "botdetect_beacon_requests_total"
 	beaconHelp := "Intercepted instrumentation requests by kind."
-	counter(beacons, telemetry.Label("kind", "mouse"), beaconHelp, e.stats.mouseBeacons.Load)
-	counter(beacons, telemetry.Label("kind", "decoy"), beaconHelp, e.stats.decoyBeacons.Load)
-	counter(beacons, telemetry.Label("kind", "replay"), beaconHelp, e.stats.replayBeacons.Load)
-	counter(beacons, telemetry.Label("kind", "unknown"), beaconHelp, e.stats.unknownBeacons.Load)
+	// A key beacon's kind is its validation verdict: the keystore's counters
+	// (botdetect_keystore_validations_total below reads them too).
+	counter(beacons, telemetry.Label("kind", "mouse"), beaconHelp, func() int64 { return e.keys.Stats().HumanHits })
+	counter(beacons, telemetry.Label("kind", "decoy"), beaconHelp, func() int64 { return e.keys.Stats().DecoyHits })
+	counter(beacons, telemetry.Label("kind", "replay"), beaconHelp, func() int64 { return e.keys.Stats().ReplayHits })
+	counter(beacons, telemetry.Label("kind", "unknown"), beaconHelp, func() int64 { return e.keys.Stats().UnknownHits })
 	counter(beacons, telemetry.Label("kind", "exec"), beaconHelp, e.stats.execBeacons.Load)
 	counter(beacons, telemetry.Label("kind", "css"), beaconHelp, e.stats.cssBeacons.Load)
 	counter(beacons, telemetry.Label("kind", "script"), beaconHelp, e.stats.scriptServes.Load)

@@ -42,7 +42,7 @@ func uaReportPaths(prefix, reported string) map[string]string {
 func reportMismatches(e *Engine, key session.Key, path string) bool {
 	e.HandleBeacon(key.IP, key.UserAgent, path)
 	snap, _ := e.Session(key)
-	return snap.Has(session.SignalUAMismatch)
+	return snap.Signals.Has(session.SignalUAMismatch)
 }
 
 // TestUAReportDecodedOnce: the script reports encodeURIComponent(agent), so

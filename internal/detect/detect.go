@@ -300,7 +300,7 @@ func (d Detector) predict(snap *session.Snapshot, total int64) Class {
 	switch m := d.learned.Model(); {
 	case m == nil:
 		return ClassUndecided
-	case m.Predict(snap.Features):
+	case m.Predict(snap.Counts.Vector()):
 		return ClassHuman
 	default:
 		return ClassRobot

@@ -15,17 +15,21 @@ import (
 func recorded(sigs map[session.Signal]int64) session.Signals {
 	tr := session.NewTracker(session.Config{Shards: 1})
 	key := session.Key{IP: "10.0.0.1", UserAgent: "UA"}
-	var snap session.Snapshot
 	for n, left := int64(1), len(sigs); left > 0; n++ {
-		snap = tr.Observe(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET", Path: "/", Status: 200})
+		tr.ObserveQuiet(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET", Path: "/", Status: 200})
 		for sig, at := range sigs {
 			if max(at, 1) == n {
-				snap, _ = tr.Mark(key, sig)
+				tr.Mark(key, sig)
 				left--
 			}
 		}
 	}
-	return snap.Signals
+	var out session.Signals
+	if snap, ok := tr.Peek(key); ok {
+		out = snap.Signals
+		snap.Release()
+	}
+	return out
 }
 
 func snapWith(total uint32, sigs map[session.Signal]int64) *session.Snapshot {
@@ -103,9 +107,10 @@ func trainToyModel(t *testing.T) *adaboost.Model {
 func TestLearnedAbstainsAndDecides(t *testing.T) {
 	l := NewLearned()
 	rows := New(LearnedRows, 10, l, nil)
-	var human features.Vector
-	human[features.ReferrerPct] = 0.8
-	long := &session.Snapshot{Counts: session.Counts{Total: 20}, Features: human}
+	// The learned rows read Counts.Vector(): 16 of 20 requests with a
+	// referrer is the toy model's human (ReferrerPct 0.8), 18 of 20 HTML its
+	// robot (HTMLPct 0.9).
+	long := &session.Snapshot{Counts: session.Counts{Total: 20, WithReferrer: 16}}
 
 	if _, ok := rows.Detect(long); ok {
 		t.Fatal("learned without a model must abstain")
@@ -124,15 +129,13 @@ func TestLearnedAbstainsAndDecides(t *testing.T) {
 	if !ok || v.Rule != RuleLearnedHuman || v.Class != ClassHuman || v.Confidence != Probable || v.AtRequest != 20 {
 		t.Fatalf("verdict = %+v ok=%v", v, ok)
 	}
-	var robot features.Vector
-	robot[features.HTMLPct] = 0.9
-	v, ok = rows.Detect(&session.Snapshot{Counts: session.Counts{Total: 20}, Features: robot})
+	v, ok = rows.Detect(&session.Snapshot{Counts: session.Counts{Total: 20, HTML: 18}})
 	if !ok || v.Rule != RuleLearnedRobot || v.Class != ClassRobot {
 		t.Fatalf("robot verdict = %+v ok=%v", v, ok)
 	}
 
 	// Too-short sessions abstain even with a model.
-	if _, ok := rows.Detect(&session.Snapshot{Counts: session.Counts{Total: 5}, Features: human}); ok {
+	if _, ok := rows.Detect(&session.Snapshot{Counts: session.Counts{Total: 5, WithReferrer: 4}}); ok {
 		t.Fatal("learned rows must not fire below the threshold")
 	}
 

@@ -13,17 +13,21 @@ import (
 func recorded(sigs map[session.Signal]int64) session.Signals {
 	tr := session.NewTracker(session.Config{Shards: 1})
 	key := session.Key{IP: "10.0.0.1", UserAgent: "UA"}
-	var snap session.Snapshot
 	for n, left := int64(1), len(sigs); left > 0; n++ {
-		snap = tr.Observe(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET", Path: "/", Status: 200})
+		tr.ObserveQuiet(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET", Path: "/", Status: 200})
 		for sig, at := range sigs {
 			if max(at, 1) == n {
-				snap, _ = tr.Mark(key, sig)
+				tr.Mark(key, sig)
 				left--
 			}
 		}
 	}
-	return snap.Signals
+	var out session.Signals
+	if snap, ok := tr.Peek(key); ok {
+		out = snap.Signals
+		snap.Release()
+	}
+	return out
 }
 
 func sigSnap(total int64, sigs map[session.Signal]int64) *session.Snapshot {

@@ -88,22 +88,22 @@ func Breakdown(sessions []session.Snapshot, minRequests int64) SetBreakdown {
 			continue
 		}
 		b.Total++
-		if s.Has(session.SignalCSS) {
+		if s.Signals.Has(session.SignalCSS) {
 			b.CSS++
 		}
-		if s.Has(session.SignalJS) {
+		if s.Signals.Has(session.SignalJS) {
 			b.JS++
 		}
-		if s.Has(session.SignalMouse) {
+		if s.Signals.Has(session.SignalMouse) {
 			b.Mouse++
 		}
-		if s.Has(session.SignalCaptcha) {
+		if s.Signals.Has(session.SignalCaptcha) {
 			b.Captcha++
 		}
-		if s.Has(session.SignalHidden) {
+		if s.Signals.Has(session.SignalHidden) {
 			b.Hidden++
 		}
-		if s.Has(session.SignalUAMismatch) {
+		if s.Signals.Has(session.SignalUAMismatch) {
 			b.UAMismatch++
 		}
 		if InHumanSet(s) {
@@ -161,7 +161,7 @@ func DetectionLatencies(sessions []session.Snapshot, signals ...session.Signal) 
 	}
 	for _, s := range sessions {
 		for _, sig := range signals {
-			if at, ok := s.SignalAt(sig); ok {
+			if at, ok := s.Signals.At(sig); ok {
 				out[sig].Add(float64(at))
 			}
 		}

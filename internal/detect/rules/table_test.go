@@ -42,22 +42,22 @@ func (c oracleChain) Detect(snap *session.Snapshot) (oracleVerdict, bool) {
 type oracleDirect struct{}
 
 func (oracleDirect) Detect(snap *session.Snapshot) (oracleVerdict, bool) {
-	if at, ok := snap.SignalAt(session.SignalDecoy); ok {
+	if at, ok := snap.Signals.At(session.SignalDecoy); ok {
 		return oracleVerdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "fetched a decoy beacon URL without executing the script", AtRequest: at}, true
 	}
-	if at, ok := snap.SignalAt(session.SignalReplay); ok {
+	if at, ok := snap.Signals.At(session.SignalReplay); ok {
 		return oracleVerdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "replayed an already consumed beacon key", AtRequest: at}, true
 	}
-	if at, ok := snap.SignalAt(session.SignalHidden); ok {
+	if at, ok := snap.Signals.At(session.SignalHidden); ok {
 		return oracleVerdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "followed a link invisible to human users", AtRequest: at}, true
 	}
-	if at, ok := snap.SignalAt(session.SignalUAMismatch); ok {
+	if at, ok := snap.Signals.At(session.SignalUAMismatch); ok {
 		return oracleVerdict{Class: detect.ClassRobot, Confidence: detect.Definite, Reason: "User-Agent header does not match the script-reported agent", AtRequest: at}, true
 	}
-	if at, ok := snap.SignalAt(session.SignalMouse); ok {
+	if at, ok := snap.Signals.At(session.SignalMouse); ok {
 		return oracleVerdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "input event beacon carried a valid key", AtRequest: at}, true
 	}
-	if at, ok := snap.SignalAt(session.SignalCaptcha); ok {
+	if at, ok := snap.Signals.At(session.SignalCaptcha); ok {
 		return oracleVerdict{Class: detect.ClassHuman, Confidence: detect.Definite, Reason: "passed CAPTCHA challenge", AtRequest: at}, true
 	}
 	return oracleVerdict{}, false
@@ -69,10 +69,10 @@ func (b oracleBrowserTest) Detect(snap *session.Snapshot) (oracleVerdict, bool) 
 	if int64(snap.Counts.Total) < b.MinRequests {
 		return oracleVerdict{Class: detect.ClassUndecided, Confidence: detect.Tentative, Reason: "fewer requests than the classification threshold"}, true
 	}
-	if jsAt, ok := snap.SignalAt(session.SignalJS); ok {
+	if jsAt, ok := snap.Signals.At(session.SignalJS); ok {
 		return oracleVerdict{Class: detect.ClassRobot, Confidence: detect.Probable, Reason: "executed JavaScript but produced no input events", AtRequest: jsAt}, true
 	}
-	if cssAt, ok := snap.SignalAt(session.SignalCSS); ok {
+	if cssAt, ok := snap.Signals.At(session.SignalCSS); ok {
 		return oracleVerdict{Class: detect.ClassHuman, Confidence: detect.Probable, Reason: "fetched the embedded stylesheet like a standard browser", AtRequest: cssAt}, true
 	}
 	return oracleVerdict{Class: detect.ClassRobot, Confidence: detect.Probable, Reason: "ignored all embedded presentation objects", AtRequest: b.MinRequests}, true
@@ -87,7 +87,7 @@ func (l oracleLearned) Detect(snap *session.Snapshot) (oracleVerdict, bool) {
 	if l.model == nil || int64(snap.Counts.Total) < l.MinRequests {
 		return oracleVerdict{}, false
 	}
-	if l.model.Predict(snap.Features) {
+	if l.model.Predict(snap.Counts.Vector()) {
 		return oracleVerdict{Class: detect.ClassHuman, Confidence: detect.Probable, Reason: "learned model classified the request mix as human", AtRequest: int64(snap.Counts.Total)}, true
 	}
 	return oracleVerdict{Class: detect.ClassRobot, Confidence: detect.Probable, Reason: "learned model classified the request mix as robot", AtRequest: int64(snap.Counts.Total)}, true
@@ -106,12 +106,12 @@ func (r oracleRemote) Detect(*session.Snapshot) (oracleVerdict, bool) {
 type oracleRule struct{ UseCSS, UseMouse, SubtractJSWithoutMouse bool }
 
 func (r oracleRule) InHumanSet(s session.Snapshot) bool {
-	css := r.UseCSS && s.Has(session.SignalCSS)
-	mouse := r.UseMouse && s.Has(session.SignalMouse)
+	css := r.UseCSS && s.Signals.Has(session.SignalCSS)
+	mouse := r.UseMouse && s.Signals.Has(session.SignalMouse)
 	if !css && !mouse {
 		return false
 	}
-	if r.SubtractJSWithoutMouse && s.Has(session.SignalJS) && !s.Has(session.SignalMouse) {
+	if r.SubtractJSWithoutMouse && s.Signals.Has(session.SignalJS) && !s.Signals.Has(session.SignalMouse) {
 		return false
 	}
 	return true

@@ -165,14 +165,14 @@ func captchaCrossFrom(res *workload.Result) CaptchaCrossResult {
 	out := CaptchaCrossResult{PaperRanJS: 0.958, PaperFetchedCSS: 0.992}
 	js, css := 0, 0
 	for _, s := range res.Sessions {
-		if !s.Snapshot.Has(session.SignalCaptcha) {
+		if !s.Snapshot.Signals.Has(session.SignalCaptcha) {
 			continue
 		}
 		out.CaptchaSessions++
-		if s.Snapshot.Has(session.SignalJS) {
+		if s.Snapshot.Signals.Has(session.SignalJS) {
 			js++
 		}
-		if s.Snapshot.Has(session.SignalCSS) {
+		if s.Snapshot.Signals.Has(session.SignalCSS) {
 			css++
 		}
 	}

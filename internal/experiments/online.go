@@ -81,7 +81,7 @@ func OnlineLoop(scale Scale) OnlineLoopResult {
 	// abuse reports and verified humans would be fed back in production.
 	for _, s := range trainRes.Sessions {
 		if s.Snapshot.Counts.Total > 10 {
-			agg.RecordOutcomeVector(s.Snapshot.Features, s.IsHuman())
+			agg.RecordOutcomeVector(s.Snapshot.Counts.Vector(), s.IsHuman())
 			out.TrainingSessions++
 		}
 	}
@@ -127,7 +127,7 @@ func OnlineLoop(scale Scale) OnlineLoopResult {
 		onlineCM.Record(s.Verdict.Class == detect.ClassHuman, isHuman)
 		// Offline baseline: the offline model alone on the same session.
 		if offlineErr == nil {
-			offlineCM.Record(offline.Predict(s.Snapshot.Features), isHuman)
+			offlineCM.Record(offline.Predict(s.Snapshot.Counts.Vector()), isHuman)
 		}
 		// Rules-only reference.
 		if v, ok := rulesOnly.Detect(&s.Snapshot); ok {
@@ -152,7 +152,7 @@ func groundTruthExamples(res *workload.Result) []features.Example {
 	var out []features.Example
 	for _, s := range res.Sessions {
 		if s.Snapshot.Counts.Total > 10 {
-			out = append(out, features.Example{X: s.Snapshot.Features, Human: s.IsHuman()})
+			out = append(out, features.Example{X: s.Snapshot.Counts.Vector(), Human: s.IsHuman()})
 		}
 	}
 	return out

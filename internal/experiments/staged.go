@@ -102,7 +102,7 @@ func Staged(scale Scale) StagedResult {
 		if s.Snapshot.Counts.Total <= 10 {
 			continue
 		}
-		trainExamples = append(trainExamples, features.Example{X: s.Snapshot.Features, Human: s.IsHuman()})
+		trainExamples = append(trainExamples, features.Example{X: s.Snapshot.Counts.Vector(), Human: s.IsHuman()})
 	}
 	model, err := adaboost.Train(trainExamples, adaboost.Config{Rounds: 200})
 	if err != nil {
@@ -127,7 +127,7 @@ func Staged(scale Scale) StagedResult {
 		}
 		total++
 		isHuman := s.IsHuman()
-		mlSaysHuman := model.Predict(s.Snapshot.Features)
+		mlSaysHuman := model.Predict(s.Snapshot.Counts.Vector())
 
 		// Rules only: the detector's verdict, undecided counted as robot.
 		rulesCM.Record(s.Verdict.Class == core.ClassHuman, isHuman)

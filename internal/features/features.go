@@ -7,9 +7,10 @@
 //
 // The package is a leaf: it holds only the vector type, the attribute
 // indices and the labelled-example container, so that both the session layer
-// (which maintains each session's vector incrementally; see
-// session.Counts.Vector) and the decision layer (internal/detect, which
-// feeds vectors to the learned model) can depend on it without cycles.
+// (whose session.Counts.Vector derives a session's vector from its counters,
+// on demand: no record or snapshot stores one) and the decision layer
+// (internal/detect, which feeds vectors to the learned model) can depend on
+// it without cycles.
 package features
 
 import "fmt"

@@ -90,14 +90,13 @@ type StreamRewriter struct {
 	attrs   []rawAttr
 	scratch []byte
 
-	// Vectored emission: instead of one Write per emitted span, spans are
-	// gathered into vec and flushed through net.Buffers.WriteTo at the end
-	// of each feed — one writev on a *net.TCPConn, splicing origin chunks
-	// and prepared fragments into the socket with no intermediate copy.
-	// Spans may alias the caller's chunk or the carry buffer, so every
-	// return path out of feed flushes before those bytes can be reused.
-	vecMode bool
-	vec     net.Buffers
+	// Emission is gathered: emitted spans are queued in vec and flushed
+	// through net.Buffers.WriteTo at the end of each feed — one writev on a
+	// *net.TCPConn, splicing origin chunks and prepared fragments into the
+	// socket with no intermediate copy, and sequential Writes on any other
+	// writer. Spans may alias the caller's chunk or the carry buffer, so
+	// every return path out of feed flushes before those bytes can be reused.
+	vec net.Buffers
 	// vecW is the WriteTo handover slot: net.Buffers.WriteTo has a pointer
 	// receiver and consumes its slice, so flushing through a local would
 	// heap-allocate the slice header on every flush. The field keeps the
@@ -147,7 +146,6 @@ func (r *StreamRewriter) Reset(w io.Writer, p *Prepared) {
 	}
 	r.carry = r.carry[:0]
 	r.scanPos, r.rawNameLen, r.rawProbe, r.minGrow = 0, 0, 0, 0
-	r.vecMode = false
 	r.vec = r.vec[:0]
 	r.holdLimit = 0
 	r.inBytes, r.outBytes = 0, 0
@@ -155,15 +153,6 @@ func (r *StreamRewriter) Reset(w io.Writer, p *Prepared) {
 	r.err = nil
 	r.closed = false
 }
-
-// SetVectored switches output to gathered writes: emitted spans are queued
-// and flushed in one net.Buffers.WriteTo per Write/Close call. On a TCP
-// connection that is a single writev splicing origin bytes and injection
-// fragments straight into the socket; on other writers net.Buffers falls
-// back to sequential Writes, still without copying into an intermediate
-// buffer. Output bytes are identical either way. Call it after
-// NewStreamRewriter/Reset (Reset turns it off).
-func (r *StreamRewriter) SetVectored(on bool) { r.vecMode = on }
 
 // SetHoldLimit bounds the bytes the rewriter may retain while waiting for an
 // anchor (a document without a <head> is held whole otherwise). When
@@ -224,7 +213,7 @@ func (r *StreamRewriter) feed(data []byte, atEOF bool) {
 	r.inBytes += int64(len(data))
 	if r.mode == modePassthrough {
 		r.emit(data)
-		r.flushVec()
+		r.flush()
 		return
 	}
 	var buf []byte
@@ -239,15 +228,15 @@ func (r *StreamRewriter) feed(data []byte, atEOF bool) {
 	}
 	done := r.process(buf, atEOF)
 	if r.mode == modePassthrough {
-		r.flushVec()
+		r.flush()
 		r.carry = r.carry[:0]
 		r.scanPos, r.rawProbe = 0, 0
 		return
 	}
 	// Retain the unemitted tail and rebase scan offsets onto it. Queued
-	// vectored spans point into buf's emitted prefix, which the copy-down
+	// spans point into buf's emitted prefix, which the copy-down
 	// below overwrites, so they must hit the wire first.
-	r.flushVec()
+	r.flush()
 	tail := buf[done:]
 	if len(r.carry) == 0 {
 		r.carry = append(r.carry[:0], tail...)
@@ -270,7 +259,7 @@ func (r *StreamRewriter) feed(data []byte, atEOF bool) {
 		r.needHead, r.needBody, r.needBodyEnd = false, false, false
 		r.mode = modePassthrough
 		r.emit(r.carry)
-		r.flushVec() // before the next feed can append over carry
+		r.flush() // before the next feed can append over carry
 		r.carry = r.carry[:0]
 	}
 }
@@ -496,21 +485,14 @@ func (r *StreamRewriter) emit(b []byte) {
 	if r.err != nil || len(b) == 0 {
 		return
 	}
-	if r.vecMode {
-		r.vec = append(r.vec, b)
-		r.outBytes += int64(len(b))
-		return
-	}
-	if _, err := r.w.Write(b); err != nil {
-		r.err = err
-	}
+	r.vec = append(r.vec, b)
 	r.outBytes += int64(len(b))
 }
 
-// flushVec writes the queued spans with one gathered write (writev on a TCP
+// flush writes the queued spans with one gathered write (writev on a TCP
 // connection). net.Buffers.WriteTo consumes the slice it is given, so the
 // queue is handed over and re-armed over the same backing array.
-func (r *StreamRewriter) flushVec() {
+func (r *StreamRewriter) flush() {
 	if len(r.vec) == 0 {
 		return
 	}

@@ -224,7 +224,7 @@ func step(st stageState, snap *session.Snapshot, verdict detect.Verdict, now tim
 
 	// Challenged and still behaving like a robot: behavioural thresholds and
 	// the definite-evidence grace decide between block, throttle and allow.
-	dur := snap.Duration().Seconds()
+	dur := snap.LastSeen.Sub(snap.FirstSeen).Seconds()
 	if dur < 1 {
 		dur = 1
 	}

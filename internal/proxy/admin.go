@@ -262,8 +262,9 @@ func (a *Admin) handleSession(w http.ResponseWriter, r *http.Request) {
 		},
 		Features: make([]featureView, 0, len(features.Names)),
 	}
+	x := snap.Counts.Vector()
 	for i, name := range features.Names {
-		view.Features = append(view.Features, featureView{Name: name, Value: snap.Features[i]})
+		view.Features = append(view.Features, featureView{Name: name, Value: x[i]})
 	}
 	if snap.Signals.Any() {
 		view.Signals = make(map[string]int64, snap.Signals.Count())

@@ -389,8 +389,8 @@ func (s *responseStreamer) WriteHeader(code int) {
 		s.admission != core.AdmitPassThrough {
 		// Zero-copy path: keys issued numerically into the connection's
 		// PageState, fragments composed in place, and the connection's
-		// rewriter armed for vectored writes — injection fragments and
-		// origin chunks splice into the socket via one writev per chunk.
+		// rewriter writing injection fragments and origin chunks into the
+		// response without copying them together.
 		eng := s.m.cfg.Engine
 		var prep *htmlmod.Prepared
 		if s.admission == core.AdmitDegraded {
@@ -400,7 +400,6 @@ func (s *responseStreamer) WriteHeader(code int) {
 		}
 		s.rewriter = &s.conn.rw
 		s.rewriter.Reset(s.w, prep)
-		s.rewriter.SetVectored(true)
 		// The rewritten length is unknown until the document ends; drop the
 		// origin's Content-Length and let net/http pick the framing.
 		h.Del("Content-Length")

@@ -110,8 +110,7 @@ func TestAccumulatorLimit(t *testing.T) {
 
 func TestAccumulatorVsTrackerEquivalence(t *testing.T) {
 	// The offline accumulator and the online tracker must produce identical
-	// attribute vectors for the same request stream, and the tracker's
-	// incrementally maintained Snapshot.Features must equal both.
+	// attribute vectors for the same request stream.
 	reqs := []logfmt.Entry{
 		entryAt("GET", "/index.html", 200, ""),
 		entryAt("GET", "/style.css", 200, "http://x/index.html"),
@@ -129,15 +128,12 @@ func TestAccumulatorVsTrackerEquivalence(t *testing.T) {
 		snap = tracker.Observe(e)
 		acc.Observe(e)
 	}
-	vOnline := snap.Features
+	vOnline := snap.Counts.Vector()
 	vOffline := acc.Vector()
 	for i := range vOnline {
 		if math.Abs(vOnline[i]-vOffline[i]) > 1e-12 {
 			t.Fatalf("attribute %s differs: online %f offline %f", features.Names[i], vOnline[i], vOffline[i])
 		}
-	}
-	if got := snap.Counts.Vector(); got != snap.Features {
-		t.Fatalf("published Features %v != Counts.Vector() %v", snap.Features, got)
 	}
 }
 
@@ -194,12 +190,13 @@ func TestEpochBumpsOnlyOnStateChanges(t *testing.T) {
 	}
 	atMark := snap.Epoch
 	// A newly observed signal bumps it; re-marking does not.
-	s, newly := tracker.Mark(key, SignalCSS)
+	newly := tracker.Mark(key, SignalCSS)
+	s, _ := peekCopy(tracker, key)
 	if !newly || s.Epoch <= atMark {
 		t.Fatalf("signal did not bump epoch: newly=%v epoch=%d", newly, s.Epoch)
 	}
-	s2, newly2 := tracker.Mark(key, SignalCSS)
-	if newly2 || s2.Epoch != s.Epoch {
+	newly2 := tracker.Mark(key, SignalCSS)
+	if s2, _ := peekCopy(tracker, key); newly2 || s2.Epoch != s.Epoch {
 		t.Fatalf("re-marked signal changed epoch: %d -> %d", s.Epoch, s2.Epoch)
 	}
 }
@@ -219,7 +216,7 @@ func TestPeekIsExactAndReleasable(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		tracker.ObserveQuiet(e)
 		if i == 16 {
-			s, _ := tracker.Get(key)
+			s, _ := peekCopy(tracker, key)
 			epochAt16 = s.Epoch
 		}
 	}
@@ -232,9 +229,6 @@ func TestPeekIsExactAndReleasable(t *testing.T) {
 	}
 	if p1.Counts.Total != n {
 		t.Fatalf("Peek Total = %d after %d quiet observes with no epoch change, want %d", p1.Counts.Total, n, n)
-	}
-	if p1.Features != p1.Counts.Vector() {
-		t.Fatalf("Features %v != Counts.Vector() %v", p1.Features, p1.Counts.Vector())
 	}
 	if p1.StoredVerdict() != (StoredVerdict{}) {
 		t.Fatalf("a session nobody stored a verdict for carries %+v", p1.StoredVerdict())
@@ -252,24 +246,24 @@ func TestPeekIsExactAndReleasable(t *testing.T) {
 	if p2 == p1 {
 		t.Fatal("Peek handed out a snapshot that is still held")
 	}
-	if p2.Counts.Total != n+1 || !p2.Has(SignalCSS) {
-		t.Fatalf("second Peek = Total %d css %v, want %d true", p2.Counts.Total, p2.Has(SignalCSS), n+1)
+	if p2.Counts.Total != n+1 || !p2.Signals.Has(SignalCSS) {
+		t.Fatalf("second Peek = Total %d css %v, want %d true", p2.Counts.Total, p2.Signals.Has(SignalCSS), n+1)
 	}
 	p2.Counts.Total = 999
 	p2.Signals = Signals{}
 	if p1.Counts != held.Counts || p1.Signals != held.Signals || p1.Epoch != held.Epoch || p1.LastSeen != held.LastSeen {
 		t.Fatalf("held snapshot changed under its holder:\n before %+v\n after  %+v", held, *p1)
 	}
-	if s, _ := tracker.Get(key); s.Counts.Total != n+1 || !s.Has(SignalCSS) {
+	if s, _ := peekCopy(tracker, key); s.Counts.Total != n+1 || !s.Signals.Has(SignalCSS) {
 		t.Fatalf("mutating a snapshot reached the session: %+v", s)
 	}
 
 	// Release is forgiving: twice on the same pointer, on a value copy, on a
-	// Get copy, on nil — and none of it reaches a snapshot still held.
+	// copy of a Peek, on nil — and none of it reaches a snapshot still held.
 	p2.Release()
 	p2.Release()
 	held.Release()
-	got, _ := tracker.Get(key)
+	got, _ := peekCopy(tracker, key)
 	got.Release()
 	(*Snapshot)(nil).Release()
 	if got.Counts.Total != n+1 || held.Counts.Total != n {
@@ -300,7 +294,8 @@ func TestPeekIsExactAndReleasable(t *testing.T) {
 // TestPeekObserveMarkRace is the -race hammer for the one-copy session: four
 // goroutines on one hot key read (Peek/Release), write (ObserveQuiet, Mark)
 // and invalidate (Bump) at once. Every snapshot must be internally
-// consistent — its features are those of its own counts.
+// consistent: every request is a GET answered 200, to one HTML page or one
+// image, so those counters each add up to its total.
 func TestPeekObserveMarkRace(t *testing.T) {
 	tracker := NewTracker(Config{DecisionMarks: []int64{10}})
 	key := Key{IP: "6.6.6.6", UserAgent: "UA"}
@@ -324,7 +319,8 @@ func TestPeekObserveMarkRace(t *testing.T) {
 			t.Error("hot session vanished")
 			return
 		}
-		if s.Features != s.Counts.Vector() || s.Counts.Total == 0 || s.Key != key {
+		c := s.Counts
+		if c.Total == 0 || c.Get != c.Total || c.Status2xx != c.Total || c.HTML+c.Image != c.Total || s.Key != key {
 			t.Errorf("torn snapshot: %+v", *s)
 		}
 		s.Release()
@@ -341,7 +337,7 @@ func TestPeekObserveMarkRace(t *testing.T) {
 	run(func(int) { tracker.Bump(key) })
 	wg.Wait()
 
-	s, _ := tracker.Get(key)
+	s, _ := peekCopy(tracker, key)
 	if s.Counts.Total != rounds+1 || s.Signals.Count() != numSignals {
 		t.Fatalf("lost updates: Total %d (want %d), %d signals (want %d)", s.Counts.Total, rounds+1, s.Signals.Count(), numSignals)
 	}

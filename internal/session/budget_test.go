@@ -29,8 +29,6 @@ func TestSessionStructBudgets(t *testing.T) {
 		{"sessionState", unsafe.Sizeof(sessionState{}), 192},
 		// The key: a 17-byte address and an 8-byte handle, unpadded.
 		{"sessionID", unsafe.Sizeof(sessionID{}), 25},
-		// Snapshot is what Get/Each/Mark copy out and Peek fills.
-		{"Snapshot", unsafe.Sizeof(Snapshot{}), 304},
 		// Counts went int64 → uint32: 16 counters in 64 bytes.
 		{"Counts", unsafe.Sizeof(Counts{}), 64},
 		// The stored verdict: two uint32s, a uint16 text number, two bytes.
@@ -44,6 +42,12 @@ func TestSessionStructBudgets(t *testing.T) {
 		if b.size > b.max {
 			t.Errorf("%s = %d bytes, exceeds the %d-byte budget", b.name, b.size, b.max)
 		}
+	}
+	// Snapshot is what Peek fills and Observe and Each copy out, on every
+	// verdict read: the record's own state and no derived attribute vector.
+	// Its size is pinned exactly, so that a field added to it is a choice.
+	if size := unsafe.Sizeof(Snapshot{}); size != 208 {
+		t.Errorf("Snapshot = %d bytes, want 208", size)
 	}
 	if hasPointers(reflect.TypeFor[sessionState]()) {
 		t.Error("sessionState holds a pointer: the collector scans every session again")

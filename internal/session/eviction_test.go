@@ -23,7 +23,7 @@ func TestCapacityEvictionPrefersAnonymous(t *testing.T) {
 	now := vc.Now()
 
 	tr.Observe(entry("10.0.0.1", "UA", "GET", "/a.html", 200, "", now))
-	if _, ok := tr.Mark(Key{IP: "10.0.0.1", UserAgent: "UA"}, SignalMouse); !ok {
+	if !tr.Mark(Key{IP: "10.0.0.1", UserAgent: "UA"}, SignalMouse) {
 		t.Fatal("Mark on tracked session failed")
 	}
 	// Later activity on three anonymous sessions pushes the evidence
@@ -37,10 +37,10 @@ func TestCapacityEvictionPrefersAnonymous(t *testing.T) {
 	// session (10.0.0.2) instead.
 	tr.Observe(entry("10.0.0.5", "UA", "GET", "/a.html", 200, "", now.Add(10*time.Minute)))
 
-	if _, ok := tr.Get(Key{IP: "10.0.0.1", UserAgent: "UA"}); !ok {
+	if _, ok := peekCopy(tr, Key{IP: "10.0.0.1", UserAgent: "UA"}); !ok {
 		t.Fatal("evidence-bearing LRU-tail session was evicted; want an anonymous victim")
 	}
-	if _, ok := tr.Get(Key{IP: "10.0.0.2", UserAgent: "UA"}); ok {
+	if _, ok := peekCopy(tr, Key{IP: "10.0.0.2", UserAgent: "UA"}); ok {
 		t.Fatal("oldest anonymous session still tracked; want it evicted")
 	}
 	if got := tr.EvictedByReason(EvictCapacityAnonymous); got != 1 {
@@ -70,19 +70,19 @@ func TestCapacityEvictionAllEvidenceBouncesNewcomer(t *testing.T) {
 		ip := fmt.Sprintf("10.0.1.%d", i+1)
 		at := now.Add(time.Duration(i) * time.Minute)
 		tr.Observe(entry(ip, "UA", "GET", "/a.html", 200, "", at))
-		if _, ok := tr.Mark(Key{IP: ip, UserAgent: "UA"}, SignalJS); !ok {
+		if !tr.Mark(Key{IP: ip, UserAgent: "UA"}, SignalJS) {
 			t.Fatalf("Mark(%s) failed", ip)
 		}
 	}
 
 	// Anonymous overflow: the newcomer bounces, everyone with evidence stays.
 	tr.Observe(entry("10.0.1.99", "UA", "GET", "/a.html", 200, "", now.Add(time.Hour/2)))
-	if _, ok := tr.Get(Key{IP: "10.0.1.99", UserAgent: "UA"}); ok {
+	if _, ok := peekCopy(tr, Key{IP: "10.0.1.99", UserAgent: "UA"}); ok {
 		t.Fatal("anonymous newcomer admitted into an all-evidence table; want it bounced")
 	}
 	for i := 0; i < 3; i++ {
 		ip := fmt.Sprintf("10.0.1.%d", i+1)
-		if _, ok := tr.Get(Key{IP: ip, UserAgent: "UA"}); !ok {
+		if _, ok := peekCopy(tr, Key{IP: ip, UserAgent: "UA"}); !ok {
 			t.Fatalf("evidence session %s displaced by an anonymous newcomer", ip)
 		}
 	}
@@ -92,10 +92,10 @@ func TestCapacityEvictionAllEvidenceBouncesNewcomer(t *testing.T) {
 
 	// An evidence-bearing newcomer (Mark creates the session) leaves no
 	// anonymous victim anywhere: strict LRU evicts the tail.
-	if _, ok := tr.Mark(Key{IP: "10.0.1.50", UserAgent: "UA"}, SignalMouse); !ok {
+	if !tr.Mark(Key{IP: "10.0.1.50", UserAgent: "UA"}, SignalMouse) {
 		t.Fatal("Mark on a new key did not create the session")
 	}
-	if _, ok := tr.Get(Key{IP: "10.0.1.1", UserAgent: "UA"}); ok {
+	if _, ok := peekCopy(tr, Key{IP: "10.0.1.1", UserAgent: "UA"}); ok {
 		t.Fatal("LRU tail survived an all-evidence overflow; want strict-LRU fallback")
 	}
 	if got := tr.EvictedByReason(EvictCapacityEvidence); got != 1 {
@@ -170,7 +170,7 @@ func TestSweepFollowsMovedNeighbour(t *testing.T) {
 			if want := 3 - len(tc.ended); tr.Active() != want {
 				t.Fatalf("%d sessions tracked after the sweep, want %d", tr.Active(), want)
 			}
-			if _, ok := tr.Get(Key{IP: "10.0.0.1", UserAgent: "b"}); ok != tc.touch {
+			if _, ok := peekCopy(tr, Key{IP: "10.0.0.1", UserAgent: "b"}); ok != tc.touch {
 				t.Fatalf("b tracked: %v, want %v", ok, tc.touch)
 			}
 		})

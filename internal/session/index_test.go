@@ -67,11 +67,11 @@ func TestCollisionChainMatchesSeededIndex(t *testing.T) {
 			same(step, "Observe", seeded.Observe(e), chained.Observe(e))
 		case op < 60:
 			sig := Signal(rnd.Intn(numSignals))
-			a, newlyA := seeded.Mark(key, sig)
-			b, newlyB := chained.Mark(key, sig)
-			if newlyA != newlyB {
+			if newlyA, newlyB := seeded.Mark(key, sig), chained.Mark(key, sig); newlyA != newlyB {
 				t.Fatalf("step %d: Mark newly %v vs %v", step, newlyA, newlyB)
 			}
+			a, _ := peekCopy(seeded, key)
+			b, _ := peekCopy(chained, key)
 			same(step, "Mark", a, b)
 		case op < 72:
 			a, okA := seeded.Peek(key)
@@ -90,8 +90,8 @@ func TestCollisionChainMatchesSeededIndex(t *testing.T) {
 			}
 		case op < 92:
 			// A write-back from a snapshot that may have gone stale meanwhile.
-			a, okA := seeded.Get(key)
-			b, _ := chained.Get(key)
+			a, okA := peekCopy(seeded, key)
+			b, _ := peekCopy(chained, key)
 			if rnd.Intn(2) == 0 {
 				seeded.Mark(key, SignalCSS)
 				chained.Mark(key, SignalCSS)
@@ -148,8 +148,8 @@ func TestCollisionChainMatchesSeededIndex(t *testing.T) {
 	}
 	checkBooks(-1)
 	for _, k := range trio[:2] {
-		a, okA := seeded.Get(k)
-		b, okB := chained.Get(k)
+		a, okA := peekCopy(seeded, k)
+		b, okB := peekCopy(chained, k)
 		if !okA || !okB {
 			t.Fatalf("%v lost after the chain's first record ended: %v %v", k, okA, okB)
 		}

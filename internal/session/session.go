@@ -15,20 +15,22 @@
 // stores.
 //
 // Each session is stored once: the sessionState record is the only copy, and
-// a Snapshot is built from it on demand, under the shard mutex, for whoever
-// asks (Get, Each, Mark, Observe, eviction callbacks, Peek). Readers
-// therefore always see the session as of the last request, and there is no
-// publication protocol to get wrong. The record is built for millions of
+// a Snapshot is built from it on demand, under the shard mutex, for a reader
+// that uses it (Peek, Observe, Each, and a session's end when the Evicted
+// listener or FlushAll takes it). Readers therefore always see the session
+// as of the last request, and there is no publication protocol to get
+// wrong. The record is built for millions of
 // concurrent sessions and holds no pointer, so the garbage collector never
 // scans it: the key is the address inline (an IP address as its 16 bytes)
 // and the User-Agent's interned handle (one canonical copy per distinct UA
 // across all sessions), the LRU and index links are slot numbers, counters
 // are saturating uint32s, signals are a fixed array, visited paths are a
 // sorted set of 32-bit fingerprints whose first three sit in the record, times
-// are Unix nanoseconds, the decision layer's verdict is a 12-byte value in
-// the record, and the Table 2 attribute vector is derived from the counters
-// when a snapshot is built instead of being stored. Steady-state observation
-// and Peek allocate nothing.
+// are Unix nanoseconds, and the decision layer's verdict is a 12-byte value in
+// the record. The Table 2 attribute vector is not stored, not even in a
+// snapshot: a reader that uses it derives it from the counters
+// (Counts.Vector). Steady-state observation and Peek allocate nothing, and so
+// does a session's end that no listener hears.
 package session
 
 import (
@@ -170,10 +172,10 @@ func satInc(v *uint32) {
 	}
 }
 
-// Vector derives the Table 2 attribute vector from the counters in O(1).
-// A session with zero requests yields the zero vector. The tracker calls it
-// whenever it builds a snapshot, so snapshots always carry the vector of the
-// counters beside it and the decision layer never re-derives features.
+// Vector derives the Table 2 attribute vector from the counters in O(1): it
+// is the one definition of the vector, and the readers that use it (the
+// learned rows, the outcome buffer, experiments, the admin session view) call
+// it. A session with zero requests yields the zero vector.
 func (c Counts) Vector() features.Vector {
 	var v features.Vector
 	if c.Total == 0 {
@@ -346,12 +348,9 @@ type Snapshot struct {
 	// FirstSeen and LastSeen bound the session's activity.
 	FirstSeen time.Time
 	LastSeen  time.Time
-	// Counts are the request counters.
+	// Counts are the request counters; Counts.Vector() is the session's
+	// Table 2 attribute vector.
 	Counts Counts
-	// Features is the Table 2 attribute vector over the session's requests:
-	// Counts.Vector(), derived when the snapshot is built, so consumers (the
-	// learned detector, experiments) never recompute it from the counters.
-	Features features.Vector
 	// Epoch counts the session's state-changing events: creation, a newly
 	// observed detection signal, a previously unseen request class, the
 	// crossing of a configured decision mark (e.g. the classification
@@ -459,16 +458,6 @@ func lowerASCII(c byte) byte {
 	return c
 }
 
-// Has reports whether the snapshot observed the signal.
-func (s Snapshot) Has(sig Signal) bool { return s.Signals.Has(sig) }
-
-// SignalAt returns the request count at which the signal was first observed
-// and whether it was observed at all.
-func (s Snapshot) SignalAt(sig Signal) (int64, bool) { return s.Signals.At(sig) }
-
-// Duration returns the session's active time span.
-func (s Snapshot) Duration() time.Duration { return s.LastSeen.Sub(s.FirstSeen) }
-
 // sessionState is the tracker's per-session record and the only copy of the
 // session: 192 bytes, eight of which fill an allocator size class exactly in
 // the table's chunk, and no pointer. The embedded node is the table's: the
@@ -526,7 +515,6 @@ func (st *sessionState) fill(out *Snapshot, key Key) {
 		FirstSeen: time.Unix(0, st.firstSeen),
 		LastSeen:  time.Unix(0, st.lastSeen),
 		Counts:    st.counts,
-		Features:  st.counts.Vector(),
 		Epoch:     uint64(st.epoch),
 		Signals:   st.signals,
 		verdict:   st.verdict,
@@ -563,11 +551,12 @@ type Config struct {
 	// Clock supplies time; defaults to the wall clock.
 	Clock clock.Clock
 	// Evicted, when non-nil, receives a snapshot of every session that ends
-	// (idle timeout or capacity eviction). Experiments use it to collect
-	// completed sessions. Each snapshot is an independent copy. The callback
-	// is always invoked without any shard lock held, but it can fire from
-	// any goroutine that triggers an eviction — concurrently with itself —
-	// so it must be safe for concurrent use.
+	// (idle timeout, capacity eviction or FlushAll). Experiments use it to
+	// collect completed sessions. Each snapshot is an independent copy. The
+	// callback is always invoked without any shard lock held, but it can fire
+	// from any goroutine that triggers an eviction — concurrently with
+	// itself — so it must be safe for concurrent use. When nil, a session
+	// that ends by expiry or eviction builds no snapshot at all.
 	Evicted func(Snapshot)
 	// Interner, when non-nil, is the string table User-Agents are interned
 	// into (the engine passes its own so it can report the table's size).
@@ -695,7 +684,10 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 		// The gap since the last request exceeds the idle timeout: the old
 		// session ends and the new activity starts a fresh one (the paper's
 		// session definition).
-		evicted, _ = t.removeLocked(sh, st, EvictIdle, key, evicted)
+		if t.cfg.Evicted != nil {
+			evicted = appendFinal(evicted, st, key)
+		}
+		t.endLocked(sh, st, EvictIdle)
 		st = nil
 	}
 	if st == nil {
@@ -743,9 +735,10 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 
 // Mark records a detection signal for the session, creating the session if
 // it does not exist yet (a beacon can be the first thing the proxy sees from
-// a client when page requests raced ahead of tracking). It returns the
-// session's snapshot and whether the signal was newly set.
-func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
+// a client when page requests raced ahead of tracking). It reports whether
+// the signal was newly set; a caller that reads the session afterwards takes
+// a Peek.
+func (t *Tracker) Mark(key Key, sig Signal) bool {
 	now := t.cfg.Clock.Now().UnixNano()
 	sh, h := t.table.Locate(key)
 
@@ -765,13 +758,11 @@ func (t *Tracker) Mark(key Key, sig Signal) (Snapshot, bool) {
 		st.bump() // a signal is always a state-changing event
 		newly = true
 	}
-	var snap Snapshot
-	st.fill(&snap, key)
 	evicted = t.enforceCapLocked(sh, evicted)
 	sh.Unlock()
 
 	t.notify(evicted)
-	return snap, newly
+	return newly
 }
 
 // Bump advances the session's decision epoch without changing any tracked
@@ -807,20 +798,6 @@ func (t *Tracker) StoreVerdict(snap *Snapshot, v StoredVerdict) bool {
 	}
 	sh.Unlock()
 	return ok
-}
-
-// Get returns a snapshot of the session, if it is currently tracked. Use
-// Peek on per-request paths: it returns the same view without the 304-byte
-// copy out.
-func (t *Tracker) Get(key Key) (snap Snapshot, ok bool) {
-	sh, h := t.table.Locate(key)
-	sh.Lock()
-	st := t.find(sh, h, key)
-	if st != nil {
-		st.fill(&snap, key)
-	}
-	sh.Unlock()
-	return snap, st != nil
 }
 
 // Peek returns the session's snapshot in a pooled buffer: the per-request
@@ -932,22 +909,25 @@ func (t *Tracker) SweepStep(now time.Time) int {
 // carries its own time, so list order is not lastSeen order.
 func (t *Tracker) expireShard(sh *sessionShard, now time.Time) int {
 	var evicted []Snapshot
+	ended := 0
 	deadline := now.UnixNano() - int64(t.cfg.IdleTimeout)
 	sh.Lock()
 	for st := sh.Tail(); st != nil; {
 		prev := sh.Prev(st)
 		if st.lastSeen < deadline {
-			var from *sessionState
-			evicted, from = t.removeLocked(sh, st, EvictIdle, t.keyOf(st.ID()), evicted)
-			if from != nil && prev == from {
+			if t.cfg.Evicted != nil {
+				evicted = appendFinal(evicted, st, t.keyOf(st.ID()))
+			}
+			if from := t.endLocked(sh, st, EvictIdle); from != nil && prev == from {
 				prev = st // the removal moved prev into st's slot
 			}
+			ended++
 		}
 		st = prev
 	}
 	sh.Unlock()
 	t.notify(evicted)
-	return len(evicted)
+	return ended
 }
 
 // FlushAll ends every tracked session, invoking the Evicted callback for
@@ -960,7 +940,8 @@ func (t *Tracker) FlushAll() []Snapshot {
 		sh := t.table.Shard(i)
 		sh.Lock()
 		for st := sh.Tail(); st != nil; st = sh.Tail() {
-			snaps, _ = t.removeLocked(sh, st, EvictFlush, t.keyOf(st.ID()), snaps)
+			snaps = appendFinal(snaps, st, t.keyOf(st.ID()))
+			t.endLocked(sh, st, EvictFlush)
 		}
 		sh.Unlock()
 	}
@@ -1002,9 +983,9 @@ func (t *Tracker) newID(key Key) sessionID {
 }
 
 // keyOf rebuilds the key a session's ID was built from: the snapshots of
-// sessions no caller named (eviction, expiry, Each, FlushAll) carry it. It
-// allocates the address string. Caller holds the shard lock, so the ID's
-// handles are live.
+// sessions no caller named (eviction and expiry with a listener, Each,
+// FlushAll) carry it. It allocates the address string. Caller holds the
+// shard lock, so the ID's handles are live.
 func (t *Tracker) keyOf(id sessionID) Key {
 	return Key{IP: t.interner.AddrString(id.addr), UserAgent: t.interner.String(id.uaHandle())}
 }
@@ -1052,14 +1033,22 @@ func (t *Tracker) storePaths(sh *sessionShard, st *sessionState, pt pathTable) {
 	st.npaths = uint16(n)
 }
 
-// removeLocked deletes the session from the shard and appends its final
-// snapshot under key to out; the caller delivers it to the Evicted callback
-// after unlocking. The record in the shard's last slot moves into st's:
-// removeLocked returns the address it moved from, nil when none moved, as
-// shard.Shard.Remove does.
-func (t *Tracker) removeLocked(sh *sessionShard, st *sessionState, reason EvictReason, key Key, out []Snapshot) ([]Snapshot, *sessionState) {
+// appendFinal appends the final snapshot of st, a session about to end,
+// under key to out: what the Evicted listener hears (delivered after
+// unlocking) and FlushAll returns. Caller holds the shard lock.
+func appendFinal(out []Snapshot, st *sessionState, key Key) []Snapshot {
 	out = append(out, Snapshot{})
 	st.fill(&out[len(out)-1], key)
+	return out
+}
+
+// endLocked ends the session: it deletes the record from the shard, counts
+// the end under reason and drops the record's references on its interned
+// strings. Reporting the session is the caller's business (appendFinal),
+// before this call. The record in the shard's last slot moves into st's:
+// endLocked returns the address it moved from, nil when none moved, as
+// shard.Shard.Remove does.
+func (t *Tracker) endLocked(sh *sessionShard, st *sessionState, reason EvictReason) *sessionState {
 	if st.npaths > inlinePaths {
 		t.bytes.Add(shard.SpillDrop[uint32](sh.Spill(), st.paths[0], int(st.paths[1])))
 	}
@@ -1069,7 +1058,7 @@ func (t *Tracker) removeLocked(sh *sessionShard, st *sessionState, reason EvictR
 	t.evictions[reason].Add(1)
 	t.interner.ReleaseAddr(id.addr)
 	t.interner.Release(id.uaHandle())
-	return out, from
+	return from
 }
 
 // hasEvidence reports whether the session has observed any detection signal.
@@ -1078,10 +1067,11 @@ func (t *Tracker) removeLocked(sh *sessionShard, st *sessionState, reason EvictR
 func (st *sessionState) hasEvidence() bool { return st.signals.Any() }
 
 // enforceCapLocked evicts sessions while the shard exceeds its cap,
-// appending their snapshots to evicted. It prefers evicting sessions with no
-// accumulated detection evidence: starting from the LRU tail it scans up to
-// evictScanLimit entries for a signal-free victim, falling back to strict
-// LRU only when every scanned session carries evidence. A brand-new
+// appending their snapshots to evicted when there is a listener. It prefers
+// evicting sessions with no accumulated detection evidence: starting from
+// the LRU tail it scans up to evictScanLimit entries for a signal-free
+// victim, falling back to strict LRU only when every scanned session
+// carries evidence. A brand-new
 // anonymous client therefore can never wash an evidence-bearing session out
 // of the tracker just by showing up (the attacker-laundering hole in plain
 // LRU), while the scan bound keeps the worst-case hold time of the shard
@@ -1099,16 +1089,17 @@ func (t *Tracker) enforceCapLocked(sh *sessionShard, evicted []Snapshot) []Snaps
 				}
 			}
 		}
-		evicted, _ = t.removeLocked(sh, victim, reason, t.keyOf(victim.ID()), evicted)
+		if t.cfg.Evicted != nil {
+			evicted = appendFinal(evicted, victim, t.keyOf(victim.ID()))
+		}
+		t.endLocked(sh, victim, reason)
 	}
 	return evicted
 }
 
-// notify delivers eviction snapshots outside any shard lock.
+// notify delivers eviction snapshots outside any shard lock; there are
+// none without a listener.
 func (t *Tracker) notify(evicted []Snapshot) {
-	if t.cfg.Evicted == nil {
-		return
-	}
 	for _, s := range evicted {
 		t.cfg.Evicted(s)
 	}

@@ -24,6 +24,19 @@ func newTestTracker(cfg Config) (*Tracker, *clock.Virtual) {
 	return NewTracker(cfg), vc
 }
 
+// peekCopy is a Peek copied out and released: the session's snapshot as a
+// value, or false when it is not tracked.
+func peekCopy(tr *Tracker, key Key) (Snapshot, bool) {
+	p, ok := tr.Peek(key)
+	if !ok {
+		return Snapshot{}, false
+	}
+	snap := *p
+	snap.pooled = nil
+	p.Release()
+	return snap, true
+}
+
 func TestObserveCreatesAndCounts(t *testing.T) {
 	tr, vc := newTestTracker(Config{})
 	now := vc.Now()
@@ -49,7 +62,7 @@ func TestObserveQuietStaysExactUnderLock(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		tr.ObserveQuiet(entry(key.IP, key.UserAgent, "GET", "/a.html", 200, "", now))
 	}
-	if snap, ok := tr.Get(key); !ok || snap.Counts.Total != 25 {
+	if snap, ok := peekCopy(tr, key); !ok || snap.Counts.Total != 25 {
 		t.Fatalf("Get after quiet observes: ok=%v counts=%+v, want Total=25", ok, snap.Counts)
 	}
 	// 25 is past the last power-of-two epoch bump (16): Peek does not lag.
@@ -93,12 +106,12 @@ func TestObserveQuietMatchesObserve(t *testing.T) {
 			quiet.ObserveQuiet(e)
 		}
 	}
-	a, okA := loud.Get(key)
-	b, okB := quiet.Get(key)
+	a, okA := peekCopy(loud, key)
+	b, okB := peekCopy(quiet, key)
 	if !okA || !okB {
 		t.Fatalf("sessions missing: %v %v", okA, okB)
 	}
-	if a.Counts != b.Counts || a.Epoch != b.Epoch || a.Features != b.Features {
+	if a.Counts != b.Counts || a.Epoch != b.Epoch {
 		t.Fatalf("quiet state diverged:\n loud: counts=%+v epoch=%d\n quiet: counts=%+v epoch=%d",
 			a.Counts, a.Epoch, b.Counts, b.Epoch)
 	}
@@ -190,30 +203,31 @@ func TestMarkSignalsAndFirstObservation(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Observe(entry(key.IP, key.UserAgent, "GET", fmt.Sprintf("/p%d.html", i), 200, "", now))
 	}
-	snap, newly := tr.Mark(key, SignalCSS)
-	if !newly || !snap.Has(SignalCSS) {
+	newly := tr.Mark(key, SignalCSS)
+	snap, _ := peekCopy(tr, key)
+	if !newly || !snap.Signals.Has(SignalCSS) {
 		t.Fatal("first Mark should set the signal")
 	}
-	if at, _ := snap.SignalAt(SignalCSS); at != 5 {
+	if at, _ := snap.Signals.At(SignalCSS); at != 5 {
 		t.Fatalf("SignalAt = %d, want 5", at)
 	}
 	// More requests, then a second signal: its first-observation count differs.
 	for i := 5; i < 12; i++ {
 		tr.Observe(entry(key.IP, key.UserAgent, "GET", fmt.Sprintf("/p%d.html", i), 200, "", now))
 	}
-	snap, newly = tr.Mark(key, SignalMouse)
-	if !newly {
+	if !tr.Mark(key, SignalMouse) {
 		t.Fatal("mouse signal should be newly set")
 	}
-	if at, _ := snap.SignalAt(SignalMouse); at != 12 {
+	snap, _ = peekCopy(tr, key)
+	if at, _ := snap.Signals.At(SignalMouse); at != 12 {
 		t.Fatalf("mouse SignalAt = %d, want 12", at)
 	}
 	// Re-marking is not "newly" and does not change the request count.
-	snap, newly = tr.Mark(key, SignalCSS)
-	if newly {
+	if tr.Mark(key, SignalCSS) {
 		t.Fatal("second Mark of the same signal should not be newly")
 	}
-	if at, _ := snap.SignalAt(SignalCSS); at != 5 {
+	snap, _ = peekCopy(tr, key)
+	if at, _ := snap.Signals.At(SignalCSS); at != 5 {
 		t.Fatalf("CSS SignalAt changed to %d", at)
 	}
 }
@@ -221,11 +235,11 @@ func TestMarkSignalsAndFirstObservation(t *testing.T) {
 func TestMarkBeforeAnyRequest(t *testing.T) {
 	tr, _ := newTestTracker(Config{})
 	key := Key{IP: "5.5.5.5", UserAgent: "X"}
-	snap, newly := tr.Mark(key, SignalJS)
-	if !newly {
+	if !tr.Mark(key, SignalJS) {
 		t.Fatal("Mark should create the session")
 	}
-	if at, _ := snap.SignalAt(SignalJS); at != 1 {
+	snap, _ := peekCopy(tr, key)
+	if at, _ := snap.Signals.At(SignalJS); at != 1 {
 		t.Fatalf("signal at %d, want 1", at)
 	}
 	if tr.Active() != 1 {
@@ -266,9 +280,9 @@ func TestIdleTimeoutSplitsSessions(t *testing.T) {
 			t.Errorf("gap %v: Total = %d after the second request, split want %v", tc.gap, snap.Counts.Total, tc.split)
 		}
 		tr.Observe(entry(bySweep, "UA", "GET", "/a.html", 200, "", start))
-		_, before := tr.Get(Key{IP: bySweep, UserAgent: "UA"})
+		_, before := peekCopy(tr, Key{IP: bySweep, UserAgent: "UA"})
 		expireAll(tr, start.Add(tc.gap))
-		_, after := tr.Get(Key{IP: bySweep, UserAgent: "UA"})
+		_, after := peekCopy(tr, Key{IP: bySweep, UserAgent: "UA"})
 		if !before || after == tc.split {
 			t.Errorf("gap %v: tracked before the sweep %v, after %v, split want %v", tc.gap, before, after, tc.split)
 		}
@@ -284,7 +298,7 @@ func TestStoreVerdictFollowsTheEpoch(t *testing.T) {
 	tr, vc := newTestTracker(Config{IdleTimeout: time.Hour})
 	key := Key{IP: "6.6.9.9", UserAgent: "UA"}
 	v := StoredVerdict{ModelEpoch: 7, AtRequest: 3, Rule: 3, Origin: 1}
-	stored := func(k Key) StoredVerdict { s, _ := tr.Get(k); return s.StoredVerdict() }
+	stored := func(k Key) StoredVerdict { s, _ := peekCopy(tr, k); return s.StoredVerdict() }
 
 	tr.ObserveQuiet(entry(key.IP, key.UserAgent, "GET", "/a.html", 200, "", vc.Now()))
 	for name, moveEpoch := range map[string]func(){
@@ -292,12 +306,12 @@ func TestStoreVerdictFollowsTheEpoch(t *testing.T) {
 		"signal":            func() { tr.Mark(key, SignalCSS) },
 		"Bump":              func() { tr.Bump(key) },
 	} {
-		snap, _ := tr.Get(key)
+		snap, _ := peekCopy(tr, key)
 		if !tr.StoreVerdict(&snap, v) || stored(key) != v {
 			t.Fatalf("%s: a verdict at the session's epoch was not stored: %+v", name, stored(key))
 		}
 		tr.ObserveQuiet(entry(key.IP, key.UserAgent, "GET", "/a.html", 200, "", vc.Now()))
-		if got, _ := tr.Get(key); got.StoredVerdict() != v || got.Epoch != snap.Epoch {
+		if got, _ := peekCopy(tr, key); got.StoredVerdict() != v || got.Epoch != snap.Epoch {
 			t.Fatalf("%s: a request that moved no epoch dropped the verdict: %+v", name, got.StoredVerdict())
 		}
 		moveEpoch()
@@ -353,9 +367,9 @@ func TestSnapshotTimesRoundTrip(t *testing.T) {
 			t.Errorf("%s: first request at %v: FirstSeen %v, LastSeen %v", name, want, snap.FirstSeen, snap.LastSeen)
 		}
 		tr.ObserveQuiet(entry("9.9.9.9", name, "GET", "/b.html", 200, "", last))
-		snap, _ = tr.Get(Key{IP: "9.9.9.9", UserAgent: name})
-		if !snap.FirstSeen.Equal(want) || !snap.LastSeen.Equal(last) || snap.Duration() != 42*time.Second+1 {
-			t.Errorf("%s: FirstSeen %v (want %v), LastSeen %v (want %v), Duration %v", name, snap.FirstSeen, want, snap.LastSeen, last, snap.Duration())
+		snap, _ = peekCopy(tr, Key{IP: "9.9.9.9", UserAgent: name})
+		if d := snap.LastSeen.Sub(snap.FirstSeen); !snap.FirstSeen.Equal(want) || !snap.LastSeen.Equal(last) || d != 42*time.Second+1 {
+			t.Errorf("%s: FirstSeen %v (want %v), LastSeen %v (want %v), duration %v", name, snap.FirstSeen, want, snap.LastSeen, last, d)
 		}
 	}
 	// Mark stamps the clock's time, but never before the session's newest
@@ -363,11 +377,13 @@ func TestSnapshotTimesRoundTrip(t *testing.T) {
 	key := Key{IP: "9.9.9.9", UserAgent: "clock"}
 	newest := vc.Now().Add(42*time.Second + 1)
 	vc.Advance(time.Second)
-	if snap, _ := tr.Mark(key, SignalCSS); !snap.LastSeen.Equal(newest) {
+	tr.Mark(key, SignalCSS)
+	if snap, _ := peekCopy(tr, key); !snap.LastSeen.Equal(newest) {
 		t.Errorf("Mark behind the newest request: LastSeen %v, want %v", snap.LastSeen, newest)
 	}
 	vc.Advance(time.Minute)
-	if snap, _ := tr.Mark(key, SignalJS); !snap.LastSeen.Equal(vc.Now()) {
+	tr.Mark(key, SignalJS)
+	if snap, _ := peekCopy(tr, key); !snap.LastSeen.Equal(vc.Now()) {
 		t.Errorf("after Mark: LastSeen %v, clock %v", snap.LastSeen, vc.Now())
 	}
 }
@@ -468,11 +484,11 @@ func TestSnapshotsSortedAndFlushAll(t *testing.T) {
 func TestGet(t *testing.T) {
 	tr, vc := newTestTracker(Config{})
 	key := Key{IP: "10.0.0.1", UserAgent: "UA"}
-	if _, ok := tr.Get(key); ok {
+	if _, ok := peekCopy(tr, key); ok {
 		t.Fatal("Get on missing session should report false")
 	}
 	tr.Observe(entry(key.IP, key.UserAgent, "GET", "/a.html", 200, "", vc.Now()))
-	snap, ok := tr.Get(key)
+	snap, ok := peekCopy(tr, key)
 	if !ok || snap.Counts.Total != 1 {
 		t.Fatalf("Get = %+v, %v", snap, ok)
 	}
@@ -512,15 +528,15 @@ func TestDurationAndSnapshotIndependence(t *testing.T) {
 	start := vc.Now()
 	tr.Observe(entry(key.IP, key.UserAgent, "GET", "/a.html", 200, "", start))
 	snap1 := tr.Observe(entry(key.IP, key.UserAgent, "GET", "/b.html", 200, "", start.Add(10*time.Minute)))
-	if snap1.Duration() != 10*time.Minute {
-		t.Fatalf("Duration = %v", snap1.Duration())
+	if d := snap1.LastSeen.Sub(snap1.FirstSeen); d != 10*time.Minute {
+		t.Fatalf("duration = %v", d)
 	}
 	// Mutating the returned snapshot must not affect the tracker: Signals is
 	// a value type now, so overwriting the copy's field is purely local.
 	snap1.Signals = Signals{}
 	snap1.Signals.set(SignalCSS, 1)
-	snap2, _ := tr.Get(key)
-	if snap2.Has(SignalCSS) {
+	snap2, _ := peekCopy(tr, key)
+	if snap2.Signals.Has(SignalCSS) {
 		t.Fatal("snapshot mutation leaked into tracker state")
 	}
 }
@@ -550,7 +566,7 @@ func TestConcurrentObserveAndMark(t *testing.T) {
 		if s.Counts.Total != 200 {
 			t.Fatalf("session %s total = %d", s.Key.IP, s.Counts.Total)
 		}
-		if !s.Has(SignalCSS) {
+		if !s.Signals.Has(SignalCSS) {
 			t.Fatalf("session %s missing CSS signal", s.Key.IP)
 		}
 	}
@@ -685,7 +701,7 @@ func TestConcurrentOverlappingKeysWithExpiry(t *testing.T) {
 					tr.Mark(k, SignalCSS)
 				}
 				if i%13 == 0 {
-					tr.Get(k)
+					peekCopy(tr, k)
 				}
 			}
 		}(g)
