@@ -124,6 +124,57 @@ func TestStreamMatchesBufferedRewrite(t *testing.T) {
 	}
 }
 
+// streamChunkedReused is streamChunked with the caller's read loop of a
+// proxy: every chunk is copied into one reused buffer, which is scribbled
+// over as soon as Write returns. Gathered spans alias that buffer, so any span
+// still queued after Write would reach the output as scribble.
+func streamChunkedReused(t testing.TB, doc []byte, p *Prepared, size int) ([]byte, StreamResult) {
+	var out bytes.Buffer
+	r := NewStreamRewriter(&out, p)
+	buf := make([]byte, size)
+	for off := 0; off < len(doc); off += size {
+		n := copy(buf, doc[off:])
+		if _, err := r.Write(buf[:n]); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		for i := range buf {
+			buf[i] = '#'
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	res := r.Result()
+	r.Release()
+	return out.Bytes(), res
+}
+
+// TestStreamVectoredMatchesBuffered is the gathered-write differential
+// guarantee under buffer reuse: with the caller overwriting its chunk buffer
+// after every Write, the output must still be byte-identical to the buffered
+// reference on every corpus document, injection shape and chunking. It fails
+// if a feed returns with spans queued that alias the caller's chunk.
+func TestStreamVectoredMatchesBuffered(t *testing.T) {
+	chunkSizes := []int{1, 2, 3, 7, 16, 64, 1 << 20}
+	for _, tc := range diffCorpus {
+		for ij, inj := range diffInjections() {
+			prep := PrepareInjection(inj)
+			want := prep.rewriteBuffered([]byte(tc.doc))
+			for _, size := range chunkSizes {
+				got, res := streamChunkedReused(t, []byte(tc.doc), prep, size)
+				if !bytes.Equal(got, want.HTML) {
+					t.Errorf("%s/inj%d/chunk%d: gathered output diverged under buffer reuse\n  buffered: %q\n  gathered: %q",
+						tc.name, ij, size, want.HTML, got)
+					break
+				}
+				if res.AddedBytes != want.AddedBytes {
+					t.Errorf("%s/inj%d/chunk%d: AddedBytes = %d, buffered %d", tc.name, ij, size, res.AddedBytes, want.AddedBytes)
+				}
+			}
+		}
+	}
+}
+
 // TestStreamVectoredOverTCP proves the writev path over a real TCP socket
 // (net.Buffers only takes the gathered-write syscall on a net.Conn): the
 // bytes arriving at the peer must equal the buffered rewrite.
