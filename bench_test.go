@@ -459,7 +459,7 @@ func BenchmarkSessionObserve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tracker.Observe(entry)
+		tracker.ObserveQuiet(entry)
 	}
 }
 

@@ -71,7 +71,7 @@ func main() {
 			}
 			return nil
 		}
-		tracker.Observe(e)
+		tracker.ObserveQuiet(e)
 		return nil
 	})
 	if err != nil {

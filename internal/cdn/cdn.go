@@ -21,6 +21,7 @@ import (
 	"botdetect/internal/policy"
 	"botdetect/internal/rng"
 	"botdetect/internal/session"
+	"botdetect/internal/shard"
 	"botdetect/internal/telemetry"
 	"botdetect/internal/webmodel"
 )
@@ -420,15 +421,16 @@ func (n *Network) NodeFor(ip string) *Node {
 	return n.nodes[n.routeIndex(ip)]
 }
 
-// nodeIndex hashes a client IP onto a node (FNV-1a), pinning each client to
-// one proxy the way CoDeeN clients stick to a nearby node.
+// nodeIndex hashes a client IP onto a node, pinning each client to one
+// proxy the way CoDeeN clients stick to a nearby node. It routes on the
+// address's FNV-1a hash mixed (rng.Mix64): each node's keystore picks a
+// client's shard from the low bits of the raw hash, so routing on those
+// would leave most of every node's shards empty (with four nodes and eight
+// shards, each node would fill two), and the raw hash's upper bits are too
+// weak on short addresses to route on (1,000 consecutive addresses leave
+// one node of four without a client).
 func (n *Network) nodeIndex(ip string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(ip); i++ {
-		h ^= uint64(ip[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(len(n.nodes)))
+	return int(rng.Mix64(shard.HashString(ip)) % uint64(len(n.nodes)))
 }
 
 // Do implements agents.Client by routing to the client's node.

@@ -1,7 +1,9 @@
 package cdn
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -422,6 +424,45 @@ func TestBeaconVerdictsCountedOnce(t *testing.T) {
 	} {
 		if !strings.Contains(exposition, series+"\n") {
 			t.Errorf("exposition lacks %s", series)
+		}
+	}
+}
+
+// TestRoutingFillsEveryKeystoreShard routes 1,000 clients over four nodes of
+// eight shards each: every node's keystore must hold clients in every one
+// of its shards. The keystore picks a client's shard from the low bits of
+// the FNV-1a hash of its address, so routing on the same bits modulo the
+// node count would fill two shards of each node's eight.
+func TestRoutingFillsEveryKeystoreShard(t *testing.T) {
+	const nodes, shards = 4, 8
+	vc := clock.NewVirtual(time.Time{})
+	site := webmodel.Generate(webmodel.SiteConfig{Seed: 1, NumPages: 20})
+	network := NewNetwork(nodes, site, core.Config{Seed: 2, Clock: vc, Shards: shards}, false, 3)
+	var ps core.PageState
+	for i := range 1000 {
+		ip := fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
+		network.NodeFor(ip).Engine().PreparePage(ip, "Firefox/1.5", "/", &ps)
+	}
+	var sb strings.Builder
+	if err := network.tel.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fill := map[string]float64{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if series, v, ok := strings.Cut(line, " "); ok && strings.HasPrefix(series, "botdetect_shard_keystore_clients{") {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			fill[series] = f
+		}
+	}
+	for _, node := range network.Nodes() {
+		for i := range shards {
+			series := fmt.Sprintf(`botdetect_shard_keystore_clients{shard="%d",node="%s"}`, i, node.Name())
+			if fill[series] == 0 {
+				t.Errorf("%s holds no client (%d series read)", series, len(fill))
+			}
 		}
 	}
 }

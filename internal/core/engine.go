@@ -433,7 +433,7 @@ func (e *Engine) sessionEnded(snap session.Snapshot) {
 // a SplitMix64 step over an atomic sequence keyed by the engine seed, so a
 // fixed seed replays the same sequence of epochs.
 func (e *Engine) scriptSeed() uint64 {
-	return mix64((e.cfg.Seed ^ 0x9e3779b97f4a7c15) + e.seedSeq.Add(1)*0x9e3779b97f4a7c15)
+	return rng.Mix64((e.cfg.Seed ^ 0x9e3779b97f4a7c15) + e.seedSeq.Add(1)*0x9e3779b97f4a7c15)
 }
 
 // PageState is the caller-owned working set for one page view on the
@@ -608,18 +608,11 @@ func every(interval time.Duration, step func(tick time.Time)) (stop func()) {
 	}
 }
 
-// mix64 is the SplitMix64 finalizer.
-func mix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // renderScript renders the beacon script of the page clientIP was issued
 // under token, into a pooled buffer the caller hands back through
 // Response.Done. The body is a pure function of the keystore's live batch
 // (real key, decoys), the token, the engine seed and the rotation epoch: the
-// variant is picked from mix64(token ^ seed), so repeated downloads within an
+// variant is picked from rng.Mix64(token ^ seed), so repeated downloads within an
 // epoch are byte-identical and nothing about a body depends on how requests
 // interleave. It returns nil when the client holds no live batch under the
 // token — script availability is exactly key liveness, and a token presented
@@ -632,7 +625,7 @@ func (e *Engine) renderScript(clientIP string, token uint64) *scriptBuf {
 		scriptBufs.Put(sb)
 		return nil
 	}
-	v := e.pool.Pick(mix64(token ^ e.cfg.Seed))
+	v := e.pool.Pick(rng.Mix64(token ^ e.cfg.Seed))
 	if cap(sb.b) < v.Size() {
 		// Size exactly (engine keys always have KeyDigits digits) so a fresh
 		// buffer costs one allocation instead of append-growth churn.
@@ -1131,6 +1124,12 @@ func (e *Engine) Session(key session.Key) (session.Snapshot, bool) {
 
 // SessionCount returns the number of active sessions.
 func (e *Engine) SessionCount() int { return e.sessions.Active() }
+
+// OneRequestSessions returns the number of tracked sessions that have made
+// one request and nothing else, the sessions the tracker's 64-byte newcomer
+// record is for. It walks one shard at a time under its lock: it is for
+// scrapes and status pages.
+func (e *Engine) OneRequestSessions() int { return e.sessions.OneRequest() }
 
 // ShardCount returns the engine's shard count (a power of two).
 func (e *Engine) ShardCount() int { return e.sessions.ShardCount() }

@@ -91,6 +91,8 @@ func (e *Engine) registerTelemetry() {
 
 	reg.GaugeFunc("botdetect_sessions_active", "Sessions currently tracked.",
 		func(emit func(labels string, v float64)) { emit(nl, float64(e.sessions.Active())) })
+	reg.GaugeFunc("botdetect_sessions_one_request", "Sessions currently tracked that have made one request and nothing else, the sessions a 64-byte newcomer record is for.",
+		func(emit func(labels string, v float64)) { emit(nl, float64(e.OneRequestSessions())) })
 	reg.GaugeFunc("botdetect_keystore_clients", "Client IPs with outstanding page views.",
 		func(emit func(labels string, v float64)) { emit(nl, float64(e.keys.Clients())) })
 	reg.GaugeFunc("botdetect_model_epoch", "Epoch of the published learned model (0 = rules only).",

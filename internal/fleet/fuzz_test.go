@@ -8,6 +8,7 @@ import (
 	"botdetect/internal/adaboost"
 	"botdetect/internal/clock"
 	"botdetect/internal/detect"
+	"botdetect/internal/rng"
 	"botdetect/internal/session"
 )
 
@@ -23,7 +24,7 @@ var fuzzNow = time.Unix(1136505600, 0)
 // and payload are functions of (origin, inc, epoch), so two frames that name
 // the same identity carry the same update, as retries and re-sends do.
 func fuzzDurable(origin string, inc uint32, epoch uint64) Update {
-	h := mix64(uint64(len(origin))<<56 ^ uint64(origin[0])<<48 ^ uint64(inc)<<40 ^ epoch)
+	h := rng.Mix64(uint64(len(origin))<<56 ^ uint64(origin[0])<<48 ^ uint64(inc)<<40 ^ epoch)
 	u := Update{Origin: origin, Inc: inc, Epoch: epoch, Stamp: int64(h >> 40), Key: key(int(h % 12)),
 		Until: fuzzNow.Add(time.Duration(int64(h>>24%1000)-200) * time.Second).UnixNano()}
 	switch (h >> 8) % 5 {

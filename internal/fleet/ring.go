@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"botdetect/internal/rng"
 	"botdetect/internal/shard"
 )
 
@@ -35,7 +36,7 @@ func NewRing(nodes []string) *Ring {
 	r.points = make([]ringPoint, 0, len(nodes)*vnodes)
 	for i, name := range r.nodes {
 		for v := 0; v < vnodes; v++ {
-			h := mix64(shard.HashString(fmt.Sprintf("%s#%d", name, v)))
+			h := rng.Mix64(shard.HashString(fmt.Sprintf("%s#%d", name, v)))
 			r.points = append(r.points, ringPoint{hash: h, node: int32(i)})
 		}
 	}
@@ -48,20 +49,13 @@ func NewRing(nodes []string) *Ring {
 	return r
 }
 
-// mix64 is a splitmix64-style finaliser: the raw FNV hashes both vnode
-// labels and session keys arrive with have weak high bits on short inputs,
-// and ring placement lives entirely in the high bits. Both point placement
-// and lookups mix through this, so either side's input quality is irrelevant.
-func mix64(h uint64) uint64 {
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	return h ^ (h >> 31)
-}
-
 // start returns the index of the first ring point at or after h's mixed
-// placement.
+// placement. The raw FNV hashes both vnode labels and session keys arrive
+// with have weak high bits on short inputs, and ring placement lives
+// entirely in the high bits: both point placement and lookups mix through
+// rng.Mix64, so either side's input quality is irrelevant.
 func (r *Ring) start(h uint64) int {
-	h = mix64(h)
+	h = rng.Mix64(h)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0

@@ -324,7 +324,7 @@ const (
 )
 
 // clientShard is one locked partition of the store's client table.
-type clientShard = shard.Shard[intern.Addr, clientState, *clientState]
+type clientShard = shard.Shard[intern.Addr, clientState, clientState, *clientState, *clientState]
 
 // Stats are cumulative counters exposed for monitoring and experiments.
 type Stats struct {
@@ -397,7 +397,7 @@ func (s *Store) dropClientLocked(sh *clientShard, cs *clientState) {
 		s.pinnedBytes.Add(shard.SpillDrop[byte](sh.Spill(), i, c))
 	}
 	addr := cs.ID()
-	sh.Remove(cs)
+	sh.Remove(&cs.Node)
 	if names := s.names.Load(); names != nil {
 		names.ReleaseAddr(addr)
 	}
@@ -430,7 +430,7 @@ func (s *Store) addr(clientIP string) intern.Addr {
 // Store is the key table. It is safe for concurrent use.
 type Store struct {
 	cfg     Config
-	clients *shard.Table[string, intern.Addr, clientState, *clientState]
+	clients *shard.Table[string, intern.Addr, clientState, clientState, *clientState, *clientState]
 	perm    perm
 	bufs    []permBuf // shard i's AES block, used under its lock
 	stats   storeStats
@@ -464,7 +464,7 @@ type Store struct {
 // New creates a Store with the given configuration.
 func New(cfg Config) *Store {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, clients: shard.NewTable[string, intern.Addr, clientState](cfg.Shards, maxClients, shard.HashString)}
+	s := &Store{cfg: cfg, clients: shard.NewTable[string, intern.Addr, clientState, clientState](cfg.Shards, maxClients, shard.HashString)}
 	s.perm = newPerm(permKey(cfg.Seed), cfg.KeyDigits)
 	s.bufs = make([]permBuf, s.clients.Shards())
 	s.limit = pow10(cfg.KeyDigits)
@@ -562,7 +562,7 @@ func (s *Store) issuePage(clientIP, page string, degraded bool, pk *PageKeys) {
 		cs = sh.Insert(hash, s.addr(clientIP))
 		binary.LittleEndian.PutUint32(cs.log[preIncarnation:], s.incarnations.Add(1))
 	}
-	sh.Touch(cs)
+	sh.Touch(&cs.Node)
 	w := s.logOf(sh, cs)
 	s.expireClientLocked(&w, nowTick)
 	n := s.appendLocked(&w, nowTick, issueTick, hdr)
@@ -586,7 +586,8 @@ func (s *Store) issuePage(clientIP, page string, degraded bool, pk *PageKeys) {
 // nil. Caller holds the shard's lock.
 func (s *Store) getLocked(sh *clientShard, hash uint64, clientIP string) *clientState {
 	if addr, ok := s.lookupAddr(clientIP); ok {
-		return sh.Get(hash, addr)
+		cs, _ := sh.Record(sh.Get(hash, addr))
+		return cs
 	}
 	return nil
 }
@@ -678,7 +679,8 @@ func (s *Store) expireClientLocked(lg *window, nowTick uint32) {
 // evicting in strict LRU order.
 func (s *Store) enforceClientCapLocked(sh *clientShard) {
 	for sh.Len() > sh.Cap() {
-		s.dropClientLocked(sh, sh.Tail())
+		cs, _ := sh.Record(sh.Tail())
+		s.dropClientLocked(sh, cs)
 		s.stats.evictedClients.Add(1)
 	}
 }
@@ -721,7 +723,7 @@ func (s *Store) ValidateValue(clientIP string, key uint64) (v Verdict) {
 	if cs == nil {
 		return Unknown
 	}
-	sh.Touch(cs)
+	sh.Touch(&cs.Node)
 	if key >= s.limit {
 		return Unknown
 	}
@@ -757,7 +759,7 @@ func (s *Store) PageKeysFor(clientIP string, scriptToken uint64, decoys []uint64
 	if cs == nil {
 		return 0, decoys, false
 	}
-	sh.Touch(cs)
+	sh.Touch(&cs.Node)
 	if scriptToken >= s.limit {
 		return 0, decoys, false
 	}

@@ -16,6 +16,7 @@ import (
 	"botdetect/internal/features"
 	"botdetect/internal/policy"
 	"botdetect/internal/session"
+	"botdetect/internal/shard"
 	"botdetect/internal/telemetry"
 )
 
@@ -173,6 +174,18 @@ func (a *Admin) handleStatus(w http.ResponseWriter, r *http.Request) {
 		domLine += fmt.Sprintf(" (%d B/session over %d sessions)", det.MemoryEstimate()/int64(n), n)
 	}
 	fmt.Fprintf(w, "%s\n", domLine)
+	fmt.Fprintf(w, "sessions: %d tracked, %d with one request\n", det.SessionCount(), det.OneRequestSessions())
+	// The process's memory ledger: its resident memory, what the Go runtime
+	// mapped, the tables' arena, and the resident memory past the arena,
+	// the heap objects and the stacks.
+	ledger := telemetry.ReadMemoryLedger()
+	_, arena := shard.ArenaBytes()
+	fmt.Fprintf(w, "process resident: anon=%d file=%d bytes\n", ledger.ResidentAnon, ledger.ResidentFile)
+	fmt.Fprint(w, "  go runtime:")
+	for i, class := range telemetry.GoMemoryClasses {
+		fmt.Fprintf(w, " %s=%d", class, ledger.Go[i])
+	}
+	fmt.Fprintf(w, "\n  table arena touched=%d\n  residual (anon past the arena, heap objects and stacks)=%d\n", arena, ledger.Residual(arena))
 	fmt.Fprintf(w, "interner: %d strings, %d bytes, hit rate %.1f%%\n",
 		ist.Entries, ist.Bytes, ist.HitRate()*100)
 	fmt.Fprintf(w, "load shed: passthrough=%d degraded=%d\n", stats.ShedPassThrough, stats.ShedDegraded)

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -118,6 +120,58 @@ func TestAdminMetricsGCCounters(t *testing.T) {
 	}
 	if before[2] <= 0 || after[2] <= 0 {
 		t.Errorf("heap goal %v, then %v bytes", before[2], after[2])
+	}
+}
+
+// TestAdminMemoryLedger: /__bd/metrics carries the process's memory ledger,
+// read at scrape time: the Go runtime's memory in its six classes, which
+// sum to all it has mapped and of which the heap objects, stacks, metadata
+// and other are positive (a process may not have freed or released heap
+// yet), the process's anonymous and file-backed resident memory, both
+// positive where /proc/self/status can be read, and the sessions that made
+// one request; /__bd/status prints the same rows with the residual.
+func TestAdminMemoryLedger(t *testing.T) {
+	mux, _, _ := newAdminStack(t, false)
+	adminGet(mux, "/page.html")
+	body := adminGet(mux, "/__bd/metrics").Body.String()
+	value := func(series string) (float64, bool) {
+		_, rest, ok := strings.Cut(body, "\n"+series+" ")
+		if !ok {
+			return 0, false
+		}
+		line, _, _ := strings.Cut(rest, "\n")
+		var v float64
+		_, err := fmt.Sscan(line, &v)
+		return v, err == nil
+	}
+	var sum float64
+	for _, class := range telemetry.GoMemoryClasses {
+		v, ok := value(`botdetect_go_memory_bytes{class="` + class + `"}`)
+		if !ok || v < 0 || v == 0 && class != "heap_free" && class != "heap_released" {
+			t.Errorf("botdetect_go_memory_bytes{class=%q} = %v (present %v)", class, v, ok)
+		}
+		sum += v
+	}
+	total := []metrics.Sample{{Name: "/memory/classes/total:bytes"}}
+	metrics.Read(total)
+	if mapped := float64(total[0].Value.Uint64()); sum <= 0 || sum > 2*mapped || mapped > 2*sum {
+		t.Errorf("the classes sum to %v bytes, the runtime has mapped %v", sum, mapped)
+	}
+	if _, err := os.Stat("/proc/self/status"); err == nil {
+		for _, kind := range []string{"anon", "file"} {
+			if v, ok := value(`botdetect_process_resident_bytes{kind="` + kind + `"}`); !ok || v <= 0 {
+				t.Errorf("botdetect_process_resident_bytes{kind=%q} = %v (present %v)", kind, v, ok)
+			}
+		}
+	}
+	if v, ok := value("botdetect_sessions_one_request"); !ok || v != 1 {
+		t.Errorf("botdetect_sessions_one_request = %v (present %v), want the one page fetch's session", v, ok)
+	}
+	status := adminGet(mux, "/__bd/status").Body.String()
+	for _, want := range []string{"sessions: 1 tracked, 1 with one request", "process resident: anon=", "go runtime: heap_objects=", "table arena touched=", "residual (anon past the arena, heap objects and stacks)="} {
+		if !strings.Contains(status, want) {
+			t.Errorf("status page lacks %q:\n%s", want, status)
+		}
 	}
 }
 

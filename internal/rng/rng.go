@@ -25,7 +25,14 @@ type Source struct {
 // used for seeding xoshiro256** state as recommended by its authors.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
-	z := *state
+	return Mix64(*state)
+}
+
+// Mix64 is the SplitMix64 finalizer: every output bit depends on every input
+// bit. The raw FNV-1a hashes the pipeline places clients by have weak high
+// bits on short inputs, and placements that must not line up with each
+// other mix through it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

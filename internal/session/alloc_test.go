@@ -62,3 +62,45 @@ func TestObserveQuietPeekZeroAlloc(t *testing.T) {
 		t.Skip("alloc ceiling not meaningful under -race")
 	}
 }
+
+// TestNewcomerLifecycleZeroAlloc gates new clients at a full tracker whose
+// clients mostly make one request: a first request creates the session in
+// a newcomer record (and evicts the least recently active one), a Peek
+// expands it into a snapshot, and one client in four makes a second
+// request, which promotes its record in place, all allocating nothing once
+// the shard's chunks and index have grown to the cap.
+func TestNewcomerLifecycleZeroAlloc(t *testing.T) {
+	tr, vc := newTestTracker(Config{Shards: 1, MaxSessions: 64})
+	now := vc.Now()
+	ips := make([]string, 4096)
+	for i := range ips {
+		ips[i] = fmt.Sprintf("10.7.%d.%d", i/256, i%256)
+	}
+	next := 0
+	client := func() {
+		ip := ips[next%len(ips)]
+		next++
+		tr.ObserveQuiet(entry(ip, "Firefox", "GET", "/index.html", 200, "", now))
+		snap, ok := tr.Peek(Key{IP: ip, UserAgent: "Firefox"})
+		if !ok || snap.Counts.Total != 1 {
+			t.Fatal("a new client's session is missing or miscounted")
+		}
+		snap.Release()
+		if next%4 == 0 {
+			tr.ObserveQuiet(entry(ip, "Firefox", "GET", "/next.html", 200, "http://example.com/index.html", now))
+		}
+	}
+	for range 256 {
+		client()
+	}
+	allocs := testing.AllocsPerRun(500, client)
+	if n := newcomers(tr); n == 0 || n == tr.Active() {
+		t.Fatalf("%d of %d sessions in newcomer records: the run met no newcomer or no promotion", n, tr.Active())
+	}
+	if raceEnabled {
+		t.Skip("alloc ceiling not meaningful under -race")
+	}
+	if allocs != 0 {
+		t.Errorf("a new client's first request, peek and second request = %v allocs/op, want 0", allocs)
+	}
+}

@@ -17,9 +17,11 @@ import (
 // its verdict a 12-byte value inside it, its key a 25-byte ID, its first
 // three path fingerprints inline — and the budgets make the record 192 bytes,
 // so that the table's chunk of eight fills the 1,536-byte allocator size
-// class exactly, with no pointer for the garbage collector to scan. A failure here means a field was added (or widened)
-// without re-deriving the budget — grow the budget consciously or shrink the
-// struct, do not silently bump the number.
+// class exactly, with no pointer for the garbage collector to scan. A
+// session that has made one request sits in a newcomer record of at most 64
+// bytes, 24 of which fill the same chunk. A failure here means a field was
+// added (or widened) without re-deriving the budget — grow the budget
+// consciously or shrink the struct, do not silently bump the number.
 func TestSessionStructBudgets(t *testing.T) {
 	budgets := []struct {
 		name string
@@ -27,6 +29,9 @@ func TestSessionStructBudgets(t *testing.T) {
 		max  uintptr
 	}{
 		{"sessionState", unsafe.Sizeof(sessionState{}), 192},
+		// A one-request session: the node, the request's time and path
+		// fingerprint, and the request folded into 16 bits.
+		{"newcomer", unsafe.Sizeof(newcomer{}), 64},
 		// The key: a 17-byte address and an 8-byte handle, unpadded.
 		{"sessionID", unsafe.Sizeof(sessionID{}), 25},
 		// Counts went int64 → uint32: 16 counters in 64 bytes.
@@ -49,8 +54,8 @@ func TestSessionStructBudgets(t *testing.T) {
 	if size := unsafe.Sizeof(Snapshot{}); size != 208 {
 		t.Errorf("Snapshot = %d bytes, want 208", size)
 	}
-	if hasPointers(reflect.TypeFor[sessionState]()) {
-		t.Error("sessionState holds a pointer: the collector scans every session again")
+	if hasPointers(reflect.TypeFor[sessionState]()) || hasPointers(reflect.TypeFor[newcomer]()) {
+		t.Error("sessionState or newcomer holds a pointer: the collector scans every session again")
 	}
 
 	// The table charges a chunk of eight records as the size class the
@@ -69,6 +74,17 @@ func TestSessionStructBudgets(t *testing.T) {
 	steady := record + 2*4 + 2*8/8
 	if steady > 208 {
 		t.Errorf("one-page per-session estimate %d exceeds 208 B", steady)
+	}
+	// A newcomer shares the chunk: 24 of them take the room of eight full
+	// records, 1,536 B, so a chunk a promotion empties serves either size.
+	// A one-request session then costs its 64-byte record and the same
+	// share of the index, two buckets and a 24th of a chunk pointer (72.3 B).
+	nc := int64(unsafe.Sizeof(newcomer{}))
+	if 24*nc != 1536 || 8*record != 1536 {
+		t.Errorf("24 newcomers of %d B take %d B and 8 records of %d B take %d B, want both 1,536 B", nc, 24*nc, record, 8*record)
+	}
+	if oneRequest := float64(nc) + 2*4 + 8.0/24; oneRequest > 80 {
+		t.Errorf("one-request per-session estimate %.1f exceeds 80 B", oneRequest)
 	}
 }
 
@@ -137,23 +153,6 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 	// One P while the heap is measured: a thread the runtime starts meanwhile
 	// puts its own 5.5 KB on the heap (runtime.allocm), none of it the tracker's.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// The heap in use after a full collection, plus the bytes of the arena
-	// chunks ever handed out, which sit outside the heap: the arena counts
-	// them where it maps and unmaps its blocks, apart from the estimate. The
-	// collections repeat until no dropped table's cleanup unmaps blocks
-	// meanwhile.
-	heap := func() int64 {
-		runtime.GC()
-		for {
-			_, touched := shard.ArenaBytes()
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if _, now := shard.ArenaBytes(); now == touched {
-				return int64(ms.HeapAlloc) + now
-			}
-		}
-	}
 	for _, tc := range []struct {
 		paths    int
 		sessions int64
@@ -170,7 +169,7 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 			in := intern.New(8)
 			defer in.Release(in.Intern(ua))
 			tr := NewTracker(Config{Interner: in})
-			before := heap()
+			before := settledHeap()
 			ips := make([]string, sessions) // the tracker pins its sessions' address strings
 			for i := range ips {
 				ips[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
@@ -182,7 +181,7 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 				}
 			}
 			ips = nil
-			got, est := heap()-before, tr.MemoryEstimate()
+			got, est := settledHeap()-before, tr.MemoryEstimate()
 			runtime.KeepAlive(tr)
 			t.Logf("%d paths: heap %d B/session, estimate %d B/session (%.2fx)", paths, got/sessions, est/sessions, float64(est)/float64(got))
 			if est < got {
@@ -193,4 +192,71 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 			}
 		})
 	}
+}
+
+// settledHeap is the heap in use after a full collection, plus the bytes of
+// the arena chunks ever handed out, which sit outside the heap: the arena
+// counts them where it maps and unmaps its blocks, apart from the estimate.
+// The collections repeat until no dropped table's cleanup unmaps blocks
+// meanwhile. Measure under GOMAXPROCS(1).
+func settledHeap() int64 {
+	runtime.GC()
+	for {
+		_, touched := shard.ArenaBytes()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		if _, now := shard.ArenaBytes(); now == touched {
+			return int64(ms.HeapAlloc) + now
+		}
+	}
+}
+
+// TestOneRequestMemoryEstimateCoversHeap holds MemoryEstimate between 1.0x
+// and 1.3x of what 50,000 one-request sessions really pin, on the heap and
+// in the table's arena, measured as TestSessionMemoryEstimateCoversHeap
+// measures: the sessions sit in newcomer records, 24 to a chunk. It holds
+// it again after every other session made a second request, which promoted
+// it to a full record in the newcomer's place: the newcomer chunks the
+// promotions emptied went back to the arena, which hands them to the next
+// chunk of either size and charges them, as the measure counts them, until
+// their block is unmapped.
+func TestOneRequestMemoryEstimateCoversHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting differs under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const sessions = 50000
+	const ua = "Mozilla/4.0 (compatible; MSIE 6.0)"
+	in := intern.New(8)
+	defer in.Release(in.Intern(ua))
+	tr := NewTracker(Config{Interner: in})
+	ips := make([]string, sessions) // on the heap before the baseline, as the User-Agent is
+	for i := range ips {
+		ips[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
+	}
+	before := settledHeap()
+	now := time.Unix(1136073600, 0)
+	for _, ip := range ips {
+		tr.ObserveQuiet(entry(ip, ua, "GET", "/index.html", 200, "", now))
+	}
+	check := func(stage string, oneRequest int) {
+		t.Helper()
+		got, est := settledHeap()-before, tr.MemoryEstimate()
+		t.Logf("%s: %d of %d sessions with one request; heap %d B/session, estimate %d B/session (%.2fx)",
+			stage, tr.OneRequest(), tr.Active(), got/sessions, est/sessions, float64(est)/float64(got))
+		if tr.Active() != sessions || tr.OneRequest() != oneRequest {
+			t.Fatalf("%s: %d sessions, %d with one request; want %d and %d", stage, tr.Active(), tr.OneRequest(), sessions, oneRequest)
+		}
+		if est < got || est*10 > got*13 {
+			t.Errorf("%s: estimate %d B is not within 1.0x to 1.3x of the heap and arena, %d B", stage, est, got)
+		}
+	}
+	check("one request each", sessions)
+	for i := 0; i < sessions; i += 2 {
+		tr.ObserveQuiet(entry(ips[i], ua, "GET", "/next.html", 200, "", now.Add(time.Second)))
+	}
+	check("every other promoted", sessions/2)
+	runtime.KeepAlive(tr)
+	runtime.KeepAlive(ips)
 }

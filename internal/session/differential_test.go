@@ -203,6 +203,10 @@ func TestHashedPathsMatchExactAccumulator(t *testing.T) {
 // by session, through the exact reference, and after every request the
 // tracker's snapshot must carry bit-identical counts and features (the epoch
 // is a function of the counts' history, so it cannot differ if they never do).
+// Beside them, in a tracker of their own, every request of one corpus comes
+// from a client of its own, which makes no other: 600 one-request sessions,
+// each held in a newcomer record, whose snapshots must carry the exact
+// reference's counts as well.
 func TestHashedPathsMatchExactTracker(t *testing.T) {
 	tracker, vc := newTestTracker(Config{})
 
@@ -219,5 +223,18 @@ func TestHashedPathsMatchExactTracker(t *testing.T) {
 				t.Fatalf("session %d request %d: counts diverge\ntracker: %+v\nexact:   %+v", sess, i, snap.Counts, exact.counts)
 			}
 		}
+	}
+	single, _ := newTestTracker(Config{})
+	for i, e := range synthCorpus(99, 600) {
+		e.ClientIP = fmt.Sprintf("203.0.%d.%d", i/256, i%256)
+		snap := single.Observe(e)
+		exact := newExactAccumulator()
+		exact.Observe(e)
+		if snap.Counts != exact.counts || snap.Counts.Total != 1 {
+			t.Fatalf("one-request session %d: counts diverge\ntracker: %+v\nexact:   %+v", i, snap.Counts, exact.counts)
+		}
+	}
+	if n := newcomers(single); n != 600 || single.OneRequest() != 600 {
+		t.Fatalf("%d sessions in newcomer records, %d with one request; want the 600 one-request ones", n, single.OneRequest())
 	}
 }

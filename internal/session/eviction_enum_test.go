@@ -206,12 +206,12 @@ func (r *evictRun) step(op evictOp) string {
 		return fmt.Sprintf("shard holds %d sessions, cap %d, model %d", sh.Len(), enumMaxSessions, len(r.lru))
 	}
 	bytes, i := sh.Spill().Bytes(), 0
-	for st := sh.Tail(); st != nil; st, i = sh.Prev(st), i+1 {
-		key := r.tr.keyOf(st.ID())
-		if _, h := r.tr.table.Locate(key); i >= len(r.lru) || key != r.lru[i].key || st.hasEvidence() != r.lru[i].evidence || r.tr.find(sh, h, key) != st {
-			return fmt.Sprintf("LRU position %d from the tail holds %v (evidence %v), model %+v", i, key, st.hasEvidence(), r.lru)
+	for n := sh.Tail(); n != nil; n, i = sh.Prev(n), i+1 {
+		key := r.tr.keyOf(n.ID())
+		if _, h := r.tr.table.Locate(key); i >= len(r.lru) || key != r.lru[i].key || hasEvidence(sh, n) != r.lru[i].evidence || r.tr.find(sh, h, key) != n {
+			return fmt.Sprintf("LRU position %d from the tail holds %v (evidence %v), model %+v", i, key, hasEvidence(sh, n), r.lru)
 		}
-		if st.npaths > inlinePaths {
+		if st, _ := sh.Record(n); st != nil && st.npaths > inlinePaths {
 			bytes += 4 * int64(cap(r.tr.pathsOf(sh, st).fps))
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+	"time"
 	"unsafe"
 
 	"botdetect/internal/webmodel"
@@ -135,6 +136,10 @@ func TestPathFingerprintCollisions(t *testing.T) {
 // the tracker (inlinePaths fingerprints in the record, the rest spilled): the
 // same answers and the same set, in the record exactly while it fits there,
 // and the tracker charges the spilled set's capacity and the spill store.
+// The inserts are the requests of a session in the table too, each referred
+// from its own path: the first creates it as a newcomer, the second
+// promotes it, each follows a link exactly when the set held its path
+// before, and at the end the session's record holds the same set.
 func FuzzPathTable(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 0, 1, 1, 0, 2})
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0})
@@ -151,6 +156,8 @@ func FuzzPathTable(f *testing.F) {
 		var order []string
 		tr := NewTracker(Config{Shards: 1})
 		sh, st := tr.table.Shard(0), new(sessionState)
+		live, key, now := NewTracker(Config{Shards: 1}), Key{IP: "192.0.2.1", UserAgent: "UA"}, time.Unix(1136073600, 0)
+		var inserts, links uint32
 		for ; len(ops) >= 3; ops = ops[3:] {
 			p := "/p/" + strconv.Itoa(int(ops[1])<<8|int(ops[2])) + ".html"
 			_, had := ref[pathFingerprint(p)]
@@ -161,6 +168,14 @@ func FuzzPathTable(f *testing.F) {
 				continue
 			}
 			pt.insert(p)
+			inserts++
+			if had {
+				links++
+			}
+			if c := live.Observe(entry(key.IP, key.UserAgent, "GET", p, 200, "http://example.com"+p, now)).Counts; c.Total != inserts || c.LinkFollowing != links || c.UnseenReferrer != inserts-links {
+				t.Fatalf("request %d for %q: %d requests, %d following a link, %d from an unseen referrer; want %d, %d, %d",
+					inserts, p, c.Total, c.LinkFollowing, c.UnseenReferrer, inserts, links, inserts-links)
+			}
 			rp := tr.pathsOf(sh, st)
 			rp.insert(p)
 			tr.storePaths(sh, st, rp)
@@ -197,6 +212,9 @@ func FuzzPathTable(f *testing.F) {
 		if got := tr.pathsOf(sh, st).fps; !slices.Equal(got, pt.fps) {
 			t.Fatalf("the record's set is %v, the pathTable's %v", got, pt.fps)
 		}
+		if got := sessionPaths(live, key); !slices.Equal(got, pt.fps) {
+			t.Fatalf("the session's set is %v, the pathTable's %v", got, pt.fps)
+		}
 	})
 }
 
@@ -222,4 +240,20 @@ func recordPathBooks(tr *Tracker, st *sessionState) string {
 		return fmt.Sprintf("estimate %d, the spilled set and the spill store pin %d", tr.MemoryEstimate(), want)
 	}
 	return ""
+}
+
+// sessionPaths is the path set of the session under key: a newcomer
+// record's one fingerprint, or a full record's set; none when it is not
+// tracked.
+func sessionPaths(tr *Tracker, key Key) []uint32 {
+	sh, h := tr.table.Locate(key)
+	sh.Lock()
+	defer sh.Unlock()
+	switch st, nc := sh.Record(tr.find(sh, h, key)); {
+	case nc != nil:
+		return []uint32{nc.path}
+	case st != nil:
+		return slices.Clone(tr.pathsOf(sh, st).fps)
+	}
+	return nil
 }

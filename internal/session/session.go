@@ -14,12 +14,14 @@
 // read — takes that one shard mutex for an index lookup and a few dozen
 // stores.
 //
-// Each session is stored once: the sessionState record is the only copy, and
-// a Snapshot is built from it on demand, under the shard mutex, for a reader
-// that uses it (Peek, Observe, Each, and a session's end when the Evicted
-// listener or FlushAll takes it). Readers therefore always see the session
-// as of the last request, and there is no publication protocol to get
-// wrong. The record is built for millions of
+// Each session is stored once: its record is the only copy, and a Snapshot
+// is built from it on demand, under the shard mutex, for a reader that uses
+// it (Peek, Each, and a session's end when the Evicted listener or FlushAll
+// takes it). Readers therefore always see the session as of the last
+// request, and there is no publication protocol to get wrong. A session that
+// has made one request is held in a 64-byte newcomer record, promoted in
+// place to the full sessionState record before anything else is written to
+// it. The record is built for millions of
 // concurrent sessions and holds no pointer, so the garbage collector never
 // scans it: the key is the address inline (an IP address as its 16 bytes)
 // and the User-Agent's interned handle (one canonical copy per distinct UA
@@ -131,7 +133,7 @@ func (s Signal) String() string {
 // no attribute, rate or rule reads them.
 type Counts struct {
 	// Total is the number of requests observed (instrumentation beacons are
-	// excluded by the caller; see Tracker.Observe).
+	// excluded by the caller; see Tracker.ObserveQuiet).
 	Total uint32
 	// Head counts HEAD requests.
 	Head uint32
@@ -256,22 +258,63 @@ type EvictionStats struct {
 // looking for an evidence-free victim before falling back to strict LRU.
 const evictScanLimit = 16
 
+// request is one request as the counters read it, folded into 16 bits: its
+// object's kind (the logfmt.Kind bits the counters read), its method class,
+// whether it carried a Referer and its status class when the counters count
+// it (2 to 5; 0 for any other). A newcomer record keeps its one request so.
+type request uint16
+
+const (
+	reqKinds    = request(logfmt.KindHTML | logfmt.KindImage | logfmt.KindCGI | logfmt.KindFavicon | logfmt.KindEmbedded)
+	reqHead     = request(1) << 5
+	reqPost     = request(1) << 6
+	reqReferrer = request(1) << 7
+	reqStatus   = 8 // the status class's shift
+)
+
+// fold folds e, whose kind is k, into a request.
+func fold(e logfmt.Entry, k logfmt.Kind) request {
+	r := request(k) & reqKinds
+	switch {
+	case e.IsHead():
+		r |= reqHead
+	case e.Method == "POST" || e.Method == "post":
+		r |= reqPost
+	}
+	if e.Referer != "" {
+		r |= reqReferrer
+	}
+	if c := e.StatusClass(); c >= 2 && c <= 5 {
+		r |= request(c) << reqStatus
+	}
+	return r
+}
+
 // observe applies one request to the counters. paths (bounded by
 // maxTrackedPaths) backs the link-following vs unseen-referrer split: the
 // referrer is matched against paths seen so far, then the request's own path
-// is recorded. It is the single counting implementation behind both
-// Tracker.Observe and Accumulator.Observe; k is e.Kind(), which the callers
-// compute before taking any lock.
+// is recorded. It is the single counting implementation behind both the
+// tracker and Accumulator.Observe; k is e.Kind(), which the callers compute
+// before taking any lock.
 func (c *Counts) observe(e logfmt.Entry, k logfmt.Kind, paths *pathTable) {
+	r := fold(e, k)
+	c.add(r, r&reqReferrer != 0 && paths.contains(refererPath(e.Referer)))
+	paths.insert(e.PathOnly())
+}
+
+// add counts the request r; followed says that its referrer names a path the
+// session requested before.
+func (c *Counts) add(r request, followed bool) {
 	satInc(&c.Total)
 	switch {
-	case e.IsHead():
+	case r&reqHead != 0:
 		satInc(&c.Head)
-	case e.Method == "POST" || e.Method == "post":
+	case r&reqPost != 0:
 		satInc(&c.Post)
 	default:
 		satInc(&c.Get)
 	}
+	k := logfmt.Kind(r & reqKinds)
 	if k&logfmt.KindHTML != 0 {
 		satInc(&c.HTML)
 	}
@@ -287,15 +330,15 @@ func (c *Counts) observe(e logfmt.Entry, k logfmt.Kind, paths *pathTable) {
 	if k&logfmt.KindEmbedded != 0 {
 		satInc(&c.Embedded)
 	}
-	if e.Referer != "" {
+	if r&reqReferrer != 0 {
 		satInc(&c.WithReferrer)
-		if paths.contains(refererPath(e.Referer)) {
+		if followed {
 			satInc(&c.LinkFollowing)
 		} else {
 			satInc(&c.UnseenReferrer)
 		}
 	}
-	switch e.StatusClass() {
+	switch r >> reqStatus {
 	case 2:
 		satInc(&c.Status2xx)
 	case 3:
@@ -305,7 +348,6 @@ func (c *Counts) observe(e logfmt.Entry, k logfmt.Kind, paths *pathTable) {
 	case 5:
 		satInc(&c.Status5xx)
 	}
-	paths.insert(e.PathOnly())
 }
 
 // classBits returns one bit per non-zero counter category. The tracker bumps
@@ -504,8 +546,30 @@ func (id sessionID) uaHandle() intern.Handle {
 	return intern.Handle(binary.LittleEndian.Uint64(id.ua[:]))
 }
 
+// newcomer is the record of a session that has made one request and
+// nothing else, at most 64 bytes so that 24 of them share the chunk of eight
+// full records: the table's node, the request's time and path fingerprint,
+// and the request folded into the bits its counters read. The rest of the
+// session follows from these: its referrer, if any, is unseen (the session
+// had no earlier path), and its last-seen time, counters, path set and epoch
+// are what a full record reaches from the same request (Tracker.grow), its
+// signals and verdict are none. A one-request client, never judged, is held
+// in a third of a full record. Anything more the session does promotes the
+// record in place first (Tracker.full); a read expands it into the same
+// snapshot.
+type newcomer struct {
+	shard.Node[sessionID]
+	path      uint32 // the request's path fingerprint
+	firstSeen int64  // Unix nanoseconds, the request's time
+	req       request
+}
+
+// node is a session's table node, which lookups and walks return; the
+// shard's Record gives the session's full or newcomer record.
+type node = shard.Node[sessionID]
+
 // sessionShard is one locked partition of the tracker's table.
-type sessionShard = shard.Shard[sessionID, sessionState, *sessionState]
+type sessionShard = shard.Shard[sessionID, sessionState, newcomer, *sessionState, *newcomer]
 
 // fill builds the session's snapshot, under key, into out. Caller holds the
 // shard lock.
@@ -592,7 +656,7 @@ func (c Config) withDefaults() Config {
 // (StoreVerdict), so reading a session reads its verdict.
 type Tracker struct {
 	cfg      Config
-	table    *shard.Table[Key, sessionID, sessionState, *sessionState]
+	table    *shard.Table[Key, sessionID, sessionState, newcomer, *sessionState, *newcomer]
 	interner *intern.Interner
 
 	ended atomic.Int64
@@ -607,7 +671,7 @@ func NewTracker(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
 	return &Tracker{
 		cfg:      cfg,
-		table:    shard.NewTable[Key, sessionID, sessionState](cfg.Shards, cfg.MaxSessions, Key.Hash),
+		table:    shard.NewTable[Key, sessionID, sessionState, newcomer](cfg.Shards, cfg.MaxSessions, Key.Hash),
 		interner: cfg.Interner,
 	}
 }
@@ -646,28 +710,16 @@ func (t *Tracker) RebalanceCaps() {
 	}
 }
 
-// Observe records one request for the session identified by the entry's
-// client IP and User-Agent, creating the session if needed, and returns the
-// session's updated snapshot. Instrumentation traffic (beacon fetches, the
-// injected CSS/JS, hidden-link hits) should NOT be passed to Observe — those
-// are reported through Mark — so that request counts reflect the client's
-// own traffic, matching the paper's per-request accounting.
-func (t *Tracker) Observe(e logfmt.Entry) Snapshot {
-	var snap Snapshot
-	t.observe(e, &snap)
-	return snap
-}
-
-// ObserveQuiet is Observe without the returned copy, for callers that
-// discard it (the serve paths, which read through Peek/Decide): the session
-// is updated identically.
+// ObserveQuiet records one request for the session identified by the
+// entry's client IP and User-Agent, creating the session if needed; a caller
+// that reads the session afterwards takes a Peek. Instrumentation traffic
+// (beacon fetches, the injected CSS/JS, hidden-link hits) should NOT be
+// passed to it — those are reported through Mark — so that request counts
+// reflect the client's own traffic, matching the paper's per-request
+// accounting. A new session's one request is held in a newcomer record,
+// unless its shard has a full slot free; the session's second request
+// promotes it to a full one.
 func (t *Tracker) ObserveQuiet(e logfmt.Entry) {
-	t.observe(e, nil)
-}
-
-// observe applies the request to its session and, when out is non-nil, fills
-// it with the updated snapshot.
-func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 	key := Key{IP: e.ClientIP, UserAgent: e.UserAgent}
 	when := e.Time
 	if when.IsZero() {
@@ -679,32 +731,49 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 
 	var evicted []Snapshot
 	sh.Lock()
-	st := t.find(sh, h, key)
-	if st != nil && now-st.lastSeen > int64(t.cfg.IdleTimeout) {
+	n := t.find(sh, h, key)
+	if n != nil && now-lastSeen(sh, n) > int64(t.cfg.IdleTimeout) {
 		// The gap since the last request exceeds the idle timeout: the old
 		// session ends and the new activity starts a fresh one (the paper's
 		// session definition).
 		if t.cfg.Evicted != nil {
-			evicted = appendFinal(evicted, st, key)
+			evicted = t.appendFinal(evicted, sh, n, key)
 		}
-		t.endLocked(sh, st, EvictIdle)
-		st = nil
+		t.endLocked(sh, n, EvictIdle)
+		n = nil
 	}
-	if st == nil {
-		st = t.createLocked(sh, h, key, now)
+	var st *sessionState
+	if n != nil {
+		st = t.full(sh, n)
+	} else if full, nc := sh.InsertNewcomer(h, t.newID(key)); nc != nil {
+		nc.firstSeen, nc.path, nc.req = now, pathFingerprint(e.PathOnly()), fold(e, kind)
+	} else {
+		st = full
+		st.start(now)
 	}
+	if st != nil {
+		// A forwarded request can arrive after a later one (a fleet owner
+		// applies its peers' requests with their origin times, after mesh
+		// delay): it counts, but the session stays as recent as its newest
+		// request.
+		st.lastSeen = max(st.lastSeen, now)
+		sh.Touch(&st.Node)
+		classes := st.counts.classBits()
+		paths := t.pathsOf(sh, st)
+		st.counts.observe(e, kind, &paths)
+		t.storePaths(sh, st, paths)
+		t.advance(st, classes)
+	}
+	evicted = t.enforceCapLocked(sh, evicted)
+	sh.Unlock()
 
-	// A forwarded request can arrive after a later one (a fleet owner applies
-	// its peers' requests with their origin times, after mesh delay): it
-	// counts, but the session stays as recent as its newest request.
-	st.lastSeen = max(st.lastSeen, now)
-	sh.Touch(st)
+	t.notify(evicted)
+}
 
+// advance moves the session's decision epoch for the request just counted,
+// given the request classes it had before (classBits).
+func (t *Tracker) advance(st *sessionState, classesBefore uint32) {
 	c := &st.counts
-	classesBefore := c.classBits()
-	paths := t.pathsOf(sh, st)
-	c.observe(e, kind, &paths)
-	t.storePaths(sh, st, paths)
 	for _, mark := range t.cfg.DecisionMarks {
 		if int64(c.Total) == mark {
 			st.bump()
@@ -723,14 +792,63 @@ func (t *Tracker) observe(e logfmt.Entry, out *Snapshot) {
 	if c.classBits() != classesBefore {
 		st.bump() // a request class this session had never produced before
 	}
+}
 
-	if out != nil {
-		st.fill(out, key)
+// grow writes the session the newcomer nc holds into st, a full record zero
+// but for its node: the state a full record reaches from the same first
+// request, which ObserveQuiet gave it in fewer bytes.
+func (t *Tracker) grow(st *sessionState, nc *newcomer) {
+	st.start(nc.firstSeen)
+	st.paths[0], st.npaths = nc.path, 1
+	st.counts.add(nc.req, false)
+	t.advance(st, 0)
+}
+
+// full returns the full record of the session whose node is n, promoting a
+// newcomer's in place first: every write but a session's first request
+// needs one. When the shard's other newcomers then fit in its full chunks'
+// free slots it promotes them too, which gives their chunk back (see
+// shard.Shard.Straggler). Caller holds the shard lock.
+func (t *Tracker) full(sh *sessionShard, n *node) *sessionState {
+	st, nc := sh.Record(n)
+	if nc != nil {
+		st = t.promote(sh, nc)
+		for nc := sh.Straggler(); nc != nil; nc = sh.Straggler() {
+			t.promote(sh, nc)
+		}
 	}
-	evicted = t.enforceCapLocked(sh, evicted)
-	sh.Unlock()
+	return st
+}
 
-	t.notify(evicted)
+// promote moves the newcomer nc into a full record and returns it. Caller
+// holds the shard lock.
+func (t *Tracker) promote(sh *sessionShard, nc *newcomer) *sessionState {
+	was := *nc
+	st := sh.Promote(nc)
+	t.grow(st, &was)
+	return st
+}
+
+// fill builds the snapshot of the session whose node is n, under key, into
+// out; a newcomer's is its expansion's. Caller holds the shard lock.
+func (t *Tracker) fill(sh *sessionShard, n *node, out *Snapshot, key Key) {
+	st, nc := sh.Record(n)
+	if nc != nil {
+		var grown sessionState
+		t.grow(&grown, nc)
+		st = &grown
+	}
+	st.fill(out, key)
+}
+
+// lastSeen is the time of the newest request of the session whose node is
+// n. Caller holds the shard lock.
+func lastSeen(sh *sessionShard, n *node) int64 {
+	st, nc := sh.Record(n)
+	if nc != nil {
+		return nc.firstSeen
+	}
+	return st.lastSeen
 }
 
 // Mark records a detection signal for the session, creating the session if
@@ -744,12 +862,14 @@ func (t *Tracker) Mark(key Key, sig Signal) bool {
 
 	var evicted []Snapshot
 	sh.Lock()
-	st := t.find(sh, h, key)
-	if st == nil {
+	var st *sessionState
+	if n := t.find(sh, h, key); n != nil {
+		st = t.full(sh, n)
+	} else {
 		st = t.createLocked(sh, h, key, now)
 	}
 	st.lastSeen = max(st.lastSeen, now)
-	sh.Touch(st)
+	sh.Touch(&st.Node)
 	newly := false
 	if !st.signals.Has(sig) && int(sig) >= 0 && int(sig) < numSignals {
 		// A signal before any tracked request is attributed to request 1
@@ -774,12 +894,12 @@ func (t *Tracker) Mark(key Key, sig Signal) bool {
 func (t *Tracker) Bump(key Key) bool {
 	sh, h := t.table.Locate(key)
 	sh.Lock()
-	st := t.find(sh, h, key)
-	if st != nil {
-		st.bump()
+	n := t.find(sh, h, key)
+	if n != nil {
+		t.full(sh, n).bump()
 	}
 	sh.Unlock()
-	return st != nil
+	return n != nil
 }
 
 // StoreVerdict stores v in the record of the session snap was taken from, if
@@ -791,10 +911,14 @@ func (t *Tracker) Bump(key Key) bool {
 func (t *Tracker) StoreVerdict(snap *Snapshot, v StoredVerdict) bool {
 	sh, h := t.table.Locate(snap.Key)
 	sh.Lock()
-	st := t.find(sh, h, snap.Key)
-	ok := st != nil && uint64(st.epoch) == snap.Epoch && st.firstSeen == snap.FirstSeen.UnixNano()
+	n := t.find(sh, h, snap.Key)
+	var cur Snapshot
+	if n != nil {
+		t.fill(sh, n, &cur, snap.Key)
+	}
+	ok := n != nil && cur.Epoch == snap.Epoch && cur.FirstSeen.Equal(snap.FirstSeen)
 	if ok {
-		st.verdict = v
+		t.full(sh, n).verdict = v
 	}
 	sh.Unlock()
 	return ok
@@ -810,13 +934,13 @@ func (t *Tracker) StoreVerdict(snap *Snapshot, v StoredVerdict) bool {
 func (t *Tracker) Peek(key Key) (*Snapshot, bool) {
 	sh, h := t.table.Locate(key)
 	sh.Lock()
-	st := t.find(sh, h, key)
-	if st == nil {
+	n := t.find(sh, h, key)
+	if n == nil {
 		sh.Unlock()
 		return nil, false
 	}
 	snap := snapPool.Get().(*Snapshot)
-	st.fill(snap, key)
+	t.fill(sh, n, snap, key)
 	sh.Unlock()
 	snap.pooled = snap
 	return snap, true
@@ -824,6 +948,25 @@ func (t *Tracker) Peek(key Key) (*Snapshot, bool) {
 
 // Active returns the number of currently tracked sessions.
 func (t *Tracker) Active() int { return t.table.Len() }
+
+// OneRequest returns the number of tracked sessions that have made exactly
+// one request, the sessions a newcomer record is for (a first request takes
+// a full record where its shard has a full slot free). It walks each shard
+// under its lock in turn: it is for scrapes, not the serve path.
+func (t *Tracker) OneRequest() int {
+	one := 0
+	for i := range t.table.Shards() {
+		sh := t.table.Shard(i)
+		sh.Lock()
+		for n := sh.Head(); n != nil; n = sh.Next(n) {
+			if st, _ := sh.Record(n); st == nil || st.counts.Total == 1 {
+				one++
+			}
+		}
+		sh.Unlock()
+	}
+	return one
+}
 
 // MemoryEstimate returns the tracker's approximate live memory footprint in
 // bytes: the table's chunks of session records, chunk directories and bucket
@@ -869,9 +1012,9 @@ func (t *Tracker) Each(yield func(Snapshot) bool) {
 		sh := t.table.Shard(i)
 		batch = batch[:0]
 		sh.Lock()
-		for st := sh.Head(); st != nil; st = sh.Next(st) {
+		for n := sh.Head(); n != nil; n = sh.Next(n) {
 			batch = append(batch, Snapshot{})
-			st.fill(&batch[len(batch)-1], t.keyOf(st.ID()))
+			t.fill(sh, n, &batch[len(batch)-1], t.keyOf(n.ID()))
 		}
 		sh.Unlock()
 		for _, s := range batch {
@@ -912,18 +1055,18 @@ func (t *Tracker) expireShard(sh *sessionShard, now time.Time) int {
 	ended := 0
 	deadline := now.UnixNano() - int64(t.cfg.IdleTimeout)
 	sh.Lock()
-	for st := sh.Tail(); st != nil; {
-		prev := sh.Prev(st)
-		if st.lastSeen < deadline {
+	for n := sh.Tail(); n != nil; {
+		prev := sh.Prev(n)
+		if lastSeen(sh, n) < deadline {
 			if t.cfg.Evicted != nil {
-				evicted = appendFinal(evicted, st, t.keyOf(st.ID()))
+				evicted = t.appendFinal(evicted, sh, n, t.keyOf(n.ID()))
 			}
-			if from := t.endLocked(sh, st, EvictIdle); from != nil && prev == from {
-				prev = st // the removal moved prev into st's slot
+			if from := t.endLocked(sh, n, EvictIdle); from != nil && prev == from {
+				prev = n // the removal moved prev into n's slot
 			}
 			ended++
 		}
-		st = prev
+		n = prev
 	}
 	sh.Unlock()
 	t.notify(evicted)
@@ -939,9 +1082,9 @@ func (t *Tracker) FlushAll() []Snapshot {
 	for i := range t.table.Shards() {
 		sh := t.table.Shard(i)
 		sh.Lock()
-		for st := sh.Tail(); st != nil; st = sh.Tail() {
-			snaps = appendFinal(snaps, st, t.keyOf(st.ID()))
-			t.endLocked(sh, st, EvictFlush)
+		for n := sh.Tail(); n != nil; n = sh.Tail() {
+			snaps = t.appendFinal(snaps, sh, n, t.keyOf(n.ID()))
+			t.endLocked(sh, n, EvictFlush)
 		}
 		sh.Unlock()
 	}
@@ -954,11 +1097,11 @@ func (t *Tracker) FlushAll() []Snapshot {
 	return snaps
 }
 
-// find returns the session under key, whose slot hash is h, or nil. Caller
-// holds the shard lock. The ID is looked up under it: a User-Agent (or an
+// find returns the node of the session under key, whose slot hash is h, or
+// nil. Caller holds the shard lock. The ID is looked up under it: a User-Agent (or an
 // address that is not an IP address) the interner does not hold is in no
 // record, and no insert into the shard can race that answer.
-func (t *Tracker) find(sh *sessionShard, h uint64, key Key) *sessionState {
+func (t *Tracker) find(sh *sessionShard, h uint64, key Key) *node {
 	if id, ok := t.lookupID(key); ok {
 		return sh.Get(h, id)
 	}
@@ -990,16 +1133,23 @@ func (t *Tracker) keyOf(id sessionID) Key {
 	return Key{IP: t.interner.AddrString(id.addr), UserAgent: t.interner.String(id.uaHandle())}
 }
 
-// createLocked inserts a fresh session, whose key's slot hash is h, into
-// the shard. The User-Agent is interned: a million sessions from the same
+// createLocked inserts a fresh session with no request, whose key's slot
+// hash is h, into the shard as a full record (a newcomer is created by its
+// first request, in ObserveQuiet). The User-Agent is interned: a million sessions from the same
 // browser share one UA string instead of carrying a million copies, and the
 // record keeps its handle. An IP address is kept in the record; any other
 // address string is interned too, so the session pins no part of a request
 // line (a forwarded-for header).
 func (t *Tracker) createLocked(sh *sessionShard, h uint64, key Key, now int64) *sessionState {
 	st := sh.Insert(h, t.newID(key))
-	st.firstSeen, st.lastSeen, st.epoch = now, now, 1
+	st.start(now)
 	return st
+}
+
+// start sets a new session's times, both now, and its epoch, 1 for its
+// creation.
+func (st *sessionState) start(now int64) {
+	st.firstSeen, st.lastSeen, st.epoch = now, now, 1
 }
 
 // pathsOf returns the session's path set: its record's own fingerprints while
@@ -1033,27 +1183,28 @@ func (t *Tracker) storePaths(sh *sessionShard, st *sessionState, pt pathTable) {
 	st.npaths = uint16(n)
 }
 
-// appendFinal appends the final snapshot of st, a session about to end,
-// under key to out: what the Evicted listener hears (delivered after
-// unlocking) and FlushAll returns. Caller holds the shard lock.
-func appendFinal(out []Snapshot, st *sessionState, key Key) []Snapshot {
+// appendFinal appends the final snapshot of the session whose node is n, a
+// session about to end, under key to out: what the Evicted listener hears
+// (delivered after unlocking) and FlushAll returns. Caller holds the shard
+// lock.
+func (t *Tracker) appendFinal(out []Snapshot, sh *sessionShard, n *node, key Key) []Snapshot {
 	out = append(out, Snapshot{})
-	st.fill(&out[len(out)-1], key)
+	t.fill(sh, n, &out[len(out)-1], key)
 	return out
 }
 
-// endLocked ends the session: it deletes the record from the shard, counts
-// the end under reason and drops the record's references on its interned
-// strings. Reporting the session is the caller's business (appendFinal),
-// before this call. The record in the shard's last slot moves into st's:
-// endLocked returns the address it moved from, nil when none moved, as
-// shard.Shard.Remove does.
-func (t *Tracker) endLocked(sh *sessionShard, st *sessionState, reason EvictReason) *sessionState {
-	if st.npaths > inlinePaths {
+// endLocked ends the session whose node is n: it deletes the record from
+// the shard, counts the end under reason and drops the record's references
+// on its interned strings. Reporting the session is the caller's business
+// (appendFinal), before this call. The record in the last slot of its size
+// moves into n's: endLocked returns the address that node moved from, nil
+// when none moved, as shard.Shard.Remove does.
+func (t *Tracker) endLocked(sh *sessionShard, n *node, reason EvictReason) *node {
+	if st, _ := sh.Record(n); st != nil && st.npaths > inlinePaths {
 		t.bytes.Add(shard.SpillDrop[uint32](sh.Spill(), st.paths[0], int(st.paths[1])))
 	}
-	id := st.ID()
-	from := sh.Remove(st)
+	id := n.ID()
+	from := sh.Remove(n)
 	t.ended.Add(1)
 	t.evictions[reason].Add(1)
 	t.interner.ReleaseAddr(id.addr)
@@ -1061,10 +1212,14 @@ func (t *Tracker) endLocked(sh *sessionShard, st *sessionState, reason EvictReas
 	return from
 }
 
-// hasEvidence reports whether the session has observed any detection signal.
-// Caller holds the shard lock. Sessions with evidence are what the detector
-// exists to remember; capacity eviction prefers victims without it.
-func (st *sessionState) hasEvidence() bool { return st.signals.Any() }
+// hasEvidence reports whether the session whose node is n has observed any
+// detection signal (a newcomer has not). Caller holds the shard lock.
+// Sessions with evidence are what the detector exists to remember; capacity
+// eviction prefers victims without it.
+func hasEvidence(sh *sessionShard, n *node) bool {
+	st, _ := sh.Record(n)
+	return st != nil && st.signals.Any()
+}
 
 // enforceCapLocked evicts sessions while the shard exceeds its cap,
 // appending their snapshots to evicted when there is a listener. It prefers
@@ -1080,17 +1235,17 @@ func (t *Tracker) enforceCapLocked(sh *sessionShard, evicted []Snapshot) []Snaps
 	for sh.Len() > sh.Cap() {
 		victim := sh.Tail()
 		reason := EvictCapacityAnonymous
-		if victim.hasEvidence() {
+		if hasEvidence(sh, victim) {
 			reason = EvictCapacityEvidence
 			for cand, n := sh.Prev(victim), 0; cand != nil && n < evictScanLimit; cand, n = sh.Prev(cand), n+1 {
-				if !cand.hasEvidence() {
+				if !hasEvidence(sh, cand) {
 					victim, reason = cand, EvictCapacityAnonymous
 					break
 				}
 			}
 		}
 		if t.cfg.Evicted != nil {
-			evicted = appendFinal(evicted, victim, t.keyOf(victim.ID()))
+			evicted = t.appendFinal(evicted, sh, victim, t.keyOf(victim.ID()))
 		}
 		t.endLocked(sh, victim, reason)
 	}

@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,14 @@ func peekCopy(tr *Tracker, key Key) (Snapshot, bool) {
 	snap.pooled = nil
 	p.Release()
 	return snap, true
+}
+
+// Observe is ObserveQuiet and a peekCopy of the session after it, the
+// zero snapshot when the session is not tracked then.
+func (t *Tracker) Observe(e logfmt.Entry) Snapshot {
+	t.ObserveQuiet(e)
+	snap, _ := peekCopy(t, Key{IP: e.ClientIP, UserAgent: e.UserAgent})
+	return snap
 }
 
 func TestObserveCreatesAndCounts(t *testing.T) {
@@ -91,8 +100,10 @@ func TestObserveQuietStaysExactUnderLock(t *testing.T) {
 	}
 }
 
-// TestObserveQuietMatchesObserve pins quiet and loud observes to identical
-// session state: same entries, same final snapshot.
+// TestObserveQuietMatchesObserve pins that reading a session changes nothing
+// of it: a tracker whose session is read after every request (Observe, a
+// Peek that expands the session's newcomer record after its first request)
+// ends in the same state as one never read.
 func TestObserveQuietMatchesObserve(t *testing.T) {
 	loud, vc := newTestTracker(Config{DecisionMarks: []int64{10}})
 	quiet, _ := newTestTracker(Config{DecisionMarks: []int64{10}, Clock: vc})
@@ -760,4 +771,141 @@ func TestCountsConsistencyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNewcomerMatchesFullRecord holds a one-request session, kept in a
+// newcomer record, to the snapshot a full record gives for the same request,
+// for every combination of method, object kind, referrer and status class,
+// under several decision marks: the counters spelled out from the entry
+// (firstCounts), which the Accumulator must derive too, an unseen referrer, first and last seen at the request's
+// time, no signal or verdict, and the epoch creation, the marks and the new
+// request classes give it (1, plus one for each mark at 1, plus one when
+// the request count passes the first mark, plus one for the new classes).
+// Every reader sees that snapshot (Peek, Each, FlushAll and the Evicted
+// listener), a promotion keeps it (StoreVerdict promotes and stores), the
+// promoted record holds the request's path (a second request referred from
+// it follows a link), and a first request that finds a full slot free,
+// which it takes instead of a newcomer record, reads the same.
+func TestNewcomerMatchesFullRecord(t *testing.T) {
+	at := time.Unix(1136073600, 123456789)
+	key := Key{IP: "192.0.2.7", UserAgent: "UA"}
+	cases := 0
+	for _, marks := range [][]int64{nil, {10}, {1}, {0}, {1, 10}} {
+		for _, method := range []string{"GET", "HEAD", "head", "POST", "post", "PUT"} {
+			for _, path := range []string{"/", "/a.html", "/img/x.JPG", "/cgi-bin/q?x=1", "/favicon.ico", "/s.css", "/j.js"} {
+				for _, ref := range []string{"", "http://example.com/a.html", "/a.html"} {
+					for _, status := range []int{0, 200, 304, 404, 503, 600} {
+						e := entry(key.IP, key.UserAgent, method, path, status, ref, at)
+						var ended []Snapshot
+						tr := NewTracker(Config{DecisionMarks: marks, Shards: 1, Evicted: func(s Snapshot) { ended = append(ended, s) }})
+						tr.ObserveQuiet(e)
+						got, ok := peekCopy(tr, key)
+						acc := NewAccumulator(0)
+						acc.Observe(e)
+						if acc.counts != firstCounts(e) {
+							t.Fatalf("%+v: the Accumulator counts %+v, want %+v", e, acc.counts, firstCounts(e))
+						}
+						epoch := uint64(2)
+						for _, m := range marks {
+							if m == 1 {
+								epoch++
+							}
+						}
+						if len(marks) > 0 && marks[0] < 1 {
+							epoch++
+						}
+						want := Snapshot{Key: key, FirstSeen: time.Unix(0, at.UnixNano()), LastSeen: time.Unix(0, at.UnixNano()),
+							Counts: acc.counts, Epoch: epoch}
+						if !ok || newcomers(tr) != 1 || got != want {
+							t.Fatalf("marks %v, %+v: newcomer (%d of %d) reads\n%+v\nwant\n%+v", marks, e, newcomers(tr), tr.Active(), got, want)
+						}
+						var each Snapshot
+						tr.Each(func(s Snapshot) bool { each = s; return true })
+						if each != want {
+							t.Fatalf("marks %v, %+v: Each reads %+v", marks, e, each)
+						}
+						sv := StoredVerdict{ModelEpoch: 3, AtRequest: 1, Rule: 2}
+						if !tr.StoreVerdict(&got, sv) || newcomers(tr) != 0 || tr.OneRequest() != 1 {
+							t.Fatalf("marks %v, %+v: StoreVerdict on a newcomer did not store and promote", marks, e)
+						}
+						want.verdict = sv
+						if got, _ := peekCopy(tr, key); got != want {
+							t.Fatalf("marks %v, %+v: promoted record reads\n%+v\nwant\n%+v", marks, e, got, want)
+						}
+						next := tr.Observe(entry(key.IP, key.UserAgent, "GET", "/next.html", 200, "http://example.com"+e.PathOnly(), at.Add(time.Second)))
+						if next.Counts.LinkFollowing != 1 || next.Counts.Total != 2 {
+							t.Fatalf("marks %v, %+v: a request referred from the first path counts %+v", marks, e, next.Counts)
+						}
+						// A first request that finds a full slot free takes it,
+						// and reads the same.
+						bornFull := want
+						bornFull.Key, bornFull.verdict = Key{IP: "192.0.2.9", UserAgent: "UA"}, StoredVerdict{}
+						tr.ObserveQuiet(entry(bornFull.Key.IP, key.UserAgent, method, path, status, ref, at))
+						if got, _ := peekCopy(tr, bornFull.Key); newcomers(tr) != 0 || got != bornFull {
+							t.Fatalf("marks %v, %+v: a first request in a full record (%d newcomers) reads\n%+v\nwant\n%+v", marks, e, newcomers(tr), got, bornFull)
+						}
+						// A newcomer's end reads the same snapshot to every listener.
+						ended = nil
+						tr = NewTracker(Config{DecisionMarks: marks, Shards: 1, Evicted: func(s Snapshot) { ended = append(ended, s) }})
+						tr.ObserveQuiet(e)
+						other := Key{IP: "192.0.2.8", UserAgent: "UA"}
+						e.ClientIP = other.IP
+						tr.ObserveQuiet(e)
+						first := want
+						first.verdict = StoredVerdict{}
+						second := first
+						second.Key = other
+						if flushed := tr.FlushAll(); newcomers(tr) != 0 || len(flushed) != 2 || len(ended) != 2 || flushed[0] != first || flushed[1] != second || ended[0] != first || ended[1] != second {
+							t.Fatalf("marks %v, %+v: FlushAll and Evicted read %+v and %+v, want %+v and %+v", marks, e, flushed, ended, first, second)
+						}
+						cases++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d first requests", cases)
+}
+
+// newcomers is the number of tr's sessions held in newcomer records.
+func newcomers(tr *Tracker) int {
+	n := 0
+	for i := range tr.table.Shards() {
+		sh := tr.table.Shard(i)
+		sh.Lock()
+		for nd := sh.Head(); nd != nil; nd = sh.Next(nd) {
+			if _, nc := sh.Record(nd); nc != nil {
+				n++
+			}
+		}
+		sh.Unlock()
+	}
+	return n
+}
+
+// firstCounts is the counters of a session whose one request is e, spelled
+// out from the entry without the request's folded form.
+func firstCounts(e logfmt.Entry) Counts {
+	c := Counts{Total: 1}
+	switch {
+	case strings.EqualFold(e.Method, "HEAD"):
+		c.Head = 1
+	case e.Method == "POST" || e.Method == "post":
+		c.Post = 1
+	default:
+		c.Get = 1
+	}
+	one := func(b bool) uint32 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	k := e.Kind()
+	c.HTML, c.Image, c.CGI = one(k&logfmt.KindHTML != 0), one(k&logfmt.KindImage != 0), one(k&logfmt.KindCGI != 0)
+	c.Favicon, c.Embedded = one(k&logfmt.KindFavicon != 0), one(k&logfmt.KindEmbedded != 0)
+	c.WithReferrer, c.UnseenReferrer = one(e.Referer != ""), one(e.Referer != "")
+	c.Status2xx, c.Status3xx = one(e.Status/100 == 2), one(e.Status/100 == 3)
+	c.Status4xx, c.Status5xx = one(e.Status/100 == 4), one(e.Status/100 == 5)
+	return c
 }

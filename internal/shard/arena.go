@@ -158,15 +158,28 @@ func (a *arena) free(p unsafe.Pointer) int64 {
 func (a *arena) mapBlock() int {
 	mem := mapBlock(a.blockBytes())
 	b := &block{mem: mem, base: uintptr(unsafe.Pointer(unsafe.SliceData(mem)))}
-	for c := a.per; c < blockChunks; c++ {
-		b.used[c/64] |= 1 << (c % 64)
-	}
+	b.reserve(a.per)
 	if blocksOffHeap {
 		offHeap.mapped.Add(int64(len(mem)))
 	}
 	j, _ := slices.BinarySearchFunc(a.list, b.base, func(b *block, base uintptr) int { return cmp.Compare(b.base, base) })
 	a.list = slices.Insert(a.list, j, b)
 	return j
+}
+
+// reserve marks every chunk from per on in use and the others free, so that
+// no allocation hands out a chunk past the block's end.
+func (b *block) reserve(per int) {
+	for w := range b.used {
+		switch lo := 64 * w; {
+		case per <= lo:
+			b.used[w] = ^uint64(0)
+		case per >= lo+64:
+			b.used[w] = 0
+		default:
+			b.used[w] = ^uint64(0) << (per - lo)
+		}
+	}
 }
 
 // unmapBlock unmaps b and drops it from the list, and returns what it was

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 	"unsafe"
 )
 
@@ -18,7 +17,7 @@ import (
 // its lowest blocks; each emptied block is unmapped but one spare.
 func TestArenaDrainsBlocks(t *testing.T) {
 	const flood, keep, shards = 200000, 2000, 8
-	tab := NewTable[string, key, entry](shards, flood, HashString)
+	tab := newTestTable(shards, flood)
 	keys := make([]string, flood)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
@@ -42,7 +41,7 @@ func TestArenaDrainsBlocks(t *testing.T) {
 	}
 	chunks := 0
 	for _, sh := range tab.shards {
-		chunks += len(sh.chunks)
+		chunks += len(sh.full.chunks) + len(sh.newcomers.chunks)
 	}
 	need := (chunks + a.per - 1) / a.per
 	t.Logf("%d entries in %d blocks of %d B; %d left in %d chunks, in %d blocks (%d B)",
@@ -80,9 +79,11 @@ func TestArenaTakesLowestFreeChunk(t *testing.T) {
 
 // TestDroppedTableUnmapsBlocks drops a table that holds entries in several
 // blocks: once the collector finds it unreachable, its cleanup must unmap
-// every block.
+// every block. The test sees the cleanup end through the arena: the cleanup
+// holds the last reference to it, so a cleanup of the test's own on the
+// arena runs only after the table's has returned.
 func TestDroppedTableUnmapsBlocks(t *testing.T) {
-	tab := NewTable[string, key, entry](4, 1<<20, HashString)
+	tab := newTestTable(4, 1<<20)
 	for i := range 20000 {
 		k := fmt.Sprintf("10.0.%d.%d", i>>8, i&0xff)
 		sh, h := tab.Locate(k)
@@ -90,29 +91,39 @@ func TestDroppedTableUnmapsBlocks(t *testing.T) {
 		sh.Insert(h, keyOf(k))
 		sh.Unlock()
 	}
-	a := tab.arena
-	blocks := func() int {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return len(a.list)
+	blocks := slices.Clone(tab.arena.list)
+	if len(blocks) < 2 {
+		t.Fatalf("20,000 entries fill %d blocks, want several", len(blocks))
 	}
-	if blocks() < 2 {
-		t.Fatalf("20,000 entries fill %d blocks, want several", blocks())
-	}
+	released := make(chan struct{})
+	runtime.AddCleanup(tab.arena, func(c chan struct{}) { close(c) }, released)
 	tab = nil
-	deadline := time.Now().Add(10 * time.Second)
-	for blocks() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("a dropped table's arena still maps %d blocks", blocks())
-		}
+	// A collection finds the table unreachable, and one after its cleanup
+	// has returned finds the arena so; the cleanups run on a goroutine of
+	// their own, which Gosched lets run between collections.
+	for gcs := 1; ; gcs++ {
 		runtime.GC()
-		time.Sleep(time.Millisecond) // the cleanup runs on a goroutine of its own
+		select {
+		case <-released:
+			for i, b := range blocks {
+				if b.mem != nil {
+					t.Fatalf("the dropped table's cleanup left block %d of %d mapped", i, len(blocks))
+				}
+			}
+			return
+		default:
+		}
+		if gcs == 1000 {
+			t.Fatalf("%d collections after the table was dropped, its cleanup has not released the arena", gcs)
+		}
+		runtime.Gosched()
 	}
 }
 
-// TestNewTableRefusesPointers pins that a table refuses an entry type that
-// holds a pointer, in its ID or beside it: the collector would not see it
-// in the arena's blocks.
+// TestNewTableRefusesPointers pins that a table refuses a record type that
+// holds a pointer, in its ID or beside it, full or newcomer: the collector
+// would not see it in the arena's blocks. It refuses a newcomer larger than
+// a full record too.
 func TestNewTableRefusesPointers(t *testing.T) {
 	type (
 		stringID     struct{ Node[string] }
@@ -126,9 +137,11 @@ func TestNewTableRefusesPointers(t *testing.T) {
 		}
 	)
 	for name, newTable := range map[string]func(){
-		"string ID":      func() { NewTable[string, string, stringID](1, 8, HashString) },
-		"pointer field":  func() { NewTable[string, uint64, pointerField](1, 8, HashString) },
-		"slice in array": func() { NewTable[string, [2]uint32, sliceInArray](1, 8, HashString) },
+		"string ID":          func() { NewTable[string, string, stringID, stringID](1, 8, HashString) },
+		"pointer field":      func() { NewTable[string, uint64, pointerField, pointerField](1, 8, HashString) },
+		"slice in array":     func() { NewTable[string, [2]uint32, sliceInArray, sliceInArray](1, 8, HashString) },
+		"pointer newcomer":   func() { NewTable[string, uint64, record192, pointerField](1, 8, HashString) },
+		"newcomer too large": func() { NewTable[string, uint64, record64, record192](1, 8, HashString) },
 	} {
 		func() {
 			defer func() {
@@ -139,7 +152,7 @@ func TestNewTableRefusesPointers(t *testing.T) {
 			newTable()
 		}()
 	}
-	NewTable[string, uint64, record192](1, 8, HashString) // no pointer: no panic
+	NewTable[string, uint64, record192, record64](1, 8, HashString) // no pointer, a smaller newcomer: no panic
 }
 
 // TestArenaBookkeeping measures what a block costs the heap beside its own

@@ -14,10 +14,25 @@ import (
 	"unsafe"
 )
 
-// entry is the smallest table user: a Node and nothing else. Its ID is the
+// entry is a table user's full record: a Node and a payload, three times
+// the size of its newcomer record, newEntry, a Node and nothing else, as a
+// session's full record is three times its newcomer's. Their ID is the
 // key's bytes.
-type entry struct {
-	Node[key]
+type (
+	entry struct {
+		Node[key]
+		payload [64]byte
+	}
+	newEntry struct {
+		Node[key]
+	}
+	testTable = Table[string, key, entry, newEntry, *entry, *newEntry]
+	testShard = Shard[key, entry, newEntry, *entry, *newEntry]
+)
+
+// newTestTable is NewTable for the test's records.
+func newTestTable(shards, capacity int) *testTable {
+	return NewTable[string, key, entry, newEntry](shards, capacity, HashString)
 }
 
 // key is a test key as an entry stores it: its bytes, zero-padded, and no
@@ -29,8 +44,8 @@ func keyOf(s string) (k key) {
 	return k
 }
 
-// name is the key e was inserted under.
-func (e *entry) name() string { return strings.TrimRight(string(e.id[:]), "\x00") }
+// name is the key the entry whose node is n was inserted under.
+func name(n *Node[key]) string { return strings.TrimRight(string(n.id[:]), "\x00") }
 
 // tableOp is one input to a one-shard table.
 type tableOp struct {
@@ -39,7 +54,7 @@ type tableOp struct {
 }
 
 const (
-	opGet       = iota // get-or-insert: Get, and Insert on a miss
+	opGet       = iota // get-or-insert: Get, Insert on a miss and Promote a newcomer's hit
 	opTouch            // Touch, if the key is held
 	opRemove           // Remove, if the key is held
 	opEvictTail        // Remove the LRU tail, if any
@@ -62,17 +77,21 @@ var tableOps = func() []tableOp {
 	return append(ops, tableOp{kind: opEvictTail}, tableOp{opSweep, "b"})
 }()
 
-// tableRun is a one-shard table beside its reference: the held keys, and
-// the keys in LRU order, most recent first.
+// tableRun is a one-shard table beside its reference: the held keys, which
+// of them are held in full records, and the keys in LRU order, most recent
+// first.
 type tableRun struct {
-	t         *Table[string, key, entry, *entry]
-	sh        *Shard[key, entry, *entry]
-	keys      []string // every key a sequence can hold
+	t         *testTable
+	sh        *testShard
+	keys      []string        // every key a sequence can hold
+	bornFull  map[string]bool // keys inserted into a full record, not as a newcomer
 	held      map[string]bool
+	full      map[string]bool // held keys whose record is a full one
 	lru       []string
 	removed   map[chainPos]int // removals by the entry's position in its chain
 	resized   map[resize]int   // bucket array resizes by kind
 	chunks    map[chunkEvent]int
+	promoted  map[promotion]int
 	moved     int // removals that moved the last record into the freed slot
 	walkMoved int // sweep removals that moved the walk's saved neighbour
 }
@@ -97,29 +116,44 @@ const (
 type chunkEvent int
 
 const (
-	chunkAdded    chunkEvent = iota // an insert took a second or later chunk
+	chunkAdded    chunkEvent = iota // an insert took a second or later chunk of its size
 	chunkSpare                      // a removal emptied a chunk and kept it
-	chunkFreed                      // a removal gave back the last of two empty chunks
+	chunkFreed                      // a removal gave back an emptied chunk: the last of two empty full ones, or a newcomer one
 	chunkReused                     // an insert took a chunk the arena had handed out before
 	blockReleased                   // the arena unmapped a block
 )
 
+type promotion int
+
+const (
+	promoteAny       promotion = iota // a newcomer was promoted
+	promoteMoved                      // the promotion moved the last newcomer into the freed slot
+	promoteGrew                       // the promotion took a chunk, growing the full records' directory
+	promoteFreed                      // the promotion gave back a newcomer chunk
+	promoteStraggler                  // a newcomer promoted because the rest fit in free full slots
+)
+
 // newTableRun returns an empty one-shard table, or one holding the keys k0
-// to k<prefill-1> inserted in that order, and its reference. The table takes
-// over the arena a, which holds one chunk a block, so that a handful of
-// entries empty two blocks at once, and which recycle empties first: the
-// runs of a walk share it, and no table's cleanup unmaps it.
-func newTableRun(hook func(string) uint64, prefill int, a *arena) *tableRun {
-	t := NewTable[string, key, entry](1, 8, HashString)
+// to k<prefill-1> inserted in that order, into full records when full is
+// set and through InsertNewcomer else, and its reference. The keys a and b
+// go through InsertNewcomer, c into a full record. The table takes over the arena a, which holds two
+// chunks a block, so that a handful of entries of both sizes share the
+// first block and a prefilled table's sweep empties two, and which recycle
+// empties first: the runs of a walk share it, and no table's cleanup unmaps
+// it.
+func newTableRun(hook func(string) uint64, prefill int, full bool, a *arena) *tableRun {
+	t := newTestTable(1, 8)
 	t.HashHook = hook
 	recycle(a)
 	t.arena, t.shards[0].arena = a, a
 	t.index.Add(blockHeapBytes * int64(len(a.list))) // the spare's bookkeeping
-	r := &tableRun{t: t, sh: t.Shard(0), keys: []string{"a", "b", "c"}, held: map[string]bool{},
-		removed: map[chainPos]int{}, resized: map[resize]int{}, chunks: map[chunkEvent]int{}}
+	r := &tableRun{t: t, sh: t.Shard(0), keys: []string{"a", "b", "c"}, bornFull: map[string]bool{"c": true},
+		held: map[string]bool{}, full: map[string]bool{}, removed: map[chainPos]int{}, resized: map[resize]int{},
+		chunks: map[chunkEvent]int{}, promoted: map[promotion]int{}}
 	for i := range prefill {
 		k := fmt.Sprintf("k%d", i)
 		r.keys = append(r.keys, k)
+		r.bornFull[k] = full
 		r.apply(tableOp{opGet, k})
 	}
 	clear(r.resized) // count the sequence's events only
@@ -127,11 +161,10 @@ func newTableRun(hook func(string) uint64, prefill int, a *arena) *tableRun {
 	return r
 }
 
-// newRunArena returns an arena for newTableRun: one chunk of entries a
-// block.
+// newRunArena returns an arena for newTableRun: two chunks a block.
 func newRunArena() *arena {
 	a := newArena(int(chunkBytes[entry]()))
-	a.per = 1
+	a.per = 2
 	return a
 }
 
@@ -152,10 +185,7 @@ func recycle(a *arena) {
 		if blocksOffHeap {
 			offHeap.touched.Add(-int64(b.touched) * int64(a.stride))
 		}
-		clear(b.used[:])
-		for c := a.per; c < blockChunks; c++ {
-			b.used[c/64] |= 1 << (c % 64)
-		}
+		b.reserve(a.per)
 		b.touched, b.inUse, a.spare = 0, 0, b
 	}
 }
@@ -165,60 +195,154 @@ func (r *tableRun) bucket(key string) int {
 	return int(r.t.slot(key) & uint64(len(r.sh.buckets)-1))
 }
 
-// slot is the number of the slot e is the record of, 0 for none. Caller
-// holds the lock.
-func (r *tableRun) slot(e *entry) uint32 {
-	for s := uint32(1); s <= uint32(r.sh.n); s++ {
-		if r.sh.rec(s) == e {
+// slot is the number of the slot n is the node of, 0 for none. Caller holds
+// the lock.
+func (r *tableRun) slot(n *Node[key]) uint32 {
+	for s := uint32(1); s <= uint32(r.sh.full.n); s++ {
+		if &r.sh.rec(s).Node == n {
+			return s
+		}
+	}
+	for s := uint32(1) | newcomerSlot; s <= uint32(r.sh.newcomers.n)|newcomerSlot; s++ {
+		if &r.sh.newRec(s).Node == n {
 			return s
 		}
 	}
 	return 0
 }
 
-// position is where e sits in its index chain. Caller holds the lock.
-func (r *tableRun) position(e *entry) chainPos {
-	first := r.sh.buckets[r.bucket(e.name())] == r.slot(e)
+// slots is every slot that holds an entry, full ones first. Caller holds the
+// lock.
+func (r *tableRun) slots() []uint32 {
+	var all []uint32
+	for s := uint32(1); s <= uint32(r.sh.full.n); s++ {
+		all = append(all, s)
+	}
+	for s := uint32(1); s <= uint32(r.sh.newcomers.n); s++ {
+		all = append(all, s|newcomerSlot)
+	}
+	return all
+}
+
+// zero reports whether the record in slot s, held or not, is all zero.
+// Caller holds the lock.
+func (r *tableRun) zero(s uint32) bool {
+	if s&newcomerSlot != 0 {
+		return *r.sh.newRec(s) == newEntry{}
+	}
+	return *r.sh.rec(s) == entry{}
+}
+
+// inChunk reports whether slot s is in a chunk the shard holds. Caller holds
+// the lock.
+func (r *tableRun) inChunk(s uint32) bool {
+	sl := r.sh.slots(s)
+	return int(s&^newcomerSlot) <= sl.per*len(sl.chunks)
+}
+
+// last is the last slot of the size of slot s. Caller holds the lock.
+func (r *tableRun) last(s uint32) uint32 {
+	return uint32(r.sh.slots(s).n) | s&newcomerSlot
+}
+
+// position is where n sits in its index chain. Caller holds the lock.
+func (r *tableRun) position(n *Node[key]) chainPos {
+	first := r.sh.buckets[r.bucket(name(n))] == r.slot(n)
 	switch {
-	case first && e.hnext == 0:
+	case first && n.hnext == 0:
 		return chainAlone
 	case first:
 		return chainHead
-	case e.hnext == 0:
+	case n.hnext == 0:
 		return chainTail
 	}
 	return chainMiddle
 }
 
-// remove removes e, whose key is k, from the table and k from the reference,
+// remove removes n, whose key is k, from the table and k from the reference,
 // and returns what Remove returned. Remove must have moved the last record
-// into e exactly when e was not it, said where from, and zeroed the last
-// slot.
-func (r *tableRun) remove(k string, e *entry) *entry {
-	r.removed[r.position(e)]++
-	last, chunks := r.sh.rec(uint32(r.sh.n)), len(r.sh.chunks)
-	from := r.sh.Remove(e)
-	if e == last && from != nil || e != last && (from != last || e.name() == k || !r.held[e.name()]) {
-		panic(fmt.Sprintf("removing %s from slot %d of %d: Remove reports a move from %p (last slot %p), %s is in its slot",
-			k, r.slot(e), r.sh.n+1, from, last, e.name()))
+// of n's size into n's slot exactly when n's was not it, said where from,
+// and zeroed that last slot.
+func (r *tableRun) remove(k string, n *Node[key]) *Node[key] {
+	r.removed[r.position(n)]++
+	s := r.slot(n)
+	sl := r.sh.slots(s)
+	last, chunks := r.sh.at(r.last(s)), len(sl.chunks)
+	lastSlot := r.last(s)
+	from := r.sh.Remove(n)
+	if n == last && from != nil || n != last && (from != last || name(n) == k || !r.held[name(n)]) {
+		panic(fmt.Sprintf("removing %s from slot %#x of %d: Remove reports a move from %p (last slot %p), %s is in its slot",
+			k, s, sl.n+1, from, last, name(n)))
 	}
-	// An emptied shard gave its chunks back, and the arena may have unmapped
-	// the last slot's: arenaZeroed checks that what it keeps is zero.
-	if r.sh.n > 0 && *last != (entry{}) {
-		panic(fmt.Sprintf("removing %s left %s in the last slot", k, last.name()))
+	// An emptied shard or size gave its chunks back, and the arena may have
+	// unmapped the last slot's: arenaZeroed checks that what it keeps is
+	// zero.
+	if r.inChunk(lastSlot) && !r.zero(lastSlot) {
+		panic(fmt.Sprintf("removing %s left %s in the last slot", k, name(last)))
 	}
 	if from != nil {
 		r.moved++
 	}
-	switch n := r.sh.n; {
-	case len(r.sh.chunks) < chunks && n > 0:
+	switch n := sl.n; {
+	case len(sl.chunks) < chunks && r.sh.Len() > 0:
 		r.chunks[chunkFreed]++
-	case n > 0 && n%chunkLen == 0 && len(r.sh.chunks) > n/chunkLen:
+	case r.sh.Len() > 0 && n%sl.per == 0 && len(sl.chunks) > n/sl.per:
 		r.chunks[chunkSpare]++
 	}
 	delete(r.held, k)
+	delete(r.full, k)
 	r.lru = slices.DeleteFunc(r.lru, func(have string) bool { return have == k })
 	return from
+}
+
+// promote promotes n, a newcomer's node whose key is k, and marks k full in
+// the reference; its place in the LRU list does not move (check walks it).
+// Promote must have put n's entry into the next full slot, with a zero
+// payload, moved the last newcomer into n's slot exactly when n's was not
+// it, and zeroed that last slot.
+func (r *tableRun) promote(k string, n *Node[key]) {
+	s := r.slot(n)
+	lastSlot := r.last(s)
+	moving := name(r.sh.at(lastSlot))
+	fullChunks, newChunks := len(r.sh.full.chunks), len(r.sh.newcomers.chunks)
+	e := r.sh.Promote(r.sh.newRec(s))
+	if name(&e.Node) != k || e.hash != uint32(r.t.slot(k)) || e.payload != [64]byte{} || r.slot(&e.Node) != uint32(r.sh.full.n) {
+		panic(fmt.Sprintf("promoting %s gave a full record in slot %d of %d holding %s", k, r.slot(&e.Node), r.sh.full.n, name(&e.Node)))
+	}
+	if s != lastSlot && name(r.sh.at(s)) != moving {
+		panic(fmt.Sprintf("promoting %s left %s in its slot, not the last newcomer %s", k, name(r.sh.at(s)), moving))
+	}
+	if r.inChunk(lastSlot) && !r.zero(lastSlot) {
+		panic(fmt.Sprintf("promoting %s left %s in the last newcomer slot", k, name(r.sh.at(lastSlot))))
+	}
+	r.promoted[promoteAny]++
+	if s != lastSlot {
+		r.promoted[promoteMoved]++
+	}
+	if len(r.sh.full.chunks) > fullChunks {
+		r.promoted[promoteGrew]++
+	}
+	r.full[k] = true
+	// The tracker then promotes the stragglers: the last newcomer while all
+	// of them fit in the free full slots.
+	free := func() int { return r.sh.full.per*len(r.sh.full.chunks) - r.sh.full.n }
+	for nc := r.sh.Straggler(); nc != nil; nc = r.sh.Straggler() {
+		if last := r.sh.newRec(r.last(newcomerSlot)); nc != last || r.sh.newcomers.n > free() {
+			panic(fmt.Sprintf("Straggler returned %s, the last newcomer is %s; %d newcomers, %d full slots free", name(&nc.Node), name(&last.Node), r.sh.newcomers.n, free()))
+		}
+		k := name(&nc.Node)
+		if e := r.sh.Promote(nc); name(&e.Node) != k {
+			panic(fmt.Sprintf("promoting the straggler %s gave the full record of %s", k, name(&e.Node)))
+		}
+		r.full[k] = true
+		r.promoted[promoteStraggler]++
+	}
+	if n := r.sh.newcomers.n; n > 0 && n <= free() {
+		panic(fmt.Sprintf("Straggler returned none while %d newcomers fit in %d free full slots", n, free()))
+	}
+	if len(r.sh.newcomers.chunks) < newChunks {
+		r.promoted[promoteFreed]++
+	}
 }
 
 // apply makes one input on the table and the reference.
@@ -226,9 +350,9 @@ func (r *tableRun) apply(op tableOp) {
 	_, h := r.t.Locate(op.key)
 	r.sh.Lock()
 	defer r.sh.Unlock()
-	before, chunks, blocks, touched := len(r.sh.buckets), len(r.sh.chunks), len(r.t.arena.list), arenaTouched(r.t.arena)
+	before, chunks, blocks, touched := len(r.sh.buckets), len(r.sh.full.chunks)+len(r.sh.newcomers.chunks), len(r.t.arena.list), arenaTouched(r.t.arena)
 	defer func() {
-		if len(r.sh.chunks) > chunks && arenaTouched(r.t.arena) == touched {
+		if len(r.sh.full.chunks)+len(r.sh.newcomers.chunks) > chunks && arenaTouched(r.t.arena) == touched {
 			r.chunks[chunkReused]++
 		}
 		if len(r.t.arena.list) < blocks {
@@ -243,32 +367,53 @@ func (r *tableRun) apply(op tableOp) {
 			r.resized[resizeShrink]++
 		}
 	}()
-	e := r.sh.Get(h, keyOf(op.key))
+	n := r.sh.Get(h, keyOf(op.key))
 	switch op.kind {
 	case opGet:
-		if e == nil {
-			chunks := len(r.sh.chunks)
-			if e = r.sh.Insert(h, keyOf(op.key)); e.name() != op.key || e.hash != uint32(h) {
-				panic(fmt.Sprintf("Insert(%s) returned the record of %s", op.key, e.name()))
+		switch {
+		case n == nil:
+			// A newcomer takes a full slot when one is free.
+			full := r.bornFull[op.key] || r.sh.full.n < r.sh.full.per*len(r.sh.full.chunks)
+			sl := &r.sh.newcomers
+			if full {
+				sl = &r.sh.full
 			}
-			if len(r.sh.chunks) > max(chunks, 1) {
+			had := len(sl.chunks)
+			if r.bornFull[op.key] {
+				n = &r.sh.Insert(h, keyOf(op.key)).Node
+			} else if e, nc := r.sh.InsertNewcomer(h, keyOf(op.key)); (e != nil) != full || (e == nil) == (nc == nil) {
+				panic(fmt.Sprintf("InsertNewcomer(%s) returned a full record %v and a newcomer %v, with a full slot free: %v", op.key, e != nil, nc != nil, full))
+			} else if e != nil {
+				n = &e.Node
+			} else {
+				n = &nc.Node
+			}
+			if full {
+				r.full[op.key] = true
+			}
+			if name(n) != op.key || n.hash != uint32(h) {
+				panic(fmt.Sprintf("Insert(%s) returned the record of %s", op.key, name(n)))
+			}
+			if len(sl.chunks) > max(had, 1) {
 				r.chunks[chunkAdded]++
 			}
 			r.held[op.key] = true
 			r.lru = append([]string{op.key}, r.lru...)
+		case !r.full[op.key]:
+			r.promote(op.key, n)
 		}
 	case opTouch:
-		if e != nil {
-			r.sh.Touch(e)
+		if n != nil {
+			r.sh.Touch(n)
 			r.lru = append([]string{op.key}, slices.DeleteFunc(r.lru, func(have string) bool { return have == op.key })...)
 		}
 	case opRemove:
-		if e != nil {
-			r.remove(op.key, e)
+		if n != nil {
+			r.remove(op.key, n)
 		}
 	case opEvictTail:
 		if tail := r.sh.Tail(); tail != nil {
-			r.remove(tail.name(), tail)
+			r.remove(name(tail), tail)
 		}
 	case opSweep:
 		// The walk an expiry sweep makes: it holds the next entry to visit
@@ -277,18 +422,18 @@ func (r *tableRun) apply(op tableOp) {
 		want := slices.Clone(r.lru)
 		slices.Reverse(want)
 		var walked []string
-		for e := r.sh.Tail(); e != nil; {
-			prev := r.sh.Prev(e)
-			if walked = append(walked, e.name()); len(walked) > len(want) {
+		for n := r.sh.Tail(); n != nil; {
+			prev := r.sh.Prev(n)
+			if walked = append(walked, name(n)); len(walked) > len(want) {
 				break
 			}
-			if e.name() != op.key {
-				if from := r.remove(e.name(), e); from != nil && prev == from {
-					prev = e
+			if name(n) != op.key {
+				if from := r.remove(name(n), n); from != nil && prev == from {
+					prev = n
 					r.walkMoved++
 				}
 			}
-			e = prev
+			n = prev
 		}
 		if !slices.Equal(walked, want) {
 			panic(fmt.Sprintf("the sweep walked %v, the LRU list from the tail is %v", walked, want))
@@ -297,35 +442,40 @@ func (r *tableRun) apply(op tableOp) {
 }
 
 // check compares the table with the reference and with its own books: what
-// every key looks up to, the LRU list walked from either end, the counts,
-// the slots, which must hold each held entry exactly once, and the index
-// chains, which must hold each held entry's slot exactly once under its own
-// slot hash. It returns what broke, or "".
+// every key looks up to and the size of its record, the LRU list walked from
+// either end, the counts, the slots of each size, which must hold each held
+// entry exactly once, and the index chains, which must hold each held
+// entry's slot exactly once under its own slot hash. It returns what broke,
+// or "".
 func (r *tableRun) check() string {
 	r.sh.Lock()
 	defer r.sh.Unlock()
 	for _, k := range r.keys {
 		_, h := r.t.Locate(k)
-		if got := r.sh.Get(h, keyOf(k)); (got != nil) != r.held[k] || got != nil && got.name() != k {
+		got := r.sh.Get(h, keyOf(k))
+		if (got != nil) != r.held[k] || got != nil && name(got) != k {
 			return fmt.Sprintf("Get(%s) = %v, held %v", k, got, r.held[k])
 		}
+		if full, _ := r.sh.Record(got); got != nil && (full != nil) != r.full[k] {
+			return fmt.Sprintf("%s is in a full record: %v, the reference says %v", k, full != nil, r.full[k])
+		}
 	}
-	if r.sh.Len() != len(r.lru) || r.t.Len() != len(r.lru) {
-		return fmt.Sprintf("Len %d (table %d), reference %d", r.sh.Len(), r.t.Len(), len(r.lru))
+	if r.sh.Len() != len(r.lru) || r.t.Len() != len(r.lru) || r.sh.newcomers.n != len(r.held)-len(r.full) {
+		return fmt.Sprintf("Len %d (table %d, newcomers %d), reference %d (%d full)", r.sh.Len(), r.t.Len(), r.sh.newcomers.n, len(r.lru), len(r.full))
 	}
 	var forward, backward []string
-	var prev *entry
-	for e := r.sh.Head(); e != nil; prev, e = e, r.sh.Next(e) {
-		if r.sh.Prev(e) != prev {
-			return fmt.Sprintf("%s's Prev is not the entry before it", e.name())
+	var prev *Node[key]
+	for n := r.sh.Head(); n != nil; prev, n = n, r.sh.Next(n) {
+		if r.sh.Prev(n) != prev {
+			return fmt.Sprintf("%s's Prev is not the entry before it", name(n))
 		}
-		forward = append(forward, e.name())
+		forward = append(forward, name(n))
 	}
 	if r.sh.Tail() != prev {
 		return "Tail is not the last entry walked from Head"
 	}
-	for e := r.sh.Tail(); e != nil; e = r.sh.Prev(e) {
-		backward = append(backward, e.name())
+	for n := r.sh.Tail(); n != nil; n = r.sh.Prev(n) {
+		backward = append(backward, name(n))
 	}
 	slices.Reverse(backward)
 	if !slices.Equal(forward, r.lru) || !slices.Equal(backward, r.lru) {
@@ -338,32 +488,38 @@ func (r *tableRun) check() string {
 		return why
 	}
 	inSlots := map[string]bool{}
-	for s := uint32(1); s <= uint32(r.sh.n); s++ {
-		id := r.sh.rec(s).name()
-		if inSlots[id] || !r.held[id] {
-			return fmt.Sprintf("%s is in two slots, or not held", id)
+	for _, s := range r.slots() {
+		id := name(r.sh.at(s))
+		if inSlots[id] || !r.held[id] || (s&newcomerSlot == 0) != r.full[id] {
+			return fmt.Sprintf("%s is in two slots, not held, or in a slot of the wrong size", id)
 		}
 		inSlots[id] = true
 	}
 	if len(inSlots) != len(r.held) {
 		return fmt.Sprintf("the slots hold %d entries, the reference %d", len(inSlots), len(r.held))
 	}
-	for s := uint32(r.sh.n) + 1; s <= uint32(chunkLen*len(r.sh.chunks)); s++ {
-		if *r.sh.rec(s) != (entry{}) {
-			return fmt.Sprintf("slot %d past the last holds %s", s, r.sh.rec(s).name())
+	for _, sl := range []*slots{&r.sh.full, &r.sh.newcomers} {
+		kind := uint32(0)
+		if sl == &r.sh.newcomers {
+			kind = newcomerSlot
+		}
+		for s := uint32(sl.n) + 1; s <= uint32(sl.per*len(sl.chunks)); s++ {
+			if !r.zero(s | kind) {
+				return fmt.Sprintf("slot %#x past the last holds %s", s|kind, name(r.sh.at(s|kind)))
+			}
 		}
 	}
-	chained := map[*entry]bool{}
+	chained := map[*Node[key]]bool{}
 	for i, first := range r.sh.buckets {
-		for s := first; s != 0; s = r.sh.rec(s).hnext {
-			if int(s) > r.sh.n {
-				return fmt.Sprintf("bucket %d's chain names slot %d of %d", i, s, r.sh.n)
+		for s := first; s != 0; s = r.sh.at(s).hnext {
+			if s&^newcomerSlot > uint32(r.sh.slots(s).n) {
+				return fmt.Sprintf("bucket %d's chain names slot %#x, past the last of its size", i, s)
 			}
-			e := r.sh.rec(s)
-			if r.bucket(e.name()) != i || chained[e] || uint32(r.t.slot(e.name())) != e.hash {
-				return fmt.Sprintf("%s is in the chain of bucket %d, twice, or under another hash", e.name(), i)
+			n := r.sh.at(s)
+			if r.bucket(name(n)) != i || chained[n] || uint32(r.t.slot(name(n))) != n.hash {
+				return fmt.Sprintf("%s is in the chain of bucket %d, twice, or under another hash", name(n), i)
 			}
-			chained[e] = true
+			chained[n] = true
 		}
 	}
 	if len(chained) != len(r.held) {
@@ -372,43 +528,48 @@ func (r *tableRun) check() string {
 	return ""
 }
 
-// indexBooks checks every shard's chunks and bucket array against its count,
-// the arena against the shards' chunks, and the table's IndexBytes against
-// what they take: a shard holds none while it is empty; else as many chunks
-// as its entries fill, or one more, and a power-of-two bucket array no
-// shorter than the count and under four times it (or the smallest array);
-// the arena's blocks are in address order, with every chunk a shard holds
-// in use and no other, none in use past the chunks handed out from the
-// block's front, and at most one block with none in use, the spare; and
-// IndexBytes is every chunk handed out from a mapped block, in use or free,
-// each block's bookkeeping, and the heap the chunk directories and bucket
-// arrays pin. It returns what
-// broke, or "". It reads the shards without their locks: the table must
-// have no other user.
-func indexBooks(t *Table[string, key, entry, *entry]) string {
+// indexBooks checks every shard's chunks and bucket array against its
+// counts, the arena against the shards' chunks, and the table's IndexBytes
+// against what they take: a shard holds none while it is empty; else, of
+// each record size, as many chunks as its entries fill, or one more but
+// none for a size with no entry, and a
+// power-of-two bucket array no shorter than the count and under four times
+// it (or the smallest array); the arena's blocks are in address order, with
+// every chunk a shard holds in use and no other, none in use past the
+// chunks handed out from the block's front, and at most one block with none
+// in use, the spare; and IndexBytes is every chunk handed out from a mapped
+// block, in use or free, each block's bookkeeping, and the heap the chunk
+// directories and bucket arrays pin. It returns what broke, or "". It reads
+// the shards without their locks: the table must have no other user.
+func indexBooks(t *testTable) string {
 	var pinned int64
 	a := t.arena
 	held := make([]int, len(a.list)) // chunks the shards hold, by block
 	for _, sh := range t.shards {
-		n, size, need := sh.n, len(sh.buckets), (sh.n+chunkLen-1)/chunkLen
-		if n == 0 && (size != 0 || cap(sh.chunks) != 0) ||
-			n > 0 && (size&(size-1) != 0 || size < n || shrinkRatio*n <= size && size > minBuckets || len(sh.chunks) < need || len(sh.chunks) > need+1) ||
-			slices.Contains(sh.chunks, nil) {
-			return fmt.Sprintf("shard %d holds %d entries in %d chunks (directory of %d) and %d buckets", sh.i, n, len(sh.chunks), cap(sh.chunks), size)
+		n, size := sh.Len(), len(sh.buckets)
+		if n == 0 && (size != 0 || cap(sh.full.chunks) != 0 || cap(sh.newcomers.chunks) != 0) ||
+			n > 0 && (size&(size-1) != 0 || size < n || shrinkRatio*n <= size && size > minBuckets) {
+			return fmt.Sprintf("shard %d holds %d entries in %d+%d chunks and %d buckets", sh.i, n, len(sh.full.chunks), len(sh.newcomers.chunks), size)
 		}
-		for _, c := range sh.chunks {
-			p := uintptr(unsafe.Pointer(c))
-			j := sort.Search(len(a.list), func(j int) bool { return a.list[j].base+uintptr(len(a.list[j].mem)) > p })
-			if j == len(a.list) || p < a.list[j].base || (p-a.list[j].base)%uintptr(a.stride) != 0 {
-				return fmt.Sprintf("shard %d holds a chunk at %#x, in no block's chunk", sh.i, p)
+		for _, sl := range []*slots{&sh.full, &sh.newcomers} {
+			if need := (sl.n + sl.per - 1) / sl.per; len(sl.chunks) < need || len(sl.chunks) > need+1 || need == 0 && len(sl.chunks) > 0 || slices.Contains(sl.chunks, nil) {
+				return fmt.Sprintf("shard %d holds %d records of one size in %d chunks (directory of %d)", sh.i, sl.n, len(sl.chunks), cap(sl.chunks))
 			}
-			b, i := a.list[j], int(p-a.list[j].base)/a.stride
-			if b.used[i/64]&(1<<(i%64)) == 0 || i >= int(b.touched) {
-				return fmt.Sprintf("shard %d holds chunk %d of block %d, which is free or past the %d handed out", sh.i, i, j, b.touched)
+			for _, c := range sl.chunks {
+				p := uintptr(c)
+				j := sort.Search(len(a.list), func(j int) bool { return a.list[j].base+uintptr(len(a.list[j].mem)) > p })
+				if j == len(a.list) || p < a.list[j].base || (p-a.list[j].base)%uintptr(a.stride) != 0 {
+					return fmt.Sprintf("shard %d holds a chunk at %#x, in no block's chunk", sh.i, p)
+				}
+				b, i := a.list[j], int(p-a.list[j].base)/a.stride
+				if b.used[i/64]&(1<<(i%64)) == 0 || i >= int(b.touched) {
+					return fmt.Sprintf("shard %d holds chunk %d of block %d, which is free or past the %d handed out", sh.i, i, j, b.touched)
+				}
+				held[j]++
 			}
-			held[j]++
+			pinned += dirBytes(cap(sl.chunks))
 		}
-		pinned += dirBytes(cap(sh.chunks)) + bucketArrayBytes(size)
+		pinned += bucketArrayBytes(size)
 	}
 	empty := 0
 	for j, b := range a.list {
@@ -464,47 +625,65 @@ func arenaZeroed(a *arena) string {
 // sharded client store is built on: every sequence of get-or-insert, touch,
 // remove and evict-tail over three keys, and a sweep that removes all but
 // one key in one walk from the tail, on one shard, to depth 6, once with all
-// keys hashed into one collision chain, once into distinct slots, and once
-// into distinct slots after 14 other keys, so that the three keys fill a
-// third chunk. After each input the table must agree with a reference (a set
-// and an ordered slice) on every lookup, on the LRU order walked both ways
-// and on its counts; the slots must hold each held entry exactly once and
-// nothing past the last, the chain of the bucket its slot hash picks its
-// slot exactly once, the chunks and the bucket array must fit the count,
-// the arena's blocks the chunks and IndexBytes what they take, and every
-// chunk the arena holds free must be zero; Remove must move the last record
-// into the slot it frees and say where from, and the sweep, which holds its
-// next entry across a removal, must visit every entry once. The arena puts
-// each chunk in a block of its own. The one-chain walk must have removed
-// entries from a chain's head, middle and tail; each walk must have grown,
-// shrunk and released the arrays (three keys reach four buckets from one),
-// moved a last record, moved the sweep's saved neighbour, and taken a chunk
-// the arena had handed out before; the prefilled walk must have added a
-// chunk past the eighth entry, kept an emptied chunk as the spare, given
-// back the last of two empty ones and seen the arena unmap a block (a sweep
-// that empties the shard empties two blocks). A table cannot be forked, so
-// each sequence is replayed from a new one, whose blocks are unmapped when
-// it is done; the first failure prints its sequence. Under the race detector the depth is 5, the
-// least that shrinks the arrays (three inserts grow them to four, two
-// removals halve them); the prefilled walk goes four inputs deep, enough to
-// fill the third chunk and sweep it.
+// keys hashed into one collision chain, once into distinct slots, once into
+// distinct slots after 15 other keys in full records, so that two inserts
+// fill a third full chunk, and once after 47 other keys held as
+// newcomers, so that two inserts fill a third newcomer chunk. The keys a and
+// b are inserted through InsertNewcomer, which must take a full slot when
+// one is free and a newcomer slot else, c into a full record, and a get of
+// a newcomer promotes it, which leaves its place in the LRU list and the
+// reference unchanged. After each input the table must agree with a
+// reference (a set, the keys held in full records and an ordered slice) on
+// every lookup and the size of its record, on the LRU order walked both ways
+// and on its counts; the slots of each size must hold each held entry
+// exactly once and nothing past the last, the chain of the bucket its slot
+// hash picks its slot exactly once, the chunks and the bucket array must fit
+// the counts, the arena's blocks the chunks and IndexBytes what they take,
+// and every chunk the arena holds free must be zero; Remove must move the
+// last record of its size into the slot it frees and say where from,
+// Promote must hand back a full record under the promoted key and move the
+// last newcomer into the newcomer slot it frees, and the sweep, which holds
+// its next entry across a removal, must visit every entry once. The arena
+// puts two chunks in a block. The one-chain walk must have
+// removed entries from a chain's head, middle and tail; each walk must have
+// grown, shrunk and released the arrays (three keys reach four buckets from
+// one), moved a last record, moved the sweep's saved neighbour, and taken a
+// chunk the arena had handed out before; the unfilled walks must have
+// promoted a newcomer, moved the last newcomer into its slot and promoted
+// into a new full chunk (a promotion leaves the count, and so the bucket
+// array, as it is, so a chunk is the resize it can meet), promoted the
+// stragglers Straggler names, every newcomer while they all fit in the free
+// full slots, as the tracker does, and given a newcomer chunk back; each
+// prefilled walk must have added a chunk past a size's full ones, given
+// back an emptied one (the last of two empty full chunks) and seen the arena
+// unmap a block (a sweep that empties the shard empties two blocks), and
+// the full one must have kept an emptied full chunk as the spare. A table
+// cannot be forked, so each sequence is replayed from a new one, whose
+// blocks are unmapped when it is done; the first failure prints its
+// sequence. Under the race detector the depth is 5, the least that shrinks
+// the arrays (three inserts grow them to four, two removals halve them);
+// the prefilled walks go four inputs deep, enough to fill the third chunk
+// and sweep it.
 func TestTableEnumerated(t *testing.T) {
 	depth := 6
 	if raceEnabled {
 		depth = 5
 	}
+	newPer := int(chunkBytes[entry]() / int64(unsafe.Sizeof(newEntry{})))
 	for _, mode := range []struct {
-		name    string
-		hook    func(string) uint64
-		prefill int
-		depth   int
+		name        string
+		hook        func(string) uint64
+		prefill     int
+		prefillFull bool
+		depth       int
 	}{
-		{"one-chain", func(string) uint64 { return 0 }, 0, depth},
-		{"distinct-slots", HashString, 0, depth}, // distinct for a, b and c
-		{"past-two-chunks", HashString, 2*chunkLen - 2, 4},
+		{"one-chain", func(string) uint64 { return 0 }, 0, false, depth},
+		{"distinct-slots", HashString, 0, false, depth}, // distinct for a, b and c
+		{"past-two-chunks", HashString, 2*chunkLen - 1, true, 4},
+		{"newcomers-past-two-chunks", HashString, 2*newPer - 1, false, 4},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			removed, resized, chunks, moved, walkMoved := map[chainPos]int{}, map[resize]int{}, map[chunkEvent]int{}, 0, 0
+			removed, resized, chunks, promoted, moved, walkMoved := map[chainPos]int{}, map[resize]int{}, map[chunkEvent]int{}, map[promotion]int{}, 0, 0
 			seq := make([]tableOp, 0, mode.depth)
 			runs := newRunArena()
 			defer runs.release()
@@ -514,10 +693,11 @@ func TestTableEnumerated(t *testing.T) {
 					return
 				}
 				for _, op := range tableOps {
-					run := newTableRun(mode.hook, mode.prefill, runs)
+					run := newTableRun(mode.hook, mode.prefill, mode.prefillFull, runs)
 					for _, earlier := range seq {
 						run.apply(earlier)
 					}
+					clear(run.promoted) // count each promotion once, in the sequence that ends with it
 					seq = append(seq, op)
 					why := func() (why string) {
 						defer func() {
@@ -544,6 +724,9 @@ func TestTableEnumerated(t *testing.T) {
 					for kind, n := range run.chunks {
 						chunks[kind] += n
 					}
+					for kind, n := range run.promoted {
+						promoted[kind] += n
+					}
 					moved += run.moved
 					walkMoved += run.walkMoved
 					walk()
@@ -557,14 +740,19 @@ func TestTableEnumerated(t *testing.T) {
 				resized[resizeGrow], resized[resizeShrink], resized[resizeRelease], moved, walkMoved)
 			t.Logf("chunks added, kept spare, given back, reused: %d %d %d %d; blocks unmapped: %d",
 				chunks[chunkAdded], chunks[chunkSpare], chunks[chunkFreed], chunks[chunkReused], chunks[blockReleased])
+			t.Logf("promotions: %d, moving the last newcomer %d, taking a full chunk %d, giving back a newcomer chunk %d; stragglers promoted: %d",
+				promoted[promoteAny], promoted[promoteMoved], promoted[promoteGrew], promoted[promoteFreed], promoted[promoteStraggler])
 			if mode.name == "one-chain" && (removed[chainHead] == 0 || removed[chainMiddle] == 0 || removed[chainTail] == 0) {
 				t.Fatal("the walk never removed from a chain's head, middle and tail: it tests nothing")
 			}
 			if resized[resizeGrow] == 0 || resized[resizeShrink] == 0 || resized[resizeRelease] == 0 || moved == 0 || walkMoved == 0 || chunks[chunkReused] == 0 {
 				t.Fatal("the walk never grew, shrank and released the arrays, never moved a last record, never moved the sweep's saved neighbour, or never reused a chunk: it tests nothing")
 			}
-			if mode.prefill > 0 && (chunks[chunkAdded] == 0 || chunks[chunkSpare] == 0 || chunks[chunkFreed] == 0 || chunks[blockReleased] == 0) {
-				t.Fatal("the walk never added a chunk, kept a spare, gave one back or saw a block unmapped: it tests nothing")
+			if mode.prefill == 0 && (promoted[promoteAny] == 0 || promoted[promoteMoved] == 0 || promoted[promoteGrew] == 0 || promoted[promoteStraggler] == 0 || promoted[promoteFreed] == 0) {
+				t.Fatal("the walk never promoted a newcomer, never moved the last newcomer into a promoted one's slot, never promoted into a new full chunk, never promoted a straggler or never gave a newcomer chunk back: it tests nothing")
+			}
+			if mode.prefill > 0 && (chunks[chunkAdded] == 0 || chunks[chunkSpare] == 0 && mode.prefillFull || chunks[chunkFreed] == 0 || chunks[blockReleased] == 0) {
+				t.Fatal("the walk never added a chunk, kept a full spare, gave one back or saw a block unmapped: it tests nothing")
 			}
 		})
 	}
@@ -573,7 +761,7 @@ func TestTableEnumerated(t *testing.T) {
 // TestTableLocatePlacement pins what shard selection is: the caller's FNV
 // hash modulo the shard count, with a cap split by PerShardCap.
 func TestTableLocatePlacement(t *testing.T) {
-	tab := NewTable[string, key, entry](5, 20, HashString)
+	tab := newTestTable(5, 20)
 	if _, max := tab.ShardFill(3); tab.Shards() != 8 || max != 3 {
 		t.Fatalf("5 shards for 20 entries: %d shards of cap %d, want 8 of 3", tab.Shards(), max)
 	}
@@ -603,7 +791,7 @@ type (
 
 // Sinks keep a measured array on the heap.
 var (
-	dirSink    []*[chunkLen]entry
+	dirSink    []unsafe.Pointer
 	bucketSink []uint32
 )
 
@@ -654,7 +842,9 @@ func allocMeasured(alloc func()) int64 {
 
 // TestIndexBytesMatchesBuckets holds IndexBytes to the arena's chunks and
 // the chunk directories and bucket arrays of a four-shard table after every
-// insert and removal while 20,000 keys come and go in a seeded order, and,
+// insert, promotion and removal while 20,000 keys come and go in a seeded
+// order (each born a newcomer, promoted by its second step and removed by
+// its third), and,
 // once the table is empty again, to the chunks of the one block the arena
 // keeps as its spare; at its fullest a shard must have held a chunk
 // directory past 512 B, where it carries an allocation header. What they
@@ -675,11 +865,11 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 	// Append grows a directory, and a halving clones it, to the most
 	// slots its allocation holds: one length per size class or page count.
 	lengths := []int{}
-	for n := 1; n <= 1<<16; n = cap(slices.Clone(make([]*[chunkLen]entry, n))) + 1 {
-		lengths = append(lengths, n, cap(slices.Clone(make([]*[chunkLen]entry, n))))
+	for n := 1; n <= 1<<16; n = cap(slices.Clone(make([]unsafe.Pointer, n))) + 1 {
+		lengths = append(lengths, n, cap(slices.Clone(make([]unsafe.Pointer, n))))
 	}
 	for _, n := range lengths {
-		if got := allocMeasured(func() { dirSink = make([]*[chunkLen]entry, 0, n) }); got != dirBytes(n) {
+		if got := allocMeasured(func() { dirSink = make([]unsafe.Pointer, 0, n) }); got != dirBytes(n) {
 			t.Fatalf("a chunk directory of %d slots allocated %d B, dirBytes says %d", n, got, dirBytes(n))
 		}
 	}
@@ -690,7 +880,7 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 	}
 	dirSink, bucketSink = nil, nil
 
-	tab := NewTable[string, key, entry](4, 1<<20, HashString)
+	tab := newTestTable(4, 1<<20)
 	r := rand.New(rand.NewPCG(40, 0))
 	keys := make([]string, 20000)
 	for i := range keys {
@@ -700,14 +890,19 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 	step := func(k string) {
 		sh, h := tab.Locate(k)
 		sh.Lock()
-		if e := sh.Get(h, keyOf(k)); e != nil {
-			sh.Remove(e)
-			delete(held, k)
-		} else {
-			sh.Insert(h, keyOf(k))
+		switch n := sh.Get(h, keyOf(k)); {
+		case n == nil:
+			sh.InsertNewcomer(h, keyOf(k))
 			held[k] = true
+		default:
+			if _, nc := sh.Record(n); nc != nil {
+				sh.Promote(nc)
+			} else {
+				sh.Remove(n)
+				delete(held, k)
+			}
 		}
-		fullest = max(fullest, cap(sh.chunks))
+		fullest = max(fullest, cap(sh.full.chunks), cap(sh.newcomers.chunks))
 		sh.Unlock()
 		if why := indexBooks(tab); why != "" {
 			t.Fatalf("at %d entries: %s", len(held), why)
@@ -720,7 +915,7 @@ func TestIndexBytesMatchesBuckets(t *testing.T) {
 		step(keys[r.IntN(len(keys))])
 	}
 	for _, i := range r.Perm(len(keys)) {
-		if held[keys[i]] {
+		for held[keys[i]] {
 			step(keys[i])
 		}
 	}
