@@ -16,14 +16,16 @@ var callerlessExports = map[string]string{}
 
 // TestEveryExportHasACaller keeps the API from regrowing wrappers only tests
 // call: every exported func, method, type, const and var declared in a
-// non-test file under internal/ must be referenced by non-test code somewhere
-// in the module, or by anything under benchmark/ (its tests included, as in
-// the options guard). A method's receiver is not a use of its type; a use of
-// an instantiated generic method counts for the generic one. A method that
-// satisfies error or an interface declared in the module or in a package it
-// imports is exempt: the call goes through the interface. Anything else is
-// deleted, moved into a _test.go file, or listed in callerlessExports with
-// its reason — and leaves that list again the day it gains a caller.
+// non-test file under internal/, outside a test-support package, must be
+// referenced by non-test code somewhere in the module, or by anything under
+// benchmark/ (its tests included, as in the options guard). A method's
+// receiver is not a use of its type; a use of an instantiated generic method
+// counts for the generic one. A method that satisfies error or an interface
+// declared in the module or in a package it imports is exempt, also where it
+// does so promoted into a type that embeds its own: the call goes through
+// the interface. Anything else is deleted, moved into a _test.go file, or
+// listed in callerlessExports with its reason — and leaves that list again
+// the day it gains a caller.
 func TestEveryExportHasACaller(t *testing.T) {
 	m := loadModule(t)
 
@@ -74,11 +76,20 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 
 	// The exports: package-level names under internal/ and the exported
-	// methods of the concrete types declared there.
+	// methods of the concrete types declared there. A test-support package,
+	// one whose name ends in "test" as net/http/httptest's does, exists for
+	// _test.go files: its exports are exempt, and non-test code may not
+	// import it.
 	exports := map[types.Object]string{}
+	var promoted []types.Object
 	for path, p := range m.pkgs {
+		for _, imp := range p.Imports() {
+			if strings.HasPrefix(imp.Path(), "botdetect/") && strings.HasSuffix(imp.Name(), "test") {
+				t.Errorf("%s imports the test-support package %s", path, imp.Path())
+			}
+		}
 		pkg, ok := strings.CutPrefix(path, "botdetect/internal/")
-		if !ok {
+		if !ok || strings.HasSuffix(p.Name(), "test") {
 			continue
 		}
 		scope := p.Scope()
@@ -100,7 +111,18 @@ func TestEveryExportHasACaller(t *testing.T) {
 					exports[fn] = pkg + "." + name + "." + fn.Name()
 				}
 			}
+			// A method promoted from an embedded type is called through the
+			// interfaces the embedding type satisfies with it.
+			ms := types.NewMethodSet(types.NewPointer(named))
+			for i := 0; i < ms.Len(); i++ {
+				if sel := ms.At(i); len(sel.Index()) > 1 && viaInterface(sel.Obj().(*types.Func), named) {
+					promoted = append(promoted, sel.Obj())
+				}
+			}
 		}
+	}
+	for _, fn := range promoted {
+		delete(exports, fn)
 	}
 
 	// The callers: every use in non-test code and under benchmark/, bar a

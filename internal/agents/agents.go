@@ -10,6 +10,7 @@ package agents
 import (
 	"time"
 
+	"botdetect/internal/logfmt"
 	"botdetect/internal/rng"
 )
 
@@ -37,6 +38,10 @@ type Response struct {
 	// RedirectTo is the Location target for 3xx responses.
 	RedirectTo string
 }
+
+// isPage reports whether the response is a page an agent reads: a 200
+// whose content type is HTML.
+func (r Response) isPage() bool { return r.Status == 200 && logfmt.IsHTMLType(r.ContentType) }
 
 // Client abstracts "the thing the agent talks to": in the simulator it is a
 // CDN node wrapping the detector and the synthetic site; in live tests it can
@@ -69,30 +74,20 @@ const (
 	KindSmartBot
 )
 
+// kindNames are the kinds' names, indexed by kind.
+var kindNames = [...]string{
+	KindHuman: "human", KindHumanNoJS: "human-nojs", KindCrawler: "crawler",
+	KindEmailHarvester: "email-harvester", KindReferrerSpammer: "referrer-spammer",
+	KindClickFraud: "click-fraud", KindVulnScanner: "vuln-scanner",
+	KindOfflineBrowser: "offline-browser", KindSmartBot: "smart-bot",
+}
+
 // String returns the kind's name.
 func (k Kind) String() string {
-	switch k {
-	case KindHuman:
-		return "human"
-	case KindHumanNoJS:
-		return "human-nojs"
-	case KindCrawler:
-		return "crawler"
-	case KindEmailHarvester:
-		return "email-harvester"
-	case KindReferrerSpammer:
-		return "referrer-spammer"
-	case KindClickFraud:
-		return "click-fraud"
-	case KindVulnScanner:
-		return "vuln-scanner"
-	case KindOfflineBrowser:
-		return "offline-browser"
-	case KindSmartBot:
-		return "smart-bot"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return "unknown"
 	}
+	return kindNames[k]
 }
 
 // IsHuman reports whether the kind represents a human user (the ground-truth
@@ -112,6 +107,29 @@ type Agent interface {
 	UserAgent() string
 	// Step advances the agent.
 	Step(c Client, now time.Time) (next time.Duration, done bool)
+}
+
+// identity is who an agent is on the wire — its kind, client address and
+// User-Agent — and the GET request it sends as that client. Every agent type
+// embeds it.
+type identity struct {
+	kind Kind
+	ip   string
+	ua   string
+}
+
+// Kind implements Agent.
+func (a *identity) Kind() Kind { return a.kind }
+
+// IP implements Agent.
+func (a *identity) IP() string { return a.ip }
+
+// UserAgent implements Agent.
+func (a *identity) UserAgent() string { return a.ua }
+
+// get sends a GET for path with referer ref ("" for none) at time now.
+func (a *identity) get(c Client, now time.Time, path, ref string) Response {
+	return c.Do(Request{Time: now, IP: a.ip, UserAgent: a.ua, Method: "GET", Path: path, Referer: ref})
 }
 
 // browserAgents are realistic desktop browser User-Agent strings of the

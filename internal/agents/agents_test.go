@@ -328,11 +328,11 @@ func TestHumanDefaultsApplied(t *testing.T) {
 }
 
 func TestRobotConfigDefaults(t *testing.T) {
-	cfg := RobotConfig{}.withDefaults()
-	if cfg.Requests <= 0 || cfg.InterRequestMean <= 0 || cfg.Src == nil || cfg.Host == "" {
+	r := newRobot(KindEmailHarvester, RobotConfig{}, PickBrowserAgent)
+	if cfg := r.cfg; cfg.Requests <= 0 || cfg.InterRequestMean <= 0 || cfg.Src == nil || cfg.Host == "" {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if cfg.delay() < 100*time.Millisecond {
+	if r.delay() < 100*time.Millisecond {
 		t.Fatal("delay floor not applied")
 	}
 }

@@ -38,18 +38,20 @@ type HumanConfig struct {
 // events that trigger the genuine handler beacon, follows only visible
 // links, and never touches hidden links or decoy URLs.
 type Human struct {
+	identity
 	cfg       HumanConfig
-	ua        string
-	kind      Kind
 	pagesLeft int
 	current   string // current page path
-	handler   string // handler function name to "execute"
 	// lastPage is the previously viewed page path ("" before the first view).
 	lastPage string
 	// wantsCaptcha is decided once per session.
 	wantsCaptcha bool
 	didCaptcha   bool
 }
+
+// humanHandler is the input-event handler a human's browser runs: the
+// injected script's default handler name.
+const humanHandler = "__bd_f"
 
 // NewHuman creates a human agent.
 func NewHuman(cfg HumanConfig) *Human {
@@ -73,24 +75,13 @@ func NewHuman(cfg HumanConfig) *Human {
 		kind = KindHumanNoJS
 	}
 	return &Human{
+		identity:     identity{kind: kind, ip: cfg.IP, ua: PickBrowserAgent(cfg.Src)},
 		cfg:          cfg,
-		ua:           PickBrowserAgent(cfg.Src),
-		kind:         kind,
 		pagesLeft:    cfg.Pages,
 		current:      "/",
-		handler:      "__bd_f",
 		wantsCaptcha: cfg.Src.Bool(cfg.SolveCaptcha),
 	}
 }
-
-// Kind implements Agent.
-func (h *Human) Kind() Kind { return h.kind }
-
-// IP implements Agent.
-func (h *Human) IP() string { return h.cfg.IP }
-
-// UserAgent implements Agent.
-func (h *Human) UserAgent() string { return h.ua }
 
 // Step performs one page view: the page itself, its embedded objects
 // (original and injected), JavaScript execution, and possibly an input
@@ -107,17 +98,17 @@ func (h *Human) Step(c Client, now time.Time) (time.Duration, bool) {
 	if !firstView {
 		referer = absoluteReferer(h.cfg.Host, h.lastPage)
 	}
-	page := c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: h.current, Referer: referer})
+	page := h.get(c, now, h.current, referer)
 	h.lastPage = h.current
 
 	if page.Status/100 == 3 && page.RedirectTo != "" {
 		// Follow the redirect like a browser.
 		h.current = page.RedirectTo
-		page = c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: h.current, Referer: referer})
+		page = h.get(c, now, h.current, referer)
 		h.lastPage = h.current
 	}
 
-	if !strings.Contains(strings.ToLower(page.ContentType), "text/html") || page.Status != 200 {
+	if !page.isPage() {
 		// Dead end: go back to the home page next time.
 		h.current = "/"
 		return h.thinkTime(), h.pagesLeft <= 0
@@ -130,24 +121,21 @@ func (h *Human) Step(c Client, now time.Time) (time.Duration, bool) {
 	// then images, all with the page as referer. Humans never fetch the
 	// hidden trap link.
 	for _, css := range sum.Stylesheets {
-		c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: css, Referer: pageRef})
+		h.get(c, now, css, pageRef)
 	}
 	var scriptBodies []string
 	for _, js := range sum.Scripts {
-		resp := c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: js, Referer: pageRef})
-		if resp.Status == 200 {
+		if resp := h.get(c, now, js, pageRef); resp.Status == 200 {
 			scriptBodies = append(scriptBodies, string(resp.Body))
 		}
 	}
-	for i, img := range sum.Images {
-		if i >= 12 { // browsers cap concurrent object fetches; keep volume sane
-			break
-		}
-		c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: img, Referer: pageRef})
+	// Browsers cap concurrent object fetches; keep volume sane.
+	for _, img := range sum.Images[:min(len(sum.Images), 12)] {
+		h.get(c, now, img, pageRef)
 	}
 	// Fetch favicon on the first page view, as browsers do.
 	if firstView {
-		c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: "/favicon.ico", Referer: ""})
+		h.get(c, now, "/favicon.ico", "")
 	}
 
 	if h.cfg.JavaScriptEnabled {
@@ -157,16 +145,14 @@ func (h *Human) Step(c Client, now time.Time) (time.Duration, bool) {
 	// The optional CAPTCHA: at most once per session.
 	if h.wantsCaptcha && !h.didCaptcha {
 		h.didCaptcha = true
-		c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: CaptchaSolvePath, Referer: pageRef})
+		h.get(c, now, CaptchaSolvePath, pageRef)
 	}
 
-	// Choose the next page among visible links (never the hidden ones).
+	// Choose the next page among visible links (never the hidden ones),
+	// the dynamic "Search" links among them.
+	h.current = "/"
 	if len(sum.Links) > 0 {
-		next := sum.Links[h.cfg.Src.Intn(len(sum.Links))]
-		// Humans occasionally click the dynamic "Search" links too.
-		h.current = next
-	} else {
-		h.current = "/"
+		h.current = sum.Links[h.cfg.Src.Intn(len(sum.Links))]
 	}
 	return h.thinkTime(), h.pagesLeft <= 0
 }
@@ -176,27 +162,19 @@ func (h *Human) Step(c Client, now time.Time) (time.Duration, bool) {
 // configured probability, the genuine input-event beacon.
 func (h *Human) executeScripts(c Client, now time.Time, scripts []string, pageRef string) {
 	for _, script := range scripts {
-		if exec := execBeaconURL(script); exec != "" {
-			path := stripHost(exec) + "?ua=" + normalizeAgentForReport(h.ua)
-			c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: path, Referer: pageRef})
+		if exec := execReport(script, h.ua); exec != "" {
+			h.get(c, now, exec, pageRef)
 		}
-		if beacon := HandlerBeaconURL(script, h.handler); beacon != "" {
+		if beacon := HandlerBeaconURL(script, humanHandler); beacon != "" {
 			if h.cfg.Src.Bool(h.cfg.MouseMoveProbability) {
-				c.Do(Request{Time: now, IP: h.cfg.IP, UserAgent: h.ua, Method: "GET", Path: stripHost(beacon), Referer: pageRef})
+				h.get(c, now, stripHost(beacon), pageRef)
 			}
 		}
 	}
 }
 
 func (h *Human) thinkTime() time.Duration {
-	d := time.Duration(h.cfg.Src.Exp(float64(h.cfg.ThinkTimeMean)))
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 10*time.Minute {
-		d = 10 * time.Minute
-	}
-	return d
+	return min(max(time.Duration(h.cfg.Src.Exp(float64(h.cfg.ThinkTimeMean))), time.Second), 10*time.Minute)
 }
 
 // stripHost removes a scheme://host prefix, keeping the path (+query).
@@ -209,10 +187,4 @@ func stripHost(u string) string {
 		return "/"
 	}
 	return u
-}
-
-// normalizeAgentForReport mimics the injected script's normalisation of
-// navigator.userAgent (lower-case, spaces removed).
-func normalizeAgentForReport(ua string) string {
-	return strings.ReplaceAll(strings.ToLower(ua), " ", "")
 }

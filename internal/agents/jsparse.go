@@ -60,6 +60,18 @@ func execBeaconURL(script string) string {
 	return ""
 }
 
+// execReport is the path a script's execution beacon requests when the
+// engine running it reports agent — lower-cased with its spaces removed, as
+// the injected script normalises navigator.userAgent — or "" when the script
+// carries no execution beacon.
+func execReport(script, agent string) string {
+	exec := execBeaconURL(script)
+	if exec == "" {
+		return ""
+	}
+	return stripHost(exec) + "?ua=" + strings.ReplaceAll(strings.ToLower(agent), " ", "")
+}
+
 // decodeJSStringExpr decodes the leading operand of expr, either 'literal' or
 // String.fromCharCode(65,66); whatever is concatenated after it is ignored.
 func decodeJSStringExpr(expr string) string {

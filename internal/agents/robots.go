@@ -2,7 +2,6 @@ package agents
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"botdetect/internal/htmlmod"
@@ -47,12 +46,83 @@ func (c RobotConfig) withDefaults() RobotConfig {
 	return c
 }
 
-func (c RobotConfig) delay() time.Duration {
-	d := time.Duration(c.Src.Exp(float64(c.InterRequestMean)))
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
+// robot is the skeleton every robot type shares: its identity, its
+// configuration and its step budget. A type adds only its own state and
+// Step.
+type robot struct {
+	identity
+	cfg   RobotConfig
+	steps int
+}
+
+// newRobot applies cfg's defaults, then picks the robot's User-Agent from
+// cfg.Src: every robot draws its budget before its agent string.
+func newRobot(kind Kind, cfg RobotConfig, pickAgent func(*rng.Source) string) robot {
+	cfg = cfg.withDefaults()
+	return robot{identity: identity{kind: kind, ip: cfg.IP, ua: pickAgent(cfg.Src)}, cfg: cfg}
+}
+
+// next takes one step of the budget; it reports false when the budget is
+// spent.
+func (r *robot) next() bool {
+	if r.steps >= r.cfg.Requests {
+		return false
 	}
-	return d
+	r.steps++
+	return true
+}
+
+// delay draws the pause before the robot's next step.
+func (r *robot) delay() time.Duration {
+	return max(time.Duration(r.cfg.Src.Exp(float64(r.cfg.InterRequestMean))), 100*time.Millisecond)
+}
+
+// pause ends a step: the delay to the next one and whether the budget is
+// spent.
+func (r *robot) pause() (time.Duration, bool) {
+	return r.delay(), r.steps >= r.cfg.Requests
+}
+
+// walker is the breadth-first walk Crawler and OfflineBrowser share: from
+// "/" it fetches each queued path once and queues every link of a page,
+// visible or hidden alike — a robot cannot tell — up to 512 queued.
+type walker struct {
+	robot
+	queue   []string
+	visited map[string]bool
+}
+
+func newWalker(r robot) walker {
+	return walker{robot: r, queue: []string{"/"}, visited: map[string]bool{}}
+}
+
+// walk takes one step of the walk. onPage, when not nil, runs on each page
+// fetched, before its links are queued.
+func (w *walker) walk(c Client, now time.Time, onPage func(path string, sum htmlmod.PageSummary)) (time.Duration, bool) {
+	if len(w.queue) == 0 || !w.next() {
+		return 0, true
+	}
+	path := w.queue[0]
+	w.queue = w.queue[1:]
+	if w.visited[path] {
+		return w.pause()
+	}
+	w.visited[path] = true
+	if resp := w.get(c, now, path, ""); resp.isPage() {
+		sum := htmlmod.Extract(resp.Body)
+		if onPage != nil {
+			onPage(path, sum)
+		}
+		for _, links := range [][]string{sum.Links, sum.HiddenLinks} {
+			for _, l := range links {
+				if !w.visited[l] && len(w.queue) < 512 {
+					w.queue = append(w.queue, l)
+				}
+			}
+		}
+	}
+	d, done := w.pause()
+	return d, done || len(w.queue) == 0
 }
 
 // Crawler is a well-behaved search-engine crawler: it declares itself in the
@@ -60,62 +130,23 @@ func (c RobotConfig) delay() time.Duration {
 // following every link it finds (including invisible ones — it cannot tell),
 // and never downloads presentation objects.
 type Crawler struct {
-	cfg      RobotConfig
-	ua       string
-	frontier []string
-	visited  map[string]bool
-	started  bool
-	steps    int
+	walker
+	started bool
 }
 
 // NewCrawler creates a crawler agent.
 func NewCrawler(cfg RobotConfig) *Crawler {
-	cfg = cfg.withDefaults()
-	return &Crawler{
-		cfg:      cfg,
-		ua:       PickDeclaredBotAgent(cfg.Src),
-		frontier: []string{"/"},
-		visited:  map[string]bool{},
-	}
+	return &Crawler{walker: newWalker(newRobot(KindCrawler, cfg, PickDeclaredBotAgent))}
 }
-
-// Kind implements Agent.
-func (a *Crawler) Kind() Kind { return KindCrawler }
-
-// IP implements Agent.
-func (a *Crawler) IP() string { return a.cfg.IP }
-
-// UserAgent implements Agent.
-func (a *Crawler) UserAgent() string { return a.ua }
 
 // Step implements Agent.
 func (a *Crawler) Step(c Client, now time.Time) (time.Duration, bool) {
 	if !a.started {
 		a.started = true
-		c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: "/robots.txt"})
-		return a.cfg.delay(), false
+		a.get(c, now, "/robots.txt", "")
+		return a.delay(), false
 	}
-	if a.steps >= a.cfg.Requests || len(a.frontier) == 0 {
-		return 0, true
-	}
-	a.steps++
-	path := a.frontier[0]
-	a.frontier = a.frontier[1:]
-	if a.visited[path] {
-		return a.cfg.delay(), a.steps >= a.cfg.Requests
-	}
-	a.visited[path] = true
-	resp := c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: path})
-	if strings.Contains(strings.ToLower(resp.ContentType), "text/html") && resp.Status == 200 {
-		sum := htmlmod.Extract(resp.Body)
-		// Crawlers follow every anchor, visible or not; they skip CSS/JS/images.
-		for _, l := range append(append([]string{}, sum.Links...), sum.HiddenLinks...) {
-			if !a.visited[l] && len(a.frontier) < 512 {
-				a.frontier = append(a.frontier, l)
-			}
-		}
-	}
-	return a.cfg.delay(), a.steps >= a.cfg.Requests || len(a.frontier) == 0
+	return a.walk(c, now, nil)
 }
 
 // EmailHarvester walks HTML pages looking for addresses: HTML only, forged
@@ -124,167 +155,110 @@ func (a *Crawler) Step(c Client, now time.Time) (time.Duration, bool) {
 // to contain addresses), so it rarely trips the hidden-link trap — matching
 // the small hidden-link share the paper observed.
 type EmailHarvester struct {
-	cfg     RobotConfig
-	ua      string
+	robot
 	current string
-	steps   int
 }
 
 // NewEmailHarvester creates an e-mail harvesting agent.
 func NewEmailHarvester(cfg RobotConfig) *EmailHarvester {
-	cfg = cfg.withDefaults()
-	return &EmailHarvester{cfg: cfg, ua: PickBrowserAgent(cfg.Src), current: "/"}
+	return &EmailHarvester{robot: newRobot(KindEmailHarvester, cfg, PickBrowserAgent), current: "/"}
 }
-
-// Kind implements Agent.
-func (a *EmailHarvester) Kind() Kind { return KindEmailHarvester }
-
-// IP implements Agent.
-func (a *EmailHarvester) IP() string { return a.cfg.IP }
-
-// UserAgent implements Agent.
-func (a *EmailHarvester) UserAgent() string { return a.ua }
 
 // Step implements Agent.
 func (a *EmailHarvester) Step(c Client, now time.Time) (time.Duration, bool) {
-	if a.steps >= a.cfg.Requests {
+	if !a.next() {
 		return 0, true
 	}
-	a.steps++
-	resp := c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: a.current})
+	resp := a.get(c, now, a.current, "")
 	a.current = "/"
-	if strings.Contains(strings.ToLower(resp.ContentType), "text/html") && resp.Status == 200 {
-		sum := htmlmod.Extract(resp.Body)
-		if len(sum.Links) > 0 {
+	if resp.isPage() {
+		if sum := htmlmod.Extract(resp.Body); len(sum.Links) > 0 {
 			a.current = sum.Links[a.cfg.Src.Intn(len(sum.Links))]
 		}
 	}
-	return a.cfg.delay(), a.steps >= a.cfg.Requests
+	return a.pause()
 }
+
+// spamReferers are the sites a ReferrerSpammer promotes.
+var spamReferers = []string{"http://cheap-pills.example/", "http://win-big-casino.example/", "http://rank-me-up.example/page"}
 
 // ReferrerSpammer requests pages carrying forged Referer headers pointing at
 // the site it wants to promote, to pollute referer logs and trackbacks. It
 // fetches HTML only, under a forged browser agent.
-type ReferrerSpammer struct {
-	cfg   RobotConfig
-	ua    string
-	spam  []string
-	steps int
-}
+type ReferrerSpammer struct{ robot }
 
 // NewReferrerSpammer creates a referrer-spamming agent.
 func NewReferrerSpammer(cfg RobotConfig) *ReferrerSpammer {
-	cfg = cfg.withDefaults()
-	spamDomains := []string{"http://cheap-pills.example/", "http://win-big-casino.example/", "http://rank-me-up.example/page"}
-	return &ReferrerSpammer{cfg: cfg, ua: PickBrowserAgent(cfg.Src), spam: spamDomains}
+	return &ReferrerSpammer{newRobot(KindReferrerSpammer, cfg, PickBrowserAgent)}
 }
-
-// Kind implements Agent.
-func (a *ReferrerSpammer) Kind() Kind { return KindReferrerSpammer }
-
-// IP implements Agent.
-func (a *ReferrerSpammer) IP() string { return a.cfg.IP }
-
-// UserAgent implements Agent.
-func (a *ReferrerSpammer) UserAgent() string { return a.ua }
 
 // Step implements Agent.
 func (a *ReferrerSpammer) Step(c Client, now time.Time) (time.Duration, bool) {
-	if a.steps >= a.cfg.Requests {
+	if !a.next() {
 		return 0, true
 	}
-	a.steps++
 	page := fmt.Sprintf("/page%d.html", a.cfg.Src.Intn(100))
-	ref := a.spam[a.cfg.Src.Intn(len(a.spam))] + fmt.Sprintf("?cid=%d", a.cfg.Src.Intn(10000))
-	c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: page, Referer: ref})
-	return a.cfg.delay(), a.steps >= a.cfg.Requests
+	ref := spamReferers[a.cfg.Src.Intn(len(spamReferers))] + fmt.Sprintf("?cid=%d", a.cfg.Src.Intn(10000))
+	a.get(c, now, page, ref)
+	return a.pause()
 }
 
 // ClickFraud generates automated click-throughs on dynamic ad/CGI URLs to
 // inflate affiliate revenue: rapid CGI requests under a forged browser agent
 // with fabricated referers.
-type ClickFraud struct {
-	cfg   RobotConfig
-	ua    string
-	steps int
-}
+type ClickFraud struct{ robot }
 
 // NewClickFraud creates a click-fraud agent.
 func NewClickFraud(cfg RobotConfig) *ClickFraud {
-	cfg = cfg.withDefaults()
-	if cfg.InterRequestMean > time.Second {
-		cfg.InterRequestMean = 500 * time.Millisecond
+	a := &ClickFraud{newRobot(KindClickFraud, cfg, PickBrowserAgent)}
+	if a.cfg.InterRequestMean > time.Second {
+		a.cfg.InterRequestMean = 500 * time.Millisecond
 	}
-	return &ClickFraud{cfg: cfg, ua: PickBrowserAgent(cfg.Src)}
+	return a
 }
-
-// Kind implements Agent.
-func (a *ClickFraud) Kind() Kind { return KindClickFraud }
-
-// IP implements Agent.
-func (a *ClickFraud) IP() string { return a.cfg.IP }
-
-// UserAgent implements Agent.
-func (a *ClickFraud) UserAgent() string { return a.ua }
 
 // Step implements Agent.
 func (a *ClickFraud) Step(c Client, now time.Time) (time.Duration, bool) {
-	if a.steps >= a.cfg.Requests {
+	if !a.next() {
 		return 0, true
 	}
-	a.steps++
 	path := fmt.Sprintf("/cgi-bin/app%d.cgi?ad=%d&click=%d", a.cfg.Src.Intn(5), a.cfg.Src.Intn(50), a.steps)
-	ref := absoluteReferer(a.cfg.Host, fmt.Sprintf("/page%d.html", a.cfg.Src.Intn(100)))
-	c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: path, Referer: ref})
-	return a.cfg.delay(), a.steps >= a.cfg.Requests
+	a.get(c, now, path, absoluteReferer(a.cfg.Host, fmt.Sprintf("/page%d.html", a.cfg.Src.Intn(100))))
+	return a.pause()
+}
+
+// vulnProbes are the scripts and admin pages a VulnScanner probes for.
+var vulnProbes = []string{
+	"/phpmyadmin/index.php", "/admin/login.php", "/cgi-bin/awstats.pl",
+	"/xmlrpc.php", "/cgi-bin/formmail.pl", "/scripts/root.exe",
+	"/_vti_bin/owssvr.dll", "/cgi-bin/php4", "/horde/README", "/wp-login.php",
 }
 
 // VulnScanner probes for exploitable scripts and misconfigurations: HEAD and
 // GET requests against paths that mostly do not exist, producing heavy 4xx
 // traffic under a forged or fake agent.
-type VulnScanner struct {
-	cfg    RobotConfig
-	ua     string
-	steps  int
-	probes []string
-}
+type VulnScanner struct{ robot }
 
 // NewVulnScanner creates a vulnerability-scanning agent.
 func NewVulnScanner(cfg RobotConfig) *VulnScanner {
-	cfg = cfg.withDefaults()
-	probes := []string{
-		"/phpmyadmin/index.php", "/admin/login.php", "/cgi-bin/awstats.pl",
-		"/xmlrpc.php", "/cgi-bin/formmail.pl", "/scripts/root.exe",
-		"/_vti_bin/owssvr.dll", "/cgi-bin/php4", "/horde/README", "/wp-login.php",
-	}
-	return &VulnScanner{cfg: cfg, ua: PickBrowserAgent(cfg.Src), probes: probes}
+	return &VulnScanner{newRobot(KindVulnScanner, cfg, PickBrowserAgent)}
 }
-
-// Kind implements Agent.
-func (a *VulnScanner) Kind() Kind { return KindVulnScanner }
-
-// IP implements Agent.
-func (a *VulnScanner) IP() string { return a.cfg.IP }
-
-// UserAgent implements Agent.
-func (a *VulnScanner) UserAgent() string { return a.ua }
 
 // Step implements Agent.
 func (a *VulnScanner) Step(c Client, now time.Time) (time.Duration, bool) {
-	if a.steps >= a.cfg.Requests {
+	if !a.next() {
 		return 0, true
 	}
-	a.steps++
 	method := "GET"
 	if a.cfg.Src.Bool(0.3) {
 		method = "HEAD"
 	}
-	path := a.probes[a.cfg.Src.Intn(len(a.probes))]
+	path := vulnProbes[a.cfg.Src.Intn(len(vulnProbes))]
 	if a.cfg.Src.Bool(0.4) {
 		path = fmt.Sprintf("/cgi-bin/test%d.cgi?cmd=%%3Bcat+/etc/passwd", a.cfg.Src.Intn(1000))
 	}
-	c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: method, Path: path})
-	return a.cfg.delay(), a.steps >= a.cfg.Requests
+	c.Do(Request{Time: now, IP: a.ip, UserAgent: a.ua, Method: method, Path: path})
+	return a.pause()
 }
 
 // OfflineBrowser mirrors pages for later display: it downloads pages AND all
@@ -292,71 +266,38 @@ func (a *VulnScanner) Step(c Client, now time.Time) (time.Duration, bool) {
 // browser) but it follows every link including hidden ones and blindly
 // fetches every URL it can scrape out of scripts — including decoy beacons —
 // because it does not execute JavaScript.
-type OfflineBrowser struct {
-	cfg      RobotConfig
-	ua       string
-	frontier []string
-	visited  map[string]bool
-	steps    int
-}
+type OfflineBrowser struct{ walker }
 
 // NewOfflineBrowser creates an off-line browsing (site mirroring) agent.
 func NewOfflineBrowser(cfg RobotConfig) *OfflineBrowser {
-	cfg = cfg.withDefaults()
-	ua := "Teleport Pro/1.29"
-	if cfg.Src.Bool(0.5) {
-		ua = PickBrowserAgent(cfg.Src) // many mirroring tools forge browser agents
-	}
-	return &OfflineBrowser{cfg: cfg, ua: ua, frontier: []string{"/"}, visited: map[string]bool{}}
+	return &OfflineBrowser{newWalker(newRobot(KindOfflineBrowser, cfg, func(src *rng.Source) string {
+		if src.Bool(0.5) {
+			return PickBrowserAgent(src) // many mirroring tools forge browser agents
+		}
+		return "Teleport Pro/1.29"
+	}))}
 }
-
-// Kind implements Agent.
-func (a *OfflineBrowser) Kind() Kind { return KindOfflineBrowser }
-
-// IP implements Agent.
-func (a *OfflineBrowser) IP() string { return a.cfg.IP }
-
-// UserAgent implements Agent.
-func (a *OfflineBrowser) UserAgent() string { return a.ua }
 
 // Step implements Agent.
 func (a *OfflineBrowser) Step(c Client, now time.Time) (time.Duration, bool) {
-	if a.steps >= a.cfg.Requests || len(a.frontier) == 0 {
-		return 0, true
-	}
-	a.steps++
-	path := a.frontier[0]
-	a.frontier = a.frontier[1:]
-	if a.visited[path] {
-		return a.cfg.delay(), a.steps >= a.cfg.Requests
-	}
-	a.visited[path] = true
-	resp := c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: path})
-	if strings.Contains(strings.ToLower(resp.ContentType), "text/html") && resp.Status == 200 {
-		sum := htmlmod.Extract(resp.Body)
+	return a.walk(c, now, func(path string, sum htmlmod.PageSummary) {
+		ref := absoluteReferer(a.cfg.Host, path)
 		for _, obj := range sum.Stylesheets {
-			c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: obj, Referer: absoluteReferer(a.cfg.Host, path)})
+			a.get(c, now, obj, ref)
 		}
 		for _, obj := range sum.Scripts {
-			scriptResp := c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: obj, Referer: absoluteReferer(a.cfg.Host, path)})
-			if scriptResp.Status == 200 {
+			if resp := a.get(c, now, obj, ref); resp.Status == 200 {
 				// Blindly scrape and fetch every URL inside the script; the
 				// decoy functions catch exactly this behaviour.
-				for _, u := range AllBeaconURLs(string(scriptResp.Body)) {
-					c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: stripHost(u)})
+				for _, u := range AllBeaconURLs(string(resp.Body)) {
+					a.get(c, now, stripHost(u), "")
 				}
 			}
 		}
 		for _, obj := range sum.Images {
-			c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: obj, Referer: absoluteReferer(a.cfg.Host, path)})
+			a.get(c, now, obj, ref)
 		}
-		for _, l := range append(append([]string{}, sum.Links...), sum.HiddenLinks...) {
-			if !a.visited[l] && len(a.frontier) < 512 {
-				a.frontier = append(a.frontier, l)
-			}
-		}
-	}
-	return a.cfg.delay(), a.steps >= a.cfg.Requests || len(a.frontier) == 0
+	})
 }
 
 // SmartBot is the countermeasure-aware robot discussed in Section 4.1: it
@@ -365,55 +306,40 @@ func (a *OfflineBrowser) Step(c Client, now time.Time) (time.Duration, bool) {
 // forged agent string) — but it generates no input events and is careful not
 // to fetch hidden links or decoys. It is caught by the S_JS − S_MM rule.
 type SmartBot struct {
-	cfg     RobotConfig
-	ua      string
+	robot
 	current string
-	steps   int
 }
 
 // NewSmartBot creates a JavaScript-executing robot.
 func NewSmartBot(cfg RobotConfig) *SmartBot {
-	cfg = cfg.withDefaults()
-	return &SmartBot{cfg: cfg, ua: PickBrowserAgent(cfg.Src), current: "/"}
+	return &SmartBot{robot: newRobot(KindSmartBot, cfg, PickBrowserAgent), current: "/"}
 }
-
-// Kind implements Agent.
-func (a *SmartBot) Kind() Kind { return KindSmartBot }
-
-// IP implements Agent.
-func (a *SmartBot) IP() string { return a.cfg.IP }
-
-// UserAgent implements Agent.
-func (a *SmartBot) UserAgent() string { return a.ua }
 
 // Step implements Agent.
 func (a *SmartBot) Step(c Client, now time.Time) (time.Duration, bool) {
-	if a.steps >= a.cfg.Requests {
+	if !a.next() {
 		return 0, true
 	}
-	a.steps++
 	pageRef := absoluteReferer(a.cfg.Host, a.current)
-	resp := c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: a.current})
+	resp := a.get(c, now, a.current, "")
 	a.current = "/"
-	if strings.Contains(strings.ToLower(resp.ContentType), "text/html") && resp.Status == 200 {
+	if resp.isPage() {
 		sum := htmlmod.Extract(resp.Body)
 		for _, css := range sum.Stylesheets {
-			c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: css, Referer: pageRef})
+			a.get(c, now, css, pageRef)
 		}
 		for _, js := range sum.Scripts {
-			scriptResp := c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: js, Referer: pageRef})
-			if scriptResp.Status == 200 {
-				// "Execute" the script: the execution beacon fires and reports
-				// what the bot's script engine believes its agent string is.
-				// A careful bot reports its forged header string (no
-				// mismatch); a sloppier one leaks its real engine identity.
-				if exec := execBeaconURL(string(scriptResp.Body)); exec != "" {
-					reported := a.ua
-					if a.cfg.EngineAgent != "" {
-						reported = a.cfg.EngineAgent
-					}
-					path := stripHost(exec) + "?ua=" + normalizeAgentForReport(reported)
-					c.Do(Request{Time: now, IP: a.cfg.IP, UserAgent: a.ua, Method: "GET", Path: path, Referer: pageRef})
+			// "Execute" the script: the execution beacon fires and reports
+			// what the bot's script engine believes its agent string is. A
+			// careful bot reports its forged header string (no mismatch); a
+			// sloppier one leaks its real engine identity.
+			if script := a.get(c, now, js, pageRef); script.Status == 200 {
+				reported := a.ua
+				if a.cfg.EngineAgent != "" {
+					reported = a.cfg.EngineAgent
+				}
+				if exec := execReport(string(script.Body), reported); exec != "" {
+					a.get(c, now, exec, pageRef)
 				}
 			}
 		}
@@ -421,5 +347,5 @@ func (a *SmartBot) Step(c Client, now time.Time) (time.Duration, bool) {
 			a.current = sum.Links[a.cfg.Src.Intn(len(sum.Links))]
 		}
 	}
-	return a.cfg.delay(), a.steps >= a.cfg.Requests
+	return a.pause()
 }

@@ -60,7 +60,7 @@ type NodeStats struct {
 	Unavailable int64
 }
 
-// add accumulates s into the receiver (fleet rollups).
+// add accumulates s into the receiver (Network.TotalStats).
 func (t *NodeStats) add(s NodeStats) {
 	t.Requests += s.Requests
 	t.BlockedRequests += s.BlockedRequests
@@ -103,14 +103,10 @@ type Node struct {
 
 	// Fleet state (nil/zero when the node runs isolated; see fleet.go):
 	// the node's replicator, the shared partition ring, and the down flag a
-	// crash sets. lastMu/lastStats cache the most recent good stats
-	// snapshot for stale-marked rollups while the node is down.
+	// crash sets.
 	rep  *fleet.Replicator
 	ring *fleet.Ring
 	down atomic.Bool
-
-	lastMu    sync.Mutex
-	lastStats NodeStats
 }
 
 // NewNode creates a Node. It panics when Site or Engine are missing since
@@ -461,17 +457,24 @@ func (n *Network) SetModel(m *adaboost.Model) {
 }
 
 // FlushSessions ends all sessions on all live nodes and returns them. A down
-// node is skipped rather than failing the flush; FlushSessionsDetail reports
-// which ones were.
+// node is skipped: its sessions died with it.
 func (n *Network) FlushSessions() []core.ClassifiedSession {
-	out, _ := n.FlushSessionsDetail()
+	var out []core.ClassifiedSession
+	for _, node := range n.nodes {
+		if !node.down.Load() {
+			out = append(out, node.Engine().FlushSessions()...)
+		}
+	}
 	return out
 }
 
-// TotalStats aggregates node counters. A down node contributes its last
-// known good snapshot (see CollectStats) instead of breaking the rollup.
+// TotalStats aggregates node counters. A crashed node's counters are atomics
+// the crash does not touch, so it contributes them like a live one.
 func (n *Network) TotalStats() NodeStats {
-	total, _ := n.CollectStats()
+	var total NodeStats
+	for _, node := range n.nodes {
+		total.add(node.Stats())
+	}
 	return total
 }
 

@@ -354,15 +354,6 @@ func (n *Node) forwardObservation(entry logfmt.Entry) {
 	})
 }
 
-// cacheStats snapshots the node's counters for stale-marked rollups while it
-// is down.
-func (n *Node) cacheStats() {
-	s := n.Stats()
-	n.lastMu.Lock()
-	n.lastStats = s
-	n.lastMu.Unlock()
-}
-
 // Crash simulates a node failure: the node stops serving and receiving,
 // its sessions die with it, and its replicated stores and epoch counters are
 // wiped. Restart brings it back under a new incarnation; anti-entropy
@@ -372,7 +363,6 @@ func (n *Node) Crash() {
 	if n.rep != nil {
 		n.rep.Stop()
 	}
-	n.cacheStats()
 	// Sessions are process memory: a crash loses them. The export hooks see
 	// the down flag and stay silent during the flush, so no epochs are
 	// allocated between here and the wipe.
@@ -390,55 +380,6 @@ func (n *Node) Restart() {
 		n.rep.Restart()
 	}
 	n.down.Store(false)
-}
-
-// NodeRollup is one node's contribution to a fleet-wide stats rollup.
-type NodeRollup struct {
-	Node string
-	// Down marks a node that was crashed at collection time;
-	// Stale marks a Stats snapshot carried over from before the node went
-	// down rather than read live.
-	Down  bool
-	Stale bool
-	Stats NodeStats
-}
-
-// CollectStats aggregates node counters with per-node fault tolerance: a
-// down node contributes its last known good snapshot, stale-marked, instead
-// of failing the whole rollup — the fleet's statistics stay available
-// through any single node's failure.
-func (n *Network) CollectStats() (NodeStats, []NodeRollup) {
-	var total NodeStats
-	rollups := make([]NodeRollup, 0, len(n.nodes))
-	for _, node := range n.nodes {
-		r := NodeRollup{Node: node.cfg.Name}
-		if node.down.Load() {
-			r.Down, r.Stale = true, true
-			node.lastMu.Lock()
-			r.Stats = node.lastStats
-			node.lastMu.Unlock()
-		} else {
-			r.Stats = node.Stats()
-		}
-		total.add(r.Stats)
-		rollups = append(rollups, r)
-	}
-	return total, rollups
-}
-
-// FlushSessionsDetail ends all sessions on every live node and reports which
-// down nodes were skipped (a crashed node's sessions died with it).
-func (n *Network) FlushSessionsDetail() ([]core.ClassifiedSession, []string) {
-	var out []core.ClassifiedSession
-	var skipped []string
-	for _, node := range n.nodes {
-		if node.down.Load() {
-			skipped = append(skipped, node.cfg.Name)
-			continue
-		}
-		out = append(out, node.Engine().FlushSessions()...)
-	}
-	return out, skipped
 }
 
 // StopReplication stops every node's replicator and their step event

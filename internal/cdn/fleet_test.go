@@ -15,6 +15,7 @@ import (
 	"botdetect/internal/core"
 	"botdetect/internal/detect"
 	"botdetect/internal/fleet"
+	"botdetect/internal/logfmt"
 	"botdetect/internal/rng"
 	"botdetect/internal/session"
 	"botdetect/internal/shard"
@@ -405,37 +406,44 @@ func TestFailoverDegradedServing(t *testing.T) {
 	}
 }
 
-// TestCollectStatsStaleRollup: a down node contributes its stale-marked last
-// snapshot instead of poisoning the fleet rollup.
-func TestCollectStatsStaleRollup(t *testing.T) {
+// TestCrashedNodeKeepsStatsSkipsFlush: a crash loses none of a node's
+// counters — the fleet total still holds its requests, and the requests it
+// refused while down — and flushing the network skips the crashed node,
+// whose sessions died with it: a session its engine holds after the crash
+// is neither returned nor ended.
+func TestCrashedNodeKeepsStatsSkipsFlush(t *testing.T) {
 	net, vc := fleetNet(t, 3, nil)
 	victim := net.Nodes()[1]
 	for i := 0; i < 5; i++ {
 		victim.Do(agents.Request{Time: vc.Now(), IP: "10.5.0.5", UserAgent: "Firefox", Method: "GET", Path: "/"})
 	}
-	before := victim.Stats().Requests
-	victim.Crash()
-
-	total, rollups := net.CollectStats()
-	var vr *NodeRollup
-	for i := range rollups {
-		if rollups[i].Node == victim.Name() {
-			vr = &rollups[i]
+	for _, node := range net.Nodes() {
+		if node != victim {
+			node.Do(agents.Request{Time: vc.Now(), IP: "10.5.0.6", UserAgent: "Firefox", Method: "GET", Path: "/"})
 		}
 	}
-	if vr == nil || !vr.Down || !vr.Stale {
-		t.Fatalf("victim rollup = %+v, want down+stale", vr)
+	victim.Crash()
+	victim.Do(agents.Request{Time: vc.Now(), IP: "10.5.0.5", UserAgent: "Firefox", Method: "GET", Path: "/"})
+	victim.Engine().ObserveRequestQuiet(logfmt.Entry{Time: vc.Now(), ClientIP: "10.5.0.7", UserAgent: "Firefox",
+		Method: "GET", Path: "/", Status: 200, ContentType: "text/html"})
+
+	if s := victim.Stats(); s.Requests != 5 || s.Unavailable != 1 {
+		t.Fatalf("crashed node stats = %+v, want 5 requests and 1 unavailable", s)
 	}
-	if vr.Stats.Requests != before {
-		t.Fatalf("stale snapshot requests = %d, want %d", vr.Stats.Requests, before)
+	if total := net.TotalStats(); total.Requests != 5+int64(len(net.Nodes())-1) || total.Unavailable != 1 {
+		t.Fatalf("total = %+v, want the crashed node's 5 requests and 1 unavailable beside the live nodes' one each", total)
 	}
-	if total.Requests < before {
-		t.Fatalf("total %d lost the down node's contribution %d", total.Requests, before)
+	flushed := net.FlushSessions()
+	if len(flushed) != len(net.Nodes())-1 {
+		t.Fatalf("flush returned %d sessions, want one from each live node", len(flushed))
 	}
-	// And flushing skips (only) the dead node.
-	_, skipped := net.FlushSessionsDetail()
-	if len(skipped) != 1 || skipped[0] != victim.Name() {
-		t.Fatalf("flush skipped %v, want [%s]", skipped, victim.Name())
+	for _, cs := range flushed {
+		if cs.Snapshot.Key.IP != "10.5.0.6" {
+			t.Fatalf("flush returned %v, a session of the crashed node", cs.Snapshot.Key)
+		}
+	}
+	if n := victim.Engine().SessionCount(); n != 1 {
+		t.Fatalf("the crashed node's engine holds %d sessions after the flush, want its 1 untouched", n)
 	}
 }
 

@@ -160,7 +160,7 @@ type Config struct {
 	// concurrency.
 	Shards int
 	// OutcomeCapacity bounds the ring buffer of labelled outcomes collected
-	// for online retraining (default 4096; negative disables collection).
+	// for online retraining (default 4096).
 	OutcomeCapacity int
 	// Telemetry supplies the serve-path instruments (per-stage latency
 	// histograms, verdict-cache counters). Nil gives the engine a private
@@ -208,7 +208,7 @@ func (c Config) withDefaults() Config {
 	if c.ScriptVariants <= 0 {
 		c.ScriptVariants = jsgen.DefaultVariants
 	}
-	if c.OutcomeCapacity == 0 {
+	if c.OutcomeCapacity <= 0 {
 		c.OutcomeCapacity = 4096
 	}
 	if c.Shards <= 0 {
@@ -379,9 +379,7 @@ func New(cfg Config) *Engine {
 	// peer's replicated verdict outranks the local statistical guess (which
 	// never saw the session's cross-node request history).
 	e.det = detect.New(detect.AllRows, cfg.MinRequests, e.learned, e.peerVerdict)
-	if cfg.OutcomeCapacity > 0 {
-		e.outcomes = detect.NewOutcomes(cfg.OutcomeCapacity)
-	}
+	e.outcomes = detect.NewOutcomes(cfg.OutcomeCapacity)
 	base, prefix := cfg.BeaconBase, cfg.BeaconPrefix
 	e.pool = jsgen.NewPool(e.gen, jsgen.TemplateConfig{
 		BeaconBase:   base,
@@ -465,9 +463,10 @@ func (ps *PageState) Keys() *keystore.PageKeys { return &ps.pk }
 // proven human gets, on most views, a lite page carrying the hidden trap link
 // alone (see preparePage). The returned Prepared aliases ps — it stays valid
 // until the next prepare call on the same state. At steady state the call
-// allocates nothing.
+// allocates nothing. The page path is unused: nothing a page view issues or
+// injects depends on which page it is.
 func (e *Engine) PreparePage(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
-	return e.preparePage(clientIP, userAgent, pagePath, false, ps)
+	return e.preparePage(clientIP, userAgent, false, ps)
 }
 
 // fullPageEvery is how often a proven human still gets a fully instrumented
@@ -486,12 +485,12 @@ const fullPageEvery = 8
 // the choice is unbiased. Any robot evidence, a model swap or a new session
 // after an idle gap ends the definite human verdict, and with it the lite
 // pages. The page view is issued either way: its hidden token comes from it.
-func (e *Engine) preparePage(clientIP, userAgent, pagePath string, degraded bool, ps *PageState) *htmlmod.Prepared {
+func (e *Engine) preparePage(clientIP, userAgent string, degraded bool, ps *PageState) *htmlmod.Prepared {
 	start := time.Now()
 	if degraded {
-		e.keys.IssuePageDegraded(clientIP, pagePath, &ps.pk)
+		e.keys.IssuePageDegraded(clientIP, "", &ps.pk)
 	} else {
-		e.keys.IssuePage(clientIP, pagePath, &ps.pk)
+		e.keys.IssuePage(clientIP, "", &ps.pk)
 	}
 	e.tel.KeystoreIssue.ObserveSince(start)
 
@@ -1019,9 +1018,6 @@ func (e *Engine) AdoptSession(key session.Key, signals []session.Signal) {
 // loop with the session's attribute vector; sessions below
 // outcomeMinRequests are skipped — their attribute vectors are noise.
 func (e *Engine) RecordOutcome(key session.Key, human bool) {
-	if e.outcomes == nil {
-		return
-	}
 	snap, ok := e.sessions.Peek(key)
 	if !ok {
 		return
@@ -1034,28 +1030,13 @@ func (e *Engine) RecordOutcome(key session.Key, human bool) {
 
 // RecordOutcomeVector stores a labelled attribute vector directly, for
 // callers that computed features offline (log replay, finished sessions).
-func (e *Engine) RecordOutcomeVector(x features.Vector, human bool) {
-	if e.outcomes == nil {
-		return
-	}
-	e.outcomes.Add(x, human)
-}
+func (e *Engine) RecordOutcomeVector(x features.Vector, human bool) { e.outcomes.Add(x, human) }
 
 // OutcomeCount returns the number of labelled outcomes currently retained.
-func (e *Engine) OutcomeCount() int {
-	if e.outcomes == nil {
-		return 0
-	}
-	return e.outcomes.Len()
-}
+func (e *Engine) OutcomeCount() int { return e.outcomes.Len() }
 
 // Outcomes returns an independent copy of the retained labelled outcomes.
-func (e *Engine) Outcomes() []features.Example {
-	if e.outcomes == nil {
-		return nil
-	}
-	return e.outcomes.Snapshot()
-}
+func (e *Engine) Outcomes() []features.Example { return e.outcomes.Snapshot() }
 
 // RetrainFromOutcomes fits an AdaBoost ensemble to the accumulated labelled
 // outcomes and hot-swaps it onto the serving path. It returns the published
@@ -1092,9 +1073,6 @@ func (e *Engine) trainerStep(minNew int, cfg adaboost.Config) func(time.Time) {
 	}
 	var trainedAt int64
 	return func(time.Time) {
-		if e.outcomes == nil {
-			return
-		}
 		total := e.outcomes.Total()
 		if total-trainedAt < int64(minNew) {
 			return

@@ -305,7 +305,8 @@ func TestTrainerLoopRetrainsAndSwaps(t *testing.T) {
 
 // TestFreshEngineHoldsNoOutcomeBuffer: the outcome ring grows on demand, so
 // an engine that has seen no ground truth pays next to nothing for it — not
-// OutcomeCapacity examples up front.
+// OutcomeCapacity examples up front: a fresh engine with room for 4,096
+// outcomes costs what one with room for a single outcome does.
 func TestFreshEngineHoldsNoOutcomeBuffer(t *testing.T) {
 	heapOf := func(cfg Config) int64 {
 		var before, after runtime.MemStats
@@ -316,7 +317,7 @@ func TestFreshEngineHoldsNoOutcomeBuffer(t *testing.T) {
 	}
 	cost := int64(math.MaxInt64)
 	for i := 0; i < 3; i++ { // the smallest of three: a stray allocation elsewhere only inflates
-		cost = min(cost, heapOf(Config{Seed: 3, OutcomeCapacity: 4096})-heapOf(Config{Seed: 3, OutcomeCapacity: -1}))
+		cost = min(cost, heapOf(Config{Seed: 3, OutcomeCapacity: 4096})-heapOf(Config{Seed: 3, OutcomeCapacity: 1}))
 	}
 	if cost >= 1024 {
 		t.Fatalf("a fresh engine holds %d B of outcome buffer, want < 1 KB", cost)

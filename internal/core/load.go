@@ -313,9 +313,10 @@ func (e *Engine) AdmitPage(clientIP, userAgent string) Admission {
 // key TTLs shortened to a quarter of SessionIdleTimeout, so each anonymous
 // arrival pins less keystore memory for less time (see
 // keystore.Store.IssuePageDegraded). Its script is rendered on download from
-// those keys like any other page's.
+// those keys like any other page's. The page path is unused, as in
+// PreparePage.
 func (e *Engine) PreparePageDegraded(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
-	return e.preparePage(clientIP, userAgent, pagePath, true, ps)
+	return e.preparePage(clientIP, userAgent, true, ps)
 }
 
 // EvictionStats returns the session tracker's cumulative per-reason eviction

@@ -8,7 +8,7 @@ import (
 
 	"botdetect/internal/logfmt"
 	"botdetect/internal/session"
-	"botdetect/internal/shard"
+	"botdetect/internal/shard/shardtest"
 )
 
 // TestMemoryCeilingPerSession is the e2e gate for the million-session memory
@@ -73,27 +73,6 @@ func TestMemoryCeilingPerSession(t *testing.T) {
 	}
 }
 
-// settledHeap returns the heap in use after a full collection, plus the
-// bytes of the arena chunks ever handed out, which sit outside the heap: the
-// arena counts them where it maps and unmaps its blocks, apart from the
-// estimate. The collections repeat until no dropped table's cleanup unmaps
-// blocks meanwhile — an earlier test's tables are dropped, and their blocks
-// unmapped, at a collection of the runtime's choosing. Measure under
-// GOMAXPROCS(1): a thread the runtime starts meanwhile puts its own 5.5 KB
-// on the heap (runtime.allocm), none of it the engine's.
-func settledHeap() int64 {
-	runtime.GC()
-	for {
-		_, touched := shard.ArenaBytes()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if _, now := shard.ArenaBytes(); now == touched {
-			return int64(ms.HeapAlloc) + now
-		}
-	}
-}
-
 // TestEngineMemoryEstimateCoversHeap holds the engine's MemoryEstimate — the
 // number admission control budgets against — between 1.00x and 1.25x of the
 // memory its sessions really pin, on the heap and in the tables' arenas
@@ -115,7 +94,7 @@ func TestEngineMemoryEstimateCoversHeap(t *testing.T) {
 		t.Run(fmt.Sprintf("decide=%v", decide), func(t *testing.T) {
 			e := New(Config{Seed: 13})
 			now := time.Unix(1136073600, 0)
-			before, est0 := settledHeap(), e.MemoryEstimate()
+			before, est0 := shardtest.SettledHeap(), e.MemoryEstimate()
 			ips := make([]string, sessions) // the tracker pins its sessions' address strings
 			for i := range ips {
 				ips[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
@@ -132,7 +111,7 @@ func TestEngineMemoryEstimateCoversHeap(t *testing.T) {
 				}
 			}
 			ips = nil
-			got, est := settledHeap()-before, e.MemoryEstimate()-est0
+			got, est := shardtest.SettledHeap()-before, e.MemoryEstimate()-est0
 			runtime.KeepAlive(e)
 			t.Logf("heap %d B/session, estimate %d B/session (%.2fx)", got/sessions, est/sessions, float64(est)/float64(got))
 			if est < got {
@@ -151,7 +130,7 @@ func TestEngineMemoryEstimateCoversHeap(t *testing.T) {
 // downloaded — what the process then retains, on the heap and in the tables'
 // arenas outside it, must be what MemoryEstimate (the number admission
 // control budgets against) says it retains: between 0.9x and 1.3x of it,
-// measured like TestEngineMemoryEstimateCoversHeap (settledHeap, one P), so
+// measured like TestEngineMemoryEstimateCoversHeap (shardtest.SettledHeap, one P), so
 // that the tables earlier tests dropped cannot unmap their blocks inside the
 // measurement (read once on each side, that made the ratio negative). A
 // per-page structure the estimate cannot see, like a parked script body,
@@ -173,12 +152,12 @@ func TestMemoryCeilingUndownloadedPages(t *testing.T) {
 	ps := &PageState{}
 	e.PreparePage("10.255.255.1", "Firefox/1.5", "/index.html", ps) // warm ps and the interner
 
-	before, est0 := settledHeap(), e.MemoryEstimate()
+	before, est0 := shardtest.SettledHeap(), e.MemoryEstimate()
 	for i := 0; i < clients; i++ {
 		ip := fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
 		e.PreparePage(ip, "Firefox/1.5", "/index.html", ps)
 	}
-	heap, est := settledHeap()-before, e.MemoryEstimate()-est0
+	heap, est := shardtest.SettledHeap()-before, e.MemoryEstimate()-est0
 	runtime.KeepAlive(e)
 	runtime.KeepAlive(ps)
 

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"botdetect/internal/shard"
+	"botdetect/internal/shard/shardtest"
 )
 
 // TestKeystoreStructBudgets pins the window's layout: a tracked client is one
@@ -67,25 +68,8 @@ func TestKeystoreStructBudgets(t *testing.T) {
 // none).
 func heapClients(pages, every int) (heap, est int64, s *Store) {
 	const clients = 20000
-	// The heap in use after a full collection, plus the bytes of the arena
-	// chunks ever handed out, which sit outside the heap: the arena counts
-	// them where it maps and unmaps its blocks, apart from the estimate. The
-	// collections repeat until no dropped table's cleanup unmaps blocks
-	// meanwhile.
-	live := func() int64 {
-		runtime.GC()
-		for {
-			_, touched := shard.ArenaBytes()
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if _, now := shard.ArenaBytes(); now == touched {
-				return int64(ms.HeapAlloc) + now
-			}
-		}
-	}
 	s = New(Config{Seed: 3})
-	before := live()
+	before := shardtest.SettledHeap()
 	ips := make([]string, clients) // the store pins its clients' address strings
 	for i := range ips {
 		ips[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
@@ -100,7 +84,7 @@ func heapClients(pages, every int) (heap, est int64, s *Store) {
 		}
 	}
 	clear(ips)
-	heap, est = live()-before, s.MemoryEstimate()
+	heap, est = shardtest.SettledHeap()-before, s.MemoryEstimate()
 	runtime.KeepAlive(s)
 	return heap / clients, est / clients, s
 }

@@ -120,8 +120,6 @@ const MinKeyDigits = 6
 // A caller that reuses one PageKeys per connection issues with zero
 // allocations.
 type PageKeys struct {
-	// Page is the page path the keys were issued for.
-	Page string
 	// Key is the real key's digit value; zero until the script is requested.
 	Key uint64
 	// CSSToken, ScriptToken and HiddenToken name the per-page objects.
@@ -134,8 +132,6 @@ type PageKeys struct {
 	// Digits is the fixed key width in decimal digits (leading zeros are
 	// significant on the wire).
 	Digits int
-	// IssuedAt is when the page view was issued.
-	IssuedAt time.Time
 }
 
 // AppendKey appends v in the page's fixed-width digit format.
@@ -522,25 +518,27 @@ func (s *Store) owed(hdr uint16) int {
 // header, owed a real key and the configured decoys, to the client's window.
 // pk.Key stays zero and pk.Decoys empty: no key of the page validates until
 // its script is requested (PageKeysFor). The call allocates nothing at steady
-// state and locks only the client's shard.
+// state and locks only the client's shard. The page path is unused: a page
+// view's keys depend on the client and its page-view number alone.
 func (s *Store) IssuePage(clientIP, page string, pk *PageKeys) {
-	s.issuePage(clientIP, page, false, pk)
+	s.issuePage(clientIP, false, pk)
 }
 
 // IssuePageDegraded is IssuePage for a load-shedding serving layer: the page
 // is owed a quarter of the configured decoys (at least one), and its issue
 // tick is backdated so its keys expire after a quarter of the TTL — a
 // shorter-lived key is simply an older one. Degraded pages stay fully
-// verifiable; they just hold less for anonymous clients under pressure.
+// verifiable; they just hold less for anonymous clients under pressure. The
+// page path is unused, as in IssuePage.
 func (s *Store) IssuePageDegraded(clientIP, page string, pk *PageKeys) {
-	s.issuePage(clientIP, page, true, pk)
+	s.issuePage(clientIP, true, pk)
 }
 
 // issuePage is the locked body of every issue: one LRU touch, the expiry of
 // the window's front, one header, the three tokens, then the per-shard client
 // cap. A degraded page view's issue tick is backdated by all but
 // TTL/degradedShare of the TTL.
-func (s *Store) issuePage(clientIP, page string, degraded bool, pk *PageKeys) {
+func (s *Store) issuePage(clientIP string, degraded bool, pk *PageKeys) {
 	sh, hash := s.clients.Locate(clientIP)
 	sh.Lock()
 	defer sh.Unlock()
@@ -569,14 +567,12 @@ func (s *Store) issuePage(clientIP, page string, degraded bool, pk *PageKeys) {
 	s.storeLog(sh, cs, w)
 
 	tweak, buf := clientTweak(clientIP, w.incarnation()), &s.bufs[sh.Index()]
-	pk.Page = page
 	pk.Digits = s.cfg.KeyDigits
 	pk.Key = 0
 	pk.CSSToken = s.perm.permute(buf, tweak, kindCSS, n)
 	pk.ScriptToken = s.perm.permute(buf, tweak, kindScript, n)
 	pk.HiddenToken = s.perm.permute(buf, tweak, kindHidden, n)
 	pk.Decoys = pk.Decoys[:0]
-	pk.IssuedAt = now
 	s.stats.issued.Add(1)
 
 	s.enforceClientCapLocked(sh)

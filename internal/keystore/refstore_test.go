@@ -92,17 +92,17 @@ func (sh *refShard) touch(cs *refClient) {
 	sh.lru = append([]*refClient{cs}, sh.lru...)
 }
 
-func (s *refStore) IssuePage(ip, page string, pk *PageKeys) {
-	s.issuePage(ip, page, s.cfg.Decoys, 0, pk)
+func (s *refStore) IssuePage(ip, _ string, pk *PageKeys) {
+	s.issuePage(ip, s.cfg.Decoys, 0, pk)
 }
 
 // IssuePageDegraded owes the page a quarter of the decoys (at least one) and
 // gives its keys a quarter of the TTL.
-func (s *refStore) IssuePageDegraded(ip, page string, pk *PageKeys) {
-	s.issuePage(ip, page, max(1, s.cfg.Decoys/4), s.cfg.TTL/4, pk)
+func (s *refStore) IssuePageDegraded(ip, _ string, pk *PageKeys) {
+	s.issuePage(ip, max(1, s.cfg.Decoys/4), s.cfg.TTL/4, pk)
 }
 
-func (s *refStore) issuePage(ip, page string, decoys int, ttl time.Duration, pk *PageKeys) {
+func (s *refStore) issuePage(ip string, decoys int, ttl time.Duration, pk *PageKeys) {
 	sh := s.shard(ip)
 	now := s.cfg.Clock.Now()
 	issuedAt := now
@@ -134,7 +134,7 @@ func (s *refStore) issuePage(ip, page string, decoys int, ttl time.Duration, pk 
 	cs.views = append(cs.views, &refView{tick: s.tick(issuedAt), decoys: decoys})
 
 	tweak := clientTweak(ip, cs.incarnation)
-	*pk = PageKeys{Page: page, Digits: s.cfg.KeyDigits, IssuedAt: now, Decoys: pk.Decoys[:0]}
+	*pk = PageKeys{Digits: s.cfg.KeyDigits, Decoys: pk.Decoys[:0]}
 	pk.CSSToken = s.perm.permute(&s.buf, tweak, kindCSS, n)
 	pk.ScriptToken = s.perm.permute(&s.buf, tweak, kindScript, n)
 	pk.HiddenToken = s.perm.permute(&s.buf, tweak, kindHidden, n)

@@ -19,7 +19,7 @@ import (
 	"botdetect/internal/htmlmod"
 	"botdetect/internal/policy"
 	"botdetect/internal/session"
-	"botdetect/internal/shard"
+	"botdetect/internal/shard/shardtest"
 	"botdetect/internal/webmodel"
 )
 
@@ -284,21 +284,6 @@ func TestForwardedForPaddingPinsNoHeap(t *testing.T) {
 	// puts its own 5.5 KB on the heap (runtime.allocm).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const policyEntryBytes = 256
-	// The heap in use after a full collection, plus the bytes of the arena
-	// chunks the tables' records sit in outside it; the collections repeat
-	// until no dropped table's cleanup unmaps blocks meanwhile.
-	heap := func() int64 {
-		runtime.GC()
-		for {
-			_, touched := shard.ArenaBytes()
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if _, now := shard.ArenaBytes(); now == touched {
-				return int64(ms.HeapAlloc) + now
-			}
-		}
-	}
 	pad := strings.Repeat("198.51.100.1, ", 64<<10/len("198.51.100.1, "))
 	zone := strings.Repeat("z", 64<<10)
 	for _, tc := range []struct {
@@ -316,7 +301,7 @@ func TestForwardedForPaddingPinsNoHeap(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mw, det, _ := newTestStack(t, policy.NewEngine(policy.Config{}), nil)
-			before, est0 := heap(), det.MemoryEstimate()
+			before, est0 := shardtest.SettledHeap(), det.MemoryEstimate()
 			for i := range tc.clients {
 				req := httptest.NewRequest(http.MethodGet, "/", nil)
 				req.RemoteAddr = "127.0.0.1:40000"
@@ -327,7 +312,7 @@ func TestForwardedForPaddingPinsNoHeap(t *testing.T) {
 					t.Fatalf("client %d: status %d", i, rec.Code)
 				}
 			}
-			got, est := heap()-before, det.MemoryEstimate()-est0
+			got, est := shardtest.SettledHeap()-before, det.MemoryEstimate()-est0
 			runtime.KeepAlive(mw)
 			if det.SessionCount() != tc.clients {
 				t.Fatalf("%d sessions, want one per client", det.SessionCount())

@@ -10,6 +10,7 @@ import (
 
 	"botdetect/internal/intern"
 	"botdetect/internal/shard"
+	"botdetect/internal/shard/shardtest"
 )
 
 // TestSessionStructBudgets pins the memory layout the million-session plan is
@@ -169,7 +170,7 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 			in := intern.New(8)
 			defer in.Release(in.Intern(ua))
 			tr := NewTracker(Config{Interner: in})
-			before := settledHeap()
+			before := shardtest.SettledHeap()
 			ips := make([]string, sessions) // the tracker pins its sessions' address strings
 			for i := range ips {
 				ips[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
@@ -181,7 +182,7 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 				}
 			}
 			ips = nil
-			got, est := settledHeap()-before, tr.MemoryEstimate()
+			got, est := shardtest.SettledHeap()-before, tr.MemoryEstimate()
 			runtime.KeepAlive(tr)
 			t.Logf("%d paths: heap %d B/session, estimate %d B/session (%.2fx)", paths, got/sessions, est/sessions, float64(est)/float64(got))
 			if est < got {
@@ -191,24 +192,6 @@ func TestSessionMemoryEstimateCoversHeap(t *testing.T) {
 				t.Errorf("estimate %d B > 1.25 x heap %d B", est, got)
 			}
 		})
-	}
-}
-
-// settledHeap is the heap in use after a full collection, plus the bytes of
-// the arena chunks ever handed out, which sit outside the heap: the arena
-// counts them where it maps and unmaps its blocks, apart from the estimate.
-// The collections repeat until no dropped table's cleanup unmaps blocks
-// meanwhile. Measure under GOMAXPROCS(1).
-func settledHeap() int64 {
-	runtime.GC()
-	for {
-		_, touched := shard.ArenaBytes()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if _, now := shard.ArenaBytes(); now == touched {
-			return int64(ms.HeapAlloc) + now
-		}
 	}
 }
 
@@ -235,14 +218,14 @@ func TestOneRequestMemoryEstimateCoversHeap(t *testing.T) {
 	for i := range ips {
 		ips[i] = fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
 	}
-	before := settledHeap()
+	before := shardtest.SettledHeap()
 	now := time.Unix(1136073600, 0)
 	for _, ip := range ips {
 		tr.ObserveQuiet(entry(ip, ua, "GET", "/index.html", 200, "", now))
 	}
 	check := func(stage string, oneRequest int) {
 		t.Helper()
-		got, est := settledHeap()-before, tr.MemoryEstimate()
+		got, est := shardtest.SettledHeap()-before, tr.MemoryEstimate()
 		t.Logf("%s: %d of %d sessions with one request; heap %d B/session, estimate %d B/session (%.2fx)",
 			stage, tr.OneRequest(), tr.Active(), got/sessions, est/sessions, float64(est)/float64(got))
 		if tr.Active() != sessions || tr.OneRequest() != oneRequest {
