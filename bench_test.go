@@ -163,23 +163,22 @@ func BenchmarkInstrumentPage(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := det.PreparePage(ips[i%len(ips)], "Firefox/1.5", "/", &ps).Rewrite(page)
+		res := benchPrepare(det, ips[i%len(ips)], &ps).Rewrite(page)
 		det.RecordInstrumented(len(page), res.AddedBytes)
 	}
 }
 
-// BenchmarkPreparePage measures the serve path's per-page
-// instrumentation cost in isolation — key issue and fragment composition
-// into a reused PageState — without the HTML rewrite the proxy streams
-// separately.
-func BenchmarkPreparePage(b *testing.B) {
+// BenchmarkPrepare measures the serve path's per-page instrumentation cost
+// in isolation — the verdict read, key issue and fragment composition into a
+// reused PageState — without the HTML rewrite the proxy streams separately.
+func BenchmarkPrepare(b *testing.B) {
 	det := core.New(core.Config{Seed: 4, ObfuscateJS: true})
 	ips := benchClientIPs(1024)
 	var ps core.PageState
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		det.PreparePage(ips[i%len(ips)], "Firefox/1.5", "/", &ps)
+		benchPrepare(det, ips[i%len(ips)], &ps)
 	}
 }
 
@@ -268,10 +267,23 @@ func BenchmarkKeystoreValidate(b *testing.B) {
 	}
 }
 
+// benchPrepare prepares one full page view for ip as a Firefox/1.5 client,
+// the way the serving surfaces do: one verdict read, then Prepare.
+func benchPrepare(det *core.Engine, ip string, ps *core.PageState) *htmlmod.Prepared {
+	return det.Prepare(benchVerdict(det, session.Key{IP: ip, UserAgent: "Firefox/1.5"}), core.AdmitFull, ip, ps)
+}
+
+// benchVerdict is one verdict read: Decide, then Release.
+func benchVerdict(det *core.Engine, key session.Key) core.Verdict {
+	snap, v, _ := det.Decide(key)
+	snap.Release()
+	return v
+}
+
 // benchCSSPath prepares one page view and returns its stylesheet beacon path.
 func benchCSSPath(det *core.Engine) string {
 	var ps core.PageState
-	det.PreparePage("10.0.0.1", "Firefox/1.5", "/", &ps)
+	benchPrepare(det, "10.0.0.1", &ps)
 	pk := ps.Keys()
 	pre, suf := jsgen.CSSPathParts(det.Config().BeaconPrefix)
 	return string(append(pk.AppendKey([]byte(pre), pk.CSSToken), suf...))
@@ -373,7 +385,7 @@ func BenchmarkDecideObserveParallel(b *testing.B) {
 				for r := 0; r < 12; r++ { // past the classification threshold
 					det.ObserveRequestQuiet(entryFor(ip))
 				}
-				det.Classify(session.Key{IP: ip, UserAgent: "Firefox/1.5"}) // warm the verdict cache
+				benchVerdict(det, session.Key{IP: ip, UserAgent: "Firefox/1.5"}) // warm the verdict cache
 			}
 			var next atomic.Int64
 			b.ReportAllocs()
@@ -524,12 +536,13 @@ func BenchmarkAdaBoostPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkClassifyParallel compares the two classification paths of the
-// detect layer from all cores at once: "cached" reads the verdict stored in
-// the session record off the snapshot Peek copies (the serving path —
-// 0 allocs/op at steady state), while "recompute" re-derives the feature
-// vector from the counters and re-runs the full chain on every call (what
-// every consumer did before the verdict path was unified).
+// BenchmarkClassifyParallel compares the two outcomes of a verdict read
+// (Decide) from all cores at once: "cached" reads the verdict stored in the
+// session record off the snapshot Peek copies (the serving path — 0
+// allocs/op at steady state), while "recompute" follows a Bump
+// (ApplyRemoteVerdict) of the session's epoch on every read, so each read
+// re-derives the feature vector from the counters, re-runs the full verdict
+// table and writes the result back (the Bump's shard lock is in the figure).
 func BenchmarkClassifyParallel(b *testing.B) {
 	setup := func(b *testing.B) (*core.Engine, []session.Key) {
 		b.Helper()
@@ -559,7 +572,7 @@ func BenchmarkClassifyParallel(b *testing.B) {
 					Path: fmt.Sprintf("/p%d.html", r), Status: 200, Referer: "http://h/x.html",
 				})
 			}
-			d.Classify(keys[i]) // warm the verdict cache
+			benchVerdict(d, keys[i]) // warm the verdict cache
 		}
 		return d, keys
 	}
@@ -571,7 +584,7 @@ func BenchmarkClassifyParallel(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				d.Classify(keys[i%len(keys)])
+				benchVerdict(d, keys[i%len(keys)])
 				i++
 			}
 		})
@@ -579,25 +592,14 @@ func BenchmarkClassifyParallel(b *testing.B) {
 
 	b.Run("recompute", func(b *testing.B) {
 		d, keys := setup(b)
-		// Rebuild cache-less snapshots so every call pays the recompute: a
-		// full walk of the verdict table.
-		snaps := make([]session.Snapshot, len(keys))
-		for i, k := range keys {
-			snap, ok := d.Session(k)
-			if !ok {
-				b.Fatal("session missing")
-			}
-			snaps[i] = session.Snapshot{
-				Key: snap.Key, FirstSeen: snap.FirstSeen, LastSeen: snap.LastSeen,
-				Counts: snap.Counts, Signals: snap.Signals, Epoch: snap.Epoch,
-			}
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				d.ClassifySnapshot(snaps[i%len(snaps)])
+				k := keys[i%len(keys)]
+				d.ApplyRemoteVerdict(k)
+				benchVerdict(d, k)
 				i++
 			}
 		})

@@ -75,7 +75,9 @@ func main() {
 		}
 	}
 	key := session.Key{IP: "127.0.0.1", UserAgent: botUA}
-	fmt.Println("click-fraud client verdict:", detector.Classify(key))
+	snap, verdict, _ := detector.Decide(key)
+	snap.Release()
+	fmt.Println("click-fraud client verdict:", verdict)
 	if blockedAt >= 0 {
 		fmt.Printf("policy engine blocked the client at request %d\n", blockedAt+1)
 	} else {

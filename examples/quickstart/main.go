@@ -63,7 +63,9 @@ func main() {
 		get(server.URL+beacon, browserUA)
 	}
 	browserKey := session.Key{IP: "127.0.0.1", UserAgent: browserUA}
-	fmt.Println("browser verdict:", detector.Classify(browserKey))
+	snap, verdict, _ := detector.Decide(browserKey) // the snapshot goes back to its pool
+	snap.Release()
+	fmt.Println("browser verdict:", verdict)
 
 	// 5. A crawler-like client: fetches pages only, follows the hidden link.
 	crawlerUA := "ExampleCrawler/1.0 (+http://example.org/bot)"
@@ -73,7 +75,9 @@ func main() {
 		get(server.URL+l, crawlerUA)
 	}
 	crawlerKey := session.Key{IP: "127.0.0.1", UserAgent: crawlerUA}
-	fmt.Println("crawler verdict:", detector.Classify(crawlerKey))
+	snap, verdict, _ = detector.Decide(crawlerKey)
+	snap.Release()
+	fmt.Println("crawler verdict:", verdict)
 }
 
 // get fetches a URL with the given User-Agent and returns the body.

@@ -45,7 +45,8 @@ func (tc *testClient) Do(req Request) Response {
 	body := obj.Body
 	if strings.Contains(obj.ContentType, "text/html") && obj.Status == 200 && req.Method == "GET" {
 		var ps core.PageState
-		res := tc.det.PreparePage(req.IP, req.UserAgent, req.Path, &ps).Rewrite(body)
+		v := readVerdict(tc.det, session.Key{IP: req.IP, UserAgent: req.UserAgent})
+		res := tc.det.Prepare(v, core.AdmitFull, req.IP, &ps).Rewrite(body)
 		tc.det.RecordInstrumented(len(body), res.AddedBytes)
 		body = res.HTML
 	}
@@ -53,7 +54,14 @@ func (tc *testClient) Do(req Request) Response {
 }
 
 func (tc *testClient) verdict(a Agent) core.Verdict {
-	return tc.det.Classify(session.Key{IP: a.IP(), UserAgent: a.UserAgent()})
+	return readVerdict(tc.det, session.Key{IP: a.IP(), UserAgent: a.UserAgent()})
+}
+
+// readVerdict is one verdict read: Decide, then Release.
+func readVerdict(det *core.Engine, key session.Key) core.Verdict {
+	snap, v, _ := det.Decide(key)
+	snap.Release()
+	return v
 }
 
 // run drives an agent to completion (or a step cap).
@@ -383,7 +391,7 @@ func TestScriptRenderedAfterRotationCarriesIssuedKeys(t *testing.T) {
 			return string(resp.Body)
 		}
 		var ps core.PageState
-		det.PreparePage(ip, ua, "/", &ps)
+		det.Prepare(core.Verdict{}, core.AdmitFull, ip, &ps) // a client the engine has not seen
 		prefix := det.Config().BeaconPrefix
 		scriptToken := string(ps.Keys().AppendKey(nil, ps.Keys().ScriptToken))
 		pre, suf := jsgen.ScriptPathParts(prefix)

@@ -16,7 +16,6 @@ import (
 	"botdetect/internal/captcha"
 	"botdetect/internal/core"
 	"botdetect/internal/fleet"
-	"botdetect/internal/htmlmod"
 	"botdetect/internal/logfmt"
 	"botdetect/internal/policy"
 	"botdetect/internal/rng"
@@ -238,9 +237,12 @@ func (n *Node) Do(req agents.Request) agents.Response {
 
 	// Policy enforcement before serving origin content: the escalation
 	// ladder runs off the engine's stored verdict and the session's current
-	// snapshot.
+	// snapshot; a page is prepared from the same verdict, the request's one
+	// read.
+	var verdict core.Verdict
 	if n.cfg.Policy != nil {
-		if snap, verdict, tracked := d.Decide(key); tracked {
+		if snap, v, tracked := d.Decide(key); tracked {
+			verdict = v
 			decision := n.cfg.Policy.Evaluate(*snap, verdict)
 			snap.Release()
 			switch decision.Action {
@@ -278,14 +280,13 @@ func (n *Node) Do(req agents.Request) agents.Response {
 		// composed fragments, streaming rewrite — not a bespoke buffered
 		// path. The simulator has no connection to keep the state on, and the
 		// rewritten body is allocated per request anyway.
-		var ps core.PageState
-		var prep *htmlmod.Prepared
-		if adm == core.AdmitDegraded {
-			prep = d.PreparePageDegraded(req.IP, req.UserAgent, req.Path, &ps)
-		} else {
-			prep = d.PreparePage(req.IP, req.UserAgent, req.Path, &ps)
+		if n.cfg.Policy == nil { // no policy step read the verdict: the page makes the one read
+			snap, v, _ := d.Decide(key)
+			snap.Release()
+			verdict = v
 		}
-		res := prep.Rewrite(obj.Body)
+		var ps core.PageState
+		res := d.Prepare(verdict, adm, req.IP, &ps).Rewrite(obj.Body)
 		d.RecordInstrumented(len(obj.Body), res.AddedBytes)
 		body = res.HTML
 	}

@@ -373,7 +373,7 @@ func TestBeaconVerdictsCountedOnce(t *testing.T) {
 	eng := node.Engine()
 
 	var ps core.PageState
-	eng.PreparePage(ip, ua, "/", &ps)
+	eng.Prepare(core.Verdict{}, core.AdmitFull, ip, &ps) // a client the engine has not seen
 	prefix := eng.Config().BeaconPrefix
 	pre, suf := jsgen.ScriptPathParts(prefix)
 	resp, ok := eng.HandleBeacon(ip, ua, pre+string(ps.Keys().AppendKey(nil, ps.Keys().ScriptToken))+suf)
@@ -441,7 +441,7 @@ func TestRoutingFillsEveryKeystoreShard(t *testing.T) {
 	var ps core.PageState
 	for i := range 1000 {
 		ip := fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
-		network.NodeFor(ip).Engine().PreparePage(ip, "Firefox/1.5", "/", &ps)
+		network.NodeFor(ip).Engine().Prepare(core.Verdict{}, core.AdmitFull, ip, &ps) // a new client
 	}
 	var sb strings.Builder
 	if err := network.tel.Registry().WritePrometheus(&sb); err != nil {

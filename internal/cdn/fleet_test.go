@@ -61,6 +61,13 @@ func runUntil(t *testing.T, vc *clock.Virtual, d time.Duration, what string, con
 	}
 }
 
+// readVerdict is one verdict read: Decide, then Release.
+func readVerdict(e *core.Engine, key session.Key) core.Verdict {
+	snap, v, _ := e.Decide(key)
+	snap.Release()
+	return v
+}
+
 // TestFleetVerdictReplication: a Definite verdict derived on one node's
 // engine (CAPTCHA pass) reaches every peer's replicator tagged with its
 // origin, and a peer serving the session answers with it through its remote
@@ -91,7 +98,7 @@ func TestFleetVerdictReplication(t *testing.T) {
 			continue
 		}
 		nd.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
-		if v := nd.Engine().Classify(key); v.Class != detect.ClassHuman || v.Origin != home.Name() {
+		if v := readVerdict(nd.Engine(), key); v.Class != detect.ClassHuman || v.Origin != home.Name() {
 			t.Fatalf("node %s serves %+v, want the human verdict from %s", nd.Name(), v, home.Name())
 		}
 	}
@@ -133,7 +140,7 @@ func TestCrashForgetsReplicatedVerdicts(t *testing.T) {
 	vc.RunUntil(vc.Now().Add(20 * time.Millisecond))
 
 	b.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
-	if v := b.Engine().Classify(key); v.Origin != "" {
+	if v := readVerdict(b.Engine(), key); v.Origin != "" {
 		t.Fatalf("restarted %s serves %+v, a verdict from %s it should have forgotten", b.Name(), v, v.Origin)
 	}
 }
@@ -191,7 +198,7 @@ func TestAdoptedVerdictsStillServed(t *testing.T) {
 					continue
 				}
 				nd.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
-				if v := nd.Engine().Classify(key); v.Class != detect.ClassHuman || v.Origin != home.Name() {
+				if v := readVerdict(nd.Engine(), key); v.Class != detect.ClassHuman || v.Origin != home.Name() {
 					rec, _ := nd.Replicator().VerdictFor(key)
 					t.Fatalf("node %s serves %+v after adoption (record under %s), want the human verdict from %s",
 						nd.Name(), v, rec.Origin, home.Name())
@@ -230,7 +237,7 @@ func TestVerdictLastsWhileSessionBrowses(t *testing.T) {
 		}
 	}
 	peer.Do(agents.Request{Time: vc.Now(), IP: ip, UserAgent: ua, Method: "GET", Path: "/"})
-	if v := peer.Engine().Classify(key); v.Class != detect.ClassHuman || v.Origin != home.Name() {
+	if v := readVerdict(peer.Engine(), key); v.Class != detect.ClassHuman || v.Origin != home.Name() {
 		t.Fatalf("%s serves %+v two hours in, want the human verdict from %s", peer.Name(), v, home.Name())
 	}
 }

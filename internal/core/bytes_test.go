@@ -32,11 +32,11 @@ func TestInjectedBytesBudget(t *testing.T) {
 		return sres.AddedBytes
 	}
 	var ps, psDeg PageState
-	full := added(e.PreparePage("10.8.0.1", "Firefox/1.5", "/", &ps))
+	full := added(prepareFor(e, AdmitFull, "10.8.0.1", "Firefox/1.5", &ps))
 	if full > 400 {
 		t.Errorf("a full page gains %d bytes, budget 400", full)
 	}
-	if deg := added(e.PreparePageDegraded("10.8.0.2", "Firefox/1.5", "/", &psDeg)); deg > full {
+	if deg := added(prepareFor(e, AdmitDegraded, "10.8.0.2", "Firefox/1.5", &psDeg)); deg > full {
 		t.Errorf("a degraded page gains %d bytes, a full one %d", deg, full)
 	}
 }
@@ -49,7 +49,7 @@ func TestInjectedBytesBudget(t *testing.T) {
 func TestAddedBytesCountsEveryGeneratedBody(t *testing.T) {
 	e := New(Config{Seed: 33, ObfuscateJS: true})
 	const ip, ua = "10.8.1.1", "Firefox/1.5"
-	html, inst := instrumentPage(e, ip, ua, "/", []byte(pageDoc))
+	html, inst := instrumentPage(e, ip, ua, []byte(pageDoc))
 	want := int64(len(html) - len(pageDoc))
 	prefix := e.Config().BeaconPrefix
 	for _, path := range []string{

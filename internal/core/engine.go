@@ -9,7 +9,7 @@
 // the sharded session tracker, the sharded key store and atomic counters, and
 // fans every request out to exactly one shard of each, so the hot path
 // (ObserveRequestQuiet, HandleBeacon) scales with cores instead of serialising on
-// global mutexes. Reads (Classify, Decide, Session) take the same one session
+// global mutexes. Reads (Decide, Session) take the same one session
 // shard briefly and see the session as of its last request, and idle-session
 // expiry is amortised shard by shard — there is no stop-the-world sweep.
 //
@@ -71,7 +71,8 @@ const (
 	Definite = detect.Definite
 )
 
-// ClassifiedSession pairs a finished session with its final verdict.
+// ClassifiedSession pairs a session with its verdict: the final one for a
+// session that ended.
 type ClassifiedSession struct {
 	Snapshot session.Snapshot
 	Verdict  Verdict
@@ -227,7 +228,7 @@ type Stats struct {
 	// PagesInstrumented counts HTML pages rewritten.
 	PagesInstrumented int64
 	// PagesLite counts the pages prepared for a definite human with the
-	// hidden trap link alone (see PreparePage); the rest of PagesInstrumented
+	// hidden trap link alone (see Prepare); the rest of PagesInstrumented
 	// carried the full instrumentation.
 	PagesLite int64
 	// OriginalBytes and AddedBytes track page sizes before rewriting and the
@@ -297,7 +298,7 @@ const maxPooledScriptBuf = 1 << 20
 // pagePrecomp caches the per-deployment constant parts of the injection,
 // derived from jsgen's path helpers so the URL formats live in one place:
 // beacon path prefixes/suffixes and the inline reporter script split around
-// its token. Composing these once in New keeps PreparePage down
+// its token. Composing these once in New keeps Prepare down
 // to a few short concatenations per page view instead of rebuilding every
 // URL and the whole inline script with fmt.
 type pagePrecomp struct {
@@ -332,7 +333,7 @@ type Engine struct {
 	fleet atomic.Pointer[Fleet]
 
 	// handlerName and transpImg are the injection's per-deployment constant
-	// byte fields, precomputed so PreparePage composes without conversions.
+	// byte fields, precomputed so Prepare composes without conversions.
 	handlerName []byte
 	transpImg   []byte
 
@@ -424,7 +425,7 @@ func New(cfg Config) *Engine {
 // sessionEnded forwards finished sessions (with final verdicts) to the
 // configured callback; New installs it only when there is one.
 func (e *Engine) sessionEnded(snap session.Snapshot) {
-	e.cfg.OnSessionEnd(ClassifiedSession{Snapshot: snap, Verdict: e.ClassifySnapshot(snap)})
+	e.cfg.OnSessionEnd(ClassifiedSession{Snapshot: snap, Verdict: e.classify(&snap)})
 }
 
 // scriptSeed derives the next rotation epoch's compile seed without any lock:
@@ -438,7 +439,7 @@ func (e *Engine) scriptSeed() uint64 {
 // zero-copy serve path: the numeric page keys, the composed injection
 // fragments, and the URL scratch buffers they are built in. A connection
 // keeps one PageState across keep-alive requests; after the first few page
-// views every buffer has grown to the working-set size and PreparePage runs
+// views every buffer has grown to the working-set size and Prepare runs
 // without allocating.
 type PageState struct {
 	pk   keystore.PageKeys
@@ -449,45 +450,35 @@ type PageState struct {
 	css, script, inline, hidden []byte
 }
 
-// Keys returns the numeric keys issued for the most recent PreparePage call.
+// Keys returns the numeric keys issued for the most recent Prepare call.
 func (ps *PageState) Keys() *keystore.PageKeys { return &ps.pk }
-
-// PreparePage sets up the injection for one HTML page view served to
-// clientIP/userAgent: it issues the page's keys numerically into ps.pk and
-// composes the injection fragments in place in ps.prep. The caller applies
-// them — by streaming the response body through an htmlmod.StreamRewriter, or
-// buffered via Prepared.Rewrite — and must call RecordInstrumented once the
-// rewrite completes so the paper's overhead accounting stays accurate. The
-// page's script is not rendered here — the keystore remembers the keys, and
-// the download renders from them (see renderScript). A session already
-// proven human gets, on most views, a lite page carrying the hidden trap link
-// alone (see preparePage). The returned Prepared aliases ps — it stays valid
-// until the next prepare call on the same state. At steady state the call
-// allocates nothing. The page path is unused: nothing a page view issues or
-// injects depends on which page it is.
-func (e *Engine) PreparePage(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
-	return e.preparePage(clientIP, userAgent, false, ps)
-}
 
 // fullPageEvery is how often a proven human still gets a fully instrumented
 // page: one view in fullPageEvery, chosen by the view's hidden token (see
-// preparePage).
+// Prepare).
 const fullPageEvery = 8
 
-// preparePage is the one body behind PreparePage and PreparePageDegraded
-// (load.go); the two differ only in how the keystore issues the page's keys.
+// Prepare sets up the injection for one HTML page view served to clientIP.
+// v is the session's verdict as the caller read it for this request
+// (Decide); Prepare reads no session. It issues the page's keys into ps.pk —
+// the keystore's degraded issue when adm is AdmitDegraded, its full issue
+// otherwise — and composes the fragments in place in ps.prep. The caller
+// applies them (an htmlmod.StreamRewriter, or Prepared.Rewrite) and calls
+// RecordInstrumented once the rewrite completes, for the overhead
+// accounting. The script is rendered only on download, from the keys the
+// keystore remembers (see renderScript). The returned Prepared aliases ps
+// until the next prepare on it; at steady state the call allocates nothing.
 //
-// A session whose verdict is a definite human gets a lite page — the hidden
-// trap link alone — except on the views whose hidden token is a multiple of
-// fullPageEvery, which stay fully instrumented. The token is a keyed
-// permutation output, so a client cannot tell which view comes full, and
-// engines sharing a seed agree on it; 8 divides 10^d for every key width, so
-// the choice is unbiased. Any robot evidence, a model swap or a new session
-// after an idle gap ends the definite human verdict, and with it the lite
+// A definite human gets a lite page — the hidden trap link alone — except
+// on the views whose hidden token is a multiple of fullPageEvery. The token
+// is a keyed permutation output, so a client cannot tell which view comes
+// full, engines sharing a seed agree on it, and since 8 divides 10^d for
+// every key width the choice is unbiased. Robot evidence, a model swap or a
+// new session after an idle gap ends the verdict, and with it the lite
 // pages. The page view is issued either way: its hidden token comes from it.
-func (e *Engine) preparePage(clientIP, userAgent string, degraded bool, ps *PageState) *htmlmod.Prepared {
+func (e *Engine) Prepare(v Verdict, adm Admission, clientIP string, ps *PageState) *htmlmod.Prepared {
 	start := time.Now()
-	if degraded {
+	if adm == AdmitDegraded {
 		e.keys.IssuePageDegraded(clientIP, "", &ps.pk)
 	} else {
 		e.keys.IssuePage(clientIP, "", &ps.pk)
@@ -497,7 +488,7 @@ func (e *Engine) preparePage(clientIP, userAgent string, degraded bool, ps *Page
 	ps.hidden = ps.pk.AppendKey(append(ps.hidden[:0], e.pre.hiddenPre...), ps.pk.HiddenToken)
 	ps.hidden = append(ps.hidden, e.pre.hiddenSuf...)
 	inj := htmlmod.InjectionBytes{HiddenHref: ps.hidden, HiddenImgSrc: e.transpImg}
-	if ps.pk.HiddenToken%fullPageEvery != 0 && e.definiteHuman(session.Key{IP: clientIP, UserAgent: userAgent}) {
+	if ps.pk.HiddenToken%fullPageEvery != 0 && v.Class == ClassHuman && v.Confidence == Definite {
 		e.stats.pagesLite.Add(1)
 	} else {
 		ps.css = ps.pk.AppendKey(append(ps.css[:0], e.pre.cssPre...), ps.pk.CSSToken)
@@ -511,14 +502,6 @@ func (e *Engine) preparePage(clientIP, userAgent string, degraded bool, ps *Page
 	ps.prep.Compose(inj)
 	e.tel.Prepare.ObserveSince(start)
 	return &ps.prep
-}
-
-// definiteHuman reports whether key's session is, as of its last request, a
-// definite human, read through Classify like every other verdict: behind
-// Decide it is a stored-verdict hit.
-func (e *Engine) definiteHuman(key session.Key) bool {
-	v := e.Classify(key)
-	return v.Class == ClassHuman && v.Confidence == Definite
 }
 
 // RecordInstrumented accounts one completed page rewrite (original body
@@ -635,7 +618,7 @@ func (e *Engine) renderScript(clientIP string, token uint64) *scriptBuf {
 }
 
 // ObserveRequestQuiet records one ordinary (non-instrumentation) request for
-// session tracking; callers read the session back through Decide, Classify or
+// session tracking; callers read the session back through Decide or
 // Session. Only the session's shard is locked.
 func (e *Engine) ObserveRequestQuiet(ent logfmt.Entry) {
 	e.sessions.ObserveQuiet(ent)
@@ -820,23 +803,6 @@ func (e *Engine) markDefinite(key session.Key, sig session.Signal, human bool) {
 	}
 }
 
-// Classify returns the current verdict for the session, or an undecided
-// verdict when the session is unknown. The read path is, at steady state,
-// allocation-free: the snapshot is a pooled copy taken under the session's
-// shard lock (session.Tracker.Peek), and the verdict is the one stored in
-// the session's record unless a state-changing event (new signal, new
-// request class, threshold crossing) or a model hot-swap occurred since it
-// was computed.
-func (e *Engine) Classify(key session.Key) Verdict {
-	snap, ok := e.sessions.Peek(key)
-	if !ok {
-		return Verdict{}
-	}
-	v := e.classify(snap)
-	snap.Release()
-	return v
-}
-
 // Decide returns the session's current snapshot together with its (stored)
 // verdict; enforcement layers (proxy, cdn) use it to evaluate policy on the
 // session's exact counts without per-request allocation. The snapshot is a
@@ -850,14 +816,8 @@ func (e *Engine) Decide(key session.Key) (*session.Snapshot, Verdict, bool) {
 	return snap, e.classify(snap), true
 }
 
-// ClassifySnapshot classifies a session snapshot through the engine's
-// verdict table (internal/detect).
-func (e *Engine) ClassifySnapshot(snap session.Snapshot) Verdict {
-	return e.classify(&snap)
-}
-
-// classify is the one verdict read path: Decide, Classify and
-// ClassifySnapshot all end here. The session record holds at most one
+// classify is the one verdict read path: Decide, Sessions, FlushSessions
+// and the session-end callback all end here. The session record holds at most one
 // verdict, and only for the session's current epoch — the tracker drops it
 // whenever the epoch moves — so the snapshot already carries the answer
 // unless a new signal, a new request class, a threshold crossing or a model
@@ -947,7 +907,7 @@ func (e *Engine) Detector() detect.Detector { return e.det }
 func (e *Engine) Learned() *detect.Learned { return e.learned }
 
 // SetModel atomically publishes a (re)trained AdaBoost model onto the
-// serving path. Readers take no lock: in-flight Classify calls finish on
+// serving path. Readers take no lock: in-flight verdict reads finish on
 // whichever model they loaded, subsequent calls see the new one, and every
 // stored verdict is implicitly invalidated by the model-epoch advance.
 // Passing nil unpublishes the model, reverting to rules-only verdicts.
@@ -1083,13 +1043,13 @@ func (e *Engine) trainerStep(minNew int, cfg adaboost.Config) func(time.Time) {
 	}
 }
 
-// Sessions returns snapshots of all active sessions, gathered shard by
-// shard (no global lock).
-func (e *Engine) Sessions() []session.Snapshot { return e.sessions.Snapshots() }
+// Sessions returns every active session with its current verdict, gathered
+// shard by shard (no global lock).
+func (e *Engine) Sessions() []ClassifiedSession { return e.classified(e.sessions.Snapshots()) }
 
 // Session returns a copy of one active session's snapshot, if it is
-// tracked. Per-request readers use Decide or Classify, which read the same
-// Peek without copying it out.
+// tracked. Per-request readers use Decide, which reads the same Peek
+// without copying it out.
 func (e *Engine) Session(key session.Key) (session.Snapshot, bool) {
 	p, ok := e.sessions.Peek(key)
 	if !ok {
@@ -1147,11 +1107,13 @@ func (e *Engine) sweepInterval() time.Duration {
 // FlushSessions ends all sessions and returns them with their final
 // verdicts, flushing one shard at a time. The result is sorted by
 // first-seen time then key so simulation runs stay reproducible.
-func (e *Engine) FlushSessions() []ClassifiedSession {
-	snaps := e.sessions.FlushAll()
+func (e *Engine) FlushSessions() []ClassifiedSession { return e.classified(e.sessions.FlushAll()) }
+
+// classified pairs each snapshot with its verdict.
+func (e *Engine) classified(snaps []session.Snapshot) []ClassifiedSession {
 	out := make([]ClassifiedSession, len(snaps))
 	for i, s := range snaps {
-		out[i] = ClassifiedSession{Snapshot: s, Verdict: e.ClassifySnapshot(s)}
+		out[i] = ClassifiedSession{Snapshot: s, Verdict: e.classify(&s)}
 	}
 	return out
 }

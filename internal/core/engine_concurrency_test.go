@@ -30,7 +30,7 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 	instr := make([]servedPage, nKeys)
 	for i := range keys {
 		keys[i] = session.Key{IP: fmt.Sprintf("10.9.0.%d", i), UserAgent: "Firefox/1.5"}
-		_, instr[i] = instrumentPage(e, keys[i].IP, keys[i].UserAgent, "/", []byte("<html><head></head><body></body></html>"))
+		_, instr[i] = instrumentPage(e, keys[i].IP, keys[i].UserAgent, []byte("<html><head></head><body></body></html>"))
 	}
 	prefix := e.Config().BeaconPrefix
 
@@ -86,7 +86,7 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 				case 3:
 					e.HandleBeacon(k.IP, k.UserAgent, prefix+"/"+in.Issued.Key+".jpg")
 				case 4:
-					e.Classify(k)
+					readVerdict(e, k)
 					e.Session(k)
 				}
 			}
@@ -103,7 +103,7 @@ func TestEngineConcurrentPipeline(t *testing.T) {
 	}
 	var total int64
 	for _, s := range e.Sessions() {
-		total += int64(s.Counts.Total)
+		total += int64(s.Snapshot.Counts.Total)
 	}
 	if total != workers*iters {
 		t.Fatalf("total observed = %d, want %d", total, workers*iters)

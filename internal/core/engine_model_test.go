@@ -51,17 +51,17 @@ func TestSetModelChangesVerdictAndInvalidatesCache(t *testing.T) {
 			ContentType: "image/jpeg",
 		})
 	}
-	v := d.Classify(key)
+	v := readVerdict(d, key)
 	if v.Class != ClassRobot {
 		t.Fatalf("rules-only verdict = %+v", v)
 	}
 	// Classify again: the cached verdict must be identical.
-	if v2 := d.Classify(key); v2 != v {
+	if v2 := readVerdict(d, key); v2 != v {
 		t.Fatalf("cached verdict differs: %+v vs %+v", v2, v)
 	}
 
 	d.SetModel(trainTestModel(t, 40))
-	v = d.Classify(key)
+	v = readVerdict(d, key)
 	if v.Class != ClassHuman {
 		t.Fatalf("verdict after hot swap = %+v", v)
 	}
@@ -71,14 +71,14 @@ func TestSetModelChangesVerdictAndInvalidatesCache(t *testing.T) {
 
 	// Unpublish: back to the behavioural rules.
 	d.SetModel(nil)
-	if v := d.Classify(key); v.Class != ClassRobot {
+	if v := readVerdict(d, key); v.Class != ClassRobot {
 		t.Fatalf("verdict after unpublish = %+v", v)
 	}
 
 	// Direct evidence always outranks the model.
 	d.SetModel(trainTestModel(t, 40))
 	d.HandleBeacon(key.IP, key.UserAgent, objectPath(jsgen.HiddenPathParts, d.Config().BeaconPrefix, "xyz"))
-	if v := d.Classify(key); v.Class != ClassRobot || v.Confidence != Definite {
+	if v := readVerdict(d, key); v.Class != ClassRobot || v.Confidence != Definite {
 		t.Fatalf("direct evidence lost to the model: %+v", v)
 	}
 }
@@ -138,7 +138,7 @@ func TestModelHotSwapRace(t *testing.T) {
 				k := keys[(seed+i)%len(keys)]
 				switch i % 4 {
 				case 0:
-					v := d.Classify(k)
+					v := readVerdict(d, k)
 					if v.Class == ClassUndecided && v.Rule == 0 {
 						t.Error("torn verdict")
 						return
@@ -162,7 +162,7 @@ func TestModelHotSwapRace(t *testing.T) {
 	// The engine must still classify coherently after the storm.
 	d.SetModel(modelA)
 	for _, k := range keys {
-		if v := d.Classify(k); v.Class == ClassUndecided {
+		if v := readVerdict(d, k); v.Class == ClassUndecided {
 			t.Fatalf("session %v undecided after %d requests", k, 12)
 		}
 	}
@@ -179,9 +179,9 @@ func TestClassifySteadyStateZeroAllocs(t *testing.T) {
 		d.ObserveRequestQuiet(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET",
 			Path: fmt.Sprintf("/p%d.html", i), Status: 200, Referer: "http://h/x.html"})
 	}
-	d.Classify(key) // warm the cache
+	readVerdict(d, key) // warm the cache
 
-	if allocs := testing.AllocsPerRun(200, func() { d.Classify(key) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { readVerdict(d, key) }); allocs != 0 {
 		t.Fatalf("steady-state Classify allocates %.1f objects/op, want 0", allocs)
 	}
 }

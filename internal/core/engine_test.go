@@ -42,7 +42,7 @@ func observe(d *Engine, ip, ua, method, path string, status int, ref string, at 
 func TestInstrumentPageInjectsEverything(t *testing.T) {
 	d, _ := newTestEngine(Config{ObfuscateJS: true})
 	html := pageHTML()
-	out, inst := instrumentPage(d, "10.0.0.1", "Firefox", "/", html)
+	out, inst := instrumentPage(d, "10.0.0.1", "Firefox", html)
 	body := string(out)
 	if !strings.Contains(body, inst.CSSPath) {
 		t.Fatal("CSS beacon path not present in rewritten page")
@@ -79,7 +79,7 @@ func TestInstrumentPageInjectsEverything(t *testing.T) {
 func TestBeaconServesScriptAndMarksSignals(t *testing.T) {
 	d, _ := newTestEngine(Config{ObfuscateJS: false})
 	ip, ua := "10.0.0.2", "Firefox"
-	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, pageHTML())
 
 	// Script download.
 	resp, ok := d.HandleBeacon(ip, ua, inst.ScriptPath)
@@ -117,7 +117,7 @@ func TestBeaconServesScriptAndMarksSignals(t *testing.T) {
 func TestBeaconDecoyAndReplayAndUnknown(t *testing.T) {
 	d, _ := newTestEngine(Config{})
 	ip, ua := "10.0.0.3", "BadBot"
-	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, pageHTML())
 	prefix := d.Config().BeaconPrefix
 
 	// Decoy fetch.
@@ -139,7 +139,7 @@ func TestBeaconDecoyAndReplayAndUnknown(t *testing.T) {
 	// Direct robot evidence outranks the mouse signal: a client that fetched
 	// decoy URLs is automation even if it also hit the real key (blind
 	// fetchers grab every URL in the script).
-	v := d.ClassifySnapshot(snap)
+	v := d.classify(&snap)
 	if v.Class != ClassRobot || v.Confidence != Definite {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -149,7 +149,7 @@ func TestExecBeaconAndUAMismatch(t *testing.T) {
 	d, _ := newTestEngine(Config{})
 	ip := "10.0.0.4"
 	headerUA := "Mozilla/5.0 (Windows NT 5.1) Firefox/1.5"
-	_, inst := instrumentPage(d, ip, headerUA, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, headerUA, pageHTML())
 	prefix := d.Config().BeaconPrefix
 
 	// Exec beacon reporting an agent matching the header.
@@ -170,7 +170,7 @@ func TestExecBeaconAndUAMismatch(t *testing.T) {
 	// truth and the mismatch is detected.
 	ip2 := "10.0.0.5"
 	forgedHeader := "Googlebot/2.1"
-	_, inst2 := instrumentPage(d, ip2, forgedHeader, "/", pageHTML())
+	_, inst2 := instrumentPage(d, ip2, forgedHeader, pageHTML())
 	real := "mozilla/5.0(windowsnt5.1)firefox/1.5"
 	d.HandleBeacon(ip2, forgedHeader, prefix+"/js/"+inst2.Issued.ScriptToken+".gif?ua="+real)
 	snap2, _ := d.Session(session.Key{IP: ip2, UserAgent: forgedHeader})
@@ -185,7 +185,7 @@ func TestExecBeaconAndUAMismatch(t *testing.T) {
 func TestUAReportViaStylesheetPath(t *testing.T) {
 	d, _ := newTestEngine(Config{})
 	ip, ua := "10.0.0.6", "Opera/9.0"
-	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, pageHTML())
 	prefix := d.Config().BeaconPrefix
 	path := prefix + "/ua/" + inst.Issued.ScriptToken + "/opera%2f9.0.css"
 	resp, ok := d.HandleBeacon(ip, ua, path)
@@ -207,7 +207,7 @@ func TestUAReportViaStylesheetPath(t *testing.T) {
 func TestHiddenLinkBeacon(t *testing.T) {
 	d, _ := newTestEngine(Config{})
 	ip, ua := "10.0.0.7", "Crawler"
-	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, pageHTML())
 	resp, ok := d.HandleBeacon(ip, ua, inst.HiddenPath)
 	if !ok || resp.Status != 200 {
 		t.Fatalf("hidden response = %+v", resp)
@@ -216,7 +216,7 @@ func TestHiddenLinkBeacon(t *testing.T) {
 	if !snap.Signals.Has(session.SignalHidden) {
 		t.Fatal("hidden-link signal not set")
 	}
-	v := d.ClassifySnapshot(snap)
+	v := d.classify(&snap)
 	if v.Class != ClassRobot || v.Confidence != Definite {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -266,7 +266,7 @@ func TestObjectSignalMatchesHandleBeacon(t *testing.T) {
 		key := session.Key{IP: ip, UserAgent: ua}
 		observe(d, ip, ua, "GET", "/", 200, "", time.Time{})
 		var ps PageState
-		d.PreparePage(ip, ua, "/", &ps)
+		prepareFor(d, AdmitFull, ip, ua, &ps)
 		pk := ps.Keys()
 		scriptToken := wire(pk, pk.ScriptToken)
 		var path string
@@ -311,7 +311,7 @@ func TestScriptFallbackWhenEvicted(t *testing.T) {
 	// One more page view than the keystore keeps batches per client (64): the
 	// earliest page's keys are evicted, and its script goes with them.
 	for i := 0; i < 65; i++ {
-		_, inst := instrumentPage(d, ip, ua, fmt.Sprintf("/p%d.html", i), pageHTML())
+		_, inst := instrumentPage(d, ip, ua, pageHTML())
 		paths = append(paths, inst.ScriptPath)
 	}
 	// The detector still serves a harmless fallback body and records the
@@ -339,16 +339,16 @@ func TestClassificationLifecycleHumanWithJS(t *testing.T) {
 
 	// First page: before any signals, the verdict is undecided.
 	observe(d, ip, ua, "GET", "/", 200, "", now)
-	if v := d.Classify(key); v.Class != ClassUndecided {
+	if v := readVerdict(d, key); v.Class != ClassUndecided {
 		t.Fatalf("verdict after 1 request = %+v", v)
 	}
-	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, pageHTML())
 	d.HandleBeacon(ip, ua, inst.CSSPath)
 	d.HandleBeacon(ip, ua, inst.ScriptPath)
 	d.HandleBeacon(ip, ua, d.Config().BeaconPrefix+"/js/"+inst.Issued.ScriptToken+".gif?ua="+session.NormalizeUA(ua))
 	// Human moves the mouse: the real key arrives.
 	d.HandleBeacon(ip, ua, d.Config().BeaconPrefix+"/"+inst.Issued.Key+".jpg")
-	v := d.Classify(key)
+	v := readVerdict(d, key)
 	if v.Class != ClassHuman || v.Confidence != Definite {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -359,12 +359,12 @@ func TestClassificationRobotRunningJSWithoutMouse(t *testing.T) {
 	ip, ua := "10.1.0.2", "SmartBot"
 	key := session.Key{IP: ip, UserAgent: ua}
 	now := vc.Now()
-	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, pageHTML())
 	d.HandleBeacon(ip, ua, d.Config().BeaconPrefix+"/js/"+inst.Issued.ScriptToken+".gif?ua="+session.NormalizeUA(ua))
 	for i := 0; i < 12; i++ {
 		observe(d, ip, ua, "GET", fmt.Sprintf("/p%d.html", i), 200, "", now)
 	}
-	v := d.Classify(key)
+	v := readVerdict(d, key)
 	if v.Class != ClassRobot || v.Confidence != detect.Probable {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -379,12 +379,12 @@ func TestClassificationHumanCSSOnlyNoJS(t *testing.T) {
 	ip, ua := "10.1.0.3", "Firefox-NoJS"
 	key := session.Key{IP: ip, UserAgent: ua}
 	now := vc.Now()
-	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, pageHTML())
 	d.HandleBeacon(ip, ua, inst.CSSPath)
 	for i := 0; i < 11; i++ {
 		observe(d, ip, ua, "GET", fmt.Sprintf("/p%d.html", i), 200, "", now)
 	}
-	v := d.Classify(key)
+	v := readVerdict(d, key)
 	if v.Class != ClassHuman || v.Confidence != detect.Probable {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -398,7 +398,7 @@ func TestClassificationRobotIgnoresPresentation(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		observe(d, ip, ua, "GET", fmt.Sprintf("/p%d.html", i), 200, "", now)
 	}
-	v := d.Classify(key)
+	v := readVerdict(d, key)
 	if v.Class != ClassRobot {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -408,7 +408,7 @@ func TestClassificationCaptcha(t *testing.T) {
 	d, _ := newTestEngine(Config{})
 	key := session.Key{IP: "10.1.0.5", UserAgent: "NoScriptBrowser"}
 	d.MarkCaptchaPassed(key)
-	v := d.Classify(key)
+	v := readVerdict(d, key)
 	if v.Class != ClassHuman || v.Confidence != Definite {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -416,7 +416,7 @@ func TestClassificationCaptcha(t *testing.T) {
 
 func TestClassifyUnknownSession(t *testing.T) {
 	d, _ := newTestEngine(Config{})
-	v := d.Classify(session.Key{IP: "none", UserAgent: "none"})
+	v := readVerdict(d, session.Key{IP: "none", UserAgent: "none"})
 	if v.Class != ClassUndecided {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -438,7 +438,7 @@ func TestOnSessionEndCallback(t *testing.T) {
 	d := New(Config{Seed: 3, Clock: vc, OnSessionEnd: func(cs ClassifiedSession) { ended = append(ended, cs) }})
 	ip, ua := "10.1.0.6", "Firefox"
 	now := vc.Now()
-	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, pageHTML())
 	observe(d, ip, ua, "GET", "/", 200, "", now)
 	d.HandleBeacon(ip, ua, d.Config().BeaconPrefix+"/"+inst.Issued.Key+".jpg")
 	vc.Advance(2 * time.Hour)
@@ -550,24 +550,24 @@ func TestFleetStage(t *testing.T) {
 	e, vc := newTestEngine(Config{})
 	k := session.Key{IP: "10.0.0.1", UserAgent: "UA"}
 	observe(e, k.IP, k.UserAgent, "GET", "/", 200, "", vc.Now())
-	if v := e.Classify(k); v.Origin != "" {
+	if v := readVerdict(e, k); v.Origin != "" {
 		t.Fatalf("no fleet attached, yet the session is judged by %s: %+v", v.Origin, v)
 	}
 	peer := Verdict{Class: ClassRobot, Confidence: Definite, Rule: detect.RuleHidden, AtRequest: 4, Origin: "b"}
 	f := &stubFleet{peer: map[session.Key]Verdict{k: peer}}
 	e.SetFleet(f)
 	e.ApplyRemoteVerdict(k)
-	if v := e.Classify(k); v != peer {
+	if v := readVerdict(e, k); v != peer {
 		t.Fatalf("attached fleet's verdict not served: %+v", v)
 	}
-	if v := e.Classify(k); v != peer || e.tel.ClassifyCacheHits.Value() == 0 {
+	if v := readVerdict(e, k); v != peer || e.tel.ClassifyCacheHits.Value() == 0 {
 		t.Fatalf("the stored peer verdict came back as %+v (%d hits)", v, e.tel.ClassifyCacheHits.Value())
 	}
 	if len(f.exported) != 0 {
 		t.Fatalf("a peer's verdict was exported back: %+v", f.exported)
 	}
 	e.MarkCaptchaPassed(k)
-	if v := e.Classify(k); v.Class != ClassHuman || v.Origin != "" {
+	if v := readVerdict(e, k); v.Class != ClassHuman || v.Origin != "" {
 		t.Fatalf("direct evidence lost to the peer's verdict: %+v", v)
 	}
 	if len(f.exported) != 1 || f.exported[0].Class != ClassHuman {
@@ -596,7 +596,7 @@ func TestRemoteRowRefusesMalformedPeerVerdicts(t *testing.T) {
 	} {
 		f.peer[k] = bad
 		e.ApplyRemoteVerdict(k)
-		if v := e.Classify(k); v.Rule != detect.RuleBelowThreshold || v.Origin != "" {
+		if v := readVerdict(e, k); v.Rule != detect.RuleBelowThreshold || v.Origin != "" {
 			t.Errorf("peer verdict %+v: served %+v, want the local below-threshold row", bad, v)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"botdetect/internal/htmlmod"
 )
 
 // goldenPage and the request sequence below must not change: the test proves
@@ -38,30 +40,46 @@ var goldenPage = []byte(`<html>
 // incarnation (the order clients are first seen in, store-wide) and its
 // page-view number, and the script variant a function of the token and the
 // seed. So the sequence runs at the capture-time 32 shards and at 1, and
-// both must give the capture's bytes.
+// both must give the capture's bytes. It runs both ways a page is prepared:
+// the surfaces' one verdict read and Prepare, and the PreparePage wrapper
+// the benchmark's shadow engine calls.
 func TestInstrumentPageGoldenBytes(t *testing.T) {
 	path := filepath.Join("testdata", "instrumented_golden.txt")
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
-	for _, shards := range []int{32, 1} {
-		e := New(Config{Seed: 7, ObfuscateJS: true, Shards: shards})
-		var got []byte
-		for _, c := range []struct{ ip, pagePath string }{
-			{"10.1.2.3", "/"},
-			{"10.1.2.3", "/a.html"},
-			{"10.9.8.7", "/"},
-		} {
-			html, inst := instrumentPage(e, c.ip, "Firefox/1.5", c.pagePath, goldenPage)
-			got = append(got, fmt.Sprintf("=== %s %s key=%s css=%s script=%s hidden=%s added=%d\n",
-				c.ip, c.pagePath, inst.Issued.Key, inst.CSSPath, inst.ScriptPath, inst.HiddenPath, inst.AddedBytes)...)
-			got = append(got, html...)
-			got = append(got, '\n')
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%d shards: instrumented output drifted from the golden capture\n--- got (%d bytes):\n%s\n--- want (%d bytes):\n%s",
-				shards, len(got), firstDiffContext(got, want), len(want), firstDiffContext(want, got))
+	const ua = "Firefox/1.5"
+	for _, way := range []struct {
+		name    string
+		prepare func(e *Engine, ip, pagePath string, ps *PageState) *htmlmod.Prepared
+	}{
+		{"Decide+Prepare", func(e *Engine, ip, _ string, ps *PageState) *htmlmod.Prepared {
+			return prepareFor(e, AdmitFull, ip, ua, ps)
+		}},
+		{"PreparePage", func(e *Engine, ip, pagePath string, ps *PageState) *htmlmod.Prepared {
+			return e.PreparePage(ip, ua, pagePath, ps)
+		}},
+	} {
+		for _, shards := range []int{32, 1} {
+			e := New(Config{Seed: 7, ObfuscateJS: true, Shards: shards})
+			var got []byte
+			for _, c := range []struct{ ip, pagePath string }{
+				{"10.1.2.3", "/"},
+				{"10.1.2.3", "/a.html"},
+				{"10.9.8.7", "/"},
+			} {
+				var ps PageState
+				html, inst := instrumentPrepared(e, c.ip, ua, goldenPage, way.prepare(e, c.ip, c.pagePath, &ps), &ps)
+				got = append(got, fmt.Sprintf("=== %s %s key=%s css=%s script=%s hidden=%s added=%d\n",
+					c.ip, c.pagePath, inst.Issued.Key, inst.CSSPath, inst.ScriptPath, inst.HiddenPath, inst.AddedBytes)...)
+				got = append(got, html...)
+				got = append(got, '\n')
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, %d shards: instrumented output drifted from the golden capture\n--- got (%d bytes):\n%s\n--- want (%d bytes):\n%s",
+					way.name, shards, len(got), firstDiffContext(got, want), len(want), firstDiffContext(want, got))
+			}
 		}
 	}
 }

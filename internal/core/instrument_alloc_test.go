@@ -28,7 +28,7 @@ func TestRotateScriptsUnderServing(t *testing.T) {
 					return
 				default:
 				}
-				_, inst := instrumentPage(e, ip, "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+				_, inst := instrumentPage(e, ip, "Firefox/1.5", []byte("<html><head></head><body></body></html>"))
 				resp, ok := e.HandleBeacon(ip, "Firefox/1.5", inst.ScriptPath)
 				if !ok || resp.Status != 200 {
 					t.Errorf("script serve failed: ok=%v status=%d", ok, resp.Status)
@@ -60,8 +60,8 @@ func TestRotateScriptsChangesBodies(t *testing.T) {
 
 	// Same engine seed, same single client, same first page: identical keys
 	// on both engines; only the rotation epoch differs.
-	_, instA := instrumentPage(a, "10.6.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
-	_, instB := instrumentPage(b, "10.6.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+	_, instA := instrumentPage(a, "10.6.0.1", "Firefox/1.5", []byte("<html><head></head><body></body></html>"))
+	_, instB := instrumentPage(b, "10.6.0.1", "Firefox/1.5", []byte("<html><head></head><body></body></html>"))
 	if instA.Issued.Key != instB.Issued.Key {
 		t.Fatal("test setup: keys must match for a body comparison")
 	}

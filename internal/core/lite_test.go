@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"botdetect/internal/clock"
-	"botdetect/internal/htmlmod"
 	"botdetect/internal/jsgen"
 	"botdetect/internal/keystore"
 	"botdetect/internal/logfmt"
@@ -29,12 +28,11 @@ func serveView(t *testing.T, e *Engine, vc *clock.Virtual, key session.Key, degr
 	t.Helper()
 	vc.Advance(5 * time.Second)
 	var ps PageState
-	var prep *htmlmod.Prepared
+	adm := AdmitFull
 	if degraded {
-		prep = e.PreparePageDegraded(key.IP, key.UserAgent, "/", &ps)
-	} else {
-		prep = e.PreparePage(key.IP, key.UserAgent, "/", &ps)
+		adm = AdmitDegraded
 	}
+	prep := prepareFor(e, adm, key.IP, key.UserAgent, &ps)
 	doc := pageHTML()
 	res := prep.Rewrite(doc)
 	e.RecordInstrumented(len(doc), res.AddedBytes)
@@ -58,9 +56,9 @@ func serveView(t *testing.T, e *Engine, vc *clock.Virtual, key session.Key, degr
 func proveHuman(t *testing.T, e *Engine, vc *clock.Virtual, key session.Key) {
 	t.Helper()
 	vc.Advance(5 * time.Second)
-	_, inst := instrumentPage(e, key.IP, key.UserAgent, "/", pageHTML())
+	_, inst := instrumentPage(e, key.IP, key.UserAgent, pageHTML())
 	e.HandleBeacon(key.IP, key.UserAgent, e.cfg.BeaconPrefix+"/"+inst.Issued.Key+".jpg")
-	if v := e.Classify(key); v.Class != ClassHuman || v.Confidence != Definite {
+	if v := readVerdict(e, key); v.Class != ClassHuman || v.Confidence != Definite {
 		t.Fatalf("after a valid input-event key: %v", v)
 	}
 }

@@ -26,7 +26,6 @@
 package core
 
 import (
-	"botdetect/internal/htmlmod"
 	"botdetect/internal/intern"
 	"botdetect/internal/session"
 )
@@ -305,18 +304,6 @@ func (e *Engine) AdmitPage(clientIP, userAgent string) Admission {
 	}
 	e.stats.shedPassThrough.Add(1)
 	return AdmitPassThrough
-}
-
-// PreparePageDegraded is PreparePage for an AdmitDegraded page view: the
-// page still carries a real key (a mouse beacon still proves a human), but
-// with a quarter of the decoys (at least one) instead of the full set and
-// key TTLs shortened to a quarter of SessionIdleTimeout, so each anonymous
-// arrival pins less keystore memory for less time (see
-// keystore.Store.IssuePageDegraded). Its script is rendered on download from
-// those keys like any other page's. The page path is unused, as in
-// PreparePage.
-func (e *Engine) PreparePageDegraded(clientIP, userAgent, pagePath string, ps *PageState) *htmlmod.Prepared {
-	return e.preparePage(clientIP, userAgent, true, ps)
 }
 
 // EvictionStats returns the session tracker's cumulative per-reason eviction

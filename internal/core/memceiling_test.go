@@ -49,7 +49,7 @@ func TestMemoryCeilingPerSession(t *testing.T) {
 		for i := 0; i < clients; i++ {
 			ip := fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
 			ua := fmt.Sprintf("Mozilla/5.0 (bench; rv:%d)", i%64) // 64 distinct UAs, like real traffic
-			e.PreparePage(ip, ua, "/index.html", ps)
+			prepareFor(e, AdmitFull, ip, ua, ps)
 			for r := 0; r < 3; r++ {
 				e.ObserveRequestQuiet(logfmt.Entry{
 					Time: base.Add(time.Duration(r) * time.Second), ClientIP: ip, UserAgent: ua,
@@ -150,12 +150,12 @@ func TestMemoryCeilingUndownloadedPages(t *testing.T) {
 	const clients = 50000
 	e := New(Config{Seed: 12})
 	ps := &PageState{}
-	e.PreparePage("10.255.255.1", "Firefox/1.5", "/index.html", ps) // warm ps and the interner
+	prepareFor(e, AdmitFull, "10.255.255.1", "Firefox/1.5", ps) // warm ps and the interner
 
 	before, est0 := shardtest.SettledHeap(), e.MemoryEstimate()
 	for i := 0; i < clients; i++ {
 		ip := fmt.Sprintf("10.%d.%d.%d", i>>16, (i>>8)&0xff, i&0xff)
-		e.PreparePage(ip, "Firefox/1.5", "/index.html", ps)
+		prepareFor(e, AdmitFull, ip, "Firefox/1.5", ps)
 	}
 	heap, est := shardtest.SettledHeap()-before, e.MemoryEstimate()-est0
 	runtime.KeepAlive(e)

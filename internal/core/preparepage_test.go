@@ -9,42 +9,41 @@ import (
 
 const pageDoc = "<html><head><title>x</title></head><body><p>hello</p></body></html>"
 
-// TestPreparePageZeroAlloc gates the zero-copy serve path at zero
-// allocations per page view: numeric key issue and in-place fragment
+// TestPrepareZeroAlloc gates the zero-copy serve path at zero allocations
+// per page view: the verdict read, numeric key issue and in-place fragment
 // composition. The warmup takes the client past the keystore's per-client
 // batch cap, so the gate measures the eviction steady state.
-func TestPreparePageZeroAlloc(t *testing.T) {
+func TestPrepareZeroAlloc(t *testing.T) {
 	e := New(Config{Seed: 25, ObfuscateJS: true, Shards: 1})
 	var ps PageState
 	for i := 0; i < 600; i++ {
-		prep := e.PreparePage("10.9.0.1", "Firefox/1.5", "/warm.html", &ps)
-		_ = prep
+		prepareFor(e, AdmitFull, "10.9.0.1", "Firefox/1.5", &ps)
 	}
 	allocs := testing.AllocsPerRun(300, func() {
-		e.PreparePage("10.9.0.1", "Firefox/1.5", "/hot.html", &ps)
+		prepareFor(e, AdmitFull, "10.9.0.1", "Firefox/1.5", &ps)
 	})
 	if raceEnabled {
 		t.Skipf("paths exercised; skipping the ceiling (%.1f allocs/op measured) — allocation accounting differs under -race", allocs)
 	}
 	if allocs != 0 {
-		t.Fatalf("PreparePage allocated %.2f/op, want 0", allocs)
+		t.Fatalf("Decide+Prepare allocated %.2f/op, want 0", allocs)
 	}
 }
 
-// TestPreparePageLiteZeroAlloc gates a proven human's page views — seven in
+// TestPrepareLiteZeroAlloc gates a proven human's page views — seven in
 // eight lite, the rest full — at zero allocations: the verdict read is a
 // pooled Peek and a stored-verdict hit.
-func TestPreparePageLiteZeroAlloc(t *testing.T) {
+func TestPrepareLiteZeroAlloc(t *testing.T) {
 	e, vc := newTestEngine(Config{Seed: 26, ObfuscateJS: true, Shards: 1})
 	key := session.Key{IP: "10.9.0.2", UserAgent: "Firefox/1.5"}
 	proveHuman(t, e, vc, key)
 	var ps PageState
 	for i := 0; i < 600; i++ {
-		e.PreparePage(key.IP, key.UserAgent, "/warm.html", &ps)
+		prepareFor(e, AdmitFull, key.IP, key.UserAgent, &ps)
 	}
 	before := e.Stats().PagesLite
 	allocs := testing.AllocsPerRun(300, func() {
-		e.PreparePage(key.IP, key.UserAgent, "/hot.html", &ps)
+		prepareFor(e, AdmitFull, key.IP, key.UserAgent, &ps)
 	})
 	if lite := e.Stats().PagesLite - before; lite < 200 {
 		t.Fatalf("%d of 301 views lite, want about seven in eight", lite)
@@ -53,7 +52,7 @@ func TestPreparePageLiteZeroAlloc(t *testing.T) {
 		t.Skipf("paths exercised; skipping the ceiling (%.1f allocs/op measured) — allocation accounting differs under -race", allocs)
 	}
 	if allocs != 0 {
-		t.Fatalf("PreparePage for a definite human allocated %.2f/op, want 0", allocs)
+		t.Fatalf("Decide+Prepare for a definite human allocated %.2f/op, want 0", allocs)
 	}
 }
 
@@ -87,7 +86,7 @@ func TestStartRotator(t *testing.T) {
 	}
 	var ps PageState
 	for i := 0; i < 3; i++ {
-		e.PreparePage("10.9.0.2", "Firefox/1.5", "/p.html", &ps)
+		prepareFor(e, AdmitFull, "10.9.0.2", "Firefox/1.5", &ps)
 		e.RecordInstrumented(len(pageDoc), 1)
 	}
 	step(t0.Add(50 * time.Second))

@@ -28,11 +28,11 @@ type pageView struct {
 // browser does; that download is what gives the page its keys.
 func prepareView(e *Engine, ip, ua, page string, degraded bool) pageView {
 	var ps PageState
+	adm := AdmitFull
 	if degraded {
-		e.PreparePageDegraded(ip, ua, page, &ps)
-	} else {
-		e.PreparePage(ip, ua, page, &ps)
+		adm = AdmitDegraded
 	}
+	prepareFor(e, adm, ip, ua, &ps)
 	inst := describePage(e, ip, ua, &ps)
 	return pageView{ip: ip, scriptPath: inst.ScriptPath, key: inst.Issued.Key}
 }
@@ -41,7 +41,7 @@ func prepareView(e *Engine, ip, ua, page string, degraded bool) pageView {
 // script, so the page has no keys yet.
 func issueView(e *Engine, ip, ua, page string) pageView {
 	var ps PageState
-	e.PreparePage(ip, ua, page, &ps)
+	prepareFor(e, AdmitFull, ip, ua, &ps)
 	pk := ps.Keys()
 	return pageView{ip: ip, scriptPath: objectPath(jsgen.ScriptPathParts, e.cfg.BeaconPrefix, wire(pk, pk.ScriptToken))}
 }
@@ -133,7 +133,7 @@ func TestDecoysAboveMaxAreClamped(t *testing.T) {
 		t.Fatalf("effective Decoys = %d, want %d", got, keystore.MaxDecoys)
 	}
 	var ps PageState
-	e.PreparePage(ip, ua, "/", &ps)
+	prepareFor(e, AdmitFull, ip, ua, &ps)
 	pk, prefix := ps.Keys(), e.cfg.BeaconPrefix
 	resp, ok := e.HandleBeacon(ip, ua, objectPath(jsgen.ScriptPathParts, prefix, wire(pk, pk.ScriptToken)))
 	if !ok || resp.Status != 200 {
@@ -340,7 +340,7 @@ func TestScriptRenderRace(t *testing.T) {
 			ip := fmt.Sprintf("10.23.0.%d", w)
 			var ps PageState
 			for i := 0; ; i++ {
-				e.PreparePage(ip, ua, "/", &ps)
+				prepareFor(e, AdmitFull, ip, ua, &ps)
 				// The producer's own download draws the page's key; every
 				// download the readers make must carry that same key.
 				inst := describePage(e, ip, ua, &ps)
@@ -349,7 +349,7 @@ func TestScriptRenderRace(t *testing.T) {
 					// Overrun the per-client batch cap so views in flight die
 					// under their downloads.
 					for j := 0; j < 64; j++ {
-						e.PreparePage(ip, ua, "/", &ps)
+						prepareFor(e, AdmitFull, ip, ua, &ps)
 					}
 				}
 				select {
@@ -447,7 +447,7 @@ func FuzzScriptBeaconPath(f *testing.F) {
 	var someToken string
 	for i := 0; i < 8; i++ {
 		var ps PageState
-		e.PreparePage(owner, ua, fmt.Sprintf("/p%d.html", i), &ps)
+		prepareFor(e, AdmitFull, owner, ua, &ps)
 		iss := describePage(e, owner, ua, &ps).Issued
 		keyOf[iss.ScriptToken] = iss.Key
 		someToken = iss.ScriptToken

@@ -42,7 +42,7 @@ func TestChallengedRobotBlockedOnGraceRequest(t *testing.T) {
 			t.Fatalf("request %d of an unremarkable session: %v", i+1, a)
 		}
 	}
-	_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+	_, inst := instrumentPage(d, ip, ua, pageHTML())
 	d.HandleBeacon(ip, ua, inst.HiddenPath) // definite robot from here on
 	if a := serve(); a != policy.Challenge {
 		t.Fatalf("first request after the hidden link: %v, want challenge", a)
@@ -98,7 +98,7 @@ func TestHumanReplayingConsumedKeyIsDefiniteRobot(t *testing.T) {
 		d.ObserveRequestQuiet(logfmt.Entry{
 			Time: vc.Now(), ClientIP: ip, UserAgent: ua, Method: "GET", Path: "/index.html", Status: 200, Bytes: 1024,
 		})
-		_, inst := instrumentPage(d, ip, ua, "/", pageHTML())
+		_, inst := instrumentPage(d, ip, ua, pageHTML())
 		d.HandleBeacon(ip, ua, inst.CSSPath)
 		d.HandleBeacon(ip, ua, prefix+"/js/"+inst.Issued.ScriptToken+".gif?ua="+session.NormalizeUA(ua))
 		d.HandleBeacon(ip, ua, prefix+"/"+inst.Issued.Key+".jpg")

@@ -5,8 +5,10 @@ import (
 	"strings"
 
 	"botdetect/internal/agents"
+	"botdetect/internal/htmlmod"
 	"botdetect/internal/jsgen"
 	"botdetect/internal/keystore"
+	"botdetect/internal/session"
 )
 
 // servedPage describes one page view a test served: the keys and tokens as
@@ -81,11 +83,29 @@ func beaconKey(prefix, url string) string {
 // into a caller-owned PageState, rewrite, record — downloads its script as
 // the client, and returns the rewritten page with a description of what was
 // injected.
-func instrumentPage(e *Engine, clientIP, userAgent, pagePath string, html []byte) ([]byte, servedPage) {
+func instrumentPage(e *Engine, clientIP, userAgent string, html []byte) ([]byte, servedPage) {
 	var ps PageState
-	res := e.PreparePage(clientIP, userAgent, pagePath, &ps).Rewrite(html)
+	return instrumentPrepared(e, clientIP, userAgent, html, prepareFor(e, AdmitFull, clientIP, userAgent, &ps), &ps)
+}
+
+// instrumentPrepared is instrumentPage after the prepare step: prep is the
+// injection prepared into ps.
+func instrumentPrepared(e *Engine, clientIP, userAgent string, html []byte, prep *htmlmod.Prepared, ps *PageState) ([]byte, servedPage) {
+	res := prep.Rewrite(html)
 	e.RecordInstrumented(len(html), res.AddedBytes)
-	page := describePage(e, clientIP, userAgent, &ps)
+	page := describePage(e, clientIP, userAgent, ps)
 	page.AddedBytes = res.AddedBytes
 	return res.HTML, page
+}
+
+// prepareFor is the surfaces' page step: one verdict read, then Prepare.
+func prepareFor(e *Engine, adm Admission, clientIP, userAgent string, ps *PageState) *htmlmod.Prepared {
+	return e.Prepare(readVerdict(e, session.Key{IP: clientIP, UserAgent: userAgent}), adm, clientIP, ps)
+}
+
+// readVerdict is one verdict read: Decide, then Release.
+func readVerdict(e *Engine, key session.Key) Verdict {
+	snap, v, _ := e.Decide(key)
+	snap.Release()
+	return v
 }

@@ -20,7 +20,7 @@ func TestTelemetryStagesObserve(t *testing.T) {
 	e := New(Config{Seed: 21, ObfuscateJS: true})
 	tel := e.Telemetry()
 
-	_, inst := instrumentPage(e, "10.9.0.1", "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+	_, inst := instrumentPage(e, "10.9.0.1", "Firefox/1.5", []byte("<html><head></head><body></body></html>"))
 	if tel.Prepare.Snapshot().Count == 0 {
 		t.Fatal("Prepare histogram did not observe the page prepare")
 	}
@@ -36,7 +36,7 @@ func TestTelemetryStagesObserve(t *testing.T) {
 	}
 
 	key := session.Key{IP: "10.9.0.1", UserAgent: "Firefox/1.5"}
-	e.Classify(key)
+	readVerdict(e, key)
 	recomputes := tel.ClassifyRecomputes.Value()
 	if recomputes == 0 {
 		t.Fatal("first classification must recompute")
@@ -44,7 +44,7 @@ func TestTelemetryStagesObserve(t *testing.T) {
 	if tel.Classify.Snapshot().Count != recomputes {
 		t.Fatalf("Classify histogram count %d != recomputes %d", tel.Classify.Snapshot().Count, recomputes)
 	}
-	e.Classify(key)
+	readVerdict(e, key)
 	if tel.ClassifyCacheHits.Value() == 0 {
 		t.Fatal("second classification must hit the verdict cache")
 	}
@@ -101,7 +101,7 @@ func TestMemoryComponentsSumToEstimate(t *testing.T) {
 	e := New(Config{Seed: 27, TelemetryNode: "edge-1"})
 	for i := 0; i < 40; i++ {
 		ip := fmt.Sprintf("10.7.0.%d", i)
-		_, inst := instrumentPage(e, ip, "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+		_, inst := instrumentPage(e, ip, "Firefox/1.5", []byte("<html><head></head><body></body></html>"))
 		if i%2 == 0 {
 			e.HandleBeacon(ip, "Firefox/1.5", inst.ScriptPath)
 		}
@@ -164,9 +164,9 @@ func TestScrapeVersusServing(t *testing.T) {
 					return
 				default:
 				}
-				_, inst := instrumentPage(e, ip, "Firefox/1.5", "/", []byte("<html><head></head><body></body></html>"))
+				_, inst := instrumentPage(e, ip, "Firefox/1.5", []byte("<html><head></head><body></body></html>"))
 				e.HandleBeacon(ip, "Firefox/1.5", inst.ScriptPath)
-				e.Classify(key)
+				readVerdict(e, key)
 				if i%50 == 0 {
 					e.RecordOutcomeVector(features.Vector{0: float64(i%2) * 0.8}, i%2 == 0)
 				}

@@ -44,7 +44,7 @@ const blindFetcherUA = "blind-fetcher/1.0"
 // the script's own shuffled order.
 func scrapedBeacons(e *core.Engine, ip string) []string {
 	var ps core.PageState
-	e.PreparePage(ip, blindFetcherUA, "/index.html", &ps)
+	servePage(e, ip, blindFetcherUA, &ps)
 	resp, _ := e.HandleBeacon(ip, blindFetcherUA, scriptPath(e, &ps))
 	defer resp.Done()
 	var urls []string

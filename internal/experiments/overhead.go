@@ -8,6 +8,7 @@ import (
 	"botdetect/internal/core"
 	"botdetect/internal/jsgen"
 	"botdetect/internal/metrics"
+	"botdetect/internal/session"
 	"botdetect/internal/workload"
 )
 
@@ -55,11 +56,19 @@ func overheadEngine(seed uint64) *core.Engine {
 // inside the 64 a client may have outstanding.
 func overheadView(e *core.Engine, i int, ps *core.PageState) (ip, path string) {
 	ip = fmt.Sprintf("10.15.0.%d", i/32)
-	e.PreparePage(ip, overheadUA, "/index.html", ps)
+	servePage(e, ip, overheadUA, ps)
 	return ip, scriptPath(e, ps)
 }
 
-// scriptPath is the request path of the script the last PreparePage on ps
+// servePage prepares one full page view for ip/ua the way the serving
+// surfaces do: one verdict read (Decide), then Prepare.
+func servePage(e *core.Engine, ip, ua string, ps *core.PageState) {
+	snap, v, _ := e.Decide(session.Key{IP: ip, UserAgent: ua})
+	snap.Release()
+	e.Prepare(v, core.AdmitFull, ip, ps)
+}
+
+// scriptPath is the request path of the script the last page prepared on ps
 // injected: the engine's script path parts around the page's token.
 func scriptPath(e *core.Engine, ps *core.PageState) string {
 	pre, suf := jsgen.ScriptPathParts(e.Config().BeaconPrefix)

@@ -203,15 +203,17 @@ func (a *Admin) handleStatus(w http.ResponseWriter, r *http.Request) {
 		stats.MouseBeacons, stats.DecoyBeacons, stats.ReplayBeacons, stats.ExecBeacons,
 		stats.CSSBeacons, stats.HiddenHits, stats.UAMismatches)
 	sessions := det.Sessions()
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].Counts.Total > sessions[j].Counts.Total })
+	sort.Slice(sessions, func(i, j int) bool {
+		return sessions[i].Snapshot.Counts.Total > sessions[j].Snapshot.Counts.Total
+	})
 	fmt.Fprintf(w, "active sessions: %d\n\n", len(sessions))
-	for i, s := range sessions {
+	for i, cs := range sessions {
 		if i >= 50 {
 			fmt.Fprintf(w, "... and %d more\n", len(sessions)-i)
 			break
 		}
-		v := det.ClassifySnapshot(s)
-		fmt.Fprintf(w, "%-18s %-40.40s reqs=%-5d %s\n", s.Key.IP, s.Key.UserAgent, s.Counts.Total, v)
+		s := &cs.Snapshot
+		fmt.Fprintf(w, "%-18s %-40.40s reqs=%-5d %s\n", s.Key.IP, s.Key.UserAgent, s.Counts.Total, cs.Verdict)
 	}
 }
 

@@ -128,8 +128,8 @@ func TestConnPathMatchesPerRequestPath(t *testing.T) {
 // the middleware on a request that has no connection state to claim, and the
 // simulated edge node — on three engines with one seed.
 //
-// pages: all three prepare through core.Engine.PreparePage, so the bodies
-// must match byte for byte.
+// pages: all three prepare through core.Engine.Prepare, so the bodies must
+// match byte for byte.
 //
 // refused robot: one scripted robot — a page, its hidden link, then a probe
 // that is half bogus paths — walks the ladder on each surface: challenged on
@@ -139,46 +139,8 @@ func TestConnPathMatchesPerRequestPath(t *testing.T) {
 // sequence, session counts, signals and ladder stage.
 func TestSurfacesServeIdenticalBytes(t *testing.T) {
 	site := webmodel.Generate(webmodel.SiteConfig{Seed: 5, NumPages: 10})
-	const ip, ua = "10.14.0.1", "Firefox/1.5"
-	key := session.Key{IP: ip, UserAgent: ua}
-	// A surface answers one GET with its status and body.
-	type surface struct {
-		name string
-		eng  *core.Engine
-		pol  *policy.Engine
-		get  func(path string) (int, []byte)
-	}
-	surfaces := func(withPolicy bool) []surface {
-		out := make([]surface, 3)
-		for i := range out {
-			out[i].eng = core.New(core.Config{Seed: 43, ObfuscateJS: true})
-			if withPolicy {
-				out[i].pol = policy.NewEngine(policy.Config{})
-			}
-		}
-		viaMiddleware := func(s *surface, ctx context.Context) {
-			mw := New(site.Handler(), Config{Engine: s.eng, Policy: s.pol})
-			s.get = func(path string) (int, []byte) {
-				req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
-				req.RemoteAddr = ip + ":1000"
-				req.Header.Set("User-Agent", ua)
-				rec := httptest.NewRecorder()
-				mw.ServeHTTP(rec, req)
-				return rec.Code, rec.Body.Bytes()
-			}
-		}
-		out[0].name = "claimed"
-		viaMiddleware(&out[0], ConnContext(context.Background(), nil))
-		out[1].name = "unclaimed"
-		viaMiddleware(&out[1], context.Background())
-		out[2].name = "node"
-		node := cdn.NewNode(cdn.NodeConfig{Name: "edge", Site: site, Engine: out[2].eng, Policy: out[2].pol})
-		out[2].get = func(path string) (int, []byte) {
-			resp := node.Do(agents.Request{Time: time.Now(), IP: ip, UserAgent: ua, Method: http.MethodGet, Path: path})
-			return resp.Status, resp.Body
-		}
-		return out
-	}
+	key := session.Key{IP: surfaceIP, UserAgent: surfaceUA}
+	surfaces := func(withPolicy bool) []surface { return newSurfaces(site, withPolicy) }
 
 	t.Run("pages", func(t *testing.T) {
 		ss := surfaces(false)
@@ -266,6 +228,97 @@ func TestSurfacesServeIdenticalBytes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// surface is one way the repository serves a request — the middleware on a
+// claimed connection, the middleware with no connection state, the simulated
+// edge node — answering one GET from surfaceIP/surfaceUA with its status and
+// body.
+type surface struct {
+	name string
+	eng  *core.Engine
+	pol  *policy.Engine
+	get  func(path string) (int, []byte)
+}
+
+const surfaceIP, surfaceUA = "10.14.0.1", "Firefox/1.5"
+
+// newSurfaces builds the three surfaces over site, each on its own engine
+// (one seed for all three) and, withPolicy, its own policy engine.
+func newSurfaces(site *webmodel.Site, withPolicy bool) []surface {
+	out := make([]surface, 3)
+	for i := range out {
+		out[i].eng = core.New(core.Config{Seed: 43, ObfuscateJS: true})
+		if withPolicy {
+			out[i].pol = policy.NewEngine(policy.Config{})
+		}
+	}
+	viaMiddleware := func(s *surface, ctx context.Context) {
+		mw := New(site.Handler(), Config{Engine: s.eng, Policy: s.pol})
+		s.get = func(path string) (int, []byte) {
+			req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+			req.RemoteAddr = surfaceIP + ":1000"
+			req.Header.Set("User-Agent", surfaceUA)
+			rec := httptest.NewRecorder()
+			mw.ServeHTTP(rec, req)
+			return rec.Code, rec.Body.Bytes()
+		}
+	}
+	out[0].name = "claimed"
+	viaMiddleware(&out[0], ConnContext(context.Background(), nil))
+	out[1].name = "unclaimed"
+	viaMiddleware(&out[1], context.Background())
+	out[2].name = "node"
+	node := cdn.NewNode(cdn.NodeConfig{Name: "edge", Site: site, Engine: out[2].eng, Policy: out[2].pol})
+	out[2].get = func(path string) (int, []byte) {
+		resp := node.Do(agents.Request{Time: time.Now(), IP: surfaceIP, UserAgent: surfaceUA, Method: http.MethodGet, Path: path})
+		return resp.Status, resp.Body
+	}
+	return out
+}
+
+// TestOneVerdictReadPerPage counts the verdict reads (stored-verdict hits
+// plus recomputes) a definite human's pages make on every surface. With a
+// policy the policy step's Decide is the request's one read and the page is
+// prepared from it; without one the page makes the one read itself. Either
+// way a page costs exactly one read, and an object request on a surface with
+// no policy costs none.
+func TestOneVerdictReadPerPage(t *testing.T) {
+	site := webmodel.Generate(webmodel.SiteConfig{Seed: 5, NumPages: 10})
+	const pages = 16
+	reads := func(e *core.Engine) int64 {
+		tel := e.Telemetry()
+		return tel.ClassifyCacheHits.Value() + tel.ClassifyRecomputes.Value()
+	}
+	for _, withPolicy := range []bool{true, false} {
+		for _, s := range newSurfaces(site, withPolicy) {
+			name := fmt.Sprintf("%s, policy %v", s.name, withPolicy)
+			proveHuman(t, s.get)
+			before := reads(s.eng)
+			for i := 0; i < pages; i++ {
+				if status, _ := s.get(fmt.Sprintf("/page%d.html", 1+i%4)); status != http.StatusOK {
+					t.Fatalf("%s: page %d: status %d", name, i, status)
+				}
+			}
+			if got := reads(s.eng) - before; got != pages {
+				t.Errorf("%s: %d pages made %d verdict reads, want one each", name, pages, got)
+			}
+			if s.eng.Stats().PagesLite == 0 {
+				t.Errorf("%s: no lite page: the pages did not see the definite human verdict", name)
+			}
+			before = reads(s.eng)
+			if status, _ := s.get(site.Pages()[1].CSS); status != http.StatusOK {
+				t.Fatalf("%s: stylesheet: status %d", name, status)
+			}
+			want := int64(0)
+			if withPolicy {
+				want = 1 // the policy step's
+			}
+			if got := reads(s.eng) - before; got != want {
+				t.Errorf("%s: an object request made %d verdict reads, want %d", name, got, want)
+			}
+		}
+	}
 }
 
 // proveHuman makes the client behind get a definite human the way a browser

@@ -112,9 +112,12 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Policy enforcement: the escalation ladder is driven by the detection
-	// chain's (cached) verdict and the session's current snapshot.
+	// chain's (cached) verdict and the session's current snapshot; a page is
+	// prepared from the same verdict, the request's one read.
+	var verdict core.Verdict
 	if m.cfg.Policy != nil {
-		if snap, verdict, tracked := d.Decide(key); tracked {
+		if snap, v, tracked := d.Decide(key); tracked {
+			verdict = v
 			decision := m.cfg.Policy.Evaluate(*snap, verdict)
 			snap.Release()
 			// A refused request still counts against its session, and counts
@@ -153,7 +156,7 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// ConnContext, or HTTP/2 streams racing for it) serves on a fresh one.
 	cs := claimConn(r)
 	st := &cs.st
-	st.reset(m, w, r, clientIP, ua)
+	st.reset(m, w, r, clientIP, ua, verdict)
 	st.conn = cs
 	// Admission control: under load the engine degrades instrumentation for
 	// anonymous arrivals and, when saturated, serves brand-new clients as
@@ -347,6 +350,7 @@ type responseStreamer struct {
 	contentType string
 	originBytes int64
 	admission   core.Admission // how much instrumentation this view gets
+	verdict     core.Verdict   // the request's one verdict read (the policy step's, or the page's)
 
 	rewriter     *htmlmod.StreamRewriter // &conn.rw while a page is being rewritten
 	discard      bool                    // HEAD responses carry no body
@@ -355,10 +359,10 @@ type responseStreamer struct {
 }
 
 // reset rearms a connection-owned streamer for its next request.
-func (s *responseStreamer) reset(m *Middleware, w http.ResponseWriter, r *http.Request, clientIP, ua string) {
+func (s *responseStreamer) reset(m *Middleware, w http.ResponseWriter, r *http.Request, clientIP, ua string, verdict core.Verdict) {
 	s.m, s.w, s.req, s.clientIP, s.ua = m, w, r, clientIP, ua
 	s.started, s.status, s.contentType, s.originBytes = false, 0, "", 0
-	s.admission = core.AdmitFull
+	s.admission, s.verdict = core.AdmitFull, verdict
 	s.rewriter, s.discard, s.rewriteNanos = nil, false, 0
 }
 
@@ -392,14 +396,13 @@ func (s *responseStreamer) WriteHeader(code int) {
 		// rewriter writing injection fragments and origin chunks into the
 		// response without copying them together.
 		eng := s.m.cfg.Engine
-		var prep *htmlmod.Prepared
-		if s.admission == core.AdmitDegraded {
-			prep = eng.PreparePageDegraded(s.clientIP, s.ua, s.req.URL.Path, &s.conn.ps)
-		} else {
-			prep = eng.PreparePage(s.clientIP, s.ua, s.req.URL.Path, &s.conn.ps)
+		if s.m.cfg.Policy == nil { // no policy step read the verdict: the page makes the one read
+			snap, v, _ := eng.Decide(session.Key{IP: s.clientIP, UserAgent: s.ua})
+			snap.Release()
+			s.verdict = v
 		}
 		s.rewriter = &s.conn.rw
-		s.rewriter.Reset(s.w, prep)
+		s.rewriter.Reset(s.w, eng.Prepare(s.verdict, s.admission, s.clientIP, &s.conn.ps))
 		// The rewritten length is unknown until the document ends; drop the
 		// origin's Content-Length and let net/http pick the framing.
 		h.Del("Content-Length")

@@ -23,6 +23,13 @@ import (
 	"botdetect/internal/webmodel"
 )
 
+// readVerdict is one verdict read: Decide, then Release.
+func readVerdict(e *core.Engine, key session.Key) core.Verdict {
+	snap, v, _ := e.Decide(key)
+	snap.Release()
+	return v
+}
+
 func newTestStack(t *testing.T, pol *policy.Engine, cap *captcha.Service) (*Middleware, *core.Engine, *webmodel.Site) {
 	t.Helper()
 	site := webmodel.Generate(webmodel.SiteConfig{Seed: 3, NumPages: 20})
@@ -127,7 +134,7 @@ func TestBeaconRoundTripThroughMiddleware(t *testing.T) {
 		t.Fatalf("mouse beacon status = %d", rec.Code)
 	}
 
-	v := det.Classify(session.Key{IP: ip, UserAgent: ua})
+	v := readVerdict(det, session.Key{IP: ip, UserAgent: ua})
 	if v.Class != core.ClassHuman || v.Confidence != core.Definite {
 		t.Fatalf("verdict = %+v", v)
 	}
@@ -148,7 +155,7 @@ func TestPolicyBlocksAbusiveRobot(t *testing.T) {
 		}
 	}
 	if !blocked {
-		t.Fatalf("abusive robot was never blocked; verdict=%+v stats=%+v", det.Classify(key), pol.Stats())
+		t.Fatalf("abusive robot was never blocked; verdict=%+v stats=%+v", readVerdict(det, key), pol.Stats())
 	}
 	if !pol.IsBlocked(key) {
 		t.Fatal("policy engine does not list the session as blocked")
@@ -182,7 +189,7 @@ func TestCaptchaEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("captcha verify status = %d: %s", rec.Code, rec.Body.String())
 	}
-	v := det.Classify(session.Key{IP: ip, UserAgent: ua})
+	v := readVerdict(det, session.Key{IP: ip, UserAgent: ua})
 	if v.Class != core.ClassHuman {
 		t.Fatalf("verdict after captcha = %+v", v)
 	}
@@ -573,7 +580,7 @@ func TestChallengeInterstitialAndDeEscalation(t *testing.T) {
 	if pol.StageOf(key) != policy.StageMonitor {
 		t.Fatalf("stage after captcha = %v", pol.StageOf(key))
 	}
-	if v := det.Classify(key); v.Class != core.ClassHuman {
+	if v := readVerdict(det, key); v.Class != core.ClassHuman {
 		t.Fatalf("verdict = %+v", v)
 	}
 }

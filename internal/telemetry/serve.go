@@ -87,9 +87,9 @@ func NewServeMetrics(reg *Registry) *ServeMetrics {
 	reg.Histogram(stageHist, Label("stage", StageRewrite), stageHelp, m.Rewrite)
 
 	reg.Counter("botdetect_classify_total", Label("result", "cache_hit"),
-		"Classify calls by verdict-cache outcome.", m.ClassifyCacheHits)
+		"Verdict reads by verdict-cache outcome.", m.ClassifyCacheHits)
 	reg.Counter("botdetect_classify_total", Label("result", "recompute"),
-		"Classify calls by verdict-cache outcome.", m.ClassifyRecomputes)
+		"Verdict reads by verdict-cache outcome.", m.ClassifyRecomputes)
 
 	reg.Counter("botdetect_script_rotations_total", "",
 		"Script-variant pool rotations (RotateScripts).", m.ScriptRotations)
