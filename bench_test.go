@@ -507,7 +507,7 @@ func BenchmarkAdaBoostTrain(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := adaboost.Train(examples, adaboost.Config{Rounds: 200}); err != nil {
+		if _, err := adaboost.Train(examples); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -524,7 +524,7 @@ func BenchmarkAdaBoostPredict(b *testing.B) {
 		}
 		examples = append(examples, features.Example{X: v, Human: i%2 == 0})
 	}
-	model, err := adaboost.Train(examples, adaboost.Config{Rounds: 200})
+	model, err := adaboost.Train(examples)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func BenchmarkClassifyParallel(b *testing.B) {
 				examples = append(examples, features.Example{X: v, Human: false})
 			}
 		}
-		model, err := adaboost.Train(examples, adaboost.Config{Rounds: 200})
+		model, err := adaboost.Train(examples)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,7 +33,6 @@ import (
 	"net/url"
 	"time"
 
-	"botdetect/internal/adaboost"
 	"botdetect/internal/captcha"
 	"botdetect/internal/core"
 	"botdetect/internal/keystore"
@@ -134,7 +133,7 @@ func main() {
 	// trainer refits the AdaBoost ensemble and hot-swaps it onto the serving
 	// path (a single atomic store — no locks on the read path).
 	if *train {
-		stopTrainer := det.StartTrainer(*trainEvery, *trainMinNew, adaboost.Config{Rounds: 200})
+		stopTrainer := det.StartTrainer(*trainEvery, *trainMinNew)
 		defer stopTrainer()
 		log.Printf("botproxy: online trainer enabled (every %s, min %d new outcomes)", *trainEvery, *trainMinNew)
 	}
@@ -146,7 +145,6 @@ func main() {
 		Engine:      det,
 		Policy:      cfg.Policy,
 		EnablePprof: *withPprof,
-		Retrain:     adaboost.Config{Rounds: 200},
 		AuthToken:   *adminToken,
 		Breaker:     mw.Breaker(),
 	})

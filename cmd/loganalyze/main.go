@@ -112,7 +112,7 @@ func main() {
 	fmt.Printf("Combining rule vs ground truth: %s\n", cm.String())
 
 	train, test := adaboost.Split(examples, 0.5, 2006)
-	model, err := adaboost.Train(train, adaboost.Config{Rounds: 200})
+	model, err := adaboost.Train(train)
 	if err != nil {
 		fmt.Printf("AdaBoost training skipped: %v\n", err)
 		return

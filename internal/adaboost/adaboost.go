@@ -45,23 +45,14 @@ type Model struct {
 	TrainingError float64
 }
 
-// Config controls training.
-type Config struct {
-	// Rounds is the number of boosting rounds (paper: 200).
-	Rounds int
-}
+// Rounds is the number of boosting rounds Train runs (the paper's 200);
+// training stops sooner once no stump beats chance.
+const Rounds = 200
 
 // candidateThresholds is the number of candidate thresholds examined per
 // attribute per round (evenly spaced over the attribute's observed range).
 // More thresholds fit tighter stumps at higher training cost.
 const candidateThresholds = 32
-
-func (c Config) withDefaults() Config {
-	if c.Rounds <= 0 {
-		c.Rounds = 200
-	}
-	return c
-}
 
 // ErrNoExamples is returned when Train is called with an empty training set.
 var ErrNoExamples = errors.New("adaboost: no training examples")
@@ -70,9 +61,12 @@ var ErrNoExamples = errors.New("adaboost: no training examples")
 // discriminative model cannot be fit.
 var ErrSingleClass = errors.New("adaboost: training set contains a single class")
 
-// Train fits a boosted stump ensemble to the labelled examples.
-func Train(examples []features.Example, cfg Config) (*Model, error) {
-	cfg = cfg.withDefaults()
+// Train fits a boosted stump ensemble of Rounds rounds to the labelled
+// examples.
+func Train(examples []features.Example) (*Model, error) { return train(examples, Rounds) }
+
+// train fits an ensemble of at most rounds boosting rounds.
+func train(examples []features.Example, rounds int) (*Model, error) {
 	n := len(examples)
 	if n == 0 {
 		return nil, ErrNoExamples
@@ -107,7 +101,7 @@ func Train(examples []features.Example, cfg Config) (*Model, error) {
 	}
 
 	model := &Model{}
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < rounds; round++ {
 		stump, err := bestStump(examples, labels, weights, candidates)
 		if err >= 0.5 {
 			// No weak learner better than chance under the current weights.

@@ -53,18 +53,18 @@ func clamp01(v float64) float64 {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil, Config{}); err != ErrNoExamples {
+	if _, err := Train(nil); err != ErrNoExamples {
 		t.Fatalf("empty training error = %v", err)
 	}
 	oneClass := []features.Example{{Human: true}, {Human: true}}
-	if _, err := Train(oneClass, Config{}); err != ErrSingleClass {
+	if _, err := Train(oneClass); err != ErrSingleClass {
 		t.Fatalf("single-class error = %v", err)
 	}
 }
 
 func TestTrainSeparableReachesHighAccuracy(t *testing.T) {
 	ex := syntheticExamples(400, 0.05, 1)
-	m, err := Train(ex, Config{Rounds: 50})
+	m, err := train(ex, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTrainSeparableReachesHighAccuracy(t *testing.T) {
 func TestGeneralisationOnHeldOut(t *testing.T) {
 	all := syntheticExamples(1000, 0.12, 7)
 	train, test := Split(all, 0.5, 99)
-	m, err := Train(train, Config{Rounds: 200})
+	m, err := Train(train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSplitDeterministicPerSeed(t *testing.T) {
 
 func TestFeatureImportanceIdentifiesInformativeAttributes(t *testing.T) {
 	ex := syntheticExamples(600, 0.08, 13)
-	m, err := Train(ex, Config{Rounds: 100})
+	m, err := train(ex, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDegenerateIdenticalVectors(t *testing.T) {
 	ex := []features.Example{
 		{Human: true}, {Human: true}, {Human: true}, {Human: false},
 	}
-	m, err := Train(ex, Config{Rounds: 10})
+	m, err := train(ex, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestStumpPredictPolarity(t *testing.T) {
 
 func TestModelString(t *testing.T) {
 	ex := syntheticExamples(50, 0.05, 17)
-	m, _ := Train(ex, Config{Rounds: 5})
+	m, _ := train(ex, 5)
 	if !strings.Contains(m.String(), "adaboost.Model") {
 		t.Fatalf("String = %q", m.String())
 	}
@@ -222,11 +222,11 @@ func TestModelString(t *testing.T) {
 
 func TestMoreRoundsNeverHurtTrainingAccuracyMuch(t *testing.T) {
 	ex := syntheticExamples(300, 0.15, 23)
-	m10, err := Train(ex, Config{Rounds: 10})
+	m10, err := train(ex, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m100, err := Train(ex, Config{Rounds: 100})
+	m100, err := train(ex, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestMoreRoundsNeverHurtTrainingAccuracyMuch(t *testing.T) {
 func TestAlphasPositiveProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		ex := syntheticExamples(100, 0.2, seed)
-		m, err := Train(ex, Config{Rounds: 30})
+		m, err := train(ex, 30)
 		if err != nil {
 			return false
 		}
@@ -257,7 +257,7 @@ func TestAlphasPositiveProperty(t *testing.T) {
 
 func TestPredictConsistentWithScore(t *testing.T) {
 	ex := syntheticExamples(200, 0.1, 29)
-	m, _ := Train(ex, Config{Rounds: 40})
+	m, _ := train(ex, 40)
 	for _, e := range ex {
 		if m.Predict(e.X) != (m.Score(e.X) > 0) {
 			t.Fatal("Predict and Score disagree")
@@ -325,11 +325,11 @@ const goldenFingerprint = 0x549b9fd48bff3131
 // change serving verdicts between identical retrains.
 func TestTrainDeterministicGolden(t *testing.T) {
 	ex := goldenExamples(200, 20060106)
-	m1, err := Train(ex, Config{Rounds: 50})
+	m1, err := train(ex, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Train(goldenExamples(200, 20060106), Config{Rounds: 50})
+	m2, err := train(goldenExamples(200, 20060106), 50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,6 @@ type Challenge struct {
 	ID string
 	// Question is the human-readable challenge text.
 	Question string
-	// IssuedAt is when the challenge was generated.
-	IssuedAt time.Time
 	// expires is when the challenge stops being accepted.
 	expires time.Time
 	// answer is the expected answer (not exported; verification only).
@@ -119,7 +117,6 @@ func (s *Service) Issue(key session.Key) Challenge {
 	ch := Challenge{
 		ID:       s.src.HexKey(16),
 		Question: question,
-		IssuedAt: now,
 		expires:  now.Add(challengeTTL),
 		answer:   strconv.Itoa(answer),
 		key:      key,

@@ -40,28 +40,29 @@ import (
 // nodeDownBody is the 503 body a crashed node returns.
 var nodeDownBody = []byte("node down")
 
-// FleetConfig controls Network.EnableReplication. The zero value is usable:
-// every timing falls back to fleet.Config's default. What a session's
+// FleetConfig controls Network.EnableReplication. What a session's
 // partition looks like is fixed — replicas owners on a ring of fleet.NewRing's
-// 64 virtual points per node — as are the replication layer's sizes (see the
-// constants in internal/fleet). The replicators run on the engines' clock.
+// 64 virtual points per node — as are the replication timings below and the
+// replication layer's sizes (see the constants in internal/fleet). The
+// replicators run on the engines' clock.
 type FleetConfig struct {
 	// Intercept, when non-nil, is installed on the mesh for fault injection
 	// (see internal/chaos.Links).
 	Intercept fleet.Intercept
 
-	// Replication timings, passed through to fleet.Config: the ones a
-	// deployment scales to its network (the fleet experiment runs them at
-	// simulation speed).
-	RetryBackoff        time.Duration
-	MaxBackoff          time.Duration
-	SendPatience        time.Duration
-	HeartbeatInterval   time.Duration
-	AntiEntropyInterval time.Duration
-
 	// Seed drives backoff jitter.
 	Seed uint64
 }
+
+// The simulated fleet's replication timings, passed to fleet.Config: one
+// fixed speed, scaled to a mesh that delivers within a step.
+const (
+	retryBackoff        = time.Millisecond
+	maxBackoff          = 10 * time.Millisecond
+	sendPatience        = 100 * time.Millisecond
+	heartbeatInterval   = 5 * time.Millisecond
+	antiEntropyInterval = 10 * time.Millisecond
+)
 
 // replicas is how many ring owners each session has: the primary aggregates
 // the session's evidence, the other can serve it degraded and take over on
@@ -105,11 +106,11 @@ func (n *Network) EnableReplication(cfg FleetConfig) {
 			Callbacks: n.fleetCallbacks(node),
 			Clock:     vc,
 
-			RetryBackoff:        cfg.RetryBackoff,
-			MaxBackoff:          cfg.MaxBackoff,
-			SendPatience:        cfg.SendPatience,
-			HeartbeatInterval:   cfg.HeartbeatInterval,
-			AntiEntropyInterval: cfg.AntiEntropyInterval,
+			RetryBackoff:        retryBackoff,
+			MaxBackoff:          maxBackoff,
+			SendPatience:        sendPatience,
+			HeartbeatInterval:   heartbeatInterval,
+			AntiEntropyInterval: antiEntropyInterval,
 			Seed:                src.Uint64(),
 		})
 		mesh.Attach(node.rep)
@@ -231,17 +232,13 @@ func (n *Network) fleetCallbacks(node *Node) fleet.Callbacks {
 				snap.Release()
 			}
 		},
-		OnHandoff: func(key session.Key, sigs []fleet.SignalAt) {
+		OnHandoff: func(key session.Key, sigs []session.Signal) {
 			if node.down.Load() || len(sigs) == 0 {
 				return
 			}
-			signals := make([]session.Signal, len(sigs))
-			for i, s := range sigs {
-				signals[i] = s.Signal
-			}
-			eng.AdoptSession(key, signals)
+			eng.AdoptSession(key, sigs)
 		},
-		HandoffSource: func(key session.Key) ([]fleet.SignalAt, bool) {
+		HandoffSource: func(key session.Key) ([]session.Signal, bool) {
 			if node.down.Load() {
 				return nil, false
 			}
@@ -262,12 +259,11 @@ func (n *Network) fleetCallbacks(node *Node) fleet.Callbacks {
 	}
 }
 
-// signalsOf extracts a snapshot's observed signals with their first-seen
-// request counts, in wire form.
-func signalsOf(snap session.Snapshot) []fleet.SignalAt {
-	var sigs []fleet.SignalAt
-	snap.Signals.Each(func(sig session.Signal, at int64) bool {
-		sigs = append(sigs, fleet.SignalAt{Signal: sig, At: at})
+// signalsOf extracts a snapshot's observed signals, in wire form.
+func signalsOf(snap session.Snapshot) []session.Signal {
+	var sigs []session.Signal
+	snap.Signals.Each(func(sig session.Signal, _ int64) bool {
+		sigs = append(sigs, sig)
 		return true
 	})
 	return sigs

@@ -22,22 +22,13 @@ import (
 	"botdetect/internal/webmodel"
 )
 
-// fleetNet builds a replicated network with fast replication intervals.
+// fleetNet builds a replicated network at the fleet's fixed timings.
 func fleetNet(t *testing.T, numNodes int, intercept fleet.Intercept) (*Network, *clock.Virtual) {
 	t.Helper()
 	vc := clock.NewVirtual(time.Time{})
 	site := webmodel.Generate(webmodel.SiteConfig{Seed: 11, NumPages: 20})
 	net := NewNetwork(numNodes, site, core.Config{Seed: 7, Clock: vc}, true, 99)
-	cfg := FleetConfig{
-		HeartbeatInterval:   2 * time.Millisecond,
-		AntiEntropyInterval: 5 * time.Millisecond,
-		RetryBackoff:        time.Millisecond,
-		MaxBackoff:          5 * time.Millisecond,
-		SendPatience:        50 * time.Millisecond,
-		Seed:                42,
-		Intercept:           intercept,
-	}
-	net.EnableReplication(cfg)
+	net.EnableReplication(FleetConfig{Seed: 42, Intercept: intercept})
 	t.Cleanup(net.StopReplication)
 	runUntil(t, vc, 5*time.Second, "fleet heartbeats to settle", func() bool {
 		for _, nd := range net.Nodes() {

@@ -1002,8 +1002,8 @@ func (e *Engine) Outcomes() []features.Example { return e.outcomes.Snapshot() }
 // outcomes and hot-swaps it onto the serving path. It returns the published
 // model, or an error when the outcome set cannot support training yet (no
 // examples, or a single class); the previous model stays published then.
-func (e *Engine) RetrainFromOutcomes(cfg adaboost.Config) (*adaboost.Model, error) {
-	m, err := adaboost.Train(e.Outcomes(), cfg)
+func (e *Engine) RetrainFromOutcomes() (*adaboost.Model, error) {
+	m, err := adaboost.Train(e.Outcomes())
 	if err != nil {
 		e.tel.TrainerErrors.Inc()
 		return nil, err
@@ -1018,16 +1018,16 @@ func (e *Engine) RetrainFromOutcomes(cfg adaboost.Config) (*adaboost.Model, erro
 // labelled outcomes arrived since the last (re)train and, if so, retrains
 // and hot-swaps the model. Training runs on the trainer goroutine only; the
 // serving path never blocks on it.
-func (e *Engine) StartTrainer(interval time.Duration, minNew int, cfg adaboost.Config) (stop func()) {
+func (e *Engine) StartTrainer(interval time.Duration, minNew int) (stop func()) {
 	if interval <= 0 {
 		interval = time.Minute
 	}
-	return every(interval, e.trainerStep(minNew, cfg))
+	return every(interval, e.trainerStep(minNew))
 }
 
 // trainerStep is one check of the online training loop; when it runs is the
 // caller's business, so it ignores the tick's time.
-func (e *Engine) trainerStep(minNew int, cfg adaboost.Config) func(time.Time) {
+func (e *Engine) trainerStep(minNew int) func(time.Time) {
 	if minNew <= 0 {
 		minNew = 64
 	}
@@ -1037,7 +1037,7 @@ func (e *Engine) trainerStep(minNew int, cfg adaboost.Config) func(time.Time) {
 		if total-trainedAt < int64(minNew) {
 			return
 		}
-		if _, err := e.RetrainFromOutcomes(cfg); err == nil {
+		if _, err := e.RetrainFromOutcomes(); err == nil {
 			trainedAt = total
 		}
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 // trainTestModel fits a small separable model: high referrer share = human.
-func trainTestModel(t testing.TB, rounds int) *adaboost.Model {
+func trainTestModel(t testing.TB) *adaboost.Model {
 	t.Helper()
 	var examples []features.Example
 	for i := 0; i < 60; i++ {
@@ -31,7 +31,7 @@ func trainTestModel(t testing.TB, rounds int) *adaboost.Model {
 			examples = append(examples, features.Example{X: v, Human: false})
 		}
 	}
-	m, err := adaboost.Train(examples, adaboost.Config{Rounds: rounds})
+	m, err := adaboost.Train(examples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSetModelChangesVerdictAndInvalidatesCache(t *testing.T) {
 		t.Fatalf("cached verdict differs: %+v vs %+v", v2, v)
 	}
 
-	d.SetModel(trainTestModel(t, 40))
+	d.SetModel(trainTestModel(t))
 	v = readVerdict(d, key)
 	if v.Class != ClassHuman {
 		t.Fatalf("verdict after hot swap = %+v", v)
@@ -76,7 +76,7 @@ func TestSetModelChangesVerdictAndInvalidatesCache(t *testing.T) {
 	}
 
 	// Direct evidence always outranks the model.
-	d.SetModel(trainTestModel(t, 40))
+	d.SetModel(trainTestModel(t))
 	d.HandleBeacon(key.IP, key.UserAgent, objectPath(jsgen.HiddenPathParts, d.Config().BeaconPrefix, "xyz"))
 	if v := readVerdict(d, key); v.Class != ClassRobot || v.Confidence != Definite {
 		t.Fatalf("direct evidence lost to the model: %+v", v)
@@ -89,8 +89,8 @@ func TestSetModelChangesVerdictAndInvalidatesCache(t *testing.T) {
 // read path can trip over and that cached verdicts never tear.
 func TestModelHotSwapRace(t *testing.T) {
 	d := New(Config{Seed: 33, Shards: 8})
-	modelA := trainTestModel(t, 20)
-	modelB := trainTestModel(t, 60)
+	modelA := trainTestModel(t)
+	modelB := trainTestModel(t)
 
 	keys := make([]session.Key, 32)
 	for i := range keys {
@@ -123,7 +123,7 @@ func TestModelHotSwapRace(t *testing.T) {
 			default:
 				d.RecordOutcomeVector(features.Vector{features.ReferrerPct: 0.9}, true)
 				d.RecordOutcomeVector(features.Vector{features.HTMLPct: 0.9}, false)
-				_, _ = d.RetrainFromOutcomes(adaboost.Config{Rounds: 4})
+				_, _ = d.RetrainFromOutcomes()
 			}
 		}
 		stop.Store(true)
@@ -173,7 +173,7 @@ func TestModelHotSwapRace(t *testing.T) {
 // session's verdict is cached.
 func TestClassifySteadyStateZeroAllocs(t *testing.T) {
 	d := New(Config{Seed: 55})
-	d.SetModel(trainTestModel(t, 40))
+	d.SetModel(trainTestModel(t))
 	key := session.Key{IP: "10.6.0.1", UserAgent: "Steady"}
 	for i := 0; i < 15; i++ {
 		d.ObserveRequestQuiet(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET",
@@ -197,7 +197,7 @@ func TestDecideRecomputeZeroAlloc(t *testing.T) {
 		t.Skip("alloc ceiling not meaningful under -race")
 	}
 	d := New(Config{Seed: 56})
-	d.SetModel(trainTestModel(t, 40))
+	d.SetModel(trainTestModel(t))
 	key := session.Key{IP: "10.6.0.2", UserAgent: "Recompute"}
 	for i := 0; i < 15; i++ {
 		d.ObserveRequestQuiet(logfmt.Entry{ClientIP: key.IP, UserAgent: key.UserAgent, Method: "GET",
@@ -272,7 +272,7 @@ func TestRemoteRecomputeZeroAlloc(t *testing.T) {
 // few new outcomes leave the model alone, enough publish one.
 func TestTrainerLoopRetrainsAndSwaps(t *testing.T) {
 	d := New(Config{Seed: 77})
-	step := d.trainerStep(10, adaboost.Config{Rounds: 8})
+	step := d.trainerStep(10)
 	record := func(from, to int) {
 		for i := from; i < to; i++ {
 			var v features.Vector

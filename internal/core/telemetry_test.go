@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"botdetect/internal/adaboost"
 	"botdetect/internal/features"
 	"botdetect/internal/session"
 )
@@ -54,7 +53,7 @@ func TestTelemetryStagesObserve(t *testing.T) {
 		t.Fatalf("ScriptRotations = %d, want 1", tel.ScriptRotations.Value())
 	}
 
-	if _, err := e.RetrainFromOutcomes(adaboost.Config{Rounds: 4}); err == nil {
+	if _, err := e.RetrainFromOutcomes(); err == nil {
 		t.Fatal("retrain without outcomes should fail")
 	}
 	if tel.TrainerErrors.Value() != 1 {
@@ -65,7 +64,7 @@ func TestTelemetryStagesObserve(t *testing.T) {
 		v[0] = float64(i%2) * 0.9
 		e.RecordOutcomeVector(v, i%2 == 0)
 	}
-	if _, err := e.RetrainFromOutcomes(adaboost.Config{Rounds: 4}); err != nil {
+	if _, err := e.RetrainFromOutcomes(); err != nil {
 		t.Fatalf("retrain with outcomes failed: %v", err)
 	}
 	if tel.TrainerRetrains.Value() != 1 {
@@ -183,7 +182,7 @@ func TestScrapeVersusServing(t *testing.T) {
 			default:
 			}
 			e.RotateScripts()
-			_, _ = e.RetrainFromOutcomes(adaboost.Config{Rounds: 2})
+			_, _ = e.RetrainFromOutcomes()
 		}
 	}()
 

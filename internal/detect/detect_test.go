@@ -97,7 +97,7 @@ func trainToyModel(t *testing.T) *adaboost.Model {
 			examples = append(examples, features.Example{X: v, Human: false})
 		}
 	}
-	m, err := adaboost.Train(examples, adaboost.Config{Rounds: 20})
+	m, err := adaboost.Train(examples)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,8 +61,6 @@ type Table1Result struct {
 	TrueFPR float64
 	// TrueFNR is the measured false negative rate against ground truth.
 	TrueFNR float64
-	// TotalSessions is the number of sessions considered.
-	TotalSessions int
 }
 
 // Table1 regenerates Table 1 and the Section 3.1 bounds from a synthetic
@@ -101,7 +99,6 @@ func table1From(res *workload.Result) Table1Result {
 		LowerBound:      b.HumanLowerBound(),
 		UpperBound:      b.HumanUpperBound(),
 		MaxFPR:          b.MaxFalsePositiveRate(),
-		TotalSessions:   b.Total,
 		TrueFPR:         cm.FalsePositiveRate(),
 		TrueFNR:         cm.FalseNegativeRate(),
 	}
@@ -150,8 +147,6 @@ type CaptchaCrossResult struct {
 	FetchedCSS float64
 	// JSDisabledShare is FetchedCSS − RanJS, the paper's 3.4%.
 	JSDisabledShare float64
-	// PaperRanJS, PaperFetchedCSS are the published values.
-	PaperRanJS, PaperFetchedCSS float64
 }
 
 // CaptchaCross regenerates the CAPTCHA cross-validation numbers.
@@ -162,7 +157,7 @@ func CaptchaCross(scale Scale) CaptchaCrossResult {
 }
 
 func captchaCrossFrom(res *workload.Result) CaptchaCrossResult {
-	out := CaptchaCrossResult{PaperRanJS: 0.958, PaperFetchedCSS: 0.992}
+	var out CaptchaCrossResult
 	js, css := 0, 0
 	for _, s := range res.Sessions {
 		if !s.Snapshot.Signals.Has(session.SignalCaptcha) {

@@ -15,8 +15,8 @@ func smallScale() Scale { return Scale{Sessions: 150, Seed: 7} }
 
 func TestTable1ShapeAndFormat(t *testing.T) {
 	r := Table1(smallScale())
-	if r.TotalSessions < 40 {
-		t.Fatalf("too few sessions: %d", r.TotalSessions)
+	if r.Breakdown.Total < 40 {
+		t.Fatalf("too few sessions: %d", r.Breakdown.Total)
 	}
 	// Shape checks: CSS share exceeds mouse share (some CSS fetchers are not
 	// humans with input events), bounds are ordered, FPR bound is small.

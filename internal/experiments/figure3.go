@@ -15,8 +15,6 @@ import (
 // complaints before and after the detector (plus aggressive rate limiting)
 // is deployed on the simulated CDN.
 type Figure3Result struct {
-	// Months labels the x axis (Jan 2005 .. Jan 2006).
-	Months []string
 	// Complaints holds robot- and human-attributed complaints per month.
 	Complaints []cdn.MonthlyComplaints
 	// MeasuredBlockedFraction is the fraction of robot requests the policy
@@ -81,7 +79,6 @@ func Figure3(scale Scale) Figure3Result {
 	complaints := model.Complaints(cdn.Months2005, volumes)
 
 	out := Figure3Result{
-		Months:                  cdn.Months2005,
 		Complaints:              complaints,
 		MeasuredBlockedFraction: blockedFraction,
 		DeploymentMonthIndex:    deploymentMonth,

@@ -100,7 +100,7 @@ func figure4From(res *workload.Result, scale Scale) Figure4Result {
 		perSession[key] = entries
 	}
 
-	out := Figure4Result{Rounds: 200}
+	out := Figure4Result{Rounds: adaboost.Rounds}
 	prefixes := []int{20, 40, 60, 80, 100, 120, 140, 160}
 	var lastModel *adaboost.Model
 	var lastExamples []features.Example
@@ -132,7 +132,7 @@ func figure4From(res *workload.Result, scale Scale) Figure4Result {
 			continue
 		}
 		train, test := adaboost.Split(examples, 0.5, scale.Seed^uint64(n))
-		model, err := adaboost.Train(train, adaboost.Config{Rounds: 200})
+		model, err := adaboost.Train(train)
 		if err != nil {
 			continue
 		}

@@ -271,15 +271,7 @@ func FleetBench(seed uint64) FleetResult {
 	links := chaos.NewLinks()
 	vc := clock.NewVirtual(time.Time{})
 	net := cdn.NewNetwork(fleetNodes, site, core.Config{Seed: seed, Clock: vc}, true, seed)
-	net.EnableReplication(cdn.FleetConfig{
-		Intercept:           links.Intercept,
-		HeartbeatInterval:   5 * time.Millisecond,
-		AntiEntropyInterval: 10 * time.Millisecond,
-		RetryBackoff:        time.Millisecond,
-		MaxBackoff:          10 * time.Millisecond,
-		SendPatience:        100 * time.Millisecond,
-		Seed:                seed,
-	})
+	net.EnableReplication(cdn.FleetConfig{Intercept: links.Intercept, Seed: seed})
 	defer net.StopReplication()
 	runFleetUntil(vc, 5*time.Second, func() bool {
 		for _, nd := range net.Nodes() {

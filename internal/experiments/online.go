@@ -89,7 +89,7 @@ func OnlineLoop(scale Scale) OnlineLoopResult {
 
 	// Retrain from the accumulated outcomes; this also hot-swaps the model
 	// into agg (unused further) and hands it to us for the fleet swap.
-	model, err := agg.RetrainFromOutcomes(adaboost.Config{Rounds: 200})
+	model, err := agg.RetrainFromOutcomes()
 	if err != nil {
 		return out
 	}
@@ -97,7 +97,7 @@ func OnlineLoop(scale Scale) OnlineLoopResult {
 
 	// The offline experiments baseline: AdaBoost fitted the classic way, on
 	// the training workload's ground-truth examples only.
-	offline, offlineErr := adaboost.Train(groundTruthExamples(trainRes), adaboost.Config{Rounds: 200})
+	offline, offlineErr := adaboost.Train(groundTruthExamples(trainRes))
 
 	// Phase 2 — serve a held-out, shifted mix and hot-swap the retrained
 	// model onto the live fleet at a virtual half minute into the run.

@@ -32,14 +32,12 @@ type OverheadResult struct {
 	// mouse beacon images, the transparent image, hidden pages) — the same
 	// bytes the benchmark's overhead_bytes_ratio counts on the wire.
 	AddedBytes int64
-	// BandwidthOverhead is AddedBytes / (OriginBytes + AddedBytes).
-	BandwidthOverhead float64
-	// PaperBandwidthOverhead is the published 0.3% figure. The paper's
-	// denominator is CoDeeN's total traffic (dominated by large media
-	// objects); the synthetic site is smaller, so the measured share is
-	// expected to sit above the published one while remaining a small
+	// BandwidthOverhead is AddedBytes / (OriginBytes + AddedBytes). The
+	// paper's 0.3% is a share of CoDeeN's total traffic (dominated by large
+	// media objects); the synthetic site is smaller, so the measured share
+	// is expected to sit above the published one while remaining a small
 	// fraction.
-	PaperBandwidthOverhead float64
+	BandwidthOverhead float64
 }
 
 // overheadUA is the browser the script-cost run's clients present.
@@ -81,7 +79,7 @@ func scriptPath(e *core.Engine, ps *core.PageState) string {
 // client fetches it — and bandwidth overhead from a workload run.
 func Overhead(scale Scale) OverheadResult {
 	scale = scale.withDefaults()
-	out := OverheadResult{PaperBandwidthOverhead: 0.003}
+	var out OverheadResult
 
 	const iterations = 2000
 	e := overheadEngine(scale.Seed)

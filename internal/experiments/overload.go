@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"os"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -25,6 +23,7 @@ import (
 	"botdetect/internal/htmlmod"
 	"botdetect/internal/proxy"
 	"botdetect/internal/session"
+	"botdetect/internal/telemetry"
 )
 
 // The flash-crowd resilience run: a deliberately small engine flooded with
@@ -104,7 +103,9 @@ type OverloadResult struct {
 	// Memory budget.
 	MemoryBudgetBytes   int64 `json:"memory_budget_bytes"`
 	MemoryEstimateBytes int64 `json:"memory_estimate_bytes"`
-	RSSBytes            int64 `json:"rss_bytes"`
+	// RSSBytes is the process's resident anonymous plus file-backed memory
+	// (telemetry.ReadMemoryLedger), read after the flood.
+	RSSBytes int64 `json:"rss_bytes"`
 
 	// The established cohort during the flood. Every request is either
 	// served (an instrumented 200) or refused while the origin was dark or
@@ -327,7 +328,8 @@ func overloadRun(seed uint64) OverloadResult {
 	res.BreakerOpens, res.BreakerProbes, res.BreakerRecoveries, res.BreakerShortCircuits =
 		brStats.Opens, brStats.Probes, brStats.Recoveries, brStats.ShortCircuits
 	res.MemoryEstimateBytes = det.MemoryEstimate()
-	res.RSSBytes = readRSS()
+	mem := telemetry.ReadMemoryLedger()
+	res.RSSBytes = mem.ResidentAnon + mem.ResidentFile
 
 	// Phase 3: recovery. The crowd leaves; the clock steps past the idle
 	// timeout — which is also the NTP-step fault: recovery must not depend on
@@ -381,32 +383,6 @@ func appendClientIP(dst []byte, id uint32) []byte {
 	dst = append(dst, '.')
 	dst = strconv.AppendUint(dst, uint64(id&255), 10)
 	return dst
-}
-
-// readRSS parses VmRSS from /proc/self/status; 0 where unavailable.
-func readRSS() int64 {
-	f, err := os.Open("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "VmRSS:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb * 1024
-	}
-	return 0
 }
 
 // JSON renders the result as indented JSON (the BENCH_overload.json artifact).

@@ -104,7 +104,7 @@ func Staged(scale Scale) StagedResult {
 		}
 		trainExamples = append(trainExamples, features.Example{X: s.Snapshot.Counts.Vector(), Human: s.IsHuman()})
 	}
-	model, err := adaboost.Train(trainExamples, adaboost.Config{Rounds: 200})
+	model, err := adaboost.Train(trainExamples)
 	if err != nil {
 		return StagedResult{}
 	}

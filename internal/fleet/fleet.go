@@ -95,13 +95,6 @@ const (
 	KindHandoff
 )
 
-// SignalAt is one detection signal with the request index it was observed at,
-// as carried by a session handoff.
-type SignalAt struct {
-	Signal session.Signal
-	At     int64
-}
-
 // Update is one replicated state change. Durable kinds (verdict, block,
 // model) carry a dense per-origin epoch; fire-and-forget kinds (observation,
 // handoff) carry epoch 0 and skip the watermark machinery.
@@ -145,7 +138,7 @@ type Update struct {
 
 	// Handoff payload: nil Signals with HandoffReply false is a request for
 	// the session's evidence; HandoffReply true carries it.
-	Signals      []SignalAt
+	Signals      []session.Signal
 	HandoffReply bool
 }
 
@@ -206,10 +199,10 @@ type Callbacks struct {
 	// this node owns.
 	OnObservation func(u Update)
 	// OnHandoff receives a session's evidence handed off by a peer.
-	OnHandoff func(key session.Key, signals []SignalAt)
+	OnHandoff func(key session.Key, signals []session.Signal)
 	// HandoffSource supplies the local evidence for a session when a peer
 	// requests a handoff (anti-entropy backfill for failover serving).
-	HandoffSource func(key session.Key) ([]SignalAt, bool)
+	HandoffSource func(key session.Key) ([]session.Signal, bool)
 	// SessionEnd reports when the local session for key ends if it stays
 	// idle from now on, or false when none is tracked. Step uses it to carry
 	// this node's own verdicts on past their expiry while their sessions go
@@ -456,7 +449,6 @@ func (r *Replicator) publishLocked(u Update) {
 	if u.Stamp == 0 {
 		u.Stamp = now
 	}
-	r.stats.Published++
 	r.admitLocked(&u, now)
 	r.mergeLocked(&u, now)
 	for _, p := range r.peers {
@@ -544,11 +536,8 @@ func (r *Replicator) sendTo(to string, u Update) bool {
 	if u.Stamp == 0 {
 		u.Stamp = r.nowNanos()
 	}
-	switch {
-	case u.Kind == KindObservation:
+	if u.Kind == KindObservation {
 		r.stats.ObsForward++
-	case u.HandoffReply:
-		r.stats.HandoffsOut++
 	}
 	return p.enqueue(u)
 }
@@ -616,12 +605,10 @@ func (r *Replicator) apply(u *Update) {
 	case u.Epoch != 0 || u.Kind == KindModel:
 		r.applyDurable(u)
 	case u.Kind == KindObservation:
-		r.bump(&r.stats.ObsApplied)
 		if cb.OnObservation != nil {
 			cb.OnObservation(*u)
 		}
 	case u.Kind == KindHandoff && u.HandoffReply:
-		r.bump(&r.stats.HandoffsIn)
 		if cb.OnHandoff != nil {
 			cb.OnHandoff(u.Key, u.Signals)
 		}
@@ -631,13 +618,6 @@ func (r *Replicator) apply(u *Update) {
 			r.sendTo(u.Origin, Update{Kind: KindHandoff, Key: u.Key, Signals: sigs, HandoffReply: true})
 		}
 	}
-}
-
-// bump increments one counter under the lock.
-func (r *Replicator) bump(c *uint64) {
-	r.mu.Lock()
-	*c++
-	r.mu.Unlock()
 }
 
 // applyDurable admits and merges one durable update from a peer and fires
@@ -932,29 +912,20 @@ func (r *Replicator) MinAckedEpoch() uint64 {
 
 // Counters are the replicator's cumulative counters.
 type Counters struct {
-	Published   uint64 // durable updates originated here
-	Applied     uint64 // durable updates applied fresh from peers
-	Replays     uint64 // duplicate/stale deliveries rejected
-	StaleInc    uint64 // updates from an old incarnation rejected
-	EpochGaps   uint64 // epochs the watermark jumped past (lost updates)
-	ObsApplied  uint64
-	ObsForward  uint64
-	AEResends   uint64
-	HandoffsIn  uint64
-	HandoffsOut uint64
-	Dropped     uint64 // summed over peers: full outbox or exhausted patience
-	Expired     uint64 // lapsed verdict and block entries Step dropped
+	Applied    uint64 // durable updates applied fresh from peers
+	Replays    uint64 // duplicate/stale deliveries rejected
+	StaleInc   uint64 // updates from an old incarnation rejected
+	EpochGaps  uint64 // epochs the watermark jumped past (lost updates)
+	ObsForward uint64
+	AEResends  uint64
+	Expired    uint64 // lapsed verdict and block entries Step dropped
 }
 
 // Stats returns a snapshot of the counters.
 func (r *Replicator) Stats() Counters {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.stats
-	for _, p := range r.peers {
-		c.Dropped += uint64(p.dropped)
-	}
-	return c
+	return r.stats
 }
 
 // ---- Step: heartbeats, anti-entropy, outbox flush ----

@@ -546,16 +546,16 @@ func TestSuspicionAndQuorum(t *testing.T) {
 // callback; handoff requests are answered from HandoffSource.
 func TestObservationAndHandoff(t *testing.T) {
 	obs := map[string]bool{}
-	handoff := map[session.Key][]SignalAt{}
+	handoff := map[session.Key][]session.Signal{}
 	f := meshFleet(t, []string{"a", "b"}, func(name string, c *Config) {
 		switch name {
 		case "a":
 			c.Callbacks.OnObservation = func(u Update) { obs[u.Path] = true }
-			c.Callbacks.HandoffSource = func(k session.Key) ([]SignalAt, bool) {
-				return []SignalAt{{Signal: session.SignalMouse, At: 3}}, true
+			c.Callbacks.HandoffSource = func(k session.Key) ([]session.Signal, bool) {
+				return []session.Signal{session.SignalMouse}, true
 			}
 		case "b":
-			c.Callbacks.OnHandoff = func(k session.Key, sigs []SignalAt) { handoff[k] = sigs }
+			c.Callbacks.OnHandoff = func(k session.Key, sigs []session.Signal) { handoff[k] = sigs }
 		}
 	})
 	f.reps["b"].ForwardObservation("a", Update{Key: key(1), Method: "GET", Path: "/p1", Status: 200})
@@ -563,7 +563,7 @@ func TestObservationAndHandoff(t *testing.T) {
 	f.reps["b"].RequestHandoff("a", key(1))
 	f.waitFor(t, 5*time.Second, "handoff reply", func() bool {
 		sigs := handoff[key(1)]
-		return len(sigs) == 1 && sigs[0].Signal == session.SignalMouse && sigs[0].At == 3
+		return len(sigs) == 1 && sigs[0] == session.SignalMouse
 	})
 }
 
@@ -688,10 +688,10 @@ func TestNoLockAcrossSendOrCallbacks(t *testing.T) {
 			OnBlock:       func(k session.Key, _ time.Time) { reenter(k) },
 			OnModel:       func(*adaboost.Model, uint64) { reenter(key(0)) },
 			OnObservation: func(u Update) { reenter(u.Key) },
-			OnHandoff:     func(k session.Key, _ []SignalAt) { reenter(k) },
-			HandoffSource: func(k session.Key) ([]SignalAt, bool) {
+			OnHandoff:     func(k session.Key, _ []session.Signal) { reenter(k) },
+			HandoffSource: func(k session.Key) ([]session.Signal, bool) {
 				reenter(k)
-				return []SignalAt{{Signal: session.SignalMouse, At: 1}}, true
+				return []session.Signal{session.SignalMouse}, true
 			},
 			SessionEnd: func(k session.Key) (time.Time, bool) {
 				reenter(k)
@@ -713,8 +713,8 @@ func TestNoLockAcrossSendOrCallbacks(t *testing.T) {
 			r.Step(time.Unix(int64(i), 0))
 		}
 		r.Step(later.Add(-time.Second)) // the echo verdicts are due for renewal
-		if st := r.Stats(); st.Published < 6 {
-			t.Errorf("published = %d, want every callback's re-entrant publish counted", st.Published)
+		if published := r.PublishedEpoch(); published < 6 {
+			t.Errorf("published = %d, want every callback's re-entrant publish counted", published)
 		}
 	}()
 	select {

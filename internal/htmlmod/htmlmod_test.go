@@ -144,9 +144,6 @@ func TestTokenizeScriptRawText(t *testing.T) {
 	if len(sum.Links) != 1 || sum.Links[0] != "/real.html" {
 		t.Fatalf("links = %v; script content leaked into extraction", sum.Links)
 	}
-	if sum.InlineScripts != 1 {
-		t.Fatalf("InlineScripts = %d", sum.InlineScripts)
-	}
 }
 
 var malformedDocs = []string{

@@ -305,8 +305,6 @@ func extractTokens(doc []byte) PageSummary {
 		case "script":
 			if src, ok := t.get("src"); ok && src != "" {
 				sum.Scripts = append(sum.Scripts, src)
-			} else if !t.SelfClosing {
-				sum.InlineScripts++
 			}
 		case "body":
 			if _, ok := t.get("onmousemove"); ok {

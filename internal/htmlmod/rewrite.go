@@ -264,8 +264,6 @@ type PageSummary struct {
 	Stylesheets []string
 	// Scripts are external <script src> values.
 	Scripts []string
-	// InlineScripts is the number of inline script blocks.
-	InlineScripts int
 	// BodyMouseHandler reports whether the <body> tag has an onmousemove
 	// handler (i.e. the page is instrumented for human activity detection).
 	BodyMouseHandler bool
@@ -313,8 +311,6 @@ func Extract(doc []byte) PageSummary {
 		case foldEq(name, "script"):
 			if src, _ := w.attr("src"); len(src) > 0 {
 				sum.Scripts = append(sum.Scripts, string(src))
-			} else if !tok.selfClosing {
-				sum.InlineScripts++
 			}
 		case foldEq(name, "body"):
 			if _, ok := w.attr("onmousemove"); ok {

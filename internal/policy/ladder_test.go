@@ -84,7 +84,7 @@ func TestEvaluateMonitorZeroAlloc(t *testing.T) {
 	verdicts := []detect.Verdict{humanVerdict(), {Class: detect.ClassUndecided, Confidence: detect.Tentative, Rule: detect.RuleBelowThreshold}}
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, v := range verdicts {
-			if d := e.Evaluate(snap, v); d.Action != Allow || d.Stage != StageMonitor {
+			if d := e.Evaluate(snap, v); d.Action != Allow || e.StageOf(snap.Key) != StageMonitor {
 				t.Fatalf("decision = %+v", d)
 			}
 		}
@@ -106,7 +106,7 @@ func TestStepOnlyDefiniteHumanDeEscalates(t *testing.T) {
 	challenged := stageState{stage: StageChallenge, enteredTotal: 10, until: now.Add(time.Minute)}
 	for _, conf := range []detect.Confidence{detect.Tentative, detect.Probable} {
 		next, d := step(challenged, &snap, detect.Verdict{Class: detect.ClassHuman, Confidence: conf}, now)
-		if next.stage != StageChallenge || d.Action != Allow || d.Stage != StageChallenge {
+		if next.stage != StageChallenge || d.Action != Allow {
 			t.Fatalf("%v human verdict on a challenged session: entry %+v, decision %+v", conf, next, d)
 		}
 	}
@@ -241,8 +241,8 @@ func (r *ladderRun) step(in int) string {
 			return fail("a live block decided %v and became %+v", got.Action, next)
 		}
 	}
-	if got.Stage != next.stage {
-		return fail("Decision.Stage %v, stored stage %v", got.Stage, next.stage)
+	if live := r.e.StageOf(snap.Key); live != next.stage {
+		return fail("engine's stage %v, step's %v", live, next.stage)
 	}
 	if next.stage == StageChallenge || (next.stage == StageBlock && next != prev) {
 		if end := now.Add(blockDuration); !next.until.Equal(end) {
@@ -356,7 +356,7 @@ func (r *ladderRun) tableViolation() string {
 // and checked by ladderRun.step against the written rules — no block without
 // a challenge first, the challenge returned exactly once per climb, down from
 // challenge only on a definite human verdict or a lapse, an entry in force
-// until its until and not a tick longer, Decision.Stage the stored stage, no
+// until its until and not a tick longer, StageOf the stage step stored, no
 // monitor entry in the table, one decision counted per call, onBlock exactly
 // for a newly decided block. The first failure prints its sequence. Under the
 // race detector, which has one goroutine to watch, the depth is 4.

@@ -91,8 +91,6 @@ func (s Stage) String() string {
 type Decision struct {
 	// Action is what the engine decided for this request.
 	Action Action
-	// Stage is the session's escalation stage after the decision.
-	Stage Stage
 	// Reason explains the dominant rule.
 	Reason string
 }
@@ -202,7 +200,7 @@ func NewEngine(cfg Config) *Engine {
 // caller has already dropped a lapsed entry.
 func step(st stageState, snap *session.Snapshot, verdict detect.Verdict, now time.Time) (stageState, Decision) {
 	if st.stage == StageBlock {
-		return st, Decision{Action: Block, Stage: StageBlock, Reason: "session is blocked"}
+		return st, Decision{Action: Block, Reason: "session is blocked"}
 	}
 	if st.stage == StageChallenge {
 		// The entry lives as long as the session it was issued to keeps coming.
@@ -214,12 +212,12 @@ func step(st stageState, snap *session.Snapshot, verdict detect.Verdict, now tim
 			// input events) de-escalates the session.
 			st = stageState{}
 		}
-		return st, Decision{Action: Allow, Stage: st.stage, Reason: "session not classified as robot"}
+		return st, Decision{Action: Allow, Reason: "session not classified as robot"}
 	}
 	c := snap.Counts
 	if st.stage == StageMonitor {
 		st = stageState{stage: StageChallenge, enteredTotal: int64(c.Total), until: now.Add(blockDuration)}
-		return st, Decision{Action: Challenge, Stage: StageChallenge, Reason: "robot verdict (" + verdict.Reason() + "): challenge issued"}
+		return st, Decision{Action: Challenge, Reason: "robot verdict (" + verdict.Reason() + "): challenge issued"}
 	}
 
 	// Challenged and still behaving like a robot: behavioural thresholds and
@@ -230,20 +228,20 @@ func step(st stageState, snap *session.Snapshot, verdict detect.Verdict, now tim
 	}
 	blocked := stageState{stage: StageBlock, until: now.Add(blockDuration)}
 	if rate := float64(c.CGI) / dur; rate > maxCGIRate {
-		return blocked, Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot CGI rate %.2f/s exceeds %.2f/s", rate, maxCGIRate)}
+		return blocked, Decision{Action: Block, Reason: fmt.Sprintf("challenged robot CGI rate %.2f/s exceeds %.2f/s", rate, maxCGIRate)}
 	}
 	if c.Total >= minRequestsForShare {
 		if errShare := float64(c.Status4xx+c.Status5xx) / float64(c.Total); errShare > maxErrorShare {
-			return blocked, Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("challenged robot error share %.0f%% exceeds %.0f%%", errShare*100, maxErrorShare*100)}
+			return blocked, Decision{Action: Block, Reason: fmt.Sprintf("challenged robot error share %.0f%% exceeds %.0f%%", errShare*100, maxErrorShare*100)}
 		}
 	}
 	if since := int64(c.Total) - st.enteredTotal; verdict.Confidence == detect.Definite && since >= challengeGraceRequests {
-		return blocked, Decision{Action: Block, Stage: StageBlock, Reason: fmt.Sprintf("definite robot ignored the challenge for %d requests", since)}
+		return blocked, Decision{Action: Block, Reason: fmt.Sprintf("definite robot ignored the challenge for %d requests", since)}
 	}
 	if rate := float64(c.Total) / dur; rate > maxRequestRate {
-		return st, Decision{Action: Throttle, Stage: StageChallenge, Reason: fmt.Sprintf("challenged robot request rate %.2f/s exceeds %.2f/s", rate, maxRequestRate)}
+		return st, Decision{Action: Throttle, Reason: fmt.Sprintf("challenged robot request rate %.2f/s exceeds %.2f/s", rate, maxRequestRate)}
 	}
-	return st, Decision{Action: Allow, Stage: StageChallenge, Reason: "challenged robot within behavioural thresholds"}
+	return st, Decision{Action: Allow, Reason: "challenged robot within behavioural thresholds"}
 }
 
 // live returns key's entry, dropping it first if it has lapsed. Caller holds mu.

@@ -38,7 +38,7 @@ func snapshotWith(key session.Key, counts session.Counts, dur time.Duration, sta
 func challenge(t *testing.T, e *Engine, snap session.Snapshot, v detect.Verdict) {
 	t.Helper()
 	d := e.Evaluate(snap, v)
-	if d.Action != Challenge || d.Stage != StageChallenge {
+	if d.Action != Challenge || e.StageOf(snap.Key) != StageChallenge {
 		t.Fatalf("first robot verdict did not challenge: %+v", d)
 	}
 }
@@ -67,7 +67,7 @@ func TestRobotChallengedOnceThenWatched(t *testing.T) {
 	}
 	// A well-behaved challenged robot is allowed through, not re-challenged.
 	d := e.Evaluate(snap, probableRobotVerdict())
-	if d.Action != Allow || d.Stage != StageChallenge {
+	if d.Action != Allow || e.StageOf(key) != StageChallenge {
 		t.Fatalf("second evaluation = %+v", d)
 	}
 	if e.Stats().Challenged != 1 {

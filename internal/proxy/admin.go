@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"botdetect/internal/adaboost"
 	"botdetect/internal/core"
 	"botdetect/internal/detect"
 	"botdetect/internal/features"
@@ -41,9 +40,6 @@ type AdminConfig struct {
 	// requests carrying an Origin header are refused, so a CSRF form post
 	// riding an operator's browser cannot reach the mutating endpoints.
 	AuthToken string
-	// Retrain configures models built by the retrain endpoint. A zero value
-	// uses the online trainer's defaults.
-	Retrain adaboost.Config
 	// Breaker optionally exposes the reverse proxy's origin circuit breaker
 	// on the status page (Middleware.Breaker()).
 	Breaker *Breaker
@@ -61,9 +57,6 @@ type Admin struct {
 func NewAdmin(cfg AdminConfig) *Admin {
 	if cfg.Engine == nil {
 		panic("proxy: AdminConfig.Engine is required")
-	}
-	if cfg.Retrain.Rounds <= 0 {
-		cfg.Retrain.Rounds = 200
 	}
 	return &Admin{cfg: cfg}
 }
@@ -316,7 +309,7 @@ func (a *Admin) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	model, err := a.cfg.Engine.RetrainFromOutcomes(a.cfg.Retrain)
+	model, err := a.cfg.Engine.RetrainFromOutcomes()
 	if err != nil {
 		writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error()})
 		return

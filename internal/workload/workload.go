@@ -86,10 +86,6 @@ type Config struct {
 	Sessions int
 	// Mix is the agent family mix (default CoDeeNMix).
 	Mix Mix
-	// Nodes is the number of CDN nodes (default 4).
-	Nodes int
-	// WithPolicy enables the enforcement engine on each node.
-	WithPolicy bool
 	// HumanPages is the mean page views per human session (heavy-tailed).
 	HumanPages int
 	// HumanMouseProbability is the per-page-view probability that a
@@ -113,6 +109,9 @@ type Config struct {
 }
 
 const (
+	// nodes is the number of CDN nodes; they run detection without an
+	// enforcement ladder, so every session is observed to its end.
+	nodes = 4
 	// captchaParticipation is the probability a human session takes the
 	// optional CAPTCHA (paper: roughly 9% of all sessions passed it, i.e.
 	// about 0.38 of the human share).
@@ -130,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Mix == (Mix{}) {
 		c.Mix = CoDeeNMix()
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 4
 	}
 	if c.HumanPages <= 0 {
 		c.HumanPages = 12
@@ -163,14 +159,10 @@ type Result struct {
 	Sessions []LabeledSession
 	// Network is the simulated CDN (for stats inspection).
 	Network *cdn.Network
-	// Clock is the virtual clock at the end of the run.
-	Clock *clock.Virtual
 	// GroundTruth maps session keys to agent kinds.
 	GroundTruth map[session.Key]agents.Kind
 	// Entries are the recorded request entries (empty unless RecordLogs).
 	Entries []logfmt.Entry
-	// AgentsLaunched counts launched agents per kind.
-	AgentsLaunched map[agents.Kind]int
 }
 
 // Snapshots returns the raw session snapshots.
@@ -191,7 +183,7 @@ func Run(cfg Config) *Result {
 	site := webmodel.Generate(webmodel.SiteConfig{Seed: cfg.Seed ^ 0x5117, NumPages: 120})
 	// The simulated deployment always obfuscates, as the paper's did.
 	detCfg := core.Config{Clock: vc, ObfuscateJS: true}
-	network := cdn.NewNetwork(cfg.Nodes, site, detCfg, cfg.WithPolicy, cfg.Seed^0xabcd)
+	network := cdn.NewNetwork(nodes, site, detCfg, false, cfg.Seed^0xabcd)
 	if cfg.RecordLogs {
 		for _, node := range network.Nodes() {
 			node.SetRecording(true)
@@ -202,7 +194,6 @@ func Run(cfg Config) *Result {
 	}
 
 	truth := make(map[session.Key]agents.Kind)
-	launched := make(map[agents.Kind]int)
 	weights, kinds, forged := cfg.Mix.weightsAndKinds()
 
 	// Launch agents with exponential inter-arrival times.
@@ -214,7 +205,6 @@ func Run(cfg Config) *Result {
 		ip := fmt.Sprintf("%d.%d.%d.%d", 11+i%80, (i/253)%253+1, (i%253)+1, 1+src.Intn(250))
 		agent := buildAgent(kind, isForged, ip, site.Host(), cfg, src.Split())
 		truth[session.Key{IP: agent.IP(), UserAgent: agent.UserAgent()}] = kind
-		launched[kind]++
 
 		arrival += time.Duration(src.Exp(float64(time.Second) / sessionArrivalRate))
 		scheduleAgent(vc, network, agent, arrival)
@@ -227,12 +217,7 @@ func Run(cfg Config) *Result {
 	// by the driver; FlushSessions returns the final state of every session).
 	classified := network.FlushSessions()
 
-	result := &Result{
-		Network:        network,
-		Clock:          vc,
-		GroundTruth:    truth,
-		AgentsLaunched: launched,
-	}
+	result := &Result{Network: network, GroundTruth: truth}
 	for _, cs := range classified {
 		kind, ok := truth[cs.Snapshot.Key]
 		if !ok {

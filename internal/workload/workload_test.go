@@ -26,8 +26,8 @@ func TestRunSmallWorkloadProducesLabeledSessions(t *testing.T) {
 			t.Fatal("session with zero requests")
 		}
 	}
-	if res.Network == nil || res.Clock == nil {
-		t.Fatal("result missing network or clock")
+	if res.Network == nil {
+		t.Fatal("result missing network")
 	}
 	if res.Network.TotalStats().Requests == 0 {
 		t.Fatal("network saw no requests")
@@ -140,19 +140,23 @@ func TestSignalSharesRoughlyMatchTable1(t *testing.T) {
 
 func TestGroundTruthKindsLaunched(t *testing.T) {
 	res := Run(Config{Sessions: 200, Seed: 17})
-	if len(res.AgentsLaunched) < 5 {
-		t.Fatalf("agent diversity too low: %v", res.AgentsLaunched)
+	launched := map[agents.Kind]int{}
+	for _, kind := range res.GroundTruth {
+		launched[kind]++
 	}
-	if res.AgentsLaunched[agents.KindHuman] == 0 {
+	if len(launched) < 5 {
+		t.Fatalf("agent diversity too low: %v", launched)
+	}
+	if launched[agents.KindHuman] == 0 {
 		t.Fatal("no human agents launched under the default mix")
 	}
-	if res.AgentsLaunched[agents.KindEmailHarvester] == 0 {
+	if launched[agents.KindEmailHarvester] == 0 {
 		t.Fatal("no harvester agents launched under the default mix")
 	}
 }
 
 func TestRecordLogs(t *testing.T) {
-	res := Run(Config{Sessions: 20, Seed: 19, RecordLogs: true, Nodes: 2})
+	res := Run(Config{Sessions: 20, Seed: 19, RecordLogs: true})
 	if len(res.Entries) == 0 {
 		t.Fatal("RecordLogs produced no entries")
 	}
@@ -170,7 +174,7 @@ func TestRecordLogs(t *testing.T) {
 
 func TestMixDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.Mix != CoDeeNMix() || cfg.Sessions != 200 || cfg.Nodes != 4 {
+	if cfg.Mix != CoDeeNMix() || cfg.Sessions != 200 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	weights, kinds, forged := cfg.Mix.weightsAndKinds()
